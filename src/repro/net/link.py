@@ -95,12 +95,11 @@ class Link:
             raise NetworkError(
                 "{} is not an endpoint of {}".format(from_node, self))
 
-    # NOTE: Network._carry and Network._carry_legacy both inline
-    # transmission_delay, drops_packet and propagation_delay on their
-    # per-hop fast paths.  If the semantics here change — especially
-    # *when* the RNG is drawn, which replay digests depend on — update
-    # repro.net.network (both carries) to match.  The carries
-    # additionally attribute each drop: a downed link is "link-down"
+    # NOTE: Network._carry inlines transmission_delay, drops_packet and
+    # propagation_delay on its per-hop fast path.  If the semantics
+    # here change — especially *when* the RNG is drawn, which replay
+    # digests depend on — update repro.net.network to match.  The carry
+    # additionally attributes each drop: a downed link is "link-down"
     # (no draw, as here); otherwise draws below ``loss`` are "loss" and
     # draws in the ``_extra_loss`` band above it are "impairment".
 

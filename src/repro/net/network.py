@@ -6,26 +6,20 @@ Each packet is driven by its own simulation process: per link it serialises
 on the directional channel (transmission delay), then waits the propagation
 delay, and may be dropped by the link's loss model.
 
-Burst-carry (PR 10): the default carry fuses each hop's channel claim
-with its transmission wait into *one* queued event (the grant is
-virtually accounted — see :class:`~repro.sim.resources.Request`), elides
-the accepted-put event on inbox delivery and the carrier's own no-op end
-event, and accumulates the per-packet/per-hop instruments into local
-cells flushed at registry-read/window boundaries instead of per packet.
-A storm of same-link packets therefore costs roughly half the queued
-events of the PR 5 shape while keeping every scheduling counter, RNG
-draw order and delivery time byte-identical — the replay-digest sweep in
-``tests/net/test_burst_carry.py`` proves it against the legacy carry,
-which stays available via ``Network(..., burst_carry=False)`` (and
-process-wide via :func:`use_burst_carry`) for baselines and A/B proofs.
+Each hop's channel claim is fused with its transmission wait into *one*
+queued event (the grant is virtually accounted — see
+:class:`~repro.sim.resources.Request`); the accepted-put event on inbox
+delivery and the carrier's own no-op end event are elided the same way;
+and the per-packet/per-hop instruments accumulate in local cells flushed
+at registry-read/window boundaries instead of per packet.  Every
+scheduling counter, RNG draw order and delivery time matches the
+one-event-per-step carry this replaced: ``tests/net/test_carry.py``
+holds the single path to references pinned from it.
 """
 
 from __future__ import annotations
 
-import contextlib
-from bisect import insort
-from heapq import heappush
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError, RoutingError
 from repro.net.packet import Packet
@@ -61,59 +55,6 @@ _SYNC_START = _SyncStart()
 #: Default packet priority; QoS-reserved flows use lower (better) values.
 BEST_EFFORT_PRIORITY = 10
 RESERVED_PRIORITY = 0
-
-_burst_default = True
-
-
-def set_burst_carry(enabled: bool) -> bool:
-    """Set whether new :class:`Network` objects default to burst-carry.
-
-    Returns the previous default.  Exists for A/B digest proofs and
-    interleaved same-machine baselines; production code leaves it on.
-    """
-    global _burst_default
-    previous = _burst_default
-    _burst_default = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def use_burst_carry(enabled: bool) -> Iterator[bool]:
-    """Scope the burst-carry default, restoring the previous on exit."""
-    previous = set_burst_carry(enabled)
-    try:
-        yield enabled
-    finally:
-        set_burst_carry(previous)
-
-
-class _BoundNetInstruments:
-    """Per-registry bound handles for the per-packet/per-hop instruments.
-
-    The legacy (``burst_carry=False``) carry keeps one of these per
-    registry identity so the keyed lookups (``tuple(sorted(...))`` +
-    ``str()`` per call) happen once per binding instead of once per
-    packet, exactly as PR 5 shipped it.  Handles stay valid for the
-    registry that created them even if the network later rebinds, so a
-    packet in flight across a registry swap keeps recording where it
-    started — exactly what per-call keyed lookups used to do.
-    """
-
-    __slots__ = ("registry", "sent", "delivered", "latency", "link_bytes",
-                 "node_sent", "node_delivered")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self.sent = registry.bind_counter("net.sent")
-        self.delivered = registry.bind_counter("net.delivered")
-        self.latency = registry.bind_histogram("net.delivery_latency")
-        #: link.label -> bound ``net.bytes`` counter, filled per hop.
-        self.link_bytes: Dict[str, Any] = {}
-        #: source node -> bound ``net.node.sent`` counter.
-        self.node_sent: Dict[str, Any] = {}
-        #: destination node -> bound ``net.node.delivered`` counter.
-        self.node_delivered: Dict[str, Any] = {}
-
 
 class _NetMetricCells:
     """Local accumulation cells for the per-packet/per-hop instruments.
@@ -255,12 +196,10 @@ class Host:
         handler = self._handlers.get(packet.port)
         if handler is not None:
             handler(packet)
-        elif self.network._burst:
+        else:
             # The put event is discarded here, so Store.put_fast elides
             # it (virtually accounted — digests cannot tell).
             self.inbox(packet.port).put_fast(packet)
-        else:
-            self.inbox(packet.port).put(packet)
 
     def __repr__(self) -> str:
         return "<Host {}>".format(self.name)
@@ -271,8 +210,7 @@ class Network:
 
     def __init__(self, env: Environment, topology: Topology,
                  tracer=None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 burst_carry: Optional[bool] = None) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         if topology.env is not env:
             raise NetworkError("topology belongs to a different environment")
         self.env = env
@@ -288,22 +226,13 @@ class Network:
         # resolved per packet so tracing can be enabled mid-run.
         self._tracer = tracer
         self._metrics = metrics
-        # Bound-instrument cache for the legacy carry, rebound whenever
-        # the resolved registry's identity changes (use_metrics scoping,
-        # mid-run enablement).
-        self._bound: Optional[_BoundNetInstruments] = None
-        # Metric cells for the burst carry: current binding plus every
-        # binding ever made, so counters/delivery_latency reads can
-        # flush stragglers from before a registry swap.
+        # Metric cells: the current binding (rebound whenever the
+        # resolved registry's identity changes — use_metrics scoping,
+        # mid-run enablement) plus every binding ever made, so
+        # counters/delivery_latency reads can flush stragglers from
+        # before a registry swap.
         self._cells: Optional[_NetMetricCells] = None
         self._all_cells: List[_NetMetricCells] = []
-        self._burst = _burst_default if burst_carry is None \
-            else bool(burst_carry)
-
-    @property
-    def burst_carry(self) -> bool:
-        """Whether this network runs the fused burst-carry fast path."""
-        return self._burst
 
     @property
     def counters(self) -> Counter:
@@ -329,61 +258,51 @@ class Network:
 
     def transmit(self, packet: Packet) -> None:
         """Launch the per-packet delivery process."""
-        # Process(...) directly rather than env.process(...): carriers
-        # are never named actors, so the wrapper's name/tracer handling
-        # is pure per-packet overhead.
-        if self._burst:
-            # Detached: nobody subscribes to a carrier, so its end
-            # event is elided and virtually accounted (see
-            # Process._resume); failures still escalate.  The sent
-            # counters live in the carry's cells.
-            env = self.env
-            if env._active_process is not None:
-                # Synchronous start: transmit() was called from inside
-                # the run loop (the storm hot path), where an URGENT
-                # Initialize at the current instant would pop before
-                # any pending NORMAL event anyway — so the generator is
-                # primed right here and the Initialize is elided and
-                # virtually accounted (eid + processed land at this
-                # instant, where the queued start would have allocated
-                # and popped it).  Setup-time sends (no active process)
-                # keep the queued start, so code that mutates links
-                # between send() and run() observes no change.
-                carrier = _new_process(Process)
-                carrier.env = env
-                carrier.callbacks = []
-                carrier._value = None
-                carrier._exception = None
-                carrier._ok = None
-                carrier.defused = False
-                carrier._generator = self._carry(packet)
-                carrier.span = None
-                carrier._detached = True
-                carrier._target = None
-                env._eid += 1
-                env.events_processed += 1
-                carrier._resume(_SYNC_START)
-            else:
-                carrier = Process(env, self._carry(packet))
-                carrier._detached = True
+        # Detached: nobody subscribes to a carrier, so its end event is
+        # elided and virtually accounted (see Process._resume); failures
+        # still escalate.
+        env = self.env
+        if env._active_process is not None:
+            # Synchronous start: transmit() was called from inside the
+            # run loop (the storm hot path), where an URGENT Initialize
+            # at the current instant would pop before any pending NORMAL
+            # event anyway — so the generator is primed right here and
+            # the Initialize is elided and virtually accounted (eid +
+            # processed land at this instant, where the queued start
+            # would have allocated and popped it).  Setup-time sends (no
+            # active process) keep the queued start, so code that
+            # mutates links between send() and run() observes no change.
+            carrier = _new_process(Process)
+            carrier.env = env
+            carrier.callbacks = []
+            carrier._value = None
+            carrier._exception = None
+            carrier._ok = None
+            carrier.defused = False
+            carrier._generator = self._carry(packet)
+            carrier.span = None
+            carrier._detached = True
+            carrier._target = None
+            env._eid += 1
+            env.events_processed += 1
+            carrier._resume(_SYNC_START)
         else:
-            # Counter.incr inlined here and at the delivery tail (one
-            # call per packet each way).
-            counts = self._counters._counts
-            counts["sent"] = counts.get("sent", 0) + 1
-            Process(self.env, self._carry_legacy(packet))
+            # Process(...) directly rather than env.process(...):
+            # carriers are never named actors, so the wrapper's
+            # name/tracer handling is pure per-packet overhead.
+            carrier = Process(env, self._carry(packet))
+            carrier._detached = True
 
     # repro: fast-path — per-packet hot loop; no 'with ...request()'
     # claims here (repro.analysis.protocol enforces RPR204).
     def _carry(self, packet: Packet):
-        """Burst-carry: fused claim+tx, elided no-ops, celled metrics.
+        """Carry one packet hop by hop: fused claim+tx, celled metrics.
 
-        Behaviour — RNG draw order, grant/release instants, delivery
-        times, every digest-covered counter — is byte-identical to
-        :meth:`_carry_legacy`; only the number of *queued* (vs
-        virtually-accounted) events and the instrument write path
-        differ.  Physics stays inlined from link.py (sync notice
-        there).
+        The link physics (transmission delay, loss draw, propagation
+        delay) is inlined from link.py, which carries the matching
+        notice: the logic — including when the shared RNG is drawn,
+        which replay digests depend on — must mirror the Link methods
+        exactly.
         """
         env = self.env
         tracer = self._tracer if self._tracer is not None else get_tracer()
@@ -398,6 +317,9 @@ class Network:
         src = packet.src
         node_sent[src] = node_sent.get(src, 0) + 1
         wire_size = packet.wire_size
+        # Transit spans parent under whatever context the sender stamped
+        # into the packet headers (e.g. an rpc.call span), so one trace
+        # tree covers the request end to end.
         if tracer.enabled:
             span = tracer.start_span(
                 "net.transmit", at=env.now, parent=extract(packet.headers),
@@ -408,10 +330,14 @@ class Network:
         try:
             links = self.topology.path(packet.src, packet.dst)
         except RoutingError:
-            self._drop(packet, "no-route", metrics, span, cells=cells)
+            self._drop(packet, "no-route", cells, span)
             return
         node = packet.src
         priority = packet.headers.get("priority", BEST_EFFORT_PRIORITY)
+        # Per-hop spans only exist for traces that are actually being
+        # retained: with the tracer disabled, or the trace sampled out at
+        # its head, every hop of every packet would otherwise still pay
+        # the span + label allocation — the dominant trace cost at scale.
         record_hops = span.is_recording
         flight = env._flight
         if flight is not None and not flight.journal_net:
@@ -420,7 +346,6 @@ class Network:
         # network to a different registry between our yields, but these
         # cells stay tied to the registry this packet resolved.
         link_bytes = cells.link_bytes
-        heap = env._heap
         for link in links:
             hop = tracer.start_span(
                 "net.link", at=env._now, parent=span,
@@ -453,21 +378,7 @@ class Network:
                 channel.users.append(claim)
                 env._eid += 2
                 env.events_processed += 1
-                key = _NORMAL_BASE + env._eid
-                time = env._now + delay
-                if heap is not None:
-                    heappush(heap, (time, key, claim))
-                else:
-                    # Inlined ladder push (sync: Environment._push).
-                    j = int((time - env._qstart) * env._qinvw)
-                    if j < env._qcursor:
-                        insort(env._qrun, (-time, -key, claim))
-                    else:
-                        buckets = env._qbuckets
-                        if j < len(buckets):
-                            buckets[j].append((-time, -key, claim))
-                        else:
-                            env._qover.append((-time, -key, claim))
+                env._push(env._now + delay, _NORMAL_BASE + env._eid, claim)
             yield claim
             if hop is not None:
                 # usage_since marks the grant, so tx-start lands at the
@@ -499,8 +410,7 @@ class Network:
                 if hop is not None:
                     hop.set_status("dropped")
                     hop.finish(at=env._now)
-                self._drop(packet, drop_reason, metrics, span, link=link,
-                           cells=cells)
+                self._drop(packet, drop_reason, cells, span, link)
                 return
             delay = link.latency * link._latency_scale
             if link.jitter > 0:
@@ -514,21 +424,7 @@ class Network:
             wait.defused = False
             wait.delay = delay
             env._eid += 1
-            key = _NORMAL_BASE + env._eid
-            time = env._now + delay
-            if heap is not None:
-                heappush(heap, (time, key, wait))
-            else:
-                # Inlined ladder push (sync: Environment._push).
-                j = int((time - env._qstart) * env._qinvw)
-                if j < env._qcursor:
-                    insort(env._qrun, (-time, -key, wait))
-                else:
-                    buckets = env._qbuckets
-                    if j < len(buckets):
-                        buckets[j].append((-time, -key, wait))
-                    else:
-                        env._qover.append((-time, -key, wait))
+            env._push(env._now + delay, _NORMAL_BASE + env._eid, wait)
             yield wait
             stats = link.stats
             stats.packets += 1
@@ -544,7 +440,7 @@ class Network:
                 hop.finish(at=env._now)
         target = self.hosts.get(packet.dst)
         if target is None:
-            self._drop(packet, "no-host", metrics, span, cells=cells)
+            self._drop(packet, "no-host", cells, span)
             return
         cells.delivered += 1
         node_delivered = cells.node_delivered
@@ -554,239 +450,30 @@ class Network:
         span.finish(at=env._now)
         target._deliver(packet)
 
-    # repro: fast-path — per-packet hot loop; no 'with ...request()'
-    # claims here (repro.analysis.protocol enforces RPR204).
-    def _carry_legacy(self, packet: Packet):
-        """The PR 5 carry, kept verbatim for baselines and A/B proofs.
-
-        One grant pop plus one Timeout per hop, one put and one end
-        event per packet, bound instruments written per packet — the
-        shape BENCH_PR10.json's interleaved baselines (and the burst
-        on/off digest sweep) run against.
-        """
-        env = self.env
-        tracer = self._tracer if self._tracer is not None else get_tracer()
-        metrics = self._metrics if self._metrics is not None \
-            else get_metrics()
-        bound = self._bound
-        if bound is None or bound.registry is not metrics:
-            bound = self._bound = _BoundNetInstruments(metrics)
-        bound.sent.add()
-        node_sent = bound.node_sent.get(packet.src)
-        if node_sent is None:
-            node_sent = bound.node_sent[packet.src] = \
-                metrics.bind_counter("net.node.sent", node=packet.src)
-        node_sent.add()
-        wire_size = packet.wire_size
-        # Transit spans parent under whatever context the sender stamped
-        # into the packet headers (e.g. an rpc.call span), so one trace
-        # tree covers the request end to end.  With the tracer disabled
-        # the span (and the header extraction feeding it) is skipped
-        # outright — NOOP_SPAN behaves identically to what
-        # NoopTracer.start_span would have returned.
-        if tracer.enabled:
-            span = tracer.start_span(
-                "net.transmit", at=env.now, parent=extract(packet.headers),
-                src=packet.src, dst=packet.dst, port=packet.port,
-                bytes=wire_size)
-        else:
-            span = NOOP_SPAN
-        try:
-            links = self.topology.path(packet.src, packet.dst)
-        except RoutingError:
-            self._drop(packet, "no-route", metrics, span)
-            return
-        node = packet.src
-        priority = packet.headers.get("priority", BEST_EFFORT_PRIORITY)
-        # Per-hop spans only exist for traces that are actually being
-        # retained: with the tracer disabled, or the trace sampled out at
-        # its head, every hop of every packet would otherwise still pay
-        # the span + label allocation — the dominant trace cost at scale.
-        record_hops = span.is_recording
-        # Flight journal (repro.obs.flight): hop and drop records, bound
-        # to this environment at its construction.  None — the default —
-        # costs one check per hop/drop.
-        flight = env._flight
-        if flight is not None and not flight.journal_net:
-            flight = None
-        # `bound` (not self._bound) below: another packet may rebind the
-        # network to a different registry between our yields, but these
-        # handles stay tied to the registry this packet resolved.
-        link_bytes = bound.link_bytes
-        heap = env._heap
-        for link in links:
-            hop = tracer.start_span(
-                "net.link", at=env._now, parent=span,
-                link=link.label, node=node,
-                bytes=wire_size) if record_hops else None
-            # The channel claim is released explicitly rather than via a
-            # ``with`` block (same release point: right after the
-            # transmission delay, before the loss draw) — the context-
-            # manager protocol costs two extra calls per hop.  The claim
-            # is built directly (PriorityRequest, not .request()) to skip
-            # one wrapper frame per hop.
-            claim = PriorityRequest(link._channels[node], priority)
-            yield claim
-            if hop is not None:
-                hop.add_event("tx-start", at=env._now)
-            # transmission_delay / drops_packet / propagation_delay are
-            # inlined below (three calls per hop dominate the per-hop
-            # cost).  The logic — including when the shared RNG is drawn,
-            # which replay digests depend on — must mirror the Link
-            # methods exactly; link.py carries the matching notice.  The
-            # two hop waits also build their Timeout events in place
-            # (the same fields and queue entry Environment.timeout makes).
-            delay = (wire_size * 8.0) / link.bandwidth
-            wait = _new_timeout(Timeout)
-            wait.env = env
-            wait.callbacks = []
-            wait._value = None
-            wait._exception = None
-            wait._ok = True
-            wait.defused = False
-            wait.delay = delay
-            env._eid += 1
-            key = _NORMAL_BASE + env._eid
-            time = env._now + delay
-            if heap is not None:
-                heappush(heap, (time, key, wait))
-            else:
-                # Inlined ladder push (sync: Environment._push).
-                j = int((time - env._qstart) * env._qinvw)
-                if j < env._qcursor:
-                    insort(env._qrun, (-time, -key, wait))
-                else:
-                    buckets = env._qbuckets
-                    if j < len(buckets):
-                        buckets[j].append((-time, -key, wait))
-                    else:
-                        env._qover.append((-time, -key, wait))
-            yield wait
-            # Resource.release inlined: the claim was just granted to this
-            # process, so it is always in users; only a non-empty wait
-            # queue needs the grant/sampling machinery.
-            channel = claim.resource
-            channel.users.remove(claim)
-            if channel.queue:
-                channel._grant_waiters()
-            # Loss attribution mirrors Link.drops_packet: a downed link
-            # drops without drawing the RNG; otherwise one draw decides,
-            # and the drawn value splits baseline "loss" from fault-
-            # injected "impairment" (draws landing in the _extra_loss
-            # band) so drop_stats() tells the two apart.
-            drop_reason = None
-            if not link.up:
-                drop_reason = "link-down"
-            else:
-                probability = link.loss + link._extra_loss
-                if probability > 0:
-                    draw = link._rng.random()
-                    if draw < min(probability, 1.0):
-                        drop_reason = "loss" if draw < link.loss \
-                            else "impairment"
-            if drop_reason is not None:
-                link.stats.drops += 1
-                if hop is not None:
-                    hop.set_status("dropped")
-                    hop.finish(at=env._now)
-                self._drop(packet, drop_reason, metrics, span, link=link)
-                return
-            delay = link.latency * link._latency_scale
-            if link.jitter > 0:
-                delay += link._rng.uniform(0, link.jitter)
-            wait = _new_timeout(Timeout)
-            wait.env = env
-            wait.callbacks = []
-            wait._value = None
-            wait._exception = None
-            wait._ok = True
-            wait.defused = False
-            wait.delay = delay
-            env._eid += 1
-            key = _NORMAL_BASE + env._eid
-            time = env._now + delay
-            if heap is not None:
-                heappush(heap, (time, key, wait))
-            else:
-                # Inlined ladder push (sync: Environment._push).
-                j = int((time - env._qstart) * env._qinvw)
-                if j < env._qcursor:
-                    insort(env._qrun, (-time, -key, wait))
-                else:
-                    buckets = env._qbuckets
-                    if j < len(buckets):
-                        buckets[j].append((-time, -key, wait))
-                    else:
-                        env._qover.append((-time, -key, wait))
-            yield wait
-            stats = link.stats
-            stats.packets += 1
-            stats.bytes += wire_size
-            bytes_counter = link_bytes.get(link.label)
-            if bytes_counter is None:
-                bytes_counter = link_bytes[link.label] = \
-                    metrics.bind_counter("net.bytes", link=link.label)
-            bytes_counter.add(wire_size)
-            packet.hops += 1
-            if flight is not None:
-                flight.record_hop(link.label, node, packet.src, packet.dst,
-                                  packet.port, span=hop)
-            node = link.b if node == link.a else link.a
-            if hop is not None:
-                hop.finish(at=env._now)
-        target = self.hosts.get(packet.dst)
-        if target is None:
-            self._drop(packet, "no-host", metrics, span)
-            return
-        counts = self._counters._counts
-        counts["delivered"] = counts.get("delivered", 0) + 1
-        bound.delivered.add()
-        node_delivered = bound.node_delivered.get(packet.dst)
-        if node_delivered is None:
-            node_delivered = bound.node_delivered[packet.dst] = \
-                metrics.bind_counter("net.node.delivered", node=packet.dst)
-        node_delivered.add()
-        latency = env._now - packet.created_at
-        self._delivery_latency.record(latency)
-        bound.latency.record(latency)
-        span.finish(at=env._now)
-        target._deliver(packet)
-
-    def _drop(self, packet: Packet, reason: str,
-              metrics: Optional[MetricsRegistry] = None,
-              span=None, link=None, cells=None) -> None:
+    def _drop(self, packet: Packet, reason: str, cells: _NetMetricCells,
+              span, link=None) -> None:
         self._counters.incr("dropped")
         self._counters.incr("dropped:" + reason)
         self._drop_reasons[reason] = self._drop_reasons.get(reason, 0) + 1
-        if cells is not None:
-            # Burst carry: accumulate — the keyed factories flush every
-            # cell on entry, which a loss burst must not pay per drop.
-            drops = cells.drops
-            drops[reason] = drops.get(reason, 0) + 1
-            if link is not None:
-                link_drops = cells.link_drops
-                drop_key = (link.label, reason)
-                link_drops[drop_key] = link_drops.get(drop_key, 0) + 1
-        else:
-            if metrics is None:
-                metrics = self._metrics if self._metrics is not None \
-                    else get_metrics()
-            metrics.counter("net.drops", reason=reason).add()
-            if link is not None:
-                # Per-link, per-reason attribution: the "drops" column in
-                # the dashboard's link table rolls this up.
-                metrics.counter("net.link.drops", link=link.label,
-                                reason=reason).add()
+        # Accumulate in the cells — the keyed registry factories flush
+        # every cell on entry, which a loss burst must not pay per drop.
+        drops = cells.drops
+        drops[reason] = drops.get(reason, 0) + 1
+        if link is not None:
+            # Per-link, per-reason attribution: the "drops" column in
+            # the dashboard's link table rolls this up.
+            link_drops = cells.link_drops
+            drop_key = (link.label, reason)
+            link_drops[drop_key] = link_drops.get(drop_key, 0) + 1
         flight = self.env._flight
         if flight is not None and flight.journal_net:
             flight.record_drop(reason,
                                link.label if link is not None else None,
                                packet.src, packet.dst, packet.port,
                                span=span)
-        if span is not None:
-            span.set_status("dropped:" + reason)
-            span.set_attribute("drop_reason", reason)
-            span.finish(at=self.env.now)
+        span.set_status("dropped:" + reason)
+        span.set_attribute("drop_reason", reason)
+        span.finish(at=self.env.now)
         if self.on_drop is not None:
             self.on_drop(packet, reason)
 

@@ -189,10 +189,9 @@ class FlightRecorder:
 
         Called by the environment's run loop with the popped entry
         already unpacked into ``(time, priority, eid)`` (the kernel's
-        queue-agnostic :func:`repro.sim.environment.dispatch_parts`
-        accessor), so the journal never depends on how a particular
-        scheduler stores its keys — the record format is byte-identical
-        across queue implementations.  Also tracks the current sim time
+        :func:`repro.sim.environment.dispatch_parts` accessor), so the
+        journal never depends on how the queue stores its keys.  Also
+        tracks the current sim time
         for every other channel, so this must stay attached even when
         ``journal_dispatch`` is off.
         """

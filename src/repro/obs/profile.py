@@ -360,15 +360,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "and print per-operation sim-time deltas; "
                              "an all-zero diff proves two runs spent "
                              "simulated time identically")
-    parser.add_argument("--scheduler", choices=("calendar", "heap"),
-                        default=None,
-                        help="run the workload on a specific event "
-                             "queue; profiling both and --diff'ing the "
-                             "folded dumps proves zero sim-time drift "
-                             "between schedulers")
-    parser.add_argument("--no-burst-carry", action="store_true",
-                        help="run with the legacy per-event network "
-                             "carry instead of the fused burst path")
     parser.add_argument("--list", action="store_true",
                         help="list known workloads and exit")
     options = parser.parse_args(argv)
@@ -415,20 +406,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 options.workload, ", ".join(sorted(WORKLOADS))),
                 file=sys.stderr)
             return 2
-        import contextlib
-
         from repro.analysis.workloads import run_workload
-        from repro.net.network import use_burst_carry
         from repro.obs.metrics import MetricsRegistry, use_metrics
         from repro.obs.tracer import Tracer, use_tracer
-        from repro.sim.environment import use_scheduler
         tracer = Tracer()
-        stack = contextlib.ExitStack()
-        if options.scheduler is not None:
-            stack.enter_context(use_scheduler(options.scheduler))
-        if options.no_burst_carry:
-            stack.enter_context(use_burst_carry(False))
-        with stack, use_tracer(tracer), use_metrics(MetricsRegistry()):
+        with use_tracer(tracer), use_metrics(MetricsRegistry()):
             run_workload(options.workload, seed=options.seed)
         profile = SpanProfile.from_tracer(tracer)
         if not len(profile):

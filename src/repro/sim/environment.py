@@ -1,24 +1,20 @@
 """The simulation environment: clock, event queue and run loop.
 
-The default event queue is a *ladder/calendar queue* (PR 10): the next
-events live in one sorted "current run" list drained from the tail by
-``list.pop()``, and future events are binned into unsorted buckets that
-are sorted (C timsort) only when they become the current run.  Enqueue
-and dequeue are O(1) amortised — no heap sifting — while the bucket
-width re-anchors automatically from the observed event density, so
-Zipf-skewed delay distributions keep near-target run lengths.  The
-``(time, priority, eid)`` total order of the former binary heap is
-preserved exactly, so replay digests are byte-identical; the heap
-remains available as ``Environment(scheduler="heap")`` for A/B proofs
-and same-machine baselines.
+The event queue is a *ladder/calendar queue*: the next events live in
+one sorted "current run" list drained from the tail by ``list.pop()``,
+and future events are binned into unsorted buckets that are sorted (C
+timsort) only when they become the current run.  Enqueue and dequeue
+are O(1) amortised, while the bucket width re-anchors automatically
+from the observed event density, so Zipf-skewed delay distributions
+keep near-target run lengths.  Events dispatch in strict ``(time,
+priority, eid)`` order — ``eid`` being the schedule order — and every
+enqueue goes through :meth:`Environment._push`.
 """
 
 from __future__ import annotations
 
-import contextlib
 from bisect import insort
-from heapq import heappop, heappush
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import (
@@ -36,8 +32,7 @@ Infinity = float("inf")
 _new_timeout = Timeout.__new__
 
 # Queue entries pack (priority, eid) into one int key: priority in the
-# high bits, the schedule-order tiebreaker below.  Ordering is identical
-# to the former (time, priority, eid, ...) tuples — priority dominates,
+# high bits, the schedule-order tiebreaker below — priority dominates,
 # then insertion order.  The calendar queue stores *negated* entries
 # ``(-time, -key, event)`` so the current run sorts ascending yet pops
 # the earliest event from the tail (an O(1) C ``list.pop()``, with no
@@ -55,44 +50,13 @@ _RUN_TARGET = 64
 _RUN_MAX = 2048
 _BUCKET_CAP = 4096
 
-#: Queue implementations selectable per environment (or process-wide
-#: via :func:`set_default_scheduler` / :func:`use_scheduler`).
-SCHEDULERS = ("calendar", "heap")
-
-_default_scheduler = "calendar"
-
-
-def set_default_scheduler(name: str) -> str:
-    """Set the queue used by ``Environment()`` when none is passed.
-
-    Returns the previous default.  The heap remains available so
-    benches and A/B digest tests can run both schedulers interleaved in
-    one process (see :func:`use_scheduler`).
-    """
-    if name not in SCHEDULERS:
-        raise SimulationError("unknown scheduler: {!r}".format(name))
-    global _default_scheduler
-    previous = _default_scheduler
-    _default_scheduler = name
-    return previous
-
-
-@contextlib.contextmanager
-def use_scheduler(name: str) -> Iterator[str]:
-    """Scope the default scheduler, restoring the previous on exit."""
-    previous = set_default_scheduler(name)
-    try:
-        yield name
-    finally:
-        set_default_scheduler(previous)
-
 
 def dispatch_parts(key: int) -> Tuple[int, int]:
     """Split a packed queue key into ``(priority, eid)``.
 
-    The queue-agnostic accessor for dispatch journaling: consumers (the
-    flight recorder, tests) receive unpacked values and never depend on
-    how a particular scheduler stores its keys.
+    The accessor for dispatch journaling: consumers (the flight
+    recorder, tests) receive unpacked values and never depend on how
+    the queue stores its keys.
     """
     return key >> _PRIORITY_SHIFT, key & _EID_MASK
 
@@ -113,13 +77,7 @@ class Environment:
     Time is a float in seconds and only advances through :meth:`run`.
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: Optional[str] = None) -> None:
-        if scheduler is None:
-            scheduler = _default_scheduler
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                "unknown scheduler: {!r}".format(scheduler))
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._eid = 0
         self._active_process: Optional[Process] = None
@@ -138,10 +96,6 @@ class Environment:
         self._qstart = 0.0
         self._qinvw = 0.0
         self._qover: List[Tuple[float, int, Event]] = []
-        # Legacy binary heap: None selects the calendar queue; a list
-        # makes every push/pop site take its heappush/heappop branch.
-        self._heap: Optional[List[Tuple[float, int, Event]]] = \
-            [] if scheduler == "heap" else None
         # Event-loop counter: a plain int so the hot path stays cheap.
         # (events_scheduled is derived from the schedule-order tiebreaker
         # ``_eid``, which advances in lockstep with it by construction.)
@@ -179,11 +133,6 @@ class Environment:
         return self._now
 
     @property
-    def scheduler(self) -> str:
-        """Which queue implementation this environment runs on."""
-        return "heap" if self._heap is not None else "calendar"
-
-    @property
     def events_scheduled(self) -> int:
         """Events ever queued.
 
@@ -211,11 +160,11 @@ class Environment:
 
         This is the kernel's hottest allocation site (one per packet hop,
         think-gap and retry timer), so the event is built field-by-field
-        and queued inline — observably identical to ``Timeout(...)``,
-        including the scheduling counters the replay digests cover.
+        — observably identical to ``Timeout(...)``, including the
+        scheduling counters the replay digests cover.
         """
-        if delay < 0:
-            raise SimulationError("negative delay: {!r}".format(delay))
+        if not delay >= 0:
+            raise SimulationError(_bad_delay(delay))
         event = _new_timeout(Timeout)
         event.env = self
         event.callbacks = []
@@ -225,24 +174,7 @@ class Environment:
         event.defused = False
         event.delay = delay
         self._eid += 1
-        time = self._now + delay
-        heap = self._heap
-        if heap is not None:
-            heappush(heap, (time, _NORMAL_BASE + self._eid, event))
-            return event
-        # Inlined ladder push (sync: Environment._push carries the
-        # reference copy of this logic and the ordering argument).
-        j = int((time - self._qstart) * self._qinvw)
-        if j < self._qcursor:
-            insort(self._qrun, (-time, -_NORMAL_BASE - self._eid, event))
-        else:
-            buckets = self._qbuckets
-            if j < len(buckets):
-                buckets[j].append(
-                    (-time, -_NORMAL_BASE - self._eid, event))
-            else:
-                self._qover.append(
-                    (-time, -_NORMAL_BASE - self._eid, event))
+        self._push(self._now + delay, _NORMAL_BASE + self._eid, event)
         return event
 
     def process(self, generator, name: Optional[str] = None) -> Process:
@@ -286,20 +218,14 @@ class Environment:
     def schedule(self, event: Event, priority: int = NORMAL,
                  delay: float = 0.0) -> None:
         """Queue ``event`` to fire ``delay`` seconds from now."""
+        if not delay >= 0:
+            raise SimulationError(_bad_delay(delay))
         self._eid += 1
-        key = (priority << _PRIORITY_SHIFT) + self._eid
-        time = self._now + delay
-        heap = self._heap
-        if heap is not None:
-            heappush(heap, (time, key, event))
-        else:
-            self._push(time, key, event)
+        self._push(self._now + delay,
+                   (priority << _PRIORITY_SHIFT) + self._eid, event)
 
-    # repro: fast-path — ladder enqueue; hot call sites in sim/net
-    # inline the common branches of this exact logic (sync notices at
-    # each site point back here).
     def _push(self, time: float, key: int, event: Event) -> None:
-        """Ladder enqueue preserving the exact ``(time, key)`` order.
+        """The one enqueue: file ``event`` under its ``(time, key)`` order.
 
         The bucket index is computed *only* from ``int((time - start) *
         invw)`` — never from a separately-derived boundary — so two
@@ -439,8 +365,6 @@ class Environment:
 
     def _queue_depth(self) -> int:
         """Pending events across run, buckets and overflow."""
-        if self._heap is not None:
-            return len(self._heap)
         return len(self._qrun) + sum(map(len, self._qbuckets)) \
             + len(self._qover)
 
@@ -500,28 +424,18 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or infinity if none."""
-        heap = self._heap
-        if heap is not None:
-            return heap[0][0] if heap else Infinity
         if not self._qrun and not self._promote():
             return Infinity
         return -self._qrun[-1][0]
 
     def step(self) -> None:
         """Process the single next event, advancing the clock to it."""
-        heap = self._heap
-        if heap is not None:
-            try:
-                self._now, key, event = heappop(heap)
-            except IndexError:
-                raise EmptySchedule("no more events")
-        else:
-            if not self._qrun and not self._promote():
-                raise EmptySchedule("no more events")
-            neg_time, neg_key, event = self._qrun.pop()
-            self._now = -neg_time
-            key = -neg_key
+        if not self._qrun and not self._promote():
+            raise EmptySchedule("no more events")
+        neg_time, neg_key, event = self._qrun.pop()
+        self._now = -neg_time
         if self._flight_dispatch is not None:
+            key = -neg_key
             self._flight_dispatch(self._now, key >> _PRIORITY_SHIFT,
                                   key & _EID_MASK)
         if self._now >= self._window_next:
@@ -548,7 +462,9 @@ class Environment:
                 until_event = until
             else:
                 at = float(until)
-                if at < self._now:
+                if not at >= self._now:
+                    if at != at:
+                        raise SimulationError("until is not a time: nan")
                     raise SimulationError(
                         "until ({}) is in the past (now={})".format(
                             at, self._now))
@@ -565,11 +481,11 @@ class Environment:
         # is itself a measurable slice of wall time.  Behaviour
         # (counters, exception escalation, StopSimulation) is identical.
         #
-        # The flight dispatch hook is hoisted into a local like the
-        # queue: it journals (time, priority, eid) per event and drives
-        # the recorder's epoch clock, scheduling zero events — replay
-        # digests are identical with or without it (the O2 bench
-        # asserts this).  None (the default) costs one check per event.
+        # The flight dispatch hook journals (time, priority, eid) per
+        # event and drives the recorder's epoch clock, scheduling zero
+        # events — replay digests are identical with or without it (the
+        # O2 bench asserts this).  None (the default) costs one check
+        # per event.
         #
         # The processed count is batched in a local and flushed once on
         # the way out (including via exceptions): nothing observes
@@ -579,77 +495,37 @@ class Environment:
         flight_dispatch = self._flight_dispatch
         processed = 0
         try:
-            if self._heap is not None:
-                queue = self._heap
-                pop = heappop
-                while True:
-                    try:
-                        self._now, key, event = pop(queue)
-                    except IndexError:
-                        raise EmptySchedule("no more events")
-                    if flight_dispatch is not None:
-                        flight_dispatch(self._now,
-                                        key >> _PRIORITY_SHIFT,
-                                        key & _EID_MASK)
-                    if self._now >= self._window_next:
-                        self._fire_window_hook()
-                    processed += 1
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if event._ok is False and not event.defused:
-                        raise event._exception
-            # Calendar drain: pop the earliest entry off the tail of the
-            # sorted run (O(1), physically removed — in-run insorts from
-            # callbacks always land among *pending* entries), promoting
-            # the next bucket whenever the run empties.  ``while run``
-            # re-checks after every event because callbacks may insort
-            # into the very list being drained.  The loop body comes in
-            # a with-flight and a without-flight variant so the common
-            # (no recorder) case skips even the per-event None check,
-            # and single-callback events — the overwhelming majority:
-            # one waiter per timeout/claim — dispatch without the
-            # for-loop setup.
-            run = self._qrun
-            pop = run.pop
+            # Pop the earliest entry off the tail of the sorted run
+            # (O(1), physically removed — in-run insorts from callbacks
+            # always land among *pending* entries), promoting the next
+            # bucket whenever the run empties.  ``while run`` re-checks
+            # after every event because callbacks may insort into the
+            # very list being drained.  Single-callback events — the
+            # overwhelming majority: one waiter per timeout/claim —
+            # dispatch without the for-loop setup.
             while True:
-                if flight_dispatch is None:
-                    while run:
-                        neg_time, neg_key, event = pop()
-                        self._now = now = -neg_time
-                        if now >= self._window_next:
-                            self._fire_window_hook()
-                        processed += 1
-                        callbacks, event.callbacks = event.callbacks, None
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-                        if event._ok is False and not event.defused:
-                            raise event._exception
-                else:
-                    while run:
-                        neg_time, neg_key, event = pop()
-                        self._now = now = -neg_time
+                run = self._qrun
+                pop = run.pop
+                while run:
+                    neg_time, neg_key, event = pop()
+                    self._now = now = -neg_time
+                    if flight_dispatch is not None:
                         key = -neg_key
                         flight_dispatch(now, key >> _PRIORITY_SHIFT,
                                         key & _EID_MASK)
-                        if now >= self._window_next:
-                            self._fire_window_hook()
-                        processed += 1
-                        callbacks, event.callbacks = event.callbacks, None
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-                        if event._ok is False and not event.defused:
-                            raise event._exception
+                    if now >= self._window_next:
+                        self._fire_window_hook()
+                    processed += 1
+                    callbacks, event.callbacks = event.callbacks, None
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        for callback in callbacks:
+                            callback(event)
+                    if event._ok is False and not event.defused:
+                        raise event._exception
                 if not self._promote():
                     raise EmptySchedule("no more events")
-                run = self._qrun
-                pop = run.pop
         except StopSimulation as stop:
             return stop.args[0].value if stop.args[0]._ok else None
         except EmptySchedule:
@@ -682,6 +558,13 @@ class Environment:
 
 def _stop_simulation(event: Event) -> None:
     raise StopSimulation(event)
+
+
+def _bad_delay(delay: Any) -> str:
+    """The error text for a delay that failed ``delay >= 0``."""
+    if delay != delay:
+        return "delay is not a time: {!r}".format(delay)
+    return "negative delay: {!r}".format(delay)
 
 
 def drive(root_factory, until: Any = None) -> Any:

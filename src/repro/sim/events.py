@@ -110,13 +110,11 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: float,
                  value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError("negative delay: {!r}".format(delay))
         super().__init__(env)
         self.delay = delay
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
+        env.schedule(self, delay=delay)  # rejects negative / NaN delays
 
 
 class Initialize(Event):
@@ -230,10 +228,10 @@ class Process(Event):
         """Advance the generator with the fired event's value."""
         env = self.env
         # Saved and restored (not reset to None): a synchronously
-        # started process (Network.transmit's burst path) resumes nested
-        # inside its creator's _resume, which must stay the active
-        # process afterwards.  For top-level dispatches the saved value
-        # is None, exactly what the old reset stored.
+        # started process (Network.transmit from inside a process)
+        # resumes nested inside its creator's _resume, which must stay
+        # the active process afterwards.  For top-level dispatches the
+        # saved value is None.
         outer = env._active_process
         env._active_process = self
         generator = self._generator

@@ -10,7 +10,6 @@ used e.g. for link bandwidth accounting).
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
 
@@ -24,30 +23,6 @@ def _metrics():
     # module-level import here would close a package-import cycle.
     from repro.obs.metrics import get_metrics
     return get_metrics()
-
-
-def _push_now(env: Environment, key: int, event: Event) -> None:
-    """Queue ``event`` at the current instant on either scheduler.
-
-    The store dispatch loop schedules a couple of events per delivered
-    message; this shares the scheduler branch instead of repeating it
-    at each site (sync: Environment._push carries the ladder's ordering
-    argument).
-    """
-    heap = env._heap
-    if heap is not None:
-        heappush(heap, (env._now, key, event))
-        return
-    time = env._now
-    j = int((time - env._qstart) * env._qinvw)
-    if j < env._qcursor:
-        insort(env._qrun, (-time, -key, event))
-    else:
-        buckets = env._qbuckets
-        if j < len(buckets):
-            buckets[j].append((-time, -key, event))
-        else:
-            env._qover.append((-time, -key, event))
 
 
 class Request(Event):
@@ -169,21 +144,7 @@ class Resource:
         else:
             env._eid += 1
             time = env._now
-        key = _NORMAL_BASE + env._eid
-        heap = env._heap
-        if heap is not None:
-            heappush(heap, (time, key, request))
-            return
-        # Inlined ladder push (sync: Environment._push).
-        j = int((time - env._qstart) * env._qinvw)
-        if j < env._qcursor:
-            insort(env._qrun, (-time, -key, request))
-        else:
-            buckets = env._qbuckets
-            if j < len(buckets):
-                buckets[j].append((-time, -key, request))
-            else:
-                env._qover.append((-time, -key, request))
+        env._push(time, _NORMAL_BASE + env._eid, request)
 
     def _grant_waiters(self) -> None:
         granted = False
@@ -256,21 +217,7 @@ class PriorityRequest(Request):
             else:
                 env._eid += 1
                 time = env._now
-            key = _NORMAL_BASE + env._eid
-            heap = env._heap
-            if heap is not None:
-                heappush(heap, (time, key, self))
-                return
-            # Inlined ladder push (sync: Environment._push).
-            j = int((time - env._qstart) * env._qinvw)
-            if j < env._qcursor:
-                insort(env._qrun, (-time, -key, self))
-            else:
-                buckets = env._qbuckets
-                if j < len(buckets):
-                    buckets[j].append((-time, -key, self))
-                else:
-                    env._qover.append((-time, -key, self))
+            env._push(time, _NORMAL_BASE + env._eid, self)
         else:
             resource._do_request(self)
 
@@ -418,7 +365,7 @@ class Store:
                 self.items.append(put.item)
                 put._ok = True
                 env._eid += 1
-                _push_now(env, _NORMAL_BASE + env._eid, put)
+                env._push(env._now, _NORMAL_BASE + env._eid, put)
                 progressed = True
             # Satisfy getters from the buffer.
             if not self._getters:
@@ -435,7 +382,7 @@ class Store:
                 getter._ok = True
                 getter._value = item
                 env._eid += 1
-                _push_now(env, _NORMAL_BASE + env._eid, getter)
+                env._push(env._now, _NORMAL_BASE + env._eid, getter)
                 progressed = True
         if self.name is not None:
             _metrics().gauge("store.depth", store=self.name) \

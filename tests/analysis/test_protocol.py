@@ -61,7 +61,7 @@ def test_actor_detection():
     assert not by_name["cool_claim"].fast_path
     # PR 10 fixtures: fast-path generators are actors *and* fast-path,
     # so they get both RPR204 walks; the explicit claim/release shape
-    # (the burst carry's idiom) stays clean.
+    # (the packet carry's idiom) stays clean.
     assert by_name["hot_carrier"].fast_path
     assert protocol.is_actor(by_name["hot_carrier"])
     assert by_name["hot_explicit"].fast_path

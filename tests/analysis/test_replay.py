@@ -89,12 +89,12 @@ def test_every_registered_workload_is_digest_stable():
             name)
 
 
-# -- PR 10: pinned digests across scheduler x carry quadrants -------------
+# -- pinned digests -------------------------------------------------------
 #
 # seed_digests.json holds the seed-31 digest of every workload, captured
-# on the heap scheduler with the legacy carry *before* the calendar
-# queue and burst-carry landed.  Any drift in any of the four
-# (scheduler, burst) quadrants is a behaviour change, not a speedup.
+# on a binary-heap scheduler with a one-event-per-step carry *before* the
+# calendar queue and the fused carry replaced them.  Any drift is a
+# behaviour change, not a speedup.
 
 _PINNED = os.path.join(os.path.dirname(__file__), "seed_digests.json")
 
@@ -108,15 +108,9 @@ def test_pinned_digest_file_covers_every_workload():
     assert set(_pinned_digests()) == set(WORKLOADS)
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-@pytest.mark.parametrize("burst", [True, False])
-def test_all_workloads_match_pinned_digests(scheduler, burst):
-    from repro.net.network import use_burst_carry
-    from repro.sim.environment import use_scheduler
+def test_all_workloads_match_pinned_digests():
     pinned = _pinned_digests()
-    with use_scheduler(scheduler), use_burst_carry(burst):
-        for name in sorted(WORKLOADS):
-            digest = trace_digest(run_isolated(name, seed=31))
-            assert digest == pinned[name], \
-                "workload {} drifted under scheduler={} burst={}".format(
-                    name, scheduler, burst)
+    for name in sorted(WORKLOADS):
+        digest = trace_digest(run_isolated(name, seed=31))
+        assert digest == pinned[name], \
+            "workload {} drifted".format(name)

@@ -1,23 +1,17 @@
-"""The calendar queue must be indistinguishable from the binary heap.
+"""The calendar queue must dispatch in ``(time, priority, eid)`` order.
 
-The ladder/calendar queue (PR 10) replaces the packed heap behind the
-same :class:`Environment` API.  These tests pin the contract down:
-identical ``(time, priority, eid)`` dispatch order on adversarial
-schedules, identical counters, and correct re-anchoring under skewed
-delay distributions — with the heap kept alive as the reference.
+These tests pin the ladder/calendar queue's contract down against a
+model stated directly in the test — ``sorted`` over ``(now + delay,
+priority, schedule index)`` — on adversarial schedules, and check
+counters and re-anchoring under skewed delay distributions.
 """
 
 import random
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim import Environment, Event
-from repro.sim.environment import (
-    dispatch_parts,
-    set_default_scheduler,
-    use_scheduler,
-)
+from repro.sim.environment import dispatch_parts
 from repro.sim.events import NORMAL, URGENT
 
 
@@ -42,8 +36,15 @@ def _schedule_tagged(env, entries):
     return fired
 
 
+def _model(entries, now=0.0):
+    """The dispatch contract: (time, priority, schedule index) order."""
+    keyed = sorted((now + delay, priority, index, tag)
+                   for index, (delay, priority, tag) in enumerate(entries))
+    return [(time, tag) for time, _priority, _index, tag in keyed]
+
+
 @pytest.mark.parametrize("seed", [0, 7, 31])
-def test_dispatch_order_matches_heap_on_random_schedules(seed):
+def test_dispatch_order_matches_model_on_random_schedules(seed):
     rng = random.Random(seed)
     entries = []
     for tag in range(500):
@@ -52,14 +53,11 @@ def test_dispatch_order_matches_heap_on_random_schedules(seed):
         priority = rng.choice([URGENT, NORMAL, NORMAL, NORMAL])
         entries.append((delay, priority, tag))
 
-    logs = {}
-    for scheduler in ("heap", "calendar"):
-        env = Environment(scheduler=scheduler)
-        fired = _schedule_tagged(env, entries)
-        env.run_all()
-        logs[scheduler] = fired
-        assert env.events_processed == len(entries)
-    assert logs["calendar"] == logs["heap"]
+    env = Environment()
+    fired = _schedule_tagged(env, entries)
+    env.run_all()
+    assert env.events_processed == len(entries)
+    assert fired == _model(entries)
 
 
 def test_same_instant_fifo_with_urgent_first():
@@ -83,13 +81,10 @@ def test_zipf_skewed_delays_reanchor_correctly(seed):
         delay = 0.001 / (1.0 - rng.random()) ** 1.5
         entries.append((min(delay, 1e6), NORMAL, tag))
 
-    logs = {}
-    for scheduler in ("heap", "calendar"):
-        env = Environment(scheduler=scheduler)
-        fired = _schedule_tagged(env, entries)
-        env.run_all(limit=float("inf"))
-        logs[scheduler] = fired
-    assert logs["calendar"] == logs["heap"]
+    env = Environment()
+    fired = _schedule_tagged(env, entries)
+    env.run_all(limit=float("inf"))
+    assert fired == _model(entries)
 
 
 def test_dense_same_time_burst_is_served_in_order():
@@ -122,19 +117,17 @@ def test_interleaved_push_during_drain_lands_in_run():
     assert seen == sorted(seen)
 
 
-def test_peek_step_run_all_agree_with_heap():
+def test_peek_and_step_agree():
     entries = [(d, NORMAL, i)
                for i, d in enumerate([3.0, 1.0, 2.0, 1.0, 0.0])]
-    times = {}
-    for scheduler in ("heap", "calendar"):
-        env = Environment(scheduler=scheduler)
-        _schedule_tagged(env, entries)
-        peeked = []
-        while env.peek() != float("inf"):
-            peeked.append(env.peek())
-            env.step()
-        times[scheduler] = peeked
-    assert times["calendar"] == times["heap"] == [0.0, 1.0, 1.0, 2.0, 3.0]
+    env = Environment()
+    fired = _schedule_tagged(env, entries)
+    peeked = []
+    while env.peek() != float("inf"):
+        peeked.append(env.peek())
+        env.step()
+    assert peeked == [0.0, 1.0, 1.0, 2.0, 3.0]
+    assert fired == _model(entries)
 
 
 def test_bootstrap_and_drained_queue_reset():
@@ -167,33 +160,20 @@ def test_dispatch_parts_roundtrip():
     assert dispatch_parts((NORMAL << _PRIORITY_SHIFT) | 42) == (NORMAL, 42)
 
 
-def test_scheduler_selection_and_default():
-    assert Environment().scheduler == "calendar"
-    assert Environment(scheduler="heap").scheduler == "heap"
-    with use_scheduler("heap"):
-        assert Environment().scheduler == "heap"
-    assert Environment().scheduler == "calendar"
-    with pytest.raises(SimulationError):
-        Environment(scheduler="splay")
-    with pytest.raises(SimulationError):
-        set_default_scheduler("splay")
+def test_counters_after_a_cut_short_run():
+    env = Environment()
 
+    def worker(env):
+        for _ in range(20):
+            yield env.timeout(0.01)
 
-def test_counters_identical_across_schedulers():
-    def drive(scheduler):
-        with use_scheduler(scheduler):
-            env = Environment()
-
-            def worker(env):
-                for _ in range(20):
-                    yield env.timeout(0.01)
-
-            for _ in range(5):
-                env.process(worker(env))
-            env.run(until=0.15)
-            return env.stats()
-
-    assert drive("calendar") == drive("heap")
+    for _ in range(5):
+        env.process(worker(env))
+    env.run(until=0.15)
+    # 5 Initialize + the until event + 15 timeouts per worker queued,
+    # of which each worker's last is still pending at the cut.
+    assert env.stats() == {"now": 0.15, "events_scheduled": 81,
+                           "events_processed": 76, "queue_depth": 5}
 
 
 def test_far_future_and_huge_times_do_not_break_order():

@@ -237,3 +237,46 @@ def test_nested_process_failure_propagates(env):
     proc = env.process(outer(env))
     env.run(proc)
     assert proc.value == "caught: inner broke"
+
+
+# -- the kernel boundary: times that are not times ---------------------------
+
+
+@pytest.mark.parametrize("delay", [float("inf"), 1e309],
+                         ids=["inf", "1e309"])
+def test_infinite_timeout_queues_before_and_after_first_promote(env, delay):
+    """An infinite delay parks at the far end of the queue (as
+    schedule(delay=inf) always did) whether the ladder is still in its
+    unanchored bootstrap or already has buckets."""
+    never = env.timeout(delay)
+    env.timeout(1.0)
+    env.timeout(2.0)
+    assert env.peek() == 1.0          # first promote: queue anchored
+    later = env.timeout(delay)
+    env.run(until=3.0)
+    assert env.now == 3.0
+    assert not never.processed and not later.processed
+    assert env.stats()["queue_depth"] == 2
+    assert env.peek() == float("inf")
+
+
+def test_nan_timeout_is_rejected(env):
+    with pytest.raises(SimulationError, match="delay.*nan"):
+        env.timeout(float("nan"))
+    assert env.events_scheduled == 0
+
+
+@pytest.mark.parametrize("delay", [float("nan"), -1.0])
+def test_schedule_rejects_nan_and_negative_delay(env, delay):
+    with pytest.raises(SimulationError, match="delay"):
+        env.schedule(env.event(), delay=delay)
+    assert env.events_scheduled == 0
+    assert env.stats()["queue_depth"] == 0
+
+
+def test_run_until_nan_is_rejected(env):
+    env.timeout(1.0)
+    with pytest.raises(SimulationError, match="until.*nan"):
+        env.run(until=float("nan"))
+    assert env.now == 0.0
+    assert env.events_scheduled == 1

@@ -113,12 +113,10 @@ def test_release_of_queued_request_still_withdraws(env):
     assert resource.users == []
 
 
-# -- PR 10: fused grants, elided puts, scheduler edge cases ---------------
+# -- fused grants, elided puts, queue edge cases --------------------------
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_equal_priority_claims_stay_fifo(scheduler):
-    """Tie-break order is creation order, on either queue."""
-    env = Environment(scheduler=scheduler)
+def test_equal_priority_claims_stay_fifo(env):
+    """Tie-break order is creation order."""
     channel = PriorityResource(env, capacity=1)
     order = []
 
@@ -135,11 +133,9 @@ def test_equal_priority_claims_stay_fifo(scheduler):
     assert order == list(range(8))
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_cancellation_interleaved_with_timeouts(scheduler):
+def test_cancellation_interleaved_with_timeouts(env):
     """Interrupting a process waiting on a Timeout mid-queue must not
     disturb the dispatch order of the surviving events."""
-    env = Environment(scheduler=scheduler)
     log = []
 
     def sleeper(env):

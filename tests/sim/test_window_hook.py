@@ -112,14 +112,14 @@ def test_nonpositive_interval_rejected():
         env.set_window_hook(-1.0, lambda b: None)
 
 
-# -- exactly-once under the calendar queue (PR 10) ------------------------
+# -- exactly-once under the calendar queue --------------------------------
 #
-# The calendar run loop fires the hook from two inlined drain variants
-# and after bucket promotes; each boundary must still fire exactly once,
-# in order, on both schedulers, whatever the schedule's shape.
+# The run loop fires the hook from its inlined drain and after bucket
+# promotes; each boundary must still fire exactly once, in order,
+# whatever the schedule's shape.
 
-def _boundaries(scheduler, build, interval=1.0, until=None):
-    env = Environment(scheduler=scheduler)
+def _boundaries(build, interval=1.0, until=None):
+    env = Environment()
     fired = []
     env.set_window_hook(interval, fired.append)
     build(env)
@@ -132,8 +132,7 @@ def _assert_exactly_once(fired):
     assert len(fired) == len(set(fired)), "a boundary fired twice"
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_exactly_once_over_quiet_gaps(scheduler):
+def test_exactly_once_over_quiet_gaps():
     """Sparse schedules with long quiet gaps: every crossed boundary
     fires once when the clock jumps, none are skipped or repeated."""
     def build(env):
@@ -144,16 +143,15 @@ def test_exactly_once_over_quiet_gaps(scheduler):
             yield env.timeout(10.0)  # crosses 5.0 .. 14.0
         env.process(proc(env))
 
-    fired = _boundaries(scheduler, build)
+    fired = _boundaries(build)
     _assert_exactly_once(fired)
     assert fired == [float(k) for k in range(1, 15)]
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_exactly_once_through_dense_same_time_bursts(scheduler):
+def test_exactly_once_through_dense_same_time_bursts():
     """Thousands of events at the boundary instant: the hook fires once
     before the first of them, never between or after."""
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     fired = []
     order = []
     env.set_window_hook(1.0, lambda b: (fired.append(b),
@@ -173,11 +171,10 @@ def test_exactly_once_through_dense_same_time_bursts(scheduler):
     assert all(kind == "event" for kind, _ in order[1:])
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_exactly_once_in_until_terminated_runs(scheduler):
+def test_exactly_once_in_until_terminated_runs():
     """run(until=...) must not fire boundaries beyond the cut, and a
     resumed run picks up with no boundary lost or repeated."""
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     fired = []
     env.set_window_hook(1.0, fired.append)
     env.process(ticker(env, 0.3, 30))
@@ -189,24 +186,21 @@ def test_exactly_once_in_until_terminated_runs(scheduler):
 
 
 @pytest.mark.parametrize("seed", [0, 5, 23])
-def test_exactly_once_on_random_schedules_matches_heap(seed):
+def test_exactly_once_on_random_schedules_matches_model(seed):
     """Property: for arbitrary priority/delay mixes the boundary log is
-    identical between schedulers, sorted, and duplicate-free."""
+    every multiple of the interval up to the last event, once each."""
     rng = random.Random(seed)
     plan = [(rng.choice([0.0, rng.random(), rng.random() * 20.0]),
              rng.choice([URGENT, NORMAL]))
             for _ in range(400)]
 
-    logs = {}
-    for scheduler in ("calendar", "heap"):
-        env = Environment(scheduler=scheduler)
-        fired = []
-        env.set_window_hook(0.5, fired.append)
-        for delay, priority in plan:
-            event = env.event()
-            event._ok = True
-            env.schedule(event, priority=priority, delay=delay)
-        env.run_all(limit=float("inf"))
-        logs[scheduler] = fired
-    _assert_exactly_once(logs["calendar"])
-    assert logs["calendar"] == logs["heap"]
+    env = Environment()
+    fired = []
+    env.set_window_hook(0.5, fired.append)
+    for delay, priority in plan:
+        event = env.event()
+        event._ok = True
+        env.schedule(event, priority=priority, delay=delay)
+    env.run_all(limit=float("inf"))
+    last = max(delay for delay, _priority in plan)
+    assert fired == [0.5 * k for k in range(1, int(last / 0.5) + 1)]
