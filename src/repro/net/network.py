@@ -100,7 +100,10 @@ class _NetMetricCells:
         self.drops: Dict[str, int] = {}
         #: (link label, reason) -> pending ``net.link.drops`` adds.
         self.link_drops: Dict[Tuple[str, str], int] = {}
-        registry.add_flush_hook(self.flush)
+        registry.add_flush_hook(self.flush, (
+            "net.sent", "net.delivered", "net.delivery_latency",
+            "net.node.sent", "net.node.delivered", "net.bytes",
+            "net.drops", "net.link.drops"))
 
     def flush(self) -> None:
         """Fold every pending cell into the registry instruments."""

@@ -148,8 +148,8 @@ def localize(name: str, seed: int, seed2: Optional[int] = None,
                                context=context)
     _run(name, seed, journal_a, traced=True)
     _run(name, report["seed2"], journal_b, traced=True)
-    records_a = list(journal_a.ring)
-    records_b = list(journal_b.ring)
+    records_a = journal_a.epoch_records(epoch)
+    records_b = journal_b.epoch_records(epoch)
     index = _first_mismatch(records_a, records_b)
     report["epoch_records"] = [len(records_a), len(records_b)]
     report["record_index"] = index

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import hashlib
 import json
 import re
@@ -66,6 +67,19 @@ DEFAULT_EPOCH_EVENTS = 512
 _PLAIN = re.compile(r'^[ -!#-\[\]-~]*$').match
 
 
+@functools.lru_cache(maxsize=1024)
+def _plain_label(label: str) -> bool:
+    """:data:`_PLAIN` for link/node/stream labels: a run has a few dozen
+    and repeats them per record, so each pays the regex once."""
+    return _PLAIN(label) is not None
+
+
+# Raw journal entries: ``(kind, epoch, time, ...)`` tuples, turned into
+# text (for the digest) or dicts (for a reader) later.  Cold channels and
+# records with a string that is not plain build their dict first (_RECORD).
+_DISPATCH, _HOP, _RNG, _RECORD = range(4)
+
+
 def canonical(record: Dict[str, Any]) -> str:
     """The digestable form of a record: sorted JSON, side fields dropped.
 
@@ -77,6 +91,34 @@ def canonical(record: Dict[str, Any]) -> str:
     return json.dumps(
         {key: value for key, value in record.items() if key[0] != "_"},
         sort_keys=True, separators=(",", ":"))
+
+
+def _side(span: Any) -> Optional[Tuple[str, str, str]]:
+    """The side fields naming a recording span, else None."""
+    if span is not None and getattr(span, "is_recording", False):
+        return span.trace_id, span.span_id, span.name
+    return None
+
+
+def _record(entry: Tuple[Any, ...]) -> Dict[str, Any]:
+    """The dict form of a raw journal entry (what readers see)."""
+    kind = entry[0]
+    if kind == _RECORD:
+        return entry[3]
+    if kind == _DISPATCH:
+        _, epoch, time, priority, eid = entry
+        return {"kind": "dispatch", "time": time, "eid": eid,
+                "priority": priority, "epoch": epoch}
+    if kind == _HOP:
+        _, epoch, time, link, node, src, dst, port, side = entry
+        record = {"kind": "hop", "time": time, "link": link, "node": node,
+                  "src": src, "dst": dst, "port": port, "epoch": epoch}
+        if side is not None:
+            record["_trace"], record["_span"], record["_op"] = side
+        return record
+    _, epoch, time, stream, method, value = entry
+    return {"kind": "rng", "time": time, "stream": stream,
+            "method": method, "value": value, "epoch": epoch}
 
 
 class FlightRecorder:
@@ -92,6 +134,13 @@ class FlightRecorder:
 
     The per-channel ``journal_*`` flags turn individual record kinds
     off; epochs still advance on dispatch either way.
+
+    Recording a decision appends one raw tuple to the current epoch's
+    buffer.  The buffer is *folded* — rendered to canonical text in one
+    pass, hashed with one update, moved into the ring — when the epoch
+    rolls, at :meth:`finish`, and before any read, so every reader sees
+    exactly what a record-at-a-time journal would hold; records become
+    dicts only when somebody reads them.
     """
 
     enabled = True
@@ -125,18 +174,15 @@ class FlightRecorder:
         self.journal_net = journal_net
         self.journal_locks = journal_locks
         self.journal_actors = journal_actors
-        self.ring: "collections.deque[Dict[str, Any]]" = \
-            collections.deque(maxlen=ring)
-        #: Records from just before ``keep_epochs`` (empty without it).
-        self.context: "collections.deque[Dict[str, Any]]" = \
-            collections.deque(maxlen=context)
         #: Chained digests, one per closed epoch: digest ``e`` hashes
         #: digest ``e-1`` followed by epoch ``e``'s canonical records.
         self.epoch_digests: List[str] = []
-        #: Records journalled over the recorder's lifetime.
-        self.recorded = 0
-        #: Records pushed out of the ring.
-        self.evicted = 0
+        # Raw entries: not yet folded, retained, from before keep_epochs.
+        self._pending: List[Tuple[Any, ...]] = []
+        self._ring = collections.deque(maxlen=ring)
+        self._context = collections.deque(maxlen=context)
+        self._recorded = 0
+        self._admitted = 0      # entries ever offered to the ring
         self._hash = hashlib.sha256()
         self._epoch = 0
         self._epoch_records = 0
@@ -152,31 +198,62 @@ class FlightRecorder:
         """The epoch currently being journalled (= closed epochs)."""
         return self._epoch
 
-    def _append(self, record: Dict[str, Any],
-                canon: Optional[str] = None) -> None:
-        record["epoch"] = self._epoch
-        self.recorded += 1
-        self._epoch_records += 1
-        if canon is None:
-            if any(key[0] == "_" for key in record):
-                canon = canonical(record)
+    def _fold(self) -> None:
+        """Digest the buffered entries and move them into the ring.
+
+        All of them belong to the current epoch (a roll folds first),
+        and the hash sees the same bytes as one update per record, so
+        digests do not depend on when reads fold.  The hot channels'
+        canonical forms are spelled out, keys sorted; ``repr`` matches
+        json's ints and floats.  Most records repeat their
+        predecessor's timestamp, whose text is reused — not across
+        ``0.0 == -0.0`` or ``1 == 1.0``, which render differently.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        epoch = repr(self._epoch)
+        texts = []
+        add = texts.append
+        last = stamp = None
+        for entry in pending:
+            time = entry[2]
+            if time is not last:
+                if time != last or not time \
+                        or type(time) is not type(last):
+                    stamp = repr(time)
+                last = time
+            kind = entry[0]
+            if kind == _DISPATCH:
+                add(f'{{"eid":{entry[4]!r},"epoch":{epoch},'
+                    f'"kind":"dispatch","priority":{entry[3]!r},'
+                    f'"time":{stamp}}}')
+            elif kind == _HOP:
+                _, _, _, link, node, src, dst, port, _ = entry
+                add(f'{{"dst":"{dst}","epoch":{epoch},"kind":"hop",'
+                    f'"link":"{link}","node":"{node}","port":{port!r},'
+                    f'"src":"{src}","time":{stamp}}}')
+            elif kind == _RNG:
+                _, _, _, stream, method, value = entry
+                add(f'{{"epoch":{epoch},"kind":"rng",'
+                    f'"method":"{method}","stream":"{stream}",'
+                    f'"time":{stamp},"value":"{value}"}}')
             else:
-                canon = json.dumps(record, sort_keys=True,
-                                   separators=(",", ":"))
-        self._hash.update(canon.encode())
+                add(canonical(entry[3]))
+        self._hash.update("".join(texts).encode())
+        count = len(pending)
+        self._recorded += count
+        self._epoch_records += count
         keep = self.keep_epochs
-        if keep is not None:
-            epoch = self._epoch
-            if epoch < keep[0]:
-                self.context.append(record)
-                return
-            if epoch > keep[1]:
-                return
-        if len(self.ring) == self.ring.maxlen:
-            self.evicted += 1
-        self.ring.append(record)
+        if keep is None or keep[0] <= self._epoch <= keep[1]:
+            self._admitted += count
+            self._ring.extend(pending)
+        elif self._epoch < keep[0]:
+            self._context.extend(pending)
+        pending.clear()
 
     def _roll(self) -> None:
+        self._fold()
         digest = self._hash.hexdigest()
         self.epoch_digests.append(digest)
         self._hash = hashlib.sha256(digest.encode())
@@ -201,71 +278,62 @@ class FlightRecorder:
                 self._boundary_index += 1
         self._time = time
         if self.journal_dispatch:
-            # The canonical form is built with a format string here:
-            # dispatch records dominate the journal and json.dumps is
-            # ~10x the cost (%r matches json's int/float rendering;
-            # test_dispatch_fast_path_matches_canonical pins equality).
-            self._append(
-                {"kind": "dispatch", "time": time, "eid": eid,
-                 "priority": priority},
-                '{"eid":%r,"epoch":%r,"kind":"dispatch","priority":%r,'
-                '"time":%r}' % (eid, self._epoch, priority, time))
+            self._pending.append(
+                (_DISPATCH, self._epoch, time, priority, eid))
         if self.epoch_events is not None:
             self._epoch_dispatches += 1
             if self._epoch_dispatches >= self.epoch_events:
                 self._roll()
 
-    def _side(self, record: Dict[str, Any], span: Any) -> Dict[str, Any]:
-        if span is not None and getattr(span, "is_recording", False):
-            record["_trace"] = span.trace_id
-            record["_span"] = span.span_id
-            record["_op"] = span.name
-        return record
+    def _append(self, record: Dict[str, Any], span: Any = None) -> None:
+        """Journal an already-built record (the generic encoder's path)."""
+        side = _side(span)
+        if side is not None:
+            record["_trace"], record["_span"], record["_op"] = side
+        record["epoch"] = self._epoch
+        self._pending.append((_RECORD, self._epoch, self._time, record))
 
     def record_rng(self, stream: str, method: str, value: Any) -> None:
         """One RNG draw from a named stream (``repr`` keeps floats exact)."""
-        value = repr(value)
-        record = {"kind": "rng", "time": self._time, "stream": stream,
-                  "method": method, "value": value}
-        if _PLAIN(stream) and _PLAIN(method) and _PLAIN(value):
-            self._append(record,
-                         '{"epoch":%r,"kind":"rng","method":"%s",'
-                         '"stream":"%s","time":%r,"value":"%s"}'
-                         % (self._epoch, method, stream, self._time,
-                            value))
+        numeric = type(value) is float or type(value) is int
+        value = repr(value)     # of a number: always plain
+        if (numeric or _PLAIN(value)) and _plain_label(stream) \
+                and _plain_label(method):
+            self._pending.append(
+                (_RNG, self._epoch, self._time, stream, method, value))
         else:
-            self._append(record)
+            self._append({"kind": "rng", "time": self._time,
+                          "stream": stream, "method": method,
+                          "value": value})
 
     def record_hop(self, link: str, node: str, src: str, dst: str,
                    port: int, span: Any = None) -> None:
         """One packet clearing one link hop."""
-        record = self._side(
-            {"kind": "hop", "time": self._time, "link": link, "node": node,
-             "src": src, "dst": dst, "port": port}, span)
-        if _PLAIN(link) and _PLAIN(node) and _PLAIN(src) and _PLAIN(dst):
-            self._append(record,
-                         '{"dst":"%s","epoch":%r,"kind":"hop",'
-                         '"link":"%s","node":"%s","port":%r,"src":"%s",'
-                         '"time":%r}'
-                         % (dst, self._epoch, link, node, port, src,
-                            self._time))
+        if _plain_label(link) and _plain_label(node) \
+                and _plain_label(src) and _plain_label(dst):
+            self._pending.append(
+                (_HOP, self._epoch, self._time, link, node, src, dst,
+                 port, _side(span)))
         else:
-            self._append(record)
+            self._append(
+                {"kind": "hop", "time": self._time, "link": link,
+                 "node": node, "src": src, "dst": dst, "port": port},
+                span)
 
     def record_drop(self, reason: str, link: Optional[str], src: str,
                     dst: str, port: int, span: Any = None) -> None:
         """One packet drop with its attributed reason."""
-        self._append(self._side(
+        self._append(
             {"kind": "drop", "time": self._time, "reason": reason,
-             "link": link, "src": src, "dst": dst, "port": port}, span))
+             "link": link, "src": src, "dst": dst, "port": port}, span)
 
     def record_lock(self, event: str, key: str, owner: str, mode: str,
                     style: str, span: Any = None) -> None:
         """One lock-table transition (``grant``/``release``/``revoke``)."""
-        self._append(self._side(
+        self._append(
             {"kind": "lock", "time": self._time, "event": event,
              "key": key, "owner": owner, "mode": mode, "style": style},
-            span))
+            span)
 
     def record_spawn(self, actor: str) -> None:
         """A named actor process starting."""
@@ -284,34 +352,65 @@ class FlightRecorder:
         exactly one run's worth of digests.
         """
         if not self._finished:
+            self._fold()
             if self._epoch_records or self._epoch_dispatches:
                 self._roll()
             self._finished = True
         return len(self.epoch_digests)
 
-    # -- reading -----------------------------------------------------------
+    # -- reading (whatever looks at the ring folds first) -------------------
+
+    @property
+    def recorded(self) -> int:
+        """Records journalled over the recorder's lifetime."""
+        return self._recorded + len(self._pending)
+
+    @property
+    def evicted(self) -> int:
+        """Records pushed out of the ring."""
+        self._fold()
+        return self._admitted - len(self._ring)
+
+    @property
+    def ring(self) -> List[Dict[str, Any]]:
+        """The retained records, oldest first (a snapshot)."""
+        self._fold()
+        return [_record(entry) for entry in self._ring]
+
+    @property
+    def context(self) -> List[Dict[str, Any]]:
+        """Records from just before ``keep_epochs`` (empty without it)."""
+        self._fold()
+        return [_record(entry) for entry in self._context]
+
+    def tail(self, count: int) -> List[Dict[str, Any]]:
+        """The newest ``count`` retained records, oldest first."""
+        self._fold()
+        entries = list(self._ring)
+        return [_record(entry) for entry in
+                entries[max(0, len(entries) - count):]]
 
     def epoch_records(self, epoch: int) -> List[Dict[str, Any]]:
         """The retained records of one epoch, in journal order."""
-        return [record for record in self.ring
-                if record.get("epoch") == epoch]
+        self._fold()
+        return [_record(entry) for entry in self._ring
+                if entry[1] == epoch]
 
     def records(self) -> Iterator[Dict[str, Any]]:
         """JSONL rows: epoch digests first, then the retained ring."""
         for index, digest in enumerate(self.epoch_digests):
             yield {"kind": "flight-epoch", "schema": FLIGHT_SCHEMA,
                    "index": index, "digest": digest}
-        for record in self.ring:
-            yield record
+        yield from self.ring
 
     def stats(self) -> Dict[str, int]:
         """Journal counters (for snapshots and the black box)."""
         return {"recorded": self.recorded, "evicted": self.evicted,
-                "retained": len(self.ring),
-                "epochs": len(self.epoch_digests)}
+                "retained": len(self), "epochs": len(self.epoch_digests)}
 
     def __len__(self) -> int:
-        return len(self.ring)
+        self._fold()
+        return len(self._ring)
 
     def __repr__(self) -> str:
         return "<FlightRecorder epoch={} recorded={}{}>".format(
@@ -329,6 +428,8 @@ class NoopFlightRecorder:
     journal_locks = False
     journal_actors = False
     epoch_digests: List[str] = []
+    ring: Tuple[Dict[str, Any], ...] = ()
+    context: Tuple[Dict[str, Any], ...] = ()
     recorded = 0
     evicted = 0
     epoch = 0
@@ -356,6 +457,9 @@ class NoopFlightRecorder:
 
     def finish(self) -> int:
         return 0
+
+    def tail(self, count: int) -> List[Dict[str, Any]]:
+        return []
 
     def epoch_records(self, epoch: int) -> List[Dict[str, Any]]:
         return []
@@ -472,8 +576,7 @@ class BlackBox:
                     {"kind": "flight-epoch", "schema": FLIGHT_SCHEMA,
                      "index": index, "digest": digest},
                     sort_keys=True) + "\n")
-            ring = list(flight.ring) if hasattr(flight, "ring") else []
-            for record in ring[-self.last:]:
+            for record in flight.tail(self.last):
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
             for record in metrics.records():
                 handle.write(json.dumps(record, sort_keys=True) + "\n")

@@ -15,18 +15,20 @@ metrics cannot change experiment output.
 
 Batched flushing (PR 10): hot paths that cannot afford an instrument
 call per record accumulate into local cells and register a *flush hook*
-(:meth:`MetricsRegistry.add_flush_hook`).  Every read path — the keyed
-factories, ``counters()``/``snapshot()``/``records()``, the
-``*_items()`` iteration the timeline recorder uses at window boundaries,
-and the SLO aggregations — runs the hooks first, so readers always see
-fresh values while writers schedule zero flush events and pay one int
-add per record.  Hooks must be idempotent when their cells are empty.
+(:meth:`MetricsRegistry.add_flush_hook`) naming the instruments those
+cells back.  Every read path — the keyed factories for those names (any
+other name pays a set probe), ``counters()``/``snapshot()``/
+``records()``, the ``*_items()`` iteration the timeline recorder uses at
+window boundaries, and the SLO aggregations — runs the hooks first, so
+readers always see fresh values while writers schedule zero flush events
+and pay one int add per record.  Hooks must be idempotent when their
+cells are empty.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.sim.monitor import Tally, TimeSeries
 
@@ -145,19 +147,27 @@ class MetricsRegistry:
         # against recursion: a hook folding its cells goes through the
         # keyed factories, which flush on entry.
         self._flush_hooks: List[Any] = []
+        self._flushed_names: Set[str] = set()
         self._flushing = False
 
     # -- batched flushing --------------------------------------------------
 
-    def add_flush_hook(self, hook) -> None:
+    def add_flush_hook(self, hook, names: Iterable[str]) -> None:
         """Register a zero-arg callable run before every read.
 
         The contract for batching writers: accumulate locally, register
         one hook, fold everything pending into the real instruments when
-        called.  Hooks run in registration order and must be no-ops when
-        nothing is pending.
+        called.  ``names`` lists every instrument name the hook's cells
+        back: the keyed factories run the hooks only for those names
+        (the aggregate readers always do).  Hooks run in registration
+        order and must be no-ops when nothing is pending.
         """
+        names = frozenset(names)
+        if not names:
+            raise ValueError(
+                "names must list the instruments the hook's cells back")
         self._flush_hooks.append(hook)
+        self._flushed_names |= names
 
     def _flush(self) -> None:
         if not self._flush_hooks or self._flushing:
@@ -172,7 +182,7 @@ class MetricsRegistry:
     # -- instrument factories (create-on-first-use, cached) ----------------
 
     def counter(self, name: str, **labels: Any) -> CounterInstrument:
-        if self._flush_hooks:
+        if name in self._flushed_names:
             self._flush()
         key = _key(name, labels)
         instrument = self._counters.get(key)
@@ -182,7 +192,7 @@ class MetricsRegistry:
         return instrument
 
     def histogram(self, name: str, **labels: Any) -> HistogramInstrument:
-        if self._flush_hooks:
+        if name in self._flushed_names:
             self._flush()
         key = _key(name, labels)
         instrument = self._histograms.get(key)
@@ -192,7 +202,7 @@ class MetricsRegistry:
         return instrument
 
     def gauge(self, name: str, **labels: Any) -> GaugeInstrument:
-        if self._flush_hooks:
+        if name in self._flushed_names:
             self._flush()
         key = _key(name, labels)
         instrument = self._gauges.get(key)
@@ -339,6 +349,7 @@ class MetricsRegistry:
         # cleared instrument dicts, so replaying its cells would resurrect
         # orphaned instruments with partial counts.
         self._flush_hooks.clear()
+        self._flushed_names.clear()
 
     def __repr__(self) -> str:
         return "<MetricsRegistry counters={} histograms={} gauges={}>".format(

@@ -1,9 +1,13 @@
 """Flight recorder: ring bounds, epoch digests, journaling, black box."""
 
+import collections
+import hashlib
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.analysis.replay import run_isolated, trace_digest
@@ -11,6 +15,8 @@ from repro.obs.flight import (
     NOOP_FLIGHT,
     BlackBox,
     FlightRecorder,
+    _PLAIN,
+    _plain_label,
     canonical,
     use_flight,
 )
@@ -116,12 +122,108 @@ def test_digests_differ_on_injected_fork():
     assert run_a.epoch_digests[1] != run_b.epoch_digests[1]
 
 
-class _SlowFlight(FlightRecorder):
-    """A recorder whose every record takes the generic canonical path."""
+class _EagerJournal:
+    """The reference: one dict, one ``json.dumps`` and one hash update
+    per record, in the order they happen — what :class:`FlightRecorder`
+    (which buffers an epoch and folds it in one pass) must be
+    indistinguishable from, whenever and however it is read."""
 
-    def _append(self, record, canon=None):
-        FlightRecorder._append(self, record,
-                               canonical(dict(record, epoch=self.epoch)))
+    def __init__(self, ring=4096, epoch_events=None, epoch_interval=None,
+                 keep_epochs=None, context=64):
+        self.events = epoch_events if epoch_interval is None \
+            else None
+        if self.events is None and epoch_interval is None:
+            self.events = 512
+        self.interval, self.keep = epoch_interval, keep_epochs
+        self.ring = collections.deque(maxlen=ring)
+        self.context = collections.deque(maxlen=context)
+        self.epoch_digests = []
+        self.recorded = self.evicted = self.epoch = 0
+        self.hash = hashlib.sha256()
+        self.open = self.dispatches = 0
+        self.boundary, self.time, self.finished = 1, 0.0, False
+
+    def add(self, kind, span=None, **fields):
+        record = dict(kind=kind, time=self.time, **fields)
+        if span is not None and span.is_recording:
+            record.update(_trace=span.trace_id, _span=span.span_id,
+                          _op=span.name)
+        record["epoch"] = self.epoch
+        self.recorded += 1
+        self.open += 1
+        self.hash.update(json.dumps(
+            {k: v for k, v in record.items() if k[0] != "_"},
+            sort_keys=True, separators=(",", ":")).encode())
+        if self.keep is not None and self.epoch < self.keep[0]:
+            self.context.append(record)
+        elif self.keep is None or self.epoch <= self.keep[1]:
+            self.evicted += len(self.ring) == self.ring.maxlen
+            self.ring.append(record)
+
+    def roll(self):
+        self.epoch_digests.append(self.hash.hexdigest())
+        self.hash = hashlib.sha256(self.epoch_digests[-1].encode())
+        self.epoch += 1
+        self.open = self.dispatches = 0
+
+    def on_dispatch(self, time, priority, eid):
+        while self.interval is not None \
+                and time >= self.boundary * self.interval:
+            self.roll()
+            self.boundary += 1
+        self.time = time
+        self.add("dispatch", eid=eid, priority=priority)
+        if self.events is not None:
+            self.dispatches += 1
+            if self.dispatches >= self.events:
+                self.roll()
+
+    def record_rng(self, stream, method, value):
+        self.add("rng", stream=stream, method=method, value=repr(value))
+
+    def record_hop(self, link, node, src, dst, port, span=None):
+        self.add("hop", span, link=link, node=node, src=src, dst=dst,
+                 port=port)
+
+    def record_drop(self, reason, link, src, dst, port, span=None):
+        self.add("drop", span, reason=reason, link=link, src=src,
+                 dst=dst, port=port)
+
+    def record_lock(self, event, key, owner, mode, style, span=None):
+        self.add("lock", span, event=event, key=key, owner=owner,
+                 mode=mode, style=style)
+
+    def record_spawn(self, actor):
+        self.add("spawn", actor=actor)
+
+    def record_exit(self, actor, ok):
+        self.add("exit", actor=actor, ok=bool(ok))
+
+    def finish(self):
+        if not self.finished and (self.open or self.dispatches):
+            self.roll()
+        self.finished = True
+        return len(self.epoch_digests)
+
+    def stats(self):
+        return {"recorded": self.recorded, "evicted": self.evicted,
+                "retained": len(self.ring),
+                "epochs": len(self.epoch_digests)}
+
+
+def _assert_same(recorder, model):
+    """Everything a reader can see; text-compared so that ``0.0`` vs
+    ``-0.0`` and ``1`` vs ``1.0`` (equal as values) cannot hide."""
+    assert recorder.epoch_digests == model.epoch_digests
+    assert recorder.epoch == model.epoch
+    for mine, theirs in ((recorder.ring, model.ring),
+                         (recorder.context, model.context)):
+        assert [json.dumps(r, sort_keys=True) for r in mine] \
+            == [json.dumps(r, sort_keys=True) for r in theirs]
+    assert recorder.recorded == model.recorded
+    assert recorder.evicted == model.evicted
+    assert recorder.stats() == model.stats()
+    assert len(recorder) == len(model.ring)
 
 
 def _exercise(recorder, streams=("s", 'we"ird\\')):
@@ -137,28 +239,123 @@ def _exercise(recorder, streams=("s", 'we"ird\\')):
 
 
 def test_fast_path_canonical_matches_generic_encoder():
-    # The hot channels (dispatch/rng/hop) hash format-string canonical
+    # The hot channels (dispatch/rng/hop) hash hand-formatted canonical
     # forms instead of json.dumps; they must stay byte-identical to the
     # generic encoder for ints, floats, plain strings AND fall back
     # correctly on strings needing JSON escapes.
     fast = FlightRecorder(epoch_events=3)
-    slow = _SlowFlight(epoch_events=3)
+    slow = _EagerJournal(epoch_events=3)
     _exercise(fast)
     _exercise(slow)
-    assert fast.epoch_digests == slow.epoch_digests
+    _assert_same(fast, slow)
     for record in fast.ring:
         assert json.loads(canonical(record)) == record
 
 
-def test_side_fields_do_not_influence_digests():
-    class FakeSpan:
-        is_recording = True
-        trace_id, span_id, name = "t1", "s1", "net.transmit"
+def test_labels_needing_escapes_take_the_generic_encoder():
+    # More distinct labels than the plain-label table holds, every
+    # third one needing a JSON escape, each seen twice (a miss, then —
+    # for the recent ones — a hit): the table must never let an
+    # escaped label through to the hand-formatted form.
+    labels = ["n{}".format(i) if i % 3 else 'n"{}\\'.format(i)
+              for i in range(_plain_label.cache_info().maxsize + 50)]
+    fast = FlightRecorder(ring=8, epoch_events=64)
+    slow = _EagerJournal(ring=8, epoch_events=64)
+    for recorder in (fast, slow):
+        for eid, label in enumerate(labels + labels[-20:]):
+            recorder.on_dispatch(eid * 0.5, 1, eid)
+            recorder.record_hop(label, "a", label, "b", 9)
+            recorder.record_rng(label, "random", 0.25)
+        recorder.finish()
+    _assert_same(fast, slow)
+    assert not _plain_label('n"0\\') and _plain_label("n1")
+    for value in (7, -7, 0.5, -0.0, 1e300, 1e-300, float("inf"),
+                  float("nan"), 2 ** 70):
+        assert _PLAIN(repr(value))      # why record_rng skips the check
 
+
+class _Span:
+    is_recording = True
+    trace_id, span_id, name = "t1", "s1", "net.transmit"
+
+
+class _SampledOutSpan(_Span):
+    is_recording = False
+
+
+# Bounded: an ``epoch_interval`` recorder closes one epoch per boundary
+# a dispatch crosses.
+_TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, 1.0, 0.1, 1.5e-9, 2.5, 7,
+                     45.678901234567891]),
+    st.floats(min_value=-1.0, max_value=50.0))
+_LABELS = st.one_of(
+    st.sampled_from(["a", "n1", "n1<->n2", 'q"uote', "back\\slash",
+                     "caf\u00e9", "tab\t", ""]),
+    st.text(max_size=6))
+_SPANS = st.sampled_from([None, _Span(), _SampledOutSpan()])
+_VALUES = st.one_of(st.integers(), st.floats(), st.booleans(),
+                    st.none(), st.text(max_size=4),
+                    st.lists(st.integers(), max_size=2))
+_SMALL = st.integers(0, 9)
+_STEPS = st.one_of(
+    st.tuples(st.just("on_dispatch"), _TIMES, _SMALL, st.integers(0)),
+    st.tuples(st.just("on_dispatch"), _TIMES, _SMALL, st.integers(0)),
+    st.tuples(st.just("record_rng"), _LABELS, _LABELS, _VALUES),
+    st.tuples(st.just("record_hop"), _LABELS, _LABELS, _LABELS, _LABELS,
+              _SMALL, _SPANS),
+    st.tuples(st.just("record_drop"), _LABELS,
+              st.one_of(st.none(), _LABELS), _LABELS, _LABELS, _SMALL,
+              _SPANS),
+    st.tuples(st.just("record_lock"), _LABELS, _LABELS, _LABELS, _LABELS,
+              _LABELS, _SPANS),
+    st.tuples(st.just("record_spawn"), _LABELS),
+    st.tuples(st.just("record_exit"), _LABELS, st.booleans()),
+    st.just(("read",)))
+_CONFIGS = st.fixed_dictionaries({
+    "ring": st.integers(1, 40),
+    "context": st.integers(1, 5),
+    "keep_epochs": st.one_of(st.none(), st.tuples(
+        st.integers(0, 4), st.integers(0, 4)).map(sorted).map(tuple)),
+    "epoch": st.one_of(
+        st.tuples(st.just("epoch_events"), st.integers(1, 50)),
+        st.tuples(st.just("epoch_interval"),
+                  st.sampled_from([0.25, 1.0, 1000.0])))})
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=_CONFIGS, steps=st.lists(_STEPS, min_size=10, max_size=100),
+       read_every_step=st.booleans())
+def test_folding_is_indistinguishable_from_eager_journalling(
+        config, steps, read_every_step):
+    # Random interleavings of every channel, with reads wherever they
+    # fall: after every step, or only at the drawn "read" steps — so
+    # the buffer folded at a roll or a read holds anything from one
+    # record to several times the ring.
+    config = dict(config)
+    name, value = config.pop("epoch")
+    config[name] = value
+    fast, slow = FlightRecorder(**config), _EagerJournal(**config)
+    for step in steps:
+        if step[0] != "read":
+            for recorder in (fast, slow):
+                getattr(recorder, step[0])(*step[1:])
+        if read_every_step or step[0] == "read":
+            _assert_same(fast, slow)
+            assert fast.tail(3) == list(slow.ring)[-3:]
+            assert fast.epoch_records(slow.epoch) == [
+                r for r in slow.ring if r["epoch"] == slow.epoch]
+    assert fast.finish() == slow.finish()
+    _assert_same(fast, slow)
+    assert fast.finish() == slow.finish()
+    _assert_same(fast, slow)
+
+
+def test_side_fields_do_not_influence_digests():
     plain = FlightRecorder(epoch_events=4)
     traced = FlightRecorder(epoch_events=4)
     plain.record_hop("l", "n", "a", "b", 7)
-    traced.record_hop("l", "n", "a", "b", 7, span=FakeSpan())
+    traced.record_hop("l", "n", "a", "b", 7, span=_Span())
     plain.finish()
     traced.finish()
     assert plain.epoch_digests == traced.epoch_digests

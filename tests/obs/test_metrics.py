@@ -254,3 +254,70 @@ def test_histograms_and_gauges_views(registry):
     assert registry.histograms()["h{k=v}"]["count"] == 1.0
     assert registry.gauges() == {"g": 4.0}
     assert registry.histograms("nope") == {}
+
+
+# -- name-scoped flush hooks -------------------------------------------------
+
+
+def _counting_hook(registry, names=("net.drops",)):
+    calls = []
+    registry.add_flush_hook(lambda: calls.append(1), names)
+    return calls
+
+
+def test_keyed_lookups_flush_only_for_the_names_a_hook_backs(registry):
+    calls = _counting_hook(registry)
+    registry.gauge("rpc.inflight", node="n1").set(1, at=0.0)
+    registry.counter("breaker.rejected", dst="n2").add()
+    registry.histogram("resource.wait", resource="r").record(0.1)
+    registry.bind_counter("chan.retries", node="n1", dst="n2")
+    assert calls == []
+    registry.counter("net.drops", reason="loss")
+    assert len(calls) == 1
+    # The aggregate readers cannot know what they will meet: they flush.
+    for read in (registry.snapshot, registry.counter_items,
+                 lambda: registry.counter_total("anything"),
+                 lambda: list(registry.records())):
+        before = len(calls)
+        read()
+        assert len(calls) == before + 1
+
+
+def test_reset_forgets_hooks_and_the_names_they_backed(registry):
+    calls = _counting_hook(registry)
+    registry.reset()
+    registry.counter("net.drops", reason="loss")
+    registry.snapshot()
+    assert calls == []
+
+
+def test_flush_hook_must_name_its_instruments(registry):
+    with pytest.raises(TypeError, match="names"):
+        registry.add_flush_hook(lambda: None)
+    with pytest.raises(ValueError, match="names"):
+        registry.add_flush_hook(lambda: None, ())
+
+
+@pytest.mark.parametrize("read", [
+    lambda registry: registry.counter("net.sent").value,
+    lambda registry: registry.counter_total("net.sent"),
+    lambda registry: registry.snapshot()["counters"]["net.sent"],
+    lambda registry: dict(registry.counter_items())["net.sent"].value,
+    lambda registry: registry.histogram("net.delivery_latency").count,
+    lambda registry: registry.counter("net.node.sent", node="n0").value,
+], ids=["counter", "counter_total", "snapshot", "counter_items",
+        "histogram", "labelled-counter"])
+def test_network_cells_are_fresh_on_first_read(registry, read):
+    # Packets accumulate in the network's cells; the first read of a
+    # backed name — with no other read before it — must see them all.
+    from repro.net.network import Network
+    from repro.net.topology import line
+    from repro.sim import Environment
+
+    env = Environment()
+    network = Network(env, line(env, length=2, seed=11), metrics=registry)
+    network.host("n1")
+    for _ in range(3):
+        network.host("n0").send("n1", size=64)
+    env.run()
+    assert read(registry) == 3
