@@ -14,7 +14,7 @@ event fires.  The contract is easy to break silently:
   re-enters the event loop — and a ``# repro: fast-path`` marked
   function must not use context-manager resource claims (``with
   ...request()``), whose protocol overhead the marker exists to forbid
-  (see ``Network._carry``).
+  (see ``repro.net.network._Carrier``).
 
 ========  =============================================================
 code      violation

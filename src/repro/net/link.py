@@ -95,10 +95,10 @@ class Link:
             raise NetworkError(
                 "{} is not an endpoint of {}".format(from_node, self))
 
-    # NOTE: Network._carry inlines transmission_delay, drops_packet and
-    # propagation_delay on its per-hop fast path.  If the semantics
-    # here change — especially *when* the RNG is drawn, which replay
-    # digests depend on — update repro.net.network to match.  The carry
+    # NOTE: repro.net.network's _Carrier inlines transmission_delay,
+    # drops_packet and propagation_delay in its per-hop methods.  If
+    # the semantics here change — especially *when* the RNG is drawn,
+    # which replay digests depend on — update it to match.  The carrier
     # additionally attributes each drop: a downed link is "link-down"
     # (no draw, as here); otherwise draws below ``loss`` are "loss" and
     # draws in the ``_extra_loss`` band above it are "impairment".

@@ -2,19 +2,20 @@
 
 A :class:`Network` wraps a :class:`~repro.net.topology.Topology` and moves
 :class:`~repro.net.packet.Packet` objects between :class:`Host` objects.
-Each packet is driven by its own simulation process: per link it serialises
-on the directional channel (transmission delay), then waits the propagation
-delay, and may be dropped by the link's loss model.
+Each packet in flight is one :class:`_Carrier`, driven by event callbacks
+rather than a process: per link it serialises on the directional channel
+(transmission delay), then waits the propagation delay, and may be
+dropped by the link's loss model.
 
-Each hop's channel claim is fused with its transmission wait into *one*
-queued event (the grant is virtually accounted — see
-:class:`~repro.sim.resources.Request`); the accepted-put event on inbox
-delivery and the carrier's own no-op end event are elided the same way;
-and the per-packet/per-hop instruments accumulate in local cells flushed
-at registry-read/window boundaries instead of per packet.  Every
-scheduling counter, RNG draw order and delivery time matches the
-one-event-per-step carry this replaced: ``tests/net/test_carry.py``
-holds the single path to references pinned from it.
+Two events are queued per hop.  The start of an in-run send, each
+channel grant (fused with its transmission wait — see
+:class:`~repro.sim.resources.Request`), the accepted put on inbox
+delivery and the flight's end queue nothing and are *virtually
+accounted*; the per-packet/per-hop instruments accumulate in local cells
+flushed at registry-read/window boundaries.  Every scheduling counter,
+RNG draw order and delivery time matches the one-event-per-step carry
+this replaced: ``tests/net/test_carry.py`` holds the carrier to
+references pinned from it and to an independent generator model.
 """
 
 from __future__ import annotations
@@ -28,29 +29,10 @@ from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.propagation import extract
 from repro.obs.span import NOOP_SPAN
 from repro.obs.tracer import get_tracer
-from repro.sim import Counter, Environment, Process, Store, Tally, Timeout
+from repro.sim import Counter, Environment, Store, Tally
 from repro.sim.environment import _NORMAL_BASE
+from repro.sim.events import URGENT
 from repro.sim.resources import PriorityRequest
-
-_new_timeout = Timeout.__new__
-_new_process = Process.__new__
-_new_claim = PriorityRequest.__new__
-
-
-class _SyncStart:
-    """Pre-fired stub fed to ``Process._resume`` for synchronous starts.
-
-    Stands in for the Initialize event a queued start would have popped:
-    permanently ok with a None value, which is exactly what a fresh
-    generator's first ``send`` expects.
-    """
-
-    __slots__ = ()
-    _ok = True
-    _value = None
-
-
-_SYNC_START = _SyncStart()
 
 #: Default packet priority; QoS-reserved flows use lower (better) values.
 BEST_EFFORT_PRIORITY = 10
@@ -208,6 +190,247 @@ class Host:
         return "<Host {}>".format(self.name)
 
 
+class _Carrier(PriorityRequest):
+    """One packet in flight: claim, queued event and stand-in process.
+
+    One object plays three roles.  It is each hop's channel claim, held
+    in ``channel.users`` or queued through ``channel._do_request``; it
+    is the event pushed for transmission-complete and again for
+    propagation-complete — the run loop hands a callback the event, so
+    ``callbacks`` points at shared tuples of the plain functions below
+    and they receive the carrier as ``self``; and it is
+    ``env.active_process`` around the foreign code a flight ends in
+    (:meth:`_finish`).
+
+    The link physics (transmission delay, loss draw, propagation delay)
+    is inlined from link.py, which carries the matching notice: the
+    logic — including when the shared RNG is drawn, which replay digests
+    depend on — must mirror the Link methods exactly.
+    """
+
+    # __weakref__: tests watch a carrier die at the end of its flight.
+    __slots__ = ("network", "packet", "cells", "transit", "tracer",
+                 "flight", "links", "link", "node", "wire_size", "hop",
+                 "__weakref__")
+
+    #: ``env.active_process.span`` (where locks.py parents its spans):
+    #: a carrier is not a named actor.
+    span = None
+
+    def __init__(self, network: "Network", packet: Packet) -> None:
+        # Event.__init__ inlined (one carrier per packet); a carrier
+        # fires many times, so callbacks is set at each push instead.
+        self.env = network.env
+        self.callbacks = None
+        self._value = None
+        self._exception = None
+        self._ok = None
+        self.defused = False
+        self.network = network
+        self.packet = packet
+
+    def _begin(self) -> None:  # repro: fast-path (RPR204)
+        """Resolve instruments and route, then claim the first hop."""
+        network = self.network
+        packet = self.packet
+        tracer = network._tracer if network._tracer is not None \
+            else get_tracer()
+        metrics = network._metrics if network._metrics is not None \
+            else get_metrics()
+        # The carrier keeps the cells it resolves here: another packet
+        # may rebind the network to a different registry mid-flight.
+        cells = network._cells
+        if cells is None or cells.registry is not metrics:
+            cells = network._cells = _NetMetricCells(network, metrics)
+            network._all_cells.append(cells)
+        self.cells = cells
+        cells.sent += 1
+        node_sent = cells.node_sent
+        src = packet.src
+        node_sent[src] = node_sent.get(src, 0) + 1
+        self.wire_size = wire_size = packet.wire_size
+        # Transit spans parent under whatever context the sender stamped
+        # into the packet headers (e.g. an rpc.call span), so one trace
+        # tree covers the request end to end.
+        if tracer.enabled:
+            span = tracer.start_span(
+                "net.transmit", at=self.env.now,
+                parent=extract(packet.headers), src=src, dst=packet.dst,
+                port=packet.port, bytes=wire_size)
+        else:
+            span = NOOP_SPAN
+        self.transit = span
+        try:
+            self.links = iter(network.topology.path(src, packet.dst))
+        except RoutingError:
+            self._finish(network._drop, packet, "no-route", cells, span)
+            return
+        self.node = src
+        self.priority = packet.headers.get("priority", BEST_EFFORT_PRIORITY)
+        # Per-hop spans only exist for traces that are actually being
+        # retained: with the tracer disabled, or the trace sampled out at
+        # its head, every hop of every packet would otherwise still pay
+        # the span + label allocation — the dominant trace cost at scale.
+        self.tracer = tracer if span.is_recording else None
+        flight = self.env._flight
+        if flight is not None and not flight.journal_net:
+            flight = None
+        self.flight = flight
+        self._claim()
+
+    def _claim(self) -> None:  # repro: fast-path (RPR204)
+        """Claim the next hop's channel; past the last hop, deliver."""
+        link = self.link = next(self.links, None)
+        if link is None:
+            self._deliver()
+            return
+        env = self.env
+        now = env._now
+        node = self.node
+        self.hop = self.tracer.start_span(
+            "net.link", at=now, parent=self.transit, link=link.label,
+            node=node, bytes=self.wire_size) \
+            if self.tracer is not None else None
+        # Claim+tx fusion: the claim carries the transmission delay, so
+        # it fires once, at tx-complete, and its grant is virtually
+        # accounted (see Resource._grant).
+        delay = (self.wire_size * 8.0) / link.bandwidth
+        channel = self.resource = link._channels[node]
+        self.callbacks = _ON_TX
+        if channel.users:
+            # Contended: queue like any PriorityRequest — the releasing
+            # holder's _grant pushes this carrier — with _ok reset so
+            # the double-trigger guard there sees an untriggered claim.
+            self._ok = None
+            self.requested_at = self.time = now
+            self.seq = next(channel._ticket)
+            self.grant_delay = delay
+            channel._do_request(self)
+        else:
+            # Uncontended: Resource._grant in place.  What only a queued
+            # claim needs (requested_at, time, seq, grant_delay) stays
+            # unset or stale — this one was never queued.
+            self._ok = True
+            self.usage_since = now
+            channel.users.append(self)
+            env._eid += 2
+            env.events_processed += 1
+            env._push(now + delay, _NORMAL_BASE + env._eid, self)
+
+    def _on_tx(self) -> None:  # repro: fast-path (RPR204)
+        """Transmission complete: release the channel, draw loss, fly."""
+        env = self.env
+        link = self.link
+        hop = self.hop
+        if hop is not None:
+            # usage_since marks the grant: where an unfused claim would
+            # have resumed its holder and stamped tx-start.
+            hop.add_event("tx-start", at=self.usage_since)
+        # Resource.release inlined: a carrier firing as a claim is in
+        # users; only a non-empty wait queue needs the grant machinery.
+        channel = self.resource
+        channel.users.remove(self)
+        if channel.queue:
+            channel._grant_waiters()
+        # Loss attribution mirrors Link.drops_packet: a downed link
+        # drops without drawing the RNG; otherwise one draw decides,
+        # and the drawn value splits baseline "loss" from fault-
+        # injected "impairment" (draws landing in the _extra_loss
+        # band) so drop_stats() tells the two apart.
+        drop_reason = None
+        if not link.up:
+            drop_reason = "link-down"
+        else:
+            probability = link.loss + link._extra_loss
+            if probability > 0:
+                draw = link._rng.random()
+                if draw < min(probability, 1.0):
+                    drop_reason = "loss" if draw < link.loss \
+                        else "impairment"
+        if drop_reason is not None:
+            link.stats.drops += 1
+            if hop is not None:
+                hop.set_status("dropped")
+                hop.finish(at=env._now)
+            self._finish(self.network._drop, self.packet, drop_reason,
+                         self.cells, self.transit, link)
+            return
+        delay = link.latency * link._latency_scale
+        if link.jitter > 0:
+            delay += link._rng.uniform(0, link.jitter)
+        self.callbacks = _ON_ARRIVE
+        env._eid += 1
+        env._push(env._now + delay, _NORMAL_BASE + env._eid, self)
+
+    def _on_arrive(self) -> None:  # repro: fast-path (RPR204)
+        """Propagation complete: book the hop, go on to the next."""
+        link = self.link
+        packet = self.packet
+        wire_size = self.wire_size
+        stats = link.stats
+        stats.packets += 1
+        stats.bytes += wire_size
+        label = link.label
+        link_bytes = self.cells.link_bytes
+        link_bytes[label] = link_bytes.get(label, 0) + wire_size
+        packet.hops += 1
+        node = self.node
+        hop = self.hop
+        if self.flight is not None:
+            self.flight.record_hop(label, node, packet.src, packet.dst,
+                                   packet.port, span=hop)
+        self.node = link.b if node == link.a else link.a
+        if hop is not None:
+            hop.finish(at=self.env._now)
+        self._claim()
+
+    def _deliver(self) -> None:
+        """Past the last hop: hand the packet to the destination host."""
+        packet = self.packet
+        dst = packet.dst
+        cells = self.cells
+        target = self.network.hosts.get(dst)
+        if target is None:
+            self._finish(self.network._drop, packet, "no-host", cells,
+                         self.transit)
+            return
+        now = self.env._now
+        cells.delivered += 1
+        node_delivered = cells.node_delivered
+        node_delivered[dst] = node_delivered.get(dst, 0) + 1
+        cells.latencies.append(now - packet.created_at)
+        self.transit.finish(at=now)
+        self._finish(target._deliver, packet)
+
+    def _finish(self, foreign: Callable[..., None], *args: Any) -> None:
+        """End the flight in ``foreign``, run as the active process.
+
+        ``Host._deliver`` and ``Network._drop`` call code the network
+        does not own (a push handler, the ``on_drop`` hook): it must see
+        an active process, so that a send it makes starts synchronously,
+        and what it raises goes straight to whoever fired the carrier.
+        The end event a process would have queued is virtually
+        accounted — after the foreign code, whose eids keep their values.
+        """
+        env = self.env
+        outer = env._active_process
+        env._active_process = self
+        try:
+            foreign(*args)
+        finally:
+            env._active_process = outer
+            env._eid += 1
+            env.events_processed += 1
+            # Resource._grant left ``_value = self``; without the cycle
+            # packet, route and spans die here, by refcount.
+            self._value = None
+
+
+_BEGIN = (_Carrier._begin,)
+_ON_TX = (_Carrier._on_tx,)
+_ON_ARRIVE = (_Carrier._on_arrive,)
+
+
 class Network:
     """Moves packets across a topology between registered hosts."""
 
@@ -260,198 +483,25 @@ class Network:
         return self.hosts[name]
 
     def transmit(self, packet: Packet) -> None:
-        """Launch the per-packet delivery process."""
-        # Detached: nobody subscribes to a carrier, so its end event is
-        # elided and virtually accounted (see Process._resume); failures
-        # still escalate.
+        """Launch ``packet``'s carrier."""
         env = self.env
+        carrier = _Carrier(self, packet)
         if env._active_process is not None:
-            # Synchronous start: transmit() was called from inside the
-            # run loop (the storm hot path), where an URGENT Initialize
-            # at the current instant would pop before any pending NORMAL
-            # event anyway — so the generator is primed right here and
-            # the Initialize is elided and virtually accounted (eid +
-            # processed land at this instant, where the queued start
-            # would have allocated and popped it).  Setup-time sends (no
-            # active process) keep the queued start, so code that
-            # mutates links between send() and run() observes no change.
-            carrier = _new_process(Process)
-            carrier.env = env
-            carrier.callbacks = []
-            carrier._value = None
-            carrier._exception = None
-            carrier._ok = None
-            carrier.defused = False
-            carrier._generator = self._carry(packet)
-            carrier.span = None
-            carrier._detached = True
-            carrier._target = None
+            # Synchronous start: inside the run loop (the storm hot
+            # path) an URGENT start event at this instant would pop
+            # before any pending NORMAL event anyway, so the flight
+            # begins right here and the start event is virtually
+            # accounted — eid + processed land where it would have been
+            # allocated and popped.
             env._eid += 1
             env.events_processed += 1
-            carrier._resume(_SYNC_START)
+            carrier._begin()
         else:
-            # Process(...) directly rather than env.process(...):
-            # carriers are never named actors, so the wrapper's
-            # name/tracer handling is pure per-packet overhead.
-            carrier = Process(env, self._carry(packet))
-            carrier._detached = True
-
-    # repro: fast-path — per-packet hot loop; no 'with ...request()'
-    # claims here (repro.analysis.protocol enforces RPR204).
-    def _carry(self, packet: Packet):
-        """Carry one packet hop by hop: fused claim+tx, celled metrics.
-
-        The link physics (transmission delay, loss draw, propagation
-        delay) is inlined from link.py, which carries the matching
-        notice: the logic — including when the shared RNG is drawn,
-        which replay digests depend on — must mirror the Link methods
-        exactly.
-        """
-        env = self.env
-        tracer = self._tracer if self._tracer is not None else get_tracer()
-        metrics = self._metrics if self._metrics is not None \
-            else get_metrics()
-        cells = self._cells
-        if cells is None or cells.registry is not metrics:
-            cells = self._cells = _NetMetricCells(self, metrics)
-            self._all_cells.append(cells)
-        cells.sent += 1
-        node_sent = cells.node_sent
-        src = packet.src
-        node_sent[src] = node_sent.get(src, 0) + 1
-        wire_size = packet.wire_size
-        # Transit spans parent under whatever context the sender stamped
-        # into the packet headers (e.g. an rpc.call span), so one trace
-        # tree covers the request end to end.
-        if tracer.enabled:
-            span = tracer.start_span(
-                "net.transmit", at=env.now, parent=extract(packet.headers),
-                src=packet.src, dst=packet.dst, port=packet.port,
-                bytes=wire_size)
-        else:
-            span = NOOP_SPAN
-        try:
-            links = self.topology.path(packet.src, packet.dst)
-        except RoutingError:
-            self._drop(packet, "no-route", cells, span)
-            return
-        node = packet.src
-        priority = packet.headers.get("priority", BEST_EFFORT_PRIORITY)
-        # Per-hop spans only exist for traces that are actually being
-        # retained: with the tracer disabled, or the trace sampled out at
-        # its head, every hop of every packet would otherwise still pay
-        # the span + label allocation — the dominant trace cost at scale.
-        record_hops = span.is_recording
-        flight = env._flight
-        if flight is not None and not flight.journal_net:
-            flight = None
-        # `cells` (not self._cells) below: another packet may rebind the
-        # network to a different registry between our yields, but these
-        # cells stay tied to the registry this packet resolved.
-        link_bytes = cells.link_bytes
-        for link in links:
-            hop = tracer.start_span(
-                "net.link", at=env._now, parent=span,
-                link=link.label, node=node,
-                bytes=wire_size) if record_hops else None
-            # Claim+tx fusion: the channel claim carries the
-            # transmission delay, so the grant resumes this generator
-            # once, at tx-complete, instead of a grant pop plus a
-            # separate Timeout (the grant is virtually accounted — see
-            # Resource._grant).  Release point and the loss draw happen
-            # at the same instant as the unfused path.  The uncontended
-            # grant is built in place (sync: PriorityRequest.__init__'s
-            # fast branch); priority/time/seq stay unset — they only
-            # order *queued* claims, and this one was never queued.
-            delay = (wire_size * 8.0) / link.bandwidth
-            channel = link._channels[node]
-            if channel.users:
-                claim = PriorityRequest(channel, priority, delay)
-            else:
-                claim = _new_claim(PriorityRequest)
-                claim.env = env
-                claim.callbacks = []
-                claim._value = claim
-                claim._exception = None
-                claim._ok = True
-                claim.defused = False
-                claim.resource = channel
-                claim.requested_at = claim.usage_since = env._now
-                claim.grant_delay = delay
-                channel.users.append(claim)
-                env._eid += 2
-                env.events_processed += 1
-                env._push(env._now + delay, _NORMAL_BASE + env._eid, claim)
-            yield claim
-            if hop is not None:
-                # usage_since marks the grant, so tx-start lands at the
-                # same sim time the unfused path stamped at its resume.
-                hop.add_event("tx-start", at=claim.usage_since)
-            # Resource.release inlined: the claim was just granted to
-            # this process, so it is always in users; only a non-empty
-            # wait queue needs the grant/sampling machinery.
-            channel.users.remove(claim)
-            if channel.queue:
-                channel._grant_waiters()
-            # Loss attribution mirrors Link.drops_packet: a downed link
-            # drops without drawing the RNG; otherwise one draw decides,
-            # and the drawn value splits baseline "loss" from fault-
-            # injected "impairment" (draws landing in the _extra_loss
-            # band) so drop_stats() tells the two apart.
-            drop_reason = None
-            if not link.up:
-                drop_reason = "link-down"
-            else:
-                probability = link.loss + link._extra_loss
-                if probability > 0:
-                    draw = link._rng.random()
-                    if draw < min(probability, 1.0):
-                        drop_reason = "loss" if draw < link.loss \
-                            else "impairment"
-            if drop_reason is not None:
-                link.stats.drops += 1
-                if hop is not None:
-                    hop.set_status("dropped")
-                    hop.finish(at=env._now)
-                self._drop(packet, drop_reason, cells, span, link)
-                return
-            delay = link.latency * link._latency_scale
-            if link.jitter > 0:
-                delay += link._rng.uniform(0, link.jitter)
-            wait = _new_timeout(Timeout)
-            wait.env = env
-            wait.callbacks = []
-            wait._value = None
-            wait._exception = None
-            wait._ok = True
-            wait.defused = False
-            wait.delay = delay
-            env._eid += 1
-            env._push(env._now + delay, _NORMAL_BASE + env._eid, wait)
-            yield wait
-            stats = link.stats
-            stats.packets += 1
-            stats.bytes += wire_size
-            label = link.label
-            link_bytes[label] = link_bytes.get(label, 0) + wire_size
-            packet.hops += 1
-            if flight is not None:
-                flight.record_hop(link.label, node, packet.src, packet.dst,
-                                  packet.port, span=hop)
-            node = link.b if node == link.a else link.a
-            if hop is not None:
-                hop.finish(at=env._now)
-        target = self.hosts.get(packet.dst)
-        if target is None:
-            self._drop(packet, "no-host", cells, span)
-            return
-        cells.delivered += 1
-        node_delivered = cells.node_delivered
-        dst = packet.dst
-        node_delivered[dst] = node_delivered.get(dst, 0) + 1
-        cells.latencies.append(env._now - packet.created_at)
-        span.finish(at=env._now)
-        target._deliver(packet)
+            # Setup-time sends (no active process) keep the queued
+            # start, so code that mutates links between send() and
+            # run() observes no change.
+            carrier.callbacks = _BEGIN
+            env.schedule(carrier, URGENT)
 
     def _drop(self, packet: Packet, reason: str, cells: _NetMetricCells,
               span, link=None) -> None:

@@ -176,14 +176,15 @@ class Interrupt(Exception):
 class Process(Event):
     """A running generator coroutine; also an event that fires on return."""
 
-    __slots__ = ("_generator", "_target", "span", "_detached")
+    __slots__ = ("_generator", "_target", "span")
 
     def __init__(self, env: "Environment", generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(
                 "process requires a generator, got {!r}".format(generator))
         # Event.__init__ for both the process and its Initialize event is
-        # inlined: process creation is per-packet in the network layer.
+        # inlined: process creation is per-frame in the media layer and
+        # per-call in RPC.
         self.env = env
         self.callbacks = []
         self._value = None
@@ -194,12 +195,6 @@ class Process(Event):
         #: ``actor.run`` span when the process was named under a recording
         #: tracer (set by :meth:`Environment.process`); ``None`` otherwise.
         self.span = None
-        #: Fire-and-forget marker (set by owners that discard the process,
-        #: e.g. network carriers): when still True at a *successful* end
-        #: with no subscribers, the end event is elided and virtually
-        #: accounted — popping it could only ever be a no-op.  Failures
-        #: always schedule, so error escalation is unchanged.
-        self._detached = False
         init = Initialize.__new__(Initialize)
         init.env = env
         init.callbacks = [self._resume]
@@ -227,12 +222,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with the fired event's value."""
         env = self.env
-        # Saved and restored (not reset to None): a synchronously
-        # started process (Network.transmit from inside a process)
-        # resumes nested inside its creator's _resume, which must stay
-        # the active process afterwards.  For top-level dispatches the
-        # saved value is None.
-        outer = env._active_process
         env._active_process = self
         generator = self._generator
         while True:
@@ -245,18 +234,7 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = getattr(stop, "value", None)
-                if self._detached and not self.callbacks:
-                    # Nobody can observe the end event fire (detached,
-                    # no subscribers), so it is elided and virtually
-                    # accounted: the eid and processed count land at
-                    # this instant, exactly where the real end event
-                    # would have been scheduled and popped as a no-op —
-                    # replay-digest counters stay byte-identical.
-                    env._eid += 1
-                    env.events_processed += 1
-                    self.callbacks = None
-                else:
-                    env.schedule(self)
+                env.schedule(self)
                 break
             except BaseException as error:
                 self._ok = False
@@ -285,7 +263,7 @@ class Process(Event):
             # its stored value / exception.
             event = next_event
 
-        env._active_process = outer
+        env._active_process = None
 
 
 class Condition(Event):

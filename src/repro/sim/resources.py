@@ -42,20 +42,13 @@ class Request(Event):
 
     __slots__ = ("resource", "requested_at", "usage_since", "grant_delay")
 
-    def __init__(self, resource: "Resource") -> None:
-        # Event.__init__ inlined: one request per packet hop makes this
-        # the busiest event constructor in the simulator.
-        env = resource.env
-        self.env = env
-        self.callbacks = []
-        self._value = None
-        self._exception = None
-        self._ok = None
-        self.defused = False
+    def __init__(self, resource: "Resource",
+                 grant_delay: float = 0.0) -> None:
+        super().__init__(resource.env)
         self.resource = resource
-        self.requested_at = env._now
+        self.requested_at = self.env._now
         self.usage_since: Optional[float] = None
-        self.grant_delay = 0.0
+        self.grant_delay = grant_delay
         resource._do_request(self)
 
     def __enter__(self) -> "Request":
@@ -175,51 +168,12 @@ class PriorityRequest(Request):
 
     __slots__ = ("priority", "time", "seq")
 
-    # repro: fast-path — one claim per packet hop; no blocking
-    # constructs here (repro.analysis.protocol enforces RPR204).
     def __init__(self, resource: "PriorityResource", priority: int,
                  grant_delay: float = 0.0) -> None:
-        # Request.__init__ (and the Event fields) inlined: one priority
-        # claim per packet hop makes the super() chain measurable.
-        env = resource.env
-        self.env = env
-        self.callbacks = []
-        self._value = None
-        self._exception = None
-        self._ok = None
-        self.defused = False
-        self.resource = resource
-        self.requested_at = env._now
-        self.usage_since = None
-        self.grant_delay = grant_delay
         self.priority = priority
-        self.time = env._now
+        self.time = resource.env._now
         self.seq = next(resource._ticket)
-        # _do_request's grant branch inlined for the uncontended case (a
-        # fresh request can never be already-triggered, so _grant's
-        # double-trigger guard is vacuous here).  Contended requests take
-        # the regular queueing path (whose eventual _grant honours
-        # grant_delay the same way).
-        if len(resource.users) < resource.capacity:
-            resource.users.append(self)
-            self.usage_since = env._now
-            if resource.name is not None:
-                _metrics().histogram("resource.wait",
-                                     resource=resource.name).record(0.0)
-            self._ok = True
-            self._value = self
-            if grant_delay:
-                # Claim+usage fusion — see Resource._grant: the elided
-                # immediate grant is virtually accounted here.
-                env._eid += 2
-                env.events_processed += 1
-                time = env._now + grant_delay
-            else:
-                env._eid += 1
-                time = env._now
-            env._push(time, _NORMAL_BASE + env._eid, self)
-        else:
-            resource._do_request(self)
+        super().__init__(resource, grant_delay)
 
     def __lt__(self, other: "PriorityRequest") -> bool:
         return (self.priority, self.time, self.seq) < \

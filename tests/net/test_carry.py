@@ -1,23 +1,36 @@
-"""The packet carry's elisions must be invisible except in wall time.
+"""The packet carrier's elisions must be invisible except in wall time.
 
-The carry elides the carrier's Initialize, the uncontended claim's
-grant, the delivered put and the detached end event — each *virtually
-accounted* so counters, metrics, digests and drop books match a carry
-that queues every one of them.  That carry (and the binary-heap
-scheduler it ran on) is deleted; ``tests/analysis/carry_flight_pins.json``
-holds what it produced at the last commit that had it, and the storms
-below must keep reproducing those pins bit for bit.
+One :class:`~repro.net.network._Carrier` per packet elides its own start
+event (in-run sends), each uncontended claim's grant, the delivered put
+and its end event — each *virtually accounted* so counters, metrics,
+digests and drop books match a carry that queues every one of them.
+That carry (a generator process per packet, on a binary-heap scheduler)
+is deleted; ``tests/analysis/carry_flight_pins.json`` holds what it
+produced at the last commit that had it, and the storms below must keep
+reproducing those pins bit for bit.  Further down, an independent
+generator model written only with public calls is held equal to the
+carrier over random topologies, and the boundary with foreign code
+(handlers, the drop hook) and the carrier's lifetime are pinned.
 """
 
+import gc
 import hashlib
 import json
+import math
 import os
+import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import RoutingError
 from repro.faults import FaultInjector, FaultSchedule
-from repro.net.network import Network
-from repro.net.topology import lan, line, wan
+from repro.net.network import (BEST_EFFORT_PRIORITY, RESERVED_PRIORITY,
+                               Network)
+from repro.net.packet import HEADER_BYTES
+from repro.net.topology import Topology, lan, line, wan
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sim import Environment
 
@@ -180,8 +193,8 @@ def test_on_drop_hook_fires():
 
 def test_setup_time_sends_start_inside_the_run():
     """transmit() outside any process (no active process) keeps the
-    queued Initialize, so a link mutation between send() and run()
-    affects the packet: the carry starts inside the run, not at send()."""
+    queued start event, so a link mutation between send() and run()
+    affects the packet: the flight starts inside the run, not at send()."""
     env = Environment()
     topo = line(env, length=2, seed=5)
     network = Network(env, topo)
@@ -191,15 +204,15 @@ def test_setup_time_sends_start_inside_the_run():
     topo.link_between("n0", "n1").loss = 1.0
     env.run()
     assert network.drop_stats() == {"loss": 1}
-    # Initialize, fused grant (2) and the elided end event.
+    # Start event, fused grant (2) and the elided end event.
     assert env.stats()["events_scheduled"] == 4
     assert env.stats()["events_processed"] == 4
 
 
 def test_in_run_sends_start_synchronously():
-    """transmit() from inside a process primes the carrier on the spot:
-    the channel is claimed before send() returns, and the elided
-    Initialize is still counted."""
+    """transmit() from inside a process begins the flight on the spot:
+    the channel is claimed before send() returns, and the elided start
+    event is still counted."""
     env = Environment()
     topo = line(env, length=2, seed=5)
     network = Network(env, topo)
@@ -215,6 +228,327 @@ def test_in_run_sends_start_synchronously():
 
     env.process(sender(env))
     env.run()
-    # Initialize (elided) + fused grant (grant elided, tx queued).
+    # Start (elided) + fused grant (grant elided, tx queued).
     assert claimed == [(1, 3)]
     assert network.counters["delivered"] == 1
+
+
+# -- the boundary with foreign code -------------------------------------------
+
+class _Boom(Exception):
+    """Raised by the foreign code under test."""
+
+
+def _two_hosts(loss=0.0):
+    env = Environment()
+    topo = line(env, length=2, seed=11)
+    topo.link_between("n0", "n1").loss = loss
+    network = Network(env, topo)
+    return env, topo, network, network.host("n0"), network.host("n1")
+
+
+def _raise_once(seen):
+    def foreign(packet, *_reason):
+        seen.append(packet.payload)
+        if len(seen) == 1:
+            raise _Boom(packet.payload)
+    return foreign
+
+
+@pytest.mark.parametrize("loss", [0.0, 1.0], ids=["on_packet", "on_drop"])
+def test_foreign_exceptions_surface_from_run_and_the_run_resumes(loss):
+    """What a handler or the drop hook raises comes straight out of
+    env.run() with its own type; the stand-in is uninstalled on the way
+    and the rest of the schedule is intact."""
+    env, _topo, network, n0, n1 = _two_hosts(loss)
+    seen = []
+    n1.on_packet(0, _raise_once(seen))
+    network.on_drop = _raise_once(seen)
+    n0.send("n1", payload="first", size=64)
+    n0.send("n1", payload="second", size=64)
+    with pytest.raises(_Boom, match="first"):
+        env.run()
+    assert env.active_process is None
+    assert seen == ["first"]
+    env.run()
+    assert seen == ["first", "second"]
+    assert env.active_process is None
+    assert env.stats()["queue_depth"] == 0
+    # Per packet: start, fused grant (2), propagation (delivered
+    # only), elided end — the raise skipped no accounting.
+    assert env.stats()["events_scheduled"] == (8 if loss else 10)
+    assert env.stats()["events_processed"] == env.stats()["events_scheduled"]
+
+
+def test_handler_runs_under_a_stand_in_and_its_reply_starts_synchronously():
+    env, topo, network, n0, n1 = _two_hosts()
+    back = topo.link_between("n0", "n1").channel("n1")
+    inside = []
+
+    def handler(packet):
+        active = env.active_process
+        before = env.stats()
+        n1.send("n0", payload="reply", size=64)
+        after = env.stats()
+        inside.append((active is not None, active.span, back.count,
+                       after["events_scheduled"] - before["events_scheduled"],
+                       after["queue_depth"] - before["queue_depth"]))
+
+    n1.on_packet(0, handler)
+    n0.send("n1", payload="request", size=64)
+    env.run()
+    # Synchronous: the channel is held when send() returns; the elided
+    # start and the fused grant took three eids but queued one event.
+    assert inside == [(True, None, 1, 3, 1)]
+    assert env.active_process is None
+    # Queued start, for contrast: no active process, nothing claimed,
+    # one eid for the one queued (start) event.
+    before = env.stats()
+    n1.send("n0", payload="late", size=64)
+    after = env.stats()
+    assert back.count == 0
+    assert after["events_scheduled"] - before["events_scheduled"] == 1
+    assert after["queue_depth"] - before["queue_depth"] == 1
+    env.run()
+    assert network.counters["delivered"] == 3
+
+
+def test_zero_hop_send_delivers_at_the_same_instant():
+    env, _topo, network, n0, _n1 = _two_hosts()
+    arrivals = []
+    n0.on_packet(0, lambda packet: arrivals.append(
+        (packet.payload, env.now, packet.hops)))
+
+    def sender(env):
+        yield env.timeout(0.25)
+        n0.send("n0", payload="in-run")
+        # Delivered before send() returned: no hop, no queued event.
+        assert arrivals[-1] == ("in-run", 0.25, 0)
+
+    n0.send("n0", payload="setup")
+    env.process(sender(env))
+    env.run()
+    assert arrivals == [("setup", 0.0, 0), ("in-run", 0.25, 0)]
+    assert env.now == 0.25
+
+
+def test_carriers_die_by_refcount_when_the_flight_ends():
+    """A granted claim's ``_value`` is the claim itself — on a carrier
+    that cycle would keep packet, route and spans alive until the next
+    cyclic collection.  Bursts, so most carriers were queued claims."""
+    env, _topo, network, n0, n1 = _two_hosts()
+    lossy = Network(env, line(env, length=2, seed=3))
+    lossy.topology.link_between("n0", "n1").loss = 1.0
+    lossy.host("n1")
+    carriers = []
+    n1.on_packet(0, lambda packet: carriers.append(
+        weakref.ref(env.active_process)))
+    lossy.on_drop = lambda packet, reason: carriers.append(
+        weakref.ref(env.active_process))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(4):
+            n0.send("n1", size=64)
+            lossy.host("n0").send("n1", size=64)
+        lossy.host("n0").send("nowhere", size=64)      # no-route
+        env.run()
+        alive = [ref for ref in carriers if ref() is not None]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(carriers) == 9
+    assert network.counters["delivered"] == 4
+    assert lossy.drop_stats() == {"loss": 4, "no-route": 1}
+    assert alive == []
+
+
+# -- an independent model ------------------------------------------------------
+#
+# A reference implementation, not a second path: one generator process
+# per packet, written only with public calls, one queued event per step
+# (start, grant, transmission, propagation, end).  It tells a downed
+# link from a loss draw but not baseline loss from impairment, so
+# reasons are compared at that granularity.
+#
+# Link latencies, send instants and fault instants are multiples of
+# square roots of distinct primes, so no two events of different kinds
+# ever share an instant: the model queues a grant where the carrier
+# accounts it virtually, and only an exact tie could tell the two apart
+# through the order of same-instant events.
+
+_ROOTS = [math.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)]
+_SEND_STEP = 1e-3 * math.sqrt(31)
+_FAULT_STEP = 1e-3 * math.sqrt(37)
+
+
+def _model_carry(env, topo, hosts, send, outcomes, drops):
+    index, src, dst, size, priority = send
+    wire = size + HEADER_BYTES
+    try:
+        links = topo.path(src, dst)
+    except RoutingError:
+        outcomes[index] = ("dropped", "no-route", env.now, 0)
+        drops["no-route"] = drops.get("no-route", 0) + 1
+        return
+    node, hops = src, 0
+    for link in links:
+        channel = link.channel(node)
+        claim = channel.request(priority)
+        yield claim
+        yield env.timeout(link.transmission_delay(wire))
+        channel.release(claim)
+        if link.drops_packet():
+            reason = "loss" if link.up else "link-down"
+            link.stats.drops += 1
+            outcomes[index] = ("dropped", reason, env.now, hops)
+            drops[reason] = drops.get(reason, 0) + 1
+            return
+        yield env.timeout(link.propagation_delay())
+        link.stats.packets += 1
+        link.stats.bytes += wire
+        hops += 1
+        node = link.other_end(node)
+    if dst not in hosts:
+        outcomes[index] = ("dropped", "no-host", env.now, hops)
+        drops["no-host"] = drops.get("no-host", 0) + 1
+        return
+    outcomes[index] = ("delivered", None, env.now, hops)
+
+
+def _world(spec, launch_for):
+    """Build ``spec``'s topology and schedule, sending through
+    ``launch_for(env, topo, hosts, outcomes)``; returns everything
+    comparable."""
+    env = Environment()
+    topo = Topology(env)
+    topo.add_node("island")
+    for i, (parent, bandwidth, loss, jitter) in enumerate(spec["links"]):
+        topo.add_link("v{}".format(parent), "v{}".format(i + 1),
+                      latency=1e-3 * _ROOTS[i], bandwidth=bandwidth,
+                      loss=loss, jitter=jitter,
+                      rng=random.Random(spec["seed"] + i))
+    links = topo.links()
+    hosts = ["v{}".format(i) for i in spec["hosts"]]
+    outcomes = {}
+    launch, drop_book = launch_for(env, topo, hosts, outcomes)
+
+    def fault(env, step, link, change):
+        yield env.timeout(step * _FAULT_STEP)
+        if change is None:
+            link.up = not link.up
+        else:
+            link.impair(*change)
+
+    def driver(env, bursts):
+        for step, burst in bursts:
+            yield env.timeout(step * _SEND_STEP - env.now)
+            for send in burst:
+                launch(send)
+
+    for step, which, change in spec["faults"]:
+        env.process(fault(env, step, links[which % len(links)], change))
+    bursts = sorted(spec["bursts"].items())
+    if bursts and bursts[0][0] == 0:    # step 0 is sent before the run
+        for send in bursts.pop(0)[1]:
+            launch(send)
+    env.process(driver(env, bursts))
+    env.run()
+    return {
+        "outcomes": outcomes,
+        "drops": drop_book(),
+        "links": {link.label: (link.stats.packets, link.stats.bytes,
+                               link.stats.drops, link._rng.getstate())
+                  for link in links},
+    }
+
+
+def _through_network(env, topo, hosts, outcomes):
+    network = Network(env, topo)
+
+    def landed(kind):
+        def record(packet, reason=None):
+            if reason == "impairment":
+                reason = "loss"
+            assert env.active_process is not None
+            outcomes[packet.payload] = (kind, reason, env.now, packet.hops)
+        return record
+
+    for name in hosts:
+        network.host(name).on_packet(0, landed("delivered"))
+    network.on_drop = landed("dropped")
+
+    def launch(send):
+        index, src, dst, size, priority = send
+        network.host(src).send(dst, payload=index, size=size,
+                               headers={"priority": priority})
+
+    def drop_book():
+        book = network.drop_stats()
+        impaired = book.pop("impairment", 0)
+        if impaired:
+            book["loss"] = book.get("loss", 0) + impaired
+        return book
+    return launch, drop_book
+
+
+def _through_model(env, topo, hosts, outcomes):
+    drops = {}
+
+    def launch(send):
+        env.process(_model_carry(env, topo, hosts, send, outcomes, drops))
+    return launch, lambda: drops
+
+
+@st.composite
+def _specs(draw):
+    nodes = draw(st.integers(2, 6))
+    links = [(draw(st.integers(0, i)),
+              draw(st.sampled_from([1e5, 1e6, 1e7])),
+              draw(st.sampled_from([0.0, 0.0, 0.2, 0.6])),
+              draw(st.sampled_from([0.0, 0.0, 4e-4])))
+             for i in range(nodes - 1)]
+    hosts = draw(st.sets(st.integers(0, nodes - 1), min_size=1))
+    names = ["v{}".format(i) for i in range(nodes)] + ["island"]
+    counter = iter(range(10 ** 6))
+
+    def sends(src, dst=None):
+        return (next(counter), "v{}".format(src),
+                dst or draw(st.sampled_from(names)),
+                draw(st.integers(0, 1500)),
+                draw(st.sampled_from([BEST_EFFORT_PRIORITY,
+                                      BEST_EFFORT_PRIORITY,
+                                      RESERVED_PRIORITY])))
+
+    # One burst of >= 8 same-instant sends over one first hop — the
+    # path where a carrier queues *itself* — plus a random mix.
+    src = draw(st.sampled_from(sorted(hosts)))
+    dst = draw(st.sampled_from([n for n in names[:-1]
+                                if n != "v{}".format(src)]))
+    bursts = {draw(st.integers(0, 3)):
+              [sends(src, dst) for _ in range(draw(st.integers(8, 12)))]}
+    for _ in range(draw(st.integers(0, 4))):
+        step = draw(st.integers(0, 6))
+        origin = draw(st.sampled_from(sorted(hosts)))
+        bursts.setdefault(step, []).extend(
+            sends(origin) for _ in range(draw(st.integers(1, 4))))
+    faults = draw(st.lists(st.tuples(
+        st.integers(1, 12), st.integers(0, 8),
+        st.one_of(st.none(), st.tuples(st.sampled_from([1.0, 2.5]),
+                                       st.sampled_from([0.0, 0.3])))),
+        max_size=4))
+    return {"links": links, "hosts": sorted(hosts), "bursts": bursts,
+            "faults": faults, "seed": draw(st.integers(0, 2 ** 16))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs())
+def test_carrier_matches_the_generator_model(spec):
+    """Per-packet fate (delivered/dropped, why, when, after how many
+    hops), every link's books and RNG state, and the drop totals."""
+    carried = _world(spec, _through_network)
+    modelled = _world(spec, _through_model)
+    assert carried["outcomes"] == modelled["outcomes"]
+    assert carried["links"] == modelled["links"]
+    assert carried["drops"] == modelled["drops"]
+    assert len(carried["outcomes"]) == sum(map(len, spec["bursts"].values()))

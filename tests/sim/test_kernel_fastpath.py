@@ -78,7 +78,7 @@ def test_priority_request_grant_fast_path_matches_queued_path(env):
     channel = PriorityResource(env, capacity=1)
     first = channel.request(priority=1)
     second = channel.request(priority=0)
-    # First claim granted immediately (fast path); second queued.
+    # First claim granted immediately; second queued.
     assert first.triggered
     assert not second.triggered
     env.run()
@@ -96,7 +96,7 @@ def test_named_resource_wait_histogram_covers_fast_path(env):
         channel = PriorityResource(env, capacity=1, name="lane")
         channel.request(priority=0)
         env.run()
-        # Both grant paths (generic and inlined) record a zero wait.
+        # Plain and priority claims both record a zero wait.
         assert metrics.histogram("resource.wait", resource="disk").count == 1
         assert metrics.histogram("resource.wait", resource="lane").count == 1
 
