@@ -59,7 +59,8 @@ class VectorClock:
 
     def dominates(self, other: "VectorClock") -> bool:
         """True if self >= other component-wise."""
-        return all(self.get(p) >= t for p, t in other._clock.items())
+        mine = self._clock
+        return all(mine.get(p, 0) >= t for p, t in other._clock.items())
 
     def happened_before(self, other: "VectorClock") -> bool:
         """Strict causal precedence: self < other."""
@@ -76,8 +77,7 @@ class VectorClock:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorClock):
             return NotImplemented
-        processes = set(self._clock) | set(other._clock)
-        return all(self.get(p) == other.get(p) for p in processes)
+        return self.dominates(other) and other.dominates(self)
 
     def __hash__(self) -> int:
         return hash(frozenset(

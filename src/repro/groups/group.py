@@ -9,11 +9,17 @@ compares transports; this layer is about *ordering* semantics).
 Membership is coordinator-based: the first member is the coordinator; view
 changes (join/leave/failure) install a new numbered view at every member.
 The coordinator also acts as the sequencer for total ordering.
+
+A member's ordering state lives in one place, its hold-back buffer: a
+broadcast reaches its own sender by loopback inside ``broadcast()``, so
+what a member has delivered from itself is what it has sent, and the buffer
+stamps the next message from that — under causal order one vector serves
+both, copied *before* the loopback advances it (see ``CausalDelivery``).
+A joiner's buffer starts at the join cut (``ProcessGroup._start_at_cut``).
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import GroupError, MembershipError
@@ -25,6 +31,13 @@ from repro.net.transport import ReliableChannel
 from repro.sim import Store
 
 GROUP_PORT = 20
+
+
+def _raise_to(mine: Dict[str, int], theirs: Dict[str, int]) -> None:
+    """Element-wise maximum of two per-sender counters, into ``mine``."""
+    for sender, count in theirs.items():
+        if count > mine.get(sender, 0):
+            mine[sender] = count
 
 
 class GroupView:
@@ -62,8 +75,7 @@ class GroupEndpoint:
         self.env = host.env
         self.name = host.name
         self._ordering = make_ordering(group.ordering, host.name)
-        self._send_seq = itertools.count(1)
-        self._sent_vector: Dict[str, int] = {}
+        self._sequenced = group.ordering == "total"
         self.delivered: Store = Store(self.env)
         self.delivered_log: List[GroupMessage] = []
         self.view: Optional[GroupView] = None
@@ -95,17 +107,12 @@ class GroupEndpoint:
         message = GroupMessage(self.name, payload, size=size,
                                sent_at=self.env.now,
                                view_id=self.view.view_id)
-        if self.group.ordering == "fifo":
-            message.seq = next(self._send_seq)
-        elif self.group.ordering == "causal":
-            self._sent_vector[self.name] = \
-                self._sent_vector.get(self.name, 0) + 1
-            message.vector = dict(self._sent_vector)
-        elif self.group.ordering == "total":
+        if self._sequenced:
             # Route through the sequencer, which stamps and re-broadcasts.
             self._send_to(self.view.coordinator, "ord-req", message)
-            return message
-        self._fanout(message)
+        else:
+            self._ordering.stamp(message)
+            self._fanout(message)
         return message
 
     def on_deliver(self, callback: Callable[[GroupMessage], None]) -> None:
@@ -160,13 +167,8 @@ class GroupEndpoint:
             self._deliver(deliverable)
 
     def _deliver(self, message: GroupMessage) -> None:
-        if self.group.ordering == "causal" and message.vector is not None:
-            # Merge the delivered causal history into the send vector.
-            for process, time in message.vector.items():
-                if time > self._sent_vector.get(process, 0):
-                    self._sent_vector[process] = time
         self.delivered_log.append(message)
-        self.delivered.put(message)
+        self.delivered.put_fast(message)  # nobody waits on the put event
         for callback in self._on_deliver:
             callback(message)
 
@@ -203,7 +205,7 @@ class ProcessGroup:
         self.max_retries = max_retries
         self.endpoints: Dict[str, GroupEndpoint] = {}
         self.view = GroupView(0, ())
-        self._global_seq = itertools.count(1)
+        self._global_seq = 0  # total-order slots assigned so far
         self._on_view: List[Callable[[GroupView], None]] = []
         #: Optional application-state provider for late-join transfer:
         #: () -> (snapshot, size_bytes).
@@ -232,6 +234,7 @@ class ProcessGroup:
                 "{} is already a member of {}".format(host_name, self.name))
         host = self.network.host(host_name)
         endpoint = GroupEndpoint(self, host)
+        self._start_at_cut(endpoint._ordering)
         was_empty = len(self.view) == 0
         self.endpoints[host_name] = endpoint
         self._install(tuple(self.view.members) + (host_name,))
@@ -287,9 +290,31 @@ class ProcessGroup:
         for callback in self._on_view:
             callback(self.view)
 
+    def _start_at_cut(self, buffer) -> None:
+        """Start a joiner's hold-back ``buffer`` at the join cut.
+
+        Nothing sent before the join was addressed to the joiner, so a
+        fresh buffer — expecting number 1 from everybody — would hold
+        whatever it is sent next for ever.  View installation is
+        synchronous, so the cut is what has been sent up to this
+        instant: the sequencer's last slot, or per sender the most any
+        member has delivered.  For a member that is its own send count
+        (loopback); for a sender that has left, the joiner's previous
+        incarnation included, it is a lower bound that a message still
+        in flight to everybody escapes.
+        """
+        if self.ordering == "total":
+            buffer._next = self._global_seq + 1
+        for member in self.endpoints.values():
+            if self.ordering == "fifo":
+                _raise_to(buffer._next, member._ordering._next)
+            elif self.ordering == "causal":
+                _raise_to(buffer._counts, member._ordering._counts)
+
     def _sequence(self, message: GroupMessage) -> None:
         """Sequencer role: stamp a total-order slot and re-broadcast."""
-        message.global_seq = next(self._global_seq)
+        self._global_seq += 1
+        message.global_seq = self._global_seq
         sequencer = self.endpoints.get(self.view.coordinator)
         if sequencer is None:
             raise GroupError("sequencer has no endpoint")

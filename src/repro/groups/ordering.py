@@ -2,9 +2,9 @@
 
 Each protocol is a pure hold-back buffer: ``on_receive(message)`` returns
 the (possibly empty) list of messages that become deliverable, in delivery
-order.  Keeping the logic network-free makes the ordering invariants
-directly testable (including property-based tests over arbitrary arrival
-permutations).
+order; ``stamp(message)`` numbers the member's own next broadcast (under
+total order the sequencer does).  Network-free logic keeps the invariants
+directly testable (property-based tests over arbitrary arrival orders too).
 
 The paper's requirement (§4.2.2-iv and §3.1) is that group infrastructures
 let applications pick the ordering/latency trade-off; experiment E11
@@ -24,6 +24,9 @@ class UnorderedDelivery:
 
     name = "unordered"
 
+    def stamp(self, message: GroupMessage) -> None:
+        pass
+
     def on_receive(self, message: GroupMessage) -> List[GroupMessage]:
         return [message]
 
@@ -39,6 +42,10 @@ class FifoDelivery:
     def __init__(self) -> None:
         self._next: Dict[str, int] = {}
         self._held: Dict[str, Dict[int, GroupMessage]] = {}
+
+    def stamp(self, message: GroupMessage) -> None:
+        # Own messages loop back via on_receive: next expected is next sent.
+        message.seq = self._next.get(message.sender, 1)
 
     def on_receive(self, message: GroupMessage) -> List[GroupMessage]:
         if message.seq is None:
@@ -63,18 +70,41 @@ class CausalDelivery:
     A message m from sender s with vector V is deliverable when the local
     delivered-vector D satisfies: D[s] == V[s] - 1 and D[p] >= V[p] for all
     p != s.  This also implies per-sender FIFO.
+
+    One vector per member: its own broadcasts loop back through
+    :meth:`on_receive`, so D is its send vector too.  :meth:`stamp` hands
+    out a *copy*, own entry advanced, and leaves D to that loopback (were
+    D advanced already the loopback would be a duplicate; were it shared
+    the stamp would grow with every later delivery).
     """
 
     name = "causal"
 
     def __init__(self, local: str) -> None:
         self.local = local
-        self.delivered = VectorClock()
+        self._counts: Dict[str, int] = {}  # D
         self._held: List[GroupMessage] = []
 
+    @property
+    def delivered(self) -> VectorClock:
+        """A snapshot of the delivered-vector D."""
+        return VectorClock(self._counts)
+
+    def stamp(self, message: GroupMessage) -> None:
+        vector = message.vector = dict(self._counts)
+        vector[message.sender] = vector.get(message.sender, 0) + 1
+
     def on_receive(self, message: GroupMessage) -> List[GroupMessage]:
-        if message.vector is None:
+        vector = message.vector
+        if vector is None:
             raise ValueError("causal delivery requires vector timestamps")
+        counts = self._counts
+        sender = message.sender
+        if vector.get(sender, 0) <= counts.get(sender, 0):
+            return []  # duplicate, or sent before this member's join cut
+        if not self._held and self._ready(message):
+            counts[sender] = vector[sender]  # nothing waits on it: no rescan
+            return [message]
         self._held.append(message)
         deliverable: List[GroupMessage] = []
         progressed = True
@@ -83,18 +113,20 @@ class CausalDelivery:
             for held in list(self._held):
                 if self._ready(held):
                     self._held.remove(held)
-                    self.delivered = self.delivered.increment(held.sender)
+                    counts[held.sender] = held.vector[held.sender]
                     deliverable.append(held)
                     progressed = True
         return deliverable
 
     def _ready(self, message: GroupMessage) -> bool:
-        vector = message.vector
+        counts = self._counts
         sender = message.sender
-        if vector.get(sender, 0) != self.delivered.get(sender) + 1:
+        if message.vector.get(sender, 0) != counts.get(sender, 0) + 1:
             return False
-        return all(self.delivered.get(p) >= t
-                   for p, t in vector.items() if p != sender)
+        for process, time in message.vector.items():
+            if time > counts.get(process, 0) and process != sender:
+                return False
+        return True
 
     @property
     def held_count(self) -> int:

@@ -167,3 +167,92 @@ def test_group_over_wan_total_order(env):
     env.run()
     sequences = [[m.payload for m in e.delivered_log] for e in endpoints]
     assert all(seq == sequences[0] and len(seq) == 3 for seq in sequences)
+
+
+# -- joining a group that already has traffic behind it -----------------------
+
+ORDERINGS = ["unordered", "fifo", "causal", "total"]
+
+
+def payloads(endpoint):
+    return [m.payload for m in endpoint.delivered_log]
+
+
+def held(endpoint):
+    return getattr(endpoint._ordering, "held_count", 0)
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_late_joiner_delivers_what_is_sent_after_it_joined(env, ordering):
+    group, (first, _) = make_group(env, members=2, ordering=ordering,
+                                   hosts=3)
+    for i in range(3):
+        first.broadcast(("before", i))
+    env.run()
+    late = group.join("host2")
+    for i in range(3):
+        first.broadcast(("after", i))
+    env.run()
+    assert payloads(late) == [("after", i) for i in range(3)]
+    assert held(late) == 0
+    late.broadcast("hello")
+    env.run()
+    for endpoint in group.endpoints.values():
+        assert payloads(endpoint)[-1] == "hello"
+
+
+def test_late_joiner_does_not_wait_for_a_cause_sent_before_it_joined(env):
+    """The reply's vector names the question, which the joiner never gets."""
+    group, (asker, replier) = make_group(env, members=2, hosts=3)
+    asker.broadcast("question")
+    env.run()
+    late = group.join("host2")
+    reply = replier.broadcast("reply")
+    assert reply.vector == {"host0": 1, "host1": 1}
+    env.run()
+    assert payloads(late) == ["reply"]
+    assert held(late) == 0
+
+
+def test_late_joiner_does_not_wait_for_a_cause_from_a_departed_member(env):
+    group, (asker, replier) = make_group(env, members=2, hosts=3)
+    asker.broadcast("question")
+    env.run()
+    group.leave("host0")
+    late = group.join("host2")
+    replier.broadcast("reply")
+    env.run()
+    assert payloads(late) == ["reply"]
+    assert held(late) == 0
+
+
+def test_rejoin_drops_what_was_addressed_to_the_previous_incarnation(env):
+    """Leave and rejoin on the same host while a broadcast is in flight."""
+    group, (stayer, leaver) = make_group(env, members=2)
+    leaver.broadcast("mine")
+    env.run()
+    stayer.broadcast("in flight")
+    group.leave("host1")
+    again = group.join("host1")  # takes over host1's group port
+    env.run()
+    assert payloads(again) == []  # sent before the cut: stale, not held
+    assert held(again) == 0
+    stayer.broadcast("after")
+    env.run()
+    assert payloads(again) == ["after"]
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_rejoined_member_is_heard_again(env, ordering):
+    """Its numbering continues where the previous incarnation stopped."""
+    group, (stayer, leaver) = make_group(env, members=2, ordering=ordering)
+    for i in range(2):
+        leaver.broadcast(("first life", i))
+    env.run()
+    group.leave("host1")
+    again = group.join("host1")
+    again.broadcast("second life")
+    env.run()
+    assert payloads(stayer)[-1] == "second life"
+    assert payloads(again) == ["second life"]
+    assert held(stayer) == held(again) == 0

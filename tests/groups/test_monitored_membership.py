@@ -100,3 +100,29 @@ def test_late_joiner_monitored(env):
     membership.crash("host4")
     env.run(until=12.0)
     assert "host4" not in group.view
+
+
+def test_restarted_member_rejoins_the_conversation(env):
+    """Suspected out and restarted, a member hears and is heard again."""
+    group = make_group(env)
+    membership = MonitoredMembership(group, interval=0.5,
+                                     suspect_after=2.0)
+    for i in range(3):
+        group.endpoint("host0").broadcast(("early", i))
+        group.endpoint("host2").broadcast(("early-2", i))
+    membership.crash("host2")
+    env.run(until=6.0)
+    assert "host2" not in group.view
+    group.endpoint("host0").broadcast("missed")
+    membership.restart("host2")
+    back = group.endpoint("host2")
+    group.endpoint("host0").broadcast("welcome back")
+    back.broadcast("thanks")
+    env.run(until=8.0)
+    assert "host2" in group.view
+    # Nothing from before the rejoin, everything from after it.
+    assert sorted(m.payload for m in back.delivered_log) == [
+        "thanks", "welcome back"]
+    heard = [m.payload for m in group.endpoint("host1").delivered_log]
+    assert heard[-3] == "missed"
+    assert sorted(heard[-2:]) == ["thanks", "welcome back"]
