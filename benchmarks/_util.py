@@ -14,7 +14,6 @@ metric snapshots are merged into ``BENCH_PR3.json`` at the repo root
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -50,14 +49,6 @@ def telemetry_path(default: Optional[str] = None) -> str:
     fallback = os.path.join(_REPO_ROOT, default) if default \
         else os.path.join(_REPO_ROOT, "BENCH_PR3.json")
     return os.environ.get("REPRO_BENCH_TELEMETRY", fallback)
-
-
-def digest(result: Any) -> str:
-    """SHA-256 over canonical JSON — the same digest the replay checker
-    uses, so "observability changed nothing" is assertable as string
-    equality on any JSON-serialisable result subset."""
-    encoded = json.dumps(result, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()
 
 
 def _json_value(value: Any) -> Any:

@@ -115,13 +115,14 @@ def test_e11_ordering(benchmark):
         ["ordering", "deliveries", "mean lat (ms)", "p95 lat (ms)",
          "causal violations", "identical sequences"],
         rows)
-    # Shape: weak orderings violate causality on a jittery network...
-    assert results["unordered"]["violations"] \
-        + results["fifo"]["violations"] > 0
-    assert results["unordered"]["violations"] > 0
-    # ...causal and total never do.
-    assert results["causal"]["violations"] == 0
-    assert results["total"]["violations"] == 0
+    # The published rows (EXPERIMENTS.md §E11), exactly: the trace is
+    # seeded, so a drift here is a behaviour change in groups or net.
+    # Shape: weak orderings violate causality on a jittery network,
+    # causal and total never do.
+    assert {ordering: (stats["delivered"], stats["violations"])
+            for ordering, stats in results.items()} == {
+        "unordered": (585, 26), "fifo": (585, 22),
+        "causal": (585, 0), "total": (595, 0)}
     # Total order gives identical sequences, at higher latency than
     # unordered (the sequencer hop).
     assert results["total"]["identical_sequences"]

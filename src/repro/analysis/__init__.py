@@ -75,6 +75,7 @@ _LAZY = {
     "run_workload": "repro.analysis.workloads",
     "conflict_sweep": "repro.analysis.races",
     "replay": "repro.analysis.replay",
+    "run_digest": "repro.analysis.replay",
     "run_isolated": "repro.analysis.replay",
     "trace_digest": "repro.analysis.replay",
     "RepoIndex": "repro.analysis.ir",
@@ -119,6 +120,7 @@ __all__ = [
     "lint_paths",
     "replay",
     "rules_meta",
+    "run_digest",
     "run_isolated",
     "run_passes",
     "run_workload",

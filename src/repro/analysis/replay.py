@@ -1,11 +1,16 @@
 """Replay checker: "the sim is deterministic" as a testable property.
 
-Runs a named workload twice with the same seed — each run under a fresh
-metrics registry and a fresh conflict sanitizer — and compares SHA-256
-digests of the full result: domain outcome, event-loop counters, the
-sanitizer's ordered access trace and the conflict counts.  Any hidden
-wall-clock read, foreign RNG or hash-order dependence shows up as a
-digest mismatch::
+A run's identity is what its participants did and saw, and when: the
+domain result — outcome, the sanitizer's ordered access trace, conflict
+counts — plus the flight journal of every RNG draw, packet hop and drop,
+lock transition and actor spawn/exit at its simulated instant.  How many
+queue entries the kernel spent getting there is not part of it, so the
+result's ``events_scheduled`` / ``events_processed`` and the journal's
+dispatch channel are left out.  :func:`run_digest` hashes that identity;
+the CLI runs a workload twice with one seed — each run under a fresh
+metrics registry, conflict sanitizer and recorder — and compares.  Any
+hidden wall-clock read, foreign RNG or hash-order dependence shows up
+as a digest mismatch::
 
     PYTHONPATH=src python -m repro.analysis.replay locks-soft
     PYTHONPATH=src python -m repro.analysis.replay --list
@@ -23,11 +28,27 @@ from typing import Any, Dict, Tuple
 
 from repro.analysis.hb import ConflictSanitizer, use_sanitizer
 from repro.analysis.workloads import WORKLOADS, run_workload
+from repro.obs.flight import FlightRecorder, use_flight
 from repro.obs.metrics import MetricsRegistry, use_metrics
+
+#: The kernel's own bookkeeping inside a result's ``"env"`` block.
+KERNEL_COUNTERS = ("events_scheduled", "events_processed")
+
+#: Journal epochs are fixed spans of simulated time, so where the chain
+#: is cut does not depend on how many events the kernel queued.
+EPOCH_INTERVAL = 0.5
 
 
 def trace_digest(result: Any) -> str:
-    """A canonical SHA-256 over a JSON-serialisable run result."""
+    """A canonical SHA-256 over a JSON-serialisable run result.
+
+    A result's ``"env"`` block (``Environment.stats()``) is covered
+    without its :data:`KERNEL_COUNTERS`.
+    """
+    if isinstance(result, dict) and isinstance(result.get("env"), dict):
+        result = dict(result, env={
+            key: value for key, value in result["env"].items()
+            if key not in KERNEL_COUNTERS})
     canonical = json.dumps(result, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -39,10 +60,25 @@ def run_isolated(name: str, seed: int = 31) -> Dict[str, Any]:
             return run_workload(name, seed=seed)
 
 
+def run_digest(name: str, seed: int = 31) -> str:
+    """The identity of one isolated run: its result and its journal.
+
+    The journal is the recorder's last chained epoch digest, which
+    covers every record before it.
+    """
+    recorder = FlightRecorder(journal_dispatch=False,
+                              epoch_interval=EPOCH_INTERVAL)
+    with use_flight(recorder):
+        result = run_isolated(name, seed)
+    recorder.finish()
+    return trace_digest({"result": trace_digest(result),
+                         "journal": recorder.epoch_digests[-1:]})
+
+
 def replay(name: str, seed: int = 31) -> Tuple[str, str, bool]:
     """Run ``name`` twice with ``seed``; returns (digest1, digest2, ok)."""
-    first = trace_digest(run_isolated(name, seed))
-    second = trace_digest(run_isolated(name, seed))
+    first = run_digest(name, seed)
+    second = run_digest(name, seed)
     return first, second, first == second
 
 

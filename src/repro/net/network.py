@@ -7,15 +7,15 @@ rather than a process: per link it serialises on the directional channel
 (transmission delay), then waits the propagation delay, and may be
 dropped by the link's loss model.
 
-Two events are queued per hop.  The start of an in-run send, each
-channel grant (fused with its transmission wait — see
-:class:`~repro.sim.resources.Request`), the accepted put on inbox
-delivery and the flight's end queue nothing and are *virtually
-accounted*; the per-packet/per-hop instruments accumulate in local cells
-flushed at registry-read/window boundaries.  Every scheduling counter,
-RNG draw order and delivery time matches the one-event-per-step carry
-this replaced: ``tests/net/test_carry.py`` holds the carrier to
-references pinned from it and to an independent generator model.
+Two events are queued per hop, and nothing else per packet: the start
+of an in-run send, each channel grant (fused with its transmission wait
+— see :class:`~repro.sim.resources.Request`), the accepted put on inbox
+delivery and the flight's end queue nothing; the per-packet/per-hop
+instruments accumulate in local cells flushed at registry-read/window
+boundaries.  RNG draw order, hop, drop and delivery times match the
+one-event-per-step carry this replaced: ``tests/net/test_carry.py``
+holds the carrier to references pinned from it and to an independent
+generator model.
 """
 
 from __future__ import annotations
@@ -182,8 +182,8 @@ class Host:
         if handler is not None:
             handler(packet)
         else:
-            # The put event is discarded here, so Store.put_fast elides
-            # it (virtually accounted — digests cannot tell).
+            # The put event is discarded here, so Store.put_fast never
+            # queues it.
             self.inbox(packet.port).put_fast(packet)
 
     def __repr__(self) -> str:
@@ -292,8 +292,7 @@ class _Carrier(PriorityRequest):
             node=node, bytes=self.wire_size) \
             if self.tracer is not None else None
         # Claim+tx fusion: the claim carries the transmission delay, so
-        # it fires once, at tx-complete, and its grant is virtually
-        # accounted (see Resource._grant).
+        # it fires once, at tx-complete (see Resource._grant).
         delay = (self.wire_size * 8.0) / link.bandwidth
         channel = self.resource = link._channels[node]
         self.callbacks = _ON_TX
@@ -313,8 +312,7 @@ class _Carrier(PriorityRequest):
             self._ok = True
             self.usage_since = now
             channel.users.append(self)
-            env._eid += 2
-            env.events_processed += 1
+            env._eid += 1
             env._push(now + delay, _NORMAL_BASE + env._eid, self)
 
     def _on_tx(self) -> None:  # repro: fast-path (RPR204)
@@ -409,8 +407,6 @@ class _Carrier(PriorityRequest):
         does not own (a push handler, the ``on_drop`` hook): it must see
         an active process, so that a send it makes starts synchronously,
         and what it raises goes straight to whoever fired the carrier.
-        The end event a process would have queued is virtually
-        accounted — after the foreign code, whose eids keep their values.
         """
         env = self.env
         outer = env._active_process
@@ -419,8 +415,6 @@ class _Carrier(PriorityRequest):
             foreign(*args)
         finally:
             env._active_process = outer
-            env._eid += 1
-            env.events_processed += 1
             # Resource._grant left ``_value = self``; without the cycle
             # packet, route and spans die here, by refcount.
             self._value = None
@@ -486,20 +480,18 @@ class Network:
         """Launch ``packet``'s carrier."""
         env = self.env
         carrier = _Carrier(self, packet)
-        if env._active_process is not None:
+        if env._active_process is not None and packet.src != packet.dst:
             # Synchronous start: inside the run loop (the storm hot
             # path) an URGENT start event at this instant would pop
             # before any pending NORMAL event anyway, so the flight
-            # begins right here and the start event is virtually
-            # accounted — eid + processed land where it would have been
-            # allocated and popped.
-            env._eid += 1
-            env.events_processed += 1
+            # begins right here.
             carrier._begin()
         else:
             # Setup-time sends (no active process) keep the queued
             # start, so code that mutates links between send() and
-            # run() observes no change.
+            # run() observes no change.  So does a packet to its own
+            # host: it has no hop to wait on, and begun here it would
+            # run the receiver's handler inside the sender's send().
             carrier.callbacks = _BEGIN
             env.schedule(carrier, URGENT)
 

@@ -19,8 +19,8 @@ Design constraints, in order:
   instrumentation sites pay one ``is not None`` / attribute check.
 * **Observe, never perturb.**  Recording draws no RNG, schedules no
   events and advances no clocks, so replay digests are byte-identical
-  with the recorder off *and* on (asserted by the O2 bench and the
-  all-workload tests).
+  with the recorder off *and* on (asserted over every registered
+  workload by ``tests/analysis/test_replay.py``).
 * **Deterministic.**  Records contain only sim-derived values; span
   ids — which differ between traced and untraced runs — ride in
   underscore-prefixed side fields that are excluded from digests.

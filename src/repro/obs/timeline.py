@@ -15,9 +15,9 @@ latest gauge values.
 Design constraints, in order:
 
 * **No-op by default.**  Nothing records unless a recorder is
-  constructed; the hook itself schedules zero events, so even a
-  recorder-*on* run keeps ``events_scheduled`` / ``events_processed``
-  byte-identical to a recorder-off run — replay digests cannot tell.
+  constructed; the hook itself schedules zero events, so a
+  recorder-*on* run dispatches exactly the events of a recorder-off
+  run, in the same order — replay digests cannot tell.
 * **Deterministic cuts.**  The hook fires before the callbacks of the
   event that reached the boundary, so window ``[a, b)`` contains
   exactly the effects of events with ``t < b``; same seed ⇒ same

@@ -96,16 +96,16 @@ class Environment:
         self._qstart = 0.0
         self._qinvw = 0.0
         self._qover: List[Tuple[float, int, Event]] = []
-        # Event-loop counter: a plain int so the hot path stays cheap.
-        # (events_scheduled is derived from the schedule-order tiebreaker
-        # ``_eid``, which advances in lockstep with it by construction.)
+        # Entries popped off the queue: a plain int so the hot path
+        # stays cheap, written here and by step()/run() only.
+        # (events_scheduled is the schedule-order tiebreaker ``_eid``,
+        # which advances once per _push by construction.)
         self.events_processed = 0
         # Window-boundary hook (see set_window_hook): fired from inside
         # the event loop when the clock reaches each boundary, without
-        # scheduling any events — so the scheduling counters the replay
-        # digests cover are identical with or without a hook installed.
-        # With no hook, ``_window_next`` is infinity and the loop pays
-        # one float compare per event.
+        # scheduling any events — a run dispatches the same events with
+        # or without a hook installed.  With no hook, ``_window_next``
+        # is infinity and the loop pays one float compare per event.
         self._window_hook: Optional[Any] = None
         self._window_interval = 0.0
         self._window_anchor = 0.0
@@ -134,11 +134,12 @@ class Environment:
 
     @property
     def events_scheduled(self) -> int:
-        """Events ever queued.
+        """Events ever queued: the number of :meth:`_push` calls.
 
         The schedule-order tiebreaker ``_eid`` increments exactly once
-        per queued event, so it doubles as this counter — one less
-        attribute store on every schedule.
+        per queued event — every ``_eid += 1`` is followed by the push
+        it numbers — so it doubles as this counter: one less attribute
+        store on every schedule.
         """
         return self._eid
 
@@ -160,8 +161,7 @@ class Environment:
 
         This is the kernel's hottest allocation site (one per packet hop,
         think-gap and retry timer), so the event is built field-by-field
-        — observably identical to ``Timeout(...)``, including the
-        scheduling counters the replay digests cover.
+        — observably identical to ``Timeout(...)``.
         """
         if not delay >= 0:
             raise SimulationError(_bad_delay(delay))
@@ -380,9 +380,9 @@ class Environment:
         reached the boundary run, so a flush at boundary ``B`` observes
         exactly the effects of events with ``t < B`` — a deterministic
         cut of the timeline.  No events are scheduled on its behalf:
-        ``events_scheduled`` / ``events_processed`` are identical with
-        or without a hook, which is what keeps timeline recording
-        invisible to replay digests.  The callback must not advance the
+        the queue holds the same entries, in the same order, with or
+        without a hook, which is what keeps timeline recording from
+        changing the run it records.  The callback must not advance the
         clock; scheduling new events from it is allowed but defeats
         that invisibility.
 
@@ -483,9 +483,9 @@ class Environment:
         #
         # The flight dispatch hook journals (time, priority, eid) per
         # event and drives the recorder's epoch clock, scheduling zero
-        # events — replay digests are identical with or without it (the
-        # O2 bench asserts this).  None (the default) costs one check
-        # per event.
+        # events — replay digests are identical with or without it
+        # (tests/analysis/test_replay.py asserts this).  None (the
+        # default) costs one check per event.
         #
         # The processed count is batched in a local and flushed once on
         # the way out (including via exceptions): nothing observes

@@ -32,10 +32,6 @@ class Request(Event):
     follows it: instead of firing at grant time and having the waiter
     immediately schedule a ``grant_delay`` timeout (two events per
     claim), the request fires once at ``grant_time + grant_delay``.
-    The elided immediate-grant event is *virtually accounted* — the
-    grant still consumes its eid and bumps ``events_processed`` at the
-    instant it would have fired — so the scheduling counters the replay
-    digests cover are byte-identical to the unfused two-event shape.
     ``usage_since`` still records the grant instant, so holders can
     recover when their usage actually began.
     """
@@ -124,20 +120,9 @@ class Resource:
             raise SimulationError("event already triggered")
         request._ok = True
         request._value = request
-        delay = request.grant_delay
-        if delay:
-            # Claim+usage fusion: the immediate-grant event is elided
-            # and virtually accounted (its eid and processed count land
-            # at this instant, exactly where the unfused grant would
-            # have popped as a resume), and the request itself fires at
-            # grant + delay — one queued event instead of two.
-            env._eid += 2
-            env.events_processed += 1
-            time = env._now + delay
-        else:
-            env._eid += 1
-            time = env._now
-        env._push(time, _NORMAL_BASE + env._eid, request)
+        env._eid += 1
+        env._push(env._now + request.grant_delay,
+                  _NORMAL_BASE + env._eid, request)
 
     def _grant_waiters(self) -> None:
         granted = False
@@ -282,21 +267,14 @@ class Store:
         For callers that discard the put event (the network's inbox
         delivery): when the put would be accepted immediately — room in
         an unnamed store with no queued putters — nobody can ever
-        subscribe to it, so popping it later is a guaranteed no-op.
-        The event is elided and *virtually accounted* (eid + processed
-        bump at this instant, exactly where the real put would have
-        been scheduled and popped), keeping the counters replay digests
-        cover byte-identical; waiting getters are then matched through
-        the regular dispatch so their events keep the same eids.  Named
-        stores, full stores and stores with queued putters fall back to
-        the generic :meth:`put`.
+        subscribe to it, so popping it later is a guaranteed no-op and
+        the event is never queued; waiting getters are then matched
+        through the regular dispatch.  Named stores, full stores and
+        stores with queued putters fall back to the generic :meth:`put`.
         """
         if self._putters or self.name is not None \
                 or len(self.items) >= self.capacity:
             return StorePut(self, item)
-        env = self.env
-        env._eid += 1
-        env.events_processed += 1
         self.items.append(item)
         if self._getters:
             self._dispatch()

@@ -7,13 +7,19 @@ import pytest
 
 from repro.analysis.hb import NOOP_SANITIZER, get_sanitizer
 from repro.analysis.replay import (
+    EPOCH_INTERVAL,
     main,
     replay,
+    run_digest,
     run_isolated,
     trace_digest,
 )
 from repro.analysis.workloads import WORKLOADS, run_workload
+from repro.obs.flight import FlightRecorder, use_flight
 from repro.obs.metrics import get_metrics
+from repro.obs.timeline import TimelineRecorder
+from repro.obs.tracer import Tracer, use_tracer
+from repro.sim import Environment
 
 
 def test_replay_locks_hard_is_deterministic():
@@ -37,6 +43,19 @@ def test_different_seeds_give_different_digests():
 def test_trace_digest_is_canonical():
     assert trace_digest({"a": 1, "b": 2}) == trace_digest({"b": 2, "a": 1})
     assert trace_digest({"a": 1}) != trace_digest({"a": 2})
+
+
+def test_trace_digest_leaves_out_the_kernel_counters():
+    def result(now, scheduled, processed):
+        return {"completed": 3,
+                "env": {"now": now, "queue_depth": 0,
+                        "events_scheduled": scheduled,
+                        "events_processed": processed}}
+
+    assert trace_digest(result(1.5, 40, 40)) == \
+        trace_digest(result(1.5, 22, 21))
+    assert trace_digest(result(1.5, 40, 40)) != \
+        trace_digest(result(2.5, 40, 40))
 
 
 def test_run_isolated_restores_globals():
@@ -79,21 +98,72 @@ def test_cli_list(capsys):
 
 
 def test_every_registered_workload_is_digest_stable():
-    # The hot-path optimisations (route caching, bound instruments, kernel
-    # fast paths) must be invisible to replay: running any registered
-    # workload twice with the same seed digests identically.
+    # Same seed, same identity; another seed, another run.
     for name in sorted(WORKLOADS):
-        first = trace_digest(run_isolated(name, seed=31))
-        second = trace_digest(run_isolated(name, seed=31))
-        assert first == second, "workload {} is not replay-stable".format(
-            name)
+        first = run_digest(name, seed=31)
+        assert first == run_digest(name, seed=31), \
+            "workload {} is not replay-stable".format(name)
+        assert first != run_digest(name, seed=32), \
+            "workload {} ignores its seed".format(name)
+
+
+def _journal(name, seed):
+    """The journal half of :func:`run_digest`, on its own."""
+    recorder = FlightRecorder(journal_dispatch=False,
+                              epoch_interval=EPOCH_INTERVAL)
+    with use_flight(recorder):
+        run_isolated(name, seed)
+    recorder.finish()
+    return recorder.epoch_digests[-1]
+
+
+def test_journal_tells_seeds_apart_where_the_simulation_consumes_the_seed():
+    # Every result names its seed, so the result half always differs.
+    # The journal differs exactly where a draw from the seed reaches
+    # behaviour: these three run fixed schedules over lossless links.
+    seedless = {name for name in WORKLOADS
+                if name.startswith("fuzz-reg-")}
+    seedless |= {"partition-recovery", "slo-burn"}
+    for name in sorted(WORKLOADS):
+        assert (_journal(name, 31) == _journal(name, 32)) == \
+            (name in seedless), name
+
+
+def test_observers_do_not_change_a_runs_identity(monkeypatch):
+    """An ambient tracer, flight recorder or timeline recorder is not a
+    participant."""
+    names = sorted(WORKLOADS)
+    # The results with no recorder at all and under the default one,
+    # which also journals every dispatch.
+    results = {name: trace_digest(run_isolated(name, 31)) for name in names}
+    with use_flight(FlightRecorder()):
+        for name in names:
+            assert trace_digest(run_isolated(name, 31)) == results[name], \
+                name
+    # Under a tracer only the journal is compared: three results report
+    # their tracer's retention counts, which an ambient tracer replaces.
+    journals = {name: _journal(name, 31) for name in names}
+    with use_tracer(Tracer()):
+        for name in names:
+            assert _journal(name, 31) == journals[name], name
+    # A timeline recorder on every environment a workload creates.
+    construct = Environment.__init__
+
+    def with_timeline(env, *args, **kwargs):
+        construct(env, *args, **kwargs)
+        TimelineRecorder(env, resolution=0.25)
+
+    monkeypatch.setattr(Environment, "__init__", with_timeline)
+    pinned = _pinned_digests()
+    for name in names:
+        if name != "timeline-demo":     # owns the window hook itself
+            assert run_digest(name, 31) == pinned[name], name
 
 
 # -- pinned digests -------------------------------------------------------
 #
-# seed_digests.json holds the seed-31 digest of every workload, captured
-# on a binary-heap scheduler with a one-event-per-step carry *before* the
-# calendar queue and the fused carry replaced them.  Any drift is a
+# seed_digests.json holds the seed-31 run_digest of every workload; its
+# "source" string says which kernel produced them.  Any drift is a
 # behaviour change, not a speedup.
 
 _PINNED = os.path.join(os.path.dirname(__file__), "seed_digests.json")
@@ -101,7 +171,7 @@ _PINNED = os.path.join(os.path.dirname(__file__), "seed_digests.json")
 
 def _pinned_digests():
     with open(_PINNED, encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle)["digests"]
 
 
 def test_pinned_digest_file_covers_every_workload():
@@ -111,6 +181,5 @@ def test_pinned_digest_file_covers_every_workload():
 def test_all_workloads_match_pinned_digests():
     pinned = _pinned_digests()
     for name in sorted(WORKLOADS):
-        digest = trace_digest(run_isolated(name, seed=31))
-        assert digest == pinned[name], \
+        assert run_digest(name, seed=31) == pinned[name], \
             "workload {} drifted".format(name)

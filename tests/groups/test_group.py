@@ -115,6 +115,29 @@ def test_total_order_identical_everywhere(env):
     assert all(seq == sequences[0] for seq in sequences)
 
 
+def test_coordinator_total_order_broadcast_returns_before_any_delivery(env):
+    """The coordinator's own ord-req is a datagram to itself: it is
+    sequenced and fanned out at the same instant but after broadcast()
+    returned — never re-entrantly, in the middle of the caller."""
+    group, endpoints = make_group(env, members=3, ordering="total")
+    coordinator = group.endpoint(group.coordinator)
+    log = []
+    for endpoint in endpoints:
+        endpoint.on_deliver(lambda message, name=endpoint.name:
+                            log.append((name, env.now)))
+
+    def talker(env):
+        yield env.timeout(1.0)
+        coordinator.broadcast("hello")
+        log.append("broadcast() returned")
+
+    env.process(talker(env))
+    env.run()
+    assert log[:2] == ["broadcast() returned", (coordinator.name, 1.0)]
+    assert sorted(name for name, _ in log[1:]) == \
+        sorted(endpoint.name for endpoint in endpoints)
+
+
 def test_causal_order_replies_follow_originals(env):
     """A reply broadcast after seeing a message is never delivered first."""
     group, endpoints = make_group(env, members=3, ordering="causal")

@@ -3,7 +3,6 @@
 import collections
 import hashlib
 import json
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -578,26 +577,3 @@ def test_use_flight_scopes_and_restores():
     with use_flight(recorder):
         assert obs.get_flight() is recorder
     assert obs.get_flight() is NOOP_FLIGHT
-
-
-# -- journal pinned against the deleted binary-heap scheduler --------------
-
-
-@pytest.mark.parametrize("workload", ["locks-hard", "flaky-links"])
-def test_journal_matches_pinned_reference(workload):
-    """The dispatch journal — every (time, priority, eid) record, chained
-    into the epoch digests — is what the binary-heap scheduler produced
-    before it was deleted, on a lock workload and on a packet workload
-    (where elided events are accounted *virtually*, so the eids that do
-    reach the journal line up).  The last chained digest covers every
-    epoch before it."""
-    pins = os.path.join(os.path.dirname(__file__), os.pardir, "analysis",
-                        "carry_flight_pins.json")
-    with open(pins, encoding="utf-8") as handle:
-        pinned = json.load(handle)["flight"][workload]
-    recorder = FlightRecorder(ring=1 << 16, epoch_events=256)
-    with use_flight(recorder):
-        run_isolated(workload, 31)
-    recorder.finish()
-    assert recorder.recorded == pinned["recorded"]
-    assert recorder.epoch_digests[-1] == pinned["last_epoch_digest"]

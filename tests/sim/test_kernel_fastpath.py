@@ -163,27 +163,36 @@ def test_cancellation_interleaved_with_timeouts(env):
 
 
 def test_grant_delay_fusion_keeps_counters_exact(env):
-    """A fused claim (grant_delay) virtually accounts the elided grant:
-    counters equal the two-event claim-then-timeout formulation."""
-    def fused(env, channel):
+    """A fused claim (grant_delay) is granted, resumed and released at
+    the instants of the claim-then-timeout formulation, and the counters
+    say what it saved: the grant event of every claim was never queued."""
+    def fused(env, channel, log):
         claim = PriorityRequest(channel, 0, grant_delay=0.25)
         yield claim
+        log.append((claim.usage_since, env.now))
         channel.release(claim)
 
-    def split(env, channel):
+    def split(env, channel, log):
         claim = channel.request(priority=0)
         yield claim
         yield env.timeout(0.25)
+        log.append((claim.usage_since, env.now))
         channel.release(claim)
 
     def drive(worker):
         env = Environment()
         channel = PriorityResource(env, capacity=1)
-        env.process(worker(env, channel))
+        log = []
+        for _ in range(2):      # the second claim queues behind the first
+            env.process(worker(env, channel, log))
         env.run()
-        return env.now, env.events_scheduled, env.events_processed
+        assert env.events_processed == env.events_scheduled
+        return (log, env.now), env.events_scheduled
 
-    assert drive(fused) == drive(split)
+    (fused_saw, fused_events), (split_saw, split_events) = \
+        drive(fused), drive(split)
+    assert fused_saw == split_saw == ([(0.0, 0.25), (0.25, 0.5)], 0.5)
+    assert fused_events == split_events - 2
 
 
 def test_fused_claim_contended_path_still_honours_delay(env):
@@ -210,9 +219,9 @@ def test_fused_claim_contended_path_still_honours_delay(env):
 
 
 def test_store_put_fast_matches_generic_put(env):
+    """Same items to the same consumer at the same instants; the put
+    event nobody could wait on is the one event per item not queued."""
     from repro.sim import Store
-    fast_env = Environment()
-    slow_env = Environment()
 
     def consumer(env, store, seen):
         for _ in range(3):
@@ -227,15 +236,20 @@ def test_store_put_fast_matches_generic_put(env):
             else:
                 store.put(i)
 
-    logs = {}
-    for env_, fast in ((fast_env, True), (slow_env, False)):
-        store = Store(env_)
+    def drive(fast):
+        env = Environment()
+        store = Store(env)
         seen = []
-        env_.process(consumer(env_, store, seen))
-        env_.process(producer(env_, store, fast))
-        env_.run()
-        logs[fast] = (seen, env_.stats())
-    assert logs[True] == logs[False]
+        env.process(consumer(env, store, seen))
+        env.process(producer(env, store, fast))
+        env.run()
+        assert env.events_processed == env.events_scheduled
+        return (seen, env.now, len(store)), env.events_scheduled
+
+    (fast_saw, fast_events), (slow_saw, slow_events) = \
+        drive(True), drive(False)
+    assert fast_saw == slow_saw
+    assert fast_events == slow_events - 3
 
 
 def test_store_put_fast_falls_back_when_bounded_or_named(env):
