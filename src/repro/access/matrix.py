@@ -34,8 +34,9 @@ class AccessMatrix:
 
     def __init__(self, env: Environment, administrator: str,
                  admin_delay: float = 0.0) -> None:
-        if admin_delay < 0:
-            raise AccessPolicyError("admin_delay must be non-negative")
+        if not admin_delay >= 0:
+            raise AccessPolicyError(
+                "admin_delay must be non-negative: {!r}".format(admin_delay))
         self.env = env
         self.administrator = administrator
         self.admin_delay = admin_delay
@@ -69,13 +70,12 @@ class AccessMatrix:
             raise AccessPolicyError("unknown right: " + right)
         event = self.env.event()
         self.counters.incr("change_requests")
-        self.env.process(self._apply_later(subject, obj, right, add, event))
+        self.env.timeout(self.admin_delay, (subject, obj, right, add, event)
+                         ).callbacks.append(self._apply_later)
         return event
 
-    def _apply_later(self, subject: str, obj: str, right: str,
-                     add: bool, event) -> object:
-        if self.admin_delay > 0:
-            yield self.env.timeout(self.admin_delay)
+    def _apply_later(self, timer) -> None:
+        subject, obj, right, add, event = timer.value
         rights = self._entries.setdefault((subject, obj), set())
         if add:
             rights.add(right)

@@ -76,7 +76,7 @@ class AccessNegotiator:
             handler = self._handlers.get(controller)
             if handler is not None:
                 handler(req)
-        self.env.process(self._expire(req))
+        self.env.timeout(deadline, req).callbacks.append(self._expire)
         return event
 
     def respond(self, request_id: int, controller: str,
@@ -124,7 +124,7 @@ class AccessNegotiator:
         self.policy.define(role)
         self.policy.assign(req.requester, role_name, at=self.env.now)
 
-    def _expire(self, req: NegotiationRequest):
-        yield self.env.timeout(req.deadline)
+    def _expire(self, timer: Event) -> None:
+        req = timer.value
         if req.outcome is None:
             self._conclude(req, EXPIRED)

@@ -67,11 +67,20 @@ class AwarenessBus:
 
     Delivery is optionally delayed (``latency``) to model the network hop;
     benches use the delivered timestamps to measure *notification time*.
+    A delayed delivery is one timeout whose callback hands the event
+    over: one queued event and no process, so a subscriber that raises
+    surfaces from ``env.run()`` as itself.
+
+    A subscriber may ``subscribe`` or ``unsubscribe`` from inside a
+    delivery: ``publish`` walks the subscriptions as they stood when it
+    was called, so a subscription made during a delivery does not
+    receive the event being delivered and does receive the next.
     """
 
     def __init__(self, env: Environment, latency: float = 0.0) -> None:
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
+        if not latency >= 0:
+            raise ValueError(
+                "latency must be non-negative: {!r}".format(latency))
         self.env = env
         self.latency = latency
         self._subscribers: Dict[str, List[Tuple[EventFilter,
@@ -95,23 +104,22 @@ class AwarenessBus:
         event = AwarenessEvent(actor, artefact, action, self.env.now,
                                detail)
         self.counters.incr("published")
-        for name, entries in self._subscribers.items():
-            for event_filter, callback in entries:
-                if event_filter(name, event):
-                    self._deliver(name, callback, event)
+        # A copy: a subscriber may (un)subscribe from inside a delivery.
+        subscriptions = [(name, entry)
+                         for name, entries in self._subscribers.items()
+                         for entry in entries]
+        for name, (event_filter, callback) in subscriptions:
+            if not event_filter(name, event):
+                continue
+            if self.latency > 0:
+                self.env.timeout(self.latency, (name, callback, event)
+                                 ).callbacks.append(self._arrive)
+            else:
+                self._finish(name, callback, event)
         return event
 
-    def _deliver(self, name: str, callback: Subscriber,
-                 event: AwarenessEvent) -> None:
-        if self.latency <= 0:
-            self._finish(name, callback, event)
-        else:
-            self.env.process(self._delayed(name, callback, event))
-
-    def _delayed(self, name: str, callback: Subscriber,
-                 event: AwarenessEvent):
-        yield self.env.timeout(self.latency)
-        self._finish(name, callback, event)
+    def _arrive(self, timer) -> None:
+        self._finish(*timer.value)
 
     def _finish(self, name: str, callback: Subscriber,
                 event: AwarenessEvent) -> None:

@@ -177,10 +177,11 @@ class RoundRobinFloor(FloorPolicy):
                           requested_at: float) -> None:
         self._grant(member, event, requested_at)
         self._epoch += 1
-        self.env.process(self._timer(member, self._epoch))
+        self.env.timeout(self.quantum, (member, self._epoch)
+                         ).callbacks.append(self._timer)
 
-    def _timer(self, member: str, epoch: int):
-        yield self.env.timeout(self.quantum)
+    def _timer(self, timer: Event) -> None:
+        member, epoch = timer.value
         if self._epoch != epoch or self.holder != member:
             return  # released in time, or a newer turn is running
         if not self._queue:
@@ -224,11 +225,13 @@ class ChairedFloor(FloorPolicy):
     def request(self, member: str) -> Event:
         event = self.env.event()
         self.counters.incr("requests")
-        self.env.process(self._consider(member, event, self.env.now))
+        self.env.timeout(self.decision_latency,
+                         (member, event, self.env.now)
+                         ).callbacks.append(self._consider)
         return event
 
-    def _consider(self, member: str, event: Event, requested_at: float):
-        yield self.env.timeout(self.decision_latency)
+    def _consider(self, timer: Event) -> None:
+        member, event, requested_at = timer.value
         if not self.decide(member):
             self.counters.incr("rejections")
             event.fail(FloorControlError(
@@ -273,12 +276,13 @@ class NegotiatedFloor(FloorPolicy):
         if self.holder is None:
             self._grant(member, event, self.env.now)
         else:
-            self.env.process(self._negotiate(member, event, self.env.now))
+            self.env.timeout(self.negotiation_latency,
+                             (member, event, self.env.now, self.holder)
+                             ).callbacks.append(self._negotiate)
         return event
 
-    def _negotiate(self, member: str, event: Event, requested_at: float):
-        holder = self.holder
-        yield self.env.timeout(self.negotiation_latency)
+    def _negotiate(self, timer: Event) -> None:
+        member, event, requested_at, holder = timer.value
         if self.holder is None:
             self._grant(member, event, requested_at)
             return

@@ -97,13 +97,14 @@ class TransparentConference:
         # Multicast the new display to every member's screen.
         for viewer in self.members:
             self.display_bytes_sent += self.display_size
-            self.env.process(self._paint(viewer, output))
+            self.env.timeout(self.display_latency, (viewer, output)
+                             ).callbacks.append(self._paint)
         self.floor.release(member)
         yield self.env.timeout(self.display_latency)
         done.succeed(output)
 
-    def _paint(self, viewer: str, output: Any):
-        yield self.env.timeout(self.display_latency)
+    def _paint(self, timer: Event) -> None:
+        viewer, output = timer.value
         self.screens[viewer].append((self.env.now, output))
         self.counters.incr("display_updates")
 

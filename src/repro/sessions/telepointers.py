@@ -6,6 +6,12 @@ awareness widget in synchronous work.  A :class:`TelepointerService`
 tracks each member's pointer on a shared surface and fans movements out
 to the other members with a configurable update rate (real systems
 throttle pointer traffic hard).
+
+Each member has one throttling process; a published update travels as
+one timeout whose callback walks the publishing member's *fan-out
+list* — the other members' callbacks, flattened once after each
+``watch`` / ``leave`` instead of per delivery.  A callback that raises
+surfaces from ``env.run()`` as itself.
 """
 
 from __future__ import annotations
@@ -15,15 +21,26 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import SessionError
 from repro.sim import Counter, Environment
 
+#: Called with (member, x, y) for each colleague's published movement.
+Watcher = Callable[[str, float, float], None]
+
 
 class TelepointerService:
-    """Per-member pointers on one shared surface."""
+    """Per-member pointers on one shared surface.
+
+    A callback may ``join``, ``watch`` or ``leave`` from inside a
+    delivery: a subscription made during a delivery does not receive
+    the update being delivered and does receive the next (and one
+    dropped by ``leave`` is dropped from the next).
+    """
 
     def __init__(self, env: Environment, update_interval: float = 0.1,
                  latency: float = 0.02) -> None:
-        if update_interval < 0 or latency < 0:
-            raise SessionError(
-                "update_interval and latency must be non-negative")
+        for field, value in (("update_interval", update_interval),
+                             ("latency", latency)):
+            if not value >= 0:
+                raise SessionError("{} must be non-negative: {!r}".format(
+                    field, value))
         self.env = env
         self.update_interval = update_interval
         self.latency = latency
@@ -31,28 +48,44 @@ class TelepointerService:
         self.published: Dict[str, Tuple[float, float]] = {}
         self._current: Dict[str, Tuple[float, float]] = {}
         self._dirty: Dict[str, bool] = {}
-        self._watchers: Dict[str, List[Callable[[str, float, float],
-                                                None]]] = {}
+        self._watchers: Dict[str, List[Watcher]] = {}
+        #: publishing member -> the other members' callbacks in delivery
+        #: order, built at the member's next delivery.  Dropped whole,
+        #: never edited, so a delivery in progress keeps its list.
+        self._fanout: Dict[str, List[Watcher]] = {}
         self.counters = Counter()
-        self._members: List[str] = []
+        #: member -> serial of its join; a publisher whose serial is no
+        #: longer the member's has been left behind and exits.
+        self._members: Dict[str, int] = {}
+        self._joins = 0
 
-    def join(self, member: str,
-             on_move: Optional[Callable[[str, float, float],
-                                        None]] = None) -> None:
+    def join(self, member: str, on_move: Optional[Watcher] = None) -> None:
         """Add a member's pointer (optionally with a move callback)."""
         if member in self._members:
             raise SessionError("{} already joined".format(member))
-        self._members.append(member)
+        self._joins += 1
+        self._members[member] = self._joins
         self._current[member] = (0.0, 0.0)
         self._dirty[member] = False
         if on_move is not None:
             self.watch(member, on_move)
-        self.env.process(self._publisher(member))
+        self.env.process(self._publisher(member, self._joins))
 
-    def watch(self, member: str,
-              callback: Callable[[str, float, float], None]) -> None:
+    def leave(self, member: str) -> None:
+        """Remove a member: its pointer, its callbacks and any update of
+        its own still in flight; its publisher exits at its next tick."""
+        if member not in self._members:
+            raise SessionError("{} has not joined".format(member))
+        del self._members[member], self._current[member], \
+            self._dirty[member]
+        self._watchers.pop(member, None)
+        self.published.pop(member, None)
+        self._fanout = {}
+
+    def watch(self, member: str, callback: Watcher) -> None:
         """``member`` receives colleagues' pointer movements."""
         self._watchers.setdefault(member, []).append(callback)
+        self._fanout = {}
 
     def move(self, member: str, x: float, y: float) -> None:
         """A member moves their pointer (throttled before publishing)."""
@@ -70,28 +103,32 @@ class TelepointerService:
 
     # -- internals -------------------------------------------------------------
 
-    def _publisher(self, member: str):
+    def _publisher(self, member: str, serial: int):
         """Throttle: publish at most one update per interval."""
-        while member in self._members:
-            if self._dirty.get(member):
+        while self._members.get(member) == serial:
+            if self._dirty[member]:
                 self._dirty[member] = False
-                position = self._current[member]
                 self.counters.incr("updates_published")
-                self.env.process(self._deliver(member, position))
-            if self.update_interval > 0:
-                yield self.env.timeout(self.update_interval)
-            else:
-                # Unthrottled mode publishes on a minimal tick.
-                yield self.env.timeout(1e-6)
+                self.env.timeout(
+                    self.latency, (member, serial, self._current[member])
+                ).callbacks.append(self._deliver)
+            # Unthrottled mode publishes on a minimal tick.
+            yield self.env.timeout(self.update_interval or 1e-6)
 
-    def _deliver(self, member: str, position: Tuple[float, float]):
-        if self.latency > 0:
-            yield self.env.timeout(self.latency)
+    def _deliver(self, timer) -> None:
+        member, serial, position = timer.value
+        if self._members.get(member) != serial:
+            return  # left while the update was in flight
         self.published[member] = position
-        x, y = position
-        for viewer, callbacks in self._watchers.items():
-            if viewer == member:
-                continue
+        callbacks = self._fanout.get(member)
+        if callbacks is None:
+            callbacks = self._fanout[member] = [
+                callback
+                for viewer, watching in self._watchers.items()
+                if viewer != member
+                for callback in watching]
+        if callbacks:
+            self.counters.incr("deliveries", len(callbacks))
+            x, y = position
             for callback in callbacks:
-                self.counters.incr("deliveries")
                 callback(member, x, y)

@@ -183,8 +183,9 @@ class Process(Event):
             raise SimulationError(
                 "process requires a generator, got {!r}".format(generator))
         # Event.__init__ for both the process and its Initialize event is
-        # inlined: process creation is per-frame in the media layer and
-        # per-call in RPC.
+        # inlined: process creation is per-call in RPC (un-inlining it
+        # costs faulty-rpc about 3 % wall_s; no other layer creates a
+        # process per operation).
         self.env = env
         self.callbacks = []
         self._value = None

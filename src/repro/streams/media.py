@@ -13,6 +13,9 @@ in one of two modes:
 * ``deadline`` — each frame must be presented by its playout deadline
   (first-arrival epoch + media time + target delay); late frames are
   deadline misses.  This is the integrity metric of experiment E7.
+  An on-time frame waits for its deadline as one timeout whose callback
+  plays it: one queued event per frame and no process, so an ``on_play``
+  callback that raises surfaces from ``env.run()`` as itself.
 * ``arrival`` — frames play as they arrive (after the transport), so the
   sink's playout position tracks its source's real clock; two sinks with
   drifting sources visibly desynchronise, which experiment E8 corrects.
@@ -85,24 +88,27 @@ class MediaSource:
         self.clock_skew = clock_skew
         self.frames_sent = 0
         self.running = False
-        self._process = None
+        self._generation = 0
 
     def start(self, duration: Optional[float] = None) -> None:
         """Begin emitting frames (optionally for ``duration`` seconds)."""
         if self.running:
             raise StreamError("source {} already running".format(self.name))
         self.running = True
-        self._process = self.env.process(self._run(duration))
+        # A stop() takes effect at the emitter's next wake-up; a start()
+        # before then supersedes it instead of running beside it.
+        self._generation += 1
+        self.env.process(self._run(duration, self._generation))
 
     def stop(self) -> None:
         """Cease emitting after the current frame."""
         self.running = False
 
-    def _run(self, duration: Optional[float]):
+    def _run(self, duration: Optional[float], generation: int):
         interval = (1.0 / self.rate) * self.clock_skew
         started = self.env.now
         seq = 0
-        while self.running:
+        while self.running and self._generation == generation:
             # Absolute scheduling avoids floating-point interval drift.
             due = started + seq * interval
             if duration is not None and due - started >= duration:
@@ -111,7 +117,7 @@ class MediaSource:
             delay = due - self.env.now
             if delay > 0:
                 yield self.env.timeout(delay)
-            if not self.running:
+            if not self.running or self._generation != generation:
                 break
             frame = Frame(self.name, seq, seq / self.rate,
                           self.frame_size, self.env.now)
@@ -128,8 +134,10 @@ class MediaSink:
                  target_delay: float = 0.15) -> None:
         if mode not in (DEADLINE, ARRIVAL):
             raise StreamError("unknown sink mode: " + mode)
-        if target_delay < 0:
-            raise StreamError("target_delay must be non-negative")
+        if not target_delay >= 0:
+            raise StreamError(
+                "target_delay must be non-negative: {!r}".format(
+                    target_delay))
         self.env = env
         self.name = name
         self.mode = mode
@@ -161,7 +169,8 @@ class MediaSink:
             self.deadline_misses += 1
             self.counters.incr("missed")
             return
-        self.env.process(self._play_at(frame, deadline))
+        self.env.timeout(deadline - self.env.now, frame).callbacks.append(
+            self._play_due)
 
     def sync_adjust(self, new_position: float) -> None:
         """Continuous-sync correction: jump the playout position."""
@@ -181,9 +190,8 @@ class MediaSink:
 
     # -- internals -------------------------------------------------------------
 
-    def _play_at(self, frame: Frame, deadline: float):
-        yield self.env.timeout(deadline - self.env.now)
-        self._play(frame)
+    def _play_due(self, timer) -> None:
+        self._play(timer.value)
 
     def _play(self, frame: Frame) -> None:
         frame.played_at = self.env.now

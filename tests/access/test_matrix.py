@@ -132,3 +132,21 @@ def test_check_counter(env):
     matrix.check("alice", "doc", READ)
     matrix.check("alice", "doc", READ)
     assert matrix.counters["checks"] == 2
+
+
+def test_zero_admin_delay_applies_at_the_same_instant_after_the_caller(env):
+    matrix = AccessMatrix(env, administrator="admin")   # admin_delay 0
+    seen = []
+
+    def root(env):
+        yield env.timeout(5.0)
+        done = matrix.request_change("admin", "alice", "doc", WRITE)
+        # The request has returned; the change has not happened yet.
+        seen.append((done.triggered, matrix.check("alice", "doc", WRITE)))
+        seen.append((yield done))
+
+    env.process(root(env))
+    env.run()
+    assert seen == [(False, False), 5.0]
+    assert matrix.check("alice", "doc", WRITE)
+    assert matrix.change_log == [(5.0, "alice", "doc", WRITE, True)]

@@ -10,6 +10,7 @@ from repro.awareness import (
 )
 from repro.concurrency import SharedStore
 from repro.sim import Environment
+from tests.counting import CountingEnvironment
 
 
 @pytest.fixture
@@ -121,3 +122,77 @@ def test_workspace_awareness_notification_time(env):
     env.process(writer(env))
     env.run()
     assert notified_at == [1.1, 2.1, 3.1]
+
+
+# -- a delayed delivery is a timer ---------------------------------------------
+
+def test_a_delayed_delivery_costs_one_queued_event_and_no_process():
+    env = CountingEnvironment()
+    bus = AwarenessBus(env, latency=0.25)
+    seen = []
+    for name in ("alice", "bob", "carol"):
+        bus.subscribe(name, seen.append)
+    for _ in range(10):
+        bus.publish("alice", "doc", ACTION_EDIT)    # bob and carol
+    assert (env.pushes, env.processes) == (20, 0)
+    env.run()
+    assert (env.pushes, env.pops, env.processes) == (20, 20, 0)
+    assert bus.counters["delivered"] == len(seen) == 20
+    assert [(at, name) for at, name, _ in bus.delivered_log] \
+        == [(0.25, "bob"), (0.25, "carol")] * 10
+
+
+def test_a_raising_subscriber_surfaces_from_run_and_the_run_resumes(env):
+    bus = AwarenessBus(env, latency=0.1)
+    seen = []
+
+    def bob(event):
+        raise OSError("display gone")
+
+    bus.subscribe("bob", bob)
+    bus.subscribe("carol", seen.append)
+    bus.publish("alice", "doc", ACTION_EDIT)
+    with pytest.raises(OSError, match="display gone"):
+        env.run()
+    assert env.now == pytest.approx(0.1) and seen == []
+    env.run()
+    assert len(seen) == 1
+
+
+# -- subscribing from inside a delivery ----------------------------------------
+
+@pytest.mark.parametrize("latency", [0.0, 0.1])
+def test_subscribing_from_inside_a_delivery(env, latency):
+    """A subscription made during a delivery does not receive the event
+    being delivered and does receive the next."""
+    bus = AwarenessBus(env, latency=latency)
+    feeds = {"bob": [], "bob-again": [], "carol": []}
+
+    def bob(event):
+        feeds["bob"].append(event.detail)
+        if event.detail == 1:
+            bus.subscribe("carol", lambda e: feeds["carol"].append(e.detail))
+            bus.subscribe("bob", lambda e: feeds["bob-again"].append(
+                e.detail))
+
+    bus.subscribe("bob", bob)
+    bus.publish("alice", "doc", ACTION_EDIT, detail=1)
+    env.run()
+    bus.publish("alice", "doc", ACTION_EDIT, detail=2)
+    env.run()
+    assert feeds == {"bob": [1, 2], "bob-again": [2], "carol": [2]}
+
+
+def test_unsubscribing_from_inside_a_delivery_applies_from_the_next(env):
+    bus = AwarenessBus(env)
+    feeds = {"bob": [], "carol": []}
+
+    def bob(event):
+        feeds["bob"].append(event.detail)
+        bus.unsubscribe("carol")
+
+    bus.subscribe("bob", bob)
+    bus.subscribe("carol", lambda e: feeds["carol"].append(e.detail))
+    bus.publish("alice", "doc", ACTION_EDIT, detail=1)
+    bus.publish("alice", "doc", ACTION_EDIT, detail=2)
+    assert feeds == {"bob": [1, 2], "carol": [1]}

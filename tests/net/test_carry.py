@@ -36,6 +36,7 @@ from repro.net.topology import Topology, lan, line, wan
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sim import Environment, PriorityResource, Store
 from repro.sim.resources import PriorityRequest
+from tests.counting import CountingEnvironment
 
 _PINS = os.path.join(os.path.dirname(__file__), os.pardir, "analysis",
                      "carry_flight_pins.json")
@@ -368,33 +369,6 @@ def test_carriers_die_by_refcount_when_the_flight_ends():
 
 # -- the counters count --------------------------------------------------------
 
-class _CountingEnvironment(Environment):
-    """Counts pushes and pops from outside the kernel and holds the
-    kernel's own counters to them on the way out of every run()."""
-
-    def __init__(self):
-        super().__init__()
-        self.pushes = self.pops = 0
-        # The run loop calls the dispatch hook once per popped entry.
-        self._flight_dispatch = self._popped
-
-    def _push(self, time, key, event):
-        self.pushes += 1
-        super()._push(time, key, event)
-
-    def _popped(self, time, priority, eid):
-        self.pops += 1
-
-    def run(self, until=None):
-        try:
-            return super().run(until)
-        finally:
-            stats = self.stats()
-            assert stats["events_scheduled"] == self.pushes
-            assert stats["events_processed"] == self.pops
-            assert self.pushes - self.pops == stats["queue_depth"]
-
-
 def _contended_claims(env):
     """Fused and plain claims of mixed priority on one channel, with a
     withdrawal; stopped mid-queue, then drained."""
@@ -474,7 +448,7 @@ def test_events_scheduled_are_pushes_and_events_processed_are_pops(
     ``events_scheduled`` is the number of ``_push`` calls,
     ``events_processed`` the number of popped entries, and the
     difference is what is still queued."""
-    env = _CountingEnvironment()
+    env = CountingEnvironment()
     scenario(env)
     assert env.pops > 0
 

@@ -5,6 +5,11 @@ import inspect
 import pytest
 
 from repro import errors
+from repro.access import AccessMatrix
+from repro.awareness import AwarenessBus
+from repro.sessions import TelepointerService
+from repro.sim import Environment
+from repro.streams import MediaSink
 
 
 def all_error_classes():
@@ -39,3 +44,27 @@ def test_catching_the_family():
 def test_hierarchy_is_wide():
     # The library distinguishes its subsystems' failures.
     assert len(all_error_classes()) >= 20
+
+
+# -- delays are rejected where they are given, by name ---------------------------
+
+_DELAYS = [
+    (errors.SessionError, TelepointerService, (), "update_interval"),
+    (errors.SessionError, TelepointerService, (), "latency"),
+    (ValueError, AwarenessBus, (), "latency"),
+    (errors.StreamError, MediaSink, ("s",), "target_delay"),
+    (errors.AccessPolicyError, AccessMatrix, ("admin",), "admin_delay"),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1])
+@pytest.mark.parametrize(
+    "error, cls, args, field", _DELAYS,
+    ids=["{}.{}".format(cls.__name__, field) for _, cls, _, field in _DELAYS])
+def test_a_delay_that_is_not_a_time_is_rejected_by_name(error, cls, args,
+                                                        field, value):
+    """NaN passes ``x < 0``; unchecked it only fails inside the run, as
+    the kernel's anonymous "delay is not a time"."""
+    with pytest.raises(error, match="{} must be non-negative: {!r}".format(
+            field, value)):
+        cls(Environment(), *args, **{field: value})
