@@ -45,7 +45,7 @@ from repro.analysis.lint import Finding, node_span
 _EVENT_FACTORIES = {"timeout", "event", "all_of", "any_of"}
 
 #: Environment methods that re-enter the event loop.
-_REENTRANT = {"run", "step", "run_all"}
+_REENTRANT = {"run", "step"}
 
 #: Event methods that trigger an event (valid at most once).
 _TRIGGERS = {"succeed", "fail", "trigger"}

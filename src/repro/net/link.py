@@ -33,13 +33,14 @@ class Link:
                  latency: float = 0.001, bandwidth: float = 1e8,
                  jitter: float = 0.0, loss: float = 0.0,
                  rng: Optional[random.Random] = None) -> None:
-        if latency < 0:
+        # Each compare is written so that NaN fails it.
+        if not latency >= 0:
             raise NetworkError("latency must be non-negative")
-        if bandwidth <= 0:
+        if not bandwidth > 0:
             raise NetworkError("bandwidth must be positive")
         if not 0 <= loss < 1:
             raise NetworkError("loss must be in [0, 1)")
-        if jitter < 0:
+        if not jitter >= 0:
             raise NetworkError("jitter must be non-negative")
         self.env = env
         self.a = a

@@ -70,7 +70,7 @@ class Resource:
 
     def __init__(self, env: Environment, capacity: int = 1,
                  name: Optional[str] = None) -> None:
-        if capacity <= 0:
+        if not capacity > 0:  # also rejects NaN
             raise SimulationError("capacity must be positive")
         self.env = env
         self.capacity = capacity
@@ -194,17 +194,10 @@ class StoreGet(Event):
 
     def __init__(self, store: "Store",
                  filter: Optional[Callable[[Any], bool]] = None) -> None:
-        # Event.__init__ inlined: one take per received packet.
-        env = store.env
-        self.env = env
-        self.callbacks = []
-        self._value = None
-        self._exception = None
-        self._ok = None
-        self.defused = False
+        super().__init__(store.env)
         self.filter = filter
         self.store = store
-        self.requested_at = env._now
+        self.requested_at = self.env._now
         store._getters.append(self)
         store._dispatch()
 
@@ -220,13 +213,7 @@ class StorePut(Event):
     __slots__ = ("item", "store")
 
     def __init__(self, store: "Store", item: Any) -> None:
-        # Event.__init__ inlined: one put per delivered packet.
-        self.env = store.env
-        self.callbacks = []
-        self._value = None
-        self._exception = None
-        self._ok = None
-        self.defused = False
+        super().__init__(store.env)
         self.item = item
         self.store = store
         store._putters.append(self)
@@ -243,7 +230,7 @@ class Store:
     def __init__(self, env: Environment,
                  capacity: float = float("inf"),
                  name: Optional[str] = None) -> None:
-        if capacity <= 0:
+        if not capacity > 0:  # also rejects NaN
             raise SimulationError("capacity must be positive")
         self.env = env
         self.capacity = capacity
@@ -289,52 +276,38 @@ class Store:
         progressed = True
         while progressed:
             progressed = False
-            # Move accepted puts into the buffer.  succeed() is inlined
-            # for both puts and gets (one of each per delivered message):
-            # a put/get being dispatched is by construction untriggered.
+            # Move accepted puts into the buffer.
             while self._putters and len(self.items) < self.capacity:
                 put = self._putters.pop(0)
                 self.items.append(put.item)
-                put._ok = True
-                env._eid += 1
-                env._push(env._now, _NORMAL_BASE + env._eid, put)
+                put.succeed()
                 progressed = True
             # Satisfy getters from the buffer.
             if not self._getters:
                 continue
             for getter in list(self._getters):
-                item = self._find(getter)
-                if item is _NOTHING:
+                index = self._find(getter)
+                if index is None:
                     continue
-                self.items.remove(item)
+                item = self.items.pop(index)
                 self._getters.remove(getter)
                 if self.name is not None:
                     _metrics().histogram("store.wait", store=self.name) \
                         .record(env._now - getter.requested_at)
-                getter._ok = True
-                getter._value = item
-                env._eid += 1
-                env._push(env._now, _NORMAL_BASE + env._eid, getter)
+                getter.succeed(item)
                 progressed = True
         if self.name is not None:
             _metrics().gauge("store.depth", store=self.name) \
                 .set(len(self.items), at=self.env.now)
 
-    def _find(self, getter: StoreGet) -> Any:
+    def _find(self, getter: StoreGet) -> Optional[int]:
+        """Index of the first item ``getter`` accepts, or ``None``."""
         if getter.filter is None:
-            return self.items[0] if self.items else _NOTHING
-        for item in self.items:
+            return 0 if self.items else None
+        for index, item in enumerate(self.items):
             if getter.filter(item):
-                return item
-        return _NOTHING
-
-
-class _Nothing:
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<nothing>"
-
-
-_NOTHING = _Nothing()
+                return index
+        return None
 
 
 class _Amount(Event):
@@ -352,7 +325,7 @@ class Container:
 
     def __init__(self, env: Environment, capacity: float = float("inf"),
                  init: float = 0.0) -> None:
-        if capacity <= 0:
+        if not capacity > 0:  # also rejects NaN
             raise SimulationError("capacity must be positive")
         if not 0 <= init <= capacity:
             raise SimulationError("init must be within [0, capacity]")

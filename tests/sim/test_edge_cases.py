@@ -244,14 +244,13 @@ def test_nested_process_failure_propagates(env):
 
 @pytest.mark.parametrize("delay", [float("inf"), 1e309],
                          ids=["inf", "1e309"])
-def test_infinite_timeout_queues_before_and_after_first_promote(env, delay):
-    """An infinite delay parks at the far end of the queue (as
-    schedule(delay=inf) always did) whether the ladder is still in its
-    unanchored bootstrap or already has buckets."""
+def test_infinite_timeout_queues_behind_every_finite_time(env, delay):
+    """An infinite delay sorts last (as schedule(delay=inf) always
+    did), whether it is queued before or after the finite ones."""
     never = env.timeout(delay)
     env.timeout(1.0)
     env.timeout(2.0)
-    assert env.peek() == 1.0          # first promote: queue anchored
+    assert env.peek() == 1.0
     later = env.timeout(delay)
     env.run(until=3.0)
     assert env.now == 3.0

@@ -173,6 +173,33 @@ def test_store_filter_get():
     assert proc.value == 2
 
 
+def test_store_get_removes_the_item_it_hands_out():
+    """Equal items are still distinct items: a get takes the one it
+    found, not the first that compares equal to it."""
+    env = Environment()
+    store = Store(env)
+    a, b, c = [1], [1], [1]
+    for item in (a, b, c):
+        store.put(item)
+    filtered = store.get(lambda item: item is b)
+    unfiltered = store.get()
+    env.run()
+    assert filtered.value is b and unfiltered.value is a
+    assert len(store.items) == 1 and store.items[0] is c
+
+
+def test_store_filter_get_among_equal_values_keeps_fifo():
+    env = Environment()
+    store = Store(env)
+    for item in (1.0, 1, 2, True):          # 1.0 == 1 == True
+        store.put(item)
+    got = store.get(lambda item: type(item) is int)
+    env.run()
+    assert type(got.value) is int and got.value == 1
+    assert [(type(item), item) for item in store.items] \
+        == [(float, 1.0), (int, 2), (bool, True)]
+
+
 def test_store_get_cancel():
     env = Environment()
     store = Store(env)

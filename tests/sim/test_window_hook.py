@@ -112,11 +112,10 @@ def test_nonpositive_interval_rejected():
         env.set_window_hook(-1.0, lambda b: None)
 
 
-# -- exactly-once under the calendar queue --------------------------------
+# -- exactly-once from the drain loop -------------------------------------
 #
-# The run loop fires the hook from its inlined drain and after bucket
-# promotes; each boundary must still fire exactly once, in order,
-# whatever the schedule's shape.
+# The run loop fires the hook from its inlined drain; each boundary
+# must still fire exactly once, in order, whatever the schedule's shape.
 
 def _boundaries(build, interval=1.0, until=None):
     env = Environment()
@@ -146,6 +145,23 @@ def test_exactly_once_over_quiet_gaps():
     fired = _boundaries(build)
     _assert_exactly_once(fired)
     assert fired == [float(k) for k in range(1, 15)]
+
+
+@pytest.mark.parametrize("interval, crossed", [(1.0, [1.0, 2.0]), (None, [])],
+                         ids=["hook", "no-hook"])
+def test_an_event_at_infinity_crosses_no_boundary(interval, crossed):
+    """With a hook there is no last boundary before infinity to stop
+    at, and without one ``inf >= inf`` reached for a hook that is not
+    there; either way the event runs and no boundary fires for it."""
+    env = Environment()
+    fired = []
+    if interval is not None:
+        env.set_window_hook(interval, fired.append)
+    env.timeout(2.5)
+    never = env.timeout(float("inf"))
+    env.run()
+    assert never.processed and env.now == float("inf")
+    assert fired == crossed
 
 
 def test_exactly_once_through_dense_same_time_bursts():
@@ -201,6 +217,6 @@ def test_exactly_once_on_random_schedules_matches_model(seed):
         event = env.event()
         event._ok = True
         env.schedule(event, priority=priority, delay=delay)
-    env.run_all(limit=float("inf"))
+    env.run()
     last = max(delay for delay, _priority in plan)
     assert fired == [0.5 * k for k in range(1, int(last / 0.5) + 1)]
