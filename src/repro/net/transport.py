@@ -28,6 +28,11 @@ from repro.sim import Event, Store
 
 
 def _gauge_set(name: str, node: str, value: int, at: float) -> None:
+    """Sample the ambient registry's gauge ``name{node=...}``."""
+    _gauge_sample(get_metrics().gauge(name, node=node), value, at)
+
+
+def _gauge_sample(gauge, value: int, at: float) -> None:
     """Record a gauge sample, tolerating ambient-registry reuse.
 
     Instrumentation writes to whatever registry is ambient.  The
@@ -38,7 +43,6 @@ def _gauge_set(name: str, node: str, value: int, at: float) -> None:
     (where time is monotonic), so dropping the out-of-order sample only
     affects the throwaway default.
     """
-    gauge = get_metrics().gauge(name, node=node)
     series = getattr(gauge, "series", None)
     if series is not None and series.samples \
             and at < series.samples[-1][0]:
@@ -61,6 +65,9 @@ class ReliableChannel:
                  backoff: Optional[RetryPolicy] = None) -> None:
         if max_retries < 0:
             raise TransportError("max_retries must be non-negative")
+        if not ack_timeout >= 0:
+            raise TransportError(
+                "ack_timeout must be non-negative: {!r}".format(ack_timeout))
         self.host = host
         self.env = host.env
         self.port = port
@@ -216,12 +223,27 @@ class RpcEndpoint:
     function (runs instantaneously in simulated time) or a generator
     function taking ``(caller, args)`` and yielding simulation events, in
     which case its return value is the RPC result.
+
+    Neither side keeps a process per call.  The caller's half of a call
+    is one :class:`_PendingCall` in ``_calls``, advanced by the response
+    packet, its attempt's timer or its backoff timer; the serving half
+    runs inside the request's delivery, and only a handler that returns
+    a generator gets a process.  Every step happens at the instant the
+    process-per-call endpoint took it, and calls made by one caller at
+    one instant leave in the order they were made; what is not kept is
+    a tie with a *foreign* event of the same instant (the processes
+    took two to four more trips through the queue per call, and
+    something unrelated queued for that instant could run in between).
     """
 
     def __init__(self, host: Host, port: int = 2,
                  default_timeout: float = 5.0,
                  request_size: int = 256, response_size: int = 256,
                  policies: Optional[FaultPolicies] = None) -> None:
+        if not default_timeout >= 0:
+            raise TransportError(
+                "default_timeout must be non-negative: {!r}".format(
+                    default_timeout))
         self.host = host
         self.env = host.env
         self.port = port
@@ -233,7 +255,9 @@ class RpcEndpoint:
         #: the single-attempt behaviour byte-identical.
         self.policies = policies
         self._handlers: Dict[str, Callable] = {}
-        self._calls: Dict[int, Event] = {}
+        #: Attempts on the wire, by call id.  An attempt leaves when it
+        #: is answered or times out; what arrives for it later is dropped.
+        self._calls: Dict[int, _PendingCall] = {}
         self._call_ids = itertools.count(1)
         self.calls_served = 0
         #: Logical calls started but not yet resolved (succeeded or
@@ -241,6 +265,11 @@ class RpcEndpoint:
         #: nothing is on the wire.  Mirrored as the ``rpc.inflight``
         #: gauge for the dashboard and the fuzzer's liveness oracle.
         self._inflight = 0
+        # The gauge handle, rebound whenever the process-default
+        # registry changes identity (two samples per call: the keyed
+        # lookup per sample cost faulty-rpc 6 % wall_s).
+        self._bound_registry = None
+        self._inflight_gauge = None
         self._retry_counters = BoundCounterCache(
             "rpc.retries", "dst", node=host.name)
         host.on_packet(port, self._on_packet)
@@ -256,12 +285,21 @@ class RpcEndpoint:
         ``parent`` optionally names the caller's span (or span context);
         the call's trace context then rides the request packet so the
         remote side and every link hop join the same trace tree.
+
+        The first attempt leaves before this returns.
         """
+        if timeout is None:
+            timeout = self.default_timeout
+        elif not timeout >= 0:
+            raise TransportError(
+                "timeout must be non-negative: {!r}".format(timeout))
         done = self.env.event()
-        self.env.process(self._call_proc(
-            dst, method, args,
-            self.default_timeout if timeout is None else timeout, done,
-            parent))
+        span = get_tracer().start_span(
+            "rpc.call", at=self.env.now, parent=parent,
+            node=self.host.name, dst=dst, method=method)
+        call = _PendingCall(self, dst, method, args, timeout, done, span)
+        self._track(+1)
+        call._attempt()
         return done
 
     def inflight(self) -> int:
@@ -270,98 +308,29 @@ class RpcEndpoint:
 
     def _track(self, delta: int) -> None:
         self._inflight += delta
-        _gauge_set("rpc.inflight", self.host.name, self._inflight,
-                   self.env.now)
+        metrics = get_metrics()
+        if metrics is not self._bound_registry:
+            self._bound_registry = metrics
+            self._inflight_gauge = metrics.bind_gauge(
+                "rpc.inflight", node=self.host.name)
+        _gauge_sample(self._inflight_gauge, self._inflight, self.env.now)
 
     # -- internals ---------------------------------------------------------
-
-    def _call_proc(self, dst: str, method: str, args: Any,
-                   timeout: float, done: Event, parent=None):
-        policies = self.policies
-        retry = policies.retry if policies is not None else None
-        breaker = policies.breaker if policies is not None else None
-        budget = policies.budget(self.env) if policies is not None else None
-        span = get_tracer().start_span(
-            "rpc.call", at=self.env.now, parent=parent,
-            node=self.host.name, dst=dst, method=method)
-        self._track(+1)
-        attempt = 0
-        while True:
-            if breaker is not None and not breaker.allow(dst):
-                span.set_status("error")
-                span.set_attribute("error", "circuit-open")
-                span.finish(at=self.env.now)
-                self._track(-1)
-                done.fail(CircuitOpenError(
-                    "circuit to {} is open; {} not attempted".format(
-                        dst, method)))
-                return
-            call_id = next(self._call_ids)
-            reply = self.env.event()
-            self._calls[call_id] = reply
-            # The happens-before sanitizer rides the same headers as the
-            # trace context: the serving host becomes causally ordered
-            # after the caller's history (and vice versa on the response).
-            self.host.send(dst, payload={"method": method, "args": args},
-                           size=self.request_size, port=self.port,
-                           headers=inject_clock(
-                               inject(span, {"type": "request",
-                                             "call": call_id}),
-                               self.host.name))
-            result = yield self.env.any_of(
-                [reply, self.env.timeout(timeout)])
-            self._calls.pop(call_id, None)
-            if reply in result:
-                ok, value = reply.value
-                if breaker is not None:
-                    # Any response — even a remote exception — proves
-                    # the destination reachable; only transport-level
-                    # timeouts accrue toward opening the circuit.
-                    breaker.record_success(dst)
-                span.finish(at=self.env.now)
-                self._track(-1)
-                if ok:
-                    done.succeed(value)
-                else:
-                    span.set_status("error")
-                    done.fail(RemoteException(value))
-                return
-            # Timed out: maybe retry (within policy and budget).
-            if breaker is not None:
-                breaker.record_failure(dst)
-            delay = None
-            if retry is not None and attempt < retry.max_retries:
-                delay = retry.delay(attempt)
-                if budget is not None and not budget.allows(delay):
-                    delay = None
-            if delay is None:
-                span.set_status("error")
-                span.set_attribute("error", "timeout")
-                span.finish(at=self.env.now)
-                self._track(-1)
-                done.fail(RpcError(
-                    "call {} to {} timed out after {:g}s".format(
-                        method, dst, timeout)))
-                return
-            self._retry_counters.get(dst).add()
-            span.add_event("rpc-retry", at=self.env.now,
-                           attempt=attempt, delay=delay)
-            yield self.env.timeout(delay)
-            attempt += 1
 
     def _on_packet(self, packet: Packet) -> None:
         kind = packet.headers.get("type")
         if kind == "request":
-            self.env.process(self._serve(packet))
+            self._serve(packet)
         elif kind == "response":
-            reply = self._calls.get(packet.headers["call"])
-            if reply is not None and not reply.triggered:
+            # A response to an attempt that already timed out finds
+            # nothing here and is dropped.
+            call = self._calls.pop(packet.headers["call"], None)
+            if call is not None:
                 extract_clock(packet.headers, self.host.name)
-                reply.succeed(packet.payload)
+                call._on_reply(packet.payload)
 
-    def _serve(self, packet: Packet):
+    def _serve(self, packet: Packet) -> None:
         method = packet.payload["method"]
-        args = packet.payload["args"]
         extract_clock(packet.headers, self.host.name)
         # The serving span parents under the caller's rpc.call context
         # carried by the request packet; its duration is the remote
@@ -371,16 +340,32 @@ class RpcEndpoint:
             node=self.host.name, caller=packet.src, method=method)
         handler = self._handlers.get(method)
         if handler is None:
-            outcome = (False, "no such method: {}".format(method))
+            self._respond(packet, span,
+                          (False, "no such method: {}".format(method)))
+            return
+        try:
+            result = handler(packet.src, packet.payload["args"])
+        except Exception as error:  # noqa: BLE001 - forwarded to caller
+            self._respond(packet, span, _raised(error))
+            return
+        if hasattr(result, "send") and hasattr(result, "throw"):
+            # The handler waits: it alone gets a process, and the
+            # response leaves when that process ends.
+            self.env.process(result).callbacks.append(
+                lambda process: self._served(packet, span, process))
         else:
-            try:
-                result = handler(packet.src, args)
-                if hasattr(result, "send") and hasattr(result, "throw"):
-                    result = yield self.env.process(result)
-                outcome = (True, result)
-            except Exception as error:  # noqa: BLE001 - forwarded to caller
-                outcome = (False, "{}: {}".format(
-                    type(error).__name__, error))
+            self._respond(packet, span, (True, result))
+
+    def _served(self, packet: Packet, span, process: Event) -> None:
+        if process._ok:
+            self._respond(packet, span, (True, process._value))
+        elif isinstance(process._exception, Exception):
+            process.defused = True
+            self._respond(packet, span, _raised(process._exception))
+        # Anything else is not ours to forward: the run loop raises it.
+
+    def _respond(self, packet: Packet, span, outcome: Tuple[bool, Any]
+                 ) -> None:
         self.calls_served += 1
         if not outcome[0]:
             span.set_status("error")
@@ -392,3 +377,119 @@ class RpcEndpoint:
                                "type": "response",
                                "call": packet.headers["call"]}),
                            self.host.name))
+
+
+def _raised(error: Exception) -> Tuple[bool, str]:
+    """The response payload for a handler that raised ``error``."""
+    return (False, "{}: {}".format(type(error).__name__, error))
+
+
+class _PendingCall:
+    """One logical call from :meth:`RpcEndpoint.call` to its ``done``.
+
+    Three things advance it, each a plain callback at the instant it
+    happens: the response packet (:meth:`_on_reply`, from the
+    endpoint's packet handler), the current attempt's timer
+    (:meth:`_on_timeout`) and the backoff timer before a retry
+    (:meth:`_attempt`).  An attempt's timer is never cancelled: it
+    carries the attempt's call id and is ignored unless that is still
+    ``call_id``, which is 0 whenever no attempt is on the wire.
+    """
+
+    __slots__ = ("endpoint", "dst", "method", "args", "timeout", "done",
+                 "span", "attempt", "call_id", "retry", "breaker", "budget")
+
+    def __init__(self, endpoint: RpcEndpoint, dst: str, method: str,
+                 args: Any, timeout: float, done: Event, span) -> None:
+        self.endpoint = endpoint
+        self.dst = dst
+        self.method = method
+        self.args = args
+        self.timeout = timeout
+        self.done = done
+        self.span = span
+        policies = endpoint.policies
+        if policies is None:
+            self.retry = self.breaker = self.budget = None
+        else:
+            self.retry = policies.retry
+            self.breaker = policies.breaker
+            self.budget = policies.budget(endpoint.env)
+        self.attempt = 0
+        self.call_id = 0
+
+    def _attempt(self, _backoff: Optional[Event] = None) -> None:
+        """Put one attempt on the wire, unless the breaker refuses."""
+        endpoint = self.endpoint
+        dst = self.dst
+        if self.breaker is not None and not self.breaker.allow(dst):
+            self.span.set_attribute("error", "circuit-open")
+            self._fail(CircuitOpenError(
+                "circuit to {} is open; {} not attempted".format(
+                    dst, self.method)))
+            return
+        call_id = self.call_id = next(endpoint._call_ids)
+        endpoint._calls[call_id] = self
+        host = endpoint.host
+        # The happens-before sanitizer rides the same headers as the
+        # trace context: the serving host becomes causally ordered
+        # after the caller's history (and vice versa on the response).
+        host.send(dst, payload={"method": self.method, "args": self.args},
+                  size=endpoint.request_size, port=endpoint.port,
+                  headers=inject_clock(
+                      inject(self.span, {"type": "request",
+                                         "call": call_id}),
+                      host.name))
+        endpoint.env.timeout(self.timeout, call_id).callbacks.append(
+            self._on_timeout)
+
+    def _on_reply(self, outcome: Tuple[bool, Any]) -> None:
+        endpoint = self.endpoint
+        self.call_id = 0
+        if self.breaker is not None:
+            # Any response — even a remote exception — proves the
+            # destination reachable; only transport-level timeouts
+            # accrue toward opening the circuit.
+            self.breaker.record_success(self.dst)
+        ok, value = outcome
+        if ok:
+            self.span.finish(at=endpoint.env.now)
+            endpoint._track(-1)
+            self.done.succeed(value)
+        else:
+            self._fail(RemoteException(value))
+
+    def _on_timeout(self, timer: Event) -> None:
+        if timer._value != self.call_id:
+            return  # that attempt was answered
+        endpoint = self.endpoint
+        del endpoint._calls[self.call_id]
+        self.call_id = 0
+        if self.breaker is not None:
+            self.breaker.record_failure(self.dst)
+        # Maybe retry (within policy and budget).
+        retry = self.retry
+        delay = None
+        if retry is not None and self.attempt < retry.max_retries:
+            delay = retry.delay(self.attempt)
+            if self.budget is not None and not self.budget.allows(delay):
+                delay = None
+        if delay is None:
+            self.span.set_attribute("error", "timeout")
+            self._fail(RpcError(
+                "call {} to {} timed out after {:g}s".format(
+                    self.method, self.dst, self.timeout)))
+            return
+        env = endpoint.env
+        endpoint._retry_counters.get(self.dst).add()
+        self.span.add_event("rpc-retry", at=env.now,
+                            attempt=self.attempt, delay=delay)
+        self.attempt += 1
+        env.timeout(delay).callbacks.append(self._attempt)
+
+    def _fail(self, error: Exception) -> None:
+        endpoint = self.endpoint
+        self.span.set_status("error")
+        self.span.finish(at=endpoint.env.now)
+        endpoint._track(-1)
+        self.done.fail(error)

@@ -120,107 +120,16 @@ class Nucleus:
         ``parent`` optionally names the caller's span (or span context) so
         application code can root the invocation's trace under its own
         activity (e.g. a think-time span).
+
+        A local operation runs, and a remote one's first request leaves,
+        before this returns; the event fires through the queue as ever.
         """
+        if not timeout >= 0:
+            raise NodeError(
+                "timeout must be non-negative: {!r}".format(timeout))
         done = self.env.event()
-        self.env.process(
-            self._invoke_proc(oid, op, args, timeout, done, parent))
+        _Invocation(self, oid, op, args, timeout, done, parent)._start()
         return done
-
-    def _invoke_proc(self, oid: str, op: str, args: Any,
-                     timeout: float, done: Event, parent: Any = None):
-        start = self.env.now
-        metrics = get_metrics()
-        span = get_tracer().start_span(
-            "node.invoke", at=start, parent=parent,
-            node=self.node_name, oid=oid, op=op)
-        self._op_counters.get(op).add()
-        local = self.find_object(oid)
-        if local is not None:
-            span.set_attribute("target", "local")
-            self._invocation_counters.get("local").add()
-            try:
-                result = local.invoke_local(self.node_name, op, args)
-                if hasattr(result, "send") and hasattr(result, "throw"):
-                    result = yield self.env.process(result)
-                span.finish(at=self.env.now)
-                done.succeed(result)
-            except Exception as error:  # noqa: BLE001 - surfaced to caller
-                span.set_status("error")
-                span.finish(at=self.env.now)
-                done.fail(error if isinstance(error, NodeError)
-                          else NodeError(str(error)))
-            return
-        span.set_attribute("target", "remote")
-        self._invocation_counters.get("remote").add()
-        attempts = 0
-        while attempts < 3:
-            location = self._location_cache.get(oid)
-            if location is None:
-                location = yield from self._whereis(oid, timeout, span)
-                if location is None:
-                    span.set_status("error")
-                    span.finish(at=self.env.now)
-                    done.fail(NodeError("unknown object " + oid))
-                    return
-                self._location_cache[oid] = location
-            try:
-                result = yield self.rpc.call(
-                    location, "invoke",
-                    {"oid": oid, "op": op, "args": args}, timeout=timeout,
-                    parent=span)
-            except RemoteException as error:
-                if "object-not-here" in str(error):
-                    span.add_event("stale-location", at=self.env.now,
-                                   location=location)
-                    self._location_cache.pop(oid, None)
-                    attempts += 1
-                    continue
-                span.set_status("error")
-                span.finish(at=self.env.now)
-                done.fail(NodeError(str(error)))
-                return
-            except CircuitOpenError as error:
-                # Fail fast, preserving the distinct type so callers can
-                # tell "refused locally" from "tried and timed out".
-                span.set_status("error")
-                span.set_attribute("error", "circuit-open")
-                span.finish(at=self.env.now)
-                done.fail(error)
-                return
-            except RpcError as error:
-                span.set_status("error")
-                span.finish(at=self.env.now)
-                done.fail(NodeError(str(error)))
-                return
-            span.finish(at=self.env.now)
-            if metrics is not self._bound_registry:
-                self._bound_registry = metrics
-                self._rpc_latency = metrics.bind_histogram(
-                    "rpc.latency", node=self.node_name)
-            self._rpc_latency.record(self.env.now - start)
-            done.succeed(result)
-            return
-        span.set_status("error")
-        span.finish(at=self.env.now)
-        done.fail(NodeError(
-            "could not locate object {} after migration chase".format(oid)))
-
-    def _whereis(self, oid: str, timeout: float, parent: Any = None):
-        if self.registry is not None:
-            return self.registry.lookup(oid)
-        span = get_tracer().start_span(
-            "node.whereis", at=self.env.now, parent=parent,
-            node=self.node_name, oid=oid)
-        try:
-            location = yield self.rpc.call(
-                self.registry_node, "whereis", oid, timeout=timeout,
-                parent=span)
-        except (RpcError, RemoteException):
-            span.set_status("error")
-            span.finish(at=self.env.now)
-            return None
-        span.finish(at=self.env.now)
-        return location
 
     # -- migration -----------------------------------------------------------
 
@@ -232,6 +141,9 @@ class Nucleus:
         registry has been updated.  Transfer time is governed by the
         cluster's serialised size crossing the network.
         """
+        if not timeout >= 0:
+            raise NodeError(
+                "timeout must be non-negative: {!r}".format(timeout))
         done = self.env.event()
         self.env.process(
             self._migrate_proc(cluster, target_node, timeout, done))
@@ -262,8 +174,9 @@ class Nucleus:
         try:
             yield self.rpc.call(target_node, "migrate_in", snapshot,
                                 timeout=timeout, parent=span)
-        except (RpcError, RemoteException) as error:
-            # Roll back: reinstall locally.
+        except (RpcError, CircuitOpenError) as error:
+            # Tried and failed, or refused by the breaker: either way the
+            # target holds nothing, so roll back and reinstall locally.
             capsule.add_cluster(cluster)
             span.set_status("error")
             span.finish(at=self.env.now)
@@ -272,8 +185,19 @@ class Nucleus:
         # Charge the bulk state transfer (snapshot payloads are modelled
         # as zero-size control packets; the state crosses as one burst).
         yield from self._charge_transfer(target_node, size)
-        for obj in cluster.objects.values():
-            yield from self._update_registry(obj.oid, target_node)
+        try:
+            for obj in cluster.objects.values():
+                yield from self._update_registry(obj.oid, target_node)
+        except (RpcError, CircuitOpenError) as error:
+            # The target has installed the cluster, so there is nothing
+            # to roll back: it lives there, and the registry is stale.
+            span.set_status("error")
+            span.finish(at=self.env.now)
+            done.fail(PlacementError(
+                "cluster {} moved to {} but registry {} was not updated: "
+                "{}".format(cluster.name, target_node, self.registry_node,
+                            error)))
+            return
         span.finish(at=self.env.now)
         get_metrics().counter("node.migrations", node=self.node_name).add()
         done.succeed(target_node)
@@ -303,11 +227,7 @@ class Nucleus:
         obj = self.find_object(request["oid"])
         if obj is None:
             raise NodeError("object-not-here: " + request["oid"])
-        result = obj.invoke_local(caller, request["op"], request["args"])
-        if hasattr(result, "send") and hasattr(result, "throw"):
-            final = yield self.env.process(result)
-            return final
-        return result
+        return obj.invoke_local(caller, request["op"], request["args"])
 
     def _handle_migrate_in(self, caller: str, snapshot: Dict[str, Any]):
         capsule = self._default_capsule()
@@ -339,6 +259,165 @@ class Nucleus:
         if not self.capsules:
             return self.create_capsule("default")
         return next(iter(self.capsules.values()))
+
+
+class _Invocation:
+    """One :meth:`Nucleus.invoke` from the call to its ``done``.
+
+    A local operation is run on the spot, and waited for only if it
+    returns a generator.  A remote one is a chase of at most three
+    rounds — locate (cache, then the registry or a ``whereis`` call),
+    then the ``invoke`` call — each advanced by the callback of the RPC
+    it is waiting on.  Every failure those calls can deliver is handled
+    here, so their events are defused.
+    """
+
+    __slots__ = ("nucleus", "oid", "op", "args", "timeout", "done", "span",
+                 "start", "metrics", "attempts", "location", "lookup")
+
+    def __init__(self, nucleus: Nucleus, oid: str, op: str, args: Any,
+                 timeout: float, done: Event, parent: Any) -> None:
+        self.nucleus = nucleus
+        self.oid = oid
+        self.op = op
+        self.args = args
+        self.timeout = timeout
+        self.done = done
+        self.start = nucleus.env.now
+        self.metrics = get_metrics()
+        self.span = get_tracer().start_span(
+            "node.invoke", at=self.start, parent=parent,
+            node=nucleus.node_name, oid=oid, op=op)
+        self.attempts = 0
+
+    def _start(self) -> None:
+        nucleus = self.nucleus
+        span = self.span
+        nucleus._op_counters.get(self.op).add()
+        local = nucleus.find_object(self.oid)
+        if local is None:
+            span.set_attribute("target", "remote")
+            nucleus._invocation_counters.get("remote").add()
+            self._locate()
+            return
+        span.set_attribute("target", "local")
+        nucleus._invocation_counters.get("local").add()
+        try:
+            result = local.invoke_local(nucleus.node_name, self.op,
+                                        self.args)
+        except Exception as error:  # noqa: BLE001 - surfaced to caller
+            self._local_failed(error)
+            return
+        if hasattr(result, "send") and hasattr(result, "throw"):
+            nucleus.env.process(result).callbacks.append(
+                self._on_local_done)
+        else:
+            self._succeed(result)
+
+    def _on_local_done(self, process: Event) -> None:
+        if process._ok:
+            self._succeed(process._value)
+        elif isinstance(process._exception, Exception):
+            process.defused = True
+            self._local_failed(process._exception)
+
+    def _local_failed(self, error: Exception) -> None:
+        self._fail(error if isinstance(error, NodeError)
+                   else NodeError(str(error)))
+
+    def _locate(self) -> None:
+        """Start one round: find where the object is, then call it."""
+        nucleus = self.nucleus
+        location = nucleus._location_cache.get(self.oid)
+        if location is not None:
+            self._call(location)
+        elif nucleus.registry is not None:
+            self._located(nucleus.registry.lookup(self.oid))
+        else:
+            self.lookup = get_tracer().start_span(
+                "node.whereis", at=nucleus.env.now, parent=self.span,
+                node=nucleus.node_name, oid=self.oid)
+            nucleus.rpc.call(
+                nucleus.registry_node, "whereis", self.oid,
+                timeout=self.timeout, parent=self.lookup
+            ).callbacks.append(self._on_whereis)
+
+    def _on_whereis(self, reply: Event) -> None:
+        lookup = self.lookup
+        now = self.nucleus.env.now
+        if reply._ok:
+            lookup.finish(at=now)
+            self._located(reply._value)
+            return
+        reply.defused = True
+        lookup.set_status("error")
+        lookup.finish(at=now)
+        error = reply._exception
+        if isinstance(error, CircuitOpenError):
+            self._refused(error)
+        else:
+            self._located(None)
+
+    def _located(self, location: Optional[str]) -> None:
+        if location is None:
+            self._fail(NodeError("unknown object " + self.oid))
+            return
+        self.nucleus._location_cache[self.oid] = location
+        self._call(location)
+
+    def _call(self, location: str) -> None:
+        self.location = location
+        self.nucleus.rpc.call(
+            location, "invoke",
+            {"oid": self.oid, "op": self.op, "args": self.args},
+            timeout=self.timeout, parent=self.span
+        ).callbacks.append(self._on_result)
+
+    def _on_result(self, reply: Event) -> None:
+        nucleus = self.nucleus
+        now = nucleus.env.now
+        if reply._ok:
+            metrics = self.metrics
+            if metrics is not nucleus._bound_registry:
+                nucleus._bound_registry = metrics
+                nucleus._rpc_latency = metrics.bind_histogram(
+                    "rpc.latency", node=nucleus.node_name)
+            nucleus._rpc_latency.record(now - self.start)
+            self._succeed(reply._value)
+            return
+        reply.defused = True
+        error = reply._exception
+        if isinstance(error, CircuitOpenError):
+            self._refused(error)
+        elif isinstance(error, RemoteException) \
+                and "object-not-here" in str(error):
+            self.span.add_event("stale-location", at=now,
+                                location=self.location)
+            nucleus._location_cache.pop(self.oid, None)
+            self.attempts += 1
+            if self.attempts < 3:
+                self._locate()
+            else:
+                self._fail(NodeError(
+                    "could not locate object {} after migration "
+                    "chase".format(self.oid)))
+        else:
+            self._fail(NodeError(str(error)))
+
+    def _refused(self, error: CircuitOpenError) -> None:
+        # Fail fast, preserving the distinct type so callers can tell
+        # "refused locally" from "tried and timed out".
+        self.span.set_attribute("error", "circuit-open")
+        self._fail(error)
+
+    def _succeed(self, value: Any) -> None:
+        self.span.finish(at=self.nucleus.env.now)
+        self.done.succeed(value)
+
+    def _fail(self, error: Exception) -> None:
+        self.span.set_status("error")
+        self.span.finish(at=self.nucleus.env.now)
+        self.done.fail(error)
 
 
 class ODPRuntime:

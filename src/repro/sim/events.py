@@ -182,29 +182,12 @@ class Process(Event):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(
                 "process requires a generator, got {!r}".format(generator))
-        # Event.__init__ for both the process and its Initialize event is
-        # inlined: process creation is per-call in RPC (un-inlining it
-        # costs faulty-rpc about 3 % wall_s; no other layer creates a
-        # process per operation).
-        self.env = env
-        self.callbacks = []
-        self._value = None
-        self._exception = None
-        self._ok = None
-        self.defused = False
+        super().__init__(env)
         self._generator = generator
         #: ``actor.run`` span when the process was named under a recording
         #: tracer (set by :meth:`Environment.process`); ``None`` otherwise.
         self.span = None
-        init = Initialize.__new__(Initialize)
-        init.env = env
-        init.callbacks = [self._resume]
-        init._value = None
-        init._exception = None
-        init._ok = True
-        init.defused = False
-        env.schedule(init, priority=URGENT)
-        self._target: Optional[Event] = init
+        self._target: Optional[Event] = Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:

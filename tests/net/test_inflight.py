@@ -139,3 +139,26 @@ def test_gauge_set_tolerates_time_rewind():
         _gauge_set("chan.inflight", "x", 3, 6.0)
     series = registry.gauge("chan.inflight", node="x").series
     assert [(t, v) for t, v in series.samples] == [(5.0, 1), (6.0, 3)]
+
+
+def test_rpc_inflight_gauge_follows_the_ambient_registry(env):
+    # The endpoint keeps a bound handle; a registry swap must rebind it,
+    # and a rewound clock in the reused registry must not raise.
+    net, a, b = make_net(env)
+    caller = RpcEndpoint(a)
+    RpcEndpoint(b).register("echo", lambda c, args: args)
+    first, second = MetricsRegistry(), MetricsRegistry()
+    with use_metrics(first):
+        caller.call("b", "echo", 1)
+        env.run()
+    with use_metrics(second):
+        caller.call("b", "echo", 2)
+        env.run()
+    for registry in (first, second):
+        samples = registry.gauge("rpc.inflight", node="a").series.samples
+        assert [value for _, value in samples] == [1, 0]
+    with use_metrics(first):
+        first.gauge("rpc.inflight", node="a").set(0, at=env.now + 5.0)
+        caller.call("b", "echo", 3)     # "before" the last sample
+        env.run()
+    assert caller.inflight() == 0

@@ -241,3 +241,73 @@ def test_remote_object_registration_over_wan(env):
     proc = env.process(root(env))
     env.run(proc)
     assert proc.value == 7
+
+
+# -- an open circuit (or a dead registry) fails the event, not the run -----------
+
+def breaker_line(env):
+    """n0 - n1 - n2, registry on n0, one shared one-strike breaker, and
+    a counter living on n1."""
+    from repro.faults.policies import CircuitBreaker, FaultPolicies
+    from repro.net import Topology
+
+    topo = Topology(env)
+    topo.add_link("n0", "n1", latency=0.002)
+    topo.add_link("n1", "n2", latency=0.002)
+    breaker = CircuitBreaker(env, failure_threshold=1, reset_timeout=5)
+    runtime = ODPRuntime(Network(env, topo), registry_node="n0",
+                         policies=FaultPolicies(breaker=breaker))
+    home = runtime.nucleus("n1")
+    obj = home.create_object(home.create_capsule(), "counter",
+                             state={"n": 0})
+    counter_ops(obj)
+    runtime.nucleus("n2")
+    env.run()   # the registration reaches n0
+    assert runtime.locate(obj.oid) == "n1"
+    return runtime, breaker, home, obj
+
+
+def holders(runtime, oid):
+    return [name for name, nucleus in sorted(runtime.nuclei.items())
+            if nucleus.find_object(oid) is not None]
+
+
+def test_a_refused_whereis_fails_the_invocation_with_the_refusal(env):
+    from repro.faults.policies import CircuitOpenError
+
+    runtime, breaker, home, obj = breaker_line(env)
+    breaker.record_failure("n0")
+    done = runtime.nucleus("n2").invoke(obj.oid, "incr", 1).defuse()
+    env.run()
+    assert not done.ok
+    assert isinstance(done.value, CircuitOpenError)
+    assert "whereis not attempted" in str(done.value)
+    assert obj.state["n"] == 0
+
+
+def test_a_refused_migrate_in_rolls_the_cluster_back(env):
+    runtime, breaker, home, obj = breaker_line(env)
+    breaker.record_failure("n2")
+    done = home.migrate_cluster(obj.cluster, "n2").defuse()
+    env.run()
+    assert not done.ok
+    assert isinstance(done.value, PlacementError)
+    assert "circuit to n2 is open" in str(done.value)
+    assert holders(runtime, obj.oid) == ["n1"]
+    assert home.find_object(obj.oid) is obj
+
+
+@pytest.mark.parametrize("how", ["refused", "timed out"])
+def test_a_failed_registry_update_after_migrate_in_still_fires_done(env, how):
+    runtime, breaker, home, obj = breaker_line(env)
+    if how == "refused":
+        breaker.record_failure("n0")
+    else:
+        runtime.network.topology.link_between("n0", "n1").set_up(False)
+    done = home.migrate_cluster(obj.cluster, "n2").defuse()
+    env.run()
+    assert not done.ok
+    assert isinstance(done.value, PlacementError)
+    assert "registry n0 was not updated" in str(done.value)
+    assert holders(runtime, obj.oid) == ["n2"]
+    assert runtime.locate(obj.oid) == "n1"   # stale, as the error says

@@ -7,7 +7,15 @@ import pytest
 from repro import errors
 from repro.access import AccessMatrix
 from repro.awareness import AwarenessBus
-from repro.net import Link
+from repro.net import (
+    Link,
+    Network,
+    ReliableChannel,
+    RpcEndpoint,
+    Topology,
+    lan,
+)
+from repro.node import ODPRuntime
 from repro.sessions import TelepointerService
 from repro.sim import (
     Container,
@@ -75,6 +83,79 @@ def test_a_delay_that_is_not_a_time_is_rejected_by_name(error, cls, args,
     with pytest.raises(error, match="{} must be non-negative: {!r}".format(
             field, value)):
         cls(Environment(), *args, **{field: value})
+
+
+# -- ... so is a timeout: the call never starts, nothing is left in flight -------
+
+
+def _endpoint(env=None):
+    env = env or Environment()
+    topology = Topology(env)
+    topology.add_link("a", "b", latency=0.001)
+    return RpcEndpoint(Network(env, topology).host("a"))
+
+
+def _nucleus():
+    env = Environment()
+    runtime = ODPRuntime(Network(env, lan(env, hosts=2)), "host0")
+    return runtime.nucleus("host0")
+
+
+def _migrate(timeout):
+    nucleus = _nucleus()
+    obj = nucleus.create_object(nucleus.create_capsule(), "x")
+    return nucleus.migrate_cluster(obj.cluster, "host1", timeout=timeout)
+
+
+_TIMEOUTS = [
+    (errors.TransportError, "default_timeout",
+     lambda value: RpcEndpoint(_endpoint().host, default_timeout=value)),
+    (errors.TransportError, "timeout",
+     lambda value: _endpoint().call("b", "m", timeout=value)),
+    (errors.NodeError, "timeout",
+     lambda value: _nucleus().invoke("obj-1", "op", timeout=value)),
+    (errors.NodeError, "timeout", _migrate),
+    (errors.TransportError, "ack_timeout",
+     lambda value: ReliableChannel(_endpoint().host, ack_timeout=value)),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0])
+@pytest.mark.parametrize(
+    "error, field, build", _TIMEOUTS,
+    ids=["RpcEndpoint.default_timeout", "RpcEndpoint.call.timeout",
+         "Nucleus.invoke.timeout", "Nucleus.migrate_cluster.timeout",
+         "ReliableChannel.ack_timeout"])
+def test_a_timeout_that_is_not_a_time_is_rejected_by_name(error, field, build,
+                                                          value):
+    """Unchecked it detonates one event later, inside the run, as the
+    kernel's anonymous delay error — with the caller's event never
+    fired and ``rpc.inflight`` stuck at 1."""
+    with pytest.raises(error, match="^{} must be non-negative: {!r}".format(
+            field, value)):
+        build(value)
+
+
+def test_a_refused_timeout_leaves_nothing_in_flight():
+    env = Environment()
+    endpoint = _endpoint(env)
+    with pytest.raises(errors.TransportError):
+        endpoint.call("b", "m", timeout=float("nan"))
+    env.run()
+    assert (endpoint.inflight(), endpoint._calls, env.now) == (0, {}, 0.0)
+
+
+@pytest.mark.parametrize("value", [0.0, float("inf")])
+def test_zero_and_infinity_are_times(value):
+    """A call that gives up at once, and one that never does."""
+    env = Environment()
+    endpoint = _endpoint(env)
+    RpcEndpoint(endpoint.host.network.host("b")).register(
+        "echo", lambda caller, args: args)
+    done = endpoint.call("b", "echo", "x", timeout=value).defuse()
+    env.run(until=1.0)
+    assert done.triggered and endpoint.inflight() == 0
+    assert done.ok == (value > 0)
 
 
 # -- ... and so are sizes and rates, at the kernel and link boundaries -----------
