@@ -12,7 +12,7 @@ demand pattern (one participant is a chronic floor-hog):
 * negotiated — the holder is asked to yield (Colab's informal style).
 """
 
-from benchmarks._util import print_table, record_run, run_once
+from benchmarks._util import print_table, run_once
 from repro.sessions import (
     ChairedFloor,
     FcfsFloor,
@@ -79,7 +79,6 @@ def run_policy(name):
         "collisions": floor.counters["collisions"],
         "preemptions": floor.counters["preemptions"],
         "makespan": env.now,
-        "events": env.stats()["events_processed"],
     }
 
 
@@ -114,13 +113,3 @@ def test_e12_floor_control(benchmark):
     assert rr["wait"].mean < fcfs["wait"].mean
     benchmark.extra_info["fcfs_wait"] = fcfs["wait"].mean
     benchmark.extra_info["rr_wait"] = rr["wait"].mean
-    record_run(
-        "e12_floor_control",
-        sim_time_s=max(stats["makespan"] for stats in results.values()),
-        events=sum(stats["events"] for stats in results.values()),
-        metrics={
-            "fcfs_wait_mean": fcfs["wait"].mean,
-            "rr_wait_mean": rr["wait"].mean,
-            "free_collisions": free["collisions"],
-            "rr_preemptions": rr["preemptions"],
-        })

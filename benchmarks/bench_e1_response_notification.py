@@ -18,7 +18,7 @@ locking and reservation response grow with contention; all three deliver
 every edit eventually.
 """
 
-from benchmarks._util import print_table, record_run, run_once
+from benchmarks._util import print_table, run_once
 from repro import CooperativePlatform
 from repro.concurrency import (
     EXCLUSIVE,
@@ -160,10 +160,3 @@ def test_e1_response_notification(benchmark):
     assert ot_notify.mean < 0.5
     benchmark.extra_info["lock_over_ot_response"] = (
         lock_response.mean + 1e-9) / (ot_response.mean + 1e-9)
-    record_run("e1_response_notification", metrics={
-        "ot_response_mean": ot_response.mean,
-        "ot_notify_mean": ot_notify.mean,
-        "lock_response_mean": lock_response.mean,
-        "resv_response_mean": resv_response.mean,
-        "edits": ot_response.count,
-    })

@@ -16,7 +16,7 @@ surface conflicts for the social protocol; notification locks admit
 readers freely and keep them informed.
 """
 
-from benchmarks._util import print_table, record_run, run_once
+from benchmarks._util import print_table, run_once
 from repro.concurrency import (
     EXCLUSIVE,
     HARD,
@@ -90,7 +90,6 @@ def run_style(style):
         "conflicts": counters["conflicts"],
         "notifications": notified[0],
         "makespan": env.now,
-        "events": env.stats()["events_processed"],
     }
 
 
@@ -127,14 +126,3 @@ def test_e3_lock_styles(benchmark):
                for stats in results.values())
     benchmark.extra_info["hard_wait"] = hard["wait"].mean
     benchmark.extra_info["tickle_wait"] = tickle["wait"].mean
-    record_run(
-        "e3_lock_styles",
-        sim_time_s=max(stats["makespan"] for stats in results.values()),
-        events=sum(stats["events"] for stats in results.values()),
-        metrics={
-            "hard_wait_mean": hard["wait"].mean,
-            "tickle_wait_mean": tickle["wait"].mean,
-            "tickle_takeovers": tickle["takeovers"],
-            "soft_conflicts": soft["conflicts"],
-            "notifications": notification["notifications"],
-        })

@@ -13,7 +13,7 @@ relocating a badly placed object at run time and the per-member latency
 before and after.
 """
 
-from benchmarks._util import print_table, record_run, run_once
+from benchmarks._util import print_table, run_once
 from repro.management import (
     FirstNodePlacement,
     GroupAwarePlacement,
@@ -117,7 +117,6 @@ def run_migration_demo():
         "before": early.mean,
         "after": late.mean,
         "final_location": runtime.locate(obj.oid),
-        "env": env.stats(),
     }
 
 
@@ -162,14 +161,3 @@ def test_e6_placement(benchmark):
     assert migration["after"] < migration["before"]
     benchmark.extra_info["group_aware_worst_ms"] = \
         group_aware["worst"] * 1000
-    record_run(
-        "e6_placement",
-        sim_time_s=migration["env"]["now"],
-        events=migration["env"]["events_processed"],
-        metrics={
-            "group_aware_worst_ms": group_aware["worst"] * 1000,
-            "first_node_worst_ms": first["worst"] * 1000,
-            "migrations": len(migration["migrations"]),
-            "rtt_before_ms": migration["before"] * 1000,
-            "rtt_after_ms": migration["after"] * 1000,
-        })

@@ -15,7 +15,7 @@ flows flood the same link.  Regimes compared on one workload:
   (half rate) and continues within the new agreement.
 """
 
-from benchmarks._util import print_table, record_run, run_once
+from benchmarks._util import print_table, run_once
 from repro.net import Network, dumbbell
 from repro.qos import QoSBroker, QoSMonitor, QoSParameters
 from repro.sim import Environment
@@ -62,8 +62,7 @@ def run_best_effort():
         flood(env, network, i)
     source.start(duration=DURATION)
     env.run(until=DURATION + 2.0)
-    return {"sink": sink, "admitted": "n/a", "renegotiations": 0,
-            "env": env.stats()}
+    return {"sink": sink, "admitted": "n/a", "renegotiations": 0}
 
 
 def run_reserved(renegotiate=False):
@@ -96,8 +95,7 @@ def run_reserved(renegotiate=False):
         env.process(downgrade(env))
     env.run(until=DURATION + 2.0)
     return {"sink": sink, "admitted": contract.agreed.throughput,
-            "renegotiations": contract.renegotiations,
-            "env": env.stats()}
+            "renegotiations": contract.renegotiations}
 
 
 def run_experiment():
@@ -134,15 +132,3 @@ def test_e7_qos(benchmark):
     assert renegotiated["sink"].miss_rate < 0.02
     benchmark.extra_info["best_effort_miss"] = best_effort.miss_rate
     benchmark.extra_info["reserved_miss"] = reserved.miss_rate
-    record_run(
-        "e7_qos",
-        sim_time_s=max(stats["env"]["now"] for stats in results.values()),
-        events=sum(stats["env"]["events_processed"]
-                   for stats in results.values()),
-        metrics={
-            "best_effort_miss_rate": best_effort.miss_rate,
-            "reserved_miss_rate": reserved.miss_rate,
-            "renegotiated_miss_rate": renegotiated["sink"].miss_rate,
-            "renegotiations": renegotiated["renegotiations"],
-            "frames_played_reserved": reserved.counters["played"],
-        })

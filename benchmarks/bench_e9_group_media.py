@@ -16,7 +16,7 @@ links; multicast cost grows with the tree (shared trunk links carry each
 frame once), so the gap widens with N.
 """
 
-from benchmarks._util import print_table, record_run, run_once
+from benchmarks._util import print_table, run_once
 from repro.groups import GroupInvoker, QUORUM_ALL
 from repro.net import MulticastService, Network, wan
 from repro.sim import Environment, Tally
@@ -131,11 +131,3 @@ def test_e9_group_media(benchmark):
     # Group invocation meets the bound at every size here.
     assert all(met for _, _, _, met in results["rpc"])
     benchmark.extra_info["ratio_at_8"] = ratios[-1]
-    largest = results["fanout"][-1]
-    record_run("e9_group_media", metrics={
-        "multicast_ratio_smallest": ratios[0],
-        "multicast_ratio_largest": ratios[-1],
-        "unicast_bytes_largest": int(largest[1]),
-        "multicast_bytes_largest": int(largest[2]),
-        "worst_group_rpc_ms": max(row[2] for row in results["rpc"]),
-    })

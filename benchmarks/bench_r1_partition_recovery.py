@@ -19,11 +19,9 @@ Setup: the two chaos workloads from :mod:`repro.faults.chaos`.
   budget, per-destination circuit breaker) under link flaps, a loss
   burst and a latency storm, with tail-based trace sampling rescuing
   the error traces the head sampler would have dropped.
-
-Telemetry lands in ``BENCH_PR4.json``.
 """
 
-from benchmarks._util import print_table, record_run, run_once
+from benchmarks._util import print_table, run_once
 from repro.faults.chaos import (
     HEAL_AT,
     MEMBERS,
@@ -126,27 +124,3 @@ def test_r1_partition_recovery(benchmark):
 
     benchmark.extra_info["recovery_time_s"] = partition["recovery_time"]
     benchmark.extra_info["slo_fired_at"] = partition["slo_fired_at"]
-    record_run(
-        "r1_partition_recovery",
-        sim_time_s=partition["env"]["now"],
-        events=sum(results[name]["env"]["events_processed"]
-                   for name in results),
-        metrics={
-            "first_suspicion_at": partition["first_suspicion_at"],
-            "recovered_at": partition["recovered_at"],
-            "recovery_time_s": partition["recovery_time"],
-            "slo_fired_at": partition["slo_fired_at"],
-            "slo_cleared_at": partition["slo_cleared_at"],
-            "floor_reclaims":
-                partition["session_counters"]["floor_reclaims"],
-            "qos_windows_ok": partition["qos_windows"]["ok"],
-            "qos_windows_violated": partition["qos_windows"]["violated"],
-            "flaky_rpc_ok": flaky["outcomes"].get("ok", 0),
-            "flaky_rpc_retries": flaky["metric_rpc_retries"],
-            "flaky_breaker_opened": flaky["metric_breaker_opened"],
-            "flaky_breaker_rejected": flaky["breaker_rejected"],
-            "flaky_chan_retries": flaky["chan_retries"],
-            "flaky_chan_gave_up": flaky["chan_gave_up"],
-            "flaky_tail_promoted": flaky["tail_promoted"],
-        },
-        path="BENCH_PR4.json")

@@ -7,13 +7,19 @@ Figure 2 argument: atomic transactions wall users off; CSCW needs the
 conflict visible so a social protocol can resolve it).  This package
 provides the tooling that turns both properties into checkable ones:
 
-* **Determinism lint** (:mod:`repro.analysis.lint`) — an AST pass with
-  pluggable rules (``RPR001``…) flagging nondeterminism hazards: wall
-  clock reads, RNGs constructed outside :mod:`repro.sim.rng`, unordered
-  set iteration, ``id()``-based ordering, module-level mutable state and
-  float equality on simulated time.  Run it with::
+* **Static analyzer** (:mod:`repro.analysis.check`) — two passes over
+  one shared AST index (:mod:`repro.analysis.ir`), one CLI.  The
+  determinism lint (:mod:`repro.analysis.lint`, ``RPR00x``) flags
+  nondeterminism hazards: wall clock reads, RNGs constructed outside
+  :mod:`repro.sim.rng`, unordered set iteration, ``id()``-based
+  ordering, module-level mutable state and float equality on simulated
+  time.  The sim-protocol checker (:mod:`repro.analysis.protocol`,
+  ``RPR20x``) holds generator actors and ``# repro: fast-path``
+  functions to the kernel's contract.  A pass is kept only while it
+  reports something on this tree that nothing before it reports
+  (``docs/analysis.md`` "What each detector catches")::
 
-      PYTHONPATH=src python -m repro.analysis.lint src/
+      PYTHONPATH=src python -m repro.analysis.check src/
 
 * **Happens-before conflict sanitizer** (:mod:`repro.analysis.hb`) — a
   vector-clock tracker fed by lock, floor, RPC and shared-store
@@ -27,17 +33,6 @@ provides the tooling that turns both properties into checkable ones:
   twice with the same seed and diffs event-trace digests::
 
       PYTHONPATH=src python -m repro.analysis.replay locks-soft
-
-* **Whole-repo analyzer** (:mod:`repro.analysis.check`) — multi-pass
-  static analysis over one shared AST index and call graph
-  (:mod:`repro.analysis.ir`, :mod:`repro.analysis.callgraph`):
-  interprocedural nondeterminism taint (:mod:`repro.analysis.taint`,
-  ``RPR1xx``), the sim-protocol checker
-  (:mod:`repro.analysis.protocol`, ``RPR2xx``) and the lock-order
-  deadlock detector (:mod:`repro.analysis.lockorder`, ``RPR3xx``),
-  with text/JSON/SARIF output and a fingerprint baseline::
-
-      PYTHONPATH=src python -m repro.analysis.check src/
 
 The workload/replay/races helpers are resolved lazily (PEP 562): this
 package is imported by low-level instrumentation sites (locks, the
@@ -63,14 +58,13 @@ from repro.analysis.hb import (
 )
 #: Lazily resolved attribute -> home module (dodges the import cycle
 #: through repro.concurrency, which the eager workload imports close;
-#: lint stays lazy so ``python -m repro.analysis.lint`` does not warn
-#: about the module pre-existing in sys.modules).
+#: the static passes stay lazy so ``python -m repro.analysis.check``
+#: does not warn about the module pre-existing in sys.modules).
 _LAZY = {
     "Finding": "repro.analysis.lint",
     "Rule": "repro.analysis.lint",
     "RULES": "repro.analysis.lint",
     "lint_file": "repro.analysis.lint",
-    "lint_paths": "repro.analysis.lint",
     "WORKLOADS": "repro.analysis.workloads",
     "run_workload": "repro.analysis.workloads",
     "conflict_sweep": "repro.analysis.races",
@@ -79,10 +73,8 @@ _LAZY = {
     "run_isolated": "repro.analysis.replay",
     "trace_digest": "repro.analysis.replay",
     "RepoIndex": "repro.analysis.ir",
-    "CallGraph": "repro.analysis.callgraph",
     "run_passes": "repro.analysis.check",
     "rules_meta": "repro.analysis.check",
-    "to_sarif": "repro.analysis.sarif",
 }
 
 
@@ -97,7 +89,6 @@ def __getattr__(name):
 
 __all__ = [
     "Access",
-    "CallGraph",
     "Conflict",
     "ConflictSanitizer",
     "Finding",
@@ -117,7 +108,6 @@ __all__ = [
     "get_sanitizer",
     "inject_clock",
     "lint_file",
-    "lint_paths",
     "replay",
     "rules_meta",
     "run_digest",
@@ -125,7 +115,6 @@ __all__ = [
     "run_passes",
     "run_workload",
     "set_sanitizer",
-    "to_sarif",
     "trace_digest",
     "use_sanitizer",
 ]

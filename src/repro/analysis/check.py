@@ -1,38 +1,39 @@
-"""One front door for the whole-repo analyzer: lint + taint + protocol
-+ lock-order over a shared AST index::
+"""The static analyzer's one front door: lint + protocol over a shared
+AST index::
 
     PYTHONPATH=src python -m repro.analysis.check src/
-    PYTHONPATH=src python -m repro.analysis.check src/ --format sarif --out analysis.sarif
-    PYTHONPATH=src python -m repro.analysis.check src/ --baseline analysis-baseline.json
+    PYTHONPATH=src python -m repro.analysis.check src/ --passes lint --format json
     PYTHONPATH=src python -m repro.analysis.check --list-passes
 
 The repo is parsed exactly once (:class:`~repro.analysis.ir.RepoIndex`)
-and every pass runs over that index, so whole-repo cost stays linear in
-repo size.  All passes share the ``# repro: allow-RPRxxx`` suppression
-syntax — covering the *whole span* of multi-line statements and
-decorated defs — plus a fingerprint baseline file, and the CLI exits
-non-zero iff any non-baselined finding remains, so it gates CI.  Output
-formats: ``text`` (default), ``json``, and ``sarif`` (2.1.0, the shape
-GitHub code scanning annotates PRs from).
+and both passes run over that index.  They share the
+``# repro: allow-RPRxxx`` suppression syntax — covering the *whole
+span* of multi-line statements and decorated defs — and the CLI exits 1
+iff any unsuppressed finding remains, so it gates CI.  It exits 2 when
+it was given nothing to analyse (a path that does not exist, paths
+holding no python file, an empty or unknown ``--passes``): a gate that
+analysed nothing must not pass.  Output formats: ``text`` (default) and
+``json``.
+
+Which detector catches what — and why this is two passes, not four —
+is measured in ``docs/analysis.md`` "What each detector catches".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis import baseline as baseline_mod
-from repro.analysis import lockorder, protocol, taint
-from repro.analysis.callgraph import CallGraph
+from repro.analysis import protocol
 from repro.analysis.ir import RepoIndex
-from repro.analysis.lint import RULES, Finding
-from repro.analysis.lint import syntax_error_finding
-from repro.analysis.sarif import to_sarif
+from repro.analysis.lint import (RULES, Finding, lint_tree,
+                                 syntax_error_finding)
 
-PASS_NAMES = ("lint", "taint", "protocol", "lockorder")
+PASS_NAMES = ("lint", "protocol")
 
 
 def _clock() -> float:
@@ -40,52 +41,52 @@ def _clock() -> float:
     return time.perf_counter()  # repro: allow-RPR001 (analyzer timing)
 
 
-def rules_meta() -> Dict[str, Tuple[str, str, str]]:
-    """``code -> (summary, hint, severity)`` across every pass."""
-    meta: Dict[str, Tuple[str, str, str]] = {
-        "RPR000": ("file does not parse", "fix the syntax error",
-                   "error"),
+def rules_meta() -> Dict[str, Tuple[str, str]]:
+    """``code -> (summary, hint)`` across both passes."""
+    meta: Dict[str, Tuple[str, str]] = {
+        "RPR000": ("file does not parse", "fix the syntax error"),
     }
     for rule in RULES:
-        meta[rule.code] = (rule.summary, rule.hint, "error")
-    for kind, (code, fragment, hint) in sorted(taint.KINDS.items()):
-        meta[code] = ("interprocedural taint: {} laundered through "
-                      "helper returns".format(fragment), hint, "error")
+        meta[rule.code] = (rule.summary, rule.hint)
     meta.update(protocol.RULE_META)
-    meta.update(lockorder.RULE_META)
     return meta
 
 
 def run_passes(paths: Iterable[str],
                passes: Optional[Iterable[str]] = None,
-               respect_suppressions: bool = True,
-               index: Optional[RepoIndex] = None
-               ) -> Tuple[List[Finding], Dict[str, float], RepoIndex]:
-    """Run the selected passes; returns (findings, timings, index).
+               respect_suppressions: bool = True
+               ) -> Tuple[List[Finding], Dict[str, float]]:
+    """Run the selected passes; returns (findings, timings).
 
     Findings are sorted and suppression-filtered; ``timings`` carries
-    per-pass wall seconds plus ``index``/``callgraph`` build costs.
+    per-pass wall seconds plus the ``index`` build cost.  Raises
+    :class:`ValueError` rather than report "0 findings" on nothing: an
+    unknown or empty pass selection, a path that does not exist, or
+    paths under which no python file was found.
     """
     selected = list(passes) if passes is not None else list(PASS_NAMES)
+    if not selected:
+        raise ValueError("no pass selected; choose from: "
+                         + ", ".join(PASS_NAMES))
     for name in selected:
         if name not in PASS_NAMES:
             raise ValueError("unknown pass: " + name)
+    paths = list(paths)
+    for path in paths:
+        if not os.path.exists(path):
+            raise ValueError(
+                "no such file or directory: {!r}".format(path))
     timings: Dict[str, float] = {}
     started = _clock()
-    if index is None:
-        index = RepoIndex.build(paths)
+    index = RepoIndex.build(paths)
     timings["index"] = _clock() - started
-
-    graph: Optional[CallGraph] = None
-    if "taint" in selected or "lockorder" in selected:
-        started = _clock()
-        graph = CallGraph(index)
-        timings["callgraph"] = _clock() - started
+    if not index.modules:
+        raise ValueError("no python files under: " + ", ".join(
+            repr(path) for path in paths))
 
     findings: List[Finding] = []
     if "lint" in selected:
         started = _clock()
-        from repro.analysis.lint import lint_tree
         for module in index.modules.values():
             if module.tree is None:
                 findings.append(
@@ -93,39 +94,26 @@ def run_passes(paths: Iterable[str],
             else:
                 findings.extend(lint_tree(module.tree, module.path))
         timings["lint"] = _clock() - started
-    if "taint" in selected:
-        started = _clock()
-        findings.extend(taint.analyse(index, graph))
-        timings["taint"] = _clock() - started
     if "protocol" in selected:
         started = _clock()
         findings.extend(protocol.analyse(index))
         timings["protocol"] = _clock() - started
-    if "lockorder" in selected:
-        started = _clock()
-        findings.extend(lockorder.analyse(index, graph))
-        timings["lockorder"] = _clock() - started
 
     if respect_suppressions:
         findings = [
             finding for finding in findings
-            if not (finding.path in index.modules
-                    and finding.suppressed_by(
-                        index.modules[finding.path].suppressions))]
+            if not finding.suppressed_by(
+                index.modules[finding.path].suppressions)]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings, timings, index
+    return findings, timings
 
 
-def _render_text(findings: List[Finding], baselined: int,
-                 timings: Dict[str, float], show_timings: bool,
-                 out) -> None:
+def _render_text(findings: List[Finding], timings: Dict[str, float],
+                 show_timings: bool, out) -> None:
     for finding in findings:
         out.write(finding.render() + "\n")
     files = len({finding.path for finding in findings})
-    summary = "{} finding(s) in {} file(s)".format(len(findings), files)
-    if baselined:
-        summary += " ({} baselined)".format(baselined)
-    out.write(summary + "\n")
+    out.write("{} finding(s) in {} file(s)\n".format(len(findings), files))
     if show_timings:
         total = sum(timings.values())
         table = ", ".join("{} {:.3f}s".format(name, timings[name])
@@ -137,11 +125,11 @@ def _render_text(findings: List[Finding], baselined: int,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.check",
-        description="Whole-repo distributed-correctness analyzer "
-                    "(lint + taint + protocol + lock-order).")
+        description="Static analyzer for repro simulator code "
+                    "(determinism lint + sim-protocol checker).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to analyse")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
     parser.add_argument("--out", help="write output to this file "
                                       "instead of stdout")
@@ -149,12 +137,6 @@ def main(argv=None) -> int:
                         default=",".join(PASS_NAMES),
                         help="comma-separated subset of: "
                              + ", ".join(PASS_NAMES))
-    parser.add_argument("--baseline", default="analysis-baseline.json",
-                        help="baseline file of waived fingerprints "
-                             "(silently skipped when absent)")
-    parser.add_argument("--write-baseline", metavar="PATH",
-                        help="record current findings as the baseline "
-                             "and exit 0")
     parser.add_argument("--no-suppress", action="store_true",
                         help="ignore '# repro: allow-...' comments")
     parser.add_argument("--timings", action="store_true",
@@ -163,65 +145,43 @@ def main(argv=None) -> int:
                         help="print the pass/rule table and exit")
     options = parser.parse_args(argv)
 
-    meta = rules_meta()
     if options.list_passes:
-        groups = (("lint", "RPR0"), ("taint", "RPR1"),
-                  ("protocol", "RPR2"), ("lockorder", "RPR3"))
-        for name, prefix in groups:
+        meta = rules_meta()
+        for name, prefix in (("lint", "RPR0"), ("protocol", "RPR2")):
             print(name)
             for code in sorted(meta):
                 if code.startswith(prefix):
-                    summary, hint, severity = meta[code]
-                    print("  {} [{}] {}".format(code, severity, summary))
+                    summary, hint = meta[code]
+                    print("  {}  {}\n          fix: {}".format(
+                        code, summary, hint))
         return 0
 
     selected = [name for name in options.passes.split(",") if name]
     try:
-        findings, timings, index = run_passes(
+        findings, timings = run_passes(
             options.paths, selected,
             respect_suppressions=not options.no_suppress)
     except ValueError as error:
-        print(str(error), file=sys.stderr)
+        print("check: {}".format(error), file=sys.stderr)
         return 2
-
-    sources = {path: module.source
-               for path, module in index.modules.items()}
-    prints = baseline_mod.fingerprints(findings, sources)
-
-    if options.write_baseline:
-        count = baseline_mod.write(options.write_baseline, findings,
-                                   prints)
-        print("baseline: {} finding(s) recorded to {}".format(
-            count, options.write_baseline))
-        return 0
-
-    known = baseline_mod.load(options.baseline)
-    kept = baseline_mod.filter_findings(findings, prints, known)
-    baselined = len(findings) - len(kept)
 
     out = open(options.out, "w", encoding="utf-8") if options.out \
         else sys.stdout
     try:
-        if options.format == "sarif":
-            document = to_sarif(kept, meta, fingerprints=prints,
-                                timings=timings)
-            json.dump(document, out, indent=2, sort_keys=True)
-            out.write("\n")
-        elif options.format == "json":
+        if options.format == "json":
             document = {
-                "findings": [finding.to_dict() for finding in kept],
-                "baselined": baselined,
+                "findings": [finding.to_dict() for finding in findings],
                 "timings": {name: round(value, 4)
                             for name, value in sorted(timings.items())},
             }
             json.dump(document, out, indent=2, sort_keys=True)
             out.write("\n")
         else:
-            _render_text(kept, baselined, timings, options.timings, out)
+            _render_text(findings, timings, options.timings, out)
     finally:
         if options.out:
             out.close()
-    return 1 if kept else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,10 @@
 """Shared AST index: parse the repo once, analyse it many times.
 
-Every whole-repo pass (taint, protocol, lock-order — and the per-file
-lint when driven through :mod:`repro.analysis.check`) works from one
-:class:`RepoIndex`: each ``.py`` file is parsed exactly once and its
-functions, classes, import table, suppression comments and fast-path
-markers are tabulated up front.  That is what keeps the analyzer's
-whole-repo wall time linear in repo size rather than linear in
-``passes × files``.
+Both passes of :mod:`repro.analysis.check` (lint and protocol) work
+from one :class:`RepoIndex`: each ``.py`` file is parsed exactly once
+and its functions, classes, suppression comments and fast-path markers
+are tabulated up front.  That is what keeps the analyzer's whole-repo
+wall time linear in repo size rather than linear in ``passes × files``.
 
 Terminology used by the passes:
 
@@ -91,7 +89,7 @@ class ModuleInfo:
     """One parsed source file plus its per-line annotations."""
 
     __slots__ = ("path", "name", "tree", "source", "functions",
-                 "suppressions", "fast_path_lines", "imports", "error")
+                 "suppressions", "fast_path_lines", "error")
 
     def __init__(self, path: str, source: str,
                  tree: Optional[ast.Module],
@@ -106,24 +104,6 @@ class ModuleInfo:
         self.fast_path_lines: Set[int] = {
             lineno for lineno, line in enumerate(source.splitlines(), 1)
             if _FAST_PATH_RE.search(line)}
-        #: local name -> dotted target (module or module.symbol).
-        self.imports: Dict[str, str] = {}
-        if tree is not None:
-            self._collect_imports(tree)
-
-    def _collect_imports(self, tree: ast.Module) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else \
-                        alias.name.split(".")[0]
-                    self.imports[local] = target
-            elif isinstance(node, ast.ImportFrom) and node.module \
-                    and node.level == 0:
-                for alias in node.names:
-                    self.imports[alias.asname or alias.name] = \
-                        node.module + "." + alias.name
 
     def __repr__(self) -> str:
         return "<ModuleInfo {}>".format(self.name)
@@ -145,15 +125,11 @@ def module_name(path: str) -> str:
 
 
 class RepoIndex:
-    """All parsed modules plus function lookup tables."""
+    """All parsed modules plus the qualname -> function table."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
-        #: simple name -> every module-level or nested function so named.
-        self.by_name: Dict[str, List[FunctionInfo]] = {}
-        #: method name -> every class method so named.
-        self.methods: Dict[str, List[FunctionInfo]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -188,8 +164,6 @@ class RepoIndex:
                                     child)
                 module.functions.append(info)
                 self.functions[qualname] = info
-                table = self.methods if cls is not None else self.by_name
-                table.setdefault(child.name, []).append(info)
                 self._index_functions(module, child, qualname, None)
             elif isinstance(child, ast.ClassDef):
                 self._index_functions(module, child,

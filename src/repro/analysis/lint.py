@@ -1,9 +1,10 @@
 """Determinism lint: AST rules that keep the simulator replayable.
 
 Every rule flags a construct that can silently break bit-for-bit
-replay of a simulation run::
+replay of a simulation run.  It runs as the ``lint`` pass of the one
+static CLI::
 
-    PYTHONPATH=src python -m repro.analysis.lint src/
+    PYTHONPATH=src python -m repro.analysis.check src/ --passes lint
 
 ========  ==============================================================
 code      hazard
@@ -24,18 +25,14 @@ listed, comma-separated, and prose may follow::
     self._rng = rng or random.Random(0)  # repro: allow-RPR002 (seeded)
 
 Rules are pluggable: registering a new one is decorating a generator of
-``(node, message)`` pairs with :func:`rule`.  The CLI exits non-zero iff
-any unsuppressed finding remains, so it can gate CI.
+``(node, message)`` pairs with :func:`rule`.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
 import os
 import re
-import sys
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     Optional, Set, Tuple)
 
@@ -67,21 +64,17 @@ class Finding:
 
     ``line``/``col`` anchor the report; ``suppress_from``/``end_line``
     bound the source span an ``# repro: allow-...`` comment may sit on
-    (multi-line statements, decorated defs).  ``severity`` is ``error``
-    or ``warning`` (the SARIF level).  Interprocedural findings carry a
-    ``chain`` — ordered ``{path, line, note}`` steps from sink back to
-    source.
+    (multi-line statements, decorated defs).  ``function`` is the
+    qualname of the enclosing def when the pass knows it.
     """
 
     __slots__ = ("path", "line", "col", "code", "message", "hint",
-                 "severity", "end_line", "suppress_from", "chain",
-                 "function")
+                 "end_line", "suppress_from", "function")
 
     def __init__(self, path: str, line: int, col: int, code: str,
-                 message: str, hint: str, severity: str = "error",
+                 message: str, hint: str,
                  end_line: Optional[int] = None,
                  suppress_from: Optional[int] = None,
-                 chain: Optional[List[Dict[str, Any]]] = None,
                  function: Optional[str] = None) -> None:
         self.path = path
         self.line = line
@@ -89,29 +82,20 @@ class Finding:
         self.code = code
         self.message = message
         self.hint = hint
-        self.severity = severity
         self.end_line = end_line if end_line is not None else line
         self.suppress_from = suppress_from if suppress_from is not None \
             else line
-        self.chain = chain
         self.function = function
 
     def render(self) -> str:
-        text = "{}:{}:{}: {} {} [fix: {}]".format(
+        return "{}:{}:{}: {} {} [fix: {}]".format(
             self.path, self.line, self.col, self.code, self.message,
             self.hint)
-        if self.chain:
-            for step in self.chain:
-                text += "\n    {}:{}: {}".format(
-                    step["path"], step["line"], step["note"])
-        return text
 
     def to_dict(self) -> Dict[str, Any]:
         data = {"path": self.path, "line": self.line, "col": self.col,
                 "code": self.code, "message": self.message,
-                "hint": self.hint, "severity": self.severity}
-        if self.chain is not None:
-            data["chain"] = self.chain
+                "hint": self.hint}
         if self.function is not None:
             data["function"] = self.function
         return data
@@ -169,7 +153,7 @@ def _posix(path: str) -> str:
     return path.replace(os.sep, "/")
 
 
-def _call_name(node: ast.AST) -> str:
+def call_name(node: ast.AST) -> str:
     """Dotted name of a call target (``""`` when not a simple chain)."""
     if isinstance(node, ast.Call):
         node = node.func
@@ -257,7 +241,7 @@ def check_foreign_rng(tree: ast.Module, path: str
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        name = _call_name(node)
+        name = call_name(node)
         if name.startswith("random."):
             yield node, "{}() bypasses sim.rng.RandomStreams".format(name)
         elif isinstance(node.func, ast.Name) and node.func.id in aliases:
@@ -322,7 +306,7 @@ def check_id_ordering(tree: ast.Module, path: str
                       ) -> Iterator[Tuple[ast.AST, str]]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            name = _call_name(node)
+            name = call_name(node)
             is_sorter = (isinstance(node.func, ast.Name)
                          and node.func.id in ("sorted", "min", "max")) \
                 or (isinstance(node.func, ast.Attribute)
@@ -375,7 +359,7 @@ def check_module_state(tree: ast.Module, path: str
             continue
         if all(n.startswith("__") and n.endswith("__") for n in names):
             continue
-        name = _call_name(value)
+        name = call_name(value)
         if name in _COUNTER_FACTORIES:
             yield statement, ("module-level {}() leaks state across "
                               "experiments in one process".format(name))
@@ -483,46 +467,3 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
             for filename in sorted(filenames):
                 if filename.endswith(".py"):
                     yield os.path.join(dirpath, filename)
-
-
-def lint_paths(paths: Iterable[str], respect_suppressions: bool = True
-               ) -> List[Finding]:
-    """Lint every python file under ``paths``."""
-    findings: List[Finding] = []
-    for path in iter_python_files(paths):
-        findings.extend(lint_file(path, respect_suppressions))
-    return findings
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.lint",
-        description="Determinism lint for repro simulator code.")
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", help="output format")
-    parser.add_argument("--no-suppress", action="store_true",
-                        help="ignore '# repro: allow-...' comments")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule table and exit")
-    options = parser.parse_args(argv)
-    if options.list_rules:
-        for lint_rule in RULES:
-            print("{}  {}\n        fix: {}".format(
-                lint_rule.code, lint_rule.summary, lint_rule.hint))
-        return 0
-    findings = lint_paths(options.paths,
-                          respect_suppressions=not options.no_suppress)
-    if options.format == "json":
-        print(json.dumps([f.to_dict() for f in findings], indent=2))
-    else:
-        for finding in findings:
-            print(finding.render())
-        files = len({f.path for f in findings})
-        print("{} finding(s) in {} file(s)".format(len(findings), files))
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

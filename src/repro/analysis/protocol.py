@@ -37,9 +37,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.callgraph import call_name
 from repro.analysis.ir import FunctionInfo, RepoIndex, own_body
-from repro.analysis.lint import Finding, node_span
+from repro.analysis.lint import Finding, call_name, node_span
 
 #: Environment methods returning events an actor must yield.
 _EVENT_FACTORIES = {"timeout", "event", "all_of", "any_of"}
@@ -50,20 +49,20 @@ _REENTRANT = {"run", "step"}
 #: Event methods that trigger an event (valid at most once).
 _TRIGGERS = {"succeed", "fail", "trigger"}
 
-RULE_META: Dict[str, Tuple[str, str, str]] = {
+#: ``code -> (summary, hint)``.
+RULE_META: Dict[str, Tuple[str, str]] = {
     "RPR201": ("event factory result discarded in an actor",
                "yield the event (or drop the call); an unawaited "
-               "timeout never pauses the actor", "error"),
+               "timeout never pauses the actor"),
     "RPR202": ("yield of a non-event in an actor",
                "actors must yield Event objects; the kernel never "
-               "resumes a process waiting on a bare yield", "error"),
+               "resumes a process waiting on a bare yield"),
     "RPR203": ("event triggered twice along one path",
                "an event may be succeeded or failed once; create a "
-               "fresh event per round", "error"),
+               "fresh event per round"),
     "RPR204": ("blocking construct in an actor or fast-path function",
                "never re-enter the event loop from an actor; fast "
-               "paths claim resources explicitly, not via 'with'",
-               "error"),
+               "paths claim resources explicitly, not via 'with'"),
 }
 
 
@@ -96,11 +95,10 @@ def _env_call(parts: List[str], factories) -> bool:
 
 def _finding(info: FunctionInfo, node: ast.AST, code: str,
              message: str) -> Finding:
-    summary, hint, severity = RULE_META[code]
     start, end = node_span(node)
     return Finding(info.path, getattr(node, "lineno", info.lineno),
                    getattr(node, "col_offset", 0) + 1, code, message,
-                   hint, severity=severity, end_line=end,
+                   RULE_META[code][1], end_line=end,
                    suppress_from=start, function=info.qualname)
 
 

@@ -394,6 +394,25 @@ class _PendingCall:
     (:meth:`_attempt`).  An attempt's timer is never cancelled: it
     carries the attempt's call id and is ignored unless that is still
     ``call_id``, which is 0 whenever no attempt is on the wire.
+
+    A declared tie, next to the foreign-event one in
+    :class:`RpcEndpoint`: when a round trip takes no simulated time (a
+    host calling its own endpoint — a stale location chased through
+    the node that still names itself the home), two calls woken in one
+    instant each run ``allow`` … ``record_success`` to the end before
+    the other starts, where two processes took them in lock step
+    (``allow, allow, success, success``).  Only a half-open circuit
+    could tell the orders apart (it admits one trial), and none is
+    reached: what wakes such a call is the reply to its previous chase
+    round, from the same destination in the same instant, so a
+    ``record_success`` has just closed the circuit and zeroed its
+    failures; ``allow`` then answers yes and writes nothing, and
+    ``record_success`` rewrites what is there.  A ``record_failure``
+    for that destination landing between them in that instant is the
+    foreign-event tie again.  ``tests/net/test_rpc_record.py`` checks
+    exactly this: it takes an ``(instant, destination)`` group of the
+    breaker's history as a multiset only when the circuit stayed closed
+    through it, and compares everything else in order.
     """
 
     __slots__ = ("endpoint", "dst", "method", "args", "timeout", "done",

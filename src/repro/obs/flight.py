@@ -63,8 +63,9 @@ DEFAULT_EPOCH_EVENTS = 512
 # Strings that JSON renders literally as '"' + s + '"': printable ASCII
 # with no quote or backslash.  Lets the hot journal channels build their
 # canonical form with a format string instead of json.dumps (~5x); any
-# other string falls back to the generic encoder.
-_PLAIN = re.compile(r'^[ -!#-\[\]-~]*$').match
+# other string falls back to the generic encoder.  ``\Z``, not ``$``:
+# ``$`` also matches before a trailing newline, which JSON escapes.
+_PLAIN = re.compile(r'^[ -!#-\[\]-~]*\Z').match
 
 
 @functools.lru_cache(maxsize=1024)

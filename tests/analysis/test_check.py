@@ -1,4 +1,4 @@
-"""Tests for the unified analyzer CLI: passes, formats, baseline, gate."""
+"""Tests for the one static CLI: passes, formats, exit codes, gate."""
 
 import json
 import os
@@ -6,9 +6,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.check import PASS_NAMES, main, rules_meta, run_passes
-from repro.analysis.ir import RepoIndex
 
 HERE = os.path.dirname(__file__)
 REPO_SRC = os.path.normpath(
@@ -26,20 +24,6 @@ def consumer(log, env):
     log.append(_stamp())
     env.timeout(3)
     yield env.timeout(1)
-
-
-def grabby(table):
-    a = table.acquire("one", "w")
-    b = table.acquire("two", "w")
-    table.release(b)
-    table.release(a)
-
-
-def grabbier(table):
-    b = table.acquire("two", "w")
-    a = table.acquire("one", "w")
-    table.release(a)
-    table.release(b)
 """
 
 
@@ -59,21 +43,25 @@ def _codes(findings):
 # -- run_passes -------------------------------------------------------------
 
 def test_all_passes_fire_on_the_dirty_tree(dirty_tree):
-    findings, timings, _ = run_passes([dirty_tree])
-    codes = _codes(findings)
-    assert "RPR001" in codes   # lint: the wall-clock read itself
-    assert "RPR101" in codes   # taint: laundered through _stamp()
-    assert "RPR201" in codes   # protocol: discarded timeout
-    assert "RPR301" in codes   # lockorder: ABBA cycle
-    for name in PASS_NAMES:
-        assert name in timings
-    assert "index" in timings and "callgraph" in timings
+    findings, timings = run_passes([dirty_tree])
+    assert _codes(findings) == [
+        "RPR001",   # lint: the wall-clock read
+        "RPR201",   # protocol: discarded timeout
+    ]
+    assert sorted(timings) == ["index", "lint", "protocol"]
+
+
+def test_every_rule_fires_on_the_fixtures():
+    # No rule is left without a fixture that trips it; *where* each
+    # fires is the "# expect:" markers' job (test_lint, test_protocol).
+    findings, _ = run_passes([os.path.join(HERE, "fixtures")])
+    assert _codes(findings) == sorted(set(rules_meta()) - {"RPR000"})
 
 
 def test_pass_subset_runs_only_requested(dirty_tree):
-    findings, timings, _ = run_passes([dirty_tree], ["protocol"])
+    findings, timings = run_passes([dirty_tree], ["protocol"])
     assert _codes(findings) == ["RPR201"]
-    assert "lint" not in timings and "taint" not in timings
+    assert "lint" not in timings
 
 
 def test_unknown_pass_raises(dirty_tree):
@@ -82,25 +70,25 @@ def test_unknown_pass_raises(dirty_tree):
 
 
 def test_rules_meta_covers_every_emitted_code(dirty_tree):
-    findings, _, _ = run_passes([dirty_tree])
+    findings, _ = run_passes([dirty_tree])
     meta = rules_meta()
     assert {finding.code for finding in findings} <= set(meta)
-    for code, (summary, hint, severity) in meta.items():
+    for code, (summary, hint) in meta.items():
         assert summary and hint
-        assert severity in ("error", "warning")
 
 
 def test_shipped_tree_is_clean():
-    findings, _, _ = run_passes([REPO_SRC])
-    assert findings == []
+    findings, _ = run_passes([REPO_SRC])
+    assert findings == [], "\n".join(f.render() for f in findings)
 
 
 # -- the CLI ----------------------------------------------------------------
 
 def test_cli_exit_codes(dirty_tree, capsys):
     assert main([dirty_tree]) == 1
-    assert "RPR101" in capsys.readouterr().out
+    assert "RPR201" in capsys.readouterr().out
     assert main([REPO_SRC]) == 0
+    assert "0 finding(s)" in capsys.readouterr().out
 
 
 def test_cli_unknown_pass_exits_2(dirty_tree, capsys):
@@ -111,20 +99,23 @@ def test_cli_unknown_pass_exits_2(dirty_tree, capsys):
 def test_cli_list_passes(capsys):
     assert main(["--list-passes"]) == 0
     out = capsys.readouterr().out
-    for name in PASS_NAMES:
-        assert name in out
-    assert "RPR301" in out
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith(" ")] \
+        == list(PASS_NAMES)
+    listed = [line.split()[0] for line in lines
+              if line.startswith("  RPR")]
+    assert listed == sorted(rules_meta())
+    assert out.count("fix: ") == len(listed)
 
 
 def test_cli_json_format(dirty_tree, capsys):
     assert main([dirty_tree, "--format", "json"]) == 1
     document = json.loads(capsys.readouterr().out)
-    assert document["baselined"] == 0
-    codes = {entry["code"] for entry in document["findings"]}
-    assert "RPR101" in codes
-    chained = next(entry for entry in document["findings"]
-                   if entry["code"] == "RPR101")
-    assert chained["chain"][-1]["note"]
+    assert sorted(document) == ["findings", "timings"]
+    assert {entry["code"] for entry in document["findings"]} \
+        == {"RPR001", "RPR201"}
+    assert {"path", "line", "col", "code", "message",
+            "hint"} <= set(document["findings"][0])
     assert set(document["timings"]) >= set(PASS_NAMES)
 
 
@@ -133,104 +124,40 @@ def test_cli_timings_flag(dirty_tree, capsys):
     assert "pass timings:" in capsys.readouterr().out
 
 
-# -- SARIF ------------------------------------------------------------------
+# -- a gate that analysed nothing must not pass -----------------------------
 
-def _assert_sarif_shape(document):
-    assert document["version"] == "2.1.0"
-    assert document["$schema"].endswith("sarif-schema-2.1.0.json")
-    assert isinstance(document["runs"], list) and len(document["runs"]) == 1
-    run = document["runs"][0]
-    driver = run["tool"]["driver"]
-    assert driver["name"]
-    rule_ids = [rule["id"] for rule in driver["rules"]]
-    assert rule_ids == sorted(rule_ids)
-    for rule in driver["rules"]:
-        assert rule["shortDescription"]["text"]
-        assert rule["defaultConfiguration"]["level"] in (
-            "error", "warning", "note")
-    for result in run["results"]:
-        assert result["ruleId"] in rule_ids
-        assert rule_ids[result["ruleIndex"]] == result["ruleId"]
-        assert result["level"] in ("error", "warning", "note")
-        assert result["message"]["text"]
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"]
-        assert "\\" not in location["artifactLocation"]["uri"]
-        assert location["region"]["startLine"] >= 1
-        assert result["partialFingerprints"]["reproAnalysis/v1"]
+def test_missing_path_exits_2_and_names_it(tmp_path, capsys):
+    missing = str(tmp_path / "scr")
+    with pytest.raises(ValueError, match="no such file or directory"):
+        run_passes([missing])
+    assert main([missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "check: no such file or directory: {!r}\n".format(missing)
+    assert "0 finding(s)" not in captured.out
 
 
-def test_cli_sarif_output(dirty_tree, tmp_path, capsys):
-    out = tmp_path / "analysis.sarif"
-    assert main([dirty_tree, "--format", "sarif",
-                 "--out", str(out)]) == 1
-    document = json.loads(out.read_text(encoding="utf-8"))
-    _assert_sarif_shape(document)
-    run = document["runs"][0]
-    assert run["results"], "dirty tree must produce results"
-    taint_result = next(result for result in run["results"]
-                        if result["ruleId"] == "RPR101")
-    related = taint_result["relatedLocations"]
-    assert related and related[-1]["message"]["text"]
-    timings = run["invocations"][0]["properties"]["passTimingsSeconds"]
-    assert set(timings) >= set(PASS_NAMES)
+def test_one_missing_path_among_good_ones_exits_2(dirty_tree, tmp_path,
+                                                  capsys):
+    missing = str(tmp_path / "scr")
+    assert main([dirty_tree, missing]) == 2
+    assert repr(missing) in capsys.readouterr().err
 
 
-def test_sarif_empty_run_still_validates(tmp_path, capsys):
-    out = tmp_path / "clean.sarif"
-    assert main([REPO_SRC, "--format", "sarif", "--out", str(out)]) == 0
-    document = json.loads(out.read_text(encoding="utf-8"))
-    _assert_sarif_shape(document)
-    assert document["runs"][0]["results"] == []
+def test_paths_holding_no_python_file_exit_2(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("nothing to parse\n",
+                                        encoding="utf-8")
+    with pytest.raises(ValueError, match="no python files"):
+        run_passes([str(tmp_path)])
+    assert main([str(tmp_path)]) == 2
+    assert repr(str(tmp_path)) in capsys.readouterr().err
 
 
-# -- baseline ---------------------------------------------------------------
-
-def test_baseline_roundtrip(dirty_tree, tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert main([dirty_tree, "--write-baseline", str(baseline)]) == 0
-    recorded = json.loads(baseline.read_text(encoding="utf-8"))
-    assert recorded["schema"] == baseline_mod.BASELINE_SCHEMA
-    assert recorded["findings"]
-    # With the baseline active the same tree gates clean.
-    assert main([dirty_tree, "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
-
-
-def test_new_findings_break_through_the_baseline(dirty_tree, tmp_path,
-                                                 capsys):
-    baseline = tmp_path / "baseline.json"
-    assert main([dirty_tree, "--write-baseline", str(baseline)]) == 0
-    extra = os.path.join(dirty_tree, "fresh.py")
-    with open(extra, "w", encoding="utf-8") as handle:
-        handle.write("import time\n\n\ndef f():\n"
-                     "    return time.time()\n")
-    assert main([dirty_tree, "--baseline", str(baseline)]) == 1
-    assert "fresh.py" in capsys.readouterr().out
-
-
-def test_missing_baseline_is_silently_ignored(dirty_tree, tmp_path):
-    missing = tmp_path / "nope.json"
-    assert main([dirty_tree, "--baseline", str(missing)]) == 1
-
-
-def test_fingerprints_are_line_drift_stable():
-    index = RepoIndex()
-    source = "import time\n\n\ndef f():\n    return time.time()\n"
-    index.add_source(source, "src/repro/drifty.py")
-    findings, _, index = run_passes([], index=index)
-    prints = baseline_mod.fingerprints(
-        findings, {path: module.source
-                   for path, module in index.modules.items()})
-    shifted = RepoIndex()
-    shifted.add_source("# a new comment line\n" + source,
-                       "src/repro/drifty.py")
-    shifted_findings, _, shifted = run_passes([], index=shifted)
-    shifted_prints = baseline_mod.fingerprints(
-        shifted_findings, {path: module.source
-                           for path, module in shifted.modules.items()})
-    assert sorted(prints.values()) == sorted(shifted_prints.values())
+def test_empty_pass_selection_exits_2(dirty_tree, capsys):
+    with pytest.raises(ValueError, match="no pass selected"):
+        run_passes([dirty_tree], [])
+    assert main([dirty_tree, "--passes", ""]) == 2
+    assert "no pass selected" in capsys.readouterr().err
 
 
 # -- syntax errors ----------------------------------------------------------

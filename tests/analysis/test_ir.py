@@ -1,10 +1,10 @@
-"""Tests for the shared AST index and the call graph built on it."""
+"""Tests for the shared AST index both static passes read."""
 
 import os
 import textwrap
 
-from repro.analysis.callgraph import CallGraph, call_name
 from repro.analysis.ir import RepoIndex, module_name, own_body
+from repro.analysis.lint import call_name
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -108,25 +108,11 @@ def test_function_at_returns_innermost_span():
     assert index.function_at(path, 1) is None
 
 
-def test_import_table_tracks_aliases():
-    index = _index(**{"repro.imports": """
-        import json
-        import os.path as osp
-        from repro.sim.rng import Rng
-        """})
-    imports = index.modules["src/repro/imports.py"].imports
-    assert imports["json"] == "json"
-    assert imports["osp"] == "os.path"
-    assert imports["Rng"] == "repro.sim.rng.Rng"
-
-
 def test_build_walks_the_fixture_tree():
-    index = RepoIndex.build([os.path.join(FIXTURES, "taint")])
-    assert any(path.endswith("laundered_sources.py")
+    index = RepoIndex.build([os.path.join(FIXTURES, "protocol")])
+    assert any(path.endswith("actor_violations.py")
                for path in index.modules)
 
-
-# -- call graph resolution --------------------------------------------------
 
 def test_call_name_renders_dotted_chains():
     import ast
@@ -134,76 +120,3 @@ def test_call_name_renders_dotted_chains():
     assert call_name(call) == "self.table.acquire"
     computed = ast.parse("get_thing().run()").body[0].value
     assert call_name(computed) == ""
-
-
-def test_bare_name_resolves_within_module():
-    index = _index(**{"repro.mod": """
-        def helper():
-            return 1
-
-        def caller():
-            return helper()
-        """})
-    graph = CallGraph(index)
-    callees = [info.qualname for info in graph.callees("repro.mod.caller")]
-    assert callees == ["repro.mod.helper"]
-    callers = [site.caller.qualname
-               for site in graph.callers("repro.mod.helper")]
-    assert callers == ["repro.mod.caller"]
-
-
-def test_self_method_resolves_to_same_class():
-    index = _index(**{"repro.cls": """
-        class Widget:
-            def _step(self):
-                return 1
-
-            def run(self):
-                return self._step()
-
-        class Other:
-            def _step(self):
-                return 2
-        """})
-    graph = CallGraph(index)
-    callees = [info.qualname
-               for info in graph.callees("repro.cls.Widget.run")]
-    assert callees == ["repro.cls.Widget._step"]
-
-
-def test_imported_function_resolves_across_modules():
-    index = _index(**{
-        "repro.util": """
-            def shared():
-                return 1
-            """,
-        "repro.user": """
-            from repro.util import shared
-
-            def caller():
-                return shared()
-            """,
-    })
-    graph = CallGraph(index)
-    callees = [info.qualname
-               for info in graph.callees("repro.user.caller")]
-    assert callees == ["repro.util.shared"]
-
-
-def test_ambiguous_names_stay_unresolved():
-    index = _index(**{
-        "repro.one": """
-            def poll():
-                return 1
-            """,
-        "repro.two": """
-            def poll():
-                return 2
-            """,
-        "repro.three": """
-            def caller(thing):
-                return thing.poll()
-            """,
-    })
-    graph = CallGraph(index)
-    assert graph.callees("repro.three.caller") == []

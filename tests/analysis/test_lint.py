@@ -1,5 +1,8 @@
 """Tests for the determinism lint: rules, suppression, CLI, repo-clean.
 
+The CLI is ``python -m repro.analysis.check --passes lint`` — the lint
+has no entry point of its own.
+
 The fixture modules under ``fixtures/`` carry their own expectations:
 every line that must be flagged ends with ``# expect: CODE`` and every
 line whose finding must be silenced by a ``# repro: allow-...`` comment
@@ -14,13 +17,8 @@ import re
 
 import pytest
 
-from repro.analysis.lint import (
-    RULES,
-    lint_file,
-    lint_paths,
-    lint_source,
-    main,
-)
+from repro.analysis.check import main, run_passes
+from repro.analysis.lint import RULES, lint_file, lint_source
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -104,14 +102,14 @@ def test_syntax_error_reports_rpr000():
 # -- the repo itself -------------------------------------------------------
 
 def test_repo_source_is_lint_clean():
-    findings = lint_paths([REPO_SRC])
+    findings, _ = run_passes([REPO_SRC], ["lint"])
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
 # -- CLI -------------------------------------------------------------------
 
 def test_cli_nonzero_with_codes_on_fixtures(capsys):
-    assert main([FIXTURES]) == 1
+    assert main([FIXTURES, "--passes", "lint"]) == 1
     out = capsys.readouterr().out
     for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
                  "RPR006"):
@@ -119,24 +117,25 @@ def test_cli_nonzero_with_codes_on_fixtures(capsys):
 
 
 def test_cli_zero_on_clean_tree(capsys):
-    assert main([REPO_SRC]) == 0
+    assert main([REPO_SRC, "--passes", "lint"]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
 
 
 def test_cli_json_format(capsys):
     path = os.path.join(FIXTURES, "rpr005_module_state.py")
-    assert main([path, "--format", "json"]) == 1
-    findings = json.loads(capsys.readouterr().out)
+    assert main([path, "--passes", "lint", "--format", "json"]) == 1
+    findings = json.loads(capsys.readouterr().out)["findings"]
     assert findings
     assert {"path", "line", "col", "code", "message",
             "hint"} <= set(findings[0])
 
 
 def test_cli_list_rules(capsys):
-    assert main(["--list-rules"]) == 0
+    assert main(["--list-passes"]) == 0
     out = capsys.readouterr().out
     for lint_rule in RULES:
         assert lint_rule.code in out
+        assert "fix: " + lint_rule.hint in out
 
 
 # -- suppression spans: multi-line statements, decorated defs ---------------

@@ -5,7 +5,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -325,6 +325,12 @@ _CONFIGS = st.fixed_dictionaries({
 @settings(max_examples=200, deadline=None)
 @given(config=_CONFIGS, steps=st.lists(_STEPS, min_size=10, max_size=100),
        read_every_step=st.booleans())
+@example(   # a label ending in a newline is not plain: JSON escapes it
+    config={"ring": 1, "context": 1, "keep_epochs": None,
+            "epoch": ("epoch_events", 1)},
+    steps=[("on_dispatch", 0.0, 0, 0)] * 9
+    + [("record_rng", "a", "\n", None)],
+    read_every_step=False)
 def test_folding_is_indistinguishable_from_eager_journalling(
         config, steps, read_every_step):
     # Random interleavings of every channel, with reads wherever they
