@@ -52,7 +52,7 @@ class FunctionInfo:
     """One ``def`` anywhere in the repo, with its analysis context."""
 
     __slots__ = ("qualname", "name", "cls", "module", "node", "lineno",
-                 "end_lineno", "span_start", "is_generator", "fast_path")
+                 "span_start", "is_generator", "fast_path")
 
     def __init__(self, qualname: str, name: str, cls: Optional[str],
                  module: "ModuleInfo", node: ast.AST) -> None:
@@ -61,7 +61,7 @@ class FunctionInfo:
         self.cls = cls
         self.module = module
         self.node = node
-        self.span_start, self.end_lineno = node_span(node)
+        self.span_start = node_span(node)[0]
         self.lineno = node.lineno
         self.is_generator = any(
             isinstance(child, (ast.Yield, ast.YieldFrom))
@@ -125,11 +125,10 @@ def module_name(path: str) -> str:
 
 
 class RepoIndex:
-    """All parsed modules plus the qualname -> function table."""
+    """All parsed modules, each with its functions tabulated."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
-        self.functions: Dict[str, FunctionInfo] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -163,7 +162,6 @@ class RepoIndex:
                 info = FunctionInfo(qualname, child.name, cls, module,
                                     child)
                 module.functions.append(info)
-                self.functions[qualname] = info
                 self._index_functions(module, child, qualname, None)
             elif isinstance(child, ast.ClassDef):
                 self._index_functions(module, child,
@@ -172,30 +170,8 @@ class RepoIndex:
             elif not isinstance(child, ast.Lambda):
                 self._index_functions(module, child, prefix, cls)
 
-    # -- queries -----------------------------------------------------------
-
-    def function_at(self, path: str, lineno: int
-                    ) -> Optional[FunctionInfo]:
-        """The innermost function whose span contains ``lineno``."""
-        module = self.modules.get(path)
-        if module is None:
-            return None
-        best: Optional[FunctionInfo] = None
-        for info in module.functions:
-            if info.span_start <= lineno <= info.end_lineno:
-                if best is None or info.span_start >= best.span_start:
-                    best = info
-        return best
-
-    def generators(self) -> Iterator[FunctionInfo]:
-        for module in self.modules.values():
-            for info in module.functions:
-                if info.is_generator:
-                    yield info
-
     def __len__(self) -> int:
         return len(self.modules)
 
     def __repr__(self) -> str:
-        return "<RepoIndex {} modules, {} functions>".format(
-            len(self.modules), len(self.functions))
+        return "<RepoIndex {} modules>".format(len(self.modules))

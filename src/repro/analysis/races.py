@@ -23,10 +23,9 @@ import json
 import sys
 from typing import Any, Dict, Sequence
 
-from repro.analysis.hb import ConflictSanitizer, use_sanitizer
-from repro.analysis.workloads import run_workload
+from repro.analysis.hb import ConflictSanitizer
+from repro.analysis.replay import run_isolated
 from repro.concurrency.locks import STYLES
-from repro.obs.metrics import MetricsRegistry, use_metrics
 
 
 def conflict_sweep(seed: int = 31,
@@ -35,9 +34,8 @@ def conflict_sweep(seed: int = 31,
     """Run the lock-style workload per style with a fresh sanitizer."""
     results: Dict[str, Dict[str, Any]] = {}
     for style in styles:
-        with use_metrics(MetricsRegistry()):
-            with use_sanitizer(ConflictSanitizer()) as sanitizer:
-                result = run_workload("locks-" + style, seed=seed)
+        sanitizer = ConflictSanitizer()
+        result = run_isolated("locks-" + style, seed, sanitizer=sanitizer)
         result["summary"] = sanitizer.summary()
         results[style] = result
     return results

@@ -21,15 +21,17 @@ Exit status is 0 when the digests match, 1 when they differ.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.hb import ConflictSanitizer, use_sanitizer
 from repro.analysis.workloads import WORKLOADS, run_workload
 from repro.obs.flight import FlightRecorder, use_flight
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.tracer import Tracer, use_tracer
 
 #: The kernel's own bookkeeping inside a result's ``"env"`` block.
 KERNEL_COUNTERS = ("events_scheduled", "events_processed")
@@ -53,11 +55,22 @@ def trace_digest(result: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def run_isolated(name: str, seed: int = 31) -> Dict[str, Any]:
-    """One workload run under a fresh sanitizer and metrics registry."""
-    with use_metrics(MetricsRegistry()):
-        with use_sanitizer(ConflictSanitizer()):
-            return run_workload(name, seed=seed)
+def run_isolated(name: str, seed: int = 31,
+                 sanitizer: Optional[ConflictSanitizer] = None,
+                 tracer: Optional[Tracer] = None) -> Dict[str, Any]:
+    """One workload run under a fresh metrics registry and sanitizer.
+
+    The one way to run a workload so that nothing of an earlier run
+    reaches it.  A caller that reads the sanitizer afterwards passes its
+    own (fresh) one; a caller that wants spans passes the tracer to
+    record them into — without one the ambient tracer stays.
+    """
+    if sanitizer is None:
+        sanitizer = ConflictSanitizer()
+    traced = use_tracer(tracer) if tracer is not None \
+        else contextlib.nullcontext()
+    with use_metrics(MetricsRegistry()), use_sanitizer(sanitizer), traced:
+        return run_workload(name, seed=seed)
 
 
 def run_digest(name: str, seed: int = 31) -> str:

@@ -39,15 +39,13 @@ import json
 import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.hb import ConflictSanitizer, use_sanitizer
-from repro.analysis.replay import trace_digest
-from repro.analysis.workloads import run_workload
+from repro.analysis.hb import ConflictSanitizer
+from repro.analysis.replay import run_isolated, trace_digest
 from repro.errors import SimulationError
 from repro.faults.corpus import default_corpus_dir, make_entry, write_entry
 from repro.faults.oracles import TrialEvidence, evaluate, oracle_names
 from repro.faults.schedule import FaultSchedule, use_schedule_override
 from repro.faults.shrink import shrink_schedule
-from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sim import RandomStreams
 
 #: Version tag of the campaign summary format.
@@ -255,9 +253,7 @@ def _run_once(name: str, seed: int
               ) -> Tuple[Dict[str, Any], Dict[str, int], str]:
     """One isolated run: (result, conflict counts, result digest)."""
     sanitizer = ConflictSanitizer()
-    with use_metrics(MetricsRegistry()):
-        with use_sanitizer(sanitizer):
-            result = run_workload(name, seed=seed)
+    result = run_isolated(name, seed, sanitizer=sanitizer)
     return result, sanitizer.conflict_counts(), trace_digest(result)
 
 

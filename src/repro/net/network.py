@@ -10,22 +10,28 @@ dropped by the link's loss model.
 Two events are queued per hop, and nothing else per packet: the start
 of an in-run send, each channel grant (fused with its transmission wait
 — see :class:`~repro.sim.resources.Request`), the accepted put on inbox
-delivery and the flight's end queue nothing; the per-packet/per-hop
-instruments accumulate in local cells flushed at registry-read/window
-boundaries.  RNG draw order, hop, drop and delivery times match the
-one-event-per-step carry this replaced: ``tests/net/test_carry.py``
-holds the carrier to references pinned from it and to an independent
-generator model.
+delivery and the flight's end queue nothing.  RNG draw order, hop, drop
+and delivery times match the one-event-per-step carry this replaced:
+``tests/net/test_carry.py`` holds the carrier to references pinned from
+it and to an independent generator model.
+
+A number is kept once.  A flight writes each fact to one book, owned by
+whatever the fact is about — ``Host.sent`` per source, the network's
+``_delivered`` per destination, ``link.stats.bytes`` per link,
+``_drops`` per (link, reason), the ``delivery_latency`` tally — and
+:attr:`Network.counters`, :meth:`Network.drop_stats` and the registry's
+``net.*`` instruments are worked out from those books when somebody
+reads (:meth:`Network._flush`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import NetworkError, RoutingError
 from repro.net.packet import Packet
 from repro.net.topology import Topology
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.metrics import LabelKey, MetricsRegistry, get_metrics
 from repro.obs.propagation import extract
 from repro.obs.span import NOOP_SPAN
 from repro.obs.tracer import get_tracer
@@ -38,100 +44,10 @@ from repro.sim.resources import PriorityRequest
 BEST_EFFORT_PRIORITY = 10
 RESERVED_PRIORITY = 0
 
-class _NetMetricCells:
-    """Local accumulation cells for the per-packet/per-hop instruments.
-
-    The batched-metrics layer: the hot path pays one int add (or one
-    dict get/set for labelled counts) per record instead of a bound-
-    instrument method call, and the cells fold into the real registry
-    instruments only when somebody reads — every
-    :class:`~repro.obs.metrics.MetricsRegistry` read path runs its
-    flush hooks first, so the timeline recorder's window-boundary reads
-    (riding ``set_window_hook``) and the SLO evaluators always see
-    fresh values while the storm itself schedules zero flush events.
-    Flush order is sorted, so snapshots stay hash-seed stable.
-    """
-
-    __slots__ = ("registry", "network", "sent", "delivered", "latencies",
-                 "node_sent", "node_delivered", "link_bytes",
-                 "drops", "link_drops",
-                 "_sent_inst", "_delivered_inst", "_latency_inst")
-
-    def __init__(self, network: "Network",
-                 registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self.network = network
-        self._sent_inst = registry.bind_counter("net.sent")
-        self._delivered_inst = registry.bind_counter("net.delivered")
-        self._latency_inst = registry.bind_histogram("net.delivery_latency")
-        self.sent = 0
-        self.delivered = 0
-        #: delivery latencies in record order (tally order is observable
-        #: through Tally.values, so the flush preserves it).
-        self.latencies: List[float] = []
-        #: source node -> pending ``net.node.sent`` adds.
-        self.node_sent: Dict[str, int] = {}
-        #: destination node -> pending ``net.node.delivered`` adds.
-        self.node_delivered: Dict[str, int] = {}
-        #: link label -> pending ``net.bytes`` adds.
-        self.link_bytes: Dict[str, int] = {}
-        #: reason -> pending ``net.drops`` adds.  Going through the
-        #: keyed factory per drop would flush every cell mid-storm
-        #: (factories flush so reads stay fresh) — a chaos schedule's
-        #: drop burst must not pay that.
-        self.drops: Dict[str, int] = {}
-        #: (link label, reason) -> pending ``net.link.drops`` adds.
-        self.link_drops: Dict[Tuple[str, str], int] = {}
-        registry.add_flush_hook(self.flush, (
-            "net.sent", "net.delivered", "net.delivery_latency",
-            "net.node.sent", "net.node.delivered", "net.bytes",
-            "net.drops", "net.link.drops"))
-
-    def flush(self) -> None:
-        """Fold every pending cell into the registry instruments."""
-        count = self.sent
-        if count:
-            self.sent = 0
-            self._sent_inst.add(count)
-            counts = self.network._counters._counts
-            counts["sent"] = counts.get("sent", 0) + count
-        count = self.delivered
-        if count:
-            self.delivered = 0
-            self._delivered_inst.add(count)
-            counts = self.network._counters._counts
-            counts["delivered"] = counts.get("delivered", 0) + count
-        registry = self.registry
-        if self.node_sent:
-            for node, count in sorted(self.node_sent.items()):
-                registry.counter("net.node.sent", node=node).add(count)
-            self.node_sent.clear()
-        if self.node_delivered:
-            for node, count in sorted(self.node_delivered.items()):
-                registry.counter("net.node.delivered",
-                                 node=node).add(count)
-            self.node_delivered.clear()
-        if self.link_bytes:
-            for label, count in sorted(self.link_bytes.items()):
-                registry.counter("net.bytes", link=label).add(count)
-            self.link_bytes.clear()
-        if self.drops:
-            for reason, count in sorted(self.drops.items()):
-                registry.counter("net.drops", reason=reason).add(count)
-            self.drops.clear()
-        if self.link_drops:
-            for (label, reason), count in sorted(self.link_drops.items()):
-                registry.counter("net.link.drops", link=label,
-                                 reason=reason).add(count)
-            self.link_drops.clear()
-        values = self.latencies
-        if values:
-            self.latencies = []
-            record = self._latency_inst.record
-            tally_record = self.network._delivery_latency.record
-            for value in values:
-                tally_record(value)
-                record(value)
+#: The registry instruments a network's books back (its flush hook's names).
+_INSTRUMENTS = ("net.sent", "net.delivered", "net.delivery_latency",
+                "net.node.sent", "net.node.delivered", "net.bytes",
+                "net.drops", "net.link.drops")
 
 
 class Host:
@@ -148,7 +64,10 @@ class Host:
         self.name = name
         self._inboxes: Dict[int, Store] = {}
         self._handlers: Dict[int, Callable[[Packet], None]] = {}
+        #: Datagrams sent: the book behind ``net.node.sent`` / ``net.sent``.
         self.sent = 0
+        #: Packets handed over by anything that delivers here — this
+        #: network's flights (``net.node.delivered``) or a multicast tree.
         self.received = 0
 
     def inbox(self, port: int = 0) -> Store:
@@ -209,9 +128,8 @@ class _Carrier(PriorityRequest):
     """
 
     # __weakref__: tests watch a carrier die at the end of its flight.
-    __slots__ = ("network", "packet", "cells", "transit", "tracer",
-                 "flight", "links", "link", "node", "wire_size", "hop",
-                 "__weakref__")
+    __slots__ = ("network", "packet", "transit", "tracer", "flight",
+                 "links", "link", "node", "wire_size", "hop", "__weakref__")
 
     #: ``env.active_process.span`` (where locks.py parents its spans):
     #: a carrier is not a named actor.
@@ -230,24 +148,12 @@ class _Carrier(PriorityRequest):
         self.packet = packet
 
     def _begin(self) -> None:  # repro: fast-path (RPR204)
-        """Resolve instruments and route, then claim the first hop."""
+        """Resolve tracer and route, then claim the first hop."""
         network = self.network
         packet = self.packet
-        tracer = network._tracer if network._tracer is not None \
-            else get_tracer()
-        metrics = network._metrics if network._metrics is not None \
-            else get_metrics()
-        # The carrier keeps the cells it resolves here: another packet
-        # may rebind the network to a different registry mid-flight.
-        cells = network._cells
-        if cells is None or cells.registry is not metrics:
-            cells = network._cells = _NetMetricCells(network, metrics)
-            network._all_cells.append(cells)
-        self.cells = cells
-        cells.sent += 1
-        node_sent = cells.node_sent
+        # Per packet: a tracer may be installed after the network is built.
+        tracer = get_tracer()
         src = packet.src
-        node_sent[src] = node_sent.get(src, 0) + 1
         self.wire_size = wire_size = packet.wire_size
         # Transit spans parent under whatever context the sender stamped
         # into the packet headers (e.g. an rpc.call span), so one trace
@@ -263,7 +169,7 @@ class _Carrier(PriorityRequest):
         try:
             self.links = iter(network.topology.path(src, packet.dst))
         except RoutingError:
-            self._finish(network._drop, packet, "no-route", cells, span)
+            self._finish(network._drop, packet, "no-route", span)
             return
         self.node = src
         self.priority = packet.headers.get("priority", BEST_EFFORT_PRIORITY)
@@ -351,7 +257,7 @@ class _Carrier(PriorityRequest):
                 hop.set_status("dropped")
                 hop.finish(at=env._now)
             self._finish(self.network._drop, self.packet, drop_reason,
-                         self.cells, self.transit, link)
+                         self.transit, link)
             return
         delay = link.latency * link._latency_scale
         if link.jitter > 0:
@@ -368,14 +274,11 @@ class _Carrier(PriorityRequest):
         stats = link.stats
         stats.packets += 1
         stats.bytes += wire_size
-        label = link.label
-        link_bytes = self.cells.link_bytes
-        link_bytes[label] = link_bytes.get(label, 0) + wire_size
         packet.hops += 1
         node = self.node
         hop = self.hop
         if self.flight is not None:
-            self.flight.record_hop(label, node, packet.src, packet.dst,
+            self.flight.record_hop(link.label, node, packet.src, packet.dst,
                                    packet.port, span=hop)
         self.node = link.b if node == link.a else link.a
         if hop is not None:
@@ -386,17 +289,15 @@ class _Carrier(PriorityRequest):
         """Past the last hop: hand the packet to the destination host."""
         packet = self.packet
         dst = packet.dst
-        cells = self.cells
-        target = self.network.hosts.get(dst)
+        network = self.network
+        target = network.hosts.get(dst)
         if target is None:
-            self._finish(self.network._drop, packet, "no-host", cells,
-                         self.transit)
+            self._finish(network._drop, packet, "no-host", self.transit)
             return
         now = self.env._now
-        cells.delivered += 1
-        node_delivered = cells.node_delivered
-        node_delivered[dst] = node_delivered.get(dst, 0) + 1
-        cells.latencies.append(now - packet.created_at)
+        delivered = network._delivered
+        delivered[dst] = delivered.get(dst, 0) + 1
+        network.delivery_latency.record(now - packet.created_at)
         self.transit.finish(at=now)
         self._finish(target._deliver, packet)
 
@@ -428,45 +329,80 @@ _ON_ARRIVE = (_Carrier._on_arrive,)
 class Network:
     """Moves packets across a topology between registered hosts."""
 
-    def __init__(self, env: Environment, topology: Topology,
-                 tracer=None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, env: Environment, topology: Topology) -> None:
         if topology.env is not env:
             raise NetworkError("topology belongs to a different environment")
         self.env = env
         self.topology = topology
         self.hosts: Dict[str, Host] = {}
-        self._counters = Counter()
-        self._delivery_latency = Tally("delivery-latency")
         #: Optional hook called with (packet, reason) on every drop.
         self.on_drop: Optional[Callable[[Packet, str], None]] = None
-        #: Per-reason drop tally behind :meth:`drop_stats`.
-        self._drop_reasons: Dict[str, int] = {}
-        # Instance overrides; None means "use the process-wide default",
-        # resolved per packet so tracing can be enabled mid-run.
-        self._tracer = tracer
-        self._metrics = metrics
-        # Metric cells: the current binding (rebound whenever the
-        # resolved registry's identity changes — use_metrics scoping,
-        # mid-run enablement) plus every binding ever made, so
-        # counters/delivery_latency reads can flush stragglers from
-        # before a registry swap.
-        self._cells: Optional[_NetMetricCells] = None
-        self._all_cells: List[_NetMetricCells] = []
+        #: End-to-end latency of every delivery, in delivery order.
+        self.delivery_latency = Tally("delivery-latency")
+        #: Destination node -> packets delivered there.
+        self._delivered: Dict[str, int] = {}
+        #: (link label or None, reason) -> packets dropped; ``None`` is a
+        #: drop no link made (``no-route``, ``no-host``).
+        self._drops: Dict[Tuple[Optional[str], str], int] = {}
+        # The ambient registry at the first send; from then on the
+        # network's, whatever is installed later.
+        self._registry: Optional[MetricsRegistry] = None
+        #: What :meth:`_flush` has already given the registry.
+        self._folded: Dict[LabelKey, int] = {}
+        self._latencies_folded = 0
 
     @property
     def counters(self) -> Counter:
-        """Legacy sent/delivered/dropped counts (cells flushed first)."""
-        for cells in self._all_cells:
-            cells.flush()
-        return self._counters
+        """``sent``, ``delivered``, ``dropped`` and ``dropped:<reason>``
+        (a count that is zero is absent and reads as 0)."""
+        drops = self.drop_stats()
+        totals = {"sent": sum(host.sent for host in self.hosts.values()),
+                  "delivered": sum(self._delivered.values()),
+                  "dropped": sum(drops.values())}
+        totals.update(("dropped:" + reason, count)
+                      for reason, count in drops.items())
+        counts = Counter()
+        for key, count in totals.items():
+            if count:
+                counts.incr(key, count)
+        return counts
 
-    @property
-    def delivery_latency(self) -> Tally:
-        """End-to-end delivery latencies (cells flushed first)."""
-        for cells in self._all_cells:
-            cells.flush()
-        return self._delivery_latency
+    def _flush(self) -> None:
+        """Give the bound registry what the books gained since last time.
+
+        The registry's flush hook: it runs before every read of a
+        ``net.*`` instrument, so readers see fresh values while a flight
+        pays no instrument call.  Deltas go through the keyed factories
+        in sorted order; a count that has not moved creates nothing.
+        """
+        registry = self._registry
+        books: Dict[LabelKey, int] = {
+            ("net.sent", ()): sum(host.sent for host in self.hosts.values()),
+            ("net.delivered", ()): sum(self._delivered.values())}
+        for node, host in self.hosts.items():
+            books["net.node.sent", (("node", node),)] = host.sent
+        for node, count in self._delivered.items():
+            books["net.node.delivered", (("node", node),)] = count
+        for link in self.topology.links():
+            books["net.bytes", (("link", link.label),)] = link.stats.bytes
+        for reason, count in self.drop_stats().items():
+            books["net.drops", (("reason", reason),)] = count
+        for (label, reason), count in self._drops.items():
+            if label is not None:
+                books["net.link.drops",
+                      (("link", label), ("reason", reason))] = count
+        folded = self._folded
+        for key in sorted(books):
+            delta = books[key] - folded.get(key, 0)
+            if delta:
+                folded[key] = books[key]
+                registry.counter(key[0], **dict(key[1])).add(delta)
+        values = self.delivery_latency.values
+        if len(values) > self._latencies_folded:
+            record = registry.histogram("net.delivery_latency").record
+            for value in values[self._latencies_folded:]:
+                record(value)
+            self._latencies_folded = len(values)
 
     def host(self, name: str) -> Host:
         """Create (or fetch) the host attached to topology node ``name``."""
@@ -478,6 +414,9 @@ class Network:
 
     def transmit(self, packet: Packet) -> None:
         """Launch ``packet``'s carrier."""
+        if self._registry is None:
+            self._registry = get_metrics()
+            self._registry.add_flush_hook(self._flush, _INSTRUMENTS)
         env = self.env
         carrier = _Carrier(self, packet)
         if env._active_process is not None and packet.src != packet.dst:
@@ -495,27 +434,15 @@ class Network:
             carrier.callbacks = _BEGIN
             env.schedule(carrier, URGENT)
 
-    def _drop(self, packet: Packet, reason: str, cells: _NetMetricCells,
-              span, link=None) -> None:
-        self._counters.incr("dropped")
-        self._counters.incr("dropped:" + reason)
-        self._drop_reasons[reason] = self._drop_reasons.get(reason, 0) + 1
-        # Accumulate in the cells — the keyed registry factories flush
-        # every cell on entry, which a loss burst must not pay per drop.
-        drops = cells.drops
-        drops[reason] = drops.get(reason, 0) + 1
-        if link is not None:
-            # Per-link, per-reason attribution: the "drops" column in
-            # the dashboard's link table rolls this up.
-            link_drops = cells.link_drops
-            drop_key = (link.label, reason)
-            link_drops[drop_key] = link_drops.get(drop_key, 0) + 1
+    def _drop(self, packet: Packet, reason: str, span, link=None) -> None:
+        # Per-link, per-reason attribution: the "drops" column in the
+        # dashboard's link table rolls this up.
+        key = (link.label if link is not None else None, reason)
+        self._drops[key] = self._drops.get(key, 0) + 1
         flight = self.env._flight
         if flight is not None and flight.journal_net:
-            flight.record_drop(reason,
-                               link.label if link is not None else None,
-                               packet.src, packet.dst, packet.port,
-                               span=span)
+            flight.record_drop(reason, key[0], packet.src, packet.dst,
+                               packet.port, span=span)
         span.set_status("dropped:" + reason)
         span.set_attribute("drop_reason", reason)
         span.finish(at=self.env.now)
@@ -530,7 +457,10 @@ class Network:
         attributes drops whose Bernoulli draw landed in the extra
         probability a fault injection (loss burst) added on top.
         """
-        return dict(self._drop_reasons)
+        stats: Dict[str, int] = {}
+        for (_, reason), count in self._drops.items():
+            stats[reason] = stats.get(reason, 0) + count
+        return stats
 
     def total_link_bytes(self) -> int:
         """Bytes carried across every link (the E9 cost metric)."""

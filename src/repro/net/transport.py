@@ -84,10 +84,9 @@ class ReliableChannel:
         self._expected: Dict[str, int] = {}
         self._reorder: Dict[str, Dict[int, Packet]] = {}
         self._app_inbox = Store(self.env)
+        #: Data packets sent again after an unacknowledged attempt
+        #: (``chan.retries`` in the registry, per destination).
         self.retransmissions = 0
-        #: Retries performed (== retransmissions; mirrored in the
-        #: metrics registry as ``chan.retries``).
-        self.retries = 0
         #: Sends abandoned after exhausting every retry
         #: (``chan.gave_up`` in the registry).
         self.gave_up = 0
@@ -117,6 +116,11 @@ class ReliableChannel:
     def receive(self):
         """An event yielding the next in-order packet from any sender."""
         return self._app_inbox.get()
+
+    @property
+    def retries(self) -> int:
+        """Another name for :attr:`retransmissions`."""
+        return self.retransmissions
 
     def inflight(self) -> int:
         """Sends still awaiting an ack (not yet succeeded or given up).
@@ -153,7 +157,6 @@ class ReliableChannel:
                                                  "seq": seq}))
             if attempts > 0:
                 self.retransmissions += 1
-                self.retries += 1
                 self._retry_counters.get(dst).add()
                 span.add_event("retransmit", at=self.env.now,
                                attempt=attempts)
@@ -265,10 +268,8 @@ class RpcEndpoint:
         #: nothing is on the wire.  Mirrored as the ``rpc.inflight``
         #: gauge for the dashboard and the fuzzer's liveness oracle.
         self._inflight = 0
-        # The gauge handle, rebound whenever the process-default
-        # registry changes identity (two samples per call: the keyed
-        # lookup per sample cost faulty-rpc 6 % wall_s).
-        self._bound_registry = None
+        # The gauge, kept from the first sample on (two samples per
+        # call: the keyed lookup per sample cost faulty-rpc 6 % wall_s).
         self._inflight_gauge = None
         self._retry_counters = BoundCounterCache(
             "rpc.retries", "dst", node=host.name)
@@ -308,10 +309,8 @@ class RpcEndpoint:
 
     def _track(self, delta: int) -> None:
         self._inflight += delta
-        metrics = get_metrics()
-        if metrics is not self._bound_registry:
-            self._bound_registry = metrics
-            self._inflight_gauge = metrics.bind_gauge(
+        if self._inflight_gauge is None:
+            self._inflight_gauge = get_metrics().gauge(
                 "rpc.inflight", node=self.host.name)
         _gauge_sample(self._inflight_gauge, self._inflight, self.env.now)
 

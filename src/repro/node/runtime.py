@@ -57,13 +57,11 @@ class Nucleus:
         self.policies = policies
         self.capsules: Dict[str, Capsule] = {}
         self._location_cache: Dict[str, str] = {}
-        # Bound metric handles for the per-invocation instruments;
-        # rebound whenever the process-default registry changes identity.
+        # The per-invocation instruments, each kept from its first use on.
         self._invocation_counters = BoundCounterCache(
             "node.invocations", "kind", node=host.name)
         self._op_counters = BoundCounterCache(
             "node.op.invocations", "op", node=host.name)
-        self._bound_registry = None
         self._rpc_latency = None
         self.rpc = RpcEndpoint(host, port=RPC_PORT, policies=policies)
         self.rpc.register("invoke", self._handle_invoke)
@@ -273,7 +271,7 @@ class _Invocation:
     """
 
     __slots__ = ("nucleus", "oid", "op", "args", "timeout", "done", "span",
-                 "start", "metrics", "attempts", "location", "lookup")
+                 "start", "attempts", "location", "lookup")
 
     def __init__(self, nucleus: Nucleus, oid: str, op: str, args: Any,
                  timeout: float, done: Event, parent: Any) -> None:
@@ -284,7 +282,6 @@ class _Invocation:
         self.timeout = timeout
         self.done = done
         self.start = nucleus.env.now
-        self.metrics = get_metrics()
         self.span = get_tracer().start_span(
             "node.invoke", at=self.start, parent=parent,
             node=nucleus.node_name, oid=oid, op=op)
@@ -377,10 +374,8 @@ class _Invocation:
         nucleus = self.nucleus
         now = nucleus.env.now
         if reply._ok:
-            metrics = self.metrics
-            if metrics is not nucleus._bound_registry:
-                nucleus._bound_registry = metrics
-                nucleus._rpc_latency = metrics.bind_histogram(
+            if nucleus._rpc_latency is None:
+                nucleus._rpc_latency = get_metrics().histogram(
                     "rpc.latency", node=nucleus.node_name)
             nucleus._rpc_latency.record(now - self.start)
             self._succeed(reply._value)

@@ -11,9 +11,16 @@ substrate.  This package provides it for every layer of the middleware:
   :func:`enable_tracing` to collect.
 * **Metrics** — :class:`MetricsRegistry` unifies counters, histograms and
   gauges behind named, labelled instruments with one :meth:`snapshot()
-  <MetricsRegistry.snapshot>`; ``bind_counter``/``bind_histogram``/
-  ``bind_gauge`` return the instrument itself for hot paths, and
-  :class:`NullRegistry` makes metrics-off runs pay ~zero.
+  <MetricsRegistry.snapshot>`.  Two rules (:mod:`repro.obs.metrics`):
+  a number is kept once — a hot path keeps its own book and a flush
+  hook derives the instruments from it on read — and a registry is
+  bound once — a site that keeps an instrument takes it from the
+  registry ambient at its first record, so install the registry (a
+  fresh one per run) before anything records.  Measured, not assumed:
+  across tier-1, the benches, ``bench/run.py``, ``replay`` on all 11
+  workloads and ``examples/traced_invoke.py`` a registry was swapped
+  under a component already in use 6 times, all inside the three tests
+  of the rebinding this replaced (table: docs/performance.md).
 * **Sampling** — :class:`Sampler` makes a deterministic keep/drop
   decision per trace (same seed + rate ⇒ same traces, run after run);
   the decision rides in packet headers so sampled traces stay complete
@@ -78,7 +85,6 @@ from repro.obs.metrics import (
     GaugeInstrument,
     HistogramInstrument,
     MetricsRegistry,
-    NullRegistry,
     get_metrics,
     set_metrics,
     use_metrics,
@@ -115,7 +121,6 @@ __all__ = [
     "NoopFlightRecorder",
     "NoopSpan",
     "NoopTracer",
-    "NullRegistry",
     "Sampler",
     "Span",
     "SpanContext",

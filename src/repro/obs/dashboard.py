@@ -46,13 +46,12 @@ DEFAULT_TABLES = "node,link,actor,op"
 
 def _gather_workload(name: str, seed: int):
     """Run a workload under a recording tracer; (windows, spans)."""
-    from repro.analysis.workloads import run_workload
+    from repro.analysis.replay import run_isolated
     from repro.obs.export import span_record
-    from repro.obs.tracer import Tracer, use_tracer
+    from repro.obs.tracer import Tracer
 
     tracer = Tracer()
-    with use_tracer(tracer):
-        result = run_workload(name, seed=seed)
+    result = run_isolated(name, seed, tracer=tracer)
     windows = result.get("windows") or []
     spans = [span_record(span) for span in tracer.spans]
     return windows, spans

@@ -82,14 +82,11 @@ def _run(name: str, seed: int, recorder: FlightRecorder,
     # module on digest mismatch, and the workload registry pulls in the
     # whole net/node stack.
     from repro.analysis.replay import run_isolated, trace_digest
-    from repro.obs.tracer import Tracer, use_tracer
+    from repro.obs.tracer import Tracer
 
     with use_flight(recorder):
-        if traced:
-            with use_tracer(Tracer()):
-                result = run_isolated(name, seed)
-        else:
-            result = run_isolated(name, seed)
+        result = run_isolated(name, seed,
+                              tracer=Tracer() if traced else None)
     recorder.finish()
     return trace_digest(result)
 

@@ -13,16 +13,38 @@ Instruments are created on first use and cached by ``(name, labels)``.
 Recording never touches the simulation clock or RNG streams, so enabling
 metrics cannot change experiment output.
 
-Batched flushing (PR 10): hot paths that cannot afford an instrument
-call per record accumulate into local cells and register a *flush hook*
-(:meth:`MetricsRegistry.add_flush_hook`) naming the instruments those
-cells back.  Every read path — the keyed factories for those names (any
-other name pays a set probe), ``counters()``/``snapshot()``/
+Two rules hold for everything that writes here.
+
+*A number is kept once.*  A hot path that cannot afford an instrument
+call per record keeps its own book and registers a *flush hook*
+(:meth:`MetricsRegistry.add_flush_hook`) naming the instruments that
+book backs; the hook folds what the book gained since its last run
+into the instruments.  Every read path — the keyed factories for those
+names (any other name pays a set probe), ``counters()``/``snapshot()``/
 ``records()``, the ``*_items()`` iteration the timeline recorder uses at
 window boundaries, and the SLO aggregations — runs the hooks first, so
 readers always see fresh values while writers schedule zero flush events
-and pay one int add per record.  Hooks must be idempotent when their
-cells are empty.
+and pay one int add per record.  Hooks must be idempotent when nothing
+has moved.  The book is the only copy: the registry's view of it is
+derived on read, never written beside it.
+
+*A registry is bound once.*  An instrumentation site that keeps an
+instrument (``registry.counter(...)`` returns the instrument itself;
+keeping it skips the re-keying) takes it from the registry that is
+ambient at its first record and keeps it: it never asks again whether
+the ambient registry has changed since.  So install the registry before
+the first record, and a fresh one per run (``use_metrics``).  That
+nobody swaps a registry under a component that already recorded was
+measured, not assumed: with a log line at each of the five identity
+checks the sites used to make, tier-1, ``pytest benchmarks/``,
+``bench/run.py`` on five workloads, ``replay`` on all 11 registered
+workloads and ``examples/traced_invoke.py`` logged 6 swaps, all inside
+the three tests written to test the rebinding
+(``test_cells_flush_to_their_own_registry_after_a_swap``,
+``test_rpc_inflight_gauge_follows_the_ambient_registry``,
+``test_bound_counter_cache_rebinds_on_registry_swap``).
+docs/performance.md "Who swaps a registry under a live component" has
+the table, the probe and the commands to re-run it.
 """
 
 from __future__ import annotations
@@ -144,7 +166,7 @@ class MetricsRegistry:
         self._histograms: Dict[LabelKey, HistogramInstrument] = {}
         self._gauges: Dict[LabelKey, GaugeInstrument] = {}
         # Deferred-write hooks (see module docstring).  _flushing guards
-        # against recursion: a hook folding its cells goes through the
+        # against recursion: a hook folding its book goes through the
         # keyed factories, which flush on entry.
         self._flush_hooks: List[Any] = []
         self._flushed_names: Set[str] = set()
@@ -155,17 +177,17 @@ class MetricsRegistry:
     def add_flush_hook(self, hook, names: Iterable[str]) -> None:
         """Register a zero-arg callable run before every read.
 
-        The contract for batching writers: accumulate locally, register
-        one hook, fold everything pending into the real instruments when
-        called.  ``names`` lists every instrument name the hook's cells
-        back: the keyed factories run the hooks only for those names
-        (the aggregate readers always do).  Hooks run in registration
-        order and must be no-ops when nothing is pending.
+        The contract for batching writers: keep one book, register one
+        hook, fold what the book gained since the last call into the
+        real instruments when called.  ``names`` lists every instrument
+        name the book backs: the keyed factories run the hooks only for
+        those names (the aggregate readers always do).  Hooks run in
+        registration order and must be no-ops when nothing has moved.
         """
         names = frozenset(names)
         if not names:
             raise ValueError(
-                "names must list the instruments the hook's cells back")
+                "names must list the instruments the hook's book backs")
         self._flush_hooks.append(hook)
         self._flushed_names |= names
 
@@ -210,24 +232,6 @@ class MetricsRegistry:
             instrument = self._gauges[key] = GaugeInstrument(name, key[1])
         return instrument
 
-    # -- bound handles (the hot-path API) ----------------------------------
-    #
-    # ``counter()`` re-keys (tuple(sorted(...)) + str()) on every call; the
-    # bind_* methods are the documented way to pay that once and keep the
-    # instrument, e.g. ``sent = registry.bind_counter("net.sent")`` at
-    # construction, ``sent.add()`` per packet.  They return the same cached
-    # instrument the keyed API would, so reads via ``counter()``/queries
-    # see every bound update.
-
-    def bind_counter(self, name: str, **labels: Any) -> CounterInstrument:
-        return self.counter(name, **labels)
-
-    def bind_histogram(self, name: str, **labels: Any) -> HistogramInstrument:
-        return self.histogram(name, **labels)
-
-    def bind_gauge(self, name: str, **labels: Any) -> GaugeInstrument:
-        return self.gauge(name, **labels)
-
     # -- querying ----------------------------------------------------------
 
     def counters(self, name: Optional[str] = None
@@ -265,8 +269,8 @@ class MetricsRegistry:
     #
     # Sorted ``(rendered_key, instrument)`` pairs.  Handing out the
     # instrument objects themselves lets a sampler difference live values
-    # in O(instruments) per window — no per-label keyed lookups — which
-    # is the same trick the bind_* hot-path API uses for writes.
+    # in O(instruments) per window — no per-label keyed lookups — as a
+    # writer does by keeping the instrument a keyed factory returned.
 
     def counter_items(self) -> List[Tuple[str, CounterInstrument]]:
         self._flush()
@@ -341,98 +345,9 @@ class MetricsRegistry:
                    "labels": dict(key[1]), "value": gauge.last,
                    "samples": len(gauge.series.samples)}
 
-    def reset(self) -> None:
-        self._counters.clear()
-        self._histograms.clear()
-        self._gauges.clear()
-        # Hooks go too: a batching writer holds bound handles into the
-        # cleared instrument dicts, so replaying its cells would resurrect
-        # orphaned instruments with partial counts.
-        self._flush_hooks.clear()
-        self._flushed_names.clear()
-
     def __repr__(self) -> str:
         return "<MetricsRegistry counters={} histograms={} gauges={}>".format(
             len(self._counters), len(self._histograms), len(self._gauges))
-
-
-class _NullCounter:
-    """Shared no-op counter; reads as permanently zero."""
-
-    __slots__ = ()
-    name = ""
-    labels: Dict[str, str] = {}
-    value = 0
-
-    def add(self, amount: int = 1) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "<NullCounter>"
-
-
-class _NullHistogram:
-    """Shared no-op histogram; reads as permanently empty."""
-
-    __slots__ = ()
-    name = ""
-    labels: Dict[str, str] = {}
-    count = 0
-    mean = 0.0
-
-    def record(self, value: float) -> None:
-        pass
-
-    def count_below(self, threshold: float) -> int:
-        return 0
-
-    def summary(self) -> Dict[str, float]:
-        return {"count": 0}
-
-    def __repr__(self) -> str:
-        return "<NullHistogram>"
-
-
-class _NullGauge:
-    """Shared no-op gauge; reads as permanently zero."""
-
-    __slots__ = ()
-    name = ""
-    labels: Dict[str, str] = {}
-    last = 0.0
-
-    def set(self, value: float, at: float) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "<NullGauge>"
-
-
-NULL_COUNTER = _NullCounter()
-NULL_HISTOGRAM = _NullHistogram()
-NULL_GAUGE = _NullGauge()
-
-
-class NullRegistry(MetricsRegistry):
-    """A registry whose instruments are shared no-op singletons.
-
-    Install it (``set_metrics(NullRegistry())`` or ``use_metrics``) to make
-    every instrumentation site pay ~zero: no keying, no instrument
-    creation, no storage.  All queries read as empty/zero, and gauges
-    ignore their timestamps, so a NullRegistry can be shared across runs.
-    """
-
-    def counter(self, name: str, **labels: Any) -> CounterInstrument:
-        return NULL_COUNTER  # type: ignore[return-value]
-
-    def histogram(self, name: str, **labels: Any) -> HistogramInstrument:
-        return NULL_HISTOGRAM  # type: ignore[return-value]
-
-    def gauge(self, name: str, **labels: Any) -> GaugeInstrument:
-        return NULL_GAUGE  # type: ignore[return-value]
-
-    def __repr__(self) -> str:
-        return "<NullRegistry>"
 
 
 _metrics = MetricsRegistry()
@@ -453,13 +368,13 @@ def set_metrics(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
 
 
 class BoundCounterCache:
-    """Bound counters for one instrument whose last label varies.
+    """The counters of one instrument whose last label varies, kept on
+    first use.
 
     For hot sites like per-destination retry counters: the keyed lookup
     (``registry.counter(name, node=..., dst=...)``) is paid once per
-    (registry, label value) instead of per call.  The cache tracks the
-    process-default registry by identity, so ``use_metrics`` scoping and
-    mid-run swaps rebind transparently::
+    label value, in the registry that was ambient at the first
+    :meth:`get`, and the counter is kept from then on::
 
         self._retries = BoundCounterCache("chan.retries", "dst", node=name)
         ...
@@ -476,15 +391,13 @@ class BoundCounterCache:
         self._bound: Dict[str, CounterInstrument] = {}
 
     def get(self, value: str) -> CounterInstrument:
-        registry = _metrics
-        if registry is not self._registry:
-            self._registry = registry
-            self._bound = {}
         counter = self._bound.get(value)
         if counter is None:
+            if self._registry is None:
+                self._registry = _metrics
             labels = dict(self.static)
             labels[self.label] = value
-            counter = self._bound[value] = registry.bind_counter(
+            counter = self._bound[value] = self._registry.counter(
                 self.name, **labels)
         return counter
 

@@ -406,12 +406,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 options.workload, ", ".join(sorted(WORKLOADS))),
                 file=sys.stderr)
             return 2
-        from repro.analysis.workloads import run_workload
-        from repro.obs.metrics import MetricsRegistry, use_metrics
-        from repro.obs.tracer import Tracer, use_tracer
+        from repro.analysis.replay import run_isolated
+        from repro.obs.tracer import Tracer
         tracer = Tracer()
-        with use_tracer(tracer), use_metrics(MetricsRegistry()):
-            run_workload(options.workload, seed=options.seed)
+        run_isolated(options.workload, options.seed, tracer=tracer)
         profile = SpanProfile.from_tracer(tracer)
         if not len(profile):
             print("note: workload {!r} emitted no finished spans".format(

@@ -18,6 +18,12 @@ def _index(**sources):
     return index
 
 
+def _functions(index):
+    """Every indexed function, by dotted qualname."""
+    return {info.qualname: info for module in index.modules.values()
+            for info in module.functions}
+
+
 # -- module / function indexing --------------------------------------------
 
 def test_module_name_strips_src_anchor():
@@ -36,12 +42,11 @@ def test_functions_get_dotted_qualnames():
                     pass
                 return nested
         """})
-    assert "repro.thing.top" in index.functions
-    assert "repro.thing.Box.method" in index.functions
-    assert "repro.thing.Box.method.nested" in index.functions
-    method = index.functions["repro.thing.Box.method"]
-    assert method.cls == "Box"
-    assert index.functions["repro.thing.top"].cls is None
+    functions = _functions(index)
+    assert set(functions) == {"repro.thing.top", "repro.thing.Box.method",
+                              "repro.thing.Box.method.nested"}
+    assert functions["repro.thing.Box.method"].cls == "Box"
+    assert functions["repro.thing.top"].cls is None
 
 
 def test_generator_detection_ignores_nested_defs():
@@ -54,11 +59,9 @@ def test_generator_detection_ignores_nested_defs():
         def actor(env):
             yield env.timeout(1)
         """})
-    assert not index.functions["repro.gen.outer"].is_generator
-    assert index.functions["repro.gen.outer.inner"].is_generator
-    assert index.functions["repro.gen.actor"].is_generator
-    names = {info.qualname for info in index.generators()}
-    assert names == {"repro.gen.outer.inner", "repro.gen.actor"}
+    generators = {name for name, info in _functions(index).items()
+                  if info.is_generator}
+    assert generators == {"repro.gen.outer.inner", "repro.gen.actor"}
 
 
 def test_own_body_does_not_descend_into_nested_scopes():
@@ -81,8 +84,9 @@ def test_fast_path_marker_attaches_through_comment_block():
         def cold():
             pass
         """})
-    assert index.functions["repro.fast.hot"].fast_path
-    assert not index.functions["repro.fast.cold"].fast_path
+    functions = _functions(index)
+    assert functions["repro.fast.hot"].fast_path
+    assert not functions["repro.fast.cold"].fast_path
 
 
 def test_syntax_error_module_is_kept_with_error():
@@ -91,21 +95,6 @@ def test_syntax_error_module_is_kept_with_error():
     assert module.tree is None
     assert module.error is not None
     assert module.functions == []
-
-
-def test_function_at_returns_innermost_span():
-    index = _index(**{"repro.spans": """
-        def outer():
-            x = 1
-
-            def inner():
-                return 2
-            return inner
-        """})
-    path = "src/repro/spans.py"
-    assert index.function_at(path, 3).qualname == "repro.spans.outer"
-    assert index.function_at(path, 6).qualname == "repro.spans.outer.inner"
-    assert index.function_at(path, 1) is None
 
 
 def test_build_walks_the_fixture_tree():

@@ -203,7 +203,6 @@ class ModelNucleus(Nucleus):
     def _invoke_proc(self, oid: str, op: str, args: Any,
                      timeout: float, done: Event, parent: Any = None):
         start = self.env.now
-        metrics = get_metrics()
         span = get_tracer().start_span(
             "node.invoke", at=start, parent=parent,
             node=self.node_name, oid=oid, op=op)
@@ -275,9 +274,8 @@ class ModelNucleus(Nucleus):
                 done.fail(NodeError(str(error)))
                 return
             span.finish(at=self.env.now)
-            if metrics is not self._bound_registry:
-                self._bound_registry = metrics
-                self._rpc_latency = metrics.bind_histogram(
+            if self._rpc_latency is None:
+                self._rpc_latency = get_metrics().histogram(
                     "rpc.latency", node=self.node_name)
             self._rpc_latency.record(self.env.now - start)
             done.succeed(result)

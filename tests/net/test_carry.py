@@ -154,13 +154,13 @@ def test_registry_reads_are_never_stale():
     assert trace_digest(result) == _pinned("lan-chat-metrics")
 
 
-def test_cells_flush_to_their_own_registry_after_a_swap():
-    """Packets sent under one registry land there even when the network
-    has since rebound to another, and the network's own books see both."""
+def test_network_keeps_the_registry_of_its_first_send():
+    """A registry is bound once: at the first send, not at construction
+    (the ``env`` fixture precedes the ``registry`` fixture) and never
+    again, so a later scope sees nothing of a network already in use."""
     first, second = MetricsRegistry(), MetricsRegistry()
     env = Environment()
-    topo = line(env, length=2, seed=11)
-    network = Network(env, topo)
+    network = Network(env, line(env, length=2, seed=11))
     network.host("n1")
     sender = network.host("n0")
     with use_metrics(first):
@@ -170,10 +170,14 @@ def test_cells_flush_to_their_own_registry_after_a_swap():
         sender.send("n1", size=64)
         sender.send("n1", size=64)
         env.run()
+        assert second.snapshot() == {
+            "counters": {}, "histograms": {}, "gauges": {}}
     assert network.counters["sent"] == 3
     assert network.delivery_latency.count == 3
-    assert first.counter_total("net.delivered") == 1
-    assert second.counter_total("net.delivered") == 2
+    assert first.counter_total("net.sent") == 3
+    assert first.counter_total("net.delivered") == 3
+    assert first.counter_total("net.node.sent", node="n0") == 3
+    assert first.histogram_count("net.delivery_latency") == 3
 
 
 def test_on_drop_hook_fires():

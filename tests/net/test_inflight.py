@@ -7,6 +7,7 @@ fuzzer's liveness oracle reads exactly these counters.
 
 import pytest
 
+from repro.faults.policies import FaultPolicies, RetryPolicy
 from repro.net import Network, ReliableChannel, RpcEndpoint, Topology
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sim import Environment, RandomStreams
@@ -141,24 +142,25 @@ def test_gauge_set_tolerates_time_rewind():
     assert [(t, v) for t, v in series.samples] == [(5.0, 1), (6.0, 3)]
 
 
-def test_rpc_inflight_gauge_follows_the_ambient_registry(env):
-    # The endpoint keeps a bound handle; a registry swap must rebind it,
-    # and a rewound clock in the reused registry must not raise.
+def test_rpc_endpoint_keeps_the_registry_of_its_first_call(env):
+    # Built under no scope, first used under one: the endpoint's gauge
+    # and retry counters are that registry's from then on, and a clock
+    # rewound in it (another environment used it) must not raise.
     net, a, b = make_net(env)
-    caller = RpcEndpoint(a)
+    caller = RpcEndpoint(a, policies=FaultPolicies(
+        retry=RetryPolicy(base=0.01, max_retries=1)))
     RpcEndpoint(b).register("echo", lambda c, args: args)
     first, second = MetricsRegistry(), MetricsRegistry()
-    with use_metrics(first):
-        caller.call("b", "echo", 1)
-        env.run()
-    with use_metrics(second):
-        caller.call("b", "echo", 2)
-        env.run()
     for registry in (first, second):
-        samples = registry.gauge("rpc.inflight", node="a").series.samples
-        assert [value for _, value in samples] == [1, 0]
-    with use_metrics(first):
-        first.gauge("rpc.inflight", node="a").set(0, at=env.now + 5.0)
-        caller.call("b", "echo", 3)     # "before" the last sample
-        env.run()
+        with use_metrics(registry):
+            caller.call("b", "echo", 1)
+            caller.call("nowhere", "echo", 2, timeout=0.01).defuse()
+            env.run()
+    samples = first.gauge("rpc.inflight", node="a").series.samples
+    assert [value for _, value in samples] == [1, 2, 1, 0] * 2
+    assert first.counter_total("rpc.retries", node="a") == 2
+    assert second.gauges() == {} and second.counters("rpc.retries") == {}
+    first.gauge("rpc.inflight", node="a").set(0, at=env.now + 5.0)
+    caller.call("b", "echo", 4)     # "before" the last sample
+    env.run()
     assert caller.inflight() == 0

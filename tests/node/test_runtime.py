@@ -311,3 +311,32 @@ def test_a_failed_registry_update_after_migrate_in_still_fires_done(env, how):
     assert "registry n0 was not updated" in str(done.value)
     assert holders(runtime, obj.oid) == ["n2"]
     assert runtime.locate(obj.oid) == "n1"   # stale, as the error says
+
+
+def test_nucleus_keeps_the_registry_of_its_first_invocation(env):
+    # Built before either scope; what it first records under is where
+    # every later invocation is counted, local or remote.
+    from repro.obs.metrics import MetricsRegistry, use_metrics
+
+    runtime = make_runtime(env)
+    home = runtime.nucleus("host0")
+    obj = home.create_object(home.create_capsule("cap"), "counter",
+                             state={"n": 0})
+    counter_ops(obj)
+    client = runtime.nucleus("host1")
+    first, second = MetricsRegistry(), MetricsRegistry()
+    with use_metrics(first):
+        env.run(client.invoke(obj.oid, "incr", 1))
+    with use_metrics(second):
+        env.run(client.invoke(obj.oid, "read"))
+        env.run(home.invoke(obj.oid, "read"))
+    assert first.counter_total("node.invocations", node="host1") == 2
+    assert first.counter_total("node.op.invocations", node="host1",
+                               op="read") == 1
+    assert first.histogram_count("rpc.latency", node="host1") == 2
+    assert second.counter_total("node.invocations", node="host1") == 0
+    assert second.histogram_count("rpc.latency") == 0
+    # host0's nucleus recorded nothing under the first scope: it is
+    # the second's.
+    assert second.counters("node.invocations") == {
+        "node.invocations{kind=local,node=host0}": 1}

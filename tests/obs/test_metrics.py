@@ -3,7 +3,11 @@
 import pytest
 
 from repro import obs
+from repro.net.network import Network
+from repro.net.packet import HEADER_BYTES
+from repro.net.topology import line
 from repro.obs.metrics import MetricsRegistry
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -73,13 +77,6 @@ def test_records_are_flat_and_typed(registry):
                        "labels": {"x": "1"}, "value": 4}
 
 
-def test_reset(registry):
-    registry.counter("a").add()
-    registry.reset()
-    assert registry.snapshot() == {
-        "counters": {}, "histograms": {}, "gauges": {}}
-
-
 def test_use_metrics_scopes_the_default():
     outer = obs.get_metrics()
     scoped = MetricsRegistry()
@@ -91,16 +88,17 @@ def test_use_metrics_scopes_the_default():
 
 
 def test_bound_instruments_are_the_keyed_instruments(registry):
-    bound = registry.bind_counter("net.sent", node="n1")
-    assert bound is registry.counter("net.sent", node="n1")
+    # A site binds by keeping what the keyed factory returned.
+    bound = registry.counter("net.sent", node="n1")
     bound.add(3)
     assert registry.counter("net.sent", node="n1").value == 3
-    hist = registry.bind_histogram("rpc.latency", node="n1")
-    assert hist is registry.histogram("rpc.latency", node="n1")
+    assert registry.counter_total("net.sent") == 3
+    hist = registry.histogram("rpc.latency", node="n1")
     hist.record(0.5)
-    assert registry.histogram("rpc.latency", node="n1").count == 1
-    gauge = registry.bind_gauge("depth", node="n1")
-    assert gauge is registry.gauge("depth", node="n1")
+    assert registry.histogram_count("rpc.latency", node="n1") == 1
+    gauge = registry.gauge("depth", node="n1")
+    gauge.set(4, at=1.0)
+    assert registry.gauges() == {"depth{node=n1}": 4.0}
 
 
 def test_bound_counter_cache_binds_once_per_label_value():
@@ -117,39 +115,16 @@ def test_bound_counter_cache_binds_once_per_label_value():
                                 dst="n3").value == 2
 
 
-def test_bound_counter_cache_rebinds_on_registry_swap():
+def test_bound_counter_cache_keeps_the_registry_of_its_first_use():
     from repro.obs.metrics import BoundCounterCache
-    cache = BoundCounterCache("c", "k")
+    cache = BoundCounterCache("c", "k")     # built under no scope at all
     with obs.use_metrics(MetricsRegistry()) as first:
         cache.get("v").add()
     with obs.use_metrics(MetricsRegistry()) as second:
         cache.get("v").add()
-        cache.get("v").add()
-    assert first.counter("c", k="v").value == 1
-    assert second.counter("c", k="v").value == 2
-
-
-def test_null_registry_instruments_are_shared_noops():
-    from repro.obs.metrics import (
-        NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, NullRegistry)
-    registry = NullRegistry()
-    assert registry.counter("a", x="1") is NULL_COUNTER
-    assert registry.counter("b") is NULL_COUNTER
-    assert registry.bind_counter("c") is NULL_COUNTER
-    assert registry.histogram("h") is NULL_HISTOGRAM
-    assert registry.gauge("g") is NULL_GAUGE
-    NULL_COUNTER.add(5)
-    NULL_HISTOGRAM.record(1.0)
-    NULL_GAUGE.set(2.0, at=0.5)
-    assert NULL_COUNTER.value == 0
-    assert NULL_HISTOGRAM.count == 0
-    assert NULL_HISTOGRAM.count_below(10.0) == 0
-    assert NULL_HISTOGRAM.summary() == {"count": 0}
-    assert NULL_GAUGE.last == 0.0
-    # Queries inherited from MetricsRegistry read as empty.
-    assert registry.counters() == {}
-    assert registry.snapshot() == {
-        "counters": {}, "histograms": {}, "gauges": {}}
+        cache.get("w").add()                # a label value new under B
+    assert first.counters("c") == {"c{k=v}": 2, "c{k=w}": 1}
+    assert second.counters("c") == {}
 
 
 def test_count_below_is_incremental_after_first_query(registry):
@@ -270,7 +245,7 @@ def test_keyed_lookups_flush_only_for_the_names_a_hook_backs(registry):
     registry.gauge("rpc.inflight", node="n1").set(1, at=0.0)
     registry.counter("breaker.rejected", dst="n2").add()
     registry.histogram("resource.wait", resource="r").record(0.1)
-    registry.bind_counter("chan.retries", node="n1", dst="n2")
+    registry.counter("chan.retries", node="n1", dst="n2")
     assert calls == []
     registry.counter("net.drops", reason="loss")
     assert len(calls) == 1
@@ -283,14 +258,6 @@ def test_keyed_lookups_flush_only_for_the_names_a_hook_backs(registry):
         assert len(calls) == before + 1
 
 
-def test_reset_forgets_hooks_and_the_names_they_backed(registry):
-    calls = _counting_hook(registry)
-    registry.reset()
-    registry.counter("net.drops", reason="loss")
-    registry.snapshot()
-    assert calls == []
-
-
 def test_flush_hook_must_name_its_instruments(registry):
     with pytest.raises(TypeError, match="names"):
         registry.add_flush_hook(lambda: None)
@@ -298,26 +265,30 @@ def test_flush_hook_must_name_its_instruments(registry):
         registry.add_flush_hook(lambda: None, ())
 
 
-@pytest.mark.parametrize("read", [
-    lambda registry: registry.counter("net.sent").value,
-    lambda registry: registry.counter_total("net.sent"),
-    lambda registry: registry.snapshot()["counters"]["net.sent"],
-    lambda registry: dict(registry.counter_items())["net.sent"].value,
-    lambda registry: registry.histogram("net.delivery_latency").count,
-    lambda registry: registry.counter("net.node.sent", node="n0").value,
+@pytest.mark.parametrize("read, expected", [
+    (lambda registry: registry.counter("net.sent").value, 5),
+    (lambda registry: registry.counter_total("net.sent"), 5),
+    (lambda registry: registry.snapshot()["counters"]["net.sent"], 5),
+    (lambda registry: dict(registry.counter_items())["net.sent"].value, 5),
+    (lambda registry: registry.histogram("net.delivery_latency").count, 3),
+    (lambda registry: registry.counter("net.node.sent", node="n0").value, 5),
+    (lambda registry: registry.counter("net.bytes", link="n0<->n1").value,
+     5 * (64 + HEADER_BYTES)),
+    (lambda registry: registry.counter("net.drops", reason="loss").value, 2),
+    (lambda registry: registry.counter("net.link.drops", link="n1<->n2",
+                                       reason="loss").value, 2),
 ], ids=["counter", "counter_total", "snapshot", "counter_items",
-        "histogram", "labelled-counter"])
-def test_network_cells_are_fresh_on_first_read(registry, read):
-    # Packets accumulate in the network's cells; the first read of a
-    # backed name — with no other read before it — must see them all.
-    from repro.net.network import Network
-    from repro.net.topology import line
-    from repro.sim import Environment
-
+        "histogram", "labelled-counter", "bytes", "drops", "link-drops"])
+def test_network_cells_are_fresh_on_first_read(registry, read, expected):
+    # Packets land in the network's books; the first read of a backed
+    # name — with no other read before it — must see them all.
     env = Environment()
-    network = Network(env, line(env, length=2, seed=11), metrics=registry)
+    topology = line(env, length=3, seed=11)
+    topology.link_between("n1", "n2").loss = 1.0
+    network = Network(env, topology)
     network.host("n1")
-    for _ in range(3):
-        network.host("n0").send("n1", size=64)
-    env.run()
-    assert read(registry) == 3
+    with obs.use_metrics(registry):
+        for dst in ("n1", "n1", "n1", "n2", "n2"):
+            network.host("n0").send(dst, size=64)
+        env.run()
+    assert read(registry) == expected

@@ -13,8 +13,8 @@ from repro.sim import Environment
 def drive(env, registry, period, count, node="n1"):
     """A process ticking a counter + histogram every ``period``."""
     def proc(env):
-        counter = registry.bind_counter("ticks", node=node)
-        hist = registry.bind_histogram("tick.latency", node=node)
+        counter = registry.counter("ticks", node=node)
+        hist = registry.histogram("tick.latency", node=node)
         for i in range(count):
             yield env.timeout(period)
             counter.add()
@@ -164,7 +164,7 @@ def test_gauges_report_latest_value_only_on_change():
     recorder = TimelineRecorder(env, registry=registry, resolution=1.0)
 
     def proc(env):
-        gauge = registry.bind_gauge("depth")
+        gauge = registry.gauge("depth")
         gauge.set(3.0, at=env.now)
         yield env.timeout(0.5)
         gauge.set(5.0, at=env.now)
