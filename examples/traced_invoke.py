@@ -4,9 +4,9 @@ Enables the causal tracer, runs a client at one WAN site invoking an
 object hosted at another (with simulated think-time between calls), then
 exports the trace three ways:
 
-* a JSONL dump (spans + metrics) for ``python -m repro.obs.report``,
+* a JSONL dump (spans + metrics) for ``python -m repro.obs.dashboard``,
 * a Chrome ``trace_event`` file that opens in ``about:tracing``/Perfetto,
-* the report tables, printed directly.
+* the dashboard over that dump, printed directly.
 
 Run:  PYTHONPATH=src python examples/traced_invoke.py \\
           [--out run.jsonl] [--chrome run.trace.json]
@@ -80,9 +80,8 @@ def main(argv=None) -> int:
     print("wrote {} trace events to {} (open in about:tracing)".format(
         events, options.chrome))
 
-    from repro.obs.report import render_report
-    render_report(obs.load_jsonl(options.out))
-    return 0
+    from repro.obs import dashboard
+    return dashboard.main([options.out])
 
 
 if __name__ == "__main__":

@@ -88,15 +88,12 @@ def main(argv=None) -> int:
     parser.add_argument("--styles", nargs="+", default=list(STYLES),
                         choices=list(STYLES), help="styles to sweep")
     parser.add_argument("--format", choices=("text", "json"),
-                        default=None, dest="fmt",
+                        default="text", dest="fmt",
                         help="output format (default text)")
-    parser.add_argument("--json", action="store_true",
-                        help="alias for --format json")
     options = parser.parse_args(argv)
-    fmt = options.fmt or ("json" if options.json else "text")
     results = conflict_sweep(seed=options.seed, styles=options.styles)
     leaked = hard_conflicts(results)
-    if fmt == "json":
+    if options.fmt == "json":
         document = dict(results)
         document["_meta"] = {"seed": options.seed,
                              "hard_conflicts": leaked,

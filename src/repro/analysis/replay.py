@@ -7,15 +7,22 @@ lock transition and actor spawn/exit at its simulated instant.  How many
 queue entries the kernel spent getting there is not part of it, so the
 result's ``events_scheduled`` / ``events_processed`` and the journal's
 dispatch channel are left out.  :func:`run_digest` hashes that identity;
-the CLI runs a workload twice with one seed — each run under a fresh
-metrics registry, conflict sanitizer and recorder — and compares.  Any
-hidden wall-clock read, foreign RNG or hash-order dependence shows up
-as a digest mismatch::
+the CLI runs a workload twice — each run under a fresh metrics registry,
+conflict sanitizer and recorder — and compares.  A hidden wall-clock
+read or a foreign RNG shows up as a digest mismatch; hash-order
+dependence does not, because both runs share one process and so one
+``PYTHONHASHSEED``::
 
     PYTHONPATH=src python -m repro.analysis.replay locks-soft
+    PYTHONPATH=src python -m repro.analysis.replay locks-hard --seed2 32
     PYTHONPATH=src python -m repro.analysis.replay --list
 
-Exit status is 0 when the digests match, 1 when they differ.
+On a mismatch, or whenever ``--seed2`` names the second run's seed, the
+CLI also localizes the fork (:func:`repro.obs.divergence.localize`): the
+result keys that differ, the first epoch of the identity's journal chain
+where the runs part, and that epoch's first mismatched record.  Exit
+status is 0 when the digests match, 1 when they differ, 2 for an unknown
+workload.
 """
 
 from __future__ import annotations
@@ -73,17 +80,35 @@ def run_isolated(name: str, seed: int = 31,
         return run_workload(name, seed=seed)
 
 
+def journal(**retention: Any) -> FlightRecorder:
+    """The recorder a run's identity is journalled by.
+
+    :func:`run_digest` and the divergence localizer both build theirs
+    here, so the localizer bisects the very chain the identity ends in.
+    ``retention`` (``ring``, ``keep_epochs``, ``context``) decides what
+    is kept for reading, never what is digested.
+    """
+    return FlightRecorder(journal_dispatch=False,
+                          epoch_interval=EPOCH_INTERVAL, **retention)
+
+
+def journalled(name: str, seed: int, recorder: FlightRecorder,
+               tracer: Optional[Tracer] = None) -> Dict[str, Any]:
+    """:func:`run_isolated` under ``recorder``, finished; the result."""
+    with use_flight(recorder):
+        result = run_isolated(name, seed, tracer=tracer)
+    recorder.finish()
+    return result
+
+
 def run_digest(name: str, seed: int = 31) -> str:
     """The identity of one isolated run: its result and its journal.
 
     The journal is the recorder's last chained epoch digest, which
     covers every record before it.
     """
-    recorder = FlightRecorder(journal_dispatch=False,
-                              epoch_interval=EPOCH_INTERVAL)
-    with use_flight(recorder):
-        result = run_isolated(name, seed)
-    recorder.finish()
+    recorder = journal()
+    result = journalled(name, seed, recorder)
     return trace_digest({"result": trace_digest(result),
                          "journal": recorder.epoch_digests[-1:]})
 
@@ -95,47 +120,18 @@ def replay(name: str, seed: int = 31) -> Tuple[str, str, bool]:
     return first, second, first == second
 
 
-def _diff(name: str, seed: int, out) -> None:
-    """Print the keys whose values differ between two runs."""
-    first = run_isolated(name, seed)
-    second = run_isolated(name, seed)
-    for key in sorted(set(first) | set(second)):
-        a, b = first.get(key), second.get(key)
-        if a != b:
-            out.write("  {}: {!r} != {!r}\n".format(key, a, b))
-
-
-def _localize(name: str, seed: int, out) -> None:
-    """Name the first divergent flight epoch and point at the localizer.
-
-    Two more runs under the flight recorder (imported lazily — the
-    happy path never touches it) compare chained per-epoch digests of
-    kernel decisions; the divergence CLI can then re-journal just that
-    epoch and print the first mismatched record with causal context.
-    """
-    from repro.obs.divergence import compare_digests
-
-    report = compare_digests(name, seed)
-    if report["diverged"]:
-        out.write("first divergent flight epoch: {} (of {} / {})\n"
-                  .format(report["epoch"], *report["epochs"]))
-        out.write("localize it: PYTHONPATH=src python -m "
-                  "repro.obs.divergence {} --seed {}\n".format(name, seed))
-    else:
-        out.write("flight digests agree ({} epoch(s)): the divergence "
-                  "is outside the journalled channels (dispatch/rng/"
-                  "net/locks/actors)\n".format(report["epochs"][0]))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.replay",
-        description="Run a workload twice with one seed and diff the "
-                    "event-trace digests.")
+        description="Run a workload twice and compare the run digests; "
+                    "on a mismatch, localize the fork.")
     parser.add_argument("workload", nargs="?",
                         help="workload name (see --list)")
     parser.add_argument("--seed", type=int, default=31,
                         help="experiment seed (default 31)")
+    parser.add_argument("--seed2", type=int, default=None,
+                        help="the second run's seed (default: --seed); "
+                             "always localizes")
     parser.add_argument("--list", action="store_true",
                         help="list known workloads and exit")
     options = parser.parse_args(argv)
@@ -145,22 +141,27 @@ def main(argv=None) -> int:
         return 0
     if options.workload is None:
         parser.error("a workload name is required (see --list)")
+    name, seed = options.workload, options.seed
+    seed2 = seed if options.seed2 is None else options.seed2
     try:
-        first, second, ok = replay(options.workload, seed=options.seed)
+        first, second = run_digest(name, seed), run_digest(name, seed2)
     except KeyError as error:
         print("error: {}".format(error.args[0]), file=sys.stderr)
         return 2
+    runs = "seed {}".format(seed) if seed2 == seed \
+        else "seed {} vs seed {}".format(seed, seed2)
     print("run 1: {}".format(first))
     print("run 2: {}".format(second))
-    if ok:
-        print("REPLAY OK: {} (seed {}) is deterministic".format(
-            options.workload, options.seed))
-        return 0
-    print("REPLAY MISMATCH: {} (seed {}) diverged between runs".format(
-        options.workload, options.seed))
-    _diff(options.workload, options.seed, sys.stdout)
-    _localize(options.workload, options.seed, sys.stdout)
-    return 1
+    if first == second:
+        print("REPLAY OK: {} ({}): no divergence".format(name, runs))
+    else:
+        print("REPLAY MISMATCH: {} ({}): the runs diverged".format(
+            name, runs))
+    if first != second or options.seed2 is not None:
+        # Imported here: the happy path never needs the localizer.
+        from repro.obs.divergence import localize, render
+        render(localize(name, seed, seed2))
+    return 0 if first == second else 1
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ On a violation the campaign can delta-debug the schedule down to a
 minimal reproducer (:mod:`repro.faults.shrink`), serialize it into the
 corpus (:mod:`repro.faults.corpus`) where it becomes a permanent
 ``fuzz-reg-<id>`` regression workload, and — for replay violations —
-localize the first divergent flight epoch via
-:mod:`repro.obs.divergence`.
+name the first divergent epoch of the run identity's journal chain
+(:func:`repro.obs.divergence.compare_digests`).
 
 Everything is a pure function of ``(campaign seed, workload seed)``:
 the generator draws from its own :class:`~repro.sim.RandomStreams`
@@ -350,12 +350,13 @@ def _shrink_test(name: str, seed: int, target: str
 
 def _localize_replay(name: str, seed: int,
                      schedule_dict: Dict[str, Any]) -> Dict[str, Any]:
-    """First divergent flight epoch for a replay violation.
+    """First divergent journal epoch for a replay violation.
 
-    Uses the *fixed* factory: the flight recorder journals RNG draws,
-    and the generator stream must not appear in one run but not the
-    other.  Imported lazily — campaigns without replay failures never
-    touch the recorder.
+    Both runs are journalled by the recorder ``run_digest`` uses
+    (:func:`repro.analysis.replay.journal`).  Uses the *fixed* factory:
+    the flight recorder journals RNG draws, and the generator stream
+    must not appear in one run but not the other.  Imported lazily —
+    campaigns without replay failures never touch the recorder.
     """
     from repro.obs.divergence import compare_digests
 
@@ -383,7 +384,6 @@ def run_campaign(workload: str, budget: int, seed: int,
                  shrink_budget: int = 400,
                  corpus_dir: Optional[str] = None,
                  max_failures: Optional[int] = None,
-                 localize: bool = True,
                  progress: Optional[Callable[[int, Dict[str, Any]],
                                              None]] = None
                  ) -> Dict[str, Any]:
@@ -423,7 +423,7 @@ def run_campaign(workload: str, budget: int, seed: int,
             "digests": trial["digests"],
         }
         target = trial["oracles"][0]
-        if localize and "replay" in trial["oracles"]:
+        if "replay" in trial["oracles"]:
             failure["localization"] = _localize_replay(
                 workload, workload_seed, trial["schedule"])
         if shrink:
@@ -528,9 +528,6 @@ def main(argv=None) -> int:
                              "('default' = the checked-in corpus)")
     parser.add_argument("--max-failures", type=int, default=None,
                         help="stop the campaign after N failures")
-    parser.add_argument("--no-localize", action="store_true",
-                        help="skip flight-epoch localization of "
-                             "replay violations")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="report format")
     parser.add_argument("--list", action="store_true",
@@ -559,8 +556,7 @@ def main(argv=None) -> int:
         options.workload, options.budget, options.seed,
         workload_seed=options.workload_seed, shrink=options.shrink,
         shrink_budget=options.shrink_budget, corpus_dir=corpus_dir,
-        max_failures=options.max_failures,
-        localize=not options.no_localize)
+        max_failures=options.max_failures)
     if options.format == "json":
         print(json.dumps(summary, sort_keys=True, indent=2))
     else:

@@ -25,29 +25,32 @@ substrate.  This package provides it for every layer of the middleware:
   decision per trace (same seed + rate ⇒ same traces, run after run);
   the decision rides in packet headers so sampled traces stay complete
   across nuclei, and ``max_spans`` bounds retention with a ring buffer.
-* **Profiling** — :class:`SpanProfile` turns span enter/exit into
-  per-operation / per-node / per-actor simulated-time accounting and
-  folded flame-graph stacks; ``python -m repro.obs.profile`` runs it
-  over any registered workload.
+* **Profiling** — :class:`repro.obs.profile.SpanProfile` turns span
+  enter/exit into per-operation / per-node / per-actor simulated-time
+  accounting and folded flame-graph stacks; ``python -m
+  repro.obs.profile`` runs it over any registered workload or dump.
 * **SLOs** — :mod:`repro.obs.slo` evaluates declarative objectives over
   the registry with multi-window burn rates and records alert events.
 * **Export** — :func:`dump_jsonl` (machine-readable) and
-  :func:`dump_chrome_trace` (opens in ``about:tracing`` / Perfetto), plus
-  the ``python -m repro.obs.report`` CLI for latency/traffic tables.
+  :func:`dump_chrome_trace` (opens in ``about:tracing`` / Perfetto).
 * **Timeline** — :class:`TimelineRecorder` snapshots instrument deltas
   at fixed sim-time windows (zero extra events, so replay digests are
-  unaffected); :func:`dimension_table` rolls windows + spans into
-  per-node/link/actor/op hot-spot tables with Zipf-skew coefficients;
-  :func:`critical_summary` extracts per-trace critical paths.  The
-  ``python -m repro.obs.dashboard`` CLI fronts all three.
+  unaffected); :mod:`repro.obs.tables` rolls windows + spans into
+  per-node/link/actor/op/object hot-spot tables with Zipf-skew
+  coefficients; :mod:`repro.obs.critical` extracts per-trace critical
+  paths.  The ``python -m repro.obs.dashboard`` CLI fronts all three,
+  over a registered workload or any ``dump_jsonl`` file.
 * **Flight recorder** — :class:`FlightRecorder` journals kernel-level
   decisions (dispatch, RNG draws, packet hops/drops, lock transitions,
   actor lifecycles) into a bounded ring with chained per-epoch digests;
-  ``python -m repro.obs.divergence`` binary-searches two runs' digests
-  to the first divergent epoch and prints the first mismatched record
-  with causal context.  :class:`BlackBox` dumps the last flight
-  records, metrics and open spans when a workload raises or an SLO
-  burn alert fires.
+  a run's identity (``repro.analysis.replay.run_digest``) ends in that
+  chain, and :mod:`repro.obs.divergence` bisects two runs' chains to
+  the first divergent epoch and its first mismatched record — printed
+  by ``python -m repro.analysis.replay`` on a mismatch.
+
+The CLI modules (``profile``, ``dashboard``, ``tables``, ``critical``)
+are not re-exported here: importing the package must not import a
+module that ``python -m`` is about to run.
 
 Quick start::
 
@@ -71,7 +74,6 @@ from repro.obs.export import (
 )
 from repro.obs.flight import (
     NOOP_FLIGHT,
-    BlackBox,
     FlightRecorder,
     NoopFlightRecorder,
     disable_flight,
@@ -89,12 +91,9 @@ from repro.obs.metrics import (
     set_metrics,
     use_metrics,
 )
-from repro.obs.critical import critical_path, critical_summary
-from repro.obs.profile import SpanProfile, render_profile
 from repro.obs.propagation import TRACE_HEADER, extract, inject
 from repro.obs.sampling import Sampler
 from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanContext
-from repro.obs.tables import dimension_table, zipf_skew
 from repro.obs.timeline import TimelineRecorder, load_windows
 from repro.obs.tracer import (
     NOOP_TRACER,
@@ -108,7 +107,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "BlackBox",
     "CounterInstrument",
     "FlightRecorder",
     "GaugeInstrument",
@@ -124,14 +122,10 @@ __all__ = [
     "Sampler",
     "Span",
     "SpanContext",
-    "SpanProfile",
     "TRACE_HEADER",
     "TimelineRecorder",
     "Tracer",
     "chrome_trace",
-    "critical_path",
-    "critical_summary",
-    "dimension_table",
     "disable_flight",
     "disable_tracing",
     "dump_chrome_trace",
@@ -147,12 +141,10 @@ __all__ = [
     "load_jsonl_tolerant",
     "load_windows",
     "meta_record",
-    "render_profile",
     "set_flight",
     "set_metrics",
     "set_tracer",
     "use_flight",
     "use_metrics",
     "use_tracer",
-    "zipf_skew",
 ]

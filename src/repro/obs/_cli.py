@@ -1,14 +1,25 @@
-"""Shared plumbing for the observability CLIs (report/profile/dashboard).
+"""Shared plumbing for the observability CLIs (profile/dashboard).
 
-One fixed-width table renderer and one dump loader, so every CLI clips,
-formats and complains about truncated dumps identically.  Kept private
-(underscore module): the public surfaces are the CLIs themselves.
+One fixed-width table renderer, one ``--top`` parser and one dump
+loader, so every CLI clips, formats and complains about truncated dumps
+identically.  Kept private (underscore module): the public surfaces are
+the CLIs themselves.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+
+def row_count(text: str) -> int:
+    """The ``--top N`` argument type: a row count, so never negative."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            "must be >= 0, got {}".format(count))
+    return count
 
 
 def fmt_cell(cell: Any) -> str:
@@ -100,12 +111,8 @@ def describe_meta(meta: Optional[Dict[str, Any]]) -> Optional[str]:
     span = meta.get("sim_time")
     if isinstance(span, (list, tuple)) and len(span) == 2:
         parts.append("sim_time=[{:.4g}s, {:.4g}s]".format(*span))
-    if meta.get("black_box"):
-        parts.append("black_box reason={}".format(
-            meta.get("reason", "?")))
     for key in sorted(meta):
-        if key in ("kind", "schema", "workload", "seed", "sim_time",
-                   "black_box", "reason", "flight", "error"):
+        if key in ("kind", "schema", "workload", "seed", "sim_time"):
             continue
         parts.append("{}={}".format(key, meta[key]))
     return "meta: " + " ".join(parts) if parts else "meta: (empty)"

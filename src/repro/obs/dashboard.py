@@ -11,17 +11,21 @@ Two input modes:
 
 * a **JSONL dump** (positional) mixing ``{"kind": "span"}``,
   ``{"kind": "metric"}`` and ``{"kind": "window"}`` records — e.g. one
-  written by :func:`repro.obs.export.dump_jsonl` with a
+  written by :func:`repro.obs.export.dump_jsonl`, with or without a
   ``timeline=`` recorder;
 * ``--workload NAME --seed S`` runs a registered workload under a
   recording tracer and reads the timeline windows out of its result
-  (the ``timeline-demo`` workload returns them; workloads without
-  windows still get span-based tables and critical paths).
+  (the ``timeline-demo`` workload returns them).
+
+A source without window records is read as one window covering the
+whole run: its duration is the span time range, its counter totals the
+dump's counter records (a workload run has spans only), so rates and
+node/link/op/object totals are the run's own.
 
 Output is deterministic end to end — sorted rows, deterministic span
 ids, sim-time windows — so same-seed invocations are byte-identical,
-which is what the CI dashboard-smoke job asserts.  ``--format json``
-emits the same content as one sorted-keys document.
+which is what the CI obs-smoke job asserts.  ``--format json`` emits the
+same content as one sorted-keys document.
 """
 
 from __future__ import annotations
@@ -36,12 +40,14 @@ from repro.obs._cli import (
     extract_meta,
     load_dump_records,
     render_table,
+    row_count,
 )
 from repro.obs.critical import critical_summary, render_critical
+from repro.obs.metrics import _key, _render
 from repro.obs.tables import DIMENSIONS, all_tables, render_dimension_table
 from repro.obs.timeline import load_windows
 
-DEFAULT_TABLES = "node,link,actor,op"
+DEFAULT_TABLES = "node,link,actor,op,object"
 
 
 def _gather_workload(name: str, seed: int):
@@ -55,6 +61,23 @@ def _gather_workload(name: str, seed: int):
     windows = result.get("windows") or []
     spans = [span_record(span) for span in tracer.spans]
     return windows, spans
+
+
+def _whole_run(spans: List[Dict[str, Any]],
+               counters: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """A windowless source as one window: the counter records' totals
+    over the finished spans' time range (none when both are empty)."""
+    finished = [span for span in spans if span.get("end") is not None]
+    if not finished and not counters:
+        return []
+    return [{
+        "kind": "window", "index": 0,
+        "start": min((span["start"] for span in finished), default=0.0),
+        "end": max((span["end"] for span in finished), default=0.0),
+        "counters": {_render(_key(record["name"], record["labels"])):
+                     record["value"] for record in counters},
+        "histograms": {}, "gauges": {},
+    }]
 
 
 def dashboard_data(windows: List[Dict[str, Any]],
@@ -129,7 +152,7 @@ def main(argv: Sequence[str] = None) -> int:
                              "trace's own path")
     parser.add_argument("--timeline", action="store_true",
                         help="print the per-window activity table")
-    parser.add_argument("--top", type=int, default=None, metavar="N",
+    parser.add_argument("--top", type=row_count, default=None, metavar="N",
                         help="show at most N rows per table")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="fmt",
@@ -154,6 +177,7 @@ def main(argv: Sequence[str] = None) -> int:
         except KeyError as exc:
             sys.stderr.write("error: {}\n".format(exc.args[0]))
             return 2
+        counters = []
         meta = {"workload": options.workload, "seed": options.seed}
     else:
         records = load_dump_records(options.dump)
@@ -161,7 +185,10 @@ def main(argv: Sequence[str] = None) -> int:
             return 2
         windows = load_windows(records)
         spans = [r for r in records if r.get("kind") == "span"]
+        counters = [r for r in records if r.get("kind") == "metric"
+                    and r.get("type") == "counter"]
         meta = extract_meta(records)
+    windows = windows or _whole_run(spans, counters)
 
     data = dashboard_data(windows, spans, dims, critical=options.critical,
                           meta=meta)

@@ -1,8 +1,9 @@
 """Exporters: JSONL span/metric dumps and Chrome ``trace_event`` JSON.
 
-The JSONL form is the machine-readable record the report CLI consumes —
-one JSON object per line, ``{"kind": "span", ...}`` or
-``{"kind": "metric", ...}``.  The Chrome form opens directly in
+The JSONL form is the machine-readable record the dashboard and
+profile CLIs consume — one JSON object per line, ``{"kind": "span",
+...}``, ``{"kind": "metric", ...}`` or ``{"kind": "window", ...}``.
+The Chrome form opens directly in
 ``about:tracing`` / Perfetto: spans become complete (``"ph": "X"``)
 events, grouped into one pseudo-thread per node, with simulated seconds
 mapped onto microseconds.
@@ -45,18 +46,16 @@ def meta_record(**fields: Any) -> Dict[str, Any]:
 
 def dump_jsonl(path: str, tracer: Optional[Tracer] = None,
                metrics: Optional[MetricsRegistry] = None,
-               timeline=None, flight=None,
+               timeline=None,
                meta: Optional[Dict[str, Any]] = None) -> int:
-    """Write meta, spans, metrics, windows, flight; returns line count.
+    """Write meta, spans, metrics and windows; returns line count.
 
     With no explicit ``tracer``/``metrics`` the process-wide defaults are
     exported (the no-op tracer exports zero span lines).  ``timeline``
     optionally takes a :class:`~repro.obs.timeline.TimelineRecorder`
     (or any iterable of window dicts) whose ``{"kind": "window"}``
-    records are appended; ``flight`` a
-    :class:`~repro.obs.flight.FlightRecorder` whose epoch digests and
-    retained ring follow — so one dump feeds the report, profile,
-    dashboard and divergence CLIs alike.  ``meta`` (a plain dict of
+    records are appended — one dump feeds the dashboard and the
+    profiler (``--from-dump``) alike.  ``meta`` (a plain dict of
     provenance fields, see :func:`meta_record`) becomes the dump's
     first line; dumps without one remain valid for every loader.
     """
@@ -80,10 +79,6 @@ def dump_jsonl(path: str, tracer: Optional[Tracer] = None,
             for window in windows:
                 handle.write(json.dumps(window, sort_keys=True) + "\n")
                 lines += 1
-        if flight is not None:
-            for record in flight.records():
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                lines += 1
     return lines
 
 
@@ -102,7 +97,7 @@ def load_jsonl_tolerant(path: str) -> Tuple[List[Dict[str, Any]], int]:
     """Parse a JSONL dump, skipping malformed lines.
 
     Dumps from killed runs (or ``tail``-ed fragments of huge dumps) end
-    mid-line; the report and profile CLIs should still read the rest.
+    mid-line; the dashboard and profile CLIs should still read the rest.
     Returns ``(records, skipped)`` where ``skipped`` counts lines that
     failed to parse or were not JSON objects.
     """

@@ -1,14 +1,15 @@
 """Flight recorder: a deterministic journal of kernel-level decisions.
 
-``repro.analysis.replay`` can prove that two same-seed runs produced
-different digests, but not *where* behaviour forked.  This module is the
-missing record: a :class:`FlightRecorder` journals the decisions that
-define a run — event dispatch (eid/time/priority), packet hops and
-drops, lock grants/releases/revocations, RNG draws, actor spawn/exit —
-into a bounded ring, and folds every record into per-epoch *rolling*
-digests (an epoch is N processed events, or a fixed sim-time window).
-Because each epoch digest chains the previous one, digest ``e`` covers
-the whole run prefix up to epoch ``e`` — so two runs can be compared
+A run's identity (:func:`repro.analysis.replay.run_digest`) needs a
+record of what its participants did and when, and a refuted identity
+needs to say *where* behaviour forked.  A :class:`FlightRecorder`
+journals the decisions that define a run — event dispatch
+(eid/time/priority), packet hops and drops, lock
+grants/releases/revocations, RNG draws, actor spawn/exit — into a
+bounded ring, and folds every record into per-epoch *rolling* digests
+(an epoch is N processed events, or a fixed sim-time window).  Because
+each epoch digest chains the previous one, digest ``e`` covers the whole
+run prefix up to epoch ``e`` — so two runs can be compared
 digest-by-digest without retaining full journals, and the first
 divergent epoch can be found by binary search
 (:mod:`repro.obs.divergence`).
@@ -52,10 +53,7 @@ import functools
 import hashlib
 import json
 import re
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
-
-#: Schema tag stamped on flight records in JSONL dumps.
-FLIGHT_SCHEMA = "repro-flight/1"
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 #: Default epoch granularity: one digest per this many dispatched events.
 DEFAULT_EPOCH_EVENTS = 512
@@ -384,30 +382,11 @@ class FlightRecorder:
         self._fold()
         return [_record(entry) for entry in self._context]
 
-    def tail(self, count: int) -> List[Dict[str, Any]]:
-        """The newest ``count`` retained records, oldest first."""
-        self._fold()
-        entries = list(self._ring)
-        return [_record(entry) for entry in
-                entries[max(0, len(entries) - count):]]
-
     def epoch_records(self, epoch: int) -> List[Dict[str, Any]]:
         """The retained records of one epoch, in journal order."""
         self._fold()
         return [_record(entry) for entry in self._ring
                 if entry[1] == epoch]
-
-    def records(self) -> Iterator[Dict[str, Any]]:
-        """JSONL rows: epoch digests first, then the retained ring."""
-        for index, digest in enumerate(self.epoch_digests):
-            yield {"kind": "flight-epoch", "schema": FLIGHT_SCHEMA,
-                   "index": index, "digest": digest}
-        yield from self.ring
-
-    def stats(self) -> Dict[str, int]:
-        """Journal counters (for snapshots and the black box)."""
-        return {"recorded": self.recorded, "evicted": self.evicted,
-                "retained": len(self), "epochs": len(self.epoch_digests)}
 
     def __len__(self) -> int:
         self._fold()
@@ -459,17 +438,8 @@ class NoopFlightRecorder:
     def finish(self) -> int:
         return 0
 
-    def tail(self, count: int) -> List[Dict[str, Any]]:
-        return []
-
     def epoch_records(self, epoch: int) -> List[Dict[str, Any]]:
         return []
-
-    def records(self) -> Iterator[Dict[str, Any]]:
-        return iter(())
-
-    def stats(self) -> Dict[str, int]:
-        return {"recorded": 0, "evicted": 0, "retained": 0, "epochs": 0}
 
     def __len__(self) -> int:
         return 0
@@ -526,91 +496,3 @@ def use_flight(recorder: Union[FlightRecorder, NoopFlightRecorder]):
         yield recorder
     finally:
         set_flight(previous)
-
-
-class BlackBox:
-    """Post-mortem dump of the flight ring, metrics and open spans.
-
-    Arm it around a workload (:meth:`armed`) or onto an SLO monitor
-    (:meth:`arm_slo`); when the workload raises — or a burn alert of
-    the configured severity fires — the last ``last`` flight records,
-    the epoch digests, a metrics snapshot and every still-open span are
-    written to ``path`` as one JSONL dump, readable by the report and
-    dashboard CLIs.  ``flight``/``tracer``/``metrics`` default to the
-    process-wide instances at dump time.
-    """
-
-    def __init__(self, path: str, flight: Any = None, tracer: Any = None,
-                 metrics: Any = None, last: int = 256) -> None:
-        if last <= 0:
-            raise ValueError("last must be positive")
-        self.path = path
-        self.flight = flight
-        self.tracer = tracer
-        self.metrics = metrics
-        self.last = last
-        #: Dumps written so far (each overwrites ``path``).
-        self.dumps = 0
-
-    def dump(self, reason: str, error: Optional[BaseException] = None
-             ) -> str:
-        """Write the black-box JSONL dump; returns its path."""
-        # Imported here: flight.py stays stdlib-only at module level so
-        # the sim kernel can import it without pulling in repro.obs.
-        from repro.obs.export import META_SCHEMA, span_record
-        from repro.obs.metrics import get_metrics
-        from repro.obs.tracer import get_tracer
-
-        flight = self.flight if self.flight is not None else get_flight()
-        tracer = self.tracer if self.tracer is not None else get_tracer()
-        metrics = self.metrics if self.metrics is not None \
-            else get_metrics()
-        meta: Dict[str, Any] = {"kind": "meta", "schema": META_SCHEMA,
-                                "black_box": True, "reason": reason,
-                                "flight": flight.stats()}
-        if error is not None:
-            meta["error"] = "{}: {}".format(type(error).__name__, error)
-        with open(self.path, "w") as handle:
-            handle.write(json.dumps(meta, sort_keys=True) + "\n")
-            for index, digest in enumerate(flight.epoch_digests):
-                handle.write(json.dumps(
-                    {"kind": "flight-epoch", "schema": FLIGHT_SCHEMA,
-                     "index": index, "digest": digest},
-                    sort_keys=True) + "\n")
-            for record in flight.tail(self.last):
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-            for record in metrics.records():
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-            for span in tracer.spans:
-                if span.end is None:
-                    record = span_record(span)
-                    record["open"] = True
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self.dumps += 1
-        return self.path
-
-    @contextlib.contextmanager
-    def armed(self):
-        """Dump on any exception escaping the block, then re-raise."""
-        try:
-            yield self
-        except BaseException as error:
-            self.dump("exception", error)
-            raise
-
-    def arm_slo(self, monitor: Any, severity: str = "page") -> None:
-        """Dump when ``monitor`` fires a burn alert of ``severity``.
-
-        Chains any ``on_alert`` callback already installed on the
-        monitor (the black box observes; it never swallows alerts).
-        """
-        previous = monitor.on_alert
-
-        def on_alert(kind: str, alert: Any) -> None:
-            if previous is not None:
-                previous(kind, alert)
-            if kind == "fired" and \
-                    getattr(alert, "severity", None) == severity:
-                self.dump("slo:{}".format(getattr(alert, "slo", "?")))
-
-        monitor.on_alert = on_alert

@@ -32,6 +32,13 @@ import argparse
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs._cli import (
+    describe_meta,
+    extract_meta,
+    load_dump_records,
+    render_table,
+    row_count,
+)
 from repro.obs.span import Span
 
 #: Folded-stack values are integer microseconds of simulated time.
@@ -292,10 +299,11 @@ def render_diff(rows: Dict[str, Dict[str, int]], out=None) -> None:
     out = out if out is not None else sys.stdout
     ordered = sorted(rows.items(),
                      key=lambda item: (-abs(item[1]["delta"]), item[0]))
-    _table("simulated time by operation (old vs new)",
-           ["operation", "old (s)", "new (s)", "delta (s)"],
-           [(leaf, row["old"] / MICROSECONDS, row["new"] / MICROSECONDS,
-             row["delta"] / MICROSECONDS) for leaf, row in ordered], out)
+    render_table("simulated time by operation (old vs new)",
+                 ["operation", "old (s)", "new (s)", "delta (s)"],
+                 [(leaf, row["old"] / MICROSECONDS,
+                   row["new"] / MICROSECONDS, row["delta"] / MICROSECONDS)
+                  for leaf, row in ordered], out=out)
     total = sum(row["delta"] for row in rows.values())
     if rows and all(row["delta"] == 0 for row in rows.values()):
         out.write("\nno simulated-time drift: the two runs spent sim time "
@@ -306,13 +314,6 @@ def render_diff(rows: Dict[str, Dict[str, int]], out=None) -> None:
 
 
 # -- CLI -------------------------------------------------------------------
-
-
-def _table(title: str, headers: Sequence[str],
-           rows: Iterable[Sequence[Any]], out, top: Optional[int] = None
-           ) -> None:
-    from repro.obs._cli import render_table
-    render_table(title, headers, rows, out=out, top=top)
 
 
 def render_profile(profile: SpanProfile, out=None,
@@ -330,10 +331,11 @@ def render_profile(profile: SpanProfile, out=None,
             continue
         ordered = sorted(rows.items(),
                          key=lambda item: (-item[1]["exclusive"], item[0]))
-        _table(title,
-               [by, "count", "inclusive (s)", "exclusive (s)"],
-               [(key, int(row["count"]), row["inclusive"], row["exclusive"])
-                for key, row in ordered], out, top=top)
+        render_table(title,
+                     [by, "count", "inclusive (s)", "exclusive (s)"],
+                     [(key, int(row["count"]), row["inclusive"],
+                       row["exclusive"]) for key, row in ordered],
+                     out=out, top=top)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -342,13 +344,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Profile simulated time for a registered workload "
                     "(see repro.analysis.workloads) or a JSONL dump.")
     parser.add_argument("workload", nargs="?",
-                        help="workload name (see --list), or a path to a "
+                        help="workload name (see python -m "
+                             "repro.analysis.replay --list), or a path to a "
                              "dump_jsonl() file when --from-dump is given; "
                              "not used with --diff")
     parser.add_argument("--seed", type=int, default=31,
                         help="experiment seed (default 31)")
-    parser.add_argument("--top", type=int, default=None,
-                        help="show at most N rows per table")
+    parser.add_argument("--top", type=row_count, default=None,
+                        metavar="N", help="show at most N rows per table")
     parser.add_argument("--folded", metavar="PATH",
                         help="also write folded stacks (flamegraph.pl / "
                              "speedscope input) to PATH")
@@ -360,8 +363,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "and print per-operation sim-time deltas; "
                              "an all-zero diff proves two runs spent "
                              "simulated time identically")
-    parser.add_argument("--list", action="store_true",
-                        help="list known workloads and exit")
     options = parser.parse_args(argv)
 
     if options.diff:
@@ -374,25 +375,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         render_diff(diff_folded(old, new))
         return 0
 
-    if options.workload is None and not options.list:
-        parser.error("a workload (or --diff OLD NEW, or --list) is "
-                     "required")
-
-    # Imported here: the workload registry pulls in most of the library,
-    # which --from-dump and --list users should not have to pay for.
-    from repro.analysis.workloads import WORKLOADS
-
-    if options.list:
-        for name in sorted(WORKLOADS):
-            print(name)
-        return 0
+    if options.workload is None:
+        parser.error("a workload (or --diff OLD NEW) is required")
 
     if options.from_dump:
-        from repro.obs._cli import (
-            describe_meta,
-            extract_meta,
-            load_dump_records,
-        )
         records = load_dump_records(options.workload)
         if records is None:
             return 2
@@ -401,6 +387,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(meta_line)
         profile = SpanProfile.from_records(records)
     else:
+        # Imported here: the workload registry pulls in most of the
+        # library, which --from-dump users should not have to pay for.
+        from repro.analysis.workloads import WORKLOADS
+
         if options.workload not in WORKLOADS:
             print("error: unknown workload {!r}; known: {}".format(
                 options.workload, ", ".join(sorted(WORKLOADS))),

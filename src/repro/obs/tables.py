@@ -1,8 +1,8 @@
 """Hot-spot rollup tables over timeline windows and span dumps.
 
 Answers "who is hot?" per label dimension — node, link, actor,
-operation — by folding two complementary sources into one table per
-dimension:
+operation, object — by folding two complementary sources into one
+table per dimension:
 
 * **timeline windows** (:mod:`repro.obs.timeline`) supply counter
   totals, sustained rates and the *peak window* ("node host3 was
@@ -41,6 +41,9 @@ DIMENSIONS: Dict[str, Dict[str, Any]] = {
              "drops": "net.link.drops"},
     "actor": {"label": "actor", "primary": None},
     "op": {"label": "op", "primary": "node.op.invocations"},
+    # §4.2.1's "pattern of use of objects": the spans that name an
+    # object (node.invoke, node.whereis) and UsageMonitor's counter.
+    "object": {"label": "oid", "primary": "usage.access"},
 }
 
 

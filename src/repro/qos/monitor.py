@@ -127,8 +127,9 @@ class QoSMonitor:
         """Publish the window into the metrics registry.
 
         Violations and healthy windows land as counters next to the
-        lock/conflict counters, so ``repro.obs.report`` shows QoS
-        degradation alongside concurrency behaviour.  Latency/jitter
+        lock/conflict counters, so a registry snapshot, a ``dump_jsonl``
+        dump and its timeline windows show QoS degradation alongside
+        concurrency behaviour.  Latency/jitter
         are only recorded for windows that saw frames (an empty window
         reports infinite latency, which would poison the histogram).
         """

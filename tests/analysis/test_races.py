@@ -79,12 +79,6 @@ def test_cli_format_json_includes_gate_meta(capsys):
     assert HARD in document
 
 
-def test_cli_json_alias_still_works(capsys):
-    assert main(["--styles", HARD, "--json"]) == 0
-    document = json.loads(capsys.readouterr().out)
-    assert "_meta" in document
-
-
 def test_cli_exits_nonzero_on_hard_conflicts(monkeypatch, capsys):
     leaky = {
         HARD: {"conflicts": {"write-write": 1, "read-write": 0,

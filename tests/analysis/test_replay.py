@@ -7,7 +7,8 @@ import pytest
 
 from repro.analysis.hb import NOOP_SANITIZER, get_sanitizer
 from repro.analysis.replay import (
-    EPOCH_INTERVAL,
+    journal,
+    journalled,
     main,
     replay,
     run_digest,
@@ -109,11 +110,8 @@ def test_every_registered_workload_is_digest_stable():
 
 def _journal(name, seed):
     """The journal half of :func:`run_digest`, on its own."""
-    recorder = FlightRecorder(journal_dispatch=False,
-                              epoch_interval=EPOCH_INTERVAL)
-    with use_flight(recorder):
-        run_isolated(name, seed)
-    recorder.finish()
+    recorder = journal()
+    journalled(name, seed, recorder)
     return recorder.epoch_digests[-1]
 
 

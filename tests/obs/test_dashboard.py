@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import dashboard, profile
 from repro.obs.dashboard import main
 
 
@@ -113,3 +114,14 @@ def test_top_clips_tables(capsys):
         "--workload", "timeline-demo", "--tables", "op", "--top", "2"])
     assert code == 0
     assert "more row(s); raise --top" in out
+
+
+@pytest.mark.parametrize("cli, argv", [
+    (dashboard, ["--workload", "timeline-demo", "--tables", "node"]),
+    (profile, ["traced-rpc"])])
+def test_negative_top_is_rejected_by_name(cli, argv, capsys):
+    # Every CLI with --top parses it one way: a row count, never < 0.
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--top", "-1"])
+    assert exit_.value.code == 2
+    assert "argument --top: must be >= 0" in capsys.readouterr().err

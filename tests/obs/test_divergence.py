@@ -1,18 +1,17 @@
-"""Divergence localizer: bisection, epoch re-journal, CLI contract."""
+"""Divergence localizer: bisection, epoch re-journal, the replay CLI."""
 
 import io
-import json
 
+from repro.analysis.replay import journal, journalled, main
 from repro.obs.divergence import (
+    CONTEXT,
     _first_mismatch,
     compare_digests,
-    compare_dumps,
     first_divergent_epoch,
     localize,
-    main,
     render,
 )
-from repro.obs.flight import FlightRecorder, use_flight
+from repro.obs.flight import FlightRecorder
 
 
 def _fork_pair(dispatches=20, fork_at=13, epoch_events=4):
@@ -73,21 +72,26 @@ def test_first_mismatch_on_epoch_records():
 
 
 def test_compare_digests_same_seed_agrees():
-    report = compare_digests("locks-hard", 31, epoch_events=64)
+    report = compare_digests("locks-hard", 31)
     assert report["diverged"] is False
     assert report["epoch"] is None
-    assert report["epochs"][0] == report["epochs"][1] > 0
+    assert report["result_keys"] == []
     assert report["result_digests"][0] == report["result_digests"][1]
+    # The chain bisected is the one a run's identity ends in.
+    recorder = journal()
+    journalled("locks-hard", 31, recorder)
+    assert report["epochs"] == [len(recorder.epoch_digests)] * 2
 
 
 def test_localize_names_fork_between_seeds():
-    report = localize("locks-hard", 31, seed2=32, epoch_events=64,
-                      context=4)
+    report = localize("locks-hard", 31, seed2=32)
     assert report["diverged"] is True
     assert report["epoch"] == 0         # different seeds fork instantly
+    assert "seed" in report["result_keys"]
     assert report["record_index"] is not None
     assert report["record_a"] != report["record_b"]
-    assert len(report["context_a"]) <= 4
+    assert report["record_a"]["kind"] == report["record_b"]["kind"] == "rng"
+    assert len(report["context_a"]) <= CONTEXT
     out = io.StringIO()
     render(report, out)
     text = out.getvalue()
@@ -96,7 +100,7 @@ def test_localize_names_fork_between_seeds():
 
 
 def test_localize_self_compare_short_circuits():
-    report = localize("locks-hard", 31, epoch_events=64)
+    report = localize("locks-hard", 31)
     assert report["diverged"] is False
     assert "record_index" not in report
     out = io.StringIO()
@@ -104,81 +108,27 @@ def test_localize_self_compare_short_circuits():
     assert "no divergence" in out.getvalue()
 
 
-# -- dump-vs-dump ----------------------------------------------------------
-
-
-def _dump(path, recorder):
-    with open(path, "w") as handle:
-        for record in recorder.records():
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def test_compare_dumps_localizes_offline(tmp_path):
-    run_a, run_b = _fork_pair(dispatches=20, fork_at=13, epoch_events=4)
-    path_a = str(tmp_path / "a.jsonl")
-    path_b = str(tmp_path / "b.jsonl")
-    _dump(path_a, run_a)
-    _dump(path_b, run_b)
-    report = compare_dumps(path_a, path_b, context=3)
-    assert report["diverged"] is True
-    assert report["epoch"] == 3
-    assert report["record_index"] == 2
-    assert report["record_b"]["kind"] == "rng"
-    assert len(report["context_a"]) == 2
-
-
-def test_compare_dumps_identical(tmp_path):
-    run_a, _ = _fork_pair()
-    path = str(tmp_path / "same.jsonl")
-    _dump(path, run_a)
-    report = compare_dumps(path, path)
-    assert report["diverged"] is False
-
-
-def test_compare_dumps_rejects_flightless_dump(tmp_path):
-    path = str(tmp_path / "plain.jsonl")
-    with open(path, "w") as handle:
-        handle.write(json.dumps({"kind": "span", "name": "x"}) + "\n")
-    err = io.StringIO()
-    assert compare_dumps(path, path, err=err) is None
-    assert "no flight-epoch records" in err.getvalue()
-
-
-# -- CLI contract ----------------------------------------------------------
+# -- the replay CLI localizes ----------------------------------------------
 
 
 def test_cli_same_seed_exits_zero(capsys):
-    assert main(["locks-hard", "--seed", "31",
-                 "--epoch-events", "64"]) == 0
-    assert "no divergence" in capsys.readouterr().out
+    assert main(["locks-hard", "--seed", "31", "--seed2", "31"]) == 0
+    out = capsys.readouterr().out
+    assert "REPLAY OK" in out
+    assert "no divergence: all" in out
 
 
 def test_cli_seed_fork_exits_one(capsys):
-    assert main(["locks-hard", "--seed", "31", "--seed2", "32",
-                 "--epoch-events", "64"]) == 1
+    assert main(["locks-hard", "--seed", "31", "--seed2", "32"]) == 1
     out = capsys.readouterr().out
-    assert "first divergent epoch" in out
+    assert "REPLAY MISMATCH" in out
     assert "seed 31 vs seed 32" in out
-
-
-def test_cli_json_format(capsys):
-    assert main(["locks-hard", "--seed", "31", "--seed2", "32",
-                 "--epoch-events", "64", "--format", "json"]) == 1
-    data = json.loads(capsys.readouterr().out)
-    assert data["diverged"] is True
-    assert data["workload"] == "locks-hard"
+    assert "result keys that differ: " in out
+    assert "first divergent epoch: 0" in out
+    assert "first mismatched record (epoch 0, record " in out
+    assert '"kind":"rng","method":"random","stream":"locks-hard"' in out
 
 
 def test_cli_unknown_workload_exits_two(capsys):
-    assert main(["no-such-workload"]) == 2
+    assert main(["no-such-workload", "--seed2", "32"]) == 2
     assert "no-such-workload" in capsys.readouterr().err
-
-
-def test_cli_dumps_mode(tmp_path, capsys):
-    run_a, run_b = _fork_pair()
-    path_a = str(tmp_path / "a.jsonl")
-    path_b = str(tmp_path / "b.jsonl")
-    _dump(path_a, run_a)
-    _dump(path_b, run_b)
-    assert main(["--dumps", path_a, path_b]) == 1
-    assert main(["--dumps", path_a, path_a]) == 0

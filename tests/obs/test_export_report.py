@@ -1,6 +1,5 @@
-"""JSONL export, loading and the report CLI."""
+"""JSONL export, loading, and reading a dump back with the dashboard CLI."""
 
-import io
 import json
 
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from repro import obs
 from repro.net import Network, lan
 from repro.node import ODPRuntime
-from repro.obs.report import main, render_report
+from repro.obs.dashboard import main
 from repro.sim import Environment
 
 
@@ -62,16 +61,13 @@ def test_load_round_trips(traced_run):
     assert latency and latency[0]["summary"]["count"] == 3.0
 
 
-def test_render_report_tables(traced_run):
+def test_render_report_tables(traced_run, capsys):
     path, _ = traced_run
-    out = io.StringIO()
-    render_report(obs.load_jsonl(path), out=out)
-    text = out.getvalue()
-    assert "spans by operation" in text
-    assert "invocation latency by node" in text
-    assert "invocation latency by object" in text
-    assert "traffic by source node" in text
-    assert "node.invoke" in text
+    assert main([path]) == 0
+    text = capsys.readouterr().out
+    for dim in ("node", "link", "op", "object"):
+        assert "hot spots by {}".format(dim) in text
+    assert "incr" in text and "rpc.serve" in text
     assert "host1" in text
 
 
@@ -79,7 +75,25 @@ def test_report_cli_main(traced_run, capsys):
     path, _ = traced_run
     assert main([path]) == 0
     captured = capsys.readouterr()
-    assert "spans by operation" in captured.out
+    assert "hot spots by op" in captured.out
+
+
+def test_windowless_dump_reads_as_one_whole_run_window(traced_run, capsys):
+    # No window records: the duration is the spans' time range and the
+    # node totals are the dump's own net.node.sent counters.
+    path, _ = traced_run
+    records = obs.load_jsonl(path)
+    sent = {m["labels"]["node"]: m["value"] for m in records
+            if m["kind"] == "metric" and m["name"] == "net.node.sent"}
+    spans = [r for r in records if r["kind"] == "span"]
+    assert main([path, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["duration"] == max(s["end"] for s in spans) \
+        - min(s["start"] for s in spans) > 0
+    rows = {row["key"]: row for row in data["tables"]["node"]["rows"]}
+    assert sent and {node: rows[node]["total"] for node in sent} == sent
+    assert all(row["rate"] > 0 for row in rows.values())
+    assert data["tables"]["object"]["rows"][0]["latency"]["count"] >= 3
 
 
 def test_default_noop_dump_has_no_spans(tmp_path):
@@ -123,7 +137,7 @@ def test_report_cli_tolerates_truncated_dump(traced_run, capsys):
     assert main([path]) == 0
     captured = capsys.readouterr()
     assert "skipped" in captured.err
-    assert "spans by operation" in captured.out
+    assert "hot spots by op" in captured.out
 
 
 def test_report_cli_rejects_dump_with_no_records(tmp_path, capsys):
@@ -139,9 +153,9 @@ def test_report_cli_format_json(traced_run, capsys):
     assert main([path, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["spans"] > 0
-    assert "node.invoke" in data["by_operation"]
-    assert data["invocation_by_node"]["host1"]["count"] == 3
-    assert any(m["name"] == "rpc.latency" for m in data["histograms"])
+    ops = {row["key"]: row for row in data["tables"]["op"]["rows"]}
+    assert ops["incr"]["latency"]["count"] == 3
+    assert "rpc.serve" in ops
 
 
 def test_report_json_matches_text_counts(traced_run, capsys):
@@ -150,8 +164,8 @@ def test_report_json_matches_text_counts(traced_run, capsys):
     data = json.loads(capsys.readouterr().out)
     assert main([path]) == 0
     text = capsys.readouterr().out
-    assert text.startswith("{} spans in {} traces, {} metric records".format(
-        data["spans"], data["traces"], data["metric_records"]))
+    assert text.startswith("{} window(s) covering {:.4g}s, {} span(s)".format(
+        data["windows"], data["duration"], data["spans"]))
 
 
 def test_report_json_is_byte_stable(traced_run, capsys):
@@ -202,7 +216,7 @@ def test_metaless_dump_still_loads_and_reports(traced_run, capsys):
     assert main([path]) == 0
     out = capsys.readouterr().out
     assert not out.startswith("meta:")
-    assert "spans by operation" in out
+    assert "hot spots by op" in out
     assert main([path, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["meta"] is None
 

@@ -1,4 +1,4 @@
-"""Flight recorder: ring bounds, epoch digests, journaling, black box."""
+"""Flight recorder: ring bounds, epoch digests, journaling."""
 
 import collections
 import hashlib
@@ -12,7 +12,6 @@ from repro import obs
 from repro.analysis.replay import run_isolated, trace_digest
 from repro.obs.flight import (
     NOOP_FLIGHT,
-    BlackBox,
     FlightRecorder,
     _PLAIN,
     _plain_label,
@@ -40,9 +39,6 @@ def test_ring_is_bounded_and_counts_evictions():
     assert recorder.evicted == 12
     # The ring holds the *newest* records.
     assert [r["eid"] for r in recorder.ring] == list(range(12, 20))
-    stats = recorder.stats()
-    assert stats["recorded"] == 20 and stats["evicted"] == 12
-    assert stats["retained"] == 8
 
 
 def test_validation():
@@ -204,11 +200,6 @@ class _EagerJournal:
         self.finished = True
         return len(self.epoch_digests)
 
-    def stats(self):
-        return {"recorded": self.recorded, "evicted": self.evicted,
-                "retained": len(self.ring),
-                "epochs": len(self.epoch_digests)}
-
 
 def _assert_same(recorder, model):
     """Everything a reader can see; text-compared so that ``0.0`` vs
@@ -221,7 +212,6 @@ def _assert_same(recorder, model):
             == [json.dumps(r, sort_keys=True) for r in theirs]
     assert recorder.recorded == model.recorded
     assert recorder.evicted == model.evicted
-    assert recorder.stats() == model.stats()
     assert len(recorder) == len(model.ring)
 
 
@@ -347,7 +337,6 @@ def test_folding_is_indistinguishable_from_eager_journalling(
                 getattr(recorder, step[0])(*step[1:])
         if read_every_step or step[0] == "read":
             _assert_same(fast, slow)
-            assert fast.tail(3) == list(slow.ring)[-3:]
             assert fast.epoch_records(slow.epoch) == [
                 r for r in slow.ring if r["epoch"] == slow.epoch]
     assert fast.finish() == slow.finish()
@@ -451,120 +440,6 @@ def test_journalled_rng_draws_match_plain_rng():
     assert all(r["stream"] == "s" for r in recorder.ring)
 
 
-# -- export integration ----------------------------------------------------
-
-
-def test_dump_jsonl_carries_meta_and_flight(tmp_path):
-    recorder = FlightRecorder(ring=32, epoch_events=64)
-    with use_flight(recorder):
-        run_isolated("locks-hard", 31)
-    recorder.finish()
-    path = str(tmp_path / "flight.jsonl")
-    with obs.use_metrics(obs.MetricsRegistry()):
-        obs.dump_jsonl(path, flight=recorder,
-                       meta={"workload": "locks-hard", "seed": 31})
-    records = obs.load_jsonl(path)
-    assert records[0]["kind"] == "meta"
-    assert records[0]["schema"] == obs.META_SCHEMA
-    assert records[0]["seed"] == 31
-    digests = [r for r in records if r.get("kind") == "flight-epoch"]
-    assert [d["digest"] for d in digests] == recorder.epoch_digests
-    assert sum(1 for r in records if r.get("kind") == "rng") > 0
-
-
-# -- the black box ---------------------------------------------------------
-
-
-def _crashing_run(recorder):
-    from repro.sim import Environment
-
-    with use_flight(recorder):
-        env = Environment()
-
-        def boom(env):
-            yield env.timeout(1.0)
-            raise RuntimeError("kaput")
-
-        env.process(boom(env), name="doomed")
-        env.run()
-
-
-def test_black_box_dumps_on_exception(tmp_path):
-    path = str(tmp_path / "blackbox.jsonl")
-    recorder = FlightRecorder(ring=64)
-    box = BlackBox(path, flight=recorder, last=16)
-    with obs.use_metrics(obs.MetricsRegistry()):
-        with pytest.raises(RuntimeError, match="kaput"):
-            with box.armed():
-                _crashing_run(recorder)
-    assert box.dumps == 1
-    records = obs.load_jsonl(path)
-    meta = records[0]
-    assert meta["kind"] == "meta" and meta["black_box"] is True
-    assert meta["reason"] == "exception"
-    assert meta["error"] == "RuntimeError: kaput"
-    assert meta["flight"]["recorded"] == recorder.recorded
-    kinds = [r["kind"] for r in records]
-    assert "spawn" in kinds and "exit" in kinds
-    exit_record = next(r for r in records if r["kind"] == "exit")
-    assert exit_record["actor"] == "doomed" and exit_record["ok"] is False
-
-
-def test_black_box_respects_last(tmp_path):
-    path = str(tmp_path / "tail.jsonl")
-    recorder = FlightRecorder(ring=256, epoch_events=1000)
-    _feed(recorder, 100)
-    box = BlackBox(path, flight=recorder, last=5)
-    with obs.use_metrics(obs.MetricsRegistry()):
-        box.dump("manual")
-    records = obs.load_jsonl(path)
-    dispatches = [r for r in records if r["kind"] == "dispatch"]
-    assert [r["eid"] for r in dispatches] == list(range(95, 100))
-
-
-def test_black_box_records_open_spans(tmp_path):
-    path = str(tmp_path / "spans.jsonl")
-    tracer = obs.Tracer()
-    tracer.start_span("stuck", at=1.0)
-    done = tracer.start_span("done", at=2.0)
-    done.finish(at=3.0)
-    box = BlackBox(path, flight=NOOP_FLIGHT, tracer=tracer)
-    with obs.use_metrics(obs.MetricsRegistry()):
-        box.dump("manual")
-    spans = [r for r in obs.load_jsonl(path) if r.get("kind") == "span"]
-    assert [s["name"] for s in spans] == ["stuck"]
-    assert spans[0]["open"] is True
-
-
-def test_black_box_arms_slo_monitor(tmp_path):
-    path = str(tmp_path / "slo.jsonl")
-    box = BlackBox(path, flight=NOOP_FLIGHT, tracer=obs.NOOP_TRACER)
-
-    class Alert:
-        severity, slo = "page", "latency"
-
-    class Monitor:
-        on_alert = None
-
-    seen = []
-    monitor = Monitor()
-    monitor.on_alert = lambda kind, alert: seen.append(kind)
-    box.arm_slo(monitor, severity="page")
-    with obs.use_metrics(obs.MetricsRegistry()):
-        monitor.on_alert("cleared", Alert())   # wrong kind: no dump
-        assert box.dumps == 0
-        monitor.on_alert("fired", Alert())
-    assert box.dumps == 1
-    assert seen == ["cleared", "fired"]        # chained callback intact
-    meta = obs.load_jsonl(path)[0]
-    assert meta["reason"] == "slo:latency"
-
-
-def test_black_box_validation():
-    with pytest.raises(ValueError):
-        BlackBox("x.jsonl", last=0)
-
-
 # -- the process-wide default ----------------------------------------------
 
 
@@ -574,7 +449,6 @@ def test_noop_flight_is_inert_default():
     NOOP_FLIGHT.on_dispatch(0.0, 0, 0)
     NOOP_FLIGHT.record_rng("s", "random", 0.5)
     assert NOOP_FLIGHT.finish() == 0
-    assert list(NOOP_FLIGHT.records()) == []
     assert len(NOOP_FLIGHT) == 0
 
 

@@ -1,6 +1,9 @@
 """Sim-time profiler: aggregation, folded stacks, and the CLI."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -171,12 +174,6 @@ class TestCLI:
         assert main(["no-such-workload"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
-    def test_cli_list(self, capsys):
-        assert main(["ignored", "--list"]) == 0 or True
-        # --list exits before using the positional argument.
-        out = capsys.readouterr().out
-        assert "traced-rpc" in out and "slo-burn" in out
-
     def test_render_profile_top_clips_rows(self, known_tree):
         out = io.StringIO()
         render_profile(known_tree, out=out, top=1)
@@ -232,6 +229,21 @@ class TestFoldedDiff:
         assert main(["--diff", old, new]) == 0
         captured = capsys.readouterr()
         assert "no simulated-time drift" in captured.out
+
+    def test_cli_diff_runs_without_a_warning(self, tmp_path):
+        """The claim workflow's command (bench/README.md): the package
+        must not import the module ``-m`` is about to run."""
+        old = self._write(tmp_path, "old.folded", ["root;leaf 10"])
+        new = self._write(tmp_path, "new.folded", ["root;leaf 12"])
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.obs.profile",
+             "--diff", old, new],
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == ""
+        assert "total drift" in run.stdout
 
     def test_cli_diff_missing_file(self, tmp_path, capsys):
         old = self._write(tmp_path, "old.folded", ["root 1"])
