@@ -64,6 +64,14 @@ def run_passes(paths: Iterable[str],
     unknown or empty pass selection, a path that does not exist, or
     paths under which no python file was found.
     """
+    findings, timings, _ = _run(paths, passes, respect_suppressions)
+    return findings, timings
+
+
+def _run(paths: Iterable[str], passes: Optional[Iterable[str]],
+         respect_suppressions: bool
+         ) -> Tuple[List[Finding], Dict[str, float], int]:
+    """:func:`run_passes`, plus how many files were analysed."""
     selected = list(passes) if passes is not None else list(PASS_NAMES)
     if not selected:
         raise ValueError("no pass selected; choose from: "
@@ -105,15 +113,15 @@ def run_passes(paths: Iterable[str],
             if not finding.suppressed_by(
                 index.modules[finding.path].suppressions)]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings, timings
+    return findings, timings, len(index.modules)
 
 
 def _render_text(findings: List[Finding], timings: Dict[str, float],
-                 show_timings: bool, out) -> None:
+                 analysed: int, show_timings: bool, out) -> None:
     for finding in findings:
         out.write(finding.render() + "\n")
-    files = len({finding.path for finding in findings})
-    out.write("{} finding(s) in {} file(s)\n".format(len(findings), files))
+    out.write("{} finding(s); {} file(s) analysed\n".format(
+        len(findings), analysed))
     if show_timings:
         total = sum(timings.values())
         table = ", ".join("{} {:.3f}s".format(name, timings[name])
@@ -158,9 +166,8 @@ def main(argv=None) -> int:
 
     selected = [name for name in options.passes.split(",") if name]
     try:
-        findings, timings = run_passes(
-            options.paths, selected,
-            respect_suppressions=not options.no_suppress)
+        findings, timings, analysed = _run(
+            options.paths, selected, not options.no_suppress)
     except ValueError as error:
         print("check: {}".format(error), file=sys.stderr)
         return 2
@@ -177,7 +184,8 @@ def main(argv=None) -> int:
             json.dump(document, out, indent=2, sort_keys=True)
             out.write("\n")
         else:
-            _render_text(findings, timings, options.timings, out)
+            _render_text(findings, timings, analysed, options.timings,
+                         out)
     finally:
         if options.out:
             out.close()

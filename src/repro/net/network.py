@@ -32,7 +32,7 @@ from repro.errors import NetworkError, RoutingError
 from repro.net.packet import Packet
 from repro.net.topology import Topology
 from repro.obs.metrics import LabelKey, MetricsRegistry, get_metrics
-from repro.obs.propagation import extract
+from repro.obs.propagation import TRACE_HEADER
 from repro.obs.span import NOOP_SPAN
 from repro.obs.tracer import get_tracer
 from repro.sim import Counter, Environment, Store, Tally
@@ -157,12 +157,13 @@ class _Carrier(PriorityRequest):
         self.wire_size = wire_size = packet.wire_size
         # Transit spans parent under whatever context the sender stamped
         # into the packet headers (e.g. an rpc.call span), so one trace
-        # tree covers the request end to end.
+        # tree covers the request end to end; the tracer reads the
+        # header dict in place.
         if tracer.enabled:
             span = tracer.start_span(
                 "net.transmit", at=self.env.now,
-                parent=extract(packet.headers), src=src, dst=packet.dst,
-                port=packet.port, bytes=wire_size)
+                parent=packet.headers.get(TRACE_HEADER) or None, src=src,
+                dst=packet.dst, port=packet.port, bytes=wire_size)
         else:
             span = NOOP_SPAN
         self.transit = span
@@ -193,9 +194,8 @@ class _Carrier(PriorityRequest):
         env = self.env
         now = env._now
         node = self.node
-        self.hop = self.tracer.start_span(
-            "net.link", at=now, parent=self.transit, link=link.label,
-            node=node, bytes=self.wire_size) \
+        self.hop = self.tracer.start_hop(
+            self.transit, now, link.label, node, self.wire_size) \
             if self.tracer is not None else None
         # Claim+tx fusion: the claim carries the transmission delay, so
         # it fires once, at tx-complete (see Resource._grant).
@@ -229,7 +229,7 @@ class _Carrier(PriorityRequest):
         if hop is not None:
             # usage_since marks the grant: where an unfused claim would
             # have resumed its holder and stamped tx-start.
-            hop.add_event("tx-start", at=self.usage_since)
+            hop.tx_start = self.usage_since
         # Resource.release inlined: a carrier firing as a claim is in
         # users; only a non-empty wait queue needs the grant machinery.
         channel = self.resource
@@ -254,8 +254,8 @@ class _Carrier(PriorityRequest):
         if drop_reason is not None:
             link.stats.drops += 1
             if hop is not None:
-                hop.set_status("dropped")
-                hop.finish(at=env._now)
+                hop.status = "dropped"
+                hop.end = env._now
             self._finish(self.network._drop, self.packet, drop_reason,
                          self.transit, link)
             return
@@ -282,7 +282,7 @@ class _Carrier(PriorityRequest):
                                    packet.port, span=hop)
         self.node = link.b if node == link.a else link.a
         if hop is not None:
-            hop.finish(at=self.env._now)
+            hop.end = self.env._now
         self._claim()
 
     def _deliver(self) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Union
 
-from repro.obs.span import NoopSpan, Span, SpanContext
+from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanContext
 
 #: The packet-header key carrying the trace context.
 TRACE_HEADER = "trace"
@@ -27,10 +27,12 @@ TRACE_HEADER = "trace"
 def inject(span: Union[Span, NoopSpan, SpanContext, None],
            headers: Dict[str, Any]) -> Dict[str, Any]:
     """Write ``span``'s context into ``headers`` (no-op for noop spans)."""
-    context = span if isinstance(span, SpanContext) \
-        else getattr(span, "context", None)
-    if context is not None:
-        headers[TRACE_HEADER] = context.to_dict()
+    if span is NOOP_SPAN or span is None:
+        return headers
+    if isinstance(span, (Span, SpanContext)):
+        # A span is its own context: the header is written from its
+        # fields, in the one format SpanContext.to_dict defines.
+        headers[TRACE_HEADER] = SpanContext.to_dict(span)
     return headers
 
 

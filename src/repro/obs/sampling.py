@@ -42,9 +42,9 @@ class Sampler:
 
     def __init__(self, rate: float = 1.0, seed: int = 0,
                  rates: Optional[Dict[str, float]] = None) -> None:
-        self.rate = _clamp(rate)
+        self.rate = _clamp("rate", rate)
         self.seed = int(seed)
-        self.rates = {name: _clamp(value)
+        self.rates = {name: _clamp("rates[{!r}]".format(name), value)
                       for name, value in (rates or {}).items()}
 
     def effective_rate(self, name: Optional[str] = None) -> float:
@@ -78,8 +78,9 @@ class Sampler:
             self.rate, self.seed, len(self.rates))
 
 
-def _clamp(rate: float) -> float:
+def _clamp(field: str, rate: float) -> float:
     if not 0.0 <= rate <= 1.0:
         raise ValueError(
-            "sampling rate must be within [0, 1], got {}".format(rate))
+            "{} must be a sampling rate within [0, 1], got {!r}".format(
+                field, rate))
     return float(rate)

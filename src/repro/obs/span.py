@@ -10,7 +10,8 @@ instrumentation sites; the tracing layer never advances the clock.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 #: Span status values.
 OK = "ok"
@@ -62,7 +63,11 @@ class SpanContext:
 
 
 class Span:
-    """One recorded operation in a trace tree.
+    """One recorded operation in a trace tree: one slotted row.
+
+    It holds its own identity; :attr:`context` builds a fresh
+    :class:`SpanContext` on each read.  ``events`` is ``()`` until the
+    first :meth:`add_event`, so a retained span is one tracked object.
 
     A span whose trace was sampled out still exists transiently (its
     context must propagate so downstream nodes honour the decision) but
@@ -71,20 +76,23 @@ class Span:
     per-hop span work entirely.
     """
 
-    __slots__ = ("name", "context", "parent_id", "start", "end",
-                 "attributes", "events", "status", "recorded")
+    __slots__ = ("name", "trace_id", "span_id", "sampled", "parent_id",
+                 "start", "end", "attributes", "events", "status",
+                 "recorded")
 
-    def __init__(self, name: str, context: SpanContext,
+    def __init__(self, name: str, trace_id: str, span_id: str,
                  parent_id: Optional[str], start: float,
-                 attributes: Optional[Dict[str, Any]] = None,
+                 attributes: Dict[str, Any], sampled: bool = True,
                  recorded: bool = True) -> None:
         self.name = name
-        self.context = context
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.sampled = sampled
         self.parent_id = parent_id
         self.start = start
         self.end: Optional[float] = None
-        self.attributes: Dict[str, Any] = attributes or {}
-        self.events: List[Dict[str, Any]] = []
+        self.attributes = attributes
+        self.events = ()
         self.status = OK
         self.recorded = recorded
 
@@ -93,12 +101,8 @@ class Span:
         return self.recorded
 
     @property
-    def trace_id(self) -> str:
-        return self.context.trace_id
-
-    @property
-    def span_id(self) -> str:
-        return self.context.span_id
+    def context(self) -> SpanContext:
+        return SpanContext(self.trace_id, self.span_id, self.sampled)
 
     @property
     def duration(self) -> float:
@@ -115,7 +119,10 @@ class Span:
         event: Dict[str, Any] = {"name": name, "at": at}
         if attributes:
             event.update(attributes)
-        self.events.append(event)
+        if self.events:
+            self.events.append(event)
+        else:
+            self.events = [event]
 
     def set_status(self, status: str) -> None:
         self.status = status
@@ -129,8 +136,8 @@ class Span:
         """A JSON-serialisable record (the JSONL export row)."""
         record: Dict[str, Any] = {
             "name": self.name,
-            "trace_id": self.context.trace_id,
-            "span_id": self.context.span_id,
+            "trace_id": self.trace_id,
+            "span_id": self.span_id,
             "parent_id": self.parent_id,
             "start": self.start,
             "end": self.end,
@@ -144,8 +151,53 @@ class Span:
 
     def __repr__(self) -> str:
         return "<Span {} {} [{:.6g}..{}]>".format(
-            self.name, self.context.span_id, self.start,
+            self.name, self.span_id, self.start,
             "{:.6g}".format(self.end) if self.end is not None else "?")
+
+
+class HopSpan(Span):
+    """One ``net.link`` hop of a recorded packet: a row its carrier fills
+    (``tx_start`` at the channel grant, then ``end`` and, on a drop,
+    ``status``).  :attr:`attributes`, :attr:`events` and so
+    :meth:`to_dict` are built on read, exactly as a ``start_span`` with
+    ``link=``, ``node=``, ``bytes=`` and one ``tx-start`` event read.
+    """
+
+    __slots__ = ("link", "node", "bytes", "tx_start")
+
+    name = "net.link"
+    recorded = True
+
+    def __init__(self, trace_id: str, span_id: str, parent_id: str,
+                 start: float, sampled: bool, link: str, node: str,
+                 nbytes: int) -> None:
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.sampled = sampled
+        self.parent_id = parent_id
+        self.start = start
+        self.end = None
+        self.status = OK
+        self.link = link
+        self.node = node
+        self.bytes = nbytes
+        self.tx_start: Optional[float] = None
+
+    @property
+    def attributes(self) -> Dict[str, Any]:
+        return {"link": self.link, "node": self.node, "bytes": self.bytes}
+
+    @property
+    def events(self) -> Sequence[Dict[str, Any]]:
+        if self.tx_start is None:
+            return ()
+        return [{"name": "tx-start", "at": self.tx_start}]
+
+    def set_attribute(self, key: str, value: Any) -> None:
+        raise TypeError("a net.link hop holds only link, node and bytes")
+
+    def add_event(self, name: str, at: float, **attributes: Any) -> None:
+        raise TypeError("a net.link hop holds only its tx-start")
 
 
 class NoopSpan:
@@ -153,7 +205,9 @@ class NoopSpan:
 
     Every mutator is a no-op and :attr:`context` is ``None`` so nothing is
     ever injected into packet headers.  A single shared instance serves
-    every call site, keeping the disabled path allocation-free.
+    every call site, keeping the disabled path allocation-free; what it
+    reads as (no attributes, no events) is immutable, so no caller can
+    leave state behind for the next.
     """
 
     __slots__ = ()
@@ -164,8 +218,8 @@ class NoopSpan:
     status = OK
     start = 0.0
     end = 0.0
-    attributes: Dict[str, Any] = {}
-    events: List[Dict[str, Any]] = []
+    attributes: Mapping[str, Any] = MappingProxyType({})
+    events: Tuple[Dict[str, Any], ...] = ()
 
     @property
     def is_recording(self) -> bool:

@@ -20,12 +20,13 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, TypeVar, Union
 
 from repro.obs.sampling import Sampler
-from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanContext
+from repro.obs.span import NOOP_SPAN, HopSpan, NoopSpan, Span, SpanContext
 
 ParentLike = Union[Span, SpanContext, Dict[str, str], None]
+SpanT = TypeVar("SpanT", bound=Span)
 
 
 class Tracer:
@@ -46,10 +47,11 @@ class Tracer:
                  max_spans: Optional[int] = None,
                  tail_keep_errors: bool = False,
                  tail_buffer: Optional[int] = None) -> None:
-        if max_spans is not None and max_spans <= 0:
-            raise ValueError("max_spans must be positive")
-        if tail_buffer is not None and tail_buffer <= 0:
-            raise ValueError("tail_buffer must be positive")
+        _require_size("max_spans", max_spans)
+        _require_size("tail_buffer", tail_buffer)
+        if tail_buffer is not None and not tail_keep_errors:
+            raise ValueError("tail_buffer bounds the tail-sampling buffer; "
+                             "it needs tail_keep_errors=True")
         self.sampler = sampler
         self.max_spans = max_spans
         #: Tail-based sampling: when on, head-sampled-out spans are
@@ -88,23 +90,40 @@ class Tracer:
 
         ``parent`` may be another :class:`Span`, a :class:`SpanContext`, a
         plain context dict (as extracted from packet headers) or ``None``
-        for a new root.  NoopSpan parents are treated as roots.
+        for a new root.  NoopSpan parents are treated as roots.  The
+        kwargs dict becomes the span's ``attributes`` as it is.
         """
-        parent_ctx = _as_context(parent)
-        if parent_ctx is None:
-            trace_id = "t{}".format(next(self._trace_ids))
-            parent_id = None
-            sampled = True if self.sampler is None \
-                else self.sampler.sample(trace_id, name)
+        kind = type(parent)
+        if kind is dict:    # read in place, as SpanContext.from_dict does
+            trace_id, parent_id = parent["trace_id"], parent["span_id"]
+            sampled = parent.get("sampled", True)
         else:
-            trace_id = parent_ctx.trace_id
-            parent_id = parent_ctx.span_id
-            sampled = getattr(parent_ctx, "sampled", True)
-        context = SpanContext(trace_id, "s{}".format(next(self._span_ids)),
-                              sampled=sampled)
-        span = Span(name, context, parent_id, at, attributes or None,
-                    recorded=sampled or self.tail_keep_errors)
-        if sampled:
+            if parent is not None and kind is not Span \
+                    and kind is not SpanContext:
+                parent = _as_context(parent)
+            if parent is None:
+                trace_id = f"t{next(self._trace_ids)}"
+                parent_id = None
+                sampled = True if self.sampler is None \
+                    else self.sampler.sample(trace_id, name)
+            else:
+                trace_id = parent.trace_id
+                parent_id = parent.span_id
+                sampled = parent.sampled
+        return self._keep(Span(
+            name, trace_id, f"s{next(self._span_ids)}", parent_id, at,
+            attributes, sampled, sampled or self.tail_keep_errors))
+
+    def start_hop(self, parent: Span, at: float, link: str, node: str,
+                  nbytes: int) -> HopSpan:
+        """Open (and retain, like any span) the ``net.link`` row of one
+        hop of ``parent``'s packet; the carrier fills the rest."""
+        return self._keep(HopSpan(
+            parent.trace_id, f"s{next(self._span_ids)}", parent.span_id,
+            at, parent.sampled, link, node, nbytes))
+
+    def _keep(self, span: SpanT) -> SpanT:
+        if span.sampled:
             self._retain(span)
         elif self.tail_keep_errors:
             # Record but hold aside: tail_flush() decides the trace's
@@ -115,7 +134,7 @@ class Tracer:
         return span
 
     def _retain(self, span: Span) -> None:
-        if self.max_spans is not None and len(self.spans) == self.max_spans:
+        if len(self.spans) == self.max_spans:    # never, when unbounded
             self.evicted += 1
         self.spans.append(span)
 
@@ -184,8 +203,7 @@ class Tracer:
 
     def trace(self, trace_id: str) -> List[Span]:
         """All spans belonging to one trace, in creation order."""
-        return [span for span in self.spans
-                if span.context.trace_id == trace_id]
+        return [span for span in self.spans if span.trace_id == trace_id]
 
     def clear(self) -> None:
         self.spans = collections.deque(maxlen=self.max_spans) \
@@ -210,7 +228,7 @@ class Tracer:
 class NoopTracer:
     """The disabled tracer: records nothing, allocates nothing."""
 
-    spans: List[Span] = []
+    spans: Tuple[Span, ...] = ()
     sampler: Optional[Sampler] = None
     max_spans: Optional[int] = None
     evicted = 0
@@ -303,6 +321,14 @@ def use_tracer(tracer: Union[Tracer, NoopTracer]):
         yield tracer
     finally:
         set_tracer(previous)
+
+
+def _require_size(name: str, value: Optional[int]) -> None:
+    """A bound is ``None`` or a positive int; ``True`` is not one."""
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, int) or value <= 0):
+        raise ValueError("{} must be a positive integer, got {!r}".format(
+            name, value))
 
 
 def _as_context(parent: ParentLike) -> Optional[SpanContext]:

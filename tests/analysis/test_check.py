@@ -91,6 +91,15 @@ def test_cli_exit_codes(dirty_tree, capsys):
     assert "0 finding(s)" in capsys.readouterr().out
 
 
+def test_clean_tree_summary_counts_files_analysed(tmp_path, capsys):
+    # "0 finding(s) in 0 file(s)" read as "analysed nothing": the count
+    # is of the files analysed, not of those with findings.
+    for name in ("a.py", "b.py", "c.py"):
+        (tmp_path / name).write_text("X = 1\n", encoding="utf-8")
+    assert main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "0 finding(s); 3 file(s) analysed\n"
+
+
 def test_cli_unknown_pass_exits_2(dirty_tree, capsys):
     assert main([dirty_tree, "--passes", "nope"]) == 2
     assert "unknown pass" in capsys.readouterr().err

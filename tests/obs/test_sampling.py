@@ -54,6 +54,12 @@ class TestSamplerDecisions:
         with pytest.raises(ValueError):
             Sampler(rate=0.5, rates={"x": -0.1})
 
+    def test_invalid_per_name_rate_names_its_entry(self):
+        with pytest.raises(ValueError, match=r"rates\['node.migrate'\]"):
+            Sampler(rates={"node.migrate": 2})
+        with pytest.raises(ValueError, match=r"^rate must"):
+            Sampler(rate=-1)
+
 
 class TestTracerSampling:
 

@@ -175,3 +175,29 @@ def test_validation_and_noop():
         Tracer(tail_buffer=0)
     assert NOOP_TRACER.tail_flush() == 0
     assert NOOP_TRACER.tail_promoted == 0
+
+
+# Each bound is a positive int and says so by name.  Unchecked, the
+# first raised deque's anonymous TypeError and the other three were
+# accepted (True as a ring of one, a buffer nothing would fill).
+
+def test_fractional_max_spans_is_named():
+    with pytest.raises(ValueError, match="max_spans must be a positive "
+                                         "integer, got 2.5"):
+        Tracer(max_spans=2.5)
+
+
+def test_boolean_max_spans_is_not_a_ring_of_one():
+    with pytest.raises(ValueError, match="max_spans .* got True"):
+        Tracer(max_spans=True)
+
+
+def test_tail_buffer_without_tail_sampling_is_refused():
+    with pytest.raises(ValueError, match="tail_buffer .* tail_keep_errors"):
+        Tracer(tail_buffer=5)
+
+
+def test_fractional_tail_buffer_is_named():
+    with pytest.raises(ValueError, match="tail_buffer must be a positive "
+                                         "integer, got 2.5"):
+        Tracer(tail_buffer=2.5, tail_keep_errors=True)

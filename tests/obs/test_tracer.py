@@ -1,5 +1,6 @@
 """Tracer integrity: span trees across distributed invocations."""
 
+import gc
 import json
 
 import pytest
@@ -152,6 +153,52 @@ def test_chrome_trace_round_trips_through_json(env, tracer, tmp_path):
     threads = [e for e in events if e["ph"] == "M"]
     names = {e["args"]["name"] for e in threads}
     assert "site0.host0" in names and "site1.host0" in names
+
+
+def test_noop_empties_cannot_carry_state_between_runs():
+    # One shared NOOP_SPAN serves every disabled call site in the
+    # process: what it reads as must not be writable by any of them.
+    with pytest.raises(TypeError):
+        obs.NOOP_SPAN.attributes["x"] = 1
+    with pytest.raises(AttributeError):
+        obs.NOOP_SPAN.events.append({"name": "leak", "at": 0.0})
+    with pytest.raises(AttributeError):
+        obs.NOOP_TRACER.spans.append(obs.NOOP_SPAN)
+    assert dict(obs.NoopSpan().attributes) == {}
+    assert obs.NoopSpan().events == () and len(obs.NOOP_TRACER.spans) == 0
+
+
+def test_a_retained_span_is_one_tracked_object(env, tracer):
+    # Identity inline, attributes in the kwargs dict (atomic values, so
+    # untracked), events only once added, hops as rows: a retained span
+    # is itself and nothing else the collector has to walk.  Three
+    # (span, context, event list) when each span was an object graph.
+    runtime = make_wan_runtime(env)
+    invoke_remotely(env, runtime)
+    invoke_remotely(env, runtime)
+    gc.collect()
+    tracked = [1 + sum(1 for held in gc.get_referents(span)
+                       if gc.is_tracked(held) and not isinstance(held, type))
+               for span in tracer.spans]
+    assert len(tracked) >= 20
+    assert sum(tracked) / len(tracked) <= 1.0
+
+
+def test_hop_rows_materialise_on_read(env, tracer):
+    runtime = make_wan_runtime(env)
+    invoke_remotely(env, runtime)
+    hop = next(s for s in tracer.spans if s.name == "net.link")
+    record = hop.to_dict()
+    assert list(record) == ["name", "trace_id", "span_id", "parent_id",
+                            "start", "end", "status", "attributes",
+                            "events"]
+    assert list(record["attributes"]) == ["link", "node", "bytes"]
+    assert record["events"] == [{"name": "tx-start", "at": hop.tx_start}]
+    # Built on read: a fresh context each time, equal in value.
+    assert hop.context is not hop.context
+    assert hop.context.to_dict() == hop.context.to_dict()
+    with pytest.raises(TypeError):
+        hop.set_attribute("extra", 1)
 
 
 def test_tracer_context_manager_and_scoping(env):
