@@ -130,16 +130,15 @@ def _register_obs_demos() -> Dict[str, Callable[..., Dict[str, Any]]]:
 def _register_chaos() -> Dict[str, Callable[..., Dict[str, Any]]]:
     # Imported here (like the obs demos) to keep the groups/sessions/
     # qos stack off the import path of modules that only need the
-    # lock workloads — and to avoid closing the transport → policies
-    # import cycle (see repro.faults.__init__).
+    # lock workloads — and to avoid closing an import cycle: chaos
+    # reaches the groups/node layers, which import net.transport, which
+    # imports faults.policies.
     from repro.faults.chaos import (
         flaky_links_workload,
-        fuzz_probe_workload,
         partition_recovery_workload,
     )
     return {"partition-recovery": partition_recovery_workload,
-            "flaky-links": flaky_links_workload,
-            "fuzz-probe": fuzz_probe_workload}
+            "flaky-links": flaky_links_workload}
 
 
 def _register_fuzz_corpus() -> Dict[str, Callable[..., Dict[str, Any]]]:

@@ -9,76 +9,17 @@ replay-checkable) and the machinery to *survive* them
 :mod:`repro.faults.detector`: phi-accrual adaptive suspicion;
 :mod:`repro.faults.degrade`: graceful degradation of QoS and session
 mode).  Chaos workloads live in :mod:`repro.faults.chaos` and register
-in :data:`repro.analysis.workloads.WORKLOADS`.
-
-Import note: :mod:`~repro.faults.detector`, :mod:`~repro.faults.degrade`
-and :mod:`~repro.faults.chaos` are exposed lazily (PEP 562) because they
-import the groups/sessions/node layers, which themselves import
-:mod:`repro.net.transport` — and transport imports
-:mod:`repro.faults.policies`.  Eager imports here would close that
-cycle.
+in :data:`repro.analysis.workloads.WORKLOADS`; the fault search is
+:mod:`repro.faults.fuzz`.  Import anything else from its module.
 """
 
-from repro.faults.policies import (
-    CircuitBreaker,
-    CircuitOpenError,
-    DeadlineBudget,
-    FaultPolicies,
-    RetryPolicy,
-    fixed_retry,
-)
-from repro.faults.schedule import (
-    FaultEvent,
-    FaultInjector,
-    FaultSchedule,
-    use_schedule_override,
-)
-
-#: Lazily imported name -> defining submodule.  The fuzz/oracle/shrink/
-#: corpus stack is lazy for the same reason as the chaos workloads: it
-#: reaches the workload registry, which pulls in the whole net/node
-#: stack.
-_LAZY = {
-    "PhiAccrualDetector": "repro.faults.detector",
-    "DegradationManager": "repro.faults.degrade",
-    "DEGRADED": "repro.faults.degrade",
-    "FULL_SERVICE": "repro.faults.degrade",
-    "FuzzProfile": "repro.faults.fuzz",
-    "ScheduleGenerator": "repro.faults.fuzz",
-    "evaluate_schedule": "repro.faults.fuzz",
-    "run_campaign": "repro.faults.fuzz",
-    "ddmin": "repro.faults.shrink",
-    "shrink_schedule": "repro.faults.shrink",
-}
+from repro.faults.policies import CircuitBreaker, FaultPolicies, RetryPolicy
+from repro.faults.schedule import FaultInjector, FaultSchedule
 
 __all__ = [
     "CircuitBreaker",
-    "CircuitOpenError",
-    "DeadlineBudget",
-    "DegradationManager",
-    "DEGRADED",
-    "FaultEvent",
     "FaultInjector",
     "FaultPolicies",
     "FaultSchedule",
-    "FULL_SERVICE",
-    "FuzzProfile",
-    "PhiAccrualDetector",
     "RetryPolicy",
-    "ScheduleGenerator",
-    "ddmin",
-    "evaluate_schedule",
-    "fixed_retry",
-    "run_campaign",
-    "shrink_schedule",
-    "use_schedule_override",
 ]
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            "module {!r} has no attribute {!r}".format(__name__, name))
-    import importlib
-    return getattr(importlib.import_module(module_name), name)

@@ -370,9 +370,8 @@ def flaky_links_workload(seed: int = 31) -> Dict[str, Any]:
         "seed": seed,
         "faults": injector.log,
         # Operations that never resolved by the end of the drained run
-        # (senders stop at FLAKY_UNTIL, the run extends 5 s past it) —
-        # the fuzzer's liveness oracle requires every value to be zero
-        # once all scheduled faults have lifted.
+        # (senders stop at FLAKY_UNTIL, the run extends 5 s past it):
+        # every value is zero once all scheduled faults have lifted.
         "inflight": {
             "chan.client": chan_client.inflight(),
             "chan.server": chan_server.inflight(),
@@ -398,152 +397,6 @@ def flaky_links_workload(seed: int = 31) -> Dict[str, Any]:
         "error_spans": error_spans,
         "spans_retained": len(tracer.spans),
         "spans_sampled_out": tracer.sampled_out,
-        "drops": net.drop_stats(),
-        "env": env.stats(),
-    }
-
-
-# -- fuzz-probe --------------------------------------------------------------
-
-
-def _inflight_table(server, clients, chan_src, chan_dst
-                    ) -> Dict[str, int]:
-    """Pending-operation counts per endpoint, sorted for digests."""
-    table = {"chan.n1": chan_src.inflight(),
-             "chan.n3": chan_dst.inflight(),
-             "rpc.n0": server.rpc.inflight()}
-    for name in sorted(clients):
-        table["rpc." + name] = clients[name].rpc.inflight()
-    return {key: table[key] for key in sorted(table)}
-
-PROBE_ACTIVE_UNTIL = 18.0
-PROBE_DRAIN = 6.0
-PROBE_RPC_TIMEOUT = 0.4
-PROBE_THINK_MEAN = 0.3
-PROBE_CHAN_PERIOD = 0.5
-PROBE_CHAN_BYTES = 400
-PROBE_NODES = ("n0", "n1", "n2", "n3")
-#: Ring plus one chord, so single link cuts reroute and partitions
-#: genuinely isolate subsets.
-PROBE_LINKS = (("n0", "n1"), ("n1", "n2"), ("n2", "n3"), ("n0", "n3"),
-               ("n0", "n2"))
-
-
-def fuzz_probe_workload(seed: int = 31) -> Dict[str, Any]:
-    """The fuzzer's cheap target: RPC + reliable-channel traffic on a
-    four-node mesh, with an *empty* built-in fault schedule.
-
-    On its own this workload is deliberately boring — every probe
-    succeeds, nothing degrades.  Its point is the injection surface:
-    the :class:`FaultInjector` built here executes whatever schedule
-    the ambient override supplies, clients tolerate faults through the
-    full recovery-policy bundle, and the result exposes the pending-
-    operation accounting (``inflight``) the liveness oracle needs.
-    Senders stop at ``PROBE_ACTIVE_UNTIL``; the run drains for
-    ``PROBE_DRAIN`` seconds more, long enough for the slowest possible
-    retry ladder to resolve either way.
-    """
-    env = Environment()
-    streams = RandomStreams(seed)
-    topo = Topology(env)
-    for a, b in PROBE_LINKS:
-        topo.add_link(a, b, latency=0.005, bandwidth=1e7,
-                      rng=streams.stream("link-{}-{}".format(a, b)))
-    net = Network(env, topo)
-    metrics = MetricsRegistry()
-
-    with use_metrics(metrics):
-        policies = FaultPolicies(
-            retry=RetryPolicy(base=0.05, multiplier=2.0, cap=0.4,
-                              jitter=0.2, max_retries=3,
-                              rng=streams.stream("rpc-backoff")),
-            breaker=CircuitBreaker(env, failure_threshold=4,
-                                   reset_timeout=1.0),
-            deadline=3.0)
-        runtime = ODPRuntime(net, registry_node="n0", policies=policies)
-        server = runtime.nucleus("n0")
-        capsule = server.create_capsule("probe-cap")
-        board = server.create_object(capsule, "board",
-                                     state={"hits": 0})
-
-        def hit(caller, state, args):
-            state["hits"] += 1
-            return state["hits"]
-
-        board.operation("hit", hit)
-        clients = {name: runtime.nucleus(name)
-                   for name in PROBE_NODES[1:]}
-
-        outcomes: Dict[str, Dict[str, int]] = {
-            name: {} for name in sorted(clients)}
-        think_rng = streams.stream("think")
-
-        def probe_proc(name, nucleus):
-            while env.now < PROBE_ACTIVE_UNTIL:
-                yield env.timeout(exponential(think_rng,
-                                              PROBE_THINK_MEAN))
-                try:
-                    yield nucleus.invoke(board.oid, "hit", None,
-                                         timeout=PROBE_RPC_TIMEOUT)
-                    key = "ok"
-                except Exception as error:  # noqa: BLE001 - tallied
-                    key = type(error).__name__
-                tally = outcomes[name]
-                tally[key] = tally.get(key, 0) + 1
-
-        for name in sorted(clients):
-            env.process(probe_proc(name, clients[name]),
-                        name="probe-" + name)
-
-        chan_src = ReliableChannel(
-            net.host("n1"), port=7,
-            backoff=RetryPolicy(base=0.1, multiplier=2.0, jitter=0.25,
-                                max_retries=2,
-                                rng=streams.stream("chan-backoff")))
-        chan_dst = ReliableChannel(net.host("n3"), port=7)
-        delivered = []
-
-        def drain_proc():
-            while True:
-                packet = yield chan_dst.receive()
-                delivered.append(packet.payload)
-
-        env.process(drain_proc(), name="chan-drain")
-
-        chan_stats = {"sent": 0, "failed": 0}
-
-        def chan_proc():
-            while env.now < PROBE_ACTIVE_UNTIL:
-                yield env.timeout(PROBE_CHAN_PERIOD)
-                chan_stats["sent"] += 1
-                try:
-                    yield chan_src.send("n3", payload=chan_stats["sent"],
-                                        size=PROBE_CHAN_BYTES)
-                except Exception:  # noqa: BLE001 - tallied
-                    chan_stats["failed"] += 1
-
-        env.process(chan_proc(), name="chan-sender")
-
-        # The injection surface: empty unless a fuzz campaign (or a
-        # corpus regression) overrides the schedule.
-        injector = FaultInjector(env, net, FaultSchedule())
-
-        env.run(until=PROBE_ACTIVE_UNTIL + PROBE_DRAIN)
-
-    return {
-        "workload": "fuzz-probe",
-        "seed": seed,
-        "faults": injector.log,
-        "outcomes": outcomes,
-        "hits": board.state["hits"],
-        "chan_sent": chan_stats["sent"],
-        "chan_failed": chan_stats["failed"],
-        "chan_delivered": len(delivered),
-        "chan_retries": chan_src.retries,
-        "chan_gave_up": chan_src.gave_up,
-        "breaker_rejected": policies.breaker.rejected,
-        "inflight": _inflight_table(server, clients, chan_src, chan_dst),
-        "faults_injected": metrics.counter_total("fault.injected"),
         "drops": net.drop_stats(),
         "env": env.stats(),
     }

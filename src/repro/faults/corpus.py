@@ -34,15 +34,10 @@ SCHEMA = "repro-fuzz/1"
 #: Workload-name prefix for registered corpus regressions.
 REGISTRY_PREFIX = "fuzz-reg-"
 
-_REPO_ROOT = os.path.normpath(os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "..", "..", ".."))
-
-
-def default_corpus_dir() -> str:
-    """The checked-in corpus directory (env-overridable for tests)."""
-    return os.environ.get(
-        "REPRO_FUZZ_CORPUS",
-        os.path.join(_REPO_ROOT, "corpus", "fuzz"))
+#: The checked-in corpus directory.
+DEFAULT_DIR = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "..", "..",
+    "corpus", "fuzz"))
 
 
 def entry_id(workload: str, workload_seed: int, oracle: str,
@@ -106,7 +101,7 @@ def load_entry(path: str) -> Dict[str, Any]:
 def load_corpus(directory: Optional[str] = None
                 ) -> List[Dict[str, Any]]:
     """Every entry in ``directory`` (default corpus), sorted by ID."""
-    directory = default_corpus_dir() if directory is None else directory
+    directory = DEFAULT_DIR if directory is None else directory
     if not os.path.isdir(directory):
         return []
     entries = []
@@ -116,25 +111,33 @@ def load_corpus(directory: Optional[str] = None
     return sorted(entries, key=lambda entry: entry["id"])
 
 
+def _replay(entry: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """The reproducer run twice at ``seed``: the first run's verdict and
+    both runs' digests, which must agree."""
+    # Imported at call time: the fuzz engine imports the workload
+    # registry, which imports this module while building itself.
+    from repro.faults.fuzz import evaluate_schedule
+
+    first, second = (evaluate_schedule(entry["workload"], seed,
+                                       entry["schedule"]) for _ in range(2))
+    return {"violations": first["oracles"],
+            "reproduced": entry["oracle"] in first["oracles"],
+            "digests": [first["digest"], second["digest"]]}
+
+
 def _make_regression(entry: Dict[str, Any]
                      ) -> Callable[..., Dict[str, Any]]:
     def regression_workload(seed: int = 31) -> Dict[str, Any]:
-        # Imported at call time: the fuzz engine imports the workload
-        # registry, which imports this module while building itself.
-        from repro.faults.fuzz import evaluate_schedule
-
-        report = evaluate_schedule(entry["workload"], seed,
-                                   entry["schedule"], runs=2)
-        violated = [v["oracle"] for v in report["violations"]]
+        replay = _replay(entry, seed)
         return {
             "workload": REGISTRY_PREFIX + entry["id"],
             "base": entry["workload"],
             "seed": seed,
             "oracle": entry["oracle"],
             "events": len(entry["schedule"]["events"]),
-            "violations": violated,
-            "reproduced": entry["oracle"] in violated,
-            "digests": report["digests"],
+            "violations": replay["violations"],
+            "reproduced": replay["reproduced"],
+            "digests": replay["digests"],
         }
 
     regression_workload.__name__ = \
@@ -157,42 +160,28 @@ def corpus_workloads(directory: Optional[str] = None
 
 def verify_entry(entry: Dict[str, Any]) -> Dict[str, Any]:
     """Re-run one reproducer at its stored seed; a verdict record."""
-    from repro.faults.fuzz import evaluate_schedule
-
-    report = evaluate_schedule(entry["workload"],
-                               entry["workload_seed"],
-                               entry["schedule"], runs=2)
-    violated = [v["oracle"] for v in report["violations"]]
+    replay = _replay(entry, entry["workload_seed"])
     return {
         "id": entry["id"],
         "workload": entry["workload"],
         "oracle": entry["oracle"],
-        "reproduced": entry["oracle"] in violated,
-        "deterministic": len(set(report["digests"])) == 1,
-        "violations": violated,
+        "reproduced": replay["reproduced"],
+        "deterministic": len(set(replay["digests"])) == 1,
+        "violations": replay["violations"],
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults.corpus",
-        description="List or re-verify the fuzz reproducer corpus.")
-    parser.add_argument("command", choices=("list", "verify"),
-                        help="list entries, or re-run each reproducer "
-                             "and assert it still fails its oracle "
-                             "deterministically")
+        description="Re-verify the fuzz reproducer corpus.")
+    parser.add_argument("command", choices=("verify",),
+                        help="re-run each reproducer and assert it still "
+                             "fails its oracle deterministically")
     parser.add_argument("--dir", default=None,
                         help="corpus directory (default corpus/fuzz)")
     options = parser.parse_args(argv)
     entries = load_corpus(options.dir)
-    if options.command == "list":
-        for entry in entries:
-            print("{}  {}  {}  {} event(s)".format(
-                entry["id"], entry["workload"], entry["oracle"],
-                len(entry["schedule"]["events"])))
-        print("{} corpus entr{}".format(
-            len(entries), "y" if len(entries) == 1 else "ies"))
-        return 0
     failures = 0
     for entry in entries:
         verdict = verify_entry(entry)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.errors import SimulationError
 from repro.obs.metrics import get_metrics
 from repro.sessions.session import ASYNCHRONOUS, SYNCHRONOUS
 
@@ -64,6 +65,9 @@ class DegradationManager:
     def __init__(self, env, session=None, broker=None,
                  contracts: Sequence = (),
                  shed_fraction: float = 0.5) -> None:
+        if not 0 < shed_fraction <= 1:
+            raise SimulationError(
+                "shed_fraction must be in (0, 1]: {!r}".format(shed_fraction))
         self.env = env
         self.session = session
         self.broker = broker

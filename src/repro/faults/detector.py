@@ -88,14 +88,17 @@ class PhiAccrualDetector:
     def __init__(self, threshold: float = 8.0, window: int = 100,
                  min_samples: int = 3,
                  bootstrap_interval: float = 1.0) -> None:
-        if threshold <= 0:
-            raise SimulationError("phi threshold must be positive")
+        if not threshold > 0:
+            raise SimulationError(
+                "threshold must be positive: {!r}".format(threshold))
         if window < 2:
             raise SimulationError("window must hold at least 2 samples")
         if min_samples < 2:
             raise SimulationError("min_samples must be >= 2")
-        if bootstrap_interval <= 0:
-            raise SimulationError("bootstrap_interval must be positive")
+        if not 0 < bootstrap_interval < math.inf:
+            raise SimulationError(
+                "bootstrap_interval must be a positive finite number: "
+                "{!r}".format(bootstrap_interval))
         self.threshold = threshold
         self.window = window
         self.min_samples = min_samples

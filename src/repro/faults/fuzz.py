@@ -1,4 +1,4 @@
-"""Seeded chaos search: generated fault schedules vs. the oracle suite.
+"""Seeded chaos search: generated fault schedules vs. workload invariants.
 
 The repo's chaos workloads each ship one hand-written
 :class:`~repro.faults.schedule.FaultSchedule`.  This module searches the
@@ -7,23 +7,18 @@ valid schedules — link cuts, partitions, node crashes, latency storms,
 loss bursts, overlapping freely — and injects each into an unmodified
 workload through the ambient schedule override
 (:func:`~repro.faults.schedule.use_schedule_override`).  Every trial
-runs the workload **twice** under one sim seed (once generating, once
-replaying the captured schedule) and hands the evidence to
-:mod:`repro.faults.oracles`: replay-digest identity, happens-before
-conflicts, liveness after drain, SLO clearance and per-workload domain
-invariants.
+runs the workload once under one sim seed and checks the profile's
+invariants on the result.
 
 On a violation the campaign can delta-debug the schedule down to a
-minimal reproducer (:mod:`repro.faults.shrink`), serialize it into the
-corpus (:mod:`repro.faults.corpus`) where it becomes a permanent
-``fuzz-reg-<id>`` regression workload, and — for replay violations —
-name the first divergent epoch of the run identity's journal chain
-(:func:`repro.obs.divergence.compare_digests`).
+minimal reproducer (:mod:`repro.faults.shrink`) and serialize it into
+the corpus (:mod:`repro.faults.corpus`), where it becomes a permanent
+``fuzz-reg-<id>`` regression workload.
 
-Everything is a pure function of ``(campaign seed, workload seed)``:
-the generator draws from its own :class:`~repro.sim.RandomStreams`
-(never the workload's), times sit on a 0.25 s grid, and the campaign
-summary carries a digest so CI can assert two runs of ::
+Everything is a pure function of the campaign seed: the generator draws
+from its own :class:`~repro.sim.RandomStreams` (never the workload's),
+times sit on a 0.25 s grid, and the campaign summary carries a digest so
+CI can assert two runs of ::
 
     python -m repro.faults.fuzz --workload partition-recovery \\
         --budget 25 --seed 7
@@ -36,20 +31,22 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.hb import ConflictSanitizer
 from repro.analysis.replay import run_isolated, trace_digest
 from repro.errors import SimulationError
-from repro.faults.corpus import default_corpus_dir, make_entry, write_entry
-from repro.faults.oracles import TrialEvidence, evaluate, oracle_names
+from repro.faults.corpus import make_entry, write_entry
 from repro.faults.schedule import FaultSchedule, use_schedule_override
 from repro.faults.shrink import shrink_schedule
 from repro.sim import RandomStreams
 
 #: Version tag of the campaign summary format.
-CAMPAIGN_SCHEMA = "repro-fuzz-campaign/1"
+CAMPAIGN_SCHEMA = "repro-fuzz-campaign/2"
+
+#: The sim seed every trial runs under.
+WORKLOAD_SEED = 31
 
 #: All generated times land on this grid (keeps shrinking stable and
 #: schedules human-readable).
@@ -65,41 +62,52 @@ LOSS_RATES = (0.2, 0.4, 0.6)
 OP_WEIGHTS = (("link", 3.0), ("partition", 2.0), ("crash", 2.0),
               ("storm", 2.0), ("loss", 2.0))
 
+Invariant = Callable[[FaultSchedule, Dict[str, Any]], Optional[str]]
+
 
 class FuzzProfile:
     """What the fuzzer may do to one workload — and what must hold.
 
     ``active`` bounds generated onset times, ``heal_by`` is the latest
-    allowed lift (every generated schedule is balanced by
-    construction, so the liveness/recovery oracles always apply).
-    ``max_ops`` caps operations per schedule.  The boolean flags enable
-    the optional oracles; ``invariants`` is a tuple of
-    ``(name, check(schedule, result) -> message | None)`` domain
-    checks.
+    allowed lift (every generated schedule is balanced by construction).
+    ``max_ops`` caps operations per schedule.  ``invariants`` is a tuple
+    of ``(name, check(schedule, result) -> message | None)`` domain
+    checks; a message is a violation of ``invariant:<name>``.
     """
 
-    __slots__ = ("name", "active", "heal_by", "max_ops", "liveness",
-                 "slo_clear", "conflict_free", "invariants")
+    __slots__ = ("name", "active", "heal_by", "max_ops", "invariants")
 
     def __init__(self, name: str, active: Tuple[float, float],
                  heal_by: float, max_ops: int = 3,
-                 liveness: bool = False, slo_clear: bool = False,
-                 conflict_free: bool = False,
-                 invariants: Tuple[Tuple[str, Callable[..., Any]], ...] = ()
+                 invariants: Tuple[Tuple[str, Invariant], ...] = ()
                  ) -> None:
-        if active[0] >= active[1]:
-            raise SimulationError("active window must be non-empty")
-        if heal_by < active[0] + MIN_DURATION:
+        if not 0 <= active[0] < active[1]:
             raise SimulationError(
-                "heal_by leaves no room for a minimum-length fault")
+                "active must be a non-empty window of times: {!r}".format(
+                    active))
+        if not active[0] + MIN_DURATION <= heal_by < math.inf:
+            raise SimulationError(
+                "heal_by must be a finite time at least {:g} s after the "
+                "window opens: {!r}".format(MIN_DURATION, heal_by))
+        if max_ops < 1:
+            raise SimulationError(
+                "max_ops must be at least 1: {!r}".format(max_ops))
         self.name = name
         self.active = active
         self.heal_by = heal_by
         self.max_ops = max_ops
-        self.liveness = liveness
-        self.slo_clear = slo_clear
-        self.conflict_free = conflict_free
         self.invariants = invariants
+
+    def violations(self, schedule: FaultSchedule,
+                   result: Dict[str, Any]) -> List[Dict[str, str]]:
+        """Every invariant ``result`` breaks, in declaration order."""
+        violations = []
+        for name, check in self.invariants:
+            message = check(schedule, result)
+            if message is not None:
+                violations.append({"oracle": "invariant:" + name,
+                                   "message": message})
+        return violations
 
     def __repr__(self) -> str:
         return "<FuzzProfile {} active={} heal_by={}>".format(
@@ -134,18 +142,12 @@ def _view_recovers(schedule: FaultSchedule,
 
 #: Per-workload fuzzing contracts.  Only listed workloads are fuzzable:
 #: the profile is what makes a generated schedule *valid* (onsets inside
-#: the active window, lifts before the drain) and the oracles *fair*.
+#: the active window, lifts before the drain) and its invariants what a
+#: trial is judged on.
 PROFILES: Dict[str, FuzzProfile] = {
     "partition-recovery": FuzzProfile(
         "partition-recovery", active=(2.0, 30.0), heal_by=36.0,
-        max_ops=3, slo_clear=True, conflict_free=True,
-        invariants=(("view-recovers", _view_recovers),)),
-    "flaky-links": FuzzProfile(
-        "flaky-links", active=(2.0, 30.0), heal_by=34.0,
-        max_ops=3, liveness=True),
-    "fuzz-probe": FuzzProfile(
-        "fuzz-probe", active=(1.0, 14.0), heal_by=16.0,
-        max_ops=4, liveness=True),
+        max_ops=3, invariants=(("view-recovers", _view_recovers),)),
 }
 
 
@@ -168,8 +170,8 @@ class ScheduleGenerator:
     All randomness comes from the single ``rng`` stream handed in (a
     campaign derives one per trial), **never** from the workload's
     streams — generation therefore cannot perturb the workload's own
-    draw sequence, which is what lets the replay oracle compare a
-    generating run against a fixed-schedule run.
+    draw sequence, so a generating run and a run of the captured
+    schedule are the same run.
 
     The topology is only known inside the run (the ambient override
     passes the live :class:`~repro.net.network.Network` to
@@ -249,122 +251,59 @@ class ScheduleGenerator:
 # -- trial execution ---------------------------------------------------------
 
 
-def _run_once(name: str, seed: int
-              ) -> Tuple[Dict[str, Any], Dict[str, int], str]:
-    """One isolated run: (result, conflict counts, result digest)."""
-    sanitizer = ConflictSanitizer()
-    result = run_isolated(name, seed, sanitizer=sanitizer)
-    return result, sanitizer.conflict_counts(), trace_digest(result)
-
-
-def _fixed_factory(schedule_dict: Dict[str, Any]
-                   ) -> Callable[..., FaultSchedule]:
-    """An override factory that always yields the given schedule."""
-    def factory(network: Any, schedule: FaultSchedule) -> FaultSchedule:
-        return FaultSchedule.from_dict(schedule_dict)
-    return factory
+def _judge(profile: FuzzProfile, schedule_dict: Dict[str, Any],
+           result: Dict[str, Any]) -> Dict[str, Any]:
+    violations = profile.violations(FaultSchedule.from_dict(schedule_dict),
+                                    result)
+    return {"schedule": schedule_dict, "digest": trace_digest(result),
+            "violations": violations,
+            "oracles": [violation["oracle"] for violation in violations]}
 
 
 def evaluate_schedule(name: str, seed: int,
-                      schedule_dict: Dict[str, Any],
-                      runs: int = 2) -> Dict[str, Any]:
-    """Run ``name`` under a fixed schedule and apply the oracle suite.
+                      schedule_dict: Dict[str, Any]) -> Dict[str, Any]:
+    """Run ``name`` once under a fixed schedule and judge it.
 
-    ``runs >= 2`` arms the replay oracle (digest identity across runs);
-    ``runs=1`` is the cheap mode shrink probes use for non-replay
-    oracles.  This is also the corpus regression entry point.
+    The shrinker's probe and the corpus regression entry point.
     """
-    profile = get_profile(name)
-    schedule = FaultSchedule.from_dict(schedule_dict)
-    digests: List[str] = []
-    first: Optional[Dict[str, Any]] = None
-    conflicts: Dict[str, int] = {}
-    with use_schedule_override(_fixed_factory(schedule_dict)):
-        for _ in range(max(1, runs)):
-            result, conflict_counts, digest = _run_once(name, seed)
-            digests.append(digest)
-            if first is None:
-                first = result
-                conflicts = conflict_counts
-    evidence = TrialEvidence(profile, schedule, first or {},
-                             conflicts, digests)
-    violations = evaluate(evidence)
-    return {"workload": name, "seed": seed, "digests": digests,
-            "violations": violations,
-            "oracles": oracle_names(violations)}
+    def fixed(network: Any, schedule: FaultSchedule) -> FaultSchedule:
+        return FaultSchedule.from_dict(schedule_dict)
+
+    with use_schedule_override(fixed):
+        result = run_isolated(name, seed)
+    return _judge(get_profile(name), schedule_dict, result)
 
 
-def run_trial(name: str, seed: int, generator: ScheduleGenerator
-              ) -> Dict[str, Any]:
-    """One fuzz trial: generate, replay, judge.
-
-    Run 1 installs a *generating* override — the schedule is sampled
-    inside the run, against the live topology.  Run 2 replays the
-    captured schedule through a fixed override.  Matching digests plus
-    a clean oracle suite means the trial passes.
-    """
-    profile = generator.profile
+def run_trial(name: str, generator: ScheduleGenerator) -> Dict[str, Any]:
+    """One fuzz trial: the schedule is sampled inside the run, against
+    the live topology, then the result is judged."""
     captured: Dict[str, FaultSchedule] = {}
 
     def generating(network: Any, schedule: FaultSchedule) -> FaultSchedule:
-        generated = generator.generate(network)
-        captured["schedule"] = generated
-        return generated
+        captured["schedule"] = generator.generate(network)
+        return captured["schedule"]
 
     with use_schedule_override(generating):
-        result, conflicts, first_digest = _run_once(name, seed)
+        result = run_isolated(name, WORKLOAD_SEED)
     if "schedule" not in captured:
         raise SimulationError(
             "workload {!r} never built a FaultInjector; nothing to "
             "fuzz".format(name))
-    schedule_dict = captured["schedule"].to_dict()
-    with use_schedule_override(_fixed_factory(schedule_dict)):
-        _, _, second_digest = _run_once(name, seed)
-    evidence = TrialEvidence(profile,
-                             FaultSchedule.from_dict(schedule_dict),
-                             result, conflicts,
-                             [first_digest, second_digest])
-    violations = evaluate(evidence)
-    return {"workload": name, "seed": seed,
-            "schedule": schedule_dict,
-            "digests": [first_digest, second_digest],
-            "violations": violations,
-            "oracles": oracle_names(violations)}
+    return _judge(generator.profile, captured["schedule"].to_dict(), result)
 
 
-def _shrink_test(name: str, seed: int, target: str
+def _shrink_test(name: str, target: str
                  ) -> Callable[[List[Dict[str, Any]]], bool]:
     """"Still fails the same way": the shrinker's probe predicate."""
-    runs = 2 if target == "replay" else 1
-
     def test(events: List[Dict[str, Any]]) -> bool:
         try:
-            report = evaluate_schedule(name, seed, {"events": events},
-                                       runs=runs)
+            report = evaluate_schedule(name, WORKLOAD_SEED,
+                                       {"events": events})
         except Exception:  # noqa: BLE001 - invalid candidate == no repro
             return False
         return target in report["oracles"]
 
     return test
-
-
-def _localize_replay(name: str, seed: int,
-                     schedule_dict: Dict[str, Any]) -> Dict[str, Any]:
-    """First divergent journal epoch for a replay violation.
-
-    Both runs are journalled by the recorder ``run_digest`` uses
-    (:func:`repro.analysis.replay.journal`).  Uses the *fixed* factory:
-    the flight recorder journals RNG draws, and the generator stream
-    must not appear in one run but not the other.  Imported lazily —
-    campaigns without replay failures never touch the recorder.
-    """
-    from repro.obs.divergence import compare_digests
-
-    with use_schedule_override(_fixed_factory(schedule_dict)):
-        report = compare_digests(name, seed)
-    return {"diverged": report["diverged"],
-            "epoch": report.get("epoch"),
-            "epochs": list(report["epochs"])}
 
 
 # -- campaigns ---------------------------------------------------------------
@@ -380,17 +319,12 @@ def campaign_digest(summary: Dict[str, Any]) -> str:
 
 
 def run_campaign(workload: str, budget: int, seed: int,
-                 workload_seed: int = 31, shrink: bool = False,
-                 shrink_budget: int = 400,
-                 corpus_dir: Optional[str] = None,
-                 max_failures: Optional[int] = None,
-                 progress: Optional[Callable[[int, Dict[str, Any]],
-                                             None]] = None
-                 ) -> Dict[str, Any]:
+                 shrink: bool = False, corpus_dir: Optional[str] = None,
+                 max_failures: Optional[int] = None) -> Dict[str, Any]:
     """A full fuzz campaign; returns the JSON-safe summary.
 
-    Deterministic in ``(seed, workload_seed)``: trial ``i`` draws from
-    stream ``trial-%05d`` of a campaign-private
+    Deterministic in ``seed``: trial ``i`` draws from stream
+    ``trial-%05d`` of a campaign-private
     :class:`~repro.sim.RandomStreams`.  ``max_failures`` stops early
     (the remaining budget is reported as unspent); ``corpus_dir``
     serializes each failure's (shrunk) schedule as a corpus entry.
@@ -405,12 +339,9 @@ def run_campaign(workload: str, budget: int, seed: int,
         if max_failures is not None and len(failures) >= max_failures:
             break
         rng = streams.stream("trial-{:05d}".format(index))
-        generator = ScheduleGenerator(profile, rng)
-        trial = run_trial(workload, workload_seed, generator)
+        trial = run_trial(workload, ScheduleGenerator(profile, rng))
         trials_run += 1
         events_generated += len(trial["schedule"]["events"])
-        if progress is not None:
-            progress(index, trial)
         if not trial["violations"]:
             continue
         for oracle in trial["oracles"]:
@@ -420,17 +351,13 @@ def run_campaign(workload: str, budget: int, seed: int,
             "oracles": trial["oracles"],
             "violations": trial["violations"],
             "schedule": trial["schedule"],
-            "digests": trial["digests"],
+            "digest": trial["digest"],
         }
         target = trial["oracles"][0]
-        if "replay" in trial["oracles"]:
-            failure["localization"] = _localize_replay(
-                workload, workload_seed, trial["schedule"])
         if shrink:
             report = shrink_schedule(
                 trial["schedule"]["events"],
-                _shrink_test(workload, workload_seed, target),
-                budget=shrink_budget, quantum=TIME_QUANTUM)
+                _shrink_test(workload, target), quantum=TIME_QUANTUM)
             failure["shrink"] = report
             minimal = {"events": report["events"]}
         else:
@@ -438,7 +365,7 @@ def run_campaign(workload: str, budget: int, seed: int,
         failure["minimal"] = minimal
         if corpus_dir is not None:
             entry = make_entry(
-                workload, workload_seed, target, minimal,
+                workload, WORKLOAD_SEED, target, minimal,
                 message=trial["violations"][0]["message"],
                 campaign={"seed": seed, "trial": index,
                           "budget": budget})
@@ -450,7 +377,7 @@ def run_campaign(workload: str, budget: int, seed: int,
         "workload": workload,
         "budget": budget,
         "seed": seed,
-        "workload_seed": workload_seed,
+        "workload_seed": WORKLOAD_SEED,
         "trials": trials_run,
         "events_generated": events_generated,
         "failures": failures,
@@ -478,10 +405,6 @@ def _print_text(summary: Dict[str, Any], out) -> None:
         for violation in failure["violations"]:
             out.write("  {}: {}\n".format(violation["oracle"],
                                           violation["message"]))
-        localization = failure.get("localization")
-        if localization is not None:
-            out.write("  flight epoch: {} (diverged={})\n".format(
-                localization["epoch"], localization["diverged"]))
         report = failure.get("shrink")
         if report is not None:
             out.write("  shrunk: {} -> {} event(s) in {} probe(s)\n"
@@ -505,7 +428,7 @@ def _print_text(summary: Dict[str, Any], out) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults.fuzz",
-        description="Search generated fault schedules for oracle "
+        description="Search generated fault schedules for invariant "
                     "violations, deterministically.")
     parser.add_argument("--workload", help="fuzz target (see --list)")
     parser.add_argument("--budget", type=int, default=25,
@@ -513,19 +436,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7,
                         help="campaign seed driving generation "
                              "(default 7)")
-    parser.add_argument("--workload-seed", type=int, default=31,
-                        help="sim seed each trial runs under "
-                             "(default 31)")
     parser.add_argument("--shrink", action="store_true",
                         help="delta-debug each failing schedule to a "
                              "minimal reproducer")
-    parser.add_argument("--shrink-budget", type=int, default=400,
-                        help="max shrink probes per failure "
-                             "(default 400)")
     parser.add_argument("--corpus", metavar="DIR", default=None,
                         help="write failing (shrunk) schedules as "
-                             "corpus entries into DIR "
-                             "('default' = the checked-in corpus)")
+                             "corpus entries into DIR")
     parser.add_argument("--max-failures", type=int, default=None,
                         help="stop the campaign after N failures")
     parser.add_argument("--format", choices=("text", "json"),
@@ -544,18 +460,16 @@ def main(argv=None) -> int:
         parser.error("--workload is required (see --list)")
     if options.budget < 1:
         parser.error("--budget must be >= 1")
+    if options.max_failures is not None and options.max_failures < 1:
+        parser.error("--max-failures must be >= 1")
     try:
         get_profile(options.workload)
     except KeyError as error:
         print("error: {}".format(error.args[0]), file=sys.stderr)
         return 2
-    corpus_dir = options.corpus
-    if corpus_dir == "default":
-        corpus_dir = default_corpus_dir()
     summary = run_campaign(
         options.workload, options.budget, options.seed,
-        workload_seed=options.workload_seed, shrink=options.shrink,
-        shrink_budget=options.shrink_budget, corpus_dir=corpus_dir,
+        shrink=options.shrink, corpus_dir=options.corpus,
         max_failures=options.max_failures)
     if options.format == "json":
         print(json.dumps(summary, sort_keys=True, indent=2))

@@ -25,6 +25,7 @@ are byte-identical to their pre-fault behaviour.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, Optional
 
@@ -47,12 +48,16 @@ class RetryPolicy:
                  cap: Optional[float] = None, jitter: float = 0.0,
                  max_retries: int = 8,
                  rng: Optional[random.Random] = None) -> None:
-        if base <= 0:
-            raise SimulationError("backoff base must be positive")
-        if multiplier < 1.0:
-            raise SimulationError("backoff multiplier must be >= 1")
-        if cap is not None and cap < base:
-            raise SimulationError("backoff cap must be >= base")
+        if not 0 < base < math.inf:
+            raise SimulationError(
+                "base must be a positive finite number: {!r}".format(base))
+        if not 1.0 <= multiplier < math.inf:
+            raise SimulationError(
+                "multiplier must be a finite number >= 1: {!r}".format(
+                    multiplier))
+        if cap is not None and not cap >= base:
+            raise SimulationError(
+                "cap must be >= base: {!r}".format(cap))
         if not 0.0 <= jitter < 1.0:
             raise SimulationError("jitter must be a fraction in [0, 1)")
         if jitter > 0 and rng is None:
@@ -101,8 +106,9 @@ class DeadlineBudget:
     """
 
     def __init__(self, env, budget: float) -> None:
-        if budget <= 0:
-            raise SimulationError("deadline budget must be positive")
+        if not budget > 0:
+            raise SimulationError(
+                "budget must be positive: {!r}".format(budget))
         self.env = env
         self.budget = budget
         self.started_at = env.now
@@ -161,8 +167,9 @@ class CircuitBreaker:
                  reset_timeout: float = 30.0, name: str = "") -> None:
         if failure_threshold < 1:
             raise SimulationError("failure_threshold must be >= 1")
-        if reset_timeout <= 0:
-            raise SimulationError("reset_timeout must be positive")
+        if not reset_timeout > 0:
+            raise SimulationError(
+                "reset_timeout must be positive: {!r}".format(reset_timeout))
         self.env = env
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
@@ -249,8 +256,9 @@ class FaultPolicies:
     def __init__(self, retry: Optional[RetryPolicy] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  deadline: Optional[float] = None) -> None:
-        if deadline is not None and deadline <= 0:
-            raise SimulationError("deadline must be positive")
+        if deadline is not None and not deadline > 0:
+            raise SimulationError(
+                "deadline must be positive: {!r}".format(deadline))
         self.retry = retry
         self.breaker = breaker
         self.deadline = deadline

@@ -22,6 +22,7 @@ first-class citizens of the tracing/report pipeline.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -53,8 +54,8 @@ _REQUIRED_PARAMS = {
     "loss-calm": ("extra_loss", "links"),
 }
 
-#: Lifting counterpart of each "onset" kind (used by balance checks,
-#: the fuzzer's generator and the shrinker's gap reduction).
+#: Lifting counterpart of each "onset" kind (used by balance checks and
+#: the shrinker's gap reduction), and the onset each lift closes.
 LIFT_KINDS = {
     "link-down": "link-up",
     "partition": "heal",
@@ -62,6 +63,7 @@ LIFT_KINDS = {
     "latency-storm": "latency-calm",
     "loss-burst": "loss-calm",
 }
+ONSET_KINDS = {lift: onset for onset, lift in LIFT_KINDS.items()}
 
 
 class FaultEvent:
@@ -71,8 +73,9 @@ class FaultEvent:
 
     def __init__(self, at: float, kind: str,
                  params: Dict[str, Any], seq: int) -> None:
-        if at < 0:
-            raise SimulationError("fault time must be non-negative")
+        if not (_is_number(at) and 0 <= at < math.inf):
+            raise SimulationError(
+                "at must be a finite non-negative time: {!r}".format(at))
         if kind not in KINDS:
             raise SimulationError("unknown fault kind: " + kind)
         self.at = at
@@ -107,10 +110,9 @@ class FaultEvent:
         label = "event {} ({} @{})".format(
             seq, record.get("kind", "?"), record.get("at", "?"))
         at = record.get("at")
-        if not isinstance(at, (int, float)) or isinstance(at, bool) \
-                or at < 0:
+        if not (_is_number(at) and 0 <= at < math.inf):
             raise SimulationError(
-                label + ": 'at' must be a non-negative number")
+                label + ": 'at' must be a finite non-negative number")
         kind = record.get("kind")
         if kind not in KINDS:
             raise SimulationError(
@@ -154,8 +156,7 @@ class FaultSchedule:
         """Cut the ``a``–``b`` link (optionally restoring at ``up_at``)."""
         self._add(at, "link-down", a=a, b=b)
         if up_at is not None:
-            if up_at <= at:
-                raise SimulationError("up_at must be after at")
+            _after(at, up_at=up_at)
             self._add(up_at, "link-up", a=a, b=b)
         return self
 
@@ -169,8 +170,7 @@ class FaultSchedule:
         half up), starting at ``at`` — expanded into explicit events."""
         if count < 1:
             raise SimulationError("flap count must be >= 1")
-        if period <= 0:
-            raise SimulationError("flap period must be positive")
+        _positive(period=period)
         for i in range(count):
             start = at + i * period
             self._add(start, "link-down", a=a, b=b, flap=i)
@@ -190,8 +190,7 @@ class FaultSchedule:
         self._add(at, "partition", name=name,
                   groups=[sorted(group) for group in groups])
         if heal_at is not None:
-            if heal_at <= at:
-                raise SimulationError("heal_at must be after at")
+            _after(at, heal_at=heal_at)
             self._add(heal_at, "heal", name=name)
         return self
 
@@ -209,8 +208,7 @@ class FaultSchedule:
         a crashed node actually sees)."""
         self._add(at, "node-crash", node=node)
         if restart_at is not None:
-            if restart_at <= at:
-                raise SimulationError("restart_at must be after at")
+            _after(at, restart_at=restart_at)
             self._add(restart_at, "node-restart", node=node)
         return self
 
@@ -225,10 +223,7 @@ class FaultSchedule:
                       ) -> "FaultSchedule":
         """Multiply propagation latency by ``scale`` on ``links`` (all
         links when ``None``) for ``duration`` seconds."""
-        if scale <= 0:
-            raise SimulationError("latency scale must be positive")
-        if duration <= 0:
-            raise SimulationError("storm duration must be positive")
+        _positive(scale=scale, duration=duration)
         targets = self._targets(links)
         self._add(at, "latency-storm", scale=scale, links=targets)
         self._add(at + duration, "latency-calm", scale=scale,
@@ -242,8 +237,7 @@ class FaultSchedule:
         ``None``) for ``duration`` seconds."""
         if not 0 < extra_loss < 1:
             raise SimulationError("extra_loss must be in (0, 1)")
-        if duration <= 0:
-            raise SimulationError("burst duration must be positive")
+        _positive(duration=duration)
         targets = self._targets(links)
         self._add(at, "loss-burst", extra_loss=extra_loss, links=targets)
         self._add(at + duration, "loss-calm", extra_loss=extra_loss,
@@ -292,29 +286,19 @@ class FaultSchedule:
 
         Link cuts need a later ``link-up`` for the same pair, crashes a
         restart, partitions a heal, impairments their calm — the
-        precondition of the fuzzer's liveness/recovery oracles ("after
-        everything healed, the system must converge").
+        precondition of a recovery invariant ("after everything healed,
+        the system must converge").
         """
         pending: Dict[Tuple[Any, ...], int] = {}
         for event in self.ordered():
-            kind = event.kind
-            if kind in LIFT_KINDS:
-                pending[_pair_key(kind, event.params)] = \
-                    pending.get(_pair_key(kind, event.params), 0) + 1
+            if event.kind in LIFT_KINDS:
+                key = pair_key(event.kind, event.params)
+                pending[key] = pending.get(key, 0) + 1
             else:
-                for onset, lift in LIFT_KINDS.items():
-                    if kind == lift:
-                        key = _pair_key(onset, event.params)
-                        if pending.get(key, 0) > 0:
-                            pending[key] -= 1
-                        break
+                key = pair_key(ONSET_KINDS[event.kind], event.params)
+                if pending.get(key, 0) > 0:
+                    pending[key] -= 1
         return not any(count > 0 for count in pending.values())
-
-    def last_lift_at(self) -> float:
-        """Time of the last lifting event (0.0 for an empty schedule)."""
-        lifts = [event.at for event in self.events
-                 if event.kind in LIFT_KINDS.values()]
-        return max(lifts) if lifts else 0.0
 
     def __len__(self) -> int:
         return len(self.events)
@@ -325,6 +309,24 @@ class FaultSchedule:
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive(**values: float) -> None:
+    """Reject a builder argument that is not a positive finite number
+    (NaN passes ``x <= 0``), naming it."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise SimulationError(
+                "{} must be a positive finite number: {!r}".format(
+                    name, value))
+
+
+def _after(at: float, **lift: float) -> None:
+    """Reject a lift time that is not a finite time after ``at``."""
+    for name, value in lift.items():
+        if not at < value < math.inf:
+            raise SimulationError(
+                "{} must be a finite time after at: {!r}".format(name, value))
 
 
 def _validate_params(label: str, kind: str, params: Dict[str, Any]) -> None:
@@ -344,9 +346,9 @@ def _validate_params(label: str, kind: str, params: Dict[str, Any]) -> None:
                     or not all(isinstance(node, str) for node in group):
                 fail("every partition group must be a non-empty "
                      "list of node names")
-    if "scale" in params and (not _is_number(params["scale"])
-                              or params["scale"] <= 0):
-        fail("'scale' must be a positive number")
+    if "scale" in params and not (_is_number(params["scale"])
+                                  and 0 < params["scale"] < math.inf):
+        fail("'scale' must be a positive finite number")
     if "extra_loss" in params \
             and (not _is_number(params["extra_loss"])
                  or not 0 < params["extra_loss"] < 1):
@@ -370,8 +372,12 @@ def _canon_links(links: Any) -> Any:
     return tuple(tuple(pair) for pair in links)
 
 
-def _pair_key(onset_kind: str, params: Dict[str, Any]) -> Tuple[Any, ...]:
-    """The identity an onset shares with its lifting counterpart."""
+def pair_key(onset_kind: str, params: Dict[str, Any]) -> Tuple[Any, ...]:
+    """The identity an onset shares with its lifting counterpart.
+
+    ``params`` may be an event's params or its whole ``to_dict`` record
+    (the shrinker pairs those).
+    """
     if onset_kind == "link-down":
         return ("link",) + tuple(sorted((params["a"], params["b"])))
     if onset_kind == "partition":
@@ -391,29 +397,15 @@ def _pair_key(onset_kind: str, params: Dict[str, Any]) -> Tuple[Any, ...]:
 _schedule_override: Optional[Callable[..., "FaultSchedule"]] = None
 
 
-def get_schedule_override() -> Optional[Callable[..., "FaultSchedule"]]:
-    """The active override factory (``None`` outside a fuzz campaign)."""
-    return _schedule_override
-
-
-def set_schedule_override(
-        factory: Optional[Callable[..., "FaultSchedule"]]
-) -> Optional[Callable[..., "FaultSchedule"]]:
-    """Install ``factory`` as the override; returns the previous one."""
-    global _schedule_override
-    previous = _schedule_override
-    _schedule_override = factory
-    return previous
-
-
 @contextlib.contextmanager
 def use_schedule_override(factory: Callable[..., "FaultSchedule"]):
     """Scope ``factory`` as the schedule override, restoring on exit."""
-    previous = set_schedule_override(factory)
+    global _schedule_override
+    previous, _schedule_override = _schedule_override, factory
     try:
         yield factory
     finally:
-        set_schedule_override(previous)
+        _schedule_override = previous
 
 
 class FaultInjector:
@@ -433,9 +425,8 @@ class FaultInjector:
                  name: str = "fault-injector") -> None:
         self.env = env
         self.network = network
-        override = get_schedule_override()
-        if override is not None:
-            schedule = override(network, schedule)
+        if _schedule_override is not None:
+            schedule = _schedule_override(network, schedule)
         self.schedule = schedule
         self.name = name
         self.log: List[Dict[str, Any]] = []

@@ -3,10 +3,9 @@
 A fuzzed failure usually arrives wrapped in noise: five faults injected,
 one of them the trigger.  :func:`shrink_schedule` minimizes the event
 list with classic ddmin (Zeller's delta debugging over the ordered
-event records), then attacks the surviving events one by one — rounding
-times, closing onset→lift gaps, dropping nodes from partition groups
-and targets from impairment lists — while the caller's ``test``
-predicate keeps returning "still fails the same way".
+event records), then pulls each surviving lift toward its onset while
+the caller's ``test`` predicate keeps returning "still fails the same
+way".
 
 The predicate receives a candidate list of event dicts (the
 ``FaultSchedule.to_dict()["events"]`` shape) and must return ``True``
@@ -22,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.faults.schedule import LIFT_KINDS
+from repro.faults.schedule import LIFT_KINDS, ONSET_KINDS, pair_key
 
 Event = Dict[str, Any]
 Test = Callable[[List[Event]], bool]
@@ -96,68 +95,19 @@ def ddmin(items: List[Event], test: Test,
     return current, probe.tests_run
 
 
-def _lift_key(kind: str, event: Event) -> Optional[Tuple[Any, ...]]:
-    """A matchable identity for onset/lift pairing (ddmin output)."""
-    if kind in ("link-down", "link-up"):
-        return ("link",) + tuple(sorted((event["a"], event["b"])))
-    if kind in ("partition", "heal"):
-        return ("partition", event["name"])
-    if kind in ("node-crash", "node-restart"):
-        return ("node", event["node"])
-    if kind in ("latency-storm", "latency-calm"):
-        return ("latency", event["scale"],
-                json.dumps(event.get("links"), sort_keys=True))
-    if kind in ("loss-burst", "loss-calm"):
-        return ("loss", event["extra_loss"],
-                json.dumps(event.get("links"), sort_keys=True))
-    return None
-
-
 def _pairs(events: List[Event]) -> List[Tuple[int, int]]:
     """Indices of (onset, lift) pairs, matched first-in-first-lifted."""
     open_onsets: Dict[Tuple[Any, ...], List[int]] = {}
     pairs: List[Tuple[int, int]] = []
     for index, event in enumerate(events):
         kind = event["kind"]
-        key = _lift_key(kind, event)
-        if key is None:
-            continue
         if kind in LIFT_KINDS:
-            open_onsets.setdefault(key, []).append(index)
+            open_onsets.setdefault(pair_key(kind, event), []).append(index)
         else:
-            waiting = open_onsets.get(key)
+            waiting = open_onsets.get(pair_key(ONSET_KINDS[kind], event))
             if waiting:
                 pairs.append((waiting.pop(0), index))
     return pairs
-
-
-def _replace(events: List[Event], index: int, **fields: Any
-             ) -> List[Event]:
-    candidate = [dict(event) for event in events]
-    candidate[index].update(fields)
-    return candidate
-
-
-def _try(probe: _BudgetedTest, current: List[Event],
-         candidate: List[Event]) -> Tuple[List[Event], bool]:
-    if candidate != current and probe(candidate):
-        return candidate, True
-    return current, False
-
-
-def _reduce_times(events: List[Event], probe: _BudgetedTest
-                  ) -> List[Event]:
-    """Round event times to integers where the failure allows it."""
-    current = events
-    for index in range(len(current)):
-        if probe.exhausted:
-            break
-        at = current[index]["at"]
-        rounded = float(int(at))
-        if rounded != at:
-            current, _ = _try(probe, current,
-                              _replace(current, index, at=rounded))
-    return current
 
 
 def _reduce_gaps(events: List[Event], probe: _BudgetedTest,
@@ -177,46 +127,12 @@ def _reduce_gaps(events: List[Event], probe: _BudgetedTest,
                            onset_at + quantum):
                 if target >= lift_at:
                     continue
-                current, moved = _try(
-                    probe, current,
-                    _replace(current, lift_index, at=target))
-                if moved:
+                candidate = [dict(event) for event in current]
+                candidate[lift_index]["at"] = target
+                if probe(candidate):
+                    current = candidate
                     changed = True
                     break
-    return current
-
-
-def _reduce_targets(events: List[Event], probe: _BudgetedTest
-                    ) -> List[Event]:
-    """Drop nodes from partition groups and links from impairments."""
-    current = events
-    for index in range(len(current)):
-        if probe.exhausted:
-            break
-        event = current[index]
-        if event["kind"] == "partition":
-            groups = event["groups"]
-            for group_index, group in enumerate(groups):
-                for node in list(group):
-                    if len(current[index]["groups"][group_index]) <= 1:
-                        break
-                    slimmed = [list(g)
-                               for g in current[index]["groups"]]
-                    slimmed[group_index] = \
-                        [n for n in slimmed[group_index] if n != node]
-                    current, _ = _try(
-                        probe, current,
-                        _replace(current, index, groups=slimmed))
-        elif event.get("links"):
-            for pair in list(event["links"]):
-                if len(current[index].get("links") or []) <= 1:
-                    break
-                slimmed_links = [list(p)
-                                 for p in current[index]["links"]
-                                 if list(p) != list(pair)]
-                current, _ = _try(
-                    probe, current,
-                    _replace(current, index, links=slimmed_links))
     return current
 
 
@@ -225,9 +141,9 @@ def shrink_schedule(events: List[Event], test: Test,
                     quantum: float = 0.25) -> Dict[str, Any]:
     """Minimize a failing event list; a JSON-safe shrink report.
 
-    Phases: ddmin over the event list, then time rounding, onset→lift
-    gap closing and per-event target reduction, repeated in that order
-    until nothing improves or the test budget runs out.  The report
+    Phases: ddmin over the event list, then onset→lift gap closing,
+    repeated in that order until nothing improves or the test budget
+    runs out.  The report
     carries the minimized events plus search statistics (probe count,
     event counts before/after, whether the budget was exhausted).
     """
@@ -243,9 +159,7 @@ def shrink_schedule(events: List[Event], test: Test,
     while previous != current and not probe.exhausted:
         previous = current
         current, _ = ddmin(current, probe)
-        current = _reduce_times(current, probe)
         current = _reduce_gaps(current, probe, quantum)
-        current = _reduce_targets(current, probe)
     return {"events": current, "reproduced": True,
             "events_before": before, "events_after": len(current),
             "tests_run": probe.tests_run, "budget": budget,

@@ -90,9 +90,8 @@ class ReliableChannel:
         #: Sends abandoned after exhausting every retry
         #: (``chan.gave_up`` in the registry).
         self.gave_up = 0
-        #: Sends started but not yet acked or abandoned — the liveness
-        #: oracle's view of operations that never resolved (mirrored as
-        #: the ``chan.inflight`` gauge).
+        #: Sends started but not yet acked or abandoned — operations
+        #: that never resolved (mirrored as the ``chan.inflight`` gauge).
         self._inflight = 0
         self._retry_counters = BoundCounterCache(
             "chan.retries", "dst", node=host.name)
@@ -128,7 +127,7 @@ class ReliableChannel:
         A send mid-backoff counts: the operation is unresolved even
         though no retransmission is currently on the wire.  After a
         drained run (all faults lifted, senders stopped) this must be
-        zero — the liveness property the fuzzer's oracle checks.
+        zero — the liveness property ``bench/``'s faulty-rpc gate checks.
         """
         return self._inflight
 
@@ -266,7 +265,7 @@ class RpcEndpoint:
         #: Logical calls started but not yet resolved (succeeded or
         #: failed) — includes calls waiting out a retry backoff, when
         #: nothing is on the wire.  Mirrored as the ``rpc.inflight``
-        #: gauge for the dashboard and the fuzzer's liveness oracle.
+        #: gauge for the dashboard and ``bench/``'s faulty-rpc gate.
         self._inflight = 0
         # The gauge, kept from the first sample on (two samples per
         # call: the keyed lookup per sample cost faulty-rpc 6 % wall_s).

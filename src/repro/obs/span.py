@@ -161,6 +161,8 @@ class HopSpan(Span):
     ``status``).  :attr:`attributes`, :attr:`events` and so
     :meth:`to_dict` are built on read, exactly as a ``start_span`` with
     ``link=``, ``node=``, ``bytes=`` and one ``tx-start`` event read.
+    Only the carrier writes it: :meth:`set_attribute`, :meth:`add_event`
+    and :meth:`finish` raise ``TypeError``.
     """
 
     __slots__ = ("link", "node", "bytes", "tx_start")
@@ -198,6 +200,9 @@ class HopSpan(Span):
 
     def add_event(self, name: str, at: float, **attributes: Any) -> None:
         raise TypeError("a net.link hop holds only its tx-start")
+
+    def finish(self, at: float) -> None:
+        raise TypeError("a net.link hop is closed by its carrier")
 
 
 class NoopSpan:

@@ -10,7 +10,6 @@ from repro.faults.corpus import (
     REGISTRY_PREFIX,
     SCHEMA,
     corpus_workloads,
-    default_corpus_dir,
     entry_id,
     load_corpus,
     load_entry,
@@ -19,15 +18,16 @@ from repro.faults.corpus import (
     write_entry,
 )
 
+BASE, ORACLE = "partition-recovery", "invariant:view-recovers"
 SCHEDULE = {"events": [
-    {"at": 3.0, "kind": "node-crash", "node": "n2"},
-    {"at": 7.0, "kind": "node-restart", "node": "n2"},
+    {"at": 3.0, "kind": "node-crash", "node": "site1.host1"},
+    {"at": 7.0, "kind": "node-restart", "node": "site1.host1"},
 ]}
 
 
 def test_entry_round_trips_through_disk(tmp_path):
-    entry = make_entry("fuzz-probe", 31, "liveness", SCHEDULE,
-                       message="stuck operations",
+    entry = make_entry(BASE, 31, ORACLE, SCHEDULE,
+                       message="no later view regained full membership",
                        campaign={"seed": 7, "trial": 4})
     path = write_entry(str(tmp_path), entry)
     assert path.endswith("fuzz-{}.json".format(entry["id"]))
@@ -35,11 +35,11 @@ def test_entry_round_trips_through_disk(tmp_path):
 
 
 def test_entry_id_is_content_stable():
-    first = entry_id("fuzz-probe", 31, "liveness", SCHEDULE)
-    second = entry_id("fuzz-probe", 31, "liveness",
+    first = entry_id(BASE, 31, ORACLE, SCHEDULE)
+    second = entry_id(BASE, 31, ORACLE,
                       json.loads(json.dumps(SCHEDULE)))
     assert first == second
-    assert first != entry_id("fuzz-probe", 32, "liveness", SCHEDULE)
+    assert first != entry_id(BASE, 32, ORACLE, SCHEDULE)
 
 
 def test_load_entry_rejects_wrong_schema(tmp_path):
@@ -51,7 +51,7 @@ def test_load_entry_rejects_wrong_schema(tmp_path):
 
 
 def test_load_entry_rejects_missing_field(tmp_path):
-    entry = make_entry("fuzz-probe", 31, "liveness", SCHEDULE, "m")
+    entry = make_entry(BASE, 31, ORACLE, SCHEDULE, "m")
     del entry["workload_seed"]
     path = tmp_path / "fuzz-x.json"
     path.write_text(json.dumps(entry))
@@ -61,7 +61,7 @@ def test_load_entry_rejects_missing_field(tmp_path):
 
 
 def test_load_entry_validation_names_offending_event(tmp_path):
-    entry = make_entry("fuzz-probe", 31, "liveness", SCHEDULE, "m")
+    entry = make_entry(BASE, 31, ORACLE, SCHEDULE, "m")
     entry["schedule"]["events"][1] = {"at": 7.0, "kind": "node-restart"}
     path = tmp_path / "fuzz-y.json"
     path.write_text(json.dumps(entry))
@@ -71,21 +71,15 @@ def test_load_entry_validation_names_offending_event(tmp_path):
     assert "node" in err.value.args[0]
 
 
-def test_corpus_dir_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_FUZZ_CORPUS", str(tmp_path))
-    assert default_corpus_dir() == str(tmp_path)
-    assert load_corpus() == []
-
-
 def test_corpus_workloads_register_and_run(tmp_path):
-    entry = make_entry("fuzz-probe", 31, "liveness", SCHEDULE, "m")
+    entry = make_entry(BASE, 31, ORACLE, SCHEDULE, "m")
     write_entry(str(tmp_path), entry)
     registry = corpus_workloads(str(tmp_path))
     name = REGISTRY_PREFIX + entry["id"]
     assert set(registry) == {name}
     result = registry[name](seed=31)
     assert result["workload"] == name
-    assert result["base"] == "fuzz-probe"
+    assert result["base"] == BASE
     assert result["events"] == 2
     assert isinstance(result["reproduced"], bool)
     # The regression run itself must be deterministic.

@@ -12,6 +12,7 @@ from repro.faults.fuzz import (
     campaign_digest,
     evaluate_schedule,
     get_profile,
+    main,
     run_campaign,
     run_trial,
 )
@@ -76,7 +77,6 @@ def test_generated_schedules_are_valid_and_balanced():
             # Every generated time sits on the quantum grid.
             assert abs(event.at / TIME_QUANTUM
                        - round(event.at / TIME_QUANTUM)) < 1e-9
-        assert schedule.last_lift_at() <= profile.heal_by
 
 
 def test_generated_targets_come_from_the_topology():
@@ -106,41 +106,54 @@ def test_get_profile_unknown_names_fuzzable_set():
 
 
 def test_shipped_profiles_cover_the_chaos_workloads():
-    assert {"partition-recovery", "flaky-links",
-            "fuzz-probe"} <= set(PROFILES)
+    # flaky-links has no profile: no invariant of it catches a bug
+    # (docs/fuzzing.md "What the fault search catches").
+    assert set(PROFILES) == {"partition-recovery"}
 
 
 # -- trials and campaigns ----------------------------------------------------
 
 
 def test_trial_replays_generated_schedule_identically():
-    profile = get_profile("fuzz-probe")
+    profile = get_profile("partition-recovery")
     generator = ScheduleGenerator(profile,
                                   RandomStreams(7).stream("trial"))
-    trial = run_trial("fuzz-probe", 31, generator)
+    trial = run_trial("partition-recovery", generator)
     assert trial["schedule"]["events"]
-    assert len(trial["digests"]) == 2
-    # The generating run and the fixed-schedule replay must agree —
+    # The generating run and a run of the captured schedule agree —
     # the generator's RNG is separate from the workload's streams.
-    assert trial["digests"][0] == trial["digests"][1]
+    replay = evaluate_schedule("partition-recovery", 31, trial["schedule"])
+    assert replay["digest"] == trial["digest"]
+    assert replay["oracles"] == trial["oracles"]
 
 
 def test_evaluate_schedule_clean_on_empty_schedule():
-    report = evaluate_schedule("fuzz-probe", 31, {"events": []},
-                               runs=2)
+    report = evaluate_schedule("partition-recovery", 31, {"events": []})
     assert report["violations"] == []
-    assert len(set(report["digests"])) == 1
 
 
 def test_campaign_is_deterministic():
-    first = run_campaign("fuzz-probe", budget=3, seed=11)
-    second = run_campaign("fuzz-probe", budget=3, seed=11)
+    first = run_campaign("partition-recovery", budget=3, seed=11)
+    second = run_campaign("partition-recovery", budget=3, seed=11)
     assert first == second
     assert first["digest"] == campaign_digest(second)
     assert first["trials"] == 3
 
 
 def test_campaign_digest_excludes_itself():
-    summary = run_campaign("fuzz-probe", budget=1, seed=11)
+    summary = run_campaign("partition-recovery", budget=1, seed=11)
     recomputed = campaign_digest(summary)
     assert summary["digest"] == recomputed
+
+
+# -- CLI ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_a_campaign_that_would_run_nothing_is_refused(value, capsys):
+    """``--max-failures 0`` stopped before the first trial and passed
+    with ``trials=0``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--workload", "partition-recovery", "--max-failures", value])
+    assert exit_info.value.code == 2
+    assert "--max-failures must be >= 1" in capsys.readouterr().err

@@ -304,7 +304,7 @@ def test_from_dict_rejects_non_schedule_shapes():
         FaultSchedule.from_dict({"events": ["not-a-dict"]})
 
 
-# -- balance and lift introspection ------------------------------------------
+# -- balance ------------------------------------------------------------------
 
 
 def test_balanced_requires_matching_lifts():
@@ -312,7 +312,6 @@ def test_balanced_requires_matching_lifts():
     schedule.link_down(1.0, "a", "b", up_at=3.0)
     schedule.node_crash(2.0, "c", restart_at=4.0)
     assert schedule.balanced()
-    assert schedule.last_lift_at() == 4.0
 
     unbalanced = FaultSchedule()
     unbalanced.link_down(1.0, "a", "b")
@@ -328,7 +327,6 @@ def test_balanced_requires_matching_lifts():
 def test_empty_schedule_is_balanced():
     schedule = FaultSchedule()
     assert schedule.balanced()
-    assert schedule.last_lift_at() == 0.0
 
 
 # -- the ambient schedule override -------------------------------------------

@@ -111,7 +111,7 @@ def test_shrink_fixture_unbalanced_minimum_retained():
     assert report["events"][0]["kind"] == "node-crash"
 
 
-# -- secondary reduction passes ----------------------------------------------
+# -- gap closing --------------------------------------------------------------
 
 
 def test_shrink_closes_onset_lift_gap_to_threshold():
@@ -131,50 +131,6 @@ def test_shrink_closes_onset_lift_gap_to_threshold():
     assert report["reproduced"]
     down, up = report["events"]
     assert up["at"] - down["at"] == 1.0
-
-
-def test_shrink_rounds_times_to_integers():
-    events = link_pair(2.75, 9.25)
-    report = shrink_schedule(
-        events, lambda evs: contains(evs, [("link-down", "a", None)]))
-    assert report["events"][0]["at"] == 2.0
-
-
-def test_shrink_drops_partition_group_members():
-    events = [
-        {"at": 2.0, "kind": "partition", "name": "p",
-         "groups": [["a", "b"], ["c", "d"]]},
-        {"at": 8.0, "kind": "heal", "name": "p"},
-    ]
-
-    def failing(evs):
-        for e in evs:
-            if e["kind"] == "partition":
-                return any("a" in group for group in e["groups"])
-        return False
-
-    report = shrink_schedule(events, failing)
-    partition = report["events"][0]
-    assert partition["groups"][0] == ["a"]
-    assert len(partition["groups"][1]) == 1
-
-
-def test_shrink_drops_impairment_links():
-    events = [
-        {"at": 2.0, "kind": "loss-burst", "extra_loss": 0.4,
-         "links": [["a", "b"], ["c", "d"], ["e", "f"]]},
-        {"at": 6.0, "kind": "loss-calm", "extra_loss": 0.4,
-         "links": [["a", "b"], ["c", "d"], ["e", "f"]]},
-    ]
-
-    def failing(evs):
-        for e in evs:
-            if e["kind"] == "loss-burst":
-                return ["c", "d"] in e["links"]
-        return False
-
-    report = shrink_schedule(events, failing)
-    assert report["events"][0]["links"] == [["c", "d"]]
 
 
 # -- budget ------------------------------------------------------------------

@@ -12,20 +12,22 @@ data, and two ways to run it::
 The smoke applies each :data:`SMOKE` mutant to a temporary copy and
 requires its named detector to fail there and to pass on the clean
 copy; it exits non-zero otherwise (CI: "Seeded mutants are still
-caught").  ``--matrix`` prints the markdown table the doc holds; it
-runs the whole tier-1 suite once per mutant and takes about half an
-hour.  ``tests/test_mutants.py`` keeps the table from rotting: every
-``old`` string must occur exactly once in its file.
+caught").  ``--matrix`` prints the markdown table the doc holds,
+with one budget-25 fuzz column per fuzz profile; it runs the whole
+tier-1 suite once per mutant and takes about two hours on two cores.
+``tests/test_mutants.py`` keeps the table from rotting: every ``old``
+string must occur exactly once in its file.
 """
 
 import argparse
+import json
 import os
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -143,6 +145,75 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/analysis/workloads.py",
            "            yield env.timeout(EDIT_TIME)\n",
            "            env.timeout(EDIT_TIME)\n"),
+    # -- CSCW invariants, one per mutant ---------------------------------
+    Mutant("view-install-skips-joiner", "seeded; CSCW",
+           "src/repro/groups/group.py",
+           "        for endpoint in self.endpoints.values():\n"
+           "            endpoint._install_view(self.view)\n",
+           "        for endpoint in list(self.endpoints.values())[:-1]:\n"
+           "            endpoint._install_view(self.view)\n"),
+    Mutant("total-order-reuses-slots-after-leave", "seeded; CSCW",
+           "src/repro/groups/group.py",
+           "        remaining = tuple(m for m in self.view.members "
+           "if m != host_name)\n"
+           "        self._install(remaining)\n",
+           "        remaining = tuple(m for m in self.view.members "
+           "if m != host_name)\n"
+           "        self._install(remaining)\n"
+           "        if self.ordering == \"total\" and remaining:\n"
+           "            self._global_seq = self.endpoints[remaining[0]]"
+           "._ordering._next - 1\n"),
+    Mutant("ot-delete-dropped-at-insert-tie", "seeded; CSCW",
+           "src/repro/concurrency/ot.py",
+           "        if a.pos < b.pos:\n"
+           "            return a\n"
+           "        return Delete(a.pos + 1)\n",
+           "        if a.pos < b.pos:\n"
+           "            return a\n"
+           "        if a.pos == b.pos:\n"
+           "            return Noop()\n"
+           "        return Delete(a.pos + 1)\n"),
+    Mutant("rr-quantum-outlives-release", "seeded; CSCW",
+           "src/repro/sessions/floor.py",
+           "        if self._epoch != epoch or self.holder != member:\n",
+           "        if self.holder != member:\n"),
+    Mutant("negotiated-right-widens-to-all", "seeded; CSCW",
+           "src/repro/access/negotiation.py",
+           "        role = Role(role_name).allow(req.artefact, req.right)\n",
+           "        role = Role(role_name).allow(\"*\", req.right)\n"),
+    Mutant("reintegration-drops-last-write", "seeded; CSCW",
+           "src/repro/mobility/cache.py",
+           "        for key, value, cached_version, _written_at in log:\n",
+           "        for key, value, cached_version, _written_at "
+           "in log[:-1]:\n"),
+    Mutant("digest-keeps-delivered-events", "seeded; CSCW",
+           "src/repro/awareness/digests.py",
+           "            self._pending = []\n",
+           ""),
+    Mutant("playout-fires-before-deadline", "seeded; CSCW",
+           "src/repro/streams/media.py",
+           "        self.env.timeout(deadline - self.env.now, frame)",
+           "        self.env.timeout((deadline - self.env.now) / 2, frame)"),
+    # -- one aimed at the stated property of each fault oracle -----------
+    Mutant("give-up-leaves-inflight", "seeded; liveness",
+           "src/repro/net/transport.py",
+           "        self._track(-1)\n"
+           "        self.gave_up += 1\n",
+           "        self.gave_up += 1\n"),
+    Mutant("slo-alert-clears-only-on-stop", "seeded; slo-clears",
+           "src/repro/obs/slo.py",
+           "        if not firing and alert is not None:\n",
+           "        if not firing and alert is not None and self._stopped:\n"),
+    Mutant("floor-handoff-publishes-nothing", "seeded; hb-conflicts",
+           "src/repro/sessions/floor.py",
+           "        get_sanitizer().acquire(\"floor:\" + self.name, member)\n",
+           ""),
+    Mutant("schedule-dict-rounds-times", "seeded; replay",
+           "src/repro/faults/schedule.py",
+           "        record: Dict[str, Any] = {\"at\": self.at, "
+           "\"kind\": self.kind}\n",
+           "        record: Dict[str, Any] = {\"at\": round(self.at, 1), "
+           "\"kind\": self.kind}\n"),
 )
 
 #: The smoke: one mutant per kind of detector that survives, and the
@@ -161,8 +232,13 @@ SMOKE: Dict[str, List[str]] = {
 }
 
 REPLAY = [sys.executable, "-m", "repro.analysis.replay"]
-FUZZ = [sys.executable, "-m", "repro.faults.fuzz", "--workload",
-        "partition-recovery", "--budget", "25", "--seed", "7"]
+FUZZ = [sys.executable, "-m", "repro.faults.fuzz"]
+
+
+def _fuzz(profile: str) -> List[str]:
+    """The matrix's campaign for one fuzz profile (JSON summary)."""
+    return FUZZ + ["--workload", profile, "--budget", "25", "--seed", "7",
+                   "--format", "json"]
 
 
 def by_name(name: str) -> Mutant:
@@ -191,10 +267,11 @@ def apply(mutant: Mutant, root: str) -> None:
         handle.write(source.replace(mutant.old, mutant.new))
 
 
-def run(command: Sequence[str], root: str) -> subprocess.CompletedProcess:
+def run(command: Sequence[str], root: str,
+        stderr: int = subprocess.STDOUT) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED="0")
     return subprocess.run(command, cwd=root, env=env, text=True,
-                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          stdout=subprocess.PIPE, stderr=stderr,
                           timeout=900)
 
 
@@ -226,11 +303,33 @@ def smoke() -> int:
 # -- the full matrix ----------------------------------------------------------
 
 def workloads(root: str) -> Tuple[List[str], List[str]]:
-    """The replay and the bench workloads the tree at ``root`` registers."""
+    """The replay and bench workloads the tree at ``root`` registers."""
     bench = run([sys.executable, "-c",
                  "import sys; sys.path.insert(0, 'bench'); import workloads; "
                  "print('\\n'.join(workloads.WORKLOADS))"], root)
     return run(REPLAY + ["--list"], root).stdout.split(), bench.stdout.split()
+
+
+def fuzz_profiles(root: str) -> List[str]:
+    """The fuzz profiles the tree at ``root`` registers (the clean tree's
+    list sets the matrix's columns, so a mutant cannot hide one)."""
+    result = run(FUZZ + ["--list"], root, stderr=subprocess.PIPE)
+    if result.returncode:
+        raise SystemExit("`fuzz --list` exits {} on the clean tree:\n{}"
+                         .format(result.returncode, result.stderr))
+    return [line.split()[0] for line in result.stdout.splitlines()
+            if line.strip()]
+
+
+def fuzz_counts(root: str, profile: str) -> Union[Dict[str, int], str]:
+    """One budget-25 campaign's oracle counts, or why there are none."""
+    result = run(_fuzz(profile), root, stderr=subprocess.PIPE)
+    if result.returncode:
+        return "exit {}".format(result.returncode)
+    try:
+        return json.loads(result.stdout)["oracle_counts"]
+    except (ValueError, KeyError, TypeError):
+        return "no output"
 
 
 def _failing_files(output: str) -> List[str]:
@@ -238,9 +337,21 @@ def _failing_files(output: str) -> List[str]:
         r"^(?:FAILED|ERROR) tests/([\w/]+\.py)", output, re.M)})
 
 
-def detect(root: str) -> Dict[str, str]:
+def fuzz_cell(counts: Union[Dict[str, int], str],
+              clean: Dict[str, int]) -> str:
+    """The oracle counts that differ from the clean tree's, ``clean→now``."""
+    if isinstance(counts, str):
+        return counts
+    return ", ".join(
+        "{} {}→{}".format(oracle, clean.get(oracle, 0),
+                          counts.get(oracle, 0))
+        for oracle in sorted(set(clean) | set(counts))
+        if clean.get(oracle, 0) != counts.get(oracle, 0)) or "–"
+
+
+def detect(root: str, profiles: Sequence[str]) -> Dict[str, Any]:
     """Every detector, run the way CI runs it, on the tree at ``root``."""
-    row: Dict[str, str] = {}
+    row: Dict[str, Any] = {}
     for name in ("lint", "protocol"):
         result = run(_check(name), root)
         row[name] = "{} finding(s)".format(
@@ -256,7 +367,9 @@ def detect(root: str) -> Dict[str, str]:
            if run(REPLAY + [name, "--seed", "31"], root).returncode]
     row["replay CLI"] = ", ".join(bad) or "–"
     row["races gate"] = "fails" if run(RACES, root).returncode else "–"
-    row["fuzz"] = run(FUZZ, root).stdout
+    # One budget-25 campaign per profile: its oracle counts.
+    for profile in profiles:
+        row["fuzz " + profile] = fuzz_counts(root, profile)
     row["corpus verify"] = "fails" if run(
         [sys.executable, "-m", "repro.faults.corpus", "verify"],
         root).returncode else "–"
@@ -267,27 +380,39 @@ def detect(root: str) -> Dict[str, str]:
 
 
 def matrix() -> int:
-    columns = ["lint", "protocol", "tier-1", "replay CLI", "races gate",
-               "fuzz", "corpus verify", "bench gates"]
-    print("| mutant (origin) | " + " | ".join(columns) + " |")
-    print("|" + "---|" * (len(columns) + 1))
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
-        clean = detect(copy_tree(os.path.join(scratch, "clean")))
-        fuzz_clean = clean["fuzz"]
+        clean_root = copy_tree(os.path.join(scratch, "clean"))
+        profiles = fuzz_profiles(clean_root)
+        clean = detect(clean_root, profiles)
+        fuzz_columns = ["fuzz " + profile for profile in profiles]
+        for column in fuzz_columns:
+            if isinstance(clean[column], str):
+                raise SystemExit("`{}` gives {} on the clean tree".format(
+                    column, clean[column]))
+        columns = ["lint", "protocol", "tier-1", "replay CLI",
+                   "races gate"] + fuzz_columns + ["corpus verify",
+                                                   "bench gates"]
+        print("| mutant (origin) | " + " | ".join(columns) + " |")
+        print("|" + "---|" * (len(columns) + 1))
 
-        def line(label: str, row: Dict[str, str]) -> None:
-            row = dict(row, fuzz="–" if row["fuzz"] == fuzz_clean
-                       else "output differs")
+        def line(label: str, cells: Dict[str, str]) -> None:
             print("| {} | {} |".format(
-                label, " | ".join(row[column] for column in columns)),
+                label, " | ".join(cells[column] for column in columns)),
                 flush=True)
 
-        line("*clean tree*", clean)
+        # The clean row gives its campaigns' counts; a mutant's row
+        # gives the counts that moved.
+        line("*clean tree*", dict(clean, **{
+            column: ", ".join("{}={}".format(oracle, count) for oracle, count
+                              in sorted(clean[column].items())) or "–"
+            for column in fuzz_columns}))
         for mutant in MUTANTS:
             root = copy_tree(os.path.join(scratch, mutant.name))
             apply(mutant, root)
-            line("`{}` ({})".format(mutant.name, mutant.origin),
-                 detect(root))
+            row = detect(root, profiles)
+            line("`{}` ({})".format(mutant.name, mutant.origin), dict(row, **{
+                column: fuzz_cell(row[column], clean[column])
+                for column in fuzz_columns}))
             shutil.rmtree(root)
     return 0
 

@@ -2,7 +2,7 @@
 
 The liveness contract: every send/call started eventually resolves —
 succeeds or fails cleanly — and ``inflight()`` returns to zero.  The
-fuzzer's liveness oracle reads exactly these counters.
+``faulty-rpc`` bench gate reads exactly these counters.
 """
 
 import pytest

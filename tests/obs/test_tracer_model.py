@@ -4,12 +4,14 @@
 ``Tracer``/``inject``/``extract``.  Both are driven with the same random
 interleaving of span starts under every kind of parent, ``net.link`` hop
 rows (filled the way the carrier fills them: ``tx_start``, then ``end``
-and maybe a drop), mutators, tail flushes, clears and reads; whatever a
-reader can see must be text-equal in the two worlds.
+and maybe a drop), mutators (a hop row refuses all but ``set_status``),
+tail flushes, clears and reads; whatever a reader can see must be
+text-equal in the two worlds.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,27 +119,32 @@ def _apply(world, step, new):
                     hop.set_status("dropped")
                 hop.finish(at=at)
             entry[1] += 1
-    elif kind in ("event", "attr"):
-        # A hop row holds only what its carrier writes.
-        plain = [span for span in world.spans if span.name != "net.link"]
-        if plain:
-            span = plain[step[1] % len(plain)]
-            if kind == "event":
-                span.add_event(step[2], step[3], **step[4])
-            else:
-                span.set_attribute(step[2], step[3])
-    elif kind in ("status", "finish"):
+    elif kind in ("event", "attr", "status", "finish"):
         if world.spans:
             span = world.spans[step[1] % len(world.spans)]
             if kind == "status":
                 span.set_status(step[2])
-            else:
-                span.finish(step[2])
+            elif span.name != "net.link":
+                _mutate(span, step)
+            elif new:
+                # A hop row holds only what its carrier writes; the
+                # object graph's hop took anything and is left alone.
+                with pytest.raises(TypeError):
+                    _mutate(span, step)
     elif kind == "tail_flush":
         return tracer.tail_flush()
     elif kind == "clear":
         tracer.clear()
     return None
+
+
+def _mutate(span, step):
+    if step[0] == "event":
+        span.add_event(step[2], step[3], **step[4])
+    elif step[0] == "attr":
+        span.set_attribute(step[2], step[3])
+    else:
+        span.finish(step[2])
 
 
 def _seen(world):

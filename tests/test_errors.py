@@ -1,12 +1,25 @@
 """The error hierarchy: every library error is a ReproError."""
 
 import inspect
+import json
+import re
 
 import pytest
 
 from repro import errors
 from repro.access import AccessMatrix
 from repro.awareness import AwarenessBus
+from repro.faults import (
+    CircuitBreaker,
+    FaultPolicies,
+    FaultSchedule,
+    RetryPolicy,
+)
+from repro.faults.corpus import SCHEMA, load_entry
+from repro.faults.degrade import DegradationManager
+from repro.faults.detector import PhiAccrualDetector
+from repro.faults.fuzz import FuzzProfile
+from repro.faults.policies import DeadlineBudget
 from repro.net import (
     Link,
     Network,
@@ -202,3 +215,76 @@ def test_a_window_start_that_is_not_a_time_is_rejected_by_name():
     with pytest.raises(errors.SimulationError, match="window start.*nan"):
         _window_hook(env, start=float("nan"))
     _window_hook(env, start=-1.0)   # an anchor in the past is a time
+
+
+# -- ... and at every faults boundary, a corpus file's fields included -----------
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _corpus_file(tmp_path, event):
+    """A corpus file holding ``event``; ``json`` writes and reads NaN and
+    Infinity, so the file is what a hand edit could leave behind."""
+    path = tmp_path / "fuzz-edited.json"
+    path.write_text(json.dumps({
+        "schema": SCHEMA, "id": "edited", "workload": "partition-recovery",
+        "workload_seed": 31, "oracle": "invariant:view-recovers",
+        "schedule": {"events": [event]}}))
+    return load_entry(str(path))
+
+
+_FAULT_BOUNDS = [
+    ("FaultSchedule.link_down.at", "at",
+     lambda tmp: FaultSchedule().link_down(_NAN, "a", "b")),
+    ("FaultSchedule.latency_storm.scale", "scale",
+     lambda tmp: FaultSchedule().latency_storm(1.0, _NAN, 1.0)),
+    ("FaultSchedule.latency_storm.duration", "duration",
+     lambda tmp: FaultSchedule().latency_storm(1.0, 2.0, _NAN)),
+    ("FaultSchedule.link_flap.period", "period",
+     lambda tmp: FaultSchedule().link_flap(1.0, "a", "b", 1, _NAN)),
+    ("FaultSchedule.link_down.up_at", "up_at",
+     lambda tmp: FaultSchedule().link_down(1.0, "a", "b", up_at=_NAN)),
+    ("corpus.at", "event 0 (link-down @nan): 'at'",
+     lambda tmp: _corpus_file(tmp, {"at": _NAN, "kind": "link-down",
+                                    "a": "a", "b": "b"})),
+    ("corpus.scale", "event 0 (latency-storm @1.0): 'scale'",
+     lambda tmp: _corpus_file(tmp, {"at": 1.0, "kind": "latency-storm",
+                                    "scale": _INF, "links": None})),
+    ("RetryPolicy.base", "base", lambda tmp: RetryPolicy(base=_NAN)),
+    ("RetryPolicy.multiplier-inf", "multiplier",
+     lambda tmp: RetryPolicy(multiplier=_INF)),
+    ("RetryPolicy.multiplier-nan", "multiplier",
+     lambda tmp: RetryPolicy(multiplier=_NAN)),
+    ("RetryPolicy.cap", "cap", lambda tmp: RetryPolicy(cap=_NAN)),
+    ("CircuitBreaker.reset_timeout", "reset_timeout",
+     lambda tmp: CircuitBreaker(Environment(), reset_timeout=_NAN)),
+    ("FaultPolicies.deadline", "deadline",
+     lambda tmp: FaultPolicies(deadline=_NAN)),
+    ("DeadlineBudget.budget", "budget",
+     lambda tmp: DeadlineBudget(Environment(), _NAN)),
+    ("PhiAccrualDetector.threshold", "threshold",
+     lambda tmp: PhiAccrualDetector(threshold=_NAN)),
+    ("PhiAccrualDetector.bootstrap_interval", "bootstrap_interval",
+     lambda tmp: PhiAccrualDetector(bootstrap_interval=_INF)),
+    ("DegradationManager.shed_fraction", "shed_fraction",
+     lambda tmp: DegradationManager(Environment(), shed_fraction=2.0)),
+    ("FuzzProfile.active", "active",
+     lambda tmp: FuzzProfile("p", (-1.0, 10.0), 12.0)),
+    ("FuzzProfile.max_ops", "max_ops",
+     lambda tmp: FuzzProfile("p", (1.0, 10.0), 12.0, max_ops=0)),
+    ("FuzzProfile.heal_by", "heal_by",
+     lambda tmp: FuzzProfile("p", (1.0, 10.0), _NAN)),
+]
+
+
+@pytest.mark.parametrize("field, build", [case[1:] for case in _FAULT_BOUNDS],
+                         ids=[case[0] for case in _FAULT_BOUNDS])
+def test_a_fault_parameter_out_of_range_is_rejected_by_name(field, build,
+                                                            tmp_path):
+    """Unchecked, a NaN fault time never fires and a NaN storm never
+    lifts; a NaN threshold never suspects anybody (``phi >= nan`` is
+    false), a shed fraction of 2 raises inside the run at the first
+    alert, and a profile with no operations crashes its generator."""
+    with pytest.raises(errors.SimulationError,
+                       match="^" + re.escape(field) + " must be"):
+        build(tmp_path)
