@@ -1,22 +1,16 @@
-"""A day in a media space: rooms, glances, cruises and a video wall.
+"""A day in a media space: glances, cruises and a video wall.
 
 Recreates §3.3.2's canon: the Xerox PARC coffee-room video wall, a
-Cruiser-style cruise down the virtual hallway, RAVE-style accessibility
-controls with reciprocity, and the rooms-and-doors metaphor carrying the
-social protocol for interruption.
+Cruiser-style cruise down the virtual hallway, and RAVE-style
+accessibility controls with reciprocity, which carry the social
+protocol for interruption.
 
 Run:  python examples/media_space.py
 """
 
 from repro.net import Network, lan
 from repro.sim import Environment
-from repro.spaces import (
-    BUSY,
-    DOOR_CLOSED,
-    MediaSpace,
-    OFFICE,
-    VirtualBuilding,
-)
+from repro.spaces import BUSY, MediaSpace
 
 
 def main() -> None:
@@ -80,29 +74,6 @@ def main() -> None:
     print("gordon's reciprocity feed (who looked, when):")
     for at, actor, action in looks:
         print("  t={:>5.1f}  {} -> {}".format(at, actor, action))
-
-    # -- rooms: the interruption protocol ----------------------------------
-    print("\n-- rooms and doors --")
-    building = VirtualBuilding(env)
-    building.add_room("gordons-office", kind=OFFICE, owner="gordon")
-    building.add_room("meeting-room")
-    office = building.room("gordons-office")
-    office.occupants.append("gordon")
-    building.whereis["gordon"] = "gordons-office"
-    office.answer_policy = lambda visitor: visitor != "salesperson"
-
-    def corridor_life(env):
-        outcome = yield building.enter("tom", "gordons-office")
-        print("tom knocks on the ajar door: {}".format(outcome))
-        outcome = yield building.enter("salesperson", "gordons-office")
-        print("salesperson knocks: {}".format(outcome))
-        office.set_door(DOOR_CLOSED, by="gordon")
-        outcome = yield building.enter("anyone", "gordons-office")
-        print("after gordon closes the door: {}".format(outcome))
-
-    done = env.process(corridor_life(env))
-    env.run(done)
-    print("occupancy at a glance:", building.occupancy())
 
 
 if __name__ == "__main__":

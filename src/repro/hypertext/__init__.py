@@ -6,13 +6,6 @@ from repro.hypertext.network import (
     HypertextNetwork,
     LINK_TYPES,
 )
-from repro.hypertext.sepia import (
-    DONE,
-    IN_PROGRESS,
-    PLANNED,
-    PlanningSpace,
-    TASK_STATES,
-)
 from repro.hypertext.quilt import (
     AUTHOR,
     CO_AUTHOR,
@@ -31,11 +24,6 @@ __all__ = [
     "CO_AUTHOR",
     "COMMENT",
     "COMMENTER",
-    "DONE",
-    "IN_PROGRESS",
-    "PLANNED",
-    "PlanningSpace",
-    "TASK_STATES",
     "HyperLink",
     "HyperNode",
     "HypertextNetwork",

@@ -19,9 +19,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import HypertextError
 
-_node_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
-_link_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
-
 #: Link types in the spirit of Intermedia/SEPIA (incl. argumentation).
 LINK_TYPES = ("reference", "comment", "supports", "refutes",
               "alternative", "annotates")
@@ -30,8 +27,9 @@ LINK_TYPES = ("reference", "comment", "supports", "refutes",
 class HyperNode:
     """One node of the network: typed content with a version counter."""
 
-    def __init__(self, kind: str, content: Any, author: str) -> None:
-        self.node_id = "n{}".format(next(_node_ids))
+    def __init__(self, node_id: str, kind: str, content: Any,
+                 author: str) -> None:
+        self.node_id = node_id
         self.kind = kind
         self.content = content
         self.author = author
@@ -46,11 +44,11 @@ class HyperNode:
 class HyperLink:
     """A typed, directed link between two nodes."""
 
-    def __init__(self, src: str, dst: str, kind: str,
+    def __init__(self, link_id: str, src: str, dst: str, kind: str,
                  author: str) -> None:
         if kind not in LINK_TYPES:
             raise HypertextError("unknown link type: " + kind)
-        self.link_id = "l{}".format(next(_link_ids))
+        self.link_id = link_id
         self.src = src
         self.dst = dst
         self.kind = kind
@@ -62,6 +60,9 @@ class HypertextNetwork:
 
     def __init__(self, name: str = "network") -> None:
         self.name = name
+        # Ids are per network, so two identical networks label alike.
+        self._node_ids = itertools.count(1)
+        self._link_ids = itertools.count(1)
         self._nodes: Dict[str, HyperNode] = {}
         self._links: List[HyperLink] = []
         #: (node_id, editor, stale_version, branch_node_id) records.
@@ -71,7 +72,8 @@ class HypertextNetwork:
 
     def add_node(self, author: str, kind: str, content: Any) -> HyperNode:
         """Independent addition: never conflicts."""
-        node = HyperNode(kind, content, author)
+        node = HyperNode("n{}".format(next(self._node_ids)), kind, content,
+                         author)
         self._nodes[node.node_id] = node
         return node
 
@@ -80,7 +82,8 @@ class HypertextNetwork:
         """Link two existing nodes."""
         if src not in self._nodes or dst not in self._nodes:
             raise HypertextError("both endpoints must exist")
-        link = HyperLink(src, dst, kind, author)
+        link = HyperLink("l{}".format(next(self._link_ids)), src, dst, kind,
+                         author)
         self._links.append(link)
         return link
 

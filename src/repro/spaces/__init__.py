@@ -1,4 +1,4 @@
-"""The use of space (§3.3.2): rooms, doors and media spaces."""
+"""The use of space (§3.3.2): media spaces."""
 
 from repro.spaces.mediaspace import (
     ACCESSIBLE,
@@ -11,42 +11,15 @@ from repro.spaces.mediaspace import (
     VIDEO_WALL,
     WorkplaceNode,
 )
-from repro.spaces.virtual import Utterance, VirtualEnvironment
-from repro.spaces.rooms import (
-    COMMON,
-    DOOR_AJAR,
-    DOOR_CLOSED,
-    DOOR_OPEN,
-    ENTER_GRANTED,
-    ENTER_NO_ANSWER,
-    ENTER_REFUSED,
-    MEETING_ROOM,
-    OFFICE,
-    Room,
-    VirtualBuilding,
-)
 
 __all__ = [
     "ACCESSIBLE",
     "BUSY",
-    "COMMON",
     "Connection",
-    "DOOR_AJAR",
-    "DOOR_CLOSED",
-    "DOOR_OPEN",
     "DO_NOT_DISTURB",
-    "ENTER_GRANTED",
-    "ENTER_NO_ANSWER",
-    "ENTER_REFUSED",
     "GLANCE",
-    "MEETING_ROOM",
     "MediaSpace",
-    "OFFICE",
     "OFFICE_SHARE",
-    "Room",
-    "Utterance",
     "VIDEO_WALL",
-    "VirtualBuilding",
-    "VirtualEnvironment",
     "WorkplaceNode",
 ]

@@ -42,8 +42,6 @@ GLANCE = "glance"
 VIDEO_WALL = "video-wall"
 OFFICE_SHARE = "office-share"
 
-_connection_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
-
 
 class WorkplaceNode:
     """A camera+monitor installation at someone's workplace."""
@@ -61,12 +59,12 @@ class WorkplaceNode:
 class Connection:
     """A live media connection between two workplace nodes."""
 
-    def __init__(self, kind: str, source: str, target: str,
-                 started_at: float,
+    def __init__(self, connection_id: str, kind: str, source: str,
+                 target: str, started_at: float,
                  flows: Optional[List[Tuple[MediaSource,
                                             StreamBinding,
                                             MediaSink]]] = None) -> None:
-        self.connection_id = "conn-{}".format(next(_connection_ids))
+        self.connection_id = connection_id
         self.kind = kind
         self.source = source
         self.target = target
@@ -103,6 +101,10 @@ class MediaSpace:
         self.nodes: Dict[str, WorkplaceNode] = {}
         self.connections: List[Connection] = []
         self.counters = Counter()
+        # Connection ids and stream ports come from one per-space count:
+        # a port picks the handler a frame reaches, so it must not
+        # depend on what ran earlier in the process.
+        self._ids = itertools.count(1)
 
     def add_node(self, name: str, host: Optional[str] = None
                  ) -> WorkplaceNode:
@@ -138,9 +140,7 @@ class MediaSpace:
         self.node(a)
         self.node(b)
         flows = self._make_flows(a, b, bidirectional=True)
-        connection = Connection(VIDEO_WALL, a, b, self.env.now,
-                                flows=flows)
-        self.connections.append(connection)
+        connection = self._connect(VIDEO_WALL, a, b, flows)
         self.counters.incr("video_walls")
         for source, _, _ in flows:
             source.start()
@@ -186,9 +186,7 @@ class MediaSpace:
             raise ReproError(
                 "{} is not accepting connections".format(b))
         flows = self._make_flows(a, b, bidirectional=True)
-        connection = Connection(OFFICE_SHARE, a, b, self.env.now,
-                                flows=flows)
-        self.connections.append(connection)
+        connection = self._connect(OFFICE_SHARE, a, b, flows)
         self.counters.incr("office_shares")
         for source, _, _ in flows:
             source.start()
@@ -207,6 +205,13 @@ class MediaSpace:
 
     # -- internals -------------------------------------------------------------------
 
+    def _connect(self, kind: str, source: str, target: str,
+                 flows) -> Connection:
+        connection = Connection("conn-{}".format(next(self._ids)), kind,
+                                source, target, self.env.now, flows=flows)
+        self.connections.append(connection)
+        return connection
+
     def _make_flows(self, a: str, b: str, bidirectional: bool):
         """Create real video flows when both ends have network hosts."""
         if self.network is None:
@@ -221,7 +226,7 @@ class MediaSpace:
             pairs.append((host_b, host_a))
         for src, dst in pairs:
             binding = StreamBinding(self.network, src, dst,
-                                    port=7000 + next(_connection_ids))
+                                    port=7000 + next(self._ids))
             sink = MediaSink(self.env, dst + "-wall",
                              target_delay=0.2)
             binding.attach_sink(sink)
@@ -234,9 +239,7 @@ class MediaSpace:
 
     def _run_glance(self, looker: str, target: str, done: Event):
         flows = self._make_flows(target, looker, bidirectional=False)
-        connection = Connection(GLANCE, looker, target, self.env.now,
-                                flows=flows)
-        self.connections.append(connection)
+        connection = self._connect(GLANCE, looker, target, flows)
         self.counters.incr("glances_granted")
         for source, _, _ in flows:
             source.start(duration=self.glance_duration)

@@ -191,3 +191,13 @@ def test_comment_network_shape():
     doc.suggest_revision("bob", "Abstract, improved. Intro.")
     annotations = doc.network.links_to(doc.base.node_id, "annotates")
     assert len(annotations) == 2
+
+
+def test_ids_do_not_leak_between_documents():
+    def annotate():
+        doc = make_document()
+        note = doc.comment("carol", "typo in line 3")
+        link, = doc.network.links_to(doc.base.node_id)
+        return doc.base.node_id, note.node_id, link.link_id
+
+    assert annotate() == annotate() == ("n1", "n2", "l1")

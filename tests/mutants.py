@@ -6,7 +6,7 @@ PR fixed, or one seeded on purpose — re-introduced on a copy of the
 tree, and the detector that fails there.  This module is that matrix as
 data, and two ways to run it::
 
-    python -m tests.mutants             # smoke: six rows, one per kind
+    python -m tests.mutants             # smoke: seven rows, one per kind
     python -m tests.mutants --matrix    # every detector on every mutant
 
 The smoke applies each :data:`SMOKE` mutant to a temporary copy and
@@ -14,7 +14,8 @@ requires its named detector to fail there and to pass on the clean
 copy; it exits non-zero otherwise (CI: "Seeded mutants are still
 caught").  ``--matrix`` prints the markdown table the doc holds,
 with one budget-25 fuzz column per fuzz profile; it runs the whole
-tier-1 suite once per mutant and takes about two hours on two cores.
+tier-1 suite and the experiment benches once per mutant and takes
+about two hours on two cores.
 ``tests/test_mutants.py`` keeps the table from rotting: every ``old``
 string must occur exactly once in its file.
 """
@@ -194,6 +195,15 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/streams/media.py",
            "        self.env.timeout(deadline - self.env.now, frame)",
            "        self.env.timeout((deadline - self.env.now) / 2, frame)"),
+    # -- one per §3 mechanism kept by an experiment bench ----------------
+    Mutant("glance-ignores-accessibility", "seeded; M1",
+           "src/repro/spaces/mediaspace.py",
+           "        if node.accessibility != ACCESSIBLE:\n",
+           "        if False:\n"),
+    Mutant("stale-edit-overwrites", "seeded; Q1",
+           "src/repro/hypertext/network.py",
+           "        if base_version == node.version:\n",
+           "        if True:\n"),
     # -- one aimed at the stated property of each fault oracle -----------
     Mutant("give-up-leaves-inflight", "seeded; liveness",
            "src/repro/net/transport.py",
@@ -229,6 +239,9 @@ SMOKE: Dict[str, List[str]] = {
     "actor-forgets-to-yield": _check("protocol"),
     # a bench/run.py correctness gate
     "causal-ready-ignores-others": _bench("group-chat"),
+    # an experiment bench's declared claim
+    "digest-keeps-delivered-events": PYTEST + [
+        "benchmarks/bench_a3_digest_tradeoff.py"],
 }
 
 REPLAY = [sys.executable, "-m", "repro.analysis.replay"]
@@ -332,9 +345,18 @@ def fuzz_counts(root: str, profile: str) -> Union[Dict[str, int], str]:
         return "no output"
 
 
-def _failing_files(output: str) -> List[str]:
+def _failing_files(output: str, directory: str) -> List[str]:
     return sorted({match.group(1) for match in re.finditer(
-        r"^(?:FAILED|ERROR) tests/([\w/]+\.py)", output, re.M)})
+        r"^(?:FAILED|ERROR) " + directory + r"/([\w/]+\.py)", output,
+        re.M)})
+
+
+def _pytest_cell(root: str, target: str, *options: str) -> str:
+    """The files a pytest run over ``target`` fails in, or its exit."""
+    result = run(PYTEST + ["-rfE", *options, target], root)
+    return ", ".join(_failing_files(result.stdout, target)) or (
+        "–" if result.returncode == 0 else "exit {}".format(
+            result.returncode))
 
 
 def fuzz_cell(counts: Union[Dict[str, int], str],
@@ -358,10 +380,10 @@ def detect(root: str, profiles: Sequence[str]) -> Dict[str, Any]:
             len(re.findall(r": RPR\d{3} ", result.stdout))) \
             if result.returncode else "–"
     # The table's own tier-1 test fails on every mutated copy by design.
-    result = run(PYTEST + ["-rfE", "--ignore=tests/test_mutants.py"], root)
-    row["tier-1"] = ", ".join(_failing_files(result.stdout)) or (
-        "–" if result.returncode == 0 else "exit {}".format(
-            result.returncode))
+    row["tier-1"] = _pytest_cell(root, "tests",
+                                 "--ignore=tests/test_mutants.py")
+    # CI's "Run the experiment benches": each asserts a declared claim.
+    row["experiments"] = _pytest_cell(root, "benchmarks")
     replay_workloads, bench_workloads = workloads(root)
     bad = [name for name in replay_workloads
            if run(REPLAY + [name, "--seed", "31"], root).returncode]
@@ -389,9 +411,9 @@ def matrix() -> int:
             if isinstance(clean[column], str):
                 raise SystemExit("`{}` gives {} on the clean tree".format(
                     column, clean[column]))
-        columns = ["lint", "protocol", "tier-1", "replay CLI",
-                   "races gate"] + fuzz_columns + ["corpus verify",
-                                                   "bench gates"]
+        columns = ["lint", "protocol", "tier-1", "experiments",
+                   "replay CLI", "races gate"] + fuzz_columns + [
+                       "corpus verify", "bench gates"]
         print("| mutant (origin) | " + " | ".join(columns) + " |")
         print("|" + "---|" * (len(columns) + 1))
 

@@ -156,3 +156,16 @@ def test_counters(env):
     run_event(env, space.glance("tom-office", "gordon-office"))
     assert space.counters["glances_attempted"] == 1
     assert space.counters["glances_granted"] == 1
+
+
+def test_ids_and_ports_do_not_leak_between_spaces():
+    """A port picks the handler a frame reaches: the same space built
+    twice in one process must get the same ids and ports."""
+    def raise_wall():
+        env = Environment()
+        space = make_space(env, networked=True)
+        wall = space.video_wall("coffee-lancaster", "coffee-palo-alto")
+        return wall.connection_id, [binding.port
+                                    for _, binding, _ in wall.flows]
+
+    assert raise_wall() == raise_wall() == ("conn-3", [7001, 7002])

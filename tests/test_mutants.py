@@ -71,5 +71,11 @@ def test_failing_files_are_read_off_the_short_summary():
               "ERROR tests/groups/test_group.py::test_b\n"
               "FAILED tests/net/test_carry.py::test_c\n"
               "2 failed, 1 error in 3.21s\n")
-    assert _failing_files(output) == ["groups/test_group.py",
-                                      "net/test_carry.py"]
+    assert _failing_files(output, "tests") == ["groups/test_group.py",
+                                               "net/test_carry.py"]
+    assert _failing_files(output, "benchmarks") == []
+    bench = ("FAILED benchmarks/bench_a3_digest_tradeoff.py::test_a3 - x\n"
+             "1 failed, 21 passed in 4.02s\n")
+    assert _failing_files(bench, "benchmarks") == [
+        "bench_a3_digest_tradeoff.py"]
+    assert _failing_files(bench, "tests") == []
