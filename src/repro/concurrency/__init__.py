@@ -38,7 +38,6 @@ from repro.concurrency.ot import (
     apply_op,
     apply_ops,
     xform,
-    xform_sequences,
 )
 from repro.concurrency.reservation import ReservationControl
 from repro.concurrency.store import DataItem, SharedStore
@@ -97,5 +96,4 @@ __all__ = [
     "free_rule",
     "serialisable_rule",
     "xform",
-    "xform_sequences",
 ]

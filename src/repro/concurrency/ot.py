@@ -19,7 +19,6 @@ algorithm network-free for property testing; :class:`OTServerSite` /
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConcurrencyError
@@ -29,16 +28,24 @@ from repro.net.packet import Packet
 OT_PORT = 30
 
 
+def _is_index(value: Any) -> bool:
+    """A non-negative ``int`` (``bool`` is not a position)."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
 class Insert:
     """Insert one character at a position."""
 
     __slots__ = ("pos", "char")
 
     def __init__(self, pos: int, char: str) -> None:
-        if pos < 0:
-            raise ConcurrencyError("insert position must be non-negative")
-        if len(char) != 1:
-            raise ConcurrencyError("Insert carries exactly one character")
+        if not _is_index(pos):
+            raise ConcurrencyError(
+                "pos must be a non-negative int: {!r}".format(pos))
+        if not isinstance(char, str) or len(char) != 1:
+            raise ConcurrencyError(
+                "char must be one character: {!r}".format(char))
         self.pos = pos
         self.char = char
 
@@ -56,8 +63,9 @@ class Delete:
     __slots__ = ("pos",)
 
     def __init__(self, pos: int) -> None:
-        if pos < 0:
-            raise ConcurrencyError("delete position must be non-negative")
+        if not _is_index(pos):
+            raise ConcurrencyError(
+                "pos must be a non-negative int: {!r}".format(pos))
         self.pos = pos
 
     def __eq__(self, other: object) -> bool:
@@ -81,21 +89,41 @@ class Noop:
 
 Op = Any  # Insert | Delete | Noop
 
+_new = object.__new__
+
+
+def _insert_at(pos: int, char: str) -> Insert:
+    """An :class:`Insert` of a checked op moved by one: no re-check."""
+    op = _new(Insert)
+    op.pos = pos
+    op.char = char
+    return op
+
+
+def _delete_at(pos: int) -> Delete:
+    """A :class:`Delete` of a checked op moved by one: no re-check."""
+    op = _new(Delete)
+    op.pos = pos
+    return op
+
 
 def apply_op(text: str, op: Op) -> str:
     """Apply one operation to a text."""
-    if isinstance(op, Noop):
+    kind = type(op)
+    if kind is Insert:
+        pos = op.pos
+        if pos > len(text):
+            raise ConcurrencyError(
+                "insert at {} beyond end {}".format(pos, len(text)))
+        return text[:pos] + op.char + text[pos:]
+    if kind is Delete:
+        pos = op.pos
+        if pos >= len(text):
+            raise ConcurrencyError(
+                "delete at {} beyond end {}".format(pos, len(text)))
+        return text[:pos] + text[pos + 1:]
+    if kind is Noop:
         return text
-    if isinstance(op, Insert):
-        if op.pos > len(text):
-            raise ConcurrencyError(
-                "insert at {} beyond end {}".format(op.pos, len(text)))
-        return text[:op.pos] + op.char + text[op.pos:]
-    if isinstance(op, Delete):
-        if op.pos >= len(text):
-            raise ConcurrencyError(
-                "delete at {} beyond end {}".format(op.pos, len(text)))
-        return text[:op.pos] + text[op.pos + 1:]
     raise ConcurrencyError("unknown operation: {!r}".format(op))
 
 
@@ -111,44 +139,36 @@ def xform(a: Op, b: Op, a_wins: bool) -> Op:
 
     ``a_wins`` breaks insert-position ties deterministically; callers must
     derive it from a total order on sites (here: lexicographic site name).
+    For concurrent sequences ``A`` and ``B``, transforming each ``a``
+    over every ``b`` while each ``b`` is moved past ``a`` (the grid the
+    cores walk) gives ``A'`` and ``B'`` with TP1: applying ``A then B'``
+    and ``B then A'`` yield the same text.
     """
-    if isinstance(a, Noop) or isinstance(b, Noop):
+    kind = type(a)
+    other = type(b)
+    if kind is Insert:
+        if other is Insert:
+            if a.pos < b.pos or (a.pos == b.pos and a_wins):
+                return a
+            return _insert_at(a.pos + 1, a.char)
+        if other is Delete:
+            if a.pos <= b.pos:
+                return a
+            return _insert_at(a.pos - 1, a.char)
+    elif kind is Delete:
+        if other is Insert:
+            if a.pos < b.pos:
+                return a
+            return _delete_at(a.pos + 1)
+        if other is Delete:
+            if a.pos < b.pos:
+                return a
+            if a.pos > b.pos:
+                return _delete_at(a.pos - 1)
+            return Noop()
+    if kind is Noop or other is Noop:
         return a
-    if isinstance(a, Insert) and isinstance(b, Insert):
-        if a.pos < b.pos or (a.pos == b.pos and a_wins):
-            return a
-        return Insert(a.pos + 1, a.char)
-    if isinstance(a, Insert) and isinstance(b, Delete):
-        if a.pos <= b.pos:
-            return a
-        return Insert(a.pos - 1, a.char)
-    if isinstance(a, Delete) and isinstance(b, Insert):
-        if a.pos < b.pos:
-            return a
-        return Delete(a.pos + 1)
-    if isinstance(a, Delete) and isinstance(b, Delete):
-        if a.pos < b.pos:
-            return a
-        if a.pos > b.pos:
-            return Delete(a.pos - 1)
-        return Noop()
     raise ConcurrencyError("cannot transform {!r} over {!r}".format(a, b))
-
-
-def xform_sequences(ops_a: List[Op], ops_b: List[Op],
-                    a_wins: bool) -> Tuple[List[Op], List[Op]]:
-    """Transform two concurrent sequences over each other.
-
-    Returns ``(A', B')`` with the guarantee (TP1) that applying
-    ``A then B'`` and ``B then A'`` yield the same text.
-    """
-    ops_b = list(ops_b)
-    out_a: List[Op] = []
-    for a in ops_a:
-        for i, b in enumerate(ops_b):
-            a, ops_b[i] = xform(a, b, a_wins), xform(b, a, not a_wins)
-        out_a.append(a)
-    return out_a, ops_b
 
 
 # -- pure protocol cores ------------------------------------------------------
@@ -168,15 +188,36 @@ class OTServerCore:
 
     def receive(self, site: str, base_rev: int,
                 ops: List[Op]) -> Tuple[int, List[Op]]:
-        """Ingest ops based on ``base_rev``; returns (new_rev, ops')."""
-        if not 0 <= base_rev <= self.revision:
+        """Ingest ops based on ``base_rev``; returns (new_rev, ops').
+
+        Only the incoming side of the grid is computed: a sequenced batch
+        is moved past every incoming op but the last, because the ops
+        after it transform against the moved batch, and never past the
+        last, because nothing reads the result.
+        """
+        if not _is_index(base_rev) or base_rev > self.revision:
             raise ConcurrencyError(
-                "bad base revision {} (server at {})".format(
-                    base_rev, self.revision))
+                "base_rev must be a revision in 0..{}: {!r}".format(
+                    self.revision, base_rev))
+        if not ops:
+            raise ConcurrencyError("ops must hold at least one op")
         transformed = list(ops)
+        last = len(transformed) - 1
         for other_site, other_ops in self.history[base_rev:]:
-            transformed, _ = xform_sequences(
-                transformed, list(other_ops), a_wins=site < other_site)
+            a_wins = site < other_site
+            if last:
+                b_wins = not a_wins
+                other_ops = list(other_ops)
+                for index in range(last):
+                    a = transformed[index]
+                    for i, b in enumerate(other_ops):
+                        a, other_ops[i] = \
+                            xform(a, b, a_wins), xform(b, a, b_wins)
+                    transformed[index] = a
+            a = transformed[last]
+            for b in other_ops:
+                a = xform(a, b, a_wins)
+            transformed[last] = a
         self.text = apply_ops(self.text, transformed)
         self.history.append((site, transformed))
         return self.revision, transformed
@@ -186,14 +227,20 @@ class OTClientCore:
     """One site: immediate local application, one in-flight batch.
 
     ``revision`` may be non-zero for a late joiner initialised from a
-    server snapshot taken at that revision.
+    server snapshot taken at that revision.  Server messages must come
+    in revision order: each ack or remote is ``revision + 1``.
     """
 
     def __init__(self, site: str, initial: str = "",
                  revision: int = 0) -> None:
+        if not _is_index(revision):
+            raise ConcurrencyError(
+                "revision must be a non-negative int: {!r}".format(revision))
         self.site = site
         self.text = initial
         self.revision = revision
+        #: The batch the server has not acked.  It is the sent packet's
+        #: payload, so it is replaced, never written into.
         self._inflight: Optional[List[Op]] = None
         self._queue: List[List[Op]] = []
 
@@ -208,12 +255,16 @@ class OTClientCore:
         The return value is ``(base_rev, ops)`` to transmit to the server,
         or ``None`` when a batch is already in flight (the new ops queue).
         """
+        if not ops:
+            raise ConcurrencyError("ops must hold at least one op")
         self.text = apply_ops(self.text, ops)
         self._queue.append(list(ops))
         return self._maybe_send()
 
     def server_ack(self, new_rev: int) -> Optional[Tuple[int, List[Op]]]:
         """The in-flight batch was sequenced; returns the next send."""
+        if type(new_rev) is not int or new_rev != self.revision + 1:
+            self._out_of_order(new_rev)
         if self._inflight is None:
             raise ConcurrencyError("ack without an in-flight batch")
         self.revision = new_rev
@@ -223,17 +274,37 @@ class OTClientCore:
     def server_remote(self, new_rev: int, origin: str,
                       ops: List[Op]) -> List[Op]:
         """A remote batch arrives; returns the ops applied locally."""
+        if type(new_rev) is not int or new_rev != self.revision + 1:
+            self._out_of_order(new_rev)
         incoming = list(ops)
-        mine_wins = self.site < origin
-        if self._inflight is not None:
-            incoming, self._inflight = xform_sequences(
-                incoming, self._inflight, a_wins=not mine_wins)
-        for i, queued in enumerate(self._queue):
-            incoming, self._queue[i] = xform_sequences(
-                incoming, queued, a_wins=not mine_wins)
+        inflight = self._inflight
+        queue = self._queue
+        if inflight is not None or queue:
+            # One grid: each incoming op moves past every unacked local
+            # op, in send order, while each local op moves past it.  With
+            # nothing unacked the remote ops apply as sequenced.
+            mine_wins = self.site < origin
+            theirs_wins = not mine_wins
+            if inflight is None:
+                batches = queue
+            else:
+                inflight = self._inflight = list(inflight)
+                batches = [inflight]
+                batches.extend(queue)
+            for index, a in enumerate(incoming):
+                for batch in batches:
+                    for i, b in enumerate(batch):
+                        a, batch[i] = \
+                            xform(a, b, theirs_wins), xform(b, a, mine_wins)
+                incoming[index] = a
         self.text = apply_ops(self.text, incoming)
         self.revision = new_rev
         return incoming
+
+    def _out_of_order(self, new_rev: Any) -> None:
+        raise ConcurrencyError(
+            "new_rev must be the next revision {}: {!r}".format(
+                self.revision + 1, new_rev))
 
     def _maybe_send(self) -> Optional[Tuple[int, List[Op]]]:
         if self._inflight is not None or not self._queue:
@@ -288,7 +359,12 @@ class OTServerSite:
 
 
 class OTClientSite:
-    """A collaborating site attached to a host."""
+    """A collaborating site attached to a host.
+
+    Packets to one site can overtake each other (per-packet jitter), but
+    the core integrates server messages in revision order, so the site
+    holds back any message that arrives before its predecessor.
+    """
 
     def __init__(self, host: Host, server_node: str, initial: str = "",
                  port: int = OT_PORT,
@@ -302,6 +378,9 @@ class OTClientSite:
         self.on_remote = on_remote
         #: (time, kind) log for response/notification measurements.
         self.applied_log: List[Tuple[float, str]] = []
+        #: Server messages that arrived before an earlier revision, by
+        #: revision; each is integrated once its predecessor is.
+        self._held: Dict[int, Dict[str, Any]] = {}
         host.on_packet(port + 1, self._on_packet)
 
     @property
@@ -311,15 +390,22 @@ class OTClientSite:
 
     def edit(self, ops: List[Op]) -> None:
         """Perform a local edit; the user sees it instantly."""
+        send = self.core.local_edit(ops)
         self.applied_log.append((self.env.now, "local"))
-        self._transmit(self.core.local_edit(ops))
+        self._transmit(send)
 
     def insert(self, pos: int, text: str) -> None:
         """Convenience: insert a string as successive character ops."""
+        if not isinstance(text, str) or not text:
+            raise ConcurrencyError(
+                "text must be a non-empty str: {!r}".format(text))
         self.edit([Insert(pos + i, ch) for i, ch in enumerate(text)])
 
     def delete(self, pos: int, count: int = 1) -> None:
         """Convenience: delete ``count`` characters at ``pos``."""
+        if not _is_index(count) or not count:
+            raise ConcurrencyError(
+                "count must be a positive int: {!r}".format(count))
         self.edit([Delete(pos) for _ in range(count)])
 
     def _transmit(self, send: Optional[Tuple[int, List[Op]]]) -> None:
@@ -333,11 +419,24 @@ class OTClientSite:
     def _on_packet(self, packet: Packet) -> None:
         message = packet.payload
         kind = message.get("type")
-        if kind == "ack":
-            self._transmit(self.core.server_ack(message["rev"]))
-        elif kind == "remote":
-            applied = self.core.server_remote(
-                message["rev"], message["origin"], message["ops"])
-            self.applied_log.append((self.env.now, "remote"))
-            if self.on_remote is not None:
-                self.on_remote(applied)
+        if kind != "ack" and kind != "remote":
+            return
+        if message["rev"] > self.core.revision + 1:
+            # Jitter let it overtake an earlier revision: hold it back.
+            self._held[message["rev"]] = message
+            return
+        while True:
+            if kind == "ack":
+                self._transmit(self.core.server_ack(message["rev"]))
+            else:
+                applied = self.core.server_remote(
+                    message["rev"], message["origin"], message["ops"])
+                self.applied_log.append((self.env.now, "remote"))
+                if self.on_remote is not None:
+                    self.on_remote(applied)
+            if not self._held:
+                return
+            message = self._held.pop(self.core.revision + 1, None)
+            if message is None:
+                return
+            kind = message["type"]

@@ -14,10 +14,9 @@ from repro.concurrency import (
     apply_op,
     apply_ops,
     xform,
-    xform_sequences,
 )
 from repro.errors import ConcurrencyError
-from repro.net import Network, lan
+from repro.net import Network, lan, wan
 from repro.sim import Environment
 
 
@@ -72,10 +71,11 @@ def test_xform_delete_delete_same_position_cancels():
 
 
 def ops_strategy(doc_len, max_ops=4):
-    """Random op sequences valid against a document of ``doc_len``."""
+    """Random non-empty op sequences valid against a document of
+    ``doc_len``."""
     def build(draw):
         length = doc_len
-        count = draw(st.integers(0, max_ops))
+        count = draw(st.integers(1, max_ops))
         ops = []
         for _ in range(count):
             if length == 0 or draw(st.booleans()):
@@ -93,13 +93,22 @@ BASE = "abcdef"
 
 
 @settings(max_examples=200)
-@given(ops_strategy(len(BASE)), ops_strategy(len(BASE)))
-def test_tp1_convergence_property(ops_a, ops_b):
-    """TP1: apply(A + B') == apply(B + A') for any concurrent sequences."""
-    a_prime, b_prime = xform_sequences(ops_a, ops_b, a_wins=True)
-    left = apply_ops(apply_ops(BASE, ops_a), b_prime)
-    right = apply_ops(apply_ops(BASE, ops_b), a_prime)
-    assert left == right
+@given(ops_strategy(len(BASE)), ops_strategy(len(BASE)),
+       st.sampled_from([("a", "b"), ("b", "a")]))
+def test_tp1_convergence_property(ops_a, ops_b, sites):
+    """TP1: apply(A + B') == apply(B + A') for any concurrent sequences:
+    the sequencer's B' (B moved past A) and the grid a site walks to
+    move A past its unacked B end at the same text."""
+    site_a, site_b = sites
+    server = OTServerCore(BASE)
+    server.receive(site_a, 0, ops_a)
+    _, b_prime = server.receive(site_b, 0, ops_b)
+    client = OTClientCore(site_b, BASE)
+    client.local_edit(ops_b)
+    a_prime = client.server_remote(1, site_a, ops_a)
+    assert apply_ops(apply_ops(BASE, ops_a), b_prime) == server.text
+    assert apply_ops(apply_ops(BASE, ops_b), a_prime) == client.text
+    assert client.text == server.text
 
 
 def test_tp1_exhaustive_single_ops():
@@ -169,6 +178,23 @@ def test_client_core_remote_transformed_against_pending():
     applied = client.server_remote(1, "siteA", [Insert(0, "X")])
     assert client.text == "Xabc"
     assert applied == [Insert(0, "X")]
+
+
+@pytest.mark.parametrize("deliver", [
+    lambda client: client.server_ack(2),
+    lambda client: client.server_remote(2, "siteA", [Insert(0, "X")]),
+    lambda client: client.server_remote(0, "siteA", [Insert(0, "X")]),
+    lambda client: client.server_ack(1.0),
+], ids=["ack-ahead", "remote-ahead", "remote-stale", "ack-float"])
+def test_client_core_takes_server_messages_in_revision_order(deliver):
+    """A message applied out of order transforms against the wrong
+    unacked ops: refused, naming the revision it carried."""
+    client = OTClientCore("siteB", "ab")
+    client.local_edit([Insert(2, "c")])
+    with pytest.raises(ConcurrencyError, match="^new_rev must be the next "
+                                               "revision 1: "):
+        deliver(client)
+    assert (client.text, client.revision) == ("abc", 0)
 
 
 def test_core_roundtrip_two_sites_converge():
@@ -287,3 +313,34 @@ def test_remote_callback_invoked(env):
     alice.insert(0, "Z")
     env.run()
     assert applied == [[Insert(0, "Z")]]
+
+
+def test_replicas_converge_on_a_jittery_wan(env):
+    """Per-packet jitter lets acks and remotes to one site overtake each
+    other.  Integrated in arrival order, a remote is transformed against
+    the wrong unacked ops and the first stray insert runs past the end of
+    the text; the site holds each message back until its predecessor is
+    in, and every replica converges."""
+    net = Network(env, wan(env, sites=3, site_latency=0.02, jitter=0.005,
+                           seed=3))
+    hosts = ["site{}.host{}".format(i, j) for i in range(3) for j in range(2)]
+    server = OTServerSite(net.host(hosts[0]))
+    clients = []
+    for name in hosts[1:]:
+        clients.append(OTClientSite(net.host(name), hosts[0]))
+        server.register(name)
+
+    def typist(env, client, index):
+        for key in range(40):
+            client.insert((7 * key + index) % (len(client.text) + 1),
+                          "abcde"[index])
+            yield env.timeout(0.003)
+
+    for index, client in enumerate(clients):
+        env.process(typist(env, client, index))
+    env.run()
+    assert server.core.revision == 200
+    for client in clients:
+        assert client.text == server.core.text
+        assert client.core.revision == 200 and not client.core.has_unacked
+        assert not client._held

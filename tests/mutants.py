@@ -6,7 +6,7 @@ PR fixed, or one seeded on purpose — re-introduced on a copy of the
 tree, and the detector that fails there.  This module is that matrix as
 data, and two ways to run it::
 
-    python -m tests.mutants             # smoke: seven rows, one per kind
+    python -m tests.mutants             # smoke: eight rows, one per kind
     python -m tests.mutants --matrix    # every detector on every mutant
 
 The smoke applies each :data:`SMOKE` mutant to a temporary copy and
@@ -102,8 +102,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            "            return True\n"),
     Mutant("ot-insert-tie-ignores-a-wins", "seeded",
            "src/repro/concurrency/ot.py",
-           "if a.pos < b.pos or (a.pos == b.pos and a_wins):",
-           "if a.pos <= b.pos:"),
+           "            if a.pos < b.pos or (a.pos == b.pos and a_wins):\n"
+           "                return a\n"
+           "            return _insert_at(a.pos + 1, a.char)\n",
+           "            if a.pos <= b.pos:\n"
+           "                return a\n"
+           "            return _insert_at(a.pos + 1, a.char)\n"),
     Mutant("fcfs-grants-past-holder", "seeded",
            "src/repro/sessions/floor.py",
            "        if self.holder is None:\n"
@@ -166,14 +170,18 @@ MUTANTS: Tuple[Mutant, ...] = (
            "._ordering._next - 1\n"),
     Mutant("ot-delete-dropped-at-insert-tie", "seeded; CSCW",
            "src/repro/concurrency/ot.py",
-           "        if a.pos < b.pos:\n"
-           "            return a\n"
-           "        return Delete(a.pos + 1)\n",
-           "        if a.pos < b.pos:\n"
-           "            return a\n"
-           "        if a.pos == b.pos:\n"
-           "            return Noop()\n"
-           "        return Delete(a.pos + 1)\n"),
+           "            if a.pos < b.pos:\n"
+           "                return a\n"
+           "            return _delete_at(a.pos + 1)\n",
+           "            if a.pos < b.pos:\n"
+           "                return a\n"
+           "            if a.pos == b.pos:\n"
+           "                return Noop()\n"
+           "            return _delete_at(a.pos + 1)\n"),
+    Mutant("ot-client-applies-out-of-order", "seeded; CSCW",
+           "src/repro/concurrency/ot.py",
+           "        if message[\"rev\"] > self.core.revision + 1:\n",
+           "        if False:\n"),
     Mutant("rr-quantum-outlives-release", "seeded; CSCW",
            "src/repro/sessions/floor.py",
            "        if self._epoch != epoch or self.holder != member:\n",
@@ -242,6 +250,9 @@ SMOKE: Dict[str, List[str]] = {
     # an experiment bench's declared claim
     "digest-keeps-delivered-events": PYTEST + [
         "benchmarks/bench_a3_digest_tradeoff.py"],
+    # a protocol test no bench gate reaches: only a jittery WAN reorders
+    "ot-client-applies-out-of-order": PYTEST + [
+        "tests/concurrency/test_ot.py"],
 }
 
 REPLAY = [sys.executable, "-m", "repro.analysis.replay"]

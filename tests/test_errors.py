@@ -9,6 +9,13 @@ import pytest
 from repro import errors
 from repro.access import AccessMatrix
 from repro.awareness import AwarenessBus
+from repro.concurrency import (
+    Delete,
+    Insert,
+    OTClientCore,
+    OTClientSite,
+    OTServerCore,
+)
 from repro.faults import (
     CircuitBreaker,
     FaultPolicies,
@@ -288,3 +295,48 @@ def test_a_fault_parameter_out_of_range_is_rejected_by_name(field, build,
     with pytest.raises(errors.SimulationError,
                        match="^" + re.escape(field) + " must be"):
         build(tmp_path)
+
+
+# -- ... and at the OT boundaries, before a bad edit reaches any replica ---------
+
+
+def _ot_site():
+    env = Environment()
+    return OTClientSite(Network(env, lan(env, hosts=2)).host("host1"), "host0",
+                        initial="abc")
+
+
+_OT_BOUNDS = [
+    ("Insert.pos-float", "pos", lambda: Insert(1.5, "a")),
+    ("Insert.pos-bool", "pos", lambda: Insert(True, "a")),
+    ("Insert.pos-nan", "pos", lambda: Insert(_NAN, "a")),
+    ("Insert.char", "char", lambda: Insert(1, 5)),
+    ("Delete.pos-float", "pos", lambda: Delete(2.0)),
+    ("Delete.pos-str", "pos", lambda: Delete("3")),
+    ("OTClientCore.revision", "revision",
+     lambda: OTClientCore("s", revision=-1)),
+    ("OTClientCore.local_edit.ops", "ops",
+     lambda: OTClientCore("s").local_edit([])),
+    ("OTServerCore.receive.base_rev", "base_rev",
+     lambda: OTServerCore().receive("s", 0.0, [Insert(0, "a")])),
+    ("OTServerCore.receive.ops", "ops", lambda: OTServerCore().receive(
+        "s", 0, [])),
+    ("OTClientSite.insert.text", "text", lambda: _ot_site().insert(0, "")),
+    ("OTClientSite.delete.count-zero", "count",
+     lambda: _ot_site().delete(0, 0)),
+    ("OTClientSite.delete.count-negative", "count",
+     lambda: _ot_site().delete(0, -2)),
+]
+
+
+@pytest.mark.parametrize("field, build", [case[1:] for case in _OT_BOUNDS],
+                         ids=[case[0] for case in _OT_BOUNDS])
+def test_an_ot_argument_out_of_range_is_rejected_by_name(field, build):
+    """Unchecked, a float, bool or NaN position is accepted and fails
+    later at slicing as a bare ``TypeError``; a non-character or string
+    position fails as one at once; a negative revision is accepted; and
+    an empty insert or delete is sequenced as an empty revision and
+    broadcast to every replica."""
+    with pytest.raises(errors.ConcurrencyError,
+                       match="^" + re.escape(field) + " must "):
+        build()
