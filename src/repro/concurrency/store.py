@@ -79,16 +79,19 @@ class SharedStore:
 
     def read(self, key: str, reader: str = "", at: float = 0.0) -> Any:
         """Read an item's current value."""
+        item = self.item(key)
         self.reads += 1
-        get_sanitizer().on_read(
-            "{}/{}".format(self.name, key), reader, at)
-        return self.item(key).value
+        sanitizer = get_sanitizer()
+        if sanitizer.enabled:
+            sanitizer.on_read("{}/{}".format(self.name, key), reader, at)
+        return item.value
 
     def write(self, key: str, value: Any, writer: str = "",
               at: float = 0.0) -> int:
         """Write an item; returns the new version and notifies subscribers."""
-        get_sanitizer().on_write(
-            "{}/{}".format(self.name, key), writer, at)
+        sanitizer = get_sanitizer()
+        if sanitizer.enabled:
+            sanitizer.on_write("{}/{}".format(self.name, key), writer, at)
         item = self.ensure(key)
         item.value = value
         item.version += 1

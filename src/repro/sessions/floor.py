@@ -54,7 +54,9 @@ class FloorPolicy:
         self._held_since = self.env.now
         # Floor possession orders turns: the new holder is causally
         # after everything previous holders did with the floor.
-        get_sanitizer().acquire("floor:" + self.name, member)
+        sanitizer = get_sanitizer()
+        if sanitizer.enabled:
+            sanitizer.acquire("floor:" + self.name, member)
         self.counters.incr("grants")
         self.wait_time.record(self.env.now - requested_at)
         self.turns.append((member, self.env.now))
@@ -65,8 +67,14 @@ class FloorPolicy:
             raise FloorControlError(
                 "{} does not hold the floor".format(member))
         self.hold_time.record(self.env.now - self._held_since)
-        get_sanitizer().release("floor:" + self.name, member)
+        self._hand_off(member)
         self.holder = None
+
+    def _hand_off(self, member: str) -> None:
+        """The release edge of ``member``'s turn, for the sanitizer."""
+        sanitizer = get_sanitizer()
+        if sanitizer.enabled:
+            sanitizer.release("floor:" + self.name, member)
 
     def turn_counts(self) -> Dict[str, int]:
         """How many turns each member got (the fairness metric)."""
@@ -188,7 +196,7 @@ class RoundRobinFloor(FloorPolicy):
             return  # nobody waiting: let the holder continue
         self.counters.incr("preemptions")
         self.hold_time.record(self.env.now - self._held_since)
-        get_sanitizer().release("floor:" + self.name, member)
+        self._hand_off(member)
         self.holder = None
         if self.on_preempt is not None:
             self.on_preempt(member)
@@ -289,7 +297,7 @@ class NegotiatedFloor(FloorPolicy):
         if self.holder == holder and self.yields(holder, member):
             self.counters.incr("yields")
             self.hold_time.record(self.env.now - self._held_since)
-            get_sanitizer().release("floor:" + self.name, holder)
+            self._hand_off(holder)
             self.holder = None
             self._grant(member, event, requested_at)
         else:

@@ -1,0 +1,162 @@
+"""The lock table against the one it replaced.
+
+``tests/concurrency/lock_model.py`` keeps the old ``LockTable``: a
+registry lookup per ``lock.wait`` record, un-gated sanitizer hooks, a
+conflict refresh on every release, ``all(<genexpr>)`` compatibility and
+a ``Counter.incr`` call per count.
+Both tables are driven, in every style, with the same random script of
+acquires (shared and exclusive, several owners, two keys), releases —
+of live, released and revoked grants alike — upgrades, withdrawn
+waits, touches and write notifications, with runs of steps at one
+instant between advances of the clock.  Every returned value, grant
+order and grant instant, ``revoked``/``conflicting`` flag, callback,
+``counters.as_dict()``, ``lock.wait`` value, lock-journal record of the
+flight recorder and (when on) sanitizer clock must be equal in the two
+worlds, and the new table must look its histogram up once.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import pytest
+
+from repro.analysis.hb import NOOP_SANITIZER, ConflictSanitizer, use_sanitizer
+from repro.concurrency import locks
+from repro.concurrency.locks import EXCLUSIVE, SHARED, STYLES, LockTable
+from repro.errors import LockError
+from repro.obs.flight import FlightRecorder, use_flight
+from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.sim import Environment
+
+from tests.concurrency import lock_model as model
+
+OWNERS = ("ann", "bob", "cat", "dan")
+KEYS = ("a", "b")
+
+_PICK = st.integers(0, 1000)
+_KEY = st.sampled_from(KEYS)
+_OWNER = st.sampled_from(OWNERS)
+_ACQUIRE = st.tuples(st.just("acquire"), _KEY, _OWNER,
+                     st.sampled_from([SHARED, EXCLUSIVE]))
+_STEPS = st.one_of(
+    _ACQUIRE, _ACQUIRE, _ACQUIRE,
+    st.tuples(st.just("release"), _PICK),
+    st.tuples(st.just("release"), _PICK),
+    st.tuples(st.just("upgrade"), _PICK),
+    st.tuples(st.just("cancel"), _PICK),
+    st.tuples(st.just("touch"), _PICK),
+    st.tuples(st.just("notify"), _KEY, _OWNER),
+    # Steps between two advances are tied at one instant.
+    st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 2.5])))
+
+
+class _World:
+    """One table, its clock, flight recorder, registry and sanitizer, and
+    what the script has asked of it."""
+
+    def __init__(self, table_cls, style, sanitized):
+        self.flight = FlightRecorder(ring=1 << 16)
+        with use_flight(self.flight):
+            self.env = Environment()
+        self.metrics = MetricsRegistry()
+        self.sanitizer = ConflictSanitizer() if sanitized else NOOP_SANITIZER
+        self.table = table = table_cls(self.env, style=style,
+                                       tickle_grace=1.0)
+        self.style = style
+        self.log = []
+        self.requests = []
+        table.on_takeover = lambda grant, taker: self.log.append(
+            ("takeover", grant.grant_id, taker, self.env.now))
+        table.on_conflict = lambda grant, other: self.log.append(
+            ("conflict", grant.grant_id, other, self.env.now))
+        for key in KEYS:
+            table.watch(key, lambda key, writer, kind: self.log.append(
+                ("watch", key, writer, kind, self.env.now)))
+
+    def request(self, event):
+        index = len(self.requests)
+        self.requests.append(event)
+        event.callbacks.append(lambda event: self.log.append(
+            ("granted", index, event.value.grant_id, self.env.now)))
+        return index, event.triggered
+
+    def grants(self):
+        """Every grant ever handed out, in issue order."""
+        seen = {}
+        for event in self.requests:
+            if event.triggered:
+                seen.setdefault(event.value.grant_id, event.value)
+        return [seen[grant_id] for grant_id in sorted(seen)]
+
+    def step(self, step):
+        with use_metrics(self.metrics), use_sanitizer(self.sanitizer):
+            return self._step(step)
+
+    def _step(self, step):
+        kind, table = step[0], self.table
+        if kind == "acquire":
+            return self.request(table.acquire(*step[1:]))
+        if kind == "advance":
+            self.env.run(until=self.env.now + step[1])
+            return self.env.now
+        if kind == "notify":
+            return table.notify_write(*step[1:])
+        if kind == "cancel":
+            pending = [event for event in self.requests
+                       if not event.triggered]
+            if not pending:
+                return None
+            event = pending[step[1] % len(pending)]
+            return [table.cancel_wait(key, event) for key in KEYS]
+        grants = self.grants()
+        if not grants:
+            return None
+        grant = grants[step[1] % len(grants)]
+        if kind == "touch":
+            grant.touch()
+            return grant.grant_id
+        try:
+            if kind == "release":
+                return table.release(grant)
+            return self.request(table.upgrade(grant))
+        except LockError as error:
+            return str(error)
+
+    def state(self):
+        table = self.table
+        return (self.env.now, self.log,
+                [(grant.grant_id, grant.key, grant.owner, grant.mode,
+                  grant.granted_at, grant.last_activity, grant.revoked,
+                  grant.conflicting) for grant in self.grants()],
+                [event.triggered for event in self.requests],
+                table.counters.as_dict(),
+                {key: ([grant.grant_id for grant in table.holders(key)],
+                       table.queue_length(key)) for key in KEYS})
+
+    def finish(self):
+        """What only the end of the run shows."""
+        with use_metrics(self.metrics), use_sanitizer(self.sanitizer):
+            self.env.run()
+        return (self.state(), self.metrics.histograms(),
+                self.metrics.histogram("lock.wait",
+                                       style=self.style).tally.values,
+                [record for record in self.flight.ring
+                 if record["kind"] == "lock"],
+                {owner: self.sanitizer.clock(owner) for owner in OWNERS})
+
+
+@pytest.mark.parametrize("style", STYLES)
+@settings(max_examples=120, deadline=None)
+@given(st.booleans(), st.lists(_STEPS, min_size=20, max_size=80))
+def test_the_table_does_what_the_old_table_does(style, sanitized, steps):
+    with mock.patch.object(locks, "get_metrics",
+                           wraps=locks.get_metrics) as lookups:
+        new = _World(LockTable, style, sanitized)
+        old = _World(model.LockTable, style, sanitized)
+        for step in steps:
+            assert new.step(step) == old.step(step), step
+            assert new.state() == old.state(), step
+        assert new.finish() == old.finish()
+    # The histogram is looked up at the first record and kept.
+    assert lookups.call_count == (1 if new.requests else 0)

@@ -98,8 +98,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "if False:"),
     Mutant("shared-lock-always-compatible", "seeded",
            "src/repro/concurrency/locks.py",
-           "            return all(h.mode == SHARED for h in holders)\n",
-           "            return True\n"),
+           "                if holder.mode != SHARED:\n",
+           "                if False:\n"),
     Mutant("ot-insert-tie-ignores-a-wins", "seeded",
            "src/repro/concurrency/ot.py",
            "            if a.pos < b.pos or (a.pos == b.pos and a_wins):\n"
@@ -224,7 +224,13 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        if not firing and alert is not None and self._stopped:\n"),
     Mutant("floor-handoff-publishes-nothing", "seeded; hb-conflicts",
            "src/repro/sessions/floor.py",
-           "        get_sanitizer().acquire(\"floor:\" + self.name, member)\n",
+           "        if sanitizer.enabled:\n"
+           "            sanitizer.acquire(\"floor:\" + self.name, member)\n",
+           ""),
+    Mutant("lock-sanitizer-gate-drops-acquire", "seeded; hb-conflicts",
+           "src/repro/concurrency/locks.py",
+           "        if sanitizer.enabled:\n"
+           "            sanitizer.acquire(\"lock:\" + key, owner)\n",
            ""),
     Mutant("schedule-dict-rounds-times", "seeded; replay",
            "src/repro/faults/schedule.py",

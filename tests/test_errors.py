@@ -10,8 +10,10 @@ from repro import errors
 from repro.access import AccessMatrix
 from repro.awareness import AwarenessBus
 from repro.concurrency import (
+    TICKLE,
     Delete,
     Insert,
+    LockTable,
     OTClientCore,
     OTClientSite,
     OTServerCore,
@@ -338,5 +340,28 @@ def test_an_ot_argument_out_of_range_is_rejected_by_name(field, build):
     an empty insert or delete is sequenced as an empty revision and
     broadcast to every replica."""
     with pytest.raises(errors.ConcurrencyError,
+                       match="^" + re.escape(field) + " must "):
+        build()
+
+
+# -- ... and at the lock table, before a request reaches a queue -----------------
+
+_LOCK_BOUNDS = [
+    ("LockTable.tickle_grace-nan", "tickle_grace",
+     lambda: LockTable(Environment(), style=TICKLE, tickle_grace=_NAN)),
+    ("LockTable.style-none", "style",
+     lambda: LockTable(Environment(), style=None)),
+    ("LockTable.acquire.mode-none", "mode",
+     lambda: LockTable(Environment()).acquire("k", "ann", mode=None)),
+]
+
+
+@pytest.mark.parametrize("field, build", [case[1:] for case in _LOCK_BOUNDS],
+                         ids=[case[0] for case in _LOCK_BOUNDS])
+def test_a_lock_argument_out_of_range_is_rejected_by_name(field, build):
+    """Unchecked, a NaN grace is accepted and no tickle takeover ever
+    fires (``idle >= nan`` is false); a ``None`` style or mode fails as
+    a bare ``TypeError`` while the message is built."""
+    with pytest.raises(errors.LockError,
                        match="^" + re.escape(field) + " must "):
         build()
