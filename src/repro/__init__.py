@@ -28,17 +28,16 @@ Subpackages (bottom-up):
 * :mod:`repro.sessions` — sessions, invitations, floor control, sharing.
 * :mod:`repro.concurrency` — transactions, CSCW lock styles, transaction
   groups, operation transformation, reservation, granularity.
-* :mod:`repro.awareness` — events, the spatial model, weightings, digests.
+* :mod:`repro.awareness` — events, the spatial model, digests.
 * :mod:`repro.access` — access matrix baseline, dynamic roles,
   Shen & Dewan, negotiation.
 * :mod:`repro.management` — usage monitoring, placement, migration.
 * :mod:`repro.qos` — QoS expression, negotiation, monitoring.
 * :mod:`repro.streams` — continuous media, bindings, synchronisation.
-* :mod:`repro.mobility` — connectivity levels, disconnected caching,
-  home-agent addressing.
+* :mod:`repro.mobility` — connectivity levels, disconnected caching.
 * :mod:`repro.workflow` — speech acts, office procedures, informal routing.
 * :mod:`repro.hypertext` — multi-user hypertext, Quilt co-authoring.
-* :mod:`repro.core` — the space-time matrix, ODP viewpoints and the
+* :mod:`repro.core` — the space-time matrix and the
   :class:`~repro.core.platform.CooperativePlatform` facade.
 """
 

@@ -2,16 +2,11 @@
 
 *"in CSCW, awareness is often as important as transparency"* — this package
 provides the machinery: an event bus fed by shared-workspace activity
-(Figure 2b), the Benford & Fahlén spatial model (aura/focus/nimbus),
-spatial-temporal awareness weightings, and Portholes-style asynchronous
-digests.
+(Figure 2b), the Benford & Fahlén spatial model (aura/focus/nimbus), and
+Portholes-style asynchronous digests.
 """
 
 from repro.awareness.digests import Digest, DigestService
-from repro.awareness.objectstore import (
-    CollaborativeObjectStore,
-    ObjectActivity,
-)
 from repro.awareness.events import (
     ACTION_EDIT,
     ACTION_JOIN,
@@ -33,7 +28,6 @@ from repro.awareness.spatial import (
     PERIPHERAL,
     SharedSpace,
 )
-from repro.awareness.weightings import AwarenessModel
 
 __all__ = [
     "ACTION_EDIT",
@@ -44,9 +38,6 @@ __all__ = [
     "ACTION_VIEW",
     "AwarenessBus",
     "AwarenessEvent",
-    "AwarenessModel",
-    "CollaborativeObjectStore",
-    "ObjectActivity",
     "Digest",
     "DigestService",
     "Entity",

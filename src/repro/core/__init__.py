@@ -1,4 +1,4 @@
-"""The paper's contribution, operationalised: matrix, viewpoints, platform."""
+"""The paper's contribution, operationalised: matrix and platform."""
 
 from repro.core.matrix import (
     EXAMPLE_APPLICATIONS,
@@ -14,40 +14,14 @@ from repro.core.platform import (
     MediaFlow,
     SharedDocument,
 )
-from repro.core.viewpoints import (
-    COMPUTATIONAL,
-    ComputationalModel,
-    ENGINEERING,
-    ENTERPRISE,
-    EngineeringModel,
-    EnterpriseModel,
-    INFORMATION,
-    InformationModel,
-    ODPSpecification,
-    TECHNOLOGY,
-    TechnologyModel,
-    VIEWPOINTS,
-)
 
 __all__ = [
-    "COMPUTATIONAL",
-    "ComputationalModel",
     "CooperativePlatform",
     "CooperativeSession",
-    "ENGINEERING",
-    "ENTERPRISE",
     "EXAMPLE_APPLICATIONS",
-    "EngineeringModel",
-    "EnterpriseModel",
-    "INFORMATION",
-    "InformationModel",
     "MediaFlow",
-    "ODPSpecification",
     "QUADRANTS",
     "SharedDocument",
-    "TECHNOLOGY",
-    "TechnologyModel",
-    "VIEWPOINTS",
     "classify",
     "quadrant_name",
     "render_matrix",

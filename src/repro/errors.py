@@ -110,7 +110,3 @@ class HypertextError(ReproError):
 
 class PlacementError(ReproError):
     """The management subsystem could not place or migrate an object."""
-
-
-class ViewpointError(ReproError):
-    """An inconsistency between ODP viewpoint specifications."""

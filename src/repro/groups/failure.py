@@ -34,8 +34,9 @@ class FixedTimeout:
     """
 
     def __init__(self, suspect_after: float) -> None:
-        if suspect_after <= 0:
-            raise GroupError("suspect_after must be positive")
+        if not suspect_after > 0:
+            raise GroupError(
+                "suspect_after must be positive: {!r}".format(suspect_after))
         self.suspect_after = suspect_after
 
     def watch(self, member: str, now: float) -> None:
@@ -60,8 +61,9 @@ class HeartbeatSender:
 
     def __init__(self, host: Host, monitor_node: str,
                  interval: float = 1.0) -> None:
-        if interval <= 0:
-            raise GroupError("heartbeat interval must be positive")
+        if not interval > 0:
+            raise GroupError(
+                "interval must be positive: {!r}".format(interval))
         self.host = host
         self.env = host.env
         self.monitor_node = monitor_node
@@ -181,8 +183,12 @@ class HeartbeatMonitor:
                  check_interval: float = 0.5,
                  on_suspect: Optional[Callable[[str], None]] = None,
                  strategy=None) -> None:
-        if suspect_after <= 0 or check_interval <= 0:
-            raise GroupError("timeouts must be positive")
+        if not suspect_after > 0:
+            raise GroupError(
+                "suspect_after must be positive: {!r}".format(suspect_after))
+        if not check_interval > 0:
+            raise GroupError(
+                "check_interval must be positive: {!r}".format(check_interval))
         self.host = host
         self.env = host.env
         self.suspect_after = suspect_after

@@ -1,6 +1,5 @@
 """Group-aware management: monitoring, placement and migration (§4.2.1)."""
 
-from repro.management.communications import CommunicationsManager
 from repro.management.migration import MigrationManager
 from repro.management.monitoring import UsageMonitor
 from repro.management.placement import (
@@ -14,7 +13,6 @@ from repro.management.placement import (
 )
 
 __all__ = [
-    "CommunicationsManager",
     "FirstNodePlacement",
     "GroupAwarePlacement",
     "LoadBalancedPlacement",

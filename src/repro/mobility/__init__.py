@@ -1,16 +1,10 @@
 """Mobile computing support (§3.3.3, §4.2.2 "The impact of mobility").
 
-Connectivity levels and outage accounting (:mod:`~repro.mobility.host`),
-Coda-style caching with optimistic replay and bulk reintegration
-(:mod:`~repro.mobility.cache`) and home-agent addressing with handoff
-(:mod:`~repro.mobility.addressing`).
+Connectivity levels and outage accounting (:mod:`~repro.mobility.host`)
+and Coda-style caching with optimistic replay and bulk reintegration
+(:mod:`~repro.mobility.cache`).
 """
 
-from repro.mobility.addressing import (
-    HOME_AGENT_PORT,
-    HomeAgent,
-    RoamingMobile,
-)
 from repro.mobility.cache import (
     CLIENT_WINS,
     MobileCache,
@@ -24,10 +18,7 @@ from repro.mobility.host import (
 __all__ = [
     "CLIENT_WINS",
     "DisconnectionTolerantContract",
-    "HOME_AGENT_PORT",
-    "HomeAgent",
     "MobileCache",
     "MobileHost",
-    "RoamingMobile",
     "SERVER_WINS",
 ]

@@ -52,9 +52,6 @@ class Link:
         self.jitter = jitter
         self.loss = loss
         self.up = True
-        #: Routing cost multiplier (communications management raises it
-        #: on congested links so routes steer around them).
-        self.weight_multiplier = 1.0
         # Fault-injection impairments (repro.faults): a latency storm
         # multiplies propagation delay, a loss burst adds drop
         # probability.  Both compose across overlapping faults and are
@@ -74,11 +71,6 @@ class Link:
     def ends(self):
         """The two endpoint node names."""
         return (self.a, self.b)
-
-    @property
-    def routing_weight(self) -> float:
-        """The cost routing minimises: latency scaled by congestion."""
-        return self.latency * self.weight_multiplier
 
     def other_end(self, node: str) -> str:
         """The endpoint opposite ``node``."""

@@ -103,7 +103,7 @@ class Topology:
         # materialised-route cache — both are pure functions of the key,
         # and the shared route cache only ever grows entries valid for
         # that same state.
-        state = tuple((link.up, link.routing_weight)
+        state = tuple((link.up, link.latency)
                       for link in self.links())
         cached = self._state_cache.get(state)
         if cached is None:
@@ -127,7 +127,7 @@ class Topology:
             for peer, link in self._adjacency[node].items():
                 if peer in visited or not link.up:
                     continue
-                new_cost = cost + link.routing_weight
+                new_cost = cost + link.latency
                 if new_cost < dist.get(peer, float("inf")):
                     dist[peer] = new_cost
                     heapq.heappush(

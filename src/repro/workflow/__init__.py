@@ -1,13 +1,5 @@
 """Workflow substrates: formal and informal coordination (§3.2.1)."""
 
-from repro.workflow.action_workflow import (
-    ACCEPTANCE,
-    NEGOTIATION,
-    PERFORMANCE,
-    PHASES,
-    PREPARATION,
-    WorkflowLoop,
-)
 from repro.workflow.procedures import (
     Procedure,
     ProcedureInstance,
@@ -30,13 +22,7 @@ from repro.workflow.speech_acts import (
 )
 
 __all__ = [
-    "ACCEPTANCE",
     "COMPLETED",
-    "NEGOTIATION",
-    "PERFORMANCE",
-    "PHASES",
-    "PREPARATION",
-    "WorkflowLoop",
     "CUSTOMER",
     "Conversation",
     "FINAL_STATES",

@@ -1,87 +1,10 @@
-"""Tests for awareness weightings and Portholes-style digests."""
+"""Tests for Portholes-style digests."""
 
 import pytest
 
-from repro.awareness import (
-    AwarenessBus,
-    AwarenessEvent,
-    AwarenessModel,
-    DigestService,
-    Entity,
-    SharedSpace,
-)
+from repro.awareness import AwarenessBus, DigestService
 from repro.errors import ReproError
 from repro.sim import Environment
-
-
-def make_event(actor, at, artefact="doc"):
-    return AwarenessEvent(actor, artefact, "edit", at)
-
-
-def test_model_validation():
-    with pytest.raises(ReproError):
-        AwarenessModel(half_life=0)
-
-
-def test_temporal_weight_halves_at_half_life():
-    model = AwarenessModel(half_life=10.0)
-    event = make_event("alice", at=0.0)
-    assert model.temporal_weight(event, now=0.0) == 1.0
-    assert abs(model.temporal_weight(event, now=10.0) - 0.5) < 1e-12
-    assert abs(model.temporal_weight(event, now=20.0) - 0.25) < 1e-12
-
-
-def test_impact_zero_for_own_events():
-    model = AwarenessModel()
-    event = make_event("alice", at=0.0)
-    assert model.impact("alice", event, now=0.0) == 0.0
-    assert model.impact("bob", event, now=0.0) > 0.0
-
-
-def test_spatial_weight_defaults_to_one_without_space():
-    model = AwarenessModel()
-    event = make_event("alice", at=0.0)
-    assert model.spatial_weight("bob", event) == 1.0
-
-
-def test_spatial_weight_uses_shared_space():
-    space = SharedSpace()
-    space.add(Entity("alice", 0, 0, aura=100, focus=10, nimbus=10))
-    space.add(Entity("bob", 2, 0, aura=100, focus=10, nimbus=10))
-    space.add(Entity("carol", 90, 0, aura=5, focus=10, nimbus=10))
-    model = AwarenessModel(space=space)
-    event = make_event("alice", at=0.0)
-    assert model.spatial_weight("bob", event) > 0
-    assert model.spatial_weight("carol", event) == 0.0
-
-
-def test_ranked_orders_by_impact():
-    model = AwarenessModel(half_life=10.0)
-    old = make_event("alice", at=0.0)
-    recent = make_event("carol", at=50.0)
-    model.record(old)
-    model.record(recent)
-    ranked = model.ranked("bob", now=50.0)
-    assert [event.actor for _, event in ranked] == ["carol", "alice"]
-
-
-def test_ranked_threshold_and_limit():
-    model = AwarenessModel(half_life=1.0)
-    model.record(make_event("alice", at=0.0))
-    model.record(make_event("carol", at=100.0))
-    ranked = model.ranked("bob", now=100.0, threshold=0.5)
-    assert len(ranked) == 1
-    model.record(make_event("dave", at=100.0))
-    assert len(model.ranked("bob", now=100.0, limit=1)) == 1
-
-
-def test_prune_discards_stale_events():
-    model = AwarenessModel(half_life=1.0)
-    model.record(make_event("alice", at=0.0))
-    model.record(make_event("carol", at=99.0))
-    removed = model.prune(now=100.0, minimum_weight=0.01)
-    assert removed == 1
-    assert model.event_count == 1
 
 
 def test_digest_service_batches_events():

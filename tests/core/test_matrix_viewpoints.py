@@ -1,22 +1,16 @@
-"""Tests for the space-time matrix and ODP viewpoint models."""
+"""Tests for the space-time matrix."""
 
 import pytest
 
 from repro.core import (
     EXAMPLE_APPLICATIONS,
-    ODPSpecification,
     QUADRANTS,
     classify,
     quadrant_name,
     render_matrix,
     transition_path,
 )
-from repro.core.viewpoints import (
-    ComputationalModel,
-    EngineeringModel,
-    EnterpriseModel,
-)
-from repro.errors import ReproError, ViewpointError
+from repro.errors import ReproError
 from repro.sessions import (
     ASYNCHRONOUS,
     CO_LOCATED,
@@ -26,8 +20,6 @@ from repro.sessions import (
 )
 from repro.sim import Environment
 
-
-# -- matrix ---------------------------------------------------------------------
 
 def test_quadrants_cover_figure_1():
     assert QUADRANTS[(SYNCHRONOUS, CO_LOCATED)] == \
@@ -67,108 +59,3 @@ def test_transition_path_preserves_state():
     assert after == "asynchronous distributed interaction"
     assert session.members == ["alice"]
     assert session.store.read("doc") == "content"
-
-
-# -- viewpoints ----------------------------------------------------------------
-
-def make_spec():
-    spec = ODPSpecification("atc")
-    spec.enterprise.add_community("sector-team",
-                                  ["controller", "chief", "assistant"])
-    spec.information.add_schema("flight-strip",
-                                {"callsign": "str", "level": "int"})
-    spec.computational.add_object("strip-board")
-    spec.computational.add_interface("strip-board", "board-ops")
-    spec.engineering.add_node("ops-room-server")
-    spec.engineering.place("strip-board", "ops-room-server")
-    spec.technology.choose("transport", "simulated-packet-network")
-    return spec
-
-
-def test_consistent_specification():
-    spec = make_spec()
-    assert spec.is_consistent()
-    assert spec.check_consistency() == []
-
-
-def test_unplaced_object_flagged():
-    spec = make_spec()
-    spec.computational.add_object("radar-feed")
-    problems = spec.check_consistency()
-    assert any("radar-feed" in problem for problem in problems)
-
-
-def test_stream_interface_needs_transport():
-    spec = make_spec()
-    spec.computational.add_object("camera")
-    spec.computational.add_interface(
-        "camera", "video-out", kind=ComputationalModel.STREAM)
-    spec.engineering.place("camera", "ops-room-server")
-    problems = spec.check_consistency()
-    assert any("video-out" in problem for problem in problems)
-    spec.engineering.support_stream("video-out", "multicast")
-    assert spec.is_consistent()
-
-
-def test_flows_require_schema():
-    spec = ODPSpecification("bare")
-    spec.enterprise.add_community("team", ["a", "b"])
-    spec.enterprise.add_formal_flow("a", "b")
-    problems = spec.check_consistency()
-    assert any("schema" in problem for problem in problems)
-
-
-def test_enterprise_sociality():
-    model = EnterpriseModel("office")
-    model.add_community("clerks", ["clerk", "supervisor"])
-    model.add_formal_flow("clerk", "supervisor")
-    model.add_working_flow("clerk", "clerk")
-    model.add_working_flow("supervisor", "clerk")
-    model.observe("clerk", "peripheral monitoring of colleagues' desks")
-    assert model.informality_ratio() == pytest.approx(2 / 3)
-    assert model.observations["clerk"]
-
-
-def test_enterprise_validation():
-    model = EnterpriseModel("x")
-    with pytest.raises(ViewpointError):
-        model.add_community("empty", [])
-    model.add_community("team", ["a"])
-    with pytest.raises(ViewpointError):
-        model.add_formal_flow("a", "ghost")
-    with pytest.raises(ViewpointError):
-        model.observe("ghost", "note")
-    assert model.informality_ratio() == 0.0
-
-
-def test_computational_validation():
-    model = ComputationalModel()
-    with pytest.raises(ViewpointError):
-        model.add_interface("ghost", "iface")
-    model.add_object("a")
-    with pytest.raises(ViewpointError):
-        model.add_interface("a", "iface", kind="telepathic")
-    model.add_interface("a", "iface")
-    with pytest.raises(ViewpointError):
-        model.bind("iface", "missing")
-    model.add_object("b")
-    model.add_interface("b", "other")
-    model.bind("iface", "other")
-    assert model.bindings == [("iface", "other")]
-
-
-def test_engineering_validation():
-    model = EngineeringModel()
-    with pytest.raises(ViewpointError):
-        model.place("obj", "nowhere")
-
-
-def test_information_validation():
-    from repro.core.viewpoints import InformationModel
-
-    model = InformationModel()
-    with pytest.raises(ViewpointError):
-        model.add_schema("empty", {})
-    model.add_invariant("unique-callsigns",
-                        "no two live strips share a callsign")
-    assert "unique-callsigns" in model.invariants

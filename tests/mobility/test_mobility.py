@@ -1,4 +1,4 @@
-"""Tests for mobile hosts, disconnected caching and addressing."""
+"""Tests for mobile hosts and disconnected caching."""
 
 import pytest
 
@@ -7,13 +7,11 @@ from repro.errors import DisconnectedError, MobilityError
 from repro.mobility import (
     CLIENT_WINS,
     DisconnectionTolerantContract,
-    HomeAgent,
     MobileCache,
     MobileHost,
-    RoamingMobile,
     SERVER_WINS,
 )
-from repro.net import ConnectivityLevel, Network, Topology, lan
+from repro.net import ConnectivityLevel, Network, lan
 from repro.sim import Environment
 
 
@@ -290,66 +288,3 @@ def test_partial_link_slows_transfers(env):
     slow = env.process(timed_hoard(env, ConnectivityLevel.PARTIAL))
     env.run(slow)
     assert slow.value > fast.value * 10
-
-
-# -- addressing ---------------------------------------------------------------------
-
-def make_roaming(env):
-    topo = Topology(env)
-    topo.add_link("home", "baseA", latency=0.01)
-    topo.add_link("home", "baseB", latency=0.01)
-    topo.add_link("home", "office", latency=0.005)
-    net = Network(env, topo)
-    agent = HomeAgent(net, "home")
-    mobile = RoamingMobile(net, "laptop", agent, "baseA",
-                           level=ConnectivityLevel.FULL)
-    return net, agent, mobile
-
-
-def test_home_agent_forwards_to_current_base(env):
-    net, agent, mobile = make_roaming(env)
-    received = []
-    mobile.host.on_packet(7, lambda p: received.append(p.payload))
-    net.host("office")
-    agent.send_to_mobile("office", "laptop", payload="job-sheet",
-                         size=100, port=7)
-    env.run()
-    assert received == ["job-sheet"]
-    assert agent.counters["forwarded"] == 1
-
-
-def test_home_agent_handoff_reroutes(env):
-    net, agent, mobile = make_roaming(env)
-    received = []
-    mobile.host.on_packet(7, lambda p: received.append(p.payload))
-    net.host("office")
-    mobile.handoff("baseB")
-    assert agent.binding_of("laptop") == "baseB"
-    assert agent.counters["handoffs"] == 1
-    agent.send_to_mobile("office", "laptop", payload="after-handoff",
-                         size=100, port=7)
-    env.run()
-    assert received == ["after-handoff"]
-    assert mobile.handoffs[0][1:] == ("baseA", "baseB")
-
-
-def test_home_agent_unknown_mobile_dropped(env):
-    net, agent, mobile = make_roaming(env)
-    net.host("office")
-    agent.send_to_mobile("office", "ghost", payload="x")
-    env.run()
-    assert agent.counters["undeliverable"] == 1
-
-
-def test_handoff_validation(env):
-    net, agent, mobile = make_roaming(env)
-    with pytest.raises(MobilityError):
-        mobile.handoff("baseA")  # already there
-    with pytest.raises(MobilityError):
-        mobile.handoff("nowhere")
-
-
-def test_register_unknown_base_rejected(env):
-    net, agent, mobile = make_roaming(env)
-    with pytest.raises(MobilityError):
-        agent.register("laptop", "nowhere")

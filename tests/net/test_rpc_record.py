@@ -559,6 +559,14 @@ _SPECS = st.fixed_dictionaries({
               (1, ("migrate", "A", "n0")),
               (1, ("migrate", "B", "n0")),
               (1, ("invoke", "n1", "B", "hit", 0.0213, 2))]})
+@example({   # a half-open probe to the node's own endpoint: the second call
+    # of the instant is refused only while a self-send waits for the run
+    # loop instead of completing inside ``send``
+    "links": [(0.0, 0.0)] * 4, "retry": 0, "breaker": 1, "deadline": None,
+    "registry": "n0", "homes": ("n0", "n0"),
+    "steps": [(1, ("down", 0, 0.0507)),
+              (1, ("call", "n1", "n0", "echo", 0.0213, 1)),
+              (272, ("call", "n0", "n0", "echo", None, 2))]})
 def test_the_records_do_what_the_generator_model_does(spec):
     """Per logical call: outcome type and message, completion instant,
     attempts, breaker transitions, retries, ``rpc.inflight`` samples,

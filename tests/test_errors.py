@@ -29,6 +29,7 @@ from repro.faults.degrade import DegradationManager
 from repro.faults.detector import PhiAccrualDetector
 from repro.faults.fuzz import FuzzProfile
 from repro.faults.policies import DeadlineBudget
+from repro.groups import FixedTimeout, HeartbeatMonitor, HeartbeatSender
 from repro.net import (
     Link,
     Network,
@@ -297,6 +298,37 @@ def test_a_fault_parameter_out_of_range_is_rejected_by_name(field, build,
     with pytest.raises(errors.SimulationError,
                        match="^" + re.escape(field) + " must be"):
         build(tmp_path)
+
+
+def _heartbeat_host(name):
+    env = Environment()
+    return Network(env, lan(env, hosts=2)).host(name)
+
+
+_HEARTBEAT_BOUNDS = [
+    ("FixedTimeout.suspect_after", "suspect_after",
+     lambda: FixedTimeout(_NAN)),
+    ("HeartbeatMonitor.suspect_after", "suspect_after",
+     lambda: HeartbeatMonitor(_heartbeat_host("host0"), [],
+                              suspect_after=_NAN)),
+    ("HeartbeatMonitor.check_interval", "check_interval",
+     lambda: HeartbeatMonitor(_heartbeat_host("host0"), [],
+                              check_interval=_NAN)),
+    ("HeartbeatSender.interval", "interval",
+     lambda: HeartbeatSender(_heartbeat_host("host1"), "host0",
+                             interval=_NAN)),
+]
+
+
+@pytest.mark.parametrize("field, build",
+                         [case[1:] for case in _HEARTBEAT_BOUNDS],
+                         ids=[case[0] for case in _HEARTBEAT_BOUNDS])
+def test_a_heartbeat_parameter_out_of_range_is_rejected_by_name(field, build):
+    """Unchecked, a NaN suspicion timeout never suspects anybody
+    (``silent_for >= nan`` is false) and a NaN period fails inside the
+    run as the kernel's anonymous "delay is not a time"."""
+    with pytest.raises(errors.GroupError, match="^{} must be".format(field)):
+        build()
 
 
 # -- ... and at the OT boundaries, before a bad edit reaches any replica ---------
