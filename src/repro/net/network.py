@@ -22,6 +22,13 @@ whatever the fact is about — ``Host.sent`` per source, the network's
 :attr:`Network.counters`, :meth:`Network.drop_stats` and the registry's
 ``net.*`` instruments are worked out from those books when somebody
 reads (:meth:`Network._flush`).
+
+Tie-sensitive (docs/analysis.md "Tie-sensitive modules"): a send made
+outside any process — at set-up, or a datagram to the sender's own
+host — queues its start, so several made at one instant leave in the
+kernel's tie order, not in call order, and where they share a first
+hop their fates, their instants and the links' books follow that
+order.  A send made inside the run starts on the spot, in call order.
 """
 
 from __future__ import annotations

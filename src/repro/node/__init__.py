@@ -8,13 +8,14 @@ invocation and cluster migration — the mechanisms the paper's management
 requirements (§4.2.1) act upon.
 """
 
-from repro.node.objects import Capsule, Cluster, EngineeringObject
+from repro.node.objects import Capsule, Cluster, EngineeringObject, Ids
 from repro.node.runtime import Nucleus, ODPRuntime, Registry, RPC_PORT
 
 __all__ = [
     "Capsule",
     "Cluster",
     "EngineeringObject",
+    "Ids",
     "Nucleus",
     "ODPRuntime",
     "RPC_PORT",

@@ -14,9 +14,18 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import NodeError
 
-_object_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
-_cluster_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
-_capsule_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
+
+class Ids:
+    """The capsule, cluster and object numbering of one runtime.
+
+    Each kind counts from 1 per runtime, not per process, so two
+    identical runs in one process name their objects alike.
+    """
+
+    def __init__(self) -> None:
+        self.objects = itertools.count(1)
+        self.clusters = itertools.count(1)
+        self.capsules = itertools.count(1)
 
 
 class EngineeringObject:
@@ -27,11 +36,12 @@ class EngineeringObject:
     as a simulation process (so it can model computation/IO delays).
     """
 
-    def __init__(self, name: str, state: Optional[Dict[str, Any]] = None,
+    def __init__(self, ids: Ids, name: str,
+                 state: Optional[Dict[str, Any]] = None,
                  state_size: int = 1024) -> None:
-        if state_size < 0:
+        if not state_size >= 0:  # also rejects NaN
             raise NodeError("state_size must be non-negative")
-        self.oid = "obj-{}".format(next(_object_ids))
+        self.oid = "obj-{}".format(next(ids.objects))
         self.name = name
         self.state: Dict[str, Any] = dict(state or {})
         #: Serialised size in bytes — governs migration transfer cost.
@@ -63,8 +73,8 @@ class EngineeringObject:
 class Cluster:
     """The unit of object grouping and migration."""
 
-    def __init__(self, name: str = "") -> None:
-        self.cluster_id = "cluster-{}".format(next(_cluster_ids))
+    def __init__(self, ids: Ids, name: str = "") -> None:
+        self.cluster_id = "cluster-{}".format(next(ids.clusters))
         self.name = name or self.cluster_id
         self.objects: Dict[str, EngineeringObject] = {}
         self.capsule: Optional["Capsule"] = None
@@ -101,8 +111,8 @@ class Cluster:
 class Capsule:
     """A unit of encapsulated processing holding clusters."""
 
-    def __init__(self, name: str = "") -> None:
-        self.capsule_id = "capsule-{}".format(next(_capsule_ids))
+    def __init__(self, ids: Ids, name: str = "") -> None:
+        self.capsule_id = "capsule-{}".format(next(ids.capsules))
         self.name = name or self.capsule_id
         self.clusters: Dict[str, Cluster] = {}
         self.node_name: Optional[str] = None

@@ -5,6 +5,17 @@ basic engineering support).  One nucleus additionally hosts the
 :class:`Registry`, a name service mapping object ids to their current node.
 Invocation is location-transparent: clients consult a local cache, fall
 back to the registry, and chase one forwarding miss after a migration.
+
+Tie-sensitive (docs/analysis.md "Tie-sensitive modules"):
+
+- An operation that is a generator runs as a process, so several
+  invoked at one instant take their first steps in the kernel's tie
+  order.  A plain operation runs, and a remote request leaves, in call
+  order.
+- A registration is sent once and never retried.  When a link fails
+  under two registrations sent from one node at set-up, which one it
+  loses, and so which object the registry never learns of, follows the
+  order the carrier started them in, which is a tie.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from repro.errors import NodeError, PlacementError
 from repro.faults.policies import CircuitOpenError, FaultPolicies
 from repro.net.network import Host, Network
 from repro.net.transport import RemoteException, RpcEndpoint, RpcError
-from repro.node.objects import Capsule, Cluster, EngineeringObject
+from repro.node.objects import Capsule, Cluster, EngineeringObject, Ids
 from repro.obs.metrics import BoundCounterCache, get_metrics
 from repro.obs.tracer import get_tracer
 from repro.sim import Event
@@ -56,6 +67,9 @@ class Nucleus:
         #: ``None`` keeps the invoke path byte-identical.
         self.policies = policies
         self.capsules: Dict[str, Capsule] = {}
+        #: Numbers this node's capsules, clusters and objects; a runtime
+        #: hands all its nuclei one numbering.
+        self.ids = Ids()
         self._location_cache: Dict[str, str] = {}
         # The per-invocation instruments, each kept from its first use on.
         self._invocation_counters = BoundCounterCache(
@@ -73,7 +87,7 @@ class Nucleus:
 
     def create_capsule(self, name: str = "") -> Capsule:
         """Create a capsule on this node."""
-        capsule = Capsule(name)
+        capsule = Capsule(self.ids, name)
         capsule.node_name = self.node_name
         self.capsules[capsule.capsule_id] = capsule
         return capsule
@@ -87,12 +101,13 @@ class Nucleus:
             raise NodeError("capsule {} is not on node {}".format(
                 capsule.name, self.node_name))
         if cluster is None:
-            cluster = Cluster(name + "-cluster")
+            cluster = Cluster(self.ids, name + "-cluster")
             capsule.add_cluster(cluster)
         elif cluster.capsule is not capsule:
             raise NodeError("cluster {} is not in capsule {}".format(
                 cluster.name, capsule.name))
-        obj = EngineeringObject(name, state=state, state_size=state_size)
+        obj = EngineeringObject(self.ids, name, state=state,
+                                state_size=state_size)
         cluster.add(obj)
         self._register_location(obj.oid, self.node_name)
         return obj
@@ -229,10 +244,11 @@ class Nucleus:
 
     def _handle_migrate_in(self, caller: str, snapshot: Dict[str, Any]):
         capsule = self._default_capsule()
-        cluster = Cluster(snapshot["name"])
+        cluster = Cluster(self.ids, snapshot["name"])
         capsule.add_cluster(cluster)
         for spec in snapshot["objects"]:
-            obj = EngineeringObject(spec["name"], state=spec["state"],
+            obj = EngineeringObject(self.ids, spec["name"],
+                                    state=spec["state"],
                                     state_size=spec["state_size"])
             obj.oid = spec["oid"]
             obj._operations = spec["operations"]
@@ -415,6 +431,20 @@ class _Invocation:
         self.done.fail(error)
 
 
+class _Nuclei(dict):
+    """A runtime's nuclei by node name.  Filing a nucleus here hands it
+    the runtime's numbering, whoever built it (a subclass's ``nucleus``
+    included)."""
+
+    def __init__(self, ids: Ids) -> None:
+        super().__init__()
+        self.ids = ids
+
+    def __setitem__(self, node_name: str, nucleus: Nucleus) -> None:
+        nucleus.ids = self.ids
+        super().__setitem__(node_name, nucleus)
+
+
 class ODPRuntime:
     """Convenience: a whole network of nuclei with one registry."""
 
@@ -427,7 +457,10 @@ class ODPRuntime:
         #: Shared recovery policies handed to every nucleus (a shared
         #: circuit breaker aggregates failure history across callers).
         self.policies = policies
-        self.nuclei: Dict[str, Nucleus] = {}
+        #: The one numbering of every nucleus's capsules, clusters and
+        #: objects: per runtime, so an identical run names them alike.
+        self.ids = Ids()
+        self.nuclei: Dict[str, Nucleus] = _Nuclei(self.ids)
         self.nucleus(registry_node)
 
     def nucleus(self, node_name: str) -> Nucleus:

@@ -158,7 +158,7 @@ class RoundRobinFloor(FloorPolicy):
     name = "round-robin"
 
     def __init__(self, env: Environment, quantum: float = 5.0) -> None:
-        if quantum <= 0:
+        if not quantum > 0:  # also rejects NaN
             raise FloorControlError("quantum must be positive")
         super().__init__(env)
         self.quantum = quantum
@@ -221,7 +221,7 @@ class ChairedFloor(FloorPolicy):
     def __init__(self, env: Environment, chair: str,
                  decide: Optional[Callable[[str], bool]] = None,
                  decision_latency: float = 0.5) -> None:
-        if decision_latency < 0:
+        if not decision_latency >= 0:  # also rejects NaN
             raise FloorControlError(
                 "decision_latency must be non-negative")
         super().__init__(env)
@@ -270,7 +270,7 @@ class NegotiatedFloor(FloorPolicy):
     def __init__(self, env: Environment,
                  yields: Optional[Callable[[str, str], bool]] = None,
                  negotiation_latency: float = 1.0) -> None:
-        if negotiation_latency < 0:
+        if not negotiation_latency >= 0:  # also rejects NaN
             raise FloorControlError(
                 "negotiation_latency must be non-negative")
         super().__init__(env)

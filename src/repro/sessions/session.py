@@ -154,7 +154,7 @@ class InvitationService:
 
     def __init__(self, env: Environment,
                  state_transfer_rate: float = 1e6) -> None:
-        if state_transfer_rate <= 0:
+        if not state_transfer_rate > 0:  # also rejects NaN
             raise SessionError("state_transfer_rate must be positive")
         self.env = env
         self.state_transfer_rate = state_transfer_rate

@@ -12,10 +12,12 @@ instant between advances of the clock.  Every returned value, grant
 order and grant instant, ``revoked``/``conflicting`` flag, callback,
 ``counters.as_dict()``, ``lock.wait`` value, lock-journal record of the
 flight recorder and (when on) sanitizer clock must be equal in the two
-worlds, and the new table must look its histogram up once.
+worlds, and the new table must look its histogram up once.  Both run
+again with their ties in two seeded random orders, where all of it must
+still be equal.
 """
 
-from unittest import mock
+import functools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,8 @@ from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sim import Environment
 
 from tests.concurrency import lock_model as model
+from tests.counting import ShuffledEnvironment
+from tests.lockstep import lockstep
 
 OWNERS = ("ann", "bob", "cat", "dan")
 KEYS = ("a", "b")
@@ -41,11 +45,8 @@ _ACQUIRE = st.tuples(st.just("acquire"), _KEY, _OWNER,
                      st.sampled_from([SHARED, EXCLUSIVE]))
 _STEPS = st.one_of(
     _ACQUIRE, _ACQUIRE, _ACQUIRE,
-    st.tuples(st.just("release"), _PICK),
-    st.tuples(st.just("release"), _PICK),
-    st.tuples(st.just("upgrade"), _PICK),
-    st.tuples(st.just("cancel"), _PICK),
-    st.tuples(st.just("touch"), _PICK),
+    *[st.tuples(st.just(kind), _PICK)
+      for kind in ("release", "release", "upgrade", "cancel", "touch")],
     st.tuples(st.just("notify"), _KEY, _OWNER),
     # Steps between two advances are tied at one instant.
     st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 2.5])))
@@ -55,15 +56,16 @@ class _World:
     """One table, its clock, flight recorder, registry and sanitizer, and
     what the script has asked of it."""
 
-    def __init__(self, table_cls, style, sanitized):
+    def __init__(self, table_cls, style, sanitized, env_cls):
         self.flight = FlightRecorder(ring=1 << 16)
         with use_flight(self.flight):
-            self.env = Environment()
+            self.env = env_cls()
         self.metrics = MetricsRegistry()
         self.sanitizer = ConflictSanitizer() if sanitized else NOOP_SANITIZER
         self.table = table = table_cls(self.env, style=style,
                                        tickle_grace=1.0)
         self.style = style
+        self.drained = False
         self.log = []
         self.requests = []
         table.on_takeover = lambda grant, taker: self.log.append(
@@ -100,6 +102,10 @@ class _World:
         if kind == "advance":
             self.env.run(until=self.env.now + step[1])
             return self.env.now
+        if kind == "drain":     # what only the end of the run shows
+            self.drained = True
+            self.env.run()
+            return self.env.now
         if kind == "notify":
             return table.notify_write(*step[1:])
         if kind == "cancel":
@@ -123,40 +129,50 @@ class _World:
         except LockError as error:
             return str(error)
 
-    def state(self):
-        table = self.table
-        return (self.env.now, self.log,
-                [(grant.grant_id, grant.key, grant.owner, grant.mode,
-                  grant.granted_at, grant.last_activity, grant.revoked,
-                  grant.conflicting) for grant in self.grants()],
-                [event.triggered for event in self.requests],
-                table.counters.as_dict(),
-                {key: ([grant.grant_id for grant in table.holders(key)],
-                       table.queue_length(key)) for key in KEYS})
-
-    def finish(self):
-        """What only the end of the run shows."""
-        with use_metrics(self.metrics), use_sanitizer(self.sanitizer):
-            self.env.run()
-        return (self.state(), self.metrics.histograms(),
-                self.metrics.histogram("lock.wait",
+    def observe(self):
+        table, metrics = self.table, self.metrics
+        seen = {"state": (
+            self.env.now, self.log,
+            [(grant.grant_id, grant.key, grant.owner, grant.mode,
+              grant.granted_at, grant.last_activity, grant.revoked,
+              grant.conflicting) for grant in self.grants()],
+            [event.triggered for event in self.requests],
+            {key: ([grant.grant_id for grant in table.holders(key)],
+                   table.queue_length(key)) for key in KEYS}),
+            "counters": table.counters.as_dict()}
+        if self.drained:
+            seen.update(
+                histograms=metrics.histograms(),
+                wait=metrics.histogram("lock.wait",
                                        style=self.style).tally.values,
-                [record for record in self.flight.ring
-                 if record["kind"] == "lock"],
-                {owner: self.sanitizer.clock(owner) for owner in OWNERS})
+                journal=[record for record in self.flight.ring
+                         if record["kind"] == "lock"],
+                clocks={owner: self.sanitizer.clock(owner)
+                        for owner in OWNERS})
+        return seen
+
+
+def _lockstep(style, sanitized, steps, env_cls=Environment):
+    # One histogram lookup: at the first record, the first acquire's.
+    lockstep(_World(LockTable, style, sanitized, env_cls),
+             _World(model.LockTable, style, sanitized, env_cls),
+             steps + [("drain",)],
+             budget=(locks, "get_metrics", lambda world, step: int(
+                 step[0] == "acquire" and not world.requests)))
 
 
 @pytest.mark.parametrize("style", STYLES)
 @settings(max_examples=120, deadline=None)
 @given(st.booleans(), st.lists(_STEPS, min_size=20, max_size=80))
 def test_the_table_does_what_the_old_table_does(style, sanitized, steps):
-    with mock.patch.object(locks, "get_metrics",
-                           wraps=locks.get_metrics) as lookups:
-        new = _World(LockTable, style, sanitized)
-        old = _World(model.LockTable, style, sanitized)
-        for step in steps:
-            assert new.step(step) == old.step(step), step
-            assert new.state() == old.state(), step
-        assert new.finish() == old.finish()
-    # The histogram is looked up at the first record and kept.
-    assert lookups.call_count == (1 if new.requests else 0)
+    _lockstep(style, sanitized, steps)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("style", STYLES)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.booleans(), st.lists(_STEPS, min_size=20, max_size=80))
+def test_ties_in_any_order_leave_the_tables_equal(style, seed, sanitized,
+                                                  steps):
+    _lockstep(style, sanitized, steps,
+              functools.partial(ShuffledEnvironment, seed))

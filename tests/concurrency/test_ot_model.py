@@ -14,7 +14,6 @@ half the sequencer throws away.
 """
 
 from collections import deque
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +22,7 @@ from repro.concurrency import ot
 from repro.concurrency.ot import Delete, Insert, OTClientCore, OTServerCore
 
 from tests.concurrency import ot_model as model
+from tests.lockstep import lockstep
 
 _PICK = st.integers(0, 1000)
 _STEPS = st.one_of(
@@ -131,10 +131,12 @@ class _World:
             return ("deliver", 0)
         return None
 
-    def state(self):
-        return (self.server.text, self.server.history, self.server.revision,
-                {name: (client.text, client.revision, client.has_unacked)
-                 for name, client in self.clients.items()})
+    def observe(self):
+        return {"text": self.server.text, "history": self.server.history,
+                "revision": self.server.revision,
+                "clients": {name: (client.text, client.revision,
+                                   client.has_unacked)
+                            for name, client in self.clients.items()}}
 
 
 def expected_calls(world, step):
@@ -164,17 +166,9 @@ def expected_calls(world, step):
 @given(st.text("abcdef", max_size=6), st.lists(_STEPS, max_size=60))
 def test_grid_cores_equal_the_batch_loop(initial, steps):
     new = _World(OTServerCore, OTClientCore, initial)
-    old = _World(model.ModelServerCore, model.ModelClientCore, initial)
-    steps = iter(steps)
-    with mock.patch.object(ot, "xform", wraps=ot.xform) as counted:
-        step = next(steps, None) or new.pending()
-        while step is not None:
-            before = counted.call_count
-            expected = expected_calls(new, step)
-            assert new.step(step) == old.step(step), step
-            assert counted.call_count - before == expected, step
-            assert new.state() == old.state(), step
-            step = next(steps, None) or new.pending()
+    lockstep(new, _World(model.ModelServerCore, model.ModelClientCore,
+                         initial), steps, drain=_World.pending,
+             budget=(ot, "xform", expected_calls))
     for client in new.clients.values():
         assert client.text == new.server.text
         assert not client.has_unacked

@@ -1,6 +1,10 @@
-"""An environment that counts what the kernel queues, from outside it."""
+"""Environments that count, or shuffle, what the kernel queues, from
+outside it."""
+
+import random
 
 from repro.sim import Environment
+from repro.sim.environment import dispatch_parts
 
 
 class CountingEnvironment(Environment):
@@ -33,3 +37,19 @@ class CountingEnvironment(Environment):
             assert stats["events_scheduled"] == self.pushes
             assert stats["events_processed"] == self.pops
             assert self.pushes - self.pops == stats["queue_depth"]
+
+
+class ShuffledEnvironment(CountingEnvironment):
+    """Breaks ties among same ``(time, priority)`` events in a seeded
+    random order instead of schedule order: each event is filed under a
+    random rank whose low bits are its ``eid``, so ranks stay unique and
+    URGENT still precedes NORMAL."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self._ranks = random.Random(seed)
+
+    def _push(self, time, key, event):
+        eid = dispatch_parts(key)[1]
+        rank = self._ranks.getrandbits(20) << 28 | eid
+        super()._push(time, key - eid + rank, event)

@@ -399,6 +399,9 @@ def detect(root: str, profiles: Sequence[str]) -> Dict[str, Any]:
     # The table's own tier-1 test fails on every mutated copy by design.
     row["tier-1"] = _pytest_cell(root, "tests",
                                  "--ignore=tests/test_mutants.py")
+    # The reference-model drivers once more, their ties in seeded random
+    # orders (tests/counting.py ShuffledEnvironment).
+    row["tie shuffle"] = _pytest_cell(root, "tests", "-k", "ties_in_any_order")
     # CI's "Run the experiment benches": each asserts a declared claim.
     row["experiments"] = _pytest_cell(root, "benchmarks")
     replay_workloads, bench_workloads = workloads(root)
@@ -428,7 +431,7 @@ def matrix() -> int:
             if isinstance(clean[column], str):
                 raise SystemExit("`{}` gives {} on the clean tree".format(
                     column, clean[column]))
-        columns = ["lint", "protocol", "tier-1", "experiments",
+        columns = ["lint", "protocol", "tier-1", "tie shuffle", "experiments",
                    "replay CLI", "races gate"] + fuzz_columns + [
                        "corpus verify", "bench gates"]
         print("| mutant (origin) | " + " | ".join(columns) + " |")

@@ -3,24 +3,29 @@
 import pytest
 
 from repro.errors import NodeError
-from repro.node import Capsule, Cluster, EngineeringObject
+from repro.node import Capsule, Cluster, EngineeringObject, Ids
 
 
-def test_object_identity_and_state():
-    obj = EngineeringObject("doc", state={"text": "hi"}, state_size=64)
+@pytest.fixture
+def ids():
+    return Ids()
+
+
+def test_object_identity_and_state(ids):
+    obj = EngineeringObject(ids, "doc", state={"text": "hi"}, state_size=64)
     assert obj.name == "doc"
     assert obj.state == {"text": "hi"}
     assert obj.state_size == 64
     assert obj.oid.startswith("obj-")
 
 
-def test_object_state_size_validation():
+def test_object_state_size_validation(ids):
     with pytest.raises(NodeError):
-        EngineeringObject("x", state_size=-1)
+        EngineeringObject(ids, "x", state_size=-1)
 
 
-def test_object_operations():
-    obj = EngineeringObject("counter", state={"n": 0})
+def test_object_operations(ids):
+    obj = EngineeringObject(ids, "counter", state={"n": 0})
     obj.operation("incr", lambda caller, state, args: state.__setitem__(
         "n", state["n"] + args) or state["n"])
     assert obj.has_operation("incr")
@@ -30,15 +35,15 @@ def test_object_operations():
     assert obj.invocations == 1
 
 
-def test_invoke_unknown_operation():
-    obj = EngineeringObject("x")
+def test_invoke_unknown_operation(ids):
+    obj = EngineeringObject(ids, "x")
     with pytest.raises(NodeError):
         obj.invoke_local("tester", "missing", None)
 
 
-def test_cluster_add_remove():
-    cluster = Cluster("c")
-    obj = EngineeringObject("a")
+def test_cluster_add_remove(ids):
+    cluster = Cluster(ids, "c")
+    obj = EngineeringObject(ids, "a")
     cluster.add(obj)
     assert obj.cluster is cluster
     assert len(cluster) == 1
@@ -48,30 +53,30 @@ def test_cluster_add_remove():
     assert len(cluster) == 0
 
 
-def test_cluster_rejects_double_add():
-    c1, c2 = Cluster(), Cluster()
-    obj = EngineeringObject("a")
+def test_cluster_rejects_double_add(ids):
+    c1, c2 = Cluster(ids), Cluster(ids)
+    obj = EngineeringObject(ids, "a")
     c1.add(obj)
     with pytest.raises(NodeError):
         c2.add(obj)
 
 
-def test_cluster_remove_missing():
-    cluster = Cluster()
+def test_cluster_remove_missing(ids):
+    cluster = Cluster(ids)
     with pytest.raises(NodeError):
         cluster.remove("obj-999999")
 
 
-def test_cluster_state_size_sums_objects():
-    cluster = Cluster()
-    cluster.add(EngineeringObject("a", state_size=100))
-    cluster.add(EngineeringObject("b", state_size=200))
+def test_cluster_state_size_sums_objects(ids):
+    cluster = Cluster(ids)
+    cluster.add(EngineeringObject(ids, "a", state_size=100))
+    cluster.add(EngineeringObject(ids, "b", state_size=200))
     assert cluster.state_size == 300
 
 
-def test_capsule_cluster_lifecycle():
-    capsule = Capsule("cap")
-    cluster = Cluster("c")
+def test_capsule_cluster_lifecycle(ids):
+    capsule = Capsule(ids, "cap")
+    cluster = Cluster(ids, "c")
     capsule.add_cluster(cluster)
     assert cluster.capsule is capsule
     removed = capsule.remove_cluster(cluster.cluster_id)
@@ -79,35 +84,35 @@ def test_capsule_cluster_lifecycle():
     assert cluster.capsule is None
 
 
-def test_capsule_rejects_double_add():
-    cap1, cap2 = Capsule(), Capsule()
-    cluster = Cluster()
+def test_capsule_rejects_double_add(ids):
+    cap1, cap2 = Capsule(ids), Capsule(ids)
+    cluster = Cluster(ids)
     cap1.add_cluster(cluster)
     with pytest.raises(NodeError):
         cap2.add_cluster(cluster)
 
 
-def test_capsule_remove_missing():
-    capsule = Capsule()
+def test_capsule_remove_missing(ids):
+    capsule = Capsule(ids)
     with pytest.raises(NodeError):
         capsule.remove_cluster("cluster-999999")
 
 
-def test_capsule_find_object():
-    capsule = Capsule()
-    cluster = Cluster()
+def test_capsule_find_object(ids):
+    capsule = Capsule(ids)
+    cluster = Cluster(ids)
     capsule.add_cluster(cluster)
-    obj = EngineeringObject("target")
+    obj = EngineeringObject(ids, "target")
     cluster.add(obj)
     assert capsule.find_object(obj.oid) is obj
     assert capsule.find_object("obj-0") is None
 
 
-def test_capsule_all_objects():
-    capsule = Capsule()
-    c1, c2 = Cluster(), Cluster()
+def test_capsule_all_objects(ids):
+    capsule = Capsule(ids)
+    c1, c2 = Cluster(ids), Cluster(ids)
     capsule.add_cluster(c1)
     capsule.add_cluster(c2)
-    c1.add(EngineeringObject("a"))
-    c2.add(EngineeringObject("b"))
+    c1.add(EngineeringObject(ids, "a"))
+    c2.add(EngineeringObject(ids, "b"))
     assert sorted(o.name for o in capsule.all_objects()) == ["a", "b"]

@@ -222,6 +222,28 @@ def test_runtime_all_objects_and_locate(env):
     assert obj in runtime.all_objects()
 
 
+def test_two_identical_runs_in_one_process_name_their_objects_alike():
+    """Capsules, clusters and objects are numbered per runtime, so a
+    second run does not start where the first stopped."""
+    def run():
+        env = Environment()
+        runtime = make_runtime(env)
+        for name in ("host1", "host2"):
+            nucleus = runtime.nucleus(name)
+            obj = nucleus.create_object(nucleus.create_capsule(), "x")
+        nucleus.migrate_cluster(obj.cluster, "host0")
+        env.run()
+        return sorted((node, capsule.capsule_id, cluster.cluster_id, oid)
+                      for node, nucleus in runtime.nuclei.items()
+                      for capsule in nucleus.capsules.values()
+                      for cluster in capsule.clusters.values()
+                      for oid in cluster.objects)
+
+    first = run()
+    assert run() == first
+    assert [entry[-1] for entry in first] == ["obj-2", "obj-1"]
+
+
 def test_remote_object_registration_over_wan(env):
     topo = wan(env, sites=2, hosts_per_site=1)
     net = Network(env, topo)

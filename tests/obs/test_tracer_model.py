@@ -20,6 +20,7 @@ from repro.obs.sampling import Sampler
 from repro.obs.span import NOOP_SPAN, HopSpan
 from repro.obs.tracer import Tracer
 
+from tests.lockstep import lockstep
 from tests.obs import tracer_model as model
 
 _KEYS = st.sampled_from(["node", "dst", "op", "n"])
@@ -57,12 +58,20 @@ _CONFIGS = st.fixed_dictionaries({
 
 
 class _World:
-    """One tracer and the handles of every span it started, in order."""
+    """One tracer and the handles of every span it started, in order;
+    read after each step if ``read_every_step``, else after a read."""
 
-    def __init__(self, tracer, inject, extract):
-        self.tracer, self.inject, self.extract = tracer, inject, extract
+    def __init__(self, tracer_cls, api, config, read_every_step):
+        sampler = None if config["rate"] is None \
+            else Sampler(rate=config["rate"], seed=config["seed"])
+        self.tracer = tracer_cls(
+            sampler=sampler, max_spans=config["max_spans"],
+            tail_keep_errors=config["tail"][0], tail_buffer=config["tail"][1])
+        self.inject, self.extract = api.inject, api.extract
+        self.new, self.read_every_step = tracer_cls is Tracer, read_every_step
         self.spans = []         # every span started, retained or not
         self.hops = []          # [hop, stage]: 0 opened, 1 sent, 2 ended
+        self.reading = False
 
     def parent(self, kind, index):
         if kind == "noop" or not self.spans:
@@ -77,65 +86,79 @@ class _World:
             return header[propagation.TRACE_HEADER]
         return self.extract(header)
 
-
-def _apply(world, step, new):
-    kind, tracer = step[0], world.tracer
-    if kind == "root":
-        _, name, at, attrs = step
-        world.spans.append(tracer.start_span(name, at, **attrs))
-    elif kind == "child":
-        _, parent, index, name, at, attrs = step
-        world.spans.append(tracer.start_span(
-            name, at, parent=world.parent(parent, index), **attrs))
-    elif kind == "hop":
-        # As the carrier: only under a recording transit.
-        _, index, at, link, node, nbytes = step
-        transits = [span for span in world.spans
-                    if span.name != "net.link" and span.is_recording]
-        if transits:
-            transit = transits[index % len(transits)]
-            hop = tracer.start_hop(transit, at, link, node, nbytes) if new \
-                else tracer.start_span("net.link", at=at, parent=transit,
-                                       link=link, node=node, bytes=nbytes)
-            world.spans.append(hop)
-            world.hops.append([hop, 0])
-    elif kind == "carry":
-        _, index, at, dropped = step
-        live = [entry for entry in world.hops if entry[1] < 2]
-        if live:
-            entry = live[index % len(live)]
-            hop = entry[0]
-            if entry[1] == 0:
-                if new:
-                    hop.tx_start = at
+    def step(self, step):
+        kind, tracer, new = step[0], self.tracer, self.new
+        self.reading = self.read_every_step or kind in ("read", "tail_flush")
+        if kind == "root":
+            _, name, at, attrs = step
+            self.spans.append(tracer.start_span(name, at, **attrs))
+        elif kind == "child":
+            _, parent, index, name, at, attrs = step
+            self.spans.append(tracer.start_span(
+                name, at, parent=self.parent(parent, index), **attrs))
+        elif kind == "hop":
+            # As the carrier: only under a recording transit.
+            _, index, at, link, node, nbytes = step
+            transits = [span for span in self.spans
+                        if span.name != "net.link" and span.is_recording]
+            if transits:
+                transit = transits[index % len(transits)]
+                hop = tracer.start_hop(transit, at, link, node, nbytes) \
+                    if new else tracer.start_span(
+                        "net.link", at=at, parent=transit, link=link,
+                        node=node, bytes=nbytes)
+                self.spans.append(hop)
+                self.hops.append([hop, 0])
+        elif kind == "carry":
+            _, index, at, dropped = step
+            live = [entry for entry in self.hops if entry[1] < 2]
+            if live:
+                entry = live[index % len(live)]
+                hop = entry[0]
+                if entry[1] == 0:
+                    if new:
+                        hop.tx_start = at
+                    else:
+                        hop.add_event("tx-start", at=at)
+                elif new:
+                    if dropped:
+                        hop.status = "dropped"
+                    hop.end = at
                 else:
-                    hop.add_event("tx-start", at=at)
-            elif new:
-                if dropped:
-                    hop.status = "dropped"
-                hop.end = at
-            else:
-                if dropped:
-                    hop.set_status("dropped")
-                hop.finish(at=at)
-            entry[1] += 1
-    elif kind in ("event", "attr", "status", "finish"):
-        if world.spans:
-            span = world.spans[step[1] % len(world.spans)]
-            if kind == "status":
-                span.set_status(step[2])
-            elif span.name != "net.link":
-                _mutate(span, step)
-            elif new:
-                # A hop row holds only what its carrier writes; the
-                # object graph's hop took anything and is left alone.
-                with pytest.raises(TypeError):
+                    if dropped:
+                        hop.set_status("dropped")
+                    hop.finish(at=at)
+                entry[1] += 1
+        elif kind in ("event", "attr", "status", "finish"):
+            if self.spans:
+                span = self.spans[step[1] % len(self.spans)]
+                if kind == "status":
+                    span.set_status(step[2])
+                elif span.name != "net.link":
                     _mutate(span, step)
-    elif kind == "tail_flush":
-        return tracer.tail_flush()
-    elif kind == "clear":
-        tracer.clear()
-    return None
+                elif new:
+                    # A hop row holds only what its carrier writes; the
+                    # object graph's hop took anything and is left alone.
+                    with pytest.raises(TypeError):
+                        _mutate(span, step)
+        elif kind == "tail_flush":
+            return tracer.tail_flush()
+        elif kind == "clear":
+            tracer.clear()
+        return None
+
+    def observe(self):
+        """Everything a reader can see, as text."""
+        if not self.reading:
+            return {}
+        tracer = self.tracer
+        return {
+            "spans": [json.dumps(span.to_dict()) for span in tracer.spans],
+            "counts": (tracer.evicted, tracer.sampled_out,
+                       tracer.tail_promoted),
+            "headers": [json.dumps(self.inject(span, {"type": "request"}))
+                        for span in self.spans],
+            "recording": [span.is_recording for span in self.spans]}
 
 
 def _mutate(span, step):
@@ -147,41 +170,14 @@ def _mutate(span, step):
         span.finish(step[2])
 
 
-def _seen(world):
-    """Everything a reader can see, as text."""
-    tracer = world.tracer
-    return {
-        "spans": [json.dumps(span.to_dict()) for span in tracer.spans],
-        "counts": (tracer.evicted, tracer.sampled_out, tracer.tail_promoted),
-        "headers": [json.dumps(world.inject(span, {"type": "request"}))
-                    for span in world.spans],
-        "recording": [span.is_recording for span in world.spans],
-    }
-
-
 @settings(max_examples=250, deadline=None)
 @given(config=_CONFIGS, steps=st.lists(_STEPS, min_size=5, max_size=80),
        read_every_step=st.booleans())
 def test_rows_read_exactly_as_the_object_graph_did(config, steps,
                                                    read_every_step):
-    tail_keep_errors, tail_buffer = config["tail"]
-    worlds = []
-    for tracer_cls, inject, extract in (
-            (Tracer, propagation.inject, propagation.extract),
-            (model.Tracer, model.inject, model.extract)):
-        sampler = None if config["rate"] is None \
-            else Sampler(rate=config["rate"], seed=config["seed"])
-        worlds.append(_World(tracer_cls(
-            sampler=sampler, max_spans=config["max_spans"],
-            tail_keep_errors=tail_keep_errors, tail_buffer=tail_buffer),
-            inject, extract))
-    rows, graph = worlds
-    for step in steps:
-        assert _apply(rows, step, True) == _apply(graph, step, False)
-        if read_every_step or step[0] == "read":
-            assert _seen(rows) == _seen(graph)
-    assert _seen(rows) == _seen(graph)
-    assert rows.tracer.tail_flush() == graph.tracer.tail_flush()
-    assert _seen(rows) == _seen(graph)
+    rows = _World(Tracer, propagation, config, read_every_step)
+    closing = [("read",), ("tail_flush",)]      # read, flush, read again
+    lockstep(rows, _World(model.Tracer, model, config, read_every_step),
+             steps, drain=lambda world: closing.pop(0) if closing else None)
     assert all(type(span) is HopSpan
                for span in rows.spans if span.name == "net.link")

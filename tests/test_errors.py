@@ -38,8 +38,14 @@ from repro.net import (
     Topology,
     lan,
 )
-from repro.node import ODPRuntime
-from repro.sessions import TelepointerService
+from repro.node import EngineeringObject, Ids, ODPRuntime
+from repro.sessions import (
+    ChairedFloor,
+    InvitationService,
+    NegotiatedFloor,
+    RoundRobinFloor,
+    TelepointerService,
+)
 from repro.sim import (
     Container,
     Environment,
@@ -192,6 +198,14 @@ def _window_hook(env, interval=1.0, start=None):
     env.set_window_hook(interval, print, start)
 
 
+def _chaired(env, **kwargs):
+    return ChairedFloor(env, "chair", **kwargs)
+
+
+def _object(env, **kwargs):
+    return EngineeringObject(Ids(), "x", **kwargs)
+
+
 _BOUNDS = [
     (errors.SimulationError, Resource, "capacity", "must be positive"),
     (errors.SimulationError, PriorityResource, "capacity",
@@ -202,6 +216,14 @@ _BOUNDS = [
     (errors.NetworkError, _link, "bandwidth", "must be positive"),
     (errors.NetworkError, _link, "jitter", "must be non-negative"),
     (errors.SimulationError, _window_hook, "interval", "must be positive"),
+    (errors.FloorControlError, RoundRobinFloor, "quantum", "must be positive"),
+    (errors.FloorControlError, _chaired, "decision_latency",
+     "must be non-negative"),
+    (errors.FloorControlError, NegotiatedFloor, "negotiation_latency",
+     "must be non-negative"),
+    (errors.SessionError, InvitationService, "state_transfer_rate",
+     "must be positive"),
+    (errors.NodeError, _object, "state_size", "must be non-negative"),
 ]
 
 
@@ -215,7 +237,9 @@ def test_a_bound_that_is_not_a_number_is_rejected_by_name(error, build, field,
     """NaN passes ``x <= 0`` and ``x < 0``; unchecked, a NaN capacity
     never grants (a silent deadlock), a NaN latency or bandwidth fails
     inside the run as an anonymous delay, NaN jitter is ignored and a
-    NaN window interval never fires."""
+    NaN window interval never fires; a NaN floor quantum or latency,
+    transfer rate or object state size fails inside the run as an
+    anonymous delay."""
     with pytest.raises(error, match="{} {}".format(field, rule)):
         build(Environment(), **{field: value})
 
