@@ -10,7 +10,8 @@ when it reaches the subscriber).
 
 from benchmarks._util import print_table, run_once
 from repro.awareness import AwarenessBus, DigestService
-from repro.sim import Environment, RandomStreams, Tally, exponential
+from repro.obs.metrics import Tally
+from repro.sim import Environment, RandomStreams, exponential
 
 SUBSCRIBERS = 5
 ACTORS = 6

@@ -13,7 +13,8 @@ less than a social "I'm still here" threshold).
 
 from benchmarks._util import print_table, run_once
 from repro.concurrency import EXCLUSIVE, LockTable, TICKLE
-from repro.sim import Environment, RandomStreams, Tally, exponential
+from repro.obs.metrics import Tally
+from repro.sim import Environment, RandomStreams, exponential
 
 EDITORS = 4
 ROUNDS = 10

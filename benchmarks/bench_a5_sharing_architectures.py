@@ -13,6 +13,7 @@ vs none), and tailorability (distinct presentations possible).
 """
 
 from benchmarks._util import print_table, run_once
+from repro.obs.metrics import Tally
 from repro.sessions import (
     AwareSharedObject,
     FcfsFloor,
@@ -21,7 +22,7 @@ from repro.sessions import (
     identical_view,
     summary_view,
 )
-from repro.sim import Environment, RandomStreams, Tally, exponential
+from repro.sim import Environment, RandomStreams, exponential
 
 GROUP_SIZES = (2, 4, 8)
 INPUTS_PER_MEMBER = 10

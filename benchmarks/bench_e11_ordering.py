@@ -16,7 +16,8 @@ trace:
 from benchmarks._util import print_table, run_once
 from repro.groups import ProcessGroup
 from repro.net import Network, wan
-from repro.sim import Environment, RandomStreams, Tally, exponential
+from repro.obs.metrics import Tally
+from repro.sim import Environment, RandomStreams, exponential
 
 MEMBERS = 5
 MESSAGES_PER_MEMBER = 12

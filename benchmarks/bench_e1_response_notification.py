@@ -26,7 +26,8 @@ from repro.concurrency import (
     ReservationControl,
     SharedStore,
 )
-from repro.sim import Environment, RandomStreams, Tally, exponential
+from repro.obs.metrics import Tally
+from repro.sim import Environment, RandomStreams, exponential
 
 EDITORS = 4
 EDITS_PER_EDITOR = 15

@@ -19,7 +19,8 @@ from repro.concurrency import (
     LockTable,
     StructuredDocument,
 )
-from repro.sim import Environment, Tally
+from repro.obs.metrics import Tally
+from repro.sim import Environment
 from repro.workload import EditingWorkload
 
 USERS = ["alice", "bob", "carol", "dave"]

@@ -27,7 +27,8 @@ from repro.concurrency import (
     STYLES,
     TICKLE,
 )
-from repro.sim import Environment, RandomStreams, Tally, exponential
+from repro.obs.metrics import Tally
+from repro.sim import Environment, RandomStreams, exponential
 
 WRITERS = 3
 READERS = 2

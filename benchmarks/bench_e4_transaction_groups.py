@@ -27,7 +27,8 @@ from repro.concurrency import (
     free_rule,
     serialisable_rule,
 )
-from repro.sim import Environment, RandomStreams, Tally, exponential
+from repro.obs.metrics import Tally
+from repro.sim import Environment, RandomStreams, exponential
 
 READERS = 3
 READS_PER_READER = 10

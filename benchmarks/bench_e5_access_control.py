@@ -25,7 +25,8 @@ from repro.access import (
     ShenDewanPolicy,
     WRITE,
 )
-from repro.sim import Environment, Tally
+from repro.obs.metrics import Tally
+from repro.sim import Environment
 
 ADMIN_DELAY = 120.0      # the administrator gets to it eventually
 NEGOTIATION_RTT = 2.0    # colleagues answer within seconds

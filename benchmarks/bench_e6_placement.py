@@ -24,7 +24,8 @@ from repro.management import (
 )
 from repro.net import Network, Topology
 from repro.node import ODPRuntime
-from repro.sim import Environment, RandomStreams, Tally
+from repro.obs.metrics import Tally
+from repro.sim import Environment, RandomStreams
 
 SITES = {
     # name -> latency to the exchange hub (seconds)

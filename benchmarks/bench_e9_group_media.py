@@ -19,7 +19,8 @@ frame once), so the gap widens with N.
 from benchmarks._util import print_table, run_once
 from repro.groups import GroupInvoker, QUORUM_ALL
 from repro.net import MulticastService, Network, wan
-from repro.sim import Environment, Tally
+from repro.obs.metrics import Tally
+from repro.sim import Environment
 
 GROUP_SIZES = (2, 4, 8)
 FRAMES = 50

@@ -28,7 +28,8 @@ from repro.concurrency import (
     SharedStore,
     TransactionManager,
 )
-from repro.sim import Environment, Tally
+from repro.obs.metrics import Tally
+from repro.sim import Environment
 
 EDITS = 20
 EDIT_INTERVAL = 10.0          # seconds between author edits

@@ -18,7 +18,8 @@ import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import AccessDenied, AccessPolicyError
-from repro.sim import Counter, Environment
+from repro.obs.metrics import Counter
+from repro.sim import Environment
 
 READ = "read"
 WRITE = "write"

@@ -16,7 +16,8 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import AccessPolicyError
 from repro.access.roles import Role, RoleBasedPolicy
-from repro.sim import Counter, Environment, Event
+from repro.obs.metrics import Counter
+from repro.sim import Environment, Event
 
 GRANTED = "granted"
 DENIED = "denied"

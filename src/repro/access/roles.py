@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import AccessDenied, AccessPolicyError
-from repro.sim import Counter
+from repro.obs.metrics import Counter
 
 READ = "read"
 WRITE = "write"

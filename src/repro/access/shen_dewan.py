@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import AccessDenied, AccessPolicyError
-from repro.sim import Counter
+from repro.obs.metrics import Counter
 
 
 class Hierarchy:

@@ -29,7 +29,8 @@ from repro.concurrency.locks import (
     STYLES,
 )
 from repro.concurrency.store import SharedStore
-from repro.sim import Environment, RandomStreams, Tally, exponential
+from repro.obs.metrics import Tally
+from repro.sim import Environment, RandomStreams, exponential
 
 WRITERS = 3
 READERS = 2

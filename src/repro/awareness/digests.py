@@ -14,7 +14,8 @@ from typing import Callable, Dict, List, Optional
 
 from repro.awareness.events import AwarenessBus, AwarenessEvent
 from repro.errors import ReproError
-from repro.sim import Counter, Environment
+from repro.obs.metrics import Counter
+from repro.sim import Environment
 
 
 class Digest:
@@ -45,8 +46,8 @@ class DigestService:
 
     def __init__(self, env: Environment, bus: AwarenessBus,
                  interval: float = 60.0) -> None:
-        if interval <= 0:
-            raise ReproError("digest interval must be positive")
+        if not interval > 0:  # also rejects NaN
+            raise ReproError("interval must be positive")
         self.env = env
         self.bus = bus
         self.interval = interval

@@ -16,7 +16,8 @@ import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.concurrency.store import SharedStore
-from repro.sim import Counter, Environment
+from repro.obs.metrics import Counter
+from repro.sim import Environment
 
 _event_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
 

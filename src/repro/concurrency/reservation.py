@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import FloorControlError
-from repro.sim import Counter, Environment, Event
+from repro.obs.metrics import Counter
+from repro.sim import Environment, Event
 
 
 class ReservationControl:

@@ -25,7 +25,8 @@ from repro.concurrency.locks import (
     SHARED,
 )
 from repro.concurrency.store import SharedStore
-from repro.sim import Counter, Environment
+from repro.obs.metrics import Counter
+from repro.sim import Environment
 
 ACTIVE = "active"
 COMMITTED = "committed"

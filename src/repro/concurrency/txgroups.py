@@ -21,7 +21,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConcurrencyError
 from repro.concurrency.store import SharedStore
-from repro.sim import Counter, Environment, Event
+from repro.obs.metrics import Counter
+from repro.sim import Environment, Event
 
 READ = "read"
 WRITE = "write"

@@ -19,7 +19,7 @@ from repro.management.placement import (
     response_latencies,
 )
 from repro.node.runtime import ODPRuntime
-from repro.sim import Counter
+from repro.obs.metrics import Counter
 
 
 class MigrationManager:

@@ -28,7 +28,7 @@ class UsageMonitor:
 
     def __init__(self, env: Environment, window: float = 60.0,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        if window <= 0:
+        if not window > 0:  # also rejects NaN
             raise ReproError("window must be positive")
         self.env = env
         self.window = window

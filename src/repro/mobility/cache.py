@@ -20,7 +20,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.concurrency.store import SharedStore
 from repro.errors import DisconnectedError, MobilityError
 from repro.mobility.host import MobileHost
-from repro.sim import Counter, Environment
+from repro.obs.metrics import Counter
+from repro.sim import Environment
 
 SERVER_WINS = "server-wins"
 CLIENT_WINS = "client-wins"

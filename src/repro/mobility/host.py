@@ -14,7 +14,8 @@ from typing import Callable, List, Optional, Tuple
 from repro.errors import MobilityError
 from repro.net.network import Host, Network
 from repro.net.radio import ConnectivityLevel, RadioLink, attach_mobile
-from repro.sim import Counter, Environment
+from repro.obs.metrics import Counter
+from repro.sim import Environment
 
 
 class MobileHost:

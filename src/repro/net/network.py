@@ -38,11 +38,17 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.errors import NetworkError, RoutingError
 from repro.net.packet import Packet
 from repro.net.topology import Topology
-from repro.obs.metrics import LabelKey, MetricsRegistry, get_metrics
+from repro.obs.metrics import (
+    Counter,
+    LabelKey,
+    MetricsRegistry,
+    Tally,
+    get_metrics,
+)
 from repro.obs.propagation import TRACE_HEADER
 from repro.obs.span import NOOP_SPAN
 from repro.obs.tracer import get_tracer
-from repro.sim import Counter, Environment, Store, Tally
+from repro.sim import Environment, Store
 from repro.sim.environment import _NORMAL_BASE
 from repro.sim.events import URGENT
 from repro.sim.resources import PriorityRequest
@@ -406,9 +412,8 @@ class Network:
                 registry.counter(key[0], **dict(key[1])).add(delta)
         values = self.delivery_latency.values
         if len(values) > self._latencies_folded:
-            record = registry.histogram("net.delivery_latency").record
-            for value in values[self._latencies_folded:]:
-                record(value)
+            registry.histogram("net.delivery_latency").values.extend(
+                values[self._latencies_folded:])
             self._latencies_folded = len(values)
 
     def host(self, name: str) -> Host:

@@ -43,9 +43,8 @@ def _gauge_sample(gauge, value: int, at: float) -> None:
     (where time is monotonic), so dropping the out-of-order sample only
     affects the throwaway default.
     """
-    series = getattr(gauge, "series", None)
-    if series is not None and series.samples \
-            and at < series.samples[-1][0]:
+    samples = gauge.samples
+    if samples and at < samples[-1][0]:
         return
     gauge.set(value, at=at)
 

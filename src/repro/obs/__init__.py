@@ -84,8 +84,6 @@ from repro.obs.flight import (
 )
 from repro.obs.metrics import (
     CounterInstrument,
-    GaugeInstrument,
-    HistogramInstrument,
     MetricsRegistry,
     get_metrics,
     set_metrics,
@@ -109,8 +107,6 @@ from repro.obs.tracer import (
 __all__ = [
     "CounterInstrument",
     "FlightRecorder",
-    "GaugeInstrument",
-    "HistogramInstrument",
     "META_SCHEMA",
     "MetricsRegistry",
     "NOOP_FLIGHT",

@@ -1,8 +1,9 @@
-"""The metrics registry: named, labelled instruments with one snapshot.
+"""The metrics registry and one class per kind of number.
 
-Unifies the ad-hoc probes (:class:`~repro.sim.monitor.Tally`,
-:class:`~repro.sim.monitor.Counter`, :class:`~repro.sim.monitor.TimeSeries`)
-behind named instruments with labels::
+``histogram()`` returns a :class:`Tally` and ``gauge()`` a
+:class:`TimeSeries`, the classes a layer also keeps for itself
+(``MediaSink.frame_latency``); a layer's named counts are a
+:class:`Counter` book.  Instruments are named and labelled::
 
     metrics = obs.get_metrics()
     metrics.counter("net.drops", reason="loss").add()
@@ -50,9 +51,8 @@ the table, the probe and the commands to re-run it.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
-
-from repro.sim.monitor import Tally, TimeSeries
 
 LabelKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
@@ -87,75 +87,147 @@ class CounterInstrument:
         return "<Counter {}={}>".format(self.name, self.value)
 
 
-class HistogramInstrument:
-    """A distribution of observations (backed by a Tally)."""
+class Tally:
+    """A distribution of observations (``registry.histogram()``)."""
 
-    __slots__ = ("name", "labels", "tally", "_below")
+    __slots__ = ("name", "values", "_below")
 
-    def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...]
-                 ) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.labels = dict(labels)
-        self.tally = Tally(name)
-        # threshold -> running count of observations <= threshold; a
-        # threshold registers on its first count_below() query, so the SLO
-        # layer's repeated window evals are O(1) instead of a full rescan.
-        self._below: Dict[float, int] = {}
+        self.values: List[float] = []
+        # threshold -> (count <= threshold, len(values) when counted): a
+        # count_below() query scans only the values recorded since the
+        # last query for its threshold, and record() stays one append.
+        self._below: Dict[float, Tuple[int, int]] = {}
 
     def record(self, value: float) -> None:
-        self.tally.record(value)
-        for threshold in self._below:
-            if value <= threshold:
-                self._below[threshold] += 1
+        """Add one observation."""
+        self.values.append(float(value))
 
     @property
     def count(self) -> int:
-        return self.tally.count
+        return len(self.values)
+
+    @property
+    def total(self) -> float:
+        return sum(self.values)
 
     @property
     def mean(self) -> float:
-        return self.tally.mean
+        """Arithmetic mean (0.0 when empty)."""
+        if not self.values:
+            return 0.0
+        return sum(self.values) / len(self.values)
+
+    @property
+    def minimum(self) -> float:
+        return min(self.values) if self.values else 0.0
+
+    @property
+    def maximum(self) -> float:
+        return max(self.values) if self.values else 0.0
+
+    @property
+    def stddev(self) -> float:
+        """Population standard deviation (0.0 with <2 observations)."""
+        n = len(self.values)
+        if n < 2:
+            return 0.0
+        mean = self.mean
+        return math.sqrt(sum((v - mean) ** 2 for v in self.values) / n)
+
+    def percentile(self, q: float) -> float:
+        """The q-th percentile (0..100) by linear interpolation."""
+        if not self.values:
+            return 0.0
+        if not 0 <= q <= 100:
+            raise ValueError("q must be in [0, 100]")
+        ordered = sorted(self.values)
+        if len(ordered) == 1:
+            return ordered[0]
+        rank = (q / 100.0) * (len(ordered) - 1)
+        low = int(math.floor(rank))
+        high = int(math.ceil(rank))
+        if low == high:
+            return ordered[low]
+        frac = rank - low
+        return ordered[low] * (1 - frac) + ordered[high] * frac
+
+    @property
+    def median(self) -> float:
+        return self.percentile(50)
+
+    @property
+    def p95(self) -> float:
+        return self.percentile(95)
+
+    @property
+    def p99(self) -> float:
+        return self.percentile(99)
 
     def count_below(self, threshold: float) -> int:
-        """Observations ``<= threshold`` (the SLO "good event" count).
-
-        The first query for a threshold scans the recorded values once and
-        registers it; later records keep the count incrementally.
-        """
-        cached = self._below.get(threshold)
-        if cached is None:
-            cached = sum(1 for value in self.tally.values
-                         if value <= threshold)
-            self._below[threshold] = cached
-        return cached
+        """Observations ``<= threshold`` (the SLO "good event" count)."""
+        count, seen = self._below.get(threshold, (0, 0))
+        values = self.values
+        if seen < len(values):
+            count += sum(1 for value in values[seen:] if value <= threshold)
+            self._below[threshold] = (count, len(values))
+        return count
 
     def summary(self) -> Dict[str, float]:
-        return self.tally.summary()
+        """All headline statistics as a dict (for table printing)."""
+        return {
+            "count": float(self.count),
+            "mean": self.mean,
+            "min": self.minimum,
+            "max": self.maximum,
+            "median": self.median,
+            "p95": self.p95,
+            "stddev": self.stddev,
+        }
 
     def __repr__(self) -> str:
-        return "<Histogram {} n={}>".format(self.name, self.tally.count)
+        return "<Tally {} n={} mean={:.6g}>".format(
+            self.name or "?", self.count, self.mean)
 
 
-class GaugeInstrument:
-    """A sampled value over simulated time (backed by a TimeSeries)."""
+class TimeSeries:
+    """``(time, value)`` samples in time order (``registry.gauge()``)."""
 
-    __slots__ = ("name", "labels", "series")
+    __slots__ = ("name", "samples")
 
-    def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...]
-                 ) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.labels = dict(labels)
-        self.series = TimeSeries(name)
+        self.samples: List[Tuple[float, float]] = []
 
     def set(self, value: float, at: float) -> None:
-        self.series.record(at, value)
+        """Sample ``value`` at time ``at``; times must be non-decreasing."""
+        samples = self.samples
+        if samples and at < samples[-1][0]:
+            raise ValueError("time went backwards in series " + self.name)
+        samples.append((float(at), float(value)))
 
     @property
     def last(self) -> float:
-        return self.series.samples[-1][1] if self.series.samples else 0.0
+        return self.samples[-1][1] if self.samples else 0.0
 
-    def __repr__(self) -> str:
-        return "<Gauge {}={}>".format(self.name, self.last)
+
+class Counter:
+    """A set of named monotonically increasing counters."""
+
+    def __init__(self) -> None:
+        self._counts: Dict[str, int] = {}
+
+    def incr(self, key: str, by: int = 1) -> None:
+        """Increase ``key`` by ``by`` (creating it at zero)."""
+        self._counts[key] = self._counts.get(key, 0) + by
+
+    def __getitem__(self, key: str) -> int:
+        return self._counts.get(key, 0)
+
+    def as_dict(self) -> Dict[str, int]:
+        """Snapshot of all counters."""
+        return dict(self._counts)
 
 
 class MetricsRegistry:
@@ -163,8 +235,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[LabelKey, CounterInstrument] = {}
-        self._histograms: Dict[LabelKey, HistogramInstrument] = {}
-        self._gauges: Dict[LabelKey, GaugeInstrument] = {}
+        self._histograms: Dict[LabelKey, Tally] = {}
+        self._gauges: Dict[LabelKey, TimeSeries] = {}
         # Deferred-write hooks (see module docstring).  _flushing guards
         # against recursion: a hook folding its book goes through the
         # keyed factories, which flush on entry.
@@ -213,23 +285,22 @@ class MetricsRegistry:
                 name, key[1])
         return instrument
 
-    def histogram(self, name: str, **labels: Any) -> HistogramInstrument:
+    def histogram(self, name: str, **labels: Any) -> Tally:
         if name in self._flushed_names:
             self._flush()
         key = _key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
-            instrument = self._histograms[key] = HistogramInstrument(
-                name, key[1])
+            instrument = self._histograms[key] = Tally(name)
         return instrument
 
-    def gauge(self, name: str, **labels: Any) -> GaugeInstrument:
+    def gauge(self, name: str, **labels: Any) -> TimeSeries:
         if name in self._flushed_names:
             self._flush()
         key = _key(name, labels)
         instrument = self._gauges.get(key)
         if instrument is None:
-            instrument = self._gauges[key] = GaugeInstrument(name, key[1])
+            instrument = self._gauges[key] = TimeSeries(name)
         return instrument
 
     # -- querying ----------------------------------------------------------
@@ -277,12 +348,12 @@ class MetricsRegistry:
         return [(_render(key), inst)
                 for key, inst in sorted(self._counters.items())]
 
-    def histogram_items(self) -> List[Tuple[str, HistogramInstrument]]:
+    def histogram_items(self) -> List[Tuple[str, Tally]]:
         self._flush()
         return [(_render(key), inst)
                 for key, inst in sorted(self._histograms.items())]
 
-    def gauge_items(self) -> List[Tuple[str, GaugeInstrument]]:
+    def gauge_items(self) -> List[Tuple[str, TimeSeries]]:
         self._flush()
         return [(_render(key), inst)
                 for key, inst in sorted(self._gauges.items())]
@@ -343,7 +414,7 @@ class MetricsRegistry:
         for key, gauge in sorted(self._gauges.items()):
             yield {"kind": "metric", "type": "gauge", "name": key[0],
                    "labels": dict(key[1]), "value": gauge.last,
-                   "samples": len(gauge.series.samples)}
+                   "samples": len(gauge.samples)}
 
     def __repr__(self) -> str:
         return "<MetricsRegistry counters={} histograms={} gauges={}>".format(

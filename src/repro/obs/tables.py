@@ -29,7 +29,7 @@ import sys
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs._cli import parse_rendered, render_table
-from repro.sim.monitor import Tally
+from repro.obs.metrics import Tally
 
 #: Dimension name -> the instrument label it rolls up on, the counter
 #: whose per-window delta defines "hot" for the peak column, and (for

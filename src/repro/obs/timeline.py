@@ -44,8 +44,7 @@ import collections
 import json
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from repro.obs.metrics import MetricsRegistry, get_metrics
-from repro.sim.monitor import Tally
+from repro.obs.metrics import MetricsRegistry, Tally, get_metrics
 
 
 def _window_summary(values: List[float]) -> Dict[str, float]:
@@ -136,14 +135,14 @@ class TimelineRecorder:
                 self._counter_last[rendered] = value
         histograms = window["histograms"]
         for rendered, inst in self.registry.histogram_items():
-            values = inst.tally.values
+            values = inst.values
             seen = self._hist_seen.get(rendered, 0)
             if len(values) > seen:
                 histograms[rendered] = _window_summary(values[seen:])
                 self._hist_seen[rendered] = len(values)
         gauges = window["gauges"]
         for rendered, inst in self.registry.gauge_items():
-            samples = inst.series.samples
+            samples = inst.samples
             seen = self._gauge_seen.get(rendered, 0)
             if len(samples) > seen:
                 gauges[rendered] = samples[-1][1]

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import QoSNegotiationFailed, QoSError
 from repro.net.link import Link
 from repro.net.network import Network
+from repro.obs.metrics import Counter
 from repro.qos.params import QoSContract, QoSParameters
-from repro.sim import Counter
 
 
 class QoSBroker:

@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import QoSError
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import Counter, get_metrics
 from repro.qos.params import CLOSED, QoSContract, QoSParameters
-from repro.sim import Counter, Environment
+from repro.sim import Environment
 
 
 class QoSObservation:
@@ -63,8 +63,8 @@ class QoSMonitor:
                                                  None]] = None,
                  expected_frames_per_window: Optional[float] = None,
                  stop_on_violation: bool = True) -> None:
-        if window <= 0:
-            raise QoSError("monitoring window must be positive")
+        if not window > 0:  # also rejects NaN
+            raise QoSError("window must be positive")
         self.env = env
         self.contract = contract
         self.window = window

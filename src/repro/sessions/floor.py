@@ -20,7 +20,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.hb import get_sanitizer
 from repro.errors import FloorControlError
-from repro.sim import Counter, Environment, Event, Tally
+from repro.obs.metrics import Counter, Tally
+from repro.sim import Environment, Event
 
 
 class FloorPolicy:

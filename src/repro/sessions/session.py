@@ -24,8 +24,9 @@ from repro.awareness.events import (
 )
 from repro.concurrency.store import SharedStore
 from repro.errors import SessionError
+from repro.obs.metrics import Counter
 from repro.sessions.floor import FloorPolicy
-from repro.sim import Counter, Environment, Event
+from repro.sim import Environment, Event
 
 SYNCHRONOUS = "synchronous"
 ASYNCHRONOUS = "asynchronous"

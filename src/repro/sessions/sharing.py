@@ -20,8 +20,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import FloorControlError, SessionError
+from repro.obs.metrics import Counter
 from repro.sessions.floor import FloorPolicy
-from repro.sim import Counter, Environment, Event
+from repro.sim import Environment, Event
 
 
 class SingleUserApp:

@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SessionError
-from repro.sim import Counter, Environment
+from repro.obs.metrics import Counter
+from repro.sim import Environment
 
 #: Called with (member, x, y) for each colleague's published movement.
 Watcher = Callable[[str, float, float], None]

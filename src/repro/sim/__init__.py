@@ -23,7 +23,6 @@ from repro.sim.events import (
     Process,
     Timeout,
 )
-from repro.sim.monitor import Counter, Tally, TimeSeries, histogram
 from repro.sim.resources import (
     Container,
     PriorityResource,
@@ -42,7 +41,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Container",
-    "Counter",
     "Environment",
     "Event",
     "Interrupt",
@@ -51,13 +49,10 @@ __all__ = [
     "RandomStreams",
     "Resource",
     "Store",
-    "Tally",
-    "TimeSeries",
     "Timeout",
     "bounded_normal",
     "drive",
     "exponential",
-    "histogram",
     "weighted_choice",
     "zipf_index",
 ]

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.awareness.events import AwarenessBus
 from repro.errors import ReproError
 from repro.net.network import Network
-from repro.sim import Counter, Environment, Event
+from repro.obs.metrics import Counter
+from repro.sim import Environment, Event
 from repro.streams.binding import StreamBinding
 from repro.streams.media import MediaSink, MediaSource
 

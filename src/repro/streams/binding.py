@@ -21,9 +21,9 @@ from repro.net.network import (
     RESERVED_PRIORITY,
 )
 from repro.net.packet import Packet
+from repro.obs.metrics import Counter
 from repro.qos.monitor import QoSMonitor
 from repro.qos.params import QoSContract
-from repro.sim import Counter
 from repro.streams.media import Frame, MediaSink
 
 STREAM_PORT = 40

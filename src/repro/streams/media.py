@@ -27,7 +27,8 @@ import itertools
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import StreamError
-from repro.sim import Counter, Environment, Tally
+from repro.obs.metrics import Counter, Tally
+from repro.sim import Environment
 
 _frame_seq = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
 
@@ -74,11 +75,11 @@ class MediaSource:
                  transmit: Callable[[Frame], None],
                  rate: float = 25.0, frame_size: int = 4000,
                  clock_skew: float = 1.0) -> None:
-        if rate <= 0:
+        if not rate > 0:  # also rejects NaN
             raise StreamError("rate must be positive")
-        if frame_size <= 0:
+        if not frame_size > 0:
             raise StreamError("frame_size must be positive")
-        if clock_skew <= 0:
+        if not clock_skew > 0:
             raise StreamError("clock_skew must be positive")
         self.env = env
         self.name = name
@@ -145,7 +146,6 @@ class MediaSink:
         self._epoch: Optional[float] = None
         self.position = 0.0
         self.played: List[Frame] = []
-        self.deadline_misses = 0
         self.frame_latency = Tally(name + "-latency")
         self.counters = Counter()
         self._on_play: List[Callable[[Frame], None]] = []
@@ -166,7 +166,6 @@ class MediaSink:
                 - frame.media_time
         deadline = self._epoch + frame.media_time
         if self.env.now > deadline:
-            self.deadline_misses += 1
             self.counters.incr("missed")
             return
         self.env.timeout(deadline - self.env.now, frame).callbacks.append(
@@ -179,6 +178,11 @@ class MediaSink:
         if self._epoch is not None:
             # Shift the playout clock so future deadlines line up.
             self._epoch = self.env.now - new_position
+
+    @property
+    def deadline_misses(self) -> int:
+        """Received frames that missed their playout deadline."""
+        return self.counters["missed"]
 
     @property
     def miss_rate(self) -> float:

@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import StreamError
-from repro.sim import Counter, Environment, Tally
+from repro.obs.metrics import Counter, Tally
+from repro.sim import Environment
 from repro.streams.media import Frame, MediaSink
 
 
@@ -65,8 +66,10 @@ class ContinuousSynchroniser:
     def __init__(self, env: Environment, master: MediaSink,
                  slave: MediaSink, bound: float = 0.08,
                  check_interval: float = 0.2) -> None:
-        if bound <= 0 or check_interval <= 0:
-            raise StreamError("bound and check_interval must be positive")
+        if not bound > 0:  # also rejects NaN
+            raise StreamError("bound must be positive")
+        if not check_interval > 0:
+            raise StreamError("check_interval must be positive")
         self.env = env
         self.master = master
         self.slave = slave

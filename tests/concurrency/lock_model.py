@@ -19,9 +19,9 @@ from repro.analysis.hb import get_sanitizer
 from repro.concurrency.locks import (EXCLUSIVE, HARD, NOTIFICATION, SHARED,
                                      SOFT, STYLES, TICKLE, _flight_of)
 from repro.errors import LockError
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import Counter, get_metrics
 from repro.obs.tracer import get_tracer
-from repro.sim import Counter, Environment, Event
+from repro.sim import Environment, Event
 
 
 class LockGrant:

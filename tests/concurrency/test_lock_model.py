@@ -144,7 +144,7 @@ class _World:
             seen.update(
                 histograms=metrics.histograms(),
                 wait=metrics.histogram("lock.wait",
-                                       style=self.style).tally.values,
+                                       style=self.style).values,
                 journal=[record for record in self.flight.ring
                          if record["kind"] == "lock"],
                 clocks={owner: self.sanitizer.clock(owner)

@@ -386,7 +386,7 @@ def test_lock_table_keeps_the_registry_of_its_first_acquire(style):
     with use_metrics(first):
         env.run(env.process(writers(env)))
     env.run()
-    waits = first.histogram("lock.wait", style=style).tally.values
+    waits = first.histogram("lock.wait", style=style).values
     assert len(waits) == table.counters["requests"] == 3
     assert waits == ([0.0, 0.0, 0.0] if style == SOFT else [0.0, 0.0, 1.0])
     assert second.histograms() == {}

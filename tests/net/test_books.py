@@ -119,7 +119,7 @@ class _World:
         elif view == "registry.latency":
             recorded = dict(registry.histogram_items()).get(
                 "net.delivery_latency")
-            assert (recorded.tally.values if recorded else []) == latencies
+            assert (recorded.values if recorded else []) == latencies
         elif view == "network.counters":
             expected = {"sent": len(self.packets),
                         "delivered": len(self.delivered),

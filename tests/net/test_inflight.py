@@ -138,7 +138,7 @@ def test_gauge_set_tolerates_time_rewind():
         _gauge_set("chan.inflight", "x", 1, 5.0)
         _gauge_set("chan.inflight", "x", 2, 1.0)  # stale: ignored
         _gauge_set("chan.inflight", "x", 3, 6.0)
-    series = registry.gauge("chan.inflight", node="x").series
+    series = registry.gauge("chan.inflight", node="x")
     assert [(t, v) for t, v in series.samples] == [(5.0, 1), (6.0, 3)]
 
 
@@ -156,7 +156,7 @@ def test_rpc_endpoint_keeps_the_registry_of_its_first_call(env):
             caller.call("b", "echo", 1)
             caller.call("nowhere", "echo", 2, timeout=0.01).defuse()
             env.run()
-    samples = first.gauge("rpc.inflight", node="a").series.samples
+    samples = first.gauge("rpc.inflight", node="a").samples
     assert [value for _, value in samples] == [1, 2, 1, 0] * 2
     assert first.counter_total("rpc.retries", node="a") == 2
     assert second.gauges() == {} and second.counters("rpc.retries") == {}

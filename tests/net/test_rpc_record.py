@@ -465,7 +465,7 @@ def _world(runtime_cls, endpoint_cls, spec, env_cls=Environment):
             "draws": draws,
             "metrics": registry.snapshot(),
             "inflight": {
-                key: _by_instant(gauge.series.samples)
+                key: _by_instant(gauge.samples)
                 for key, gauge in registry.gauge_items()
                 if key.startswith("rpc.inflight")},
             "spans": _canonical(tracer.spans),

@@ -1,12 +1,14 @@
-"""The metrics registry: instruments, labels, snapshot."""
+"""The metrics registry and its probes: instruments, labels, snapshot."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.net.network import Network
 from repro.net.packet import HEADER_BYTES
 from repro.net.topology import line
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry, Tally, TimeSeries
 from repro.sim import Environment
 
 
@@ -54,6 +56,66 @@ def test_gauge_tracks_last_value(registry):
     gauge.set(3, at=1.0)
     gauge.set(5, at=2.0)
     assert gauge.last == 5
+
+
+def test_tally_statistics():
+    tally = Tally("latency")
+    for value in (1.0, 2.0, 3.0, 4.0):
+        tally.record(value)
+    assert tally.count == 4
+    assert tally.mean == 2.5
+    assert tally.minimum == 1.0
+    assert tally.maximum == 4.0
+    assert tally.median == 2.5
+    assert tally.total == 10.0
+
+
+def test_tally_empty_is_safe():
+    tally = Tally()
+    assert tally.mean == 0.0
+    assert tally.stddev == 0.0
+    assert tally.percentile(95) == 0.0
+
+
+def test_tally_percentile_interpolates():
+    tally = Tally()
+    for value in range(1, 101):
+        tally.record(float(value))
+    assert abs(tally.percentile(50) - 50.5) < 1e-9
+    assert tally.percentile(0) == 1.0
+    assert tally.percentile(100) == 100.0
+
+
+def test_tally_percentile_validation():
+    tally = Tally()
+    tally.record(1.0)
+    with pytest.raises(ValueError):
+        tally.percentile(150)
+
+
+def test_tally_summary_keys():
+    tally = Tally()
+    tally.record(5.0)
+    summary = tally.summary()
+    assert set(summary) == {"count", "mean", "min", "max", "median",
+                            "p95", "stddev"}
+
+
+def test_counter_increments():
+    counter = Counter()
+    counter.incr("messages")
+    counter.incr("messages", by=4)
+    assert counter["messages"] == 5
+    assert counter["unknown"] == 0
+    assert counter.as_dict() == {"messages": 5}
+
+
+def test_timeseries_rejects_backwards_time():
+    series = TimeSeries()
+    series.set(1.0, at=5.0)
+    with pytest.raises(ValueError):
+        series.set(1.0, at=4.0)
+    assert series.samples == [(5.0, 1.0)]
 
 
 def test_snapshot_shape(registry):
@@ -131,14 +193,32 @@ def test_count_below_is_incremental_after_first_query(registry):
     hist = registry.histogram("lat")
     for value in (0.1, 0.2, 0.3):
         hist.record(value)
-    assert hist.count_below(0.2) == 2  # first query scans and registers
+    assert hist.count_below(0.2) == 2  # first query scans all three
     hist.record(0.15)
     hist.record(0.9)
-    assert hist.count_below(0.2) == 3  # later records kept it current
-    assert hist.count_below(0.95) == 5  # fresh threshold backfills fully
+    assert hist.count_below(0.2) == 3  # scans only the two since
+    assert hist.count_below(0.95) == 5  # fresh threshold scans all
     hist.record(0.05)
     assert hist.count_below(0.2) == 4
     assert hist.count_below(0.95) == 6
+
+
+_values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.tuples(st.just("record"), _values),
+                          st.tuples(st.just("query"),
+                                    st.sampled_from([-1.0, 0.0, 0.5, 1.0]))),
+                max_size=60))
+def test_count_below_matches_a_brute_force_count(steps):
+    tally = Tally()
+    for op, value in steps:
+        if op == "record":
+            tally.record(value)
+        else:
+            assert tally.count_below(value) == sum(
+                1 for seen in tally.values if seen <= value)
 
 
 # -- label-subset queries ---------------------------------------------------

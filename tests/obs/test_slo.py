@@ -126,7 +126,7 @@ class TestBurnRateAlerts:
             "slo.alerts_cleared{severity=page,slo=svc-availability}"] == 1
         gauge = registry.gauge("slo.burn_rate", slo="svc-availability",
                                window="10s")
-        assert gauge.series.samples
+        assert gauge.samples
         assert monitor.summary()["fired"] == 1
 
     def test_stop_lets_open_ended_run_drain(self):

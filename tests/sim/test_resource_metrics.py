@@ -30,7 +30,7 @@ def test_named_resource_records_queue_depth_and_wait():
     # First grant is immediate, the second waits the full hold.
     assert wait["max"] == 2.0
     gauge = registry.gauge("resource.queue_depth", resource="cpu")
-    assert gauge.series.samples  # sampled on enqueue and dequeue
+    assert gauge.samples  # sampled on enqueue and dequeue
     assert gauge.last == 0
 
 

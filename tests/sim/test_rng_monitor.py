@@ -1,15 +1,11 @@
-"""Tests for random streams and measurement monitors."""
+"""Tests for random streams."""
 
 import pytest
 
 from repro.sim import (
-    Counter,
     RandomStreams,
-    Tally,
-    TimeSeries,
     bounded_normal,
     exponential,
-    histogram,
     weighted_choice,
     zipf_index,
 )
@@ -100,130 +96,3 @@ def test_weighted_choice_validation():
         weighted_choice(rng, [], [])
     with pytest.raises(ValueError):
         weighted_choice(rng, ["a"], [0.0])
-
-
-def test_tally_statistics():
-    tally = Tally("latency")
-    for value in (1.0, 2.0, 3.0, 4.0):
-        tally.record(value)
-    assert tally.count == 4
-    assert tally.mean == 2.5
-    assert tally.minimum == 1.0
-    assert tally.maximum == 4.0
-    assert tally.median == 2.5
-    assert tally.total == 10.0
-
-
-def test_tally_empty_is_safe():
-    tally = Tally()
-    assert tally.mean == 0.0
-    assert tally.stddev == 0.0
-    assert tally.percentile(95) == 0.0
-
-
-def test_tally_percentile_interpolates():
-    tally = Tally()
-    for value in range(1, 101):
-        tally.record(float(value))
-    assert abs(tally.percentile(50) - 50.5) < 1e-9
-    assert tally.percentile(0) == 1.0
-    assert tally.percentile(100) == 100.0
-
-
-def test_tally_percentile_validation():
-    tally = Tally()
-    tally.record(1.0)
-    with pytest.raises(ValueError):
-        tally.percentile(150)
-
-
-def test_tally_summary_keys():
-    tally = Tally()
-    tally.record(5.0)
-    summary = tally.summary()
-    assert set(summary) == {"count", "mean", "min", "max", "median",
-                            "p95", "stddev"}
-
-
-def test_counter_increments():
-    counter = Counter()
-    counter.incr("messages")
-    counter.incr("messages", by=4)
-    assert counter["messages"] == 5
-    assert counter["unknown"] == 0
-    assert counter.as_dict() == {"messages": 5}
-
-
-def test_timeseries_time_weighted_mean():
-    series = TimeSeries("queue")
-    series.record(0.0, 0.0)
-    series.record(5.0, 10.0)
-    series.record(10.0, 0.0)
-    # value 0 for 5s then 10 for 5s => mean 5 over [0, 10]
-    assert series.time_weighted_mean() == 5.0
-
-
-def test_timeseries_extends_to_until():
-    series = TimeSeries()
-    series.record(0.0, 2.0)
-    assert series.time_weighted_mean(until=10.0) == 2.0
-
-
-def test_timeseries_rejects_backwards_time():
-    series = TimeSeries()
-    series.record(5.0, 1.0)
-    with pytest.raises(ValueError):
-        series.record(4.0, 1.0)
-
-
-def test_timeseries_max_and_values():
-    series = TimeSeries()
-    series.record(0.0, 1.0)
-    series.record(1.0, 9.0)
-    assert series.max() == 9.0
-    assert series.values() == [1.0, 9.0]
-
-
-def test_histogram_bins_values():
-    bins = histogram([0.0, 1.0, 2.0, 3.0, 4.0], bins=5)
-    assert len(bins) == 5
-    assert sum(count for _, _, count in bins) == 5
-
-
-def test_histogram_empty():
-    assert histogram([], bins=4) == []
-
-
-def test_histogram_degenerate_range():
-    bins = histogram([2.0, 2.0], bins=4)
-    assert bins == [(2.0, 2.0, 2)]
-
-
-def test_histogram_invalid_bins():
-    with pytest.raises(ValueError):
-        histogram([1.0], bins=0)
-
-
-def test_histogram_reports_underflow_and_overflow():
-    # low/high narrower than the data: out-of-range values must not be
-    # silently clamped into the edge bins.
-    bins = histogram([-5.0, 0.5, 1.5, 3.0, 9.0, 12.0], bins=2,
-                     low=0.0, high=2.0)
-    assert bins[0] == (float("-inf"), 0.0, 1)
-    assert bins[-1] == (2.0, float("inf"), 3)
-    regular = bins[1:-1]
-    assert [count for _, _, count in regular] == [1, 1]
-    assert sum(count for _, _, count in bins) == 6
-
-
-def test_histogram_no_overflow_bins_when_range_covers_data():
-    bins = histogram([0.0, 1.0, 2.0], bins=2, low=0.0, high=2.0)
-    assert len(bins) == 2
-    # A value equal to ``high`` still lands in the last regular bin.
-    assert bins[-1][2] == 2
-
-
-def test_histogram_degenerate_range_with_out_of_range_values():
-    bins = histogram([1.0, 2.0, 2.0, 3.0], bins=4, low=2.0, high=2.0)
-    assert bins == [(float("-inf"), 2.0, 1), (2.0, 2.0, 2),
-                    (2.0, float("inf"), 1)]

@@ -129,7 +129,6 @@ class _ModelSink(MediaSink):
                 - frame.media_time
         deadline = self._epoch + frame.media_time
         if self.env.now > deadline:
-            self.deadline_misses += 1
             self.counters.incr("missed")
             return
         self.env.process(self._play_at(frame, deadline))

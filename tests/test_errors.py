@@ -8,7 +8,7 @@ import pytest
 
 from repro import errors
 from repro.access import AccessMatrix
-from repro.awareness import AwarenessBus
+from repro.awareness import AwarenessBus, DigestService
 from repro.concurrency import (
     TICKLE,
     Delete,
@@ -30,6 +30,7 @@ from repro.faults.detector import PhiAccrualDetector
 from repro.faults.fuzz import FuzzProfile
 from repro.faults.policies import DeadlineBudget
 from repro.groups import FixedTimeout, HeartbeatMonitor, HeartbeatSender
+from repro.management import UsageMonitor
 from repro.net import (
     Link,
     Network,
@@ -39,6 +40,7 @@ from repro.net import (
     lan,
 )
 from repro.node import EngineeringObject, Ids, ODPRuntime
+from repro.qos import QoSContract, QoSMonitor, QoSParameters
 from repro.sessions import (
     ChairedFloor,
     InvitationService,
@@ -53,7 +55,7 @@ from repro.sim import (
     Resource,
     Store,
 )
-from repro.streams import MediaSink
+from repro.streams import ContinuousSynchroniser, MediaSink, MediaSource
 
 
 def all_error_classes():
@@ -206,6 +208,25 @@ def _object(env, **kwargs):
     return EngineeringObject(Ids(), "x", **kwargs)
 
 
+def _source(env, **kwargs):
+    return MediaSource(env, "video", lambda frame: None, **kwargs)
+
+
+def _synchroniser(env, **kwargs):
+    return ContinuousSynchroniser(env, MediaSink(env, "video"),
+                                  MediaSink(env, "audio"), **kwargs)
+
+
+def _digests(env, **kwargs):
+    return DigestService(env, AwarenessBus(env), **kwargs)
+
+
+def _qos_monitor(env, **kwargs):
+    level = QoSParameters()
+    return QoSMonitor(env, QoSContract("a", "b", level, level, level),
+                      **kwargs)
+
+
 _BOUNDS = [
     (errors.SimulationError, Resource, "capacity", "must be positive"),
     (errors.SimulationError, PriorityResource, "capacity",
@@ -224,6 +245,14 @@ _BOUNDS = [
     (errors.SessionError, InvitationService, "state_transfer_rate",
      "must be positive"),
     (errors.NodeError, _object, "state_size", "must be non-negative"),
+    (errors.StreamError, _source, "rate", "must be positive"),
+    (errors.StreamError, _source, "frame_size", "must be positive"),
+    (errors.StreamError, _source, "clock_skew", "must be positive"),
+    (errors.StreamError, _synchroniser, "bound", "must be positive"),
+    (errors.StreamError, _synchroniser, "check_interval", "must be positive"),
+    (errors.ReproError, UsageMonitor, "window", "must be positive"),
+    (errors.ReproError, _digests, "interval", "must be positive"),
+    (errors.QoSError, _qos_monitor, "window", "must be positive"),
 ]
 
 
@@ -239,7 +268,8 @@ def test_a_bound_that_is_not_a_number_is_rejected_by_name(error, build, field,
     inside the run as an anonymous delay, NaN jitter is ignored and a
     NaN window interval never fires; a NaN floor quantum or latency,
     transfer rate or object state size fails inside the run as an
-    anonymous delay."""
+    anonymous delay, and so do a NaN frame rate, clock skew, sync check
+    interval, usage window, digest interval or QoS window."""
     with pytest.raises(error, match="{} {}".format(field, rule)):
         build(Environment(), **{field: value})
 
