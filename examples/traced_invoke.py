@@ -1,8 +1,8 @@
 """Traced invocation: follow one RPC from nucleus to nucleus.
 
-Enables the causal tracer, runs a client at one WAN site invoking an
-object hosted at another (with simulated think-time between calls), then
-exports the trace three ways:
+Scopes a recording tracer and a fresh metrics registry, runs a client at
+one WAN site invoking an object hosted at another (with simulated
+think-time between calls), then exports the trace three ways:
 
 * a JSONL dump (spans + metrics) for ``python -m repro.obs.dashboard``,
 * a Chrome ``trace_event`` file that opens in ``about:tracing``/Perfetto,
@@ -46,35 +46,33 @@ def main(argv=None) -> int:
                         help="Chrome trace_event path")
     options = parser.parse_args(argv)
 
-    tracer = obs.enable_tracing()
-    obs.set_metrics(obs.MetricsRegistry())   # fresh registry for this run
+    with obs.use_tracer(obs.Tracer()) as tracer, \
+            obs.use_metrics(obs.MetricsRegistry()) as registry:
+        env = Environment()
+        runtime, client, counter = build(env)
+        rng = RandomStreams(11).stream("think")
 
-    env = Environment()
-    runtime, client, counter = build(env)
-    rng = RandomStreams(11).stream("think")
+        def user(env):
+            # Each iteration roots one trace: a think-time span whose
+            # child is the node.invoke span (which in turn parents the
+            # rpc.call, per-link transit and remote rpc.serve spans).
+            for step in range(3):
+                with tracer.span("user.think", env, node="site1.host0",
+                                 step=step) as think:
+                    yield env.timeout(exponential(rng, 0.5))
+                    result = yield client.invoke(counter.oid, "incr", 1,
+                                                 parent=think)
+            return result
 
-    def user(env):
-        # Each iteration roots one trace: a think-time span whose child
-        # is the node.invoke span (which in turn parents the rpc.call,
-        # per-link transit and remote rpc.serve spans).
-        for step in range(3):
-            with tracer.span("user.think", env, node="site1.host0",
-                             step=step) as think:
-                yield env.timeout(exponential(rng, 0.5))
-                result = yield client.invoke(counter.oid, "incr", 1,
-                                             parent=think)
-        return result
-
-    proc = env.process(user(env))
-    env.run(proc)
-    obs.disable_tracing()
+        proc = env.process(user(env))
+        env.run(proc)
 
     print("final counter value:", proc.value)
     print("sim time: {:.4f}s, spans recorded: {}".format(
         env.now, len(tracer.spans)))
     print("event loop:", env.stats())
 
-    lines = obs.dump_jsonl(options.out, tracer=tracer)
+    lines = obs.dump_jsonl(options.out, tracer=tracer, metrics=registry)
     events = obs.dump_chrome_trace(options.chrome, tracer=tracer)
     print("wrote {} JSONL lines to {}".format(lines, options.out))
     print("wrote {} trace events to {} (open in about:tracing)".format(

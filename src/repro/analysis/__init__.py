@@ -48,12 +48,9 @@ from repro.analysis.hb import (
     NoopSanitizer,
     READ,
     WRITE,
-    disable_sanitizer,
-    enable_sanitizer,
     extract_clock,
     get_sanitizer,
     inject_clock,
-    set_sanitizer,
     use_sanitizer,
 )
 #: Lazily resolved attribute -> home module (dodges the import cycle
@@ -66,12 +63,8 @@ _LAZY = {
     "RULES": "repro.analysis.lint",
     "lint_file": "repro.analysis.lint",
     "WORKLOADS": "repro.analysis.workloads",
-    "run_workload": "repro.analysis.workloads",
     "conflict_sweep": "repro.analysis.races",
     "replay": "repro.analysis.replay",
-    "run_digest": "repro.analysis.replay",
-    "run_isolated": "repro.analysis.replay",
-    "trace_digest": "repro.analysis.replay",
     "RepoIndex": "repro.analysis.ir",
     "run_passes": "repro.analysis.check",
     "rules_meta": "repro.analysis.check",
@@ -102,19 +95,12 @@ __all__ = [
     "WORKLOADS",
     "WRITE",
     "conflict_sweep",
-    "disable_sanitizer",
-    "enable_sanitizer",
     "extract_clock",
     "get_sanitizer",
     "inject_clock",
     "lint_file",
     "replay",
     "rules_meta",
-    "run_digest",
-    "run_isolated",
     "run_passes",
-    "run_workload",
-    "set_sanitizer",
-    "trace_digest",
     "use_sanitizer",
 ]

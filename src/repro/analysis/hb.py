@@ -12,14 +12,14 @@ whose clocks are concurrent were ordered by *nothing*: they are exactly
 the conflicts left for the humans.
 
 Like the tracer and the metrics registry, the process default is a
-no-op so instrumentation sites cost almost nothing::
+no-op so instrumentation sites cost almost nothing; a run
+(:func:`repro.run.run`) scopes a fresh one, as any simulation can::
 
     from repro import analysis
 
-    sanitizer = analysis.enable_sanitizer()
-    ... run a workload ...
+    with analysis.use_sanitizer(analysis.ConflictSanitizer()) as sanitizer:
+        ... run a simulation ...
     print(sanitizer.summary())
-    analysis.disable_sanitizer()
 
 Hooks live in :mod:`repro.concurrency.locks` (grant hand-off edges),
 :mod:`repro.concurrency.store` (accesses), :mod:`repro.sessions.floor`
@@ -307,36 +307,15 @@ def get_sanitizer() -> Union[ConflictSanitizer, NoopSanitizer]:
     return _sanitizer
 
 
-def set_sanitizer(sanitizer: Optional[Union[ConflictSanitizer,
-                                            NoopSanitizer]]
-                  ) -> Union[ConflictSanitizer, NoopSanitizer]:
-    """Install ``sanitizer`` (``None`` disables); returns the previous."""
-    global _sanitizer
-    previous = _sanitizer
-    _sanitizer = sanitizer if sanitizer is not None else NOOP_SANITIZER
-    return previous
-
-
-def enable_sanitizer() -> ConflictSanitizer:
-    """Install and return a fresh recording sanitizer."""
-    sanitizer = ConflictSanitizer()
-    set_sanitizer(sanitizer)
-    return sanitizer
-
-
-def disable_sanitizer() -> None:
-    """Restore the zero-cost no-op default."""
-    set_sanitizer(NOOP_SANITIZER)
-
-
 @contextlib.contextmanager
 def use_sanitizer(sanitizer: Union[ConflictSanitizer, NoopSanitizer]):
     """Scope ``sanitizer`` as the process default, restoring on exit."""
-    previous = set_sanitizer(sanitizer)
+    global _sanitizer
+    previous, _sanitizer = _sanitizer, sanitizer
     try:
         yield sanitizer
     finally:
-        set_sanitizer(previous)
+        _sanitizer = previous
 
 
 def inject_clock(headers: Dict[str, Any], actor: str) -> Dict[str, Any]:

@@ -23,21 +23,19 @@ import json
 import sys
 from typing import Any, Dict, Sequence
 
-from repro.analysis.hb import ConflictSanitizer
-from repro.analysis.replay import run_isolated
 from repro.concurrency.locks import STYLES
+from repro.run import RunSpec, run
 
 
 def conflict_sweep(seed: int = 31,
                    styles: Sequence[str] = STYLES
                    ) -> Dict[str, Dict[str, Any]]:
-    """Run the lock-style workload per style with a fresh sanitizer."""
+    """Run the lock-style workload per style, each with its own sanitizer."""
     results: Dict[str, Dict[str, Any]] = {}
     for style in styles:
-        sanitizer = ConflictSanitizer()
-        result = run_isolated("locks-" + style, seed, sanitizer=sanitizer)
-        result["summary"] = sanitizer.summary()
-        results[style] = result
+        finished = run(RunSpec("locks-" + style, seed))
+        results[style] = dict(finished.outcome,
+                              summary=finished.sanitizer.summary())
     return results
 
 

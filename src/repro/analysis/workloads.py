@@ -154,19 +154,10 @@ def _register_fuzz_corpus() -> Dict[str, Callable[..., Dict[str, Any]]]:
     return corpus_workloads()
 
 
-#: Registry of named workloads for the races / replay / profile CLIs.
+#: Registry of named workloads; :func:`repro.run.run` runs one by name.
 WORKLOADS: Dict[str, Callable[..., Dict[str, Any]]] = \
     _register_lock_styles()
 WORKLOADS.update(_register_obs_demos())
 WORKLOADS.update(_register_chaos())
 WORKLOADS.update(_register_fuzz_corpus())
 
-
-def run_workload(name: str, seed: int = 31) -> Dict[str, Any]:
-    """Run the named workload (see :data:`WORKLOADS`) with ``seed``."""
-    try:
-        workload = WORKLOADS[name]
-    except KeyError:
-        raise KeyError("unknown workload {!r}; known: {}".format(
-            name, ", ".join(sorted(WORKLOADS))))
-    return workload(seed=seed)

@@ -5,10 +5,9 @@ The repo's chaos workloads each ship one hand-written
 space *around* those schedules: a seeded generator samples random but
 valid schedules — link cuts, partitions, node crashes, latency storms,
 loss bursts, overlapping freely — and injects each into an unmodified
-workload through the ambient schedule override
-(:func:`~repro.faults.schedule.use_schedule_override`).  Every trial
-runs the workload once under one sim seed and checks the profile's
-invariants on the result.
+workload as its run's schedule override (``RunSpec.schedule``, see
+:func:`repro.run.run`).  Every trial runs the workload once under one
+sim seed and checks the profile's invariants on the result.
 
 On a violation the campaign can delta-debug the schedule down to a
 minimal reproducer (:mod:`repro.faults.shrink`) and serialize it into
@@ -35,11 +34,11 @@ import math
 import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.replay import run_isolated, trace_digest
 from repro.errors import SimulationError
 from repro.faults.corpus import make_entry, write_entry
-from repro.faults.schedule import FaultSchedule, use_schedule_override
+from repro.faults.schedule import FaultSchedule
 from repro.faults.shrink import shrink_schedule
+from repro.run import RunSpec, run, trace_digest
 from repro.sim import RandomStreams
 
 #: Version tag of the campaign summary format.
@@ -173,7 +172,7 @@ class ScheduleGenerator:
     draw sequence, so a generating run and a run of the captured
     schedule are the same run.
 
-    The topology is only known inside the run (the ambient override
+    The topology is only known inside the run (the run's override
     passes the live :class:`~repro.net.network.Network` to
     :meth:`generate`), so targets are sampled from sorted node and link
     lists for determinism.
@@ -269,8 +268,7 @@ def evaluate_schedule(name: str, seed: int,
     def fixed(network: Any, schedule: FaultSchedule) -> FaultSchedule:
         return FaultSchedule.from_dict(schedule_dict)
 
-    with use_schedule_override(fixed):
-        result = run_isolated(name, seed)
+    result = run(RunSpec(name, seed, schedule=fixed)).outcome
     return _judge(get_profile(name), schedule_dict, result)
 
 
@@ -283,8 +281,7 @@ def run_trial(name: str, generator: ScheduleGenerator) -> Dict[str, Any]:
         captured["schedule"] = generator.generate(network)
         return captured["schedule"]
 
-    with use_schedule_override(generating):
-        result = run_isolated(name, WORKLOAD_SEED)
+    result = run(RunSpec(name, WORKLOAD_SEED, schedule=generating)).outcome
     if "schedule" not in captured:
         raise SimulationError(
             "workload {!r} never built a FaultInjector; nothing to "

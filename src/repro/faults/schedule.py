@@ -389,16 +389,17 @@ def pair_key(onset_kind: str, params: Dict[str, Any]) -> Tuple[Any, ...]:
     return ("loss", params["extra_loss"], _canon_links(params["links"]))
 
 
-#: Process-default schedule override: when set, every new
+#: The schedule override of the run in progress: when set, every new
 #: :class:`FaultInjector` passes ``(network, schedule)`` through the
 #: factory and executes what it returns instead.  This is the fuzzer's
 #: injection point — a campaign swaps a workload's hand-written
 #: schedule for a generated candidate without the workload knowing.
+#: Only :func:`repro.run.run` sets it, from ``RunSpec.schedule``.
 _schedule_override: Optional[Callable[..., "FaultSchedule"]] = None
 
 
 @contextlib.contextmanager
-def use_schedule_override(factory: Callable[..., "FaultSchedule"]):
+def _use_override(factory: Callable[..., "FaultSchedule"]):
     """Scope ``factory`` as the schedule override, restoring on exit."""
     global _schedule_override
     previous, _schedule_override = _schedule_override, factory

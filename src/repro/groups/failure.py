@@ -103,6 +103,9 @@ class MonitoredMembership:
     def __init__(self, group, interval: float = 0.5,
                  suspect_after: float = 2.0,
                  strategy=None) -> None:
+        if not interval > 0:
+            raise GroupError(
+                "interval must be positive: {!r}".format(interval))
         coordinator = group.coordinator
         if coordinator is None:
             raise GroupError("cannot monitor an empty group")

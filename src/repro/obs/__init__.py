@@ -7,8 +7,8 @@ substrate.  This package provides it for every layer of the middleware:
 * **Tracing** — :class:`Tracer` / :class:`Span` build causal trees across
   nucleus invocation, packet transit and remote execution, with contexts
   propagated through packet headers (:mod:`repro.obs.propagation`).  The
-  process default is a zero-cost :class:`NoopTracer`; call
-  :func:`enable_tracing` to collect.
+  process default is a zero-cost :class:`NoopTracer`; scope a
+  :class:`Tracer` with :func:`use_tracer` to collect.
 * **Metrics** — :class:`MetricsRegistry` unifies counters, histograms and
   gauges behind named, labelled instruments with one :meth:`snapshot()
   <MetricsRegistry.snapshot>`.  Two rules (:mod:`repro.obs.metrics`):
@@ -43,7 +43,7 @@ substrate.  This package provides it for every layer of the middleware:
 * **Flight recorder** — :class:`FlightRecorder` journals kernel-level
   decisions (dispatch, RNG draws, packet hops/drops, lock transitions,
   actor lifecycles) into a bounded ring with chained per-epoch digests;
-  a run's identity (``repro.analysis.replay.run_digest``) ends in that
+  a run's identity (``repro.run.Result.digest``) ends in that
   chain, and :mod:`repro.obs.divergence` bisects two runs' chains to
   the first divergent epoch and its first mismatched record — printed
   by ``python -m repro.analysis.replay`` on a mismatch.
@@ -52,15 +52,19 @@ The CLI modules (``profile``, ``dashboard``, ``tables``, ``critical``)
 are not re-exported here: importing the package must not import a
 module that ``python -m`` is about to run.
 
+Each observer is read with ``get_X()`` by instrumentation and scoped
+with ``use_X()``, which always restores the one before; a registered
+workload is run with all of them scoped by :func:`repro.run.run`.
+
 Quick start::
 
     from repro import obs
 
-    tracer = obs.enable_tracing(sampler=obs.Sampler(rate=0.1, seed=31))
-    ... run any simulation ...
+    tracer = obs.Tracer(sampler=obs.Sampler(rate=0.1, seed=31))
+    with obs.use_tracer(tracer), obs.use_metrics(obs.MetricsRegistry()):
+        ... run any simulation ...
     obs.dump_jsonl("run.jsonl", tracer=tracer)
     obs.dump_chrome_trace("run.trace.json", tracer=tracer)
-    obs.disable_tracing()
 """
 
 from repro.obs.export import (
@@ -76,17 +80,13 @@ from repro.obs.flight import (
     NOOP_FLIGHT,
     FlightRecorder,
     NoopFlightRecorder,
-    disable_flight,
-    enable_flight,
     get_flight,
-    set_flight,
     use_flight,
 )
 from repro.obs.metrics import (
     CounterInstrument,
     MetricsRegistry,
     get_metrics,
-    set_metrics,
     use_metrics,
 )
 from repro.obs.propagation import TRACE_HEADER, extract, inject
@@ -97,10 +97,7 @@ from repro.obs.tracer import (
     NOOP_TRACER,
     NoopTracer,
     Tracer,
-    disable_tracing,
-    enable_tracing,
     get_tracer,
-    set_tracer,
     use_tracer,
 )
 
@@ -122,12 +119,8 @@ __all__ = [
     "TimelineRecorder",
     "Tracer",
     "chrome_trace",
-    "disable_flight",
-    "disable_tracing",
     "dump_chrome_trace",
     "dump_jsonl",
-    "enable_flight",
-    "enable_tracing",
     "extract",
     "get_flight",
     "get_metrics",
@@ -137,9 +130,6 @@ __all__ = [
     "load_jsonl_tolerant",
     "load_windows",
     "meta_record",
-    "set_flight",
-    "set_metrics",
-    "set_tracer",
     "use_flight",
     "use_metrics",
     "use_tracer",

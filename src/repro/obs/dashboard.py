@@ -50,19 +50,6 @@ from repro.obs.timeline import load_windows
 DEFAULT_TABLES = "node,link,actor,op,object"
 
 
-def _gather_workload(name: str, seed: int):
-    """Run a workload under a recording tracer; (windows, spans)."""
-    from repro.analysis.replay import run_isolated
-    from repro.obs.export import span_record
-    from repro.obs.tracer import Tracer
-
-    tracer = Tracer()
-    result = run_isolated(name, seed, tracer=tracer)
-    windows = result.get("windows") or []
-    spans = [span_record(span) for span in tracer.spans]
-    return windows, spans
-
-
 def _whole_run(spans: List[Dict[str, Any]],
                counters: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """A windowless source as one window: the counter records' totals
@@ -171,12 +158,19 @@ def main(argv: Sequence[str] = None) -> int:
         return 2
 
     if options.workload is not None:
+        # Imported here: the workload registry pulls in most of the
+        # library, which dump readers should not have to pay for.
+        from repro.obs.export import span_record
+        from repro.obs.tracer import Tracer
+        from repro.run import RunSpec, run
         try:
-            windows, spans = _gather_workload(options.workload,
-                                              options.seed)
+            spec = RunSpec(options.workload, options.seed, tracer=Tracer())
         except KeyError as exc:
             sys.stderr.write("error: {}\n".format(exc.args[0]))
             return 2
+        result = run(spec)
+        windows = result.outcome.get("windows") or []
+        spans = [span_record(span) for span in result.tracer.spans]
         counters = []
         meta = {"workload": options.workload, "seed": options.seed}
     else:

@@ -3,8 +3,8 @@
 ``python -m repro.analysis.replay`` proves or refutes determinism by
 comparing run identities; this module turns a refutation into a
 location, on the identity's own journal.  Both runs are journalled by
-the recorder :func:`repro.analysis.replay.journal` defines — the one
-:func:`~repro.analysis.replay.run_digest` ends in — into chained
+the recorder :func:`repro.run.journal` defines — the one a run's
+identity (:attr:`repro.run.Result.digest`) ends in — into chained
 per-epoch digests; because digest ``e`` covers the whole run prefix up
 to epoch ``e``, the first divergent epoch is found by binary search over
 the digest lists.  Both runs are then re-executed with full retention
@@ -64,12 +64,12 @@ def compare_digests(name: str, seed: int, seed2: Optional[int] = None
     """The cheap pass: two journalled runs and their first divergence."""
     # Function-level import: the replay module imports this one lazily,
     # and the workload registry pulls in the whole net/node stack.
-    from repro.analysis.replay import journal, journalled, trace_digest
+    from repro.run import RunSpec, journal, run, trace_digest
 
     second_seed = seed if seed2 is None else seed2
     run_a, run_b = journal(), journal()
-    result_a = journalled(name, seed, run_a)
-    result_b = journalled(name, second_seed, run_b)
+    result_a = run(RunSpec(name, seed, journal=run_a)).outcome
+    result_b = run(RunSpec(name, second_seed, journal=run_b)).outcome
     epoch = first_divergent_epoch(run_a.epoch_digests, run_b.epoch_digests)
     return {
         "workload": name,
@@ -104,19 +104,18 @@ def localize(name: str, seed: int, seed2: Optional[int] = None
     owning-span side metadata; side fields are excluded from digests,
     so traced and untraced runs journal identically.
     """
-    from repro.analysis.replay import journal, journalled
     from repro.obs.tracer import Tracer
+    from repro.run import RunSpec, journal, run
 
     report = compare_digests(name, seed, seed2)
     if not report["diverged"]:
         return report
     epoch = report["epoch"]
-    journal_a = journal(ring=JOURNAL_RING, keep_epochs=(epoch, epoch),
-                        context=CONTEXT)
-    journal_b = journal(ring=JOURNAL_RING, keep_epochs=(epoch, epoch),
-                        context=CONTEXT)
-    journalled(name, seed, journal_a, tracer=Tracer())
-    journalled(name, report["seed2"], journal_b, tracer=Tracer())
+    journal_a, journal_b = (
+        run(RunSpec(name, each, tracer=Tracer(), journal=journal(
+            ring=JOURNAL_RING, keep_epochs=(epoch, epoch),
+            context=CONTEXT))).journal
+        for each in (seed, report["seed2"]))
     records_a = journal_a.epoch_records(epoch)
     records_b = journal_b.epoch_records(epoch)
     index = _first_mismatch(records_a, records_b)
@@ -150,7 +149,7 @@ def _span_line(record: Optional[Dict[str, Any]]) -> Optional[str]:
 
 def render(report: Dict[str, Any], out=None) -> None:
     """Human-readable localization transcript."""
-    from repro.analysis.replay import EPOCH_INTERVAL
+    from repro.run import EPOCH_INTERVAL
 
     out = out if out is not None else sys.stdout
     versus = "seed {} vs seed {}".format(report["seed"], report["seed2"]) \

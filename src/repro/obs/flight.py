@@ -1,6 +1,6 @@
 """Flight recorder: a deterministic journal of kernel-level decisions.
 
-A run's identity (:func:`repro.analysis.replay.run_digest`) needs a
+A run's identity (:attr:`repro.run.Result.digest`) needs a
 record of what its participants did and when, and a refuted identity
 needs to say *where* behaviour forked.  A :class:`FlightRecorder`
 journals the decisions that define a run — event dispatch
@@ -460,39 +460,17 @@ def get_flight() -> Union[FlightRecorder, NoopFlightRecorder]:
     Environments bind it at construction (like the tracer, resolved
     lazily so the kernel never imports :mod:`repro.obs` eagerly), so
     install a recorder *before* creating the environments it should
-    observe — :func:`use_flight` around a workload run does exactly
-    that.
+    observe, as ``RunSpec(journal=...)`` does for a workload run.
     """
     return _flight
-
-
-def set_flight(recorder: Optional[Union[FlightRecorder,
-                                        NoopFlightRecorder]]
-               ) -> Union[FlightRecorder, NoopFlightRecorder]:
-    """Install ``recorder`` (``None`` disables); returns the previous."""
-    global _flight
-    previous = _flight
-    _flight = recorder if recorder is not None else NOOP_FLIGHT
-    return previous
-
-
-def enable_flight(**kwargs: Any) -> FlightRecorder:
-    """Install and return a fresh :class:`FlightRecorder`."""
-    recorder = FlightRecorder(**kwargs)
-    set_flight(recorder)
-    return recorder
-
-
-def disable_flight() -> None:
-    """Restore the zero-cost no-op default."""
-    set_flight(NOOP_FLIGHT)
 
 
 @contextlib.contextmanager
 def use_flight(recorder: Union[FlightRecorder, NoopFlightRecorder]):
     """Scope ``recorder`` as the process default, restoring on exit."""
-    previous = set_flight(recorder)
+    global _flight
+    previous, _flight = _flight, recorder
     try:
         yield recorder
     finally:
-        set_flight(previous)
+        _flight = previous

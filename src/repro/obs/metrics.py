@@ -429,15 +429,6 @@ def get_metrics() -> MetricsRegistry:
     return _metrics
 
 
-def set_metrics(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Install ``registry`` (``None`` installs a fresh one); returns the
-    previous one."""
-    global _metrics
-    previous = _metrics
-    _metrics = registry if registry is not None else MetricsRegistry()
-    return previous
-
-
 class BoundCounterCache:
     """The counters of one instrument whose last label varies, kept on
     first use.
@@ -476,8 +467,9 @@ class BoundCounterCache:
 @contextlib.contextmanager
 def use_metrics(registry: MetricsRegistry):
     """Scope ``registry`` as the process default, restoring on exit."""
-    previous = set_metrics(registry)
+    global _metrics
+    previous, _metrics = _metrics, registry
     try:
         yield registry
     finally:
-        set_metrics(previous)
+        _metrics = previous

@@ -389,18 +389,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         # Imported here: the workload registry pulls in most of the
         # library, which --from-dump users should not have to pay for.
-        from repro.analysis.workloads import WORKLOADS
-
-        if options.workload not in WORKLOADS:
-            print("error: unknown workload {!r}; known: {}".format(
-                options.workload, ", ".join(sorted(WORKLOADS))),
-                file=sys.stderr)
-            return 2
-        from repro.analysis.replay import run_isolated
         from repro.obs.tracer import Tracer
-        tracer = Tracer()
-        run_isolated(options.workload, options.seed, tracer=tracer)
-        profile = SpanProfile.from_tracer(tracer)
+        from repro.run import RunSpec, run
+        try:
+            spec = RunSpec(options.workload, options.seed, tracer=Tracer())
+        except KeyError as error:
+            print("error: {}".format(error.args[0]), file=sys.stderr)
+            return 2
+        profile = SpanProfile.from_tracer(run(spec).tracer)
         if not len(profile):
             print("note: workload {!r} emitted no finished spans".format(
                 options.workload), file=sys.stderr)

@@ -20,7 +20,7 @@ while bulk traffic is thinned::
 
     sampler = Sampler(rate=0.01, seed=31,
                       rates={"node.migrate": 1.0, "user.request": 0.25})
-    tracer = obs.enable_tracing(sampler=sampler, max_spans=100_000)
+    tracer = obs.Tracer(sampler=sampler, max_spans=100_000)
 """
 
 from __future__ import annotations

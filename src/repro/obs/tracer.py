@@ -2,12 +2,13 @@
 
 The default tracer is a :class:`NoopTracer`, so instrumented hot paths in
 the simulator cost nothing beyond a method call and never perturb
-benchmark output.  Enable collection with::
+benchmark output.  Collect by scoping a recording :class:`Tracer`
+(:func:`use_tracer` restores the one before on exit)::
 
     from repro import obs
 
-    tracer = obs.enable_tracing()     # installs a recording Tracer
-    ... run a simulation ...
+    with obs.use_tracer(obs.Tracer()) as tracer:
+        ... run a simulation ...
     obs.dump_jsonl("run.jsonl", tracer=tracer)
 
 Span ids are small deterministic counters (``t3``/``s17``), so traces are
@@ -280,47 +281,15 @@ def get_tracer() -> Union[Tracer, NoopTracer]:
     return _tracer
 
 
-def set_tracer(tracer: Optional[Union[Tracer, NoopTracer]]
-               ) -> Union[Tracer, NoopTracer]:
-    """Install ``tracer`` (``None`` disables); returns the previous one."""
-    global _tracer
-    previous = _tracer
-    _tracer = tracer if tracer is not None else NOOP_TRACER
-    return previous
-
-
-def enable_tracing(sampler: Optional[Sampler] = None,
-                   max_spans: Optional[int] = None,
-                   tail_keep_errors: bool = False,
-                   tail_buffer: Optional[int] = None) -> Tracer:
-    """Install and return a fresh recording tracer.
-
-    ``sampler`` turns on head-based trace sampling; ``max_spans`` bounds
-    retention with a ring buffer; ``tail_keep_errors`` additionally
-    rescues head-sampled-out traces that turn out to contain an error
-    or drop span (resolve with :meth:`Tracer.tail_flush`;
-    ``tail_buffer`` bounds the holding area).  See :class:`Tracer`.
-    """
-    tracer = Tracer(sampler=sampler, max_spans=max_spans,
-                    tail_keep_errors=tail_keep_errors,
-                    tail_buffer=tail_buffer)
-    set_tracer(tracer)
-    return tracer
-
-
-def disable_tracing() -> None:
-    """Restore the zero-cost no-op default."""
-    set_tracer(NOOP_TRACER)
-
-
 @contextlib.contextmanager
 def use_tracer(tracer: Union[Tracer, NoopTracer]):
     """Scope ``tracer`` as the process default, restoring on exit."""
-    previous = set_tracer(tracer)
+    global _tracer
+    previous, _tracer = _tracer, tracer
     try:
         yield tracer
     finally:
-        set_tracer(previous)
+        _tracer = previous
 
 
 def _require_size(name: str, value: Optional[int]) -> None:

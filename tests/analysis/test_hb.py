@@ -7,8 +7,6 @@ from repro.analysis.hb import (
     NoopSanitizer,
     READ_WRITE,
     WRITE_WRITE,
-    disable_sanitizer,
-    enable_sanitizer,
     extract_clock,
     get_sanitizer,
     inject_clock,
@@ -111,12 +109,9 @@ def test_default_is_noop():
 
 
 def test_enable_disable_roundtrip():
-    sanitizer = enable_sanitizer()
-    try:
+    with use_sanitizer(ConflictSanitizer()) as sanitizer:
         assert get_sanitizer() is sanitizer
         assert sanitizer.enabled
-    finally:
-        disable_sanitizer()
     assert get_sanitizer() is NOOP_SANITIZER
 
 

@@ -6,21 +6,18 @@ import os
 import pytest
 
 from repro.analysis.hb import NOOP_SANITIZER, get_sanitizer
-from repro.analysis.replay import (
-    journal,
-    journalled,
-    main,
-    replay,
-    run_digest,
-    run_isolated,
-    trace_digest,
-)
-from repro.analysis.workloads import WORKLOADS, run_workload
+from repro.analysis.replay import main, replay
+from repro.analysis.workloads import WORKLOADS
 from repro.obs.flight import FlightRecorder, use_flight
 from repro.obs.metrics import get_metrics
 from repro.obs.timeline import TimelineRecorder
 from repro.obs.tracer import Tracer, use_tracer
+from repro.run import RunSpec, journal, run, run_digest, trace_digest
 from repro.sim import Environment
+
+
+def _outcome(name, seed):
+    return run(RunSpec(name, seed)).outcome
 
 
 def test_replay_locks_hard_is_deterministic():
@@ -36,8 +33,8 @@ def test_replay_locks_soft_is_deterministic():
 
 
 def test_different_seeds_give_different_digests():
-    one = trace_digest(run_isolated("locks-soft", seed=31))
-    other = trace_digest(run_isolated("locks-soft", seed=32))
+    one = trace_digest(_outcome("locks-soft", 31))
+    other = trace_digest(_outcome("locks-soft", 32))
     assert one != other
 
 
@@ -59,15 +56,15 @@ def test_trace_digest_leaves_out_the_kernel_counters():
         trace_digest(result(2.5, 40, 40))
 
 
-def test_run_isolated_restores_globals():
+def test_run_restores_globals():
     metrics_before = get_metrics()
-    run_isolated("locks-hard", seed=31)
+    run(RunSpec("locks-hard", 31))
     assert get_sanitizer() is NOOP_SANITIZER
     assert get_metrics() is metrics_before
 
 
-def test_run_isolated_records_the_access_trace():
-    result = run_isolated("locks-hard", seed=31)
+def test_run_records_the_access_trace():
+    result = _outcome("locks-hard", 31)
     assert result["accesses"], "sanitizer saw no accesses"
     assert result["completed"] > 0
     assert result["workload"] == "locks-hard"
@@ -80,7 +77,7 @@ def test_workload_registry_covers_all_styles():
 
 def test_unknown_workload_raises():
     with pytest.raises(KeyError):
-        run_workload("no-such-workload")
+        RunSpec("no-such-workload", 31)
 
 
 def test_cli_ok(capsys):
@@ -110,9 +107,8 @@ def test_every_registered_workload_is_digest_stable():
 
 def _journal(name, seed):
     """The journal half of :func:`run_digest`, on its own."""
-    recorder = journal()
-    journalled(name, seed, recorder)
-    return recorder.epoch_digests[-1]
+    return run(RunSpec(name, seed, journal=journal())).journal \
+        .epoch_digests[-1]
 
 
 def test_journal_tells_seeds_apart_where_the_simulation_consumes_the_seed():
@@ -133,11 +129,10 @@ def test_observers_do_not_change_a_runs_identity(monkeypatch):
     names = sorted(WORKLOADS)
     # The results with no recorder at all and under the default one,
     # which also journals every dispatch.
-    results = {name: trace_digest(run_isolated(name, 31)) for name in names}
+    results = {name: trace_digest(_outcome(name, 31)) for name in names}
     with use_flight(FlightRecorder()):
         for name in names:
-            assert trace_digest(run_isolated(name, 31)) == results[name], \
-                name
+            assert trace_digest(_outcome(name, 31)) == results[name], name
     # Under a tracer only the journal is compared: three results report
     # their tracer's retention counts, which an ambient tracer replaces.
     journals = {name: _journal(name, 31) for name in names}

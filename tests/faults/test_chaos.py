@@ -1,12 +1,13 @@
 """Smoke and determinism tests for the chaos workloads."""
 
-from repro.analysis.workloads import WORKLOADS, run_workload
+from repro.analysis.workloads import WORKLOADS
 from repro.faults.chaos import (
     HEAL_AT,
     PARTITION_AT,
     flaky_links_workload,
     partition_recovery_workload,
 )
+from repro.run import RunSpec, run
 
 
 def test_chaos_workloads_registered():
@@ -15,7 +16,7 @@ def test_chaos_workloads_registered():
 
 
 def test_partition_recovery_arc():
-    result = run_workload("partition-recovery")
+    result = run(RunSpec("partition-recovery", 31)).outcome
     # Detection: the partition (not anything earlier) causes suspicion.
     assert result["first_suspicion_at"] > PARTITION_AT
     assert result["suspicions"]
@@ -45,7 +46,7 @@ def test_partition_recovery_baseline_is_inert():
 
 
 def test_flaky_links_policies_engage():
-    result = run_workload("flaky-links")
+    result = run(RunSpec("flaky-links", 31)).outcome
     assert result["metric_rpc_retries"] > 0
     assert result["metric_breaker_opened"] > 0
     assert result["breaker_rejected"] > 0

@@ -12,12 +12,6 @@ from repro.sessions.session import ASYNCHRONOUS, SYNCHRONOUS, Session
 from repro.sim import Environment
 
 
-@pytest.fixture(autouse=True)
-def _scoped_metrics():
-    with use_metrics(MetricsRegistry()):
-        yield
-
-
 @pytest.fixture
 def env():
     return Environment()

@@ -9,12 +9,6 @@ from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sim import Environment
 
 
-@pytest.fixture(autouse=True)
-def _scoped_metrics():
-    with use_metrics(MetricsRegistry()):
-        yield
-
-
 def regular(detector, member="m", interval=1.0, beats=20):
     for i in range(beats):
         detector.observe(member, i * interval)

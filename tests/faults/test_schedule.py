@@ -7,20 +7,13 @@ from repro.faults.schedule import FaultInjector, FaultSchedule
 from repro.net import Network, Topology
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.tracer import Tracer, use_tracer
+from repro.run import RunSpec, run
 from repro.sim import Environment, RandomStreams
 
 
 @pytest.fixture
 def env():
     return Environment()
-
-
-@pytest.fixture(autouse=True)
-def _scoped_metrics():
-    # Each test gets a private registry: the injector's links_down gauge
-    # is timestamped in sim time, which restarts at 0 per Environment.
-    with use_metrics(MetricsRegistry()):
-        yield
 
 
 def triangle(env, seed=5):
@@ -329,17 +322,12 @@ def test_empty_schedule_is_balanced():
     assert schedule.balanced()
 
 
-# -- the ambient schedule override -------------------------------------------
+# -- a run's schedule override -----------------------------------------------
 
 
 def test_schedule_override_swaps_injected_schedule(env):
-    from repro.faults.schedule import use_schedule_override
-
-    net = triangle(env)
-    original = FaultSchedule()
-    original.link_down(1.0, "a", "b", up_at=2.0)
     swapped = FaultSchedule()
-    swapped.link_down(1.0, "b", "c", up_at=2.0)
+    swapped.link_down(1.0, "site0.host0", "site0.router", up_at=2.0)
     seen = {}
 
     def factory(network, schedule):
@@ -347,12 +335,18 @@ def test_schedule_override_swaps_injected_schedule(env):
         seen["schedule"] = schedule
         return swapped
 
-    with use_schedule_override(factory):
-        injector = FaultInjector(env, net, original)
-    assert injector.schedule is swapped
-    assert seen["network"] is net
-    assert seen["schedule"] is original
+    result = run(RunSpec("partition-recovery", 31, schedule=factory))
+    assert [(entry["at"], entry["kind"], entry["a"], entry["b"])
+            for entry in result.outcome["faults"]] == [
+        (1.0, "link-down", "site0.host0", "site0.router"),
+        (2.0, "link-up", "site0.host0", "site0.router")]
+    assert isinstance(seen["network"], Network)
+    assert [event.kind for event in seen["schedule"].events] == \
+        ["partition", "heal"]
 
-    # Outside the scope the override is gone.
+    # Outside the run the override is gone.
+    net = triangle(env)
+    original = FaultSchedule()
+    original.link_down(1.0, "a", "b", up_at=2.0)
     later = FaultInjector(env, net, original)
     assert later.schedule is original

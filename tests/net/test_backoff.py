@@ -14,12 +14,6 @@ def env():
     return Environment()
 
 
-@pytest.fixture(autouse=True)
-def _scoped_metrics():
-    with use_metrics(MetricsRegistry()):
-        yield
-
-
 def make_pair(env, **kwargs):
     topo = Topology(env)
     link = topo.add_link("a", "b", latency=0.001,

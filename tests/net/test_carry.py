@@ -27,7 +27,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.replay import trace_digest
 from repro.errors import RoutingError
 from repro.faults import FaultInjector, FaultSchedule
 from repro.net.network import (BEST_EFFORT_PRIORITY, RESERVED_PRIORITY,
@@ -35,6 +34,7 @@ from repro.net.network import (BEST_EFFORT_PRIORITY, RESERVED_PRIORITY,
 from repro.net.packet import HEADER_BYTES
 from repro.net.topology import Topology, lan, line, wan
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.run import trace_digest
 from repro.sim import Environment, PriorityResource, Store
 from repro.sim.resources import PriorityRequest
 from tests.counting import CountingEnvironment, ShuffledEnvironment
@@ -47,12 +47,6 @@ _PINS = os.path.join(os.path.dirname(__file__), os.pardir, "analysis",
 def _pinned(name):
     with open(_PINS, encoding="utf-8") as handle:
         return json.load(handle)["storms"][name]
-
-
-@pytest.fixture(autouse=True)
-def fresh_metrics():
-    with use_metrics(MetricsRegistry()):
-        yield
 
 
 def _storm(loss=0.0, schedule=None, env=None):

@@ -6,16 +6,7 @@ from repro.errors import RoutingError
 from repro.faults import FaultInjector, FaultSchedule
 from repro.net.network import Network
 from repro.net.topology import Topology, line, wan
-from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sim import Environment
-
-
-@pytest.fixture(autouse=True)
-def fresh_metrics():
-    # The fault injector records gauges against the process default; give
-    # each test its own registry so sim clocks never appear to rewind.
-    with use_metrics(MetricsRegistry()):
-        yield
 
 
 @pytest.fixture

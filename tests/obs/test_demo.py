@@ -2,9 +2,13 @@
 
 import json
 
-from repro.analysis.replay import run_isolated
-from repro.analysis.workloads import WORKLOADS, run_workload
+from repro.analysis.workloads import WORKLOADS
 from repro.obs.demo import slo_burn_workload, traced_rpc_workload
+from repro.run import RunSpec, run
+
+
+def _outcome(name, seed):
+    return run(RunSpec(name, seed)).outcome
 
 
 def test_workloads_are_registered():
@@ -15,7 +19,7 @@ def test_workloads_are_registered():
 class TestTracedRpc:
 
     def test_result_shape_and_sampling(self):
-        result = run_workload("traced-rpc", seed=31)
+        result = _outcome("traced-rpc", seed=31)
         # All clients finish all their requests regardless of sampling.
         assert set(result["completed"].values()) == {8}
         assert result["posts"] == 24
@@ -29,21 +33,21 @@ class TestTracedRpc:
         assert result["profile"]["rpc.call"]["count"] > 0
 
     def test_result_is_json_serialisable_and_deterministic(self):
-        first = json.dumps(run_workload("traced-rpc", seed=31),
+        first = json.dumps(_outcome("traced-rpc", seed=31),
                            sort_keys=True)
-        second = json.dumps(run_workload("traced-rpc", seed=31),
+        second = json.dumps(_outcome("traced-rpc", seed=31),
                             sort_keys=True)
         assert first == second
 
     def test_different_seed_samples_different_traces(self):
-        a = run_workload("traced-rpc", seed=31)
-        b = run_workload("traced-rpc", seed=32)
+        a = _outcome("traced-rpc", seed=31)
+        b = _outcome("traced-rpc", seed=32)
         assert a["sampled_traces"] != b["sampled_traces"] \
             or a["env"] != b["env"]
 
     def test_replay_isolated(self):
-        a = run_isolated("traced-rpc", seed=31)
-        b = run_isolated("traced-rpc", seed=31)
+        a = _outcome("traced-rpc", seed=31)
+        b = _outcome("traced-rpc", seed=31)
         assert json.dumps(a, sort_keys=True) == \
             json.dumps(b, sort_keys=True)
 
@@ -51,7 +55,7 @@ class TestTracedRpc:
 class TestSloBurn:
 
     def test_alert_fires_during_degradation_and_clears_after(self):
-        result = run_workload("slo-burn", seed=31)
+        result = _outcome("slo-burn", seed=31)
         assert result["fired"] == 1
         assert result["cleared"] == 1
         # Fires inside the degraded phase (20..45), clears after it.
@@ -60,9 +64,9 @@ class TestSloBurn:
         assert result["active"] == []
 
     def test_deterministic(self):
-        first = json.dumps(run_workload("slo-burn", seed=31),
+        first = json.dumps(_outcome("slo-burn", seed=31),
                            sort_keys=True)
-        second = json.dumps(run_workload("slo-burn", seed=31),
+        second = json.dumps(_outcome("slo-burn", seed=31),
                             sort_keys=True)
         assert first == second
 
@@ -71,11 +75,11 @@ class TestTimelineDemo:
 
     def test_registered_and_json_safe(self):
         assert "timeline-demo" in WORKLOADS
-        result = run_workload("timeline-demo", seed=31)
+        result = _outcome("timeline-demo", seed=31)
         json.dumps(result)  # fully serialisable, windows included
 
     def test_windows_are_contiguous_and_nonempty(self):
-        result = run_workload("timeline-demo", seed=31)
+        result = _outcome("timeline-demo", seed=31)
         windows = result["windows"]
         assert windows
         assert [w["index"] for w in windows] == list(range(len(windows)))
@@ -84,7 +88,7 @@ class TestTimelineDemo:
         assert result["windows_flushed"] == len(windows)
 
     def test_workload_is_genuinely_skewed(self):
-        result = run_workload("timeline-demo", seed=31)
+        result = _outcome("timeline-demo", seed=31)
         assert result["node_zipf_skew"] > 0.5
         # The doubled-up host carries the most client traffic.
         assert result["top_node"] is not None
@@ -93,15 +97,15 @@ class TestTimelineDemo:
         assert totals[0] > totals[-1]
 
     def test_critical_path_covers_traces(self):
-        result = run_workload("timeline-demo", seed=31)
+        result = _outcome("timeline-demo", seed=31)
         assert result["critical_traces"] > 0
         assert result["bottlenecks"]
         shares = [b["share"] for b in result["bottlenecks"]]
         assert shares == sorted(shares, reverse=True)
 
     def test_deterministic(self):
-        first = json.dumps(run_workload("timeline-demo", seed=31),
+        first = json.dumps(_outcome("timeline-demo", seed=31),
                            sort_keys=True)
-        second = json.dumps(run_workload("timeline-demo", seed=31),
+        second = json.dumps(_outcome("timeline-demo", seed=31),
                             sort_keys=True)
         assert first == second

@@ -2,7 +2,7 @@
 
 import io
 
-from repro.analysis.replay import journal, journalled, main
+from repro.analysis.replay import main
 from repro.obs.divergence import (
     CONTEXT,
     _first_mismatch,
@@ -12,6 +12,7 @@ from repro.obs.divergence import (
     render,
 )
 from repro.obs.flight import FlightRecorder
+from repro.run import RunSpec, journal, run
 
 
 def _fork_pair(dispatches=20, fork_at=13, epoch_events=4):
@@ -79,7 +80,7 @@ def test_compare_digests_same_seed_agrees():
     assert report["result_digests"][0] == report["result_digests"][1]
     # The chain bisected is the one a run's identity ends in.
     recorder = journal()
-    journalled("locks-hard", 31, recorder)
+    run(RunSpec("locks-hard", 31, journal=recorder))
     assert report["epochs"] == [len(recorder.epoch_digests)] * 2
 
 

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.analysis.replay import run_isolated, trace_digest
 from repro.obs.flight import (
     NOOP_FLIGHT,
     FlightRecorder,
@@ -18,6 +17,7 @@ from repro.obs.flight import (
     canonical,
     use_flight,
 )
+from repro.run import RunSpec, run, trace_digest
 
 
 def _feed(recorder, dispatches, rng_every=None):
@@ -378,11 +378,10 @@ def test_keep_epochs_restricts_ring_and_fills_context():
 @pytest.mark.parametrize("name", ["locks-hard", "flaky-links",
                                   "traced-rpc"])
 def test_recorder_never_perturbs_workload(name):
-    baseline = trace_digest(run_isolated(name, 31))
+    baseline = trace_digest(run(RunSpec(name, 31)).outcome)
     recorder = FlightRecorder(epoch_events=64)
-    with use_flight(recorder):
-        observed = trace_digest(run_isolated(name, 31))
-    recorder.finish()
+    observed = trace_digest(
+        run(RunSpec(name, 31, journal=recorder)).outcome)
     assert observed == baseline
     assert recorder.recorded > 0
     assert len(recorder.epoch_digests) >= 1
@@ -392,17 +391,14 @@ def test_same_seed_runs_journal_identically():
     digests = []
     for _ in range(2):
         recorder = FlightRecorder(ring=16, epoch_events=64)
-        with use_flight(recorder):
-            run_isolated("locks-hard", 31)
-        recorder.finish()
+        run(RunSpec("locks-hard", 31, journal=recorder))
         digests.append(recorder.epoch_digests)
     assert digests[0] == digests[1]
 
 
 def test_workload_journal_covers_all_channels():
     recorder = FlightRecorder(ring=1 << 16)
-    with use_flight(recorder):
-        run_isolated("locks-hard", 31)
+    run(RunSpec("locks-hard", 31, journal=recorder))
     kinds = {record["kind"] for record in recorder.ring}
     assert {"dispatch", "rng", "lock", "spawn", "exit"} <= kinds
 
@@ -411,9 +407,7 @@ def test_channel_flags_silence_their_records():
     recorder = FlightRecorder(ring=1 << 16, journal_dispatch=False,
                               journal_rng=False, journal_locks=False,
                               journal_actors=False)
-    with use_flight(recorder):
-        run_isolated("locks-hard", 31)
-    recorder.finish()
+    run(RunSpec("locks-hard", 31, journal=recorder))
     assert len(recorder.ring) == 0
     # Epochs still advance on dispatch even with every channel off.
     assert len(recorder.epoch_digests) >= 1

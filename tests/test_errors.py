@@ -29,7 +29,13 @@ from repro.faults.degrade import DegradationManager
 from repro.faults.detector import PhiAccrualDetector
 from repro.faults.fuzz import FuzzProfile
 from repro.faults.policies import DeadlineBudget
-from repro.groups import FixedTimeout, HeartbeatMonitor, HeartbeatSender
+from repro.groups import (
+    FixedTimeout,
+    HeartbeatMonitor,
+    HeartbeatSender,
+    MonitoredMembership,
+    ProcessGroup,
+)
 from repro.management import UsageMonitor
 from repro.net import (
     Link,
@@ -41,6 +47,7 @@ from repro.net import (
 )
 from repro.node import EngineeringObject, Ids, ODPRuntime
 from repro.qos import QoSContract, QoSMonitor, QoSParameters
+from repro.run import RunSpec
 from repro.sessions import (
     ChairedFloor,
     InvitationService,
@@ -359,6 +366,14 @@ def _heartbeat_host(name):
     return Network(env, lan(env, hosts=2)).host(name)
 
 
+def _monitored(interval):
+    env = Environment()
+    group = ProcessGroup(Network(env, lan(env, hosts=2)), "g")
+    for host in ("host0", "host1"):
+        group.join(host)
+    return MonitoredMembership(group, interval=interval)
+
+
 _HEARTBEAT_BOUNDS = [
     ("FixedTimeout.suspect_after", "suspect_after",
      lambda: FixedTimeout(_NAN)),
@@ -371,6 +386,12 @@ _HEARTBEAT_BOUNDS = [
     ("HeartbeatSender.interval", "interval",
      lambda: HeartbeatSender(_heartbeat_host("host1"), "host0",
                              interval=_NAN)),
+    ("MonitoredMembership.interval-nan", "interval",
+     lambda: _monitored(_NAN)),
+    ("MonitoredMembership.interval-negative", "interval",
+     lambda: _monitored(-1.0)),
+    ("MonitoredMembership.interval-zero", "interval",
+     lambda: _monitored(0.0)),
 ]
 
 
@@ -380,7 +401,9 @@ _HEARTBEAT_BOUNDS = [
 def test_a_heartbeat_parameter_out_of_range_is_rejected_by_name(field, build):
     """Unchecked, a NaN suspicion timeout never suspects anybody
     (``silent_for >= nan`` is false) and a NaN period fails inside the
-    run as the kernel's anonymous "delay is not a time"."""
+    run as the kernel's anonymous "delay is not a time"; a bad
+    membership interval was blamed on the ``check_interval`` derived
+    from it, at half its value."""
     with pytest.raises(errors.GroupError, match="^{} must be".format(field)):
         build()
 
@@ -451,3 +474,34 @@ def test_a_lock_argument_out_of_range_is_rejected_by_name(field, build):
     with pytest.raises(errors.LockError,
                        match="^" + re.escape(field) + " must "):
         build()
+
+
+# -- ... and at a run's spec, before any observer is installed -------------------
+
+_RUN_BOUNDS = [
+    ("RunSpec.workload", KeyError, "unknown workload 'no-such-workload'",
+     lambda: RunSpec("no-such-workload", 31)),
+    ("RunSpec.seed-bool", errors.SimulationError, "seed must be",
+     lambda: RunSpec("locks-hard", True)),
+    ("RunSpec.seed-float", errors.SimulationError, "seed must be",
+     lambda: RunSpec("locks-hard", 31.0)),
+    ("RunSpec.tracer", errors.SimulationError, "tracer must be",
+     lambda: RunSpec("locks-hard", 31, tracer=object())),
+    ("RunSpec.journal", errors.SimulationError, "journal must be",
+     lambda: RunSpec("locks-hard", 31, journal=Environment())),
+    ("RunSpec.schedule", errors.SimulationError, "schedule must be",
+     lambda: RunSpec("locks-hard", 31, schedule=FaultSchedule())),
+]
+
+
+@pytest.mark.parametrize("error, rule, build",
+                         [case[1:] for case in _RUN_BOUNDS],
+                         ids=[case[0] for case in _RUN_BOUNDS])
+def test_a_run_spec_field_is_rejected_by_name(error, rule, build):
+    """Unchecked, a bool or float seed runs, as another run than the int
+    it stands for (its digest differs), and a wrong observer or schedule
+    fails at its first use, inside the run, as an unnamed
+    ``AttributeError`` or ``TypeError``."""
+    with pytest.raises(error) as caught:
+        build()
+    assert caught.value.args[0].startswith(rule)
