@@ -25,7 +25,7 @@ Subpackages (bottom-up):
 * :mod:`repro.node` — ODP engineering objects, invocation, migration.
 * :mod:`repro.groups` — ordered group communication, membership, group RPC.
 * :mod:`repro.workload` — deterministic synthetic users.
-* :mod:`repro.sessions` — sessions, invitations, floor control, sharing.
+* :mod:`repro.sessions` — sessions, floor control, sharing.
 * :mod:`repro.concurrency` — transactions, CSCW lock styles, transaction
   groups, operation transformation, reservation, granularity.
 * :mod:`repro.awareness` — events, the spatial model, digests.

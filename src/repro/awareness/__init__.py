@@ -17,13 +17,11 @@ from repro.awareness.events import (
     AwarenessBus,
     AwarenessEvent,
     WorkspaceAwareness,
-    accept_all,
     ignore_own_actions,
 )
 from repro.awareness.spatial import (
     Entity,
     FULL,
-    LEVEL_WEIGHTS,
     NONE,
     PERIPHERAL,
     SharedSpace,
@@ -42,11 +40,9 @@ __all__ = [
     "DigestService",
     "Entity",
     "FULL",
-    "LEVEL_WEIGHTS",
     "NONE",
     "PERIPHERAL",
     "SharedSpace",
     "WorkspaceAwareness",
-    "accept_all",
     "ignore_own_actions",
 ]

@@ -53,11 +53,6 @@ Subscriber = Callable[[AwarenessEvent], None]
 EventFilter = Callable[[str, AwarenessEvent], bool]
 
 
-def accept_all(subscriber: str, event: AwarenessEvent) -> bool:
-    """The broadcast-everything filter (the A1 baseline)."""
-    return True
-
-
 def ignore_own_actions(subscriber: str, event: AwarenessEvent) -> bool:
     """Suppress a user's own events (standard groupware hygiene)."""
     return event.actor != subscriber

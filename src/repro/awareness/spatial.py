@@ -17,16 +17,13 @@ spatially scoped computation — ablation A1 measures exactly that effect.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ReproError
 
 FULL = "full"
 PERIPHERAL = "peripheral"
 NONE = "none"
-
-#: Default numeric weights per awareness level (Mariani-style weighting).
-LEVEL_WEIGHTS = {FULL: 1.0, PERIPHERAL: 0.4, NONE: 0.0}
 
 
 class Entity:
@@ -39,7 +36,7 @@ class Entity:
                  nimbus: float = 5.0) -> None:
         for radius, label in ((aura, "aura"), (focus, "focus"),
                               (nimbus, "nimbus")):
-            if radius < 0:
+            if not radius >= 0:  # also rejects NaN
                 raise ReproError(label + " radius must be non-negative")
         self.name = name
         self.x = x
@@ -128,22 +125,6 @@ class SharedSpace:
             return PERIPHERAL
         return NONE
 
-    def awareness_weight(self, observer: Entity, observed: Entity,
-                         weights: Optional[Dict[str, float]] = None
-                         ) -> float:
-        """Numeric awareness weighting, distance-attenuated within level."""
-        table = weights or LEVEL_WEIGHTS
-        level = self.awareness_level(observer, observed)
-        base = table[level]
-        if base <= 0:
-            return 0.0
-        reach = max(observer.focus, observed.nimbus)
-        if reach <= 0:
-            return base
-        attenuation = max(0.0, 1.0 - observer.distance_to(observed) /
-                          (2.0 * reach))
-        return base * max(attenuation, 0.1)
-
     def observers_of(self, observed_name: str,
                      minimum: str = PERIPHERAL) -> List[str]:
         """Who would perceive an action by ``observed_name``.
@@ -157,13 +138,3 @@ class SharedSpace:
                 if entity is not observed
                 and self.awareness_level(entity, observed) in admit]
 
-    def awareness_matrix(self) -> Dict[Tuple[str, str], str]:
-        """Every ordered pair's awareness level (for visualisation)."""
-        matrix: Dict[Tuple[str, str], str] = {}
-        for observer in self._entities.values():
-            for observed in self._entities.values():
-                if observer is observed:
-                    continue
-                matrix[(observer.name, observed.name)] = \
-                    self.awareness_level(observer, observed)
-        return matrix

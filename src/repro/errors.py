@@ -32,10 +32,6 @@ class NodeError(ReproError):
     """A problem in the engineering-viewpoint runtime (nodes/capsules)."""
 
 
-class BindingError(ReproError):
-    """An interface binding could not be created or has broken."""
-
-
 class GroupError(ReproError):
     """A problem in the group-communication subsystem."""
 
@@ -78,10 +74,6 @@ class QoSError(ReproError):
 
 class QoSNegotiationFailed(QoSError):
     """No acceptable QoS contract could be agreed."""
-
-
-class QoSViolation(QoSError):
-    """A monitored stream violated its agreed QoS contract."""
 
 
 class StreamError(ReproError):

@@ -6,7 +6,7 @@ total), coordinator-managed membership views, heartbeat failure detection
 and deadline-bounded group invocation.
 """
 
-from repro.groups.clocks import LamportClock, VectorClock
+from repro.groups.clocks import VectorClock
 from repro.groups.failure import (
     HEARTBEAT_PORT,
     FixedTimeout,
@@ -52,7 +52,6 @@ __all__ = [
     "FixedTimeout",
     "HeartbeatMonitor",
     "HeartbeatSender",
-    "LamportClock",
     "MonitoredMembership",
     "ORDERINGS",
     "ProcessGroup",

@@ -1,4 +1,4 @@
-"""Logical clocks: Lamport scalar clocks and vector clocks.
+"""Logical clocks: vector clocks.
 
 Vector clocks carry the causal history that the causal-ordering protocol
 (§3.1 requirement: cooperative interactions must respect the order users
@@ -7,24 +7,7 @@ perceive) uses to hold back messages until their causes have arrived.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
-
-
-class LamportClock:
-    """A scalar logical clock."""
-
-    def __init__(self) -> None:
-        self.time = 0
-
-    def tick(self) -> int:
-        """Advance for a local event; returns the new time."""
-        self.time += 1
-        return self.time
-
-    def update(self, received: int) -> int:
-        """Merge a received timestamp; returns the new local time."""
-        self.time = max(self.time, received) + 1
-        return self.time
+from typing import Dict, Optional
 
 
 class VectorClock:

@@ -168,7 +168,7 @@ class GroupEndpoint:
 
     def _deliver(self, message: GroupMessage) -> None:
         self.delivered_log.append(message)
-        self.delivered.put_fast(message)  # nobody waits on the put event
+        self.delivered.put(message)
         for callback in self._on_deliver:
             callback(message)
 

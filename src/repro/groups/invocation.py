@@ -10,12 +10,12 @@ was met and the per-member latencies.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import GroupError
 from repro.net.network import Network
 from repro.net.transport import RpcEndpoint
-from repro.sim import Event
+from repro.sim import Event, Store
 
 GROUP_RPC_PORT = 22
 
@@ -89,8 +89,6 @@ class GroupInvoker:
 
     def _call_proc(self, members: List[str], method: str, args: Any,
                    deadline: float, quorum: str, done: Event):
-        from repro.sim import Store
-
         start = self.env.now
         results: Dict[str, Any] = {}
         errors: Dict[str, str] = {}
@@ -106,10 +104,12 @@ class GroupInvoker:
             take = inbox.get()
             fired = yield self.env.any_of([take, timer])
             if take not in fired:
-                # Deadline expired first: survivors are late.
+                # Deadline expired first: survivors are late, reported
+                # in call order (iterating the set would be hash order).
                 take.cancel()
-                for member in outstanding:
-                    errors.setdefault(member, "deadline")
+                for member in members:
+                    if member in outstanding:
+                        errors.setdefault(member, "deadline")
                 break
             member, ok, value = take.value
             outstanding.discard(member)

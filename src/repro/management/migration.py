@@ -30,7 +30,7 @@ class MigrationManager:
                  candidates: Optional[List[str]] = None,
                  period: float = 30.0,
                  improvement_threshold: float = 0.25) -> None:
-        if period <= 0:
+        if not period > 0:  # also rejects NaN
             raise PlacementError("period must be positive")
         if not 0 <= improvement_threshold < 1:
             raise PlacementError(

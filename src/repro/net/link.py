@@ -9,6 +9,13 @@ from repro.errors import NetworkError
 from repro.sim import Environment, PriorityResource
 
 
+def _check_impairment(latency_scale: float, extra_loss: float) -> None:
+    if not latency_scale > 0:  # also rejects NaN
+        raise NetworkError("latency_scale must be positive")
+    if not extra_loss >= 0:
+        raise NetworkError("extra_loss must be non-negative")
+
+
 class LinkStats:
     """Per-link accounting used by the experiment harnesses."""
 
@@ -62,8 +69,8 @@ class Link:
         # Priority channels let QoS-reserved flows pre-empt queued
         # best-effort packets (the engineering enforcement behind §4.2.2).
         self._channels: Dict[str, PriorityResource] = {
-            a: PriorityResource(env, capacity=1),
-            b: PriorityResource(env, capacity=1),
+            a: PriorityResource(env),
+            b: PriorityResource(env),
         }
         self.stats = LinkStats()
 
@@ -123,18 +130,14 @@ class Link:
     def impair(self, latency_scale: float = 1.0,
                extra_loss: float = 0.0) -> None:
         """Apply a fault impairment (composes with any already active)."""
-        if latency_scale <= 0:
-            raise NetworkError("latency_scale must be positive")
-        if extra_loss < 0:
-            raise NetworkError("extra_loss must be non-negative")
+        _check_impairment(latency_scale, extra_loss)
         self._latency_scale *= latency_scale
         self._extra_loss += extra_loss
 
     def relieve(self, latency_scale: float = 1.0,
                 extra_loss: float = 0.0) -> None:
         """Reverse a previously applied :meth:`impair`."""
-        if latency_scale <= 0:
-            raise NetworkError("latency_scale must be positive")
+        _check_impairment(latency_scale, extra_loss)
         self._latency_scale /= latency_scale
         if abs(self._latency_scale - 1.0) < 1e-12:
             self._latency_scale = 1.0

@@ -9,8 +9,8 @@ dropped by the link's loss model.
 
 Two events are queued per hop, and nothing else per packet: the start
 of an in-run send, each channel grant (fused with its transmission wait
-— see :class:`~repro.sim.resources.Request`), the accepted put on inbox
-delivery and the flight's end queue nothing.  RNG draw order, hop, drop
+— see :class:`~repro.sim.resources.PriorityRequest`), the put into an
+inbox and the flight's end queue nothing.  RNG draw order, hop, drop
 and delivery times match the one-event-per-step carry this replaced:
 ``tests/net/test_carry.py`` holds the carrier to references pinned from
 it and to an independent generator model.
@@ -114,9 +114,7 @@ class Host:
         if handler is not None:
             handler(packet)
         else:
-            # The put event is discarded here, so Store.put_fast never
-            # queues it.
-            self.inbox(packet.port).put_fast(packet)
+            self.inbox(packet.port).put(packet)
 
     def __repr__(self) -> str:
         return "<Host {}>".format(self.name)
@@ -211,7 +209,7 @@ class _Carrier(PriorityRequest):
             self.transit, now, link.label, node, self.wire_size) \
             if self.tracer is not None else None
         # Claim+tx fusion: the claim carries the transmission delay, so
-        # it fires once, at tx-complete (see Resource._grant).
+        # it fires once, at tx-complete (see PriorityResource._grant).
         delay = (self.wire_size * 8.0) / link.bandwidth
         channel = self.resource = link._channels[node]
         self.callbacks = _ON_TX
@@ -220,14 +218,13 @@ class _Carrier(PriorityRequest):
             # holder's _grant pushes this carrier — with _ok reset so
             # the double-trigger guard there sees an untriggered claim.
             self._ok = None
-            self.requested_at = self.time = now
             self.seq = next(channel._ticket)
             self.grant_delay = delay
             channel._do_request(self)
         else:
-            # Uncontended: Resource._grant in place.  What only a queued
-            # claim needs (requested_at, time, seq, grant_delay) stays
-            # unset or stale — this one was never queued.
+            # Uncontended: PriorityResource._grant in place.  What only a
+            # queued claim needs (seq, grant_delay) stays unset or stale
+            # — this one was never queued.
             self._ok = True
             self.usage_since = now
             channel.users.append(self)
@@ -243,8 +240,8 @@ class _Carrier(PriorityRequest):
             # usage_since marks the grant: where an unfused claim would
             # have resumed its holder and stamped tx-start.
             hop.tx_start = self.usage_since
-        # Resource.release inlined: a carrier firing as a claim is in
-        # users; only a non-empty wait queue needs the grant machinery.
+        # PriorityResource.release inlined: a carrier firing as a claim is
+        # in users; only a non-empty wait queue needs the grant machinery.
         channel = self.resource
         channel.users.remove(self)
         if channel.queue:
@@ -329,8 +326,8 @@ class _Carrier(PriorityRequest):
             foreign(*args)
         finally:
             env._active_process = outer
-            # Resource._grant left ``_value = self``; without the cycle
-            # packet, route and spans die here, by refcount.
+            # PriorityResource._grant left ``_value = self``; without the
+            # cycle packet, route and spans die here, by refcount.
             self._value = None
 
 

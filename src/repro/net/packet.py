@@ -25,7 +25,7 @@ class Packet:
                  size: int = 0, port: int = 0,
                  created_at: float = 0.0,
                  headers: Optional[Dict[str, Any]] = None) -> None:
-        if size < 0:
+        if not size >= 0:  # also rejects NaN
             raise ValueError("size must be non-negative")
         self.id = next(_packet_ids)
         self.src = src

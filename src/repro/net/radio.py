@@ -107,8 +107,10 @@ def periodic_trace(period_connected: float, period_disconnected: float,
                    start: float = 0.0
                    ) -> List[Tuple[float, ConnectivityLevel]]:
     """A square-wave connectivity trace: on for a while, off for a while."""
-    if period_connected <= 0 or period_disconnected <= 0:
-        raise NetworkError("periods must be positive")
+    for period, field in ((period_connected, "period_connected"),
+                          (period_disconnected, "period_disconnected")):
+        if not period > 0:  # also rejects NaN
+            raise NetworkError(field + " must be positive")
     trace: List[Tuple[float, ConnectivityLevel]] = []
     at = start
     while at < total:

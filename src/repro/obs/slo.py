@@ -4,10 +4,10 @@ The paper requires *"end-to-end monitoring of QoS so that the application
 can be informed if degradations occur"* (§4.2.2-ii).  The QoS monitor
 already measures each flow; this module adds the operational half:
 **declarative objectives** over the instruments the middleware already
-records (``qos.*`` windows, ``rpc.latency``, ``resource.wait``, …) and a
-**burn-rate evaluator** that tells the application not merely *that* a
-window was bad, but that badness is consuming the error budget fast
-enough to warrant interruption.
+records (``qos.*`` windows, ``rpc.latency``, ``net.delivery_latency``,
+…) and a **burn-rate evaluator** that tells the application not merely
+*that* a window was bad, but that badness is consuming the error budget
+fast enough to warrant interruption.
 
 Burn rate is the SRE yardstick: with a target of 99% good events the
 error budget is 1%; a burn rate of 10 means errors are arriving at ten

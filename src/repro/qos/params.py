@@ -10,7 +10,6 @@ lifecycle (active → degraded/violated → renegotiated or torn down).
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from repro.errors import QoSError
 
@@ -48,14 +47,6 @@ class QoSParameters:
                 and self.latency <= required.latency
                 and self.jitter <= required.jitter
                 and self.loss <= required.loss)
-
-    def compatible_with(self, offered: "QoSParameters") -> bool:
-        """Compatibility check between required (self) and offered levels.
-
-        The paper calls for *"compatibility checking between these
-        properties"* when binding interfaces.
-        """
-        return offered.satisfies(self)
 
     def scaled(self, factor: float) -> "QoSParameters":
         """A degraded level with throughput scaled by ``factor``."""

@@ -10,15 +10,11 @@ from repro.sessions.floor import (
     RoundRobinFloor,
 )
 from repro.sessions.session import (
-    ACCEPT,
     ASYNCHRONOUS,
     CO_LOCATED,
-    DECLINE,
-    InvitationService,
     REMOTE,
     SYNCHRONOUS,
     Session,
-    TIMEOUT,
 )
 from repro.sessions.telepointers import TelepointerService
 from repro.sessions.sharing import (
@@ -30,24 +26,20 @@ from repro.sessions.sharing import (
 )
 
 __all__ = [
-    "ACCEPT",
     "ASYNCHRONOUS",
     "AwareSharedObject",
     "CO_LOCATED",
     "ChairedFloor",
-    "DECLINE",
     "FLOOR_POLICIES",
     "FcfsFloor",
     "FloorPolicy",
     "FreeFloor",
-    "InvitationService",
     "NegotiatedFloor",
     "REMOTE",
     "RoundRobinFloor",
     "SYNCHRONOUS",
     "Session",
     "SingleUserApp",
-    "TIMEOUT",
     "TelepointerService",
     "TransparentConference",
     "identical_view",

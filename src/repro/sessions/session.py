@@ -6,15 +6,12 @@ awareness bus, an optional floor policy and a space-time classification
 *seamless transition* the paper demands (§3.1): switching interaction mode
 preserves membership, artefacts and history — experiment F1 measures the
 transition.
-
-Members join by invitation (:class:`InvitationService`) and late joiners
-receive a state transfer whose latency scales with artefact size.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.awareness.events import (
     ACTION_JOIN,
@@ -26,7 +23,7 @@ from repro.concurrency.store import SharedStore
 from repro.errors import SessionError
 from repro.obs.metrics import Counter
 from repro.sessions.floor import FloorPolicy
-from repro.sim import Environment, Event
+from repro.sim import Environment
 
 SYNCHRONOUS = "synchronous"
 ASYNCHRONOUS = "asynchronous"
@@ -34,7 +31,6 @@ CO_LOCATED = "co-located"
 REMOTE = "remote"
 
 _session_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
-_invite_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
 
 
 class Session:
@@ -144,63 +140,3 @@ class Session:
         return "<Session {} {} members={}>".format(
             self.name, self.quadrant, len(self.members))
 
-
-ACCEPT = "accept"
-DECLINE = "decline"
-TIMEOUT = "timeout"
-
-
-class InvitationService:
-    """Invite/accept/decline with late-join state transfer."""
-
-    def __init__(self, env: Environment,
-                 state_transfer_rate: float = 1e6) -> None:
-        if not state_transfer_rate > 0:  # also rejects NaN
-            raise SessionError("state_transfer_rate must be positive")
-        self.env = env
-        self.state_transfer_rate = state_transfer_rate
-        self._responders: Dict[str, Callable[[str, Session], bool]] = {}
-        self.counters = Counter()
-
-    def on_invite(self, member: str,
-                  responder: Callable[[str, Session], bool]) -> None:
-        """How ``member`` answers invitations: True accept, False decline."""
-        self._responders[member] = responder
-
-    def invite(self, session: Session, inviter: str, member: str,
-               deadline: float = 10.0,
-               state_size: int = 0) -> Event:
-        """Invite ``member``; fires with accept/decline/timeout.
-
-        On acceptance the member joins after a state transfer of
-        ``state_size`` bytes at the configured rate (late-join cost).
-        """
-        if inviter not in session.members:
-            raise SessionError(
-                "inviter {} is not in the session".format(inviter))
-        event = self.env.event()
-        self.counters.incr("invitations")
-        self.env.process(
-            self._run(session, member, deadline, state_size, event))
-        return event
-
-    def _run(self, session: Session, member: str, deadline: float,
-             state_size: int, event: Event):
-        responder = self._responders.get(member)
-        if responder is None:
-            yield self.env.timeout(deadline)
-            self.counters.incr("timeouts")
-            event.succeed(TIMEOUT)
-            return
-        # A human answer takes some fraction of the deadline.
-        yield self.env.timeout(min(1.0, deadline / 2))
-        if not responder(member, session):
-            self.counters.incr("declines")
-            event.succeed(DECLINE)
-            return
-        if state_size > 0:
-            yield self.env.timeout(
-                state_size * 8.0 / self.state_transfer_rate)
-        session.join(member)
-        self.counters.incr("accepts")
-        event.succeed(ACCEPT)

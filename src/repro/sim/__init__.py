@@ -23,36 +23,21 @@ from repro.sim.events import (
     Process,
     Timeout,
 )
-from repro.sim.resources import (
-    Container,
-    PriorityResource,
-    Resource,
-    Store,
-)
-from repro.sim.rng import (
-    RandomStreams,
-    bounded_normal,
-    exponential,
-    weighted_choice,
-    zipf_index,
-)
+from repro.sim.resources import PriorityResource, Store
+from repro.sim.rng import RandomStreams, exponential, zipf_index
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
     "PriorityResource",
     "Process",
     "RandomStreams",
-    "Resource",
     "Store",
     "Timeout",
-    "bounded_normal",
     "drive",
     "exponential",
-    "weighted_choice",
     "zipf_index",
 ]

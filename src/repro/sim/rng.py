@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, List, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Dict
 
 
 class _JournalledRandom(random.Random):
@@ -83,12 +81,6 @@ def exponential(rng: random.Random, mean: float) -> float:
     return rng.expovariate(1.0 / mean)
 
 
-def bounded_normal(rng: random.Random, mean: float, std: float,
-                   low: float = 0.0, high: float = float("inf")) -> float:
-    """A normal draw clamped into [low, high]."""
-    return min(high, max(low, rng.gauss(mean, std)))
-
-
 def zipf_index(rng: random.Random, n: int, skew: float = 1.0) -> int:
     """A Zipf-distributed index in [0, n) — models hot-spot access.
 
@@ -109,19 +101,3 @@ def zipf_index(rng: random.Random, n: int, skew: float = 1.0) -> int:
             return i
     return n - 1
 
-
-def weighted_choice(rng: random.Random, items: Sequence[T],
-                    weights: Sequence[float]) -> T:
-    """Choose one of ``items`` proportionally to ``weights``."""
-    if len(items) != len(weights) or not items:
-        raise ValueError("items and weights must be equal-length, non-empty")
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    point = rng.random() * total
-    acc = 0.0
-    for item, weight in zip(items, weights):
-        acc += weight
-        if point <= acc:
-            return item
-    return items[-1]

@@ -1,21 +1,6 @@
 """Continuous media: frames, sources/sinks, bindings, synchronisation."""
 
-from repro.streams.binding import (
-    GroupStreamBinding,
-    STREAM_PORT,
-    StreamBinding,
-)
-from repro.streams.interfaces import (
-    AUDIO,
-    CONSUMER,
-    DATA,
-    MEDIA_TYPES,
-    PRODUCER,
-    StreamInterface,
-    VIDEO,
-    bind_interfaces,
-    check_compatibility,
-)
+from repro.streams.binding import STREAM_PORT, StreamBinding
 from repro.streams.media import (
     ARRIVAL,
     DEADLINE,
@@ -31,20 +16,10 @@ from repro.streams.sync import (
 
 __all__ = [
     "ARRIVAL",
-    "AUDIO",
-    "CONSUMER",
-    "DATA",
-    "MEDIA_TYPES",
-    "PRODUCER",
-    "StreamInterface",
-    "VIDEO",
-    "bind_interfaces",
-    "check_compatibility",
     "ContinuousSynchroniser",
     "DEADLINE",
     "EventSynchroniser",
     "Frame",
-    "GroupStreamBinding",
     "MediaSink",
     "MediaSource",
     "STREAM_PORT",

@@ -2,21 +2,13 @@
 
 The paper's claims are about systems under *cooperative* use; these
 generators produce deterministic, seeded traces with the statistical
-structure that matters — think times, edit spans, hot-spot locality and
-session churn — so every experiment is reproducible from its seed.
+structure that matters — think times, edit spans and hot-spot locality
+— so every experiment is reproducible from its seed.
 """
 
-from repro.workload.editing import (
-    EditEvent,
-    EditingWorkload,
-    conflict_rate,
-)
-from repro.workload.sessions import ChurnEvent, SessionChurn
+from repro.workload.editing import EditEvent, EditingWorkload
 
 __all__ = [
-    "ChurnEvent",
     "EditEvent",
     "EditingWorkload",
-    "SessionChurn",
-    "conflict_rate",
 ]

@@ -81,31 +81,3 @@ class EditingWorkload:
         events.sort(key=lambda event: (event.at, event.user))
         return events
 
-
-def conflict_rate(events: List[EditEvent],
-                  document: StructuredDocument,
-                  granularity: str) -> float:
-    """Fraction of edits whose lock units overlap a concurrent edit.
-
-    Two edits are concurrent when their [at, at+duration) intervals
-    intersect; they conflict when they share a lock unit at the given
-    granularity.
-    """
-    if not events:
-        return 0.0
-    conflicted = 0
-    for i, event in enumerate(events):
-        units = set(document.units_for_span(
-            granularity, event.position, event.span))
-        for other in events:
-            if other is event or other.user == event.user:
-                continue
-            if other.at >= event.at + event.duration \
-                    or event.at >= other.at + other.duration:
-                continue
-            other_units = set(document.units_for_span(
-                granularity, other.position, other.span))
-            if units & other_units:
-                conflicted += 1
-                break
-    return conflicted / len(events)

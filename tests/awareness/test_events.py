@@ -6,7 +6,6 @@ from repro.awareness import (
     ACTION_EDIT,
     AwarenessBus,
     WorkspaceAwareness,
-    accept_all,
 )
 from repro.concurrency import SharedStore
 from repro.sim import Environment
@@ -34,14 +33,6 @@ def test_own_actions_filtered_by_default(env):
     bus.subscribe("alice", seen.append)
     bus.publish("alice", "doc", ACTION_EDIT)
     assert seen == []
-
-
-def test_accept_all_filter_includes_own(env):
-    bus = AwarenessBus(env)
-    seen = []
-    bus.subscribe("alice", seen.append, event_filter=accept_all)
-    bus.publish("alice", "doc", ACTION_EDIT)
-    assert len(seen) == 1
 
 
 def test_unsubscribe_stops_delivery(env):

@@ -1,7 +1,6 @@
 """Tests for the aura/focus/nimbus spatial model."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.awareness import Entity, FULL, NONE, PERIPHERAL, SharedSpace
 from repro.errors import ReproError
@@ -82,31 +81,6 @@ def test_self_awareness_is_none():
     assert space.awareness_level(a, a) == NONE
 
 
-def test_weight_full_greater_than_peripheral():
-    space = make_space()
-    a = space.add(Entity("a", 0, 0, aura=100, focus=10, nimbus=10))
-    b = space.add(Entity("b", 5, 0, aura=100, focus=10, nimbus=10))
-    c = space.add(Entity("c", 5, 5, aura=100, focus=10, nimbus=0.1))
-    full_weight = space.awareness_weight(a, b)
-    peripheral_weight = space.awareness_weight(a, c)
-    assert full_weight > peripheral_weight > 0
-
-
-def test_weight_zero_when_none():
-    space = make_space()
-    a = space.add(Entity("a", 0, 0, aura=1))
-    b = space.add(Entity("b", 99, 0, aura=1))
-    assert space.awareness_weight(a, b) == 0.0
-
-
-def test_weight_decreases_with_distance():
-    space = make_space()
-    a = space.add(Entity("a", 0, 0, aura=100, focus=20, nimbus=20))
-    near = space.add(Entity("near", 2, 0, aura=100, focus=20, nimbus=20))
-    far = space.add(Entity("far", 15, 0, aura=100, focus=20, nimbus=20))
-    assert space.awareness_weight(a, near) > space.awareness_weight(a, far)
-
-
 def test_observers_of_scopes_audience():
     space = make_space()
     space.add(Entity("speaker", 0, 0, aura=100, focus=10, nimbus=10))
@@ -124,20 +98,3 @@ def test_observers_of_full_only():
     space.add(Entity("periph", 15, 0, aura=100, focus=20, nimbus=20))
     assert space.observers_of("speaker") == ["periph"]
     assert space.observers_of("speaker", minimum=FULL) == []
-
-
-def test_awareness_matrix_covers_all_pairs():
-    space = make_space()
-    for name in ("a", "b", "c"):
-        space.add(Entity(name))
-    matrix = space.awareness_matrix()
-    assert len(matrix) == 6  # 3 * 2 ordered pairs
-
-
-@given(st.floats(0, 100), st.floats(0, 100))
-def test_awareness_never_exceeds_full_weight(x, y):
-    space = SharedSpace()
-    a = space.add(Entity("a", 0, 0, aura=200, focus=50, nimbus=50))
-    b = space.add(Entity("b", x, y, aura=200, focus=50, nimbus=50))
-    weight = space.awareness_weight(a, b)
-    assert 0.0 <= weight <= 1.0

@@ -1,21 +1,8 @@
-"""Tests for Lamport and vector clocks, including hypothesis properties."""
+"""Tests for vector clocks, including hypothesis properties."""
 
 from hypothesis import given, strategies as st
 
-from repro.groups import LamportClock, VectorClock
-
-
-def test_lamport_tick():
-    clock = LamportClock()
-    assert clock.tick() == 1
-    assert clock.tick() == 2
-
-
-def test_lamport_update_takes_max():
-    clock = LamportClock()
-    clock.tick()
-    assert clock.update(10) == 11
-    assert clock.update(3) == 12
+from repro.groups import VectorClock
 
 
 def test_vector_clock_starts_empty():

@@ -1,5 +1,9 @@
 """Tests for heartbeat failure detection and group invocation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import GroupError
@@ -194,3 +198,41 @@ def test_group_call_validation(env):
         invoker.call(members, "x", quorum="plurality")
     with pytest.raises(GroupError):
         invoker.call([], "x")
+
+
+_LATE_MEMBERS = '''
+from repro.groups import GroupInvoker
+from repro.net import Network, lan
+from repro.sim import Environment
+
+env = Environment()
+invoker = GroupInvoker(Network(env, lan(env, hosts=6)), "host0")
+members = ["host5", "host2", "host4", "host1", "host3"]
+
+
+def slow(caller, args):
+    yield env.timeout(1.0)
+
+
+for member in members:
+    invoker.serve(member).register("slow_op", slow)
+done = invoker.call(members, "slow_op", deadline=0.01)
+env.run(done)
+print(" ".join(done.value.errors))
+'''
+
+
+def test_deadline_errors_come_back_in_call_order_under_any_hash_seed():
+    """The late members are reported in the order they were called,
+    whatever order a set of their names iterates in."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    orders = []
+    for hash_seed in ("0", "1"):
+        environment = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                           PYTHONPATH=os.path.join(root, "src"))
+        orders.append(subprocess.run(
+            [sys.executable, "-c", _LATE_MEMBERS], env=environment,
+            capture_output=True, text=True, check=True).stdout.split())
+    assert orders[0] == orders[1] == ["host5", "host2", "host4", "host1",
+                                      "host3"]

@@ -6,7 +6,7 @@ PR fixed, or one seeded on purpose — re-introduced on a copy of the
 tree, and the detector that fails there.  This module is that matrix as
 data, and two ways to run it::
 
-    python -m tests.mutants             # smoke: eight rows, one per kind
+    python -m tests.mutants             # smoke: seven rows, one per kind
     python -m tests.mutants --matrix    # every detector on every mutant
 
 The smoke applies each :data:`SMOKE` mutant to a temporary copy and
@@ -58,17 +58,6 @@ class Mutant(NamedTuple):
 
 
 MUTANTS: Tuple[Mutant, ...] = (
-    Mutant("store-get-by-equality", "PR 20 bug",
-           "src/repro/sim/resources.py",
-           "                item = self.items.pop(index)\n",
-           "                item = self.items[index]\n"
-           "                self.items.remove(item)\n"),
-    Mutant("nan-capacity", "PR 20 bug",
-           "src/repro/sim/resources.py",
-           "                 init: float = 0.0) -> None:\n"
-           "        if not capacity > 0:  # also rejects NaN\n",
-           "                 init: float = 0.0) -> None:\n"
-           "        if capacity <= 0:\n"),
     Mutant("self-send-begins-in-send", "PR 18 bug",
            "src/repro/net/network.py",
            "if env._active_process is not None "
@@ -244,9 +233,8 @@ MUTANTS: Tuple[Mutant, ...] = (
 #: one command that must fail on it.
 SMOKE: Dict[str, List[str]] = {
     # a property test against a reference model
-    "store-get-by-equality": PYTEST + ["tests/sim/test_resources.py"],
-    # the boundary-error suite
-    "nan-capacity": PYTEST + ["tests/test_errors.py"],
+    "ot-insert-tie-ignores-a-wins": PYTEST + [
+        "tests/concurrency/test_ot_model.py"],
     # the happens-before sanitizer's gate: hard locks leak nothing
     "shared-lock-always-compatible": RACES,
     "fanout-iterates-set": _check("lint"),

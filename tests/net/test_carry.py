@@ -372,7 +372,7 @@ def test_carriers_die_by_refcount_when_the_flight_ends():
 def _contended_claims(env):
     """Fused and plain claims of mixed priority on one channel, with a
     withdrawal; stopped mid-queue, then drained."""
-    channel = PriorityResource(env, capacity=1)
+    channel = PriorityResource(env)
 
     def claimant(env, i):
         yield env.timeout(0.01 * (i % 3))
@@ -393,14 +393,14 @@ def _contended_claims(env):
     assert channel.count == 0 and not channel.queue
 
 
-def _fast_puts(env):
-    """put_fast into an empty store, a waiting getter, a full store."""
-    store = Store(env, capacity=2)
+def _puts(env):
+    """Puts into an empty store, to a waiting getter, onto a backlog."""
+    store = Store(env)
     got = []
 
     def producer(env):
         for i in range(6):
-            store.put_fast(i)
+            store.put(i)
             yield env.timeout(0.01 if i % 2 else 0.0)
 
     def consumer(env):
@@ -439,8 +439,8 @@ def test_a_packet_costs_two_queued_events_per_hop_and_nothing_else():
     lambda env: _storm(env=env),
     lambda env: _storm(loss=0.05, env=env),
     lambda env: _storm(schedule=_flap_and_burst(), env=env),
-    _lan_chat, _contended_claims, _fast_puts, _raising_handler,
-], ids=["clean", "loss", "faults", "lan-chat", "claims", "put_fast",
+    _lan_chat, _contended_claims, _puts, _raising_handler,
+], ids=["clean", "loss", "faults", "lan-chat", "claims", "puts",
         "raising-handler"])
 def test_events_scheduled_are_pushes_and_events_processed_are_pops(
         scenario):

@@ -324,7 +324,7 @@ def test_keyed_lookups_flush_only_for_the_names_a_hook_backs(registry):
     calls = _counting_hook(registry)
     registry.gauge("rpc.inflight", node="n1").set(1, at=0.0)
     registry.counter("breaker.rejected", dst="n2").add()
-    registry.histogram("resource.wait", resource="r").record(0.1)
+    registry.histogram("rpc.latency", node="n1").record(0.1)
     registry.counter("chan.retries", node="n1", dst="n2")
     assert calls == []
     registry.counter("net.drops", reason="loss")

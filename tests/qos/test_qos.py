@@ -42,8 +42,6 @@ def test_satisfies_partial_order():
                          loss=0.01)
     assert good.satisfies(weak)
     assert not weak.satisfies(good)
-    assert weak.compatible_with(good)
-    assert not good.compatible_with(weak)
 
 
 def test_scaled_degrades_throughput():

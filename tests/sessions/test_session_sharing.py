@@ -1,21 +1,17 @@
-"""Tests for sessions, invitations and both sharing styles."""
+"""Tests for sessions and both sharing styles."""
 
 import pytest
 
 from repro.errors import SessionError
 from repro.sessions import (
-    ACCEPT,
     ASYNCHRONOUS,
     AwareSharedObject,
     CO_LOCATED,
-    DECLINE,
     FcfsFloor,
-    InvitationService,
     REMOTE,
     SYNCHRONOUS,
     Session,
     SingleUserApp,
-    TIMEOUT,
     TransparentConference,
     identical_view,
     summary_view,
@@ -106,86 +102,6 @@ def test_session_state_snapshot(env):
     assert snapshot["members"] == ["alice"]
     assert snapshot["artefacts"] == {"doc": ("v1", 1)}
 
-
-# -- invitations ----------------------------------------------------------------
-
-def test_invitation_accept_joins(env):
-    session = Session(env, "s")
-    session.join("alice")
-    invitations = InvitationService(env)
-    invitations.on_invite("bob", lambda member, s: True)
-
-    def root(env):
-        outcome = yield invitations.invite(session, "alice", "bob")
-        return outcome
-
-    proc = env.process(root(env))
-    env.run(proc)
-    assert proc.value == ACCEPT
-    assert "bob" in session.members
-
-
-def test_invitation_decline(env):
-    session = Session(env, "s")
-    session.join("alice")
-    invitations = InvitationService(env)
-    invitations.on_invite("bob", lambda member, s: False)
-
-    def root(env):
-        outcome = yield invitations.invite(session, "alice", "bob")
-        return outcome
-
-    proc = env.process(root(env))
-    env.run(proc)
-    assert proc.value == DECLINE
-    assert "bob" not in session.members
-
-
-def test_invitation_timeout_when_unreachable(env):
-    session = Session(env, "s")
-    session.join("alice")
-    invitations = InvitationService(env)
-
-    def root(env):
-        outcome = yield invitations.invite(session, "alice", "ghost",
-                                           deadline=3.0)
-        return (env.now, outcome)
-
-    proc = env.process(root(env))
-    env.run(proc)
-    assert proc.value == (3.0, TIMEOUT)
-
-
-def test_invitation_requires_member_inviter(env):
-    session = Session(env, "s")
-    invitations = InvitationService(env)
-    with pytest.raises(SessionError):
-        invitations.invite(session, "stranger", "bob")
-
-
-def test_late_join_state_transfer_costs_time(env):
-    session = Session(env, "s")
-    session.join("alice")
-    invitations = InvitationService(env, state_transfer_rate=1e6)
-    invitations.on_invite("bob", lambda member, s: True)
-
-    def root(env):
-        yield invitations.invite(session, "alice", "bob",
-                                 state_size=125000)  # 1 Mbit
-        return env.now
-
-    proc = env.process(root(env))
-    env.run(proc)
-    # ~1s answer latency + 1s transfer.
-    assert proc.value == pytest.approx(2.0)
-
-
-def test_invitation_rate_validation(env):
-    with pytest.raises(SessionError):
-        InvitationService(env, state_transfer_rate=0)
-
-
-# -- transparent conferencing ------------------------------------------------------
 
 def test_transparent_conference_multicasts_display(env):
     floor = FcfsFloor(env)

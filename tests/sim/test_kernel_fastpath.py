@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Event, PriorityResource, Resource, Timeout
+from repro.sim import Environment, Event, PriorityResource, Store, Timeout
 from repro.sim.events import NORMAL, URGENT
 from repro.sim.resources import PriorityRequest
 
@@ -75,7 +75,7 @@ def test_events_processed_is_exact_after_failed_run(env):
 
 
 def test_priority_request_grant_fast_path_matches_queued_path(env):
-    channel = PriorityResource(env, capacity=1)
+    channel = PriorityResource(env)
     first = channel.request(priority=1)
     second = channel.request(priority=0)
     # First claim granted immediately; second queued.
@@ -88,21 +88,8 @@ def test_priority_request_grant_fast_path_matches_queued_path(env):
     assert second.triggered
 
 
-def test_named_resource_wait_histogram_covers_fast_path(env):
-    from repro.obs.metrics import MetricsRegistry, use_metrics
-    with use_metrics(MetricsRegistry()) as metrics:
-        resource = Resource(env, capacity=1, name="disk")
-        resource.request()
-        channel = PriorityResource(env, capacity=1, name="lane")
-        channel.request(priority=0)
-        env.run()
-        # Plain and priority claims both record a zero wait.
-        assert metrics.histogram("resource.wait", resource="disk").count == 1
-        assert metrics.histogram("resource.wait", resource="lane").count == 1
-
-
 def test_release_of_queued_request_still_withdraws(env):
-    resource = Resource(env, capacity=1)
+    resource = PriorityResource(env)
     holder = resource.request()
     queued = resource.request()
     env.run()
@@ -117,7 +104,7 @@ def test_release_of_queued_request_still_withdraws(env):
 
 def test_equal_priority_claims_stay_fifo(env):
     """Tie-break order is creation order."""
-    channel = PriorityResource(env, capacity=1)
+    channel = PriorityResource(env)
     order = []
 
     def claimant(env, tag):
@@ -181,7 +168,7 @@ def test_grant_delay_fusion_keeps_counters_exact(env):
 
     def drive(worker):
         env = Environment()
-        channel = PriorityResource(env, capacity=1)
+        channel = PriorityResource(env)
         log = []
         for _ in range(2):      # the second claim queues behind the first
             env.process(worker(env, channel, log))
@@ -197,7 +184,7 @@ def test_grant_delay_fusion_keeps_counters_exact(env):
 
 def test_fused_claim_contended_path_still_honours_delay(env):
     """Queued fused claims must fire at grant_time + grant_delay."""
-    channel = PriorityResource(env, capacity=1)
+    channel = PriorityResource(env)
     granted = []
 
     def holder(env):
@@ -218,45 +205,26 @@ def test_fused_claim_contended_path_still_honours_delay(env):
     assert granted == [1.5]
 
 
-def test_store_put_fast_matches_generic_put(env):
-    """Same items to the same consumer at the same instants; the put
-    event nobody could wait on is the one event per item not queued."""
-    from repro.sim import Store
-
+def test_store_put_queues_nothing_and_hands_items_on_in_order(env):
+    """Each item reaches the waiting consumer at the instant it is put,
+    and a put queues no event of its own: the run's events are the
+    processes' own (two starts, three timeouts, three takes, two
+    exits)."""
     def consumer(env, store, seen):
         for _ in range(3):
             item = yield store.get()
             seen.append((env.now, item))
 
-    def producer(env, store, fast):
+    def producer(env, store):
         for i in range(3):
             yield env.timeout(0.1)
-            if fast:
-                store.put_fast(i)
-            else:
-                store.put(i)
+            store.put(i)
 
-    def drive(fast):
-        env = Environment()
-        store = Store(env)
-        seen = []
-        env.process(consumer(env, store, seen))
-        env.process(producer(env, store, fast))
-        env.run()
-        assert env.events_processed == env.events_scheduled
-        return (seen, env.now, len(store)), env.events_scheduled
-
-    (fast_saw, fast_events), (slow_saw, slow_events) = \
-        drive(True), drive(False)
-    assert fast_saw == slow_saw
-    assert fast_events == slow_events - 3
-
-
-def test_store_put_fast_falls_back_when_bounded_or_named(env):
-    from repro.sim import Store
-    bounded = Store(env, capacity=1)
-    bounded.put(0)
-    assert bounded.put_fast(1) is not None  # full: generic put event
-    named = Store(env, name="inbox")
-    assert named.put_fast("x") is not None  # named: metrics need events
-
+    store = Store(env)
+    seen = []
+    env.process(consumer(env, store, seen))
+    env.process(producer(env, store))
+    env.run()
+    assert seen == [(0.1, 0), (0.1 + 0.1, 1), (0.1 + 0.1 + 0.1, 2)]
+    assert (env.now, len(store)) == (0.1 + 0.1 + 0.1, 0)
+    assert env.events_processed == env.events_scheduled == 10

@@ -1,33 +1,11 @@
-"""Tests for resources, stores and containers."""
+"""Tests for the channel (PriorityResource) and the store."""
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
-
-
-def test_resource_grants_up_to_capacity():
-    env = Environment()
-    resource = Resource(env, capacity=2)
-    grants = []
-
-    def user(env, tag, hold):
-        request = resource.request()
-        yield request
-        grants.append((tag, env.now))
-        yield env.timeout(hold)
-        resource.release(request)
-
-    env.process(user(env, "a", 5.0))
-    env.process(user(env, "b", 5.0))
-    env.process(user(env, "c", 1.0))
-    env.run()
-    assert grants == [("a", 0.0), ("b", 0.0), ("c", 5.0)]
+from repro.sim import Environment, PriorityResource, Store
 
 
 def test_resource_fifo_queue():
     env = Environment()
-    resource = Resource(env, capacity=1)
+    resource = PriorityResource(env)
     order = []
 
     def user(env, tag):
@@ -44,7 +22,7 @@ def test_resource_fifo_queue():
 
 def test_resource_context_manager_releases():
     env = Environment()
-    resource = Resource(env, capacity=1)
+    resource = PriorityResource(env)
 
     def user(env):
         with resource.request() as request:
@@ -56,26 +34,42 @@ def test_resource_context_manager_releases():
     assert resource.count == 0
 
 
-def test_resource_invalid_capacity():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Resource(env, capacity=0)
-
-
 def test_withdraw_queued_request():
     env = Environment()
-    resource = Resource(env, capacity=1)
+    resource = PriorityResource(env)
     holder = resource.request()
     queued = resource.request()
     assert queued in resource.queue
     resource.release(queued)
     assert queued not in resource.queue
     assert resource.count == 1
+    assert resource.users == [holder]
+
+
+def test_withdrawing_a_waiter_keeps_the_rest_in_priority_order():
+    """The wait queue is a heap: taking a claim out of it must leave the
+    others to be granted in priority order (the heap [0, 13, 6] less
+    its head is [13, 6], which is no heap)."""
+    env = Environment()
+    resource = PriorityResource(env)
+    holder = resource.request()
+    waiters = {priority: resource.request(priority=priority)
+               for priority in (6, 13, 0)}
+    resource.release(waiters[0])
+    granted = []
+    current = holder
+    while True:
+        resource.release(current)
+        if not resource.users:
+            break
+        current = resource.users[0]
+        granted.append(current.priority)
+    assert granted == [6, 13]
 
 
 def test_priority_resource_orders_queue():
     env = Environment()
-    resource = PriorityResource(env, capacity=1)
+    resource = PriorityResource(env)
     order = []
 
     def holder(env):
@@ -97,6 +91,42 @@ def test_priority_resource_orders_queue():
     assert order == ["high", "low"]
 
 
+def test_priority_order_is_respected():
+    env = Environment()
+    resource = PriorityResource(env)
+    order = []
+
+    def worker(env, label, priority):
+        claim = resource.request(priority=priority)
+        yield claim
+        order.append(label)
+        yield env.timeout(1.0)
+        resource.release(claim)
+
+    env.process(worker(env, "first", 5))
+
+    def late(env):
+        yield env.timeout(0.1)
+        env.process(worker(env, "urgent", 0))
+        env.process(worker(env, "relaxed", 9))
+
+    env.process(late(env))
+    env.run()
+    assert order == ["first", "urgent", "relaxed"]
+
+
+def test_priority_tickets_are_per_instance():
+    env = Environment()
+    first = PriorityResource(env)
+    second = PriorityResource(env)
+    # Exhausting tickets on one resource must not advance the other's
+    # sequence: the tie-break counter is instance state, not module
+    # state, so experiments sharing a process stay independent.
+    for _ in range(5):
+        next(first._ticket)
+    assert next(second._ticket) == 1
+
+
 def test_store_put_get_fifo():
     env = Environment()
     store = Store(env)
@@ -104,7 +134,7 @@ def test_store_put_get_fifo():
 
     def producer(env):
         for item in ("x", "y", "z"):
-            yield store.put(item)
+            store.put(item)
             yield env.timeout(1.0)
 
     def consumer(env):
@@ -115,7 +145,7 @@ def test_store_put_get_fifo():
     env.process(producer(env))
     env.process(consumer(env))
     env.run()
-    assert [item for _, item in received] == ["x", "y", "z"]
+    assert received == [(0.0, "x"), (1.0, "y"), (2.0, "z")]
 
 
 def test_store_get_blocks_until_item():
@@ -129,7 +159,7 @@ def test_store_get_blocks_until_item():
 
     def producer(env):
         yield env.timeout(4.0)
-        yield store.put("late")
+        store.put("late")
 
     env.process(consumer(env))
     env.process(producer(env))
@@ -137,67 +167,19 @@ def test_store_get_blocks_until_item():
     assert times == [(4.0, "late")]
 
 
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    progress = []
-
-    def producer(env):
-        yield store.put("a")
-        progress.append(("a", env.now))
-        yield store.put("b")
-        progress.append(("b", env.now))
-
-    def consumer(env):
-        yield env.timeout(3.0)
-        yield store.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert progress == [("a", 0.0), ("b", 3.0)]
-
-
-def test_store_filter_get():
-    env = Environment()
-    store = Store(env)
-
-    def root(env):
-        yield store.put({"kind": "video", "n": 1})
-        yield store.put({"kind": "audio", "n": 2})
-        item = yield store.get(filter=lambda m: m["kind"] == "audio")
-        return item["n"]
-
-    proc = env.process(root(env))
-    env.run(proc)
-    assert proc.value == 2
-
-
 def test_store_get_removes_the_item_it_hands_out():
-    """Equal items are still distinct items: a get takes the one it
-    found, not the first that compares equal to it."""
+    """Equal items are still distinct items: each get takes the oldest
+    one, by identity, and leaves the rest in order."""
     env = Environment()
     store = Store(env)
     a, b, c = [1], [1], [1]
     for item in (a, b, c):
         store.put(item)
-    filtered = store.get(lambda item: item is b)
-    unfiltered = store.get()
+    first = store.get()
+    second = store.get()
     env.run()
-    assert filtered.value is b and unfiltered.value is a
+    assert first.value is a and second.value is b
     assert len(store.items) == 1 and store.items[0] is c
-
-
-def test_store_filter_get_among_equal_values_keeps_fifo():
-    env = Environment()
-    store = Store(env)
-    for item in (1.0, 1, 2, True):          # 1.0 == 1 == True
-        store.put(item)
-    got = store.get(lambda item: type(item) is int)
-    env.run()
-    assert type(got.value) is int and got.value == 1
-    assert [(type(item), item) for item in store.items] \
-        == [(float, 1.0), (int, 2), (bool, True)]
 
 
 def test_store_get_cancel():
@@ -208,50 +190,3 @@ def test_store_get_cancel():
     store.put("item")
     env.run()
     assert store.items == ["item"]
-
-
-def test_container_levels():
-    env = Environment()
-    container = Container(env, capacity=10, init=5)
-    assert container.level == 5
-
-    def root(env):
-        yield container.get(3)
-        assert container.level == 2
-        yield container.put(8)
-        assert container.level == 10
-
-    proc = env.process(root(env))
-    env.run(proc)
-
-
-def test_container_get_blocks_until_available():
-    env = Environment()
-    container = Container(env, capacity=10, init=0)
-    times = []
-
-    def taker(env):
-        yield container.get(4)
-        times.append(env.now)
-
-    def giver(env):
-        yield env.timeout(2.0)
-        yield container.put(4)
-
-    env.process(taker(env))
-    env.process(giver(env))
-    env.run()
-    assert times == [2.0]
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Container(env, capacity=0)
-    with pytest.raises(SimulationError):
-        Container(env, capacity=5, init=9)
-    container = Container(env, capacity=5)
-    with pytest.raises(SimulationError):
-        container.put(0)
-    with pytest.raises(SimulationError):
-        container.get(-1)

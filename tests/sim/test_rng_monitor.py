@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    RandomStreams,
-    bounded_normal,
-    exponential,
-    weighted_choice,
-    zipf_index,
-)
+from repro.sim import RandomStreams, exponential, zipf_index
 
 
 def test_streams_are_deterministic():
@@ -54,13 +48,6 @@ def test_exponential_non_positive_mean():
     assert exponential(rng, -5) == 0.0
 
 
-def test_bounded_normal_respects_bounds():
-    rng = RandomStreams(seed=13).stream("bn")
-    draws = [bounded_normal(rng, 0.0, 10.0, low=-1.0, high=1.0)
-             for _ in range(1000)]
-    assert all(-1.0 <= d <= 1.0 for d in draws)
-
-
 def test_zipf_concentrates_on_low_indices():
     rng = RandomStreams(seed=17).stream("z")
     draws = [zipf_index(rng, 100, skew=1.5) for _ in range(5000)]
@@ -79,20 +66,3 @@ def test_zipf_invalid_n():
     rng = RandomStreams(seed=1).stream("z")
     with pytest.raises(ValueError):
         zipf_index(rng, 0)
-
-
-def test_weighted_choice_prefers_heavy_items():
-    rng = RandomStreams(seed=23).stream("w")
-    draws = [weighted_choice(rng, ["a", "b"], [9.0, 1.0])
-             for _ in range(2000)]
-    assert draws.count("a") > 1500
-
-
-def test_weighted_choice_validation():
-    rng = RandomStreams(seed=1).stream("w")
-    with pytest.raises(ValueError):
-        weighted_choice(rng, ["a"], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        weighted_choice(rng, [], [])
-    with pytest.raises(ValueError):
-        weighted_choice(rng, ["a"], [0.0])

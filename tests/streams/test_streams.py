@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StreamError
-from repro.net import MulticastService, Network, Topology, lan, star
+from repro.net import Network, Topology, lan
 from repro.qos import QoSBroker, QoSMonitor, QoSParameters
 from repro.sim import Environment
 from repro.streams import (
@@ -11,7 +11,6 @@ from repro.streams import (
     ContinuousSynchroniser,
     EventSynchroniser,
     Frame,
-    GroupStreamBinding,
     MediaSink,
     MediaSource,
     StreamBinding,
@@ -176,40 +175,6 @@ def test_reserved_binding_uses_priority(env):
     contract.close()
     assert binding.priority == 10
 
-
-def test_group_binding_reaches_all_members(env):
-    topo = star(env, leaves=4)
-    net = Network(env, topo)
-    multicast = MulticastService(net)
-    group = multicast.create_group("conf")
-    members = ["leaf1", "leaf2", "leaf3"]
-    for member in members + ["leaf0"]:
-        net.host(member)
-        group.join(member)
-    binding = GroupStreamBinding(net, multicast, "conf", "leaf0")
-    sinks = {}
-    for member in members:
-        sinks[member] = MediaSink(env, member, target_delay=0.1)
-        binding.attach_sink(member, sinks[member])
-    source = MediaSource(env, "cam", binding.send_frame, rate=10.0,
-                         frame_size=2000)
-    source.start(duration=0.5)
-    env.run(until=2.0)
-    for member in members:
-        assert len(sinks[member].played) == 5
-
-
-def test_group_binding_requires_membership(env):
-    topo = star(env, leaves=2)
-    net = Network(env, topo)
-    multicast = MulticastService(net)
-    multicast.create_group("conf")
-    binding = GroupStreamBinding(net, multicast, "conf", "leaf0")
-    with pytest.raises(StreamError):
-        binding.attach_sink("leaf1", MediaSink(env, "s"))
-
-
-# -- synchronisation -----------------------------------------------------------
 
 def test_event_synchroniser_fires_at_media_time(env):
     sink = MediaSink(env, "s", mode=ARRIVAL)

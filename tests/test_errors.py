@@ -8,7 +8,7 @@ import pytest
 
 from repro import errors
 from repro.access import AccessMatrix
-from repro.awareness import AwarenessBus, DigestService
+from repro.awareness import AwarenessBus, DigestService, Entity
 from repro.concurrency import (
     TICKLE,
     Delete,
@@ -36,32 +36,27 @@ from repro.groups import (
     MonitoredMembership,
     ProcessGroup,
 )
-from repro.management import UsageMonitor
+from repro.management import MigrationManager, UsageMonitor
 from repro.net import (
     Link,
     Network,
+    Packet,
     ReliableChannel,
     RpcEndpoint,
     Topology,
     lan,
+    periodic_trace,
 )
 from repro.node import EngineeringObject, Ids, ODPRuntime
 from repro.qos import QoSContract, QoSMonitor, QoSParameters
 from repro.run import RunSpec
 from repro.sessions import (
     ChairedFloor,
-    InvitationService,
     NegotiatedFloor,
     RoundRobinFloor,
     TelepointerService,
 )
-from repro.sim import (
-    Container,
-    Environment,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim import Environment
 from repro.streams import ContinuousSynchroniser, MediaSink, MediaSource
 
 
@@ -78,8 +73,6 @@ def test_every_error_derives_from_repro_error():
 def test_catching_the_family():
     with pytest.raises(errors.ReproError):
         raise errors.QoSNegotiationFailed("no capacity")
-    with pytest.raises(errors.QoSError):
-        raise errors.QoSViolation("late frames")
     with pytest.raises(errors.NetworkError):
         raise errors.RoutingError("no route")
     with pytest.raises(errors.ConcurrencyError):
@@ -203,6 +196,31 @@ def _link(env, **kwargs):
     return Link(env, "a", "b", **kwargs)
 
 
+def _impair(env, **kwargs):
+    _link(env).impair(**kwargs)
+
+
+def _relieve(env, **kwargs):
+    _link(env).relieve(**kwargs)
+
+
+def _packet(env, **kwargs):
+    return Packet("a", "b", **kwargs)
+
+
+def _periodic_trace(env, period_connected=1.0, period_disconnected=1.0):
+    return periodic_trace(period_connected, period_disconnected, 10.0)
+
+
+def _entity(env, **kwargs):
+    return Entity("x", **kwargs)
+
+
+def _migration(env, **kwargs):
+    runtime = ODPRuntime(Network(env, lan(env, hosts=2)), "host0")
+    return MigrationManager(runtime, UsageMonitor(env), **kwargs)
+
+
 def _window_hook(env, interval=1.0, start=None):
     env.set_window_hook(interval, print, start)
 
@@ -235,22 +253,24 @@ def _qos_monitor(env, **kwargs):
 
 
 _BOUNDS = [
-    (errors.SimulationError, Resource, "capacity", "must be positive"),
-    (errors.SimulationError, PriorityResource, "capacity",
-     "must be positive"),
-    (errors.SimulationError, Store, "capacity", "must be positive"),
-    (errors.SimulationError, Container, "capacity", "must be positive"),
     (errors.NetworkError, _link, "latency", "must be non-negative"),
     (errors.NetworkError, _link, "bandwidth", "must be positive"),
     (errors.NetworkError, _link, "jitter", "must be non-negative"),
+    (errors.NetworkError, _impair, "latency_scale", "must be positive"),
+    (errors.NetworkError, _impair, "extra_loss", "must be non-negative"),
+    (errors.NetworkError, _relieve, "latency_scale", "must be positive"),
+    (errors.NetworkError, _relieve, "extra_loss", "must be non-negative"),
+    (ValueError, _packet, "size", "must be non-negative"),
+    (errors.NetworkError, _periodic_trace, "period_connected",
+     "must be positive"),
+    (errors.NetworkError, _periodic_trace, "period_disconnected",
+     "must be positive"),
     (errors.SimulationError, _window_hook, "interval", "must be positive"),
     (errors.FloorControlError, RoundRobinFloor, "quantum", "must be positive"),
     (errors.FloorControlError, _chaired, "decision_latency",
      "must be non-negative"),
     (errors.FloorControlError, NegotiatedFloor, "negotiation_latency",
      "must be non-negative"),
-    (errors.SessionError, InvitationService, "state_transfer_rate",
-     "must be positive"),
     (errors.NodeError, _object, "state_size", "must be non-negative"),
     (errors.StreamError, _source, "rate", "must be positive"),
     (errors.StreamError, _source, "frame_size", "must be positive"),
@@ -260,6 +280,10 @@ _BOUNDS = [
     (errors.ReproError, UsageMonitor, "window", "must be positive"),
     (errors.ReproError, _digests, "interval", "must be positive"),
     (errors.QoSError, _qos_monitor, "window", "must be positive"),
+    (errors.ReproError, _entity, "aura", "radius must be non-negative"),
+    (errors.ReproError, _entity, "focus", "radius must be non-negative"),
+    (errors.ReproError, _entity, "nimbus", "radius must be non-negative"),
+    (errors.PlacementError, _migration, "period", "must be positive"),
 ]
 
 
@@ -270,13 +294,17 @@ _BOUNDS = [
          for _, build, field, _ in _BOUNDS])
 def test_a_bound_that_is_not_a_number_is_rejected_by_name(error, build, field,
                                                           rule, value):
-    """NaN passes ``x <= 0`` and ``x < 0``; unchecked, a NaN capacity
-    never grants (a silent deadlock), a NaN latency or bandwidth fails
-    inside the run as an anonymous delay, NaN jitter is ignored and a
-    NaN window interval never fires; a NaN floor quantum or latency,
-    transfer rate or object state size fails inside the run as an
-    anonymous delay, and so do a NaN frame rate, clock skew, sync check
-    interval, usage window, digest interval or QoS window."""
+    """NaN passes ``x <= 0`` and ``x < 0``; unchecked, a NaN latency or
+    bandwidth fails inside the run as an anonymous delay, NaN jitter is
+    ignored and a NaN window interval never fires; a NaN packet size
+    sets the clock to NaN, and every later delivery happens at NaN; a
+    NaN latency scale makes every later hop's delay NaN and a NaN extra
+    loss switches the link's loss off; a NaN trace period puts a NaN
+    instant into the trace; a NaN radius makes every awareness test
+    false; a NaN floor quantum or latency, object
+    state size or migration period fails inside the run as an anonymous
+    delay, and so do a NaN frame rate, clock skew, sync check interval,
+    usage window, digest interval or QoS window."""
     with pytest.raises(error, match="{} {}".format(field, rule)):
         build(Environment(), **{field: value})
 

@@ -4,11 +4,7 @@ import pytest
 
 from repro.concurrency import StructuredDocument
 from repro.errors import ReproError
-from repro.workload import (
-    EditingWorkload,
-    SessionChurn,
-    conflict_rate,
-)
+from repro.workload import EditingWorkload
 
 
 def test_workload_validation():
@@ -57,56 +53,15 @@ def test_workload_event_word_range():
 
 
 def test_hotspot_skew_raises_conflicts():
+    """Skew piles edits onto the hottest paragraph, where they collide."""
     doc = StructuredDocument()
     users = ["a", "b", "c", "d"]
-    uniform = EditingWorkload(users, document=doc, hotspot_skew=0.0,
-                              duration=200.0, seed=5).generate()
-    skewed = EditingWorkload(users, document=doc, hotspot_skew=2.0,
-                             duration=200.0, seed=5).generate()
-    uniform_rate = conflict_rate(uniform, doc, "paragraph")
-    skewed_rate = conflict_rate(skewed, doc, "paragraph")
-    assert skewed_rate > uniform_rate
 
+    def hottest_share(skew):
+        events = EditingWorkload(users, document=doc, hotspot_skew=skew,
+                                 duration=200.0, seed=5).generate()
+        firsts = [doc.units_for_span("paragraph", event.position,
+                                     event.span)[0] for event in events]
+        return max(firsts.count(unit) for unit in firsts) / len(firsts)
 
-def test_conflict_rate_granularity_monotone():
-    doc = StructuredDocument()
-    events = EditingWorkload(["a", "b", "c"], document=doc,
-                             hotspot_skew=1.0, duration=200.0,
-                             seed=7).generate()
-    coarse = conflict_rate(events, doc, "section")
-    fine = conflict_rate(events, doc, "word")
-    assert coarse >= fine
-
-
-def test_conflict_rate_empty():
-    assert conflict_rate([], StructuredDocument(), "word") == 0.0
-
-
-def test_churn_validation():
-    with pytest.raises(ReproError):
-        SessionChurn([])
-    with pytest.raises(ReproError):
-        SessionChurn(["a"], mean_present=0)
-
-
-def test_churn_alternates_join_leave():
-    churn = SessionChurn(["alice"], duration=500.0, seed=1)
-    events = [e for e in churn.generate() if e.user == "alice"]
-    kinds = [event.kind for event in events]
-    assert kinds[0] == "join"
-    assert all(a != b for a, b in zip(kinds, kinds[1:]))
-
-
-def test_churn_deterministic():
-    a = SessionChurn(["x", "y"], seed=9).generate()
-    b = SessionChurn(["x", "y"], seed=9).generate()
-    assert [(e.at, e.user, e.kind) for e in a] == \
-        [(e.at, e.user, e.kind) for e in b]
-
-
-def test_churn_presence_at():
-    churn = SessionChurn(["alice", "bob"], duration=100.0, seed=2)
-    present = churn.presence_at(0.5)
-    assert set(present) <= {"alice", "bob"}
-    # Everyone joins at t=0, so just after that all are present.
-    assert churn.presence_at(0.0001) == ["alice", "bob"]
+    assert hottest_share(2.0) > 2 * hottest_share(0.0)
