@@ -3,18 +3,83 @@
 Each bench reproduces one figure/claim of the paper (see DESIGN.md §3 and
 EXPERIMENTS.md).  Experiments are deterministic simulations, so each runs
 once under pytest-benchmark (the interesting output is the printed table
-and the shape assertions, not wall-clock timing; host time is measured
-by ``bench/run.py``, nowhere else).
+and the claims, not wall-clock timing; host time is measured by
+``bench/run.py``, nowhere else).
+
+An experiment that draws randomness is a ``run(seed, param) -> row``
+over its arms or sweep, and a claim ``claim_holds(rows)`` on one seed's
+rows in param order.  :func:`sweep` runs it at every seed in
+:data:`SEEDS`; :func:`check` asserts that the claim holds on at least
+:data:`CLAIM_FRACTION` of them, and :func:`finding` prints a shape that
+holds on fewer without asserting it.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+import statistics
+from typing import Any, Callable, Dict, List, Mapping, Sequence
+
+SEEDS = range(20)
+CLAIM_FRACTION = 0.95
+
+Row = Dict[str, Any]
+Sweeps = Dict[int, List[Row]]
 
 
-def run_once(benchmark, fn):
+def run_once(benchmark, fn, *args):
     """Run an experiment exactly once under the benchmark fixture."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+    return benchmark.pedantic(fn, args=args, rounds=1, iterations=1)
+
+
+def sweep(run: Callable[[int, Any], Row], params: Sequence[Any]) -> Sweeps:
+    """``run(seed, param)`` at every seed: ``{seed: [row per param]}``."""
+    return {seed: [run(seed, param) for param in params] for seed in SEEDS}
+
+
+def holds_on(sweeps: Sweeps, claim: Callable[[List[Row]], bool]) -> float:
+    """The fraction of seeds whose rows satisfy ``claim``."""
+    return sum(bool(claim(rows)) for rows in sweeps.values()) / len(sweeps)
+
+
+def check(sweeps: Sweeps, claim: Callable[[List[Row]], bool],
+          label: str) -> float:
+    """Print a declared claim's fraction of seeds and assert it."""
+    fraction = holds_on(sweeps, claim)
+    print("claim {}: holds on {:.0%} of seeds".format(label, fraction))
+    assert fraction >= CLAIM_FRACTION, label
+    return fraction
+
+
+def finding(sweeps: Sweeps, claim: Callable[[List[Row]], bool],
+            label: str) -> float:
+    """Print a shape that is reported, not declared: never asserted."""
+    fraction = holds_on(sweeps, claim)
+    print("finding {}: holds on {:.0%} of seeds (not asserted)".format(
+        label, fraction))
+    return fraction
+
+
+def print_sweep(title: str, param_header: str, params: Sequence[Any],
+                sweeps: Sweeps, columns: Mapping[str, str]) -> None:
+    """One line per param: each column's median and range over the seeds.
+
+    ``columns`` maps a header to the row key it reads.
+    """
+    lines = []
+    for i, param in enumerate(params):
+        at_param = [rows[i] for rows in sweeps.values()]
+        lines.append([param] + [_spread([row[key] for row in at_param])
+                                for key in columns.values()])
+    print_table("{}: median (range) over {} seeds".format(title, len(sweeps)),
+                [param_header] + list(columns), lines)
+
+
+def _spread(values: Sequence[Any]) -> str:
+    if not all(isinstance(value, (int, float)) for value in values):
+        return "/".join(sorted({str(value) for value in values}))
+    median, low, high = (_fmt(float(value)) for value in (
+        statistics.median(values), min(values), max(values)))
+    return median if low == high else "{} ({}–{})".format(median, low, high)
 
 
 def print_table(title: str, headers: Sequence[str],

@@ -10,9 +10,13 @@ demand pattern (one participant is a chronic floor-hog):
 * round-robin — preemption bounds the hog;
 * chaired — a human chair filters and serialises (decision latency);
 * negotiated — the holder is asked to yield (Colab's informal style).
+
+Declared claim, per seed: the free floor never waits but collides; FCFS
+never collides but waits; round-robin preempts the hog and waits less
+than FCFS under the same demand.
 """
 
-from benchmarks._util import print_table, run_once
+from benchmarks._util import check, print_sweep, run_once, sweep
 from repro.sessions import (
     ChairedFloor,
     FcfsFloor,
@@ -43,13 +47,10 @@ def make_policy(name, env):
         negotiation_latency=0.5)
 
 
-def run_policy(name):
+def run(seed, name):
     env = Environment()
     floor = make_policy(name, env)
-    rng = RandomStreams(71).stream("floor-" + name)
-    preempted = []
-    if isinstance(floor, RoundRobinFloor):
-        floor.on_preempt = preempted.append
+    rng = RandomStreams(seed).stream("floor-" + name)
 
     def speaker(env, index):
         member = "speaker-{}".format(index)
@@ -69,47 +70,35 @@ def run_policy(name):
         env.process(speaker(env, index))
     env.run()
     counts = floor.turn_counts()
-    values = [counts.get("speaker-{}".format(i), 0)
-              for i in range(PARTICIPANTS)]
-    mean_turns = sum(values) / len(values)
-    fairness = max(values) - min(values)
+    turns = [counts.get("speaker-{}".format(i), 0)
+             for i in range(PARTICIPANTS)]
     return {
-        "wait": floor.wait_time,
-        "turns_spread": fairness,
+        "wait": floor.wait_time.mean,
+        "max wait": floor.wait_time.maximum,
+        "turn spread": max(turns) - min(turns),
         "collisions": floor.counters["collisions"],
         "preemptions": floor.counters["preemptions"],
         "makespan": env.now,
     }
 
 
-def run_experiment():
-    policies = ("free", "fcfs", "round-robin", "chaired", "negotiated")
-    return {name: run_policy(name) for name in policies}
+POLICIES = ("free", "fcfs", "round-robin", "chaired", "negotiated")
+
+
+def claim_holds(rows):
+    free, fcfs, rr = rows[:3]
+    return (free["max wait"] == 0.0 and free["collisions"] > 0
+            and fcfs["collisions"] == 0 and fcfs["wait"] > 0
+            and rr["preemptions"] > 0 and rr["wait"] < fcfs["wait"])
 
 
 def test_e12_floor_control(benchmark):
-    results = run_once(benchmark, run_experiment)
-    rows = [(name, stats["wait"].mean, stats["wait"].p95,
-             stats["turns_spread"], stats["collisions"],
-             stats["preemptions"], stats["makespan"])
-            for name, stats in results.items()]
-    print_table(
+    sweeps = run_once(benchmark, sweep, run, POLICIES)
+    print_sweep(
         "E12  floor policies with one floor-hog among six speakers",
-        ["policy", "mean wait (s)", "p95 wait (s)", "turn spread",
-         "collisions", "preemptions", "meeting length (s)"],
-        rows)
-    free = results["free"]
-    fcfs = results["fcfs"]
-    rr = results["round-robin"]
-    # Free floor: zero wait but garbled input (collisions).
-    assert free["wait"].maximum == 0.0
-    assert free["collisions"] > 0
-    # Ordered policies eliminate collisions at the cost of waiting.
-    assert fcfs["collisions"] == 0
-    assert fcfs["wait"].mean > 0
-    # Round-robin bounds the hog: preemptions occur and waits shrink
-    # relative to FCFS under the same demand.
-    assert rr["preemptions"] > 0
-    assert rr["wait"].mean < fcfs["wait"].mean
-    benchmark.extra_info["fcfs_wait"] = fcfs["wait"].mean
-    benchmark.extra_info["rr_wait"] = rr["wait"].mean
+        "policy", POLICIES, sweeps,
+        {"mean wait (s)": "wait", "turn spread": "turn spread",
+         "collisions": "collisions", "preemptions": "preemptions",
+         "meeting length (s)": "makespan"})
+    check(sweeps, claim_holds, "(free collides; FCFS waits; round-robin "
+          "preempts the hog and waits less than FCFS)")

@@ -13,12 +13,14 @@ Four editors on a WAN make edits with think times.  Three mechanisms:
 * **reservation** (floor passing): response includes waiting for the
   floor; no interleaving at all.
 
-Expected shape: OT response ≈ 0 and stays flat as contention rises;
-locking and reservation response grow with contention; all three deliver
-every edit eventually.
+Declared claim, per seed: every OT edit responds at once (response
+exactly 0) and the replicas converge on one text; locking and
+reservation pay contention in a longer response than OT's, and OT
+notifies the other editors sooner than either (the OT notification is
+network propagation; theirs waits for the hold and the release).
 """
 
-from benchmarks._util import print_table, run_once
+from benchmarks._util import check, print_sweep, run_once, sweep
 from repro import CooperativePlatform
 from repro.concurrency import (
     EXCLUSIVE,
@@ -36,9 +38,9 @@ EDIT_DURATION = 1.0
 NET_LATENCY = 0.04
 
 
-def run_ot():
+def run_ot(seed):
     platform = CooperativePlatform(sites=EDITORS, hosts_per_site=1,
-                                   site_latency=NET_LATENCY / 2, seed=5)
+                                   site_latency=NET_LATENCY / 2, seed=seed)
     members = platform.host_names()
     session = platform.create_session("edit", members, floor=None)
     doc = session.shared_document("doc", initial="x" * 50)
@@ -58,7 +60,7 @@ def run_ot():
 
         client.on_remote = on_remote
 
-    rng = RandomStreams(1).stream("ot")
+    rng = RandomStreams(seed).stream("ot")
     marker = iter(range(10 ** 6))
 
     def editor(env, member, index):
@@ -74,17 +76,17 @@ def run_ot():
     for index, member in enumerate(members):
         platform.env.process(editor(platform.env, member, index))
     platform.run()
-    return response, notification
+    return response, notification, doc.converged
 
 
-def run_locking():
+def run_locking(seed):
     env = Environment()
     store = SharedStore()
     store.write("doc", "")
     table = LockTable(env)
     response = Tally("lock-response")
     notification = Tally("lock-notify")
-    rng = RandomStreams(2).stream("lock")
+    rng = RandomStreams(seed).stream("lock")
 
     def editor(env, name):
         for _ in range(EDITS_PER_EDITOR):
@@ -103,15 +105,15 @@ def run_locking():
     for i in range(EDITORS):
         env.process(editor(env, "editor-{}".format(i)))
     env.run()
-    return response, notification
+    return response, notification, None
 
 
-def run_reservation():
+def run_reservation(seed):
     env = Environment()
     floor = ReservationControl(env)
     response = Tally("resv-response")
     notification = Tally("resv-notify")
-    rng = RandomStreams(3).stream("resv")
+    rng = RandomStreams(seed).stream("resv")
 
     def editor(env, name):
         for _ in range(EDITS_PER_EDITOR):
@@ -126,38 +128,37 @@ def run_reservation():
     for i in range(EDITORS):
         env.process(editor(env, "editor-{}".format(i)))
     env.run()
-    return response, notification
+    return response, notification, None
 
 
-def run_experiment():
-    return {
-        "operation transformation": run_ot(),
-        "pessimistic locking": run_locking(),
-        "reservation (floor)": run_reservation(),
-    }
+MECHANISMS = {"operation transformation": run_ot,
+              "pessimistic locking": run_locking,
+              "reservation (floor)": run_reservation}
+
+
+def run(seed, mechanism):
+    # Only OT keeps replicas; the others return None for ``converged``.
+    response, notification, converged = MECHANISMS[mechanism](seed)
+    return {"edits": response.count, "response mean": response.mean,
+            "response p95": response.p95, "response max": response.maximum,
+            "notify mean": notification.mean, "converged": converged}
+
+
+def claim_holds(rows):
+    ot, locking, reservation = rows
+    return (ot["edits"] == EDITORS * EDITS_PER_EDITOR
+            and ot["response max"] == 0.0 and ot["converged"]
+            and all(row["response mean"] > ot["response mean"]
+                    and row["notify mean"] > ot["notify mean"]
+                    for row in (locking, reservation)))
 
 
 def test_e1_response_notification(benchmark):
-    results = run_once(benchmark, run_experiment)
-    rows = []
-    for name, (response, notification) in results.items():
-        rows.append((name, response.count, response.mean, response.p95,
-                     notification.mean))
-    print_table(
-        "E1  response time vs notification time under contention",
-        ["mechanism", "edits", "response mean (s)", "response p95 (s)",
-         "notify mean (s)"],
-        rows)
-    ot_response, ot_notify = results["operation transformation"]
-    lock_response, _ = results["pessimistic locking"]
-    resv_response, _ = results["reservation (floor)"]
-    assert ot_response.count == EDITORS * EDITS_PER_EDITOR
-    # GROVE's claim: operations proceed immediately.
-    assert ot_response.maximum == 0.0
-    # Locking and reservation pay contention in response time.
-    assert lock_response.mean > 0.1
-    assert resv_response.mean > 0.1
-    # OT notification is bounded by propagation, far below lock waits.
-    assert ot_notify.mean < 0.5
-    benchmark.extra_info["lock_over_ot_response"] = (
-        lock_response.mean + 1e-9) / (ot_response.mean + 1e-9)
+    sweeps = run_once(benchmark, sweep, run, list(MECHANISMS))
+    print_sweep("E1  response time vs notification time under contention",
+                "mechanism", list(MECHANISMS), sweeps,
+                {"edits": "edits", "response mean (s)": "response mean",
+                 "response p95 (s)": "response p95",
+                 "notify mean (s)": "notify mean"})
+    check(sweeps, claim_holds, "(OT responds at once and converges; "
+          "locking and reservation respond and notify later)")

@@ -10,9 +10,15 @@ skewed) is replayed against a hard lock table at each granularity:
 
 The bench reports mean wait per edit, fraction of edits that blocked, and
 locks acquired per edit across the granularity spectrum.
+
+Declared claim, per seed (one edit stream per seed, replayed at every
+granularity): waiting is longest at document and shortest at word
+granularity, more than twice as long at the one as at the other, while
+locks per edit never fall from document to word and are more at word
+than at document granularity.
 """
 
-from benchmarks._util import print_table, run_once
+from benchmarks._util import check, print_sweep, run_once, sweep
 from repro.concurrency import (
     EXCLUSIVE,
     GRANULARITIES,
@@ -27,7 +33,14 @@ USERS = ["alice", "bob", "carol", "dave"]
 DURATION = 150.0
 
 
-def run_granularity(granularity, document, events):
+def run(seed, granularity):
+    document = StructuredDocument(sections=4, paragraphs_per_section=5,
+                                  sentences_per_paragraph=4,
+                                  words_per_sentence=10)
+    events = EditingWorkload(USERS, document=document, think_mean=4.0,
+                             span_mean=6.0, edit_duration_mean=2.0,
+                             hotspot_skew=1.2, duration=DURATION,
+                             seed=seed).generate()
     env = Environment()
     table = LockTable(env)
     wait = Tally("wait")
@@ -55,47 +68,25 @@ def run_granularity(granularity, document, events):
     for event in events:
         env.process(perform(env, event))
     env.run()
-    return {
-        "wait": wait,
-        "locks": locks_per_edit,
-        "blocked_fraction": blocked_edits[0] / max(1, len(events)),
-    }
+    return {"edits": len(events), "wait": wait.mean,
+            "blocked": blocked_edits[0] / max(1, len(events)),
+            "locks": locks_per_edit.mean}
 
 
-def run_experiment():
-    document = StructuredDocument(sections=4, paragraphs_per_section=5,
-                                  sentences_per_paragraph=4,
-                                  words_per_sentence=10)
-    events = EditingWorkload(USERS, document=document, think_mean=4.0,
-                             span_mean=6.0, edit_duration_mean=2.0,
-                             hotspot_skew=1.2, duration=DURATION,
-                             seed=17).generate()
-    return {granularity: run_granularity(granularity, document, events)
-            for granularity in GRANULARITIES}, len(events)
+def claim_holds(rows):
+    waits = [row["wait"] for row in rows]
+    locks = [row["locks"] for row in rows]
+    return (waits[0] == max(waits) and waits[-1] == min(waits)
+            and waits[0] > waits[-1] * 2
+            and locks == sorted(locks) and locks[-1] > locks[0])
 
 
 def test_e2_lock_granularity(benchmark):
-    results, edit_count = run_once(benchmark, run_experiment)
-    rows = [(granularity,
-             stats["wait"].mean,
-             stats["blocked_fraction"],
-             stats["locks"].mean)
-            for granularity, stats in results.items()]
-    print_table(
-        "E2  lock granularity trade-off ({} edits, 4 authors)".format(
-            edit_count),
-        ["granularity", "mean wait (s)", "blocked fraction",
-         "locks per edit"],
-        rows)
-    # Shape: waiting decreases monotonically from document to word...
-    waits = [results[g]["wait"].mean for g in GRANULARITIES]
-    assert waits[0] == max(waits)
-    assert waits[-1] == min(waits)
-    assert results["document"]["wait"].mean > \
-        results["word"]["wait"].mean * 2
-    # ...while lock overhead increases.
-    locks = [results[g]["locks"].mean for g in GRANULARITIES]
-    assert locks == sorted(locks)
-    assert results["word"]["locks"].mean > \
-        results["document"]["locks"].mean
-    benchmark.extra_info["edits"] = edit_count
+    sweeps = run_once(benchmark, sweep, run, GRANULARITIES)
+    print_sweep(
+        "E2  lock granularity trade-off (4 authors)", "granularity",
+        GRANULARITIES, sweeps,
+        {"edits": "edits", "mean wait (s)": "wait",
+         "blocked fraction": "blocked", "locks per edit": "locks"})
+    check(sweeps, claim_holds, "(waiting falls and locking overhead rises "
+          "from document to word)")

@@ -8,12 +8,22 @@ strategies of objects."*
 Setup: a WAN with asymmetric site distances; a shared object used by a
 group spanning three sites.  Part (a) compares placement policies by the
 *measured* per-member invocation round trip (worst member and spread —
-the fairness the paper asks for).  Part (b) shows usage-driven migration
-relocating a badly placed object at run time and the per-member latency
-before and after.
+the fairness the paper asks for).  Each member's first call also
+locates the object through the registry in london, which no placement
+policy prices, so the per-member means time the calls made after the
+member's binding resolves, and the worst first call is reported in its
+own column.  Part (b) shows usage-driven migration relocating a badly
+placed object at run time and the per-member latency before and after.
+
+Declared claim, per seed (the seed draws the random policy's node):
+group-aware placement gives the lowest worst-member round trip of the
+four policies, strictly lower than the creator's node.  Part (b) draws
+no randomness and is asserted once: migration moves the object at
+least once and lowers the measured round trip.
 """
 
-from benchmarks._util import print_table, run_once
+from benchmarks._util import check, print_sweep, print_table, run_once, \
+    sweep
 from repro.management import (
     FirstNodePlacement,
     GroupAwarePlacement,
@@ -52,7 +62,17 @@ def build_runtime(env):
     return runtime
 
 
-def measure_placement(policy):
+POLICIES = {
+    "first-node (creator)": lambda seed: FirstNodePlacement(),
+    "random": lambda seed: RandomPlacement(
+        RandomStreams(seed).stream("placement")),
+    "load-balanced": lambda seed: LoadBalancedPlacement(),
+    "group-aware": lambda seed: GroupAwarePlacement(),
+}
+
+
+def run(seed, policy_name):
+    policy = POLICIES[policy_name](seed)
     env = Environment()
     runtime = build_runtime(env)
     topo = runtime.network.topology
@@ -65,23 +85,25 @@ def measure_placement(policy):
     obj.operation("poke", lambda caller, state, args: state["n"])
 
     per_member = {member: Tally(member) for member in GROUP}
+    first_calls = []
 
     def member_proc(env, member):
-        for _ in range(INVOCATIONS_PER_MEMBER):
+        for i in range(INVOCATIONS_PER_MEMBER):
             yield env.timeout(0.5)
             start = env.now
             yield runtime.nuclei[member].invoke(obj.oid, "poke")
-            per_member[member].record(env.now - start)
+            if i:
+                per_member[member].record(env.now - start)
+            else:  # the call that also locates the object
+                first_calls.append(env.now - start)
 
     for member in GROUP:
         env.process(member_proc(env, member))
     env.run()
-    means = [tally.mean for tally in per_member.values()]
-    return {
-        "chosen": chosen,
-        "worst": max(means),
-        "spread": max(means) - min(means),
-    }
+    means = [tally.mean * 1000 for tally in per_member.values()]
+    return {"chosen": chosen, "worst": max(means),
+            "spread": max(means) - min(means),
+            "first call": max(first_calls) * 1000}
 
 
 def run_migration_demo():
@@ -121,29 +143,23 @@ def run_migration_demo():
     }
 
 
-def run_experiment():
-    policies = {
-        "first-node (creator)": FirstNodePlacement(),
-        "random": RandomPlacement(RandomStreams(9).stream("placement")),
-        "load-balanced": LoadBalancedPlacement(),
-        "group-aware": GroupAwarePlacement(),
-    }
-    placement = {name: measure_placement(policy)
-                 for name, policy in policies.items()}
-    return {"placement": placement, "migration": run_migration_demo()}
+def claim_holds(rows):
+    first, _random, _load, group_aware = rows
+    return (group_aware["worst"] <= min(row["worst"] for row in rows)
+            and group_aware["worst"] < first["worst"])
 
 
 def test_e6_placement(benchmark):
-    results = run_once(benchmark, run_experiment)
-    rows = [(name, stats["chosen"], stats["worst"] * 1000,
-             stats["spread"] * 1000)
-            for name, stats in results["placement"].items()]
-    print_table(
-        "E6a  placement policies: measured group response",
-        ["policy", "chosen node", "worst member RTT (ms)",
-         "member spread (ms)"],
-        rows)
-    migration = results["migration"]
+    sweeps = run_once(benchmark, sweep, run, list(POLICIES))
+    print_sweep(
+        "E6a  placement policies: measured group response", "policy",
+        list(POLICIES), sweeps,
+        {"chosen node": "chosen", "worst member RTT (ms)": "worst",
+         "member spread (ms)": "spread",
+         "worst first call (ms)": "first call"})
+    check(sweeps, claim_holds, "(group-aware gives the lowest worst-member "
+          "round trip)")
+    migration = run_migration_demo()
     print_table(
         "E6b  usage-driven migration (object starts at london; the "
         "active group works from tokyo)",
@@ -151,14 +167,6 @@ def test_e6_placement(benchmark):
          "mean RTT after (ms)"],
         [(len(migration["migrations"]), migration["final_location"],
           migration["before"] * 1000, migration["after"] * 1000)])
-    group_aware = results["placement"]["group-aware"]
-    first = results["placement"]["first-node (creator)"]
-    # The group-aware policy minimises the worst member's response.
-    assert group_aware["worst"] <= min(
-        stats["worst"] for stats in results["placement"].values())
-    assert group_aware["worst"] < first["worst"]
     # Migration found a better home and improved measured latency.
     assert len(migration["migrations"]) >= 1
     assert migration["after"] < migration["before"]
-    benchmark.extra_info["group_aware_worst_ms"] = \
-        group_aware["worst"] * 1000

@@ -29,14 +29,12 @@ the granted rate times wall bytes over glance bytes.
 """
 
 import functools
-import statistics
 
-from benchmarks._util import print_table, run_once
+from benchmarks._util import check, print_sweep, run_once, sweep
 from repro.net import Network, wan
 from repro.sim import Environment, RandomStreams
 from repro.spaces import BUSY, MediaSpace
 
-SEEDS = range(20)
 BUSY_SHARES = (0.0, 0.25, 0.5, 0.75)
 SITES = 2
 OFFICES_PER_SITE = 6
@@ -45,7 +43,6 @@ WINDOW_S = 120.0
 GLANCE_S = 8.0
 VIDEO_FPS = 2.0            # the byte ratio does not depend on it
 CROSSOVER_RANGE = (15.0, 22.5)   # granted glances per minute
-CLAIM_FRACTION = 0.95
 
 
 def build(env):
@@ -106,57 +103,35 @@ def run(seed, busy_share):
     glance_bytes = network.total_link_bytes()
     crossover = (60.0 * granted / WINDOW_S * wall_bytes() / glance_bytes
                  if granted else float("inf"))
-    return {"attempts": space.counters["glances_attempted"],
-            "granted": granted,
-            "notices": len(notices),
+    tried = space.counters["glances_attempted"]
+    return {"granted/attempt": granted / tried,
+            "notices/attempt": len(notices) / tried,
             "crossover": crossover}
 
 
-def claims_hold(rows):
-    """Both declared claims on one seed's sweep (rows in sweep order)."""
-    ordering = all(row["notices"] == row["attempts"] for row in rows) and \
-        all(a["granted"] > b["granted"] for a, b in zip(rows, rows[1:]))
+def ordering_holds(rows):
+    """Granted glances per attempt fall strictly as the BUSY share rises,
+    with one reciprocity notice per attempt (rows in sweep order)."""
+    granted = [row["granted/attempt"] for row in rows]
+    return all(row["notices/attempt"] == 1 for row in rows) and \
+        all(a > b for a, b in zip(granted, granted[1:]))
+
+
+def crossover_holds(rows):
     low, high = CROSSOVER_RANGE
-    crossover = all(low <= row["crossover"] <= high for row in rows)
-    return ordering, crossover
-
-
-def run_experiment():
-    return {seed: [run(seed, share) for share in BUSY_SHARES]
-            for seed in SEEDS}
+    return all(low <= row["crossover"] <= high for row in rows)
 
 
 def test_m1_media_space(benchmark):
-    sweeps = run_once(benchmark, run_experiment)
-    rows = []
-    for i, share in enumerate(BUSY_SHARES):
-        at_share = [sweep[i] for sweep in sweeps.values()]
-        granted = [row["granted"] / row["attempts"] for row in at_share]
-        crossover = [row["crossover"] for row in at_share]
-        rows.append((
-            "{:.0%}".format(share),
-            statistics.median(granted),
-            "{:.3f}–{:.3f}".format(min(granted), max(granted)),
-            sum(row["notices"] for row in at_share)
-            / sum(row["attempts"] for row in at_share),
-            statistics.median(crossover),
-            "{:.1f}–{:.1f}".format(min(crossover), max(crossover))))
-    print_table(
-        "M1  glances against the BUSY share ({} seeds, {} attempts, "
-        "{} offices)".format(len(SEEDS), ATTEMPTS,
-                             SITES * OFFICES_PER_SITE),
-        ["busy share", "granted/attempt (median)", "granted/attempt range",
-         "notices/attempt", "wall crossover (glances/min, median)",
-         "crossover range"],
-        rows)
-    verdicts = [claims_hold(sweep) for sweep in sweeps.values()]
-    ordering = sum(o for o, _ in verdicts) / len(verdicts)
-    crossover = sum(c for _, c in verdicts) / len(verdicts)
-    print("claim ordering  (granted/attempt falls, notices = attempts): "
-          "holds on {:.0%} of seeds".format(ordering))
-    print("claim crossover (wall = {}–{} glances/min): holds on {:.0%} "
-          "of seeds".format(*CROSSOVER_RANGE, crossover))
-    assert ordering >= CLAIM_FRACTION
-    assert crossover >= CLAIM_FRACTION
-    benchmark.extra_info["ordering_fraction"] = ordering
-    benchmark.extra_info["crossover_median"] = rows[0][4]
+    sweeps = run_once(benchmark, sweep, run, BUSY_SHARES)
+    print_sweep(
+        "M1  glances against the BUSY share ({} attempts, {} offices)".format(
+            ATTEMPTS, SITES * OFFICES_PER_SITE),
+        "busy share", ["{:.0%}".format(s) for s in BUSY_SHARES], sweeps,
+        {"granted/attempt": "granted/attempt",
+         "notices/attempt": "notices/attempt",
+         "wall crossover (glances/min)": "crossover"})
+    check(sweeps, ordering_holds,
+          "ordering (granted/attempt falls, notices = attempts)")
+    check(sweeps, crossover_holds,
+          "crossover (wall = {}–{} glances/min)".format(*CROSSOVER_RANGE))

@@ -20,19 +20,15 @@ conflicts at every N, and direct edits record more than 0 conflicts at
 every N and strictly more at each larger N.
 """
 
-import statistics
-
-from benchmarks._util import print_table, run_once
+from benchmarks._util import check, print_sweep, run_once, sweep
 from repro.hypertext import CO_AUTHOR, HypertextNetwork, QuiltDocument
 from repro.sim import Environment, RandomStreams, exponential
 
-SEEDS = range(20)
 AUTHOR_COUNTS = (2, 4, 6, 8)
 REVISIONS = 10
 THINK_MEAN_S = 60.0
 READ_LAG_S = 30.0
 BASE_TEXT = "CSCW challenges ODP."
-CLAIM_FRACTION = 0.95
 
 
 def revise(seed, authors, read, submit):
@@ -84,34 +80,16 @@ def claim_holds(rows):
             and all(a < b for a, b in zip(direct, direct[1:])))
 
 
-def run_experiment():
-    return {seed: [run(seed, n) for n in AUTHOR_COUNTS] for seed in SEEDS}
-
-
 def test_q1_quilt_coauthoring(benchmark):
-    sweeps = run_once(benchmark, run_experiment)
-    rows = []
-    for i, n in enumerate(AUTHOR_COUNTS):
-        at_n = [sweep[i] for sweep in sweeps.values()]
-        direct = [row["direct_conflicts"] for row in at_n]
-        rows.append((
-            n, n * REVISIONS, statistics.median(direct),
-            "{}–{}".format(min(direct), max(direct)),
-            max(row["quilt_conflicts"] for row in at_n),
-            statistics.median(row["quilt_stale"] for row in at_n)))
-    print_table(
-        "Q1  direct edits vs Quilt suggestions ({} seeds, {} revisions "
-        "each, {:.0f} s read lag)".format(len(SEEDS), REVISIONS,
-                                          READ_LAG_S),
-        ["co-authors", "revisions", "direct conflicts (median)",
-         "direct conflicts range", "Quilt conflicts (max)",
-         "Quilt stale suggestions (median)"],
-        rows)
-    fraction = sum(claim_holds(sweep) for sweep in sweeps.values()) \
-        / len(sweeps)
-    print("claim (Quilt 0 conflicts; direct > 0 and growing with N): "
-          "holds on {:.0%} of seeds".format(fraction))
+    sweeps = run_once(benchmark, sweep, run, AUTHOR_COUNTS)
+    print_sweep(
+        "Q1  direct edits vs Quilt suggestions ({} revisions each, {:.0f} s "
+        "read lag)".format(REVISIONS, READ_LAG_S),
+        "co-authors", AUTHOR_COUNTS, sweeps,
+        {"direct conflicts": "direct_conflicts",
+         "Quilt conflicts": "quilt_conflicts",
+         "Quilt stale suggestions": "quilt_stale"})
+    check(sweeps, claim_holds, "(Quilt 0 conflicts; direct > 0 and growing "
+          "with N)")
     assert all(row["quilt_conflicts"] == 0
-               for sweep in sweeps.values() for row in sweep)
-    assert fraction >= CLAIM_FRACTION
-    benchmark.extra_info["claim_fraction"] = fraction
+               for rows in sweeps.values() for row in rows)

@@ -91,10 +91,13 @@ class PhiAccrualDetector:
         if not threshold > 0:
             raise SimulationError(
                 "threshold must be positive: {!r}".format(threshold))
-        if window < 2:
-            raise SimulationError("window must hold at least 2 samples")
-        if min_samples < 2:
-            raise SimulationError("min_samples must be >= 2")
+        for field, value in (("window", window),
+                             ("min_samples", min_samples)):
+            # NaN passes ``< 2``: a NaN window is never trimmed, and a NaN
+            # min_samples skips bootstrap into a division by zero.
+            if type(value) is not int or value < 2:
+                raise SimulationError(
+                    "{} must be an int >= 2: {!r}".format(field, value))
         if not 0 < bootstrap_interval < math.inf:
             raise SimulationError(
                 "bootstrap_interval must be a positive finite number: "

@@ -91,8 +91,12 @@ class MediaSpace:
                  glance_duration: float = 8.0,
                  video_rate: float = 12.5,
                  frame_size: int = 3000) -> None:
-        if glance_duration <= 0:
-            raise ReproError("glance_duration must be positive")
+        for field, value in (("glance_duration", glance_duration),
+                             ("video_rate", video_rate),
+                             ("frame_size", frame_size)):
+            if not value > 0:  # also rejects NaN
+                raise ReproError("{} must be positive: {!r}".format(
+                    field, value))
         self.env = env
         self.network = network
         self.awareness = awareness or AwarenessBus(env)

@@ -201,6 +201,44 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/hypertext/network.py",
            "        if base_version == node.version:\n",
            "        if True:\n"),
+    Mutant("awareness-beyond-focus-and-nimbus", "seeded; A1",
+           "src/repro/awareness/spatial.py",
+           "            return PERIPHERAL\n        return NONE\n",
+           "            return PERIPHERAL\n        return PERIPHERAL\n"),
+    Mutant("procedure-modes-swapped", "seeded; A2",
+           "src/repro/workflow/procedures.py",
+           "            if self.mode == STRICT:\n",
+           "            if self.mode == TOLERANT:\n"),
+    Mutant("tickle-ignores-grace", "seeded; A4",
+           "src/repro/concurrency/locks.py",
+           "now - h.last_activity >= self.tickle_grace",
+           "now - h.last_activity >= 0"),
+    Mutant("aware-update-ignores-view", "seeded; A5",
+           "src/repro/sessions/sharing.py",
+           "(self.env.now, key, view(viewer, key, value)))",
+           "(self.env.now, key, value))"),
+    Mutant("ot-server-skips-first-concurrent-batch", "seeded; E1",
+           "src/repro/concurrency/ot.py",
+           "        for other_site, other_ops in self.history[base_rev:]:\n",
+           "        for other_site, other_ops in "
+           "self.history[base_rev + 1:]:\n"),
+    Mutant("lock-units-stop-at-span-start", "seeded; E2",
+           "src/repro/concurrency/granularity.py",
+           "for unit in range(first, last + 1)]",
+           "for unit in range(first, first + 1)]"),
+    Mutant("notify-skips-readers", "seeded; E3",
+           "src/repro/concurrency/locks.py",
+           "            if grant.mode == SHARED and grant.owner != writer:\n",
+           "            if grant.mode == SHARED and grant.owner == writer:\n"),
+    Mutant("group-read-skips-uncommitted", "seeded; E4",
+           "src/repro/concurrency/txgroups.py",
+           "        if key in self._uncommitted:\n"
+           "            return self._uncommitted[key][0]\n",
+           ""),
+    Mutant("placement-minimises-best-member", "seeded; E6",
+           "src/repro/management/placement.py",
+           "            worst = max(worst, latency)\n",
+           "            worst = min(worst, latency)\n"),
     # -- one aimed at the stated property of each fault oracle -----------
     Mutant("give-up-leaves-inflight", "seeded; liveness",
            "src/repro/net/transport.py",

@@ -57,6 +57,7 @@ from repro.sessions import (
     TelepointerService,
 )
 from repro.sim import Environment
+from repro.spaces import MediaSpace
 from repro.streams import ContinuousSynchroniser, MediaSink, MediaSource
 
 
@@ -284,6 +285,9 @@ _BOUNDS = [
     (errors.ReproError, _entity, "focus", "radius must be non-negative"),
     (errors.ReproError, _entity, "nimbus", "radius must be non-negative"),
     (errors.PlacementError, _migration, "period", "must be positive"),
+    (errors.ReproError, MediaSpace, "glance_duration", "must be positive"),
+    (errors.ReproError, MediaSpace, "video_rate", "must be positive"),
+    (errors.ReproError, MediaSpace, "frame_size", "must be positive"),
 ]
 
 
@@ -304,7 +308,9 @@ def test_a_bound_that_is_not_a_number_is_rejected_by_name(error, build, field,
     false; a NaN floor quantum or latency, object
     state size or migration period fails inside the run as an anonymous
     delay, and so do a NaN frame rate, clock skew, sync check interval,
-    usage window, digest interval or QoS window."""
+    usage window, digest interval or QoS window, and a NaN or negative
+    media-space glance length, video rate or frame size at the first
+    glance."""
     with pytest.raises(error, match="{} {}".format(field, rule)):
         build(Environment(), **{field: value})
 
@@ -365,6 +371,16 @@ _FAULT_BOUNDS = [
      lambda tmp: PhiAccrualDetector(threshold=_NAN)),
     ("PhiAccrualDetector.bootstrap_interval", "bootstrap_interval",
      lambda tmp: PhiAccrualDetector(bootstrap_interval=_INF)),
+    ("PhiAccrualDetector.window-nan", "window",
+     lambda tmp: PhiAccrualDetector(window=_NAN)),
+    ("PhiAccrualDetector.window-float", "window",
+     lambda tmp: PhiAccrualDetector(window=2.5)),
+    ("PhiAccrualDetector.window-bool", "window",
+     lambda tmp: PhiAccrualDetector(window=True)),
+    ("PhiAccrualDetector.min_samples-nan", "min_samples",
+     lambda tmp: PhiAccrualDetector(min_samples=_NAN)),
+    ("PhiAccrualDetector.min_samples-float", "min_samples",
+     lambda tmp: PhiAccrualDetector(min_samples=2.5)),
     ("DegradationManager.shed_fraction", "shed_fraction",
      lambda tmp: DegradationManager(Environment(), shed_fraction=2.0)),
     ("FuzzProfile.active", "active",
@@ -382,7 +398,8 @@ def test_a_fault_parameter_out_of_range_is_rejected_by_name(field, build,
                                                             tmp_path):
     """Unchecked, a NaN fault time never fires and a NaN storm never
     lifts; a NaN threshold never suspects anybody (``phi >= nan`` is
-    false), a shed fraction of 2 raises inside the run at the first
+    false), a NaN detector window is never trimmed, a NaN min_samples
+    skips bootstrap and the first ``phi()`` divides by zero, a shed fraction of 2 raises inside the run at the first
     alert, and a profile with no operations crashes its generator."""
     with pytest.raises(errors.SimulationError,
                        match="^" + re.escape(field) + " must be"):
