@@ -7,10 +7,10 @@ sanitizer's access trace when one is enabled.  The same functions feed
 ``python -m repro.analysis.replay`` (determinism check), so the
 property being replayed is exactly the property being measured.
 
-The lock-style workload mirrors experiment E3 (§4.2.1): writers
-repeatedly edit a shared section — sometimes going idle while holding
-the lock — while readers follow along, under each of the four lock
-styles.  Unlike the benchmark, every edit goes through a
+The lock-style workload is experiment E3's (§4.2.1), which runs it at
+every seed of its sweep: writers repeatedly edit a shared section —
+sometimes going idle while holding the lock — while readers follow
+along, under each of the four lock styles.  Every edit goes through a
 :class:`~repro.concurrency.store.SharedStore`, so the sanitizer sees
 the actual reads and writes the locks are (or are not) ordering.
 """

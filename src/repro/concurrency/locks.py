@@ -30,13 +30,6 @@ from repro.obs.tracer import get_tracer
 from repro.sim import Environment, Event
 
 
-def _flight_of(env: Environment):
-    """The environment's flight recorder when lock journaling is on."""
-    flight = env._flight
-    if flight is not None and flight.journal_locks:
-        return flight
-    return None
-
 SHARED = "shared"
 EXCLUSIVE = "exclusive"
 
@@ -188,7 +181,7 @@ class LockTable:
         sanitizer = get_sanitizer()
         if sanitizer.enabled:
             sanitizer.release("lock:" + grant.key, grant.owner)
-        flight = _flight_of(self.env)
+        flight = self.env._flight
         if flight is not None:
             flight.record_lock("release", grant.key, grant.owner,
                                grant.mode, self.style)
@@ -335,7 +328,7 @@ class LockTable:
             sanitizer.acquire("lock:" + key, owner)
         grant = LockGrant(self, key, owner, mode, self.env.now)
         self._held.setdefault(key, []).append(grant)
-        flight = _flight_of(self.env)
+        flight = self.env._flight
         if flight is not None:
             flight.record_lock(
                 "grant", key, owner, mode, self.style,
@@ -373,7 +366,7 @@ class LockTable:
         if not holders:
             return False
         if all(now - h.last_activity >= self.tickle_grace for h in holders):
-            flight = _flight_of(self.env)
+            flight = self.env._flight
             sanitizer = get_sanitizer()
             for holder in list(holders):
                 holder.revoked = True

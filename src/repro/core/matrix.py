@@ -53,7 +53,7 @@ def classify(session: Session) -> str:
 
 
 def render_matrix() -> str:
-    """Figure 1 as a plain-text table (used by the F1 bench output)."""
+    """Figure 1 as a plain-text table: places by row, times by column."""
     col = max(len(QUADRANTS[(t, REMOTE)]) for t in
               (SYNCHRONOUS, ASYNCHRONOUS))
     header = "{:<18} | {:<{w}} | {}".format(
@@ -72,7 +72,9 @@ def transition_path(session: Session, target_time: str,
     """Move a session to a target quadrant, returning (from, to) labels.
 
     The session's artefacts, members and history survive — the
-    seamlessness requirement F1 verifies.
+    seamlessness requirement of §3.1, which the tier-1 tests
+    ``test_transition_path_preserves_state`` and
+    ``test_session_quadrant_and_transition`` check.
     """
     before = classify(session)
     session.switch_mode(time_mode=target_time, place_mode=target_place)

@@ -190,10 +190,7 @@ class _Carrier(PriorityRequest):
         # its head, every hop of every packet would otherwise still pay
         # the span + label allocation — the dominant trace cost at scale.
         self.tracer = tracer if span.is_recording else None
-        flight = self.env._flight
-        if flight is not None and not flight.journal_net:
-            flight = None
-        self.flight = flight
+        self.flight = self.env._flight
         self._claim()
 
     def _claim(self) -> None:  # repro: fast-path (RPR204)
@@ -449,7 +446,7 @@ class Network:
         key = (link.label if link is not None else None, reason)
         self._drops[key] = self._drops.get(key, 0) + 1
         flight = self.env._flight
-        if flight is not None and flight.journal_net:
+        if flight is not None:
             flight.record_drop(reason, key[0], packet.src, packet.dst,
                                packet.port, span=span)
         span.set_status("dropped:" + reason)

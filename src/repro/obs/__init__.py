@@ -41,8 +41,9 @@ substrate.  This package provides it for every layer of the middleware:
   paths.  The ``python -m repro.obs.dashboard`` CLI fronts all three,
   over a registered workload or any ``dump_jsonl`` file.
 * **Flight recorder** — :class:`FlightRecorder` journals kernel-level
-  decisions (dispatch, RNG draws, packet hops/drops, lock transitions,
-  actor lifecycles) into a bounded ring with chained per-epoch digests;
+  decisions (RNG draws, packet hops/drops, lock transitions, actor
+  lifecycles) into a bounded ring with chained 0.5 s epoch digests,
+  reading the clock per record, never called per event;
   a run's identity (``repro.run.Result.digest``) ends in that
   chain, and :mod:`repro.obs.divergence` bisects two runs' chains to
   the first divergent epoch and its first mismatched record — printed

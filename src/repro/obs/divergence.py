@@ -26,7 +26,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.flight import canonical
+from repro.obs.flight import EPOCH_INTERVAL, canonical
 
 #: Ring size for the full-retention re-run: must hold every record of
 #: the divergent epoch.
@@ -149,8 +149,6 @@ def _span_line(record: Optional[Dict[str, Any]]) -> Optional[str]:
 
 def render(report: Dict[str, Any], out=None) -> None:
     """Human-readable localization transcript."""
-    from repro.run import EPOCH_INTERVAL
-
     out = out if out is not None else sys.stdout
     versus = "seed {} vs seed {}".format(report["seed"], report["seed2"]) \
         if report["seed"] != report["seed2"] \

@@ -3,11 +3,10 @@
 A run's identity (:attr:`repro.run.Result.digest`) needs a
 record of what its participants did and when, and a refuted identity
 needs to say *where* behaviour forked.  A :class:`FlightRecorder`
-journals the decisions that define a run — event dispatch
-(eid/time/priority), packet hops and drops, lock
+journals the decisions that define a run — packet hops and drops, lock
 grants/releases/revocations, RNG draws, actor spawn/exit — into a
 bounded ring, and folds every record into per-epoch *rolling* digests
-(an epoch is N processed events, or a fixed sim-time window).  Because
+(an epoch is :data:`EPOCH_INTERVAL` of simulated time).  Because
 each epoch digest chains the previous one, digest ``e`` covers the whole
 run prefix up to epoch ``e`` — so two runs can be compared
 digest-by-digest without retaining full journals, and the first
@@ -18,6 +17,9 @@ Design constraints, in order:
 
 * **No-op by default.**  The process default is :data:`NOOP_FLIGHT`;
   instrumentation sites pay one ``is not None`` / attribute check.
+* **Paid per record.**  The recorder reads the clock of the environment
+  it is attached to; the kernel calls it only when another environment
+  starts running, never per event.
 * **Observe, never perturb.**  Recording draws no RNG, schedules no
   events and advances no clocks, so replay digests are byte-identical
   with the recorder off *and* on (asserted over every registered
@@ -38,7 +40,7 @@ Quick start::
 
     from repro.obs.flight import FlightRecorder, use_flight
 
-    recorder = FlightRecorder(epoch_events=512)
+    recorder = FlightRecorder()
     with use_flight(recorder):
         ... run a workload (environments created inside attach) ...
     recorder.finish()
@@ -55,8 +57,11 @@ import json
 import re
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-#: Default epoch granularity: one digest per this many dispatched events.
-DEFAULT_EPOCH_EVENTS = 512
+#: Journal epochs are fixed spans of simulated time, so where the chain
+#: is cut does not depend on how many events the kernel queued.
+EPOCH_INTERVAL = 0.5
+
+_INFINITY = float("inf")
 
 # Strings that JSON renders literally as '"' + s + '"': printable ASCII
 # with no quote or backslash.  Lets the hot journal channels build their
@@ -76,7 +81,7 @@ def _plain_label(label: str) -> bool:
 # Raw journal entries: ``(kind, epoch, time, ...)`` tuples, turned into
 # text (for the digest) or dicts (for a reader) later.  Cold channels and
 # records with a string that is not plain build their dict first (_RECORD).
-_DISPATCH, _HOP, _RNG, _RECORD = range(4)
+_HOP, _RNG, _RECORD = range(3)
 
 
 def canonical(record: Dict[str, Any]) -> str:
@@ -104,10 +109,6 @@ def _record(entry: Tuple[Any, ...]) -> Dict[str, Any]:
     kind = entry[0]
     if kind == _RECORD:
         return entry[3]
-    if kind == _DISPATCH:
-        _, epoch, time, priority, eid = entry
-        return {"kind": "dispatch", "time": time, "eid": eid,
-                "priority": priority, "epoch": epoch}
     if kind == _HOP:
         _, epoch, time, link, node, src, dst, port, side = entry
         record = {"kind": "hop", "time": time, "link": link, "node": node,
@@ -123,16 +124,18 @@ def _record(entry: Tuple[Any, ...]) -> Dict[str, Any]:
 class FlightRecorder:
     """Journals kernel decisions into a ring with chained epoch digests.
 
-    ``epoch_events`` rolls an epoch every N dispatched events (the
-    default); ``epoch_interval`` instead rolls at fixed sim-time
-    boundaries ``k * interval``.  ``keep_epochs=(lo, hi)`` restricts
-    the *ring* to records of those epochs (digests always cover the
-    whole run) and fills :attr:`context` with the last ``context``
-    records from before the range — the divergence localizer's
-    "full journal for just the divergent epoch" mode.
+    ``keep_epochs=(lo, hi)`` restricts the *ring* to records of those
+    epochs (digests always cover the whole run) and fills
+    :attr:`context` with the last ``context`` records from before the
+    range — the divergence localizer's "full journal for just the
+    divergent epoch" mode.
 
-    The per-channel ``journal_*`` flags turn individual record kinds
-    off; epochs still advance on dispatch either way.
+    The recorder reads its clock: the environment last handed to
+    :meth:`attach`, which is the last one bound to the recorder to enter
+    ``run()`` or ``step()``.  A record first rolls every epoch boundary
+    that clock has passed, then takes its instant, so records made
+    while a second environment is being built carry the first one's
+    last instant.  A run that journals nothing costs nothing per event.
 
     Recording a decision appends one raw tuple to the current epoch's
     buffer.  The buffer is *folded* — rendered to canonical text in one
@@ -145,37 +148,27 @@ class FlightRecorder:
     enabled = True
 
     def __init__(self, ring: int = 4096,
-                 epoch_events: Optional[int] = None,
-                 epoch_interval: Optional[float] = None,
                  keep_epochs: Optional[Tuple[int, int]] = None,
-                 context: int = 64,
-                 journal_dispatch: bool = True,
-                 journal_rng: bool = True,
-                 journal_net: bool = True,
-                 journal_locks: bool = True,
-                 journal_actors: bool = True) -> None:
-        if ring <= 0:
-            raise ValueError("ring must be positive")
-        if epoch_events is not None and epoch_interval is not None:
+                 context: int = 64) -> None:
+        if not _is_count(ring, 1):
             raise ValueError(
-                "epoch_events and epoch_interval are mutually exclusive")
-        if epoch_interval is not None and epoch_interval <= 0:
-            raise ValueError("epoch_interval must be positive")
-        if epoch_events is None and epoch_interval is None:
-            epoch_events = DEFAULT_EPOCH_EVENTS
-        if epoch_events is not None and epoch_events <= 0:
-            raise ValueError("epoch_events must be positive")
-        self.epoch_events = epoch_events
-        self.epoch_interval = epoch_interval
+                "ring must be a positive integer, got {!r}".format(ring))
+        if not _is_count(context, 0):
+            raise ValueError("context must be a non-negative integer, "
+                             "got {!r}".format(context))
+        if keep_epochs is not None:
+            if not (isinstance(keep_epochs, (tuple, list))
+                    and len(keep_epochs) == 2
+                    and _is_count(keep_epochs[0], 0)
+                    and _is_count(keep_epochs[1], keep_epochs[0])):
+                raise ValueError(
+                    "keep_epochs must be a pair (lo, hi) of integers with "
+                    "0 <= lo <= hi, got {!r}".format(keep_epochs))
+            keep_epochs = tuple(keep_epochs)
         self.keep_epochs = keep_epochs
-        self.journal_dispatch = journal_dispatch
-        self.journal_rng = journal_rng
-        self.journal_net = journal_net
-        self.journal_locks = journal_locks
-        self.journal_actors = journal_actors
-        #: Chained digests, one per closed epoch: digest ``e`` hashes
-        #: digest ``e-1`` followed by epoch ``e``'s canonical records.
-        self.epoch_digests: List[str] = []
+        # Chained digests, one per closed epoch: digest ``e`` hashes
+        # digest ``e-1`` followed by epoch ``e``'s canonical records.
+        self._digests: List[str] = []
         # Raw entries: not yet folded, retained, from before keep_epochs.
         self._pending: List[Tuple[Any, ...]] = []
         self._ring = collections.deque(maxlen=ring)
@@ -185,17 +178,52 @@ class FlightRecorder:
         self._hash = hashlib.sha256()
         self._epoch = 0
         self._epoch_records = 0
-        self._epoch_dispatches = 0
-        self._boundary_index = 1
-        self._time = 0.0
+        self._boundary = 1      # the next epoch ends at this * interval
+        self._env: Any = None
         self._finished = False
+
+    # -- the clock ---------------------------------------------------------
+
+    def attach(self, env: Any) -> None:
+        """Read ``env``'s clock from now on.
+
+        The kernel calls this when an environment bound to the recorder
+        enters ``run()`` or ``step()`` while another one is attached.
+        The boundaries the old clock has passed are rolled first, so a
+        hand-over loses none.
+        """
+        self._tick()
+        self._env = env
+
+    def _tick(self) -> float:
+        """Roll every epoch boundary the clock has passed; its instant.
+
+        Boundaries are ``k * EPOCH_INTERVAL`` (not repeated addition),
+        and an instant at infinity passes none.  Before any environment
+        is attached the clock reads 0.0.
+        """
+        env = self._env
+        if env is None:
+            return 0.0
+        now = env._now
+        while self._boundary * EPOCH_INTERVAL <= now < _INFINITY:
+            self._roll()
+            self._boundary += 1
+        return now
 
     # -- the journal -------------------------------------------------------
 
     @property
     def epoch(self) -> int:
         """The epoch currently being journalled (= closed epochs)."""
+        self._tick()
         return self._epoch
+
+    @property
+    def epoch_digests(self) -> List[str]:
+        """The chained digests of the closed epochs, oldest first."""
+        self._tick()
+        return self._digests
 
     def _fold(self) -> None:
         """Digest the buffered entries and move them into the ring.
@@ -223,11 +251,7 @@ class FlightRecorder:
                     stamp = repr(time)
                 last = time
             kind = entry[0]
-            if kind == _DISPATCH:
-                add(f'{{"eid":{entry[4]!r},"epoch":{epoch},'
-                    f'"kind":"dispatch","priority":{entry[3]!r},'
-                    f'"time":{stamp}}}')
-            elif kind == _HOP:
+            if kind == _HOP:
                 _, _, _, link, node, src, dst, port, _ = entry
                 add(f'{{"dst":"{dst}","epoch":{epoch},"kind":"hop",'
                     f'"link":"{link}","node":"{node}","port":{port!r},'
@@ -254,35 +278,10 @@ class FlightRecorder:
     def _roll(self) -> None:
         self._fold()
         digest = self._hash.hexdigest()
-        self.epoch_digests.append(digest)
+        self._digests.append(digest)
         self._hash = hashlib.sha256(digest.encode())
         self._epoch += 1
         self._epoch_records = 0
-        self._epoch_dispatches = 0
-
-    def on_dispatch(self, time: float, priority: int, eid: int) -> None:
-        """Journal one event dispatch; the epoch clock.
-
-        Called by the environment's run loop with the popped entry
-        already unpacked into ``(time, priority, eid)`` (the kernel's
-        :func:`repro.sim.environment.dispatch_parts` accessor), so the
-        journal never depends on how the queue stores its keys.  Also
-        tracks the current sim time
-        for every other channel, so this must stay attached even when
-        ``journal_dispatch`` is off.
-        """
-        if self.epoch_interval is not None:
-            while time >= self._boundary_index * self.epoch_interval:
-                self._roll()
-                self._boundary_index += 1
-        self._time = time
-        if self.journal_dispatch:
-            self._pending.append(
-                (_DISPATCH, self._epoch, time, priority, eid))
-        if self.epoch_events is not None:
-            self._epoch_dispatches += 1
-            if self._epoch_dispatches >= self.epoch_events:
-                self._roll()
 
     def _append(self, record: Dict[str, Any], span: Any = None) -> None:
         """Journal an already-built record (the generic encoder's path)."""
@@ -290,32 +289,34 @@ class FlightRecorder:
         if side is not None:
             record["_trace"], record["_span"], record["_op"] = side
         record["epoch"] = self._epoch
-        self._pending.append((_RECORD, self._epoch, self._time, record))
+        self._pending.append((_RECORD, self._epoch, record["time"], record))
 
     def record_rng(self, stream: str, method: str, value: Any) -> None:
         """One RNG draw from a named stream (``repr`` keeps floats exact)."""
+        time = self._tick()
         numeric = type(value) is float or type(value) is int
         value = repr(value)     # of a number: always plain
         if (numeric or _PLAIN(value)) and _plain_label(stream) \
                 and _plain_label(method):
             self._pending.append(
-                (_RNG, self._epoch, self._time, stream, method, value))
+                (_RNG, self._epoch, time, stream, method, value))
         else:
-            self._append({"kind": "rng", "time": self._time,
+            self._append({"kind": "rng", "time": time,
                           "stream": stream, "method": method,
                           "value": value})
 
     def record_hop(self, link: str, node: str, src: str, dst: str,
                    port: int, span: Any = None) -> None:
         """One packet clearing one link hop."""
+        time = self._tick()
         if _plain_label(link) and _plain_label(node) \
                 and _plain_label(src) and _plain_label(dst):
             self._pending.append(
-                (_HOP, self._epoch, self._time, link, node, src, dst,
+                (_HOP, self._epoch, time, link, node, src, dst,
                  port, _side(span)))
         else:
             self._append(
-                {"kind": "hop", "time": self._time, "link": link,
+                {"kind": "hop", "time": time, "link": link,
                  "node": node, "src": src, "dst": dst, "port": port},
                 span)
 
@@ -323,39 +324,41 @@ class FlightRecorder:
                     dst: str, port: int, span: Any = None) -> None:
         """One packet drop with its attributed reason."""
         self._append(
-            {"kind": "drop", "time": self._time, "reason": reason,
+            {"kind": "drop", "time": self._tick(), "reason": reason,
              "link": link, "src": src, "dst": dst, "port": port}, span)
 
     def record_lock(self, event: str, key: str, owner: str, mode: str,
                     style: str, span: Any = None) -> None:
         """One lock-table transition (``grant``/``release``/``revoke``)."""
         self._append(
-            {"kind": "lock", "time": self._time, "event": event,
+            {"kind": "lock", "time": self._tick(), "event": event,
              "key": key, "owner": owner, "mode": mode, "style": style},
             span)
 
     def record_spawn(self, actor: str) -> None:
         """A named actor process starting."""
-        self._append({"kind": "spawn", "time": self._time, "actor": actor})
+        self._append({"kind": "spawn", "time": self._tick(),
+                      "actor": actor})
 
     def record_exit(self, actor: str, ok: bool) -> None:
         """A named actor process finishing (``ok`` False on error)."""
-        self._append({"kind": "exit", "time": self._time, "actor": actor,
+        self._append({"kind": "exit", "time": self._tick(), "actor": actor,
                       "ok": bool(ok)})
 
     def finish(self) -> int:
         """Close the trailing partial epoch; returns total epochs.
 
         Idempotent.  The partial epoch is only digested when it holds
-        records or dispatches, so finishing an idle recorder twice is
-        exactly one run's worth of digests.
+        records, so finishing an idle recorder twice is exactly one
+        run's worth of digests.
         """
         if not self._finished:
+            self._tick()
             self._fold()
-            if self._epoch_records or self._epoch_dispatches:
+            if self._epoch_records:
                 self._roll()
             self._finished = True
-        return len(self.epoch_digests)
+        return len(self._digests)
 
     # -- reading (whatever looks at the ring folds first) -------------------
 
@@ -394,28 +397,27 @@ class FlightRecorder:
 
     def __repr__(self) -> str:
         return "<FlightRecorder epoch={} recorded={}{}>".format(
-            self._epoch, self.recorded,
+            self.epoch, self.recorded,
             " evicted={}".format(self.evicted) if self.evicted else "")
+
+
+def _is_count(value: Any, least: int) -> bool:
+    """An int of at least ``least``; ``True`` is not one (``ring=True``
+    would be a one-record ring)."""
+    return not isinstance(value, bool) and isinstance(value, int) \
+        and value >= least
 
 
 class NoopFlightRecorder:
     """The disabled recorder: records nothing, allocates nothing."""
 
     enabled = False
-    journal_dispatch = False
-    journal_rng = False
-    journal_net = False
-    journal_locks = False
-    journal_actors = False
     epoch_digests: List[str] = []
     ring: Tuple[Dict[str, Any], ...] = ()
     context: Tuple[Dict[str, Any], ...] = ()
     recorded = 0
     evicted = 0
     epoch = 0
-
-    def on_dispatch(self, time: float, priority: int, eid: int) -> None:
-        pass
 
     def record_rng(self, stream: str, method: str, value: Any) -> None:
         pass

@@ -14,7 +14,8 @@ the workload raises::
 A run's identity is what its participants did and saw, and when: the
 outcome plus the flight journal of every RNG draw, packet hop and drop,
 lock transition and actor spawn/exit.  The kernel's own event counts
-and the journal's dispatch channel are left out.
+are left out.  Every :class:`~repro.obs.flight.FlightRecorder`
+journals exactly that; :func:`journal` only names what is retained.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ from repro.obs.tracer import NoopTracer, Tracer, get_tracer, use_tracer
 #: The kernel's own bookkeeping inside an outcome's ``"env"`` block.
 KERNEL_COUNTERS = ("events_scheduled", "events_processed")
 
-#: Journal epochs are fixed spans of simulated time, so where the chain
-#: is cut does not depend on how many events the kernel queued.
-EPOCH_INTERVAL = 0.5
-
 
 def trace_digest(result: Any) -> str:
     """A canonical SHA-256 over a JSON-serialisable run result.
@@ -68,8 +65,7 @@ def journal(**retention: Any) -> FlightRecorder:
     ``retention`` (``ring``, ``keep_epochs``, ``context``) decides what
     is kept for reading, never what is digested.
     """
-    return FlightRecorder(journal_dispatch=False,
-                          epoch_interval=EPOCH_INTERVAL, **retention)
+    return FlightRecorder(**retention)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,8 +4,8 @@ A :class:`Session` gathers members around shared artefacts, with an
 awareness bus, an optional floor policy and a space-time classification
 (synchronous/asynchronous × co-located/remote).  Sessions support the
 *seamless transition* the paper demands (§3.1): switching interaction mode
-preserves membership, artefacts and history — experiment F1 measures the
-transition.
+preserves membership, artefacts and history, which the tier-1 session and
+matrix tests check.
 """
 
 from __future__ import annotations

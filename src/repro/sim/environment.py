@@ -39,9 +39,9 @@ _EID_MASK = (1 << _PRIORITY_SHIFT) - 1
 def dispatch_parts(key: int) -> Tuple[int, int]:
     """Split a packed queue key into ``(priority, eid)``.
 
-    The accessor for dispatch journaling: consumers (the flight
-    recorder, tests) receive unpacked values and never depend on how
-    the queue stores its keys.
+    The accessor for code outside the kernel that reads or refiles
+    queue keys (the tests' counting and tie-shuffling environments), so
+    it never depends on how the queue packs them.
     """
     return key >> _PRIORITY_SHIFT, key & _EID_MASK
 
@@ -87,17 +87,12 @@ class Environment:
         # from the process-wide default — install one with use_flight()
         # *before* creating the environment.  The import is lazy (like
         # process()'s tracer lookup) so the kernel never pulls repro.obs
-        # onto its import path; flight.py itself is stdlib-only.  With
-        # no recorder both attributes are None and the run loop pays one
-        # identity check per event, mirroring the window hook.
+        # onto its import path; flight.py itself is stdlib-only.  The
+        # recorder reads this environment's clock once step() or run()
+        # has attached it; the run loop never calls it.
         from repro.obs.flight import get_flight
         flight = get_flight()
-        if flight.enabled:
-            self._flight: Optional[Any] = flight
-            self._flight_dispatch: Optional[Any] = flight.on_dispatch
-        else:
-            self._flight = None
-            self._flight_dispatch = None
+        self._flight: Optional[Any] = flight if flight.enabled else None
 
     @property
     def now(self) -> float:
@@ -172,7 +167,7 @@ class Environment:
                 process.callbacks.append(
                     lambda _event: span.finish(at=self._now))
             flight = self._flight
-            if flight is not None and flight.journal_actors:
+            if flight is not None:
                 flight.record_spawn(name)
                 process.callbacks.append(
                     lambda event: flight.record_exit(name, event._ok))
@@ -270,14 +265,18 @@ class Environment:
         """Time of the next scheduled event, or infinity if none."""
         return self._queue[0][0] if self._queue else Infinity
 
+    def _attach_flight(self) -> None:
+        """Make the bound flight recorder read this environment's clock."""
+        flight = self._flight
+        if flight is not None and flight._env is not self:
+            flight.attach(self)
+
     def step(self) -> None:
         """Process the single next event, advancing the clock to it."""
+        self._attach_flight()
         if not self._queue:
             raise EmptySchedule("no more events")
-        self._now, key, event = heappop(self._queue)
-        if self._flight_dispatch is not None:
-            self._flight_dispatch(self._now, key >> _PRIORITY_SHIFT,
-                                  key & _EID_MASK)
+        self._now, _, event = heappop(self._queue)
         if self._now >= self._window_next:
             self._fire_window_hook()
         self.events_processed += 1
@@ -296,6 +295,7 @@ class Environment:
         (run until that simulated time) or an :class:`Event` (run until it
         fires, returning its value).
         """
+        self._attach_flight()
         until_event: Optional[Event] = None
         if until is not None:
             if isinstance(until, Event):
@@ -321,18 +321,11 @@ class Environment:
         # is itself a measurable slice of wall time.  Behaviour
         # (counters, exception escalation, StopSimulation) is identical.
         #
-        # The flight dispatch hook journals (time, priority, eid) per
-        # event and drives the recorder's epoch clock, scheduling zero
-        # events — replay digests are identical with or without it
-        # (tests/analysis/test_replay.py asserts this).  None (the
-        # default) costs one check per event.
-        #
         # The processed count is batched in a local and flushed once on
         # the way out (including via exceptions): nothing observes
         # ``events_processed`` while run() is on the stack — stats() is
         # only read between runs — and the attribute store per event is
         # measurable at storm scale.
-        flight_dispatch = self._flight_dispatch
         queue = self._queue
         processed = 0
         try:
@@ -340,11 +333,8 @@ class Environment:
             # waiter per timeout/claim — dispatch without the for-loop
             # setup.
             while queue:
-                now, key, event = heappop(queue)
+                now, _, event = heappop(queue)
                 self._now = now
-                if flight_dispatch is not None:
-                    flight_dispatch(now, key >> _PRIORITY_SHIFT,
-                                    key & _EID_MASK)
                 if now >= self._window_next:
                     self._fire_window_hook()
                 processed += 1

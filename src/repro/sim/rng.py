@@ -61,7 +61,7 @@ class RandomStreams:
             seed = int.from_bytes(digest[:8], "big")
             from repro.obs.flight import get_flight
             flight = get_flight()
-            if flight.enabled and flight.journal_rng:
+            if flight.enabled:
                 self._streams[name] = _JournalledRandom(seed, flight, name)
             else:
                 self._streams[name] = random.Random(seed)

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.analysis.hb import get_sanitizer
 from repro.concurrency.locks import (EXCLUSIVE, HARD, NOTIFICATION, SHARED,
-                                     SOFT, STYLES, TICKLE, _flight_of)
+                                     SOFT, STYLES, TICKLE)
 from repro.errors import LockError
 from repro.obs.metrics import Counter, get_metrics
 from repro.obs.tracer import get_tracer
@@ -139,7 +139,7 @@ class LockTable:
         # Hand-off edge: whoever acquires this key next is causally
         # ordered after everything the releasing holder did.
         get_sanitizer().release("lock:" + grant.key, grant.owner)
-        flight = _flight_of(self.env)
+        flight = self.env._flight
         if flight is not None:
             flight.record_lock("release", grant.key, grant.owner,
                                grant.mode, self.style)
@@ -270,7 +270,7 @@ class LockTable:
         get_sanitizer().acquire("lock:" + key, owner)
         grant = LockGrant(self, key, owner, mode, self.env.now)
         self._held.setdefault(key, []).append(grant)
-        flight = _flight_of(self.env)
+        flight = self.env._flight
         if flight is not None:
             flight.record_lock(
                 "grant", key, owner, mode, self.style,
@@ -308,7 +308,7 @@ class LockTable:
         if not holders:
             return False
         if all(now - h.last_activity >= self.tickle_grace for h in holders):
-            flight = _flight_of(self.env)
+            flight = self.env._flight
             for holder in list(holders):
                 holder.revoked = True
                 holders.remove(holder)

@@ -1,6 +1,7 @@
 """Divergence localizer: bisection, epoch re-journal, the replay CLI."""
 
 import io
+from types import SimpleNamespace
 
 from repro.analysis.replay import main
 from repro.obs.divergence import (
@@ -15,14 +16,19 @@ from repro.obs.flight import FlightRecorder
 from repro.run import RunSpec, journal, run
 
 
-def _fork_pair(dispatches=20, fork_at=13, epoch_events=4):
-    """Two synthetic journals forking at one injected RNG draw."""
-    run_a = FlightRecorder(ring=1 << 10, epoch_events=epoch_events)
-    run_b = FlightRecorder(ring=1 << 10, epoch_events=epoch_events)
-    for eid in range(dispatches):
+def _fork_pair(draws=20, fork_at=13):
+    """Two synthetic journals, one draw per 0.125 s of a stub clock (four
+    per epoch), forking at one injected RNG draw."""
+    clock = SimpleNamespace(_now=0.0)
+    run_a = FlightRecorder(ring=1 << 10)
+    run_b = FlightRecorder(ring=1 << 10)
+    run_a.attach(clock)
+    run_b.attach(clock)
+    for index in range(draws):
+        clock._now = index * 0.125
         for recorder in (run_a, run_b):
-            recorder.on_dispatch(float(eid), 0, eid)
-        if eid == fork_at:
+            recorder.record_rng("s", "random", index)
+        if index == fork_at:
             run_b.record_rng("s", "random", 0.999)
     run_a.finish()
     run_b.finish()
@@ -38,7 +44,7 @@ def test_first_divergent_epoch_identical_is_none():
 
 
 def test_first_divergent_epoch_finds_fork():
-    run_a, run_b = _fork_pair(dispatches=20, fork_at=13, epoch_events=4)
+    run_a, run_b = _fork_pair(draws=20, fork_at=13)
     # The fork is in epoch 13 // 4 == 3; chaining makes every later
     # digest differ too, so bisection must still land on 3.
     assert run_a.epoch_digests[:3] == run_b.epoch_digests[:3]
@@ -47,7 +53,7 @@ def test_first_divergent_epoch_finds_fork():
 
 
 def test_first_divergent_epoch_prefix_length_mismatch():
-    run_a, run_b = _fork_pair(dispatches=20, fork_at=13)
+    run_a, run_b = _fork_pair(draws=20, fork_at=13)
     # Equal-prefix, different-length: divergence is the first epoch the
     # shorter run never closed.
     assert first_divergent_epoch(run_a.epoch_digests[:2],
@@ -59,14 +65,14 @@ def test_first_divergent_epoch_prefix_length_mismatch():
 
 
 def test_first_mismatch_on_epoch_records():
-    run_a, run_b = _fork_pair(dispatches=20, fork_at=13, epoch_events=4)
+    run_a, run_b = _fork_pair(draws=20, fork_at=13)
     records_a = run_a.epoch_records(3)
     records_b = run_b.epoch_records(3)
     index = _first_mismatch(records_a, records_b)
-    # Epoch 3 = eids 12..15; both journal dispatch 12 and 13, then B
-    # has the injected draw.
+    # Epoch 3 = draws 12..15; both journal draws 12 and 13, then B has
+    # the injected one.
     assert index == 2
-    assert records_b[index]["kind"] == "rng"
+    assert records_b[index]["value"] == repr(0.999)
 
 
 # -- end-to-end on real workloads ------------------------------------------

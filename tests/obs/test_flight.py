@@ -1,8 +1,9 @@
-"""Flight recorder: ring bounds, epoch digests, journaling."""
+"""Flight recorder: ring bounds, epoch digests, its clock, journaling."""
 
 import collections
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs.flight import (
+    EPOCH_INTERVAL,
     NOOP_FLIGHT,
     FlightRecorder,
     _PLAIN,
@@ -18,45 +20,49 @@ from repro.obs.flight import (
     use_flight,
 )
 from repro.run import RunSpec, run, trace_digest
+from repro.sim import Environment
+from repro.sim.rng import RandomStreams
 
 
-def _feed(recorder, dispatches, rng_every=None):
-    """Feed a deterministic synthetic stream of kernel decisions."""
-    for eid in range(dispatches):
-        recorder.on_dispatch(float(eid), 0, eid)
-        if rng_every and eid % rng_every == 0:
-            recorder.record_rng("s", "random", 0.5)
+def _clocked(recorder):
+    """Attach ``recorder`` to a fresh stub clock at 0.0; the clock."""
+    clock = SimpleNamespace(_now=0.0)
+    recorder.attach(clock)
+    return clock
+
+
+def _feed(recorder, draws):
+    """One draw per 0.125 s of a stub clock: four per epoch."""
+    clock = _clocked(recorder)
+    for index in range(draws):
+        clock._now = index * 0.125
+        recorder.record_rng("s", "random", index)
 
 
 # -- ring bounds and counters ----------------------------------------------
 
 
 def test_ring_is_bounded_and_counts_evictions():
-    recorder = FlightRecorder(ring=8, epoch_events=1000)
+    recorder = FlightRecorder(ring=8)
     _feed(recorder, 20)
     assert len(recorder.ring) == 8
     assert recorder.recorded == 20
     assert recorder.evicted == 12
     # The ring holds the *newest* records.
-    assert [r["eid"] for r in recorder.ring] == list(range(12, 20))
+    assert [r["value"] for r in recorder.ring] \
+        == [repr(index) for index in range(12, 20)]
 
 
 def test_validation():
     with pytest.raises(ValueError):
         FlightRecorder(ring=0)
-    with pytest.raises(ValueError):
-        FlightRecorder(epoch_events=0)
-    with pytest.raises(ValueError):
-        FlightRecorder(epoch_interval=0.0)
-    with pytest.raises(ValueError):
-        FlightRecorder(epoch_events=10, epoch_interval=1.0)
 
 
 # -- epoch digests ---------------------------------------------------------
 
 
-def test_epoch_rolls_every_n_events():
-    recorder = FlightRecorder(epoch_events=4)
+def test_finish_closes_the_partial_epoch_once():
+    recorder = FlightRecorder()
     _feed(recorder, 10)
     assert recorder.epoch == 2          # two closed, one partial
     assert recorder.finish() == 3
@@ -64,22 +70,29 @@ def test_epoch_rolls_every_n_events():
 
 
 def test_epoch_interval_rolls_at_time_boundaries():
-    recorder = FlightRecorder(epoch_interval=1.0)
-    for eid, time in enumerate([0.1, 0.5, 1.2, 1.9, 3.5]):
-        recorder.on_dispatch(time, 0, eid)
-    # t=1.2 crossed boundary 1; t=3.5 crossed boundaries 2 and 3.
+    assert EPOCH_INTERVAL == 0.5
+    recorder = FlightRecorder()
+    clock = _clocked(recorder)
+    for time in [0.1, 0.25, 0.6, 0.95, 1.75]:
+        clock._now = time
+        recorder.record_rng("s", "random", time)
+    # t=0.6 passed boundary 1; t=1.75 passed boundaries 2 and 3.
     assert recorder.epoch == 3
     epochs = [r["epoch"] for r in recorder.ring]
     assert epochs == [0, 0, 1, 1, 3]
+    # Boundaries the clock passes after the last record close (empty)
+    # epochs too, once somebody looks.
+    clock._now = 2.5
+    assert recorder.epoch == 5
     recorder.finish()
-    assert len(recorder.epoch_digests) == 4
+    assert len(recorder.epoch_digests) == 5
 
 
 def test_digests_chain_prefix_property():
     # Identical prefixes hash identically; appending records changes
     # only subsequent epochs.
-    short = FlightRecorder(epoch_events=4)
-    long = FlightRecorder(epoch_events=4)
+    short = FlightRecorder()
+    long = FlightRecorder()
     _feed(short, 8)
     _feed(long, 12)
     short.finish()
@@ -92,24 +105,26 @@ def test_digests_stable_across_retention_settings():
     # Digests cover the whole run regardless of how little the ring
     # retains — divergence compares digests from tiny-ring runs.
     variants = [
-        FlightRecorder(ring=2, epoch_events=4),
-        FlightRecorder(ring=4096, epoch_events=4),
-        FlightRecorder(ring=4096, epoch_events=4, keep_epochs=(1, 1)),
+        FlightRecorder(ring=2),
+        FlightRecorder(ring=4096),
+        FlightRecorder(ring=4096, keep_epochs=(1, 1)),
     ]
     for recorder in variants:
-        _feed(recorder, 10, rng_every=3)
+        _feed(recorder, 10)
         recorder.finish()
     digests = {tuple(recorder.epoch_digests) for recorder in variants}
     assert len(digests) == 1
 
 
 def test_digests_differ_on_injected_fork():
-    run_a = FlightRecorder(epoch_events=4)
-    run_b = FlightRecorder(epoch_events=4)
+    run_a = FlightRecorder()
+    run_b = FlightRecorder()
     _feed(run_a, 10)
-    for eid in range(10):
-        run_b.on_dispatch(float(eid), 0, eid)
-        if eid == 6:                    # one extra draw in epoch 1
+    clock = _clocked(run_b)
+    for index in range(10):
+        clock._now = index * 0.125
+        run_b.record_rng("s", "random", index)
+        if index == 6:                  # one extra draw in epoch 1
             run_b.record_rng("s", "random", 0.123)
     run_a.finish()
     run_b.finish()
@@ -117,29 +132,100 @@ def test_digests_differ_on_injected_fork():
     assert run_a.epoch_digests[1] != run_b.epoch_digests[1]
 
 
+# -- the clock -------------------------------------------------------------
+
+
+def test_a_run_that_journals_nothing_never_calls_the_recorder():
+    # A per-event hook would be called once per dispatched event.
+    calls = []
+
+    class Watched(FlightRecorder):
+        def __getattribute__(self, name):
+            value = object.__getattribute__(self, name)
+            if name.startswith("__") or not callable(value):
+                return value
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return value(*args, **kwargs)
+            return counted
+
+    recorder = Watched()
+    with use_flight(recorder):
+        env = Environment()
+    env.run()               # attaches: the recorder reads env's clock
+    calls.clear()
+    for index in range(100):
+        env.timeout(index * 0.25)
+    env.run()
+    assert (env.events_processed, calls) == (100, [])
+    # The boundaries the run passed are rolled when somebody looks.
+    assert recorder.epoch == 49
+
+
+def test_records_while_a_second_env_is_built_carry_the_first_ones_instant():
+    # Until the second environment runs, the recorder reads the first
+    # one's clock; the fuzz-reg-900641c7b37b pin in seed_digests.json
+    # depends on it.
+    recorder = FlightRecorder()
+    with use_flight(recorder):
+        first = Environment()
+        first.timeout(1.75)
+        first.run()
+        second = Environment()
+        streams = RandomStreams(1)
+        streams.stream("build").random()
+        second.timeout(0.25)
+        second.step()
+        streams.stream("run").random()
+    assert [(r["kind"], r["stream"], r["time"], r["epoch"])
+            for r in recorder.ring] \
+        == [("rng", "build", 1.75, 3), ("rng", "run", 0.25, 3)]
+
+
+def test_a_clock_at_infinity_passes_no_boundary():
+    # run(until=inf) leaves the clock at infinity; rolling "every
+    # boundary it has passed" there would never end.
+    recorder = FlightRecorder()
+    with use_flight(recorder):
+        env = Environment()
+    env.timeout(0.25)
+    env.run(until=float("inf"))
+    recorder.record_spawn("late")
+    assert recorder.finish() == 1
+    assert recorder.ring[0]["time"] == float("inf")
+
+
 class _EagerJournal:
     """The reference: one dict, one ``json.dumps`` and one hash update
-    per record, in the order they happen — what :class:`FlightRecorder`
+    per record, in the order they happen, each record first rolling the
+    boundaries its clock has passed — what :class:`FlightRecorder`
     (which buffers an epoch and folds it in one pass) must be
     indistinguishable from, whenever and however it is read."""
 
-    def __init__(self, ring=4096, epoch_events=None, epoch_interval=None,
-                 keep_epochs=None, context=64):
-        self.events = epoch_events if epoch_interval is None \
-            else None
-        if self.events is None and epoch_interval is None:
-            self.events = 512
-        self.interval, self.keep = epoch_interval, keep_epochs
+    def __init__(self, ring=4096, keep_epochs=None, context=64):
+        self.keep = keep_epochs
         self.ring = collections.deque(maxlen=ring)
         self.context = collections.deque(maxlen=context)
         self.epoch_digests = []
-        self.recorded = self.evicted = self.epoch = 0
+        self.recorded = self.evicted = self.epoch = self.open = 0
         self.hash = hashlib.sha256()
-        self.open = self.dispatches = 0
-        self.boundary, self.time, self.finished = 1, 0.0, False
+        self.env, self.boundary, self.finished = None, 1, False
+
+    def tick(self):
+        """Roll the boundaries the attached clock has passed; its time."""
+        now = 0.0 if self.env is None else self.env._now
+        while self.boundary * EPOCH_INTERVAL <= now < float("inf"):
+            self.roll()
+            self.boundary += 1
+        return now
+
+    def attach(self, env):
+        self.tick()
+        self.env = env
 
     def add(self, kind, span=None, **fields):
-        record = dict(kind=kind, time=self.time, **fields)
+        record = dict(kind=kind, time=self.tick(), **fields)
         if span is not None and span.is_recording:
             record.update(_trace=span.trace_id, _span=span.span_id,
                           _op=span.name)
@@ -159,19 +245,7 @@ class _EagerJournal:
         self.epoch_digests.append(self.hash.hexdigest())
         self.hash = hashlib.sha256(self.epoch_digests[-1].encode())
         self.epoch += 1
-        self.open = self.dispatches = 0
-
-    def on_dispatch(self, time, priority, eid):
-        while self.interval is not None \
-                and time >= self.boundary * self.interval:
-            self.roll()
-            self.boundary += 1
-        self.time = time
-        self.add("dispatch", eid=eid, priority=priority)
-        if self.events is not None:
-            self.dispatches += 1
-            if self.dispatches >= self.events:
-                self.roll()
+        self.open = 0
 
     def record_rng(self, stream, method, value):
         self.add("rng", stream=stream, method=method, value=repr(value))
@@ -195,15 +269,19 @@ class _EagerJournal:
         self.add("exit", actor=actor, ok=bool(ok))
 
     def finish(self):
-        if not self.finished and (self.open or self.dispatches):
-            self.roll()
+        if not self.finished:
+            self.tick()
+            if self.open:
+                self.roll()
         self.finished = True
         return len(self.epoch_digests)
 
 
 def _assert_same(recorder, model):
     """Everything a reader can see; text-compared so that ``0.0`` vs
-    ``-0.0`` and ``1`` vs ``1.0`` (equal as values) cannot hide."""
+    ``-0.0`` and ``1`` vs ``1.0`` (equal as values) cannot hide.  Every
+    reader catches up with the clock first, so the model does too."""
+    model.tick()
     assert recorder.epoch_digests == model.epoch_digests
     assert recorder.epoch == model.epoch
     for mine, theirs in ((recorder.ring, model.ring),
@@ -216,24 +294,25 @@ def _assert_same(recorder, model):
 
 
 def _exercise(recorder, streams=("s", 'we"ird\\')):
-    times = [0, 1, 0.1, 1.5e-9, 12345.678901234567, 2.0 ** 40]
-    for eid, time in enumerate(times):
-        recorder.on_dispatch(time, eid % 3, eid)
+    clock = _clocked(recorder)
+    times = [0, 1, 0.1, 1.5e-9, 123.45678901234567, 2.0 ** -40]
+    for index, time in enumerate(times):
+        clock._now = time
         for stream in streams:
-            recorder.record_rng(stream, "random", 0.5 + eid)
-            recorder.record_rng(stream, "getrandbits", eid * 7)
+            recorder.record_rng(stream, "random", 0.5 + index)
+            recorder.record_rng(stream, "getrandbits", index * 7)
         recorder.record_hop("a<->b", "a", "a", "b", 9)
         recorder.record_hop('q"\\uote', "a", "a", "b", 9)
     recorder.finish()
 
 
 def test_fast_path_canonical_matches_generic_encoder():
-    # The hot channels (dispatch/rng/hop) hash hand-formatted canonical
-    # forms instead of json.dumps; they must stay byte-identical to the
+    # The hot channels (rng/hop) hash hand-formatted canonical forms
+    # instead of json.dumps; they must stay byte-identical to the
     # generic encoder for ints, floats, plain strings AND fall back
     # correctly on strings needing JSON escapes.
-    fast = FlightRecorder(epoch_events=3)
-    slow = _EagerJournal(epoch_events=3)
+    fast = FlightRecorder()
+    slow = _EagerJournal()
     _exercise(fast)
     _exercise(slow)
     _assert_same(fast, slow)
@@ -248,11 +327,12 @@ def test_labels_needing_escapes_take_the_generic_encoder():
     # escaped label through to the hand-formatted form.
     labels = ["n{}".format(i) if i % 3 else 'n"{}\\'.format(i)
               for i in range(_plain_label.cache_info().maxsize + 50)]
-    fast = FlightRecorder(ring=8, epoch_events=64)
-    slow = _EagerJournal(ring=8, epoch_events=64)
+    fast = FlightRecorder(ring=8)
+    slow = _EagerJournal(ring=8)
     for recorder in (fast, slow):
-        for eid, label in enumerate(labels + labels[-20:]):
-            recorder.on_dispatch(eid * 0.5, 1, eid)
+        clock = _clocked(recorder)
+        for index, label in enumerate(labels + labels[-20:]):
+            clock._now = index * 0.03125
             recorder.record_hop(label, "a", label, "b", 9)
             recorder.record_rng(label, "random", 0.25)
         recorder.finish()
@@ -272,10 +352,9 @@ class _SampledOutSpan(_Span):
     is_recording = False
 
 
-# Bounded: an ``epoch_interval`` recorder closes one epoch per boundary
-# a dispatch crosses.
+# Bounded: a recorder closes one epoch per boundary its clock passes.
 _TIMES = st.one_of(
-    st.sampled_from([0.0, -0.0, 0, 1, 1.0, 0.1, 1.5e-9, 2.5, 7,
+    st.sampled_from([0.0, -0.0, 0, 1, 1.0, 0.1, 1.5e-9, 0.5, 2.5, 7,
                      45.678901234567891]),
     st.floats(min_value=-1.0, max_value=50.0))
 _LABELS = st.one_of(
@@ -287,9 +366,11 @@ _VALUES = st.one_of(st.integers(), st.floats(), st.booleans(),
                     st.none(), st.text(max_size=4),
                     st.lists(st.integers(), max_size=2))
 _SMALL = st.integers(0, 9)
+_CLOCK = st.integers(0, 1)
 _STEPS = st.one_of(
-    st.tuples(st.just("on_dispatch"), _TIMES, _SMALL, st.integers(0)),
-    st.tuples(st.just("on_dispatch"), _TIMES, _SMALL, st.integers(0)),
+    st.tuples(st.just("tick"), _CLOCK, _TIMES),
+    st.tuples(st.just("tick"), _CLOCK, _TIMES),
+    st.tuples(st.just("attach"), _CLOCK),
     st.tuples(st.just("record_rng"), _LABELS, _LABELS, _VALUES),
     st.tuples(st.just("record_hop"), _LABELS, _LABELS, _LABELS, _LABELS,
               _SMALL, _SPANS),
@@ -305,34 +386,34 @@ _CONFIGS = st.fixed_dictionaries({
     "ring": st.integers(1, 40),
     "context": st.integers(1, 5),
     "keep_epochs": st.one_of(st.none(), st.tuples(
-        st.integers(0, 4), st.integers(0, 4)).map(sorted).map(tuple)),
-    "epoch": st.one_of(
-        st.tuples(st.just("epoch_events"), st.integers(1, 50)),
-        st.tuples(st.just("epoch_interval"),
-                  st.sampled_from([0.25, 1.0, 1000.0])))})
+        st.integers(0, 4), st.integers(0, 4)).map(sorted).map(tuple))})
 
 
 @settings(max_examples=200, deadline=None)
 @given(config=_CONFIGS, steps=st.lists(_STEPS, min_size=10, max_size=100),
        read_every_step=st.booleans())
 @example(   # a label ending in a newline is not plain: JSON escapes it
-    config={"ring": 1, "context": 1, "keep_epochs": None,
-            "epoch": ("epoch_events", 1)},
-    steps=[("on_dispatch", 0.0, 0, 0)] * 9
+    config={"ring": 1, "context": 1, "keep_epochs": None},
+    steps=[("attach", 0), ("tick", 0, 0.5)]
+    + [("record_rng", "a", "a", None)] * 7
     + [("record_rng", "a", "\n", None)],
     read_every_step=False)
 def test_folding_is_indistinguishable_from_eager_journalling(
         config, steps, read_every_step):
-    # Random interleavings of every channel, with reads wherever they
-    # fall: after every step, or only at the drawn "read" steps — so
-    # the buffer folded at a roll or a read holds anything from one
-    # record to several times the ring.
-    config = dict(config)
-    name, value = config.pop("epoch")
-    config[name] = value
+    # Random interleavings of every channel, two stub clocks moved
+    # across epoch boundaries and handed over between, with reads
+    # wherever they fall: after every step, or only at the drawn "read"
+    # steps — so the buffer folded at a roll or a read holds anything
+    # from one record to several times the ring.
+    clocks = [SimpleNamespace(_now=0.0), SimpleNamespace(_now=0.0)]
     fast, slow = FlightRecorder(**config), _EagerJournal(**config)
     for step in steps:
-        if step[0] != "read":
+        if step[0] == "tick":
+            clocks[step[1]]._now = step[2]
+        elif step[0] == "attach":
+            for recorder in (fast, slow):
+                recorder.attach(clocks[step[1]])
+        elif step[0] != "read":
             for recorder in (fast, slow):
                 getattr(recorder, step[0])(*step[1:])
         if read_every_step or step[0] == "read":
@@ -346,8 +427,8 @@ def test_folding_is_indistinguishable_from_eager_journalling(
 
 
 def test_side_fields_do_not_influence_digests():
-    plain = FlightRecorder(epoch_events=4)
-    traced = FlightRecorder(epoch_events=4)
+    plain = FlightRecorder()
+    traced = FlightRecorder()
     plain.record_hop("l", "n", "a", "b", 7)
     traced.record_hop("l", "n", "a", "b", 7, span=_Span())
     plain.finish()
@@ -362,12 +443,11 @@ def test_side_fields_do_not_influence_digests():
 
 
 def test_keep_epochs_restricts_ring_and_fills_context():
-    recorder = FlightRecorder(epoch_events=4, keep_epochs=(1, 1),
-                              context=3)
+    recorder = FlightRecorder(keep_epochs=(1, 1), context=3)
     _feed(recorder, 12)
     recorder.finish()
     assert [r["epoch"] for r in recorder.ring] == [1] * 4
-    assert [r["eid"] for r in recorder.context] == [1, 2, 3]
+    assert [r["value"] for r in recorder.context] == ["1", "2", "3"]
     assert recorder.epoch_records(1) == list(recorder.ring)
     assert len(recorder.epoch_digests) == 3
 
@@ -379,7 +459,7 @@ def test_keep_epochs_restricts_ring_and_fills_context():
                                   "traced-rpc"])
 def test_recorder_never_perturbs_workload(name):
     baseline = trace_digest(run(RunSpec(name, 31)).outcome)
-    recorder = FlightRecorder(epoch_events=64)
+    recorder = FlightRecorder()
     observed = trace_digest(
         run(RunSpec(name, 31, journal=recorder)).outcome)
     assert observed == baseline
@@ -390,7 +470,7 @@ def test_recorder_never_perturbs_workload(name):
 def test_same_seed_runs_journal_identically():
     digests = []
     for _ in range(2):
-        recorder = FlightRecorder(ring=16, epoch_events=64)
+        recorder = FlightRecorder(ring=16)
         run(RunSpec("locks-hard", 31, journal=recorder))
         digests.append(recorder.epoch_digests)
     assert digests[0] == digests[1]
@@ -400,17 +480,8 @@ def test_workload_journal_covers_all_channels():
     recorder = FlightRecorder(ring=1 << 16)
     run(RunSpec("locks-hard", 31, journal=recorder))
     kinds = {record["kind"] for record in recorder.ring}
-    assert {"dispatch", "rng", "lock", "spawn", "exit"} <= kinds
-
-
-def test_channel_flags_silence_their_records():
-    recorder = FlightRecorder(ring=1 << 16, journal_dispatch=False,
-                              journal_rng=False, journal_locks=False,
-                              journal_actors=False)
-    run(RunSpec("locks-hard", 31, journal=recorder))
-    assert len(recorder.ring) == 0
-    # Epochs still advance on dispatch even with every channel off.
-    assert len(recorder.epoch_digests) >= 1
+    assert {"rng", "lock", "spawn", "exit"} <= kinds
+    assert kinds <= {"rng", "hop", "drop", "lock", "spawn", "exit"}
 
 
 def test_journalled_rng_draws_match_plain_rng():
@@ -440,7 +511,6 @@ def test_journalled_rng_draws_match_plain_rng():
 def test_noop_flight_is_inert_default():
     assert obs.get_flight() is NOOP_FLIGHT
     assert not NOOP_FLIGHT.enabled
-    NOOP_FLIGHT.on_dispatch(0.0, 0, 0)
     NOOP_FLIGHT.record_rng("s", "random", 0.5)
     assert NOOP_FLIGHT.finish() == 0
     assert len(NOOP_FLIGHT) == 0

@@ -48,6 +48,7 @@ from repro.net import (
     periodic_trace,
 )
 from repro.node import EngineeringObject, Ids, ODPRuntime
+from repro.obs.flight import FlightRecorder
 from repro.qos import QoSContract, QoSMonitor, QoSParameters
 from repro.run import RunSpec
 from repro.sessions import (
@@ -550,3 +551,26 @@ def test_a_run_spec_field_is_rejected_by_name(error, rule, build):
     with pytest.raises(error) as caught:
         build()
     assert caught.value.args[0].startswith(rule)
+
+
+# -- ... and at a flight recorder's retention, before any record is kept ---------
+
+_FLIGHT_BOUNDS = [
+    ("ring-bool", "ring", {"ring": True}),
+    ("ring-float", "ring", {"ring": 2.5}),
+    ("context-negative", "context", {"context": -1}),
+    ("keep_epochs-reversed", "keep_epochs", {"keep_epochs": (3, 1)}),
+    ("keep_epochs-short", "keep_epochs", {"keep_epochs": (0,)}),
+]
+
+
+@pytest.mark.parametrize("field, kwargs",
+                         [case[1:] for case in _FLIGHT_BOUNDS],
+                         ids=[case[0] for case in _FLIGHT_BOUNDS])
+def test_a_flight_retention_argument_is_rejected_by_name(field, kwargs):
+    """Unchecked, ``ring=True`` is a one-record ring, ``ring=2.5`` and
+    ``context=-1`` fail as the ring's unnamed ``TypeError`` and
+    ``ValueError``, a reversed epoch range keeps nothing, and a one-item
+    range raises ``IndexError`` at the first fold."""
+    with pytest.raises(ValueError, match="^" + re.escape(field) + " must "):
+        FlightRecorder(**kwargs)
