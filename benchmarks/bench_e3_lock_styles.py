@@ -7,8 +7,8 @@ soft locks and notification locks."*
 One contended workload — writers repeatedly edit a shared section,
 sometimes going idle while holding the lock (the situation tickle locks
 exist for), while readers follow along — is run under each style.  It
-is the registered ``locks-<style>`` workload
-(:func:`repro.analysis.workloads.lock_style_workload`), read here, not
+is the catalogue's ``locks-<style>`` workload
+(:func:`repro.workload.locks.lock_style_workload`), read here, not
 copied.  Reported: mean wait to start editing, lock takeovers (tickle),
 advisory conflicts (soft), change notifications delivered
 (notification), work completed and the session's length.
@@ -21,8 +21,8 @@ declared: tickle locks wait less and finish sooner than hard locks.
 """
 
 from benchmarks._util import check, finding, print_sweep, run_once, sweep
-from repro.analysis.workloads import lock_style_workload
 from repro.concurrency import HARD, NOTIFICATION, SOFT, STYLES, TICKLE
+from repro.workload.locks import lock_style_workload
 
 
 def run(seed, style):

@@ -4,7 +4,7 @@
 session should survive the failure of individual connections by
 degrading gracefully and recovering automatically, not by collapsing.
 
-Setup: the two chaos workloads from :mod:`repro.faults.chaos`.
+Setup: the two chaos workloads from :mod:`repro.workload.chaos`.
 
 * **partition-recovery** — a four-member floor-controlled session with a
   QoS-monitored media flow across a two-site WAN.  A scheduled two-way
@@ -22,7 +22,7 @@ Setup: the two chaos workloads from :mod:`repro.faults.chaos`.
 """
 
 from benchmarks._util import print_table, run_once
-from repro.faults.chaos import (
+from repro.workload.chaos import (
     HEAL_AT,
     MEMBERS,
     PARTITION_AT,

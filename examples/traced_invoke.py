@@ -4,7 +4,7 @@ Scopes a recording tracer and a fresh metrics registry, runs a client at
 one WAN site invoking an object hosted at another (with simulated
 think-time between calls), then exports the trace three ways:
 
-* a JSONL dump (spans + metrics) for ``python -m repro.obs.dashboard``,
+* a JSONL dump (spans + metrics) for ``python -m repro dashboard``,
 * a Chrome ``trace_event`` file that opens in ``about:tracing``/Perfetto,
 * the dashboard over that dump, printed directly.
 
@@ -15,6 +15,7 @@ Run:  PYTHONPATH=src python examples/traced_invoke.py \\
 import argparse
 
 from repro import obs
+from repro.__main__ import main as repro_cli
 from repro.net import Network, wan
 from repro.node import ODPRuntime
 from repro.sim import Environment, RandomStreams, exponential
@@ -78,8 +79,7 @@ def main(argv=None) -> int:
     print("wrote {} trace events to {} (open in about:tracing)".format(
         events, options.chrome))
 
-    from repro.obs import dashboard
-    return dashboard.main([options.out])
+    return repro_cli(["dashboard", options.out])
 
 
 if __name__ == "__main__":

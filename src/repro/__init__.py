@@ -24,7 +24,8 @@ Subpackages (bottom-up):
 * :mod:`repro.net` — packet network (links, routing, multicast, radio).
 * :mod:`repro.node` — ODP engineering objects, invocation, migration.
 * :mod:`repro.groups` — ordered group communication, membership, group RPC.
-* :mod:`repro.workload` — deterministic synthetic users.
+* :mod:`repro.workload` — deterministic synthetic users, and the
+  catalogue of named runs behind ``python -m repro``.
 * :mod:`repro.sessions` — sessions, floor control, sharing.
 * :mod:`repro.concurrency` — transactions, CSCW lock styles, transaction
   groups, operation transformation, reservation, granularity.

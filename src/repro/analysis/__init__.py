@@ -19,7 +19,7 @@ provides the tooling that turns both properties into checkable ones:
   reports something on this tree that nothing before it reports
   (``docs/analysis.md`` "What each detector catches")::
 
-      PYTHONPATH=src python -m repro.analysis.check src/
+      PYTHONPATH=src python -m repro check src/
 
 * **Happens-before conflict sanitizer** (:mod:`repro.analysis.hb`) — a
   vector-clock tracker fed by lock, floor, RPC and shared-store
@@ -27,16 +27,16 @@ provides the tooling that turns both properties into checkable ones:
   grant, floor possession or causal delivery ordered — the residue left
   to the social protocol.  Summarise a lock-style sweep with::
 
-      PYTHONPATH=src python -m repro.analysis.races
+      PYTHONPATH=src python -m repro races
 
 * **Replay checker** (:mod:`repro.analysis.replay`) — runs a workload
   twice with the same seed and diffs event-trace digests::
 
-      PYTHONPATH=src python -m repro.analysis.replay locks-soft
+      PYTHONPATH=src python -m repro replay locks-soft
 
-The workload/replay/races helpers are resolved lazily (PEP 562): this
-package is imported by low-level instrumentation sites (locks, the
-shared store, transports), so its eager imports must stay leaf-only.
+This package is imported by low-level instrumentation sites (locks, the
+shared store, transports), so it exports the sanitizer only; import the
+rest from its module.
 """
 
 from repro.analysis.hb import (
@@ -53,54 +53,18 @@ from repro.analysis.hb import (
     inject_clock,
     use_sanitizer,
 )
-#: Lazily resolved attribute -> home module (dodges the import cycle
-#: through repro.concurrency, which the eager workload imports close;
-#: the static passes stay lazy so ``python -m repro.analysis.check``
-#: does not warn about the module pre-existing in sys.modules).
-_LAZY = {
-    "Finding": "repro.analysis.lint",
-    "Rule": "repro.analysis.lint",
-    "RULES": "repro.analysis.lint",
-    "lint_file": "repro.analysis.lint",
-    "WORKLOADS": "repro.analysis.workloads",
-    "conflict_sweep": "repro.analysis.races",
-    "replay": "repro.analysis.replay",
-    "RepoIndex": "repro.analysis.ir",
-    "run_passes": "repro.analysis.check",
-    "rules_meta": "repro.analysis.check",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            "module 'repro.analysis' has no attribute {!r}".format(name))
-    import importlib
-    return getattr(importlib.import_module(module_name), name)
-
 
 __all__ = [
     "Access",
     "Conflict",
     "ConflictSanitizer",
-    "Finding",
     "HB_HEADER",
     "NOOP_SANITIZER",
     "NoopSanitizer",
     "READ",
-    "RULES",
-    "RepoIndex",
-    "Rule",
-    "WORKLOADS",
     "WRITE",
-    "conflict_sweep",
     "extract_clock",
     "get_sanitizer",
     "inject_clock",
-    "lint_file",
-    "replay",
-    "rules_meta",
-    "run_passes",
     "use_sanitizer",
 ]

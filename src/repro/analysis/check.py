@@ -1,19 +1,17 @@
 """The static analyzer's one front door: lint + protocol over a shared
 AST index::
 
-    PYTHONPATH=src python -m repro.analysis.check src/
-    PYTHONPATH=src python -m repro.analysis.check src/ --passes lint --format json
-    PYTHONPATH=src python -m repro.analysis.check --list-passes
+    PYTHONPATH=src python -m repro check src/
+    PYTHONPATH=src python -m repro check src/ --passes lint --timings
 
 The repo is parsed exactly once (:class:`~repro.analysis.ir.RepoIndex`)
 and both passes run over that index.  They share the
 ``# repro: allow-RPRxxx`` suppression syntax — covering the *whole
-span* of multi-line statements and decorated defs — and the CLI exits 1
-iff any unsuppressed finding remains, so it gates CI.  It exits 2 when
-it was given nothing to analyse (a path that does not exist, paths
-holding no python file, an empty or unknown ``--passes``): a gate that
-analysed nothing must not pass.  Output formats: ``text`` (default) and
-``json``.
+span* of multi-line statements and decorated defs — and the command
+exits 1 iff any unsuppressed finding remains, so it gates CI.  It exits
+2 when it was given nothing to analyse (a path that does not exist,
+paths holding no python file, an empty or unknown ``--passes``): a gate
+that analysed nothing must not pass.
 
 Which detector catches what — and why this is two passes, not four —
 is measured in ``docs/analysis.md`` "What each detector catches".
@@ -21,10 +19,7 @@ is measured in ``docs/analysis.md`` "What each detector catches".
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -53,8 +48,7 @@ def rules_meta() -> Dict[str, Tuple[str, str]]:
 
 
 def run_passes(paths: Iterable[str],
-               passes: Optional[Iterable[str]] = None,
-               respect_suppressions: bool = True
+               passes: Optional[Iterable[str]] = None
                ) -> Tuple[List[Finding], Dict[str, float]]:
     """Run the selected passes; returns (findings, timings).
 
@@ -64,13 +58,12 @@ def run_passes(paths: Iterable[str],
     unknown or empty pass selection, a path that does not exist, or
     paths under which no python file was found.
     """
-    findings, timings, _ = _run(paths, passes, respect_suppressions)
+    findings, timings, _ = analyse(paths, passes)
     return findings, timings
 
 
-def _run(paths: Iterable[str], passes: Optional[Iterable[str]],
-         respect_suppressions: bool
-         ) -> Tuple[List[Finding], Dict[str, float], int]:
+def analyse(paths: Iterable[str], passes: Optional[Iterable[str]] = None
+            ) -> Tuple[List[Finding], Dict[str, float], int]:
     """:func:`run_passes`, plus how many files were analysed."""
     selected = list(passes) if passes is not None else list(PASS_NAMES)
     if not selected:
@@ -107,17 +100,16 @@ def _run(paths: Iterable[str], passes: Optional[Iterable[str]],
         findings.extend(protocol.analyse(index))
         timings["protocol"] = _clock() - started
 
-    if respect_suppressions:
-        findings = [
-            finding for finding in findings
-            if not finding.suppressed_by(
-                index.modules[finding.path].suppressions)]
+    findings = [finding for finding in findings
+                if not finding.suppressed_by(
+                    index.modules[finding.path].suppressions)]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings, timings, len(index.modules)
 
 
-def _render_text(findings: List[Finding], timings: Dict[str, float],
-                 analysed: int, show_timings: bool, out) -> None:
+def render_text(findings: List[Finding], timings: Dict[str, float],
+                analysed: int, show_timings: bool, out) -> None:
+    """The report: one line per finding, the count, optional timings."""
     for finding in findings:
         out.write(finding.render() + "\n")
     out.write("{} finding(s); {} file(s) analysed\n".format(
@@ -128,69 +120,3 @@ def _render_text(findings: List[Finding], timings: Dict[str, float],
                           for name in sorted(timings))
         out.write("pass timings: {} (total {:.3f}s)\n".format(
             table, total))
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.check",
-        description="Static analyzer for repro simulator code "
-                    "(determinism lint + sim-protocol checker).")
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to analyse")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", help="output format")
-    parser.add_argument("--out", help="write output to this file "
-                                      "instead of stdout")
-    parser.add_argument("--passes",
-                        default=",".join(PASS_NAMES),
-                        help="comma-separated subset of: "
-                             + ", ".join(PASS_NAMES))
-    parser.add_argument("--no-suppress", action="store_true",
-                        help="ignore '# repro: allow-...' comments")
-    parser.add_argument("--timings", action="store_true",
-                        help="print per-pass wall time")
-    parser.add_argument("--list-passes", action="store_true",
-                        help="print the pass/rule table and exit")
-    options = parser.parse_args(argv)
-
-    if options.list_passes:
-        meta = rules_meta()
-        for name, prefix in (("lint", "RPR0"), ("protocol", "RPR2")):
-            print(name)
-            for code in sorted(meta):
-                if code.startswith(prefix):
-                    summary, hint = meta[code]
-                    print("  {}  {}\n          fix: {}".format(
-                        code, summary, hint))
-        return 0
-
-    selected = [name for name in options.passes.split(",") if name]
-    try:
-        findings, timings, analysed = _run(
-            options.paths, selected, not options.no_suppress)
-    except ValueError as error:
-        print("check: {}".format(error), file=sys.stderr)
-        return 2
-
-    out = open(options.out, "w", encoding="utf-8") if options.out \
-        else sys.stdout
-    try:
-        if options.format == "json":
-            document = {
-                "findings": [finding.to_dict() for finding in findings],
-                "timings": {name: round(value, 4)
-                            for name, value in sorted(timings.items())},
-            }
-            json.dump(document, out, indent=2, sort_keys=True)
-            out.write("\n")
-        else:
-            _render_text(findings, timings, analysed, options.timings,
-                         out)
-    finally:
-        if options.out:
-            out.close()
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,7 +4,7 @@ Every rule flags a construct that can silently break bit-for-bit
 replay of a simulation run.  It runs as the ``lint`` pass of the one
 static CLI::
 
-    PYTHONPATH=src python -m repro.analysis.check src/ --passes lint
+    PYTHONPATH=src python -m repro check src/ --passes lint
 
 ========  ==============================================================
 code      hazard

@@ -8,8 +8,8 @@ replay-checkable) and the machinery to *survive* them
 (:mod:`repro.faults.policies`: backoff/deadline/circuit-breaker;
 :mod:`repro.faults.detector`: phi-accrual adaptive suspicion;
 :mod:`repro.faults.degrade`: graceful degradation of QoS and session
-mode).  Chaos workloads live in :mod:`repro.faults.chaos` and register
-in :data:`repro.analysis.workloads.WORKLOADS`; the fault search is
+mode).  The chaos workloads are catalogue entries
+(:mod:`repro.workload.chaos`); the fault search is
 :mod:`repro.faults.fuzz`.  Import anything else from its module.
 """
 

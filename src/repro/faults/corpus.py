@@ -4,13 +4,13 @@ Every failure the chaos-search engine finds (and shrinks) can be
 serialized into a small JSON file — workload name, seed, the violated
 oracle and the minimal :class:`~repro.faults.schedule.FaultSchedule` in
 its ``to_dict`` form.  Files checked into the default corpus directory
-(``corpus/fuzz/`` at the repo root) are auto-registered in
-:data:`repro.analysis.workloads.WORKLOADS` as ``fuzz-reg-<id>``
-workloads: each runs the base workload under the stored schedule and
-reports whether the stored oracle still fires.  Regressions therefore
-ride every existing determinism gate (replay digests, flight-recorder
-on/off identity) for free, and ``python -m repro.faults.corpus verify``
-asserts they still *reproduce*.
+(``corpus/fuzz/`` at the repo root) are catalogue entries
+(:data:`repro.workload.catalogue.WORKLOADS`) named ``fuzz-reg-<id>``:
+each runs the base workload under the stored schedule and reports
+whether the stored oracle still fires.  Regressions therefore ride
+every existing determinism gate (replay digests, flight-recorder on/off
+identity) for free, and ``python -m repro corpus`` asserts they still
+*reproduce*.
 
 Entry IDs are content hashes, so re-finding the same minimal schedule
 is idempotent and file names are stable across machines.
@@ -18,11 +18,9 @@ is idempotent and file names are stable across machines.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
-import sys
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
@@ -100,10 +98,18 @@ def load_entry(path: str) -> Dict[str, Any]:
 
 def load_corpus(directory: Optional[str] = None
                 ) -> List[Dict[str, Any]]:
-    """Every entry in ``directory`` (default corpus), sorted by ID."""
-    directory = DEFAULT_DIR if directory is None else directory
-    if not os.path.isdir(directory):
-        return []
+    """Every entry in ``directory`` (default corpus), sorted by ID.
+
+    A missing default corpus is empty; a named ``directory`` that does
+    not exist is a :class:`~repro.errors.SimulationError` naming it.
+    """
+    if directory is None:
+        if not os.path.isdir(DEFAULT_DIR):
+            return []
+        directory = DEFAULT_DIR
+    elif not os.path.isdir(directory):
+        raise SimulationError(
+            "no corpus directory {!r}".format(directory))
     entries = []
     for name in sorted(os.listdir(directory)):
         if name.endswith(".json"):
@@ -114,8 +120,8 @@ def load_corpus(directory: Optional[str] = None
 def _replay(entry: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """The reproducer run twice at ``seed``: the first run's verdict and
     both runs' digests, which must agree."""
-    # Imported at call time: the fuzz engine imports the workload
-    # registry, which imports this module while building itself.
+    # Imported at call time: the fuzz engine runs through repro.run,
+    # which imports the catalogue, which imports this module.
     from repro.faults.fuzz import evaluate_schedule
 
     first, second = (evaluate_schedule(entry["workload"], seed,
@@ -169,37 +175,3 @@ def verify_entry(entry: Dict[str, Any]) -> Dict[str, Any]:
         "deterministic": len(set(replay["digests"])) == 1,
         "violations": replay["violations"],
     }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.faults.corpus",
-        description="Re-verify the fuzz reproducer corpus.")
-    parser.add_argument("command", choices=("verify",),
-                        help="re-run each reproducer and assert it still "
-                             "fails its oracle deterministically")
-    parser.add_argument("--dir", default=None,
-                        help="corpus directory (default corpus/fuzz)")
-    options = parser.parse_args(argv)
-    entries = load_corpus(options.dir)
-    failures = 0
-    for entry in entries:
-        verdict = verify_entry(entry)
-        ok = verdict["reproduced"] and verdict["deterministic"]
-        failures += 0 if ok else 1
-        print("{}  {}  {}  reproduced={} deterministic={}".format(
-            "OK " if ok else "BAD", verdict["id"], verdict["oracle"],
-            verdict["reproduced"], verdict["deterministic"]))
-    if not entries:
-        print("empty corpus: nothing to verify")
-        return 0
-    if failures:
-        print("{} of {} reproducers no longer fail their oracle".format(
-            failures, len(entries)))
-        return 1
-    print("all {} reproducers still reproduce".format(len(entries)))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

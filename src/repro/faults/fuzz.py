@@ -19,7 +19,7 @@ from its own :class:`~repro.sim.RandomStreams` (never the workload's),
 times sit on a 0.25 s grid, and the campaign summary carries a digest so
 CI can assert two runs of ::
 
-    python -m repro.faults.fuzz --workload partition-recovery \\
+    python -m repro fuzz --workload partition-recovery \\
         --budget 25 --seed 7
 
 print byte-identical reports.
@@ -27,11 +27,9 @@ print byte-identical reports.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
-import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -64,6 +62,12 @@ OP_WEIGHTS = (("link", 3.0), ("partition", 2.0), ("crash", 2.0),
 Invariant = Callable[[FaultSchedule, Dict[str, Any]], Optional[str]]
 
 
+def _count(value: Any) -> bool:
+    """Whether ``value`` is an int (not a bool) of at least 1."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 1
+
+
 class FuzzProfile:
     """What the fuzzer may do to one workload — and what must hold.
 
@@ -88,9 +92,10 @@ class FuzzProfile:
             raise SimulationError(
                 "heal_by must be a finite time at least {:g} s after the "
                 "window opens: {!r}".format(MIN_DURATION, heal_by))
-        if max_ops < 1:
+        if not _count(max_ops):
             raise SimulationError(
-                "max_ops must be at least 1: {!r}".format(max_ops))
+                "max_ops must be an int of at least 1, got {!r}".format(
+                    max_ops))
         self.name = name
         self.active = active
         self.heal_by = heal_by
@@ -315,6 +320,19 @@ def campaign_digest(summary: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def check_campaign(budget: Any, max_failures: Any = None) -> None:
+    """Refuse bounds that would run nothing: a ``budget`` or
+    ``max_failures`` that is not an int of at least 1 is a
+    :class:`~repro.errors.SimulationError` starting with its name."""
+    if not _count(budget):
+        raise SimulationError(
+            "budget must be an int of at least 1, got {!r}".format(budget))
+    if max_failures is not None and not _count(max_failures):
+        raise SimulationError(
+            "max_failures must be None or an int of at least 1, got "
+            "{!r}".format(max_failures))
+
+
 def run_campaign(workload: str, budget: int, seed: int,
                  shrink: bool = False, corpus_dir: Optional[str] = None,
                  max_failures: Optional[int] = None) -> Dict[str, Any]:
@@ -325,7 +343,9 @@ def run_campaign(workload: str, budget: int, seed: int,
     :class:`~repro.sim.RandomStreams`.  ``max_failures`` stops early
     (the remaining budget is reported as unspent); ``corpus_dir``
     serializes each failure's (shrunk) schedule as a corpus entry.
+    Bad bounds are refused before any trial (:func:`check_campaign`).
     """
+    check_campaign(budget, max_failures)
     profile = get_profile(workload)
     streams = RandomStreams(seed)
     failures: List[Dict[str, Any]] = []
@@ -387,10 +407,10 @@ def run_campaign(workload: str, budget: int, seed: int,
     return summary
 
 
-# -- CLI ---------------------------------------------------------------------
+# -- report ------------------------------------------------------------------
 
 
-def _print_text(summary: Dict[str, Any], out) -> None:
+def print_text(summary: Dict[str, Any], out) -> None:
     out.write("fuzz campaign: workload={} budget={} seed={} "
               "workload-seed={}\n".format(
                   summary["workload"], summary["budget"],
@@ -420,60 +440,3 @@ def _print_text(summary: Dict[str, Any], out) -> None:
             "{}={}".format(key, value) for key, value
             in sorted(summary["oracle_counts"].items()))))
     out.write("campaign digest: {}\n".format(summary["digest"]))
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.faults.fuzz",
-        description="Search generated fault schedules for invariant "
-                    "violations, deterministically.")
-    parser.add_argument("--workload", help="fuzz target (see --list)")
-    parser.add_argument("--budget", type=int, default=25,
-                        help="number of trials (default 25)")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="campaign seed driving generation "
-                             "(default 7)")
-    parser.add_argument("--shrink", action="store_true",
-                        help="delta-debug each failing schedule to a "
-                             "minimal reproducer")
-    parser.add_argument("--corpus", metavar="DIR", default=None,
-                        help="write failing (shrunk) schedules as "
-                             "corpus entries into DIR")
-    parser.add_argument("--max-failures", type=int, default=None,
-                        help="stop the campaign after N failures")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", help="report format")
-    parser.add_argument("--list", action="store_true",
-                        help="list fuzzable workloads and exit")
-    options = parser.parse_args(argv)
-    if options.list:
-        for name in sorted(PROFILES):
-            profile = PROFILES[name]
-            print("{}  active=[{:g},{:g}] heal_by={:g} max_ops={}"
-                  .format(name, profile.active[0], profile.active[1],
-                          profile.heal_by, profile.max_ops))
-        return 0
-    if options.workload is None:
-        parser.error("--workload is required (see --list)")
-    if options.budget < 1:
-        parser.error("--budget must be >= 1")
-    if options.max_failures is not None and options.max_failures < 1:
-        parser.error("--max-failures must be >= 1")
-    try:
-        get_profile(options.workload)
-    except KeyError as error:
-        print("error: {}".format(error.args[0]), file=sys.stderr)
-        return 2
-    summary = run_campaign(
-        options.workload, options.budget, options.seed,
-        shrink=options.shrink, corpus_dir=options.corpus,
-        max_failures=options.max_failures)
-    if options.format == "json":
-        print(json.dumps(summary, sort_keys=True, indent=2))
-    else:
-        _print_text(summary, sys.stdout)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

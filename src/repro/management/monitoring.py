@@ -9,8 +9,8 @@ appropriate mechanisms are in place to support and inform such policies."*
 which object when, and summarises access patterns over a sliding window.
 Samples are also routed through the observability
 :class:`~repro.obs.metrics.MetricsRegistry`, so placement policies, the
-benchmarks and the dashboard's ``object`` table (``python -m
-repro.obs.dashboard``) all read one data source.
+benchmarks and the dashboard's ``object`` table (``python -m repro
+dashboard``) all read one data source.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ substrate.  This package provides it for every layer of the middleware:
   across nuclei, and ``max_spans`` bounds retention with a ring buffer.
 * **Profiling** — :class:`repro.obs.profile.SpanProfile` turns span
   enter/exit into per-operation / per-node / per-actor simulated-time
-  accounting and folded flame-graph stacks; ``python -m
-  repro.obs.profile`` runs it over any registered workload or dump.
+  accounting and folded flame-graph stacks; ``python -m repro
+  profile`` runs it over any catalogue workload or dump.
 * **SLOs** — :mod:`repro.obs.slo` evaluates declarative objectives over
   the registry with multi-window burn rates and records alert events.
 * **Export** — :func:`dump_jsonl` (machine-readable) and
@@ -38,8 +38,8 @@ substrate.  This package provides it for every layer of the middleware:
   unaffected); :mod:`repro.obs.tables` rolls windows + spans into
   per-node/link/actor/op/object hot-spot tables with Zipf-skew
   coefficients; :mod:`repro.obs.critical` extracts per-trace critical
-  paths.  The ``python -m repro.obs.dashboard`` CLI fronts all three,
-  over a registered workload or any ``dump_jsonl`` file.
+  paths.  ``python -m repro dashboard`` fronts all three, over a
+  catalogue workload or any ``dump_jsonl`` file.
 * **Flight recorder** — :class:`FlightRecorder` journals kernel-level
   decisions (RNG draws, packet hops/drops, lock transitions, actor
   lifecycles) into a bounded ring with chained 0.5 s epoch digests,
@@ -47,14 +47,14 @@ substrate.  This package provides it for every layer of the middleware:
   a run's identity (``repro.run.Result.digest``) ends in that
   chain, and :mod:`repro.obs.divergence` bisects two runs' chains to
   the first divergent epoch and its first mismatched record — printed
-  by ``python -m repro.analysis.replay`` on a mismatch.
+  by ``python -m repro replay`` on a mismatch.
 
-The CLI modules (``profile``, ``dashboard``, ``tables``, ``critical``)
-are not re-exported here: importing the package must not import a
-module that ``python -m`` is about to run.
+The report modules (``profile``, ``dashboard``, ``tables``,
+``critical``, ``divergence``) are not re-exported here: import them from
+their module.
 
 Each observer is read with ``get_X()`` by instrumentation and scoped
-with ``use_X()``, which always restores the one before; a registered
+with ``use_X()``, which always restores the one before; a catalogue
 workload is run with all of them scoped by :func:`repro.run.run`.
 
 Quick start::

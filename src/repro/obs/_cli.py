@@ -1,25 +1,16 @@
-"""Shared plumbing for the observability CLIs (profile/dashboard).
+"""Shared plumbing for the report commands of ``python -m repro``.
 
-One fixed-width table renderer, one ``--top`` parser and one dump
-loader, so every CLI clips, formats and complains about truncated dumps
-identically.  Kept private (underscore module): the public surfaces are
-the CLIs themselves.
+One fixed-width table renderer and one dump loader, so every report
+clips, formats and complains about truncated dumps identically.  Kept
+private (underscore module): the public surfaces are the commands.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-
-def row_count(text: str) -> int:
-    """The ``--top N`` argument type: a row count, so never negative."""
-    count = int(text)
-    if count < 0:
-        raise argparse.ArgumentTypeError(
-            "must be >= 0, got {}".format(count))
-    return count
+from repro.obs.export import load_jsonl_tolerant
 
 
 def fmt_cell(cell: Any) -> str:
@@ -61,29 +52,24 @@ def render_table(title: str, headers: Sequence[str],
             clipped))
 
 
-def load_dump_records(path: str, err=None
-                      ) -> Optional[List[Dict[str, Any]]]:
-    """Load a JSONL dump for a CLI, or ``None`` when it is unusable.
+def load_dump_records(path: str, err=None) -> List[Dict[str, Any]]:
+    """Load a JSONL dump for a report.
 
-    Unreadable files and dumps with zero parseable records both print a
-    diagnostic to ``err`` (default stderr) and return ``None`` so the
-    caller can exit non-zero; a partially-truncated dump is read
-    tolerantly with a note about the skipped lines.
+    Unreadable files and dumps with zero parseable records raise
+    :class:`ValueError` with the diagnostic; a partially-truncated dump
+    is read tolerantly with a note about the skipped lines on ``err``
+    (default stderr).
     """
-    from repro.obs.export import load_jsonl_tolerant
-
     err = err if err is not None else sys.stderr
     try:
         records, skipped = load_jsonl_tolerant(path)
     except OSError as exc:
-        err.write("error: cannot read {}: {}\n".format(path, exc))
-        return None
+        raise ValueError("cannot read {}: {}".format(path, exc)) from None
     if skipped:
         err.write("note: skipped {} malformed JSONL line(s) (truncated "
                   "dump?)\n".format(skipped))
     if not records:
-        err.write("error: {} contains no parseable records\n".format(path))
-        return None
+        raise ValueError("{} contains no parseable records".format(path))
     return records
 
 

@@ -1,6 +1,6 @@
 """Divergence localizer: find *where* two runs forked, not just that they did.
 
-``python -m repro.analysis.replay`` proves or refutes determinism by
+``python -m repro replay`` proves or refutes determinism by
 comparing run identities; this module turns a refutation into a
 location, on the identity's own journal.  Both runs are journalled by
 the recorder :func:`repro.run.journal` defines — the one a run's
@@ -13,12 +13,11 @@ is printed with its causal context: the owning span/trace (via a
 recording :class:`~repro.obs.tracer.Tracer`) and the records preceding
 the mismatch in each run.
 
-The replay CLI prints :func:`render` of :func:`localize` on a digest
+``replay`` prints :func:`render` of :func:`localize` on a digest
 mismatch and whenever ``--seed2`` is given (two seeds are a guaranteed
 fork, which is how CI smoke-tests the localizer end to end)::
 
-    PYTHONPATH=src python -m repro.analysis.replay locks-hard \\
-        --seed 31 --seed2 32
+    PYTHONPATH=src python -m repro replay locks-hard --seed 31 --seed2 32
 """
 
 from __future__ import annotations
@@ -27,6 +26,8 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.flight import EPOCH_INTERVAL, canonical
+from repro.obs.tracer import Tracer
+from repro.run import RunSpec, journal, run, trace_digest
 
 #: Ring size for the full-retention re-run: must hold every record of
 #: the divergent epoch.
@@ -62,10 +63,6 @@ def first_divergent_epoch(a: Sequence[str], b: Sequence[str]
 def compare_digests(name: str, seed: int, seed2: Optional[int] = None
                     ) -> Dict[str, Any]:
     """The cheap pass: two journalled runs and their first divergence."""
-    # Function-level import: the replay module imports this one lazily,
-    # and the workload registry pulls in the whole net/node stack.
-    from repro.run import RunSpec, journal, run, trace_digest
-
     second_seed = seed if seed2 is None else seed2
     run_a, run_b = journal(), journal()
     result_a = run(RunSpec(name, seed, journal=run_a)).outcome
@@ -104,9 +101,6 @@ def localize(name: str, seed: int, seed2: Optional[int] = None
     owning-span side metadata; side fields are excluded from digests,
     so traced and untraced runs journal identically.
     """
-    from repro.obs.tracer import Tracer
-    from repro.run import RunSpec, journal, run
-
     report = compare_digests(name, seed, seed2)
     if not report["diverged"]:
         return report

@@ -55,7 +55,7 @@ def dump_jsonl(path: str, tracer: Optional[Tracer] = None,
     optionally takes a :class:`~repro.obs.timeline.TimelineRecorder`
     (or any iterable of window dicts) whose ``{"kind": "window"}``
     records are appended — one dump feeds the dashboard and the
-    profiler (``--from-dump``) alike.  ``meta`` (a plain dict of
+    profiler alike.  ``meta`` (a plain dict of
     provenance fields, see :func:`meta_record`) becomes the dump's
     first line; dumps without one remain valid for every loader.
     """

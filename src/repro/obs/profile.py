@@ -18,7 +18,7 @@ The folded-stacks exporter emits the classic one-line-per-stack format
 `speedscope <https://speedscope.app>`_, so a flame graph of simulated
 time is one command away::
 
-    PYTHONPATH=src python -m repro.obs.profile traced-rpc \\
+    PYTHONPATH=src python -m repro profile traced-rpc \\
         --folded run.folded --top 15
 
 Per-actor accounting comes from the ``actor.run`` spans opened by
@@ -28,17 +28,10 @@ an ``actor`` attribute.
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs._cli import (
-    describe_meta,
-    extract_meta,
-    load_dump_records,
-    render_table,
-    row_count,
-)
+from repro.obs._cli import render_table
 from repro.obs.span import Span
 
 #: Folded-stack values are integer microseconds of simulated time.
@@ -313,7 +306,7 @@ def render_diff(rows: Dict[str, Dict[str, int]], out=None) -> None:
             total / MICROSECONDS))
 
 
-# -- CLI -------------------------------------------------------------------
+# -- report ----------------------------------------------------------------
 
 
 def render_profile(profile: SpanProfile, out=None,
@@ -336,78 +329,3 @@ def render_profile(profile: SpanProfile, out=None,
                      [(key, int(row["count"]), row["inclusive"],
                        row["exclusive"]) for key, row in ordered],
                      out=out, top=top)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.profile",
-        description="Profile simulated time for a registered workload "
-                    "(see repro.analysis.workloads) or a JSONL dump.")
-    parser.add_argument("workload", nargs="?",
-                        help="workload name (see python -m "
-                             "repro.analysis.replay --list), or a path to a "
-                             "dump_jsonl() file when --from-dump is given; "
-                             "not used with --diff")
-    parser.add_argument("--seed", type=int, default=31,
-                        help="experiment seed (default 31)")
-    parser.add_argument("--top", type=row_count, default=None,
-                        metavar="N", help="show at most N rows per table")
-    parser.add_argument("--folded", metavar="PATH",
-                        help="also write folded stacks (flamegraph.pl / "
-                             "speedscope input) to PATH")
-    parser.add_argument("--from-dump", action="store_true",
-                        help="treat the positional argument as a JSONL "
-                             "dump instead of a workload name")
-    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
-                        help="compare two folded dumps (--folded output) "
-                             "and print per-operation sim-time deltas; "
-                             "an all-zero diff proves two runs spent "
-                             "simulated time identically")
-    options = parser.parse_args(argv)
-
-    if options.diff:
-        old_path, new_path = options.diff
-        try:
-            old, new = parse_folded(old_path), parse_folded(new_path)
-        except (OSError, ValueError) as exc:
-            print("error: {}".format(exc), file=sys.stderr)
-            return 2
-        render_diff(diff_folded(old, new))
-        return 0
-
-    if options.workload is None:
-        parser.error("a workload (or --diff OLD NEW) is required")
-
-    if options.from_dump:
-        records = load_dump_records(options.workload)
-        if records is None:
-            return 2
-        meta_line = describe_meta(extract_meta(records))
-        if meta_line is not None:
-            print(meta_line)
-        profile = SpanProfile.from_records(records)
-    else:
-        # Imported here: the workload registry pulls in most of the
-        # library, which --from-dump users should not have to pay for.
-        from repro.obs.tracer import Tracer
-        from repro.run import RunSpec, run
-        try:
-            spec = RunSpec(options.workload, options.seed, tracer=Tracer())
-        except KeyError as error:
-            print("error: {}".format(error.args[0]), file=sys.stderr)
-            return 2
-        profile = SpanProfile.from_tracer(run(spec).tracer)
-        if not len(profile):
-            print("note: workload {!r} emitted no finished spans".format(
-                options.workload), file=sys.stderr)
-
-    render_profile(profile, top=options.top)
-    if options.folded:
-        lines = profile.dump_folded(options.folded)
-        print("\nwrote {} folded stack(s) to {}".format(
-            lines, options.folded))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

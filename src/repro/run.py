@@ -27,7 +27,6 @@ import json
 from typing import Any, Callable, Dict, Optional, Union
 
 from repro.analysis.hb import ConflictSanitizer, use_sanitizer
-from repro.analysis.workloads import WORKLOADS
 from repro.errors import SimulationError
 from repro.faults.schedule import _use_override
 from repro.obs.flight import (
@@ -38,6 +37,7 @@ from repro.obs.flight import (
 )
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.tracer import NoopTracer, Tracer, get_tracer, use_tracer
+from repro.workload.catalogue import WORKLOADS
 
 #: The kernel's own bookkeeping inside an outcome's ``"env"`` block.
 KERNEL_COUNTERS = ("events_scheduled", "events_processed")

@@ -1,8 +1,8 @@
 """Chaos workloads: injected faults against the full collaboration stack.
 
-Two replayable workloads, registered in
-:data:`repro.analysis.workloads.WORKLOADS` so the replay checker, the
-races CLI and the profiler all see them:
+Two replayable catalogue entries
+(:data:`repro.workload.catalogue.WORKLOADS`), so ``python -m repro
+replay``, ``profile`` and ``fuzz`` all see them:
 
 * ``partition-recovery`` — a four-member session (floor control, causal
   group, QoS-monitored media flow) across a two-site WAN.  A scheduled
@@ -24,7 +24,7 @@ races CLI and the profiler all see them:
 Both are pure functions of the seed: every random draw comes from a
 named :class:`~repro.sim.RandomStreams` stream and every fault fires
 from a declarative :class:`~repro.faults.schedule.FaultSchedule`, so
-``python -m repro.analysis.replay`` digest-checks them.
+``python -m repro replay`` digest-checks them.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
-"""Named, seeded workloads for the sanitizer and replay checker.
+"""The E3 contended-editing workload, one catalogue entry per lock style.
 
-Each workload is a function ``(seed) -> dict`` returning a fully
-JSON-serialisable result: the simulation's observable outcome plus the
-sanitizer's access trace when one is enabled.  The same functions feed
-``python -m repro.analysis.races`` (conflict report per lock style) and
-``python -m repro.analysis.replay`` (determinism check), so the
+It returns a fully JSON-serialisable result: the simulation's
+observable outcome plus the sanitizer's access trace.  The same
+function feeds ``python -m repro races`` (conflict report per lock
+style) and ``python -m repro replay`` (determinism check), so the
 property being replayed is exactly the property being measured.
 
-The lock-style workload is experiment E3's (§4.2.1), which runs it at
+The workload is experiment E3's (§4.2.1), which runs it at
 every seed of its sweep: writers repeatedly edit a shared section —
 sometimes going idle while holding the lock — while readers follow
 along, under each of the four lock styles.  Every edit goes through a
@@ -17,8 +16,7 @@ the actual reads and writes the locks are (or are not) ordering.
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, Dict
+from typing import Any, Dict
 
 from repro.analysis.hb import get_sanitizer
 from repro.concurrency.locks import (
@@ -26,7 +24,6 @@ from repro.concurrency.locks import (
     LockTable,
     NOTIFICATION,
     SHARED,
-    STYLES,
 )
 from repro.concurrency.store import SharedStore
 from repro.obs.metrics import Tally
@@ -105,59 +102,3 @@ def lock_style_workload(style: str, seed: int = 31) -> Dict[str, Any]:
         "accesses": sanitizer.trace(),
         "conflicts": sanitizer.conflict_counts(),
     }
-
-
-def _register_lock_styles() -> Dict[str, Callable[..., Dict[str, Any]]]:
-    registry: Dict[str, Callable[..., Dict[str, Any]]] = {}
-    for style in STYLES:
-        registry["locks-" + style] = functools.partial(
-            lock_style_workload, style)
-    return registry
-
-
-def _register_obs_demos() -> Dict[str, Callable[..., Dict[str, Any]]]:
-    # Imported here so the telemetry demos (which pull in the whole
-    # net/node stack) only load when the registry is actually used.
-    from repro.obs.demo import (
-        slo_burn_workload,
-        timeline_demo_workload,
-        traced_rpc_workload,
-    )
-    return {"traced-rpc": traced_rpc_workload,
-            "slo-burn": slo_burn_workload,
-            "timeline-demo": timeline_demo_workload}
-
-
-def _register_chaos() -> Dict[str, Callable[..., Dict[str, Any]]]:
-    # Imported here (like the obs demos) to keep the groups/sessions/
-    # qos stack off the import path of modules that only need the
-    # lock workloads — and to avoid closing an import cycle: chaos
-    # reaches the groups/node layers, which import net.transport, which
-    # imports faults.policies.
-    from repro.faults.chaos import (
-        flaky_links_workload,
-        partition_recovery_workload,
-    )
-    return {"partition-recovery": partition_recovery_workload,
-            "flaky-links": flaky_links_workload}
-
-
-def _register_fuzz_corpus() -> Dict[str, Callable[..., Dict[str, Any]]]:
-    # Every shrunk reproducer checked into the default fuzz corpus
-    # becomes a ``fuzz-reg-<id>`` workload: the base workload run under
-    # the stored minimal schedule, its oracle verdict in the result.
-    # Regression coverage therefore rides the existing replay/flight
-    # determinism gates automatically.  corpus.py must not be imported
-    # by this module's importers eagerly — it reaches back into the
-    # fuzz engine, which imports this registry at call time.
-    from repro.faults.corpus import corpus_workloads
-    return corpus_workloads()
-
-
-#: Registry of named workloads; :func:`repro.run.run` runs one by name.
-WORKLOADS: Dict[str, Callable[..., Dict[str, Any]]] = \
-    _register_lock_styles()
-WORKLOADS.update(_register_obs_demos())
-WORKLOADS.update(_register_chaos())
-WORKLOADS.update(_register_fuzz_corpus())
-

@@ -1,8 +1,8 @@
 """Replayable demonstration workloads for the telemetry stack.
 
-Two workloads, registered in :data:`repro.analysis.workloads.WORKLOADS`
-so the replay checker, the races CLI and ``python -m repro.obs.profile``
-all see them:
+Three catalogue entries (:data:`repro.workload.catalogue.WORKLOADS`),
+so ``python -m repro replay``, ``profile`` and ``dashboard`` all see
+them:
 
 * ``traced-rpc`` — three named clients at one WAN site invoking a shared
   object at another, traced under a deterministic head
@@ -22,9 +22,9 @@ all see them:
   non-uniform workload to bite on.  The windows ride inside the result
   dict, which makes the replay digest cover the whole timeline.
 
-Both return JSON-serialisable dicts that are pure functions of the seed,
-so ``python -m repro.analysis.replay`` can digest-check them.  When a
-recording tracer is already installed (the profile CLI does this) the
+All return JSON-serialisable dicts that are pure functions of the seed,
+so ``python -m repro replay`` can digest-check them.  When a recording
+tracer is already installed (``python -m repro profile`` does this) the
 ``traced-rpc`` workload traces into it instead of its own, so the
 profiler sees the spans.
 """
@@ -37,9 +37,13 @@ from typing import Any, Dict
 from repro.net import Network, wan
 from repro.node import ODPRuntime
 from repro.obs import slo
+from repro.obs.critical import critical_summary
+from repro.obs.export import span_record
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.profile import SpanProfile
 from repro.obs.sampling import Sampler
+from repro.obs.tables import dimension_table
+from repro.obs.timeline import TimelineRecorder
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.sim import Environment, RandomStreams, exponential, zipf_index
 
@@ -196,11 +200,6 @@ def timeline_demo_workload(seed: int = 31) -> Dict[str, Any]:
     windows, the hot-spot rollups and the critical-path bottlenecks all
     land in the (JSON-serialisable, digest-stable) result.
     """
-    from repro.obs.critical import critical_summary
-    from repro.obs.export import span_record
-    from repro.obs.tables import dimension_table
-    from repro.obs.timeline import TimelineRecorder
-
     ambient = get_tracer()
     if ambient.enabled:
         tracer = ambient

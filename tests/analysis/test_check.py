@@ -1,12 +1,12 @@
 """Tests for the one static CLI: passes, formats, exit codes, gate."""
 
-import json
 import os
 import textwrap
 
 import pytest
 
-from repro.analysis.check import PASS_NAMES, main, rules_meta, run_passes
+from repro.__main__ import main
+from repro.analysis.check import PASS_NAMES, rules_meta, run_passes
 
 HERE = os.path.dirname(__file__)
 REPO_SRC = os.path.normpath(
@@ -85,9 +85,9 @@ def test_shipped_tree_is_clean():
 # -- the CLI ----------------------------------------------------------------
 
 def test_cli_exit_codes(dirty_tree, capsys):
-    assert main([dirty_tree]) == 1
+    assert main(["check", dirty_tree]) == 1
     assert "RPR201" in capsys.readouterr().out
-    assert main([REPO_SRC]) == 0
+    assert main(["check", REPO_SRC]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
 
 
@@ -96,40 +96,17 @@ def test_clean_tree_summary_counts_files_analysed(tmp_path, capsys):
     # is of the files analysed, not of those with findings.
     for name in ("a.py", "b.py", "c.py"):
         (tmp_path / name).write_text("X = 1\n", encoding="utf-8")
-    assert main([str(tmp_path)]) == 0
+    assert main(["check", str(tmp_path)]) == 0
     assert capsys.readouterr().out == "0 finding(s); 3 file(s) analysed\n"
 
 
 def test_cli_unknown_pass_exits_2(dirty_tree, capsys):
-    assert main([dirty_tree, "--passes", "nope"]) == 2
+    assert main(["check", dirty_tree, "--passes", "nope"]) == 2
     assert "unknown pass" in capsys.readouterr().err
 
 
-def test_cli_list_passes(capsys):
-    assert main(["--list-passes"]) == 0
-    out = capsys.readouterr().out
-    lines = out.splitlines()
-    assert [line for line in lines if not line.startswith(" ")] \
-        == list(PASS_NAMES)
-    listed = [line.split()[0] for line in lines
-              if line.startswith("  RPR")]
-    assert listed == sorted(rules_meta())
-    assert out.count("fix: ") == len(listed)
-
-
-def test_cli_json_format(dirty_tree, capsys):
-    assert main([dirty_tree, "--format", "json"]) == 1
-    document = json.loads(capsys.readouterr().out)
-    assert sorted(document) == ["findings", "timings"]
-    assert {entry["code"] for entry in document["findings"]} \
-        == {"RPR001", "RPR201"}
-    assert {"path", "line", "col", "code", "message",
-            "hint"} <= set(document["findings"][0])
-    assert set(document["timings"]) >= set(PASS_NAMES)
-
-
 def test_cli_timings_flag(dirty_tree, capsys):
-    main([dirty_tree, "--timings"])
+    main(["check", dirty_tree, "--timings"])
     assert "pass timings:" in capsys.readouterr().out
 
 
@@ -139,7 +116,7 @@ def test_missing_path_exits_2_and_names_it(tmp_path, capsys):
     missing = str(tmp_path / "scr")
     with pytest.raises(ValueError, match="no such file or directory"):
         run_passes([missing])
-    assert main([missing]) == 2
+    assert main(["check", missing]) == 2
     captured = capsys.readouterr()
     assert captured.err == \
         "check: no such file or directory: {!r}\n".format(missing)
@@ -149,7 +126,7 @@ def test_missing_path_exits_2_and_names_it(tmp_path, capsys):
 def test_one_missing_path_among_good_ones_exits_2(dirty_tree, tmp_path,
                                                   capsys):
     missing = str(tmp_path / "scr")
-    assert main([dirty_tree, missing]) == 2
+    assert main(["check", dirty_tree, missing]) == 2
     assert repr(missing) in capsys.readouterr().err
 
 
@@ -158,14 +135,14 @@ def test_paths_holding_no_python_file_exit_2(tmp_path, capsys):
                                         encoding="utf-8")
     with pytest.raises(ValueError, match="no python files"):
         run_passes([str(tmp_path)])
-    assert main([str(tmp_path)]) == 2
+    assert main(["check", str(tmp_path)]) == 2
     assert repr(str(tmp_path)) in capsys.readouterr().err
 
 
 def test_empty_pass_selection_exits_2(dirty_tree, capsys):
     with pytest.raises(ValueError, match="no pass selected"):
         run_passes([dirty_tree], [])
-    assert main([dirty_tree, "--passes", ""]) == 2
+    assert main(["check", dirty_tree, "--passes", ""]) == 2
     assert "no pass selected" in capsys.readouterr().err
 
 
@@ -174,5 +151,5 @@ def test_empty_pass_selection_exits_2(dirty_tree, capsys):
 def test_unparseable_file_reports_rpr000(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("def broken(:\n", encoding="utf-8")
-    assert main([str(tmp_path)]) == 1
+    assert main(["check", str(tmp_path)]) == 1
     assert "RPR000" in capsys.readouterr().out

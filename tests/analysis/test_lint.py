@@ -1,7 +1,7 @@
 """Tests for the determinism lint: rules, suppression, CLI, repo-clean.
 
-The CLI is ``python -m repro.analysis.check --passes lint`` — the lint
-has no entry point of its own.
+The CLI is ``python -m repro check --passes lint`` — the lint has no
+entry point of its own.
 
 The fixture modules under ``fixtures/`` carry their own expectations:
 every line that must be flagged ends with ``# expect: CODE`` and every
@@ -11,13 +11,13 @@ assert the linter reports exactly the marked findings — nothing more,
 nothing less.
 """
 
-import json
 import os
 import re
 
 import pytest
 
-from repro.analysis.check import main, run_passes
+from repro.__main__ import main
+from repro.analysis.check import run_passes
 from repro.analysis.lint import RULES, lint_file, lint_source
 
 HERE = os.path.dirname(__file__)
@@ -81,7 +81,7 @@ def test_fixture_suppressions_respected_and_overridable(filename):
     # Suppressed lines stay silent normally...
     found = {(f.line, f.code) for f in lint_file(path)}
     assert not (found & suppressed)
-    # ...and reappear under --no-suppress semantics.
+    # ...and reappear when suppressions are not respected.
     unsuppressed = {(f.line, f.code)
                     for f in lint_file(path, respect_suppressions=False)}
     assert unsuppressed == expected | suppressed
@@ -109,7 +109,7 @@ def test_repo_source_is_lint_clean():
 # -- CLI -------------------------------------------------------------------
 
 def test_cli_nonzero_with_codes_on_fixtures(capsys):
-    assert main([FIXTURES, "--passes", "lint"]) == 1
+    assert main(["check", FIXTURES, "--passes", "lint"]) == 1
     out = capsys.readouterr().out
     for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
                  "RPR006"):
@@ -117,25 +117,8 @@ def test_cli_nonzero_with_codes_on_fixtures(capsys):
 
 
 def test_cli_zero_on_clean_tree(capsys):
-    assert main([REPO_SRC, "--passes", "lint"]) == 0
+    assert main(["check", REPO_SRC, "--passes", "lint"]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
-
-
-def test_cli_json_format(capsys):
-    path = os.path.join(FIXTURES, "rpr005_module_state.py")
-    assert main([path, "--passes", "lint", "--format", "json"]) == 1
-    findings = json.loads(capsys.readouterr().out)["findings"]
-    assert findings
-    assert {"path", "line", "col", "code", "message",
-            "hint"} <= set(findings[0])
-
-
-def test_cli_list_rules(capsys):
-    assert main(["--list-passes"]) == 0
-    out = capsys.readouterr().out
-    for lint_rule in RULES:
-        assert lint_rule.code in out
-        assert "fix: " + lint_rule.hint in out
 
 
 # -- suppression spans: multi-line statements, decorated defs ---------------

@@ -10,9 +10,10 @@ them.
 import io
 import json
 
+from repro.__main__ import main
 from repro.analysis import races
 from repro.analysis.hb import get_sanitizer
-from repro.analysis.races import conflict_sweep, main, render
+from repro.analysis.races import conflict_sweep, render
 from repro.concurrency.locks import HARD, NOTIFICATION, SOFT, TICKLE
 
 
@@ -66,13 +67,13 @@ def test_render_tabulates_every_style():
 
 
 def test_cli_exits_zero(capsys):
-    assert main(["--styles", HARD, SOFT]) == 0
+    assert main(["races"]) == 0
     out = capsys.readouterr().out
     assert HARD in out and SOFT in out
 
 
 def test_cli_format_json_includes_gate_meta(capsys):
-    assert main(["--styles", HARD, "--format", "json"]) == 0
+    assert main(["races", "--format", "json"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["_meta"]["ok"] is True
     assert document["_meta"]["hard_conflicts"] == 0
@@ -87,10 +88,9 @@ def test_cli_exits_nonzero_on_hard_conflicts(monkeypatch, capsys):
                "lock_counters": {},
                "wait": {"mean": 0.0}},
     }
-    monkeypatch.setattr(races, "conflict_sweep",
-                        lambda seed, styles: leaky)
-    assert main(["--styles", HARD]) == 1
+    monkeypatch.setattr(races, "conflict_sweep", lambda seed: leaky)
+    assert main(["races"]) == 1
     assert "regression" in capsys.readouterr().out
-    assert main(["--styles", HARD, "--format", "json"]) == 1
+    assert main(["races", "--format", "json"]) == 1
     document = json.loads(capsys.readouterr().out)
     assert document["_meta"]["ok"] is False

@@ -6,14 +6,16 @@ import os
 import pytest
 
 from repro.analysis.hb import NOOP_SANITIZER, get_sanitizer
-from repro.analysis.replay import main, replay
-from repro.analysis.workloads import WORKLOADS
+from repro.faults.fuzz import PROFILES
+from repro.__main__ import main
+from repro.analysis.replay import replay
 from repro.obs.flight import FlightRecorder, use_flight
 from repro.obs.metrics import get_metrics
 from repro.obs.timeline import TimelineRecorder
 from repro.obs.tracer import Tracer, use_tracer
 from repro.run import RunSpec, journal, run, run_digest, trace_digest
 from repro.sim import Environment
+from repro.workload.catalogue import WORKLOADS
 
 
 def _outcome(name, seed):
@@ -81,18 +83,37 @@ def test_unknown_workload_raises():
 
 
 def test_cli_ok(capsys):
-    assert main(["locks-hard"]) == 0
+    assert main(["replay", "locks-hard"]) == 0
     assert "REPLAY OK" in capsys.readouterr().out
 
 
 def test_cli_unknown_workload(capsys):
-    assert main(["no-such-workload"]) == 2
+    assert main(["replay", "no-such-workload"]) == 2
     assert "unknown workload" in capsys.readouterr().err
 
 
 def test_cli_list(capsys):
-    assert main(["--list"]) == 0
+    assert main(["list"]) == 0
     assert "locks-soft" in capsys.readouterr().out
+
+
+def test_cli_list_marks_the_fuzzable_entries(capsys):
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == sorted(WORKLOADS)
+    assert [line.split()[0] for line in lines if "  fuzz: " in line] \
+        == sorted(PROFILES)
+
+
+def test_cli_replays_every_entry_when_given_no_name(monkeypatch, capsys):
+    for name in sorted(WORKLOADS):
+        if name not in ("locks-hard", "locks-soft"):
+            monkeypatch.delitem(WORKLOADS, name)
+    assert main(["replay"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("REPLAY OK") == 2
+    assert "REPLAY OK: locks-hard (seed 31)" in out
+    assert "REPLAY OK: locks-soft (seed 31)" in out
 
 
 def test_every_registered_workload_is_digest_stable():

@@ -1,13 +1,13 @@
 """Smoke and determinism tests for the chaos workloads."""
 
-from repro.analysis.workloads import WORKLOADS
-from repro.faults.chaos import (
+from repro.run import RunSpec, run
+from repro.workload.catalogue import WORKLOADS
+from repro.workload.chaos import (
     HEAL_AT,
     PARTITION_AT,
     flaky_links_workload,
     partition_recovery_workload,
 )
-from repro.run import RunSpec, run
 
 
 def test_chaos_workloads_registered():

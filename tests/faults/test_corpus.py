@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.workloads import WORKLOADS
+from repro.__main__ import main
 from repro.errors import SimulationError
 from repro.faults.corpus import (
     REGISTRY_PREFIX,
@@ -17,6 +17,7 @@ from repro.faults.corpus import (
     verify_entry,
     write_entry,
 )
+from repro.workload.catalogue import WORKLOADS
 
 BASE, ORACLE = "partition-recovery", "invariant:view-recovers"
 SCHEDULE = {"events": [
@@ -101,3 +102,22 @@ def test_checked_in_corpus_still_reproduces():
             "corpus entry {} no longer fails {}".format(
                 entry["id"], entry["oracle"])
         assert verdict["deterministic"]
+
+
+def test_a_named_corpus_directory_that_does_not_exist_is_an_error(tmp_path,
+                                                                  capsys):
+    """A mistyped ``--dir`` printed "empty corpus: nothing to verify" and
+    passed the gate."""
+    missing = str(tmp_path / "no-such-dir")
+    with pytest.raises(SimulationError, match=repr(missing)):
+        load_corpus(missing)
+    assert main(["corpus", "--dir", missing]) == 2
+    captured = capsys.readouterr()
+    assert repr(missing) in captured.err
+    assert "nothing to verify" not in captured.out
+
+
+def test_an_empty_named_corpus_directory_verifies_nothing(tmp_path, capsys):
+    assert load_corpus(str(tmp_path)) == []
+    assert main(["corpus", "--dir", str(tmp_path)]) == 0
+    assert "empty corpus: nothing to verify" in capsys.readouterr().out

@@ -12,10 +12,10 @@ from repro.faults.fuzz import (
     campaign_digest,
     evaluate_schedule,
     get_profile,
-    main,
     run_campaign,
     run_trial,
 )
+from repro.__main__ import main
 from repro.net import Network, Topology
 from repro.sim import Environment, RandomStreams
 
@@ -152,8 +152,8 @@ def test_campaign_digest_excludes_itself():
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_a_campaign_that_would_run_nothing_is_refused(value, capsys):
     """``--max-failures 0`` stopped before the first trial and passed
-    with ``trials=0``."""
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--workload", "partition-recovery", "--max-failures", value])
-    assert exit_info.value.code == 2
-    assert "--max-failures must be >= 1" in capsys.readouterr().err
+    with ``trials=0``; the campaign refuses it, and the CLI exits 2."""
+    assert main(["fuzz", "--workload", "partition-recovery",
+                 "--max-failures", value]) == 2
+    assert "error: max_failures must be None or an int of at least 1, " \
+        "got {}".format(value) in capsys.readouterr().err

@@ -33,11 +33,11 @@ from typing import Any, Dict, List, NamedTuple, Sequence, Tuple, Union
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+REPRO = [sys.executable, "-m", "repro"]
 
 
 def _check(passes: str) -> List[str]:
-    return [sys.executable, "-m", "repro.analysis.check", "src/",
-            "--passes", passes]
+    return REPRO + ["check", "src/", "--passes", passes]
 
 
 def _bench(workload: str) -> List[str]:
@@ -46,7 +46,7 @@ def _bench(workload: str) -> List[str]:
             "--seed", "31", "--seconds", "2", "--trace", "0"]
 
 
-RACES = [sys.executable, "-m", "repro.analysis.races", "--format", "json"]
+RACES = REPRO + ["races", "--format", "json"]
 
 
 class Mutant(NamedTuple):
@@ -136,7 +136,7 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    def _fanout(self, message: GroupMessage) -> None:\n"
            "        for member in self._targets():\n"),
     Mutant("actor-forgets-to-yield", "seeded",
-           "src/repro/analysis/workloads.py",
+           "src/repro/workload/locks.py",
            "            yield env.timeout(EDIT_TIME)\n",
            "            env.timeout(EDIT_TIME)\n"),
     # -- CSCW invariants, one per mutant ---------------------------------
@@ -287,14 +287,10 @@ SMOKE: Dict[str, List[str]] = {
         "tests/concurrency/test_ot.py"],
 }
 
-REPLAY = [sys.executable, "-m", "repro.analysis.replay"]
-FUZZ = [sys.executable, "-m", "repro.faults.fuzz"]
-
-
 def _fuzz(profile: str) -> List[str]:
     """The matrix's campaign for one fuzz profile (JSON summary)."""
-    return FUZZ + ["--workload", profile, "--budget", "25", "--seed", "7",
-                   "--format", "json"]
+    return REPRO + ["fuzz", "--workload", profile, "--budget", "25",
+                    "--seed", "7", "--format", "json"]
 
 
 def by_name(name: str) -> Mutant:
@@ -359,22 +355,25 @@ def smoke() -> int:
 # -- the full matrix ----------------------------------------------------------
 
 def workloads(root: str) -> Tuple[List[str], List[str]]:
-    """The replay and bench workloads the tree at ``root`` registers."""
+    """The catalogue and bench workloads the tree at ``root`` registers."""
     bench = run([sys.executable, "-c",
                  "import sys; sys.path.insert(0, 'bench'); import workloads; "
                  "print('\\n'.join(workloads.WORKLOADS))"], root)
-    return run(REPLAY + ["--list"], root).stdout.split(), bench.stdout.split()
+    catalogue = run(REPRO + ["list"], root, stderr=subprocess.PIPE)
+    return [line.split()[0] for line in catalogue.stdout.splitlines()
+            if line.strip()], bench.stdout.split()
 
 
 def fuzz_profiles(root: str) -> List[str]:
-    """The fuzz profiles the tree at ``root`` registers (the clean tree's
-    list sets the matrix's columns, so a mutant cannot hide one)."""
-    result = run(FUZZ + ["--list"], root, stderr=subprocess.PIPE)
+    """The fuzz profiles the tree at ``root`` registers: the entries
+    ``list`` marks fuzzable (the clean tree's list sets the matrix's
+    columns, so a mutant cannot hide one)."""
+    result = run(REPRO + ["list"], root, stderr=subprocess.PIPE)
     if result.returncode:
-        raise SystemExit("`fuzz --list` exits {} on the clean tree:\n{}"
+        raise SystemExit("`list` exits {} on the clean tree:\n{}"
                          .format(result.returncode, result.stderr))
     return [line.split()[0] for line in result.stdout.splitlines()
-            if line.strip()]
+            if "  fuzz: " in line]
 
 
 def fuzz_counts(root: str, profile: str) -> Union[Dict[str, int], str]:
@@ -432,15 +431,14 @@ def detect(root: str, profiles: Sequence[str]) -> Dict[str, Any]:
     row["experiments"] = _pytest_cell(root, "benchmarks")
     replay_workloads, bench_workloads = workloads(root)
     bad = [name for name in replay_workloads
-           if run(REPLAY + [name, "--seed", "31"], root).returncode]
+           if run(REPRO + ["replay", name, "--seed", "31"], root).returncode]
     row["replay CLI"] = ", ".join(bad) or "–"
     row["races gate"] = "fails" if run(RACES, root).returncode else "–"
     # One budget-25 campaign per profile: its oracle counts.
     for profile in profiles:
         row["fuzz " + profile] = fuzz_counts(root, profile)
     row["corpus verify"] = "fails" if run(
-        [sys.executable, "-m", "repro.faults.corpus", "verify"],
-        root).returncode else "–"
+        REPRO + ["corpus"], root).returncode else "–"
     bad = [name for name in bench_workloads
            if run(_bench(name), root).returncode]
     row["bench gates"] = ", ".join(bad) or "–"

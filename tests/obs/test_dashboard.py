@@ -1,23 +1,22 @@
-"""The dashboard CLI: workload mode, dump mode, formats, exit codes."""
+"""The dashboard command: workload mode, dump mode, formats, exit codes."""
 
 import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.obs import dashboard, profile
-from repro.obs.dashboard import main
 
 
 def run_main(capsys, argv):
-    code = main(argv)
+    code = main(["dashboard", *argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
 def test_workload_mode_renders_tables_and_critical_path(capsys):
     code, out, _ = run_main(capsys, [
-        "--workload", "timeline-demo", "--seed", "31",
-        "--tables", "node,link", "--critical-path"])
+        "timeline-demo", "--tables", "node,link", "--critical-path"])
     assert code == 0
     assert "hot spots by node" in out
     assert "hot spots by link" in out
@@ -30,8 +29,7 @@ def test_workload_mode_renders_tables_and_critical_path(capsys):
 
 
 def test_same_seed_runs_are_byte_identical(capsys):
-    argv = ["--workload", "timeline-demo", "--seed", "31",
-            "--tables", "node,op", "--critical-path", "--timeline"]
+    argv = ["timeline-demo", "--tables", "node,op", "--critical-path"]
     _, first, _ = run_main(capsys, argv)
     _, second, _ = run_main(capsys, argv)
     assert first == second
@@ -62,17 +60,17 @@ def test_dump_mode_reads_mixed_jsonl(tmp_path, capsys):
                        timeline=recorder)
 
     code, out, _ = run_main(capsys, [path, "--tables", "node,actor",
-                                     "--critical-path", "--timeline"])
+                                     "--critical-path"])
     assert code == 0
-    assert "window(s) covering" in out
-    assert "timeline" in out
+    # The dump's own windows, not one whole-run window.
+    assert "4 window(s) covering 3.5s" in out
     assert "hot spots by node" in out
     assert "n1" in out and "worker" in out
 
 
 def test_format_json_is_parseable_and_sorted(capsys):
     code, out, _ = run_main(capsys, [
-        "--workload", "timeline-demo", "--tables", "node",
+        "timeline-demo", "--tables", "node",
         "--critical-path", "--format", "json"])
     assert code == 0
     data = json.loads(out)
@@ -84,15 +82,16 @@ def test_format_json_is_parseable_and_sorted(capsys):
 
 def test_unknown_dimension_exits_2(capsys):
     code, _, err = run_main(capsys, [
-        "--workload", "timeline-demo", "--tables", "node,galaxy"])
+        "timeline-demo", "--tables", "node,galaxy"])
     assert code == 2
     assert "unknown table dimension" in err
 
 
 def test_unknown_workload_exits_2(capsys):
-    code, _, err = run_main(capsys, ["--workload", "no-such-workload"])
+    # A TARGET that names no workload is read as a dump.
+    code, _, err = run_main(capsys, ["no-such-workload"])
     assert code == 2
-    assert "unknown workload" in err
+    assert "cannot read no-such-workload" in err
 
 
 def test_unreadable_dump_exits_2(tmp_path, capsys):
@@ -104,24 +103,25 @@ def test_unreadable_dump_exits_2(tmp_path, capsys):
 
 def test_requires_exactly_one_source(capsys):
     with pytest.raises(SystemExit):
-        main([])
+        main(["dashboard"])
     with pytest.raises(SystemExit):
-        main(["dump.jsonl", "--workload", "timeline-demo"])
+        main(["dashboard", "dump.jsonl", "timeline-demo"])
 
 
 def test_top_clips_tables(capsys):
     code, out, _ = run_main(capsys, [
-        "--workload", "timeline-demo", "--tables", "op", "--top", "2"])
+        "timeline-demo", "--tables", "op", "--top", "2"])
     assert code == 0
     assert "more row(s); raise --top" in out
 
 
 @pytest.mark.parametrize("cli, argv", [
-    (dashboard, ["--workload", "timeline-demo", "--tables", "node"]),
+    (dashboard, ["timeline-demo", "--tables", "node"]),
     (profile, ["traced-rpc"])])
 def test_negative_top_is_rejected_by_name(cli, argv, capsys):
-    # Every CLI with --top parses it one way: a row count, never < 0.
+    # Every report with --top parses it one way: a row count, never < 0.
+    command = cli.__name__.rsplit(".", 1)[1]
     with pytest.raises(SystemExit) as exit_:
-        cli.main(argv + ["--top", "-1"])
+        main([command, *argv, "--top", "-1"])
     assert exit_.value.code == 2
     assert "argument --top: must be >= 0" in capsys.readouterr().err

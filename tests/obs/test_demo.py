@@ -2,9 +2,9 @@
 
 import json
 
-from repro.analysis.workloads import WORKLOADS
-from repro.obs.demo import slo_burn_workload, traced_rpc_workload
 from repro.run import RunSpec, run
+from repro.workload.catalogue import WORKLOADS
+from repro.workload.telemetry import slo_burn_workload, traced_rpc_workload
 
 
 def _outcome(name, seed):

@@ -3,7 +3,7 @@
 import io
 from types import SimpleNamespace
 
-from repro.analysis.replay import main
+from repro.__main__ import main
 from repro.obs.divergence import (
     CONTEXT,
     _first_mismatch,
@@ -119,14 +119,14 @@ def test_localize_self_compare_short_circuits():
 
 
 def test_cli_same_seed_exits_zero(capsys):
-    assert main(["locks-hard", "--seed", "31", "--seed2", "31"]) == 0
+    assert main(["replay", "locks-hard", "--seed", "31", "--seed2", "31"]) == 0
     out = capsys.readouterr().out
     assert "REPLAY OK" in out
     assert "no divergence: all" in out
 
 
 def test_cli_seed_fork_exits_one(capsys):
-    assert main(["locks-hard", "--seed", "31", "--seed2", "32"]) == 1
+    assert main(["replay", "locks-hard", "--seed", "31", "--seed2", "32"]) == 1
     out = capsys.readouterr().out
     assert "REPLAY MISMATCH" in out
     assert "seed 31 vs seed 32" in out
@@ -137,5 +137,5 @@ def test_cli_seed_fork_exits_one(capsys):
 
 
 def test_cli_unknown_workload_exits_two(capsys):
-    assert main(["no-such-workload", "--seed2", "32"]) == 2
+    assert main(["replay", "no-such-workload", "--seed2", "32"]) == 2
     assert "no-such-workload" in capsys.readouterr().err

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro import obs
+from repro.__main__ import main
 from repro.net import Network, lan
 from repro.node import ODPRuntime
-from repro.obs.dashboard import main
 from repro.sim import Environment
 
 
@@ -63,7 +63,7 @@ def test_load_round_trips(traced_run):
 
 def test_render_report_tables(traced_run, capsys):
     path, _ = traced_run
-    assert main([path]) == 0
+    assert main(["dashboard", path]) == 0
     text = capsys.readouterr().out
     for dim in ("node", "link", "op", "object"):
         assert "hot spots by {}".format(dim) in text
@@ -73,7 +73,7 @@ def test_render_report_tables(traced_run, capsys):
 
 def test_report_cli_main(traced_run, capsys):
     path, _ = traced_run
-    assert main([path]) == 0
+    assert main(["dashboard", path]) == 0
     captured = capsys.readouterr()
     assert "hot spots by op" in captured.out
 
@@ -86,7 +86,7 @@ def test_windowless_dump_reads_as_one_whole_run_window(traced_run, capsys):
     sent = {m["labels"]["node"]: m["value"] for m in records
             if m["kind"] == "metric" and m["name"] == "net.node.sent"}
     spans = [r for r in records if r["kind"] == "span"]
-    assert main([path, "--format", "json"]) == 0
+    assert main(["dashboard", path, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["duration"] == max(s["end"] for s in spans) \
         - min(s["start"] for s in spans) > 0
@@ -107,7 +107,7 @@ def test_default_noop_dump_has_no_spans(tmp_path):
 
 def test_report_cli_top_clips_tables(traced_run, capsys):
     path, _ = traced_run
-    assert main([path, "--top", "2"]) == 0
+    assert main(["dashboard", path, "--top", "2"]) == 0
     out = capsys.readouterr().out
     assert "more row(s); raise --top" in out
 
@@ -134,7 +134,7 @@ def test_report_cli_tolerates_truncated_dump(traced_run, capsys):
         content = handle.read()
     with open(path, "w") as handle:
         handle.write(content[: int(len(content) * 0.8)])
-    assert main([path]) == 0
+    assert main(["dashboard", path]) == 0
     captured = capsys.readouterr()
     assert "skipped" in captured.err
     assert "hot spots by op" in captured.out
@@ -144,13 +144,13 @@ def test_report_cli_rejects_dump_with_no_records(tmp_path, capsys):
     path = str(tmp_path / "garbage.jsonl")
     with open(path, "w") as handle:
         handle.write("not json at all\n{{{\n")
-    assert main([path]) == 2
+    assert main(["dashboard", path]) == 2
     assert "no parseable records" in capsys.readouterr().err
 
 
 def test_report_cli_format_json(traced_run, capsys):
     path, _ = traced_run
-    assert main([path, "--format", "json"]) == 0
+    assert main(["dashboard", path, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["spans"] > 0
     ops = {row["key"]: row for row in data["tables"]["op"]["rows"]}
@@ -160,9 +160,9 @@ def test_report_cli_format_json(traced_run, capsys):
 
 def test_report_json_matches_text_counts(traced_run, capsys):
     path, _ = traced_run
-    assert main([path, "--format", "json"]) == 0
+    assert main(["dashboard", path, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert main([path]) == 0
+    assert main(["dashboard", path]) == 0
     text = capsys.readouterr().out
     assert text.startswith("{} window(s) covering {:.4g}s, {} span(s)".format(
         data["windows"], data["duration"], data["spans"]))
@@ -170,14 +170,14 @@ def test_report_json_matches_text_counts(traced_run, capsys):
 
 def test_report_json_is_byte_stable(traced_run, capsys):
     path, _ = traced_run
-    assert main([path, "--format", "json"]) == 0
+    assert main(["dashboard", path, "--format", "json"]) == 0
     first = capsys.readouterr().out
-    assert main([path, "--format", "json"]) == 0
+    assert main(["dashboard", path, "--format", "json"]) == 0
     assert capsys.readouterr().out == first
 
 
 def test_report_cli_unreadable_file_exits_2(tmp_path, capsys):
-    assert main([str(tmp_path / "missing.jsonl")]) == 2
+    assert main(["dashboard", str(tmp_path / "missing.jsonl")]) == 2
     assert "cannot read" in capsys.readouterr().err
 
 
@@ -201,10 +201,10 @@ def test_report_surfaces_meta_line(tmp_path, capsys):
         metrics.counter("ticks").add()
         obs.dump_jsonl(path, metrics=metrics,
                        meta={"workload": "demo", "seed": 7})
-    assert main([path]) == 0
+    assert main(["dashboard", path]) == 0
     out = capsys.readouterr().out
     assert out.startswith("meta: workload=demo seed=7 schema=repro-obs/1")
-    assert main([path, "--format", "json"]) == 0
+    assert main(["dashboard", path, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["meta"]["workload"] == "demo"
 
@@ -213,11 +213,11 @@ def test_metaless_dump_still_loads_and_reports(traced_run, capsys):
     # Dumps written before the meta record existed: no meta line, no
     # meta key surprises, everything else identical.
     path, _ = traced_run
-    assert main([path]) == 0
+    assert main(["dashboard", path]) == 0
     out = capsys.readouterr().out
     assert not out.startswith("meta:")
     assert "hot spots by op" in out
-    assert main([path, "--format", "json"]) == 0
+    assert main(["dashboard", path, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["meta"] is None
 
 

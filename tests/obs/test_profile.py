@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from repro import obs
-from repro.obs.profile import SpanProfile, main, render_profile
+from repro.__main__ import main
+from repro.obs.profile import SpanProfile, render_profile
 from repro.sim import Environment
 
 
@@ -145,7 +146,7 @@ class TestCLI:
 
     def test_cli_runs_workload_and_writes_folded(self, tmp_path, capsys):
         folded = str(tmp_path / "run.folded")
-        assert main(["traced-rpc", "--seed", "31", "--top", "5",
+        assert main(["profile", "traced-rpc", "--seed", "31", "--top", "5",
                      "--folded", folded]) == 0
         out = capsys.readouterr().out
         assert "simulated time by operation" in out
@@ -167,12 +168,13 @@ class TestCLI:
             path = str(tmp_path / "run.jsonl")
             with obs.use_metrics(obs.MetricsRegistry()):
                 obs.dump_jsonl(path, tracer=tracer)
-        assert main([path, "--from-dump"]) == 0
+        assert main(["profile", path]) == 0
         assert "actor.run" in capsys.readouterr().out
 
     def test_cli_rejects_unknown_workload(self, capsys):
-        assert main(["no-such-workload"]) == 2
-        assert "unknown workload" in capsys.readouterr().err
+        # A TARGET that names no workload is read as a dump.
+        assert main(["profile", "no-such-workload"]) == 2
+        assert "cannot read no-such-workload" in capsys.readouterr().err
 
     def test_render_profile_top_clips_rows(self, known_tree):
         out = io.StringIO()
@@ -226,18 +228,18 @@ class TestFoldedDiff:
     def test_cli_diff(self, tmp_path, capsys):
         old = self._write(tmp_path, "old.folded", ["root;leaf 10"])
         new = self._write(tmp_path, "new.folded", ["root;leaf 10"])
-        assert main(["--diff", old, new]) == 0
+        assert main(["profile", "--diff", old, new]) == 0
         captured = capsys.readouterr()
         assert "no simulated-time drift" in captured.out
 
     def test_cli_diff_runs_without_a_warning(self, tmp_path):
-        """The claim workflow's command (bench/README.md): the package
-        must not import the module ``-m`` is about to run."""
+        """The claim workflow's command (bench/README.md) runs without a
+        warning from the one entry point."""
         old = self._write(tmp_path, "old.folded", ["root;leaf 10"])
         new = self._write(tmp_path, "new.folded", ["root;leaf 12"])
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         run = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "repro.obs.profile",
+            [sys.executable, "-W", "error", "-m", "repro", "profile",
              "--diff", old, new],
             env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
             capture_output=True, text=True, timeout=60)
@@ -247,11 +249,13 @@ class TestFoldedDiff:
 
     def test_cli_diff_missing_file(self, tmp_path, capsys):
         old = self._write(tmp_path, "old.folded", ["root 1"])
-        assert main(["--diff", old, str(tmp_path / "absent.folded")]) == 2
+        assert main(["profile", "--diff", old,
+                     str(tmp_path / "absent.folded")]) == 2
 
     def test_cli_requires_workload_or_diff(self, capsys):
-        with pytest.raises(SystemExit):
-            main([])
+        assert main(["profile"]) == 2
+        assert "a TARGET (or --diff OLD NEW) is required" \
+            in capsys.readouterr().err
 
     def test_cli_folded_dumps_of_one_workload_diff_clean(self, tmp_path,
                                                          capsys):
@@ -259,7 +263,7 @@ class TestFoldedDiff:
         read zero drift."""
         old = str(tmp_path / "first.folded")
         new = str(tmp_path / "second.folded")
-        assert main(["traced-rpc", "--folded", old]) == 0
-        assert main(["traced-rpc", "--folded", new]) == 0
-        assert main(["--diff", old, new]) == 0
+        assert main(["profile", "traced-rpc", "--folded", old]) == 0
+        assert main(["profile", "traced-rpc", "--folded", new]) == 0
+        assert main(["profile", "--diff", old, new]) == 0
         assert "no simulated-time drift" in capsys.readouterr().out

@@ -27,7 +27,7 @@ from repro.faults import (
 from repro.faults.corpus import SCHEMA, load_entry
 from repro.faults.degrade import DegradationManager
 from repro.faults.detector import PhiAccrualDetector
-from repro.faults.fuzz import FuzzProfile
+from repro.faults.fuzz import FuzzProfile, run_campaign
 from repro.faults.policies import DeadlineBudget
 from repro.groups import (
     FixedTimeout,
@@ -390,6 +390,17 @@ _FAULT_BOUNDS = [
      lambda tmp: FuzzProfile("p", (1.0, 10.0), 12.0, max_ops=0)),
     ("FuzzProfile.heal_by", "heal_by",
      lambda tmp: FuzzProfile("p", (1.0, 10.0), _NAN)),
+    ("FuzzProfile.max_ops-bool", "max_ops",
+     lambda tmp: FuzzProfile("p", (1.0, 10.0), 12.0, max_ops=True)),
+    ("FuzzProfile.max_ops-float", "max_ops",
+     lambda tmp: FuzzProfile("p", (1.0, 10.0), 12.0, max_ops=2.5)),
+    ("run_campaign.budget-zero", "budget",
+     lambda tmp: run_campaign("partition-recovery", budget=0, seed=7)),
+    ("run_campaign.budget-negative", "budget",
+     lambda tmp: run_campaign("partition-recovery", budget=-3, seed=7)),
+    ("run_campaign.max_failures", "max_failures",
+     lambda tmp: run_campaign("partition-recovery", budget=1, seed=7,
+                              max_failures=0)),
 ]
 
 
@@ -401,7 +412,10 @@ def test_a_fault_parameter_out_of_range_is_rejected_by_name(field, build,
     lifts; a NaN threshold never suspects anybody (``phi >= nan`` is
     false), a NaN detector window is never trimmed, a NaN min_samples
     skips bootstrap and the first ``phi()`` divides by zero, a shed fraction of 2 raises inside the run at the first
-    alert, and a profile with no operations crashes its generator."""
+    alert, and a profile with no operations crashes its generator.  A
+    fractional ``max_ops`` failed only in the first trial, as randrange's
+    unnamed ``ValueError``; a campaign bound below 1 ran no trial and
+    still returned a digest-stamped summary."""
     with pytest.raises(errors.SimulationError,
                        match="^" + re.escape(field) + " must be"):
         build(tmp_path)

@@ -24,8 +24,8 @@ def test_mutant_names_are_unique_and_the_smoke_names_exist():
 
 
 def test_the_matrix_reads_both_workload_registries():
-    from repro.analysis.workloads import WORKLOADS
     from repro.faults.fuzz import PROFILES
+    from repro.workload.catalogue import WORKLOADS
 
     replay, bench = workloads(ROOT)
     assert replay == sorted(WORKLOADS)
@@ -48,21 +48,21 @@ def test_a_fuzz_cell_names_the_counts_that_moved():
 def test_a_campaign_without_counts_says_why(tmp_path):
     # No package at all: the campaign cannot start.
     assert fuzz_counts(str(tmp_path), "p") == "exit 1"
-    package = tmp_path / "src" / "repro" / "faults"
+    package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
-    (tmp_path / "src" / "repro" / "__init__.py").write_text("")
     (package / "__init__.py").write_text("")
-    fuzz = package / "fuzz.py"
-    fuzz.write_text("import sys\n"
-                    "print('a warning', file=sys.stderr)\n"
-                    "if '--list' in sys.argv:\n"
-                    "    print('b  x\\n\\na  y')\n"
-                    "else:\n"
-                    "    print('{\"oracle_counts\": {\"liveness\": 2}}')\n")
-    # Only stdout is read, and a blank line is not a profile.
+    cli = package / "__main__.py"
+    cli.write_text("import sys\n"
+                   "print('a warning', file=sys.stderr)\n"
+                   "if sys.argv[1:] == ['list']:\n"
+                   "    print('b  fuzz: x\\n\\nc\\na  fuzz: y')\n"
+                   "else:\n"
+                   "    print('{\"oracle_counts\": {\"liveness\": 2}}')\n")
+    # Only stdout is read; a blank line or an entry with no fuzz profile
+    # is not a profile.
     assert fuzz_profiles(str(tmp_path)) == ["b", "a"]
     assert fuzz_counts(str(tmp_path), "p") == {"liveness": 2}
-    fuzz.write_text("print('trials=25')\n")
+    cli.write_text("print('trials=25')\n")
     assert fuzz_counts(str(tmp_path), "p") == "no output"
 
 

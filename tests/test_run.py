@@ -1,13 +1,14 @@
 """A run owns its observers: composed by ``run``, restored on every exit."""
 
+import re
+
 import pytest
 
-from repro.analysis import replay
-from repro.analysis.workloads import WORKLOADS
-from repro.obs import dashboard, profile
+from repro.__main__ import main as cli
 from repro.obs.flight import FlightRecorder
 from repro.obs.tracer import Tracer
 from repro.run import RunSpec, run
+from repro.workload.catalogue import WORKLOADS
 from tests.conftest import ambient
 
 
@@ -49,13 +50,26 @@ def test_each_run_gets_a_fresh_registry_and_sanitizer():
     assert first.digest == second.digest
 
 
+# Every sub-command that takes a workload, through the one entry point.
 @pytest.mark.parametrize("main, argv", [
-    (replay.main, ["locks-hard"]),
-    (dashboard.main, ["--workload", "locks-hard"]),
-    (profile.main, ["locks-hard"]),
+    (cli, ["replay", "locks-hard"]),
+    (cli, ["dashboard", "locks-hard"]),
+    (cli, ["profile", "locks-hard"]),
+    (cli, ["replay"]),
+    (cli, ["fuzz", "--workload", "partition-recovery", "--budget", "1"]),
 ])
 def test_a_crash_inside_a_workload_is_not_an_unknown_workload(monkeypatch,
                                                               main, argv):
-    monkeypatch.setitem(WORKLOADS, "locks-hard", _crashing({}))
+    for name in ("locks-hard", "partition-recovery"):
+        monkeypatch.setitem(WORKLOADS, name, _crashing({}))
     with pytest.raises(KeyError, match="internal-bug"):
         main(argv)
+
+
+def test_help_lists_every_sub_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli(["--help"])
+    assert exit_.value.code == 0
+    listed = re.findall(r"^    (\w+)", capsys.readouterr().out, re.M)
+    assert listed == ["check", "replay", "races", "fuzz", "corpus",
+                      "dashboard", "profile", "list"]
