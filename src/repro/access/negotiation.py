@@ -68,6 +68,9 @@ class AccessNegotiator:
         if not controllers:
             raise AccessPolicyError(
                 "negotiation requires at least one controller")
+        if not deadline >= 0:  # also rejects NaN
+            raise AccessPolicyError(
+                "deadline must be non-negative: {!r}".format(deadline))
         event = self.env.event()
         req = NegotiationRequest(requester, artefact, right,
                                  controllers, deadline, event)

@@ -9,7 +9,7 @@ support dynamic changes to access control information."*
 :class:`RoleBasedPolicy` supports exactly that: rights attach to roles
 over artefact *patterns* (supporting fine granularity down to individual
 lines); users take and shed roles at any instant with immediate effect;
-the whole specification is visible and auditable (:meth:`describe`).
+every change is kept in an audit trail (:attr:`RoleBasedPolicy.change_log`).
 """
 
 from __future__ import annotations
@@ -127,21 +127,3 @@ class RoleBasedPolicy:
                 "{} lacks {} on {} (roles: {})".format(
                     user, right, artefact,
                     sorted(self.roles_of(user)) or "none"))
-
-    def describe(self) -> str:
-        """A human-readable dump of the whole policy.
-
-        The paper: *"it is important in CSCW environments that access
-        rights are both visible and easy to understand."*
-        """
-        lines = []
-        for name in sorted(self._roles):
-            lines.append("role {}:".format(name))
-            for pattern, rights in self._roles[name].rules():
-                lines.append("  {} -> {}".format(
-                    pattern, ", ".join(sorted(rights))))
-        for user in sorted(self._bindings):
-            roles = sorted(self._bindings[user])
-            if roles:
-                lines.append("user {}: {}".format(user, ", ".join(roles)))
-        return "\n".join(lines)

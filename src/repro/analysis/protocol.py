@@ -41,7 +41,7 @@ from repro.analysis.ir import FunctionInfo, RepoIndex, own_body
 from repro.analysis.lint import Finding, call_name, node_span
 
 #: Environment methods returning events an actor must yield.
-_EVENT_FACTORIES = {"timeout", "event", "all_of", "any_of"}
+_EVENT_FACTORIES = {"timeout", "event", "any_of"}
 
 #: Environment methods that re-enter the event loop.
 _REENTRANT = {"run", "step"}

@@ -1,7 +1,7 @@
 """The cooperative platform facade: the paper's pieces, assembled.
 
 :class:`CooperativePlatform` stands up a complete simulated deployment —
-WAN of sites, ODP runtime, multicast, QoS broker — and exposes the
+WAN of sites, ODP runtime, QoS broker — and exposes the
 cooperation services the paper argues ODP must provide: sessions with
 floor control and awareness, ordered group channels, OT shared documents
 and QoS-managed media streams.  The examples and several benches drive
@@ -16,7 +16,6 @@ from repro.awareness.events import AwarenessBus, WorkspaceAwareness
 from repro.concurrency.ot import OTClientSite, OTServerSite
 from repro.errors import ReproError, SessionError
 from repro.groups.group import ProcessGroup
-from repro.net.multicast import MulticastService
 from repro.net.network import Network
 from repro.net.topology import lan, wan
 from repro.node.runtime import ODPRuntime
@@ -161,7 +160,6 @@ class CooperativePlatform:
         self.network = Network(self.env, self.topology)
         self.runtime = ODPRuntime(self.network,
                                   registry_node=self._hosts[0])
-        self.multicast = MulticastService(self.network)
         self.qos = QoSBroker(self.network)
         self.sessions: Dict[str, CooperativeSession] = {}
         self._ports = iter(range(100, 10000))

@@ -70,9 +70,9 @@ class MulticastService:
             raise GroupError("no multicast group {}".format(group_name))
         dst_port = self.port if port is None else port
         # The sender never routes to itself through the tree; with
-        # loopback its copy is delivered directly below.
-        targets = set(group.members)
-        targets.discard(src)
+        # loopback its copy is delivered directly below.  Members go out
+        # in name order, not the set's hash order.
+        targets = sorted(member for member in group.members if member != src)
         packets: List[Packet] = []
         tree = self._build_tree(src, targets)
         packet_for: Dict[str, Packet] = {}
@@ -103,12 +103,12 @@ class MulticastService:
         dst_port = self.port if port is None else port
         host = self.network.host(src)
         return [host.send(member, payload=payload, size=size, port=dst_port)
-                for member in group.members if member != src]
+                for member in sorted(group.members) if member != src]
 
     # -- internals ---------------------------------------------------------
 
     def _build_tree(self, src: str,
-                    targets: Set[str]) -> Dict[str, List[str]]:
+                    targets: List[str]) -> Dict[str, List[str]]:
         """Union of shortest paths from src, as a node->children map."""
         children: Dict[str, List[str]] = {}
         for member in targets:

@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import QoSError
 from repro.obs.metrics import MetricsRegistry, get_metrics
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 #: Default multi-window burn-rate policy, patterned on the SRE workbook
 #: pairs but in simulated seconds: (long window, short window, burn-rate
@@ -236,11 +236,12 @@ class SLOMonitor:
             else get_metrics()
 
     def stop(self) -> None:
-        """Stop evaluating (lets an open-ended ``env.run()`` drain)."""
-        if not self._stopped:
-            self._stopped = True
-            if self.process.is_alive:
-                self.process.interrupt("slo-monitor-stopped")
+        """Stop evaluating (lets an open-ended ``env.run()`` drain).
+
+        The monitor wakes once more, at its pending tick, and exits
+        without evaluating.
+        """
+        self._stopped = True
 
     def active_alerts(self) -> List[BurnAlert]:
         """Alerts currently firing, stable-ordered."""
@@ -258,9 +259,8 @@ class SLOMonitor:
     def _run(self):
         while not self._stopped and \
                 (self.until is None or self.env.now < self.until):
-            try:
-                yield self.env.timeout(self.interval)
-            except Interrupt:
+            yield self.env.timeout(self.interval)
+            if self._stopped:
                 break
             self._evaluate()
 

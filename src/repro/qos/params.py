@@ -30,10 +30,11 @@ class QoSParameters:
                  latency: float = float("inf"),
                  jitter: float = float("inf"),
                  loss: float = 1.0) -> None:
-        if throughput < 0:
-            raise QoSError("throughput must be non-negative")
-        if latency < 0 or jitter < 0:
-            raise QoSError("latency and jitter must be non-negative")
+        for field, value in (("throughput", throughput),
+                             ("latency", latency), ("jitter", jitter)):
+            if not value >= 0:  # also rejects NaN
+                raise QoSError("{} must be non-negative: {!r}".format(
+                    field, value))
         if not 0 <= loss <= 1:
             raise QoSError("loss must be within [0, 1]")
         self.throughput = throughput

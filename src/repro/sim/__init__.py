@@ -16,10 +16,8 @@ generators that yield :class:`Event` objects and resume when they fire.
 
 from repro.sim.environment import Environment, drive
 from repro.sim.events import (
-    AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     Timeout,
 )
@@ -27,11 +25,9 @@ from repro.sim.resources import PriorityResource, Store
 from repro.sim.rng import RandomStreams, exponential, zipf_index
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "PriorityResource",
     "Process",
     "RandomStreams",

@@ -15,7 +15,6 @@ from typing import Any, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import (
-    AllOf,
     AnyOf,
     Event,
     NORMAL,
@@ -172,10 +171,6 @@ class Environment:
                 process.callbacks.append(
                     lambda event: flight.record_exit(name, event._ok))
         return process
-
-    def all_of(self, events) -> AllOf:
-        """An event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
 
     def any_of(self, events) -> AnyOf:
         """An event that fires when any of ``events`` has fired."""

@@ -129,54 +129,10 @@ class Initialize(Event):
         env.schedule(self, priority=URGENT)
 
 
-class Interruption(Event):
-    """Internal event delivering an :class:`Interrupt` into a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.env)
-        if process.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        if process is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        self.callbacks.append(self._interrupt)
-        self._ok = False
-        self._exception = Interrupt(cause)
-        self.defused = True
-        self.process = process
-        self.env.schedule(self, priority=URGENT)
-
-    def _interrupt(self, event: "Event") -> None:
-        if self.process.triggered:
-            return  # process finished in the meantime; drop the interrupt
-        # Unsubscribe the process from whatever it was waiting for and
-        # resume it with the interrupt exception instead.
-        target = self.process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self.process._resume)
-            except ValueError:
-                pass
-        self.process._resume(self)
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: Any) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        """The value the interrupter supplied."""
-        return self.args[0]
-
-
 class Process(Event):
     """A running generator coroutine; also an event that fires on return."""
 
-    __slots__ = ("_generator", "_target", "span")
+    __slots__ = ("_generator", "span")
 
     def __init__(self, env: "Environment", generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -187,7 +143,7 @@ class Process(Event):
         #: ``actor.run`` span when the process was named under a recording
         #: tracer (set by :meth:`Environment.process`); ``None`` otherwise.
         self.span = None
-        self._target: Optional[Event] = Initialize(env, self)
+        Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
@@ -198,10 +154,6 @@ class Process(Event):
     def name(self) -> str:
         """Best-effort name of the underlying generator function."""
         return getattr(self._generator, "__name__", repr(self._generator))
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Interrupt the process, raising :class:`Interrupt` inside it."""
-        Interruption(self, cause)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the fired event's value."""
@@ -241,7 +193,6 @@ class Process(Event):
                 # The event is still pending or triggered-but-unprocessed:
                 # subscribe and stop advancing until it fires.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
             # The event was already processed: continue immediately with
             # its stored value / exception.
@@ -250,16 +201,18 @@ class Process(Event):
         env._active_process = None
 
 
-class Condition(Event):
-    """An event that fires when a predicate over child events is met."""
+class AnyOf(Event):
+    """Fires when *any* of the given events has fired (at once if none).
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    Its value maps each child that has fired to its value; the first
+    child to fail fails it.
+    """
 
-    def __init__(self, env: "Environment", evaluate, events) -> None:
+    __slots__ = ("_events",)
+
+    def __init__(self, env: "Environment", events) -> None:
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = list(events)
-        self._count = 0
         for event in self._events:
             if event.env is not env:
                 raise SimulationError("events from different environments")
@@ -272,44 +225,12 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-    @staticmethod
-    def all_events(events, count: int) -> bool:
-        """Predicate: every child event has fired."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events, count: int) -> bool:
-        """Predicate: at least one child event has fired."""
-        return count > 0 or len(events) == 0
-
-    def _collect_values(self) -> dict:
-        return {event: event._value
-                for event in self._events if event.callbacks is None}
-
     def _check(self, event: Event) -> None:
         if self._ok is not None:
             return
-        self._count += 1
         if not event._ok:
             event.defused = True
             self.fail(event._exception)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-
-class AllOf(Condition):
-    """Fires when *all* of the given events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Fires when *any* of the given events has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events) -> None:
-        super().__init__(env, Condition.any_events, events)
+        else:
+            self.succeed({child: child._value for child in self._events
+                          if child.callbacks is None})

@@ -104,16 +104,6 @@ def test_roles_of_snapshot():
     assert policy.roles_of("alice") == {"a"}
 
 
-def test_describe_lists_policy():
-    policy = RoleBasedPolicy()
-    policy.define(Role("author").allow("doc/*", READ, WRITE))
-    policy.assign("alice", "author")
-    text = policy.describe()
-    assert "role author:" in text
-    assert "doc/* -> read, write" in text
-    assert "user alice: author" in text
-
-
 def test_change_log_audit_trail():
     policy = RoleBasedPolicy()
     policy.define(Role("author"))

@@ -239,6 +239,22 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/management/placement.py",
            "            worst = max(worst, latency)\n",
            "            worst = min(worst, latency)\n"),
+    Mutant("object-rights-read-at-root-only", "seeded; E5",
+           "src/repro/access/shen_dewan.py",
+           "            for o in self.objects.chain(obj):\n",
+           "            for o in self.objects.chain(obj)[-1:]:\n"),
+    Mutant("reserved-stream-sent-best-effort", "seeded; E7",
+           "src/repro/streams/binding.py",
+           "        if self.contract is not None and self.contract.is_active:\n",
+           "        if False:\n"),
+    Mutant("sync-adjusts-slave-to-itself", "seeded; E8",
+           "src/repro/streams/sync.py",
+           "self.slave.sync_adjust(self.master.position)",
+           "self.slave.sync_adjust(self.slave.position)"),
+    Mutant("multicast-tree-repeats-shared-links", "seeded; E9",
+           "src/repro/net/multicast.py",
+           "                if nxt not in branch:\n",
+           "                if True:\n"),
     # -- one aimed at the stated property of each fault oracle -----------
     Mutant("give-up-leaves-inflight", "seeded; liveness",
            "src/repro/net/transport.py",

@@ -80,6 +80,23 @@ def test_multicast_reaches_all_members(env):
                            ("leaf3", "video-frame")]
 
 
+def test_members_are_sent_to_in_name_order_not_hash_order(env):
+    net, hosts = make_star_net(env, leaves=8)
+    service = MulticastService(net)
+    group = service.create_group("g")
+    for i in reversed(range(8)):
+        group.join("leaf{}".format(i))
+    order = []
+    for host in hosts[1:]:
+        host.on_packet(service.port,
+                       lambda packet, name=host.name: order.append(name))
+    expected = ["leaf{}".format(i) for i in range(1, 8)]
+    assert [p.dst for p in service.unicast_fanout("g", "leaf0")] == expected
+    assert [p.dst for p in service.send("g", "leaf0")] == expected
+    env.run()
+    assert order == expected * 2
+
+
 def test_multicast_no_loopback_by_default(env):
     net, hosts = make_star_net(env)
     service = MulticastService(net)

@@ -210,8 +210,10 @@ def test_rpc_concurrent_calls(env):
 
     def root(env):
         calls = [client.call("b", "double", i) for i in range(5)]
-        results = yield env.all_of(calls)
-        return sorted(results.values())
+        results = []
+        for call in calls:
+            results.append((yield call))
+        return sorted(results)
 
     proc = env.process(root(env))
     env.run(proc)

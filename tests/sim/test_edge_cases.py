@@ -4,10 +4,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import (
-    AllOf,
     AnyOf,
     Environment,
-    Interrupt,
     PriorityResource,
     Store,
 )
@@ -25,7 +23,7 @@ def test_condition_with_failed_child_fails(env):
 
     def waiter(env):
         try:
-            yield env.all_of([good, bad])
+            yield env.any_of([good, bad])
         except RuntimeError as error:
             caught.append(str(error))
 
@@ -43,7 +41,7 @@ def test_condition_with_failed_child_fails(env):
 def test_condition_mixed_environments_rejected(env):
     other = Environment()
     with pytest.raises(SimulationError):
-        env.all_of([env.timeout(1), other.timeout(1)])
+        env.any_of([env.timeout(1), other.timeout(1)])
 
 
 def test_anyof_with_already_processed_child(env):
@@ -57,74 +55,6 @@ def test_anyof_with_already_processed_child(env):
     proc = env.process(root(env))
     env.run(proc)
     assert proc.value == ["early"]
-
-
-def test_interrupt_process_waiting_on_resource(env):
-    resource = PriorityResource(env)
-    outcomes = []
-
-    def holder(env):
-        req = resource.request()
-        yield req
-        yield env.timeout(10.0)
-        resource.release(req)
-
-    def impatient(env):
-        request = resource.request()
-        try:
-            yield request
-            outcomes.append("granted")
-        except Interrupt:
-            outcomes.append("interrupted")
-            resource.release(request)  # withdraw from the queue
-
-    env.process(holder(env))
-    waiting = env.process(impatient(env))
-
-    def poker(env):
-        yield env.timeout(1.0)
-        waiting.interrupt()
-
-    env.process(poker(env))
-    env.run()
-    assert outcomes == ["interrupted"]
-    assert resource.queue == []
-
-
-def test_interrupted_waiter_does_not_receive_grant_later(env):
-    resource = PriorityResource(env)
-    grants = []
-
-    def holder(env):
-        req = resource.request()
-        yield req
-        yield env.timeout(2.0)
-        resource.release(req)
-
-    def first_waiter(env):
-        request = resource.request()
-        try:
-            yield request
-            grants.append("first")
-        except Interrupt:
-            resource.release(request)
-
-    def second_waiter(env):
-        yield env.timeout(0.5)
-        yield resource.request()
-        grants.append("second")
-
-    env.process(holder(env))
-    w1 = env.process(first_waiter(env))
-    env.process(second_waiter(env))
-
-    def poker(env):
-        yield env.timeout(1.0)
-        w1.interrupt()
-
-    env.process(poker(env))
-    env.run()
-    assert grants == ["second"]
 
 
 def test_priority_resource_release_from_queue(env):

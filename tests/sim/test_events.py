@@ -1,9 +1,9 @@
-"""Tests for event primitives: triggering, conditions, interrupts."""
+"""Tests for event primitives: triggering, conditions, processes."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 
 def test_event_lifecycle():
@@ -75,20 +75,6 @@ def test_unhandled_failed_event_escalates():
         env.run()
 
 
-def test_all_of_waits_for_every_event():
-    env = Environment()
-
-    def root(env):
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(3.0, value="b")
-        results = yield env.all_of([t1, t2])
-        return (env.now, sorted(results.values()))
-
-    proc = env.process(root(env))
-    env.run(proc)
-    assert proc.value == (3.0, ["a", "b"])
-
-
 def test_any_of_fires_on_first_event():
     env = Environment()
 
@@ -101,67 +87,6 @@ def test_any_of_fires_on_first_event():
     proc = env.process(root(env))
     env.run(proc)
     assert proc.value == (1.0, ["fast"])
-
-
-def test_all_of_empty_fires_immediately():
-    env = Environment()
-
-    def root(env):
-        yield env.all_of([])
-        return env.now
-
-    proc = env.process(root(env))
-    env.run(proc)
-    assert proc.value == 0.0
-
-
-def test_interrupt_wakes_waiting_process():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((env.now, interrupt.cause))
-
-    sleeping = env.process(sleeper(env))
-
-    def interrupter(env):
-        yield env.timeout(2.0)
-        sleeping.interrupt(cause="wake-up")
-
-    env.process(interrupter(env))
-    env.run()
-    assert log == [(2.0, "wake-up")]
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    proc = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_process_cannot_interrupt_itself():
-    env = Environment()
-    errors = []
-
-    def selfish(env):
-        try:
-            env.active_process.interrupt()
-        except SimulationError:
-            errors.append(True)
-        yield env.timeout(0)
-
-    env.process(selfish(env))
-    env.run()
-    assert errors == [True]
 
 
 def test_process_is_alive_and_name():
@@ -181,29 +106,6 @@ def test_process_requires_generator():
     env = Environment()
     with pytest.raises(SimulationError):
         env.process(42)
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-    trace = []
-
-    def resilient(env):
-        try:
-            yield env.timeout(50.0)
-        except Interrupt:
-            trace.append("interrupted at {}".format(env.now))
-        yield env.timeout(1.0)
-        trace.append("resumed until {}".format(env.now))
-
-    proc = env.process(resilient(env))
-
-    def poker(env):
-        yield env.timeout(3.0)
-        proc.interrupt()
-
-    env.process(poker(env))
-    env.run()
-    assert trace == ["interrupted at 3.0", "resumed until 4.0"]
 
 
 def test_yield_already_processed_event_continues_immediately():

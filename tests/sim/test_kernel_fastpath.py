@@ -120,35 +120,6 @@ def test_equal_priority_claims_stay_fifo(env):
     assert order == list(range(8))
 
 
-def test_cancellation_interleaved_with_timeouts(env):
-    """Interrupting a process waiting on a Timeout mid-queue must not
-    disturb the dispatch order of the surviving events."""
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(2.0)
-            log.append("slept")
-        except Exception as error:
-            log.append("interrupted:{}".format(error.cause))
-
-    def ticker(env):
-        for i in range(4):
-            yield env.timeout(0.5)
-            log.append("tick{}".format(i))
-
-    victim = env.process(sleeper(env))
-    env.process(ticker(env))
-
-    def assassin(env):
-        yield env.timeout(1.0)
-        victim.interrupt("late")
-
-    env.process(assassin(env))
-    env.run()
-    assert log == ["tick0", "interrupted:late", "tick1", "tick2", "tick3"]
-
-
 def test_grant_delay_fusion_keeps_counters_exact(env):
     """A fused claim (grant_delay) is granted, resumed and released at
     the instants of the claim-then-timeout formulation, and the counters

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from repro import errors
-from repro.access import AccessMatrix
+from repro.access import AccessMatrix, AccessNegotiator, RoleBasedPolicy
 from repro.awareness import AwarenessBus, DigestService, Entity
 from repro.concurrency import (
     TICKLE,
@@ -150,6 +150,9 @@ _TIMEOUTS = [
     (errors.NodeError, "timeout", _migrate),
     (errors.TransportError, "ack_timeout",
      lambda value: ReliableChannel(_endpoint().host, ack_timeout=value)),
+    (errors.AccessPolicyError, "deadline",
+     lambda value: _negotiator()[0].request("alice", "doc", "write",
+                                            ["owner"], deadline=value)),
 ]
 
 
@@ -158,7 +161,7 @@ _TIMEOUTS = [
     "error, field, build", _TIMEOUTS,
     ids=["RpcEndpoint.default_timeout", "RpcEndpoint.call.timeout",
          "Nucleus.invoke.timeout", "Nucleus.migrate_cluster.timeout",
-         "ReliableChannel.ack_timeout"])
+         "ReliableChannel.ack_timeout", "AccessNegotiator.request.deadline"])
 def test_a_timeout_that_is_not_a_time_is_rejected_by_name(error, field, build,
                                                           value):
     """Unchecked it detonates one event later, inside the run, as the
@@ -167,6 +170,23 @@ def test_a_timeout_that_is_not_a_time_is_rejected_by_name(error, field, build,
     with pytest.raises(error, match="^{} must be non-negative: {!r}".format(
             field, value)):
         build(value)
+
+
+def _negotiator():
+    negotiator = AccessNegotiator(Environment(), RoleBasedPolicy())
+    asked = []
+    negotiator.on_request("owner", asked.append)
+    return negotiator, asked
+
+
+def test_a_refused_deadline_registers_nothing():
+    negotiator, asked = _negotiator()
+    for value in (float("nan"), -1.0):
+        with pytest.raises(errors.AccessPolicyError, match="^deadline"):
+            negotiator.request("alice", "doc", "write", ["owner"],
+                               deadline=value)
+    assert (negotiator._pending, negotiator.counters["requests"], asked) \
+        == ({}, 0, [])
 
 
 def test_a_refused_timeout_leaves_nothing_in_flight():
@@ -248,6 +268,10 @@ def _digests(env, **kwargs):
     return DigestService(env, AwarenessBus(env), **kwargs)
 
 
+def _qos_level(env, **kwargs):
+    return QoSParameters(**kwargs)
+
+
 def _qos_monitor(env, **kwargs):
     level = QoSParameters()
     return QoSMonitor(env, QoSContract("a", "b", level, level, level),
@@ -282,6 +306,9 @@ _BOUNDS = [
     (errors.ReproError, UsageMonitor, "window", "must be positive"),
     (errors.ReproError, _digests, "interval", "must be positive"),
     (errors.QoSError, _qos_monitor, "window", "must be positive"),
+    (errors.QoSError, _qos_level, "throughput", "must be non-negative"),
+    (errors.QoSError, _qos_level, "latency", "must be non-negative"),
+    (errors.QoSError, _qos_level, "jitter", "must be non-negative"),
     (errors.ReproError, _entity, "aura", "radius must be non-negative"),
     (errors.ReproError, _entity, "focus", "radius must be non-negative"),
     (errors.ReproError, _entity, "nimbus", "radius must be non-negative"),
