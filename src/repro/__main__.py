@@ -25,8 +25,8 @@ propagates as the bug it is.  ``dashboard`` and ``profile`` run a
 dump.  ``replay`` with no name replays every entry.
 
 Exit status: 0 when the command succeeds, 1 when its check fails
-(findings, a replay mismatch, hard locks that leak, a reproducer that
-no longer reproduces), 2 on a usage error.
+(findings, a replay mismatch, hard locks that leak, a fixed reproducer
+that fails again), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -170,26 +170,23 @@ def _fuzz(options: argparse.Namespace) -> int:
 
 
 def _corpus(options: argparse.Namespace) -> int:
-    try:
-        entries = corpus.load_corpus(options.dir)
-    except SimulationError as error:
-        raise UsageError(str(error)) from None
+    entries = corpus.load_corpus()
     if not entries:
         print("empty corpus: nothing to verify")
         return 0
     failures = 0
     for entry in entries:
         verdict = corpus.verify_entry(entry)
-        ok = verdict["reproduced"] and verdict["deterministic"]
+        ok = not verdict["reproduced"] and verdict["deterministic"]
         failures += 0 if ok else 1
         print("{}  {}  {}  reproduced={} deterministic={}".format(
             "OK " if ok else "BAD", verdict["id"], verdict["oracle"],
             verdict["reproduced"], verdict["deterministic"]))
     if failures:
-        print("{} of {} reproducers no longer fail their oracle".format(
-            failures, len(entries)))
+        print("{} of {} reproducers fail their oracle again or replay "
+              "differently".format(failures, len(entries)))
         return 1
-    print("all {} reproducers still reproduce".format(len(entries)))
+    print("all {} reproducers stay fixed".format(len(entries)))
     return 0
 
 
@@ -332,9 +329,8 @@ def parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_fuzz)
 
     sub = commands.add_parser(
-        "corpus", help="re-verify that every fuzz reproducer still fails")
-    sub.add_argument("--dir", default=None,
-                     help="corpus directory (default corpus/fuzz)")
+        "corpus",
+        help="re-verify that every checked-in fuzz reproducer stays fixed")
     sub.set_defaults(handler=_corpus)
 
     sub = commands.add_parser(

@@ -3,14 +3,15 @@
 Every failure the chaos-search engine finds (and shrinks) can be
 serialized into a small JSON file — workload name, seed, the violated
 oracle and the minimal :class:`~repro.faults.schedule.FaultSchedule` in
-its ``to_dict`` form.  Files checked into the default corpus directory
-(``corpus/fuzz/`` at the repo root) are catalogue entries
-(:data:`repro.workload.catalogue.WORKLOADS`) named ``fuzz-reg-<id>``:
-each runs the base workload under the stored schedule and reports
-whether the stored oracle still fires.  Regressions therefore ride
-every existing determinism gate (replay digests, flight-recorder on/off
-identity) for free, and ``python -m repro corpus`` asserts they still
-*reproduce*.
+its ``to_dict`` form.  A reproducer is checked in once its bug is
+fixed: files in the corpus directory (``corpus/fuzz/`` at the repo
+root) are catalogue entries (:data:`repro.workload.catalogue.WORKLOADS`)
+named ``fuzz-reg-<id>``, each running the base workload under the
+stored schedule and reporting whether the stored oracle fires again.
+Regressions therefore ride every existing determinism gate (replay
+digests, flight-recorder on/off identity) for free, and ``python -m
+repro corpus`` asserts each *stays fixed*: its oracle quiet, its run
+deterministic.
 
 Entry IDs are content hashes, so re-finding the same minimal schedule
 is idempotent and file names are stable across machines.
@@ -96,20 +97,11 @@ def load_entry(path: str) -> Dict[str, Any]:
     return entry
 
 
-def load_corpus(directory: Optional[str] = None
-                ) -> List[Dict[str, Any]]:
-    """Every entry in ``directory`` (default corpus), sorted by ID.
-
-    A missing default corpus is empty; a named ``directory`` that does
-    not exist is a :class:`~repro.errors.SimulationError` naming it.
-    """
-    if directory is None:
-        if not os.path.isdir(DEFAULT_DIR):
-            return []
-        directory = DEFAULT_DIR
-    elif not os.path.isdir(directory):
-        raise SimulationError(
-            "no corpus directory {!r}".format(directory))
+def load_corpus(directory: str = DEFAULT_DIR) -> List[Dict[str, Any]]:
+    """Every entry in ``directory`` (default: the checked-in corpus),
+    sorted by ID; a missing directory is empty."""
+    if not os.path.isdir(directory):
+        return []
     entries = []
     for name in sorted(os.listdir(directory)):
         if name.endswith(".json"):
@@ -154,7 +146,7 @@ def _make_regression(entry: Dict[str, Any]
     return regression_workload
 
 
-def corpus_workloads(directory: Optional[str] = None
+def corpus_workloads(directory: str = DEFAULT_DIR
                      ) -> Dict[str, Callable[..., Dict[str, Any]]]:
     """``fuzz-reg-<id>`` workload functions for every corpus entry."""
     registry: Dict[str, Callable[..., Dict[str, Any]]] = {}

@@ -19,7 +19,7 @@ reliability should degrade gracefully rather than collapse.
 
 :class:`PhiAccrualDetector` implements the
 :class:`~repro.groups.failure.HeartbeatMonitor` strategy interface
-(``watch`` / ``forget`` / ``observe`` / ``suspect``), so it drops into
+(``watch`` / ``observe`` / ``suspect``), so it drops into
 :class:`~repro.groups.failure.MonitoredMembership` via the ``strategy``
 argument.  Everything is driven by the simulation clock and plain
 arithmetic — no randomness, so runs replay exactly.
@@ -111,14 +111,13 @@ class PhiAccrualDetector:
     # -- strategy interface -------------------------------------------------
 
     def watch(self, member: str, now: float) -> None:
-        """Start observing ``member`` (fresh window, watch time as the
-        first pseudo-arrival so cold-start silence is measurable)."""
+        """Start observing ``member`` afresh (an empty window, the watch
+        time as the first pseudo-arrival so cold-start silence is
+        measurable).  A returning member is watched again, so the
+        silence that got it suspected never enters its fit."""
         window = _ArrivalWindow(self.window)
         window.last_arrival = now
         self._windows[member] = window
-
-    def forget(self, member: str) -> None:
-        self._windows.pop(member, None)
 
     def observe(self, member: str, now: float) -> None:
         window = self._windows.get(member)

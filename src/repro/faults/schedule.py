@@ -414,12 +414,13 @@ class FaultInjector:
 
     Link state is reference-counted: a link cut by both a partition and
     a node crash stays down until *both* faults lift, so overlapping
-    faults compose instead of cancelling.  Every executed event lands in
+    faults compose instead of cancelling.  Crashes of one node nest the
+    same way: each restart lifts one crash.  Every executed event lands in
     :attr:`log` (JSON-safe, for workload results), emits a
     ``fault.<kind>`` span and counts in ``fault.injected``.
 
     ``on_fault`` callbacks (added via :meth:`add_listener`) let a
-    workload react to injections — e.g. start rejoin after a ``heal``.
+    workload react to injections.
     """
 
     def __init__(self, env, network, schedule: FaultSchedule,
@@ -433,7 +434,8 @@ class FaultInjector:
         self.log: List[Dict[str, Any]] = []
         self._down_counts: Dict[Tuple[str, str], int] = {}
         self._partitions: Dict[str, List[Tuple[str, str]]] = {}
-        self._crashed: Dict[str, List[Tuple[str, str]]] = {}
+        #: Per node, the links each of its open crashes took down.
+        self._crashed: Dict[str, List[List[Tuple[str, str]]]] = {}
         self._listeners: List[Callable[[FaultEvent], None]] = []
         self.process = env.process(self._run(), name=name)
 
@@ -486,11 +488,11 @@ class FaultInjector:
             return self._up(crossing)
         if kind == "node-crash":
             adjacent = self._adjacent_links(params["node"])
-            self._crashed[params["node"]] = adjacent
+            self._crashed.setdefault(params["node"], []).append(adjacent)
             return self._down(adjacent)
         if kind == "node-restart":
-            adjacent = self._crashed.pop(params["node"], [])
-            return self._up(adjacent)
+            crashes = self._crashed.get(params["node"], [])
+            return self._up(crashes.pop() if crashes else [])
         if kind == "latency-storm":
             return self._impair(params["links"],
                                 latency_scale=params["scale"])

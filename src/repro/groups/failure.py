@@ -40,10 +40,7 @@ class FixedTimeout:
         self.suspect_after = suspect_after
 
     def watch(self, member: str, now: float) -> None:
-        """A member came under observation at ``now``."""
-
-    def forget(self, member: str) -> None:
-        """A member left observation."""
+        """A member came (back) under observation at ``now``."""
 
     def observe(self, member: str, now: float) -> None:
         """A heartbeat from ``member`` arrived at ``now``."""
@@ -80,7 +77,11 @@ class HeartbeatSender:
         if self.alive:
             return
         self.alive = True
-        self.process = self.env.process(self._run())
+        if not self.process.is_alive:
+            # A sender stopped less than an interval ago is still asleep
+            # in its loop, which carries on; a second loop would double
+            # its heartbeats.
+            self.process = self.env.process(self._run())
 
     def _run(self):
         while self.alive:
@@ -96,8 +97,11 @@ class MonitoredMembership:
     Every member sends heartbeats to the coordinator's host; a member
     the strategy gives up on is suspected and removed from the view
     automatically (a clean ``leave`` through the group, so the view
-    change installs everywhere).  Simulate a crash with :meth:`crash`;
-    a recovered member rejoins the group via :meth:`restart`.
+    change installs everywhere).  There is one way back: the suspected
+    member's own heartbeat reaching the monitor re-admits it
+    (:meth:`_on_return`).  Simulate a crash with :meth:`crash`; a
+    crashed member sends nothing, so it stays out until
+    :meth:`restart` resumes its heartbeats.
     """
 
     def __init__(self, group, interval: float = 0.5,
@@ -119,6 +123,7 @@ class MonitoredMembership:
             suspect_after=suspect_after,
             check_interval=interval / 2,
             on_suspect=self._on_suspect,
+            on_return=self._on_return,
             strategy=strategy)
         for member in members:
             if member == coordinator:
@@ -145,30 +150,22 @@ class MonitoredMembership:
         sender.stop()
 
     def restart(self, member: str) -> None:
-        """Bring a previously suspected/crashed member back.
+        """Bring a crashed member back (its heartbeats resume).
 
-        If suspicion already removed the member from the view, it
-        rejoins the group (installing a fresh view at every endpoint);
-        either way its heartbeats resume and monitoring restarts.
+        If suspicion removed it from the view, its first heartbeat to
+        reach the monitor re-admits it.
         """
-        if member not in self.group.endpoints:
-            self.group.join(member)
         sender = self.senders.get(member)
-        if sender is not None:
-            sender.restart()
-            self.monitor.watch(member)
-        else:
-            self.watch_new_member(member)
+        if sender is None:
+            raise GroupError("{} is not monitored".format(member))
+        sender.restart()
 
     def _on_suspect(self, member: str) -> None:
-        self.monitor.unwatch(member)
-        sender = self.senders.pop(member, None)
-        if sender is not None:
-            # Without this the suspected member's sender process keeps
-            # emitting heartbeats forever (and a later restart would
-            # double them up).
-            sender.stop()
         self.group.fail_member(member)
+
+    def _on_return(self, member: str) -> None:
+        if member not in self.group.endpoints:
+            self.group.join(member)
 
 
 class HeartbeatMonitor:
@@ -176,15 +173,20 @@ class HeartbeatMonitor:
 
     ``strategy`` decides *when* silence becomes suspicion; the default
     :class:`FixedTimeout` uses ``suspect_after`` unchanged.  Any object
-    with ``watch/forget/observe/suspect`` methods (see
-    :class:`FixedTimeout` for signatures) may be supplied instead —
-    e.g. :class:`repro.faults.detector.PhiAccrualDetector`.
+    with ``watch/observe/suspect`` methods (see :class:`FixedTimeout`
+    for signatures) may be supplied instead — e.g.
+    :class:`repro.faults.detector.PhiAccrualDetector`.
+
+    A heartbeat from a suspected member clears the suspicion, watches
+    the member afresh (so its silence never enters the strategy's
+    history) and reports it to ``on_return``.
     """
 
     def __init__(self, host: Host, members: List[str],
                  suspect_after: float = 3.0,
                  check_interval: float = 0.5,
                  on_suspect: Optional[Callable[[str], None]] = None,
+                 on_return: Optional[Callable[[str], None]] = None,
                  strategy=None) -> None:
         if not suspect_after > 0:
             raise GroupError(
@@ -197,6 +199,7 @@ class HeartbeatMonitor:
         self.suspect_after = suspect_after
         self.check_interval = check_interval
         self.on_suspect = on_suspect
+        self.on_return = on_return
         self.strategy = strategy if strategy is not None \
             else FixedTimeout(suspect_after)
         self.alive = True
@@ -215,13 +218,6 @@ class HeartbeatMonitor:
             self.suspected.remove(member)
         self.strategy.watch(member, self.env.now)
 
-    def unwatch(self, member: str) -> None:
-        """Stop watching a member (e.g. after a clean leave)."""
-        self.last_heard.pop(member, None)
-        if member in self.suspected:
-            self.suspected.remove(member)
-        self.strategy.forget(member)
-
     def stop(self) -> None:
         """Simulate the monitor itself crashing (checks cease)."""
         self.alive = False
@@ -233,12 +229,13 @@ class HeartbeatMonitor:
         if not self.alive:
             return
         member = packet.payload
-        if member in self.last_heard:
+        if member in self.suspected:
+            self.watch(member)
+            if self.on_return is not None:
+                self.on_return(member)
+        elif member in self.last_heard:
             self.last_heard[member] = self.env.now
             self.strategy.observe(member, self.env.now)
-            if member in self.suspected:
-                # The member was wrongly suspected and has reappeared.
-                self.suspected.remove(member)
 
     def _run(self):
         while self.alive:

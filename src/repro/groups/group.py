@@ -80,10 +80,6 @@ class GroupEndpoint:
         self.delivered_log: List[GroupMessage] = []
         self.view: Optional[GroupView] = None
         self._on_deliver: List[Callable[[GroupMessage], None]] = []
-        #: Application state received on (late) join, if the group has a
-        #: state provider.
-        self.joined_state: Any = None
-        self.state_received_at: Optional[float] = None
         host.on_packet(group.port, self._on_packet)
         self._reliable: Optional[ReliableChannel] = None
         if group.reliable:
@@ -154,13 +150,8 @@ class GroupEndpoint:
         kind = packet.headers.get("type")
         if kind == "msg":
             self._receive_message(packet.payload)
-        elif kind == "view":
-            self._install_view(packet.payload)
         elif kind == "ord-req":
             self.group._sequence(packet.payload)
-        elif kind == "state":
-            self.joined_state = packet.payload
-            self.state_received_at = self.env.now
 
     def _receive_message(self, message: GroupMessage) -> None:
         for deliverable in self._ordering.on_receive(message):
@@ -171,11 +162,6 @@ class GroupEndpoint:
         self.delivered.put(message)
         for callback in self._on_deliver:
             callback(message)
-
-    def _install_view(self, view: GroupView) -> None:
-        if self.view is not None and view.view_id <= self.view.view_id:
-            return
-        self.view = view
 
     def __repr__(self) -> str:
         return "<GroupEndpoint {}@{}>".format(self.name, self.group.name)
@@ -207,20 +193,6 @@ class ProcessGroup:
         self.view = GroupView(0, ())
         self._global_seq = 0  # total-order slots assigned so far
         self._on_view: List[Callable[[GroupView], None]] = []
-        #: Optional application-state provider for late-join transfer:
-        #: () -> (snapshot, size_bytes).
-        self._state_provider: Optional[Callable[[],
-                                                Tuple[Any, int]]] = None
-
-    def set_state_provider(
-            self, provider: Callable[[], Tuple[Any, int]]) -> None:
-        """Supply late joiners with application state on join.
-
-        The provider returns ``(snapshot, size_bytes)``; the coordinator
-        ships it to each new member across the network (state-transfer
-        latency scales with the size).
-        """
-        self._state_provider = provider
 
     @property
     def coordinator(self) -> Optional[str]:
@@ -235,16 +207,8 @@ class ProcessGroup:
         host = self.network.host(host_name)
         endpoint = GroupEndpoint(self, host)
         self._start_at_cut(endpoint._ordering)
-        was_empty = len(self.view) == 0
         self.endpoints[host_name] = endpoint
         self._install(tuple(self.view.members) + (host_name,))
-        if self._state_provider is not None and not was_empty:
-            snapshot, size = self._state_provider()
-            coordinator = self.endpoints[self.view.coordinator]
-            if coordinator is not endpoint:
-                coordinator.host.send(host_name, payload=snapshot,
-                                      size=size, port=self.port,
-                                      headers={"type": "state"})
         return endpoint
 
     def leave(self, host_name: str) -> None:
@@ -281,12 +245,11 @@ class ProcessGroup:
 
     def _install(self, members: Tuple[str, ...]) -> None:
         self.view = GroupView(self.view.view_id + 1, members)
-        # The membership manager installs the view at every member.  The
-        # local update is immediate; remote members learn via the network
-        # (we deliver directly here: view installation is control traffic
-        # whose latency is not under test).
+        # The membership manager installs the view at every member at
+        # once: view installation is control traffic whose latency is
+        # not under test.
         for endpoint in self.endpoints.values():
-            endpoint._install_view(self.view)
+            endpoint.view = self.view
         for callback in self._on_view:
             callback(self.view)
 

@@ -10,9 +10,10 @@ replay``, ``profile`` and ``fuzz`` all see them:
   members and drives view changes, the degradation manager reclaims the
   suspected holder's floor, sheds the media contract toward its minimum
   and drops the session to asynchronous mode when the SLO burn alert
-  fires; after the heal the members rejoin, the alert clears and full
-  service is restored.  The result captures the whole arc: view history,
-  suspicion times, SLO fire/clear, degradation log, recovery latency.
+  fires; after the heal each suspected member's first heartbeat
+  re-admits it, the alert clears and full service is restored.  The
+  result captures the whole arc: view history, suspicion times, SLO
+  fire/clear, degradation log, recovery latency.
 * ``flaky-links`` — a client invoking through link flaps, a loss burst
   and a latency storm, protected by the full recovery-policy bundle
   (exponential backoff with deterministic jitter, deadline budget,
@@ -59,7 +60,6 @@ from repro.sim import Environment, RandomStreams, exponential
 
 PARTITION_AT = 10.0
 HEAL_AT = 30.0
-REJOIN_DELAY = 1.0
 RUN_UNTIL = 60.0
 MEDIA_UNTIL = 60.0
 MEDIA_PORT = 30
@@ -161,18 +161,6 @@ def partition_recovery_workload(seed: int = 31,
             schedule.partition(PARTITION_AT, [list(SITE0), list(SITE1)],
                                name="site-split", heal_at=HEAL_AT)
         injector = FaultInjector(env, net, schedule)
-
-        def rejoin_proc():
-            yield env.timeout(REJOIN_DELAY)
-            for member in sorted(MEMBERS):
-                if member not in group.view.members:
-                    membership.restart(member)
-
-        def on_fault(event):
-            if event.kind == "heal":
-                env.process(rejoin_proc(), name="rejoin")
-
-        injector.add_listener(on_fault)
 
         # The media stream feeding the QoS monitor.
         src_host = net.host(MEDIA_SRC)

@@ -1,12 +1,14 @@
-"""Tests for the fuzz corpus: entries, registration, reproduction."""
+"""Tests for the fuzz corpus: entries, registration, staying fixed."""
 
 import json
+import os
 
 import pytest
 
 from repro.__main__ import main
 from repro.errors import SimulationError
 from repro.faults.corpus import (
+    DEFAULT_DIR,
     REGISTRY_PREFIX,
     SCHEMA,
     corpus_workloads,
@@ -17,6 +19,8 @@ from repro.faults.corpus import (
     verify_entry,
     write_entry,
 )
+from repro.faults.fuzz import run_campaign
+from repro.groups import MonitoredMembership
 from repro.workload.catalogue import WORKLOADS
 
 BASE, ORACLE = "partition-recovery", "invariant:view-recovers"
@@ -93,31 +97,41 @@ def test_checked_in_corpus_is_registered():
     assert names, "the checked-in corpus should register workloads"
 
 
-def test_checked_in_corpus_still_reproduces():
+def test_checked_in_corpus_stays_fixed(capsys):
+    """Each checked-in reproducer's bug is fixed: its oracle stays quiet
+    and its run replays identically."""
     entries = load_corpus()
     assert entries, "corpus/fuzz should hold at least one reproducer"
     for entry in entries:
         verdict = verify_entry(entry)
-        assert verdict["reproduced"], \
-            "corpus entry {} no longer fails {}".format(
+        assert not verdict["reproduced"], \
+            "corpus entry {} fails {} again".format(
                 entry["id"], entry["oracle"])
         assert verdict["deterministic"]
+    assert main(["corpus"]) == 0
+    assert "all {} reproducers stay fixed".format(len(entries)) \
+        in capsys.readouterr().out
 
 
-def test_a_named_corpus_directory_that_does_not_exist_is_an_error(tmp_path,
-                                                                  capsys):
-    """A mistyped ``--dir`` printed "empty corpus: nothing to verify" and
-    passed the gate."""
-    missing = str(tmp_path / "no-such-dir")
-    with pytest.raises(SimulationError, match=repr(missing)):
-        load_corpus(missing)
-    assert main(["corpus", "--dir", missing]) == 2
-    captured = capsys.readouterr()
-    assert repr(missing) in captured.err
-    assert "nothing to verify" not in captured.out
-
-
-def test_an_empty_named_corpus_directory_verifies_nothing(tmp_path, capsys):
-    assert load_corpus(str(tmp_path)) == []
-    assert main(["corpus", "--dir", str(tmp_path)]) == 0
-    assert "empty corpus: nothing to verify" in capsys.readouterr().out
+def test_the_rejoin_gap_reopened_is_found_again(monkeypatch, tmp_path,
+                                                capsys):
+    """With re-admission switched off, the seed-7 campaign finds the
+    rejoin gap, shrinks it to the checked-in two-event reproducer, and
+    the corpus gate fails."""
+    monkeypatch.setattr(MonitoredMembership, "_on_return",
+                        lambda self, member: None)
+    summary = run_campaign(BASE, budget=25, seed=7, shrink=True,
+                           corpus_dir=str(tmp_path), max_failures=1)
+    assert summary["failure_count"] == 1
+    failure = summary["failures"][0]
+    assert failure["oracles"] == [ORACLE]
+    shrink = failure["shrink"]
+    assert shrink["reproduced"]
+    assert (shrink["events_before"], shrink["events_after"]) == (6, 2)
+    found = load_entry(failure["corpus"]["path"])
+    checked_in = load_entry(os.path.join(DEFAULT_DIR,
+                                         "fuzz-900641c7b37b.json"))
+    assert found["id"] == checked_in["id"] == "900641c7b37b"
+    assert found["schedule"] == checked_in["schedule"]
+    assert main(["corpus"]) == 1
+    assert "BAD  900641c7b37b" in capsys.readouterr().out

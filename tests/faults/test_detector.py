@@ -81,13 +81,13 @@ def test_bootstrap_cold_start():
     assert detector.suspect("m", 10.0, 10.0)
 
 
-def test_forget_clears_history():
+def test_rewatch_clears_history():
     detector = PhiAccrualDetector()
     detector.watch("m", 0.0)
     regular(detector)
-    detector.forget("m")
     detector.watch("m", 100.0)
     assert detector.intervals_observed("m") == 0
+    assert detector.phi("m", 100.0) == 0.0
 
 
 def test_window_bounds_history():

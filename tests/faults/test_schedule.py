@@ -120,6 +120,22 @@ def test_overlapping_faults_refcount(env):
     assert net.topology.link_between("b", "c").up
 
 
+def test_overlapping_crashes_of_one_node_nest(env):
+    net = triangle(env)
+    adjacent = [net.topology.link_between("b", other)
+                for other in ("a", "c")]
+    schedule = FaultSchedule()
+    schedule.node_crash(1.0, "b", restart_at=3.0)
+    schedule.node_crash(2.0, "b", restart_at=4.0)
+    injector = FaultInjector(env, net, schedule)
+    env.run(until=3.5)
+    # One crash is still open: b stays cut off.
+    assert not any(link.up for link in adjacent)
+    env.run(until=4.5)
+    assert all(link.up for link in adjacent)
+    assert injector.links_down == 0
+
+
 def test_partition_cuts_only_crossing_links(env):
     net = triangle(env)
     schedule = FaultSchedule()

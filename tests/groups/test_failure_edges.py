@@ -3,7 +3,7 @@
 import pytest
 
 from repro.groups import MonitoredMembership, ProcessGroup
-from repro.groups.failure import HeartbeatMonitor
+from repro.groups.failure import HEARTBEAT_PORT, HeartbeatMonitor
 from repro.net import Network, lan
 from repro.sim import Environment
 
@@ -31,10 +31,13 @@ def test_member_restart_after_suspicion_rejoins(env):
         yield env.timeout(3.0)
         membership.crash("host2")
         yield env.timeout(5.0)
-        # Suspicion has removed host2 by now; the restart rejoins it.
+        # Suspicion has removed host2 by now.  The restart resumes its
+        # heartbeats, and the first one to arrive re-admits it.
         assert "host2" not in group.view
         removed_view = group.view.view_id
         membership.restart("host2")
+        assert "host2" not in group.view
+        yield env.timeout(0.1)
         assert "host2" in group.view
         assert group.view.view_id > removed_view
 
@@ -62,6 +65,32 @@ def test_restart_before_suspicion_is_benign(env):
     env.run(until=15.0)
     assert len(group.view) == 4
     assert membership.monitor.suspected == []
+
+
+def test_quick_crash_and_restart_keeps_one_heartbeat_loop(env):
+    group = make_group(env, members=3)
+    membership = MonitoredMembership(group, interval=0.5,
+                                     suspect_after=2.0)
+    heard = []
+    monitor = membership.monitor
+    on_heartbeat = monitor._on_heartbeat
+
+    def spy(packet):
+        heard.append(packet.payload)
+        on_heartbeat(packet)
+
+    monitor.host.on_packet(HEARTBEAT_PORT, spy)
+
+    def bounce(env):
+        yield env.timeout(1.1)
+        membership.crash("host1")
+        yield env.timeout(0.1)  # shorter than one interval
+        membership.restart("host1")
+
+    env.process(bounce(env))
+    env.run(until=4.9)
+    # One heartbeat every 0.5 s from 0.0: ten, not eighteen.
+    assert heard.count("host1") == 10
 
 
 def test_monitor_crash_stops_suspecting(env):

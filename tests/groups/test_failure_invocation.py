@@ -69,14 +69,21 @@ def test_reappearing_member_unsuspected(env):
     assert not monitor.is_suspected("host1")
 
 
-def test_unwatch_clears_suspicion(env):
+def test_return_clears_suspicion_and_is_reported(env):
     net = make_net(env)
+    returned = []
     monitor = HeartbeatMonitor(net.host("host0"), ["host1"],
-                               suspect_after=1.0, check_interval=0.25)
+                               suspect_after=1.0, check_interval=0.25,
+                               on_return=returned.append)
     env.run(until=2.0)
-    monitor.unwatch("host1")
+    assert monitor.is_suspected("host1")
+    assert returned == []
+    HeartbeatSender(net.host("host1"), "host0", interval=0.25)
+    env.run(until=2.1)
     assert not monitor.is_suspected("host1")
-    assert "host1" not in monitor.last_heard
+    assert returned == ["host1"]
+    # Watched afresh from the return: the silence before it is gone.
+    assert 2.0 <= monitor.last_heard["host1"] < 2.1
 
 
 def test_monitor_validation(env):

@@ -64,6 +64,8 @@ def test_crash_unmonitored_member_rejected(env):
     membership = MonitoredMembership(group)
     with pytest.raises(GroupError):
         membership.crash("ghost")
+    with pytest.raises(GroupError):
+        membership.restart("ghost")
     # The coordinator has no sender either (it hosts the monitor).
     with pytest.raises(GroupError):
         membership.crash("host0")
@@ -115,6 +117,7 @@ def test_restarted_member_rejoins_the_conversation(env):
     assert "host2" not in group.view
     group.endpoint("host0").broadcast("missed")
     membership.restart("host2")
+    env.run(until=6.1)  # host2's first heartbeat re-admits it
     back = group.endpoint("host2")
     group.endpoint("host0").broadcast("welcome back")
     back.broadcast("thanks")

@@ -6,7 +6,7 @@ PR fixed, or one seeded on purpose — re-introduced on a copy of the
 tree, and the detector that fails there.  This module is that matrix as
 data, and two ways to run it::
 
-    python -m tests.mutants             # smoke: seven rows, one per kind
+    python -m tests.mutants             # smoke: eight rows, one per kind
     python -m tests.mutants --matrix    # every detector on every mutant
 
 The smoke applies each :data:`SMOKE` mutant to a temporary copy and
@@ -143,9 +143,9 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("view-install-skips-joiner", "seeded; CSCW",
            "src/repro/groups/group.py",
            "        for endpoint in self.endpoints.values():\n"
-           "            endpoint._install_view(self.view)\n",
+           "            endpoint.view = self.view\n",
            "        for endpoint in list(self.endpoints.values())[:-1]:\n"
-           "            endpoint._install_view(self.view)\n"),
+           "            endpoint.view = self.view\n"),
     Mutant("total-order-reuses-slots-after-leave", "seeded; CSCW",
            "src/repro/groups/group.py",
            "        remaining = tuple(m for m in self.view.members "
@@ -275,6 +275,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        if sanitizer.enabled:\n"
            "            sanitizer.acquire(\"lock:\" + key, owner)\n",
            ""),
+    Mutant("suspicion-is-never-lifted", "seeded; view-recovers",
+           "src/repro/groups/failure.py",
+           "            if self.on_return is not None:\n"
+           "                self.on_return(member)\n",
+           ""),
     Mutant("schedule-dict-rounds-times", "seeded; replay",
            "src/repro/faults/schedule.py",
            "        record: Dict[str, Any] = {\"at\": self.at, "
@@ -301,6 +306,8 @@ SMOKE: Dict[str, List[str]] = {
     # a protocol test no bench gate reaches: only a jittery WAN reorders
     "ot-client-applies-out-of-order": PYTEST + [
         "tests/concurrency/test_ot.py"],
+    # a fixed fuzz reproducer in the corpus fails its oracle again
+    "suspicion-is-never-lifted": REPRO + ["corpus"],
 }
 
 def _fuzz(profile: str) -> List[str]:
