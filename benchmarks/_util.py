@@ -1,10 +1,13 @@
 """Shared helpers for the experiment benches.
 
 Each bench reproduces one figure/claim of the paper (see DESIGN.md §3 and
-EXPERIMENTS.md).  Experiments are deterministic simulations, so each runs
-once under pytest-benchmark (the interesting output is the printed table
-and the claims, not wall-clock timing; host time is measured by
-``bench/run.py``, nowhere else).
+EXPERIMENTS.md).  Experiments are deterministic simulations, and each
+``test_*`` is a plain pytest test that calls its experiment directly:
+the output is the printed table and the claims, not wall-clock timing
+(host time is measured by ``bench/run.py``, nowhere else).  Nothing
+clears the interpreter's profile or trace hook around an experiment,
+so a ``sys.setprofile`` trace of ``pytest benchmarks/`` sees every call
+it makes.
 
 An experiment that draws randomness is a ``run(seed, param) -> row``
 over its arms or sweep, and a claim ``claim_holds(rows)`` on one seed's
@@ -24,11 +27,6 @@ CLAIM_FRACTION = 0.95
 
 Row = Dict[str, Any]
 Sweeps = Dict[int, List[Row]]
-
-
-def run_once(benchmark, fn, *args):
-    """Run an experiment exactly once under the benchmark fixture."""
-    return benchmark.pedantic(fn, args=args, rounds=1, iterations=1)
 
 
 def sweep(run: Callable[[int, Any], Row], params: Sequence[Any]) -> Sweeps:

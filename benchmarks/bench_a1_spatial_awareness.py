@@ -22,7 +22,7 @@ awareness scoping.
 
 import math
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.awareness import Entity, FULL, SharedSpace
 from repro.sim import RandomStreams
 
@@ -67,8 +67,8 @@ def claim_holds(rows):
             and rows[-1]["spatial"] < rows[0]["broadcast"])
 
 
-def test_a1_spatial_awareness(benchmark):
-    sweeps = run_once(benchmark, sweep, run, POPULATIONS)
+def test_a1_spatial_awareness():
+    sweeps = sweep(run, POPULATIONS)
     print_sweep(
         "A1  recipients per action at constant crowd density",
         "population", POPULATIONS, sweeps,

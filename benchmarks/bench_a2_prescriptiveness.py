@@ -23,7 +23,7 @@ every case (the tolerant one recording deviations, informal routing
 rejecting nothing); strict rejections never fall as informality rises.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.sim import RandomStreams
 from repro.workflow import (
     FlexibleRouter,
@@ -130,8 +130,8 @@ def claim_holds(rows):
             and strict == sorted(strict))
 
 
-def test_a2_prescriptiveness(benchmark):
-    sweeps = run_once(benchmark, sweep, run, INFORMALITY)
+def test_a2_prescriptiveness():
+    sweeps = sweep(run, INFORMALITY)
     print_sweep(
         "A2  coordination models vs real (informal) work patterns "
         "({} cases each)".format(CASES),

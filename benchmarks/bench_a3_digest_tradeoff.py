@@ -14,7 +14,7 @@ still), each digest's staleness is bounded by its interval, and the
 longer interval is the staler.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.awareness import AwarenessBus, DigestService
 from repro.obs.metrics import Tally
 from repro.sim import Environment, RandomStreams, exponential
@@ -74,8 +74,8 @@ def claim_holds(rows):
             and digest_120["mean staleness"] > digest_30["mean staleness"])
 
 
-def test_a3_digest_tradeoff(benchmark):
-    sweeps = run_once(benchmark, sweep, run, MODES)
+def test_a3_digest_tradeoff():
+    sweeps = sweep(run, MODES)
     print_sweep(
         "A3  continuous awareness vs Portholes digests "
         "({} actors x {} actions)".format(ACTORS, ACTIONS_PER_ACTOR),

@@ -16,7 +16,7 @@ robs active holders; the moderate grace takes over, robs no more often
 than the shortest, and waits less than the hard lock.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.concurrency import EXCLUSIVE, LockTable, TICKLE
 from repro.obs.metrics import Tally
 from repro.sim import Environment, RandomStreams, exponential
@@ -82,8 +82,8 @@ def claim_holds(rows):
             and moderate["wait"] < hard["wait"])
 
 
-def test_a4_tickle_grace(benchmark):
-    sweeps = run_once(benchmark, sweep, run, GRACES)
+def test_a4_tickle_grace():
+    sweeps = sweep(run, GRACES)
     print_sweep(
         "A4  tickle grace period sweep (idle-prone holders)", "grace",
         ["hard lock" if grace >= 1e9 else "{:g}s".format(grace)

@@ -20,7 +20,7 @@ its one WYSIWIS presentation is fewer than the aware object's tailored
 ones.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.obs.metrics import Tally
 from repro.sessions import (
     AwareSharedObject,
@@ -115,8 +115,8 @@ def claim_holds(rows):
                for row in rows)
 
 
-def test_a5_sharing_architectures(benchmark):
-    sweeps = run_once(benchmark, sweep, run, GROUP_SIZES)
+def test_a5_sharing_architectures():
+    sweeps = sweep(run, GROUP_SIZES)
     print_sweep("A5  transparent vs aware sharing as the group grows",
                 "members", GROUP_SIZES, sweeps,
                 {"transparent B/input": "transparent bytes",

@@ -28,7 +28,7 @@ produces at least one replay conflict and an outage beyond the accepted
 level raises an alert.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.concurrency import SharedStore
 from repro.errors import DisconnectedError, MobilityError
 from repro.mobility import (
@@ -178,8 +178,8 @@ def claim_holds(rows):
             and cached["alerts"] >= 1)        # outages beyond the level
 
 
-def test_e10_mobility(benchmark):
-    sweeps = run_once(benchmark, sweep, run, list(REGIMES))
+def test_e10_mobility():
+    sweeps = sweep(run, list(REGIMES))
     print_sweep(
         "E10  a field engineer's day across connectivity levels", "regime",
         list(REGIMES), sweeps,

@@ -13,7 +13,7 @@ trace:
   of the extra hop through the sequencer.
 """
 
-from benchmarks._util import print_table, run_once
+from benchmarks._util import print_table
 from repro.groups import ProcessGroup
 from repro.net import Network, wan
 from repro.obs.metrics import Tally
@@ -103,8 +103,8 @@ def run_experiment():
             for ordering in ("unordered", "fifo", "causal", "total")}
 
 
-def test_e11_ordering(benchmark):
-    results = run_once(benchmark, run_experiment)
+def test_e11_ordering():
+    results = run_experiment()
     rows = [(ordering, stats["delivered"],
              stats["latency"].mean * 1000,
              stats["latency"].p95 * 1000,
@@ -129,6 +129,3 @@ def test_e11_ordering(benchmark):
     assert results["total"]["identical_sequences"]
     assert results["total"]["latency"].mean > \
         results["unordered"]["latency"].mean
-    benchmark.extra_info["causal_cost_ms"] = (
-        results["causal"]["latency"].mean
-        - results["unordered"]["latency"].mean) * 1000

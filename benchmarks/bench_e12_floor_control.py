@@ -16,7 +16,7 @@ never collides but waits; round-robin preempts the hog and waits less
 than FCFS under the same demand.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.sessions import (
     ChairedFloor,
     FcfsFloor,
@@ -92,8 +92,8 @@ def claim_holds(rows):
             and rr["preemptions"] > 0 and rr["wait"] < fcfs["wait"])
 
 
-def test_e12_floor_control(benchmark):
-    sweeps = run_once(benchmark, sweep, run, POLICIES)
+def test_e12_floor_control():
+    sweeps = sweep(run, POLICIES)
     print_sweep(
         "E12  floor policies with one floor-hog among six speakers",
         "policy", POLICIES, sweeps,

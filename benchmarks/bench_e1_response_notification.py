@@ -20,7 +20,7 @@ notifies the other editors sooner than either (the OT notification is
 network propagation; theirs waits for the hold and the release).
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro import CooperativePlatform
 from repro.concurrency import (
     EXCLUSIVE,
@@ -153,8 +153,8 @@ def claim_holds(rows):
                     for row in (locking, reservation)))
 
 
-def test_e1_response_notification(benchmark):
-    sweeps = run_once(benchmark, sweep, run, list(MECHANISMS))
+def test_e1_response_notification():
+    sweeps = sweep(run, list(MECHANISMS))
     print_sweep("E1  response time vs notification time under contention",
                 "mechanism", list(MECHANISMS), sweeps,
                 {"edits": "edits", "response mean (s)": "response mean",

@@ -18,7 +18,7 @@ locks per edit never fall from document to word and are more at word
 than at document granularity.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.concurrency import (
     EXCLUSIVE,
     GRANULARITIES,
@@ -81,8 +81,8 @@ def claim_holds(rows):
             and locks == sorted(locks) and locks[-1] > locks[0])
 
 
-def test_e2_lock_granularity(benchmark):
-    sweeps = run_once(benchmark, sweep, run, GRANULARITIES)
+def test_e2_lock_granularity():
+    sweeps = sweep(run, GRANULARITIES)
     print_sweep(
         "E2  lock granularity trade-off (4 authors)", "granularity",
         GRANULARITIES, sweeps,

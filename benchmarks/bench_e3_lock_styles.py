@@ -20,7 +20,7 @@ work.  Reported as a finding, because it holds on too few seeds to be
 declared: tickle locks wait less and finish sooner than hard locks.
 """
 
-from benchmarks._util import check, finding, print_sweep, run_once, sweep
+from benchmarks._util import check, finding, print_sweep, sweep
 from repro.concurrency import HARD, NOTIFICATION, SOFT, STYLES, TICKLE
 from repro.workload.locks import lock_style_workload
 
@@ -52,8 +52,8 @@ def tickle_reclaims_idle_time(rows):
             and tickle["makespan"] < hard["makespan"])
 
 
-def test_e3_lock_styles(benchmark):
-    sweeps = run_once(benchmark, sweep, run, STYLES)
+def test_e3_lock_styles():
+    sweeps = sweep(run, STYLES)
     print_sweep("E3  lock styles under contention with idle holders",
                 "style", STYLES, sweeps,
                 {"mean wait (s)": "wait", "takeovers": "takeovers",

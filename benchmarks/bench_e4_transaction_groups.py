@@ -24,7 +24,7 @@ writer's in-progress drafts; the tailored rule admits every read at
 once too.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.concurrency import (
     AccessRule,
     SharedStore,
@@ -119,8 +119,8 @@ def claim_holds(rows):
             and tailored["max read wait"] == 0.0)
 
 
-def test_e4_transaction_groups(benchmark):
-    sweeps = run_once(benchmark, sweep, run, list(RULES))
+def test_e4_transaction_groups():
+    sweeps = sweep(run, list(RULES))
     print_sweep(
         "E4  access rules replace serialisability in a transaction group",
         "access rule", list(RULES), sweeps,

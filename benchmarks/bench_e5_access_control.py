@@ -31,7 +31,7 @@ change, and the matrix needs more entries than the model by a factor
 that grows with the document.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.access import (
     AccessMatrix,
     AccessNegotiator,
@@ -179,8 +179,8 @@ def granularity_holds(rows):
             and factors == sorted(factors) and factors[-1] > factors[0])
 
 
-def test_e5_access_control(benchmark):
-    sweeps = run_once(benchmark, sweep, run, MECHANISMS)
+def test_e5_access_control():
+    sweeps = sweep(run, MECHANISMS)
     print_sweep(
         "E5a  rights changes mid-collaboration ({} sections)".format(
             SECTIONS), "mechanism", MECHANISMS, sweeps,

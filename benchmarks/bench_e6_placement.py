@@ -22,8 +22,7 @@ no randomness and is asserted once: migration moves the object at
 least once and lowers the measured round trip.
 """
 
-from benchmarks._util import check, print_sweep, print_table, run_once, \
-    sweep
+from benchmarks._util import check, print_sweep, print_table, sweep
 from repro.management import (
     FirstNodePlacement,
     GroupAwarePlacement,
@@ -149,8 +148,8 @@ def claim_holds(rows):
             and group_aware["worst"] < first["worst"])
 
 
-def test_e6_placement(benchmark):
-    sweeps = run_once(benchmark, sweep, run, list(POLICIES))
+def test_e6_placement():
+    sweeps = sweep(run, list(POLICIES))
     print_sweep(
         "E6a  placement policies: measured group response", "policy",
         list(POLICIES), sweeps,

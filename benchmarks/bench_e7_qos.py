@@ -20,7 +20,7 @@ lightest), while the reserved stream, downgraded mid-stream or not,
 misses no frame at any load.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.net import Network, dumbbell
 from repro.qos import QoSBroker, QoSMonitor, QoSParameters
 from repro.sim import Environment, RandomStreams, exponential
@@ -98,8 +98,8 @@ def claim_holds(rows):
                     for reserved in by_regime[1:] for row in reserved))
 
 
-def test_e7_qos(benchmark):
-    sweeps = run_once(benchmark, sweep, run, PARAMS)
+def test_e7_qos():
+    sweeps = sweep(run, PARAMS)
     print_sweep(
         "E7  video integrity across a flooded {:g} Mb/s bottleneck".format(
             BOTTLENECK / 1e6), "regime @ flood load",

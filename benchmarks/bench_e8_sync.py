@@ -13,7 +13,7 @@ is below the uncorrected one, the uncorrected skew grows with the drift,
 and the factor by which the synchroniser cuts it grows with the drift.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.sim import Environment, RandomStreams
 from repro.streams import (
     ARRIVAL,
@@ -72,8 +72,8 @@ def claim_holds(rows):
             and cuts == sorted(cuts))
 
 
-def test_e8_sync(benchmark):
-    sweeps = run_once(benchmark, sweep, run, DRIFTS)
+def test_e8_sync():
+    sweeps = sweep(run, DRIFTS)
     print_sweep(
         "E8  lip sync over {:g} s of drifting devices".format(DURATION),
         "video clock drift", ["{:.0%}".format(drift) for drift in DRIFTS],

@@ -16,7 +16,7 @@ falls as the group grows and is larger for the largest group than for
 the smallest.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.net import MulticastService, Network, wan
 from repro.obs.metrics import Tally
 from repro.sim import Environment, RandomStreams
@@ -74,8 +74,8 @@ def claim_holds(rows):
             and savings == sorted(savings) and savings[-1] > savings[0])
 
 
-def test_e9_group_media(benchmark):
-    sweeps = run_once(benchmark, sweep, run, GROUP_SIZES)
+def test_e9_group_media():
+    sweeps = sweep(run, GROUP_SIZES)
     print_sweep(
         "E9  1->N media fan-out on a {}x{} WAN: unicast vs multicast "
         "tree".format(SITES, HOSTS_PER_SITE), "members", GROUP_SIZES,

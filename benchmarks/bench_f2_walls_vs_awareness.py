@@ -19,7 +19,7 @@ until-commit (mean ≈ half the session length), the awareness mechanisms
 are bounded by the event-delivery latency — orders of magnitude smaller.
 """
 
-from benchmarks._util import print_table, run_once
+from benchmarks._util import print_table
 from repro.awareness import WorkspaceAwareness
 from repro.concurrency import (
     EXCLUSIVE,
@@ -124,8 +124,8 @@ def run_experiment():
     }
 
 
-def test_f2_walls_vs_awareness(benchmark):
-    results = run_once(benchmark, run_experiment)
+def test_f2_walls_vs_awareness():
+    results = run_experiment()
     rows = [(name, tally.count, tally.mean, tally.maximum)
             for name, tally in results.items()]
     print_table(
@@ -143,4 +143,3 @@ def test_f2_walls_vs_awareness(benchmark):
     assert locks.mean <= 2 * AWARENESS_LATENCY
     assert awareness.mean <= 2 * AWARENESS_LATENCY
     assert txn.mean / awareness.mean > 100
-    benchmark.extra_info["txn_over_awareness"] = txn.mean / awareness.mean

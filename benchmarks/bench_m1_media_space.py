@@ -30,7 +30,7 @@ the granted rate times wall bytes over glance bytes.
 
 import functools
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.net import Network, wan
 from repro.sim import Environment, RandomStreams
 from repro.spaces import BUSY, MediaSpace
@@ -122,8 +122,8 @@ def crossover_holds(rows):
     return all(low <= row["crossover"] <= high for row in rows)
 
 
-def test_m1_media_space(benchmark):
-    sweeps = run_once(benchmark, sweep, run, BUSY_SHARES)
+def test_m1_media_space():
+    sweeps = sweep(run, BUSY_SHARES)
     print_sweep(
         "M1  glances against the BUSY share ({} attempts, {} offices)".format(
             ATTEMPTS, SITES * OFFICES_PER_SITE),

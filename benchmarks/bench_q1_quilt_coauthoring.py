@@ -20,7 +20,7 @@ conflicts at every N, and direct edits record more than 0 conflicts at
 every N and strictly more at each larger N.
 """
 
-from benchmarks._util import check, print_sweep, run_once, sweep
+from benchmarks._util import check, print_sweep, sweep
 from repro.hypertext import CO_AUTHOR, HypertextNetwork, QuiltDocument
 from repro.sim import Environment, RandomStreams, exponential
 
@@ -80,8 +80,8 @@ def claim_holds(rows):
             and all(a < b for a, b in zip(direct, direct[1:])))
 
 
-def test_q1_quilt_coauthoring(benchmark):
-    sweeps = run_once(benchmark, sweep, run, AUTHOR_COUNTS)
+def test_q1_quilt_coauthoring():
+    sweeps = sweep(run, AUTHOR_COUNTS)
     print_sweep(
         "Q1  direct edits vs Quilt suggestions ({} revisions each, {:.0f} s "
         "read lag)".format(REVISIONS, READ_LAG_S),

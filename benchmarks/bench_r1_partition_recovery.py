@@ -21,7 +21,7 @@ Setup: the two chaos workloads from :mod:`repro.workload.chaos`.
   the error traces the head sampler would have dropped.
 """
 
-from benchmarks._util import print_table, run_once
+from benchmarks._util import print_table
 from repro.workload.chaos import (
     HEAL_AT,
     MEMBERS,
@@ -42,8 +42,8 @@ def run_experiment():
     }
 
 
-def test_r1_partition_recovery(benchmark):
-    results = run_once(benchmark, run_experiment)
+def test_r1_partition_recovery():
+    results = run_experiment()
     baseline = results["baseline"]
     partition = results["partition"]
     flaky = results["flaky"]
@@ -121,6 +121,3 @@ def test_r1_partition_recovery(benchmark):
     assert flaky["chan_gave_up"] > 0
     assert flaky["tail_promoted"] > 0
     assert flaky["outcomes"].get("ok", 0) > 100
-
-    benchmark.extra_info["recovery_time_s"] = partition["recovery_time"]
-    benchmark.extra_info["slo_fired_at"] = partition["slo_fired_at"]

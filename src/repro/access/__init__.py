@@ -15,7 +15,6 @@ Baseline and alternative side by side:
 
 from repro.access.matrix import (
     AccessMatrix,
-    Capability,
     GRANT,
     READ,
     RIGHTS,
@@ -40,7 +39,6 @@ __all__ = [
     "ANNOTATE",
     "AccessMatrix",
     "AccessNegotiator",
-    "Capability",
     "DENIED",
     "EXPIRED",
     "GRANT",

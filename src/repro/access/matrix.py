@@ -14,8 +14,7 @@ role-based model.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.errors import AccessDenied, AccessPolicyError
 from repro.obs.metrics import Counter
@@ -26,9 +25,6 @@ WRITE = "write"
 GRANT = "grant"
 
 RIGHTS = (READ, WRITE, GRANT)
-
-_capability_ids = itertools.count(1000)  # repro: allow-RPR005 (ids are labels, not behaviour)
-
 
 class AccessMatrix:
     """Subjects × objects → rights, mutated only by the administrator."""
@@ -85,38 +81,3 @@ class AccessMatrix:
         self.change_log.append((self.env.now, subject, obj, right, add))
         self.counters.incr("changes_applied")
         event.succeed(self.env.now)
-
-    # -- derived mechanisms ------------------------------------------------------
-
-    def acl_of(self, obj: str) -> Dict[str, Set[str]]:
-        """The column of the matrix: the object's access control list."""
-        return {subject: set(rights)
-                for (subject, o), rights in self._entries.items()
-                if o == obj and rights}
-
-    def capabilities_of(self, subject: str) -> List["Capability"]:
-        """The row of the matrix, minted as capability tokens."""
-        return [Capability(subject, obj, right)
-                for (s, obj), rights in self._entries.items()
-                if s == subject
-                for right in sorted(rights)]
-
-
-class Capability:
-    """An unforgeable (token, object, right) handle minted from the matrix."""
-
-    __slots__ = ("token", "holder", "obj", "right")
-
-    def __init__(self, holder: str, obj: str, right: str) -> None:
-        self.token = "cap-{}".format(next(_capability_ids))
-        self.holder = holder
-        self.obj = obj
-        self.right = right
-
-    def permits(self, obj: str, right: str) -> bool:
-        """Does this capability cover the requested access?"""
-        return self.obj == obj and self.right == right
-
-    def __repr__(self) -> str:
-        return "<Capability {} {} on {}>".format(
-            self.token, self.right, self.obj)

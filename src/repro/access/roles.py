@@ -63,10 +63,6 @@ class Role:
         return any(right in rights and pattern_matches(pattern, artefact)
                    for pattern, rights in self._rules)
 
-    def rules(self) -> List[Tuple[str, Set[str]]]:
-        """The visible specification of the role."""
-        return [(pattern, set(rights)) for pattern, rights in self._rules]
-
     def __repr__(self) -> str:
         return "<Role {} rules={}>".format(self.name, len(self._rules))
 
@@ -100,16 +96,6 @@ class RoleBasedPolicy:
         self.role(role_name)
         self._bindings.setdefault(user, set()).add(role_name)
         self.change_log.append((at, user, role_name, True))
-        self.counters.incr("role_changes")
-
-    def revoke(self, user: str, role_name: str, at: float = 0.0) -> None:
-        """Remove the role — effective immediately."""
-        holding = self._bindings.get(user, set())
-        if role_name not in holding:
-            raise AccessPolicyError(
-                "{} does not hold role {}".format(user, role_name))
-        holding.remove(role_name)
-        self.change_log.append((at, user, role_name, False))
         self.counters.incr("role_changes")
 
     def roles_of(self, user: str) -> Set[str]:

@@ -85,10 +85,6 @@ class ShenDewanPolicy:
         """Add a negative right (overrides inherited positives)."""
         self._set(subject, obj, right, False)
 
-    def clear(self, subject: str, obj: str, right: str) -> None:
-        """Remove an explicit entry (inheritance resumes)."""
-        self._entries.pop((subject, obj, right), None)
-
     def _set(self, subject: str, obj: str, right: str,
              allow: bool) -> None:
         if subject not in self.subjects:

@@ -25,8 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis import protocol
 from repro.analysis.ir import RepoIndex
-from repro.analysis.lint import (RULES, Finding, lint_tree,
-                                 syntax_error_finding)
+from repro.analysis.lint import Finding, lint_tree, syntax_error_finding
 
 PASS_NAMES = ("lint", "protocol")
 
@@ -36,35 +35,17 @@ def _clock() -> float:
     return time.perf_counter()  # repro: allow-RPR001 (analyzer timing)
 
 
-def rules_meta() -> Dict[str, Tuple[str, str]]:
-    """``code -> (summary, hint)`` across both passes."""
-    meta: Dict[str, Tuple[str, str]] = {
-        "RPR000": ("file does not parse", "fix the syntax error"),
-    }
-    for rule in RULES:
-        meta[rule.code] = (rule.summary, rule.hint)
-    meta.update(protocol.RULE_META)
-    return meta
-
-
-def run_passes(paths: Iterable[str],
-               passes: Optional[Iterable[str]] = None
-               ) -> Tuple[List[Finding], Dict[str, float]]:
-    """Run the selected passes; returns (findings, timings).
-
-    Findings are sorted and suppression-filtered; ``timings`` carries
-    per-pass wall seconds plus the ``index`` build cost.  Raises
-    :class:`ValueError` rather than report "0 findings" on nothing: an
-    unknown or empty pass selection, a path that does not exist, or
-    paths under which no python file was found.
-    """
-    findings, timings, _ = analyse(paths, passes)
-    return findings, timings
-
-
 def analyse(paths: Iterable[str], passes: Optional[Iterable[str]] = None
             ) -> Tuple[List[Finding], Dict[str, float], int]:
-    """:func:`run_passes`, plus how many files were analysed."""
+    """Run the selected passes; returns (findings, timings, files).
+
+    Findings are sorted and suppression-filtered; ``timings`` carries
+    per-pass wall seconds plus the ``index`` build cost, and ``files``
+    counts the modules analysed.  Raises :class:`ValueError` rather
+    than report "0 findings" on nothing: an unknown or empty pass
+    selection, a path that does not exist, or paths under which no
+    python file was found.
+    """
     selected = list(passes) if passes is not None else list(PASS_NAMES)
     if not selected:
         raise ValueError("no pass selected; choose from: "

@@ -446,14 +446,6 @@ def lint_source(source: str, path: str,
     return findings
 
 
-def lint_file(path: str, respect_suppressions: bool = True
-              ) -> List[Finding]:
-    """Lint one file on disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path, respect_suppressions)
-
-
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
     """Expand files/directories into a sorted stream of ``.py`` paths."""
     for path in paths:

@@ -63,9 +63,6 @@ class DigestService:
         """Receive one digest per interval (empty periods are skipped)."""
         self._subscribers[name] = callback
 
-    def unsubscribe(self, name: str) -> None:
-        self._subscribers.pop(name, None)
-
     def _collect(self, event: AwarenessEvent) -> None:
         self._pending.append(event)
 

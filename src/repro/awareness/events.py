@@ -67,10 +67,10 @@ class AwarenessBus:
     over: one queued event and no process, so a subscriber that raises
     surfaces from ``env.run()`` as itself.
 
-    A subscriber may ``subscribe`` or ``unsubscribe`` from inside a
-    delivery: ``publish`` walks the subscriptions as they stood when it
-    was called, so a subscription made during a delivery does not
-    receive the event being delivered and does receive the next.
+    A subscriber may ``subscribe`` from inside a delivery: ``publish``
+    walks the subscriptions as they stood when it was called, so a
+    subscription made during a delivery does not receive the event being
+    delivered and does receive the next.
     """
 
     def __init__(self, env: Environment, latency: float = 0.0) -> None:
@@ -90,17 +90,13 @@ class AwarenessBus:
         self._subscribers.setdefault(name, []).append(
             (event_filter or ignore_own_actions, callback))
 
-    def unsubscribe(self, name: str) -> None:
-        """Drop all of ``name``'s subscriptions."""
-        self._subscribers.pop(name, None)
-
     def publish(self, actor: str, artefact: str, action: str,
                 detail: Any = None) -> AwarenessEvent:
         """Emit an event; matching subscribers receive it after latency."""
         event = AwarenessEvent(actor, artefact, action, self.env.now,
                                detail)
         self.counters.incr("published")
-        # A copy: a subscriber may (un)subscribe from inside a delivery.
+        # A copy: a subscriber may subscribe from inside a delivery.
         subscriptions = [(name, entry)
                          for name, entries in self._subscribers.items()
                          for entry in entries]

@@ -49,16 +49,6 @@ class Entity:
     def position(self) -> Tuple[float, float]:
         return (self.x, self.y)
 
-    def move_to(self, x: float, y: float) -> None:
-        """Teleport to absolute coordinates."""
-        self.x = x
-        self.y = y
-
-    def move_by(self, dx: float, dy: float) -> None:
-        """Move relative to the current position."""
-        self.x += dx
-        self.y += dy
-
     def distance_to(self, other: "Entity") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 

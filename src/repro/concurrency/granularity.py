@@ -12,7 +12,7 @@ trade-off.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import ConcurrencyError
 
@@ -64,16 +64,6 @@ class StructuredDocument:
         """How many words one unit at ``granularity`` spans."""
         return self.total_words // self.unit_count(granularity)
 
-    def unit_of(self, granularity: str, word_index: int) -> str:
-        """The lock-unit id containing ``word_index`` at ``granularity``."""
-        self._check(granularity)
-        if not 0 <= word_index < self.total_words:
-            raise ConcurrencyError(
-                "word index {} out of range [0, {})".format(
-                    word_index, self.total_words))
-        unit = word_index // self.unit_size_words(granularity)
-        return "{}:{}".format(granularity, unit)
-
     def units_for_span(self, granularity: str, start_word: int,
                        length: int) -> List[str]:
         """All lock units an edit of ``length`` words at ``start_word``
@@ -88,14 +78,6 @@ class StructuredDocument:
         last = end_word // size
         return ["{}:{}".format(granularity, unit)
                 for unit in range(first, last + 1)]
-
-    def spans_conflict(self, granularity: str,
-                       span_a: Tuple[int, int],
-                       span_b: Tuple[int, int]) -> bool:
-        """Would two (start, length) edits contend at ``granularity``?"""
-        units_a = set(self.units_for_span(granularity, *span_a))
-        units_b = set(self.units_for_span(granularity, *span_b))
-        return bool(units_a & units_b)
 
     @staticmethod
     def _check(granularity: str) -> None:

@@ -238,9 +238,6 @@ class LockTable:
         """Requests currently waiting on ``key``."""
         return len(self._queues.get(key, []))
 
-    def is_held(self, key: str) -> bool:
-        return bool(self._held.get(key))
-
     def watch(self, key: str,
               callback: Callable[[str, str, str], None]) -> None:
         """Notification locks: subscribe to writes on ``key``.

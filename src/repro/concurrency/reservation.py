@@ -63,7 +63,3 @@ class ReservationControl:
         if not self.holds(member):
             raise FloorControlError(
                 "operation by {} without the reservation".format(member))
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)

@@ -109,11 +109,6 @@ class SharedStore:
         """Receive every write as it happens."""
         self._subscribers.append(callback)
 
-    def unsubscribe(self, callback) -> None:
-        """Stop receiving writes."""
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
-
     def snapshot(self) -> Dict[str, Tuple[Any, int]]:
         """All items as {key: (value, version)}."""
         return {key: (item.value, item.version)

@@ -168,10 +168,6 @@ class TransactionGroup:
             return self.store.read(key)
         return None
 
-    @property
-    def wait_queue_length(self) -> int:
-        return len(self._waiting)
-
     # -- internals -----------------------------------------------------------
 
     def _check_member(self, member: str) -> None:

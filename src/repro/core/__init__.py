@@ -1,13 +1,5 @@
-"""The paper's contribution, operationalised: matrix and platform."""
+"""The paper's contribution, operationalised: the cooperative platform."""
 
-from repro.core.matrix import (
-    EXAMPLE_APPLICATIONS,
-    QUADRANTS,
-    classify,
-    quadrant_name,
-    render_matrix,
-    transition_path,
-)
 from repro.core.platform import (
     CooperativePlatform,
     CooperativeSession,
@@ -18,12 +10,6 @@ from repro.core.platform import (
 __all__ = [
     "CooperativePlatform",
     "CooperativeSession",
-    "EXAMPLE_APPLICATIONS",
     "MediaFlow",
-    "QUADRANTS",
     "SharedDocument",
-    "classify",
-    "quadrant_name",
-    "render_matrix",
-    "transition_path",
 ]

@@ -119,10 +119,6 @@ class DeadlineBudget:
         """Seconds left before the deadline (may be negative)."""
         return self.deadline - self.env.now
 
-    @property
-    def exceeded(self) -> bool:
-        return self.env.now >= self.deadline
-
     def allows(self, extra_wait: float = 0.0) -> bool:
         """Would now + ``extra_wait`` still land inside the budget?"""
         return self.env.now + extra_wait < self.deadline

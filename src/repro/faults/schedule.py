@@ -160,16 +160,14 @@ class FaultSchedule:
             self._add(up_at, "link-up", a=a, b=b)
         return self
 
-    def link_up(self, at: float, a: str, b: str) -> "FaultSchedule":
-        """Restore the ``a``–``b`` link."""
-        return self._add(at, "link-up", a=a, b=b)
-
     def link_flap(self, at: float, a: str, b: str, count: int,
                   period: float) -> "FaultSchedule":
         """``count`` down/up cycles of length ``period`` (half down,
         half up), starting at ``at`` — expanded into explicit events."""
-        if count < 1:
-            raise SimulationError("flap count must be >= 1")
+        if isinstance(count, bool) or not isinstance(count, int) \
+                or count < 1:
+            raise SimulationError(
+                "count must be an integer >= 1: {!r}".format(count))
         _positive(period=period)
         for i in range(count):
             start = at + i * period
@@ -183,20 +181,17 @@ class FaultSchedule:
                   name: str = "partition",
                   heal_at: Optional[float] = None) -> "FaultSchedule":
         """Split the network: every link crossing between two of the
-        ``groups`` goes down.  ``heal(name)`` (or ``heal_at``) reverses
-        exactly the links this partition cut."""
-        if len(groups) < 2:
-            raise SimulationError("a partition needs at least two groups")
+        ``groups`` goes down; ``heal_at`` reverses exactly the links
+        this partition cut."""
+        problem = _groups_problem(groups)
+        if problem:
+            raise SimulationError("groups " + problem)
         self._add(at, "partition", name=name,
                   groups=[sorted(group) for group in groups])
         if heal_at is not None:
             _after(at, heal_at=heal_at)
             self._add(heal_at, "heal", name=name)
         return self
-
-    def heal(self, at: float, name: str = "partition") -> "FaultSchedule":
-        """Restore the links cut by the named partition."""
-        return self._add(at, "heal", name=name)
 
     # -- nodes --------------------------------------------------------------
 
@@ -211,10 +206,6 @@ class FaultSchedule:
             _after(at, restart_at=restart_at)
             self._add(restart_at, "node-restart", node=node)
         return self
-
-    def node_restart(self, at: float, node: str) -> "FaultSchedule":
-        """Bring a crashed node's links back up."""
-        return self._add(at, "node-restart", node=node)
 
     # -- impairments --------------------------------------------------------
 
@@ -329,6 +320,28 @@ def _after(at: float, **lift: float) -> None:
                 "{} must be a finite time after at: {!r}".format(name, value))
 
 
+def _groups_problem(groups: Any) -> Optional[str]:
+    """Why ``groups`` cannot be a partition's groups, or ``None``.
+
+    A bare string is a sequence of characters, not of node names, and a
+    node in two groups has no side; either would cut links other than
+    the ones named, so both are rejected before the run starts.
+    """
+    if not isinstance(groups, (list, tuple)) or len(groups) < 2:
+        return "must be a list of at least two groups: {!r}".format(groups)
+    seen = set()
+    for group in groups:
+        if not isinstance(group, (list, tuple)) or not group \
+                or not all(isinstance(node, str) for node in group):
+            return "must be non-empty lists of node names: {!r}".format(
+                group)
+        for node in group:
+            if node in seen:
+                return "must be disjoint: {!r} is in two groups".format(node)
+            seen.add(node)
+    return None
+
+
 def _validate_params(label: str, kind: str, params: Dict[str, Any]) -> None:
     """Per-kind parameter validation for :meth:`FaultEvent.from_dict`."""
     def fail(problem: str) -> None:
@@ -338,14 +351,9 @@ def _validate_params(label: str, kind: str, params: Dict[str, Any]) -> None:
         if name in params and not isinstance(params[name], str):
             fail("param {!r} must be a string".format(name))
     if kind == "partition":
-        groups = params["groups"]
-        if not isinstance(groups, list) or len(groups) < 2:
-            fail("'groups' must be a list of at least two groups")
-        for group in groups:
-            if not isinstance(group, list) or not group \
-                    or not all(isinstance(node, str) for node in group):
-                fail("every partition group must be a non-empty "
-                     "list of node names")
+        problem = _groups_problem(params["groups"])
+        if problem:
+            fail("'groups' " + problem)
     if "scale" in params and not (_is_number(params["scale"])
                                   and 0 < params["scale"] < math.inf):
         fail("'scale' must be a positive finite number")
@@ -418,9 +426,6 @@ class FaultInjector:
     same way: each restart lifts one crash.  Every executed event lands in
     :attr:`log` (JSON-safe, for workload results), emits a
     ``fault.<kind>`` span and counts in ``fault.injected``.
-
-    ``on_fault`` callbacks (added via :meth:`add_listener`) let a
-    workload react to injections.
     """
 
     def __init__(self, env, network, schedule: FaultSchedule,
@@ -436,12 +441,7 @@ class FaultInjector:
         self._partitions: Dict[str, List[Tuple[str, str]]] = {}
         #: Per node, the links each of its open crashes took down.
         self._crashed: Dict[str, List[List[Tuple[str, str]]]] = {}
-        self._listeners: List[Callable[[FaultEvent], None]] = []
         self.process = env.process(self._run(), name=name)
-
-    def add_listener(self, callback: Callable[[FaultEvent], None]) -> None:
-        """Call ``callback(event)`` after each event executes."""
-        self._listeners.append(callback)
 
     @property
     def links_down(self) -> int:
@@ -469,8 +469,6 @@ class FaultInjector:
                      "links_affected": affected}
             entry.update(_span_attrs(event))
             self.log.append(entry)
-            for listener in self._listeners:
-                listener(event)
 
     def _execute(self, event: FaultEvent) -> int:
         kind = event.kind
@@ -561,13 +559,8 @@ class FaultInjector:
 
     def _crossing_links(self, groups: Sequence[Sequence[str]]
                         ) -> List[Tuple[str, str]]:
-        membership: Dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for node in group:
-                if node in membership:
-                    raise SimulationError(
-                        "{} appears in two partition groups".format(node))
-                membership[node] = index
+        membership = {node: index for index, group in enumerate(groups)
+                      for node in group}
         crossing: List[Tuple[str, str]] = []
         for link in sorted(self.network.topology.links(),
                            key=lambda link: (link.a, link.b)):

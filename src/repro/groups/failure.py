@@ -132,16 +132,6 @@ class MonitoredMembership:
                 group.endpoints[member].host, coordinator,
                 interval=interval)
 
-    def watch_new_member(self, member: str) -> None:
-        """Start monitoring a member that joined after construction."""
-        if member in self.senders:
-            return
-        coordinator = self.group.coordinator
-        self.monitor.watch(member)
-        self.senders[member] = HeartbeatSender(
-            self.group.endpoints[member].host, coordinator,
-            interval=self.interval)
-
     def crash(self, member: str) -> None:
         """Simulate ``member`` failing (its heartbeats stop)."""
         sender = self.senders.get(member)

@@ -41,11 +41,6 @@ class GroupCallResult:
     def replied(self) -> int:
         return len(self.results)
 
-    @property
-    def worst_latency(self) -> float:
-        """Slowest reply observed (0.0 when nothing replied)."""
-        return max(self.latencies.values()) if self.latencies else 0.0
-
     def __repr__(self) -> str:
         return "<GroupCallResult replied={} quorum_met={}>".format(
             self.replied, self.quorum_met)

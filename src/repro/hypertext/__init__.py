@@ -14,7 +14,6 @@ from repro.hypertext.quilt import (
     INCORPORATED,
     OPEN,
     QuiltDocument,
-    REJECTED,
     ROLES,
     SUGGESTION,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "LINK_TYPES",
     "OPEN",
     "QuiltDocument",
-    "REJECTED",
     "ROLES",
     "SUGGESTION",
 ]

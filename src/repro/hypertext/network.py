@@ -96,12 +96,6 @@ class HypertextNetwork:
     def nodes(self) -> List[HyperNode]:
         return list(self._nodes.values())
 
-    def links_from(self, node_id: str,
-                   kind: Optional[str] = None) -> List[HyperLink]:
-        return [link for link in self._links
-                if link.src == node_id
-                and (kind is None or link.kind == kind)]
-
     def links_to(self, node_id: str,
                  kind: Optional[str] = None) -> List[HyperLink]:
         return [link for link in self._links
@@ -136,23 +130,3 @@ class HypertextNetwork:
         """Branched alternatives awaiting social resolution."""
         return [self.node(link.src)
                 for link in self.links_to(node_id, "alternative")]
-
-    def resolve_conflict(self, resolver: str, node_id: str,
-                         chosen_branch: str) -> HyperNode:
-        """Adopt a branch's content as the node's next version."""
-        node = self.node(node_id)
-        branch = self.node(chosen_branch)
-        if branch not in self.alternatives_of(node_id):
-            raise HypertextError(
-                "{} is not an alternative of {}".format(
-                    chosen_branch, node_id))
-        node.content = branch.content
-        node.version += 1
-        if resolver not in node.editors:
-            node.editors.append(resolver)
-        self._links = [link for link in self._links
-                       if not (link.src == chosen_branch
-                               and link.dst == node_id
-                               and link.kind == "alternative")]
-        del self._nodes[chosen_branch]
-        return node

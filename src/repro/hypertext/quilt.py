@@ -30,7 +30,6 @@ SUGGESTION = "suggestion"
 
 OPEN = "open"
 INCORPORATED = "incorporated"
-REJECTED = "rejected"
 
 
 class QuiltDocument:
@@ -139,16 +138,3 @@ class QuiltDocument:
         version = self.revise_base(user, suggestion.content)
         self._suggestion_status[suggestion_id] = INCORPORATED
         return version
-
-    def reject(self, user: str, suggestion_id: str) -> None:
-        """An author declines a suggestion (it stays visible)."""
-        if self.role_of(user) != AUTHOR:
-            raise AccessDenied("only authors may reject suggestions")
-        if self.suggestion_status(suggestion_id) != OPEN:
-            raise HypertextError("suggestion is not open")
-        self._suggestion_status[suggestion_id] = REJECTED
-
-    def thread_of(self, node_id: str) -> List[HyperNode]:
-        """Comments attached to the given annotation (one level)."""
-        return [self.network.node(link.src)
-                for link in self.network.links_to(node_id, "annotates")]

@@ -48,10 +48,6 @@ class MobileHost:
     def connected(self) -> bool:
         return self.level is not ConnectivityLevel.DISCONNECTED
 
-    @property
-    def fully_connected(self) -> bool:
-        return self.level is ConnectivityLevel.FULL
-
     def set_level(self, level: ConnectivityLevel) -> None:
         """Change connectivity (handoff, docking, losing signal)."""
         self.link.set_level(level)

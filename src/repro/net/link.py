@@ -74,11 +74,6 @@ class Link:
         }
         self.stats = LinkStats()
 
-    @property
-    def ends(self):
-        """The two endpoint node names."""
-        return (self.a, self.b)
-
     def other_end(self, node: str) -> str:
         """The endpoint opposite ``node``."""
         if node == self.a:

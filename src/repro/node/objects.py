@@ -54,9 +54,6 @@ class EngineeringObject:
         """Expose ``fn`` as operation ``name``."""
         self._operations[name] = fn
 
-    def has_operation(self, name: str) -> bool:
-        return name in self._operations
-
     def invoke_local(self, caller: str, op: str, args: Any):
         """Perform an operation locally (returns value or generator)."""
         fn = self._operations.get(op)

@@ -43,9 +43,6 @@ class Registry:
     def register(self, oid: str, node_name: str) -> None:
         self.locations[oid] = node_name
 
-    def unregister(self, oid: str) -> None:
-        self.locations.pop(oid, None)
-
     def lookup(self, oid: str) -> Optional[str]:
         return self.locations.get(oid)
 

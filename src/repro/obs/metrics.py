@@ -90,15 +90,11 @@ class CounterInstrument:
 class Tally:
     """A distribution of observations (``registry.histogram()``)."""
 
-    __slots__ = ("name", "values", "_below")
+    __slots__ = ("name", "values")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.values: List[float] = []
-        # threshold -> (count <= threshold, len(values) when counted): a
-        # count_below() query scans only the values recorded since the
-        # last query for its threshold, and record() stays one append.
-        self._below: Dict[float, Tuple[int, int]] = {}
 
     def record(self, value: float) -> None:
         """Add one observation."""
@@ -164,15 +160,6 @@ class Tally:
     @property
     def p99(self) -> float:
         return self.percentile(99)
-
-    def count_below(self, threshold: float) -> int:
-        """Observations ``<= threshold`` (the SLO "good event" count)."""
-        count, seen = self._below.get(threshold, (0, 0))
-        values = self.values
-        if seen < len(values):
-            count += sum(1 for value in values[seen:] if value <= threshold)
-            self._below[threshold] = (count, len(values))
-        return count
 
     def summary(self) -> Dict[str, float]:
         """All headline statistics as a dict (for table printing)."""
@@ -378,14 +365,6 @@ class MetricsRegistry:
         """Total observations across matching histograms."""
         self._flush()
         return sum(inst.count
-                   for key, inst in sorted(self._histograms.items())
-                   if self._matches(key, name, labels))
-
-    def histogram_count_below(self, name: str, threshold: float,
-                              **labels: Any) -> int:
-        """Observations ``<= threshold`` across matching histograms."""
-        self._flush()
-        return sum(inst.count_below(threshold)
                    for key, inst in sorted(self._histograms.items())
                    if self._matches(key, name, labels))
 

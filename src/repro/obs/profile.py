@@ -171,12 +171,6 @@ class SpanProfile:
     def by_name(self) -> Dict[str, Dict[str, float]]:
         return self.aggregate("name")
 
-    def by_node(self) -> Dict[str, Dict[str, float]]:
-        return self.aggregate("node")
-
-    def by_actor(self) -> Dict[str, Dict[str, float]]:
-        return self.aggregate("actor")
-
     # -- exports -----------------------------------------------------------
 
     def folded(self) -> List[str]:

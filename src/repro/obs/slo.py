@@ -29,8 +29,10 @@ Typical use::
 
     monitor = slo.SLOMonitor(env, [
         slo.qos_slo("cam->viewer", target=0.95),
-        slo.LatencySLO("invoke-fast", "rpc.latency",
-                       threshold=0.25, target=0.99),
+        slo.CounterRatioSLO("availability",
+                            good=("service.requests", {"outcome": "ok"}),
+                            bad=("service.requests", {"outcome": "err"}),
+                            target=0.999),
     ], until=300.0)
     env.run()
     monitor.events      # fired / cleared alert log
@@ -104,26 +106,6 @@ class CounterRatioSLO(SLO):
         bad_name, bad_labels = self.bad
         return (float(registry.counter_total(good_name, **good_labels)),
                 float(registry.counter_total(bad_name, **bad_labels)))
-
-
-class LatencySLO(SLO):
-    """Good = histogram observations at or below a latency threshold."""
-
-    def __init__(self, name: str, instrument: str, threshold: float,
-                 target: float, labels: Optional[Dict[str, Any]] = None,
-                 description: str = "") -> None:
-        super().__init__(name, target, description)
-        if threshold < 0:
-            raise QoSError("latency threshold must be non-negative")
-        self.instrument = instrument
-        self.threshold = threshold
-        self.labels = dict(labels or {})
-
-    def totals(self, registry: MetricsRegistry) -> Tuple[float, float]:
-        total = registry.histogram_count(self.instrument, **self.labels)
-        good = registry.histogram_count_below(
-            self.instrument, self.threshold, **self.labels)
-        return (float(good), float(total - good))
 
 
 def qos_slo(flow: str, target: float = 0.95,
@@ -246,13 +228,6 @@ class SLOMonitor:
     def active_alerts(self) -> List[BurnAlert]:
         """Alerts currently firing, stable-ordered."""
         return [self._active[key] for key in sorted(self._active)]
-
-    def burn_rate(self, slo: SLO, window: float,
-                  now: Optional[float] = None) -> float:
-        """The burn rate of ``slo`` over the trailing ``window`` seconds."""
-        good, bad = slo.totals(self.registry)
-        return self._burn(slo, (good, bad), window,
-                          self.env.now if now is None else now)
 
     # -- internals ---------------------------------------------------------
 

@@ -35,13 +35,12 @@ Quick start::
     recorder = TimelineRecorder(env, resolution=1.0, retention=600)
     ... run the simulation ...
     recorder.finish()               # flush the trailing partial window
-    recorder.dump_jsonl("run.timeline.jsonl")
+    obs.dump_jsonl("run.timeline.jsonl", timeline=recorder)
 """
 
 from __future__ import annotations
 
 import collections
-import json
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.obs.metrics import MetricsRegistry, Tally, get_metrics
@@ -171,34 +170,9 @@ class TimelineRecorder:
 
     # -- reading -----------------------------------------------------------
 
-    def window_at(self, at: float) -> Optional[Dict[str, Any]]:
-        """The retained window covering sim time ``at`` (or ``None``).
-
-        This is the "which node was hot at t=40s?" accessor: look the
-        window up, read its ``counters``.
-        """
-        for window in self.windows:
-            if window["start"] <= at < window["end"]:
-                return window
-        return None
-
-    def series(self, rendered_key: str) -> List[Any]:
-        """``(start, delta)`` per retained window for one counter key."""
-        return [(w["start"], w["counters"].get(rendered_key, 0))
-                for w in self.windows]
-
     def records(self) -> Iterator[Dict[str, Any]]:
         """The retained windows, oldest first (the JSONL export rows)."""
         return iter(self.windows)
-
-    def dump_jsonl(self, path: str) -> int:
-        """Write the retained windows to ``path``; returns line count."""
-        lines = 0
-        with open(path, "w") as handle:
-            for window in self.windows:
-                handle.write(json.dumps(window, sort_keys=True) + "\n")
-                lines += 1
-        return lines
 
     def __len__(self) -> int:
         return len(self.windows)

@@ -198,10 +198,6 @@ class Tracer:
         finally:
             span.finish(at=env.now)
 
-    def finished_spans(self) -> List[Span]:
-        """Spans whose :meth:`~repro.obs.span.Span.finish` has run."""
-        return [span for span in self.spans if span.end is not None]
-
     def trace(self, trace_id: str) -> List[Span]:
         """All spans belonging to one trace, in creation order."""
         return [span for span in self.spans if span.trace_id == trace_id]
@@ -253,9 +249,6 @@ class NoopTracer:
     def span(self, name: str, env, parent: ParentLike = None,
              **attributes: Any):
         yield NOOP_SPAN
-
-    def finished_spans(self) -> List[Span]:
-        return []
 
     def trace(self, trace_id: str) -> List[Span]:
         return []

@@ -147,7 +147,3 @@ class QoSBroker:
         self.contracts.pop(contract.contract_id)
         contract.close()
         self.counters.incr("released")
-
-    def total_reserved(self) -> float:
-        """Sum of reservations across all links (utilisation metric)."""
-        return sum(self._reserved.values())

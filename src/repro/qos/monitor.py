@@ -79,17 +79,7 @@ class QoSMonitor:
         self._samples: List[Tuple[float, float, int]] = []
         self.observations: List[QoSObservation] = []
         self.counters = Counter()
-        self._observers: List[Callable[[QoSObservation, bool], None]] = []
         self.process = env.process(self._run())
-
-    def add_observer(self, observer: Callable[[QoSObservation, bool],
-                                              None]) -> None:
-        """Register a per-window callback ``(observation, violated)``.
-
-        Unlike ``on_violation`` this fires for *every* window, healthy or
-        not — the feed the SLO layer needs to compute good/bad ratios.
-        """
-        self._observers.append(observer)
 
     def record_frame(self, sent_at: float, received_at: float,
                      size: int) -> None:
@@ -112,9 +102,6 @@ class QoSMonitor:
             observation = self._summarise(window_start, self.env.now)
             self.observations.append(observation)
             self._record_observation(observation)
-            violated = not observation.meets(self.contract.agreed)
-            for observer in self._observers:
-                observer(observation, violated)
             if not observation.meets(self.contract.agreed):
                 self.counters.incr("violations")
                 self.contract.mark_violated()

@@ -144,10 +144,6 @@ class FcfsFloor(FloorPolicy):
             next_member, event, requested_at = self._queue.pop(0)
             self._grant(next_member, event, requested_at)
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
 
 class RoundRobinFloor(FloorPolicy):
     """The floor rotates among waiting requesters every ``quantum``.

@@ -11,7 +11,7 @@ matrix tests check.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.awareness.events import (
     ACTION_JOIN,
@@ -127,14 +127,6 @@ class Session:
         self.transitions.append((self.env.now, before, after))
         self.counters.incr("transitions")
         return self.quadrant
-
-    def state_snapshot(self) -> Dict[str, Any]:
-        """Everything a late joiner needs (the state-transfer payload)."""
-        return {
-            "artefacts": self.store.snapshot(),
-            "members": list(self.members),
-            "quadrant": self.quadrant,
-        }
 
     def __repr__(self) -> str:
         return "<Session {} {} members={}>".format(

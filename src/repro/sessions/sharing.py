@@ -150,12 +150,6 @@ class AwareSharedObject:
         self._views[member] = view or identical_view
         self.presented[member] = []
 
-    def set_view(self, member: str, view: ViewPolicy) -> None:
-        """Tailor the member's presentation policy (live)."""
-        if member not in self._views:
-            raise SessionError("{} has not joined".format(member))
-        self._views[member] = view
-
     def update(self, member: str, key: str, value: Any) -> None:
         """Any member may operate; all members see it through their view."""
         if member not in self._views:
@@ -165,9 +159,3 @@ class AwareSharedObject:
         for viewer, view in self._views.items():
             self.presented[viewer].append(
                 (self.env.now, key, view(viewer, key, value)))
-
-    def view_of(self, member: str, key: str) -> Any:
-        """The member's current presentation of ``key``."""
-        if member not in self._views:
-            raise SessionError("{} has not joined".format(member))
-        return self._views[member](member, key, self.state.get(key))

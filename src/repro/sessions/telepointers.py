@@ -96,12 +96,6 @@ class TelepointerService:
         self._dirty[member] = True
         self.counters.incr("moves")
 
-    def position_of(self, member: str) -> Tuple[float, float]:
-        """The member's last published position."""
-        if member not in self._members:
-            raise SessionError("{} has not joined".format(member))
-        return self.published.get(member, (0.0, 0.0))
-
     # -- internals -------------------------------------------------------------
 
     def _publisher(self, member: str, serial: int):

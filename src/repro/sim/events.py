@@ -90,13 +90,6 @@ class Event:
         self.defused = True
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        self._ok = event._ok
-        self._value = event._value
-        self._exception = event._exception
-        self.env.schedule(self)
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")

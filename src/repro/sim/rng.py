@@ -67,12 +67,6 @@ class RandomStreams:
                 self._streams[name] = random.Random(seed)
         return self._streams[name]
 
-    def fork(self, name: str) -> "RandomStreams":
-        """Derive a child factory (for nested components)."""
-        digest = hashlib.sha256(
-            "fork:{}:{}".format(self.seed, name).encode()).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
 
 def exponential(rng: random.Random, mean: float) -> float:
     """An exponential draw with the given mean (mean<=0 returns 0)."""

@@ -12,7 +12,6 @@ from repro.workflow.speech_acts import (
     COMPLETED,
     CUSTOMER,
     Conversation,
-    FINAL_STATES,
     PERFORMER,
     PROMISED,
     REPORTED,
@@ -25,7 +24,6 @@ __all__ = [
     "COMPLETED",
     "CUSTOMER",
     "Conversation",
-    "FINAL_STATES",
     "FlexibleRouter",
     "PERFORMER",
     "PROMISED",

@@ -11,7 +11,7 @@ flexible, §2.2).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import WorkflowError
 
@@ -69,12 +69,6 @@ class ProcedureInstance:
     @property
     def complete(self) -> bool:
         return self.position >= len(self.procedure.steps)
-
-    @property
-    def current_step(self) -> Optional[Step]:
-        if self.complete:
-            return None
-        return self.procedure.steps[self.position]
 
     def perform(self, performer_role: str, action: str) -> bool:
         """Attempt the next piece of work.

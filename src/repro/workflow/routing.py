@@ -84,9 +84,6 @@ class FlexibleRouter:
                 completed = True
         return (completed, 0)
 
-    def objects_in(self, folder: str) -> List[WorkObject]:
-        return list(self.folders.get(folder, []))
-
     # -- internals ------------------------------------------------------------
 
     def _route(self, obj: WorkObject) -> None:

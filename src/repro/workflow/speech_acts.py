@@ -34,7 +34,6 @@ WITHDRAWN = "withdrawn"
 CANCELLED = "cancelled"
 RENEGED = "reneged"
 
-FINAL_STATES = (COMPLETED, DECLINED, WITHDRAWN, CANCELLED, RENEGED)
 
 #: (state, role, act) -> next state.  The conversation-for-action net.
 TRANSITIONS: Dict[Tuple[str, str, str], str] = {
@@ -72,10 +71,6 @@ class Conversation:
         #: (actor, act, state after) history — the paper notes Coordinator
         #: makes this dimension of communication explicit and textual.
         self.history: List[Tuple[str, str, str]] = []
-
-    @property
-    def is_final(self) -> bool:
-        return self.state in FINAL_STATES
 
     def role_of(self, actor: str) -> str:
         if actor == self.customer:

@@ -29,9 +29,6 @@ class EditEvent:
         self.span = span
         self.duration = duration
 
-    def word_range(self) -> range:
-        return range(self.position, self.position + self.span)
-
     def __repr__(self) -> str:
         return "<EditEvent {}@{:.2f} words[{}:{}]>".format(
             self.user, self.at, self.position, self.position + self.span)

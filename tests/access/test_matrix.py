@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.access import AccessMatrix, Capability, READ, WRITE
+from repro.access import AccessMatrix, READ, WRITE
 from repro.errors import AccessDenied, AccessPolicyError
 from repro.sim import Environment
 
@@ -88,43 +88,6 @@ def test_change_log_records_history(env):
     proc = env.process(root(env))
     env.run(proc)
     assert matrix.change_log == [(1.0, "alice", "doc", "read", True)]
-
-
-def test_acl_view(env):
-    matrix = AccessMatrix(env, administrator="admin")
-
-    def root(env):
-        yield matrix.request_change("admin", "alice", "doc", READ)
-        yield matrix.request_change("admin", "alice", "doc", WRITE)
-        yield matrix.request_change("admin", "bob", "doc", READ)
-        yield matrix.request_change("admin", "alice", "other", READ)
-
-    proc = env.process(root(env))
-    env.run(proc)
-    acl = matrix.acl_of("doc")
-    assert acl == {"alice": {READ, WRITE}, "bob": {READ}}
-
-
-def test_capability_view(env):
-    matrix = AccessMatrix(env, administrator="admin")
-
-    def root(env):
-        yield matrix.request_change("admin", "alice", "doc", READ)
-        yield matrix.request_change("admin", "alice", "memo", WRITE)
-
-    proc = env.process(root(env))
-    env.run(proc)
-    caps = matrix.capabilities_of("alice")
-    assert len(caps) == 2
-    assert any(cap.permits("doc", READ) for cap in caps)
-    assert any(cap.permits("memo", WRITE) for cap in caps)
-    assert not any(cap.permits("doc", WRITE) for cap in caps)
-
-
-def test_capability_tokens_unique():
-    a = Capability("alice", "doc", READ)
-    b = Capability("alice", "doc", READ)
-    assert a.token != b.token
 
 
 def test_check_counter(env):

@@ -90,16 +90,6 @@ def test_equal_specificity_deny_wins():
     assert not policy.check("alice", "sec:1", "read")
 
 
-def test_clear_restores_inheritance():
-    subjects, objects = make_hierarchies()
-    policy = ShenDewanPolicy(subjects, objects)
-    policy.grant("everyone", "doc", "read")
-    policy.deny("alice", "doc", "read")
-    assert not policy.check("alice", "sec:1", "read")
-    policy.clear("alice", "doc", "read")
-    assert policy.check("alice", "sec:1", "read")
-
-
 def test_unknown_nodes_rejected():
     subjects, objects = make_hierarchies()
     policy = ShenDewanPolicy(subjects, objects)

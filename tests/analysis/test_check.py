@@ -6,7 +6,9 @@ import textwrap
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.check import PASS_NAMES, rules_meta, run_passes
+from repro.analysis import protocol
+from repro.analysis.check import analyse
+from repro.analysis.lint import RULES
 
 HERE = os.path.dirname(__file__)
 REPO_SRC = os.path.normpath(
@@ -40,10 +42,10 @@ def _codes(findings):
     return sorted({finding.code for finding in findings})
 
 
-# -- run_passes -------------------------------------------------------------
+# -- analyse ----------------------------------------------------------------
 
 def test_all_passes_fire_on_the_dirty_tree(dirty_tree):
-    findings, timings = run_passes([dirty_tree])
+    findings, timings, _ = analyse([dirty_tree])
     assert _codes(findings) == [
         "RPR001",   # lint: the wall-clock read
         "RPR201",   # protocol: discarded timeout
@@ -54,31 +56,24 @@ def test_all_passes_fire_on_the_dirty_tree(dirty_tree):
 def test_every_rule_fires_on_the_fixtures():
     # No rule is left without a fixture that trips it; *where* each
     # fires is the "# expect:" markers' job (test_lint, test_protocol).
-    findings, _ = run_passes([os.path.join(HERE, "fixtures")])
-    assert _codes(findings) == sorted(set(rules_meta()) - {"RPR000"})
+    findings, _, _ = analyse([os.path.join(HERE, "fixtures")])
+    assert _codes(findings) == sorted(
+        {rule.code for rule in RULES} | set(protocol.RULE_META))
 
 
 def test_pass_subset_runs_only_requested(dirty_tree):
-    findings, timings = run_passes([dirty_tree], ["protocol"])
+    findings, timings, _ = analyse([dirty_tree], ["protocol"])
     assert _codes(findings) == ["RPR201"]
     assert "lint" not in timings
 
 
 def test_unknown_pass_raises(dirty_tree):
     with pytest.raises(ValueError):
-        run_passes([dirty_tree], ["spelling"])
-
-
-def test_rules_meta_covers_every_emitted_code(dirty_tree):
-    findings, _ = run_passes([dirty_tree])
-    meta = rules_meta()
-    assert {finding.code for finding in findings} <= set(meta)
-    for code, (summary, hint) in meta.items():
-        assert summary and hint
+        analyse([dirty_tree], ["spelling"])
 
 
 def test_shipped_tree_is_clean():
-    findings, _ = run_passes([REPO_SRC])
+    findings, _, _ = analyse([REPO_SRC])
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
@@ -115,7 +110,7 @@ def test_cli_timings_flag(dirty_tree, capsys):
 def test_missing_path_exits_2_and_names_it(tmp_path, capsys):
     missing = str(tmp_path / "scr")
     with pytest.raises(ValueError, match="no such file or directory"):
-        run_passes([missing])
+        analyse([missing])
     assert main(["check", missing]) == 2
     captured = capsys.readouterr()
     assert captured.err == \
@@ -134,14 +129,14 @@ def test_paths_holding_no_python_file_exit_2(tmp_path, capsys):
     (tmp_path / "notes.txt").write_text("nothing to parse\n",
                                         encoding="utf-8")
     with pytest.raises(ValueError, match="no python files"):
-        run_passes([str(tmp_path)])
+        analyse([str(tmp_path)])
     assert main(["check", str(tmp_path)]) == 2
     assert repr(str(tmp_path)) in capsys.readouterr().err
 
 
 def test_empty_pass_selection_exits_2(dirty_tree, capsys):
     with pytest.raises(ValueError, match="no pass selected"):
-        run_passes([dirty_tree], [])
+        analyse([dirty_tree], [])
     assert main(["check", dirty_tree, "--passes", ""]) == 2
     assert "no pass selected" in capsys.readouterr().err
 

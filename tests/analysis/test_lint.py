@@ -17,8 +17,8 @@ import re
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.check import run_passes
-from repro.analysis.lint import RULES, lint_file, lint_source
+from repro.analysis.check import analyse
+from repro.analysis.lint import RULES, lint_source
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -63,12 +63,17 @@ def test_every_rule_has_a_fix_hint():
 
 # -- fixtures: each rule fires exactly where marked ------------------------
 
+def _lint(path, respect_suppressions=True):
+    with open(path, encoding="utf-8") as handle:
+        return lint_source(handle.read(), path, respect_suppressions)
+
+
 @pytest.mark.parametrize("filename", FIXTURE_FILES)
 def test_fixture_findings_match_markers(filename):
     path = os.path.join(FIXTURES, filename)
     expected = _markers(path, _EXPECT_RE)
     assert expected, "fixture {} marks no expectations".format(filename)
-    found = {(f.line, f.code) for f in lint_file(path)}
+    found = {(f.line, f.code) for f in _lint(path)}
     assert found == expected
 
 
@@ -79,11 +84,11 @@ def test_fixture_suppressions_respected_and_overridable(filename):
     suppressed = _markers(path, _SUPPRESSED_RE)
     assert suppressed, "fixture {} marks no suppressions".format(filename)
     # Suppressed lines stay silent normally...
-    found = {(f.line, f.code) for f in lint_file(path)}
+    found = {(f.line, f.code) for f in _lint(path)}
     assert not (found & suppressed)
     # ...and reappear when suppressions are not respected.
     unsuppressed = {(f.line, f.code)
-                    for f in lint_file(path, respect_suppressions=False)}
+                    for f in _lint(path, respect_suppressions=False)}
     assert unsuppressed == expected | suppressed
 
 
@@ -102,7 +107,7 @@ def test_syntax_error_reports_rpr000():
 # -- the repo itself -------------------------------------------------------
 
 def test_repo_source_is_lint_clean():
-    findings, _ = run_passes([REPO_SRC], ["lint"])
+    findings, _, _ = analyse([REPO_SRC], ["lint"])
     assert findings == [], "\n".join(f.render() for f in findings)
 
 

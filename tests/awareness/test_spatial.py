@@ -20,14 +20,6 @@ def test_entity_validation():
         Entity("x", nimbus=-1)
 
 
-def test_entity_movement():
-    entity = Entity("a", 0, 0)
-    entity.move_to(3, 4)
-    assert entity.position == (3, 4)
-    entity.move_by(-3, -4)
-    assert entity.position == (0, 0)
-
-
 def test_distance():
     a = Entity("a", 0, 0)
     b = Entity("b", 3, 4)

@@ -56,15 +56,3 @@ def test_digest_interval_validation():
     bus = AwarenessBus(env)
     with pytest.raises(ReproError):
         DigestService(env, bus, interval=0)
-
-
-def test_digest_unsubscribe():
-    env = Environment()
-    bus = AwarenessBus(env)
-    service = DigestService(env, bus, interval=5.0)
-    digests = []
-    service.subscribe("bob", digests.append)
-    service.unsubscribe("bob")
-    bus.publish("alice", "doc", "edit")
-    env.run(until=6.0)
-    assert digests == []

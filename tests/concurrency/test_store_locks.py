@@ -82,9 +82,6 @@ def test_store_subscription():
                     seen.append((key, value, version, writer)))
     store.write("doc", "x", writer="alice")
     assert seen == [("doc", "x", 1, "alice")]
-    store.unsubscribe(store._subscribers[0])
-    store.write("doc", "y")
-    assert len(seen) == 1
 
 
 def test_store_snapshot():

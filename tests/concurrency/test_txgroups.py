@@ -180,4 +180,3 @@ def test_tailoring_with_custom_rule(env):
 
     proc = env.process(root(env))
     env.run(proc)
-    assert group.wait_queue_length == 1

@@ -73,7 +73,6 @@ def test_deadline_budget_tracks_sim_time(env):
     assert budget.remaining == pytest.approx(0.5)
     assert budget.allows(0.4)
     assert not budget.allows(0.6)
-    assert not budget.exceeded
 
 
 def test_breaker_opens_after_threshold(env):

@@ -121,7 +121,6 @@ def test_group_call_all_replies(env):
     assert result.quorum_met
     assert result.replied == 3
     assert set(result.results) == set(members)
-    assert result.worst_latency > 0
 
 
 def test_group_call_any_quorum_returns_early(env):

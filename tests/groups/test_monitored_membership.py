@@ -71,39 +71,6 @@ def test_crash_unmonitored_member_rejected(env):
         membership.crash("host0")
 
 
-def test_watch_new_member(env):
-    group = make_group(env, members=3)
-    # Attach a 4th host to the network first.
-    group.network.host("host3") if "host3" in \
-        group.network.topology._adjacency else None
-    membership = MonitoredMembership(group, interval=0.5,
-                                     suspect_after=2.0)
-    env.run(until=1.0)
-    # host3 isn't in the LAN built with 3 hosts; rebuild scenario:
-    assert len(group.view) == 3
-    membership.watch_new_member("host1")  # idempotent for existing
-    env.run(until=3.0)
-    assert len(group.view) == 3
-
-
-def test_late_joiner_monitored(env):
-    topo = lan(env, hosts=5)
-    net = Network(env, topo)
-    group = ProcessGroup(net, "g", ordering="fifo")
-    for i in range(4):
-        group.join("host{}".format(i))
-    membership = MonitoredMembership(group, interval=0.5,
-                                     suspect_after=2.0)
-    group.join("host4")
-    membership.watch_new_member("host4")
-    env.run(until=5.0)
-    assert "host4" in group.view
-
-    membership.crash("host4")
-    env.run(until=12.0)
-    assert "host4" not in group.view
-
-
 def test_restarted_member_rejoins_the_conversation(env):
     """Suspected out and restarted, a member hears and is heard again."""
     group = make_group(env)

@@ -3,9 +3,8 @@
 import pytest
 
 from repro import CooperativePlatform
-from repro.core.matrix import classify
 from repro.qos import QoSParameters
-from repro.sessions import ASYNCHRONOUS, SYNCHRONOUS
+from repro.sessions import ASYNCHRONOUS, REMOTE, SYNCHRONOUS
 
 
 def test_design_review_lifecycle():
@@ -27,8 +26,7 @@ def test_design_review_lifecycle():
 
     # Transition to asynchronous work — state survives.
     session.session.switch_mode(time_mode=ASYNCHRONOUS)
-    assert classify(session.session) == \
-        "asynchronous distributed interaction"
+    assert session.session.quadrant == (ASYNCHRONOUS, REMOTE)
     doc.client(members[2]).insert(len(doc.client(members[2]).text),
                                   "|ACTIONS")
     platform.run()

@@ -32,10 +32,8 @@ def make_mobile(env, level=ConnectivityLevel.FULL):
 def test_mobile_host_levels(env):
     net, mobile = make_mobile(env)
     assert mobile.connected
-    assert mobile.fully_connected
     mobile.set_level(ConnectivityLevel.PARTIAL)
     assert mobile.connected
-    assert not mobile.fully_connected
     mobile.set_level(ConnectivityLevel.DISCONNECTED)
     assert not mobile.connected
 

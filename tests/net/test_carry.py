@@ -100,8 +100,7 @@ def test_storm_under_loss_matches_pinned_reference():
 
 def _flap_and_burst():
     return (FaultSchedule()
-            .link_down(0.010, "site0.router", "site1.router")
-            .link_up(0.030, "site0.router", "site1.router")
+            .link_down(0.010, "site0.router", "site1.router", up_at=0.030)
             .loss_burst(0.040, extra_loss=0.5, duration=0.020,
                         links=[("site1.router", "site2.router")]))
 

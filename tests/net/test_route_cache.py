@@ -102,8 +102,8 @@ def test_link_down_schedule_reroutes_and_restores(env):
     direct = topo.link_between("site0.router", "site1.router")
     assert direct in topo.path("site0.host0", "site1.host0")
     schedule = (FaultSchedule()
-                .link_down(0.010, "site0.router", "site1.router")
-                .link_up(0.020, "site0.router", "site1.router"))
+                .link_down(0.010, "site0.router", "site1.router",
+                           up_at=0.020))
     FaultInjector(env, network, schedule)
     env.run(until=0.015)
     detour = topo.path("site0.host0", "site1.host0")

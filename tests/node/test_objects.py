@@ -28,8 +28,6 @@ def test_object_operations(ids):
     obj = EngineeringObject(ids, "counter", state={"n": 0})
     obj.operation("incr", lambda caller, state, args: state.__setitem__(
         "n", state["n"] + args) or state["n"])
-    assert obj.has_operation("incr")
-    assert not obj.has_operation("decr")
     obj.invoke_local("tester", "incr", 5)
     assert obj.state["n"] == 5
     assert obj.invocations == 1

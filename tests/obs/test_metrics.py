@@ -1,8 +1,6 @@
 """The metrics registry and its probes: instruments, labels, snapshot."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import obs
 from repro.net.network import Network
@@ -189,38 +187,6 @@ def test_bound_counter_cache_keeps_the_registry_of_its_first_use():
     assert second.counters("c") == {}
 
 
-def test_count_below_is_incremental_after_first_query(registry):
-    hist = registry.histogram("lat")
-    for value in (0.1, 0.2, 0.3):
-        hist.record(value)
-    assert hist.count_below(0.2) == 2  # first query scans all three
-    hist.record(0.15)
-    hist.record(0.9)
-    assert hist.count_below(0.2) == 3  # scans only the two since
-    assert hist.count_below(0.95) == 5  # fresh threshold scans all
-    hist.record(0.05)
-    assert hist.count_below(0.2) == 4
-    assert hist.count_below(0.95) == 6
-
-
-_values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.tuples(st.just("record"), _values),
-                          st.tuples(st.just("query"),
-                                    st.sampled_from([-1.0, 0.0, 0.5, 1.0]))),
-                max_size=60))
-def test_count_below_matches_a_brute_force_count(steps):
-    tally = Tally()
-    for op, value in steps:
-        if op == "record":
-            tally.record(value)
-        else:
-            assert tally.count_below(value) == sum(
-                1 for seen in tally.values if seen <= value)
-
-
 # -- label-subset queries ---------------------------------------------------
 
 def test_counter_total_over_label_subsets(registry):
@@ -242,19 +208,6 @@ def test_counter_total_zero_match_subsets(registry):
     assert registry.counter_total("other") == 0
     # Querying MORE labels than any instrument carries matches nothing.
     assert registry.counter_total("reqs", node="a", op="post") == 0
-
-
-def test_histogram_count_below_over_label_subsets(registry):
-    registry.histogram("lat", node="a", op="post").record(0.1)
-    registry.histogram("lat", node="a", op="read").record(0.5)
-    registry.histogram("lat", node="b", op="post").record(0.1)
-    assert registry.histogram_count_below("lat", 0.2) == 2
-    assert registry.histogram_count_below("lat", 0.2, node="a") == 1
-    assert registry.histogram_count_below("lat", 0.2, op="post") == 2
-    assert registry.histogram_count_below("lat", 1.0, node="a") == 2
-    assert registry.histogram_count_below("lat", 0.2, node="z") == 0
-    assert registry.histogram_count_below("lat", 0.2, shard="9") == 0
-    assert registry.histogram_count("lat", op="post") == 2
 
 
 # -- deterministic iteration order ------------------------------------------

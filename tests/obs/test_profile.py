@@ -63,7 +63,7 @@ class TestAggregation:
         assert rows["parent"]["exclusive"] == 0.0
 
     def test_by_node_groups_on_attribute(self, known_tree):
-        rows = known_tree.by_node()
+        rows = known_tree.aggregate("node")
         assert set(rows) == {"n1", "n2"}
         assert rows["n2"]["count"] == 2
 
@@ -137,7 +137,7 @@ class TestActorSpans:
             env.process(worker(env, 3.0), name="fast")
             env.process(worker(env, 7.0), name="slow")
             env.run()
-        rows = SpanProfile.from_tracer(tracer).by_actor()
+        rows = SpanProfile.from_tracer(tracer).aggregate("actor")
         assert rows["fast"]["inclusive"] == 3.0
         assert rows["slow"]["inclusive"] == 7.0
 

@@ -48,19 +48,11 @@ class TestObjectives:
         good, bad = availability().totals(registry)
         assert (good, bad) == (5.0, 1.0)
 
-    def test_latency_slo_counts_threshold_crossings(self):
-        registry = MetricsRegistry()
-        for value in (0.1, 0.2, 0.3, 0.9):
-            registry.histogram("rpc.latency").record(value)
-        objective = slo.LatencySLO("fast-rpc", "rpc.latency",
-                                   threshold=0.3, target=0.99)
-        assert objective.totals(registry) == (3.0, 1.0)
-
     def test_target_must_be_a_fraction(self):
         with pytest.raises(QoSError):
             slo.CounterRatioSLO("x", "g", "b", target=1.0)
         with pytest.raises(QoSError):
-            slo.LatencySLO("x", "rpc.latency", 0.1, target=0.0)
+            slo.CounterRatioSLO("x", "g", "b", target=0.0)
 
     def test_error_budget(self):
         assert availability(target=0.9).error_budget == pytest.approx(0.1)
@@ -171,9 +163,6 @@ class TestQoSIntegration:
         contract = broker.negotiate("left0", "right0", desired)
         monitor = QoSMonitor(env, contract, window=1.0,
                              expected_frames_per_window=10)
-        windows = []
-        monitor.add_observer(
-            lambda observation, violated: windows.append(violated))
         objective = slo.qos_slo("left0->right0", target=0.5)
         slo_monitor = slo.SLOMonitor(
             env, [objective], registry=registry, interval=1.0,
@@ -182,5 +171,6 @@ class TestQoSIntegration:
         with use_metrics(registry):
             env.run(until=10.0)
         contract.close()
-        assert windows and all(windows)
+        assert monitor.counters["violations"] > 0
+        assert monitor.counters["windows_ok"] == 0
         assert any(e["event"] == "fired" for e in slo_monitor.events)

@@ -128,7 +128,6 @@ def test_disabled_tracer_records_nothing(env):
     runtime = make_wan_runtime(env)
     invoke_remotely(env, runtime)
     assert len(obs.get_tracer()) == 0
-    assert obs.get_tracer().finished_spans() == []
     span = obs.get_tracer().start_span("anything", at=env.now)
     assert span is obs.NOOP_SPAN
     assert not span.is_recording

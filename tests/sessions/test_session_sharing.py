@@ -94,15 +94,6 @@ def test_leaving_member_releases_floor(env):
     assert floor.holder is None
 
 
-def test_session_state_snapshot(env):
-    session = Session(env, "s")
-    session.join("alice")
-    session.store.write("doc", "v1", writer="alice")
-    snapshot = session.state_snapshot()
-    assert snapshot["members"] == ["alice"]
-    assert snapshot["artefacts"] == {"doc": ("v1", 1)}
-
-
 def test_transparent_conference_multicasts_display(env):
     floor = FcfsFloor(env)
     conference = TransparentConference(env, SingleUserApp(), floor,
@@ -163,24 +154,10 @@ def test_aware_object_per_member_views(env):
     assert observer_view == "a very long paragrap..."
 
 
-def test_aware_object_view_tailorable_live(env):
-    shared = AwareSharedObject(env)
-    shared.join("bob")
-    shared.update("bob", "k", "long value exceeding twenty chars")
-    assert shared.view_of("bob", "k") == \
-        "long value exceeding twenty chars"
-    shared.set_view("bob", summary_view)
-    assert shared.view_of("bob", "k") == "long value exceeding..."
-
-
 def test_aware_object_membership_checks(env):
     shared = AwareSharedObject(env)
     with pytest.raises(SessionError):
         shared.update("ghost", "k", 1)
-    with pytest.raises(SessionError):
-        shared.set_view("ghost", identical_view)
-    with pytest.raises(SessionError):
-        shared.view_of("ghost", "k")
     shared.join("alice")
     with pytest.raises(SessionError):
         shared.join("alice")

@@ -21,8 +21,6 @@ def test_validation(env):
     service = TelepointerService(env)
     with pytest.raises(SessionError):
         service.move("ghost", 1, 2)
-    with pytest.raises(SessionError):
-        service.position_of("ghost")
     service.join("alice")
     with pytest.raises(SessionError):
         service.join("alice")
@@ -37,7 +35,6 @@ def test_movement_reaches_colleagues(env):
     service.move("alice", 10.0, 20.0)
     env.run(until=1.0)
     assert ("alice", 10.0, 20.0) in seen
-    assert service.position_of("alice") == (10.0, 20.0)
 
 
 def test_own_movements_not_echoed(env):
@@ -67,7 +64,7 @@ def test_throttling_coalesces_rapid_movement(env):
     # 1 s of movement at 0.2 s interval -> ~5-6 published updates.
     assert service.counters["updates_published"] <= 8
     # The final position still gets through.
-    assert service.position_of("alice")[0] >= 94.0
+    assert service.published["alice"][0] >= 94.0
 
 
 def test_multiple_watchers(env):
@@ -81,12 +78,6 @@ def test_multiple_watchers(env):
     env.run(until=0.5)
     assert seen["bob"] == ["alice"]
     assert seen["carol"] == ["alice"]
-
-
-def test_default_position(env):
-    service = TelepointerService(env)
-    service.join("alice")
-    assert service.position_of("alice") == (0.0, 0.0)
 
 
 # -- leaving -------------------------------------------------------------------

@@ -27,14 +27,6 @@ def test_stream_is_cached():
     assert streams.stream("x") is streams.stream("x")
 
 
-def test_fork_derives_independent_factory():
-    parent = RandomStreams(seed=5)
-    child1 = parent.fork("siteA")
-    child2 = parent.fork("siteB")
-    assert child1.seed != child2.seed
-    assert parent.fork("siteA").seed == child1.seed
-
-
 def test_exponential_mean_roughly_correct():
     rng = RandomStreams(seed=11).stream("exp")
     draws = [exponential(rng, 2.0) for _ in range(20000)]

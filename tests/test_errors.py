@@ -375,6 +375,16 @@ _FAULT_BOUNDS = [
      lambda tmp: FaultSchedule().latency_storm(1.0, 2.0, _NAN)),
     ("FaultSchedule.link_flap.period", "period",
      lambda tmp: FaultSchedule().link_flap(1.0, "a", "b", 1, _NAN)),
+    ("FaultSchedule.link_flap.count-float", "count",
+     lambda tmp: FaultSchedule().link_flap(1.0, "a", "b", 2.5, 1.0)),
+    ("FaultSchedule.link_flap.count-nan", "count",
+     lambda tmp: FaultSchedule().link_flap(1.0, "a", "b", _NAN, 1.0)),
+    ("FaultSchedule.link_flap.count-bool", "count",
+     lambda tmp: FaultSchedule().link_flap(1.0, "a", "b", True, 1.0)),
+    ("FaultSchedule.partition.groups-strings", "groups",
+     lambda tmp: FaultSchedule().partition(1.0, ["n0", "n1"])),
+    ("FaultSchedule.partition.groups-overlap", "groups",
+     lambda tmp: FaultSchedule().partition(1.0, [["n0"], ["n0", "n1"]])),
     ("FaultSchedule.link_down.up_at", "up_at",
      lambda tmp: FaultSchedule().link_down(1.0, "a", "b", up_at=_NAN)),
     ("corpus.at", "event 0 (link-down @nan): 'at'",
@@ -383,6 +393,10 @@ _FAULT_BOUNDS = [
     ("corpus.scale", "event 0 (latency-storm @1.0): 'scale'",
      lambda tmp: _corpus_file(tmp, {"at": 1.0, "kind": "latency-storm",
                                     "scale": _INF, "links": None})),
+    ("corpus.groups", "event 0 (partition @1.0): 'groups'",
+     lambda tmp: _corpus_file(tmp, {"at": 1.0, "kind": "partition",
+                                    "name": "p",
+                                    "groups": [["n0"], ["n0", "n1"]]})),
     ("RetryPolicy.base", "base", lambda tmp: RetryPolicy(base=_NAN)),
     ("RetryPolicy.multiplier-inf", "multiplier",
      lambda tmp: RetryPolicy(multiplier=_INF)),
@@ -442,7 +456,10 @@ def test_a_fault_parameter_out_of_range_is_rejected_by_name(field, build,
     alert, and a profile with no operations crashes its generator.  A
     fractional ``max_ops`` failed only in the first trial, as randrange's
     unnamed ``ValueError``; a campaign bound below 1 ran no trial and
-    still returned a digest-stamped summary."""
+    still returned a digest-stamped summary.  A partition of bare
+    strings split each name into characters, and a node in two groups
+    failed only when the injector ran; a fractional or NaN flap count
+    was a bare ``TypeError`` and ``True`` flapped once."""
     with pytest.raises(errors.SimulationError,
                        match="^" + re.escape(field) + " must be"):
         build(tmp_path)

@@ -17,6 +17,7 @@ from repro.workflow import (
     WorkObject,
     run_trace,
 )
+from repro.workflow.speech_acts import CANCELLED, DECLINED
 
 
 # -- speech acts ----------------------------------------------------------------
@@ -33,7 +34,6 @@ def test_happy_path_conversation():
     conversation.perform("bob", "report_completion")
     conversation.perform("alice", "declare_complete")
     assert conversation.state == COMPLETED
-    assert conversation.is_final
     assert len(conversation.history) == 4
 
 
@@ -41,7 +41,7 @@ def test_decline_path():
     conversation = Conversation("alice", "bob")
     conversation.perform("alice", "request")
     conversation.perform("bob", "decline")
-    assert conversation.is_final
+    assert conversation.state == DECLINED
 
 
 def test_counter_offer_path():
@@ -91,7 +91,7 @@ def test_customer_can_cancel_promised_work():
     conversation.perform("alice", "request")
     conversation.perform("bob", "promise")
     conversation.perform("alice", "cancel")
-    assert conversation.is_final
+    assert conversation.state == CANCELLED
 
 
 def test_run_trace_counts_rejections():
@@ -126,12 +126,11 @@ def test_procedure_validation():
 
 def test_procedure_happy_path():
     case = expense_procedure().instantiate()
-    assert case.current_step.name == "submit"
+    assert case.position == 0
     case.perform("employee", "file_claim")
     case.perform("supervisor", "approve")
     case.perform("finance", "transfer")
     assert case.complete
-    assert case.current_step is None
     assert case.exceptions == []
 
 
@@ -226,8 +225,8 @@ def test_field_update_retriggers_rules():
     assert obj.folder == "inbox"
     router.perform("agent", obj, "close", state="closed")
     assert obj.folder == "archive"
-    assert router.objects_in("inbox") == []
-    assert router.objects_in("archive") == [obj]
+    assert router.folders["inbox"] == []
+    assert router.folders["archive"] == [obj]
 
 
 def test_run_trace_never_rejects():

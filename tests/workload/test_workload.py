@@ -45,13 +45,6 @@ def test_workload_events_time_ordered_and_bounded():
                for event in events)
 
 
-def test_workload_event_word_range():
-    from repro.workload import EditEvent
-
-    event = EditEvent("a", 1.0, 10, 3, 2.0)
-    assert list(event.word_range()) == [10, 11, 12]
-
-
 def test_hotspot_skew_raises_conflicts():
     """Skew piles edits onto the hottest paragraph, where they collide."""
     doc = StructuredDocument()
