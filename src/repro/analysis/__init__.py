@@ -34,9 +34,9 @@ provides the tooling that turns both properties into checkable ones:
 
       PYTHONPATH=src python -m repro replay locks-soft
 
-This package is imported by low-level instrumentation sites (locks, the
-shared store, transports), so it exports the sanitizer only; import the
-rest from its module.
+This package is imported by the kernel (``Environment`` binds the
+sanitizer), so it exports the sanitizer only; import the rest from its
+module.
 """
 
 from repro.analysis.hb import (
@@ -48,9 +48,7 @@ from repro.analysis.hb import (
     NoopSanitizer,
     READ,
     WRITE,
-    extract_clock,
     get_sanitizer,
-    inject_clock,
     use_sanitizer,
 )
 
@@ -63,8 +61,6 @@ __all__ = [
     "NoopSanitizer",
     "READ",
     "WRITE",
-    "extract_clock",
     "get_sanitizer",
-    "inject_clock",
     "use_sanitizer",
 ]

@@ -13,26 +13,26 @@ the conflicts left for the humans.
 
 Like the tracer and the metrics registry, the process default is a
 no-op so instrumentation sites cost almost nothing; a run
-(:func:`repro.run.run`) scopes a fresh one, as any simulation can::
+(:func:`repro.run.run`) scopes a fresh one, as any simulation can.  An
+environment built inside the scope keeps it as ``env.sanitizer``::
 
     from repro import analysis
 
     with analysis.use_sanitizer(analysis.ConflictSanitizer()) as sanitizer:
-        ... run a simulation ...
+        ... build and run a simulation ...
     print(sanitizer.summary())
 
 Hooks live in :mod:`repro.concurrency.locks` (grant hand-off edges),
 :mod:`repro.concurrency.store` (accesses), :mod:`repro.sessions.floor`
 (floor possession edges) and :mod:`repro.net.transport` (clock
-propagation in RPC headers).
+propagation in RPC headers, :meth:`ConflictSanitizer.inject_clock` /
+:meth:`~ConflictSanitizer.extract_clock`).
 """
 
 from __future__ import annotations
 
 import contextlib
 from typing import Any, Dict, List, Optional, TYPE_CHECKING, Union
-
-from repro.obs.metrics import get_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.groups.clocks import VectorClock
@@ -183,6 +183,18 @@ class ConflictSanitizer:
         held = self._scopes.get(scope)
         self._scopes[scope] = clock if held is None else held.merge(clock)
 
+    def inject_clock(self, headers: Dict[str, Any],
+                     actor: str) -> Dict[str, Any]:
+        """Attach ``actor``'s clock snapshot to message ``headers``."""
+        headers[HB_HEADER] = self.send(actor)
+        return headers
+
+    def extract_clock(self, headers: Dict[str, Any], actor: str) -> None:
+        """Merge a clock snapshot out of received ``headers`` (if any)."""
+        clock = headers.get(HB_HEADER)
+        if clock is not None:
+            self.receive(actor, clock)
+
     # -- accesses ----------------------------------------------------------
 
     def on_read(self, obj: str, actor: str, at: float = 0.0) -> None:
@@ -215,8 +227,6 @@ class ConflictSanitizer:
 
     def _report(self, kind: str, first: Access, second: Access) -> None:
         self.conflicts.append(Conflict(first.obj, kind, first, second))
-        get_metrics().counter(
-            "analysis.conflicts", kind=kind, object=first.obj).add()
 
     # -- reporting ---------------------------------------------------------
 
@@ -275,6 +285,15 @@ class NoopSanitizer:
     def release(self, scope: str, actor: str) -> None:
         pass
 
+    def inject_clock(self, headers: Dict[str, Any],
+                     actor: str) -> Dict[str, Any]:
+        """Headers returned untouched: packet contents stay
+        byte-identical in runs without a sanitizer."""
+        return headers
+
+    def extract_clock(self, headers: Dict[str, Any], actor: str) -> None:
+        pass
+
     def on_read(self, obj: str, actor: str, at: float = 0.0) -> None:
         pass
 
@@ -303,7 +322,7 @@ _sanitizer: Union[ConflictSanitizer, NoopSanitizer] = NOOP_SANITIZER
 
 
 def get_sanitizer() -> Union[ConflictSanitizer, NoopSanitizer]:
-    """The process-wide sanitizer consulted by instrumentation sites."""
+    """The ambient sanitizer, which an ``Environment`` binds when built."""
     return _sanitizer
 
 
@@ -317,23 +336,3 @@ def use_sanitizer(sanitizer: Union[ConflictSanitizer, NoopSanitizer]):
     finally:
         _sanitizer = previous
 
-
-def inject_clock(headers: Dict[str, Any], actor: str) -> Dict[str, Any]:
-    """Attach ``actor``'s clock snapshot to message ``headers``.
-
-    A no-op (headers returned untouched) when the sanitizer is disabled,
-    so packet contents are byte-identical in normal runs.
-    """
-    sanitizer = get_sanitizer()
-    if sanitizer.enabled:
-        headers[HB_HEADER] = sanitizer.send(actor)
-    return headers
-
-
-def extract_clock(headers: Dict[str, Any], actor: str) -> None:
-    """Merge a clock snapshot out of received ``headers`` (if any)."""
-    sanitizer = get_sanitizer()
-    if sanitizer.enabled:
-        clock = headers.get(HB_HEADER)
-        if clock is not None:
-            sanitizer.receive(actor, clock)

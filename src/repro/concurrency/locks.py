@@ -23,10 +23,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.analysis.hb import get_sanitizer
 from repro.errors import LockError
-from repro.obs.metrics import Counter, Tally, get_metrics
-from repro.obs.tracer import get_tracer
+from repro.obs.metrics import Counter, Tally
 from repro.sim import Environment, Event
 
 
@@ -117,9 +115,8 @@ class LockTable:
         # Outcome counts; a plain dict, since a method call per count
         # costs more than the count (``counters`` reads them).
         self._counts: Dict[str, int] = {}
-        # lock.wait{style} of the registry this table first records
-        # under, kept from then on (docs/performance.md "Kept
-        # instruments").
+        # lock.wait{style} of env.metrics, made at the first record and
+        # kept (docs/performance.md "Kept instruments").
         self._wait: Optional[Tally] = None
         #: Called with (grant, taker) when a tickle takeover revokes a hold.
         self.on_takeover: Optional[Callable[[LockGrant, str], None]] = None
@@ -178,7 +175,7 @@ class LockTable:
         held.remove(grant)
         # Hand-off edge: whoever acquires this key next is causally
         # ordered after everything the releasing holder did.
-        sanitizer = get_sanitizer()
+        sanitizer = self.env.sanitizer
         if sanitizer.enabled:
             sanitizer.release("lock:" + grant.key, grant.owner)
         flight = self.env._flight
@@ -272,7 +269,7 @@ class LockTable:
         actor span when the process was named (``env.process(name=...)``),
         so per-actor profiles attribute lock waits to their actor.
         """
-        tracer = get_tracer()
+        tracer = self.env.tracer
         if not tracer.enabled:
             return
         waiter.span = tracer.start_span(
@@ -295,7 +292,7 @@ class LockTable:
         """
         wait = self._wait
         if wait is None:
-            wait = self._wait = get_metrics().histogram(
+            wait = self._wait = self.env.metrics.histogram(
                 "lock.wait", style=self.style)
         wait.record(waited)
 
@@ -320,7 +317,7 @@ class LockTable:
         return True
 
     def _install(self, key: str, owner: str, mode: str) -> LockGrant:
-        sanitizer = get_sanitizer()
+        sanitizer = self.env.sanitizer
         if sanitizer.enabled:
             sanitizer.acquire("lock:" + key, owner)
         grant = LockGrant(self, key, owner, mode, self.env.now)
@@ -364,7 +361,7 @@ class LockTable:
             return False
         if all(now - h.last_activity >= self.tickle_grace for h in holders):
             flight = self.env._flight
-            sanitizer = get_sanitizer()
+            sanitizer = self.env.sanitizer
             for holder in list(holders):
                 holder.revoked = True
                 holders.remove(holder)

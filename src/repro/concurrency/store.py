@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.hb import get_sanitizer
+from repro.analysis.hb import NOOP_SANITIZER
 from repro.errors import ConcurrencyError
 
 
@@ -35,11 +35,16 @@ class SharedStore:
 
     Subscribers receive ``(key, value, version, writer)`` on every write —
     this is the raw feed the awareness mechanisms (Figure 2b) build on.
+
+    A store holds no clock of its own.  Given the ``env`` its readers
+    and writers run in, it reports every read and write to that
+    environment's sanitizer; without one it reports to none.
     """
 
     def __init__(self, name: str = "store",
-                 keep_history: bool = False) -> None:
+                 keep_history: bool = False, env=None) -> None:
         self.name = name
+        self._sanitizer = NOOP_SANITIZER if env is None else env.sanitizer
         self._items: Dict[str, DataItem] = {}
         self._subscribers: List[Callable[[str, Any, int, str], None]] = []
         self.reads = 0
@@ -81,7 +86,7 @@ class SharedStore:
         """Read an item's current value."""
         item = self.item(key)
         self.reads += 1
-        sanitizer = get_sanitizer()
+        sanitizer = self._sanitizer
         if sanitizer.enabled:
             sanitizer.on_read("{}/{}".format(self.name, key), reader, at)
         return item.value
@@ -89,7 +94,7 @@ class SharedStore:
     def write(self, key: str, value: Any, writer: str = "",
               at: float = 0.0) -> int:
         """Write an item; returns the new version and notifies subscribers."""
-        sanitizer = get_sanitizer()
+        sanitizer = self._sanitizer
         if sanitizer.enabled:
             sanitizer.on_write("{}/{}".format(self.name, key), writer, at)
         item = self.ensure(key)

@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.obs.metrics import get_metrics
 from repro.sessions.session import ASYNCHRONOUS, SYNCHRONOUS
 
 #: Degradation levels.
@@ -92,7 +91,7 @@ class DegradationManager:
         reclaimed = False
         if self.session is not None:
             reclaimed = self.session.handle_suspected_member(member)
-        get_metrics().counter("degrade.suspicions", member=member).add()
+        self.env.metrics.counter("degrade.suspicions", member=member).add()
         self._log("suspect", member=member, floor_reclaimed=reclaimed)
         self.degrade("suspect:" + member)
 
@@ -116,7 +115,7 @@ class DegradationManager:
                 # — the paper's seamless-transition machinery (§3.1)
                 # doubles as the degradation path.
                 self.session.switch_mode(time_mode=ASYNCHRONOUS)
-        get_metrics().counter("degrade.entered", reason=reason).add()
+        self.env.metrics.counter("degrade.entered", reason=reason).add()
         self._log("degrade", reason=reason, contracts_shed=shed)
         return True
 
@@ -128,7 +127,7 @@ class DegradationManager:
         restored = self._restore_contracts()
         if self.session is not None and self._was_synchronous:
             self.session.switch_mode(time_mode=SYNCHRONOUS)
-        get_metrics().counter("degrade.recovered", reason=reason).add()
+        self.env.metrics.counter("degrade.recovered", reason=reason).add()
         self._log("recover", reason=reason, contracts_restored=restored)
         return True
 

@@ -31,7 +31,6 @@ import math
 from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
-from repro.obs.metrics import get_metrics
 
 #: Floor on the fitted standard deviation, as a fraction of the mean
 #: interval — keeps phi finite when arrivals are metronome-regular.
@@ -127,12 +126,7 @@ class PhiAccrualDetector:
         window.add_arrival(now)
 
     def suspect(self, member: str, silent_for: float, now: float) -> bool:
-        phi = self.phi(member, now)
-        if phi >= self.threshold:
-            get_metrics().counter("detector.suspicions",
-                                  member=member).add()
-            return True
-        return False
+        return self.phi(member, now) >= self.threshold
 
     # -- phi ----------------------------------------------------------------
 

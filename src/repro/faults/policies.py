@@ -30,7 +30,6 @@ import random
 from typing import Dict, Optional
 
 from repro.errors import SimulationError
-from repro.obs.metrics import get_metrics
 
 
 class RetryPolicy:
@@ -198,14 +197,14 @@ class CircuitBreaker:
             state.trial_inflight = True
             return True
         self.rejected += 1
-        get_metrics().counter("breaker.rejected", dst=dst).add()
+        self.env.metrics.counter("breaker.rejected", dst=dst).add()
         return False
 
     def record_success(self, dst: str) -> None:
         """A call to ``dst`` succeeded; close the circuit."""
         state = self._state(dst)
         if state.state != CLOSED:
-            get_metrics().counter("breaker.closed", dst=dst).add()
+            self.env.metrics.counter("breaker.closed", dst=dst).add()
         state.state = CLOSED
         state.failures = 0
         state.trial_inflight = False
@@ -218,14 +217,14 @@ class CircuitBreaker:
             state.state = OPEN
             state.opened_at = self.env.now
             state.trial_inflight = False
-            get_metrics().counter("breaker.opened", dst=dst).add()
+            self.env.metrics.counter("breaker.opened", dst=dst).add()
             return
         state.failures += 1
         if state.state == CLOSED and \
                 state.failures >= self.failure_threshold:
             state.state = OPEN
             state.opened_at = self.env.now
-            get_metrics().counter("breaker.opened", dst=dst).add()
+            self.env.metrics.counter("breaker.opened", dst=dst).add()
 
     def snapshot(self) -> Dict[str, str]:
         """Current per-destination states (stable key order)."""

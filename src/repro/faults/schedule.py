@@ -26,8 +26,6 @@ import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
 
 #: Event kinds understood by the injector.
 KINDS = (
@@ -451,8 +449,8 @@ class FaultInjector:
     # -- internals ----------------------------------------------------------
 
     def _run(self):
-        tracer = get_tracer()
-        metrics = get_metrics()
+        tracer = self.env.tracer
+        metrics = self.env.metrics
         for event in self.schedule.ordered():
             if event.at > self.env.now:
                 yield self.env.timeout(event.at - self.env.now)

@@ -16,18 +16,16 @@ dashboard``) all read one data source.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.sim import Environment
 
 
 class UsageMonitor:
     """Records (object, caller node, time) access samples."""
 
-    def __init__(self, env: Environment, window: float = 60.0,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, env: Environment, window: float = 60.0) -> None:
         if not window > 0:  # also rejects NaN
             raise ReproError("window must be positive")
         self.env = env
@@ -35,14 +33,12 @@ class UsageMonitor:
         # Samples arrive in non-decreasing sim time, so expiry is a
         # popleft loop instead of an O(n) list rebuild per query.
         self._samples: Deque[Tuple[float, str, str]] = deque()
-        self._metrics = metrics
 
     def record(self, oid: str, caller_node: str) -> None:
         """Note one invocation of ``oid`` from ``caller_node``."""
         self._samples.append((self.env.now, oid, caller_node))
-        metrics = self._metrics if self._metrics is not None \
-            else get_metrics()
-        metrics.counter("usage.access", oid=oid, node=caller_node).add()
+        self.env.metrics.counter("usage.access", oid=oid,
+                                 node=caller_node).add()
 
     def _recent(self) -> Deque[Tuple[float, str, str]]:
         horizon = self.env.now - self.window

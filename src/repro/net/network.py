@@ -38,16 +38,9 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.errors import NetworkError, RoutingError
 from repro.net.packet import Packet
 from repro.net.topology import Topology
-from repro.obs.metrics import (
-    Counter,
-    LabelKey,
-    MetricsRegistry,
-    Tally,
-    get_metrics,
-)
+from repro.obs.metrics import Counter, LabelKey, Tally
 from repro.obs.propagation import TRACE_HEADER
 from repro.obs.span import NOOP_SPAN
-from repro.obs.tracer import get_tracer
 from repro.sim import Environment, Store
 from repro.sim.environment import _NORMAL_BASE
 from repro.sim.events import URGENT
@@ -162,8 +155,7 @@ class _Carrier(PriorityRequest):
         """Resolve tracer and route, then claim the first hop."""
         network = self.network
         packet = self.packet
-        # Per packet: a tracer may be installed after the network is built.
-        tracer = get_tracer()
+        tracer = self.env.tracer
         src = packet.src
         self.wire_size = wire_size = packet.wire_size
         # Transit spans parent under whatever context the sender stamped
@@ -351,12 +343,10 @@ class Network:
         #: (link label or None, reason) -> packets dropped; ``None`` is a
         #: drop no link made (``no-route``, ``no-host``).
         self._drops: Dict[Tuple[Optional[str], str], int] = {}
-        # The ambient registry at the first send; from then on the
-        # network's, whatever is installed later.
-        self._registry: Optional[MetricsRegistry] = None
         #: What :meth:`_flush` has already given the registry.
         self._folded: Dict[LabelKey, int] = {}
         self._latencies_folded = 0
+        env.metrics.add_flush_hook(self._flush, _INSTRUMENTS)
 
     @property
     def counters(self) -> Counter:
@@ -375,14 +365,14 @@ class Network:
         return counts
 
     def _flush(self) -> None:
-        """Give the bound registry what the books gained since last time.
+        """Give ``env.metrics`` what the books gained since last time.
 
         The registry's flush hook: it runs before every read of a
         ``net.*`` instrument, so readers see fresh values while a flight
         pays no instrument call.  Deltas go through the keyed factories
         in sorted order; a count that has not moved creates nothing.
         """
-        registry = self._registry
+        registry = self.env.metrics
         books: Dict[LabelKey, int] = {
             ("net.sent", ()): sum(host.sent for host in self.hosts.values()),
             ("net.delivered", ()): sum(self._delivered.values())}
@@ -420,9 +410,6 @@ class Network:
 
     def transmit(self, packet: Packet) -> None:
         """Launch ``packet``'s carrier."""
-        if self._registry is None:
-            self._registry = get_metrics()
-            self._registry.add_flush_hook(self._flush, _INSTRUMENTS)
         env = self.env
         carrier = _Carrier(self, packet)
         if env._active_process is not None and packet.src != packet.dst:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.analysis.hb import extract_clock, inject_clock
 from repro.errors import TransportError
 from repro.faults.policies import (
     CircuitOpenError,
@@ -21,15 +20,9 @@ from repro.faults.policies import (
 )
 from repro.net.network import Host
 from repro.net.packet import Packet
-from repro.obs.metrics import BoundCounterCache, get_metrics
+from repro.obs.metrics import BoundCounterCache
 from repro.obs.propagation import extract, inject
-from repro.obs.tracer import get_tracer
 from repro.sim import Event, Store
-
-
-def _gauge_set(name: str, node: str, value: int, at: float) -> None:
-    """Sample the ambient registry's gauge ``name{node=...}``."""
-    _gauge_sample(get_metrics().gauge(name, node=node), value, at)
 
 
 def _gauge_sample(gauge, value: int, at: float) -> None:
@@ -92,9 +85,9 @@ class ReliableChannel:
         #: that never resolved (mirrored as the ``chan.inflight`` gauge).
         self._inflight = 0
         self._retry_counters = BoundCounterCache(
-            "chan.retries", "dst", node=host.name)
+            self.env.metrics, "chan.retries", "dst", node=host.name)
         self._gave_up_counters = BoundCounterCache(
-            "chan.gave_up", "dst", node=host.name)
+            self.env.metrics, "chan.gave_up", "dst", node=host.name)
         host.on_packet(port, self._on_packet)
 
     def send(self, dst: str, payload: Any = None, size: int = 0,
@@ -131,8 +124,9 @@ class ReliableChannel:
 
     def _track(self, delta: int) -> None:
         self._inflight += delta
-        _gauge_set("chan.inflight", self.host.name, self._inflight,
-                   self.env.now)
+        _gauge_sample(self.env.metrics.gauge(
+            "chan.inflight", node=self.host.name), self._inflight,
+            self.env.now)
 
     # -- internals ---------------------------------------------------------
 
@@ -142,7 +136,7 @@ class ReliableChannel:
             self._seq[dst] = itertools.count(1)
         seq = next(self._seq[dst])
         self._track(+1)
-        span = get_tracer().start_span(
+        span = self.env.tracer.start_span(
             "chan.send", at=self.env.now, parent=parent,
             node=self.host.name, dst=dst, seq=seq)
         attempts = 0
@@ -265,11 +259,12 @@ class RpcEndpoint:
         #: nothing is on the wire.  Mirrored as the ``rpc.inflight``
         #: gauge for the dashboard and ``bench/``'s faulty-rpc gate.
         self._inflight = 0
-        # The gauge, kept from the first sample on (two samples per
-        # call: the keyed lookup per sample cost faulty-rpc 6 % wall_s).
+        # The gauge, made at the first sample (so an idle endpoint adds
+        # none to the registry) and kept (two samples per call: the
+        # keyed lookup per sample cost faulty-rpc 6 % wall_s).
         self._inflight_gauge = None
         self._retry_counters = BoundCounterCache(
-            "rpc.retries", "dst", node=host.name)
+            self.env.metrics, "rpc.retries", "dst", node=host.name)
         host.on_packet(port, self._on_packet)
 
     def register(self, method: str, handler: Callable) -> None:
@@ -292,7 +287,7 @@ class RpcEndpoint:
             raise TransportError(
                 "timeout must be non-negative: {!r}".format(timeout))
         done = self.env.event()
-        span = get_tracer().start_span(
+        span = self.env.tracer.start_span(
             "rpc.call", at=self.env.now, parent=parent,
             node=self.host.name, dst=dst, method=method)
         call = _PendingCall(self, dst, method, args, timeout, done, span)
@@ -307,7 +302,7 @@ class RpcEndpoint:
     def _track(self, delta: int) -> None:
         self._inflight += delta
         if self._inflight_gauge is None:
-            self._inflight_gauge = get_metrics().gauge(
+            self._inflight_gauge = self.env.metrics.gauge(
                 "rpc.inflight", node=self.host.name)
         _gauge_sample(self._inflight_gauge, self._inflight, self.env.now)
 
@@ -322,16 +317,17 @@ class RpcEndpoint:
             # nothing here and is dropped.
             call = self._calls.pop(packet.headers["call"], None)
             if call is not None:
-                extract_clock(packet.headers, self.host.name)
+                self.env.sanitizer.extract_clock(packet.headers,
+                                                 self.host.name)
                 call._on_reply(packet.payload)
 
     def _serve(self, packet: Packet) -> None:
         method = packet.payload["method"]
-        extract_clock(packet.headers, self.host.name)
+        self.env.sanitizer.extract_clock(packet.headers, self.host.name)
         # The serving span parents under the caller's rpc.call context
         # carried by the request packet; its duration is the remote
         # execution time.
-        span = get_tracer().start_span(
+        span = self.env.tracer.start_span(
             "rpc.serve", at=self.env.now, parent=extract(packet.headers),
             node=self.host.name, caller=packet.src, method=method)
         handler = self._handlers.get(method)
@@ -368,7 +364,7 @@ class RpcEndpoint:
         span.finish(at=self.env.now)
         self.host.send(packet.src, payload=outcome,
                        size=self.response_size, port=self.port,
-                       headers=inject_clock(
+                       headers=self.env.sanitizer.inject_clock(
                            inject(span, {
                                "type": "response",
                                "call": packet.headers["call"]}),
@@ -451,7 +447,7 @@ class _PendingCall:
         # after the caller's history (and vice versa on the response).
         host.send(dst, payload={"method": self.method, "args": self.args},
                   size=endpoint.request_size, port=endpoint.port,
-                  headers=inject_clock(
+                  headers=endpoint.env.sanitizer.inject_clock(
                       inject(self.span, {"type": "request",
                                          "call": call_id}),
                       host.name))

@@ -27,8 +27,7 @@ from repro.faults.policies import CircuitOpenError, FaultPolicies
 from repro.net.network import Host, Network
 from repro.net.transport import RemoteException, RpcEndpoint, RpcError
 from repro.node.objects import Capsule, Cluster, EngineeringObject, Ids
-from repro.obs.metrics import BoundCounterCache, get_metrics
-from repro.obs.tracer import get_tracer
+from repro.obs.metrics import BoundCounterCache
 from repro.sim import Event
 
 RPC_PORT = 10
@@ -68,11 +67,13 @@ class Nucleus:
         #: hands all its nuclei one numbering.
         self.ids = Ids()
         self._location_cache: Dict[str, str] = {}
-        # The per-invocation instruments, each kept from its first use on.
+        # The per-invocation instruments, each made at its first use and
+        # kept.
+        metrics = self.env.metrics
         self._invocation_counters = BoundCounterCache(
-            "node.invocations", "kind", node=host.name)
+            metrics, "node.invocations", "kind", node=host.name)
         self._op_counters = BoundCounterCache(
-            "node.op.invocations", "op", node=host.name)
+            metrics, "node.op.invocations", "op", node=host.name)
         self._rpc_latency = None
         self.rpc = RpcEndpoint(host, port=RPC_PORT, policies=policies)
         self.rpc.register("invoke", self._handle_invoke)
@@ -168,7 +169,7 @@ class Nucleus:
                     cluster.name, self.node_name)))
             return
         size = cluster.state_size
-        span = get_tracer().start_span(
+        span = self.env.tracer.start_span(
             "node.migrate", at=self.env.now, node=self.node_name,
             cluster=cluster.name, target=target_node, bytes=size)
         capsule.remove_cluster(cluster.cluster_id)
@@ -209,7 +210,8 @@ class Nucleus:
                             error)))
             return
         span.finish(at=self.env.now)
-        get_metrics().counter("node.migrations", node=self.node_name).add()
+        self.env.metrics.counter("node.migrations",
+                                 node=self.node_name).add()
         done.succeed(target_node)
 
     def _charge_transfer(self, target_node: str, size: int):
@@ -295,7 +297,7 @@ class _Invocation:
         self.timeout = timeout
         self.done = done
         self.start = nucleus.env.now
-        self.span = get_tracer().start_span(
+        self.span = nucleus.env.tracer.start_span(
             "node.invoke", at=self.start, parent=parent,
             node=nucleus.node_name, oid=oid, op=op)
         self.attempts = 0
@@ -344,7 +346,7 @@ class _Invocation:
         elif nucleus.registry is not None:
             self._located(nucleus.registry.lookup(self.oid))
         else:
-            self.lookup = get_tracer().start_span(
+            self.lookup = nucleus.env.tracer.start_span(
                 "node.whereis", at=nucleus.env.now, parent=self.span,
                 node=nucleus.node_name, oid=self.oid)
             nucleus.rpc.call(
@@ -388,7 +390,7 @@ class _Invocation:
         now = nucleus.env.now
         if reply._ok:
             if nucleus._rpc_latency is None:
-                nucleus._rpc_latency = get_metrics().histogram(
+                nucleus._rpc_latency = nucleus.env.metrics.histogram(
                     "rpc.latency", node=nucleus.node_name)
             nucleus._rpc_latency.record(now - self.start)
             self._succeed(reply._value)

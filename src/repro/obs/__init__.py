@@ -13,14 +13,11 @@ substrate.  This package provides it for every layer of the middleware:
   gauges behind named, labelled instruments with one :meth:`snapshot()
   <MetricsRegistry.snapshot>`.  Two rules (:mod:`repro.obs.metrics`):
   a number is kept once — a hot path keeps its own book and a flush
-  hook derives the instruments from it on read — and a registry is
-  bound once — a site that keeps an instrument takes it from the
-  registry ambient at its first record, so install the registry (a
-  fresh one per run) before anything records.  Measured, not assumed:
-  across tier-1, the benches, ``bench/run.py``, ``replay`` on all 11
-  workloads and ``examples/traced_invoke.py`` a registry was swapped
-  under a component already in use 6 times, all inside the three tests
-  of the rebinding this replaced (table: docs/performance.md).
+  hook derives the instruments from it on read — and a layer reads its
+  environment's observers — an ``Environment`` binds the ambient
+  registry, tracer, sanitizer and flight recorder when it is built, so
+  build it inside their scopes (a fresh registry per run), and what is
+  ambient later sees nothing of it.
 * **Sampling** — :class:`Sampler` makes a deterministic keep/drop
   decision per trace (same seed + rate ⇒ same traces, run after run);
   the decision rides in packet headers so sampled traces stay complete
@@ -53,9 +50,11 @@ The report modules (``profile``, ``dashboard``, ``tables``,
 ``critical``, ``divergence``) are not re-exported here: import them from
 their module.
 
-Each observer is read with ``get_X()`` by instrumentation and scoped
-with ``use_X()``, which always restores the one before; a catalogue
-workload is run with all of them scoped by :func:`repro.run.run`.
+Each observer is scoped with ``use_X()``, which always restores the one
+before, and read with ``get_X()`` once, by the ``Environment`` built in
+the scope (``env.metrics``, ``env.tracer``, ``env.sanitizer``); a
+catalogue workload is run with all of them scoped by
+:func:`repro.run.run`.
 
 Quick start::
 
@@ -63,7 +62,7 @@ Quick start::
 
     tracer = obs.Tracer(sampler=obs.Sampler(rate=0.1, seed=31))
     with obs.use_tracer(tracer), obs.use_metrics(obs.MetricsRegistry()):
-        ... run any simulation ...
+        ... build and run any simulation ...
     obs.dump_jsonl("run.jsonl", tracer=tracer)
     obs.dump_chrome_trace("run.trace.json", tracer=tracer)
 """

@@ -457,12 +457,10 @@ _flight: Union[FlightRecorder, NoopFlightRecorder] = NOOP_FLIGHT
 
 
 def get_flight() -> Union[FlightRecorder, NoopFlightRecorder]:
-    """The process-wide flight recorder consulted by kernel hooks.
-
-    Environments bind it at construction (like the tracer, resolved
-    lazily so the kernel never imports :mod:`repro.obs` eagerly), so
-    install a recorder *before* creating the environments it should
-    observe, as ``RunSpec(journal=...)`` does for a workload run.
+    """The ambient flight recorder, which an ``Environment`` binds when
+    built (with every other observer), so install a recorder *before*
+    creating the environments it should observe, as
+    ``RunSpec(journal=...)`` does for a workload run.
     """
     return _flight
 

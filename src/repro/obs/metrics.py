@@ -5,7 +5,7 @@
 (``MediaSink.frame_latency``); a layer's named counts are a
 :class:`Counter` book.  Instruments are named and labelled::
 
-    metrics = obs.get_metrics()
+    metrics = env.metrics
     metrics.counter("net.drops", reason="loss").add()
     metrics.histogram("rpc.latency", node="host1").record(0.012)
     metrics.snapshot()   # one dict for benchmark tables / JSONL export
@@ -29,23 +29,16 @@ and pay one int add per record.  Hooks must be idempotent when nothing
 has moved.  The book is the only copy: the registry's view of it is
 derived on read, never written beside it.
 
-*A registry is bound once.*  An instrumentation site that keeps an
-instrument (``registry.counter(...)`` returns the instrument itself;
-keeping it skips the re-keying) takes it from the registry that is
-ambient at its first record and keeps it: it never asks again whether
-the ambient registry has changed since.  So install the registry before
-the first record, and a fresh one per run (``use_metrics``).  That
-nobody swaps a registry under a component that already recorded was
-measured, not assumed: with a log line at each of the five identity
-checks the sites used to make, tier-1, ``pytest benchmarks/``,
-``bench/run.py`` on five workloads, ``replay`` on all 11 registered
-workloads and ``examples/traced_invoke.py`` logged 6 swaps, all inside
-the three tests written to test the rebinding
-(``test_cells_flush_to_their_own_registry_after_a_swap``,
-``test_rpc_inflight_gauge_follows_the_ambient_registry``,
-``test_bound_counter_cache_rebinds_on_registry_swap``).
-docs/performance.md "Who swaps a registry under a live component" has
-the table, the probe and the commands to re-run it.
+*A layer reads its environment's observers.*  An ``Environment``
+binds the ambient registry once, when it is built, as ``env.metrics``
+(with the tracer, sanitizer and flight recorder), and every layer that
+holds the environment records there, whatever is ambient later.  So
+build the environment inside the registry's scope (``use_metrics``), a
+fresh registry per run; ``repro.run.run`` does both.  Two environments
+built under two registries stay apart even when stepped in turn
+outside any scope.  A site that keeps an instrument
+(``registry.counter(...)`` returns the instrument itself; keeping it
+skips the re-keying) takes it from ``env.metrics``.
 """
 
 from __future__ import annotations
@@ -404,7 +397,7 @@ _metrics = MetricsRegistry()
 
 
 def get_metrics() -> MetricsRegistry:
-    """The process-wide registry consulted by instrumentation sites."""
+    """The ambient registry, which an ``Environment`` binds when built."""
     return _metrics
 
 
@@ -414,31 +407,31 @@ class BoundCounterCache:
 
     For hot sites like per-destination retry counters: the keyed lookup
     (``registry.counter(name, node=..., dst=...)``) is paid once per
-    label value, in the registry that was ambient at the first
-    :meth:`get`, and the counter is kept from then on::
+    label value, in the registry the cache was built with, and the
+    counter is kept from then on::
 
-        self._retries = BoundCounterCache("chan.retries", "dst", node=name)
+        self._retries = BoundCounterCache(env.metrics, "chan.retries",
+                                          "dst", node=name)
         ...
         self._retries.get(dst).add()
     """
 
-    __slots__ = ("name", "label", "static", "_registry", "_bound")
+    __slots__ = ("registry", "name", "label", "static", "_bound")
 
-    def __init__(self, name: str, label: str, **static: Any) -> None:
+    def __init__(self, registry: MetricsRegistry, name: str, label: str,
+                 **static: Any) -> None:
+        self.registry = registry
         self.name = name
         self.label = label
         self.static = static
-        self._registry: Optional[MetricsRegistry] = None
         self._bound: Dict[str, CounterInstrument] = {}
 
     def get(self, value: str) -> CounterInstrument:
         counter = self._bound.get(value)
         if counter is None:
-            if self._registry is None:
-                self._registry = _metrics
             labels = dict(self.static)
             labels[self.label] = value
-            counter = self._bound[value] = self._registry.counter(
+            counter = self._bound[value] = self.registry.counter(
                 self.name, **labels)
         return counter
 

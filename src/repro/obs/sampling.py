@@ -13,50 +13,35 @@ deterministic counters (``t1``, ``t2``, …), so the same seed and rate
 always sample exactly the same set of traces, run after run — replay
 holds even for the observability layer itself.  Raising the rate only
 *adds* traces (the kept set at rate 0.2 is a subset of the set at 0.6),
-which makes sampled runs comparable across rates.
+which makes sampled runs comparable across rates::
 
-Per-root-name rates let expensive-but-rare operations stay fully traced
-while bulk traffic is thinned::
-
-    sampler = Sampler(rate=0.01, seed=31,
-                      rates={"node.migrate": 1.0, "user.request": 0.25})
+    sampler = Sampler(rate=0.01, seed=31)
     tracer = obs.Tracer(sampler=sampler, max_spans=100_000)
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional
 
 #: Denominator mapping an 8-byte digest prefix onto [0, 1).
 _SCALE = float(2 ** 64)
 
 
 class Sampler:
-    """Head-based, rate- and name-keyed, deterministic trace sampler.
+    """Head-based, rate-keyed, deterministic trace sampler.
 
-    ``rate`` is the default keep probability in ``[0, 1]``; ``rates``
-    optionally overrides it per root-span name.  ``seed`` should be the
-    experiment seed so trace selection replays with the simulation.
+    ``rate`` is the keep probability in ``[0, 1]``.  ``seed`` should be
+    the experiment seed so trace selection replays with the simulation.
     """
 
-    def __init__(self, rate: float = 1.0, seed: int = 0,
-                 rates: Optional[Dict[str, float]] = None) -> None:
+    def __init__(self, rate: float = 1.0, seed: int = 0) -> None:
         self.rate = _clamp("rate", rate)
         self.seed = int(seed)
-        self.rates = {name: _clamp("rates[{!r}]".format(name), value)
-                      for name, value in (rates or {}).items()}
-
-    def effective_rate(self, name: Optional[str] = None) -> float:
-        """The keep probability applied to roots named ``name``."""
-        if name is None:
-            return self.rate
-        return self.rates.get(name, self.rate)
 
     def fraction(self, trace_id: str) -> float:
         """The deterministic position of ``trace_id`` in [0, 1).
 
-        A trace is kept iff its fraction falls below the effective rate;
+        A trace is kept iff its fraction falls below the rate;
         because the fraction does not depend on the rate, higher rates
         keep supersets of lower ones.
         """
@@ -64,9 +49,9 @@ class Sampler:
             "{}:{}".format(self.seed, trace_id).encode()).digest()
         return int.from_bytes(digest[:8], "big") / _SCALE
 
-    def sample(self, trace_id: str, name: Optional[str] = None) -> bool:
-        """Keep the trace rooted by ``trace_id`` (root span ``name``)?"""
-        rate = self.effective_rate(name)
+    def sample(self, trace_id: str) -> bool:
+        """Keep the trace rooted by ``trace_id``?"""
+        rate = self.rate
         if rate >= 1.0:
             return True
         if rate <= 0.0:
@@ -74,8 +59,7 @@ class Sampler:
         return self.fraction(trace_id) < rate
 
     def __repr__(self) -> str:
-        return "<Sampler rate={} seed={} overrides={}>".format(
-            self.rate, self.seed, len(self.rates))
+        return "<Sampler rate={} seed={}>".format(self.rate, self.seed)
 
 
 def _clamp(field: str, rate: float) -> float:

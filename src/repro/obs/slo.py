@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import QoSError
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Environment
 
 #: Default multi-window burn-rate policy, patterned on the SRE workbook
@@ -167,30 +167,39 @@ class SLOMonitor:
     — the degradation notification the application asked for.
 
     Pass ``until`` (or call :meth:`stop`) so ``env.run()`` with no
-    deadline can drain; windows with no events burn at rate zero.
+    deadline can drain; windows with no events burn at rate zero.  The
+    monitor reads and writes ``env.metrics``, the registry its
+    environment was built under.
     """
 
     def __init__(self, env: Environment, slos: Sequence[SLO],
-                 registry: Optional[MetricsRegistry] = None,
                  interval: float = 1.0,
                  windows: Sequence[Tuple[float, float, float, str]]
                  = DEFAULT_WINDOWS,
                  until: Optional[float] = None,
                  on_alert: Optional[Callable[[str, BurnAlert], None]]
                  = None) -> None:
-        if interval <= 0:
-            raise QoSError("evaluation interval must be positive")
+        # Every bound in the ``not x > 0`` form, which NaN fails too.
+        if not interval > 0:
+            raise QoSError(
+                "interval must be positive: {!r}".format(interval))
         names = [slo.name for slo in slos]
         if len(set(names)) != len(names):
             raise QoSError("duplicate SLO names: {}".format(names))
         for long_window, short_window, factor, _severity in windows:
+            for field, value in (("long window", long_window),
+                                 ("short window", short_window),
+                                 ("burn-rate factor", factor)):
+                if not value > 0:
+                    raise QoSError("{} must be positive: {!r}".format(
+                        field, value))
             if short_window > long_window:
                 raise QoSError("short window must not exceed long window")
-            if factor <= 0:
-                raise QoSError("burn-rate factor must be positive")
+        if until is not None and not until > env.now:
+            raise QoSError("until must be later than now ({!r}): "
+                           "{!r}".format(env.now, until))
         self.env = env
         self.slos = list(slos)
-        self._registry = registry
         self.interval = interval
         self.windows = tuple(windows)
         self.until = until
@@ -206,16 +215,6 @@ class SLOMonitor:
         self.alerts: List[BurnAlert] = []
         self._stopped = False
         self.process = env.process(self._run())
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The registry read and written each tick.
-
-        Resolved lazily so a monitor built before ``use_metrics`` scoping
-        still observes the scoped registry.
-        """
-        return self._registry if self._registry is not None \
-            else get_metrics()
 
     def stop(self) -> None:
         """Stop evaluating (lets an open-ended ``env.run()`` drain).
@@ -241,7 +240,7 @@ class SLOMonitor:
 
     def _evaluate(self) -> None:
         now = self.env.now
-        registry = self.registry
+        registry = self.env.metrics
         totals = {slo.name: slo.totals(registry) for slo in self.slos}
         self._history.append((now, totals))
         while self._history and self._history[0][0] < now - self._keep:

@@ -7,7 +7,7 @@ link's byte rate spiked during the partition.  A
 (:meth:`Environment.set_window_hook
 <repro.sim.environment.Environment.set_window_hook>`): at every
 ``resolution`` seconds of simulated time it differences the live
-instruments of one :class:`~repro.obs.metrics.MetricsRegistry` into a
+instruments of the environment's registry (``env.metrics``) into a
 window record — counter deltas, per-window histogram distributions
 (count/mean/p50/p95/p99/max over just that window's observations) and
 latest gauge values.
@@ -43,7 +43,8 @@ from __future__ import annotations
 import collections
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from repro.obs.metrics import MetricsRegistry, Tally, get_metrics
+from repro.obs.metrics import Tally
+from repro.obs.tracer import _require_size
 
 
 def _window_summary(values: List[float]) -> Dict[str, float]:
@@ -78,20 +79,18 @@ class TimelineRecorder:
     A trailing partial window flushed by :meth:`finish` carries
     ``"partial": true``.
 
-    ``registry`` defaults to the process-wide registry at construction
-    time; the recorder keeps reading that same registry even if the
-    process default is later swapped (scoped ``use_metrics`` runs stay
-    self-contained).
+    It reads ``env.metrics``, the registry its environment was built
+    under.
     """
 
-    def __init__(self, env, registry: Optional[MetricsRegistry] = None,
-                 resolution: float = 1.0,
+    def __init__(self, env, resolution: float = 1.0,
                  retention: Optional[int] = None,
                  start: Optional[float] = None) -> None:
-        if retention is not None and retention <= 0:
-            raise ValueError("retention must be positive")
+        if not resolution > 0:  # also rejects NaN
+            raise ValueError(
+                "resolution must be positive, got {!r}".format(resolution))
+        _require_size("retention", retention)
         self.env = env
-        self.registry = registry if registry is not None else get_metrics()
         self.resolution = float(resolution)
         self.retention = retention
         self.windows: Any = collections.deque(maxlen=retention) \
@@ -125,22 +124,23 @@ class TimelineRecorder:
         }
         if partial:
             window["partial"] = True
+        registry = self.env.metrics
         counters = window["counters"]
-        for rendered, inst in self.registry.counter_items():
+        for rendered, inst in registry.counter_items():
             value = inst.value
             last = self._counter_last.get(rendered, 0)
             if value != last:
                 counters[rendered] = value - last
                 self._counter_last[rendered] = value
         histograms = window["histograms"]
-        for rendered, inst in self.registry.histogram_items():
+        for rendered, inst in registry.histogram_items():
             values = inst.values
             seen = self._hist_seen.get(rendered, 0)
             if len(values) > seen:
                 histograms[rendered] = _window_summary(values[seen:])
                 self._hist_seen[rendered] = len(values)
         gauges = window["gauges"]
-        for rendered, inst in self.registry.gauge_items():
+        for rendered, inst in registry.gauge_items():
             samples = inst.samples
             seen = self._gauge_seen.get(rendered, 0)
             if len(samples) > seen:

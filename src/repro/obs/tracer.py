@@ -8,7 +8,7 @@ benchmark output.  Collect by scoping a recording :class:`Tracer`
     from repro import obs
 
     with obs.use_tracer(obs.Tracer()) as tracer:
-        ... run a simulation ...
+        ... build and run a simulation (its env keeps the tracer) ...
     obs.dump_jsonl("run.jsonl", tracer=tracer)
 
 Span ids are small deterministic counters (``t3``/``s17``), so traces are
@@ -106,7 +106,7 @@ class Tracer:
                 trace_id = f"t{next(self._trace_ids)}"
                 parent_id = None
                 sampled = True if self.sampler is None \
-                    else self.sampler.sample(trace_id, name)
+                    else self.sampler.sample(trace_id)
             else:
                 trace_id = parent.trace_id
                 parent_id = parent.span_id
@@ -270,7 +270,7 @@ _tracer: Union[Tracer, NoopTracer] = NOOP_TRACER
 
 
 def get_tracer() -> Union[Tracer, NoopTracer]:
-    """The process-wide tracer consulted by instrumentation sites."""
+    """The ambient tracer, which an ``Environment`` binds when built."""
     return _tracer
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import QoSError
-from repro.obs.metrics import Counter, get_metrics
+from repro.obs.metrics import Counter
 from repro.qos.params import CLOSED, QoSContract, QoSParameters
 from repro.sim import Environment
 
@@ -120,7 +120,7 @@ class QoSMonitor:
         are only recorded for windows that saw frames (an empty window
         reports infinite latency, which would poison the histogram).
         """
-        metrics = get_metrics()
+        metrics = self.env.metrics
         flow = "{}->{}".format(self.contract.src, self.contract.dst)
         violated = not observation.meets(self.contract.agreed)
         metrics.counter(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.hb import get_sanitizer
 from repro.errors import FloorControlError
 from repro.obs.metrics import Counter, Tally
 from repro.sim import Environment, Event
@@ -55,7 +54,7 @@ class FloorPolicy:
         self._held_since = self.env.now
         # Floor possession orders turns: the new holder is causally
         # after everything previous holders did with the floor.
-        sanitizer = get_sanitizer()
+        sanitizer = self.env.sanitizer
         if sanitizer.enabled:
             sanitizer.acquire("floor:" + self.name, member)
         self.counters.incr("grants")
@@ -73,7 +72,7 @@ class FloorPolicy:
 
     def _hand_off(self, member: str) -> None:
         """The release edge of ``member``'s turn, for the sanitizer."""
-        sanitizer = get_sanitizer()
+        sanitizer = self.env.sanitizer
         if sanitizer.enabled:
             sanitizer.release("floor:" + self.name, member)
 

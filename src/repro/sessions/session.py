@@ -54,7 +54,8 @@ class Session:
         self.members: List[str] = []
         # Session workspaces keep a public history — accountability in
         # the collective process (§2.3).
-        self.store = SharedStore(name + "-store", keep_history=True)
+        self.store = SharedStore(name + "-store", keep_history=True,
+                                 env=env)
         self.awareness = AwarenessBus(env, latency=awareness_latency)
         self.counters = Counter()
         #: (at, from_mode, to_mode) transition history.

@@ -59,6 +59,11 @@ class Environment:
     All simulated activity in the repro library — network packets, user
     think-times, stream frames, lock waits — is driven by one environment.
     Time is a float in seconds and only advances through :meth:`run`.
+
+    It also owns the run's observers: :attr:`metrics` (the registry),
+    :attr:`tracer`, :attr:`sanitizer` and the flight recorder, taken
+    from the ambient ``use_X`` scopes when it is built.  Every layer
+    that holds the environment records into these.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -82,14 +87,21 @@ class Environment:
         self._window_anchor = 0.0
         self._window_index = 0
         self._window_next = Infinity
-        # Flight recorder (repro.obs.flight): bound once at construction
-        # from the process-wide default — install one with use_flight()
-        # *before* creating the environment.  The import is lazy (like
-        # process()'s tracer lookup) so the kernel never pulls repro.obs
-        # onto its import path; flight.py itself is stdlib-only.  The
-        # recorder reads this environment's clock once step() or run()
-        # has attached it; the run loop never calls it.
+        # The observers: the one place they are bound.  Each is read
+        # once, from the ambient default (``use_X`` scopes it), and every
+        # layer that holds this environment records into these, whatever
+        # is ambient later.  The imports are lazy so the kernel never
+        # pulls repro.obs or repro.analysis onto its import path.  The
+        # flight recorder stays None when disabled, as the hot paths
+        # test for; it reads this environment's clock once step() or
+        # run() has attached it, and the run loop never calls it.
+        from repro.analysis.hb import get_sanitizer
         from repro.obs.flight import get_flight
+        from repro.obs.metrics import get_metrics
+        from repro.obs.tracer import get_tracer
+        self.metrics = get_metrics()
+        self.tracer = get_tracer()
+        self.sanitizer = get_sanitizer()
         flight = get_flight()
         self._flight: Optional[Any] = flight if flight.enabled else None
 
@@ -148,17 +160,16 @@ class Environment:
         """Start a new process from a generator.
 
         ``name`` optionally labels the process as an *actor* for the
-        sim-time profiler (:mod:`repro.obs.profile`): while a recording
-        tracer is installed, the process's whole lifetime is wrapped in
-        an ``actor.run`` span (exposed as ``process.span``), so per-actor
+        sim-time profiler (:mod:`repro.obs.profile`): under a recording
+        tracer, the process's whole lifetime is wrapped in an
+        ``actor.run`` span (exposed as ``process.span``), so per-actor
         simulated-time accounting — and parenting of the actor's own
         spans via ``env.active_process.span`` — comes for free.  Unnamed
         processes and runs without a tracer are completely unaffected.
         """
         process = Process(self, generator)
         if name is not None:
-            from repro.obs.tracer import get_tracer
-            tracer = get_tracer()
+            tracer = self.tracer
             if tracer.enabled:
                 span = tracer.start_span("actor.run", at=self._now,
                                          actor=name)

@@ -95,13 +95,13 @@ def partition_recovery_workload(seed: int = 31,
         tracer = Tracer()
         scope = use_tracer(tracer)
 
-    env = Environment()
-    topo = wan(env, sites=2, hosts_per_site=2, site_latency=0.02,
-               seed=seed)
-    net = Network(env, topo)
     metrics = MetricsRegistry()
-
     with scope, use_metrics(metrics):
+        env = Environment()
+        topo = wan(env, sites=2, hosts_per_site=2, site_latency=0.02,
+                   seed=seed)
+        net = Network(env, topo)
+
         # The cooperating group, failure-detected by phi accrual.
         group = ProcessGroup(net, "team", ordering="causal")
         views = []
@@ -140,7 +140,7 @@ def partition_recovery_workload(seed: int = 31,
         slo_monitor = slo.SLOMonitor(
             env, [slo.qos_slo("{}->{}".format(MEDIA_SRC, MEDIA_DST),
                               target=SLO_TARGET)],
-            registry=metrics, interval=1.0, windows=SLO_WINDOWS,
+            interval=1.0, windows=SLO_WINDOWS,
             until=RUN_UNTIL - 2.0, on_alert=manager.on_alert)
 
         # Suspicions flow to the manager (floor reclaim, degradation)
@@ -259,15 +259,15 @@ def flaky_links_workload(seed: int = 31) -> Dict[str, Any]:
                         tail_keep_errors=True, tail_buffer=TAIL_BUFFER)
         scope = use_tracer(tracer)
 
-    env = Environment()
-    streams = RandomStreams(seed)
-    topo = Topology(env)
-    topo.add_link("client", "server", latency=0.005, bandwidth=1e7,
-                  rng=streams.stream("link"))
-    net = Network(env, topo)
     metrics = MetricsRegistry()
-
     with scope, use_metrics(metrics):
+        env = Environment()
+        streams = RandomStreams(seed)
+        topo = Topology(env)
+        topo.add_link("client", "server", latency=0.005, bandwidth=1e7,
+                      rng=streams.stream("link"))
+        net = Network(env, topo)
+
         policies = FaultPolicies(
             retry=RetryPolicy(base=0.05, multiplier=2.0, cap=1.0,
                               jitter=0.2, max_retries=4,

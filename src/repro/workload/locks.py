@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.analysis.hb import get_sanitizer
 from repro.concurrency.locks import (
     EXCLUSIVE,
     LockTable,
@@ -43,7 +42,7 @@ def lock_style_workload(style: str, seed: int = 31) -> Dict[str, Any]:
     """The E3 contended-editing workload under one lock style."""
     env = Environment()
     table = LockTable(env, style=style, tickle_grace=TICKLE_GRACE)
-    store = SharedStore("doc", keep_history=True)
+    store = SharedStore("doc", keep_history=True, env=env)
     store.create("section", "")
     rng = RandomStreams(seed).stream("locks-" + style)
     wait = Tally("wait")
@@ -88,7 +87,7 @@ def lock_style_workload(style: str, seed: int = 31) -> Dict[str, Any]:
         env.process(reader(env, name), name=name)
     env.run()
 
-    sanitizer = get_sanitizer()
+    sanitizer = env.sanitizer
     return {
         "workload": "locks-" + style,
         "seed": seed,

@@ -65,35 +65,37 @@ def traced_rpc_workload(seed: int = 31) -> Dict[str, Any]:
                         max_spans=MAX_SPANS)
         scope = use_tracer(tracer)
 
-    env = Environment()
-    topo = wan(env, sites=2, hosts_per_site=2, site_latency=0.03)
-    net = Network(env, topo)
-    runtime = ODPRuntime(net, registry_node="site0.host0")
-    server = runtime.nucleus("site0.host0")
-    capsule = server.create_capsule("cap")
-    board = server.create_object(capsule, "board", state={"posts": 0})
-
-    def post(caller, state, args):
-        state["posts"] += 1
-        return state["posts"]
-
-    board.operation("post", post)
-
-    rng = RandomStreams(seed).stream("traced-rpc")
-    results = {}
-
-    def client_proc(env, name, host):
-        nucleus = runtime.nucleus(host)
-        done = 0
-        for step in range(REQUESTS):
-            yield env.timeout(exponential(rng, THINK_MEAN))
-            with tracer.span("user.request", env, node=host, actor=name,
-                             step=step) as span:
-                yield nucleus.invoke(board.oid, "post", None, parent=span)
-                done += 1
-        results[name] = done
-
     with scope, use_metrics(MetricsRegistry()):
+        env = Environment()
+        topo = wan(env, sites=2, hosts_per_site=2, site_latency=0.03)
+        net = Network(env, topo)
+        runtime = ODPRuntime(net, registry_node="site0.host0")
+        server = runtime.nucleus("site0.host0")
+        capsule = server.create_capsule("cap")
+        board = server.create_object(capsule, "board",
+                                     state={"posts": 0})
+
+        def post(caller, state, args):
+            state["posts"] += 1
+            return state["posts"]
+
+        board.operation("post", post)
+
+        rng = RandomStreams(seed).stream("traced-rpc")
+        results = {}
+
+        def client_proc(env, name, host):
+            nucleus = runtime.nucleus(host)
+            done = 0
+            for step in range(REQUESTS):
+                yield env.timeout(exponential(rng, THINK_MEAN))
+                with tracer.span("user.request", env, node=host,
+                                 actor=name, step=step) as span:
+                    yield nucleus.invoke(board.oid, "post", None,
+                                         parent=span)
+                    done += 1
+            results[name] = done
+
         hosts = ["site1.host0", "site1.host1", "site0.host1"]
         for i in range(CLIENTS):
             name = "client-{}".format(i)
@@ -134,7 +136,6 @@ BURN_WINDOWS = ((10.0, 2.0, 4.0, "page"),)
 
 def slo_burn_workload(seed: int = 31) -> Dict[str, Any]:
     """A service degradation that fires, then clears, a burn-rate alert."""
-    env = Environment()
     # A scoped registry keeps the run self-contained: gauge time series
     # restart from zero, and repeated runs stay digest-identical.
     metrics = MetricsRegistry()
@@ -154,11 +155,11 @@ def slo_burn_workload(seed: int = 31) -> Dict[str, Any]:
         good=("service.requests", {"outcome": "ok"}),
         bad=("service.requests", {"outcome": "err"}),
         target=SLO_TARGET)
-    monitor = slo.SLOMonitor(env, [objective], registry=metrics,
-                             interval=1.0, windows=BURN_WINDOWS,
-                             until=RUN_UNTIL)
-    env.process(service(env), name="service")
     with use_metrics(metrics):
+        env = Environment()
+        monitor = slo.SLOMonitor(env, [objective], interval=1.0,
+                                 windows=BURN_WINDOWS, until=RUN_UNTIL)
+        env.process(service(env), name="service")
         env.run()
 
     fired = [e for e in monitor.events if e["event"] == "fired"]
@@ -210,44 +211,44 @@ def timeline_demo_workload(seed: int = 31) -> Dict[str, Any]:
         tracer = Tracer(max_spans=TL_MAX_SPANS)
         scope = use_tracer(tracer)
 
-    env = Environment()
-    topo = wan(env, sites=2, hosts_per_site=2, site_latency=0.03)
-    net = Network(env, topo)
-    runtime = ODPRuntime(net, registry_node="site0.host0")
-    server = runtime.nucleus("site0.host0")
-    capsule = server.create_capsule("cap")
-    board = server.create_object(
-        capsule, "board", state={"post": 0, "read": 0, "tag": 0})
-
-    def bump(which):
-        def operation(caller, state, args):
-            state[which] += 1
-            return state[which]
-        return operation
-
-    for name in TL_OPS:
-        board.operation(name, bump(name))
-
-    rng = RandomStreams(seed).stream("timeline-demo")
     metrics = MetricsRegistry()
-    recorder = TimelineRecorder(env, registry=metrics,
-                                resolution=TL_RESOLUTION)
-
-    def client_proc(env, name, host, requests):
-        nucleus = runtime.nucleus(host)
-        for step in range(requests):
-            yield env.timeout(exponential(rng, TL_THINK_MEAN))
-            op = TL_OPS[zipf_index(rng, len(TL_OPS), TL_OP_SKEW)]
-            with tracer.span("user.request", env, node=host, actor=name,
-                             op=op) as span:
-                yield nucleus.invoke(board.oid, op, None, parent=span)
-
-    # site1.host0 hosts two clients: the "hot node" the tables should
-    # rank first; later clients also send progressively fewer requests
-    # so per-node totals are properly skewed, not merely unequal.
-    placements = ["site1.host0", "site1.host0", "site1.host1",
-                  "site0.host1"]
     with scope, use_metrics(metrics):
+        env = Environment()
+        topo = wan(env, sites=2, hosts_per_site=2, site_latency=0.03)
+        net = Network(env, topo)
+        runtime = ODPRuntime(net, registry_node="site0.host0")
+        server = runtime.nucleus("site0.host0")
+        capsule = server.create_capsule("cap")
+        board = server.create_object(
+            capsule, "board", state={"post": 0, "read": 0, "tag": 0})
+
+        def bump(which):
+            def operation(caller, state, args):
+                state[which] += 1
+                return state[which]
+            return operation
+
+        for name in TL_OPS:
+            board.operation(name, bump(name))
+
+        rng = RandomStreams(seed).stream("timeline-demo")
+        recorder = TimelineRecorder(env, resolution=TL_RESOLUTION)
+
+        def client_proc(env, name, host, requests):
+            nucleus = runtime.nucleus(host)
+            for step in range(requests):
+                yield env.timeout(exponential(rng, TL_THINK_MEAN))
+                op = TL_OPS[zipf_index(rng, len(TL_OPS), TL_OP_SKEW)]
+                with tracer.span("user.request", env, node=host,
+                                 actor=name, op=op) as span:
+                    yield nucleus.invoke(board.oid, op, None, parent=span)
+
+        # site1.host0 hosts two clients: the "hot node" the tables should
+        # rank first; later clients also send progressively fewer
+        # requests so per-node totals are properly skewed, not merely
+        # unequal.
+        placements = ["site1.host0", "site1.host0", "site1.host1",
+                      "site0.host1"]
         for i in range(TL_CLIENTS):
             name = "client-{}".format(i)
             env.process(

@@ -7,9 +7,7 @@ from repro.analysis.hb import (
     NoopSanitizer,
     READ_WRITE,
     WRITE_WRITE,
-    extract_clock,
     get_sanitizer,
-    inject_clock,
     use_sanitizer,
 )
 
@@ -122,20 +120,20 @@ def test_use_sanitizer_restores_previous():
 
 
 def test_inject_extract_roundtrip_orders_actors():
-    with use_sanitizer(ConflictSanitizer()) as sanitizer:
-        sanitizer.on_write("doc/s", "ann", at=1.0)
-        headers = inject_clock({"type": "request"}, "ann")
-        assert HB_HEADER in headers
-        extract_clock(headers, "bob")
-        sanitizer.on_write("doc/s", "bob", at=2.0)
-        assert sanitizer.conflict_counts()["total"] == 0
+    sanitizer = ConflictSanitizer()
+    sanitizer.on_write("doc/s", "ann", at=1.0)
+    headers = sanitizer.inject_clock({"type": "request"}, "ann")
+    assert HB_HEADER in headers
+    sanitizer.extract_clock(headers, "bob")
+    sanitizer.on_write("doc/s", "bob", at=2.0)
+    assert sanitizer.conflict_counts()["total"] == 0
 
 
 def test_inject_is_identity_when_disabled():
     headers = {"type": "request"}
-    assert inject_clock(headers, "ann") is headers
+    assert NOOP_SANITIZER.inject_clock(headers, "ann") is headers
     assert HB_HEADER not in headers
-    extract_clock({HB_HEADER: {"ann": 3}}, "bob")  # swallowed, no-op
+    NOOP_SANITIZER.extract_clock({HB_HEADER: {"ann": 3}}, "bob")  # no-op
 
 
 def test_noop_records_nothing():

@@ -7,20 +7,19 @@ that built their scope strings for the no-op default, refresh soft-lock
 conflicts on every release whatever the style, test compatibility
 with ``all(<genexpr>)`` and count through ``Counter.incr``;
 ``LockGrant`` had no slots.  The classes below
-are that code verbatim, so a test can drive both tables with the same
-script and compare.  A reference, not a second path — nothing under
-``src/`` imports this.
+are that code verbatim but for where they find their observers (the
+environment's, like every layer now), so a test can drive both tables
+with the same script and compare.  A reference, not a second path —
+nothing under ``src/`` imports this.
 """
 
 import itertools
 from typing import Callable, Dict, List, Optional
 
-from repro.analysis.hb import get_sanitizer
 from repro.concurrency.locks import (EXCLUSIVE, HARD, NOTIFICATION, SHARED,
                                      SOFT, STYLES, TICKLE)
 from repro.errors import LockError
-from repro.obs.metrics import Counter, get_metrics
-from repro.obs.tracer import get_tracer
+from repro.obs.metrics import Counter
 from repro.sim import Environment, Event
 
 
@@ -138,7 +137,7 @@ class LockTable:
         held.remove(grant)
         # Hand-off edge: whoever acquires this key next is causally
         # ordered after everything the releasing holder did.
-        get_sanitizer().release("lock:" + grant.key, grant.owner)
+        self.env.sanitizer.release("lock:" + grant.key, grant.owner)
         flight = self.env._flight
         if flight is not None:
             flight.record_lock("release", grant.key, grant.owner,
@@ -230,7 +229,7 @@ class LockTable:
         actor span when the process was named (``env.process(name=...)``),
         so per-actor profiles attribute lock waits to their actor.
         """
-        tracer = get_tracer()
+        tracer = self.env.tracer
         if not tracer.enabled:
             return
         waiter.span = tracer.start_span(
@@ -251,7 +250,7 @@ class LockTable:
         Immediate grants record 0.0 so the histogram reflects the full
         distribution, not just the contended tail.
         """
-        get_metrics().histogram("lock.wait", style=self.style) \
+        self.env.metrics.histogram("lock.wait", style=self.style) \
             .record(waited)
 
     def _compatible(self, key: str, owner: str, mode: str) -> bool:
@@ -267,7 +266,7 @@ class LockTable:
         return all(h.owner == owner for h in holders)
 
     def _install(self, key: str, owner: str, mode: str) -> LockGrant:
-        get_sanitizer().acquire("lock:" + key, owner)
+        self.env.sanitizer.acquire("lock:" + key, owner)
         grant = LockGrant(self, key, owner, mode, self.env.now)
         self._held.setdefault(key, []).append(grant)
         flight = self.env._flight
@@ -314,7 +313,7 @@ class LockTable:
                 holders.remove(holder)
                 # A takeover is a forced hand-off: the taker is ordered
                 # after the revoked holder's work so far.
-                get_sanitizer().release("lock:" + key, holder.owner)
+                self.env.sanitizer.release("lock:" + key, holder.owner)
                 if flight is not None:
                     flight.record_lock("revoke", key, holder.owner,
                                        holder.mode, self.style)

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.analysis.hb import NOOP_SANITIZER, ConflictSanitizer, use_sanitizer
-from repro.concurrency import locks
 from repro.concurrency.locks import EXCLUSIVE, SHARED, STYLES, LockTable
 from repro.errors import LockError
 from repro.obs.flight import FlightRecorder, use_flight
@@ -58,10 +57,13 @@ class _World:
 
     def __init__(self, table_cls, style, sanitized, env_cls):
         self.flight = FlightRecorder(ring=1 << 16)
-        with use_flight(self.flight):
-            self.env = env_cls()
         self.metrics = MetricsRegistry()
         self.sanitizer = ConflictSanitizer() if sanitized else NOOP_SANITIZER
+        # The environment keeps these; the two worlds then step in turn
+        # with no scope around either.
+        with use_flight(self.flight), use_metrics(self.metrics), \
+                use_sanitizer(self.sanitizer):
+            self.env = env_cls()
         self.table = table = table_cls(self.env, style=style,
                                        tickle_grace=1.0)
         self.style = style
@@ -92,10 +94,6 @@ class _World:
         return [seen[grant_id] for grant_id in sorted(seen)]
 
     def step(self, step):
-        with use_metrics(self.metrics), use_sanitizer(self.sanitizer):
-            return self._step(step)
-
-    def _step(self, step):
         kind, table = step[0], self.table
         if kind == "acquire":
             return self.request(table.acquire(*step[1:]))
@@ -154,10 +152,10 @@ class _World:
 
 def _lockstep(style, sanitized, steps, env_cls=Environment):
     # One histogram lookup: at the first record, the first acquire's.
-    lockstep(_World(LockTable, style, sanitized, env_cls),
-             _World(model.LockTable, style, sanitized, env_cls),
+    new = _World(LockTable, style, sanitized, env_cls)
+    lockstep(new, _World(model.LockTable, style, sanitized, env_cls),
              steps + [("drain",)],
-             budget=(locks, "get_metrics", lambda world, step: int(
+             budget=(new.metrics, "histogram", lambda world, step: int(
                  step[0] == "acquire" and not world.requests)))
 
 

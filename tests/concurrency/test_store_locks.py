@@ -10,7 +10,6 @@ from repro.concurrency import (
     NOTIFICATION,
     SHARED,
     SOFT,
-    STYLES,
     SharedStore,
     TICKLE,
 )
@@ -49,12 +48,15 @@ def test_store_missing_item_raises():
 def test_a_failed_read_is_not_a_read():
     # The item is looked up first: a read that raises is neither counted
     # nor reported to the sanitizer as an access.
-    store = SharedStore("d")
     with use_sanitizer(ConflictSanitizer()) as sanitizer:
-        with pytest.raises(ConcurrencyError, match="no item named missing"):
-            store.read("missing", reader="ann", at=1.0)
+        store = SharedStore("d", env=Environment())
+    with pytest.raises(ConcurrencyError, match="no item named missing"):
+        store.read("missing", reader="ann", at=1.0)
     assert store.reads == 0
     assert sanitizer.accesses == []
+    store.create("missing")
+    store.read("missing", reader="ann", at=2.0)
+    assert (store.reads, len(sanitizer.accesses)) == (1, 1)
 
 
 def test_store_ensure_idempotent():
@@ -355,35 +357,3 @@ def test_notification_watchers_notified_of_writes(env):
     assert seen == [("doc", "writer", "write")]
     assert table.counters["notifications"] == 2
 
-
-# -- metrics --------------------------------------------------------------------
-
-@pytest.mark.parametrize("style", STYLES)
-def test_lock_table_keeps_the_registry_of_its_first_acquire(style):
-    # Built under no scope, first used under one: every later acquire's
-    # wait, immediate or queued, is that registry's lock.wait{style}.
-    from repro.obs.metrics import MetricsRegistry, use_metrics
-
-    env = Environment()
-    table = LockTable(env, style=style)
-    first, second = MetricsRegistry(), MetricsRegistry()
-
-    def writers(env):
-        ann = yield table.acquire("doc", "ann", EXCLUSIVE)
-        ann.release()
-        with use_metrics(second):
-            bob = yield table.acquire("doc", "bob", EXCLUSIVE)
-            env.process(cat(env))
-            yield env.timeout(1.0)
-            bob.release()
-
-    def cat(env):
-        yield table.acquire("doc", "cat", EXCLUSIVE)
-
-    with use_metrics(first):
-        env.run(env.process(writers(env)))
-    env.run()
-    waits = first.histogram("lock.wait", style=style).values
-    assert len(waits) == table.counters["requests"] == 3
-    assert waits == ([0.0, 0.0, 0.0] if style == SOFT else [0.0, 0.0, 1.0])
-    assert second.histograms() == {}

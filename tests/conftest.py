@@ -1,10 +1,11 @@
 """Every test runs under its own metrics registry and leaks no observer.
 
-Instrumentation writes to whatever observer is ambient.  A test gets a
-fresh registry here, so nothing it records reaches the next test, and
-on the way out it must leave the tracer, registry, flight recorder,
-sanitizer and fault-schedule override as it found them: a scope a test
-forgets to close fails that test, not a later one.
+An environment binds whatever observers are ambient when it is built.
+A test gets a fresh registry here, so nothing its environments record
+reaches the next test, and on the way out it must leave the tracer,
+registry, flight recorder, sanitizer and fault-schedule override as it
+found them: a scope a test forgets to close fails that test, not a
+later one.
 """
 
 import pytest

@@ -4,7 +4,6 @@ import pytest
 
 from repro.faults.degrade import DEGRADED, FULL_SERVICE, DegradationManager
 from repro.net import Network, lan
-from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.qos.broker import QoSBroker
 from repro.qos.params import QoSParameters
 from repro.sessions.floor import FcfsFloor
@@ -122,14 +121,14 @@ def test_slo_alert_callback_shape(env):
 
 
 def test_degradation_metrics(env):
-    with use_metrics(MetricsRegistry()) as metrics:
-        manager = DegradationManager(env)
-        manager.degrade("r")
-        manager.recover("r")
-        manager.on_suspect("m")
-        assert metrics.counter_total("degrade.entered") == 2
-        assert metrics.counter_total("degrade.recovered") == 1
-        assert metrics.counter_total("degrade.suspicions") == 1
+    metrics = env.metrics
+    manager = DegradationManager(env)
+    manager.degrade("r")
+    manager.recover("r")
+    manager.on_suspect("m")
+    assert metrics.counter_total("degrade.entered") == 2
+    assert metrics.counter_total("degrade.recovered") == 1
+    assert metrics.counter_total("degrade.suspicions") == 1
 
 
 def test_watch_adds_contract(env):

@@ -5,7 +5,6 @@ import pytest
 from repro.faults.detector import PhiAccrualDetector, _phi
 from repro.groups import MonitoredMembership, ProcessGroup
 from repro.net import Network, lan
-from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sim import Environment
 
 
@@ -95,15 +94,6 @@ def test_window_bounds_history():
     detector.watch("m", 0.0)
     regular(detector, beats=50)
     assert detector.intervals_observed("m") == 8
-
-
-def test_suspicion_counts_in_metrics():
-    with use_metrics(MetricsRegistry()) as metrics:
-        detector = PhiAccrualDetector(threshold=8.0)
-        detector.watch("m", 0.0)
-        regular(detector)
-        assert detector.suspect("m", 30.0, 49.0)
-        assert metrics.counter_total("detector.suspicions") == 1
 
 
 def test_validation():

@@ -10,7 +10,6 @@ from repro.faults.policies import (
     RetryPolicy,
     fixed_retry,
 )
-from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sim import Environment, RandomStreams
 
 
@@ -76,19 +75,18 @@ def test_deadline_budget_tracks_sim_time(env):
 
 
 def test_breaker_opens_after_threshold(env):
-    with use_metrics(MetricsRegistry()) as metrics:
-        breaker = CircuitBreaker(env, failure_threshold=3,
-                                 reset_timeout=10.0)
-        for _ in range(2):
-            breaker.record_failure("b")
-        assert breaker.state("b") == "closed"
-        assert breaker.allow("b")
+    metrics = env.metrics
+    breaker = CircuitBreaker(env, failure_threshold=3, reset_timeout=10.0)
+    for _ in range(2):
         breaker.record_failure("b")
-        assert breaker.state("b") == "open"
-        assert not breaker.allow("b")
-        assert breaker.rejected == 1
-        assert metrics.counter_total("breaker.opened") == 1
-        assert metrics.counter_total("breaker.rejected") == 1
+    assert breaker.state("b") == "closed"
+    assert breaker.allow("b")
+    breaker.record_failure("b")
+    assert breaker.state("b") == "open"
+    assert not breaker.allow("b")
+    assert breaker.rejected == 1
+    assert metrics.counter_total("breaker.opened") == 1
+    assert metrics.counter_total("breaker.rejected") == 1
 
 
 def test_breaker_half_open_trial(env):

@@ -192,14 +192,15 @@ def test_loss_burst_actually_drops(env):
     assert net.drop_stats().get("loss", 0) == 0
 
 
-def test_injector_log_spans_and_metrics(env):
+def test_injector_log_spans_and_metrics():
+    with use_tracer(Tracer()) as tracer:
+        env = Environment()
     net = triangle(env)
     schedule = FaultSchedule()
     schedule.link_down(1.0, "a", "b", up_at=2.0)
-    with use_tracer(Tracer()) as tracer, \
-            use_metrics(MetricsRegistry()) as metrics:
-        injector = FaultInjector(env, net, schedule)
-        env.run(until=3.0)
+    injector = FaultInjector(env, net, schedule)
+    env.run(until=3.0)
+    metrics = env.metrics
     assert [entry["kind"] for entry in injector.log] \
         == ["link-down", "link-up"]
     assert [entry["at"] for entry in injector.log] == [1.0, 2.0]
@@ -211,7 +212,8 @@ def test_injector_log_spans_and_metrics(env):
 
 def test_injection_is_deterministic():
     def run():
-        env = Environment()
+        with use_metrics(MetricsRegistry()):
+            env = Environment()
         net = triangle(env)
         count = [0]
         net.host("c").on_packet(9, lambda p: count.__setitem__(
@@ -226,9 +228,8 @@ def test_injection_is_deterministic():
         schedule = FaultSchedule()
         schedule.link_flap(1.0, "a", "c", count=3, period=2.0)
         schedule.loss_burst(4.0, extra_loss=0.5, duration=3.0)
-        with use_metrics(MetricsRegistry()):
-            injector = FaultInjector(env, net, schedule)
-            env.run(until=12.0)
+        injector = FaultInjector(env, net, schedule)
+        env.run(until=12.0)
         return injector.log, count[0], env.stats()
 
     assert run() == run()

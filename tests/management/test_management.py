@@ -62,10 +62,8 @@ def test_monitor_expiry_drops_only_stale_prefix(env):
 
 
 def test_monitor_routes_samples_through_metrics_registry(env):
-    from repro import obs
-
-    registry = obs.MetricsRegistry()
-    monitor = UsageMonitor(env, window=5.0, metrics=registry)
+    registry = env.metrics
+    monitor = UsageMonitor(env, window=5.0)
     monitor.record("obj-1", "siteA")
     monitor.record("obj-1", "siteA")
     monitor.record("obj-1", "siteB")

@@ -5,8 +5,9 @@ processes — ``_call_proc`` and ``_serve`` in the endpoint,
 ``_invoke_proc``, ``_whereis`` and a generator ``_handle_invoke`` in the
 nucleus.  The records that replaced them (``_PendingCall``,
 ``_Invocation``) are held to that code here: the generators below are
-the replaced methods verbatim, grafted onto subclasses, so a test can
-build the same world twice and compare.  A reference, not a second
+the replaced methods verbatim but for where they find their observers
+(the environment's, like every layer now), grafted onto subclasses, so
+a test can build the same world twice and compare.  A reference, not a second
 path — nothing under ``src/`` imports this.
 
 One deviation, marked where it is: a ``whereis`` refused by an open
@@ -17,14 +18,11 @@ the fixed behaviour (``tests/node/test_runtime.py`` pins it).
 
 from typing import Any, Dict, Optional
 
-from repro.analysis.hb import extract_clock, inject_clock
 from repro.faults.policies import CircuitOpenError
 from repro.net.packet import Packet
 from repro.net.transport import RemoteException, RpcEndpoint, RpcError
 from repro.node.runtime import RPC_PORT, Nucleus, NodeError, ODPRuntime
-from repro.obs.metrics import get_metrics
 from repro.obs.propagation import extract, inject
-from repro.obs.tracer import get_tracer
 from repro.sim import Event
 
 
@@ -55,7 +53,7 @@ class ModelRpcEndpoint(RpcEndpoint):
         retry = policies.retry if policies is not None else None
         breaker = policies.breaker if policies is not None else None
         budget = policies.budget(self.env) if policies is not None else None
-        span = get_tracer().start_span(
+        span = self.env.tracer.start_span(
             "rpc.call", at=self.env.now, parent=parent,
             node=self.host.name, dst=dst, method=method)
         self._track(+1)
@@ -78,7 +76,7 @@ class ModelRpcEndpoint(RpcEndpoint):
             # after the caller's history (and vice versa on the response).
             self.host.send(dst, payload={"method": method, "args": args},
                            size=self.request_size, port=self.port,
-                           headers=inject_clock(
+                           headers=self.env.sanitizer.inject_clock(
                                inject(span, {"type": "request",
                                              "call": call_id}),
                                self.host.name))
@@ -130,17 +128,18 @@ class ModelRpcEndpoint(RpcEndpoint):
         elif kind == "response":
             reply = self._calls.get(packet.headers["call"])
             if reply is not None and not reply.triggered:
-                extract_clock(packet.headers, self.host.name)
+                self.env.sanitizer.extract_clock(packet.headers,
+                                                 self.host.name)
                 reply.succeed(packet.payload)
 
     def _serve(self, packet: Packet):
         method = packet.payload["method"]
         args = packet.payload["args"]
-        extract_clock(packet.headers, self.host.name)
+        self.env.sanitizer.extract_clock(packet.headers, self.host.name)
         # The serving span parents under the caller's rpc.call context
         # carried by the request packet; its duration is the remote
         # execution time.
-        span = get_tracer().start_span(
+        span = self.env.tracer.start_span(
             "rpc.serve", at=self.env.now, parent=extract(packet.headers),
             node=self.host.name, caller=packet.src, method=method)
         handler = self._handlers.get(method)
@@ -161,7 +160,7 @@ class ModelRpcEndpoint(RpcEndpoint):
         span.finish(at=self.env.now)
         self.host.send(packet.src, payload=outcome,
                        size=self.response_size, port=self.port,
-                       headers=inject_clock(
+                       headers=self.env.sanitizer.inject_clock(
                            inject(span, {
                                "type": "response",
                                "call": packet.headers["call"]}),
@@ -203,7 +202,7 @@ class ModelNucleus(Nucleus):
     def _invoke_proc(self, oid: str, op: str, args: Any,
                      timeout: float, done: Event, parent: Any = None):
         start = self.env.now
-        span = get_tracer().start_span(
+        span = self.env.tracer.start_span(
             "node.invoke", at=start, parent=parent,
             node=self.node_name, oid=oid, op=op)
         self._op_counters.get(op).add()
@@ -275,7 +274,7 @@ class ModelNucleus(Nucleus):
                 return
             span.finish(at=self.env.now)
             if self._rpc_latency is None:
-                self._rpc_latency = get_metrics().histogram(
+                self._rpc_latency = self.env.metrics.histogram(
                     "rpc.latency", node=self.node_name)
             self._rpc_latency.record(self.env.now - start)
             done.succeed(result)
@@ -288,7 +287,7 @@ class ModelNucleus(Nucleus):
     def _whereis(self, oid: str, timeout: float, parent: Any = None):
         if self.registry is not None:
             return self.registry.lookup(oid)
-        span = get_tracer().start_span(
+        span = self.env.tracer.start_span(
             "node.whereis", at=self.env.now, parent=parent,
             node=self.node_name, oid=oid)
         try:

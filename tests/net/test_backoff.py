@@ -5,7 +5,6 @@ import pytest
 from repro.errors import TransportError
 from repro.faults.policies import RetryPolicy, fixed_retry
 from repro.net import Network, ReliableChannel, Topology
-from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sim import Environment, RandomStreams
 
 
@@ -70,30 +69,30 @@ def test_backoff_policy_overrides_max_retries(env):
 
 
 def test_retry_and_gave_up_counters(env):
-    with use_metrics(MetricsRegistry()) as metrics:
-        sender, link = make_pair(env, ack_timeout=0.05, max_retries=2)
-        give_up_time(env, sender, link)
-        assert sender.retries == 2
-        assert sender.gave_up == 1
-        assert metrics.counter_total("chan.retries") == 2
-        assert metrics.counter_total("chan.gave_up") == 1
-        # Labels carry the sending node and destination.
-        assert metrics.counters("chan.retries") \
-            == {"chan.retries{dst=b,node=a}": 2}
+    metrics = env.metrics
+    sender, link = make_pair(env, ack_timeout=0.05, max_retries=2)
+    give_up_time(env, sender, link)
+    assert sender.retries == 2
+    assert sender.gave_up == 1
+    assert metrics.counter_total("chan.retries") == 2
+    assert metrics.counter_total("chan.gave_up") == 1
+    # Labels carry the sending node and destination.
+    assert metrics.counters("chan.retries") \
+        == {"chan.retries{dst=b,node=a}": 2}
 
 
 def test_no_counters_on_clean_delivery(env):
-    with use_metrics(MetricsRegistry()) as metrics:
-        sender, _ = make_pair(env)
+    metrics = env.metrics
+    sender, _ = make_pair(env)
 
-        def root(env):
-            yield sender.send("b", payload="ok")
+    def root(env):
+        yield sender.send("b", payload="ok")
 
-        env.run(env.process(root(env)))
-        assert sender.retries == 0
-        assert sender.gave_up == 0
-        assert metrics.counter_total("chan.retries") == 0
-        assert metrics.counter_total("chan.gave_up") == 0
+    env.run(env.process(root(env)))
+    assert sender.retries == 0
+    assert sender.gave_up == 0
+    assert metrics.counter_total("chan.retries") == 0
+    assert metrics.counter_total("chan.gave_up") == 0
 
 
 def test_jittered_backoff_is_seed_deterministic():

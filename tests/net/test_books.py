@@ -188,17 +188,18 @@ def test_a_live_network_never_goes_dark_in_the_registry_it_bound():
     ``network.counters`` had been read, ``net.node.sent`` showed 2 beside
     a ``net.sent`` of 0.  ``reset()`` is gone (a run gets a fresh
     registry); what remains of the reproducer is that the network keeps
-    recording into the registry it bound, and the unlabelled, labelled
-    and network-side totals agree at every read, in that order."""
+    recording into the registry it bound (its environment's), and the
+    unlabelled, labelled and network-side totals agree at every read, in
+    that order."""
     registry = MetricsRegistry()
-    env = Environment()
+    with use_metrics(registry):
+        env = Environment()
     network = Network(env, line(env, length=2, seed=11))
     network.host("n1")
     sender = network.host("n0")
-    with use_metrics(registry):
-        sender.send("n1", size=64)
-        env.run()
-        assert registry.counter_total("net.sent") == 1
+    sender.send("n1", size=64)
+    env.run()
+    assert registry.counter_total("net.sent") == 1
     for sent in (3, 5):
         sender.send("n1", size=64)
         sender.send("n1", size=64)

@@ -7,9 +7,8 @@ succeeds or fails cleanly — and ``inflight()`` returns to zero.  The
 
 import pytest
 
-from repro.faults.policies import FaultPolicies, RetryPolicy
 from repro.net import Network, ReliableChannel, RpcEndpoint, Topology
-from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Environment, RandomStreams
 
 
@@ -108,59 +107,32 @@ def test_rpc_inflight_resolves_on_reply_and_timeout(env):
 
 
 def test_inflight_gauges_recorded_in_scoped_registry(env):
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        net, a, b = make_net(env)
-        sender = ReliableChannel(a)
-        ReliableChannel(b)
-        caller = RpcEndpoint(a)
-        server = RpcEndpoint(b)
-        server.register("echo", lambda c, args: args)
+    registry = env.metrics
+    net, a, b = make_net(env)
+    sender = ReliableChannel(a)
+    ReliableChannel(b)
+    caller = RpcEndpoint(a)
+    server = RpcEndpoint(b)
+    server.register("echo", lambda c, args: args)
 
-        def root(env):
-            yield sender.send("b", payload="x", size=50)
-            yield caller.call("b", "echo", 1)
+    def root(env):
+        yield sender.send("b", payload="x", size=50)
+        yield caller.call("b", "echo", 1)
 
-        env.run(env.process(root(env)))
-        env.run()
+    env.run(env.process(root(env)))
+    env.run()
     gauges = registry.gauges()
     assert gauges.get("chan.inflight{node=a}") == 0.0
     assert gauges.get("rpc.inflight{node=a}") == 0.0
 
 
 def test_gauge_set_tolerates_time_rewind():
-    # The process-default registry outlives environments; a fresh env's
-    # t=0 sample must be dropped, not raise "time went backwards".
-    from repro.net.transport import _gauge_set
+    # A registry can outlive an environment; a fresh env's t=0 sample
+    # must be dropped, not raise "time went backwards".
+    from repro.net.transport import _gauge_sample
 
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        _gauge_set("chan.inflight", "x", 1, 5.0)
-        _gauge_set("chan.inflight", "x", 2, 1.0)  # stale: ignored
-        _gauge_set("chan.inflight", "x", 3, 6.0)
-    series = registry.gauge("chan.inflight", node="x")
+    series = MetricsRegistry().gauge("chan.inflight", node="x")
+    _gauge_sample(series, 1, 5.0)
+    _gauge_sample(series, 2, 1.0)  # stale: ignored
+    _gauge_sample(series, 3, 6.0)
     assert [(t, v) for t, v in series.samples] == [(5.0, 1), (6.0, 3)]
-
-
-def test_rpc_endpoint_keeps_the_registry_of_its_first_call(env):
-    # Built under no scope, first used under one: the endpoint's gauge
-    # and retry counters are that registry's from then on, and a clock
-    # rewound in it (another environment used it) must not raise.
-    net, a, b = make_net(env)
-    caller = RpcEndpoint(a, policies=FaultPolicies(
-        retry=RetryPolicy(base=0.01, max_retries=1)))
-    RpcEndpoint(b).register("echo", lambda c, args: args)
-    first, second = MetricsRegistry(), MetricsRegistry()
-    for registry in (first, second):
-        with use_metrics(registry):
-            caller.call("b", "echo", 1)
-            caller.call("nowhere", "echo", 2, timeout=0.01).defuse()
-            env.run()
-    samples = first.gauge("rpc.inflight", node="a").samples
-    assert [value for _, value in samples] == [1, 2, 1, 0] * 2
-    assert first.counter_total("rpc.retries", node="a") == 2
-    assert second.gauges() == {} and second.counters("rpc.retries") == {}
-    first.gauge("rpc.inflight", node="a").set(0, at=env.now + 5.0)
-    caller.call("b", "echo", 4)     # "before" the last sample
-    env.run()
-    assert caller.inflight() == 0

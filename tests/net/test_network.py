@@ -181,12 +181,10 @@ def test_drop_stats_attributes_loss_and_partition(env):
 
 
 def test_drops_counted_in_metrics_registry(env):
-    from repro import obs
-
-    with obs.use_metrics(obs.MetricsRegistry()) as metrics:
-        net, a, b = make_pair(env, loss=0.999999)
-        a.send("b", size=10)
-        env.run()
+    metrics = env.metrics
+    net, a, b = make_pair(env, loss=0.999999)
+    a.send("b", size=10)
+    env.run()
     assert metrics.counter("net.drops", reason="loss").value == 1
     assert metrics.counters("net.drops") == {"net.drops{reason=loss}": 1}
 

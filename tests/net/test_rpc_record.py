@@ -118,9 +118,9 @@ def _state(client, done, breaker=None):
 
 
 def test_an_answered_attempts_stale_timer_changes_nothing():
-    env = Environment()
     registry = MetricsRegistry()
     with use_metrics(registry):
+        env = Environment()
         breaker = CircuitBreaker(env, failure_threshold=1)
         client, server = _pair(env, policies=FaultPolicies(
             retry=RetryPolicy(base=0.05, max_retries=2), breaker=breaker))
@@ -363,10 +363,10 @@ def _by_instant_and_dst(breaker_log):
 
 def _world(runtime_cls, endpoint_cls, spec, env_cls=Environment):
     """Build the world, play the script, return everything observable."""
-    env = env_cls()
     tracer, registry = Tracer(), MetricsRegistry()
     draws, breaker_log, outcomes = [], [], {}
     with use_tracer(tracer), use_metrics(registry):
+        env = env_cls()
         topo = Topology(env)
         links = []
         for index, (a, b) in enumerate(LINKS):

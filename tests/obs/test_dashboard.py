@@ -44,7 +44,7 @@ def test_dump_mode_reads_mixed_jsonl(tmp_path, capsys):
     with obs.use_tracer(obs.Tracer()) as tracer, \
             obs.use_metrics(obs.MetricsRegistry()) as metrics:
         env = Environment()
-        recorder = TimelineRecorder(env, registry=metrics, resolution=1.0)
+        recorder = TimelineRecorder(env, resolution=1.0)
 
         def proc(env):
             for step in range(5):

@@ -227,7 +227,7 @@ def test_dump_jsonl_appends_timeline_windows(tmp_path):
 
     with obs.use_metrics(obs.MetricsRegistry()) as metrics:
         env = Environment()
-        recorder = TimelineRecorder(env, registry=metrics, resolution=1.0)
+        recorder = TimelineRecorder(env, resolution=1.0)
 
         def proc(env):
             for _ in range(3):

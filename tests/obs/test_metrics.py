@@ -161,30 +161,15 @@ def test_bound_instruments_are_the_keyed_instruments(registry):
     assert registry.gauges() == {"depth{node=n1}": 4.0}
 
 
-def test_bound_counter_cache_binds_once_per_label_value():
+def test_bound_counter_cache_binds_once_per_label_value(registry):
     from repro.obs.metrics import BoundCounterCache
-    with obs.use_metrics(MetricsRegistry()) as registry:
-        cache = BoundCounterCache("chan.retries", "dst", node="n1")
-        first = cache.get("n2")
-        assert cache.get("n2") is first
-        first.add()
-        cache.get("n3").add(2)
-        assert registry.counter("chan.retries", node="n1",
-                                dst="n2").value == 1
-        assert registry.counter("chan.retries", node="n1",
-                                dst="n3").value == 2
-
-
-def test_bound_counter_cache_keeps_the_registry_of_its_first_use():
-    from repro.obs.metrics import BoundCounterCache
-    cache = BoundCounterCache("c", "k")     # built under no scope at all
-    with obs.use_metrics(MetricsRegistry()) as first:
-        cache.get("v").add()
-    with obs.use_metrics(MetricsRegistry()) as second:
-        cache.get("v").add()
-        cache.get("w").add()                # a label value new under B
-    assert first.counters("c") == {"c{k=v}": 2, "c{k=w}": 1}
-    assert second.counters("c") == {}
+    cache = BoundCounterCache(registry, "chan.retries", "dst", node="n1")
+    first = cache.get("n2")
+    assert cache.get("n2") is first
+    first.add()
+    cache.get("n3").add(2)
+    assert registry.counter("chan.retries", node="n1", dst="n2").value == 1
+    assert registry.counter("chan.retries", node="n1", dst="n3").value == 2
 
 
 # -- label-subset queries ---------------------------------------------------
@@ -315,13 +300,13 @@ def test_flush_hook_must_name_its_instruments(registry):
 def test_network_cells_are_fresh_on_first_read(registry, read, expected):
     # Packets land in the network's books; the first read of a backed
     # name — with no other read before it — must see them all.
-    env = Environment()
+    with obs.use_metrics(registry):
+        env = Environment()
     topology = line(env, length=3, seed=11)
     topology.link_between("n1", "n2").loss = 1.0
     network = Network(env, topology)
     network.host("n1")
-    with obs.use_metrics(registry):
-        for dst in ("n1", "n1", "n1", "n2", "n2"):
-            network.host("n0").send(dst, size=64)
-        env.run()
+    for dst in ("n1", "n1", "n1", "n2", "n2"):
+        network.host("n0").send(dst, size=64)
+    env.run()
     assert read(registry) == expected

@@ -62,11 +62,10 @@ class TestBurnRateAlerts:
 
     def run_monitor(self, schedule, until=60.0):
         env = Environment()
-        registry = MetricsRegistry()
+        registry = env.metrics
         drive(env, registry, schedule)
-        monitor = slo.SLOMonitor(env, [availability()], registry=registry,
-                                 interval=1.0, windows=WINDOWS,
-                                 until=until)
+        monitor = slo.SLOMonitor(env, [availability()], interval=1.0,
+                                 windows=WINDOWS, until=until)
         env.run(until=until + 1.0)
         return monitor
 
@@ -104,12 +103,11 @@ class TestBurnRateAlerts:
 
     def test_alert_counters_and_gauges_recorded(self):
         env = Environment()
-        registry = MetricsRegistry()
+        registry = env.metrics
         drive(env, registry, {(0.0, 10.0): (0, 10),
                               (11.0, 40.0): (20, 0)})
-        monitor = slo.SLOMonitor(env, [availability()], registry=registry,
-                                 interval=1.0, windows=WINDOWS,
-                                 until=40.0)
+        monitor = slo.SLOMonitor(env, [availability()], interval=1.0,
+                                 windows=WINDOWS, until=40.0)
         env.run(until=41.0)
         counters = registry.counters()
         assert counters[
@@ -123,9 +121,7 @@ class TestBurnRateAlerts:
 
     def test_stop_lets_open_ended_run_drain(self):
         env = Environment()
-        registry = MetricsRegistry()
-        monitor = slo.SLOMonitor(env, [availability()],
-                                 registry=registry, windows=WINDOWS)
+        monitor = slo.SLOMonitor(env, [availability()], windows=WINDOWS)
 
         def stopper(env):
             yield env.timeout(5.0)
@@ -150,9 +146,7 @@ class TestQoSIntegration:
 
     def test_qos_slo_burns_on_contract_violations(self):
         env = Environment()
-        registry = MetricsRegistry()
         from repro.net import Network, dumbbell
-        from repro.obs.metrics import use_metrics
         topo = dumbbell(env, left=1, right=1,
                         bottleneck_bandwidth=1e6,
                         bottleneck_latency=0.01)
@@ -165,11 +159,10 @@ class TestQoSIntegration:
                              expected_frames_per_window=10)
         objective = slo.qos_slo("left0->right0", target=0.5)
         slo_monitor = slo.SLOMonitor(
-            env, [objective], registry=registry, interval=1.0,
+            env, [objective], interval=1.0,
             windows=((4.0, 1.0, 1.5, "page"),), until=10.0)
         # No frames are ever delivered: every window violates.
-        with use_metrics(registry):
-            env.run(until=10.0)
+        env.run(until=10.0)
         contract.close()
         assert monitor.counters["violations"] > 0
         assert monitor.counters["windows_ok"] == 0

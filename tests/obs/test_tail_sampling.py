@@ -9,7 +9,7 @@ from repro.obs.tracer import NOOP_TRACER, Tracer
 class DropAll:
     """A head sampler that drops every trace."""
 
-    def sample(self, trace_id, name):
+    def sample(self, trace_id):
         return False
 
 

@@ -6,9 +6,15 @@ import pytest
 
 from repro import obs
 from repro.obs import load_windows
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.timeline import TimelineRecorder
 from repro.sim import Environment
+
+
+def _env():
+    """An environment with a registry of its own (``env.metrics``)."""
+    with use_metrics(MetricsRegistry()):
+        return Environment()
 
 
 def drive(env, registry, period, count, node="n1"):
@@ -24,9 +30,9 @@ def drive(env, registry, period, count, node="n1"):
 
 
 def test_counter_deltas_per_window():
-    env = Environment()
-    registry = MetricsRegistry()
-    recorder = TimelineRecorder(env, registry=registry, resolution=1.0)
+    env = _env()
+    registry = env.metrics
+    recorder = TimelineRecorder(env, resolution=1.0)
     drive(env, registry, 0.25, 10)  # ticks at 0.25 .. 2.5
     env.run()
     recorder.finish()
@@ -39,9 +45,9 @@ def test_counter_deltas_per_window():
 
 
 def test_histogram_stats_cover_only_their_window():
-    env = Environment()
-    registry = MetricsRegistry()
-    recorder = TimelineRecorder(env, registry=registry, resolution=1.0)
+    env = _env()
+    registry = env.metrics
+    recorder = TimelineRecorder(env, resolution=1.0)
     drive(env, registry, 0.25, 10)
     env.run()
     recorder.finish()
@@ -52,9 +58,9 @@ def test_histogram_stats_cover_only_their_window():
 
 
 def test_quiet_windows_still_emitted():
-    env = Environment()
-    registry = MetricsRegistry()
-    recorder = TimelineRecorder(env, registry=registry, resolution=1.0)
+    env = _env()
+    registry = env.metrics
+    recorder = TimelineRecorder(env, resolution=1.0)
 
     def proc(env):
         registry.counter("a").add()
@@ -71,9 +77,9 @@ def test_quiet_windows_still_emitted():
 
 
 def test_finish_flushes_partial_window_and_is_idempotent():
-    env = Environment()
-    registry = MetricsRegistry()
-    recorder = TimelineRecorder(env, registry=registry, resolution=1.0)
+    env = _env()
+    registry = env.metrics
+    recorder = TimelineRecorder(env, resolution=1.0)
     drive(env, registry, 0.3, 5)  # last activity at 1.5
     env.run()
     flushed = recorder.finish()
@@ -86,9 +92,9 @@ def test_finish_flushes_partial_window_and_is_idempotent():
 
 
 def test_retention_ring_evicts_oldest():
-    env = Environment()
-    registry = MetricsRegistry()
-    recorder = TimelineRecorder(env, registry=registry, resolution=1.0,
+    env = _env()
+    registry = env.metrics
+    recorder = TimelineRecorder(env, resolution=1.0,
                                 retention=2)
     drive(env, registry, 0.5, 10)  # 5s of activity
     env.run()
@@ -101,9 +107,9 @@ def test_retention_ring_evicts_oldest():
 
 
 def test_dump_jsonl_round_trips_through_load_windows(tmp_path):
-    env = Environment()
-    registry = MetricsRegistry()
-    recorder = TimelineRecorder(env, registry=registry, resolution=1.0)
+    env = _env()
+    registry = env.metrics
+    recorder = TimelineRecorder(env, resolution=1.0)
     drive(env, registry, 0.25, 10)
     env.run()
     recorder.finish()
@@ -118,10 +124,9 @@ def test_dump_jsonl_round_trips_through_load_windows(tmp_path):
 def test_recorder_does_not_change_event_counts():
     """The zero-event property replay digests rely on."""
     def stats(record):
-        env = Environment()
-        registry = MetricsRegistry()
-        recorder = TimelineRecorder(env, registry=registry,
-                                    resolution=0.5) if record else None
+        env = _env()
+        registry = env.metrics
+        recorder = TimelineRecorder(env, resolution=0.5) if record else None
         drive(env, registry, 0.25, 20)
         env.run()
         if recorder is not None:
@@ -133,9 +138,9 @@ def test_recorder_does_not_change_event_counts():
 
 def test_same_run_twice_is_identical():
     def run():
-        env = Environment()
-        registry = MetricsRegistry()
-        recorder = TimelineRecorder(env, registry=registry, resolution=1.0)
+        env = _env()
+        registry = env.metrics
+        recorder = TimelineRecorder(env, resolution=1.0)
         drive(env, registry, 0.25, 10)
         drive(env, registry, 0.4, 5, node="n2")
         env.run()
@@ -146,9 +151,9 @@ def test_same_run_twice_is_identical():
 
 
 def test_gauges_report_latest_value_only_on_change():
-    env = Environment()
-    registry = MetricsRegistry()
-    recorder = TimelineRecorder(env, registry=registry, resolution=1.0)
+    env = _env()
+    registry = env.metrics
+    recorder = TimelineRecorder(env, resolution=1.0)
 
     def proc(env):
         gauge = registry.gauge("depth")
@@ -168,4 +173,4 @@ def test_gauges_report_latest_value_only_on_change():
 def test_bad_retention_rejected():
     env = Environment()
     with pytest.raises(ValueError):
-        TimelineRecorder(env, registry=MetricsRegistry(), retention=0)
+        TimelineRecorder(env, retention=0)

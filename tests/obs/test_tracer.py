@@ -12,16 +12,17 @@ from repro.sim import Environment
 
 
 @pytest.fixture
-def env():
-    return Environment()
-
-
-@pytest.fixture
 def tracer():
     """A fresh recording tracer installed for the duration of the test."""
     with obs.use_tracer(obs.Tracer()) as tracer:
         with obs.use_metrics(obs.MetricsRegistry()):
             yield tracer
+
+
+@pytest.fixture
+def env(tracer):
+    """An environment built under the test's tracer, which it keeps."""
+    return Environment()
 
 
 def make_wan_runtime(env):
@@ -123,12 +124,13 @@ def test_context_survives_packet_transit(env, tracer):
     assert transmit.parent_id == parent.span_id
 
 
-def test_disabled_tracer_records_nothing(env):
-    assert isinstance(obs.get_tracer(), obs.NoopTracer)
+def test_disabled_tracer_records_nothing():
+    env = Environment()
+    assert isinstance(env.tracer, obs.NoopTracer)
     runtime = make_wan_runtime(env)
     invoke_remotely(env, runtime)
-    assert len(obs.get_tracer()) == 0
-    span = obs.get_tracer().start_span("anything", at=env.now)
+    assert len(env.tracer) == 0
+    span = env.tracer.start_span("anything", at=env.now)
     assert span is obs.NOOP_SPAN
     assert not span.is_recording
 
@@ -200,7 +202,8 @@ def test_hop_rows_materialise_on_read(env, tracer):
         hop.set_attribute("extra", 1)
 
 
-def test_tracer_context_manager_and_scoping(env):
+def test_tracer_context_manager_and_scoping():
+    env = Environment()
     tracer = obs.Tracer()
     with obs.use_tracer(tracer):
         with tracer.span("outer", env, node="x") as outer:

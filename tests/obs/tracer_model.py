@@ -144,7 +144,7 @@ class Tracer:
             trace_id = "t{}".format(next(self._trace_ids))
             parent_id = None
             sampled = True if self.sampler is None \
-                else self.sampler.sample(trace_id, name)
+                else self.sampler.sample(trace_id)
         else:
             trace_id = parent_ctx.trace_id
             parent_id = parent_ctx.span_id

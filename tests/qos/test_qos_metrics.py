@@ -12,9 +12,9 @@ def contract(latency=float("inf")):
 
 
 def test_healthy_windows_count_and_record_distributions():
-    env = Environment()
     registry = MetricsRegistry()
     with use_metrics(registry):
+        env = Environment()
         monitor = QoSMonitor(env, contract(), window=1.0)
 
         def feed(env):
@@ -40,9 +40,9 @@ def test_healthy_windows_count_and_record_distributions():
 
 
 def test_violating_window_counts_a_violation():
-    env = Environment()
     registry = MetricsRegistry()
     with use_metrics(registry):
+        env = Environment()
         monitor = QoSMonitor(env, contract(latency=0.001), window=1.0)
 
         def feed(env):
@@ -57,9 +57,9 @@ def test_violating_window_counts_a_violation():
 
 
 def test_empty_windows_do_not_poison_latency_histogram():
-    env = Environment()
     registry = MetricsRegistry()
     with use_metrics(registry):
+        env = Environment()
         QoSMonitor(env, contract(), window=1.0)
         env.run(until=3.5)
 

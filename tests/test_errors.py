@@ -48,7 +48,9 @@ from repro.net import (
     periodic_trace,
 )
 from repro.node import EngineeringObject, Ids, ODPRuntime
+from repro.obs import slo
 from repro.obs.flight import FlightRecorder
+from repro.obs.timeline import TimelineRecorder
 from repro.qos import QoSContract, QoSMonitor, QoSParameters
 from repro.run import RunSpec
 from repro.sessions import (
@@ -632,3 +634,53 @@ def test_a_flight_retention_argument_is_rejected_by_name(field, kwargs):
     range raises ``IndexError`` at the first fold."""
     with pytest.raises(ValueError, match="^" + re.escape(field) + " must "):
         FlightRecorder(**kwargs)
+
+
+# -- ... and at an SLO monitor and a timeline, before their first window ---------
+
+def _slo_monitor(**kwargs):
+    objective = slo.CounterRatioSLO("svc", good=("svc", {"outcome": "ok"}),
+                                    bad=("svc", {"outcome": "err"}),
+                                    target=0.9)
+    return slo.SLOMonitor(Environment(), [objective], **kwargs)
+
+
+_WATCH_BOUNDS = [
+    ("SLOMonitor.interval-nan", errors.QoSError, "interval",
+     lambda: _slo_monitor(interval=_NAN)),
+    ("SLOMonitor.factor-nan", errors.QoSError, "burn-rate factor",
+     lambda: _slo_monitor(windows=((10.0, 2.0, _NAN, "page"),))),
+    ("SLOMonitor.long-window-nan", errors.QoSError, "long window",
+     lambda: _slo_monitor(windows=((_NAN, 2.0, 4.0, "page"),))),
+    ("SLOMonitor.short-window-nan", errors.QoSError, "short window",
+     lambda: _slo_monitor(windows=((10.0, _NAN, 4.0, "page"),))),
+    ("SLOMonitor.windows-negative", errors.QoSError, "long window",
+     lambda: _slo_monitor(windows=((-1.0, -2.0, 4.0, "page"),))),
+    ("SLOMonitor.until-nan", errors.QoSError, "until",
+     lambda: _slo_monitor(until=_NAN)),
+    ("TimelineRecorder.retention-nan", ValueError, "retention",
+     lambda: TimelineRecorder(Environment(), retention=_NAN)),
+    ("TimelineRecorder.retention-float", ValueError, "retention",
+     lambda: TimelineRecorder(Environment(), retention=2.5)),
+    ("TimelineRecorder.retention-bool", ValueError, "retention",
+     lambda: TimelineRecorder(Environment(), retention=True)),
+    ("TimelineRecorder.resolution-nan", ValueError, "resolution",
+     lambda: TimelineRecorder(Environment(), resolution=_NAN)),
+    ("TimelineRecorder.resolution-zero", ValueError, "resolution",
+     lambda: TimelineRecorder(Environment(), resolution=0)),
+]
+
+
+@pytest.mark.parametrize("error, field, build",
+                         [case[1:] for case in _WATCH_BOUNDS],
+                         ids=[case[0] for case in _WATCH_BOUNDS])
+def test_a_watcher_argument_out_of_range_is_rejected_by_name(error, field,
+                                                            build):
+    """Unchecked, ``interval=nan`` dies in the run as the kernel's
+    anonymous "delay is not a time"; a NaN or negative window, a NaN
+    factor or ``until=nan`` is taken and the monitor then never alerts
+    or never evaluates; ``retention=nan`` or ``2.5`` fails as the ring's
+    bare ``TypeError``, ``retention=True`` keeps one window, and a bad
+    resolution is reported as the kernel's "window interval"."""
+    with pytest.raises(error, match="^" + re.escape(field) + " must "):
+        build()
