@@ -89,7 +89,7 @@ class TransactionManager:
         if key in txn.workspace:
             return txn.workspace[key]
         if key in self.store:
-            return self.store.read(key, reader=txn.owner)
+            return self.store.read(key, reader=txn.owner, at=self.env.now)
         return None
 
     def write(self, txn: Transaction, key: str, value: Any):

@@ -160,12 +160,15 @@ class TransactionGroup:
         self.committed = True
         self.counters.incr("commits")
 
-    def group_value(self, key: str) -> Any:
-        """The value a member sees: uncommitted if present, else store."""
+    def group_value(self, key: str, reader: str = "") -> Any:
+        """The value a member sees: uncommitted if present, else store.
+
+        A read of the store is recorded as ``reader``'s, now.
+        """
         if key in self._uncommitted:
             return self._uncommitted[key][0]
         if key in self.store:
-            return self.store.read(key)
+            return self.store.read(key, reader=reader, at=self.env.now)
         return None
 
     # -- internals -----------------------------------------------------------
@@ -203,7 +206,7 @@ class TransactionGroup:
         if overlapping_writer and key in self._uncommitted \
                 and self._uncommitted[key][1] != member:
             self.counters.incr("cooperative_reads")
-        event.succeed(self.group_value(key))
+        event.succeed(self.group_value(key, reader=member))
 
     def _drain(self) -> None:
         progressed = True

@@ -86,7 +86,7 @@ class Host:
              port: int = 0, headers: Optional[Dict[str, Any]] = None) -> Packet:
         """Send a datagram (fire-and-forget); returns the packet."""
         packet = Packet(self.name, dst, payload, size, port,
-                        self.env._now, headers)
+                        self.env.now, headers)
         self.sent += 1
         self.network.transmit(packet)
         return packet
@@ -192,7 +192,7 @@ class _Carrier(PriorityRequest):
             self._deliver()
             return
         env = self.env
-        now = env._now
+        now = env.now
         node = self.node
         self.hop = self.tracer.start_hop(
             self.transit, now, link.label, node, self.wire_size) \
@@ -254,7 +254,7 @@ class _Carrier(PriorityRequest):
             link.stats.drops += 1
             if hop is not None:
                 hop.status = "dropped"
-                hop.end = env._now
+                hop.end = env.now
             self._finish(self.network._drop, self.packet, drop_reason,
                          self.transit, link)
             return
@@ -263,7 +263,7 @@ class _Carrier(PriorityRequest):
             delay += link._rng.uniform(0, link.jitter)
         self.callbacks = _ON_ARRIVE
         env._eid += 1
-        env._push(env._now + delay, _NORMAL_BASE + env._eid, self)
+        env._push(env.now + delay, _NORMAL_BASE + env._eid, self)
 
     def _on_arrive(self) -> None:  # repro: fast-path (RPR204)
         """Propagation complete: book the hop, go on to the next."""
@@ -281,7 +281,7 @@ class _Carrier(PriorityRequest):
                                    packet.port, span=hop)
         self.node = link.b if node == link.a else link.a
         if hop is not None:
-            hop.end = self.env._now
+            hop.end = self.env.now
         self._claim()
 
     def _deliver(self) -> None:
@@ -293,7 +293,7 @@ class _Carrier(PriorityRequest):
         if target is None:
             self._finish(network._drop, packet, "no-host", self.transit)
             return
-        now = self.env._now
+        now = self.env.now
         delivered = network._delivered
         delivered[dst] = delivered.get(dst, 0) + 1
         network.delivery_latency.record(now - packet.created_at)

@@ -205,7 +205,7 @@ class FlightRecorder:
         env = self._env
         if env is None:
             return 0.0
-        now = env._now
+        now = env.now
         while self._boundary * EPOCH_INTERVAL <= now < _INFINITY:
             self._roll()
             self._boundary += 1

@@ -46,6 +46,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 from repro.obs.metrics import Tally
 from repro.obs.tracer import _require_size
 
+_INFINITY = float("inf")
+
 
 def _window_summary(values: List[float]) -> Dict[str, float]:
     """Distribution stats over one window's observations."""
@@ -90,6 +92,14 @@ class TimelineRecorder:
             raise ValueError(
                 "resolution must be positive, got {!r}".format(resolution))
         _require_size("retention", retention)
+        if start is None:
+            start = env.now
+        elif not env.now <= start < _INFINITY:  # also rejects NaN
+            # An earlier anchor would flush empty windows for time the
+            # run never had; an infinite one would never flush at all.
+            raise ValueError(
+                "start must be a finite time no earlier than now ({}), "
+                "got {!r}".format(env.now, start))
         self.env = env
         self.resolution = float(resolution)
         self.retention = retention
@@ -102,7 +112,7 @@ class TimelineRecorder:
         self._counter_last: Dict[str, int] = {}
         self._hist_seen: Dict[str, int] = {}
         self._gauge_seen: Dict[str, int] = {}
-        self._last_boundary = env.now if start is None else float(start)
+        self._last_boundary = float(start)
         self._closed = False
         env.set_window_hook(self.resolution, self._on_boundary,
                             start=self._last_boundary)

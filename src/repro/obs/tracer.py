@@ -44,6 +44,8 @@ class Tracer:
     memory stays bounded even at rate 1.0.
     """
 
+    enabled = True
+
     def __init__(self, sampler: Optional[Sampler] = None,
                  max_spans: Optional[int] = None,
                  tail_keep_errors: bool = False,
@@ -80,10 +82,6 @@ class Tracer:
         self.sampled_out = 0
         #: Head-sampled-out spans rescued by tail sampling.
         self.tail_promoted = 0
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     def start_span(self, name: str, at: float, parent: ParentLike = None,
                    **attributes: Any) -> Span:
@@ -225,6 +223,7 @@ class Tracer:
 class NoopTracer:
     """The disabled tracer: records nothing, allocates nothing."""
 
+    enabled = False
     spans: Tuple[Span, ...] = ()
     sampler: Optional[Sampler] = None
     max_spans: Optional[int] = None
@@ -236,10 +235,6 @@ class NoopTracer:
 
     def tail_flush(self) -> int:
         return 0
-
-    @property
-    def enabled(self) -> bool:
-        return False
 
     def start_span(self, name: str, at: float, parent: ParentLike = None,
                    **attributes: Any) -> NoopSpan:

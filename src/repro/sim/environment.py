@@ -67,7 +67,9 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time in seconds: written by run() and
+        #: step() only, read by everything that holds the environment.
+        self.now = float(initial_time)
         self._eid = 0
         self._active_process: Optional[Process] = None
         # The heap of pending ``(time, key, event)`` entries.
@@ -104,11 +106,6 @@ class Environment:
         self.sanitizer = get_sanitizer()
         flight = get_flight()
         self._flight: Optional[Any] = flight if flight.enabled else None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_scheduled(self) -> int:
@@ -153,7 +150,7 @@ class Environment:
         event.defused = False
         event.delay = delay
         self._eid += 1
-        self._push(self._now + delay, _NORMAL_BASE + self._eid, event)
+        self._push(self.now + delay, _NORMAL_BASE + self._eid, event)
         return event
 
     def process(self, generator, name: Optional[str] = None) -> Process:
@@ -171,11 +168,11 @@ class Environment:
         if name is not None:
             tracer = self.tracer
             if tracer.enabled:
-                span = tracer.start_span("actor.run", at=self._now,
+                span = tracer.start_span("actor.run", at=self.now,
                                          actor=name)
                 process.span = span
                 process.callbacks.append(
-                    lambda _event: span.finish(at=self._now))
+                    lambda _event: span.finish(at=self.now))
             flight = self._flight
             if flight is not None:
                 flight.record_spawn(name)
@@ -195,7 +192,7 @@ class Environment:
         if not delay >= 0:
             raise SimulationError(_bad_delay(delay))
         self._eid += 1
-        self._push(self._now + delay,
+        self._push(self.now + delay,
                    (priority << _PRIORITY_SHIFT) + self._eid, event)
 
     def _push(self, time: float, key: int, event: Event) -> None:
@@ -238,7 +235,7 @@ class Environment:
             raise SimulationError("a window hook is already installed")
         self._window_hook = callback
         self._window_interval = float(interval)
-        self._window_anchor = self._now if start is None else float(start)
+        self._window_anchor = self.now if start is None else float(start)
         self._window_index = 1
         self._window_next = self._window_anchor + self._window_interval
 
@@ -260,7 +257,7 @@ class Environment:
         boundary to stop at.
         """
         hook = self._window_hook
-        while self._window_next <= self._now < Infinity:
+        while self._window_next <= self.now < Infinity:
             boundary = self._window_next
             self._window_index += 1
             self._window_next = self._window_anchor \
@@ -282,8 +279,8 @@ class Environment:
         self._attach_flight()
         if not self._queue:
             raise EmptySchedule("no more events")
-        self._now, _, event = heappop(self._queue)
-        if self._now >= self._window_next:
+        self.now, _, event = heappop(self._queue)
+        if self.now >= self._window_next:
             self._fire_window_hook()
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
@@ -308,16 +305,16 @@ class Environment:
                 until_event = until
             else:
                 at = float(until)
-                if not at >= self._now:
+                if not at >= self.now:
                     if at != at:
                         raise SimulationError("until is not a time: nan")
                     raise SimulationError(
                         "until ({}) is in the past (now={})".format(
-                            at, self._now))
+                            at, self.now))
                 until_event = Event(self)
                 until_event._ok = True
                 until_event._value = None
-                self.schedule(until_event, priority=0, delay=at - self._now)
+                self.schedule(until_event, priority=0, delay=at - self.now)
             if until_event.callbacks is None:
                 # The event has already been processed; nothing to run.
                 return until_event.value if until_event.ok else None
@@ -340,7 +337,7 @@ class Environment:
             # setup.
             while queue:
                 now, _, event = heappop(queue)
-                self._now = now
+                self.now = now
                 if now >= self._window_next:
                     self._fire_window_hook()
                 processed += 1
@@ -366,7 +363,7 @@ class Environment:
     def stats(self) -> dict:
         """Event-loop counters (for the observability snapshot)."""
         return {
-            "now": self._now,
+            "now": self.now,
             "events_scheduled": self.events_scheduled,
             "events_processed": self.events_processed,
             "queue_depth": len(self._queue),

@@ -117,7 +117,7 @@ class Initialize(Event):
 
     def __init__(self, env: "Environment", process: "Process") -> None:
         super().__init__(env)
-        self.callbacks.append(process._resume)
+        self.callbacks.append(process._wake)
         self._ok = True
         env.schedule(self, priority=URGENT)
 
@@ -125,7 +125,7 @@ class Initialize(Event):
 class Process(Event):
     """A running generator coroutine; also an event that fires on return."""
 
-    __slots__ = ("_generator", "span")
+    __slots__ = ("_generator", "span", "_wake")
 
     def __init__(self, env: "Environment", generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -136,6 +136,11 @@ class Process(Event):
         #: ``actor.run`` span when the process was named under a recording
         #: tracer (set by :meth:`Environment.process`); ``None`` otherwise.
         self.span = None
+        # The wake-up callback every wait re-arms with, bound once
+        # instead of once per wait.  It refers back to the process, so
+        # _resume drops it when the generator ends: a process that
+        # returns is then freed by refcount, not by the cycle collector.
+        self._wake = self._resume
         Initialize(env, self)
 
     @property
@@ -163,12 +168,14 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = getattr(stop, "value", None)
+                self._wake = None
                 env.schedule(self)
                 break
             except BaseException as error:
                 self._ok = False
                 self._exception = error
                 self.defused = False
+                self._wake = None
                 env.schedule(self)
                 break
 
@@ -179,13 +186,14 @@ class Process(Event):
                 generator.close()
                 self._ok = False
                 self._exception = error
+                self._wake = None
                 env.schedule(self)
                 break
 
             if next_event.callbacks is not None:
                 # The event is still pending or triggered-but-unprocessed:
                 # subscribe and stop advancing until it fires.
-                next_event.callbacks.append(self._resume)
+                next_event.callbacks.append(self._wake)
                 break
             # The event was already processed: continue immediately with
             # its stored value / exception.

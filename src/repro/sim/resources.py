@@ -105,7 +105,7 @@ class PriorityResource:
     def _grant(self, request: PriorityRequest) -> None:
         self.users.append(request)
         env = self.env
-        request.usage_since = env._now
+        request.usage_since = env.now
         # request.succeed(request) inlined (one grant per packet hop);
         # a double trigger still raises, via schedule-time state instead.
         if request._ok is not None:
@@ -113,7 +113,7 @@ class PriorityResource:
         request._ok = True
         request._value = request
         env._eid += 1
-        env._push(env._now + request.grant_delay,
+        env._push(env.now + request.grant_delay,
                   _NORMAL_BASE + env._eid, request)
 
     def _grant_waiters(self) -> None:

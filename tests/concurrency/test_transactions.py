@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.hb import ConflictSanitizer, use_sanitizer
 from repro.concurrency import (
     ABORTED,
     COMMITTED,
@@ -261,3 +262,24 @@ def test_serialisability_of_counter_increments(env, tm):
     env.process(incrementer(env, "bob"))
     env.run()
     assert tm.store.read("counter") == 10
+
+
+def test_a_transactional_read_is_recorded_as_its_readers_now():
+    """The sanitizer sees who read and when, not an anonymous read at
+    t=0."""
+    with use_sanitizer(ConflictSanitizer()) as sanitizer:
+        env = Environment()
+    tm = TransactionManager(env, SharedStore("d", env=env))
+    tm.store.write("doc", "v0", writer="bob", at=0.0)
+
+    def root(env):
+        yield env.timeout(5.0)
+        txn = tm.begin("ann")
+        return (yield from tm.read(txn, "doc"))
+
+    proc = env.process(root(env))
+    env.run(proc)
+    assert proc.value == "v0"
+    assert [(access.kind, access.actor, access.at)
+            for access in sanitizer.accesses] \
+        == [("write", "bob", 0.0), ("read", "ann", 5.0)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.hb import ConflictSanitizer, use_sanitizer
 from repro.concurrency import (
     SharedStore,
     TransactionGroup,
@@ -180,3 +181,23 @@ def test_tailoring_with_custom_rule(env):
 
     proc = env.process(root(env))
     env.run(proc)
+
+
+def test_a_group_read_is_recorded_as_its_members_now():
+    with use_sanitizer(ConflictSanitizer()) as sanitizer:
+        env = Environment()
+    store = SharedStore("d", env=env)
+    store.write("k", "committed", writer="bob", at=0.0)
+    group = TransactionGroup(env, store)
+    group.add_member("alice")
+
+    def root(env):
+        yield env.timeout(2.5)
+        return (yield group.read("alice", "k"))
+
+    proc = env.process(root(env))
+    env.run(proc)
+    assert proc.value == "committed"
+    assert [(access.kind, access.actor, access.at)
+            for access in sanitizer.accesses] \
+        == [("write", "bob", 0.0), ("read", "alice", 2.5)]

@@ -19,13 +19,13 @@ from repro.run import RunSpec, journal, run
 def _fork_pair(draws=20, fork_at=13):
     """Two synthetic journals, one draw per 0.125 s of a stub clock (four
     per epoch), forking at one injected RNG draw."""
-    clock = SimpleNamespace(_now=0.0)
+    clock = SimpleNamespace(now=0.0)
     run_a = FlightRecorder(ring=1 << 10)
     run_b = FlightRecorder(ring=1 << 10)
     run_a.attach(clock)
     run_b.attach(clock)
     for index in range(draws):
-        clock._now = index * 0.125
+        clock.now = index * 0.125
         for recorder in (run_a, run_b):
             recorder.record_rng("s", "random", index)
         if index == fork_at:

@@ -26,7 +26,7 @@ from repro.sim.rng import RandomStreams
 
 def _clocked(recorder):
     """Attach ``recorder`` to a fresh stub clock at 0.0; the clock."""
-    clock = SimpleNamespace(_now=0.0)
+    clock = SimpleNamespace(now=0.0)
     recorder.attach(clock)
     return clock
 
@@ -35,7 +35,7 @@ def _feed(recorder, draws):
     """One draw per 0.125 s of a stub clock: four per epoch."""
     clock = _clocked(recorder)
     for index in range(draws):
-        clock._now = index * 0.125
+        clock.now = index * 0.125
         recorder.record_rng("s", "random", index)
 
 
@@ -74,7 +74,7 @@ def test_epoch_interval_rolls_at_time_boundaries():
     recorder = FlightRecorder()
     clock = _clocked(recorder)
     for time in [0.1, 0.25, 0.6, 0.95, 1.75]:
-        clock._now = time
+        clock.now = time
         recorder.record_rng("s", "random", time)
     # t=0.6 passed boundary 1; t=1.75 passed boundaries 2 and 3.
     assert recorder.epoch == 3
@@ -82,7 +82,7 @@ def test_epoch_interval_rolls_at_time_boundaries():
     assert epochs == [0, 0, 1, 1, 3]
     # Boundaries the clock passes after the last record close (empty)
     # epochs too, once somebody looks.
-    clock._now = 2.5
+    clock.now = 2.5
     assert recorder.epoch == 5
     recorder.finish()
     assert len(recorder.epoch_digests) == 5
@@ -122,7 +122,7 @@ def test_digests_differ_on_injected_fork():
     _feed(run_a, 10)
     clock = _clocked(run_b)
     for index in range(10):
-        clock._now = index * 0.125
+        clock.now = index * 0.125
         run_b.record_rng("s", "random", index)
         if index == 6:                  # one extra draw in epoch 1
             run_b.record_rng("s", "random", 0.123)
@@ -214,7 +214,7 @@ class _EagerJournal:
 
     def tick(self):
         """Roll the boundaries the attached clock has passed; its time."""
-        now = 0.0 if self.env is None else self.env._now
+        now = 0.0 if self.env is None else self.env.now
         while self.boundary * EPOCH_INTERVAL <= now < float("inf"):
             self.roll()
             self.boundary += 1
@@ -297,7 +297,7 @@ def _exercise(recorder, streams=("s", 'we"ird\\')):
     clock = _clocked(recorder)
     times = [0, 1, 0.1, 1.5e-9, 123.45678901234567, 2.0 ** -40]
     for index, time in enumerate(times):
-        clock._now = time
+        clock.now = time
         for stream in streams:
             recorder.record_rng(stream, "random", 0.5 + index)
             recorder.record_rng(stream, "getrandbits", index * 7)
@@ -332,7 +332,7 @@ def test_labels_needing_escapes_take_the_generic_encoder():
     for recorder in (fast, slow):
         clock = _clocked(recorder)
         for index, label in enumerate(labels + labels[-20:]):
-            clock._now = index * 0.03125
+            clock.now = index * 0.03125
             recorder.record_hop(label, "a", label, "b", 9)
             recorder.record_rng(label, "random", 0.25)
         recorder.finish()
@@ -405,11 +405,11 @@ def test_folding_is_indistinguishable_from_eager_journalling(
     # wherever they fall: after every step, or only at the drawn "read"
     # steps — so the buffer folded at a roll or a read holds anything
     # from one record to several times the ring.
-    clocks = [SimpleNamespace(_now=0.0), SimpleNamespace(_now=0.0)]
+    clocks = [SimpleNamespace(now=0.0), SimpleNamespace(now=0.0)]
     fast, slow = FlightRecorder(**config), _EagerJournal(**config)
     for step in steps:
         if step[0] == "tick":
-            clocks[step[1]]._now = step[2]
+            clocks[step[1]].now = step[2]
         elif step[0] == "attach":
             for recorder in (fast, slow):
                 recorder.attach(clocks[step[1]])

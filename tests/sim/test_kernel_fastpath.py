@@ -1,11 +1,23 @@
 """The kernel fast paths must behave exactly like the generic paths."""
 
+import ast
+import gc
+import os
+import weakref
+
 import pytest
 
+from repro.analysis.lint import iter_python_files, lint_source
+from repro.concurrency.locks import EXCLUSIVE, LockTable
 from repro.errors import SimulationError
 from repro.sim import Environment, Event, PriorityResource, Store, Timeout
 from repro.sim.events import NORMAL, URGENT
 from repro.sim.resources import PriorityRequest
+
+from tests.counting import CountingEnvironment
+
+SRC = os.path.normpath(os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "src"))
 
 
 @pytest.fixture
@@ -199,3 +211,106 @@ def test_store_put_queues_nothing_and_hands_items_on_in_order(env):
     assert seen == [(0.1, 0), (0.1 + 0.1, 1), (0.1 + 0.1 + 0.1, 2)]
     assert (env.now, len(store)) == (0.1 + 0.1 + 0.1, 0)
     assert env.events_processed == env.events_scheduled == 10
+
+
+# -- one clock, one wake-up callback, one queued event per grant ----------
+
+def test_the_clock_is_one_attribute_and_rpr006_sees_every_read_of_it():
+    """``now`` is a plain attribute the run loop writes, with no private
+    twin: every clock read in ``src/`` is spelt ``.now``, which is what
+    RPR006 matches, so a float ``==`` on any of them is flagged."""
+    env = Environment(initial_time=2.5)
+    assert "now" not in vars(Environment) and vars(env)["now"] == 2.5
+    env.timeout(1.0)
+    env.run()
+    assert vars(env)["now"] == 3.5
+    reads = {"now": 0, "_now": 0}
+    for path in iter_python_files([SRC]):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in reads:
+                reads[node.attr] += 1
+    assert reads["_now"] == 0 and reads["now"] > 0
+    for read in ("env.now", "self.env.now", "self.now", "clock.now"):
+        for compare in ("==", "!="):
+            source = "def f(x):\n    return {} {} x\n".format(read, compare)
+            assert [finding.code for finding in lint_source(source, "t.py")] \
+                == ["RPR006"], source
+
+
+def test_a_process_rearms_every_wait_with_one_callback(env):
+    waits = [env.timeout(1.0), env.timeout(2.0)]
+
+    def worker(env):
+        for wait in waits:
+            yield wait
+
+    env.process(worker(env))
+    env.step()                  # the process starts and waits on waits[0]
+    wake = waits[0].callbacks[-1]
+    env.run(until=1.5)          # ... and is woken, then waits on waits[1]
+    assert waits[1].callbacks[-1] is wake
+
+
+def test_a_finished_process_is_freed_by_refcount(env):
+    """The wake-up callback refers back to its process; the process
+    drops it when its generator returns, so nothing is left for the
+    cycle collector."""
+    def worker(env):
+        yield env.timeout(1.0)
+        yield env.timeout(1.0)
+        return "done"
+
+    generator = worker(env)
+    ref = weakref.ref(generator)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env.process(generator)
+        del generator
+        env.run()
+        alive = ref() is not None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert not alive
+
+
+def _raises(env):
+    yield env.timeout(1.0)
+    raise KeyError("bang")
+
+
+def _yields_a_non_event(env):
+    yield env.timeout(1.0)
+    yield "not an event"
+
+
+@pytest.mark.parametrize("body", [_raises, _yields_a_non_event])
+def test_a_failed_process_lets_go_of_its_callback(env, body):
+    """A failure keeps its traceback, which refers to the frames it
+    passed, so it is the cycle collector's either way; the process
+    still drops its wake-up callback."""
+    def parent(env, child):
+        try:
+            yield child
+        except (KeyError, SimulationError):
+            pass
+
+    process = env.process(body(env))
+    env.process(parent(env, process))
+    env.run()
+    assert not process.ok and process._wake is None
+
+
+def test_an_immediate_lock_grant_queues_one_event():
+    env = CountingEnvironment()
+    table = LockTable(env)
+    granted = table.acquire("k", "ann", EXCLUSIVE)
+    assert (granted.triggered, granted.ok, env.pushes) == (True, True, 1)
+    assert granted.value.owner == "ann"
+    waiting = table.acquire("k", "bob", EXCLUSIVE)
+    assert (waiting.triggered, env.pushes) == (False, 1)
+    env.run()
+    assert env.now == 0.0 and env.pushes == 1

@@ -668,6 +668,12 @@ _WATCH_BOUNDS = [
      lambda: TimelineRecorder(Environment(), resolution=_NAN)),
     ("TimelineRecorder.resolution-zero", ValueError, "resolution",
      lambda: TimelineRecorder(Environment(), resolution=0)),
+    ("TimelineRecorder.start-nan", ValueError, "start",
+     lambda: TimelineRecorder(Environment(), start=_NAN)),
+    ("TimelineRecorder.start-infinite", ValueError, "start",
+     lambda: TimelineRecorder(Environment(), start=_INF)),
+    ("TimelineRecorder.start-before-now", ValueError, "start",
+     lambda: TimelineRecorder(Environment(), start=-5.0)),
 ]
 
 
@@ -681,6 +687,9 @@ def test_a_watcher_argument_out_of_range_is_rejected_by_name(error, field,
     factor or ``until=nan`` is taken and the monitor then never alerts
     or never evaluates; ``retention=nan`` or ``2.5`` fails as the ring's
     bare ``TypeError``, ``retention=True`` keeps one window, and a bad
-    resolution is reported as the kernel's "window interval"."""
+    resolution is reported as the kernel's "window interval".  A NaN
+    start is the kernel's "window start", an infinite one never flushes
+    a window, and ``start=-5.0`` at t=0 flushes five empty windows
+    before the first event."""
     with pytest.raises(error, match="^" + re.escape(field) + " must "):
         build()
