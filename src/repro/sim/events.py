@@ -173,8 +173,8 @@ class Process(Event):
                 break
             except BaseException as error:
                 self._ok = False
-                self._exception = error
-                self.defused = False
+                self._exception = error.with_traceback(
+                    error.__traceback__.tb_next)
                 self._wake = None
                 env.schedule(self)
                 break

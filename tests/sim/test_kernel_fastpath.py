@@ -3,6 +3,7 @@
 import ast
 import gc
 import os
+import re
 import weakref
 
 import pytest
@@ -16,8 +17,8 @@ from repro.sim.resources import PriorityRequest
 
 from tests.counting import CountingEnvironment
 
-SRC = os.path.normpath(os.path.join(
-    os.path.dirname(__file__), os.pardir, os.pardir, "src"))
+ROOT = os.path.normpath(os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir))
 
 
 @pytest.fixture
@@ -215,28 +216,60 @@ def test_store_put_queues_nothing_and_hands_items_on_in_order(env):
 
 # -- one clock, one wake-up callback, one queued event per grant ----------
 
+def private_clocks(root):
+    """Lines under ``root``'s ``src/`` and ``tests/`` that read a private
+    twin of the clock, and kernel lines that define ``now``."""
+    twin = re.compile(r"[.]_now\b")  # spelt so that it does not match itself
+    kernel = os.path.join(root, "src", "repro", "sim", "environment.py")
+    found = []
+    for path in iter_python_files([os.path.join(root, "src"),
+                                   os.path.join(root, "tests")]):
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        found += ["{}:{}".format(path, number)
+                  for number, line in enumerate(lines, 1)
+                  if twin.search(line)
+                  or (path == kernel and re.search(r"def now\b", line))]
+    return found
+
+
 def test_the_clock_is_one_attribute_and_rpr006_sees_every_read_of_it():
     """``now`` is a plain attribute the run loop writes, with no private
-    twin: every clock read in ``src/`` is spelt ``.now``, which is what
-    RPR006 matches, so a float ``==`` on any of them is flagged."""
+    twin: every clock read in ``src/`` and ``tests/`` is spelt ``.now``,
+    which is what RPR006 matches, so a float ``==`` on any of them is
+    flagged."""
     env = Environment(initial_time=2.5)
     assert "now" not in vars(Environment) and vars(env)["now"] == 2.5
     env.timeout(1.0)
     env.run()
     assert vars(env)["now"] == 3.5
-    reads = {"now": 0, "_now": 0}
-    for path in iter_python_files([SRC]):
+    assert private_clocks(ROOT) == []
+    reads = 0
+    for path in iter_python_files([os.path.join(ROOT, "src")]):
         with open(path, encoding="utf-8") as handle:
             tree = ast.parse(handle.read(), filename=path)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr in reads:
-                reads[node.attr] += 1
-    assert reads["_now"] == 0 and reads["now"] > 0
+        reads += sum(isinstance(node, ast.Attribute) and node.attr == "now"
+                     for node in ast.walk(tree))
+    assert reads > 0
     for read in ("env.now", "self.env.now", "self.now", "clock.now"):
         for compare in ("==", "!="):
             source = "def f(x):\n    return {} {} x\n".format(read, compare)
             assert [finding.code for finding in lint_source(source, "t.py")] \
                 == ["RPR006"], source
+
+
+@pytest.mark.parametrize("path, line", [
+    ("tests/test_planted.py", "return x." "_now"),
+    ("src/repro/planted.py", "return x." "_now"),
+    ("src/repro/sim/environment.py", "def now(self):"),
+])
+def test_a_private_clock_planted_in_a_tree_is_caught(tmp_path, path, line):
+    """A private clock read under ``tests/`` is caught as one under
+    ``src/`` is, and so is a ``now`` defined in the kernel."""
+    planted = tmp_path / path
+    planted.parent.mkdir(parents=True)
+    planted.write_text(line + "\n")
+    assert private_clocks(str(tmp_path)) == [str(planted) + ":1"]
 
 
 def test_a_process_rearms_every_wait_with_one_callback(env):
@@ -289,9 +322,8 @@ def _yields_a_non_event(env):
 
 @pytest.mark.parametrize("body", [_raises, _yields_a_non_event])
 def test_a_failed_process_lets_go_of_its_callback(env, body):
-    """A failure keeps its traceback, which refers to the frames it
-    passed, so it is the cycle collector's either way; the process
-    still drops its wake-up callback."""
+    """A process that fails, by raising or by yielding a non-event,
+    drops its wake-up callback just as one that returns does."""
     def parent(env, child):
         try:
             yield child
@@ -302,6 +334,42 @@ def test_a_failed_process_lets_go_of_its_callback(env, body):
     env.process(parent(env, process))
     env.run()
     assert not process.ok and process._wake is None
+
+
+def test_a_failed_process_is_freed_by_refcount(env):
+    """The stored failure's traceback starts in the generator, not in
+    the kernel frame that holds the process, so a raising child that
+    its parent catches forms no cycle with its process."""
+    refs = []
+
+    def child(env):
+        generator = _raises(env)
+        refs.append(weakref.ref(generator))
+        return env.process(generator)
+
+    def parent(env):
+        try:
+            yield child(env)
+        except KeyError:
+            pass
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env.process(parent(env))
+        env.run()
+        alive = refs[0]() is not None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert not alive
+
+
+def test_a_defused_process_that_raises_does_not_fail_the_run(env):
+    process = env.process(_raises(env))
+    process.defuse()
+    env.run()
+    assert not process.ok and isinstance(process.value, KeyError)
 
 
 def test_an_immediate_lock_grant_queues_one_event():
