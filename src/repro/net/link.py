@@ -33,7 +33,9 @@ class Link:
     Each direction has its own transmission channel (packets serialise on
     it at ``bandwidth`` bits/s) followed by a propagation delay of
     ``latency`` seconds, optionally perturbed by uniform ``jitter`` and
-    subject to independent ``loss`` probability per packet.
+    subject to independent ``loss`` probability per packet.  The packet
+    carrier (``repro.net.network._Carrier``) makes those draws: it is the
+    only code that reads ``_rng``.
     """
 
     def __init__(self, env: Environment, a: str, b: str,
@@ -90,33 +92,9 @@ class Link:
             raise NetworkError(
                 "{} is not an endpoint of {}".format(from_node, self))
 
-    # NOTE: repro.net.network's _Carrier inlines transmission_delay,
-    # drops_packet and propagation_delay in its per-hop methods.  If
-    # the semantics here change — especially *when* the RNG is drawn,
-    # which replay digests depend on — update it to match.  The carrier
-    # additionally attributes each drop: a downed link is "link-down"
-    # (no draw, as here); otherwise draws below ``loss`` are "loss" and
-    # draws in the ``_extra_loss`` band above it are "impairment".
-
     def transmission_delay(self, wire_bytes: int) -> float:
         """Seconds to clock ``wire_bytes`` onto the link."""
         return (wire_bytes * 8.0) / self.bandwidth
-
-    def propagation_delay(self) -> float:
-        """Latency (scaled by any active storm) plus a jitter draw."""
-        delay = self.latency * self._latency_scale
-        if self.jitter <= 0:
-            return delay
-        return delay + self._rng.uniform(0, self.jitter)
-
-    def drops_packet(self) -> bool:
-        """Bernoulli loss draw (also true while the link is down)."""
-        if not self.up:
-            return True
-        probability = self.loss + self._extra_loss
-        if probability <= 0:
-            return False
-        return self._rng.random() < min(probability, 1.0)
 
     def set_up(self, up: bool) -> None:
         """Administratively raise or cut the link."""

@@ -4,15 +4,16 @@ The paper (§4.2.2-iv) requires *multicast transport protocols ... to enable
 group communication of continuous media*.  This module implements source-
 rooted shortest-path-tree multicast: a packet traverses each tree link once,
 in contrast to repeated unicast which re-sends it along every member's whole
-path.  Experiment E9 compares the two.
+path.  Experiment E9 compares the two.  Each tree edge is a flight of
+the network's carrier, booked as a unicast hop is.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import GroupError, NetworkError, RoutingError
-from repro.net.network import Network
+from repro.errors import GroupError, RoutingError
+from repro.net.network import Network, _Carrier
 from repro.net.packet import Packet
 
 
@@ -73,24 +74,26 @@ class MulticastService:
         # loopback its copy is delivered directly below.  Members go out
         # in name order, not the set's hash order.
         targets = sorted(member for member in group.members if member != src)
-        packets: List[Packet] = []
         tree = self._build_tree(src, targets)
-        packet_for: Dict[str, Packet] = {}
-        for member in targets:
-            packet = Packet(src, member, payload=payload, size=size,
-                            port=dst_port, created_at=self.env.now)
-            packet_for[member] = packet
-            packets.append(packet)
+        reached = {child for children in tree.values() for child in children}
+        # One packet per member and per relay the tree reaches: a
+        # member's is the one it receives, a relay's only flies its edge.
+        copies = {node: Packet(src, node, payload=payload, size=size,
+                               port=dst_port, created_at=self.env.now)
+                  for node in sorted(reached.union(targets))}
+        packets = [copies[member] for member in targets]
         if loopback and src in group.members:
             self_packet = Packet(src, src, payload=payload, size=size,
                                  port=dst_port, created_at=self.env.now)
             packets.append(self_packet)
-            host = self.network.hosts.get(src)
-            if host is not None:
-                host._deliver(self_packet)
-        if targets:
-            self.env.process(
-                self._walk(src, tree, packet_for, payload, size, dst_port))
+            self.network.hosts[src]._deliver(self_packet)
+        frame = (tree, copies, set(targets))
+        for child in tree.get(src, ()):
+            _TreeEdge(self.network, frame, src, child)._launch()
+        for member in targets:
+            if member not in reached:
+                # Unreachable: its flight finds no route and books that.
+                _Carrier(self.network, copies[member])._launch()
         return packets
 
     def unicast_fanout(self, group_name: str, src: str, payload: Any = None,
@@ -112,12 +115,10 @@ class MulticastService:
         """Union of shortest paths from src, as a node->children map."""
         children: Dict[str, List[str]] = {}
         for member in targets:
-            if member == src:
-                continue
             try:
                 links = self.network.topology.path(src, member)
             except RoutingError:
-                continue  # unreachable member: dropped, like a lost packet
+                continue  # unreachable: send() books its no-route drop
             node = src
             for link in links:
                 nxt = link.other_end(node)
@@ -127,35 +128,34 @@ class MulticastService:
                 node = nxt
         return children
 
-    def _walk(self, node: str, tree: Dict[str, List[str]],
-              packet_for: Dict[str, Packet], payload: Any, size: int,
-              port: int):
-        """Forward along each outgoing tree edge concurrently."""
-        for child in tree.get(node, []):
-            self.env.process(self._edge(
-                node, child, tree, packet_for, payload, size, port))
-        return
-        yield  # pragma: no cover - makes this a generator
 
-    def _edge(self, node: str, child: str, tree: Dict[str, List[str]],
-              packet_for: Dict[str, Packet], payload: Any, size: int,
-              port: int):
-        link = self.network.topology.link_between(node, child)
-        wire = size + 40
-        channel = link.channel(node)
-        with channel.request() as claim:
-            yield claim
-            yield self.env.timeout(link.transmission_delay(wire))
-        if link.drops_packet():
-            link.stats.drops += 1
-            return  # the whole subtree misses this packet
-        yield self.env.timeout(link.propagation_delay())
-        link.stats.packets += 1
-        link.stats.bytes += wire
-        packet = packet_for.get(child)
-        if packet is not None:
-            packet.hops += 1
-            host = self.network.hosts.get(child)
-            if host is not None:
-                host._deliver(packet)
-        yield from self._walk(child, tree, packet_for, payload, size, port)
+class _TreeEdge(_Carrier):
+    """One edge of a multicast tree: a carrier flight over one link.
+
+    Only its route (the tree link from ``node`` to ``child``) and its
+    end (:meth:`_deliver`) differ from a unicast flight.  ``frame`` is
+    the tree (node -> children), the packet per node it reaches, and
+    the members among those nodes.
+    """
+
+    __slots__ = ("frame",)
+
+    def __init__(self, network: Network, frame: Tuple[Any, ...],
+                 node: str, child: str) -> None:
+        super().__init__(network, frame[1][child], iter(
+            (network.topology.link_between(node, child),)))
+        self.frame = frame
+        self.node = node
+
+    def _deliver(self) -> None:
+        """Past the link: deliver to a member, then fork the subtree."""
+        packet = self.packet
+        child = packet.dst
+        tree, copies, members = self.frame
+        if child in members:
+            super()._deliver()
+        else:
+            self.transit.finish(at=self.env.now)
+        for grandchild in tree.get(child, ()):
+            copies[grandchild].hops = packet.hops
+            _TreeEdge(self.network, self.frame, child, grandchild)._begin()

@@ -72,9 +72,6 @@ class Host:
         self._handlers: Dict[int, Callable[[Packet], None]] = {}
         #: Datagrams sent: the book behind ``net.node.sent`` / ``net.sent``.
         self.sent = 0
-        #: Packets handed over by anything that delivers here — this
-        #: network's flights (``net.node.delivered``) or a multicast tree.
-        self.received = 0
 
     def inbox(self, port: int = 0) -> Store:
         """The inbox store for ``port`` (created on first use)."""
@@ -101,7 +98,6 @@ class Host:
         self._handlers[port] = handler
 
     def _deliver(self, packet: Packet) -> None:
-        self.received += 1
         packet.delivered_at = self.env.now
         handler = self._handlers.get(packet.port)
         if handler is not None:
@@ -125,10 +121,10 @@ class _Carrier(PriorityRequest):
     ``env.active_process`` around the foreign code a flight ends in
     (:meth:`_finish`).
 
-    The link physics (transmission delay, loss draw, propagation delay)
-    is inlined from link.py, which carries the matching notice: the
-    logic — including when the shared RNG is drawn, which replay digests
-    depend on — must mirror the Link methods exactly.
+    A multicast tree edge (:mod:`repro.net.multicast`) is a flight with
+    its own route and end.  The loss draw and the propagation delay are
+    stated in :meth:`_on_tx` and nowhere else: replay digests depend on
+    when a link's RNG is drawn.
     """
 
     # __weakref__: tests watch a carrier die at the end of its flight.
@@ -139,7 +135,8 @@ class _Carrier(PriorityRequest):
     #: a carrier is not a named actor.
     span = None
 
-    def __init__(self, network: "Network", packet: Packet) -> None:
+    def __init__(self, network: "Network", packet: Packet,
+                 links=None) -> None:
         # Event.__init__ inlined (one carrier per packet); a carrier
         # fires many times, so callbacks is set at each push instead.
         self.env = network.env
@@ -150,6 +147,27 @@ class _Carrier(PriorityRequest):
         self.defused = False
         self.network = network
         self.packet = packet
+        #: A tree edge comes with its route; _begin looks up any other.
+        self.links = links
+
+    def _launch(self) -> None:
+        """Begin the flight, now or at a queued start."""
+        env = self.env
+        packet = self.packet
+        if env._active_process is not None and packet.src != packet.dst:
+            # Synchronous start: inside the run loop (the storm hot
+            # path) an URGENT start event at this instant would pop
+            # before any pending NORMAL event anyway, so the flight
+            # begins right here.
+            self._begin()
+        else:
+            # Setup-time sends (no active process) keep the queued
+            # start, so code that mutates links between send() and
+            # run() observes no change.  So does a packet to its own
+            # host: it has no hop to wait on, and begun here it would
+            # run the receiver's handler inside the sender's send().
+            self.callbacks = _BEGIN
+            env.schedule(self, URGENT)
 
     def _begin(self) -> None:  # repro: fast-path (RPR204)
         """Resolve tracer and route, then claim the first hop."""
@@ -170,12 +188,13 @@ class _Carrier(PriorityRequest):
         else:
             span = NOOP_SPAN
         self.transit = span
-        try:
-            self.links = iter(network.topology.path(src, packet.dst))
-        except RoutingError:
-            self._finish(network._drop, packet, "no-route", span)
-            return
-        self.node = src
+        if self.links is None:
+            try:
+                self.links = iter(network.topology.path(src, packet.dst))
+            except RoutingError:
+                self._finish(network._drop, packet, "no-route", span)
+                return
+            self.node = src
         self.priority = packet.headers.get("priority", BEST_EFFORT_PRIORITY)
         # Per-hop spans only exist for traces that are actually being
         # retained: with the tracer disabled, or the trace sampled out at
@@ -199,7 +218,7 @@ class _Carrier(PriorityRequest):
             if self.tracer is not None else None
         # Claim+tx fusion: the claim carries the transmission delay, so
         # it fires once, at tx-complete (see PriorityResource._grant).
-        delay = (self.wire_size * 8.0) / link.bandwidth
+        delay = link.transmission_delay(self.wire_size)
         channel = self.resource = link._channels[node]
         self.callbacks = _ON_TX
         if channel.users:
@@ -235,11 +254,11 @@ class _Carrier(PriorityRequest):
         channel.users.remove(self)
         if channel.queue:
             channel._grant_waiters()
-        # Loss attribution mirrors Link.drops_packet: a downed link
-        # drops without drawing the RNG; otherwise one draw decides,
-        # and the drawn value splits baseline "loss" from fault-
-        # injected "impairment" (draws landing in the _extra_loss
-        # band) so drop_stats() tells the two apart.
+        # The loss draw: a downed link drops without drawing the RNG;
+        # otherwise one draw decides, and the drawn value splits
+        # baseline "loss" from fault-injected "impairment" (draws
+        # landing in the _extra_loss band) so drop_stats() tells the
+        # two apart.
         drop_reason = None
         if not link.up:
             drop_reason = "link-down"
@@ -410,22 +429,7 @@ class Network:
 
     def transmit(self, packet: Packet) -> None:
         """Launch ``packet``'s carrier."""
-        env = self.env
-        carrier = _Carrier(self, packet)
-        if env._active_process is not None and packet.src != packet.dst:
-            # Synchronous start: inside the run loop (the storm hot
-            # path) an URGENT start event at this instant would pop
-            # before any pending NORMAL event anyway, so the flight
-            # begins right here.
-            carrier._begin()
-        else:
-            # Setup-time sends (no active process) keep the queued
-            # start, so code that mutates links between send() and
-            # run() observes no change.  So does a packet to its own
-            # host: it has no hop to wait on, and begun here it would
-            # run the receiver's handler inside the sender's send().
-            carrier.callbacks = _BEGIN
-            env.schedule(carrier, URGENT)
+        _Carrier(self, packet)._launch()
 
     def _drop(self, packet: Packet, reason: str, span, link=None) -> None:
         # Per-link, per-reason attribution: the "drops" column in the

@@ -2,8 +2,10 @@
 
 :class:`ReliableChannel` gives per-destination FIFO, exactly-once delivery
 via acknowledgements, retransmission and sequence-number deduplication.
-:class:`RpcEndpoint` layers request/response invocation (the computational-
-viewpoint *operational interface* of ODP) on top of it.
+:class:`RpcEndpoint` gives request/response invocation (the computational-
+viewpoint *operational interface* of ODP) beside it, not on it: a call
+is sent as plain datagrams, with its own attempt timers and the retries
+of its fault policies.
 """
 
 from __future__ import annotations

@@ -255,6 +255,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/net/multicast.py",
            "                if nxt not in branch:\n",
            "                if True:\n"),
+    Mutant("carrier-loss-ignores-impairment", "seeded; carry model",
+           "src/repro/net/network.py",
+           "            probability = link.loss + link._extra_loss\n",
+           "            probability = link.loss\n"),
     # -- one aimed at the stated property of each fault oracle -----------
     Mutant("give-up-leaves-inflight", "seeded; liveness",
            "src/repro/net/transport.py",
@@ -322,12 +326,17 @@ def by_name(name: str) -> Mutant:
 
 def copy_tree(destination: str) -> str:
     """A copy of what the detectors read; returns its root."""
-    for entry in ("src", "tests", "bench", "benchmarks", "corpus"):
+    # docs/, examples/, .github/ and the two records are what the rows of
+    # tests/test_guards.py cite and scan; pyproject.toml holds pytest's
+    # testpaths and python_files.
+    for entry in ("src", "tests", "bench", "benchmarks", "corpus", "docs",
+                  "examples", ".github"):
         shutil.copytree(
             os.path.join(ROOT, entry), os.path.join(destination, entry),
             ignore=shutil.ignore_patterns("__pycache__", "out"))
-    # pytest's testpaths and python_files
-    shutil.copy(os.path.join(ROOT, "pyproject.toml"), destination)
+    for entry in ("pyproject.toml", "BENCHMARK.json", "DESIGN.md",
+                  "EXPERIMENTS.md"):
+        shutil.copy(os.path.join(ROOT, entry), destination)
     return destination
 
 

@@ -430,9 +430,9 @@ def test_events_scheduled_are_pushes_and_events_processed_are_pops(
 #
 # A reference implementation, not a second path: one generator process
 # per packet, written only with public calls, one queued event per step
-# (start, grant, transmission, propagation, end).  It tells a downed
-# link from a loss draw but not baseline loss from impairment, so
-# reasons are compared at that granularity.
+# (start, grant, transmission, propagation, end).  Its loss draw and
+# propagation delay are its own copies of the carrier's, reasons and
+# the RNG draws they take included, so every drop's reason is compared.
 #
 # Link latencies, send instants and fault instants are multiples of
 # square roots of distinct primes, so no two events of different kinds
@@ -445,6 +445,28 @@ def test_events_scheduled_are_pushes_and_events_processed_are_pops(
 _ROOTS = [math.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)]
 _SEND_STEP = 1e-3 * math.sqrt(31)
 _FAULT_STEP = 1e-3 * math.sqrt(37)
+
+
+def _model_drop(link):
+    """The loss draw: none on a downed link, else one draw, "loss" below
+    ``loss`` and "impairment" in the band a fault adds above it."""
+    if not link.up:
+        return "link-down"
+    probability = link.loss + link._extra_loss
+    if probability <= 0:
+        return None
+    draw = link._rng.random()
+    if draw >= min(probability, 1.0):
+        return None
+    return "loss" if draw < link.loss else "impairment"
+
+
+def _model_propagation(link):
+    """Latency, scaled by any storm, plus a jitter draw."""
+    delay = link.latency * link._latency_scale
+    if link.jitter <= 0:
+        return delay
+    return delay + link._rng.uniform(0, link.jitter)
 
 
 def _model_carry(env, topo, hosts, send, outcomes, drops):
@@ -463,13 +485,13 @@ def _model_carry(env, topo, hosts, send, outcomes, drops):
         yield claim
         yield env.timeout(link.transmission_delay(wire))
         channel.release(claim)
-        if link.drops_packet():
-            reason = "loss" if link.up else "link-down"
+        reason = _model_drop(link)
+        if reason is not None:
             link.stats.drops += 1
             outcomes[index] = ("dropped", reason, env.now, hops)
             drops[reason] = drops.get(reason, 0) + 1
             return
-        yield env.timeout(link.propagation_delay())
+        yield env.timeout(_model_propagation(link))
         link.stats.packets += 1
         link.stats.bytes += wire
         hops += 1
@@ -534,8 +556,6 @@ def _through_network(env, topo, hosts, outcomes):
 
     def landed(kind):
         def record(packet, reason=None):
-            if reason == "impairment":
-                reason = "loss"
             assert env.active_process is not None
             outcomes[packet.payload] = (kind, reason, env.now, packet.hops)
         return record
@@ -549,13 +569,7 @@ def _through_network(env, topo, hosts, outcomes):
         network.host(src).send(dst, payload=index, size=size,
                                headers={"priority": priority})
 
-    def drop_book():
-        book = network.drop_stats()
-        impaired = book.pop("impairment", 0)
-        if impaired:
-            book["loss"] = book.get("loss", 0) + impaired
-        return book
-    return launch, drop_book
+    return launch, network.drop_stats
 
 
 def _through_model(env, topo, hosts, outcomes):

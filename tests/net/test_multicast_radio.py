@@ -14,6 +14,8 @@ from repro.net import (
     star,
     wan,
 )
+from repro.net.network import RESERVED_PRIORITY
+from repro.obs.flight import FlightRecorder, use_flight
 from repro.sim import Environment
 
 
@@ -155,6 +157,121 @@ def test_multicast_tree_cheaper_than_unicast_fanout(env):
 
     # Unicast re-sends over the sender's access link per member.
     assert multicast_bytes < unicast_bytes
+
+
+def _lossy_conference(env, frames=100):
+    """leaf0 multicasts ``frames`` frames, one every 10 ms, to leaf1-3
+    over a star whose first hop, leaf0<->hub, loses half of them."""
+    net, hosts = make_star_net(env)
+    service = MulticastService(net)
+    group = service.create_group("g")
+    received = {}
+    for host in hosts:
+        group.join(host.name)
+        host.on_packet(service.port, lambda packet: received.__setitem__(
+            packet.dst, received.get(packet.dst, 0) + 1))
+    first = net.topology.link_between("leaf0", "hub")
+    first.loss = 0.5
+
+    def pump(env):
+        for _ in range(frames):
+            service.send("g", "leaf0", size=100)
+            yield env.timeout(0.01)
+
+    env.process(pump(env))
+    return net, first, received
+
+
+def test_multicast_traffic_lands_in_the_networks_books():
+    """A tree edge's drop and a member's delivery are booked where a
+    unicast flight books them, and the drop hook and the flight
+    recorder see them as they see a unicast hop."""
+    recorder = FlightRecorder(ring=1 << 12)
+    with use_flight(recorder):
+        env = Environment()
+    net, first, received = _lossy_conference(env)
+    hooked = []
+    net.on_drop = lambda packet, reason: hooked.append(
+        (env.active_process is not None, packet.dst, reason))
+    env.run()
+    drops = first.stats.drops
+    heard = 100 - drops
+    assert 0 < drops < 100
+    assert received == {"leaf1": heard, "leaf2": heard, "leaf3": heard}
+    assert net.drop_stats() == {"loss": drops}
+    assert hooked == [(True, "hub", "loss")] * drops
+    assert net.counters["delivered"] == 3 * heard
+    assert net.delivery_latency.count == 3 * heard
+    registry = env.metrics
+    assert registry.counter_total("net.drops", reason="loss") == drops
+    assert registry.counter_total("net.link.drops", link=first.label,
+                                  reason="loss") == drops
+    for member in ("leaf1", "leaf2", "leaf3"):
+        assert registry.counter_total("net.node.delivered",
+                                      node=member) == heard
+    records = recorder.ring
+    assert [(record["link"], record["dst"]) for record in records
+            if record["kind"] == "drop"] == [(first.label, "hub")] * drops
+    hops = [(record["link"], record["dst"]) for record in records
+            if record["kind"] == "hop"]
+    assert len(hops) == 4 * heard
+    assert hops[:4] == [(first.label, "hub")] + [
+        (net.topology.link_between("hub", member).label, member)
+        for member in ("leaf1", "leaf2", "leaf3")]
+
+
+def test_a_multicast_frame_costs_two_queued_events_per_edge_and_no_more():
+    """Two events per tree edge that delivers, one per edge that drops.
+    The rest is the pump's own: its start, 100 timeouts and its exit."""
+    env = Environment()
+    net, first, _ = _lossy_conference(env)
+    env.run()
+    drops = first.stats.drops
+    stats = env.stats()
+    assert stats["events_processed"] == 2 * 4 * (100 - drops) + drops + 102
+    assert stats["events_scheduled"] == stats["events_processed"]
+
+
+def test_tree_edges_claim_at_best_effort_priority(env):
+    """A reserved datagram overtakes a tree edge queued behind a bulk
+    transfer on the sender's link, as it overtakes any datagram."""
+    net, hosts = make_star_net(env, leaves=2)
+    service = MulticastService(net)
+    group = service.create_group("g")
+    group.join("leaf0")
+    group.join("leaf1")
+    arrivals = []
+    for port in (0, service.port):
+        hosts[1].on_packet(port, lambda packet: arrivals.append(
+            packet.payload))
+
+    def sender(env):
+        hosts[0].send("leaf1", payload="bulk", size=10 ** 6)    # 80 ms
+        service.send("g", "leaf0", payload="frame")
+        yield env.timeout(0.001)
+        hosts[0].send("leaf1", payload="reserved",
+                      headers={"priority": RESERVED_PRIORITY})
+
+    env.process(sender(env))
+    env.run()
+    assert arrivals == ["bulk", "reserved", "frame"]
+
+
+def test_a_member_the_tree_cannot_reach_books_a_no_route_drop(env):
+    net, hosts = make_star_net(env)
+    net.topology.add_node("island")
+    net.host("island")
+    service = MulticastService(net)
+    group = service.create_group("g")
+    for name in ("leaf0", "leaf1", "island"):
+        group.join(name)
+    packets = service.send("g", "leaf0")
+    env.run()
+    assert [(packet.dst, packet.hops, packet.delivered_at is not None)
+            for packet in packets] == [("island", 0, False),
+                                       ("leaf1", 2, True)]
+    assert net.drop_stats() == {"no-route": 1}
+    assert net.counters["delivered"] == 1
 
 
 def test_radio_link_levels(env):

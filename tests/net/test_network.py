@@ -249,4 +249,4 @@ def test_sent_received_counts(env):
     a.send("b")
     env.run(proc)
     assert a.sent == 1
-    assert b.received == 1
+    assert net.counters["delivered"] == 1

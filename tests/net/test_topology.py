@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import NetworkError, RoutingError
-from repro.net import Topology, dumbbell, lan, line, star, wan
+from repro.net import Network, Topology, dumbbell, lan, line, star, wan
+from repro.net.packet import HEADER_BYTES
 from repro.sim import Environment
 
 
@@ -185,23 +186,67 @@ def test_link_other_end(env):
 
 
 def test_link_delays(env):
+    """A hop costs the link's transmission delay, then its latency."""
     topo = Topology(env)
     link = topo.add_link("a", "b", latency=0.01, bandwidth=8000)
     assert link.transmission_delay(1000) == 1.0  # 8000 bits at 8000 b/s
-    assert link.propagation_delay() == 0.01
+    net = Network(env, topo)
+    net.host("b")
+    net.host("a").send("b", size=1000 - HEADER_BYTES)
+    env.run()
+    assert net.delivery_latency.values == [1.0 + 0.01]
 
 
 def test_link_jitter_bounds(env):
     topo = Topology(env)
-    link = topo.add_link("a", "b", latency=0.01, jitter=0.005)
+    topo.add_link("a", "b", latency=0.01, jitter=0.005, bandwidth=1e12)
+    net = Network(env, topo)
+    net.host("b")
     for _ in range(100):
-        delay = link.propagation_delay()
-        assert 0.01 <= delay <= 0.015
+        net.host("a").send("b")
+    env.run()
+    latencies = net.delivery_latency.values
+    assert len(latencies) == 100 and len(set(latencies)) > 1
+    # 100 transmissions of 40 bytes at 1 Tb/s take 32 ns in all.
+    assert all(0.01 <= latency <= 0.015 + 1e-7 for latency in latencies)
+
+
+class _Draws:
+    """An RNG stub that hands out the given draws, and fails past them."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
 
 
 def test_link_loss_draw(env):
+    """A lossless hop draws nothing and a downed link drops without a
+    draw; otherwise one draw per hop decides: below ``loss`` is "loss",
+    in the band a loss burst adds above it "impairment"."""
     topo = Topology(env)
-    link = topo.add_link("a", "b", loss=0.0)
-    assert not link.drops_packet()
-    link.set_up(False)
-    assert link.drops_packet()
+    topo.add_link("a", "b", bandwidth=8000, rng=_Draws())
+    link = topo.add_link("b", "c", loss=0.25, bandwidth=8000,
+                         rng=_Draws(0.1, 0.3, 0.3, 0.8))
+    net = Network(env, topo)
+    fates = []
+    net.host("c").on_packet(0, lambda packet: fates.append(
+        (packet.payload, "delivered")))
+    net.on_drop = lambda packet, reason: fates.append(
+        (packet.payload, reason))
+
+    def driver(env):
+        for payload in range(5):
+            if payload == 2:
+                link.impair(extra_loss=0.5)
+            net.host("a").send("c", payload=payload, size=960)  # 1 s a hop
+            if payload == 4:
+                yield env.timeout(1.5)      # on the wire of its second hop
+                link.set_up(False)
+            yield env.timeout(10)
+
+    env.process(driver(env))
+    env.run()
+    assert fates == [(0, "loss"), (1, "delivered"), (2, "impairment"),
+                     (3, "delivered"), (4, "link-down")]

@@ -267,6 +267,12 @@ CONTRACTS = {  # where the rule is stated: guards
               r"|^src/repro/workload/(telemetry|chaos)\.py:[0-9]+:"
               r"    ambient = get_tracer\(\)$", plant="get_metrics()")],
     PERF + "### A span is a row": [grep(r"start_span\(", NET, lines=range(2))],
+    PERF + "The link physics is stated once": [
+        grep(r"(?<!self)\._rng\b|\._extra_loss\b|\._latency_scale\b", REPRO,
+             allow=r"^src/repro/net/(link|network)\.py:")._replace(plant=(
+                 "src/repro/net/multicast.py", "draw = link._rng.random()")),
+        grep(r"def (drops_packet|propagation_delay|drop_reason)\b", SRC,
+             plant="def propagation_delay(self):")],
     PERF + "### A lock request is one call": [grep(
         r"(get_sanitizer\(\)|env\.sanitizer)\.(on_read|on_write|acquire"
         r"|release|local)\(", REPRO, plant="env.sanitizer.on_read(")],
