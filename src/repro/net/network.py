@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.errors import NetworkError, RoutingError
 from repro.net.packet import Packet
 from repro.net.topology import Topology
+from repro.obs.flight import side_fields
 from repro.obs.metrics import Counter, LabelKey, Tally
 from repro.obs.propagation import TRACE_HEADER
 from repro.obs.span import NOOP_SPAN
@@ -129,7 +130,8 @@ class _Carrier(PriorityRequest):
 
     # __weakref__: tests watch a carrier die at the end of its flight.
     __slots__ = ("network", "packet", "transit", "tracer", "flight",
-                 "links", "link", "node", "wire_size", "hop", "__weakref__")
+                 "side", "links", "link", "node", "wire_size",
+                 "__weakref__")
 
     #: ``env.active_process.span`` (where locks.py parents its spans):
     #: a carrier is not a named actor.
@@ -181,10 +183,10 @@ class _Carrier(PriorityRequest):
         # tree covers the request end to end; the tracer reads the
         # header dict in place.
         if tracer.enabled:
-            span = tracer.start_span(
-                "net.transmit", at=self.env.now,
-                parent=packet.headers.get(TRACE_HEADER) or None, src=src,
-                dst=packet.dst, port=packet.port, bytes=wire_size)
+            span = tracer.start_transit(
+                network.topology.link_order, self.env.now,
+                packet.headers.get(TRACE_HEADER) or None, src,
+                packet.dst, packet.port, wire_size)
         else:
             span = NOOP_SPAN
         self.transit = span
@@ -196,12 +198,14 @@ class _Carrier(PriorityRequest):
                 return
             self.node = src
         self.priority = packet.headers.get("priority", BEST_EFFORT_PRIORITY)
-        # Per-hop spans only exist for traces that are actually being
-        # retained: with the tracer disabled, or the trace sampled out at
-        # its head, every hop of every packet would otherwise still pay
-        # the span + label allocation — the dominant trace cost at scale.
+        # Hops are recorded only for traces that are actually being
+        # retained: each is a record packed into the transit span, and
+        # every hop record of the flight journals the transit's side
+        # fields, built here once.
         self.tracer = tracer if span.is_recording else None
-        self.flight = self.env._flight
+        flight = self.flight = self.env._flight
+        if flight is not None:
+            self.side = side_fields(span)
         self._claim()
 
     def _claim(self) -> None:  # repro: fast-path (RPR204)
@@ -213,9 +217,9 @@ class _Carrier(PriorityRequest):
         env = self.env
         now = env.now
         node = self.node
-        self.hop = self.tracer.start_hop(
-            self.transit, now, link.label, node, self.wire_size) \
-            if self.tracer is not None else None
+        if self.tracer is not None:
+            self.tracer.open_hop(self.transit, link.index, node != link.a,
+                                 now)
         # Claim+tx fusion: the claim carries the transmission delay, so
         # it fires once, at tx-complete (see PriorityResource._grant).
         delay = link.transmission_delay(self.wire_size)
@@ -243,11 +247,11 @@ class _Carrier(PriorityRequest):
         """Transmission complete: release the channel, draw loss, fly."""
         env = self.env
         link = self.link
-        hop = self.hop
-        if hop is not None:
+        recording = self.tracer is not None
+        if recording:
             # usage_since marks the grant: where an unfused claim would
             # have resumed its holder and stamped tx-start.
-            hop.tx_start = self.usage_since
+            self.transit.hop_sent(self.usage_since)
         # PriorityResource.release inlined: a carrier firing as a claim is
         # in users; only a non-empty wait queue needs the grant machinery.
         channel = self.resource
@@ -271,9 +275,8 @@ class _Carrier(PriorityRequest):
                         else "impairment"
         if drop_reason is not None:
             link.stats.drops += 1
-            if hop is not None:
-                hop.status = "dropped"
-                hop.end = env.now
+            if recording:
+                self.transit.hop_ended(env.now, True)
             self._finish(self.network._drop, self.packet, drop_reason,
                          self.transit, link)
             return
@@ -294,13 +297,12 @@ class _Carrier(PriorityRequest):
         stats.bytes += wire_size
         packet.hops += 1
         node = self.node
-        hop = self.hop
         if self.flight is not None:
             self.flight.record_hop(link.label, node, packet.src, packet.dst,
-                                   packet.port, span=hop)
+                                   packet.port, self.side)
         self.node = link.b if node == link.a else link.a
-        if hop is not None:
-            hop.end = self.env.now
+        if self.tracer is not None:
+            self.transit.hop_ended(self.env.now)
         self._claim()
 
     def _deliver(self) -> None:

@@ -136,8 +136,9 @@ def attach_mobile(topology: Topology, mobile: str, base: str,
     if base in topology._adjacency[mobile]:
         raise NetworkError(
             "link {}<->{} already exists".format(mobile, base))
-    link = RadioLink(topology.env, mobile, base, level=level,
-                     profiles=profiles, rng=rng)
+    link = topology._number(RadioLink(topology.env, mobile, base,
+                                      level=level, profiles=profiles,
+                                      rng=rng))
     topology._adjacency[mobile][base] = link
     topology._adjacency[base][mobile] = link
     topology.invalidate_routes()

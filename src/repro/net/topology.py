@@ -25,6 +25,9 @@ class Topology:
     def __init__(self, env: Environment) -> None:
         self.env = env
         self.nodes: List[str] = []
+        #: Every link in the order it joined; ``link.index`` is its place
+        #: (what a recorded hop names its link by).
+        self.link_order: List[Link] = []
         self._adjacency: Dict[str, Dict[str, Link]] = {}
         self._paths: Dict[str, Dict[str, Optional[str]]] = {}
         self._dirty = True
@@ -58,12 +61,18 @@ class Topology:
         self.add_node(b)
         if b in self._adjacency[a]:
             raise NetworkError("link {}<->{} already exists".format(a, b))
-        link = Link(self.env, a, b, **link_kwargs)
+        link = self._number(Link(self.env, a, b, **link_kwargs))
         self._adjacency[a][b] = link
         self._adjacency[b][a] = link
         self._dirty = True
         self._links_cache = None
         self._state_cache = {}
+        return link
+
+    def _number(self, link: Link) -> Link:
+        """Give a joining link its place in :attr:`link_order`."""
+        link.index = len(self.link_order)
+        self.link_order.append(link)
         return link
 
     def link_between(self, a: str, b: str) -> Link:

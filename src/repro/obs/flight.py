@@ -97,8 +97,12 @@ def canonical(record: Dict[str, Any]) -> str:
         sort_keys=True, separators=(",", ":"))
 
 
-def _side(span: Any) -> Optional[Tuple[str, str, str]]:
-    """The side fields naming a recording span, else None."""
+def side_fields(span: Any) -> Optional[Tuple[str, str, str]]:
+    """The side fields naming a recording span, else None.
+
+    A carrier builds its packet's once, naming the ``net.transmit``
+    span, and hands the same tuple to every hop record of the flight.
+    """
     if span is not None and getattr(span, "is_recording", False):
         return span.trace_id, span.span_id, span.name
     return None
@@ -283,9 +287,9 @@ class FlightRecorder:
         self._epoch += 1
         self._epoch_records = 0
 
-    def _append(self, record: Dict[str, Any], span: Any = None) -> None:
+    def _append(self, record: Dict[str, Any],
+                side: Optional[Tuple[str, str, str]] = None) -> None:
         """Journal an already-built record (the generic encoder's path)."""
-        side = _side(span)
         if side is not None:
             record["_trace"], record["_span"], record["_op"] = side
         record["epoch"] = self._epoch
@@ -306,26 +310,29 @@ class FlightRecorder:
                           "value": value})
 
     def record_hop(self, link: str, node: str, src: str, dst: str,
-                   port: int, span: Any = None) -> None:
-        """One packet clearing one link hop."""
+                   port: int,
+                   side: Optional[Tuple[str, str, str]] = None) -> None:
+        """One packet clearing one link hop; ``side`` is
+        :func:`side_fields` of the packet's ``net.transmit`` span."""
         time = self._tick()
         if _plain_label(link) and _plain_label(node) \
                 and _plain_label(src) and _plain_label(dst):
             self._pending.append(
                 (_HOP, self._epoch, time, link, node, src, dst,
-                 port, _side(span)))
+                 port, side))
         else:
             self._append(
                 {"kind": "hop", "time": time, "link": link,
                  "node": node, "src": src, "dst": dst, "port": port},
-                span)
+                side)
 
     def record_drop(self, reason: str, link: Optional[str], src: str,
                     dst: str, port: int, span: Any = None) -> None:
         """One packet drop with its attributed reason."""
         self._append(
             {"kind": "drop", "time": self._tick(), "reason": reason,
-             "link": link, "src": src, "dst": dst, "port": port}, span)
+             "link": link, "src": src, "dst": dst, "port": port},
+            side_fields(span))
 
     def record_lock(self, event: str, key: str, owner: str, mode: str,
                     style: str, span: Any = None) -> None:
@@ -333,7 +340,7 @@ class FlightRecorder:
         self._append(
             {"kind": "lock", "time": self._tick(), "event": event,
              "key": key, "owner": owner, "mode": mode, "style": style},
-            span)
+            side_fields(span))
 
     def record_spawn(self, actor: str) -> None:
         """A named actor process starting."""
@@ -412,7 +419,7 @@ class NoopFlightRecorder:
     """The disabled recorder: records nothing, allocates nothing."""
 
     enabled = False
-    epoch_digests: List[str] = []
+    epoch_digests: Tuple[str, ...] = ()
     ring: Tuple[Dict[str, Any], ...] = ()
     context: Tuple[Dict[str, Any], ...] = ()
     recorded = 0

@@ -10,6 +10,7 @@ instrumentation sites; the tracing layer never advances the clock.
 
 from __future__ import annotations
 
+import struct
 from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -155,14 +156,120 @@ class Span:
             "{:.6g}".format(self.end) if self.end is not None else "?")
 
 
+class TransitSpan(Span):
+    """The ``net.transmit`` span of a recorded packet: one row for the
+    packet and every hop it takes.
+
+    Its ``src``, ``dst``, ``port`` and ``bytes`` are slots, and
+    :attr:`attributes` is built on read from them and whatever
+    :meth:`set_attribute` added (``drop_reason``), in that order.
+    Each hop the packet's carrier claims is one fixed-width
+    :data:`HOP_RECORD` appended to :attr:`hops` (a ``bytearray``, which
+    the collector does not track), not an object: the hop's span id, its
+    link's index in the topology's ``link_order``, whether the link
+    was crossed from its ``b`` end, the claim, tx-start and end times
+    (NaN until stamped) and whether the hop dropped.  The current hop
+    is always the last record.  :attr:`links` keys the link table its
+    tracer resolves link indices in; :meth:`hop` builds a hop's row.
+    """
+
+    __slots__ = ("src", "dst", "port", "bytes", "extra", "hops", "links")
+
+    def __init__(self, trace_id: str, span_id: str,
+                 parent_id: Optional[str], start: float, sampled: bool,
+                 recorded: bool, src: str, dst: str, port: int,
+                 nbytes: int, links: int) -> None:
+        self.name = "net.transmit"
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.sampled = sampled
+        self.parent_id = parent_id
+        self.start = start
+        self.end: Optional[float] = None
+        self.events = ()
+        self.status = OK
+        self.recorded = recorded
+        self.src = src
+        self.dst = dst
+        self.port = port
+        self.bytes = nbytes
+        self.extra: Optional[Dict[str, Any]] = None
+        self.hops = bytearray()
+        self.links = links
+
+    @property
+    def attributes(self) -> Dict[str, Any]:
+        attributes = {"src": self.src, "dst": self.dst, "port": self.port,
+                      "bytes": self.bytes}
+        if self.extra:
+            attributes.update(self.extra)
+        return attributes
+
+    def set_attribute(self, key: str, value: Any) -> None:
+        if key in _TRANSIT_SLOTS:
+            setattr(self, key, value)
+        elif self.extra is None:
+            self.extra = {key: value}
+        else:
+            self.extra[key] = value
+
+    def open_hop(self, span_id: int, link: int, from_b: bool,
+                 at: float) -> int:
+        """Pack a hop claimed at ``at``; returns its record index."""
+        hops = self.hops
+        index = len(hops) // HOP_RECORD.size
+        hops += HOP_RECORD.pack(span_id, link, from_b, at, _UNSET, _UNSET,
+                                False)
+        return index
+
+    def hop_sent(self, at: float) -> None:
+        """Stamp the current hop's tx-start (its channel grant)."""
+        _TIME.pack_into(self.hops, _SENT_AT, at)
+
+    def hop_ended(self, at: float, dropped: bool = False) -> None:
+        """Stamp the current hop's end and whether it dropped there."""
+        _ENDED.pack_into(self.hops, -_ENDED.size, at, dropped)
+
+    def hop_status(self, index: int) -> str:
+        """What the status of hop ``index``'s row reads."""
+        return DROPPED if self.hops[
+            (index + 1) * HOP_RECORD.size - 1] else OK
+
+    def hop(self, index: int, links: Sequence[Any]) -> "HopSpan":
+        """Hop ``index``'s row, with its link found in ``links``."""
+        span_id, link, from_b, start, tx_start, end, dropped = \
+            HOP_RECORD.unpack_from(self.hops, index * HOP_RECORD.size)
+        link = links[link]
+        hop = HopSpan(self.trace_id, f"s{span_id}", self.span_id, start,
+                      self.sampled, link.label, link.b if from_b else link.a,
+                      self.bytes)
+        if tx_start == tx_start:        # NaN: not yet granted
+            hop.tx_start = tx_start
+        if end == end:
+            hop.end = end
+        if dropped:
+            hop.status = DROPPED
+        return hop
+
+
+#: One hop record: span id, link index, crossed from ``link.b``, claim,
+#: tx-start and end times, dropped.  Little-endian, no padding.
+HOP_RECORD = struct.Struct("<QI?ddd?")
+_TIME = struct.Struct("<d")        # tx-start, just before ...
+_ENDED = struct.Struct("<d?")     # ... a record's tail: end, dropped
+_SENT_AT = -_TIME.size - _ENDED.size  # tx-start's offset from the end
+_UNSET = float("nan")
+_TRANSIT_SLOTS = frozenset(("src", "dst", "port", "bytes"))
+
+
 class HopSpan(Span):
-    """One ``net.link`` hop of a recorded packet: a row its carrier fills
-    (``tx_start`` at the channel grant, then ``end`` and, on a drop,
-    ``status``).  :attr:`attributes`, :attr:`events` and so
-    :meth:`to_dict` are built on read, exactly as a ``start_span`` with
-    ``link=``, ``node=``, ``bytes=`` and one ``tx-start`` event read.
-    Only the carrier writes it: :meth:`set_attribute`, :meth:`add_event`
-    and :meth:`finish` raise ``TypeError``.
+    """One ``net.link`` hop of a recorded packet, as a reader sees it.
+
+    Built on read from its transit's record (:meth:`TransitSpan.hop`):
+    :attr:`attributes`, :attr:`events` and so :meth:`to_dict` read
+    exactly as a ``start_span`` with ``link=``, ``node=``, ``bytes=``
+    and one ``tx-start`` event read.  A row is a snapshot the carrier
+    never sees, so every mutator raises ``TypeError``.
     """
 
     __slots__ = ("link", "node", "bytes", "tx_start")
@@ -200,6 +307,9 @@ class HopSpan(Span):
 
     def add_event(self, name: str, at: float, **attributes: Any) -> None:
         raise TypeError("a net.link hop holds only its tx-start")
+
+    def set_status(self, status: str) -> None:
+        raise TypeError("a net.link hop's status is its carrier's")
 
     def finish(self, at: float) -> None:
         raise TypeError("a net.link hop is closed by its carrier")

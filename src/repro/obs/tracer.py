@@ -21,13 +21,53 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-from typing import Any, Dict, List, Optional, Tuple, TypeVar, Union
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    TypeVar, Union)
 
 from repro.obs.sampling import Sampler
-from repro.obs.span import NOOP_SPAN, HopSpan, NoopSpan, Span, SpanContext
+from repro.obs.span import (NOOP_SPAN, NoopSpan, Span, SpanContext,
+                            TransitSpan)
 
 ParentLike = Union[Span, SpanContext, Dict[str, str], None]
 SpanT = TypeVar("SpanT", bound=Span)
+#: A retained row: a span and -1, or a transit and a hop's index.
+Row = Tuple[Span, int]
+
+
+class SpanLog:
+    """What a tracer retained, oldest first: :attr:`Tracer.spans`.
+
+    A row is a span, or a hop of a transit: ``rows`` holds the span
+    (the transit, for a hop) and ``hops`` beside it ``-1`` (the hop's
+    record index).  Iterating yields spans, a hop's
+    :class:`~repro.obs.span.HopSpan` built as it is reached; ``len``
+    builds nothing.  The tracer appends to both columns; under
+    ``max_spans`` they are rings of that length.
+    """
+
+    __slots__ = ("rows", "hops", "tables")
+
+    def __init__(self, maxlen: Optional[int],
+                 tables: List[Sequence[Any]]) -> None:
+        if maxlen is None:
+            self.rows: Any = []
+            self.hops: Any = []
+        else:
+            self.rows = collections.deque(maxlen=maxlen)
+            self.hops = collections.deque(maxlen=maxlen)
+        #: The tracer's link tables, which a transit's ``links`` keys.
+        self.tables = tables
+
+    def __iter__(self) -> Iterator[Span]:
+        tables = self.tables
+        for row, hop in zip(self.rows, self.hops):
+            yield row if hop < 0 else row.hop(hop, tables[row.links])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:
+        return "<SpanLog rows={}>".format(len(self.rows))
 
 
 class Tracer:
@@ -42,6 +82,10 @@ class Tracer:
     ``max_spans`` bounds retention with a ring buffer: once full, the
     oldest span is evicted per new span (``evicted`` counts them), so
     memory stays bounded even at rate 1.0.
+
+    A ``net.link`` hop counts as one span everywhere — in :attr:`spans`,
+    the ring, the tail buffer and every counter — though it is kept as
+    a record packed into its transit (:meth:`open_hop`).
     """
 
     enabled = True
@@ -64,11 +108,15 @@ class Tracer:
         #: default — runs that never opt in are byte-identical.
         self.tail_keep_errors = tail_keep_errors
         self.tail_buffer = tail_buffer
-        self.spans = collections.deque(maxlen=max_spans) \
-            if max_spans is not None else []
+        # Link tables a transit's hop records index, and id -> key.
+        self._link_tables: List[Sequence[Any]] = []
+        self._link_keys: Dict[int, int] = {}
+        self.spans = SpanLog(max_spans, self._link_tables)
+        self._rows, self._hops = self.spans.rows, self.spans.hops
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
-        self._tail_pending: "collections.OrderedDict[str, List[Span]]" = \
+        # Per trace: its held rows, as (span or transit, hop index).
+        self._tail_pending: "collections.OrderedDict[str, List[Row]]" = \
             collections.OrderedDict()
         self._tail_pending_spans = 0
         # Trace ids evicted from the tail buffer mid-run.  Later spans
@@ -113,38 +161,67 @@ class Tracer:
             name, trace_id, f"s{next(self._span_ids)}", parent_id, at,
             attributes, sampled, sampled or self.tail_keep_errors))
 
-    def start_hop(self, parent: Span, at: float, link: str, node: str,
-                  nbytes: int) -> HopSpan:
-        """Open (and retain, like any span) the ``net.link`` row of one
-        hop of ``parent``'s packet; the carrier fills the rest."""
-        return self._keep(HopSpan(
-            parent.trace_id, f"s{next(self._span_ids)}", parent.span_id,
-            at, parent.sampled, link, node, nbytes))
+    def start_transit(self, links: Sequence[Any], at: float,
+                      header: Optional[Dict[str, Any]], src: str, dst: str,
+                      port: int, nbytes: int) -> TransitSpan:
+        """Open a packet's ``net.transmit`` span, as :meth:`start_span`
+        with ``src=``, ``dst=``, ``port=`` and ``bytes=`` would under
+        ``header`` (the trace context the packet carries, or ``None``
+        for a new root), for hop records whose link indices point into
+        ``links`` (a topology's ``link_order``: items with ``label``,
+        ``a`` and ``b``)."""
+        key = self._link_keys.get(id(links))
+        if key is None:
+            key = self._link_keys[id(links)] = len(self._link_tables)
+            self._link_tables.append(links)
+        if header is None:
+            trace_id = f"t{next(self._trace_ids)}"
+            parent_id = None
+            sampled = True if self.sampler is None \
+                else self.sampler.sample(trace_id)
+        else:
+            trace_id, parent_id = header["trace_id"], header["span_id"]
+            sampled = header.get("sampled", True)
+        return self._keep(TransitSpan(
+            trace_id, f"s{next(self._span_ids)}", parent_id, at, sampled,
+            sampled or self.tail_keep_errors, src, dst, port, nbytes, key))
 
-    def _keep(self, span: SpanT) -> SpanT:
+    def open_hop(self, transit: TransitSpan, link: int, from_b: bool,
+                 at: float) -> None:
+        """Pack one hop of ``transit``'s packet, claimed at ``at``, and
+        keep its ``net.link`` row as any span is kept."""
+        index = transit.open_hop(next(self._span_ids), link, from_b, at)
+        if transit.sampled:     # _keep's first branch, one call fewer
+            self._retain(transit, index)
+        else:
+            self._keep(transit, index)
+
+    def _keep(self, span: SpanT, hop: int = -1) -> SpanT:
         if span.sampled:
-            self._retain(span)
+            self._retain(span, hop)
         elif self.tail_keep_errors:
             # Record but hold aside: tail_flush() decides the trace's
             # fate once its outcome (ok vs. error/drop) is known.
-            self._tail_hold(span)
+            self._tail_hold(span, hop)
         else:
             self.sampled_out += 1
         return span
 
-    def _retain(self, span: Span) -> None:
-        if len(self.spans) == self.max_spans:    # never, when unbounded
+    def _retain(self, span: Span, hop: int = -1) -> None:
+        rows = self._rows
+        if len(rows) == self.max_spans:    # never, when unbounded
             self.evicted += 1
-        self.spans.append(span)
+        rows.append(span)
+        self._hops.append(hop)
 
-    def _tail_hold(self, span: Span) -> None:
+    def _tail_hold(self, span: Span, hop: int = -1) -> None:
         if span.trace_id in self._tail_evicted:
             # The trace already lost earlier spans to buffer overflow;
             # holding this one would promote a torso without its head.
             self.sampled_out += 1
             return
         trace = self._tail_pending.setdefault(span.trace_id, [])
-        trace.append(span)
+        trace.append((span, hop))
         self._tail_pending_spans += 1
         while self.tail_buffer is not None \
                 and self._tail_pending_spans > self.tail_buffer \
@@ -168,18 +245,20 @@ class Tracer:
         Call after a workload settles — typically right before export.
         """
         promoted = 0
-        for spans in self._tail_pending.values():
-            keep = any(span.status != "ok" for span in spans)
+        for rows in self._tail_pending.values():
+            keep = any((span.status if hop < 0
+                        else span.hop_status(hop)) != "ok"
+                       for span, hop in rows)
             if keep and self.max_spans is not None \
-                    and len(spans) > self.max_spans:
+                    and len(rows) > self.max_spans:
                 keep = False
             if keep:
-                for span in spans:
-                    self._retain(span)
-                promoted += len(spans)
-                self.tail_promoted += len(spans)
+                for span, hop in rows:
+                    self._retain(span, hop)
+                promoted += len(rows)
+                self.tail_promoted += len(rows)
             else:
-                self.sampled_out += len(spans)
+                self.sampled_out += len(rows)
         self._tail_pending.clear()
         self._tail_pending_spans = 0
         self._tail_evicted.clear()
@@ -201,8 +280,8 @@ class Tracer:
         return [span for span in self.spans if span.trace_id == trace_id]
 
     def clear(self) -> None:
-        self.spans = collections.deque(maxlen=self.max_spans) \
-            if self.max_spans is not None else []
+        self.spans = SpanLog(self.max_spans, self._link_tables)
+        self._rows, self._hops = self.spans.rows, self.spans.hops
         self._tail_pending.clear()
         self._tail_pending_spans = 0
         self._tail_evicted.clear()

@@ -259,6 +259,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/net/network.py",
            "            probability = link.loss + link._extra_loss\n",
            "            probability = link.loss\n"),
+    Mutant("hop-record-stamps-claim-as-tx-start", "seeded; hop records",
+           "src/repro/obs/span.py",
+           "        hops += HOP_RECORD.pack(span_id, link, from_b, at, _UNSET, "
+           "_UNSET,\n",
+           "        hops += HOP_RECORD.pack(span_id, link, from_b, at, at, "
+           "_UNSET,\n"),
     # -- one aimed at the stated property of each fault oracle -----------
     Mutant("give-up-leaves-inflight", "seeded; liveness",
            "src/repro/net/transport.py",

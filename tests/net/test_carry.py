@@ -101,13 +101,14 @@ def test_storm_under_loss_matches_pinned_reference():
 def _flap_and_burst():
     return (FaultSchedule()
             .link_down(0.010, "site0.router", "site1.router", up_at=0.030)
-            .loss_burst(0.040, extra_loss=0.5, duration=0.020,
+            .loss_burst(0.005, extra_loss=0.5, duration=0.010,
                         links=[("site1.router", "site2.router")]))
 
 
 def test_storm_under_faults_matches_pinned_reference():
     result = _storm(schedule=_flap_and_burst())
     assert result["drops"], "fault storm produced no drops to compare"
+    assert result["drops"].get("impairment"), "the loss burst drew nothing"
     assert trace_digest(result) == _pinned("faults")
 
 

@@ -17,6 +17,7 @@ from repro.obs.flight import (
     _PLAIN,
     _plain_label,
     canonical,
+    side_fields,
     use_flight,
 )
 from repro.run import RunSpec, run, trace_digest
@@ -224,11 +225,10 @@ class _EagerJournal:
         self.tick()
         self.env = env
 
-    def add(self, kind, span=None, **fields):
+    def add(self, kind, side=None, **fields):
         record = dict(kind=kind, time=self.tick(), **fields)
-        if span is not None and span.is_recording:
-            record.update(_trace=span.trace_id, _span=span.span_id,
-                          _op=span.name)
+        if side is not None:
+            record.update(_trace=side[0], _span=side[1], _op=side[2])
         record["epoch"] = self.epoch
         self.recorded += 1
         self.open += 1
@@ -250,17 +250,17 @@ class _EagerJournal:
     def record_rng(self, stream, method, value):
         self.add("rng", stream=stream, method=method, value=repr(value))
 
-    def record_hop(self, link, node, src, dst, port, span=None):
-        self.add("hop", span, link=link, node=node, src=src, dst=dst,
+    def record_hop(self, link, node, src, dst, port, side=None):
+        self.add("hop", side, link=link, node=node, src=src, dst=dst,
                  port=port)
 
     def record_drop(self, reason, link, src, dst, port, span=None):
-        self.add("drop", span, reason=reason, link=link, src=src,
-                 dst=dst, port=port)
+        self.add("drop", _side_of(span), reason=reason, link=link,
+                 src=src, dst=dst, port=port)
 
     def record_lock(self, event, key, owner, mode, style, span=None):
-        self.add("lock", span, event=event, key=key, owner=owner,
-                 mode=mode, style=style)
+        self.add("lock", _side_of(span), event=event, key=key,
+                 owner=owner, mode=mode, style=style)
 
     def record_spawn(self, actor):
         self.add("spawn", actor=actor)
@@ -275,6 +275,12 @@ class _EagerJournal:
                 self.roll()
         self.finished = True
         return len(self.epoch_digests)
+
+
+def _side_of(span):
+    if span is not None and span.is_recording:
+        return span.trace_id, span.span_id, span.name
+    return None
 
 
 def _assert_same(recorder, model):
@@ -362,6 +368,9 @@ _LABELS = st.one_of(
                      "caf\u00e9", "tab\t", ""]),
     st.text(max_size=6))
 _SPANS = st.sampled_from([None, _Span(), _SampledOutSpan()])
+# A hop journals its transit's side fields, built once per flight.
+_SIDES = st.sampled_from([None, side_fields(_Span()),
+                          side_fields(_SampledOutSpan())])
 _VALUES = st.one_of(st.integers(), st.floats(), st.booleans(),
                     st.none(), st.text(max_size=4),
                     st.lists(st.integers(), max_size=2))
@@ -373,7 +382,7 @@ _STEPS = st.one_of(
     st.tuples(st.just("attach"), _CLOCK),
     st.tuples(st.just("record_rng"), _LABELS, _LABELS, _VALUES),
     st.tuples(st.just("record_hop"), _LABELS, _LABELS, _LABELS, _LABELS,
-              _SMALL, _SPANS),
+              _SMALL, _SIDES),
     st.tuples(st.just("record_drop"), _LABELS,
               st.one_of(st.none(), _LABELS), _LABELS, _LABELS, _SMALL,
               _SPANS),
@@ -430,7 +439,7 @@ def test_side_fields_do_not_influence_digests():
     plain = FlightRecorder()
     traced = FlightRecorder()
     plain.record_hop("l", "n", "a", "b", 7)
-    traced.record_hop("l", "n", "a", "b", 7, span=_Span())
+    traced.record_hop("l", "n", "a", "b", 7, side=side_fields(_Span()))
     plain.finish()
     traced.finish()
     assert plain.epoch_digests == traced.epoch_digests

@@ -8,6 +8,7 @@ import pytest
 from repro import obs
 from repro.net import Network, wan
 from repro.node import ODPRuntime
+from repro.obs.span import HOP_RECORD, HopSpan, TransitSpan
 from repro.sim import Environment
 
 
@@ -165,8 +166,12 @@ def test_noop_empties_cannot_carry_state_between_runs():
         obs.NOOP_SPAN.events.append({"name": "leak", "at": 0.0})
     with pytest.raises(AttributeError):
         obs.NOOP_TRACER.spans.append(obs.NOOP_SPAN)
+    # The disabled flight recorder is shared the same way.
+    with pytest.raises(AttributeError):
+        obs.NOOP_FLIGHT.epoch_digests.append("leak")
     assert dict(obs.NoopSpan().attributes) == {}
     assert obs.NoopSpan().events == () and len(obs.NOOP_TRACER.spans) == 0
+    assert obs.NOOP_FLIGHT.epoch_digests == ()
 
 
 def test_a_retained_span_is_one_tracked_object(env, tracer):
@@ -183,6 +188,48 @@ def test_a_retained_span_is_one_tracked_object(env, tracer):
                for span in tracer.spans]
     assert len(tracked) >= 20
     assert sum(tracked) / len(tracked) <= 1.0
+
+
+def test_hops_are_records_until_a_reader_asks(env, tracer, tmp_path):
+    # A hop is a record packed into its transit span: no HopSpan exists
+    # until something reads tracer.spans, and len() builds none.
+    runtime = make_wan_runtime(env)
+    invoke_remotely(env, runtime)
+    gc.collect()
+    assert not any(type(held) is HopSpan
+                   for held in gc.get_objects())
+    hops = sum(link.stats.packets + link.stats.drops
+               for link in runtime.network.topology.links())
+    assert hops > 0
+    transits = {id(row): row for row in tracer.spans.rows
+                if type(row) is TransitSpan}
+    assert sum(len(transit.hops) for transit in transits.values()) \
+        == hops * HOP_RECORD.size
+    # Each hop is one row of the log: its transit and its record index.
+    assert sum(1 for hop in tracer.spans.hops if hop >= 0) == hops
+    path = str(tmp_path / "run.jsonl")
+    obs.dump_jsonl(path, tracer=tracer)
+    links = [record for record in obs.load_jsonl(path)
+             if record.get("name") == "net.link"]
+    assert len(links) == hops
+    assert all(record["end"] is not None for record in links)
+
+
+def test_a_journalled_hop_names_its_transit(tracer):
+    # Every hop record of a flight carries the side fields of the
+    # packet's net.transmit span, read from that one span.
+    recorder = obs.FlightRecorder()
+    with obs.use_flight(recorder):
+        env = Environment()
+    invoke_remotely(env, make_wan_runtime(env))
+    recorder.finish()
+    hops = [record for record in recorder.ring if record["kind"] == "hop"]
+    transits = {span.span_id: span.trace_id for span in tracer.spans
+                if span.name == "net.transmit"}
+    assert len(hops) == 12
+    assert all(record["_op"] == "net.transmit"
+               and transits[record["_span"]] == record["_trace"]
+               for record in hops)
 
 
 def test_hop_rows_materialise_on_read(env, tracer):

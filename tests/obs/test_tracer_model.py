@@ -2,9 +2,11 @@
 
 ``tests/obs/tracer_model.py`` keeps the old ``Span``/``SpanContext``/
 ``Tracer``/``inject``/``extract``.  Both are driven with the same random
-interleaving of span starts under every kind of parent, ``net.link`` hop
-rows (filled the way the carrier fills them: ``tx_start``, then ``end``
-and maybe a drop), mutators (a hop row refuses all but ``set_status``),
+interleaving of span starts under every kind of parent, ``net.link``
+hops (packed into their transit the way the carrier packs them: one
+record per hop, opened at the claim, then its tx-start, then its end
+and maybe a drop — one hop of a transit at a time; in the old world a
+``net.link`` child span), mutators (a hop row read back refuses all),
 tail flushes, clears and reads; whatever a reader can see must be
 text-equal in the two worlds.
 """
@@ -12,13 +14,15 @@ text-equal in the two worlds.
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import propagation
 from repro.obs.sampling import Sampler
+from repro.net.topology import Topology
 from repro.obs.span import NOOP_SPAN, HopSpan
 from repro.obs.tracer import Tracer
+from repro.sim import Environment
 
 from tests.lockstep import lockstep
 from tests.obs import tracer_model as model
@@ -28,6 +32,8 @@ _VALUES = st.one_of(st.integers(-3, 3), st.text(max_size=3),
                     st.sampled_from([0.0, -0.0, 1.5, 1e-9]))
 _ATTRS = st.dictionaries(_KEYS, _VALUES, max_size=3)
 _TIMES = st.sampled_from([0.0, 0.25, 1, 1.0, 2.5e-6, 7.125])
+# A carrier stamps a hop with env.now, which is always a float.
+_HOP_TIMES = _TIMES.map(float)
 _PICK = st.integers(0, 40)
 _NAMES = st.sampled_from(["rpc.call", "node.invoke", "net.transmit"])
 _PARENTS = st.sampled_from(["span", "dict", "context", "extracted",
@@ -36,10 +42,13 @@ _STEPS = st.one_of(
     st.tuples(st.just("root"), _NAMES, _TIMES, _ATTRS),
     st.tuples(st.just("child"), _PARENTS, _PICK, _NAMES, _TIMES, _ATTRS),
     st.tuples(st.just("child"), _PARENTS, _PICK, _NAMES, _TIMES, _ATTRS),
-    st.tuples(st.just("hop"), _PICK, _TIMES, st.text(max_size=4),
-              st.sampled_from(["a", "b"]), st.integers(0, 1500)),
-    st.tuples(st.just("carry"), _PICK, _TIMES, st.booleans()),
-    st.tuples(st.just("carry"), _PICK, _TIMES, st.booleans()),
+    # A carrier parents its transit under the packet's header, if any.
+    st.tuples(st.just("transit"), st.sampled_from(["dict", "noop"]), _PICK,
+              _TIMES, st.sampled_from(["n0", "n1"]), st.text(max_size=3),
+              st.integers(0, 9), st.integers(0, 1500)),
+    st.tuples(st.just("hop"), _PICK, _HOP_TIMES, _PICK, st.booleans()),
+    st.tuples(st.just("carry"), _PICK, _HOP_TIMES, st.booleans()),
+    st.tuples(st.just("carry"), _PICK, _HOP_TIMES, st.booleans()),
     st.tuples(st.just("event"), _PICK, st.sampled_from(["retry", "x"]),
               _TIMES, _ATTRS),
     st.tuples(st.just("attr"), _PICK, _KEYS, _VALUES),
@@ -70,7 +79,13 @@ class _World:
         self.inject, self.extract = api.inject, api.extract
         self.new, self.read_every_step = tracer_cls is Tracer, read_every_step
         self.spans = []         # every span started, retained or not
-        self.hops = []          # [hop, stage]: 0 opened, 1 sent, 2 ended
+        self.transits = []      # those a "transit" step started
+        # [transit, hop, stage]: 0 opened, 1 sent, 2 ended, 3 dropped
+        self.hops = []
+        topology = Topology(Environment())
+        for a, b in (("n0", "n1"), ("n1", "n2"), ("n0", "n2")):
+            topology.add_link(a, b)
+        self.links = topology.link_order
         self.reading = False
 
     def parent(self, kind, index):
@@ -96,51 +111,62 @@ class _World:
             _, parent, index, name, at, attrs = step
             self.spans.append(tracer.start_span(
                 name, at, parent=self.parent(parent, index), **attrs))
+        elif kind == "transit":
+            _, parent, index, at, src, dst, port, nbytes = step
+            parent = self.parent(parent, index) if self.spans \
+                and parent == "dict" else None
+            self.spans.append(
+                tracer.start_transit(self.links, at, parent, src, dst, port,
+                                     nbytes)
+                if new else tracer.start_span(
+                    "net.transmit", at=at, parent=parent, src=src, dst=dst,
+                    port=port, bytes=nbytes))
+            self.transits.append(self.spans[-1])
         elif kind == "hop":
-            # As the carrier: only under a recording transit.
-            _, index, at, link, node, nbytes = step
-            transits = [span for span in self.spans
-                        if span.name != "net.link" and span.is_recording]
+            # As the carrier: under a recording transit whose last hop
+            # arrived (a transit's hops follow one another).
+            _, index, at, pick, from_b = step
+            busy = {id(entry[0]) for entry in self.hops if entry[2] != 2}
+            transits = [span for span in self.transits
+                        if span.is_recording and id(span) not in busy]
             if transits:
                 transit = transits[index % len(transits)]
-                hop = tracer.start_hop(transit, at, link, node, nbytes) \
-                    if new else tracer.start_span(
-                        "net.link", at=at, parent=transit, link=link,
-                        node=node, bytes=nbytes)
-                self.spans.append(hop)
-                self.hops.append([hop, 0])
+                link = self.links[pick % len(self.links)]
+                hop = None
+                if new:
+                    tracer.open_hop(transit, link.index, from_b, at)
+                else:
+                    hop = tracer.start_span(
+                        "net.link", at=at, parent=transit, link=link.label,
+                        node=link.b if from_b else link.a,
+                        bytes=transit.attributes["bytes"])
+                for entry in self.hops:
+                    if entry[0] is transit:
+                        entry[2] = -1       # an earlier hop: done with
+                self.hops.append([transit, hop, 0])
         elif kind == "carry":
             _, index, at, dropped = step
-            live = [entry for entry in self.hops if entry[1] < 2]
+            live = [entry for entry in self.hops if entry[2] in (0, 1)]
             if live:
                 entry = live[index % len(live)]
-                hop = entry[0]
-                if entry[1] == 0:
+                transit, hop = entry[0], entry[1]
+                if entry[2] == 0:
                     if new:
-                        hop.tx_start = at
+                        transit.hop_sent(at)
                     else:
                         hop.add_event("tx-start", at=at)
-                elif new:
-                    if dropped:
-                        hop.status = "dropped"
-                    hop.end = at
+                    entry[2] = 1
                 else:
-                    if dropped:
-                        hop.set_status("dropped")
-                    hop.finish(at=at)
-                entry[1] += 1
+                    if new:
+                        transit.hop_ended(at, dropped)
+                    else:
+                        if dropped:
+                            hop.set_status("dropped")
+                        hop.finish(at=at)
+                    entry[2] = 3 if dropped else 2
         elif kind in ("event", "attr", "status", "finish"):
             if self.spans:
-                span = self.spans[step[1] % len(self.spans)]
-                if kind == "status":
-                    span.set_status(step[2])
-                elif span.name != "net.link":
-                    _mutate(span, step)
-                elif new:
-                    # A hop row holds only what its carrier writes; the
-                    # object graph's hop took anything and is left alone.
-                    with pytest.raises(TypeError):
-                        _mutate(span, step)
+                _mutate(self.spans[step[1] % len(self.spans)], step)
         elif kind == "tail_flush":
             return tracer.tail_flush()
         elif kind == "clear":
@@ -162,7 +188,9 @@ class _World:
 
 
 def _mutate(span, step):
-    if step[0] == "event":
+    if step[0] == "status":
+        span.set_status(step[2])
+    elif step[0] == "event":
         span.add_event(step[2], step[3], **step[4])
     elif step[0] == "attr":
         span.set_attribute(step[2], step[3])
@@ -173,11 +201,24 @@ def _mutate(span, step):
 @settings(max_examples=250, deadline=None)
 @given(config=_CONFIGS, steps=st.lists(_STEPS, min_size=5, max_size=80),
        read_every_step=st.booleans())
+@example(   # a held trace whose only non-ok row is a dropped hop
+    config={"rate": 0.0, "seed": 0, "max_spans": None,
+            "tail": (True, None)},
+    steps=[("transit", "noop", 0, 0.0, "n0", "n1", 1, 100),
+           ("hop", 0, 0.0, 1, True), ("carry", 0, 0.25, False),
+           ("carry", 0, 1.0, True), ("tail_flush",)],
+    read_every_step=False)
 def test_rows_read_exactly_as_the_object_graph_did(config, steps,
                                                    read_every_step):
     rows = _World(Tracer, propagation, config, read_every_step)
     closing = [("read",), ("tail_flush",)]      # read, flush, read again
     lockstep(rows, _World(model.Tracer, model, config, read_every_step),
              steps, drain=lambda world: closing.pop(0) if closing else None)
-    assert all(type(span) is HopSpan
-               for span in rows.spans if span.name == "net.link")
+    hops = [span for span in rows.tracer.spans if span.name == "net.link"]
+    assert all(type(span) is HopSpan for span in hops)
+    for hop in hops:
+        # What a reader holds is a snapshot: it refuses every write.
+        for step in (("event", 0, "x", 1.0, {}), ("attr", 0, "n", 1),
+                     ("status", 0, "error"), ("finish", 0, 1.0)):
+            with pytest.raises(TypeError):
+                _mutate(hop, step)

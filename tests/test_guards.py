@@ -242,6 +242,9 @@ TOMBSTONES = {  # (the commit that deleted it, the record): guards
              plant="journal" "led(spec)")],
     ("271be8b", "EXPERIMENTS.md: F1 is deleted"): gone(
         "benchmarks/bench_f1_spacetime_matrix.py"),
+    # Deleted by the commit after c2c4eab.
+    ("c2c4eab+1", PERF + "### A hop is a record"): [grep(
+        r"def start_hop", SRC)],
 }
 
 CONTRACTS = {  # where the rule is stated: guards
@@ -266,7 +269,8 @@ CONTRACTS = {  # where the rule is stated: guards
               r"|^src/repro/(sim/environment|run|sim/rng|obs/export)\.py:"
               r"|^src/repro/workload/(telemetry|chaos)\.py:[0-9]+:"
               r"    ambient = get_tracer\(\)$", plant="get_metrics()")],
-    PERF + "### A span is a row": [grep(r"start_span\(", NET, lines=range(2))],
+    PERF + "### A span is a row": [grep(r"start_span\(|start_transit\(", NET,
+                                        lines=range(2))],
     PERF + "The link physics is stated once": [
         grep(r"(?<!self)\._rng\b|\._extra_loss\b|\._latency_scale\b", REPRO,
              allow=r"^src/repro/net/(link|network)\.py:")._replace(plant=(
