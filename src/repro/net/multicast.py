@@ -64,7 +64,10 @@ class MulticastService:
         """Multicast to every member; returns the per-member packets.
 
         With ``loopback`` the sender (if a member) also receives a copy,
-        delivered immediately.
+        delivered immediately.  Every flight the frame launches — a tree
+        edge, or a member no route reaches — is one datagram in the
+        source host's ``sent`` book; the loopback copy, which never
+        enters the network, is in none.
         """
         group = self.groups.get(group_name)
         if group is None:
@@ -82,17 +85,19 @@ class MulticastService:
                                port=dst_port, created_at=self.env.now)
                   for node in sorted(reached.union(targets))}
         packets = [copies[member] for member in targets]
+        source = self.network.host(src)
         if loopback and src in group.members:
             self_packet = Packet(src, src, payload=payload, size=size,
                                  port=dst_port, created_at=self.env.now)
             packets.append(self_packet)
-            self.network.hosts[src]._deliver(self_packet)
-        frame = (tree, copies, set(targets))
+            source._deliver(self_packet)
+        frame = (tree, copies, set(targets), source)
         for child in tree.get(src, ()):
             _TreeEdge(self.network, frame, src, child)._launch()
         for member in targets:
             if member not in reached:
                 # Unreachable: its flight finds no route and books that.
+                source.sent += 1
                 _Carrier(self.network, copies[member])._launch()
         return packets
 
@@ -134,8 +139,9 @@ class _TreeEdge(_Carrier):
 
     Only its route (the tree link from ``node`` to ``child``) and its
     end (:meth:`_deliver`) differ from a unicast flight.  ``frame`` is
-    the tree (node -> children), the packet per node it reaches, and
-    the members among those nodes.
+    the tree (node -> children), the packet per node it reaches, the
+    members among those nodes and the source host, whose ``sent`` book
+    counts the edge as it takes off.
     """
 
     __slots__ = ("frame",)
@@ -146,12 +152,13 @@ class _TreeEdge(_Carrier):
             (network.topology.link_between(node, child),)))
         self.frame = frame
         self.node = node
+        frame[3].sent += 1
 
     def _deliver(self) -> None:
         """Past the link: deliver to a member, then fork the subtree."""
         packet = self.packet
         child = packet.dst
-        tree, copies, members = self.frame
+        tree, copies, members, _ = self.frame
         if child in members:
             super()._deliver()
         else:

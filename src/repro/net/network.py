@@ -33,12 +33,11 @@ order.  A send made inside the run starts on the spot, in call order.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError, RoutingError
 from repro.net.packet import Packet
 from repro.net.topology import Topology
-from repro.obs.flight import side_fields
 from repro.obs.metrics import Counter, LabelKey, Tally
 from repro.obs.propagation import TRACE_HEADER
 from repro.obs.span import NOOP_SPAN
@@ -130,7 +129,7 @@ class _Carrier(PriorityRequest):
 
     # __weakref__: tests watch a carrier die at the end of its flight.
     __slots__ = ("network", "packet", "transit", "tracer", "flight",
-                 "side", "links", "link", "node", "wire_size",
+                 "links", "link", "node", "wire_size",
                  "__weakref__")
 
     #: ``env.active_process.span`` (where locks.py parents its spans):
@@ -200,12 +199,9 @@ class _Carrier(PriorityRequest):
         self.priority = packet.headers.get("priority", BEST_EFFORT_PRIORITY)
         # Hops are recorded only for traces that are actually being
         # retained: each is a record packed into the transit span, and
-        # every hop record of the flight journals the transit's side
-        # fields, built here once.
+        # its journal record names the transit.
         self.tracer = tracer if span.is_recording else None
-        flight = self.flight = self.env._flight
-        if flight is not None:
-            self.side = side_fields(span)
+        self.flight = self.env._flight
         self._claim()
 
     def _claim(self) -> None:  # repro: fast-path (RPR204)
@@ -298,8 +294,9 @@ class _Carrier(PriorityRequest):
         packet.hops += 1
         node = self.node
         if self.flight is not None:
-            self.flight.record_hop(link.label, node, packet.src, packet.dst,
-                                   packet.port, self.side)
+            self.flight.record_hop(
+                link.label, node, packet.src, packet.dst, packet.port,
+                None if self.tracer is None else self.transit)
         self.node = link.b if node == link.a else link.a
         if self.tracer is not None:
             self.transit.hop_ended(self.env.now)
@@ -364,8 +361,9 @@ class Network:
         #: (link label or None, reason) -> packets dropped; ``None`` is a
         #: drop no link made (``no-route``, ``no-host``).
         self._drops: Dict[Tuple[Optional[str], str], int] = {}
-        #: What :meth:`_flush` has already given the registry.
-        self._folded: Dict[LabelKey, int] = {}
+        #: Per book key, what :meth:`_flush` folds into: the counter and
+        #: the count already given it.
+        self._folded: Dict[LabelKey, List[Any]] = {}
         self._latencies_folded = 0
         env.metrics.add_flush_hook(self._flush, _INSTRUMENTS)
 
@@ -390,8 +388,9 @@ class Network:
 
         The registry's flush hook: it runs before every read of a
         ``net.*`` instrument, so readers see fresh values while a flight
-        pays no instrument call.  Deltas go through the keyed factories
-        in sorted order; a count that has not moved creates nothing.
+        pays no instrument call.  A counter is looked up once, in sorted
+        order, the first time its count moves, and kept; a count that has
+        not moved creates nothing.
         """
         registry = self.env.metrics
         books: Dict[LabelKey, int] = {
@@ -411,10 +410,16 @@ class Network:
                       (("link", label), ("reason", reason))] = count
         folded = self._folded
         for key in sorted(books):
-            delta = books[key] - folded.get(key, 0)
-            if delta:
-                folded[key] = books[key]
-                registry.counter(key[0], **dict(key[1])).add(delta)
+            count = books[key]
+            kept = folded.get(key)
+            if kept is None:
+                if not count:
+                    continue
+                kept = folded[key] = [
+                    registry.counter(key[0], **dict(key[1])), 0]
+            if count != kept[1]:
+                kept[0].add(count - kept[1])
+                kept[1] = count
         values = self.delivery_latency.values
         if len(values) > self._latencies_folded:
             registry.histogram("net.delivery_latency").values.extend(

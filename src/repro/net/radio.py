@@ -136,12 +136,9 @@ def attach_mobile(topology: Topology, mobile: str, base: str,
     if base in topology._adjacency[mobile]:
         raise NetworkError(
             "link {}<->{} already exists".format(mobile, base))
-    link = topology._number(RadioLink(topology.env, mobile, base,
-                                      level=level, profiles=profiles,
-                                      rng=rng))
-    topology._adjacency[mobile][base] = link
-    topology._adjacency[base][mobile] = link
-    topology.invalidate_routes()
+    link = topology._join(RadioLink(topology.env, mobile, base,
+                                    level=level, profiles=profiles,
+                                    rng=rng))
     # Route validity depends on link.up, which changes with the level.
     link.on_level_change(lambda _level: topology.invalidate_routes())
     return link

@@ -61,18 +61,19 @@ class Topology:
         self.add_node(b)
         if b in self._adjacency[a]:
             raise NetworkError("link {}<->{} already exists".format(a, b))
-        link = self._number(Link(self.env, a, b, **link_kwargs))
-        self._adjacency[a][b] = link
-        self._adjacency[b][a] = link
+        return self._join(Link(self.env, a, b, **link_kwargs))
+
+    def _join(self, link: Link) -> Link:
+        """Put a new link between its ends, which are nodes with no link
+        between them yet: give it its place in :attr:`link_order` and
+        drop every cache the graph's shape feeds."""
+        link.index = len(self.link_order)
+        self.link_order.append(link)
+        self._adjacency[link.a][link.b] = link
+        self._adjacency[link.b][link.a] = link
         self._dirty = True
         self._links_cache = None
         self._state_cache = {}
-        return link
-
-    def _number(self, link: Link) -> Link:
-        """Give a joining link its place in :attr:`link_order`."""
-        link.index = len(self.link_order)
-        self.link_order.append(link)
         return link
 
     def link_between(self, a: str, b: str) -> Link:

@@ -139,7 +139,7 @@ class Nucleus:
             raise NodeError(
                 "timeout must be non-negative: {!r}".format(timeout))
         done = self.env.event()
-        _Invocation(self, oid, op, args, timeout, done, parent)._start()
+        _Invocation(self, oid, op, args, timeout, done)._start(parent)
         return done
 
     # -- migration -----------------------------------------------------------
@@ -289,7 +289,7 @@ class _Invocation:
                  "start", "attempts", "location", "lookup")
 
     def __init__(self, nucleus: Nucleus, oid: str, op: str, args: Any,
-                 timeout: float, done: Event, parent: Any) -> None:
+                 timeout: float, done: Event) -> None:
         self.nucleus = nucleus
         self.oid = oid
         self.op = op
@@ -297,22 +297,21 @@ class _Invocation:
         self.timeout = timeout
         self.done = done
         self.start = nucleus.env.now
-        self.span = nucleus.env.tracer.start_span(
-            "node.invoke", at=self.start, parent=parent,
-            node=nucleus.node_name, oid=oid, op=op)
         self.attempts = 0
 
-    def _start(self) -> None:
+    def _start(self, parent: Any) -> None:
+        """Open the span knowing the target, then run or chase."""
         nucleus = self.nucleus
-        span = self.span
         nucleus._op_counters.get(self.op).add()
         local = nucleus.find_object(self.oid)
+        self.span = nucleus.env.tracer.start_span(
+            "node.invoke", at=self.start, parent=parent,
+            node=nucleus.node_name, oid=self.oid, op=self.op,
+            target="remote" if local is None else "local")
         if local is None:
-            span.set_attribute("target", "remote")
             nucleus._invocation_counters.get("remote").add()
             self._locate()
             return
-        span.set_attribute("target", "local")
         nucleus._invocation_counters.get("local").add()
         try:
             result = local.invoke_local(nucleus.node_name, self.op,

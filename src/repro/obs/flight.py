@@ -27,6 +27,9 @@ Design constraints, in order:
 * **Deterministic.**  Records contain only sim-derived values; span
   ids — which differ between traced and untraced runs — ride in
   underscore-prefixed side fields that are excluded from digests.
+* **Fields, not objects.**  A journal entry is :data:`_WIDTH` fields
+  laid end to end in one flat list or deque, so recording allocates
+  nothing that is kept but the field values themselves.
 * **Bounded.**  ``ring`` caps retained records (``evicted`` counts the
   rest); ``keep_epochs`` narrows retention to an epoch range for the
   divergence localizer's full-journal re-run, with ``context`` records
@@ -55,7 +58,7 @@ import functools
 import hashlib
 import json
 import re
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 #: Journal epochs are fixed spans of simulated time, so where the chain
 #: is cut does not depend on how many events the kernel queued.
@@ -78,10 +81,17 @@ def _plain_label(label: str) -> bool:
     return _PLAIN(label) is not None
 
 
-# Raw journal entries: ``(kind, epoch, time, ...)`` tuples, turned into
-# text (for the digest) or dicts (for a reader) later.  Cold channels and
-# records with a string that is not plain build their dict first (_RECORD).
+# Raw journal entries: ``_WIDTH`` fields ``kind, epoch, time, ...``, laid
+# end to end in a flat list or deque and turned into text (for the
+# digest) or dicts (for a reader) later.  A hop's fields are its link,
+# node, src, dst, port and its transit's trace and span ids (None when
+# untraced); an rng draw's its stream, method and value.  Cold channels
+# and records with a string that is not plain build their dict first
+# (_RECORD: the dict is the fourth field).  Unused fields are None.
 _HOP, _RNG, _RECORD = range(3)
+_WIDTH = 10
+#: The ``_op`` side field of a traced hop: it names its packet's span.
+_TRANSIT = "net.transmit"
 
 
 def canonical(record: Dict[str, Any]) -> str:
@@ -98,31 +108,39 @@ def canonical(record: Dict[str, Any]) -> str:
 
 
 def side_fields(span: Any) -> Optional[Tuple[str, str, str]]:
-    """The side fields naming a recording span, else None.
-
-    A carrier builds its packet's once, naming the ``net.transmit``
-    span, and hands the same tuple to every hop record of the flight.
-    """
+    """The side fields naming a recording span, else None."""
     if span is not None and getattr(span, "is_recording", False):
         return span.trace_id, span.span_id, span.name
     return None
 
 
-def _record(entry: Tuple[Any, ...]) -> Dict[str, Any]:
-    """The dict form of a raw journal entry (what readers see)."""
-    kind = entry[0]
-    if kind == _RECORD:
-        return entry[3]
-    if kind == _HOP:
-        _, epoch, time, link, node, src, dst, port, side = entry
-        record = {"kind": "hop", "time": time, "link": link, "node": node,
-                  "src": src, "dst": dst, "port": port, "epoch": epoch}
-        if side is not None:
-            record["_trace"], record["_span"], record["_op"] = side
-        return record
-    _, epoch, time, stream, method, value = entry
-    return {"kind": "rng", "time": time, "stream": stream,
-            "method": method, "value": value, "epoch": epoch}
+def _entries(fields: Any) -> Iterator[Tuple[Any, ...]]:
+    """The journal entries laid end to end in ``fields``, in order."""
+    every = iter(fields)
+    return zip(*(every,) * _WIDTH)
+
+
+def _records(fields: Any, epoch: Optional[int] = None
+             ) -> List[Dict[str, Any]]:
+    """The dict forms of the entries in ``fields`` (what readers see),
+    of one epoch only when ``epoch`` is given."""
+    records = []
+    for kind, at, time, a, b, c, d, e, trace, span in _entries(fields):
+        if epoch is not None and at != epoch:
+            continue
+        if kind == _RECORD:
+            records.append(a)
+        elif kind == _HOP:
+            record = {"kind": "hop", "time": time, "link": a, "node": b,
+                      "src": c, "dst": d, "port": e, "epoch": at}
+            if trace is not None:
+                record["_trace"], record["_span"], record["_op"] = \
+                    trace, span, _TRANSIT
+            records.append(record)
+        else:
+            records.append({"kind": "rng", "time": time, "stream": a,
+                            "method": b, "value": c, "epoch": at})
+    return records
 
 
 class FlightRecorder:
@@ -141,7 +159,7 @@ class FlightRecorder:
     while a second environment is being built carry the first one's
     last instant.  A run that journals nothing costs nothing per event.
 
-    Recording a decision appends one raw tuple to the current epoch's
+    Recording a decision appends its fields to the current epoch's
     buffer.  The buffer is *folded* — rendered to canonical text in one
     pass, hashed with one update, moved into the ring — when the epoch
     rolls, at :meth:`finish`, and before any read, so every reader sees
@@ -173,10 +191,11 @@ class FlightRecorder:
         # Chained digests, one per closed epoch: digest ``e`` hashes
         # digest ``e-1`` followed by epoch ``e``'s canonical records.
         self._digests: List[str] = []
-        # Raw entries: not yet folded, retained, from before keep_epochs.
-        self._pending: List[Tuple[Any, ...]] = []
-        self._ring = collections.deque(maxlen=ring)
-        self._context = collections.deque(maxlen=context)
+        # Entries' fields: not yet folded, retained, from before
+        # keep_epochs.
+        self._pending: List[Any] = []
+        self._ring = collections.deque(maxlen=ring * _WIDTH)
+        self._context = collections.deque(maxlen=context * _WIDTH)
         self._recorded = 0
         self._admitted = 0      # entries ever offered to the ring
         self._hash = hashlib.sha256()
@@ -247,28 +266,24 @@ class FlightRecorder:
         texts = []
         add = texts.append
         last = stamp = None
-        for entry in pending:
-            time = entry[2]
+        for kind, _, time, a, b, c, d, e, _, _ in _entries(pending):
             if time is not last:
                 if time != last or not time \
                         or type(time) is not type(last):
                     stamp = repr(time)
                 last = time
-            kind = entry[0]
             if kind == _HOP:
-                _, _, _, link, node, src, dst, port, _ = entry
-                add(f'{{"dst":"{dst}","epoch":{epoch},"kind":"hop",'
-                    f'"link":"{link}","node":"{node}","port":{port!r},'
-                    f'"src":"{src}","time":{stamp}}}')
+                add(f'{{"dst":"{d}","epoch":{epoch},"kind":"hop",'
+                    f'"link":"{a}","node":"{b}","port":{e!r},'
+                    f'"src":"{c}","time":{stamp}}}')
             elif kind == _RNG:
-                _, _, _, stream, method, value = entry
                 add(f'{{"epoch":{epoch},"kind":"rng",'
-                    f'"method":"{method}","stream":"{stream}",'
-                    f'"time":{stamp},"value":"{value}"}}')
+                    f'"method":"{b}","stream":"{a}",'
+                    f'"time":{stamp},"value":"{c}"}}')
             else:
-                add(canonical(entry[3]))
+                add(canonical(a))
         self._hash.update("".join(texts).encode())
-        count = len(pending)
+        count = len(texts)
         self._recorded += count
         self._epoch_records += count
         keep = self.keep_epochs
@@ -293,7 +308,8 @@ class FlightRecorder:
         if side is not None:
             record["_trace"], record["_span"], record["_op"] = side
         record["epoch"] = self._epoch
-        self._pending.append((_RECORD, self._epoch, record["time"], record))
+        self._pending.extend((_RECORD, self._epoch, record["time"], record,
+                              None, None, None, None, None, None))
 
     def record_rng(self, stream: str, method: str, value: Any) -> None:
         """One RNG draw from a named stream (``repr`` keeps floats exact)."""
@@ -302,29 +318,31 @@ class FlightRecorder:
         value = repr(value)     # of a number: always plain
         if (numeric or _PLAIN(value)) and _plain_label(stream) \
                 and _plain_label(method):
-            self._pending.append(
-                (_RNG, self._epoch, time, stream, method, value))
+            self._pending.extend((_RNG, self._epoch, time, stream, method,
+                                  value, None, None, None, None))
         else:
             self._append({"kind": "rng", "time": time,
                           "stream": stream, "method": method,
                           "value": value})
 
     def record_hop(self, link: str, node: str, src: str, dst: str,
-                   port: int,
-                   side: Optional[Tuple[str, str, str]] = None) -> None:
-        """One packet clearing one link hop; ``side`` is
-        :func:`side_fields` of the packet's ``net.transmit`` span."""
+                   port: int, transit: Any = None) -> None:
+        """One packet clearing one link hop; ``transit`` is the packet's
+        ``net.transmit`` span when it is recording, else None."""
         time = self._tick()
+        if transit is None:
+            trace = span = None
+        else:
+            trace, span = transit.trace_id, transit.span_id
         if _plain_label(link) and _plain_label(node) \
                 and _plain_label(src) and _plain_label(dst):
-            self._pending.append(
-                (_HOP, self._epoch, time, link, node, src, dst,
-                 port, side))
+            self._pending.extend((_HOP, self._epoch, time, link, node, src,
+                                  dst, port, trace, span))
         else:
             self._append(
                 {"kind": "hop", "time": time, "link": link,
                  "node": node, "src": src, "dst": dst, "port": port},
-                side)
+                None if transit is None else (trace, span, _TRANSIT))
 
     def record_drop(self, reason: str, link: Optional[str], src: str,
                     dst: str, port: int, span: Any = None) -> None:
@@ -372,35 +390,34 @@ class FlightRecorder:
     @property
     def recorded(self) -> int:
         """Records journalled over the recorder's lifetime."""
-        return self._recorded + len(self._pending)
+        return self._recorded + len(self._pending) // _WIDTH
 
     @property
     def evicted(self) -> int:
         """Records pushed out of the ring."""
         self._fold()
-        return self._admitted - len(self._ring)
+        return self._admitted - len(self._ring) // _WIDTH
 
     @property
     def ring(self) -> List[Dict[str, Any]]:
         """The retained records, oldest first (a snapshot)."""
         self._fold()
-        return [_record(entry) for entry in self._ring]
+        return _records(self._ring)
 
     @property
     def context(self) -> List[Dict[str, Any]]:
         """Records from just before ``keep_epochs`` (empty without it)."""
         self._fold()
-        return [_record(entry) for entry in self._context]
+        return _records(self._context)
 
     def epoch_records(self, epoch: int) -> List[Dict[str, Any]]:
         """The retained records of one epoch, in journal order."""
         self._fold()
-        return [_record(entry) for entry in self._ring
-                if entry[1] == epoch]
+        return _records(self._ring, epoch)
 
     def __len__(self) -> int:
         self._fold()
-        return len(self._ring)
+        return len(self._ring) // _WIDTH
 
     def __repr__(self) -> str:
         return "<FlightRecorder epoch={} recorded={}{}>".format(

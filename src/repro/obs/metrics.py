@@ -22,8 +22,9 @@ call per record keeps its own book and registers a *flush hook*
 book backs; the hook folds what the book gained since its last run
 into the instruments.  Every read path — the keyed factories for those
 names (any other name pays a set probe), ``counters()``/``snapshot()``/
-``records()``, the ``*_items()`` iteration the timeline recorder uses at
-window boundaries, and the SLO aggregations — runs the hooks first, so
+``records()``, the ``*_items()`` iteration, the ``positions()`` the
+timeline recorder takes at window boundaries, and the SLO
+aggregations — runs the hooks first, so
 readers always see fresh values while writers schedule zero flush events
 and pay one int add per record.  Hooks must be idempotent when nothing
 has moved.  The book is the only copy: the registry's view of it is
@@ -316,12 +317,12 @@ class MetricsRegistry:
                 for key, instrument in sorted(self._gauges.items())
                 if name is None or key[0] == name}
 
-    # -- instrument iteration (the timeline recorder's read path) ----------
+    # -- instrument iteration ----------------------------------------------
     #
     # Sorted ``(rendered_key, instrument)`` pairs.  Handing out the
-    # instrument objects themselves lets a sampler difference live values
-    # in O(instruments) per window — no per-label keyed lookups — as a
-    # writer does by keeping the instrument a keyed factory returned.
+    # instrument objects themselves lets a reader difference live values
+    # in O(instruments) — no per-label keyed lookups — as a writer does
+    # by keeping the instrument a keyed factory returned.
 
     def counter_items(self) -> List[Tuple[str, CounterInstrument]]:
         self._flush()
@@ -337,6 +338,27 @@ class MetricsRegistry:
         self._flush()
         return [(_render(key), inst)
                 for key, inst in sorted(self._gauges.items())]
+
+    # -- positions (the timeline recorder's window boundary) ---------------
+    #
+    # Every instrument's position after one flush, in registration order
+    # (instruments are never removed, so a later read lines them up with
+    # :meth:`registered`): what the recorder needs to difference windows
+    # later, without rendering or sorting a key at the boundary.
+
+    def positions(self) -> Tuple[List[Any], List[int], List[int]]:
+        """Counter values, histogram lengths and gauge sample counts."""
+        self._flush()
+        return ([inst.value for inst in self._counters.values()],
+                [len(inst.values) for inst in self._histograms.values()],
+                [len(inst.samples) for inst in self._gauges.values()])
+
+    def registered(self) -> Tuple[Dict[LabelKey, CounterInstrument],
+                                  Dict[LabelKey, Tally],
+                                  Dict[LabelKey, TimeSeries]]:
+        """The counters, histograms and gauges by key, in registration
+        order (the registry's own dicts: read, never write them)."""
+        return self._counters, self._histograms, self._gauges
 
     # -- aggregation across label sets (the SLO layer's read path) ---------
 

@@ -69,6 +69,9 @@ class Span:
     It holds its own identity; :attr:`context` builds a fresh
     :class:`SpanContext` on each read.  ``events`` is ``()`` until the
     first :meth:`add_event`, so a retained span is one tracked object.
+    Its ``attributes`` dict may be one that other spans hold too (the
+    tracer shares repeated sets), so it is read-only:
+    :meth:`set_attribute` gives the span a new one.
 
     A span whose trace was sampled out still exists transiently (its
     context must propagate so downstream nodes honour the decision) but
@@ -113,7 +116,9 @@ class Span:
         return self.end - self.start
 
     def set_attribute(self, key: str, value: Any) -> None:
-        self.attributes[key] = value
+        # A new dict: the one held may be a set other spans share
+        # (Tracer.start_span interns them), so it is never written.
+        self.attributes = {**self.attributes, key: value}
 
     def add_event(self, name: str, at: float, **attributes: Any) -> None:
         """Record a point-in-time annotation on the span."""

@@ -22,13 +22,16 @@ Design constraints, in order:
   event that reached the boundary, so window ``[a, b)`` contains
   exactly the effects of events with ``t < b``; same seed ⇒ same
   windows, byte for byte.
-* **O(instruments) sampling.**  Each flush walks the registry's sorted
-  instrument handles once (:meth:`MetricsRegistry.counter_items` et
-  al.) — the bound-instrument objects are read directly, with no
-  per-label keyed lookups.
-* **Bounded memory.**  ``retention`` keeps the last N windows in a ring
-  (:attr:`evicted` counts the rest); histogram deltas are tracked by
-  observation index, not by copying values.
+* **Positions at the boundary, windows on read.**  A boundary flushes
+  the registry once and keeps each instrument's position in
+  registration order (:meth:`MetricsRegistry.positions`): a counter's
+  value, a histogram's or gauge's length.  Deltas, window summaries
+  and the rendered, sorted keys are built when :attr:`windows` or
+  :meth:`records` is read.  Instruments only ever grow, so the
+  observations between two positions are still there to summarise.
+* **Bounded memory.**  ``retention`` keeps the last N windows' positions
+  in a ring (:attr:`evicted` counts the rest), plus the last evicted
+  one's, from which the oldest retained window's deltas are taken.
 
 Quick start::
 
@@ -41,9 +44,9 @@ Quick start::
 from __future__ import annotations
 
 import collections
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.obs.metrics import Tally
+from repro.obs.metrics import LabelKey, Tally, _render
 from repro.obs.tracer import _require_size
 
 _INFINITY = float("inf")
@@ -103,15 +106,18 @@ class TimelineRecorder:
         self.env = env
         self.resolution = float(resolution)
         self.retention = retention
-        self.windows: Any = collections.deque(maxlen=retention) \
+        # Per window: index, start, end, partial, then the registry's
+        # positions at its end (counter values, histogram lengths,
+        # gauge lengths, each in registration order).
+        self._marks: Any = collections.deque(maxlen=retention) \
             if retention is not None else []
+        # The positions the oldest retained window starts from: the
+        # last evicted window's, or none (every instrument at zero).
+        self._base: Tuple[List[Any], ...] = ([], [], [])
         #: Windows flushed over the recorder's lifetime (>= len(windows)).
         self.flushed = 0
         #: Windows pushed out of the retention ring.
         self.evicted = 0
-        self._counter_last: Dict[str, int] = {}
-        self._hist_seen: Dict[str, int] = {}
-        self._gauge_seen: Dict[str, int] = {}
         self._last_boundary = float(start)
         self._closed = False
         env.set_window_hook(self.resolution, self._on_boundary,
@@ -123,43 +129,12 @@ class TimelineRecorder:
         self._flush(boundary, partial=False)
 
     def _flush(self, end: float, partial: bool) -> None:
-        window: Dict[str, Any] = {
-            "kind": "window",
-            "index": self.flushed,
-            "start": self._last_boundary,
-            "end": end,
-            "counters": {},
-            "histograms": {},
-            "gauges": {},
-        }
-        if partial:
-            window["partial"] = True
-        registry = self.env.metrics
-        counters = window["counters"]
-        for rendered, inst in registry.counter_items():
-            value = inst.value
-            last = self._counter_last.get(rendered, 0)
-            if value != last:
-                counters[rendered] = value - last
-                self._counter_last[rendered] = value
-        histograms = window["histograms"]
-        for rendered, inst in registry.histogram_items():
-            values = inst.values
-            seen = self._hist_seen.get(rendered, 0)
-            if len(values) > seen:
-                histograms[rendered] = _window_summary(values[seen:])
-                self._hist_seen[rendered] = len(values)
-        gauges = window["gauges"]
-        for rendered, inst in registry.gauge_items():
-            samples = inst.samples
-            seen = self._gauge_seen.get(rendered, 0)
-            if len(samples) > seen:
-                gauges[rendered] = samples[-1][1]
-                self._gauge_seen[rendered] = len(samples)
-        if self.retention is not None \
-                and len(self.windows) == self.retention:
+        marks = self._marks
+        if len(marks) == self.retention:    # never, when unbounded
             self.evicted += 1
-        self.windows.append(window)
+            self._base = marks[0][4:]
+        marks.append((self.flushed, self._last_boundary, end, partial)
+                     + self.env.metrics.positions())
         self.flushed += 1
         self._last_boundary = end
 
@@ -180,17 +155,62 @@ class TimelineRecorder:
 
     # -- reading -----------------------------------------------------------
 
+    @property
+    def windows(self) -> List[Dict[str, Any]]:
+        """The retained windows, oldest first, built on each read."""
+        counters, histograms, gauges = (
+            _by_key(instruments)
+            for instruments in self.env.metrics.registered())
+        windows = []
+        before = self._base
+        for index, start, end, partial, *now in self._marks:
+            # An instrument registered since ``before`` was at zero.
+            values, lengths, samples = now
+            last, seen, sampled = (
+                was + [0] * (len(is_) - len(was))
+                for was, is_ in zip(before, now))
+            window: Dict[str, Any] = {
+                "kind": "window", "index": index, "start": start,
+                "end": end,
+                "counters": {
+                    rendered: values[i] - last[i]
+                    for rendered, i, _ in counters
+                    if i < len(values) and values[i] != last[i]},
+                "histograms": {
+                    rendered: _window_summary(tally.values[
+                        seen[i]:lengths[i]])
+                    for rendered, i, tally in histograms
+                    if i < len(lengths) and lengths[i] > seen[i]},
+                "gauges": {
+                    rendered: series.samples[samples[i] - 1][1]
+                    for rendered, i, series in gauges
+                    if i < len(samples) and samples[i] > sampled[i]}}
+            if partial:
+                window["partial"] = True
+            windows.append(window)
+            before = now
+        return windows
+
     def records(self) -> Iterator[Dict[str, Any]]:
         """The retained windows, oldest first (the JSONL export rows)."""
         return iter(self.windows)
 
     def __len__(self) -> int:
-        return len(self.windows)
+        return len(self._marks)
 
     def __repr__(self) -> str:
         return "<TimelineRecorder windows={} resolution={}{}>".format(
-            len(self.windows), self.resolution,
+            len(self._marks), self.resolution,
             " evicted={}".format(self.evicted) if self.evicted else "")
+
+
+def _by_key(instruments: Dict[LabelKey, Any]
+            ) -> List[Tuple[str, int, Any]]:
+    """``(rendered key, registration index, instrument)``, sorted by key."""
+    return [(_render(key), index, instrument)
+            for key, index, instrument in sorted(
+                (key, index, instrument) for index, (key, instrument)
+                in enumerate(instruments.items()))]
 
 
 def load_windows(records: Iterable[Dict[str, Any]]

@@ -32,6 +32,9 @@ ParentLike = Union[Span, SpanContext, Dict[str, str], None]
 SpanT = TypeVar("SpanT", bound=Span)
 #: A retained row: a span and -1, or a transit and a hop's index.
 Row = Tuple[Span, int]
+#: Value types whose equal values read the same (``float`` too, but
+#: not zero; see :meth:`Tracer._share`).
+_SHAREABLE = frozenset((str, int, bool, type(None)))
 
 
 class SpanLog:
@@ -124,6 +127,9 @@ class Tracer:
         # would let tail_flush() promote a fragment of the trace (the
         # spans that arrived after the eviction) as if it were whole.
         self._tail_evicted: set = set()
+        # Attribute sets shared by retained spans, keyed by span name,
+        # keys, values and value types (see _share).
+        self._sets: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
         #: Spans pushed out of the ring buffer.
         self.evicted = 0
         #: Spans discarded by the head sampler (never retained).
@@ -138,7 +144,10 @@ class Tracer:
         ``parent`` may be another :class:`Span`, a :class:`SpanContext`, a
         plain context dict (as extracted from packet headers) or ``None``
         for a new root.  NoopSpan parents are treated as roots.  The
-        kwargs dict becomes the span's ``attributes`` as it is.
+        kwargs dict becomes the span's ``attributes``, unless the span
+        is retained and the tracer holds an equal set already — same
+        name, keys in the same order, equal values of the same types —
+        which it then shares.
         """
         kind = type(parent)
         if kind is dict:    # read in place, as SpanContext.from_dict does
@@ -157,9 +166,34 @@ class Tracer:
                 trace_id = parent.trace_id
                 parent_id = parent.span_id
                 sampled = parent.sampled
+        if sampled and attributes:
+            # A retained span holds the tracer's copy of a repeated set.
+            values = attributes.values()
+            key = (name, *attributes, *values, *map(type, values))
+            try:
+                attributes = self._sets[key]
+            except KeyError:
+                self._share(key, attributes)
+            except TypeError:
+                pass    # an unhashable value: the set stays the span's
         return self._keep(Span(
             name, trace_id, f"s{next(self._span_ids)}", parent_id, at,
             attributes, sampled, sampled or self.tail_keep_errors))
+
+    def _share(self, key: Tuple[Any, ...],
+               attributes: Dict[str, Any]) -> None:
+        """Keep ``attributes`` as the shared copy of its set, if no equal
+        set of the same value types could read differently: every value
+        a ``str``, ``int``, ``bool``, ``None`` or non-zero ``float``
+        (``0.0 == -0.0`` and ``(1,) == (1.0,)``, but their JSON is
+        not).  The table never outgrows ``max_spans``."""
+        for value in attributes.values():
+            kind = type(value)
+            if kind not in _SHAREABLE and not (kind is float and value):
+                return
+        if len(self._sets) == self.max_spans:  # never, when unbounded
+            self._sets.clear()
+        self._sets[key] = attributes
 
     def start_transit(self, links: Sequence[Any], at: float,
                       header: Optional[Dict[str, Any]], src: str, dst: str,
@@ -285,6 +319,7 @@ class Tracer:
         self._tail_pending.clear()
         self._tail_pending_spans = 0
         self._tail_evicted.clear()
+        self._sets.clear()
         self.evicted = 0
         self.sampled_out = 0
         self.tail_promoted = 0

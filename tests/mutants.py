@@ -265,6 +265,14 @@ MUTANTS: Tuple[Mutant, ...] = (
            "_UNSET,\n",
            "        hops += HOP_RECORD.pack(span_id, link, from_b, at, at, "
            "_UNSET,\n"),
+    Mutant("shared-attributes-written-in-place", "seeded; shared sets",
+           "src/repro/obs/span.py",
+           "        self.attributes = {**self.attributes, key: value}\n",
+           "        self.attributes[key] = value\n"),
+    Mutant("window-delta-skips-evicted-base", "seeded; timeline",
+           "src/repro/obs/timeline.py",
+           "            self._base = marks[0][4:]\n",
+           ""),
     # -- one aimed at the stated property of each fault oracle -----------
     Mutant("give-up-leaves-inflight", "seeded; liveness",
            "src/repro/net/transport.py",

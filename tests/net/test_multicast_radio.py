@@ -183,8 +183,8 @@ def _lossy_conference(env, frames=100):
 
 
 def test_multicast_traffic_lands_in_the_networks_books():
-    """A tree edge's drop and a member's delivery are booked where a
-    unicast flight books them, and the drop hook and the flight
+    """A tree edge's launch, drop and a member's delivery are booked
+    where a unicast flight books them, and the drop hook and the flight
     recorder see them as they see a unicast hop."""
     recorder = FlightRecorder(ring=1 << 12)
     with use_flight(recorder):
@@ -202,7 +202,15 @@ def test_multicast_traffic_lands_in_the_networks_books():
     assert hooked == [(True, "hub", "loss")] * drops
     assert net.counters["delivered"] == 3 * heard
     assert net.delivery_latency.count == 3 * heard
+    # Every frame flies the root edge; the three member edges fly only
+    # past the hub, so a dropped frame launched one flight.
+    launched = 100 + 3 * heard
+    assert net.counters["sent"] == net.hosts["leaf0"].sent == launched
+    assert net.counters["delivered"] + net.counters["dropped"] <= launched
     registry = env.metrics
+    assert registry.counter_total("net.sent") == launched
+    assert registry.counter_total("net.node.sent", node="leaf0") \
+        == launched
     assert registry.counter_total("net.drops", reason="loss") == drops
     assert registry.counter_total("net.link.drops", link=first.label,
                                   reason="loss") == drops
@@ -272,6 +280,8 @@ def test_a_member_the_tree_cannot_reach_books_a_no_route_drop(env):
                                        ("leaf1", 2, True)]
     assert net.drop_stats() == {"no-route": 1}
     assert net.counters["delivered"] == 1
+    # Two tree edges (leaf0 -> hub -> leaf1) and the no-route flight.
+    assert net.counters["sent"] == net.hosts["leaf0"].sent == 3
 
 
 def test_radio_link_levels(env):
@@ -359,3 +369,33 @@ def test_routing_follows_connectivity(env):
     env.run()
     assert got == ["while-connected"]
     assert net.counters["dropped"] == 1
+
+
+def test_a_radio_link_joins_through_the_topology(env):
+    # The link list is read (any path() reads it) before the mobile
+    # attaches: the radio link must still be listed, counted in the
+    # byte book, and part of the route-state key, so that downing it
+    # reroutes a packet to a no-route drop instead of flying it into a
+    # down link.
+    topo = Topology(env)
+    topo.add_link("base", "server", latency=0.001)
+    assert [link.label for link in topo.links()] == ["base<->server"]
+    radio = attach_mobile(topo, "mobile", "base",
+                          level=ConnectivityLevel.FULL)
+    assert radio in topo.links()
+    assert radio.index == 1 and topo.link_order[1] is radio
+    net = Network(env, topo)
+    mobile = net.host("mobile")
+    net.host("server")
+    assert [link.label for link in topo.path("mobile", "server")] == [
+        radio.label, "base<->server"]
+    mobile.send("server", size=100)
+    env.run()
+    assert radio.stats.bytes > 0
+    assert net.total_link_bytes() == 2 * radio.stats.bytes
+    assert env.metrics.counter_total(
+        "net.bytes", link=radio.label) == radio.stats.bytes
+    radio.set_level(ConnectivityLevel.DISCONNECTED)
+    mobile.send("server", size=100)
+    env.run()
+    assert net.drop_stats() == {"no-route": 1}

@@ -17,7 +17,6 @@ from repro.obs.flight import (
     _PLAIN,
     _plain_label,
     canonical,
-    side_fields,
     use_flight,
 )
 from repro.run import RunSpec, run, trace_digest
@@ -250,9 +249,9 @@ class _EagerJournal:
     def record_rng(self, stream, method, value):
         self.add("rng", stream=stream, method=method, value=repr(value))
 
-    def record_hop(self, link, node, src, dst, port, side=None):
-        self.add("hop", side, link=link, node=node, src=src, dst=dst,
-                 port=port)
+    def record_hop(self, link, node, src, dst, port, transit=None):
+        self.add("hop", _side_of(transit), link=link, node=node, src=src,
+                 dst=dst, port=port)
 
     def record_drop(self, reason, link, src, dst, port, span=None):
         self.add("drop", _side_of(span), reason=reason, link=link,
@@ -368,9 +367,8 @@ _LABELS = st.one_of(
                      "caf\u00e9", "tab\t", ""]),
     st.text(max_size=6))
 _SPANS = st.sampled_from([None, _Span(), _SampledOutSpan()])
-# A hop journals its transit's side fields, built once per flight.
-_SIDES = st.sampled_from([None, side_fields(_Span()),
-                          side_fields(_SampledOutSpan())])
+# A hop journals its transit when that is recording, else None.
+_TRANSITS = st.sampled_from([None, _Span()])
 _VALUES = st.one_of(st.integers(), st.floats(), st.booleans(),
                     st.none(), st.text(max_size=4),
                     st.lists(st.integers(), max_size=2))
@@ -382,7 +380,7 @@ _STEPS = st.one_of(
     st.tuples(st.just("attach"), _CLOCK),
     st.tuples(st.just("record_rng"), _LABELS, _LABELS, _VALUES),
     st.tuples(st.just("record_hop"), _LABELS, _LABELS, _LABELS, _LABELS,
-              _SMALL, _SIDES),
+              _SMALL, _TRANSITS),
     st.tuples(st.just("record_drop"), _LABELS,
               st.one_of(st.none(), _LABELS), _LABELS, _LABELS, _SMALL,
               _SPANS),
@@ -439,7 +437,7 @@ def test_side_fields_do_not_influence_digests():
     plain = FlightRecorder()
     traced = FlightRecorder()
     plain.record_hop("l", "n", "a", "b", 7)
-    traced.record_hop("l", "n", "a", "b", 7, side=side_fields(_Span()))
+    traced.record_hop("l", "n", "a", "b", 7, transit=_Span())
     plain.finish()
     traced.finish()
     assert plain.epoch_digests == traced.epoch_digests
@@ -459,6 +457,66 @@ def test_keep_epochs_restricts_ring_and_fills_context():
     assert [r["value"] for r in recorder.context] == ["1", "2", "3"]
     assert recorder.epoch_records(1) == list(recorder.ring)
     assert len(recorder.epoch_digests) == 3
+
+
+def _mixed(recorder):
+    """Per 0.25 s of a stub clock, one of each record shape: a traced
+    and an untraced hop, an rng draw, a drop (a built dict) and a hop
+    whose label JSON escapes (a built dict with side fields)."""
+    clock = _clocked(recorder)
+    for index in range(8):
+        clock.now = index * 0.25
+        recorder.record_hop("a<->b", "a", "a", "b", index, transit=_Span())
+        recorder.record_hop("b<->c", "b", "a", "c", index)
+        recorder.record_rng("s", "random", index / 4)
+        recorder.record_drop("loss", "b<->c", "a", "c", index, span=_Span())
+        recorder.record_hop('q"uote', "c", "a", "c", index, transit=_Span())
+    recorder.finish()
+
+
+def _hop(time, epoch, link, node, src, dst, port, traced):
+    record = {"kind": "hop", "time": time, "link": link, "node": node,
+              "src": src, "dst": dst, "port": port, "epoch": epoch}
+    if traced:
+        record.update(_trace="t1", _span="s1", _op="net.transmit")
+    return record
+
+
+def _expected(index):
+    """The five records ``_mixed`` journals at step ``index``, as the
+    tuple-per-record journal read them back."""
+    time, epoch = index * 0.25, index // 2
+    return [
+        _hop(time, epoch, "a<->b", "a", "a", "b", index, True),
+        _hop(time, epoch, "b<->c", "b", "a", "c", index, False),
+        {"kind": "rng", "time": time, "stream": "s", "method": "random",
+         "value": repr(index / 4), "epoch": epoch},
+        {"kind": "drop", "time": time, "reason": "loss", "link": "b<->c",
+         "src": "a", "dst": "c", "port": index, "_trace": "t1",
+         "_span": "s1", "_op": "net.transmit", "epoch": epoch},
+        {"kind": "hop", "time": time, "link": 'q"uote', "node": "c",
+         "src": "a", "dst": "c", "port": index, "_trace": "t1",
+         "_span": "s1", "_op": "net.transmit", "epoch": epoch}]
+
+
+def test_a_flat_journal_reads_back_each_record_as_it_was_given():
+    # Fixed-width fields under ring eviction (a ring of 7 records keeps
+    # the last one and a half steps) and under keep_epochs with context
+    # read back as the records they were: same dicts, same key order.
+    every = [record for index in range(8) for record in _expected(index)]
+    evicting = FlightRecorder(ring=7)
+    _mixed(evicting)
+    assert [list(r.items()) for r in evicting.ring] \
+        == [list(r.items()) for r in every[-7:]]
+    assert (evicting.recorded, evicting.evicted, len(evicting)) \
+        == (40, 33, 7)
+    assert evicting.epoch_records(3) == every[-7:]
+    kept = FlightRecorder(keep_epochs=(2, 2), context=6)
+    _mixed(kept)
+    assert kept.ring == every[20:30] == kept.epoch_records(2)
+    assert kept.context == every[14:20]
+    assert (kept.recorded, kept.evicted, len(kept)) == (40, 0, 10)
+    assert kept.epoch_digests == evicting.epoch_digests
 
 
 # -- journaling a real workload --------------------------------------------

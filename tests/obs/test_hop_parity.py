@@ -2,7 +2,10 @@
 
 ``traced_wan_run.jsonl`` is the dump :func:`traced_wan_run` wrote when
 every ``net.link`` hop was a ``HopSpan`` the carrier filled in place,
-generated at commit c2c4eab and not edited since.  A hop is now a record
+generated at commit c2c4eab.  Since then only two metric rows moved,
+when a multicast tree edge joined its source's ``sent`` book (3efb36f+1:
+the ``net.node.sent`` row of ``site0.host1``, 6 edges, and ``net.sent``
+11 → 17); every span row is as generated.  A hop is now a record
 packed into its packet's ``net.transmit`` span and built into a row on
 read; the dump must not tell the two apart.
 """

@@ -1,13 +1,16 @@
 """The sim-time timeline recorder."""
 
+import collections
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import load_windows
 from repro.obs.metrics import MetricsRegistry, use_metrics
-from repro.obs.timeline import TimelineRecorder
+from repro.obs.timeline import TimelineRecorder, _window_summary
 from repro.sim import Environment
 
 
@@ -174,3 +177,146 @@ def test_bad_retention_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         TimelineRecorder(env, retention=0)
+
+
+# -- windows built on read equal windows built at the boundary -------------
+
+
+class _EagerTimeline:
+    """The recorder as it was before windows were built on read: every
+    boundary differences each instrument against the last value it saw,
+    renders, sorts and summarises on the spot, and keeps the dict."""
+
+    def __init__(self, env, resolution=1.0, retention=None):
+        self.env = env
+        self.retention = retention
+        self.windows = collections.deque(maxlen=retention) \
+            if retention is not None else []
+        self.flushed = 0
+        self.evicted = 0
+        self._counter_last = {}
+        self._hist_seen = {}
+        self._gauge_seen = {}
+        self._last_boundary = env.now
+        self._closed = False
+        env.set_window_hook(resolution, self._on_boundary,
+                            start=self._last_boundary)
+
+    def _on_boundary(self, boundary):
+        self._flush(boundary, partial=False)
+
+    def _flush(self, end, partial):
+        window = {"kind": "window", "index": self.flushed,
+                  "start": self._last_boundary, "end": end,
+                  "counters": {}, "histograms": {}, "gauges": {}}
+        if partial:
+            window["partial"] = True
+        registry = self.env.metrics
+        for rendered, inst in registry.counter_items():
+            last = self._counter_last.get(rendered, 0)
+            if inst.value != last:
+                window["counters"][rendered] = inst.value - last
+                self._counter_last[rendered] = inst.value
+        for rendered, inst in registry.histogram_items():
+            seen = self._hist_seen.get(rendered, 0)
+            if len(inst.values) > seen:
+                window["histograms"][rendered] = _window_summary(
+                    inst.values[seen:])
+                self._hist_seen[rendered] = len(inst.values)
+        for rendered, inst in registry.gauge_items():
+            seen = self._gauge_seen.get(rendered, 0)
+            if len(inst.samples) > seen:
+                window["gauges"][rendered] = inst.samples[-1][1]
+                self._gauge_seen[rendered] = len(inst.samples)
+        if self.retention is not None \
+                and len(self.windows) == self.retention:
+            self.evicted += 1
+        self.windows.append(window)
+        self.flushed += 1
+        self._last_boundary = end
+
+    def finish(self):
+        if not self._closed:
+            if self.env.now > self._last_boundary:
+                self._flush(self.env.now, partial=True)
+            self.env.clear_window_hook()
+            self._closed = True
+        return self.flushed
+
+
+# A step waits, then writes one instrument of a small pool (each created
+# on its first write, so mid-run for most) or reads the windows so far.
+_STEP = st.tuples(
+    st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 2.5]),
+    st.sampled_from(["counter", "histogram", "gauge", "read"]),
+    st.integers(0, 3),
+    st.sampled_from([1, 2, 0.5, -0.0, 7.25]))
+
+
+def _play(recorder_class, steps, retention, reads):
+    """Run ``steps`` under a recorder; what each read saw, and the end."""
+    env = _env()
+    registry = env.metrics
+    flushes = []
+    registry.add_flush_hook(lambda: flushes.append(env.now), ["hooked"])
+    recorder = recorder_class(env, resolution=1.0, retention=retention)
+
+    def script(env):
+        for wait, kind, index, value in steps:
+            yield env.timeout(wait)
+            labels = {"node": "n{}".format(index)}
+            if kind == "counter":
+                registry.counter("c" + "ab"[index % 2], **labels).add(
+                    int(value) or 1)
+            elif kind == "histogram":
+                registry.histogram("h", **labels).record(value)
+            elif kind == "gauge":
+                registry.gauge("g" * (1 + index % 2), **labels).set(
+                    value, at=env.now)
+            else:
+                reads.append(json.dumps(list(recorder.windows)))
+
+    env.process(script(env))
+    env.run()
+    recorder.finish()
+    return list(recorder.windows), recorder.flushed, recorder.evicted, \
+        flushes
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(_STEP, min_size=1, max_size=30),
+       retention=st.one_of(st.none(), st.integers(1, 3)))
+def test_windows_built_on_read_equal_windows_built_at_the_boundary(
+        steps, retention):
+    # Instruments created mid-run, histograms and gauges quiet in some
+    # windows, a ring evicting windows nobody read, reads mid-run with
+    # more windows after them, and finish()'s partial window.
+    lazy_reads, eager_reads = [], []
+    lazy = _play(TimelineRecorder, steps, retention, lazy_reads)
+    eager = _play(_EagerTimeline, steps, retention, eager_reads)
+    assert lazy_reads == eager_reads
+    windows, flushed, evicted, flushes = lazy
+    assert json.dumps(windows) == json.dumps(eager[0])
+    assert (flushed, evicted) == eager[1:3]
+    # One registry flush per boundary (the eager recorder made three),
+    # and the reads made none.
+    assert len(flushes) == flushed
+    assert len(eager[3]) == 3 * eager[1]
+
+
+def test_the_oldest_retained_window_counts_from_its_evicted_predecessor():
+    env = _env()
+    counter = env.metrics.counter("c")
+    recorder = TimelineRecorder(env, resolution=1.0, retention=1)
+
+    def script(env):
+        for _ in range(3):
+            counter.add(5)
+            yield env.timeout(1.0)
+
+    env.process(script(env))
+    env.run()
+    recorder.finish()
+    assert recorder.evicted == 2
+    assert [(w["index"], w["counters"]) for w in recorder.records()] \
+        == [(2, {"c": 5})]

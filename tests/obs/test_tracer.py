@@ -249,6 +249,72 @@ def test_hop_rows_materialise_on_read(env, tracer):
         hop.set_attribute("extra", 1)
 
 
+def test_spans_with_one_attribute_set_share_it_until_one_writes():
+    tracer = obs.Tracer()
+    first = tracer.start_span("op", at=0.0, node="a", n=1)
+    second = tracer.start_span("op", at=0.0, node="a", n=1)
+    assert second.attributes is first.attributes
+    # Another name, key order or value is another set.
+    assert tracer.start_span("other", at=0.0, node="a", n=1).attributes \
+        is not first.attributes
+    assert tracer.start_span("op", at=0.0, n=1, node="a").attributes \
+        is not first.attributes
+    second.set_attribute("n", 2)
+    second.set_attribute("error", "timeout")
+    assert first.attributes == {"node": "a", "n": 1}
+    assert second.attributes == {"node": "a", "n": 2, "error": "timeout"}
+    assert list(second.to_dict()["attributes"]) == ["node", "n", "error"]
+    assert type(first.attributes) is dict
+    assert json.loads(json.dumps(first.to_dict()))["attributes"] == {
+        "node": "a", "n": 1}
+
+
+@pytest.mark.parametrize("values", [
+    (1, True, 1.0), (0, False, 0.0, -0.0), ((1,), (1.0,), (True,)),
+    ("1", 1, None)])
+def test_equal_values_of_other_types_or_signs_never_share(values):
+    # 1 == True == 1.0 and 0.0 == -0.0, but they dump differently.
+    tracer = obs.Tracer()
+    for _ in range(2):
+        spans = [tracer.start_span("op", at=0.0, v=value)
+                 for value in values]
+        assert [json.dumps(span.to_dict()["attributes"]) for span in spans] \
+            == [json.dumps({"v": value}) for value in values]
+        assert [type(span.attributes["v"]) for span in spans] \
+            == [type(value) for value in values]
+
+
+def test_unhashable_attribute_values_are_kept_unshared():
+    tracer = obs.Tracer()
+    first = tracer.start_span("fault.flap", at=0.0, links=["a<->b"])
+    second = tracer.start_span("fault.flap", at=0.0, links=["a<->b"])
+    assert first.attributes == second.attributes == {"links": ["a<->b"]}
+    assert first.attributes is not second.attributes
+    first.set_attribute("links_affected", ["a<->b", "b<->c"])
+    assert second.attributes == {"links": ["a<->b"]}
+    assert first.to_dict()["attributes"]["links_affected"] == [
+        "a<->b", "b<->c"]
+
+
+def test_the_shared_sets_stay_within_what_the_tracer_retains():
+    bounded = obs.Tracer(max_spans=4)
+    for index in range(20):
+        bounded.start_span("op", at=0.0, seq=index)
+        assert len(bounded._sets) <= 4
+    unsampled = obs.Tracer(sampler=obs.Sampler(rate=0.0))
+    unsampled.start_span("op", at=0.0, seq=1)
+    assert unsampled.sampled_out == 1 and not unsampled._sets
+    tracer = obs.Tracer()
+    tracer.start_span("op", at=0.0, seq=1)
+    assert tracer._sets
+    tracer.clear()
+    assert not tracer._sets
+    # After clear() an equal set is a new one, not the cleared span's.
+    kept = tracer.start_span("op", at=0.0, seq=2)
+    assert tracer.start_span("op", at=0.0, seq=2).attributes \
+        is kept.attributes
+
+
 def test_tracer_context_manager_and_scoping():
     env = Environment()
     tracer = obs.Tracer()

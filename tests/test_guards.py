@@ -245,6 +245,10 @@ TOMBSTONES = {  # (the commit that deleted it, the record): guards
     # Deleted by the commit after c2c4eab.
     ("c2c4eab+1", PERF + "### A hop is a record"): [grep(
         r"def start_hop", SRC)],
+    # Deleted by the commit after 3efb36f.
+    ("3efb36f+1", PERF + "### What an observed run pays for"): [
+        grep(r'set_attribute\("target"', "src/repro/node/runtime.py"),
+        grep(r"_pending\.append\(\(", "src/repro/obs/flight.py")],
 }
 
 CONTRACTS = {  # where the rule is stated: guards
@@ -271,6 +275,10 @@ CONTRACTS = {  # where the rule is stated: guards
               r"    ambient = get_tracer\(\)$", plant="get_metrics()")],
     PERF + "### A span is a row": [grep(r"start_span\(|start_transit\(", NET,
                                         lines=range(2))],
+    "docs/observability.md: Only `Span.set_attribute` writes span": [grep(
+        r"\.attributes\[[^]]*\] *=[^=]|\.attributes\.(update|setdefault)\(",
+        SRC, allow=r"^src/repro/obs/span\.py:",
+        plant="span.attributes[key] = value")],
     PERF + "The link physics is stated once": [
         grep(r"(?<!self)\._rng\b|\._extra_loss\b|\._latency_scale\b", REPRO,
              allow=r"^src/repro/net/(link|network)\.py:")._replace(plant=(
