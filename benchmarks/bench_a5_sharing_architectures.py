@@ -44,8 +44,7 @@ def run_transparent(seed, members_count):
     env = Environment()
     floor = FcfsFloor(env)
     conference = TransparentConference(env, SingleUserApp(), floor,
-                                       display_size=DISPLAY_SIZE,
-                                       display_latency=0.02)
+                                       display_size=DISPLAY_SIZE)
     members = ["member-{}".format(i) for i in range(members_count)]
     for member in members:
         conference.join(member)

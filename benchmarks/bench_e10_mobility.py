@@ -57,9 +57,7 @@ def build(env):
         store.write(job, "instructions {}".format(i), writer="dispatcher")
     mobile = MobileHost(network, "laptop", "depot",
                         level=ConnectivityLevel.PARTIAL)
-    trace = periodic_trace(CONNECTED_SPELL, DISCONNECTED_SPELL,
-                           total=DAY,
-                           connected_level=ConnectivityLevel.PARTIAL)
+    trace = periodic_trace(CONNECTED_SPELL, DISCONNECTED_SPELL, total=DAY)
     ConnectivitySchedule(env, mobile.link, trace)
     return network, store, mobile
 

@@ -8,7 +8,7 @@ demand pattern (one participant is a chronic floor-hog):
 * free — instant access, but simultaneous speakers collide;
 * fcfs — ordered, but the hog's long turns inflate everyone's wait;
 * round-robin — preemption bounds the hog;
-* chaired — a human chair filters and serialises (decision latency);
+* chaired — a human chair serialises requests after a 0.5 s decision;
 * negotiated — the holder is asked to yield (Colab's informal style).
 
 Declared claim, per seed: the free floor never waits but collides; FCFS
@@ -41,7 +41,7 @@ def make_policy(name, env):
     if name == "round-robin":
         return RoundRobinFloor(env, quantum=3.0)
     if name == "chaired":
-        return ChairedFloor(env, chair="chair", decision_latency=0.5)
+        return ChairedFloor(env, chair="chair")
     return NegotiatedFloor(
         env, yields=lambda holder, requester: holder != "speaker-0",
         negotiation_latency=0.5)
@@ -56,10 +56,7 @@ def run(seed, name):
         member = "speaker-{}".format(index)
         for _ in range(TURNS_EACH):
             yield env.timeout(exponential(rng, THINK_MEAN))
-            try:
-                yield floor.request(member)
-            except Exception:
-                continue  # chair rejection: sit this turn out
+            yield floor.request(member)
             hold = HOG_TURN if index == 0 \
                 else exponential(rng, TURN_MEAN)
             yield env.timeout(hold)

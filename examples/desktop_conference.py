@@ -66,8 +66,7 @@ def main() -> None:
     audio_device = MediaSource(env, "mic", audio_play.receive, rate=50.0)
     video_device = MediaSource(env, "cam", video_play.receive, rate=25.0,
                                clock_skew=1.03)  # 3% slow camera clock
-    sync = ContinuousSynchroniser(env, audio_play, video_play,
-                                  bound=0.08)
+    sync = ContinuousSynchroniser(env, audio_play, video_play)
 
     # -- event-driven sync: show a caption at media time 2.0s ------------
     cues = EventSynchroniser(video_play)

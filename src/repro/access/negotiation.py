@@ -4,14 +4,12 @@ The paper: *"It is also likely that such changes will be made as a result
 of negotiation between parties involved."*  :class:`AccessNegotiator`
 implements a small request/decide protocol: a member asks an artefact's
 current controllers for a right; controllers respond within a deadline;
-a configurable decision rule (default: unanimous assent grants, any
-explicit refusal denies immediately) determines the outcome, which is
-applied to a role-based policy automatically.
+unanimous assent grants, any explicit refusal denies immediately, and
+the outcome is applied to a role-based policy automatically.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import AccessPolicyError
@@ -23,16 +21,14 @@ GRANTED = "granted"
 DENIED = "denied"
 EXPIRED = "expired"
 
-_request_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
-
 
 class NegotiationRequest:
     """One in-flight request for a right."""
 
-    def __init__(self, requester: str, artefact: str, right: str,
-                 controllers: List[str], deadline: float,
+    def __init__(self, request_id: int, requester: str, artefact: str,
+                 right: str, controllers: List[str], deadline: float,
                  event: Event) -> None:
-        self.request_id = next(_request_ids)
+        self.request_id = request_id
         self.requester = requester
         self.artefact = artefact
         self.right = right
@@ -46,13 +42,10 @@ class NegotiationRequest:
 class AccessNegotiator:
     """Mediates rights requests between a requester and controllers."""
 
-    def __init__(self, env: Environment, policy: RoleBasedPolicy,
-                 decision: Optional[Callable[[Dict[str, bool], int],
-                                             Optional[bool]]] = None
-                 ) -> None:
+    def __init__(self, env: Environment, policy: RoleBasedPolicy) -> None:
         self.env = env
         self.policy = policy
-        self.decision = decision or self._default_decision
+        self._requests = 0
         self._pending: Dict[int, NegotiationRequest] = {}
         self._handlers: Dict[str, Callable[[NegotiationRequest], None]] = {}
         self.counters = Counter()
@@ -72,7 +65,8 @@ class AccessNegotiator:
             raise AccessPolicyError(
                 "deadline must be non-negative: {!r}".format(deadline))
         event = self.env.event()
-        req = NegotiationRequest(requester, artefact, right,
+        self._requests += 1
+        req = NegotiationRequest(self._requests, requester, artefact, right,
                                  controllers, deadline, event)
         self._pending[req.request_id] = req
         self.counters.incr("requests")
@@ -94,22 +88,14 @@ class AccessNegotiator:
                 "{} is not a controller for request {}".format(
                     controller, request_id))
         req.votes[controller] = grant
-        decision = self.decision(req.votes, len(req.controllers))
-        if decision is not None:
-            self._conclude(req, GRANTED if decision else DENIED)
+        # Veto-friendly: any refusal denies immediately; granting
+        # requires every controller's assent.
+        if not grant:
+            self._conclude(req, DENIED)
+        elif len(req.votes) == len(req.controllers):
+            self._conclude(req, GRANTED)
 
     # -- internals -------------------------------------------------------------
-
-    @staticmethod
-    def _default_decision(votes: Dict[str, bool],
-                          controllers: int) -> Optional[bool]:
-        """Veto-friendly rule: any refusal denies immediately; granting
-        requires every controller's assent."""
-        if any(not vote for vote in votes.values()):
-            return False
-        if len(votes) == controllers:
-            return True
-        return None
 
     def _conclude(self, req: NegotiationRequest, outcome: str) -> None:
         if req.outcome is not None:
@@ -122,8 +108,12 @@ class AccessNegotiator:
         req.event.succeed(outcome)
 
     def _apply(self, req: NegotiationRequest) -> None:
-        """Install the granted right as a one-off negotiated role."""
-        role_name = "negotiated-{}".format(req.request_id)
+        """Install the granted right as a one-off negotiated role.
+
+        The role is numbered by its policy, not by this negotiator, so
+        two negotiators on one policy never name two roles alike.
+        """
+        role_name = "negotiated-{}".format(self.policy.defined_roles() + 1)
         role = Role(role_name).allow(req.artefact, req.right)
         self.policy.define(role)
         self.policy.assign(req.requester, role_name, at=self.env.now)

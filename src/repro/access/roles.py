@@ -85,6 +85,10 @@ class RoleBasedPolicy:
         self._roles[role.name] = role
         return role
 
+    def defined_roles(self) -> int:
+        """How many roles have been defined (none is ever undefined)."""
+        return len(self._roles)
+
     def role(self, name: str) -> Role:
         try:
             return self._roles[name]

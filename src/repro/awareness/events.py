@@ -12,14 +12,11 @@ visibility.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.concurrency.store import SharedStore
 from repro.obs.metrics import Counter
 from repro.sim import Environment
-
-_event_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
 
 #: Standard action vocabulary (free-form strings are also accepted).
 ACTION_EDIT = "edit"
@@ -33,11 +30,10 @@ ACTION_SUSPECTED = "suspected"
 class AwarenessEvent:
     """One user action made visible to colleagues."""
 
-    __slots__ = ("event_id", "actor", "artefact", "action", "at", "detail")
+    __slots__ = ("actor", "artefact", "action", "at", "detail")
 
     def __init__(self, actor: str, artefact: str, action: str,
                  at: float, detail: Any = None) -> None:
-        self.event_id = next(_event_ids)
         self.actor = actor
         self.artefact = artefact
         self.action = action
@@ -45,8 +41,8 @@ class AwarenessEvent:
         self.detail = detail
 
     def __repr__(self) -> str:
-        return "<AwarenessEvent #{} {} {} {}>".format(
-            self.event_id, self.actor, self.action, self.artefact)
+        return "<AwarenessEvent {} {} {} at {:g}>".format(
+            self.actor, self.action, self.artefact, self.at)
 
 
 Subscriber = Callable[[AwarenessEvent], None]

@@ -13,7 +13,6 @@ under the awareness-oriented mechanisms.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import TransactionAborted
@@ -32,14 +31,15 @@ ACTIVE = "active"
 COMMITTED = "committed"
 ABORTED = "aborted"
 
-_txn_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
-
 
 class Transaction:
     """One atomic unit of work by one user."""
 
-    def __init__(self, owner: str, started_at: float) -> None:
-        self.txn_id = "txn-{}".format(next(_txn_ids))
+    def __init__(self, txn_id: str, owner: str, started_at: float) -> None:
+        #: Also the owner of the transaction's locks, so it is numbered
+        #: by its manager: a run's lock order must not depend on what
+        #: ran before it in the process.
+        self.txn_id = txn_id
         self.owner = owner
         self.started_at = started_at
         self.state = ACTIVE
@@ -69,10 +69,12 @@ class TransactionManager:
         self._wait_for: Dict[str, Set[str]] = {}
         #: key -> list of txns holding a lock on it (for wait edges).
         self._lock_owner_txns: Dict[str, List[Transaction]] = {}
+        self._begun = 0
 
     def begin(self, owner: str) -> Transaction:
         """Start a transaction for ``owner``."""
-        txn = Transaction(owner, self.env.now)
+        self._begun += 1
+        txn = Transaction("txn-{}".format(self._begun), owner, self.env.now)
         self._active[txn.txn_id] = txn
         self.counters.incr("begun")
         return txn

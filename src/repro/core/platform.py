@@ -92,12 +92,15 @@ class SharedDocument:
                 for member, client in self.clients.items()}
 
 
+#: The window, in seconds, over which a media flow's QoS is monitored.
+MEDIA_MONITOR_WINDOW = 1.0
+
+
 class MediaFlow:
     """A QoS-managed media stream: source, binding, monitor, sink."""
 
     def __init__(self, source: MediaSource, binding: StreamBinding,
-                 sink: MediaSink,
-                 monitor: Optional[QoSMonitor]) -> None:
+                 sink: MediaSink, monitor: QoSMonitor) -> None:
         self.source = source
         self.binding = binding
         self.sink = sink
@@ -211,23 +214,17 @@ class CooperativePlatform:
 
     def open_media_flow(self, src: str, dst: str, rate: float = 25.0,
                         frame_size: int = 4000,
-                        desired: Optional[QoSParameters] = None,
-                        minimum: Optional[QoSParameters] = None,
-                        reserve: bool = True,
-                        monitor_window: float = 1.0) -> MediaFlow:
-        """A stream binding with optional QoS reservation + monitoring."""
-        contract = None
-        monitor = None
-        if reserve:
-            desired = desired or QoSParameters(
-                throughput=rate * frame_size * 8 * 1.1,
-                latency=0.2, jitter=0.1, loss=0.05)
-            contract = self.qos.negotiate(src, dst, desired,
-                                          minimum=minimum)
-            monitor = QoSMonitor(self.env, contract,
-                                 window=monitor_window,
-                                 expected_frames_per_window=rate
-                                 * monitor_window)
+                        desired: Optional[QoSParameters] = None
+                        ) -> MediaFlow:
+        """A stream binding with a QoS reservation and monitoring."""
+        desired = desired or QoSParameters(
+            throughput=rate * frame_size * 8 * 1.1,
+            latency=0.2, jitter=0.1, loss=0.05)
+        contract = self.qos.negotiate(src, dst, desired)
+        monitor = QoSMonitor(self.env, contract,
+                             window=MEDIA_MONITOR_WINDOW,
+                             expected_frames_per_window=rate
+                             * MEDIA_MONITOR_WINDOW)
         binding = StreamBinding(self.network, src, dst,
                                 port=self.allocate_port(),
                                 contract=contract, monitor=monitor)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import SimulationError
 from repro.sessions.session import ASYNCHRONOUS, SYNCHRONOUS
 
 #: Degradation levels.
@@ -56,22 +55,16 @@ class DegradationManager:
         Optional :class:`~repro.qos.broker.QoSBroker` owning the
         contracts below.
     contracts:
-        The QoS contracts to shed/restore with the degradation level.
-    shed_fraction:
-        How much of current throughput each degradation sheds.
+        The QoS contracts to shed/restore with the degradation level; each
+        degradation sheds half of a contract's current throughput.
     """
 
     def __init__(self, env, session=None, broker=None,
-                 contracts: Sequence = (),
-                 shed_fraction: float = 0.5) -> None:
-        if not 0 < shed_fraction <= 1:
-            raise SimulationError(
-                "shed_fraction must be in (0, 1]: {!r}".format(shed_fraction))
+                 contracts: Sequence = ()) -> None:
         self.env = env
         self.session = session
         self.broker = broker
         self.contracts = list(contracts)
-        self.shed_fraction = shed_fraction
         self.level = FULL_SERVICE
         self.log: List[Dict[str, Any]] = []
         self._was_synchronous = False
@@ -139,7 +132,7 @@ class DegradationManager:
         shed = 0
         for contract in self.contracts:
             before = contract.agreed.throughput
-            self.broker.shed(contract, self.shed_fraction)
+            self.broker.shed(contract)
             if contract.agreed.throughput < before:
                 shed += 1
         return shed

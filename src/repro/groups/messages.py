@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Optional
-
-_message_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
 
 
 class GroupMessage:
@@ -16,7 +13,7 @@ class GroupMessage:
     ``global_seq`` the total-order slot assigned by the sequencer.
     """
 
-    __slots__ = ("msg_id", "sender", "payload", "size", "sent_at",
+    __slots__ = ("sender", "payload", "size", "sent_at",
                  "seq", "vector", "global_seq", "view_id")
 
     def __init__(self, sender: str, payload: Any, size: int = 0,
@@ -24,7 +21,6 @@ class GroupMessage:
                  vector: Optional[Dict[str, int]] = None,
                  global_seq: Optional[int] = None,
                  view_id: int = 0) -> None:
-        self.msg_id = next(_message_ids)
         self.sender = sender
         self.payload = payload
         self.size = size
@@ -35,5 +31,5 @@ class GroupMessage:
         self.view_id = view_id
 
     def __repr__(self) -> str:
-        return "<GroupMessage #{} from {} seq={} gseq={}>".format(
-            self.msg_id, self.sender, self.seq, self.global_seq)
+        return "<GroupMessage from {} seq={} gseq={}>".format(
+            self.sender, self.seq, self.global_seq)

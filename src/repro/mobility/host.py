@@ -82,6 +82,11 @@ class MobileHost:
         return "<MobileHost {} [{}]>".format(self.name, self.level.value)
 
 
+#: How often a disconnection-tolerant contract checks the outage, in
+#: seconds.
+OUTAGE_CHECK_INTERVAL = 1.0
+
+
 class DisconnectionTolerantContract:
     """A QoS contract extended with an accepted level of disconnection.
 
@@ -92,23 +97,21 @@ class DisconnectionTolerantContract:
 
     def __init__(self, env: Environment, mobile: MobileHost,
                  max_outage: float,
-                 on_violation: Optional[Callable[[float], None]] = None,
-                 check_interval: float = 1.0) -> None:
-        if max_outage < 0 or check_interval <= 0:
-            raise MobilityError(
-                "max_outage must be >= 0 and check_interval > 0")
+                 on_violation: Optional[Callable[[float], None]] = None
+                 ) -> None:
+        if max_outage < 0:
+            raise MobilityError("max_outage must be >= 0")
         self.env = env
         self.mobile = mobile
         self.max_outage = max_outage
         self.on_violation = on_violation
-        self.check_interval = check_interval
         self.violations = 0
         self._violated_this_outage = False
         self.process = env.process(self._run())
 
     def _run(self):
         while True:
-            yield self.env.timeout(self.check_interval)
+            yield self.env.timeout(OUTAGE_CHECK_INTERVAL)
             outage = self.mobile.current_outage()
             if outage > self.max_outage:
                 if not self._violated_this_outage:

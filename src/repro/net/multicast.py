@@ -59,23 +59,19 @@ class MulticastService:
         return self.groups[name]
 
     def send(self, group_name: str, src: str, payload: Any = None,
-             size: int = 0, loopback: bool = False,
-             port: Optional[int] = None) -> List[Packet]:
-        """Multicast to every member; returns the per-member packets.
+             size: int = 0, port: Optional[int] = None) -> List[Packet]:
+        """Multicast to every other member; returns the per-member packets.
 
-        With ``loopback`` the sender (if a member) also receives a copy,
-        delivered immediately.  Every flight the frame launches — a tree
-        edge, or a member no route reaches — is one datagram in the
-        source host's ``sent`` book; the loopback copy, which never
-        enters the network, is in none.
+        Every flight the frame launches — a tree edge, or a member no
+        route reaches — is one datagram in the source host's ``sent``
+        book.
         """
         group = self.groups.get(group_name)
         if group is None:
             raise GroupError("no multicast group {}".format(group_name))
         dst_port = self.port if port is None else port
-        # The sender never routes to itself through the tree; with
-        # loopback its copy is delivered directly below.  Members go out
-        # in name order, not the set's hash order.
+        # The sender never routes to itself through the tree.  Members
+        # go out in name order, not the set's hash order.
         targets = sorted(member for member in group.members if member != src)
         tree = self._build_tree(src, targets)
         reached = {child for children in tree.values() for child in children}
@@ -86,11 +82,6 @@ class MulticastService:
                   for node in sorted(reached.union(targets))}
         packets = [copies[member] for member in targets]
         source = self.network.host(src)
-        if loopback and src in group.members:
-            self_packet = Packet(src, src, payload=payload, size=size,
-                                 port=dst_port, created_at=self.env.now)
-            packets.append(self_packet)
-            source._deliver(self_packet)
         frame = (tree, copies, set(targets), source)
         for child in tree.get(src, ()):
             _TreeEdge(self.network, frame, src, child)._launch()

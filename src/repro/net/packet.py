@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Optional
 
 #: Default header overhead added to every packet, in bytes.
 HEADER_BYTES = 40
-
-_packet_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
 
 
 class Packet:
@@ -18,7 +15,7 @@ class Packet:
     overhead.  ``port`` demultiplexes traffic at the destination host.
     """
 
-    __slots__ = ("id", "src", "dst", "port", "payload", "size",
+    __slots__ = ("src", "dst", "port", "payload", "size",
                  "created_at", "delivered_at", "hops", "headers")
 
     def __init__(self, src: str, dst: str, payload: Any = None,
@@ -27,7 +24,6 @@ class Packet:
                  headers: Optional[Dict[str, Any]] = None) -> None:
         if not size >= 0:  # also rejects NaN
             raise ValueError("size must be non-negative")
-        self.id = next(_packet_ids)
         self.src = src
         self.dst = dst
         self.port = port
@@ -51,5 +47,5 @@ class Packet:
         return self.delivered_at - self.created_at
 
     def __repr__(self) -> str:
-        return "<Packet #{} {}->{} port={} {}B>".format(
-            self.id, self.src, self.dst, self.port, self.size)
+        return "<Packet {}->{} port={} {}B>".format(
+            self.src, self.dst, self.port, self.size)

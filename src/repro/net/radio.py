@@ -102,19 +102,17 @@ class ConnectivitySchedule:
 
 
 def periodic_trace(period_connected: float, period_disconnected: float,
-                   total: float,
-                   connected_level: ConnectivityLevel = ConnectivityLevel.PARTIAL,
-                   start: float = 0.0
-                   ) -> List[Tuple[float, ConnectivityLevel]]:
-    """A square-wave connectivity trace: on for a while, off for a while."""
+                   total: float) -> List[Tuple[float, ConnectivityLevel]]:
+    """A square-wave connectivity trace from t=0: partially connected
+    for a while, disconnected for a while."""
     for period, field in ((period_connected, "period_connected"),
                           (period_disconnected, "period_disconnected")):
         if not period > 0:  # also rejects NaN
             raise NetworkError(field + " must be positive")
     trace: List[Tuple[float, ConnectivityLevel]] = []
-    at = start
+    at = 0.0
     while at < total:
-        trace.append((at, connected_level))
+        trace.append((at, ConnectivityLevel.PARTIAL))
         at += period_connected
         if at >= total:
             break

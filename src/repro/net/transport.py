@@ -109,11 +109,6 @@ class ReliableChannel:
         """An event yielding the next in-order packet from any sender."""
         return self._app_inbox.get()
 
-    @property
-    def retries(self) -> int:
-        """Another name for :attr:`retransmissions`."""
-        return self.retransmissions
-
     def inflight(self) -> int:
         """Sends still awaiting an ack (not yet succeeded or given up).
 
@@ -212,6 +207,12 @@ class RemoteException(RpcError):
     """The remote handler raised; carries the remote error message."""
 
 
+#: How long a call waits for its reply when the caller names no timeout.
+RPC_TIMEOUT = 5.0
+#: Bytes on the wire for one request or one response.
+RPC_MESSAGE_SIZE = 256
+
+
 class RpcEndpoint:
     """Request/response invocation between hosts.
 
@@ -233,19 +234,10 @@ class RpcEndpoint:
     """
 
     def __init__(self, host: Host, port: int = 2,
-                 default_timeout: float = 5.0,
-                 request_size: int = 256, response_size: int = 256,
                  policies: Optional[FaultPolicies] = None) -> None:
-        if not default_timeout >= 0:
-            raise TransportError(
-                "default_timeout must be non-negative: {!r}".format(
-                    default_timeout))
         self.host = host
         self.env = host.env
         self.port = port
-        self.default_timeout = default_timeout
-        self.request_size = request_size
-        self.response_size = response_size
         #: Optional recovery policies (retry/deadline/circuit-breaker)
         #: applied to outgoing calls.  ``None`` — the default — leaves
         #: the single-attempt behaviour byte-identical.
@@ -284,7 +276,7 @@ class RpcEndpoint:
         The first attempt leaves before this returns.
         """
         if timeout is None:
-            timeout = self.default_timeout
+            timeout = RPC_TIMEOUT
         elif not timeout >= 0:
             raise TransportError(
                 "timeout must be non-negative: {!r}".format(timeout))
@@ -365,7 +357,7 @@ class RpcEndpoint:
             span.set_status("error")
         span.finish(at=self.env.now)
         self.host.send(packet.src, payload=outcome,
-                       size=self.response_size, port=self.port,
+                       size=RPC_MESSAGE_SIZE, port=self.port,
                        headers=self.env.sanitizer.inject_clock(
                            inject(span, {
                                "type": "response",
@@ -448,7 +440,7 @@ class _PendingCall:
         # trace context: the serving host becomes causally ordered
         # after the caller's history (and vice versa on the response).
         host.send(dst, payload={"method": self.method, "args": self.args},
-                  size=endpoint.request_size, port=endpoint.port,
+                  size=RPC_MESSAGE_SIZE, port=endpoint.port,
                   headers=endpoint.env.sanitizer.inject_clock(
                       inject(self.span, {"type": "request",
                                          "call": call_id}),

@@ -31,6 +31,8 @@ from repro.obs.metrics import BoundCounterCache
 from repro.sim import Event
 
 RPC_PORT = 10
+#: How long a migration waits for the target to install the cluster.
+MIGRATION_TIMEOUT = 30.0
 
 
 class Registry:
@@ -144,24 +146,19 @@ class Nucleus:
 
     # -- migration -----------------------------------------------------------
 
-    def migrate_cluster(self, cluster: Cluster, target_node: str,
-                        timeout: float = 30.0) -> Event:
+    def migrate_cluster(self, cluster: Cluster, target_node: str) -> Event:
         """Move a cluster (all its objects) to another node.
 
         The event fires when the target has installed the cluster and the
         registry has been updated.  Transfer time is governed by the
         cluster's serialised size crossing the network.
         """
-        if not timeout >= 0:
-            raise NodeError(
-                "timeout must be non-negative: {!r}".format(timeout))
         done = self.env.event()
-        self.env.process(
-            self._migrate_proc(cluster, target_node, timeout, done))
+        self.env.process(self._migrate_proc(cluster, target_node, done))
         return done
 
     def _migrate_proc(self, cluster: Cluster, target_node: str,
-                      timeout: float, done: Event):
+                      done: Event):
         capsule = cluster.capsule
         if capsule is None or capsule.node_name != self.node_name:
             done.fail(PlacementError(
@@ -184,7 +181,7 @@ class Nucleus:
         }
         try:
             yield self.rpc.call(target_node, "migrate_in", snapshot,
-                                timeout=timeout, parent=span)
+                                timeout=MIGRATION_TIMEOUT, parent=span)
         except (RpcError, CircuitOpenError) as error:
             # Tried and failed, or refused by the breaker: either way the
             # target holds nothing, so roll back and reinstall locally.

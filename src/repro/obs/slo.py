@@ -55,6 +55,9 @@ DEFAULT_WINDOWS: Tuple[Tuple[float, float, float, str], ...] = (
     (360.0, 30.0, 6.0, "ticket"),
 )
 
+#: How often an :class:`SLOMonitor` evaluates, in simulated seconds.
+EVALUATION_INTERVAL = 1.0
+
 
 class SLO:
     """One declarative objective: a target fraction of good events.
@@ -157,7 +160,7 @@ class BurnAlert:
 class SLOMonitor:
     """Periodically evaluates SLO burn rates and records alert events.
 
-    Every ``interval`` simulated seconds the monitor snapshots each
+    Every ``EVALUATION_INTERVAL`` the monitor snapshots each
     SLO's cumulative totals, differences them over each configured
     window pair and compares the burn rates against the pair's factor.
     Alerts fire when *both* windows exceed the factor and clear when the
@@ -173,16 +176,11 @@ class SLOMonitor:
     """
 
     def __init__(self, env: Environment, slos: Sequence[SLO],
-                 interval: float = 1.0,
                  windows: Sequence[Tuple[float, float, float, str]]
                  = DEFAULT_WINDOWS,
                  until: Optional[float] = None,
                  on_alert: Optional[Callable[[str, BurnAlert], None]]
                  = None) -> None:
-        # Every bound in the ``not x > 0`` form, which NaN fails too.
-        if not interval > 0:
-            raise QoSError(
-                "interval must be positive: {!r}".format(interval))
         names = [slo.name for slo in slos]
         if len(set(names)) != len(names):
             raise QoSError("duplicate SLO names: {}".format(names))
@@ -190,7 +188,7 @@ class SLOMonitor:
             for field, value in (("long window", long_window),
                                  ("short window", short_window),
                                  ("burn-rate factor", factor)):
-                if not value > 0:
+                if not value > 0:  # also rejects NaN
                     raise QoSError("{} must be positive: {!r}".format(
                         field, value))
             if short_window > long_window:
@@ -200,12 +198,11 @@ class SLOMonitor:
                            "{!r}".format(env.now, until))
         self.env = env
         self.slos = list(slos)
-        self.interval = interval
         self.windows = tuple(windows)
         self.until = until
         self.on_alert = on_alert
         self._keep = (max(w[0] for w in windows) if windows else 0.0) \
-            + 2 * interval
+            + 2 * EVALUATION_INTERVAL
         #: (time, {slo name: (good, bad)}) samples, oldest first.
         self._history: List[Tuple[float, Dict[str, Tuple[float, float]]]] \
             = []
@@ -233,7 +230,7 @@ class SLOMonitor:
     def _run(self):
         while not self._stopped and \
                 (self.until is None or self.env.now < self.until):
-            yield self.env.timeout(self.interval)
+            yield self.env.timeout(EVALUATION_INTERVAL)
             if self._stopped:
                 break
             self._evaluate()

@@ -29,13 +29,10 @@ Design constraints, in order:
   and the rendered, sorted keys are built when :attr:`windows` or
   :meth:`records` is read.  Instruments only ever grow, so the
   observations between two positions are still there to summarise.
-* **Bounded memory.**  ``retention`` keeps the last N windows' positions
-  in a ring (:attr:`evicted` counts the rest), plus the last evicted
-  one's, from which the oldest retained window's deltas are taken.
 
 Quick start::
 
-    recorder = TimelineRecorder(env, resolution=1.0, retention=600)
+    recorder = TimelineRecorder(env, resolution=1.0)
     ... run the simulation ...
     recorder.finish()               # flush the trailing partial window
     obs.dump_jsonl("run.timeline.jsonl", timeline=recorder)
@@ -43,13 +40,9 @@ Quick start::
 
 from __future__ import annotations
 
-import collections
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from repro.obs.metrics import LabelKey, Tally, _render
-from repro.obs.tracer import _require_size
-
-_INFINITY = float("inf")
 
 
 def _window_summary(values: List[float]) -> Dict[str, float]:
@@ -88,40 +81,19 @@ class TimelineRecorder:
     under.
     """
 
-    def __init__(self, env, resolution: float = 1.0,
-                 retention: Optional[int] = None,
-                 start: Optional[float] = None) -> None:
+    def __init__(self, env, resolution: float = 1.0) -> None:
         if not resolution > 0:  # also rejects NaN
             raise ValueError(
                 "resolution must be positive, got {!r}".format(resolution))
-        _require_size("retention", retention)
-        if start is None:
-            start = env.now
-        elif not env.now <= start < _INFINITY:  # also rejects NaN
-            # An earlier anchor would flush empty windows for time the
-            # run never had; an infinite one would never flush at all.
-            raise ValueError(
-                "start must be a finite time no earlier than now ({}), "
-                "got {!r}".format(env.now, start))
         self.env = env
         self.resolution = float(resolution)
-        self.retention = retention
         # Per window: index, start, end, partial, then the registry's
         # positions at its end (counter values, histogram lengths,
         # gauge lengths, each in registration order).
-        self._marks: Any = collections.deque(maxlen=retention) \
-            if retention is not None else []
-        # The positions the oldest retained window starts from: the
-        # last evicted window's, or none (every instrument at zero).
-        self._base: Tuple[List[Any], ...] = ([], [], [])
-        #: Windows flushed over the recorder's lifetime (>= len(windows)).
-        self.flushed = 0
-        #: Windows pushed out of the retention ring.
-        self.evicted = 0
-        self._last_boundary = float(start)
+        self._marks: List[Tuple[Any, ...]] = []
+        self._last_boundary = env.now
         self._closed = False
-        env.set_window_hook(self.resolution, self._on_boundary,
-                            start=self._last_boundary)
+        env.set_window_hook(self.resolution, self._on_boundary)
 
     # -- collection --------------------------------------------------------
 
@@ -129,14 +101,14 @@ class TimelineRecorder:
         self._flush(boundary, partial=False)
 
     def _flush(self, end: float, partial: bool) -> None:
-        marks = self._marks
-        if len(marks) == self.retention:    # never, when unbounded
-            self.evicted += 1
-            self._base = marks[0][4:]
-        marks.append((self.flushed, self._last_boundary, end, partial)
-                     + self.env.metrics.positions())
-        self.flushed += 1
+        self._marks.append((len(self._marks), self._last_boundary, end,
+                            partial) + self.env.metrics.positions())
         self._last_boundary = end
+
+    @property
+    def flushed(self) -> int:
+        """Windows flushed so far."""
+        return len(self._marks)
 
     def finish(self) -> int:
         """Flush the trailing partial window and release the hook.
@@ -157,12 +129,12 @@ class TimelineRecorder:
 
     @property
     def windows(self) -> List[Dict[str, Any]]:
-        """The retained windows, oldest first, built on each read."""
+        """The windows, oldest first, built on each read."""
         counters, histograms, gauges = (
             _by_key(instruments)
             for instruments in self.env.metrics.registered())
         windows = []
-        before = self._base
+        before: Tuple[List[Any], ...] = ([], [], [])
         for index, start, end, partial, *now in self._marks:
             # An instrument registered since ``before`` was at zero.
             values, lengths, samples = now
@@ -192,16 +164,15 @@ class TimelineRecorder:
         return windows
 
     def records(self) -> Iterator[Dict[str, Any]]:
-        """The retained windows, oldest first (the JSONL export rows)."""
+        """The windows, oldest first (the JSONL export rows)."""
         return iter(self.windows)
 
     def __len__(self) -> int:
         return len(self._marks)
 
     def __repr__(self) -> str:
-        return "<TimelineRecorder windows={} resolution={}{}>".format(
-            len(self._marks), self.resolution,
-            " evicted={}".format(self.evicted) if self.evicted else "")
+        return "<TimelineRecorder windows={} resolution={}>".format(
+            len(self._marks), self.resolution)
 
 
 def _by_key(instruments: Dict[LabelKey, Any]

@@ -18,16 +18,17 @@ from repro.net.network import Network
 from repro.obs.metrics import Counter
 from repro.qos.params import QoSContract, QoSParameters
 
+#: The share of each link's bandwidth that contracts may reserve; the
+#: rest is left to best-effort traffic.
+RESERVABLE_FRACTION = 0.8
+
 
 class QoSBroker:
     """Admission control over a network's link capacities."""
 
-    def __init__(self, network: Network,
-                 reservable_fraction: float = 0.8) -> None:
-        if not 0 < reservable_fraction <= 1:
-            raise QoSError("reservable_fraction must be in (0, 1]")
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.reservable_fraction = reservable_fraction
+        self._admitted = 0
         #: link -> bits/s currently reserved.
         self._reserved: Dict[Link, float] = {}
         self._contract_links: Dict[str, List[Link]] = {}
@@ -36,7 +37,7 @@ class QoSBroker:
 
     def residual(self, link: Link) -> float:
         """Reservable bits/s left on ``link``."""
-        ceiling = link.bandwidth * self.reservable_fraction
+        ceiling = link.bandwidth * RESERVABLE_FRACTION
         return ceiling - self._reserved.get(link, 0.0)
 
     def negotiate(self, src: str, dst: str, desired: QoSParameters,
@@ -74,7 +75,9 @@ class QoSBroker:
         for link in path:
             self._reserved[link] = \
                 self._reserved.get(link, 0.0) + throughput
-        contract = QoSContract(src, dst, agreed, desired, minimum)
+        self._admitted += 1
+        contract = QoSContract("qos-{}".format(self._admitted), src, dst,
+                               agreed, desired, minimum)
         self.contracts[contract.contract_id] = contract
         self._contract_links[contract.contract_id] = list(path)
         self.counters.incr("admitted")

@@ -5,18 +5,21 @@ if degradations occur.  Dynamic re-negotiation should also be supported."*
 
 :class:`QoSMonitor` observes a flow's delivered frames over a sliding
 window, computes achieved throughput / latency / jitter / loss, compares
-them against a contract and informs the application through a callback.
-An optional adaptation hook triggers renegotiation automatically.
+them against a contract and marks a violated window on the contract and
+in the ``qos.violations`` counter.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import QoSError
 from repro.obs.metrics import Counter
 from repro.qos.params import CLOSED, QoSContract, QoSParameters
 from repro.sim import Environment
+
+#: The share of the agreed throughput a window must reach to meet it.
+THROUGHPUT_SLACK = 0.9
 
 
 class QoSObservation:
@@ -36,14 +39,13 @@ class QoSObservation:
         self.loss = loss
         self.frames = frames
 
-    def meets(self, agreed: QoSParameters,
-              throughput_slack: float = 0.9) -> bool:
+    def meets(self, agreed: QoSParameters) -> bool:
         """Does the observation honour the agreed level?
 
-        Throughput is judged against ``throughput_slack`` of the agreed
+        Throughput is judged against ``THROUGHPUT_SLACK`` of the agreed
         floor to tolerate window quantisation.
         """
-        return (self.throughput >= agreed.throughput * throughput_slack
+        return (self.throughput >= agreed.throughput * THROUGHPUT_SLACK
                 and self.mean_latency <= agreed.latency
                 and self.jitter <= agreed.jitter
                 and self.loss <= agreed.loss)
@@ -59,8 +61,6 @@ class QoSMonitor:
 
     def __init__(self, env: Environment, contract: QoSContract,
                  window: float = 1.0,
-                 on_violation: Optional[Callable[[QoSObservation],
-                                                 None]] = None,
                  expected_frames_per_window: Optional[float] = None,
                  stop_on_violation: bool = True) -> None:
         if not window > 0:  # also rejects NaN
@@ -68,7 +68,6 @@ class QoSMonitor:
         self.env = env
         self.contract = contract
         self.window = window
-        self.on_violation = on_violation
         self.expected_frames = expected_frames_per_window
         #: Historically a violated window ended monitoring (the contract
         #: leaves the active states).  Pass ``False`` to keep measuring
@@ -105,8 +104,6 @@ class QoSMonitor:
             if not observation.meets(self.contract.agreed):
                 self.counters.incr("violations")
                 self.contract.mark_violated()
-                if self.on_violation is not None:
-                    self.on_violation(observation)
             else:
                 self.counters.incr("windows_ok")
 

@@ -9,16 +9,12 @@ lifecycle (active → degraded/violated → renegotiated or torn down).
 
 from __future__ import annotations
 
-import itertools
-
 from repro.errors import QoSError
 
 ACTIVE = "active"
 DEGRADED = "degraded"
 VIOLATED = "violated"
 CLOSED = "closed"
-
-_contract_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
 
 
 class QoSParameters:
@@ -72,10 +68,10 @@ class QoSParameters:
 class QoSContract:
     """An agreed QoS level for one flow between two nodes."""
 
-    def __init__(self, src: str, dst: str, agreed: QoSParameters,
-                 desired: QoSParameters,
+    def __init__(self, contract_id: str, src: str, dst: str,
+                 agreed: QoSParameters, desired: QoSParameters,
                  minimum: QoSParameters) -> None:
-        self.contract_id = "qos-{}".format(next(_contract_ids))
+        self.contract_id = contract_id
         self.src = src
         self.dst = dst
         self.agreed = agreed

@@ -9,7 +9,7 @@ policies with one interface:
 * :class:`FcfsFloor` — first-come-first-served queue.
 * :class:`RoundRobinFloor` — the floor rotates on a fixed quantum among
   requesters.
-* :class:`ChairedFloor` — an explicit chair approves each request.
+* :class:`ChairedFloor` — an explicit chair serialises the requests.
 * :class:`NegotiatedFloor` — the requester asks the current holder
   directly (Colab's informal negotiation); the holder yields or refuses.
 """
@@ -21,6 +21,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import FloorControlError
 from repro.obs.metrics import Counter, Tally
 from repro.sim import Environment, Event
+
+#: How long the chair takes to consider a request, in seconds.
+CHAIR_DECISION_LATENCY = 0.5
 
 
 class FloorPolicy:
@@ -205,42 +208,30 @@ class RoundRobinFloor(FloorPolicy):
 
 
 class ChairedFloor(FloorPolicy):
-    """An explicit chair decides each request.
+    """An explicit chair serialises the requests.
 
-    The chair's decision procedure is supplied as a callback returning
-    True (grant when free / queue) or False (reject outright).  Decision
-    latency models the human in the loop.
+    The chair considers each request for ``CHAIR_DECISION_LATENCY``
+    (the human in the loop), then grants it when the floor is free or
+    queues it behind the holder.
     """
 
     name = "chaired"
 
-    def __init__(self, env: Environment, chair: str,
-                 decide: Optional[Callable[[str], bool]] = None,
-                 decision_latency: float = 0.5) -> None:
-        if not decision_latency >= 0:  # also rejects NaN
-            raise FloorControlError(
-                "decision_latency must be non-negative")
+    def __init__(self, env: Environment, chair: str) -> None:
         super().__init__(env)
         self.chair = chair
-        self.decide = decide or (lambda member: True)
-        self.decision_latency = decision_latency
         self._queue: List[Tuple[str, Event, float]] = []
 
     def request(self, member: str) -> Event:
         event = self.env.event()
         self.counters.incr("requests")
-        self.env.timeout(self.decision_latency,
+        self.env.timeout(CHAIR_DECISION_LATENCY,
                          (member, event, self.env.now)
                          ).callbacks.append(self._consider)
         return event
 
     def _consider(self, timer: Event) -> None:
         member, event, requested_at = timer.value
-        if not self.decide(member):
-            self.counters.incr("rejections")
-            event.fail(FloorControlError(
-                "the chair refused {}".format(member)))
-            return
         if self.holder is None:
             self._grant(member, event, requested_at)
         else:

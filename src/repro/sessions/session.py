@@ -10,7 +10,6 @@ matrix tests check.
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Optional, Tuple
 
 from repro.awareness.events import (
@@ -30,8 +29,6 @@ ASYNCHRONOUS = "asynchronous"
 CO_LOCATED = "co-located"
 REMOTE = "remote"
 
-_session_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
-
 
 class Session:
     """A cooperative session over shared artefacts."""
@@ -45,7 +42,6 @@ class Session:
             raise SessionError("unknown time mode: " + time_mode)
         if place_mode not in (CO_LOCATED, REMOTE):
             raise SessionError("unknown place mode: " + place_mode)
-        self.session_id = "session-{}".format(next(_session_ids))
         self.env = env
         self.name = name
         self.time_mode = time_mode

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import FloorControlError, SessionError
+from repro.errors import SessionError
 from repro.obs.metrics import Counter
 from repro.sessions.floor import FloorPolicy
 from repro.sim import Environment, Event
@@ -28,41 +28,34 @@ from repro.sim import Environment, Event
 class SingleUserApp:
     """A collaboration-unaware application: one input, one display.
 
-    ``handle(input) -> display`` is the whole interface; the default
-    implementation is an append-only editor, sufficient for the sharing
-    experiments.
+    ``handle(input) -> display`` is the whole interface: an append-only
+    editor, sufficient for the sharing experiments.
     """
 
-    def __init__(self,
-                 handler: Optional[Callable[[Any, List[Any]], Any]] = None
-                 ) -> None:
+    def __init__(self) -> None:
         self.state: List[Any] = []
-        self._handler = handler or self._append
 
-    @staticmethod
-    def _append(event: Any, state: List[Any]) -> str:
-        state.append(event)
-        return "display:{} items".format(len(state))
-
-    def handle(self, event: Any) -> Any:
+    def handle(self, event: Any) -> str:
         """Process one input event, returning the new display output."""
-        return self._handler(event, self.state)
+        self.state.append(event)
+        return "display:{} items".format(len(self.state))
+
+
+#: How long a display update takes to reach a member's screen, in seconds.
+DISPLAY_LATENCY = 0.02
 
 
 class TransparentConference:
     """A single-user app shared by multicasting display, multidropping input."""
 
     def __init__(self, env: Environment, app: SingleUserApp,
-                 floor: FloorPolicy, display_size: int = 2048,
-                 display_latency: float = 0.02) -> None:
-        if display_size < 0 or display_latency < 0:
-            raise SessionError(
-                "display size/latency must be non-negative")
+                 floor: FloorPolicy, display_size: int = 2048) -> None:
+        if display_size < 0:
+            raise SessionError("display size must be non-negative")
         self.env = env
         self.app = app
         self.floor = floor
         self.display_size = display_size
-        self.display_latency = display_latency
         self.members: List[str] = []
         self.counters = Counter()
         self.display_bytes_sent = 0
@@ -88,20 +81,16 @@ class TransparentConference:
         return done
 
     def _turn(self, member: str, event: Any, done: Event):
-        try:
-            yield self.floor.request(member)
-        except FloorControlError as error:
-            done.fail(error)
-            return
+        yield self.floor.request(member)
         output = self.app.handle(event)
         self.counters.incr("inputs")
         # Multicast the new display to every member's screen.
         for viewer in self.members:
             self.display_bytes_sent += self.display_size
-            self.env.timeout(self.display_latency, (viewer, output)
+            self.env.timeout(DISPLAY_LATENCY, (viewer, output)
                              ).callbacks.append(self._paint)
         self.floor.release(member)
-        yield self.env.timeout(self.display_latency)
+        yield self.env.timeout(DISPLAY_LATENCY)
         done.succeed(output)
 
     def _paint(self, timer: Event) -> None:

@@ -66,10 +66,10 @@ class Environment:
     that holds the environment records into these.
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        #: Current simulated time in seconds: written by run() and
-        #: step() only, read by everything that holds the environment.
-        self.now = float(initial_time)
+    def __init__(self) -> None:
+        #: Current simulated time in seconds, from 0: written by run()
+        #: and step() only, read by everything that holds the environment.
+        self.now = 0.0
         self._eid = 0
         self._active_process: Optional[Process] = None
         # The heap of pending ``(time, key, event)`` entries.
@@ -206,12 +206,11 @@ class Environment:
 
     # -- window-boundary hook ----------------------------------------------
 
-    def set_window_hook(self, interval: float, callback,
-                        start: Optional[float] = None) -> None:
+    def set_window_hook(self, interval: float, callback) -> None:
         """Call ``callback(boundary_time)`` at fixed sim-time boundaries.
 
-        Boundaries are ``start + k*interval`` for ``k = 1, 2, ...``
-        (``start`` defaults to the current time).  The hook fires from
+        Boundaries are ``now + k*interval`` for ``k = 1, 2, ...``, with
+        ``now`` the time of installation.  The hook fires from
         inside the event loop, *before* the callbacks of the event that
         reached the boundary run, so a flush at boundary ``B`` observes
         exactly the effects of events with ``t < B`` — a deterministic
@@ -228,14 +227,11 @@ class Environment:
         if not interval > 0:  # also rejects NaN
             raise SimulationError(
                 "window interval must be positive: {!r}".format(interval))
-        if start is not None and start != start:
-            raise SimulationError(
-                "window start is not a time: {!r}".format(start))
         if self._window_hook is not None:
             raise SimulationError("a window hook is already installed")
         self._window_hook = callback
         self._window_interval = float(interval)
-        self._window_anchor = self.now if start is None else float(start)
+        self._window_anchor = self.now
         self._window_index = 1
         self._window_next = self._window_anchor + self._window_interval
 

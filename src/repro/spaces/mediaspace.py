@@ -43,6 +43,9 @@ GLANCE = "glance"
 VIDEO_WALL = "video-wall"
 OFFICE_SHARE = "office-share"
 
+#: Bytes in one video frame of a media-space connection.
+VIDEO_FRAME_SIZE = 3000
+
 
 class WorkplaceNode:
     """A camera+monitor installation at someone's workplace."""
@@ -87,22 +90,18 @@ class MediaSpace:
 
     def __init__(self, env: Environment,
                  network: Optional[Network] = None,
-                 awareness: Optional[AwarenessBus] = None,
                  glance_duration: float = 8.0,
-                 video_rate: float = 12.5,
-                 frame_size: int = 3000) -> None:
+                 video_rate: float = 12.5) -> None:
         for field, value in (("glance_duration", glance_duration),
-                             ("video_rate", video_rate),
-                             ("frame_size", frame_size)):
+                             ("video_rate", video_rate)):
             if not value > 0:  # also rejects NaN
                 raise ReproError("{} must be positive: {!r}".format(
                     field, value))
         self.env = env
         self.network = network
-        self.awareness = awareness or AwarenessBus(env)
+        self.awareness = AwarenessBus(env)
         self.glance_duration = glance_duration
         self.video_rate = video_rate
-        self.frame_size = frame_size
         self.nodes: Dict[str, WorkplaceNode] = {}
         self.connections: List[Connection] = []
         self.counters = Counter()
@@ -238,7 +237,7 @@ class MediaSpace:
             source = MediaSource(self.env, src + "-cam",
                                  binding.send_frame,
                                  rate=self.video_rate,
-                                 frame_size=self.frame_size)
+                                 frame_size=VIDEO_FRAME_SIZE)
             flows.append((source, binding, sink))
         return flows
 

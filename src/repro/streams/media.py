@@ -23,14 +23,11 @@ in one of two modes:
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import StreamError
 from repro.obs.metrics import Counter, Tally
 from repro.sim import Environment
-
-_frame_seq = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
 
 DEADLINE = "deadline"
 ARRIVAL = "arrival"
@@ -39,12 +36,11 @@ ARRIVAL = "arrival"
 class Frame:
     """One media frame with its position on the media timeline."""
 
-    __slots__ = ("frame_id", "stream", "seq", "media_time", "size",
+    __slots__ = ("stream", "seq", "media_time", "size",
                  "created_at", "played_at")
 
     def __init__(self, stream: str, seq: int, media_time: float,
                  size: int, created_at: float) -> None:
-        self.frame_id = next(_frame_seq)
         self.stream = stream
         self.seq = seq
         self.media_time = media_time

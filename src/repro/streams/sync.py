@@ -54,8 +54,15 @@ class EventSynchroniser:
             action()
 
 
+#: The skew, in seconds, beyond which a synchroniser corrects the slave
+#: (80 ms: lip sync is lost past it).
+SYNC_BOUND = 0.08
+#: How often :func:`measure_drift` samples the skew, in seconds.
+DRIFT_SAMPLE_INTERVAL = 0.2
+
+
 class ContinuousSynchroniser:
-    """Keep a slave stream within ``bound`` seconds of a master stream.
+    """Keep a slave stream within ``SYNC_BOUND`` of a master stream.
 
     Every ``check_interval`` the skew (master position − slave position)
     is sampled; beyond the bound, the slave's playout position is snapped
@@ -64,16 +71,12 @@ class ContinuousSynchroniser:
     """
 
     def __init__(self, env: Environment, master: MediaSink,
-                 slave: MediaSink, bound: float = 0.08,
-                 check_interval: float = 0.2) -> None:
-        if not bound > 0:  # also rejects NaN
-            raise StreamError("bound must be positive")
-        if not check_interval > 0:
+                 slave: MediaSink, check_interval: float = 0.2) -> None:
+        if not check_interval > 0:  # also rejects NaN
             raise StreamError("check_interval must be positive")
         self.env = env
         self.master = master
         self.slave = slave
-        self.bound = bound
         self.check_interval = check_interval
         self.skew_samples = Tally("skew")
         self.max_abs_skew = 0.0
@@ -95,21 +98,21 @@ class ContinuousSynchroniser:
             self.skew_samples.record(skew)
             self.max_abs_skew = max(self.max_abs_skew, abs(skew))
             self.counters.incr("checks")
-            if abs(skew) > self.bound:
+            if abs(skew) > SYNC_BOUND:
                 self.counters.incr("corrections")
                 self.slave.sync_adjust(self.master.position)
 
 
 def measure_drift(env: Environment, master: MediaSink, slave: MediaSink,
-                  duration: float, check_interval: float = 0.2) -> Tally:
+                  duration: float) -> Tally:
     """Sample skew without correcting (the E8 no-sync baseline)."""
     tally = Tally("uncorrected-skew")
 
     def sampler(env):
         elapsed = 0.0
         while elapsed < duration:
-            yield env.timeout(check_interval)
-            elapsed += check_interval
+            yield env.timeout(DRIFT_SAMPLE_INTERVAL)
+            elapsed += DRIFT_SAMPLE_INTERVAL
             tally.record(master.position - slave.position)
 
     env.process(sampler(env))

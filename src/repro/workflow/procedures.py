@@ -10,12 +10,10 @@ flexible, §2.2).
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Tuple
 
 from repro.errors import WorkflowError
 
-_instance_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
 
 STRICT = "strict"
 TOLERANT = "tolerant"
@@ -59,7 +57,6 @@ class ProcedureInstance:
     def __init__(self, procedure: Procedure, mode: str = STRICT) -> None:
         if mode not in (STRICT, TOLERANT):
             raise WorkflowError("unknown mode: " + mode)
-        self.instance_id = "case-{}".format(next(_instance_ids))
         self.procedure = procedure
         self.mode = mode
         self.position = 0
@@ -80,7 +77,8 @@ class ProcedureInstance:
         """
         if self.complete:
             raise WorkflowError(
-                "case {} is already complete".format(self.instance_id))
+                "this case of {} is already complete".format(
+                    self.procedure.name))
         step = self.procedure.steps[self.position]
         deviation = None
         if performer_role != step.role:
@@ -92,8 +90,8 @@ class ProcedureInstance:
         if deviation is not None:
             if self.mode == STRICT:
                 raise WorkflowError(
-                    "case {} step {}: {}".format(
-                        self.instance_id, step.name, deviation))
+                    "{} step {}: {}".format(
+                        self.procedure.name, step.name, deviation))
             self.exceptions.append(
                 (self.position, step.name, performer_role, action))
         self.performed.append((step.name, performer_role, action))

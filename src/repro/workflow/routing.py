@@ -9,12 +9,9 @@ point of ablation A2.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import WorkflowError
-
-_object_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
 
 
 class WorkObject:
@@ -22,14 +19,14 @@ class WorkObject:
 
     def __init__(self, kind: str, fields: Optional[Dict[str, Any]] = None
                  ) -> None:
-        self.object_id = "wo-{}".format(next(_object_ids))
         self.kind = kind
         self.fields: Dict[str, Any] = dict(fields or {})
         self.history: List[Tuple[str, str]] = []
         self.folder: Optional[str] = None
 
     def __repr__(self) -> str:
-        return "<WorkObject {} kind={}>".format(self.object_id, self.kind)
+        return "<WorkObject kind={} folder={}>".format(self.kind,
+                                                       self.folder)
 
 
 Rule = Callable[[WorkObject], Optional[str]]

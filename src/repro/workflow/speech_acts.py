@@ -14,7 +14,6 @@ traces it rejects compared with informal routing.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import IllegalSpeechAct, WorkflowError
@@ -53,8 +52,6 @@ TRANSITIONS: Dict[Tuple[str, str, str], str] = {
     (REPORTED, CUSTOMER, "declare_incomplete"): PROMISED,
 }
 
-_conversation_ids = itertools.count(1)  # repro: allow-RPR005 (ids are labels, not behaviour)
-
 
 class Conversation:
     """One conversation for action between a customer and a performer."""
@@ -63,7 +60,6 @@ class Conversation:
                  about: str = "") -> None:
         if customer == performer:
             raise WorkflowError("customer and performer must differ")
-        self.conversation_id = "cfa-{}".format(next(_conversation_ids))
         self.customer = customer
         self.performer = performer
         self.about = about
@@ -78,7 +74,8 @@ class Conversation:
         if actor == self.performer:
             return PERFORMER
         raise WorkflowError(
-            "{} is not a party to {}".format(actor, self.conversation_id))
+            "{} is not a party to the conversation between {} and {}"
+            .format(actor, self.customer, self.performer))
 
     def legal_acts(self, actor: str) -> List[str]:
         """The acts the model currently licenses for ``actor``."""
@@ -104,8 +101,8 @@ class Conversation:
         return self.state
 
     def __repr__(self) -> str:
-        return "<Conversation {} [{}]>".format(
-            self.conversation_id, self.state)
+        return "<Conversation {}->{} [{}]>".format(
+            self.customer, self.performer, self.state)
 
 
 def run_trace(customer: str, performer: str,

@@ -140,7 +140,7 @@ def partition_recovery_workload(seed: int = 31,
         slo_monitor = slo.SLOMonitor(
             env, [slo.qos_slo("{}->{}".format(MEDIA_SRC, MEDIA_DST),
                               target=SLO_TARGET)],
-            interval=1.0, windows=SLO_WINDOWS,
+            windows=SLO_WINDOWS,
             until=RUN_UNTIL - 2.0, on_alert=manager.on_alert)
 
         # Suspicions flow to the manager (floor reclaim, degradation)
@@ -373,7 +373,7 @@ def flaky_links_workload(seed: int = 31) -> Dict[str, Any]:
         # permanent sequence gap, so exactly-once FIFO delivery stalls
         # at the first give-up (head-of-line blocking by design).
         "chan_delivered": len(received),
-        "chan_retries": chan_client.retries,
+        "chan_retries": chan_client.retransmissions,
         "chan_gave_up": chan_client.gave_up,
         "chan_send_failures": chan_failures[0],
         "breaker": policies.breaker.snapshot(),

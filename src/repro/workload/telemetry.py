@@ -157,8 +157,8 @@ def slo_burn_workload(seed: int = 31) -> Dict[str, Any]:
         target=SLO_TARGET)
     with use_metrics(metrics):
         env = Environment()
-        monitor = slo.SLOMonitor(env, [objective], interval=1.0,
-                                 windows=BURN_WINDOWS, until=RUN_UNTIL)
+        monitor = slo.SLOMonitor(env, [objective], windows=BURN_WINDOWS,
+                                 until=RUN_UNTIL)
         env.process(service(env), name="service")
         env.run()
 

@@ -60,13 +60,6 @@ def test_counters_and_log(env):
     assert len(bus.delivered_log) == 2
 
 
-def test_event_ids_unique(env):
-    bus = AwarenessBus(env)
-    first = bus.publish("a", "x", "edit")
-    second = bus.publish("a", "x", "edit")
-    assert first.event_id != second.event_id
-
-
 def test_workspace_awareness_publishes_writes(env):
     store = SharedStore()
     workspace = WorkspaceAwareness(env, store)

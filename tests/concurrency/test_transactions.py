@@ -10,6 +10,7 @@ from repro.concurrency import (
     TransactionManager,
 )
 from repro.errors import TransactionAborted
+from repro.obs.flight import FlightRecorder, use_flight
 from repro.sim import Environment
 
 
@@ -283,3 +284,29 @@ def test_a_transactional_read_is_recorded_as_its_readers_now():
     assert [(access.kind, access.actor, access.at)
             for access in sanitizer.accesses] \
         == [("write", "bob", 0.0), ("read", "ann", 5.0)]
+
+
+def test_identical_runs_in_one_process_journal_the_same_locks():
+    """A transaction's id is its lock owner, which the flight recorder
+    journals: numbered per manager, a second identical run in the same
+    process journals the same lock transitions as the first."""
+    def run():
+        recorder = FlightRecorder()
+        with use_flight(recorder):
+            env = Environment()
+            tm = TransactionManager(env, SharedStore())
+
+            def writer(env, name):
+                txn = tm.begin(name)
+                yield from tm.write(txn, "doc", name)
+                yield env.timeout(1.0)
+                yield from tm.commit(txn)
+
+            env.process(writer(env, "alice"))
+            env.process(writer(env, "bob"))
+            env.run()
+        recorder.finish()
+        return recorder.epoch_digests
+
+    first = run()
+    assert first and run() == first

@@ -106,16 +106,6 @@ def test_media_flow_with_reservation(platform):
     assert not flow.binding.contract.is_active
 
 
-def test_media_flow_without_reservation(platform):
-    hosts = platform.host_names()
-    flow = platform.open_media_flow(hosts[0], hosts[2], rate=5.0,
-                                    reserve=False)
-    assert flow.monitor is None
-    flow.start(duration=1.0)
-    platform.run(until=3.0)
-    assert flow.sink.counters["played"] == 5
-
-
 def test_media_flow_custom_qos(platform):
     hosts = platform.host_names()
     desired = QoSParameters(throughput=5e5, latency=0.3, jitter=0.2,

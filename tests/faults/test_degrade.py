@@ -16,14 +16,14 @@ def env():
     return Environment()
 
 
-def make_flow(env):
+def make_flow(env, minimum=25000.0):
     net = Network(env, lan(env, hosts=2))
     broker = QoSBroker(net)
     contract = broker.negotiate(
         "host0", "host1",
         desired=QoSParameters(throughput=100000.0, latency=0.5,
                               jitter=0.5, loss=0.1),
-        minimum=QoSParameters(throughput=25000.0, latency=0.5,
+        minimum=QoSParameters(throughput=minimum, latency=0.5,
                               jitter=0.5, loss=0.1))
     return broker, contract
 
@@ -31,8 +31,7 @@ def make_flow(env):
 def test_degrade_sheds_and_recover_restores(env):
     broker, contract = make_flow(env)
     manager = DegradationManager(env, broker=broker,
-                                 contracts=[contract],
-                                 shed_fraction=0.5)
+                                 contracts=[contract])
     assert manager.level == FULL_SERVICE
     assert manager.degrade("test")
     assert manager.level == DEGRADED
@@ -43,13 +42,12 @@ def test_degrade_sheds_and_recover_restores(env):
 
 
 def test_shed_respects_contract_minimum(env):
-    broker, contract = make_flow(env)
+    broker, contract = make_flow(env, minimum=60000.0)
     manager = DegradationManager(env, broker=broker,
-                                 contracts=[contract],
-                                 shed_fraction=0.9)
+                                 contracts=[contract])
     manager.degrade("one")
-    # 100k * 0.1 would undercut the 25k minimum: clamp to the minimum.
-    assert contract.agreed.throughput == 25000.0
+    # Half of 100k would undercut the 60k minimum: clamp to the minimum.
+    assert contract.agreed.throughput == 60000.0
 
 
 def test_transitions_are_idempotent(env):

@@ -383,13 +383,13 @@ def test_causal_group_on_a_jittery_wan_matches_the_model():
     env.run()
 
     models = {name: ModelMember(name) for name in names}
-    twin = {}  # real message id -> the model's own message
+    twin = {}  # real message's payload (unique) -> the model's own message
     held_back = 0
     for name, message in arrivals:
         if message.sender == name:
-            twin[message.msg_id] = models[name].broadcast(message.payload)
+            twin[message.payload] = models[name].broadcast(message.payload)
         else:
-            held_back += not models[name].receive(twin[message.msg_id])
+            held_back += not models[name].receive(twin[message.payload])
     assert held_back > 100  # the jitter really made the buffers work
     for name in names:
         log = group.endpoint(name).delivered_log

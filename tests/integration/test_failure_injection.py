@@ -64,7 +64,7 @@ def test_migration_to_unreachable_node_rolls_back(env):
 
     def root(env):
         try:
-            yield nucleus.migrate_cluster(obj.cluster, "c", timeout=1.0)
+            yield nucleus.migrate_cluster(obj.cluster, "c")
             outcome["migrated"] = True
         except PlacementError:
             outcome["migrated"] = False

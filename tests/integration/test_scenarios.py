@@ -5,6 +5,7 @@ import pytest
 from repro import CooperativePlatform
 from repro.qos import QoSParameters
 from repro.sessions import ASYNCHRONOUS, REMOTE, SYNCHRONOUS
+from repro.streams import MediaSink, MediaSource, StreamBinding
 
 
 def test_design_review_lifecycle():
@@ -64,8 +65,14 @@ def test_conference_with_reserved_and_besteffort_flows():
         hosts[0], hosts[2], rate=25.0, frame_size=4000,
         desired=QoSParameters(throughput=8e5, latency=0.2, jitter=0.15,
                               loss=0.05))
-    besteffort = platform.open_media_flow(
-        hosts[1], hosts[3], rate=25.0, frame_size=4000, reserve=False)
+    # A platform flow is always reserved; the best-effort one is bound
+    # by hand, as a binding with no contract.
+    binding = StreamBinding(platform.network, hosts[1], hosts[3],
+                            port=platform.allocate_port())
+    besteffort_sink = MediaSink(platform.env, hosts[3] + "-sink")
+    binding.attach_sink(besteffort_sink)
+    besteffort = MediaSource(platform.env, hosts[1] + "-source",
+                             binding.send_frame, rate=25.0, frame_size=4000)
     # Background flooders saturate the shared WAN link.
     flooder = platform.network.host(hosts[1])
 
@@ -79,7 +86,7 @@ def test_conference_with_reserved_and_besteffort_flows():
     besteffort.start(duration=4.0)
     platform.run(until=4.5)
     assert reserved.sink.miss_rate < 0.05
-    assert besteffort.sink.miss_rate > reserved.sink.miss_rate
+    assert besteffort_sink.miss_rate > reserved.sink.miss_rate
 
 
 def test_session_church_with_document_convergence():

@@ -78,7 +78,7 @@ def test_disconnection_contract_violation(env):
     violations = []
     contract = DisconnectionTolerantContract(
         env, mobile, max_outage=3.0,
-        on_violation=violations.append, check_interval=0.5)
+        on_violation=violations.append)
 
     def journey(env):
         yield env.timeout(1.0)
@@ -94,8 +94,7 @@ def test_disconnection_contract_violation(env):
 
 def test_disconnection_contract_tolerates_short_outage(env):
     net, mobile = make_mobile(env)
-    contract = DisconnectionTolerantContract(env, mobile, max_outage=3.0,
-                                             check_interval=0.5)
+    contract = DisconnectionTolerantContract(env, mobile, max_outage=3.0)
 
     def journey(env):
         yield env.timeout(1.0)

@@ -75,11 +75,13 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/node/runtime.py",
            "            yield self.rpc.call(target_node, \"migrate_in\", "
            "snapshot,\n"
-           "                                timeout=timeout, parent=span)\n"
+           "                                timeout=MIGRATION_TIMEOUT, "
+           "parent=span)\n"
            "        except (RpcError, CircuitOpenError) as error:\n",
            "            yield self.rpc.call(target_node, \"migrate_in\", "
            "snapshot,\n"
-           "                                timeout=timeout, parent=span)\n"
+           "                                timeout=MIGRATION_TIMEOUT, "
+           "parent=span)\n"
            "        except RpcError as error:\n"),
     Mutant("causal-ready-ignores-others", "seeded",
            "src/repro/groups/ordering.py",
@@ -269,10 +271,6 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/obs/span.py",
            "        self.attributes = {**self.attributes, key: value}\n",
            "        self.attributes[key] = value\n"),
-    Mutant("window-delta-skips-evicted-base", "seeded; timeline",
-           "src/repro/obs/timeline.py",
-           "            self._base = marks[0][4:]\n",
-           ""),
     # -- one aimed at the stated property of each fault oracle -----------
     Mutant("give-up-leaves-inflight", "seeded; liveness",
            "src/repro/net/transport.py",

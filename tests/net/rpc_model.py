@@ -20,7 +20,13 @@ from typing import Any, Dict, Optional
 
 from repro.faults.policies import CircuitOpenError
 from repro.net.packet import Packet
-from repro.net.transport import RemoteException, RpcEndpoint, RpcError
+from repro.net.transport import (
+    RPC_MESSAGE_SIZE,
+    RPC_TIMEOUT,
+    RemoteException,
+    RpcEndpoint,
+    RpcError,
+)
 from repro.node.runtime import RPC_PORT, Nucleus, NodeError, ODPRuntime
 from repro.obs.propagation import extract, inject
 from repro.sim import Event
@@ -43,7 +49,7 @@ class ModelRpcEndpoint(RpcEndpoint):
         done = self.env.event()
         self.env.process(self._call_proc(
             dst, method, args,
-            self.default_timeout if timeout is None else timeout, done,
+            RPC_TIMEOUT if timeout is None else timeout, done,
             parent))
         return done
 
@@ -75,7 +81,7 @@ class ModelRpcEndpoint(RpcEndpoint):
             # trace context: the serving host becomes causally ordered
             # after the caller's history (and vice versa on the response).
             self.host.send(dst, payload={"method": method, "args": args},
-                           size=self.request_size, port=self.port,
+                           size=RPC_MESSAGE_SIZE, port=self.port,
                            headers=self.env.sanitizer.inject_clock(
                                inject(span, {"type": "request",
                                              "call": call_id}),
@@ -159,7 +165,7 @@ class ModelRpcEndpoint(RpcEndpoint):
             span.set_status("error")
         span.finish(at=self.env.now)
         self.host.send(packet.src, payload=outcome,
-                       size=self.response_size, port=self.port,
+                       size=RPC_MESSAGE_SIZE, port=self.port,
                        headers=self.env.sanitizer.inject_clock(
                            inject(span, {
                                "type": "response",

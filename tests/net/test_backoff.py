@@ -72,7 +72,7 @@ def test_retry_and_gave_up_counters(env):
     metrics = env.metrics
     sender, link = make_pair(env, ack_timeout=0.05, max_retries=2)
     give_up_time(env, sender, link)
-    assert sender.retries == 2
+    assert sender.retransmissions == 2
     assert sender.gave_up == 1
     assert metrics.counter_total("chan.retries") == 2
     assert metrics.counter_total("chan.gave_up") == 1
@@ -89,7 +89,7 @@ def test_no_counters_on_clean_delivery(env):
         yield sender.send("b", payload="ok")
 
     env.run(env.process(root(env)))
-    assert sender.retries == 0
+    assert sender.retransmissions == 0
     assert sender.gave_up == 0
     assert metrics.counter_total("chan.retries") == 0
     assert metrics.counter_total("chan.gave_up") == 0

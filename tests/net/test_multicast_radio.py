@@ -113,20 +113,6 @@ def test_multicast_no_loopback_by_default(env):
     assert got == ["peer"]
 
 
-def test_multicast_loopback(env):
-    net, hosts = make_star_net(env)
-    service = MulticastService(net)
-    group = service.create_group("g")
-    group.join("leaf0")
-    group.join("leaf1")
-    got = []
-    hosts[0].on_packet(service.port, lambda p: got.append("self"))
-    hosts[1].on_packet(service.port, lambda p: got.append("peer"))
-    service.send("g", "leaf0", payload="x", loopback=True)
-    env.run()
-    assert sorted(got) == ["peer", "self"]
-
-
 def test_multicast_tree_cheaper_than_unicast_fanout(env):
     """E9's core shape: shared tree links carry the payload once."""
     sites = 4

@@ -402,7 +402,7 @@ def _world(runtime_cls, endpoint_cls, spec, env_cls=Environment):
             oids[name] = obj.oid
         oids["ghost"] = GHOST
         raw = {node: endpoint_cls(network.host(node), port=RAW_PORT,
-                                  default_timeout=0.0809, policies=policies)
+                                  policies=policies)
                for node in NODES}
         for endpoint in raw.values():
             _handlers(env, endpoint)
@@ -431,7 +431,7 @@ def _world(runtime_cls, endpoint_cls, spec, env_cls=Environment):
                     obj = nucleus.find_object(oids[name])
                     if obj is not None and node != target:
                         nucleus.migrate_cluster(
-                            obj.cluster, target, timeout=0.1507
+                            obj.cluster, target
                         ).callbacks.append(
                             functools.partial(note, (index, 0)))
             elif kind == "storm":
@@ -520,7 +520,7 @@ _SPECS = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(_SPECS)
 @example({   # two chases through the node's own endpoint, in one instant
     "links": [(0.0, 0.0)] * 4, "retry": 0, "breaker": 0, "deadline": None,

@@ -64,8 +64,8 @@ class TestBurnRateAlerts:
         env = Environment()
         registry = env.metrics
         drive(env, registry, schedule)
-        monitor = slo.SLOMonitor(env, [availability()], interval=1.0,
-                                 windows=WINDOWS, until=until)
+        monitor = slo.SLOMonitor(env, [availability()], windows=WINDOWS,
+                                 until=until)
         env.run(until=until + 1.0)
         return monitor
 
@@ -106,8 +106,8 @@ class TestBurnRateAlerts:
         registry = env.metrics
         drive(env, registry, {(0.0, 10.0): (0, 10),
                               (11.0, 40.0): (20, 0)})
-        monitor = slo.SLOMonitor(env, [availability()], interval=1.0,
-                                 windows=WINDOWS, until=40.0)
+        monitor = slo.SLOMonitor(env, [availability()], windows=WINDOWS,
+                                 until=40.0)
         env.run(until=41.0)
         counters = registry.counters()
         assert counters[
@@ -134,8 +134,6 @@ class TestBurnRateAlerts:
     def test_monitor_validates_configuration(self):
         env = Environment()
         with pytest.raises(QoSError):
-            slo.SLOMonitor(env, [availability()], interval=0.0)
-        with pytest.raises(QoSError):
             slo.SLOMonitor(env, [availability()],
                            windows=((1.0, 5.0, 4.0, "page"),))
         with pytest.raises(QoSError):
@@ -159,8 +157,8 @@ class TestQoSIntegration:
                              expected_frames_per_window=10)
         objective = slo.qos_slo("left0->right0", target=0.5)
         slo_monitor = slo.SLOMonitor(
-            env, [objective], interval=1.0,
-            windows=((4.0, 1.0, 1.5, "page"),), until=10.0)
+            env, [objective], windows=((4.0, 1.0, 1.5, "page"),),
+            until=10.0)
         # No frames are ever delivered: every window violates.
         env.run(until=10.0)
         contract.close()

@@ -1,9 +1,7 @@
 """The sim-time timeline recorder."""
 
-import collections
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,21 +92,6 @@ def test_finish_flushes_partial_window_and_is_idempotent():
     assert recorder.finish() == flushed  # second call is a no-op
 
 
-def test_retention_ring_evicts_oldest():
-    env = _env()
-    registry = env.metrics
-    recorder = TimelineRecorder(env, resolution=1.0,
-                                retention=2)
-    drive(env, registry, 0.5, 10)  # 5s of activity
-    env.run()
-    recorder.finish()
-    windows = list(recorder.records())
-    assert len(windows) == 2
-    assert recorder.flushed > 2
-    assert recorder.evicted == recorder.flushed - 2
-    assert windows[0]["index"] == recorder.flushed - 2
-
-
 def test_dump_jsonl_round_trips_through_load_windows(tmp_path):
     env = _env()
     registry = env.metrics
@@ -173,12 +156,6 @@ def test_gauges_report_latest_value_only_on_change():
     assert windows[1]["gauges"] == {}  # unchanged → not re-reported
 
 
-def test_bad_retention_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        TimelineRecorder(env, retention=0)
-
-
 # -- windows built on read equal windows built at the boundary -------------
 
 
@@ -187,20 +164,16 @@ class _EagerTimeline:
     boundary differences each instrument against the last value it saw,
     renders, sorts and summarises on the spot, and keeps the dict."""
 
-    def __init__(self, env, resolution=1.0, retention=None):
+    def __init__(self, env, resolution=1.0):
         self.env = env
-        self.retention = retention
-        self.windows = collections.deque(maxlen=retention) \
-            if retention is not None else []
+        self.windows = []
         self.flushed = 0
-        self.evicted = 0
         self._counter_last = {}
         self._hist_seen = {}
         self._gauge_seen = {}
         self._last_boundary = env.now
         self._closed = False
-        env.set_window_hook(resolution, self._on_boundary,
-                            start=self._last_boundary)
+        env.set_window_hook(resolution, self._on_boundary)
 
     def _on_boundary(self, boundary):
         self._flush(boundary, partial=False)
@@ -228,9 +201,6 @@ class _EagerTimeline:
             if len(inst.samples) > seen:
                 window["gauges"][rendered] = inst.samples[-1][1]
                 self._gauge_seen[rendered] = len(inst.samples)
-        if self.retention is not None \
-                and len(self.windows) == self.retention:
-            self.evicted += 1
         self.windows.append(window)
         self.flushed += 1
         self._last_boundary = end
@@ -253,13 +223,13 @@ _STEP = st.tuples(
     st.sampled_from([1, 2, 0.5, -0.0, 7.25]))
 
 
-def _play(recorder_class, steps, retention, reads):
+def _play(recorder_class, steps, reads):
     """Run ``steps`` under a recorder; what each read saw, and the end."""
     env = _env()
     registry = env.metrics
     flushes = []
     registry.add_flush_hook(lambda: flushes.append(env.now), ["hooked"])
-    recorder = recorder_class(env, resolution=1.0, retention=retention)
+    recorder = recorder_class(env, resolution=1.0)
 
     def script(env):
         for wait, kind, index, value in steps:
@@ -279,44 +249,23 @@ def _play(recorder_class, steps, retention, reads):
     env.process(script(env))
     env.run()
     recorder.finish()
-    return list(recorder.windows), recorder.flushed, recorder.evicted, \
-        flushes
+    return list(recorder.windows), recorder.flushed, flushes
 
 
 @settings(max_examples=150, deadline=None)
-@given(steps=st.lists(_STEP, min_size=1, max_size=30),
-       retention=st.one_of(st.none(), st.integers(1, 3)))
-def test_windows_built_on_read_equal_windows_built_at_the_boundary(
-        steps, retention):
+@given(steps=st.lists(_STEP, min_size=1, max_size=30))
+def test_windows_built_on_read_equal_windows_built_at_the_boundary(steps):
     # Instruments created mid-run, histograms and gauges quiet in some
-    # windows, a ring evicting windows nobody read, reads mid-run with
-    # more windows after them, and finish()'s partial window.
+    # windows, reads mid-run with more windows after them, and
+    # finish()'s partial window.
     lazy_reads, eager_reads = [], []
-    lazy = _play(TimelineRecorder, steps, retention, lazy_reads)
-    eager = _play(_EagerTimeline, steps, retention, eager_reads)
+    lazy = _play(TimelineRecorder, steps, lazy_reads)
+    eager = _play(_EagerTimeline, steps, eager_reads)
     assert lazy_reads == eager_reads
-    windows, flushed, evicted, flushes = lazy
+    windows, flushed, flushes = lazy
     assert json.dumps(windows) == json.dumps(eager[0])
-    assert (flushed, evicted) == eager[1:3]
+    assert flushed == eager[1]
     # One registry flush per boundary (the eager recorder made three),
     # and the reads made none.
     assert len(flushes) == flushed
-    assert len(eager[3]) == 3 * eager[1]
-
-
-def test_the_oldest_retained_window_counts_from_its_evicted_predecessor():
-    env = _env()
-    counter = env.metrics.counter("c")
-    recorder = TimelineRecorder(env, resolution=1.0, retention=1)
-
-    def script(env):
-        for _ in range(3):
-            counter.add(5)
-            yield env.timeout(1.0)
-
-    env.process(script(env))
-    env.run()
-    recorder.finish()
-    assert recorder.evicted == 2
-    assert [(w["index"], w["counters"]) for w in recorder.records()] \
-        == [(2, {"c": 5})]
+    assert len(eager[2]) == 3 * eager[1]

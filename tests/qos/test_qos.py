@@ -64,7 +64,7 @@ def test_parameters_equality():
 def test_contract_lifecycle():
     desired = QoSParameters(throughput=1e6, latency=0.1)
     minimum = QoSParameters(throughput=2e5, latency=0.1)
-    contract = QoSContract("a", "b", desired, desired, minimum)
+    contract = QoSContract("qos-1", "a", "b", desired, desired, minimum)
     assert contract.state == ACTIVE
     assert contract.is_active
     contract.mark_violated()
@@ -81,7 +81,7 @@ def test_contract_lifecycle():
 def test_contract_renegotiation_floor():
     desired = QoSParameters(throughput=1e6, latency=0.1)
     minimum = QoSParameters(throughput=5e5, latency=0.1)
-    contract = QoSContract("a", "b", desired, desired, minimum)
+    contract = QoSContract("qos-1", "a", "b", desired, desired, minimum)
     with pytest.raises(QoSError):
         contract.renegotiate(QoSParameters(throughput=1e5, latency=0.1))
 
@@ -176,14 +176,12 @@ def test_broker_validation(env):
     topo = Topology(env)
     topo.add_link("a", "b")
     net = Network(env, topo)
-    with pytest.raises(QoSError):
-        QoSBroker(net, reservable_fraction=0)
     broker = QoSBroker(net)
     with pytest.raises(QoSError):
         broker.negotiate("a", "b", QoSParameters(throughput=1e5),
                          minimum=QoSParameters(throughput=2e5))
-    ghost = QoSContract("a", "b", QoSParameters(), QoSParameters(),
-                        QoSParameters())
+    ghost = QoSContract("qos-ghost", "a", "b", QoSParameters(),
+                        QoSParameters(), QoSParameters())
     with pytest.raises(QoSError):
         broker.release(ghost)
 
@@ -193,7 +191,7 @@ def test_broker_validation(env):
 def make_contract():
     level = QoSParameters(throughput=8e5, latency=0.05, jitter=0.02,
                           loss=0.05)
-    return QoSContract("a", "b", level, level, level)
+    return QoSContract("qos-1", "a", "b", level, level, level)
 
 
 def test_monitor_window_ok(env):
@@ -216,13 +214,11 @@ def test_monitor_window_ok(env):
 
 def test_monitor_detects_starvation(env):
     contract = make_contract()
-    violations = []
-    QoSMonitor(env, contract, window=1.0,
-               on_violation=violations.append,
-               expected_frames_per_window=25)
+    monitor = QoSMonitor(env, contract, window=1.0,
+                         expected_frames_per_window=25)
     env.run(until=1.5)  # no frames at all
-    assert violations
-    assert violations[0].frames == 0
+    assert monitor.counters["violations"] == 1
+    assert monitor.observations[0].frames == 0
     assert contract.state == VIOLATED
 
 

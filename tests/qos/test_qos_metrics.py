@@ -7,7 +7,7 @@ from repro.sim import Environment
 
 def contract(latency=float("inf")):
     level = QoSParameters(throughput=0.0, latency=latency)
-    return QoSContract("src-node", "dst-node", agreed=level,
+    return QoSContract("qos-1", "src-node", "dst-node", agreed=level,
                        desired=level, minimum=level)
 
 

@@ -97,8 +97,7 @@ def test_leaving_member_releases_floor(env):
 def test_transparent_conference_multicasts_display(env):
     floor = FcfsFloor(env)
     conference = TransparentConference(env, SingleUserApp(), floor,
-                                       display_size=1000,
-                                       display_latency=0.01)
+                                       display_size=1000)
     for member in ("alice", "bob", "carol"):
         conference.join(member)
 

@@ -11,11 +11,6 @@ def test_clock_starts_at_zero():
     assert env.now == 0.0
 
 
-def test_clock_starts_at_initial_time():
-    env = Environment(initial_time=42.5)
-    assert env.now == 42.5
-
-
 def test_run_until_time_advances_clock():
     env = Environment()
     env.run(until=10.0)
@@ -23,7 +18,8 @@ def test_run_until_time_advances_clock():
 
 
 def test_run_until_past_time_raises():
-    env = Environment(initial_time=5.0)
+    env = Environment()
+    env.run(until=5.0)
     with pytest.raises(SimulationError):
         env.run(until=1.0)
 

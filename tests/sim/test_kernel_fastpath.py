@@ -238,7 +238,8 @@ def test_the_clock_is_one_attribute_and_rpr006_sees_every_read_of_it():
     twin: every clock read in ``src/`` and ``tests/`` is spelt ``.now``,
     which is what RPR006 matches, so a float ``==`` on any of them is
     flagged."""
-    env = Environment(initial_time=2.5)
+    env = Environment()
+    env.run(until=2.5)
     assert "now" not in vars(Environment) and vars(env)["now"] == 2.5
     env.timeout(1.0)
     env.run()

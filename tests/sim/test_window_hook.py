@@ -88,9 +88,10 @@ def test_hook_works_with_step():
 
 def test_custom_start_anchor():
     env = Environment()
+    env.run(until=0.5)
     boundaries = []
-    env.set_window_hook(1.0, boundaries.append, start=0.5)
-    env.process(ticker(env, 0.5, 6))
+    env.set_window_hook(1.0, boundaries.append)   # anchored at 0.5
+    env.process(ticker(env, 0.5, 5))
     env.run()
     assert boundaries == [1.5, 2.5]
 

@@ -25,7 +25,6 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.faults.corpus import SCHEMA, load_entry
-from repro.faults.degrade import DegradationManager
 from repro.faults.detector import PhiAccrualDetector
 from repro.faults.fuzz import FuzzProfile, run_campaign
 from repro.faults.policies import DeadlineBudget
@@ -54,7 +53,6 @@ from repro.obs.timeline import TimelineRecorder
 from repro.qos import QoSContract, QoSMonitor, QoSParameters
 from repro.run import RunSpec
 from repro.sessions import (
-    ChairedFloor,
     NegotiatedFloor,
     RoundRobinFloor,
     TelepointerService,
@@ -136,20 +134,11 @@ def _nucleus():
     return runtime.nucleus("host0")
 
 
-def _migrate(timeout):
-    nucleus = _nucleus()
-    obj = nucleus.create_object(nucleus.create_capsule(), "x")
-    return nucleus.migrate_cluster(obj.cluster, "host1", timeout=timeout)
-
-
 _TIMEOUTS = [
-    (errors.TransportError, "default_timeout",
-     lambda value: RpcEndpoint(_endpoint().host, default_timeout=value)),
     (errors.TransportError, "timeout",
      lambda value: _endpoint().call("b", "m", timeout=value)),
     (errors.NodeError, "timeout",
      lambda value: _nucleus().invoke("obj-1", "op", timeout=value)),
-    (errors.NodeError, "timeout", _migrate),
     (errors.TransportError, "ack_timeout",
      lambda value: ReliableChannel(_endpoint().host, ack_timeout=value)),
     (errors.AccessPolicyError, "deadline",
@@ -161,8 +150,7 @@ _TIMEOUTS = [
 @pytest.mark.parametrize("value", [float("nan"), -1.0])
 @pytest.mark.parametrize(
     "error, field, build", _TIMEOUTS,
-    ids=["RpcEndpoint.default_timeout", "RpcEndpoint.call.timeout",
-         "Nucleus.invoke.timeout", "Nucleus.migrate_cluster.timeout",
+    ids=["RpcEndpoint.call.timeout", "Nucleus.invoke.timeout",
          "ReliableChannel.ack_timeout", "AccessNegotiator.request.deadline"])
 def test_a_timeout_that_is_not_a_time_is_rejected_by_name(error, field, build,
                                                           value):
@@ -245,12 +233,8 @@ def _migration(env, **kwargs):
     return MigrationManager(runtime, UsageMonitor(env), **kwargs)
 
 
-def _window_hook(env, interval=1.0, start=None):
-    env.set_window_hook(interval, print, start)
-
-
-def _chaired(env, **kwargs):
-    return ChairedFloor(env, "chair", **kwargs)
+def _window_hook(env, interval=1.0):
+    env.set_window_hook(interval, print)
 
 
 def _object(env, **kwargs):
@@ -276,8 +260,8 @@ def _qos_level(env, **kwargs):
 
 def _qos_monitor(env, **kwargs):
     level = QoSParameters()
-    return QoSMonitor(env, QoSContract("a", "b", level, level, level),
-                      **kwargs)
+    contract = QoSContract("qos-1", "a", "b", level, level, level)
+    return QoSMonitor(env, contract, **kwargs)
 
 
 _BOUNDS = [
@@ -295,15 +279,12 @@ _BOUNDS = [
      "must be positive"),
     (errors.SimulationError, _window_hook, "interval", "must be positive"),
     (errors.FloorControlError, RoundRobinFloor, "quantum", "must be positive"),
-    (errors.FloorControlError, _chaired, "decision_latency",
-     "must be non-negative"),
     (errors.FloorControlError, NegotiatedFloor, "negotiation_latency",
      "must be non-negative"),
     (errors.NodeError, _object, "state_size", "must be non-negative"),
     (errors.StreamError, _source, "rate", "must be positive"),
     (errors.StreamError, _source, "frame_size", "must be positive"),
     (errors.StreamError, _source, "clock_skew", "must be positive"),
-    (errors.StreamError, _synchroniser, "bound", "must be positive"),
     (errors.StreamError, _synchroniser, "check_interval", "must be positive"),
     (errors.ReproError, UsageMonitor, "window", "must be positive"),
     (errors.ReproError, _digests, "interval", "must be positive"),
@@ -317,7 +298,6 @@ _BOUNDS = [
     (errors.PlacementError, _migration, "period", "must be positive"),
     (errors.ReproError, MediaSpace, "glance_duration", "must be positive"),
     (errors.ReproError, MediaSpace, "video_rate", "must be positive"),
-    (errors.ReproError, MediaSpace, "frame_size", "must be positive"),
 ]
 
 
@@ -339,17 +319,9 @@ def test_a_bound_that_is_not_a_number_is_rejected_by_name(error, build, field,
     state size or migration period fails inside the run as an anonymous
     delay, and so do a NaN frame rate, clock skew, sync check interval,
     usage window, digest interval or QoS window, and a NaN or negative
-    media-space glance length, video rate or frame size at the first
-    glance."""
+    media-space glance length or video rate at the first glance."""
     with pytest.raises(error, match="{} {}".format(field, rule)):
         build(Environment(), **{field: value})
-
-
-def test_a_window_start_that_is_not_a_time_is_rejected_by_name():
-    env = Environment()
-    with pytest.raises(errors.SimulationError, match="window start.*nan"):
-        _window_hook(env, start=float("nan"))
-    _window_hook(env, start=-1.0)   # an anchor in the past is a time
 
 
 # -- ... and at every faults boundary, a corpus file's fields included -----------
@@ -425,8 +397,6 @@ _FAULT_BOUNDS = [
      lambda tmp: PhiAccrualDetector(min_samples=_NAN)),
     ("PhiAccrualDetector.min_samples-float", "min_samples",
      lambda tmp: PhiAccrualDetector(min_samples=2.5)),
-    ("DegradationManager.shed_fraction", "shed_fraction",
-     lambda tmp: DegradationManager(Environment(), shed_fraction=2.0)),
     ("FuzzProfile.active", "active",
      lambda tmp: FuzzProfile("p", (-1.0, 10.0), 12.0)),
     ("FuzzProfile.max_ops", "max_ops",
@@ -646,8 +616,6 @@ def _slo_monitor(**kwargs):
 
 
 _WATCH_BOUNDS = [
-    ("SLOMonitor.interval-nan", errors.QoSError, "interval",
-     lambda: _slo_monitor(interval=_NAN)),
     ("SLOMonitor.factor-nan", errors.QoSError, "burn-rate factor",
      lambda: _slo_monitor(windows=((10.0, 2.0, _NAN, "page"),))),
     ("SLOMonitor.long-window-nan", errors.QoSError, "long window",
@@ -658,22 +626,10 @@ _WATCH_BOUNDS = [
      lambda: _slo_monitor(windows=((-1.0, -2.0, 4.0, "page"),))),
     ("SLOMonitor.until-nan", errors.QoSError, "until",
      lambda: _slo_monitor(until=_NAN)),
-    ("TimelineRecorder.retention-nan", ValueError, "retention",
-     lambda: TimelineRecorder(Environment(), retention=_NAN)),
-    ("TimelineRecorder.retention-float", ValueError, "retention",
-     lambda: TimelineRecorder(Environment(), retention=2.5)),
-    ("TimelineRecorder.retention-bool", ValueError, "retention",
-     lambda: TimelineRecorder(Environment(), retention=True)),
     ("TimelineRecorder.resolution-nan", ValueError, "resolution",
      lambda: TimelineRecorder(Environment(), resolution=_NAN)),
     ("TimelineRecorder.resolution-zero", ValueError, "resolution",
      lambda: TimelineRecorder(Environment(), resolution=0)),
-    ("TimelineRecorder.start-nan", ValueError, "start",
-     lambda: TimelineRecorder(Environment(), start=_NAN)),
-    ("TimelineRecorder.start-infinite", ValueError, "start",
-     lambda: TimelineRecorder(Environment(), start=_INF)),
-    ("TimelineRecorder.start-before-now", ValueError, "start",
-     lambda: TimelineRecorder(Environment(), start=-5.0)),
 ]
 
 
@@ -682,14 +638,9 @@ _WATCH_BOUNDS = [
                          ids=[case[0] for case in _WATCH_BOUNDS])
 def test_a_watcher_argument_out_of_range_is_rejected_by_name(error, field,
                                                             build):
-    """Unchecked, ``interval=nan`` dies in the run as the kernel's
-    anonymous "delay is not a time"; a NaN or negative window, a NaN
-    factor or ``until=nan`` is taken and the monitor then never alerts
-    or never evaluates; ``retention=nan`` or ``2.5`` fails as the ring's
-    bare ``TypeError``, ``retention=True`` keeps one window, and a bad
-    resolution is reported as the kernel's "window interval".  A NaN
-    start is the kernel's "window start", an infinite one never flushes
-    a window, and ``start=-5.0`` at t=0 flushes five empty windows
-    before the first event."""
+    """Unchecked, a NaN or negative window, a NaN factor or
+    ``until=nan`` is taken and the monitor then never alerts or never
+    evaluates, and a bad resolution is reported as the kernel's "window
+    interval"."""
     with pytest.raises(error, match="^" + re.escape(field) + " must "):
         build()

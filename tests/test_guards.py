@@ -155,6 +155,7 @@ READERS = "docs/observability.md: ## Who reads what"
 OWNERS = "docs/observability.md: ### A run owns its observers"
 METRICS = "docs/observability.md: ## Metrics"
 VERDICTS = "DESIGN.md: ### Mechanism verdicts"
+OPTIONS = "DESIGN.md: ### Option verdicts"
 PERF = "docs/performance.md: "
 
 TOMBSTONES = {  # (the commit that deleted it, the record): guards
@@ -249,6 +250,16 @@ TOMBSTONES = {  # (the commit that deleted it, the record): guards
     ("3efb36f+1", PERF + "### What an observed run pays for"): [
         grep(r'set_attribute\("target"', "src/repro/node/runtime.py"),
         grep(r"_pending\.append\(\(", "src/repro/obs/flight.py")],
+    # Deleted by the commit after 27d957a: a hook or switch no run set.
+    ("27d957a+1", OPTIONS): [
+        grep("decide", "src/repro/sessions/floor.py", word=True),
+        grep("decision", "src/repro/access/negotiation.py", word=True),
+        grep("handler", "src/repro/sessions/sharing.py", word=True),
+        grep("on_violation", "src/repro/qos/monitor.py", word=True),
+        grep("retention", "src/repro/obs/timeline.py", word=True),
+        grep("loopback", "src/repro/net/multicast.py", word=True),
+        grep("reserve", "src/repro/core/platform.py", word=True),
+        grep("initial_time", SRC, word=True)],
 }
 
 CONTRACTS = {  # where the rule is stated: guards
