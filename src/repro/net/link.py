@@ -56,8 +56,6 @@ class Link:
         self.b = b
         #: Cached ``"a<->b"`` metric/span label (hot paths format it once).
         self.label = "{}<->{}".format(a, b)
-        #: Place in its topology's ``link_order``, once it has joined one.
-        self.index: Optional[int] = None
         self.latency = latency
         self.bandwidth = bandwidth
         self.jitter = jitter

@@ -129,7 +129,7 @@ class _Carrier(PriorityRequest):
 
     # __weakref__: tests watch a carrier die at the end of its flight.
     __slots__ = ("network", "packet", "transit", "tracer", "flight",
-                 "links", "link", "node", "wire_size",
+                 "links", "link", "node", "wire_size", "hop",
                  "__weakref__")
 
     #: ``env.active_process.span`` (where locks.py parents its spans):
@@ -183,8 +183,7 @@ class _Carrier(PriorityRequest):
         # header dict in place.
         if tracer.enabled:
             span = tracer.start_transit(
-                network.topology.link_order, self.env.now,
-                packet.headers.get(TRACE_HEADER) or None, src,
+                self.env.now, packet.headers.get(TRACE_HEADER) or None, src,
                 packet.dst, packet.port, wire_size)
         else:
             span = NOOP_SPAN
@@ -198,8 +197,8 @@ class _Carrier(PriorityRequest):
             self.node = src
         self.priority = packet.headers.get("priority", BEST_EFFORT_PRIORITY)
         # Hops are recorded only for traces that are actually being
-        # retained: each is a record packed into the transit span, and
-        # its journal record names the transit.
+        # retained: each is a row of the tracer's that the carrier
+        # stamps by number, and its journal record names the transit.
         self.tracer = tracer if span.is_recording else None
         self.flight = self.env._flight
         self._claim()
@@ -214,8 +213,7 @@ class _Carrier(PriorityRequest):
         now = env.now
         node = self.node
         if self.tracer is not None:
-            self.tracer.open_hop(self.transit, link.index, node != link.a,
-                                 now)
+            self.hop = self.tracer.open_hop(self.transit, link, node, now)
         # Claim+tx fusion: the claim carries the transmission delay, so
         # it fires once, at tx-complete (see PriorityResource._grant).
         delay = link.transmission_delay(self.wire_size)
@@ -247,7 +245,7 @@ class _Carrier(PriorityRequest):
         if recording:
             # usage_since marks the grant: where an unfused claim would
             # have resumed its holder and stamped tx-start.
-            self.transit.hop_sent(self.usage_since)
+            self.tracer.hop_sent(self.hop, self.usage_since)
         # PriorityResource.release inlined: a carrier firing as a claim is
         # in users; only a non-empty wait queue needs the grant machinery.
         channel = self.resource
@@ -272,7 +270,7 @@ class _Carrier(PriorityRequest):
         if drop_reason is not None:
             link.stats.drops += 1
             if recording:
-                self.transit.hop_ended(env.now, True)
+                self.tracer.hop_ended(self.hop, env.now, True)
             self._finish(self.network._drop, self.packet, drop_reason,
                          self.transit, link)
             return
@@ -299,7 +297,7 @@ class _Carrier(PriorityRequest):
                 None if self.tracer is None else self.transit)
         self.node = link.b if node == link.a else link.a
         if self.tracer is not None:
-            self.transit.hop_ended(self.env.now)
+            self.tracer.hop_ended(self.hop, self.env.now)
         self._claim()
 
     def _deliver(self) -> None:

@@ -25,9 +25,6 @@ class Topology:
     def __init__(self, env: Environment) -> None:
         self.env = env
         self.nodes: List[str] = []
-        #: Every link in the order it joined; ``link.index`` is its place
-        #: (what a recorded hop names its link by).
-        self.link_order: List[Link] = []
         self._adjacency: Dict[str, Dict[str, Link]] = {}
         self._paths: Dict[str, Dict[str, Optional[str]]] = {}
         self._dirty = True
@@ -65,10 +62,8 @@ class Topology:
 
     def _join(self, link: Link) -> Link:
         """Put a new link between its ends, which are nodes with no link
-        between them yet: give it its place in :attr:`link_order` and
-        drop every cache the graph's shape feeds."""
-        link.index = len(self.link_order)
-        self.link_order.append(link)
+        between them yet, and drop every cache the graph's shape
+        feeds."""
         self._adjacency[link.a][link.b] = link
         self._adjacency[link.b][link.a] = link
         self._dirty = True

@@ -23,7 +23,7 @@ from repro.faults.policies import (
 from repro.net.network import Host
 from repro.net.packet import Packet
 from repro.obs.metrics import BoundCounterCache
-from repro.obs.propagation import extract, inject
+from repro.obs.propagation import TRACE_HEADER, inject
 from repro.sim import Event, Store
 
 
@@ -322,7 +322,8 @@ class RpcEndpoint:
         # carried by the request packet; its duration is the remote
         # execution time.
         span = self.env.tracer.start_span(
-            "rpc.serve", at=self.env.now, parent=extract(packet.headers),
+            "rpc.serve", at=self.env.now,
+            parent=packet.headers.get(TRACE_HEADER),
             node=self.host.name, caller=packet.src, method=method)
         handler = self._handlers.get(method)
         if handler is None:

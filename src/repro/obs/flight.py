@@ -107,6 +107,11 @@ def canonical(record: Dict[str, Any]) -> str:
         sort_keys=True, separators=(",", ":"))
 
 
+def _render(prefix: str, number: Any) -> str:
+    """A span or trace id from its number, as ``obs.span.render``."""
+    return f"{prefix}{number}" if number.__class__ is int else number
+
+
 def side_fields(span: Any) -> Optional[Tuple[str, str, str]]:
     """The side fields naming a recording span, else None."""
     if span is not None and getattr(span, "is_recording", False):
@@ -135,7 +140,7 @@ def _records(fields: Any, epoch: Optional[int] = None
                       "src": c, "dst": d, "port": e, "epoch": at}
             if trace is not None:
                 record["_trace"], record["_span"], record["_op"] = \
-                    trace, span, _TRANSIT
+                    _render("t", trace), _render("s", span), _TRANSIT
             records.append(record)
         else:
             records.append({"kind": "rng", "time": time, "stream": a,
@@ -333,7 +338,9 @@ class FlightRecorder:
         if transit is None:
             trace = span = None
         else:
-            trace, span = transit.trace_id, transit.span_id
+            # Its numbers (obs.span.Span.trace_no): a record keeps no id
+            # string alive, and the ids are rendered on read.
+            trace, span = transit.trace_no, transit.span_no
         if _plain_label(link) and _plain_label(node) \
                 and _plain_label(src) and _plain_label(dst):
             self._pending.extend((_HOP, self._epoch, time, link, node, src,
@@ -342,7 +349,8 @@ class FlightRecorder:
             self._append(
                 {"kind": "hop", "time": time, "link": link,
                  "node": node, "src": src, "dst": dst, "port": port},
-                None if transit is None else (trace, span, _TRANSIT))
+                None if transit is None else (
+                    _render("t", trace), _render("s", span), _TRANSIT))
 
     def record_drop(self, reason: str, link: Optional[str], src: str,
                     dst: str, port: int, span: Any = None) -> None:

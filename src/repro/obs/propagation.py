@@ -29,10 +29,12 @@ def inject(span: Union[Span, NoopSpan, SpanContext, None],
     """Write ``span``'s context into ``headers`` (no-op for noop spans)."""
     if span is NOOP_SPAN or span is None:
         return headers
-    if isinstance(span, (Span, SpanContext)):
-        # A span is its own context: the header is written from its
-        # fields, in the one format SpanContext.to_dict defines.
-        headers[TRACE_HEADER] = SpanContext.to_dict(span)
+    if isinstance(span, Span):
+        # Written from the span's numbers, in the one format
+        # SpanContext.to_dict defines, carrying the numbers too.
+        headers[TRACE_HEADER] = span.header()
+    elif isinstance(span, SpanContext):
+        headers[TRACE_HEADER] = span.to_dict()
     return headers
 
 

@@ -10,14 +10,17 @@ instrumentation sites; the tracing layer never advances the clock.
 
 from __future__ import annotations
 
-import struct
 from types import MappingProxyType
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 #: Span status values.
 OK = "ok"
 DROPPED = "dropped"
 ERROR = "error"
+
+#: A span or trace id as a handle or a row holds it: the tracer's own
+#: ``"s{n}"``/``"t{n}"`` as ``n``, any other id as its text.
+Number = Union[int, str]
 
 
 class SpanContext:
@@ -63,15 +66,51 @@ class SpanContext:
             "" if self.sampled else " unsampled")
 
 
-class Span:
-    """One recorded operation in a trace tree: one slotted row.
+def render(prefix: str, number: Number) -> str:
+    """The id ``number`` stands for: ``prefix`` then the number, or
+    the id text itself when it is not one of a tracer's."""
+    return f"{prefix}{number}" if number.__class__ is int else number
 
-    It holds its own identity; :attr:`context` builds a fresh
-    :class:`SpanContext` on each read.  ``events`` is ``()`` until the
-    first :meth:`add_event`, so a retained span is one tracked object.
-    Its ``attributes`` dict may be one that other spans hold too (the
+
+def number(text: str, prefix: str) -> Number:
+    """The number ``render(prefix, n)`` reads as ``text``, or ``text``
+    when no number does (an id from elsewhere: ``"s07"``, ``"x1"``)."""
+    digits = text[1:]
+    if text[:1] == prefix and digits.isdigit() and digits.isascii() \
+            and digits[0] != "0":
+        return int(digits)
+    return text
+
+
+class TraceHeader(dict):
+    """A span's context as its packets carry it: exactly the dict
+    :meth:`SpanContext.to_dict` writes (it reads, compares and
+    serialises as one), which also carries the span's numbers, so a
+    tracer opening a span under it takes them instead of parsing its
+    text (a copy or a JSON round trip is a plain dict, and is parsed)."""
+
+    __slots__ = ("trace_no", "span_no")
+
+
+class Span:
+    """The handle of one recorded operation in a trace tree.
+
+    A tracer keeps what it retains as rows of typed columns
+    (:class:`~repro.obs.tracer.SpanLog`); a ``Span`` is what the caller
+    holds while the operation runs.  It keeps its own fields, so it
+    reads the same whether or not its row is still retained, and each
+    mutator also writes through to its row while the tracer has one
+    (``_log``/``_row``).  Its ids are numbers: ``span_no`` is the
+    ``n`` of ``"s{n}"``, drawn from its tracer's counter, and
+    ``trace_no`` and ``parent_no`` (``None`` for a root) are such a
+    number, or an id's text when it came from elsewhere;
+    :attr:`trace_id`, :attr:`span_id`, :attr:`parent_id`,
+    :attr:`context` and :meth:`header` render them on read.
+    ``events`` is ``()`` until the first :meth:`add_event`.  Its
+    ``attributes`` dict may be one that other spans hold too (the
     tracer shares repeated sets), so it is read-only:
-    :meth:`set_attribute` gives the span a new one.
+    :meth:`set_attribute` gives the span a new one, which the tracer
+    looks up in its table too.
 
     A span whose trace was sampled out still exists transiently (its
     context must propagate so downstream nodes honour the decision) but
@@ -80,25 +119,39 @@ class Span:
     per-hop span work entirely.
     """
 
-    __slots__ = ("name", "trace_id", "span_id", "sampled", "parent_id",
+    __slots__ = ("name", "trace_no", "span_no", "parent_no", "sampled",
                  "start", "end", "attributes", "events", "status",
-                 "recorded")
+                 "recorded", "_log", "_row")
 
-    def __init__(self, name: str, trace_id: str, span_id: str,
-                 parent_id: Optional[str], start: float,
+    def __init__(self, name: str, trace_no: Number, span_no: int,
+                 parent_no: Optional[Number], start: float,
                  attributes: Dict[str, Any], sampled: bool = True,
                  recorded: bool = True) -> None:
         self.name = name
-        self.trace_id = trace_id
-        self.span_id = span_id
+        self.trace_no = trace_no
+        self.span_no = span_no
+        self.parent_no = parent_no
         self.sampled = sampled
-        self.parent_id = parent_id
         self.start = start
         self.end: Optional[float] = None
         self.attributes = attributes
         self.events = ()
         self.status = OK
         self.recorded = recorded
+        self._log: Any = None
+
+    @property
+    def trace_id(self) -> str:
+        return render("t", self.trace_no)
+
+    @property
+    def span_id(self) -> str:
+        return f"s{self.span_no}"
+
+    @property
+    def parent_id(self) -> Optional[str]:
+        parent = self.parent_no
+        return None if parent is None else render("s", parent)
 
     @property
     def is_recording(self) -> bool:
@@ -108,6 +161,17 @@ class Span:
     def context(self) -> SpanContext:
         return SpanContext(self.trace_id, self.span_id, self.sampled)
 
+    def header(self) -> TraceHeader:
+        """The context's :meth:`~SpanContext.to_dict`, for a packet."""
+        trace, span = self.trace_no, self.span_no
+        header = TraceHeader()
+        header["trace_id"] = f"t{trace}" if trace.__class__ is int else trace
+        header["span_id"] = f"s{span}"
+        if not self.sampled:
+            header["sampled"] = False
+        header.trace_no, header.span_no = trace, span
+        return header
+
     @property
     def duration(self) -> float:
         """Seconds from start to finish (0.0 while unfinished)."""
@@ -116,9 +180,13 @@ class Span:
         return self.end - self.start
 
     def set_attribute(self, key: str, value: Any) -> None:
-        # A new dict: the one held may be a set other spans share
-        # (Tracer.start_span interns them), so it is never written.
-        self.attributes = {**self.attributes, key: value}
+        # A new dict: the one held may be a set other spans share, so
+        # it is never written; the row takes the table's equal set.
+        attributes = {**self.attributes, key: value}
+        if self._log is not None:
+            attributes = self._log.set_attributes(self._row, self.name,
+                                                  attributes)
+        self.attributes = attributes
 
     def add_event(self, name: str, at: float, **attributes: Any) -> None:
         """Record a point-in-time annotation on the span."""
@@ -129,14 +197,25 @@ class Span:
             self.events.append(event)
         else:
             self.events = [event]
+            if self._log is not None:
+                self._log.set_events(self._row, self.events)
 
     def set_status(self, status: str) -> None:
         self.status = status
+        if self._log is not None:
+            self._log.set_status(self._row, status)
 
     def finish(self, at: float) -> None:
         """Close the span at simulated time ``at`` (idempotent)."""
         if self.end is None:
             self.end = at
+            log = self._log
+            if log is not None:
+                # The row's end, in place while the log is no ring.
+                if log.ring or at.__class__ is not float or at != at:
+                    log.set_time(self._row, 1, at)      # _END
+                else:
+                    log.ends[self._row - log.base] = at
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable record (the JSONL export row)."""
@@ -161,120 +240,15 @@ class Span:
             "{:.6g}".format(self.end) if self.end is not None else "?")
 
 
-class TransitSpan(Span):
-    """The ``net.transmit`` span of a recorded packet: one row for the
-    packet and every hop it takes.
-
-    Its ``src``, ``dst``, ``port`` and ``bytes`` are slots, and
-    :attr:`attributes` is built on read from them and whatever
-    :meth:`set_attribute` added (``drop_reason``), in that order.
-    Each hop the packet's carrier claims is one fixed-width
-    :data:`HOP_RECORD` appended to :attr:`hops` (a ``bytearray``, which
-    the collector does not track), not an object: the hop's span id, its
-    link's index in the topology's ``link_order``, whether the link
-    was crossed from its ``b`` end, the claim, tx-start and end times
-    (NaN until stamped) and whether the hop dropped.  The current hop
-    is always the last record.  :attr:`links` keys the link table its
-    tracer resolves link indices in; :meth:`hop` builds a hop's row.
-    """
-
-    __slots__ = ("src", "dst", "port", "bytes", "extra", "hops", "links")
-
-    def __init__(self, trace_id: str, span_id: str,
-                 parent_id: Optional[str], start: float, sampled: bool,
-                 recorded: bool, src: str, dst: str, port: int,
-                 nbytes: int, links: int) -> None:
-        self.name = "net.transmit"
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.sampled = sampled
-        self.parent_id = parent_id
-        self.start = start
-        self.end: Optional[float] = None
-        self.events = ()
-        self.status = OK
-        self.recorded = recorded
-        self.src = src
-        self.dst = dst
-        self.port = port
-        self.bytes = nbytes
-        self.extra: Optional[Dict[str, Any]] = None
-        self.hops = bytearray()
-        self.links = links
-
-    @property
-    def attributes(self) -> Dict[str, Any]:
-        attributes = {"src": self.src, "dst": self.dst, "port": self.port,
-                      "bytes": self.bytes}
-        if self.extra:
-            attributes.update(self.extra)
-        return attributes
-
-    def set_attribute(self, key: str, value: Any) -> None:
-        if key in _TRANSIT_SLOTS:
-            setattr(self, key, value)
-        elif self.extra is None:
-            self.extra = {key: value}
-        else:
-            self.extra[key] = value
-
-    def open_hop(self, span_id: int, link: int, from_b: bool,
-                 at: float) -> int:
-        """Pack a hop claimed at ``at``; returns its record index."""
-        hops = self.hops
-        index = len(hops) // HOP_RECORD.size
-        hops += HOP_RECORD.pack(span_id, link, from_b, at, _UNSET, _UNSET,
-                                False)
-        return index
-
-    def hop_sent(self, at: float) -> None:
-        """Stamp the current hop's tx-start (its channel grant)."""
-        _TIME.pack_into(self.hops, _SENT_AT, at)
-
-    def hop_ended(self, at: float, dropped: bool = False) -> None:
-        """Stamp the current hop's end and whether it dropped there."""
-        _ENDED.pack_into(self.hops, -_ENDED.size, at, dropped)
-
-    def hop_status(self, index: int) -> str:
-        """What the status of hop ``index``'s row reads."""
-        return DROPPED if self.hops[
-            (index + 1) * HOP_RECORD.size - 1] else OK
-
-    def hop(self, index: int, links: Sequence[Any]) -> "HopSpan":
-        """Hop ``index``'s row, with its link found in ``links``."""
-        span_id, link, from_b, start, tx_start, end, dropped = \
-            HOP_RECORD.unpack_from(self.hops, index * HOP_RECORD.size)
-        link = links[link]
-        hop = HopSpan(self.trace_id, f"s{span_id}", self.span_id, start,
-                      self.sampled, link.label, link.b if from_b else link.a,
-                      self.bytes)
-        if tx_start == tx_start:        # NaN: not yet granted
-            hop.tx_start = tx_start
-        if end == end:
-            hop.end = end
-        if dropped:
-            hop.status = DROPPED
-        return hop
-
-
-#: One hop record: span id, link index, crossed from ``link.b``, claim,
-#: tx-start and end times, dropped.  Little-endian, no padding.
-HOP_RECORD = struct.Struct("<QI?ddd?")
-_TIME = struct.Struct("<d")        # tx-start, just before ...
-_ENDED = struct.Struct("<d?")     # ... a record's tail: end, dropped
-_SENT_AT = -_TIME.size - _ENDED.size  # tx-start's offset from the end
-_UNSET = float("nan")
-_TRANSIT_SLOTS = frozenset(("src", "dst", "port", "bytes"))
-
-
 class HopSpan(Span):
     """One ``net.link`` hop of a recorded packet, as a reader sees it.
 
-    Built on read from its transit's record (:meth:`TransitSpan.hop`):
-    :attr:`attributes`, :attr:`events` and so :meth:`to_dict` read
-    exactly as a ``start_span`` with ``link=``, ``node=``, ``bytes=``
-    and one ``tx-start`` event read.  A row is a snapshot the carrier
-    never sees, so every mutator raises ``TypeError``.
+    Built on read from its row: :attr:`attributes`, :attr:`events` and
+    so :meth:`to_dict` read exactly as a ``start_span`` with ``link=``,
+    ``node=``, ``bytes=`` and one ``tx-start`` event read.  A row is a
+    snapshot the carrier never sees, so every mutator raises
+    ``TypeError``.  (A hop the tracer holds for tail sampling waits in
+    one of these too; the tracer stamps its fields itself.)
     """
 
     __slots__ = ("link", "node", "bytes", "tx_start")
@@ -282,13 +256,13 @@ class HopSpan(Span):
     name = "net.link"
     recorded = True
 
-    def __init__(self, trace_id: str, span_id: str, parent_id: str,
+    def __init__(self, trace_no: Number, span_no: int, parent_no: Number,
                  start: float, sampled: bool, link: str, node: str,
                  nbytes: int) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
+        self.trace_no = trace_no
+        self.span_no = span_no
+        self.parent_no = parent_no
         self.sampled = sampled
-        self.parent_id = parent_id
         self.start = start
         self.end = None
         self.status = OK
@@ -296,6 +270,7 @@ class HopSpan(Span):
         self.node = node
         self.bytes = nbytes
         self.tx_start: Optional[float] = None
+        self._log = None
 
     @property
     def attributes(self) -> Dict[str, Any]:

@@ -262,15 +262,21 @@ MUTANTS: Tuple[Mutant, ...] = (
            "            probability = link.loss + link._extra_loss\n",
            "            probability = link.loss\n"),
     Mutant("hop-record-stamps-claim-as-tx-start", "seeded; hop records",
-           "src/repro/obs/span.py",
-           "        hops += HOP_RECORD.pack(span_id, link, from_b, at, _UNSET, "
-           "_UNSET,\n",
-           "        hops += HOP_RECORD.pack(span_id, link, from_b, at, at, "
-           "_UNSET,\n"),
+           "src/repro/obs/tracer.py",
+           "                  code, 0, sampled)\n        return row\n",
+           "                  code, 0, sampled)\n"
+           "        self.txs[pos] = at\n        return row\n"),
     Mutant("shared-attributes-written-in-place", "seeded; shared sets",
            "src/repro/obs/span.py",
-           "        self.attributes = {**self.attributes, key: value}\n",
-           "        self.attributes[key] = value\n"),
+           "        attributes = {**self.attributes, key: value}\n",
+           "        attributes = self.attributes\n"
+           "        attributes[key] = value\n"),
+    Mutant("finished-span-end-not-written", "seeded; column rows",
+           "src/repro/obs/span.py",
+           "                else:\n"
+           "                    log.ends[self._row - log.base] = at\n",
+           "                else:\n"
+           "                    pass\n"),
     # -- one aimed at the stated property of each fault oracle -----------
     Mutant("give-up-leaves-inflight", "seeded; liveness",
            "src/repro/net/transport.py",

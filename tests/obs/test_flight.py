@@ -351,6 +351,7 @@ def test_labels_needing_escapes_take_the_generic_encoder():
 class _Span:
     is_recording = True
     trace_id, span_id, name = "t1", "s1", "net.transmit"
+    trace_no, span_no = 1, 1
 
 
 class _SampledOutSpan(_Span):

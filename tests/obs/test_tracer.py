@@ -8,7 +8,7 @@ import pytest
 from repro import obs
 from repro.net import Network, wan
 from repro.node import ODPRuntime
-from repro.obs.span import HOP_RECORD, HopSpan, TransitSpan
+from repro.obs.span import HopSpan, Span
 from repro.sim import Environment
 
 
@@ -64,13 +64,14 @@ def test_remote_invoke_builds_connected_span_tree(env, tracer):
     invoke_remotely(env, runtime)
     root, spans = invoke_trace(tracer)
     by_id = {s.span_id: s for s in spans}
-    # Every span in the trace is reachable from the invoke root.
+    # Every span in the trace is reachable from the invoke root (each
+    # read of the log builds its rows anew: equal, not the same).
     assert root.parent_id is None
     for span in spans:
         node = span
         while node.parent_id is not None:
             node = by_id[node.parent_id]
-        assert node is root
+        assert node.to_dict() == root.to_dict()
     # Caller, network transit and remote execution are all present.
     names = {s.name for s in spans}
     assert {"node.invoke", "rpc.call", "net.transmit",
@@ -174,39 +175,54 @@ def test_noop_empties_cannot_carry_state_between_runs():
     assert obs.NOOP_FLIGHT.epoch_digests == ()
 
 
-def test_a_retained_span_is_one_tracked_object(env, tracer):
-    # Identity inline, attributes in the kwargs dict (atomic values, so
-    # untracked), events only once added, hops as rows: a retained span
-    # is itself and nothing else the collector has to walk.  Three
-    # (span, context, event list) when each span was an object graph.
-    runtime = make_wan_runtime(env)
-    invoke_remotely(env, runtime)
-    invoke_remotely(env, runtime)
-    gc.collect()
-    tracked = [1 + sum(1 for held in gc.get_referents(span)
-                       if gc.is_tracked(held) and not isinstance(held, type))
-               for span in tracer.spans]
-    assert len(tracked) >= 20
-    assert sum(tracked) / len(tracked) <= 1.0
+def _tracked_in(log):
+    """The GC-tracked objects reachable from ``log`` (itself included)."""
+    seen, stack = {}, [log]
+    while stack:
+        held = stack.pop()
+        if id(held) in seen or not gc.is_tracked(held) \
+                or isinstance(held, type):
+            continue
+        seen[id(held)] = held
+        stack.extend(gc.get_referents(held))
+    return list(seen.values())
+
+
+def test_the_collector_never_walks_a_finished_span():
+    # A finished span is a row of typed columns: retaining 1 000 more
+    # identical ones adds nothing the collector tracks.  One slotted
+    # Span per row (and a bytearray per transit) before the columns.
+    tracer = obs.Tracer()
+    counts = []
+    for _ in range(2):
+        for _ in range(1000):
+            root = tracer.start_span("rpc.call", at=0.5, node="n1", op="hit")
+            child = tracer.start_span("net.transmit", at=0.75, parent=root,
+                                      src="n1", dst="n2", port=7, bytes=80)
+            child.set_status("dropped:loss")
+            child.finish(at=1.0)
+            root.finish(at=1.25)
+        gc.collect()
+        counts.append(len(_tracked_in(tracer.spans)))
+    assert len(tracer.spans) == 4000
+    assert counts[0] == counts[1]
 
 
 def test_hops_are_records_until_a_reader_asks(env, tracer, tmp_path):
-    # A hop is a record packed into its transit span: no HopSpan exists
-    # until something reads tracer.spans, and len() builds none.
+    # A hop is a row of the log's columns, and a span a handle only its
+    # callers hold: no HopSpan exists until something reads
+    # tracer.spans, len() builds none, and the log holds no Span.
     runtime = make_wan_runtime(env)
     invoke_remotely(env, runtime)
     gc.collect()
-    assert not any(type(held) is HopSpan
-                   for held in gc.get_objects())
+    assert not any(type(held) is HopSpan for held in gc.get_objects())
+    assert not any(isinstance(held, Span)
+                   for held in _tracked_in(tracer.spans))
     hops = sum(link.stats.packets + link.stats.drops
                for link in runtime.network.topology.links())
     assert hops > 0
-    transits = {id(row): row for row in tracer.spans.rows
-                if type(row) is TransitSpan}
-    assert sum(len(transit.hops) for transit in transits.values()) \
-        == hops * HOP_RECORD.size
-    # Each hop is one row of the log: its transit and its record index.
-    assert sum(1 for hop in tracer.spans.hops if hop >= 0) == hops
+    # Each hop is one row of the log.
+    assert sum(span.name == "net.link" for span in tracer.spans) == hops
     path = str(tmp_path / "run.jsonl")
     obs.dump_jsonl(path, tracer=tracer)
     links = [record for record in obs.load_jsonl(path)
@@ -269,6 +285,21 @@ def test_spans_with_one_attribute_set_share_it_until_one_writes():
         "node": "a", "n": 1}
 
 
+def test_attribute_sets_written_after_start_are_shared():
+    # A set written after start joins the table too: two spans that
+    # start with one set and take the same write hold one dict, and so
+    # do their rows.
+    tracer = obs.Tracer()
+    first = tracer.start_span("rpc.call", at=0.0, node="a", op="hit")
+    second = tracer.start_span("rpc.call", at=0.5, node="a", op="hit")
+    for span in (first, second):
+        span.set_attribute("error", "timeout")
+    assert first.attributes is second.attributes
+    assert first.attributes == {"node": "a", "op": "hit", "error": "timeout"}
+    rows = list(tracer.spans)
+    assert rows[0].attributes is rows[1].attributes is first.attributes
+
+
 @pytest.mark.parametrize("values", [
     (1, True, 1.0), (0, False, 0.0, -0.0), ((1,), (1.0,), (True,)),
     ("1", 1, None)])
@@ -300,15 +331,16 @@ def test_the_shared_sets_stay_within_what_the_tracer_retains():
     bounded = obs.Tracer(max_spans=4)
     for index in range(20):
         bounded.start_span("op", at=0.0, seq=index)
-        assert len(bounded._sets) <= 4
+        assert len(bounded.spans.set_codes) <= 4
+        assert len(bounded.spans.sets) <= 2 * 4
     unsampled = obs.Tracer(sampler=obs.Sampler(rate=0.0))
     unsampled.start_span("op", at=0.0, seq=1)
-    assert unsampled.sampled_out == 1 and not unsampled._sets
+    assert unsampled.sampled_out == 1 and not unsampled.spans.sets
     tracer = obs.Tracer()
     tracer.start_span("op", at=0.0, seq=1)
-    assert tracer._sets
+    assert tracer.spans.set_codes
     tracer.clear()
-    assert not tracer._sets
+    assert not tracer.spans.set_codes
     # After clear() an equal set is a new one, not the cleared span's.
     kept = tracer.start_span("op", at=0.0, seq=2)
     assert tracer.start_span("op", at=0.0, seq=2).attributes \

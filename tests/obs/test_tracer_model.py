@@ -3,11 +3,12 @@
 ``tests/obs/tracer_model.py`` keeps the old ``Span``/``SpanContext``/
 ``Tracer``/``inject``/``extract``.  Both are driven with the same random
 interleaving of span starts under every kind of parent, ``net.link``
-hops (packed into their transit the way the carrier packs them: one
-record per hop, opened at the claim, then its tx-start, then its end
-and maybe a drop — one hop of a transit at a time; in the old world a
-``net.link`` child span), mutators (a hop row read back refuses all),
-tail flushes, clears and reads; whatever a reader can see must be
+hops (rows of their own that the carrier stamps by number: opened at
+the claim, then its tx-start, then its end and maybe a drop — one hop
+of a transit at a time; in the old world a ``net.link`` child span),
+mutators (a hop row read back refuses all; a handle writes through to
+its row, or to nothing once the ring or a clear dropped it), tail
+flushes, clears and reads; whatever a reader can see must be
 text-equal in the two worlds.
 """
 
@@ -85,7 +86,7 @@ class _World:
         topology = Topology(Environment())
         for a, b in (("n0", "n1"), ("n1", "n2"), ("n0", "n2")):
             topology.add_link(a, b)
-        self.links = topology.link_order
+        self.links = topology.links()
         self.reading = False
 
     def parent(self, kind, index):
@@ -116,8 +117,7 @@ class _World:
             parent = self.parent(parent, index) if self.spans \
                 and parent == "dict" else None
             self.spans.append(
-                tracer.start_transit(self.links, at, parent, src, dst, port,
-                                     nbytes)
+                tracer.start_transit(at, parent, src, dst, port, nbytes)
                 if new else tracer.start_span(
                     "net.transmit", at=at, parent=parent, src=src, dst=dst,
                     port=port, bytes=nbytes))
@@ -132,14 +132,13 @@ class _World:
             if transits:
                 transit = transits[index % len(transits)]
                 link = self.links[pick % len(self.links)]
-                hop = None
-                if new:
-                    tracer.open_hop(transit, link.index, from_b, at)
+                node = link.b if from_b else link.a
+                if new:     # the row's number, or a held hop
+                    hop = tracer.open_hop(transit, link, node, at)
                 else:
                     hop = tracer.start_span(
                         "net.link", at=at, parent=transit, link=link.label,
-                        node=link.b if from_b else link.a,
-                        bytes=transit.attributes["bytes"])
+                        node=node, bytes=transit.attributes["bytes"])
                 for entry in self.hops:
                     if entry[0] is transit:
                         entry[2] = -1       # an earlier hop: done with
@@ -152,13 +151,13 @@ class _World:
                 transit, hop = entry[0], entry[1]
                 if entry[2] == 0:
                     if new:
-                        transit.hop_sent(at)
+                        tracer.hop_sent(hop, at)
                     else:
                         hop.add_event("tx-start", at=at)
                     entry[2] = 1
                 else:
                     if new:
-                        transit.hop_ended(at, dropped)
+                        tracer.hop_ended(hop, at, dropped)
                     else:
                         if dropped:
                             hop.set_status("dropped")
@@ -184,6 +183,8 @@ class _World:
                        tracer.tail_promoted),
             "headers": [json.dumps(self.inject(span, {"type": "request"}))
                         for span in self.spans],
+            # What a span's holder reads, its row kept, evicted or not.
+            "handles": [json.dumps(span.to_dict()) for span in self.spans],
             "recording": [span.is_recording for span in self.spans]}
 
 
@@ -198,7 +199,7 @@ def _mutate(span, step):
         span.finish(step[2])
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(config=_CONFIGS, steps=st.lists(_STEPS, min_size=5, max_size=80),
        read_every_step=st.booleans())
 @example(   # a held trace whose only non-ok row is a dropped hop
@@ -207,6 +208,14 @@ def _mutate(span, step):
     steps=[("transit", "noop", 0, 0.0, "n0", "n1", 1, 100),
            ("hop", 0, 0.0, 1, True), ("carry", 0, 0.25, False),
            ("carry", 0, 1.0, True), ("tail_flush",)],
+    read_every_step=False)
+@example(   # a ring's hop stamped after clear() dropped its row
+    config={"rate": None, "seed": 0, "max_spans": 2,
+            "tail": (False, None)},
+    steps=[("root", "rpc.call", 0.0, {}),
+           ("transit", "dict", 0, 0.0, "n0", "", 0, 0),
+           ("hop", 0, 0.0, 0, False), ("clear",), ("carry", 0, 0.0, False),
+           ("carry", 0, 0.25, True)],
     read_every_step=False)
 def test_rows_read_exactly_as_the_object_graph_did(config, steps,
                                                    read_every_step):
@@ -222,3 +231,43 @@ def test_rows_read_exactly_as_the_object_graph_did(config, steps,
                      ("status", 0, "error"), ("finish", 0, 1.0)):
             with pytest.raises(TypeError):
                 _mutate(hop, step)
+
+
+def _run(config, steps):
+    rows = _World(Tracer, propagation, config, True)
+    lockstep(rows, _World(model.Tracer, model, config, True), steps)
+    return rows
+
+
+def test_a_handle_outlives_its_ring_evicted_row():
+    # The ring drops the first span's row; its handle still reads (and
+    # takes) every write, which reaches no row, and the second span's
+    # row is untouched by them.
+    rows = _run({"rate": None, "seed": 0, "max_spans": 1,
+                 "tail": (False, None)},
+                [("root", "rpc.call", 0.0, {"n": 1}),
+                 ("root", "rpc.call", 0.25, {"n": 1}),
+                 ("attr", 0, "op", "x"), ("status", 0, "error"),
+                 ("event", 0, "retry", 0.5, {}), ("finish", 0, 1.0),
+                 ("finish", 1, 2.5)])
+    assert rows.tracer.evicted == 1
+    first, second = rows.spans
+    assert first.end == 1.0 and first.status == "error"
+    [row] = rows.tracer.spans
+    assert row.to_dict() == second.to_dict()
+
+
+def test_a_tail_held_span_promoted_later_writes_through():
+    # Held aside by tail sampling, then promoted by its error: writes
+    # made after the flush reach its row, as they reached the one
+    # object the old tracer kept.
+    rows = _run({"rate": 0.0, "seed": 0, "max_spans": None,
+                 "tail": (True, None)},
+                [("root", "rpc.call", 0.0, {"n": 1}),
+                 ("child", "span", 0, "node.invoke", 0.25, {}),
+                 ("status", 1, "error"), ("tail_flush",),
+                 ("attr", 0, "op", "x"), ("event", 1, "retry", 0.5, {}),
+                 ("finish", 1, 1.0), ("finish", 0, 1.25)])
+    assert rows.tracer.tail_promoted == 2
+    assert [span.to_dict() for span in rows.tracer.spans] \
+        == [span.to_dict() for span in rows.spans]

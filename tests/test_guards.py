@@ -260,6 +260,10 @@ TOMBSTONES = {  # (the commit that deleted it, the record): guards
         grep("loopback", "src/repro/net/multicast.py", word=True),
         grep("reserve", "src/repro/core/platform.py", word=True),
         grep("initial_time", SRC, word=True)],
+    # Deleted by the commit after 0ba672d: a hop is a row of its own.
+    ("0ba672d+1", PERF + "### A finished span is a column row"): [
+        grep("HOP_RECORD", SRC),
+        grep(r"hops = bytearray\(", SRC, plant="self.hops = bytearray()")],
 }
 
 CONTRACTS = {  # where the rule is stated: guards
@@ -286,6 +290,10 @@ CONTRACTS = {  # where the rule is stated: guards
               r"    ambient = get_tracer\(\)$", plant="get_metrics()")],
     PERF + "### A span is a row": [grep(r"start_span\(|start_transit\(", NET,
                                         lines=range(2))],
+    PERF + "Only `obs/span.py` and `obs/tracer.py` read a log's columns": [
+        grep(r"\.(rows|ends|txs|sets|set_codes|odd)\b", SRC,
+             allow=r"^src/repro/obs/(span|tracer)\.py:",
+             plant="ends = tracer.spans.ends")],
     "docs/observability.md: Only `Span.set_attribute` writes span": [grep(
         r"\.attributes\[[^]]*\] *=[^=]|\.attributes\.(update|setdefault)\(",
         SRC, allow=r"^src/repro/obs/span\.py:",
