@@ -9,11 +9,14 @@ A field engineer's day: a square-wave connectivity trace (connected on
 radio / disconnected in the field), a stream of job reads and report
 writes.  Regimes:
 
-* **naive transparency** — every operation goes to the server; while
-  disconnected it simply fails (the cost of pretending the network is
-  always there);
+* **naive transparency** — every operation is one call to the server
+  over the radio; a call the radio does not carry simply fails (the cost
+  of pretending the network is always there);
 * **caching + replay** — hoarded reads are served locally, writes queue
-  in the replay log and reintegrate as one bulk update on reconnection.
+  in the replay log and reintegrate as a bulk update on reconnection.
+
+Both regimes call the same ``StoreServer`` over the same radio link, so
+every transfer takes the link's latency, bandwidth, jitter and loss.
 
 Also measured: disconnection-tolerant QoS flags outages beyond the
 accepted level, and the reintegration conflict rate when office-side
@@ -35,10 +38,11 @@ from repro.mobility import (
     DisconnectionTolerantContract,
     MobileCache,
     MobileHost,
-    SERVER_WINS,
+    StoreServer,
 )
 from repro.net import ConnectivityLevel, ConnectivitySchedule, Network, \
     Topology, periodic_trace
+from repro.net.transport import RpcEndpoint, RpcError
 from repro.sim import Environment, RandomStreams, exponential
 
 DAY = 2000.0
@@ -55,11 +59,12 @@ def build(env):
     store = SharedStore("office")
     for i, job in enumerate(JOBS):
         store.write(job, "instructions {}".format(i), writer="dispatcher")
+    server = StoreServer(network, "server", store)
     mobile = MobileHost(network, "laptop", "depot",
                         level=ConnectivityLevel.PARTIAL)
     trace = periodic_trace(CONNECTED_SPELL, DISCONNECTED_SPELL, total=DAY)
     ConnectivitySchedule(env, mobile.link, trace)
-    return network, store, mobile
+    return server, store, mobile
 
 
 def engineer_ops(rng):
@@ -79,23 +84,24 @@ def engineer_ops(rng):
 
 def run_naive(seed):
     env = Environment()
-    network, store, mobile = build(env)
+    server, store, mobile = build(env)
+    rpc = RpcEndpoint(mobile.host)
     ops = engineer_ops(RandomStreams(seed).stream("naive"))
     succeeded = [0]
     failed = [0]
 
     def day(env):
-        for think, kind, key in ops:
+        for op, (think, kind, key) in enumerate(ops):
             yield env.timeout(think)
-            if not mobile.connected:
+            try:
+                if kind == "read":
+                    yield rpc.call(server.host, "fetch", key)
+                else:
+                    yield rpc.call(server.host, "write",
+                                   (op, key, "field note", None))
+            except RpcError:
                 failed[0] += 1      # the transparent call just fails
                 continue
-            yield env.timeout(0.3)  # radio round trip
-            if kind == "read":
-                store.read(key)
-            else:
-                store.write(key, "field note", writer="laptop",
-                            at=env.now)
             succeeded[0] += 1
 
     env.process(day(env))
@@ -106,9 +112,8 @@ def run_naive(seed):
 
 def run_cached(seed):
     env = Environment()
-    network, store, mobile = build(env)
-    cache = MobileCache(env, mobile, store,
-                        conflict_policy=SERVER_WINS)
+    server, store, mobile = build(env)
+    cache = MobileCache(mobile, server)
     ops = engineer_ops(RandomStreams(seed).stream("naive"))  # same stream
     succeeded = [0]
     failed = [0]

@@ -7,8 +7,11 @@ A utilities field engineer takes a laptop into the field:
 3. enters a tunnel — DISCONNECTED; reads come from the hoard, work is
    logged optimistically;
 4. a disconnection-tolerant QoS contract flags the over-long outage;
-5. back in coverage, the replay log reintegrates as one bulk update,
-   and a conflicting office-side edit is detected and resolved.
+5. back in coverage, the replay log reintegrates over the radio, and a
+   conflicting office-side edit is detected and resolved.
+
+Every transfer between the laptop and the office server is an RPC over
+the laptop's radio link, so it takes that link's time at each level.
 
 Run:  python examples/mobile_engineers.py
 """
@@ -18,7 +21,7 @@ from repro.mobility import (
     DisconnectionTolerantContract,
     MobileCache,
     MobileHost,
-    SERVER_WINS,
+    StoreServer,
 )
 from repro.net import ConnectivityLevel, Network, Topology
 from repro.sim import Environment
@@ -35,10 +38,10 @@ def main() -> None:
                  writer="dispatcher")
     office.write("map/sector-7", "cable routes v3", writer="gis")
 
+    server = StoreServer(network, "office-server", office)
     engineer = MobileHost(network, "laptop", "depot",
                           level=ConnectivityLevel.FULL)
-    cache = MobileCache(env, engineer, office,
-                        conflict_policy=SERVER_WINS)
+    cache = MobileCache(engineer, server)
     outage_alerts = []
     DisconnectionTolerantContract(
         env, engineer, max_outage=60.0,

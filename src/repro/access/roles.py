@@ -14,7 +14,7 @@ every change is kept in an audit trail (:attr:`RoleBasedPolicy.change_log`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.errors import AccessDenied, AccessPolicyError
 from repro.obs.metrics import Counter

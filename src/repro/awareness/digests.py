@@ -10,7 +10,7 @@ in the space-time matrix.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.awareness.events import AwarenessBus, AwarenessEvent
 from repro.errors import ReproError

@@ -21,7 +21,7 @@ one lock table so experiment E3 can sweep them against the same workload:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import LockError
 from repro.obs.metrics import Counter, Tally

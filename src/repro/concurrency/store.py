@@ -91,6 +91,16 @@ class SharedStore:
             sanitizer.on_read("{}/{}".format(self.name, key), reader, at)
         return item.value
 
+    def read_versioned(self, key: str, reader: str = "",
+                       at: float = 0.0) -> Tuple[Any, int]:
+        """Read an item's value and version, reported as :meth:`read`."""
+        item = self.item(key)
+        self.reads += 1
+        sanitizer = self._sanitizer
+        if sanitizer.enabled:
+            sanitizer.on_read("{}/{}".format(self.name, key), reader, at)
+        return item.value, item.version
+
     def write(self, key: str, value: Any, writer: str = "",
               at: float = 0.0) -> int:
         """Write an item; returns the new version and notifies subscribers."""

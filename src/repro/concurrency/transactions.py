@@ -13,7 +13,7 @@ under the awareness-oriented mechanisms.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Set
 
 from repro.errors import TransactionAborted
 from repro.concurrency.locks import (

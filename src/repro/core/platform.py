@@ -10,9 +10,9 @@ everything through this one entry point.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.awareness.events import AwarenessBus, WorkspaceAwareness
+from repro.awareness.events import WorkspaceAwareness
 from repro.concurrency.ot import OTClientSite, OTServerSite
 from repro.errors import ReproError, SessionError
 from repro.groups.group import ProcessGroup

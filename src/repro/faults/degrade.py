@@ -32,7 +32,7 @@ degradation, not just whether it happened.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.sessions.session import ASYNCHRONOUS, SYNCHRONOUS
 

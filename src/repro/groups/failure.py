@@ -19,9 +19,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import GroupError
-from repro.net.network import Host, Network
+from repro.net.network import Host
 from repro.net.packet import Packet
-from repro.sim import Environment
 
 HEARTBEAT_PORT = 21
 

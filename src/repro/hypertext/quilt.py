@@ -13,7 +13,6 @@ incorporate suggestions, **co-authors** may suggest revisions and comment,
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import AccessDenied, HypertextError

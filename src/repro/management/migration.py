@@ -9,7 +9,7 @@ cluster is migrated there through the ODP runtime.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import PlacementError
 from repro.management.monitoring import UsageMonitor

@@ -5,70 +5,113 @@ required, for example, to cache significant portions of the data on the
 mobile computer"* and *"services will take advantage of higher levels of
 connection to perform bulk updates, e.g. of cached data."*
 
-:class:`MobileCache` hoards items from a server-side shared store.  While
-connected, reads validate against the server and writes write through.
-While disconnected, reads are served from the hoard and writes append to a
-replay log (optimistic, as in Kistler & Satyanarayanan's Coda).  On
-reconnection :meth:`reintegrate` replays the log as one bulk update,
-detecting write/write conflicts by version and resolving them by policy.
+A :class:`StoreServer` serves a shared store over RPC, and a
+:class:`MobileCache` hoards from it over the mobile's radio link, so a
+cut link or a lossy spell acts on each transfer as on any packet.
+Online, reads fetch and writes write through.  A failed call falls back
+to the hoard or the replay log, as does every operation while
+disconnected or while logged writes wait (optimistic, as in Kistler &
+Satyanarayanan's Coda).  :meth:`MobileCache.reintegrate` replays the log
+one call per entry, and the server answers a repeated op with its first
+answer, so no write is lost or applied twice; on a version conflict the
+server's value wins.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import itertools
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.concurrency.store import SharedStore
 from repro.errors import DisconnectedError, MobilityError
+from repro.faults.policies import FaultPolicies, fixed_retry
 from repro.mobility.host import MobileHost
+from repro.net.network import Network
+from repro.net.transport import RpcEndpoint, RpcError
 from repro.obs.metrics import Counter
-from repro.sim import Environment
 
-SERVER_WINS = "server-wins"
-CLIENT_WINS = "client-wins"
+#: A mobile's calls: up to three retries, one second after an attempt's
+#: ``RPC_TIMEOUT`` runs out.
+CACHE_POLICIES = FaultPolicies(retry=fixed_retry(1.0, 3))
 
-#: A replay-log entry: (key, value, cached_version_at_write, written_at).
-LogEntry = Tuple[str, Any, int, float]
+#: A replay-log entry, sent as the ``write`` call's arguments:
+#: (op number, key, value, server version the value was written on).
+LogEntry = Tuple[int, str, Any, Optional[int]]
+
+
+class StoreServer:
+    """A shared store served to mobile hosts: ``fetch`` and ``write``."""
+
+    def __init__(self, network: Network, host: str,
+                 store: SharedStore) -> None:
+        self.env = network.env
+        self.host = host
+        self.store = store
+        #: (caller, op) -> the write's first answer.
+        self._answers: Dict[Tuple[str, int], tuple] = {}
+        self.rpc = RpcEndpoint(network.host(host))
+        self.rpc.register("fetch", self._fetch)
+        self.rpc.register("write", self._write)
+
+    def _fetch(self, caller: str, key: str) -> Tuple[Any, int]:
+        """``(value, version)``; version 0 when there is no such item."""
+        if key not in self.store:
+            return (None, 0)
+        return self.store.read_versioned(key, caller, self.env.now)
+
+    def _write(self, caller: str, entry: LogEntry) -> tuple:
+        """``("applied", version)``, or ``("conflict", value, version)``
+        when ``base`` is not ``None`` (blind) and not the item's version.
+        A repeated op gets its first answer and changes nothing."""
+        op, key, value, base = entry
+        answer = self._answers.get((caller, op))
+        if answer is None:
+            current = self._fetch(caller, key) if base is not None else None
+            if current is None or current[1] == base:
+                answer = ("applied", self.store.write(
+                    key, value, writer=caller, at=self.env.now))
+            else:
+                answer = ("conflict",) + current
+            self._answers[caller, op] = answer
+        return answer
 
 
 class MobileCache:
     """A mobile host's hoard of server data, with optimistic replay."""
 
-    def __init__(self, env: Environment, mobile: MobileHost,
-                 server_store: SharedStore,
-                 conflict_policy: str = SERVER_WINS,
-                 transfer_rate: float = 1e6, item_size: int = 4096
-                 ) -> None:
-        if conflict_policy not in (SERVER_WINS, CLIENT_WINS):
-            raise MobilityError(
-                "unknown conflict policy: " + conflict_policy)
-        if transfer_rate <= 0 or item_size <= 0:
-            raise MobilityError(
-                "transfer_rate and item_size must be positive")
-        self.env = env
+    def __init__(self, mobile: MobileHost, server: StoreServer) -> None:
         self.mobile = mobile
-        self.server = server_store
-        self.conflict_policy = conflict_policy
-        self.transfer_rate = transfer_rate
-        self.item_size = item_size
-        #: key -> (value, server version when cached).
+        self.server = server
+        self.rpc = RpcEndpoint(mobile.host, policies=CACHE_POLICIES)
+        #: key -> (value, server version it was written on or read at).
         self._cache: Dict[str, Tuple[Any, int]] = {}
         self._replay_log: List[LogEntry] = []
+        self._ops = itertools.count(1)
         self.conflicts: List[Tuple[str, Any, Any]] = []
         self.counters = Counter()
-        #: Called with (key, server_value, client_value) on each conflict.
-        self.on_conflict: Optional[Callable[[str, Any, Any], None]] = None
+
+    def _call(self, method: str, args: Any):
+        return self.rpc.call(self.server.host, method, args)
+
+    def _online(self) -> bool:
+        """Connected, and no logged write for a new one to overtake."""
+        return self.mobile.connected and not self._replay_log
 
     # -- hoarding ----------------------------------------------------------------
 
     def hoard(self, keys: List[str]):
-        """Prefetch ``keys`` while connected (generator: takes link time)."""
-        if not self.mobile.connected:
-            raise DisconnectedError("cannot hoard while disconnected")
+        """Prefetch ``keys`` while online (generator: a call each, up to
+        the first that fails)."""
+        if not self._online():
+            raise DisconnectedError(
+                "cannot hoard while disconnected or with writes to replay")
         for key in keys:
-            yield self.env.timeout(self._transfer_time(1))
-            if key in self.server:
-                item = self.server.item(key)
-                self._cache[key] = (item.value, item.version)
+            try:
+                value, version = yield self._call("fetch", key)
+            except RpcError:
+                return
+            if version:
+                self._cache[key] = (value, version)
                 self.counters.incr("hoarded")
 
     def cached_keys(self) -> List[str]:
@@ -77,39 +120,42 @@ class MobileCache:
     # -- reads / writes ------------------------------------------------------------
 
     def read(self, key: str):
-        """Read, from the server when connected, the hoard otherwise.
-
-        Generator: connected reads pay one link round trip.
-        """
-        if self.mobile.connected:
-            yield self.env.timeout(self._transfer_time(1))
-            if key not in self.server:
-                raise MobilityError("no item named {}".format(key))
-            item = self.server.item(key)
-            self._cache[key] = (item.value, item.version)
-            self.counters.incr("reads:server")
-            return item.value
+        """Read from the server when online (generator: one call), from
+        the hoard otherwise or when the call fails."""
+        if self._online():
+            try:
+                value, version = yield self._call("fetch", key)
+            except RpcError:
+                pass
+            else:
+                if not version:
+                    raise MobilityError("no item named {}".format(key))
+                self._cache[key] = (value, version)
+                self.counters.incr("reads:server")
+                return value
         if key in self._cache:
             self.counters.incr("reads:cache")
             return self._cache[key][0]
         self.counters.incr("reads:miss")
         raise DisconnectedError(
-            "{} is not hoarded and the host is disconnected".format(key))
+            "{} is not hoarded and the server is out of reach".format(key))
 
     def write(self, key: str, value: Any):
-        """Write through when connected; log for replay otherwise."""
-        if self.mobile.connected:
-            yield self.env.timeout(self._transfer_time(1))
-            version = self.server.write(key, value,
-                                        writer=self.mobile.name,
-                                        at=self.env.now)
-            self._cache[key] = (value, version)
-            self.counters.incr("writes:through")
-            return version
-        cached_version = self._cache.get(key, (None, 0))[1]
-        self._cache[key] = (value, cached_version)
-        self._replay_log.append((key, value, cached_version,
-                                 self.env.now))
+        """Write through when online (generator: returns the version);
+        log for replay otherwise or when the call fails (``None``)."""
+        op = next(self._ops)
+        if self._online():
+            try:
+                answer = yield self._call("write", (op, key, value, None))
+            except RpcError:
+                pass
+            else:
+                self._cache[key] = (value, answer[1])
+                self.counters.incr("writes:through")
+                return answer[1]
+        base = self._cache.get(key, (None, 0))[1]
+        self._cache[key] = (value, base)
+        self._replay_log.append((op, key, value, base))
         self.counters.incr("writes:logged")
         return None
 
@@ -121,46 +167,35 @@ class MobileCache:
     # -- reintegration ---------------------------------------------------------------
 
     def reintegrate(self):
-        """Replay logged writes as one bulk update (generator).
+        """Replay logged writes in order, one call each (generator).
 
-        Returns ``(applied, conflicted)`` counts.  A log entry conflicts
-        when the server version moved past the version the mobile had
-        cached when it wrote; resolution follows the conflict policy.
+        Returns ``(applied, conflicted)``.  An entry leaves the log when
+        its answer arrives; at the first failed call the replay stops,
+        and the rest wait for the next reconnect.  On a conflict the
+        server's value wins and the mobile's is kept in ``conflicts``.
         """
         if not self.mobile.connected:
             raise DisconnectedError("cannot reintegrate while disconnected")
-        log, self._replay_log = self._replay_log, []
-        if not log:
-            return (0, 0)
-        # One bulk transfer for the whole log.
-        yield self.env.timeout(self._transfer_time(len(log)))
-        applied = 0
-        conflicted = 0
-        for key, value, cached_version, _written_at in log:
-            current = self.server.item(key).version \
-                if key in self.server else 0
-            if current != cached_version:
+        applied = conflicted = 0
+        log = self._replay_log
+        while log:
+            entry = log[0]
+            try:
+                answer = yield self._call("write", entry)
+            except RpcError:
+                break
+            del log[0]
+            key, value = entry[1], entry[2]
+            if answer[0] == "applied":
+                # The log's later writes to key follow this one.
+                log[:] = [(o, k, v, answer[1] if k == key else b)
+                          for o, k, v, b in log]
+                self._cache[key] = (self._cache[key][0], answer[1])
+                applied += 1
+                self.counters.incr("reintegrated")
+            else:
+                self._cache[key] = answer[1:]
+                self.conflicts.append((key, answer[1], value))
                 conflicted += 1
                 self.counters.incr("conflicts")
-                server_value = self.server.read(key) \
-                    if key in self.server else None
-                self.conflicts.append((key, server_value, value))
-                if self.on_conflict is not None:
-                    self.on_conflict(key, server_value, value)
-                if self.conflict_policy == SERVER_WINS:
-                    self._cache[key] = (server_value, current)
-                    continue
-            version = self.server.write(key, value,
-                                        writer=self.mobile.name,
-                                        at=self.env.now)
-            self._cache[key] = (value, version)
-            applied += 1
-            self.counters.incr("reintegrated")
         return (applied, conflicted)
-
-    # -- internals -------------------------------------------------------------------
-
-    def _transfer_time(self, items: int) -> float:
-        bandwidth = max(self.mobile.link.bandwidth, 1.0)
-        rate = min(self.transfer_rate, bandwidth)
-        return (items * self.item_size * 8.0) / rate

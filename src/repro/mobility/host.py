@@ -9,7 +9,7 @@ disconnection"*).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.errors import MobilityError
 from repro.net.network import Host, Network

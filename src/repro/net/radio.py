@@ -29,7 +29,8 @@ class ConnectivityLevel(enum.Enum):
     FULL = "full"            # docked / high-speed network
 
 
-#: Default link characteristics per connectivity level:
+#: Link characteristics per connectivity level, the one table every radio
+#: link reads:
 #: (latency s, bandwidth bit/s, jitter s, loss probability)
 DEFAULT_PROFILES: Dict[ConnectivityLevel, Tuple[float, float, float, float]] = {
     ConnectivityLevel.DISCONNECTED: (0.0, 1.0, 0.0, 1.0),
@@ -43,16 +44,8 @@ class RadioLink(Link):
 
     def __init__(self, env: Environment, mobile: str, base: str,
                  level: ConnectivityLevel = ConnectivityLevel.FULL,
-                 profiles: Optional[Dict[ConnectivityLevel, Tuple[
-                     float, float, float, float]]] = None,
                  rng: Optional[random.Random] = None) -> None:
-        self.profiles = dict(DEFAULT_PROFILES)
-        if profiles:
-            self.profiles.update(profiles)
-        latency, bandwidth, jitter, loss = self.profiles[level]
-        super().__init__(env, mobile, base, latency=latency,
-                         bandwidth=bandwidth, jitter=jitter,
-                         loss=min(loss, 0.999999), rng=rng)
+        super().__init__(env, mobile, base, rng=rng)
         self.level = level
         self._listeners: List[Callable[[ConnectivityLevel], None]] = []
         self._apply(level)
@@ -72,7 +65,7 @@ class RadioLink(Link):
         self._listeners.append(listener)
 
     def _apply(self, level: ConnectivityLevel) -> None:
-        latency, bandwidth, jitter, loss = self.profiles[level]
+        latency, bandwidth, jitter, loss = DEFAULT_PROFILES[level]
         self.latency = latency
         self.bandwidth = bandwidth
         self.jitter = jitter
@@ -123,8 +116,6 @@ def periodic_trace(period_connected: float, period_disconnected: float,
 
 def attach_mobile(topology: Topology, mobile: str, base: str,
                   level: ConnectivityLevel = ConnectivityLevel.FULL,
-                  profiles: Optional[Dict[ConnectivityLevel, Tuple[
-                      float, float, float, float]]] = None,
                   rng: Optional[random.Random] = None) -> RadioLink:
     """Attach a mobile node to ``base`` with a radio link."""
     if mobile == base:
@@ -135,8 +126,7 @@ def attach_mobile(topology: Topology, mobile: str, base: str,
         raise NetworkError(
             "link {}<->{} already exists".format(mobile, base))
     link = topology._join(RadioLink(topology.env, mobile, base,
-                                    level=level, profiles=profiles,
-                                    rng=rng))
+                                    level=level, rng=rng))
     # Route validity depends on link.up, which changes with the level.
     link.on_level_change(lambda _level: topology.invalidate_routes())
     return link

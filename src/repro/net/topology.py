@@ -9,7 +9,7 @@ Routing is static shortest-path by latency (Dijkstra), recomputed on demand.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError, RoutingError
 from repro.net.link import Link

@@ -10,7 +10,7 @@ contracts return capacity to the budget.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import QoSNegotiationFailed, QoSError
 from repro.net.link import Link

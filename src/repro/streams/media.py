@@ -23,7 +23,7 @@ in one of two modes:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.errors import StreamError
 from repro.obs.metrics import Counter, Tally

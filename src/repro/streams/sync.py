@@ -14,7 +14,7 @@ inter-stream skew exceeds a bound (lip-sync tolerance ≈ 80 ms).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.errors import StreamError
 from repro.obs.metrics import Counter, Tally

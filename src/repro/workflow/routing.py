@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import WorkflowError
-
 
 class WorkObject:
     """A semi-structured object: typed fields plus an action history."""

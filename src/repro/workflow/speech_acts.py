@@ -14,7 +14,7 @@ traces it rejects compared with informal routing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import IllegalSpeechAct, WorkflowError
 

@@ -144,16 +144,17 @@ def test_atc_board_with_role_based_access():
 def test_mobile_member_rejoins_and_syncs():
     """A disconnected colleague reintegrates field edits."""
     from repro.concurrency import SharedStore
-    from repro.mobility import MobileCache, MobileHost
+    from repro.mobility import MobileCache, MobileHost, StoreServer
     from repro.net import ConnectivityLevel
 
     platform = CooperativePlatform(sites=2, hosts_per_site=1, seed=106)
     env = platform.env
     store = SharedStore("workspace")
     store.write("notes", "office v1", writer="office")
+    server = StoreServer(platform.network, "site0.host0", store)
     mobile = MobileHost(platform.network, "fieldpad", "site1.router",
                         level=ConnectivityLevel.FULL)
-    cache = MobileCache(env, mobile, store)
+    cache = MobileCache(mobile, server)
 
     def trip(env):
         yield from cache.hoard(["notes"])

@@ -183,9 +183,16 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        role = Role(role_name).allow(\"*\", req.right)\n"),
     Mutant("reintegration-drops-last-write", "seeded; CSCW",
            "src/repro/mobility/cache.py",
-           "        for key, value, cached_version, _written_at in log:\n",
-           "        for key, value, cached_version, _written_at "
-           "in log[:-1]:\n"),
+           "        while log:\n",
+           "        del log[-1:]\n        while log:\n"),
+    Mutant("reintegration-forgets-unsent-suffix", "seeded; CSCW",
+           "src/repro/mobility/cache.py",
+           "        log = self._replay_log\n",
+           "        log, self._replay_log = self._replay_log, []\n"),
+    Mutant("store-server-reapplies-repeated-op", "seeded; CSCW",
+           "src/repro/mobility/cache.py",
+           "        answer = self._answers.get((caller, op))\n",
+           "        answer = None\n"),
     Mutant("digest-keeps-delivered-events", "seeded; CSCW",
            "src/repro/awareness/digests.py",
            "            self._pending = []\n",

@@ -157,6 +157,7 @@ METRICS = "docs/observability.md: ## Metrics"
 VERDICTS = "DESIGN.md: ### Mechanism verdicts"
 OPTIONS = "DESIGN.md: ### Option verdicts"
 PERF = "docs/performance.md: "
+MOBILE = "DESIGN.md: A mobile's transfers are calls"
 
 TOMBSTONES = {  # (the commit that deleted it, the record): guards
     ("f6edcea", ONE_CLI): gone("src/repro/analysis/workloads.py",
@@ -264,6 +265,14 @@ TOMBSTONES = {  # (the commit that deleted it, the record): guards
     ("0ba672d+1", PERF + "### A finished span is a column row"): [
         grep("HOP_RECORD", SRC),
         grep(r"hops = bytearray\(", SRC, plant="self.hops = bytearray()")],
+    # Deleted by the commit after 93ebf67: the cache's own transfer model
+    # and the options no run set.
+    ("93ebf67+1", MOBILE): [
+        grep("_transfer_time", SRC),
+        grep("transfer_rate|item_size|conflict_policy|on_conflict",
+             "src/repro/mobility/**/*.py", word=True),
+        grep("CLIENT_WINS", SRC, word=True),
+        grep("profiles", "src/repro/net/radio.py", word=True)],
 }
 
 CONTRACTS = {  # where the rule is stated: guards
@@ -307,6 +316,11 @@ CONTRACTS = {  # where the rule is stated: guards
     PERF + "### A lock request is one call": [grep(
         r"(get_sanitizer\(\)|env\.sanitizer)\.(on_read|on_write|acquire"
         r"|release|local)\(", REPRO, plant="env.sanitizer.on_read(")],
+    MOBILE: [
+        grep(r"timeout\(", "src/repro/mobility/cache.py",
+             plant="yield self.env.timeout(1.0)"),
+        grep(r"\.item\(", "src/repro/mobility/**/*.py",
+             plant="self.server.store.item(key)")],
     "docs/analysis.md: ## Tie shuffling": [grep(
         r"(?s)mock\.patch\.object\(.*wraps=|wraps=.*mock\.patch\.object\(",
         "tests/**/*.py", allow=r"^tests/lockstep\.py:",
