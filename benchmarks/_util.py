@@ -57,6 +57,13 @@ def finding(sweeps: Sweeps, claim: Callable[[List[Row]], bool],
     return fraction
 
 
+def one_way(topology: Any, src: str, dst: str, wire_bytes: int) -> float:
+    """Seconds a datagram of ``wire_bytes`` takes from ``src`` to
+    ``dst`` on an idle path: each hop's transmission and latency."""
+    return sum(link.transmission_delay(wire_bytes) + link.latency
+               for link in topology.path(src, dst))
+
+
 def print_sweep(title: str, param_header: str, params: Sequence[Any],
                 sweeps: Sweeps, columns: Mapping[str, str]) -> None:
     """One line per param: each column's median and range over the seeds.

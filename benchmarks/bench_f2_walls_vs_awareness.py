@@ -7,20 +7,25 @@ social protocol can regulate access.
 
 Operationalisation: one author makes a burst of edits to a shared section
 over a long editing session, committing only at the end.  A colleague
-watches.  We measure **notification time** — how long after each change
-the colleague learns of it — under three regimes:
+at the other site of a two-site WAN watches.  We measure **notification
+time** — how long after each change the colleague learns of it — under
+three regimes:
 
 * serialisable transactions (walls): nothing until commit;
-* notification locks: every write signals watchers immediately;
-* workspace awareness (Figure 2b): every write flows as an event.
+* notification locks: every write signals watchers immediately, the
+  signal taking the WAN's one-way delay;
+* workspace awareness (Figure 2b): every write flows as an awareness
+  datagram over the WAN.
 
 Paper-shape expectation: transactional notification time is unbounded-
 until-commit (mean ≈ half the session length), the awareness mechanisms
-are bounded by the event-delivery latency — orders of magnitude smaller.
+are bounded by the one-way delay between the sites, read from the
+topology — orders of magnitude smaller.
 """
 
-from benchmarks._util import print_table
-from repro.awareness import WorkspaceAwareness
+from benchmarks._util import one_way, print_table
+from repro.awareness import AwarenessBus, WorkspaceAwareness
+from repro.awareness.events import EVENT_SIZE
 from repro.concurrency import (
     EXCLUSIVE,
     LockTable,
@@ -28,12 +33,24 @@ from repro.concurrency import (
     SharedStore,
     TransactionManager,
 )
+from repro.net import Network, wan
+from repro.net.packet import HEADER_BYTES
 from repro.obs.metrics import Tally
 from repro.sim import Environment
 
 EDITS = 20
 EDIT_INTERVAL = 10.0          # seconds between author edits
-AWARENESS_LATENCY = 0.05      # event-delivery latency
+AUTHOR, COLLEAGUE = "site0.host0", "site1.host0"
+
+
+def two_sites(env):
+    return wan(env, sites=2, hosts_per_site=1)
+
+
+def hop():
+    """The author-to-colleague one-way delay of an awareness datagram."""
+    return one_way(two_sites(Environment()), AUTHOR, COLLEAGUE,
+                   EVENT_SIZE + HEADER_BYTES)
 
 
 def run_transactions():
@@ -74,6 +91,7 @@ def run_notification_locks():
         pending.clear()
 
     table.watch("section", on_notify)
+    signal_delay = hop()
 
     def author(env):
         grant = yield table.acquire("section", "author", EXCLUSIVE)
@@ -82,8 +100,9 @@ def run_notification_locks():
             store.write("section", "edit-{}".format(i), writer="author",
                         at=env.now)
             pending.append(env.now)
-            # Notification locks propagate the change signal at once.
-            yield env.timeout(AWARENESS_LATENCY)
+            # Notification locks propagate the change signal at once;
+            # it reaches the colleague one WAN hop later.
+            yield env.timeout(signal_delay)
             table.notify_write("section", "author")
         grant.release()
 
@@ -96,11 +115,11 @@ def run_workspace_awareness():
     env = Environment()
     store = SharedStore()
     store.write("section", "v0")
-    workspace = WorkspaceAwareness(env, store,
-                                   latency=AWARENESS_LATENCY)
+    workspace = WorkspaceAwareness(
+        store, AwarenessBus(Network(env, two_sites(env))))
     notify = Tally("awareness-notify")
     edit_at = {}
-    workspace.watch("colleague",
+    workspace.watch(COLLEAGUE,
                     lambda event: notify.record(
                         env.now - edit_at[event.detail["version"]]))
 
@@ -108,7 +127,7 @@ def run_workspace_awareness():
         for i in range(EDITS):
             yield env.timeout(EDIT_INTERVAL)
             version = store.write("section", "edit-{}".format(i),
-                                  writer="author", at=env.now)
+                                  writer=AUTHOR, at=env.now)
             edit_at[version] = env.now
 
     env.process(author(env))
@@ -138,8 +157,9 @@ def test_f2_walls_vs_awareness():
     # Every change is eventually seen under all three mechanisms.
     assert txn.count == locks.count == awareness.count == EDITS
     # The walls: mean notification ≈ half the session; the alternatives
-    # are bounded by delivery latency — orders of magnitude smaller.
+    # are bounded by the hop between the sites — orders of magnitude
+    # smaller.
     assert txn.mean > EDITS * EDIT_INTERVAL / 4
-    assert locks.mean <= 2 * AWARENESS_LATENCY
-    assert awareness.mean <= 2 * AWARENESS_LATENCY
+    assert locks.mean <= 2 * hop()
+    assert awareness.mean <= 2 * hop()
     assert txn.mean / awareness.mean > 100

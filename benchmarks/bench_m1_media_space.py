@@ -49,7 +49,7 @@ def build(env):
     """The community: a common area and six offices per site."""
     network = Network(env, wan(env, sites=SITES,
                                hosts_per_site=OFFICES_PER_SITE + 1))
-    space = MediaSpace(env, network=network, glance_duration=GLANCE_S,
+    space = MediaSpace(network, glance_duration=GLANCE_S,
                        video_rate=VIDEO_FPS)
     offices = []
     for site in range(SITES):
@@ -87,7 +87,8 @@ def run(seed, busy_share):
     for office in offices:
         space.awareness.subscribe(
             office, notices.append, event_filter=lambda name, event:
-            event.action == "glance" and event.artefact == name)
+            event.action == "glance" and event.artefact == name,
+            host=space.node(office).host)
     rng = streams.stream("glances")
     attempts = sorted((rng.uniform(0.0, WINDOW_S), rng.sample(offices, 2))
                       for _ in range(ATTEMPTS))

@@ -36,11 +36,14 @@ class FlightStrip:
 
 class ProgressBoard:
     """The public rack of strips for one sector, held in the session
-    store so every change is visible at a glance to all positions."""
+    store so every change is visible at a glance to all positions.
+    ``positions`` maps each controller to the host they work at: a
+    change is published from there."""
 
-    def __init__(self, session, sector: str):
+    def __init__(self, session, sector: str, positions: dict):
         self.session = session
         self.sector = sector
+        self.positions = positions
         self.racks = {}       # position -> ordered list of callsigns
         self.history = []     # (time, controller, action, callsign)
 
@@ -64,7 +67,8 @@ class ProgressBoard:
         self.history.append((self.session.platform.env.now, controller,
                              "take-over", callsign))
         self.session.session.store.write(
-            "board/" + callsign, to_position, writer=controller,
+            "board/" + callsign, to_position,
+            writer=self.positions[controller],
             at=self.session.platform.env.now)
 
     def load_of(self, position: str) -> int:
@@ -78,22 +82,25 @@ class ProgressBoard:
             "board/" + strip.callsign,
             {"level": strip.level, "instructions": list(
                 strip.instructions)},
-            writer=controller, at=now)
+            writer=self.positions[controller], at=now)
 
 
 def main() -> None:
     platform = CooperativePlatform(sites=1, hosts_per_site=3,
                                    topology="lan", seed=11)
-    north, south, chief = platform.host_names()
+    positions = dict(zip(("north", "south", "chief"),
+                         platform.host_names()))
+    controller_at = {host: name for name, host in positions.items()}
     session = platform.create_session(
-        "sector-5", [north, south, chief], floor=None)
-    board = ProgressBoard(session, "sector-5")
+        "sector-5", list(positions.values()), floor=None)
+    board = ProgressBoard(session, "sector-5", positions)
 
     # The chief monitors the whole board at a glance.
     glances = []
     session.workspace.watch(
-        chief, lambda event: glances.append(
-            (round(platform.env.now, 3), event.actor, event.artefact)))
+        positions["chief"], lambda event: glances.append(
+            (round(platform.env.now, 3), controller_at[event.actor],
+             event.artefact)))
 
     def north_position(env):
         strips = [FlightStrip("BA{}".format(100 + i), 340 - 10 * i,

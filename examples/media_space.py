@@ -19,7 +19,7 @@ def main() -> None:
     network = Network(env, topo)
 
     # -- the media space --------------------------------------------------
-    space = MediaSpace(env, network=network, glance_duration=6.0)
+    space = MediaSpace(network, glance_duration=6.0)
     space.add_node("coffee-lancaster", host="host0")
     space.add_node("coffee-portland", host="host1")
     space.add_node("gordon-office", host="host2")
@@ -31,7 +31,8 @@ def main() -> None:
         "gordon-office",
         lambda event: looks.append((env.now, event.actor, event.action)),
         event_filter=lambda name, event:
-        event.artefact == "gordon-office" and event.actor != name)
+        event.artefact == "gordon-office" and event.actor != name,
+        host="host2")
 
     # The Portland experiment: a standing wall between coffee rooms.
     wall = space.video_wall("coffee-lancaster", "coffee-portland")

@@ -11,9 +11,7 @@ from repro.awareness.events import (
     ACTION_EDIT,
     ACTION_JOIN,
     ACTION_LEAVE,
-    ACTION_MOVE,
     ACTION_SUSPECTED,
-    ACTION_VIEW,
     AwarenessBus,
     AwarenessEvent,
     WorkspaceAwareness,
@@ -31,9 +29,7 @@ __all__ = [
     "ACTION_EDIT",
     "ACTION_JOIN",
     "ACTION_LEAVE",
-    "ACTION_MOVE",
     "ACTION_SUSPECTED",
-    "ACTION_VIEW",
     "AwarenessBus",
     "AwarenessEvent",
     "Digest",

@@ -5,7 +5,7 @@ distributed work group: periodic low-fidelity summaries of colleagues'
 activity rather than a continuous event stream.  :class:`DigestService`
 batches awareness events per interval and delivers one digest per
 subscriber per period — trading freshness for load, the asynchronous point
-in the space-time matrix.
+in the space-time matrix.  The service collects at a host of its own.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Callable, Dict, List
 from repro.awareness.events import AwarenessBus, AwarenessEvent
 from repro.errors import ReproError
 from repro.obs.metrics import Counter
-from repro.sim import Environment
 
 
 class Digest:
@@ -44,19 +43,19 @@ class Digest:
 class DigestService:
     """Periodically condenses bus traffic into per-subscriber digests."""
 
-    def __init__(self, env: Environment, bus: AwarenessBus,
+    def __init__(self, bus: AwarenessBus, host: str,
                  interval: float = 60.0) -> None:
         if not interval > 0:  # also rejects NaN
             raise ReproError("interval must be positive")
-        self.env = env
+        self.env = bus.env
         self.bus = bus
         self.interval = interval
         self._pending: List[AwarenessEvent] = []
         self._subscribers: Dict[str, Callable[[Digest], None]] = {}
         self.counters = Counter()
         bus.subscribe("__digest__", self._collect,
-                      event_filter=lambda name, event: True)
-        self.process = env.process(self._run())
+                      event_filter=lambda name, event: True, host=host)
+        self.process = self.env.process(self._run())
 
     def subscribe(self, name: str,
                   callback: Callable[[Digest], None]) -> None:

@@ -3,11 +3,12 @@
 The paper's alternative to transactional walls: *"information flow between
 users enables a social protocol to be established to regulate access to
 shared information"*.  An :class:`AwarenessEvent` describes one user action
-on a shared artefact; an :class:`AwarenessBus` distributes events to
-subscribers through pluggable filters; :class:`WorkspaceAwareness` adapts a
-shared store so every write becomes an event — giving the *continuous*
-notification channel that experiment F2 contrasts with commit-time
-visibility.
+on a shared artefact; an :class:`AwarenessBus` sends events to
+subscribers through pluggable filters, as datagrams over the network, so
+loss and partitions act on awareness too; :class:`WorkspaceAwareness`
+adapts a shared store so every write becomes an event — giving the
+*continuous* notification channel that experiment F2 contrasts with
+commit-time visibility.
 """
 
 from __future__ import annotations
@@ -15,15 +16,19 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.concurrency.store import SharedStore
+from repro.net.network import Network
+from repro.net.packet import Packet
 from repro.obs.metrics import Counter
-from repro.sim import Environment
+
+#: A bus's port unless given one (a platform gives each session its own).
+AWARENESS_PORT = 50
+#: Payload bytes of one awareness datagram: actor, artefact, action, time.
+EVENT_SIZE = 64
 
 #: Standard action vocabulary (free-form strings are also accepted).
 ACTION_EDIT = "edit"
-ACTION_VIEW = "view"
 ACTION_JOIN = "join"
 ACTION_LEAVE = "leave"
-ACTION_MOVE = "move"
 ACTION_SUSPECTED = "suspected"
 
 
@@ -57,63 +62,61 @@ def ignore_own_actions(subscriber: str, event: AwarenessEvent) -> bool:
 class AwarenessBus:
     """Publishes awareness events to named subscribers through filters.
 
-    Delivery is optionally delayed (``latency``) to model the network hop;
-    benches use the delivered timestamps to measure *notification time*.
-    A delayed delivery is one timeout whose callback hands the event
-    over: one queued event and no process, so a subscriber that raises
-    surfaces from ``env.run()`` as itself.
-
-    A subscriber may ``subscribe`` from inside a delivery: ``publish``
-    walks the subscriptions as they stood when it was called, so a
-    subscription made during a delivery does not receive the event being
-    delivered and does receive the next.
+    A participant sits at the network host named like it, unless
+    ``subscribe`` or ``publish`` is given ``host=``.  ``publish`` runs
+    the filters on the subscriptions it finds (one made later, even
+    inside a delivery, misses this event) and sends one datagram of
+    :data:`EVENT_SIZE` bytes to each host with a match, none if there is
+    none; the callbacks there run when it arrives, and a subscriber
+    that raises surfaces from ``env.run()`` as itself.  Benches use the
+    delivered timestamps to measure *notification time*.
     """
 
-    def __init__(self, env: Environment, latency: float = 0.0) -> None:
-        if not latency >= 0:
-            raise ValueError(
-                "latency must be non-negative: {!r}".format(latency))
-        self.env = env
-        self.latency = latency
-        self._subscribers: Dict[str, List[Tuple[EventFilter,
+    def __init__(self, network: Network, port: int = AWARENESS_PORT) -> None:
+        self.network = network
+        self.env = network.env
+        self.port = port
+        #: name -> (host, filter, callback) per subscription.
+        self._subscribers: Dict[str, List[Tuple[str, EventFilter,
                                                 Subscriber]]] = {}
         self.counters = Counter()
         self.delivered_log: List[Tuple[float, str, AwarenessEvent]] = []
 
     def subscribe(self, name: str, callback: Subscriber,
-                  event_filter: Optional[EventFilter] = None) -> None:
+                  event_filter: Optional[EventFilter] = None,
+                  host: Optional[str] = None) -> None:
         """Register ``name`` to receive events passing ``event_filter``."""
+        at = self.network.host(name if host is None else host)
+        at.on_packet(self.port, self._on_packet)
         self._subscribers.setdefault(name, []).append(
-            (event_filter or ignore_own_actions, callback))
+            (at.name, event_filter or ignore_own_actions, callback))
 
     def publish(self, actor: str, artefact: str, action: str,
-                detail: Any = None) -> AwarenessEvent:
-        """Emit an event; matching subscribers receive it after latency."""
+                detail: Any = None,
+                host: Optional[str] = None) -> AwarenessEvent:
+        """Emit an event; matching subscribers receive it on arrival."""
         event = AwarenessEvent(actor, artefact, action, self.env.now,
                                detail)
         self.counters.incr("published")
-        # A copy: a subscriber may subscribe from inside a delivery.
-        subscriptions = [(name, entry)
-                         for name, entries in self._subscribers.items()
-                         for entry in entries]
-        for name, (event_filter, callback) in subscriptions:
-            if not event_filter(name, event):
-                continue
-            if self.latency > 0:
-                self.env.timeout(self.latency, (name, callback, event)
-                                 ).callbacks.append(self._arrive)
-            else:
-                self._finish(name, callback, event)
+        # Per host, who is to see it: the filters run now, so a
+        # subscription made before the packet lands does not count.
+        audience: Dict[str, List[Tuple[str, Subscriber]]] = {}
+        for name, entries in self._subscribers.items():
+            for at, event_filter, callback in entries:
+                if event_filter(name, event):
+                    audience.setdefault(at, []).append((name, callback))
+        if audience:
+            sender = self.network.host(actor if host is None else host)
+            for at, deliveries in audience.items():
+                sender.send(at, (event, deliveries), EVENT_SIZE, self.port)
         return event
 
-    def _arrive(self, timer) -> None:
-        self._finish(*timer.value)
-
-    def _finish(self, name: str, callback: Subscriber,
-                event: AwarenessEvent) -> None:
-        self.counters.incr("delivered")
-        self.delivered_log.append((self.env.now, name, event))
-        callback(event)
+    def _on_packet(self, packet: Packet) -> None:
+        event, deliveries = packet.payload
+        for name, callback in deliveries:
+            self.counters.incr("delivered")
+            self.delivered_log.append((self.env.now, name, event))
+            callback(event)
 
 
 class WorkspaceAwareness:
@@ -121,19 +124,17 @@ class WorkspaceAwareness:
 
     This is the mechanism of Figure 2b: user actions on the shared space
     flow continuously to colleagues instead of being masked until commit.
+    A write is published from the host its writer is named after.
     """
 
-    def __init__(self, env: Environment, store: SharedStore,
-                 bus: Optional[AwarenessBus] = None,
-                 latency: float = 0.0) -> None:
-        self.env = env
+    def __init__(self, store: SharedStore, bus: AwarenessBus) -> None:
         self.store = store
-        self.bus = bus or AwarenessBus(env, latency=latency)
+        self.bus = bus
         store.subscribe(self._on_write)
 
     def _on_write(self, key: str, value: Any, version: int,
                   writer: str) -> None:
-        self.bus.publish(writer or "unknown", key, ACTION_EDIT,
+        self.bus.publish(writer, key, ACTION_EDIT,
                          detail={"version": version})
 
     def watch(self, user: str, callback: Subscriber,

@@ -189,23 +189,24 @@ class CooperativePlatform:
                        ordering: str = "causal",
                        awareness_latency: float = 0.01,
                        **session_kwargs) -> CooperativeSession:
-        """A session whose members are joined to an ordered group."""
+        """A session whose members are joined to an ordered group.
+
+        ``awareness_latency`` has no effect (``bench/`` passes it): the
+        awareness hop is the network's, and this would count it twice."""
         if name in self.sessions:
             raise SessionError("session {} already exists".format(name))
         for member in members:
             if member not in self._hosts:
                 raise SessionError("unknown host " + member)
         floor_policy = self._make_floor(floor, members)
-        session = Session(self.env, name, floor=floor_policy,
-                          awareness_latency=awareness_latency,
-                          **session_kwargs)
+        session = Session(self.network, name, floor=floor_policy,
+                          port=self.allocate_port(), **session_kwargs)
         group = ProcessGroup(self.network, name, ordering=ordering,
                              port=next(self._ports))
         for member in members:
             session.join(member)
             group.join(member)
-        workspace = WorkspaceAwareness(self.env, session.store,
-                                       bus=session.awareness)
+        workspace = WorkspaceAwareness(session.store, session.awareness)
         cooperative = CooperativeSession(self, session, group, workspace)
         self.sessions[name] = cooperative
         return cooperative

@@ -427,7 +427,8 @@ class Network:
     def host(self, name: str) -> Host:
         """Create (or fetch) the host attached to topology node ``name``."""
         if name not in self.topology._adjacency:
-            raise NetworkError("no topology node named {}".format(name))
+            raise NetworkError(
+                "host must be a node of the topology: {!r}".format(name))
         if name not in self.hosts:
             self.hosts[name] = Host(self, name)
         return self.hosts[name]

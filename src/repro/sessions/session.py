@@ -1,11 +1,11 @@
 """Sessions: the unit of cooperative activity (§3.2.2, §3.1).
 
 A :class:`Session` gathers members around shared artefacts, with an
-awareness bus, an optional floor policy and a space-time classification
-(synchronous/asynchronous × co-located/remote).  Sessions support the
-*seamless transition* the paper demands (§3.1): switching interaction mode
-preserves membership, artefacts and history, which the tier-1 session and
-matrix tests check.
+awareness bus on their network, an optional floor policy and a space-time
+classification (synchronous/asynchronous × co-located/remote).  Sessions
+support the *seamless transition* the paper demands (§3.1): switching
+interaction mode preserves membership, artefacts and history, which the
+tier-1 session and matrix tests check.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from repro.awareness.events import (
     ACTION_JOIN,
     ACTION_LEAVE,
     ACTION_SUSPECTED,
+    AWARENESS_PORT,
     AwarenessBus,
 )
 from repro.concurrency.store import SharedStore
 from repro.errors import SessionError
+from repro.net.network import Network
 from repro.obs.metrics import Counter
 from repro.sessions.floor import FloorPolicy
-from repro.sim import Environment
 
 SYNCHRONOUS = "synchronous"
 ASYNCHRONOUS = "asynchronous"
@@ -33,16 +34,16 @@ REMOTE = "remote"
 class Session:
     """A cooperative session over shared artefacts."""
 
-    def __init__(self, env: Environment, name: str,
+    def __init__(self, network: Network, name: str,
                  time_mode: str = SYNCHRONOUS,
                  place_mode: str = REMOTE,
                  floor: Optional[FloorPolicy] = None,
-                 awareness_latency: float = 0.0) -> None:
+                 port: int = AWARENESS_PORT) -> None:
         if time_mode not in (SYNCHRONOUS, ASYNCHRONOUS):
             raise SessionError("unknown time mode: " + time_mode)
         if place_mode not in (CO_LOCATED, REMOTE):
             raise SessionError("unknown place mode: " + place_mode)
-        self.env = env
+        self.env = env = network.env
         self.name = name
         self.time_mode = time_mode
         self.place_mode = place_mode
@@ -52,7 +53,7 @@ class Session:
         # the collective process (§2.3).
         self.store = SharedStore(name + "-store", keep_history=True,
                                  env=env)
-        self.awareness = AwarenessBus(env, latency=awareness_latency)
+        self.awareness = AwarenessBus(network, port)
         self.counters = Counter()
         #: (at, from_mode, to_mode) transition history.
         self.transitions: List[Tuple[float, str, str]] = []

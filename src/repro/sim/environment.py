@@ -292,7 +292,7 @@ class Environment:
 
         ``until`` may be ``None`` (run until the queue is empty), a number
         (run until that simulated time) or an :class:`Event` (run until it
-        fires, returning its value).
+        fires, returning its value or raising its exception).
         """
         self._attach_flight()
         until_event: Optional[Event] = None
@@ -313,7 +313,9 @@ class Environment:
                 self.schedule(until_event, priority=0, delay=at - self.now)
             if until_event.callbacks is None:
                 # The event has already been processed; nothing to run.
-                return until_event.value if until_event.ok else None
+                if not until_event.ok:
+                    raise until_event.value
+                return until_event.value
             until_event.callbacks.append(_stop_simulation)
         # The drain loop is step() inlined: at hundreds of thousands of
         # events per run the per-call overhead of dispatching to step()
@@ -346,7 +348,7 @@ class Environment:
                 if event._ok is False and not event.defused:
                     raise event._exception
         except StopSimulation as stop:
-            return stop.args[0].value if stop.args[0]._ok else None
+            return stop.args[0].value
         finally:
             self.events_processed += processed
         if until_event is not None and not until_event.triggered:
@@ -367,6 +369,8 @@ class Environment:
 
 
 def _stop_simulation(event: Event) -> None:
+    if not event._ok:
+        raise event.value
     raise StopSimulation(event)
 
 

@@ -17,9 +17,9 @@ connections between them:
 * **cruise** — a sequence of short glances (Cruiser's virtual hallway);
 * **office share** — a long-lived two-way link between two offices.
 
-Connections carry real simulated video via group/stream bindings when a
-network is attached, and always publish awareness events, so being
-looked at is visible — the reciprocity CSCW insisted on.
+Every node sits at a network host.  Connections carry real simulated
+video over stream bindings and publish awareness events from the node's
+host, so being looked at is visible — the reciprocity CSCW insisted on.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.awareness.events import AwarenessBus
 from repro.errors import ReproError
 from repro.net.network import Network
 from repro.obs.metrics import Counter
-from repro.sim import Environment, Event
+from repro.sim import Event
 from repro.streams.binding import StreamBinding
 from repro.streams.media import MediaSink, MediaSource
 
@@ -50,7 +50,7 @@ VIDEO_FRAME_SIZE = 3000
 class WorkplaceNode:
     """A camera+monitor installation at someone's workplace."""
 
-    def __init__(self, name: str, host: Optional[str] = None) -> None:
+    def __init__(self, name: str, host: str) -> None:
         self.name = name
         self.host = host
         self.accessibility = ACCESSIBLE
@@ -65,16 +65,15 @@ class Connection:
 
     def __init__(self, connection_id: str, kind: str, source: str,
                  target: str, started_at: float,
-                 flows: Optional[List[Tuple[MediaSource,
-                                            StreamBinding,
-                                            MediaSink]]] = None) -> None:
+                 flows: List[Tuple[MediaSource, StreamBinding, MediaSink]]
+                 ) -> None:
         self.connection_id = connection_id
         self.kind = kind
         self.source = source
         self.target = target
         self.started_at = started_at
         self.ended_at: Optional[float] = None
-        self.flows = flows or []
+        self.flows = flows
 
     @property
     def live(self) -> bool:
@@ -88,8 +87,7 @@ class Connection:
 class MediaSpace:
     """The community's set of nodes and live connections."""
 
-    def __init__(self, env: Environment,
-                 network: Optional[Network] = None,
+    def __init__(self, network: Network,
                  glance_duration: float = 8.0,
                  video_rate: float = 12.5) -> None:
         for field, value in (("glance_duration", glance_duration),
@@ -97,9 +95,9 @@ class MediaSpace:
             if not value > 0:  # also rejects NaN
                 raise ReproError("{} must be positive: {!r}".format(
                     field, value))
-        self.env = env
+        self.env = network.env
         self.network = network
-        self.awareness = AwarenessBus(env)
+        self.awareness = AwarenessBus(network)
         self.glance_duration = glance_duration
         self.video_rate = video_rate
         self.nodes: Dict[str, WorkplaceNode] = {}
@@ -110,13 +108,11 @@ class MediaSpace:
         # depend on what ran earlier in the process.
         self._ids = itertools.count(1)
 
-    def add_node(self, name: str, host: Optional[str] = None
-                 ) -> WorkplaceNode:
-        """Install a camera/monitor at a workplace."""
+    def add_node(self, name: str, host: str) -> WorkplaceNode:
+        """Install a camera/monitor at a workplace on network ``host``."""
         if name in self.nodes:
             raise ReproError("node {} already exists".format(name))
-        if host is not None and self.network is not None:
-            self.network.host(host)  # validate / attach
+        self.network.host(host)  # validate / attach
         node = WorkplaceNode(name, host=host)
         self.nodes[name] = node
         return node
@@ -131,8 +127,10 @@ class MediaSpace:
         """A person's control over being looked at."""
         if level not in (ACCESSIBLE, BUSY, DO_NOT_DISTURB):
             raise ReproError("unknown accessibility: " + level)
-        self.node(name).accessibility = level
-        self.awareness.publish(name, name, "accessibility-" + level)
+        node = self.node(name)
+        node.accessibility = level
+        self.awareness.publish(name, name, "accessibility-" + level,
+                               host=node.host)
 
     def live_connections(self) -> List[Connection]:
         return [c for c in self.connections if c.live]
@@ -141,7 +139,7 @@ class MediaSpace:
 
     def video_wall(self, a: str, b: str) -> Connection:
         """A standing two-way link between common areas (Portland)."""
-        self.node(a)
+        node_a = self.node(a)
         self.node(b)
         flows = self._make_flows(a, b, bidirectional=True)
         connection = self._connect(VIDEO_WALL, a, b, flows)
@@ -149,7 +147,7 @@ class MediaSpace:
         for source, _, _ in flows:
             source.start()
         self.awareness.publish("building", a, "video-wall",
-                               detail={"to": b})
+                               detail={"to": b}, host=node_a.host)
         return connection
 
     def glance(self, looker: str, target: str) -> Event:
@@ -159,13 +157,13 @@ class MediaSpace:
         target's accessibility refused it.  The target always *learns of*
         the glance — being looked at is never invisible.
         """
-        self.node(looker)
+        looking = self.node(looker)
         node = self.node(target)
         done = self.env.event()
         self.counters.incr("glances_attempted")
         # Reciprocity: the target is told someone looked, whatever the
         # outcome.
-        self.awareness.publish(looker, target, "glance")
+        self.awareness.publish(looker, target, "glance", host=looking.host)
         if node.accessibility != ACCESSIBLE:
             self.counters.incr("glances_refused")
             done.succeed(None)
@@ -185,7 +183,7 @@ class MediaSpace:
     def office_share(self, a: str, b: str) -> Connection:
         """A long-lived two-way link between two offices."""
         node_b = self.node(b)
-        self.node(a)
+        node_a = self.node(a)
         if node_b.accessibility == DO_NOT_DISTURB:
             raise ReproError(
                 "{} is not accepting connections".format(b))
@@ -194,7 +192,7 @@ class MediaSpace:
         self.counters.incr("office_shares")
         for source, _, _ in flows:
             source.start()
-        self.awareness.publish(a, b, "office-share")
+        self.awareness.publish(a, b, "office-share", host=node_a.host)
         return connection
 
     def hang_up(self, connection: Connection) -> None:
@@ -205,7 +203,8 @@ class MediaSpace:
         for source, _, _ in connection.flows:
             source.stop()
         self.awareness.publish(connection.source, connection.target,
-                               "hang-up")
+                               "hang-up",
+                               host=self.nodes[connection.source].host)
 
     # -- internals -------------------------------------------------------------------
 
@@ -217,12 +216,10 @@ class MediaSpace:
         return connection
 
     def _make_flows(self, a: str, b: str, bidirectional: bool):
-        """Create real video flows when both ends have network hosts."""
-        if self.network is None:
-            return []
+        """Create real video flows when the ends are on two hosts."""
         host_a = self.nodes[a].host
         host_b = self.nodes[b].host
-        if host_a is None or host_b is None or host_a == host_b:
+        if host_a == host_b:
             return []
         flows = []
         pairs = [(host_a, host_b)]

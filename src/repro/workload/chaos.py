@@ -118,7 +118,7 @@ def partition_recovery_workload(seed: int = 31,
                                          strategy=detector)
 
         # The session: floor-controlled, synchronous while healthy.
-        session = Session(env, "design-review", floor=FcfsFloor(env))
+        session = Session(net, "design-review", floor=FcfsFloor(env))
         for member in MEMBERS:
             session.join(member)
 

@@ -7,9 +7,17 @@ from repro.awareness import (
     AwarenessBus,
     WorkspaceAwareness,
 )
+from repro.awareness.events import EVENT_SIZE
 from repro.concurrency import SharedStore
+from repro.faults import FaultInjector, FaultSchedule
+from repro.net import Network, Topology, wan
+from repro.net.packet import HEADER_BYTES
 from repro.sim import Environment
 from tests.counting import CountingEnvironment
+
+#: 1 MB/s: a datagram's transmission time is its wire bytes in µs.
+BANDWIDTH = 8e6
+TX = (EVENT_SIZE + HEADER_BYTES) * 8 / BANDWIDTH
 
 
 @pytest.fixture
@@ -17,55 +25,80 @@ def env():
     return Environment()
 
 
+def network(env, latency=0.5, users=("bob", "carol")):
+    """``alice`` with a direct link of ``latency`` to each of ``users``."""
+    topology = Topology(env)
+    for user in users:
+        topology.add_link("alice", user, latency=latency,
+                          bandwidth=BANDWIDTH)
+    return Network(env, topology)
+
+
 def test_publish_reaches_subscriber(env):
-    bus = AwarenessBus(env)
+    bus = AwarenessBus(network(env))
     seen = []
     bus.subscribe("bob", seen.append)
     bus.publish("alice", "doc", ACTION_EDIT)
+    assert seen == []  # in flight
+    env.run()
     assert len(seen) == 1
     assert seen[0].actor == "alice"
     assert seen[0].artefact == "doc"
 
 
 def test_own_actions_filtered_by_default(env):
-    bus = AwarenessBus(env)
+    net = network(env)
+    bus = AwarenessBus(net)
     seen = []
     bus.subscribe("alice", seen.append)
     bus.publish("alice", "doc", ACTION_EDIT)
+    env.run()
     assert seen == []
+    assert net.counters["sent"] == 0 and env.now == 0.0
 
 
 def test_latency_delays_delivery(env):
-    bus = AwarenessBus(env, latency=0.5)
+    bus = AwarenessBus(network(env, latency=0.5))
     seen = []
     bus.subscribe("bob", lambda event: seen.append(env.now))
     bus.publish("alice", "doc", ACTION_EDIT)
-    assert seen == []  # not yet delivered
     env.run()
-    assert seen == [0.5]
-
-
-def test_negative_latency_rejected(env):
-    with pytest.raises(ValueError):
-        AwarenessBus(env, latency=-1)
+    assert seen == [pytest.approx(0.5 + TX)]
 
 
 def test_counters_and_log(env):
-    bus = AwarenessBus(env)
+    net = network(env)
+    bus = AwarenessBus(net)
     bus.subscribe("bob", lambda event: None)
     bus.subscribe("carol", lambda event: None)
     bus.publish("alice", "doc", ACTION_EDIT)
+    env.run()
     assert bus.counters["published"] == 1
     assert bus.counters["delivered"] == 2
     assert len(bus.delivered_log) == 2
+    assert net.counters["sent"] == net.counters["delivered"] == 2
+
+
+def test_one_datagram_per_host_however_many_subscribe_there(env):
+    net = network(env)
+    bus = AwarenessBus(net)
+    seen = []
+    for name in ("bob", "bob-again", "bob-too"):
+        bus.subscribe(name, seen.append, host="bob")
+    bus.publish("alice", "doc", ACTION_EDIT)
+    env.run()
+    assert len(seen) == 3
+    assert net.counters["sent"] == 1
+    assert net.total_link_bytes() == EVENT_SIZE + HEADER_BYTES
 
 
 def test_workspace_awareness_publishes_writes(env):
     store = SharedStore()
-    workspace = WorkspaceAwareness(env, store)
+    workspace = WorkspaceAwareness(store, AwarenessBus(network(env)))
     seen = []
     workspace.watch("bob", seen.append)
     store.write("doc", "v1", writer="alice", at=env.now)
+    env.run()
     assert len(seen) == 1
     assert seen[0].action == ACTION_EDIT
     assert seen[0].detail == {"version": 1}
@@ -73,11 +106,12 @@ def test_workspace_awareness_publishes_writes(env):
 
 def test_workspace_awareness_artefact_filter(env):
     store = SharedStore()
-    workspace = WorkspaceAwareness(env, store)
+    workspace = WorkspaceAwareness(store, AwarenessBus(network(env)))
     seen = []
     workspace.watch("bob", seen.append, artefact="doc-A")
     store.write("doc-A", "x", writer="alice")
     store.write("doc-B", "y", writer="alice")
+    env.run()
     assert len(seen) == 1
     assert seen[0].artefact == "doc-A"
 
@@ -85,7 +119,8 @@ def test_workspace_awareness_artefact_filter(env):
 def test_workspace_awareness_notification_time(env):
     """F2's key metric: notification is continuous, not commit-time."""
     store = SharedStore()
-    workspace = WorkspaceAwareness(env, store, latency=0.1)
+    workspace = WorkspaceAwareness(
+        store, AwarenessBus(network(env, latency=0.1)))
     notified_at = []
     workspace.watch("bob", lambda event: notified_at.append(env.now))
 
@@ -96,14 +131,18 @@ def test_workspace_awareness_notification_time(env):
 
     env.process(writer(env))
     env.run()
-    assert notified_at == [1.1, 2.1, 3.1]
+    assert notified_at == [pytest.approx(at + 0.1 + TX)
+                           for at in (1.0, 2.0, 3.0)]
 
 
-# -- a delayed delivery is a timer ---------------------------------------------
+# -- a delivery is a packet ------------------------------------------------------
 
-def test_a_delayed_delivery_costs_one_queued_event_and_no_process():
+def test_a_delivery_costs_its_packets_events_and_no_process():
+    """A send made at set-up queues its start; each hop then queues its
+    transmission and its arrival, and the ten datagrams to one host
+    queue behind each other on the sender's link."""
     env = CountingEnvironment()
-    bus = AwarenessBus(env, latency=0.25)
+    bus = AwarenessBus(network(env, latency=0.25))
     seen = []
     for name in ("alice", "bob", "carol"):
         bus.subscribe(name, seen.append)
@@ -111,14 +150,15 @@ def test_a_delayed_delivery_costs_one_queued_event_and_no_process():
         bus.publish("alice", "doc", ACTION_EDIT)    # bob and carol
     assert (env.pushes, env.processes) == (20, 0)
     env.run()
-    assert (env.pushes, env.pops, env.processes) == (20, 20, 0)
+    assert (env.pushes, env.pops, env.processes) == (60, 60, 0)
     assert bus.counters["delivered"] == len(seen) == 20
-    assert [(at, name) for at, name, _ in bus.delivered_log] \
-        == [(0.25, "bob"), (0.25, "carol")] * 10
+    assert [(at, name) for at, name, _ in bus.delivered_log] == [
+        (pytest.approx(0.25 + (i + 1) * TX), name)
+        for i in range(10) for name in ("bob", "carol")]
 
 
 def test_a_raising_subscriber_surfaces_from_run_and_the_run_resumes(env):
-    bus = AwarenessBus(env, latency=0.1)
+    bus = AwarenessBus(network(env, latency=0.1))
     seen = []
 
     def bob(event):
@@ -129,9 +169,34 @@ def test_a_raising_subscriber_surfaces_from_run_and_the_run_resumes(env):
     bus.publish("alice", "doc", ACTION_EDIT)
     with pytest.raises(OSError, match="display gone"):
         env.run()
-    assert env.now == pytest.approx(0.1) and seen == []
+    assert env.now == pytest.approx(0.1 + TX) and seen == []
     env.run()
     assert len(seen) == 1
+
+
+def test_an_event_does_not_cross_a_partition():
+    """Cut two sites apart: an event published across the cut reaches
+    nobody there, one published inside a site still arrives."""
+    env = Environment()
+    topology = wan(env, sites=2, hosts_per_site=2)
+    net = Network(env, topology)
+    bus = AwarenessBus(net)
+    seen = []
+    for name in ("site0.host1", "site1.host0"):
+        bus.subscribe(name, lambda event, name=name: seen.append(name))
+    site0 = [node for node in topology.nodes if node.startswith("site0.")]
+    site1 = [node for node in topology.nodes if node.startswith("site1.")]
+    FaultInjector(env, net, FaultSchedule().partition(1.0, [site0, site1]))
+
+    def author(env):
+        yield env.timeout(2.0)
+        bus.publish("site0.host0", "doc", ACTION_EDIT)
+
+    env.process(author(env))
+    env.run(until=10.0)
+    assert seen == ["site0.host1"]
+    assert bus.counters["delivered"] == 1
+    assert net.drop_stats() == {"no-route": 1}
 
 
 # -- subscribing from inside a delivery ----------------------------------------
@@ -140,7 +205,7 @@ def test_a_raising_subscriber_surfaces_from_run_and_the_run_resumes(env):
 def test_subscribing_from_inside_a_delivery(env, latency):
     """A subscription made during a delivery does not receive the event
     being delivered and does receive the next."""
-    bus = AwarenessBus(env, latency=latency)
+    bus = AwarenessBus(network(env, latency=latency))
     feeds = {"bob": [], "bob-again": [], "carol": []}
 
     def bob(event):

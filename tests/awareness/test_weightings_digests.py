@@ -4,13 +4,22 @@ import pytest
 
 from repro.awareness import AwarenessBus, DigestService
 from repro.errors import ReproError
+from repro.net import Network, Topology
 from repro.sim import Environment
+
+
+def make_bus(env):
+    """A bus over alice and bob, and the digest service's host."""
+    topology = Topology(env)
+    for user in ("alice", "bob"):
+        topology.add_link(user, "portholes")
+    return AwarenessBus(Network(env, topology))
 
 
 def test_digest_service_batches_events():
     env = Environment()
-    bus = AwarenessBus(env)
-    service = DigestService(env, bus, interval=10.0)
+    bus = make_bus(env)
+    service = DigestService(bus, "portholes", interval=10.0)
     digests = []
     service.subscribe("bob", digests.append)
 
@@ -29,8 +38,8 @@ def test_digest_service_batches_events():
 
 def test_digest_skips_empty_periods():
     env = Environment()
-    bus = AwarenessBus(env)
-    service = DigestService(env, bus, interval=5.0)
+    bus = make_bus(env)
+    service = DigestService(bus, "portholes", interval=5.0)
     digests = []
     service.subscribe("bob", digests.append)
     env.run(until=20.0)
@@ -39,8 +48,8 @@ def test_digest_skips_empty_periods():
 
 def test_digest_excludes_own_actions():
     env = Environment()
-    bus = AwarenessBus(env)
-    service = DigestService(env, bus, interval=5.0)
+    bus = make_bus(env)
+    service = DigestService(bus, "portholes", interval=5.0)
     alice_digests = []
     bob_digests = []
     service.subscribe("alice", alice_digests.append)
@@ -53,6 +62,6 @@ def test_digest_excludes_own_actions():
 
 def test_digest_interval_validation():
     env = Environment()
-    bus = AwarenessBus(env)
+    bus = make_bus(env)
     with pytest.raises(ReproError):
-        DigestService(env, bus, interval=0)
+        DigestService(bus, "portholes", interval=0)

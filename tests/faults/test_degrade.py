@@ -60,8 +60,12 @@ def test_transitions_are_idempotent(env):
     assert events == ["degrade", "degrade-again", "recover"]
 
 
+def make_session(env, *args, **kwargs):
+    return Session(Network(env, lan(env, hosts=2)), *args, **kwargs)
+
+
 def test_session_drops_to_async_and_returns(env):
-    session = Session(env, "s")
+    session = make_session(env, "s")
     manager = DegradationManager(env, session=session)
     assert session.time_mode == SYNCHRONOUS
     manager.degrade("slo:test")
@@ -71,7 +75,7 @@ def test_session_drops_to_async_and_returns(env):
 
 
 def test_already_async_session_stays_async(env):
-    session = Session(env, "s", time_mode=ASYNCHRONOUS)
+    session = make_session(env, "s", time_mode=ASYNCHRONOUS)
     manager = DegradationManager(env, session=session)
     manager.degrade("x")
     manager.recover("x")
@@ -79,7 +83,7 @@ def test_already_async_session_stays_async(env):
 
 
 def test_suspected_member_loses_floor(env):
-    session = Session(env, "s", floor=FcfsFloor(env))
+    session = make_session(env, "s", floor=FcfsFloor(env))
     for member in ("alice", "bob"):
         session.join(member)
 
@@ -99,7 +103,7 @@ def test_suspected_member_loses_floor(env):
 
 
 def test_suspecting_non_holder_still_degrades(env):
-    session = Session(env, "s", floor=FcfsFloor(env))
+    session = make_session(env, "s", floor=FcfsFloor(env))
     session.join("alice")
     manager = DegradationManager(env, session=session)
     manager.on_suspect("alice")

@@ -197,6 +197,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/awareness/digests.py",
            "            self._pending = []\n",
            ""),
+    Mutant("awareness-ignores-dropped-packet", "seeded; CSCW",
+           "src/repro/awareness/events.py",
+           "                sender.send(at, (event, deliveries), "
+           "EVENT_SIZE, self.port)\n",
+           "                self._on_packet(Packet(sender.name, at, "
+           "(event, deliveries)))\n"),
     Mutant("playout-fires-before-deadline", "seeded; CSCW",
            "src/repro/streams/media.py",
            "        self.env.timeout(deadline - self.env.now, frame)",

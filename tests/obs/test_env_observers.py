@@ -131,7 +131,7 @@ class _World:
         board.operation("post", lambda caller, state, args: args)
         nucleus = runtime.nucleus(client)
         table = LockTable(env)
-        store = Session(env, tag).store
+        store = Session(self.network, tag).store
 
         def editor(env, name):
             # A write under the lock, ordered by its hand-off; then a

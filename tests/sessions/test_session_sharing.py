@@ -16,6 +16,7 @@ from repro.sessions import (
     identical_view,
     summary_view,
 )
+from repro.net import Network, Topology
 from repro.sim import Environment
 
 
@@ -24,17 +25,25 @@ def env():
     return Environment()
 
 
+def users(env):
+    """A network of alice, bob and an observer on one hub."""
+    topology = Topology(env)
+    for user in ("alice", "bob", "observer"):
+        topology.add_link(user, "hub")
+    return Network(env, topology)
+
+
 # -- sessions -----------------------------------------------------------------
 
 def test_session_modes_validated(env):
     with pytest.raises(SessionError):
-        Session(env, "s", time_mode="sometimes")
+        Session(users(env), "s", time_mode="sometimes")
     with pytest.raises(SessionError):
-        Session(env, "s", place_mode="nearby")
+        Session(users(env), "s", place_mode="nearby")
 
 
 def test_session_join_leave(env):
-    session = Session(env, "design-meeting")
+    session = Session(users(env), "design-meeting")
     session.join("alice")
     session.join("bob")
     assert session.members == ["alice", "bob"]
@@ -47,15 +56,16 @@ def test_session_join_leave(env):
 
 
 def test_session_join_publishes_awareness(env):
-    session = Session(env, "s")
+    session = Session(users(env), "s")
     seen = []
     session.awareness.subscribe("observer", seen.append)
     session.join("alice")
+    env.run()
     assert [event.action for event in seen] == ["join"]
 
 
 def test_session_quadrant_and_transition(env):
-    session = Session(env, "s", time_mode=SYNCHRONOUS, place_mode=REMOTE)
+    session = Session(users(env), "s", time_mode=SYNCHRONOUS, place_mode=REMOTE)
     assert session.quadrant == (SYNCHRONOUS, REMOTE)
     session.join("alice")
     session.store.write("doc", "content", writer="alice")
@@ -69,7 +79,7 @@ def test_session_quadrant_and_transition(env):
 
 
 def test_session_transition_validation(env):
-    session = Session(env, "s")
+    session = Session(users(env), "s")
     with pytest.raises(SessionError):
         session.switch_mode(time_mode="never")
     with pytest.raises(SessionError):
@@ -77,7 +87,7 @@ def test_session_transition_validation(env):
 
 
 def test_session_all_four_quadrants(env):
-    session = Session(env, "s")
+    session = Session(users(env), "s")
     quadrants = set()
     for time_mode in (SYNCHRONOUS, ASYNCHRONOUS):
         for place_mode in (CO_LOCATED, REMOTE):
@@ -87,7 +97,7 @@ def test_session_all_four_quadrants(env):
 
 def test_leaving_member_releases_floor(env):
     floor = FcfsFloor(env)
-    session = Session(env, "s", floor=floor)
+    session = Session(users(env), "s", floor=floor)
     session.join("alice")
     floor.request("alice")
     session.leave("alice")

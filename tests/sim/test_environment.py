@@ -95,6 +95,19 @@ def test_run_until_event_returns_value():
     assert env.run(p) == 99
 
 
+def test_run_until_a_failed_process_raises_its_exception():
+    """Returning ``None`` would let a test that runs a process and
+    checks nothing else pass on a raise."""
+    env = Environment()
+
+    def proc(env):
+        raise ValueError("broke at t=0")
+        yield
+
+    with pytest.raises(ValueError, match="broke at t=0"):
+        env.run(env.process(proc(env)))
+
+
 def test_process_chaining():
     env = Environment()
 
@@ -184,3 +197,17 @@ def test_run_until_already_processed_event():
     env.run()
     # Running again "until" the already-finished process returns its value.
     assert env.run(proc) == "v"
+
+
+def test_run_until_an_already_failed_process_raises_again():
+    env = Environment()
+
+    def root(env):
+        yield env.timeout(1.0)
+        raise ValueError("late")
+
+    proc = env.process(root(env))
+    with pytest.raises(ValueError, match="late"):
+        env.run(proc)
+    with pytest.raises(ValueError, match="late"):
+        env.run(proc)

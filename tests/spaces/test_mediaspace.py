@@ -18,18 +18,13 @@ def env():
     return Environment()
 
 
-def make_space(env, networked=False):
-    network = None
-    if networked:
-        topo = lan(env, hosts=4)
-        network = Network(env, topo)
-    space = MediaSpace(env, network=network, glance_duration=5.0)
-    hosts = ["host0", "host1", "host2", "host3"] if networked \
-        else [None] * 4
-    space.add_node("coffee-lancaster", host=hosts[0])
-    space.add_node("coffee-palo-alto", host=hosts[1])
-    space.add_node("gordon-office", host=hosts[2])
-    space.add_node("tom-office", host=hosts[3])
+def make_space(env):
+    network = Network(env, lan(env, hosts=4))
+    space = MediaSpace(network, glance_duration=5.0)
+    space.add_node("coffee-lancaster", host="host0")
+    space.add_node("coffee-palo-alto", host="host1")
+    space.add_node("gordon-office", host="host2")
+    space.add_node("tom-office", host="host3")
     return space
 
 
@@ -49,13 +44,13 @@ def test_node_management(env):
     space = make_space(env)
     assert space.node("gordon-office").accessibility == ACCESSIBLE
     with pytest.raises(ReproError):
-        space.add_node("gordon-office")
+        space.add_node("gordon-office", host="host2")
     with pytest.raises(ReproError):
         space.node("nowhere")
     with pytest.raises(ReproError):
         space.set_accessibility("gordon-office", "invisible")
     with pytest.raises(ReproError):
-        MediaSpace(env, glance_duration=0)
+        MediaSpace(space.network, glance_duration=0)
 
 
 def test_video_wall_connects_common_areas(env):
@@ -69,7 +64,7 @@ def test_video_wall_connects_common_areas(env):
 
 
 def test_video_wall_carries_real_frames(env):
-    space = make_space(env, networked=True)
+    space = make_space(env)
     wall = space.video_wall("coffee-lancaster", "coffee-palo-alto")
     assert len(wall.flows) == 2  # bidirectional
     env.run(until=2.0)
@@ -106,13 +101,14 @@ def test_glance_target_always_informed(env):
                               lambda event: seen.append(event.action),
                               event_filter=lambda name, event:
                               event.artefact == "gordon-office"
-                              and event.actor != name)
+                              and event.actor != name, host="host2")
     run_event(env, space.glance("tom-office", "gordon-office"))
+    env.run()  # the refusal is at once; the notice takes its hop
     assert "glance" in seen
 
 
 def test_glance_carries_one_way_video(env):
-    space = make_space(env, networked=True)
+    space = make_space(env)
     connection = run_event(env, space.glance("tom-office",
                                              "gordon-office"))
     assert len(connection.flows) == 1
@@ -136,7 +132,7 @@ def test_cruise_glances_past_offices(env):
 
 
 def test_office_share_two_way(env):
-    space = make_space(env, networked=True)
+    space = make_space(env)
     share = space.office_share("gordon-office", "tom-office")
     assert len(share.flows) == 2
     env.run(until=1.0)
@@ -163,7 +159,7 @@ def test_ids_and_ports_do_not_leak_between_spaces():
     twice in one process must get the same ids and ports."""
     def raise_wall():
         env = Environment()
-        space = make_space(env, networked=True)
+        space = make_space(env)
         wall = space.video_wall("coffee-lancaster", "coffee-palo-alto")
         return wall.connection_id, [binding.port
                                     for _, binding, _ in wall.flows]

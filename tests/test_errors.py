@@ -99,7 +99,6 @@ def test_hierarchy_is_wide():
 _DELAYS = [
     (errors.SessionError, TelepointerService, (), "update_interval"),
     (errors.SessionError, TelepointerService, (), "latency"),
-    (ValueError, AwarenessBus, (), "latency"),
     (errors.StreamError, MediaSink, ("s",), "target_delay"),
     (errors.AccessPolicyError, AccessMatrix, ("admin",), "admin_delay"),
 ]
@@ -116,6 +115,26 @@ def test_a_delay_that_is_not_a_time_is_rejected_by_name(error, cls, args,
     with pytest.raises(error, match="{} must be non-negative: {!r}".format(
             field, value)):
         cls(Environment(), *args, **{field: value})
+
+
+# -- ... and so is a participant at a host the network does not have -----------
+
+
+def test_a_participant_at_a_host_the_topology_lacks_is_rejected_by_name():
+    """A name is its own host unless ``host=`` says otherwise, so the
+    error names the host it looked for; nothing is registered or sent."""
+    env = Environment()
+    bus = AwarenessBus(Network(env, lan(env, hosts=2)))
+    with pytest.raises(errors.NetworkError,
+                       match="^host must be a node of the topology: 'bob'$"):
+        bus.subscribe("bob", print)
+    with pytest.raises(errors.NetworkError, match="^host .*'desk'$"):
+        bus.subscribe("host1", print, host="desk")
+    bus.subscribe("host1", print)
+    with pytest.raises(errors.NetworkError, match="^host .*'alice'$"):
+        bus.publish("alice", "doc", "edit")
+    assert bus._subscribers.keys() == {"host1"}
+    assert bus.network.counters["sent"] == 0
 
 
 # -- ... so is a timeout: the call never starts, nothing is left in flight -------
@@ -251,7 +270,8 @@ def _synchroniser(env, **kwargs):
 
 
 def _digests(env, **kwargs):
-    return DigestService(env, AwarenessBus(env), **kwargs)
+    return DigestService(AwarenessBus(Network(env, lan(env, hosts=1))),
+                         "host0", **kwargs)
 
 
 def _qos_level(env, **kwargs):

@@ -158,6 +158,7 @@ VERDICTS = "DESIGN.md: ### Mechanism verdicts"
 OPTIONS = "DESIGN.md: ### Option verdicts"
 PERF = "docs/performance.md: "
 MOBILE = "DESIGN.md: A mobile's transfers are calls"
+AWARE = "DESIGN.md: Awareness is traffic"
 
 TOMBSTONES = {  # (the commit that deleted it, the record): guards
     ("f6edcea", ONE_CLI): gone("src/repro/analysis/workloads.py",
@@ -273,6 +274,10 @@ TOMBSTONES = {  # (the commit that deleted it, the record): guards
              "src/repro/mobility/**/*.py", word=True),
         grep("CLIENT_WINS", SRC, word=True),
         grep("profiles", "src/repro/net/radio.py", word=True)],
+    # Deleted by the commit after 86d137f: awareness's own delay.
+    ("86d137f+1", AWARE): [
+        grep("awareness_latency", "src/repro/sessions/session.py"),
+        grep("latency", "src/repro/awareness/events.py", word=True)],
 }
 
 CONTRACTS = {  # where the rule is stated: guards
@@ -321,6 +326,8 @@ CONTRACTS = {  # where the rule is stated: guards
              plant="yield self.env.timeout(1.0)"),
         grep(r"\.item\(", "src/repro/mobility/**/*.py",
              plant="self.server.store.item(key)")],
+    AWARE: [grep(r"timeout\(", "src/repro/awareness/events.py",
+                 plant="self.env.timeout(self.latency, event)")],
     "docs/analysis.md: ## Tie shuffling": [grep(
         r"(?s)mock\.patch\.object\(.*wraps=|wraps=.*mock\.patch\.object\(",
         "tests/**/*.py", allow=r"^tests/lockstep\.py:",
