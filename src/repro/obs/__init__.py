@@ -89,7 +89,7 @@ from repro.obs.metrics import (
     get_metrics,
     use_metrics,
 )
-from repro.obs.propagation import TRACE_HEADER, extract, inject
+from repro.obs.propagation import TRACE_HEADER, inject
 from repro.obs.sampling import Sampler
 from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanContext
 from repro.obs.timeline import TimelineRecorder, load_windows
@@ -121,7 +121,6 @@ __all__ = [
     "chrome_trace",
     "dump_chrome_trace",
     "dump_jsonl",
-    "extract",
     "get_flight",
     "get_metrics",
     "get_tracer",

@@ -8,7 +8,7 @@ any serialisation the transport applies (it is already JSON-safe).
 The head-sampling decision (:mod:`repro.obs.sampling`) travels with the
 context as an extra ``"sampled": false`` entry — present *only* for
 sampled-out traces, so headers stay byte-identical to the pre-sampling
-format whenever no sampler is installed.  Receivers extract the flag via
+format whenever no sampler is installed.  Receivers read the flag with
 :meth:`SpanContext.from_dict` and their tracers then skip retention for
 the whole remote subtree, keeping sampled traces complete end to end and
 unsampled ones free everywhere.
@@ -16,7 +16,7 @@ unsampled ones free everywhere.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from repro.obs.span import NOOP_SPAN, NoopSpan, Span, SpanContext
 
@@ -37,12 +37,3 @@ def inject(span: Union[Span, NoopSpan, SpanContext, None],
         headers[TRACE_HEADER] = span.to_dict()
     return headers
 
-
-def extract(headers: Optional[Dict[str, Any]]) -> Optional[SpanContext]:
-    """Read a trace context out of packet ``headers``, if present."""
-    if not headers:
-        return None
-    data = headers.get(TRACE_HEADER)
-    if not data:
-        return None
-    return SpanContext.from_dict(data)

@@ -160,7 +160,7 @@ def _lockstep(style, sanitized, steps, env_cls=Environment):
 
 
 @pytest.mark.parametrize("style", STYLES)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.booleans(), st.lists(_STEPS, min_size=20, max_size=80))
 def test_the_table_does_what_the_old_table_does(style, sanitized, steps):
     _lockstep(style, sanitized, steps)
@@ -168,7 +168,7 @@ def test_the_table_does_what_the_old_table_does(style, sanitized, steps):
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("style", STYLES)
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(st.booleans(), st.lists(_STEPS, min_size=20, max_size=80))
 def test_ties_in_any_order_leave_the_tables_equal(style, seed, sanitized,
                                                   steps):

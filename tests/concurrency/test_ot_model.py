@@ -162,7 +162,7 @@ def expected_calls(world, step):
     return 0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.text("abcdef", max_size=6), st.lists(_STEPS, max_size=60))
 def test_grid_cores_equal_the_batch_loop(initial, steps):
     new = _World(OTServerCore, OTClientCore, initial)

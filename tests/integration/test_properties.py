@@ -17,7 +17,7 @@ from repro.sim import Environment, RandomStreams
 
 # -- serialisability of the transaction baseline -------------------------------
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 4))
 def test_no_lost_updates_under_random_contention(seed, users, keys):
     """Every committed increment survives: the defining 2PL guarantee.
@@ -71,7 +71,7 @@ def valid_op(rng, length):
     return Delete(rng.randrange(length))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 100_000), st.integers(2, 4), st.integers(1, 8))
 def test_ot_protocol_converges_under_random_schedules(seed, sites,
                                                       edits_per_site):
@@ -137,7 +137,7 @@ def test_ot_protocol_converges_under_random_schedules(seed, sites,
 
 # -- reliable channel exactly-once under heavy loss --------------------------------
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.integers(0, 10_000), st.floats(0.0, 0.5))
 def test_reliable_channel_exactly_once(seed, loss):
     from repro.net import Network, ReliableChannel, Topology

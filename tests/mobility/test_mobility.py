@@ -413,7 +413,7 @@ WORK = st.lists(st.tuples(
     st.sampled_from(["report", "map", "notes"])), max_size=24)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(spells=SPELLS, work=WORK)
 def test_every_accepted_write_is_accounted_for_exactly_once(spells, work):
     """Under any connectivity trace, each write the cache accepted ends

@@ -28,7 +28,7 @@ from repro.net.transport import (
     RpcError,
 )
 from repro.node.runtime import RPC_PORT, Nucleus, NodeError, ODPRuntime
-from repro.obs.propagation import extract, inject
+from repro.obs.propagation import TRACE_HEADER, inject
 from repro.sim import Event
 
 
@@ -146,8 +146,9 @@ class ModelRpcEndpoint(RpcEndpoint):
         # carried by the request packet; its duration is the remote
         # execution time.
         span = self.env.tracer.start_span(
-            "rpc.serve", at=self.env.now, parent=extract(packet.headers),
-            node=self.host.name, caller=packet.src, method=method)
+            "rpc.serve", at=self.env.now,
+            parent=packet.headers.get(TRACE_HEADER), node=self.host.name,
+            caller=packet.src, method=method)
         handler = self._handlers.get(method)
         if handler is None:
             outcome = (False, "no such method: {}".format(method))

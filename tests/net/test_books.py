@@ -156,7 +156,7 @@ _ops = st.one_of(
             lambda n: views[:n]))))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(0, 2 ** 16), st.lists(_ops, max_size=60))
 def test_every_derived_view_equals_the_per_packet_count(seed, ops):
     registry = MetricsRegistry()

@@ -622,7 +622,7 @@ def _specs(draw):
             "faults": faults, "seed": draw(st.integers(0, 2 ** 16))}
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_specs())
 def test_carrier_matches_the_generator_model(spec):
     """Per-packet fate (delivered/dropped, why, when, after how many
@@ -633,7 +633,7 @@ def test_carrier_matches_the_generator_model(spec):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(_specs())
 def test_ties_in_any_order_reorder_a_burst_and_lose_no_packet(seed, spec):
     """A burst leaves in the order its sends start: tie order for the

@@ -81,7 +81,7 @@ def test_lost_first_message_not_skipped():
     assert got == ["first", "second"]
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.integers(0, 10_000), st.floats(0.0, 0.4),
        st.integers(2, 4))
 def test_multidest_exactly_once_in_order_under_loss(seed, loss,

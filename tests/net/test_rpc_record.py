@@ -520,7 +520,7 @@ _SPECS = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+@settings(max_examples=500)
 @given(_SPECS)
 @example({   # two chases through the node's own endpoint, in one instant
     "links": [(0.0, 0.0)] * 4, "retry": 0, "breaker": 0, "deadline": None,
@@ -559,7 +559,7 @@ def _no_draws(spec):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(_SPECS.map(_no_draws))
 def test_ties_in_any_order_move_only_the_declared_keys(seed, spec):
     """Only ``outcomes`` and ``registry`` may move: docs/analysis.md,

@@ -397,7 +397,7 @@ _CONFIGS = st.fixed_dictionaries({
         st.integers(0, 4), st.integers(0, 4)).map(sorted).map(tuple))})
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(config=_CONFIGS, steps=st.lists(_STEPS, min_size=10, max_size=100),
        read_every_step=st.booleans())
 @example(   # a label ending in a newline is not plain: JSON escapes it

@@ -252,7 +252,7 @@ def _play(recorder_class, steps, reads):
     return list(recorder.windows), recorder.flushed, flushes
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(steps=st.lists(_STEP, min_size=1, max_size=30))
 def test_windows_built_on_read_equal_windows_built_at_the_boundary(steps):
     # Instruments created mid-run, histograms and gauges quiet in some

@@ -112,7 +112,7 @@ def test_context_survives_packet_transit(env, tracer):
 
     def receiver(env):
         packet = yield b.receive()
-        return obs.extract(packet.headers)
+        return obs.SpanContext.from_dict(packet.headers[obs.TRACE_HEADER])
 
     proc = env.process(receiver(env))
     a.send("b", payload="x", size=10, headers=headers)

@@ -231,11 +231,3 @@ def inject(span: Union[Span, NoopSpan, SpanContext, None],
         headers[TRACE_HEADER] = context.to_dict()
     return headers
 
-
-def extract(headers: Optional[Dict[str, Any]]) -> Optional[SpanContext]:
-    if not headers:
-        return None
-    data = headers.get(TRACE_HEADER)
-    if not data:
-        return None
-    return SpanContext.from_dict(data)

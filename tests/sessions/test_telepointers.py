@@ -363,7 +363,7 @@ def _feeds(service_class, interval, latency, steps):
     return feeds, dict(service.published), service.counters.as_dict()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_pointer_scripts())
 def test_service_delivers_what_the_process_per_update_model_delivers(
         script):

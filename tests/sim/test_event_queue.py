@@ -274,7 +274,7 @@ def _by_steps(env):
         assert stats["events_processed"] == env.pops
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_PROGRAMS)
 def test_programs_that_schedule_mid_drain_match_the_model(program):
     """Order, events_scheduled and events_processed, through run() —

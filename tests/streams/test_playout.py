@@ -171,7 +171,7 @@ def _playout(sink_class, target_delay, steps):
             sink.counters.as_dict(), sink.frame_latency.values)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(target_delay=st.sampled_from([0.0, 1 / 32, 1 / 8, 1 / 2]),
        steps=st.lists(_STEPS, min_size=1, max_size=30))
 def test_sink_plays_what_the_process_per_frame_model_plays(target_delay,

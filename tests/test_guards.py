@@ -9,6 +9,7 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import settings
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -159,6 +160,7 @@ OPTIONS = "DESIGN.md: ### Option verdicts"
 PERF = "docs/performance.md: "
 MOBILE = "DESIGN.md: A mobile's transfers are calls"
 AWARE = "DESIGN.md: Awareness is traffic"
+PROFILE = "docs/analysis.md: ## One hypothesis profile"
 
 TOMBSTONES = {  # (the commit that deleted it, the record): guards
     ("f6edcea", ONE_CLI): gone("src/repro/analysis/workloads.py",
@@ -278,6 +280,10 @@ TOMBSTONES = {  # (the commit that deleted it, the record): guards
     ("86d137f+1", AWARE): [
         grep("awareness_latency", "src/repro/sessions/session.py"),
         grep("latency", "src/repro/awareness/events.py", word=True)],
+    # Deleted by the commit after 9f95924: a receiver reads the header
+    # dict in place.
+    ("9f95924+1", PERF + "reads its parent's header dict in place"): [
+        grep(r"def extract\(", "src/repro/obs/**/*.py")],
 }
 
 CONTRACTS = {  # where the rule is stated: guards
@@ -328,6 +334,13 @@ CONTRACTS = {  # where the rule is stated: guards
              plant="self.server.store.item(key)")],
     AWARE: [grep(r"timeout\(", "src/repro/awareness/events.py",
                  plant="self.env.timeout(self.latency, event)")],
+    PROFILE: [
+        grep(r"(?<![\w.])settings\((?!max_examples=\d+\))", "tests/**/*.py",
+             plant="@settings" "(max_examples=10, deadline=None)"),
+        grep(r"(register|load)_profile\(", "tests/**/*.py", "src/**/*.py",
+             "benchmarks/**/*.py", "examples/**/*.py",
+             allow=r"^tests/conftest\.py:",
+             plant="settings.load" "_profile('ci')")],
     "docs/analysis.md: ## Tie shuffling": [grep(
         r"(?s)mock\.patch\.object\(.*wraps=|wraps=.*mock\.patch\.object\(",
         "tests/**/*.py", allow=r"^tests/lockstep\.py:",
@@ -368,3 +381,23 @@ def test_the_row_holds_and_fires_on_its_plant(guard, record, tmp_path):
     (tmp_path / path).write_text(
         (read(real) if real.is_file() else "") + text + "\n")
     assert guard.find(tmp_path)
+
+
+def profile_faults(name, profile):
+    """What keeps the hypothesis profile ``name`` from drawing the same
+    examples on every run of one command, everywhere, with nothing left
+    behind."""
+    faults = ["database"] * (profile.database is not None)
+    faults += ["deadline"] * (profile.deadline is not None)
+    faults += ["health checks"] * bool(profile.suppress_health_check)
+    return faults + ["random"] * (
+        not profile.derandomize and not name.startswith("explore"))
+
+
+def test_the_loaded_hypothesis_profile_is_the_tree_s():
+    assert profile_faults(settings.get_current_profile_name(),
+                          settings.default) == []
+    assert profile_faults("default", settings.get_profile("default")) == [
+        "database", "deadline", "random"]
+    assert profile_faults("ci", settings.get_profile("ci")) == [
+        "health checks"]
