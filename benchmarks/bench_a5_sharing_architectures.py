@@ -7,11 +7,11 @@ turn-taking on input; aware sharing replicates the application's *state
 changes* and lets each member present them locally.
 
 One editing session is run through both architectures while sweeping the
-group size.  Measured: bytes shipped per input event (full display
-multicast vs small state delta), input serialisation delay (floor wait
-vs none), and tailorability (distinct presentations possible).  Aware
-bytes are counted from the presentations the object makes to members
-other than the author.
+group size, each on a switched LAN with one host per member (the
+transparent app on a host of its own).  Measured: bytes per input event
+on the links (full display multicast vs small state delta, headers
+included), input serialisation delay (floor wait and the submitter's own
+screen vs none), and tailorability (distinct presentations possible).
 
 Declared claim, per seed and at every group size: transparent sharing
 ships more bytes per input than aware sharing, its inputs wait on the
@@ -21,6 +21,7 @@ ones.
 """
 
 from benchmarks._util import check, print_sweep, sweep
+from repro.net import Network, lan
 from repro.obs.metrics import Tally
 from repro.sessions import (
     AwareSharedObject,
@@ -35,16 +36,23 @@ from repro.sim import Environment, RandomStreams, exponential
 GROUP_SIZES = (2, 4, 8)
 INPUTS_PER_MEMBER = 10
 DISPLAY_SIZE = 20_000      # a full screen update, bytes
-DELTA_SIZE = 200           # a state delta, bytes
 THINK_MEAN = 1.0
 EDIT_HOLD = 0.5
 
 
-def run_transparent(seed, members_count):
+def members_network(hosts):
+    """``member-0``..``member-<hosts - 1>`` on one switch."""
     env = Environment()
+    return Network(env, lan(env, hosts=hosts, prefix="member-"))
+
+
+def run_transparent(seed, members_count):
+    network = members_network(members_count + 1)
+    env = network.env
     floor = FcfsFloor(env)
-    conference = TransparentConference(env, SingleUserApp(), floor,
-                                       display_size=DISPLAY_SIZE)
+    conference = TransparentConference(
+        network, SingleUserApp(), floor, "member-{}".format(members_count),
+        display_size=DISPLAY_SIZE)
     members = ["member-{}".format(i) for i in range(members_count)]
     for member in members:
         conference.join(member)
@@ -62,17 +70,18 @@ def run_transparent(seed, members_count):
     for member in members:
         env.process(participant(env, member))
     env.run()
-    inputs = conference.counters["inputs"]
+    inputs = len(conference.app.state)
     return {
-        "transparent bytes": conference.display_bytes_sent / inputs,
+        "transparent bytes": network.total_link_bytes() / inputs,
         "transparent delay": input_delay.mean,
         "transparent views": 1,   # WYSIWIS: everyone sees the same
     }
 
 
 def run_aware(seed, members_count):
-    env = Environment()
-    shared = AwareSharedObject(env)
+    network = members_network(members_count)
+    env = network.env
+    shared = AwareSharedObject(network)
     members = ["member-{}".format(i) for i in range(members_count)]
     for i, member in enumerate(members):
         shared.join(member,
@@ -92,10 +101,8 @@ def run_aware(seed, members_count):
     for member in members:
         env.process(participant(env, member))
     env.run()
-    updates = shared.counters["updates"]
-    to_others = sum(map(len, shared.presented.values())) - updates
     return {
-        "aware bytes": DELTA_SIZE * to_others / updates,
+        "aware bytes": network.total_link_bytes() / shared.counters["updates"],
         "aware delay": input_delay.mean,
         "aware views": len({str(shared.presented[member][-1][2])
                             for member in members}),

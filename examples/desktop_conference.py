@@ -89,7 +89,8 @@ def main() -> None:
 
     # -- floor-controlled shared whiteboard -------------------------------
     floor = FcfsFloor(env)
-    whiteboard = TransparentConference(env, SingleUserApp(), floor)
+    whiteboard = TransparentConference(platform.network, SingleUserApp(),
+                                       floor, speaker)
     for member in (speaker, listener_b, listener_c):
         whiteboard.join(member)
 

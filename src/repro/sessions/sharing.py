@@ -5,14 +5,15 @@ Two ways of putting an application in front of a group:
 * **Collaboration-transparent** (:class:`TransparentConference`, after
   Rapport/SharedX/MMConf): the application is single-user and unaware of
   the group.  Input from members is *multidropped* into one stream —
-  arbitration by a floor policy — and display output is *multicast* to
-  every member's screen.  The application cannot present itself
-  differently to different users, and the conference pays the multicast
-  display bandwidth.
+  arbitration by a floor policy — and display output is *multicast*, a
+  datagram to each member's screen.  The application cannot present
+  itself differently to different users, and the conference pays the
+  multicast display bandwidth.
 * **Collaboration-aware** (:class:`AwareSharedObject`): the object knows
   its users; each member has a tailorable *view policy* deciding how state
   changes are presented to them, and concurrent access is managed
-  explicitly (here: any member may operate; per-member presentation).
+  explicitly (here: any member may operate; a state delta goes to each
+  member's host, named like the member, and is presented there).
 """
 
 from __future__ import annotations
@@ -20,9 +21,20 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SessionError
+from repro.net import Network, Packet
 from repro.obs.metrics import Counter
 from repro.sessions.floor import FloorPolicy
-from repro.sim import Environment, Event
+from repro.sim import Event
+
+#: The port screens and state deltas travel on.
+SHARING_PORT = 60
+#: Payload bytes of one aware state delta: a key and its new value.
+DELTA_SIZE = 200
+
+
+def _arrive(packet: Packet) -> None:
+    """A sharing datagram carries what its arrival does."""
+    packet.payload[0](*packet.payload[1:])
 
 
 class SingleUserApp:
@@ -41,62 +53,51 @@ class SingleUserApp:
         return "display:{} items".format(len(self.state))
 
 
-#: How long a display update takes to reach a member's screen, in seconds.
-DISPLAY_LATENCY = 0.02
-
-
 class TransparentConference:
-    """A single-user app shared by multicasting display, multidropping input."""
+    """A single-user app at ``host``, its display multicast to members."""
 
-    def __init__(self, env: Environment, app: SingleUserApp,
-                 floor: FloorPolicy, display_size: int = 2048) -> None:
+    def __init__(self, network: Network, app: SingleUserApp,
+                 floor: FloorPolicy, host: str,
+                 display_size: int = 2048) -> None:
         if display_size < 0:
             raise SessionError("display size must be non-negative")
-        self.env = env
+        self.env = network.env
+        self.host = network.host(host)
         self.app = app
         self.floor = floor
         self.display_size = display_size
-        self.members: List[str] = []
-        self.counters = Counter()
-        self.display_bytes_sent = 0
         #: member -> list of (time, display output) updates received.
         self.screens: Dict[str, List[Tuple[float, Any]]] = {}
 
     def join(self, member: str) -> None:
-        if member in self.members:
+        if member in self.screens:
             raise SessionError("{} already joined".format(member))
-        self.members.append(member)
+        self.host.network.host(member).on_packet(SHARING_PORT, _arrive)
         self.screens[member] = []
 
     def submit(self, member: str, event: Any) -> Event:
-        """A member's input: granted the floor, applied, display multicast.
-
-        Fires with the display output once the member's own screen has
-        been updated.
-        """
-        if member not in self.members:
+        """A member's input: granted the floor, applied, display multicast;
+        fires with the output when the member's own screen is painted."""
+        if member not in self.screens:
             raise SessionError("{} is not in the conference".format(member))
         done = self.env.event()
-        self.env.process(self._turn(member, event, done))
+        self.floor.request(member).callbacks.append(
+            lambda grant: self._turn(member, event, done))
         return done
 
-    def _turn(self, member: str, event: Any, done: Event):
-        yield self.floor.request(member)
+    def _turn(self, member: str, event: Any, done: Event) -> None:
         output = self.app.handle(event)
-        self.counters.incr("inputs")
-        # Multicast the new display to every member's screen.
-        for viewer in self.members:
-            self.display_bytes_sent += self.display_size
-            self.env.timeout(DISPLAY_LATENCY, (viewer, output)
-                             ).callbacks.append(self._paint)
+        # Multicast the new display: a datagram to each member's host.
+        for viewer in self.screens:
+            self.host.send(viewer, (self._paint, viewer, output, member, done),
+                           self.display_size, SHARING_PORT)
         self.floor.release(member)
-        yield self.env.timeout(DISPLAY_LATENCY)
-        done.succeed(output)
 
-    def _paint(self, timer: Event) -> None:
-        viewer, output = timer.value
+    def _paint(self, viewer: str, output: Any, member: str,
+               done: Event) -> None:
         self.screens[viewer].append((self.env.now, output))
-        self.counters.incr("display_updates")
+        if viewer == member:
+            done.succeed(output)
 
 
 ViewPolicy = Callable[[str, str, Any], Any]
@@ -123,8 +124,9 @@ class AwareSharedObject:
     time.
     """
 
-    def __init__(self, env: Environment, name: str = "object") -> None:
-        self.env = env
+    def __init__(self, network: Network, name: str = "object") -> None:
+        self.env = network.env
+        self.network = network
         self.name = name
         self.state: Dict[str, Any] = {}
         self._views: Dict[str, ViewPolicy] = {}
@@ -136,6 +138,7 @@ class AwareSharedObject:
              view: Optional[ViewPolicy] = None) -> None:
         if member in self._views:
             raise SessionError("{} already joined".format(member))
+        self.network.host(member).on_packet(SHARING_PORT, _arrive)
         self._views[member] = view or identical_view
         self.presented[member] = []
 
@@ -145,6 +148,13 @@ class AwareSharedObject:
             raise SessionError("{} has not joined".format(member))
         self.state[key] = value
         self.counters.incr("updates")
-        for viewer, view in self._views.items():
-            self.presented[viewer].append(
-                (self.env.now, key, view(viewer, key, value)))
+        self._present(member, key, value)
+        author = self.network.host(member)
+        for viewer in self._views:
+            if viewer != member:
+                author.send(viewer, (self._present, viewer, key, value),
+                            DELTA_SIZE, SHARING_PORT)
+
+    def _present(self, viewer: str, key: str, value: Any) -> None:
+        self.presented[viewer].append(
+            (self.env.now, key, self._views[viewer](viewer, key, value)))

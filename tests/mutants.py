@@ -203,6 +203,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            "EVENT_SIZE, self.port)\n",
            "                self._on_packet(Packet(sender.name, at, "
            "(event, deliveries)))\n"),
+    Mutant("display-paints-at-send", "seeded; CSCW",
+           "src/repro/sessions/sharing.py",
+           "            self.host.send(viewer, (self._paint, viewer, output, "
+           "member, done),\n"
+           "                           self.display_size, SHARING_PORT)\n",
+           "            self._paint(viewer, output, member, done)\n"),
     Mutant("playout-fires-before-deadline", "seeded; CSCW",
            "src/repro/streams/media.py",
            "        self.env.timeout(deadline - self.env.now, frame)",
@@ -230,7 +236,7 @@ MUTANTS: Tuple[Mutant, ...] = (
            "now - h.last_activity >= 0"),
     Mutant("aware-update-ignores-view", "seeded; A5",
            "src/repro/sessions/sharing.py",
-           "(self.env.now, key, view(viewer, key, value)))",
+           "(self.env.now, key, self._views[viewer](viewer, key, value)))",
            "(self.env.now, key, value))"),
     Mutant("ot-server-skips-first-concurrent-batch", "seeded; E1",
            "src/repro/concurrency/ot.py",

@@ -53,9 +53,13 @@ from repro.obs.timeline import TimelineRecorder
 from repro.qos import QoSContract, QoSMonitor, QoSParameters
 from repro.run import RunSpec
 from repro.sessions import (
+    AwareSharedObject,
+    FcfsFloor,
     NegotiatedFloor,
     RoundRobinFloor,
+    SingleUserApp,
     TelepointerService,
+    TransparentConference,
 )
 from repro.sim import Environment
 from repro.spaces import MediaSpace
@@ -135,6 +139,28 @@ def test_a_participant_at_a_host_the_topology_lacks_is_rejected_by_name():
         bus.publish("alice", "doc", "edit")
     assert bus._subscribers.keys() == {"host1"}
     assert bus.network.counters["sent"] == 0
+
+
+def test_a_sharer_at_a_host_the_topology_lacks_is_rejected_by_name():
+    """The app's host and each member's: nothing joins, nothing is sent."""
+    env = Environment()
+    network = Network(env, lan(env, hosts=2))
+    with pytest.raises(errors.NetworkError,
+                       match="^host must be a node of the topology: 'app'$"):
+        TransparentConference(network, SingleUserApp(), FcfsFloor(env),
+                              "app")
+    conference = TransparentConference(network, SingleUserApp(),
+                                       FcfsFloor(env), "host0")
+    shared = AwareSharedObject(network)
+    for join in (conference.join, shared.join):
+        with pytest.raises(errors.NetworkError, match="^host .*'bob'$"):
+            join("bob")
+    assert conference.screens == shared.presented == {}
+    assert list(network.hosts) == ["host0"]
+    with pytest.raises(errors.SessionError):
+        conference.submit("bob", "x")
+    env.run()
+    assert network.counters["sent"] == 0
 
 
 # -- ... so is a timeout: the call never starts, nothing is left in flight -------

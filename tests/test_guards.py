@@ -160,6 +160,7 @@ OPTIONS = "DESIGN.md: ### Option verdicts"
 PERF = "docs/performance.md: "
 MOBILE = "DESIGN.md: A mobile's transfers are calls"
 AWARE = "DESIGN.md: Awareness is traffic"
+DISPLAY = "DESIGN.md: The shared display is traffic"
 PROFILE = "docs/analysis.md: ## One hypothesis profile"
 
 TOMBSTONES = {  # (the commit that deleted it, the record): guards
@@ -284,6 +285,11 @@ TOMBSTONES = {  # (the commit that deleted it, the record): guards
     # dict in place.
     ("9f95924+1", PERF + "reads its parent's header dict in place"): [
         grep(r"def extract\(", "src/repro/obs/**/*.py")],
+    # Deleted by the commit after 7c4affd: the display's own delay and
+    # byte book.
+    ("7c4affd+1", DISPLAY): [
+        grep(name, SRC, "benchmarks/**/*.py", "examples/**/*.py", word=True)
+        for name in ("DISPLAY_LATENCY", "display_bytes_sent")],
 }
 
 CONTRACTS = {  # where the rule is stated: guards
@@ -334,6 +340,8 @@ CONTRACTS = {  # where the rule is stated: guards
              plant="self.server.store.item(key)")],
     AWARE: [grep(r"timeout\(", "src/repro/awareness/events.py",
                  plant="self.env.timeout(self.latency, event)")],
+    DISPLAY: [grep(r"timeout\(", "src/repro/sessions/sharing.py",
+                   plant="yield self.env.timeout(DISPLAY_LATENCY)")],
     PROFILE: [
         grep(r"(?<![\w.])settings\((?!max_examples=\d+\))", "tests/**/*.py",
              plant="@settings" "(max_examples=10, deadline=None)"),
