@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Dict, Optional
+from heapq import heappop, heappush
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
-from repro.sim import Environment, PriorityResource
+from repro.sim import Environment, Event
+from repro.sim.environment import _NORMAL_BASE
 
 
 def _check_impairment(latency_scale: float, extra_loss: float) -> None:
@@ -14,6 +17,68 @@ def _check_impairment(latency_scale: float, extra_loss: float) -> None:
         raise NetworkError("latency_scale must be positive")
     if not extra_loss >= 0:
         raise NetworkError("extra_loss must be non-negative")
+
+
+class Channel(Event):
+    """One direction of a link: packets clock onto it one at a time.
+
+    A carrier that finds the channel free either books it until its
+    transmission ends (:attr:`busy_until`) or holds it (:attr:`holder`)
+    until its own tx-complete event releases it.  One that finds it
+    taken waits in :attr:`waiting`, a heap ordered by ``(priority,
+    ticket)``: lower priorities first, then claim order, so QoS-reserved
+    packets overtake queued best-effort ones (a holder is never
+    pre-empted).  The tickets are the channel's own, so runs sharing a
+    process cannot perturb each other.
+
+    While a booking keeps the channel, the channel itself is its
+    waiters' one pending wake-up: :meth:`wait` pushes it at
+    ``busy_until``, and there it grants the first waiter.  A waiter is
+    anything with ``priority``, ``tx`` (its transmission delay) and a
+    ``granted_at`` slot; granted, it fires ``tx`` later.
+    """
+
+    __slots__ = ("busy_until", "holder", "waiting", "_tickets")
+
+    def __init__(self, env: Environment) -> None:
+        super().__init__(env)
+        self._ok = True
+        #: When the last booking's transmission ends.
+        self.busy_until = 0.0
+        #: The waiter granted the channel, until it releases it.
+        self.holder: Optional[Any] = None
+        self.waiting: List[Tuple[int, int, Any]] = []
+        self._tickets = itertools.count(1)
+
+    def hold(self, claim: Any) -> None:
+        """Grant ``claim`` the channel now; it fires at tx-complete."""
+        self.holder = claim
+        env = self.env
+        now = claim.granted_at = env.now
+        env._eid += 1
+        env._push(now + claim.tx, _NORMAL_BASE + env._eid, claim)
+
+    def wait(self, claim: Any) -> None:
+        """Queue ``claim`` behind the holder, the booking or both."""
+        waiting = self.waiting
+        heappush(waiting, (claim.priority, next(self._tickets), claim))
+        if self.holder is None and len(waiting) == 1:
+            env = self.env
+            self.callbacks = _WAKE
+            env._eid += 1
+            env._push(self.busy_until, _NORMAL_BASE + env._eid, self)
+
+    def release(self) -> None:
+        """The holder's transmission ended: grant the first waiter."""
+        self.holder = None
+        if self.waiting:
+            self._wake()
+
+    def _wake(self) -> None:
+        self.hold(heappop(self.waiting)[2])
+
+
+_WAKE = (Channel._wake,)
 
 
 class LinkStats:
@@ -70,10 +135,8 @@ class Link:
         self._rng = rng or random.Random(0)  # repro: allow-RPR002 (constant-seeded fallback)
         # Priority channels let QoS-reserved flows pre-empt queued
         # best-effort packets (the engineering enforcement behind §4.2.2).
-        self._channels: Dict[str, PriorityResource] = {
-            a: PriorityResource(env),
-            b: PriorityResource(env),
-        }
+        self._channels: Dict[str, Channel] = {a: Channel(env),
+                                              b: Channel(env)}
         self.stats = LinkStats()
 
     def other_end(self, node: str) -> str:
@@ -84,7 +147,7 @@ class Link:
             return self.a
         raise NetworkError("{} is not an endpoint of {}".format(node, self))
 
-    def channel(self, from_node: str) -> PriorityResource:
+    def channel(self, from_node: str) -> Channel:
         """The transmission channel for the given direction."""
         try:
             return self._channels[from_node]

@@ -7,13 +7,15 @@ rather than a process: per link it serialises on the directional channel
 (transmission delay), then waits the propagation delay, and may be
 dropped by the link's loss model.
 
-Two events are queued per hop, and nothing else per packet: the start
-of an in-run send, each channel grant (fused with its transmission wait
-— see :class:`~repro.sim.resources.PriorityRequest`), the put into an
-inbox and the flight's end queue nothing.  RNG draw order, hop, drop
-and delivery times match the one-event-per-step carry this replaced:
-``tests/net/test_carry.py`` holds the carrier to references pinned from
-it and to an independent generator model.
+A hop is one queued event, its arrival, when it finds its channel
+free and its link up and drawing nothing (no loss, jitter or fault
+loss): such a hop reads the link at its claim.  Every other hop — one
+that waits for its channel, or crosses a link that draws — also queues
+its tx-complete, and reads the link and draws there.  Nothing else is
+queued per packet: the start of an in-run send, each free claim, the
+put into an inbox and the flight's end queue nothing.
+``tests/net/test_carry.py`` holds the carrier to pinned storms and to
+an independent generator model that states the same rule.
 
 A number is kept once.  A flight writes each fact to one book, owned by
 whatever the fact is about — ``Host.sent`` per source, the network's
@@ -41,10 +43,9 @@ from repro.net.topology import Topology
 from repro.obs.metrics import Counter, LabelKey, Tally
 from repro.obs.propagation import TRACE_HEADER
 from repro.obs.span import NOOP_SPAN
-from repro.sim import Environment, Store
+from repro.sim import Environment, Event, Store
 from repro.sim.environment import _NORMAL_BASE
 from repro.sim.events import URGENT
-from repro.sim.resources import PriorityRequest
 
 #: Default packet priority; QoS-reserved flows use lower (better) values.
 BEST_EFFORT_PRIORITY = 10
@@ -109,28 +110,29 @@ class Host:
         return "<Host {}>".format(self.name)
 
 
-class _Carrier(PriorityRequest):
-    """One packet in flight: claim, queued event and stand-in process.
+class _Carrier(Event):
+    """One packet in flight: queued event, channel claim, stand-in process.
 
-    One object plays three roles.  It is each hop's channel claim, held
-    in ``channel.users`` or queued through ``channel._do_request``; it
-    is the event pushed for transmission-complete and again for
-    propagation-complete — the run loop hands a callback the event, so
-    ``callbacks`` points at shared tuples of the plain functions below
-    and they receive the carrier as ``self``; and it is
-    ``env.active_process`` around the foreign code a flight ends in
-    (:meth:`_finish`).
+    One object plays three roles.  It is the event pushed for each
+    hop's arrival, and for its tx-complete on a hop that keeps one — the
+    run loop hands a callback the event, so ``callbacks`` points at
+    shared tuples of the plain functions below and they receive the
+    carrier as ``self``; it is the claim a taken channel keeps in its
+    wait heap, then as its holder (:class:`~repro.net.link.Channel`);
+    and it is ``env.active_process`` around the foreign code a flight
+    ends in (:meth:`_finish`).
 
     A multicast tree edge (:mod:`repro.net.multicast`) is a flight with
-    its own route and end.  The loss draw and the propagation delay are
-    stated in :meth:`_on_tx` and nowhere else: replay digests depend on
-    when a link's RNG is drawn.
+    its own route and end.  The loss draw and the jittered propagation
+    delay are stated in :meth:`_on_tx` and nowhere else: replay digests
+    depend on when a link's RNG is drawn, so a hop over a link that
+    draws keeps its tx-complete event even on a free channel.
     """
 
     # __weakref__: tests watch a carrier die at the end of its flight.
     __slots__ = ("network", "packet", "transit", "tracer", "flight",
-                 "links", "link", "node", "wire_size", "hop",
-                 "__weakref__")
+                 "links", "link", "node", "wire_size", "hop", "priority",
+                 "channel", "tx", "granted_at", "__weakref__")
 
     #: ``env.active_process.span`` (where locks.py parents its spans):
     #: a carrier is not a named actor.
@@ -144,7 +146,7 @@ class _Carrier(PriorityRequest):
         self.callbacks = None
         self._value = None
         self._exception = None
-        self._ok = None
+        self._ok = True
         self.defused = False
         self.network = network
         self.packet = packet
@@ -211,31 +213,33 @@ class _Carrier(PriorityRequest):
             return
         env = self.env
         now = env.now
-        node = self.node
         if self.tracer is not None:
-            self.hop = self.tracer.open_hop(self.transit, link, node, now)
-        # Claim+tx fusion: the claim carries the transmission delay, so
-        # it fires once, at tx-complete (see PriorityResource._grant).
-        delay = link.transmission_delay(self.wire_size)
-        channel = self.resource = link._channels[node]
-        self.callbacks = _ON_TX
-        if channel.users:
-            # Contended: queue like any PriorityRequest — the releasing
-            # holder's _grant pushes this carrier — with _ok reset so
-            # the double-trigger guard there sees an untriggered claim.
-            self._ok = None
-            self.seq = next(channel._ticket)
-            self.grant_delay = delay
-            channel._do_request(self)
-        else:
-            # Uncontended: PriorityResource._grant in place.  What only a
-            # queued claim needs (seq, grant_delay) stays unset or stale
-            # — this one was never queued.
-            self._ok = True
-            self.usage_since = now
-            channel.users.append(self)
+            self.hop = self.tracer.open_hop(self.transit, link, self.node,
+                                            now)
+        tx = link.transmission_delay(self.wire_size)
+        channel = link._channels[self.node]
+        free = channel.holder is None and not channel.waiting \
+            and channel.busy_until <= now
+        if free and link.up \
+                and not (link.loss or link.jitter or link._extra_loss):
+            # One event: book the channel until the transmission ends
+            # (a claim meanwhile waits for the channel's wake-up) and
+            # queue only the arrival.
+            sent = channel.busy_until = now + tx
+            if self.tracer is not None:
+                self.tracer.hop_sent(self.hop, now)
+            self.callbacks = _ON_ARRIVE
             env._eid += 1
-            env._push(now + delay, _NORMAL_BASE + env._eid, self)
+            env._push(sent + link.latency * link._latency_scale,
+                      _NORMAL_BASE + env._eid, self)
+            return
+        self.channel = channel
+        self.tx = tx
+        self.callbacks = _ON_TX
+        if free:
+            channel.hold(self)
+        else:
+            channel.wait(self)
 
     def _on_tx(self) -> None:  # repro: fast-path (RPR204)
         """Transmission complete: release the channel, draw loss, fly."""
@@ -243,15 +247,8 @@ class _Carrier(PriorityRequest):
         link = self.link
         recording = self.tracer is not None
         if recording:
-            # usage_since marks the grant: where an unfused claim would
-            # have resumed its holder and stamped tx-start.
-            self.tracer.hop_sent(self.hop, self.usage_since)
-        # PriorityResource.release inlined: a carrier firing as a claim is
-        # in users; only a non-empty wait queue needs the grant machinery.
-        channel = self.resource
-        channel.users.remove(self)
-        if channel.queue:
-            channel._grant_waiters()
+            self.tracer.hop_sent(self.hop, self.granted_at)
+        self.channel.release()
         # The loss draw: a downed link drops without drawing the RNG;
         # otherwise one draw decides, and the drawn value splits
         # baseline "loss" from fault-injected "impairment" (draws
@@ -331,9 +328,6 @@ class _Carrier(PriorityRequest):
             foreign(*args)
         finally:
             env._active_process = outer
-            # PriorityResource._grant left ``_value = self``; without the
-            # cycle packet, route and spans die here, by refcount.
-            self._value = None
 
 
 _BEGIN = (_Carrier._begin,)

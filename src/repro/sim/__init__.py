@@ -21,14 +21,13 @@ from repro.sim.events import (
     Process,
     Timeout,
 )
-from repro.sim.resources import PriorityResource, Store
+from repro.sim.resources import Store
 from repro.sim.rng import RandomStreams, exponential, zipf_index
 
 __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Store",

@@ -183,13 +183,28 @@ def test_observers_do_not_change_a_runs_identity(monkeypatch):
 _PINNED = os.path.join(os.path.dirname(__file__), "seed_digests.json")
 
 
-def _pinned_digests():
+def _pinned(key):
     with open(_PINNED, encoding="utf-8") as handle:
-        return json.load(handle)["digests"]
+        return json.load(handle)[key]
+
+
+def _pinned_digests():
+    return _pinned("digests")
 
 
 def test_pinned_digest_file_covers_every_workload():
     assert set(_pinned_digests()) == set(WORKLOADS)
+    assert set(_pinned("outcomes")) == set(WORKLOADS)
+
+
+def test_all_workloads_match_pinned_outcomes():
+    """What each run reports, without the dispatch journal: a change to
+    how many events the kernel dispatches, and in which order, moves a
+    run digest but must leave every outcome where it is."""
+    pinned = _pinned("outcomes")
+    for name in sorted(WORKLOADS):
+        assert trace_digest(_outcome(name, 31)) == pinned[name], \
+            "workload {} reports another outcome".format(name)
 
 
 def test_all_workloads_match_pinned_digests():

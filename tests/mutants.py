@@ -280,6 +280,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/net/network.py",
            "            probability = link.loss + link._extra_loss\n",
            "            probability = link.loss\n"),
+    Mutant("fast-hop-ignores-busy-channel", "seeded; one-event hop",
+           "src/repro/net/network.py",
+           "        free = channel.holder is None and not channel.waiting \\\n"
+           "            and channel.busy_until <= now\n",
+           "        free = channel.holder is None and not channel.waiting\n"),
     Mutant("hop-record-stamps-claim-as-tx-start", "seeded; hop records",
            "src/repro/obs/tracer.py",
            "                  code, 0, sampled)\n        return row\n",

@@ -1,22 +1,26 @@
-"""The packet carrier must behave like the carry it replaced.
+"""The packet carrier: pinned storms, an independent model, its cost.
 
-One :class:`~repro.net.network._Carrier` per packet queues two events
-per hop and nothing else: its own start (in-run sends), each uncontended
-claim's grant, the delivered put and its end event are never queued.
-The carry that queued every one of them (a generator process per packet,
-on a binary-heap scheduler) is deleted;
-``tests/analysis/carry_flight_pins.json`` holds what it delivered, when,
-and what it booked — its ``"source"`` string says how the pins got from
-that carry to this one — and the storms below must keep reproducing
-those pins bit for bit.  Further down, an independent generator model
-written only with public calls is held equal to the carrier over random
-topologies, the boundary with foreign code (handlers, the drop hook) and
-the carrier's lifetime are pinned, and the kernel's event counters are
-held to what is actually pushed and popped.
+One :class:`~repro.net.network._Carrier` per packet queues one event
+per hop that finds its channel free on a link that is up and draws
+nothing — its arrival — and reads that link at the claim; every other
+hop also queues its tx-complete and reads the link there.  Its own
+start (in-run sends), each free claim, the delivered put and its end
+event are never queued.  ``tests/analysis/carry_flight_pins.json``
+holds what the storms below deliver, when, and what they book — its
+``"source"`` string says where the pins come from — and they must keep
+reproducing those pins bit for bit.  Further down, an independent
+generator model written only with public calls, with its own priority
+channel, is held equal to the carrier over random topologies, the
+boundary with foreign code (handlers, the drop hook) and the carrier's
+lifetime are pinned, and the kernel's event counters are held to what
+is actually pushed and popped.
 """
 
+import collections
 import functools
 import gc
+import heapq
+import itertools
 import json
 import math
 import os
@@ -24,7 +28,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RoutingError
@@ -35,8 +39,7 @@ from repro.net.packet import HEADER_BYTES
 from repro.net.topology import Topology, lan, line, wan
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.run import trace_digest
-from repro.sim import Environment, PriorityResource, Store
-from repro.sim.resources import PriorityRequest
+from repro.sim import Environment, Store
 from tests.counting import CountingEnvironment, ShuffledEnvironment
 from tests.lockstep import Whole, lockstep
 
@@ -178,14 +181,14 @@ def test_setup_time_sends_start_inside_the_run():
     topo.link_between("n0", "n1").loss = 1.0
     env.run()
     assert network.drop_stats() == {"loss": 1}
-    # The start event and the claim that fires at tx-complete.
+    # The start event and, the link drawing its loss, the tx-complete.
     assert env.stats()["events_scheduled"] == 2
     assert env.stats()["events_processed"] == 2
 
 
 def test_in_run_sends_start_synchronously():
     """transmit() from inside a process begins the flight on the spot:
-    the channel is claimed before send() returns, and no start event is
+    the channel is busy before send() returns, and no start event is
     queued."""
     env = Environment()
     topo = line(env, length=2, seed=5)
@@ -198,12 +201,13 @@ def test_in_run_sends_start_synchronously():
         yield env.timeout(0.001)
         before = env.events_scheduled
         network.host("n0").send("n1", size=64)
-        claimed.append((channel.count, env.events_scheduled - before))
+        claimed.append((channel.busy_until > env.now,
+                        env.events_scheduled - before))
 
     env.process(sender(env))
     env.run()
-    # One queued event: the claim, firing at tx-complete.
-    assert claimed == [(1, 1)]
+    # One queued event: the free hop's arrival.
+    assert claimed == [(True, 1)]
     assert network.counters["delivered"] == 1
 
 
@@ -248,8 +252,10 @@ def test_foreign_exceptions_surface_from_run_and_the_run_resumes(loss):
     assert seen == ["first", "second"]
     assert env.active_process is None
     assert env.stats()["queue_depth"] == 0
-    # Per packet: start, tx-complete, propagation (delivered only) —
-    # the raise left nothing queued and nothing uncounted.
+    # Delivered: the first packet's start and arrival; the second's
+    # start, the channel's wake-up, its tx-complete and arrival.  Lost:
+    # a start and a tx-complete each.  The raise left nothing queued and
+    # nothing uncounted.
     assert env.stats()["events_scheduled"] == (4 if loss else 6)
     assert env.stats()["events_processed"] == env.stats()["events_scheduled"]
 
@@ -264,23 +270,24 @@ def test_handler_runs_under_a_stand_in_and_its_reply_starts_synchronously():
         before = env.stats()
         n1.send("n0", payload="reply", size=64)
         after = env.stats()
-        inside.append((active is not None, active.span, back.count,
+        inside.append((active is not None, active.span,
+                       back.busy_until > env.now,
                        after["events_scheduled"] - before["events_scheduled"],
                        after["queue_depth"] - before["queue_depth"]))
 
     n1.on_packet(0, handler)
     n0.send("n1", payload="request", size=64)
     env.run()
-    # Synchronous: the channel is held when send() returns, and the one
-    # event queued is the claim, firing at tx-complete.
-    assert inside == [(True, None, 1, 1, 1)]
+    # Synchronous: the channel is booked when send() returns, and the one
+    # event queued is the free hop's arrival.
+    assert inside == [(True, None, True, 1, 1)]
     assert env.active_process is None
     # Queued start, for contrast: no active process, nothing claimed,
     # the one queued event is the start.
     before = env.stats()
     n1.send("n0", payload="late", size=64)
     after = env.stats()
-    assert back.count == 0
+    assert back.busy_until <= env.now and back.holder is None
     assert after["events_scheduled"] - before["events_scheduled"] == 1
     assert after["queue_depth"] - before["queue_depth"] == 1
     env.run()
@@ -311,9 +318,10 @@ def test_zero_hop_send_delivers_at_the_same_instant():
 
 
 def test_carriers_die_by_refcount_when_the_flight_ends():
-    """A granted claim's ``_value`` is the claim itself — on a carrier
-    that cycle would keep packet, route and spans alive until the next
-    cyclic collection.  Bursts, so most carriers were queued claims."""
+    """Nothing keeps a carrier once its flight ends — a cycle through it
+    would keep packet, route and spans alive until the next cyclic
+    collection.  Bursts, so most carriers waited in a channel's heap and
+    then held it."""
     env, _topo, network, n0, n1 = _two_hosts()
     lossy = Network(env, line(env, length=2, seed=3))
     lossy.topology.link_between("n0", "n1").loss = 1.0
@@ -344,27 +352,31 @@ def test_carriers_die_by_refcount_when_the_flight_ends():
 # -- the counters count --------------------------------------------------------
 
 def _contended_claims(env):
-    """Fused and plain claims of mixed priority on one channel, with a
-    withdrawal; stopped mid-queue, then drained."""
-    channel = PriorityResource(env)
+    """Same-instant bursts of mixed priority over a link that draws
+    nothing, then one that jitters: claims booked, held, queued behind
+    either and woken by the channel; stopped mid-queue, then drained."""
+    topo = line(env, length=3, bandwidth=1e6, seed=5)
+    topo.link_between("n1", "n2").jitter = 1e-4
+    network = Network(env, topo)
+    network.host("n2")
+    channels = [link.channel(node) for link, node in (
+        (topo.link_between("n0", "n1"), "n0"),
+        (topo.link_between("n1", "n2"), "n1"))]
 
-    def claimant(env, i):
-        yield env.timeout(0.01 * (i % 3))
-        claim = PriorityRequest(channel, i % 2,
-                                grant_delay=0.02 if i % 3 else 0.0)
-        if i == 4:
-            claim.cancel()
-            return
-        yield claim
-        yield env.timeout(0.005)
-        channel.release(claim)
+    def burst(env, i):
+        yield env.timeout(0.003 * i)
+        for j in range(4):
+            network.host("n0").send("n2", size=200 * (j + 1), headers={
+                "priority": (RESERVED_PRIORITY, BEST_EFFORT_PRIORITY)[
+                    (i + j) % 2]})
 
-    for i in range(9):
-        env.process(claimant(env, i))
-    env.run(until=0.05)
-    assert channel.queue
+    for i in range(3):
+        env.process(burst(env, i))
+    env.run(until=0.004)
+    assert any(channel.waiting for channel in channels)
     env.run()
-    assert channel.count == 0 and not channel.queue
+    assert not any(channel.holder or channel.waiting for channel in channels)
+    assert network.counters["delivered"] == 12
 
 
 def _puts(env):
@@ -400,12 +412,32 @@ def _raising_handler(env):
     assert seen == ["first", "second"]
 
 
-def test_a_packet_costs_two_queued_events_per_hop_and_nothing_else():
-    """The clean storm: 240 packets over 3 hops each.  The rest is the
-    storm's own processes: 12 starts, 6 sender exits, 240 send timeouts,
-    240 receives and the ``until`` stop."""
-    stats = _storm()["env"]
-    assert stats["events_processed"] == 2 * 240 * 3 + 499
+class _SortingEnvironment(Environment):
+    """Tallies each queued event by what fires it: a carrier's or a
+    channel's callback (shared tuples), or anything else."""
+
+    def __init__(self):
+        super().__init__()
+        self.pushed = collections.Counter()
+
+    def _push(self, time, key, event):
+        callbacks = event.callbacks
+        self.pushed[callbacks[0].__name__ if type(callbacks) is tuple
+                    else "other"] += 1
+        super()._push(time, key, event)
+
+
+def test_a_packet_costs_one_queued_event_per_free_hop_and_nothing_else():
+    """The clean storm: 240 packets over 3 hops each, on links that draw
+    nothing, and no hop finds its channel busy: each queues its arrival
+    and nothing else (a hop that waits would add its tx-complete, and
+    the first waiter on a booked channel the channel's wake-up).  The
+    rest is the storm's own processes: 12 starts, 6 sender exits, 240
+    send timeouts, 240 receives and the ``until`` stop."""
+    env = _SortingEnvironment()
+    stats = _storm(env=env)["env"]
+    assert env.pushed == {"_on_arrive": 240 * 3, "other": 499}
+    assert stats["events_processed"] == 240 * 3 + 499
     assert stats["events_scheduled"] == stats["events_processed"]
 
 
@@ -431,9 +463,13 @@ def test_events_scheduled_are_pushes_and_events_processed_are_pops(
 #
 # A reference implementation, not a second path: one generator process
 # per packet, written only with public calls, one queued event per step
-# (start, grant, transmission, propagation, end).  Its loss draw and
-# propagation delay are its own copies of the carrier's, reasons and
-# the RNG draws they take included, so every drop's reason is compared.
+# (start, grant, transmission, propagation, end), on a priority channel
+# of its own.  It states the carrier's rule plainly: a hop whose channel
+# is free, over a link that is up and draws nothing, reads the link at
+# its claim; every other hop reads it when its transmission ends.  Its
+# loss draw and propagation delay are its own copies of the carrier's,
+# reasons and the RNG draws they take included, so every drop's reason
+# is compared.
 #
 # Link latencies, send instants and fault instants are multiples of
 # square roots of distinct primes, so no two events of different kinds
@@ -446,6 +482,30 @@ def test_events_scheduled_are_pushes_and_events_processed_are_pops(
 _ROOTS = [math.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)]
 _SEND_STEP = 1e-3 * math.sqrt(31)
 _FAULT_STEP = 1e-3 * math.sqrt(37)
+
+
+class _ModelChannel:
+    """One holder at a time; waiters granted by priority, then in claim
+    order."""
+
+    def __init__(self, env):
+        self.env = env
+        self.holder = None
+        self.waiting = []
+        self.tickets = itertools.count()
+
+    def claim(self, priority):
+        grant = self.env.event()
+        if self.holder is None:
+            self.holder = grant.succeed()
+        else:
+            heapq.heappush(self.waiting, (priority, next(self.tickets), grant))
+        return grant
+
+    def release(self):
+        self.holder = None
+        if self.waiting:
+            self.holder = heapq.heappop(self.waiting)[2].succeed()
 
 
 def _model_drop(link):
@@ -470,7 +530,7 @@ def _model_propagation(link):
     return delay + link._rng.uniform(0, link.jitter)
 
 
-def _model_carry(env, topo, hosts, send, outcomes, drops):
+def _model_carry(env, topo, hosts, send, outcomes, drops, channels):
     index, src, dst, size, priority = send
     wire = size + HEADER_BYTES
     try:
@@ -481,18 +541,25 @@ def _model_carry(env, topo, hosts, send, outcomes, drops):
         return
     node, hops = src, 0
     for link in links:
-        channel = link.channel(node)
-        claim = channel.request(priority)
-        yield claim
+        channel = channels.setdefault((link.label, node),
+                                      _ModelChannel(env))
+        # Read at the claim: a free channel on a link that is up and
+        # draws nothing fixes the hop's fate and delay here.
+        at_claim = channel.holder is None and link.up and not (
+            link.loss or link.jitter or link._extra_loss)
+        delay = link.latency * link._latency_scale
+        yield channel.claim(priority)
         yield env.timeout(link.transmission_delay(wire))
-        channel.release(claim)
-        reason = _model_drop(link)
-        if reason is not None:
-            link.stats.drops += 1
-            outcomes[index] = ("dropped", reason, env.now, hops)
-            drops[reason] = drops.get(reason, 0) + 1
-            return
-        yield env.timeout(_model_propagation(link))
+        channel.release()
+        if not at_claim:
+            reason = _model_drop(link)
+            if reason is not None:
+                link.stats.drops += 1
+                outcomes[index] = ("dropped", reason, env.now, hops)
+                drops[reason] = drops.get(reason, 0) + 1
+                return
+            delay = _model_propagation(link)
+        yield env.timeout(delay)
         link.stats.packets += 1
         link.stats.bytes += wire
         hops += 1
@@ -574,10 +641,11 @@ def _through_network(env, topo, hosts, outcomes):
 
 
 def _through_model(env, topo, hosts, outcomes):
-    drops = {}
+    drops, channels = {}, {}
 
     def launch(send):
-        env.process(_model_carry(env, topo, hosts, send, outcomes, drops))
+        env.process(_model_carry(env, topo, hosts, send, outcomes, drops,
+                                 channels))
     return launch, lambda: drops
 
 
@@ -622,14 +690,115 @@ def _specs(draw):
             "faults": faults, "seed": draw(st.integers(0, 2 ** 16))}
 
 
+# Two 1500-byte datagrams over one 100 kb/s link (0.12 s each on the
+# wire) that goes down 6 ms into the first and stays down: the first
+# found the link up at its claim and is delivered; the second waited
+# for the channel and finds the link down when its transmission ends.
+_DOWN_MID_TX = {
+    "links": [(0, 1e5, 0.0, 0.0)], "hosts": [0, 1],
+    "bursts": {0: [(i, "v0", "v1", 1500, BEST_EFFORT_PRIORITY)
+                   for i in range(2)]},
+    "faults": [(1, 0, None)], "seed": 0}
+
+
 @settings(max_examples=150)
 @given(_specs())
+@example(_DOWN_MID_TX)
 def test_carrier_matches_the_generator_model(spec):
     """Per-packet fate (delivered/dropped, why, when, after how many
     hops), every link's books and RNG state, and the drop totals."""
     carried = _world(spec, _through_network)
     lockstep(Whole(carried), Whole(_world(spec, _through_model)), ())
     assert len(carried["outcomes"]) == sum(map(len, spec["bursts"].values()))
+
+
+@pytest.mark.parametrize("change, fired", [
+    (None, {"_on_arrive": 1}),
+    (lambda link: setattr(link, "jitter", 1e-4),
+     {"_on_tx": 1, "_on_arrive": 1}),
+    (lambda link: link.impair(extra_loss=1e-9),
+     {"_on_tx": 1, "_on_arrive": 1}),
+], ids=["draws-nothing", "jitter", "fault-loss"])
+def test_only_a_free_hop_over_a_link_that_draws_nothing_is_one_event(
+        change, fired):
+    """A link that jitters or carries a fault's loss keeps the hop's
+    tx-complete, where it draws."""
+    env = _SortingEnvironment()
+    _env, topo, network, n0, _n1 = _two_hosts(env=env)
+    if change is not None:
+        change(topo.link_between("n0", "n1"))
+
+    def sender(env):
+        yield env.timeout(0.001)
+        n0.send("n1", size=64)
+
+    env.process(sender(env))
+    env.run()
+    assert {name: count for name, count in env.pushed.items()
+            if name.startswith("_on")} == fired
+
+
+def test_a_storm_reaches_a_one_event_hop_at_its_next_claim():
+    """A latency storm that starts while a one-event hop is on the wire
+    leaves that hop's propagation as it was read at the claim; the next
+    hop, claimed under the storm, is slowed."""
+    env = Environment()
+    topo = line(env, length=3, bandwidth=1e5, seed=5)
+    network = Network(env, topo)
+    arrivals = []
+    network.host("n2").on_packet(0, lambda packet: arrivals.append(env.now))
+    links = [topo.link_between("n0", "n1"), topo.link_between("n1", "n2")]
+    network.host("n0").send("n2", size=1000)
+
+    def storm(env):
+        yield env.timeout(0.01)
+        for link in links:
+            link.impair(latency_scale=3.0)
+
+    env.process(storm(env))
+    env.run()
+    tx, latency = links[0].transmission_delay(1000 + HEADER_BYTES), 0.005
+    first = (0.0 + tx) + latency
+    assert arrivals == [(first + tx) + latency * 3.0]
+
+
+def test_a_link_down_at_the_claim_is_read_again_at_tx_complete():
+    """A hop that claims a link cut after its route was chosen keeps its
+    tx-complete and reads the link there: up again by then, the packet
+    goes through."""
+    env = _SortingEnvironment()
+    topo = line(env, length=3, seed=5)
+    network = Network(env, topo)
+    second = topo.link_between("n1", "n2")
+    second.bandwidth = 1e5
+    arrivals = []
+    network.host("n2").on_packet(0, lambda packet: arrivals.append(env.now))
+    network.host("n0").send("n2", size=1000)
+
+    def flap(env):
+        yield env.timeout(0.001)        # on the first hop
+        second.set_up(False)
+        yield env.timeout(0.019)        # the second is on the wire
+        second.set_up(True)
+
+    env.process(flap(env))
+    env.run()
+    wire = 1000 + HEADER_BYTES
+    first = (0.0 + topo.link_between("n0", "n1").transmission_delay(wire)) \
+        + 0.005
+    assert arrivals == [(first + second.transmission_delay(wire)) + 0.005]
+    assert {name: count for name, count in env.pushed.items()
+            if name.startswith("_on")} == {"_on_arrive": 2, "_on_tx": 1}
+
+
+def test_a_one_event_hop_reads_the_link_at_its_claim():
+    """A link going down mid-transmission drops only the hop that reads
+    it afterwards (the reference case above)."""
+    outcomes = _world(_DOWN_MID_TX, _through_network)["outcomes"]
+    wire = (1500 + HEADER_BYTES) * 8 / 1e5
+    assert outcomes == {
+        0: ("delivered", None, wire + 1e-3 * _ROOTS[0], 1),
+        1: ("dropped", "link-down", wire + wire, 0)}
 
 
 @pytest.mark.parametrize("seed", [1, 2])

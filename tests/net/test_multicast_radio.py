@@ -214,15 +214,18 @@ def test_multicast_traffic_lands_in_the_networks_books():
         for member in ("leaf1", "leaf2", "leaf3")]
 
 
-def test_a_multicast_frame_costs_two_queued_events_per_edge_and_no_more():
-    """Two events per tree edge that delivers, one per edge that drops.
-    The rest is the pump's own: its start, 100 timeouts and its exit."""
+def test_a_multicast_frame_costs_one_queued_event_per_free_edge_and_no_more():
+    """The lossy first edge keeps two events (tx-complete, where it
+    draws, then arrival), one for a frame it drops; each of the three
+    hub edges is one event, its arrival (its channel is free and its
+    link draws nothing).  The rest is the pump's own: its start, 100
+    timeouts and its exit."""
     env = Environment()
     net, first, _ = _lossy_conference(env)
     env.run()
     drops = first.stats.drops
     stats = env.stats()
-    assert stats["events_processed"] == 2 * 4 * (100 - drops) + drops + 102
+    assert stats["events_processed"] == (2 + 3) * (100 - drops) + drops + 102
     assert stats["events_scheduled"] == stats["events_processed"]
 
 

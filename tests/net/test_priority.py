@@ -1,8 +1,15 @@
-"""Tests for priority transmission: QoS enforcement at the link level."""
+"""Tests for priority transmission: QoS enforcement at the link level.
+
+Each direction of a link is a :class:`~repro.net.link.Channel`: one
+packet clocks onto it at a time, and waiting packets are granted by
+priority, then in claim order, whether a one-event hop has booked the
+channel or a hop that keeps its tx-complete holds it.
+"""
 
 import pytest
 
 from repro.net import Network, Topology
+from repro.net.link import Channel
 from repro.net.network import BEST_EFFORT_PRIORITY, RESERVED_PRIORITY
 from repro.sim import Environment
 
@@ -12,9 +19,9 @@ def env():
     return Environment()
 
 
-def make_bottleneck(env, bandwidth=1e5):
+def make_bottleneck(env, bandwidth=1e5, jitter=0.0):
     topo = Topology(env)
-    topo.add_link("a", "b", latency=0.0, bandwidth=bandwidth)
+    topo.add_link("a", "b", latency=0.0, bandwidth=bandwidth, jitter=jitter)
     net = Network(env, topo)
     return net, net.host("a"), net.host("b")
 
@@ -49,10 +56,67 @@ def test_equal_priority_is_fifo(env):
     arrivals = []
     b.on_packet(0, lambda packet: arrivals.append(
         packet.headers.get("tag")))
-    for i in range(6):
-        a.send("b", size=1000, port=0, headers={"tag": i})
+    for i in range(8):
+        a.send("b", size=1000, port=0, headers={"tag": i, "priority": 5})
     env.run()
-    assert arrivals == list(range(6))
+    assert arrivals == list(range(8))
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-4], ids=["booked", "held"])
+def test_waiters_are_granted_by_priority_then_claim_order(env, jitter):
+    """Behind a first packet — one that booked the channel, or, on a
+    link that draws, one that holds it until its tx-complete — the
+    waiters go by priority, equal priorities in the order they
+    claimed; none overtakes the packet on the wire."""
+    net, a, b = make_bottleneck(env, jitter=jitter)
+    arrivals = []
+    b.on_packet(0, lambda packet: arrivals.append(
+        packet.headers["tag"]))
+
+    def sender(env):
+        a.send("b", size=10000, headers={"tag": "first", "priority": 9})
+        yield env.timeout(0.1)
+        for tag, priority in (("five", 5), ("nine", 9), ("zero", 0),
+                              ("five again", 5)):
+            a.send("b", size=100, headers={"tag": tag,
+                                           "priority": priority})
+
+    env.process(sender(env))
+    env.run()
+    assert arrivals == ["first", "zero", "five", "five again", "nine"]
+
+
+def test_a_booked_channel_wakes_once_for_its_waiters(env):
+    """Four same-instant sends queue two events: the first's arrival
+    and the booked channel's one wake-up, which grants the first
+    waiter; each later grant comes from the release before it."""
+    net, a, b = make_bottleneck(env)
+    channel = net.topology.link_between("a", "b").channel("a")
+    queued = []
+
+    def sender(env):
+        yield env.timeout(0.001)
+        before = env.events_scheduled
+        for _ in range(4):
+            a.send("b", size=1000)
+        queued.append(env.events_scheduled - before)
+        queued.append(len(channel.waiting))
+
+    env.process(sender(env))
+    env.run()
+    assert queued == [2, 3]
+    assert net.counters["delivered"] == 4
+    assert not (channel.waiting or channel.holder)
+
+
+def test_tie_break_tickets_are_per_channel(env):
+    first, second = Channel(env), Channel(env)
+    # Exhausting tickets on one channel must not advance the other's
+    # sequence: the tie-break counter is channel state, not module
+    # state, so runs sharing a process stay independent.
+    for _ in range(5):
+        next(first._tickets)
+    assert next(second._tickets) == 1
 
 
 def test_priority_defaults(env):

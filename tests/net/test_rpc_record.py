@@ -81,11 +81,12 @@ def test_remote_invocations_of_a_plain_operation_start_no_process():
     env.run()
     assert results == list(range(1, 21))
     assert env.processes == 0
-    # Per invocation: two packets of one hop (two events a hop), the
+    # Per invocation: two packets of one hop (one event a hop, its
+    # arrival: the channel is free and the link draws nothing), the
     # queued start of the request (sent from a callback, not a process),
     # the attempt's timer and the two ``done`` events.  Before them, the
-    # object's registration (7) and the one ``whereis`` (11).
-    assert env.pushes == 20 * 8 + 7 + 11
+    # object's registration (5) and the one ``whereis`` (7).
+    assert env.pushes == 20 * 6 + 5 + 7
 
 
 def test_a_generator_operation_starts_exactly_one_process():

@@ -6,7 +6,6 @@ from repro.errors import SimulationError
 from repro.sim import (
     AnyOf,
     Environment,
-    PriorityResource,
     Store,
 )
 
@@ -55,16 +54,6 @@ def test_anyof_with_already_processed_child(env):
     proc = env.process(root(env))
     env.run(proc)
     assert proc.value == ["early"]
-
-
-def test_priority_resource_release_from_queue(env):
-    resource = PriorityResource(env)
-    holder = resource.request(priority=0)
-    queued = resource.request(priority=5)
-    assert not queued.triggered
-    resource.release(queued)       # withdraw while queued
-    resource.release(holder.value)
-    assert resource.count == 0
 
 
 def test_store_put_wakes_blocked_getter_in_fifo(env):

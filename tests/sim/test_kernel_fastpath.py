@@ -11,9 +11,9 @@ import pytest
 from repro.analysis.lint import iter_python_files, lint_source
 from repro.concurrency.locks import EXCLUSIVE, LockTable
 from repro.errors import SimulationError
-from repro.sim import Environment, Event, PriorityResource, Store, Timeout
+from repro.net.link import Channel
+from repro.sim import Environment, Event, Store, Timeout
 from repro.sim.events import NORMAL, URGENT
-from repro.sim.resources import PriorityRequest
 
 from tests.counting import CountingEnvironment
 
@@ -87,106 +87,37 @@ def test_events_processed_is_exact_after_failed_run(env):
     assert env.events_processed == 4
 
 
-def test_priority_request_grant_fast_path_matches_queued_path(env):
-    channel = PriorityResource(env)
-    first = channel.request(priority=1)
-    second = channel.request(priority=0)
-    # First claim granted immediately; second queued.
-    assert first.triggered
-    assert not second.triggered
-    env.run()
-    assert first.usage_since == 0.0
-    channel.release(first)
-    env.run()
-    assert second.triggered
-
-
-def test_release_of_queued_request_still_withdraws(env):
-    resource = PriorityResource(env)
-    holder = resource.request()
-    queued = resource.request()
-    env.run()
-    resource.release(queued)  # withdraw from the wait queue
-    resource.release(holder)
-    env.run()
-    assert not queued.triggered
-    assert resource.users == []
-
-
-# -- fused grants, elided puts, queue edge cases --------------------------
+# -- a booked channel's wake-up, elided puts, queue edge cases -------------
 
 def test_equal_priority_claims_stay_fifo(env):
-    """Tie-break order is creation order."""
-    channel = PriorityResource(env)
+    """Behind a booking (the one-event hop), equal-priority waiters are
+    granted in claim order: the channel's one wake-up grants the first,
+    each release the next."""
+    channel = Channel(env)
+    channel.busy_until = 0.5
     order = []
 
+    class Claim(Event):
+        def __init__(self, env):
+            super().__init__(env)
+            self._ok = True
+            self.priority = 5
+            self.tx = 0.01
+            self.granted_at = None
+
     def claimant(env, tag):
-        claim = channel.request(priority=5)
+        claim = Claim(env)
+        channel.wait(claim)
         yield claim
         order.append(tag)
-        yield env.timeout(0.01)
-        channel.release(claim)
+        channel.release()
 
     for tag in range(8):
         env.process(claimant(env, tag))
     env.run()
     assert order == list(range(8))
-
-
-def test_grant_delay_fusion_keeps_counters_exact(env):
-    """A fused claim (grant_delay) is granted, resumed and released at
-    the instants of the claim-then-timeout formulation, and the counters
-    say what it saved: the grant event of every claim was never queued."""
-    def fused(env, channel, log):
-        claim = PriorityRequest(channel, 0, grant_delay=0.25)
-        yield claim
-        log.append((claim.usage_since, env.now))
-        channel.release(claim)
-
-    def split(env, channel, log):
-        claim = channel.request(priority=0)
-        yield claim
-        yield env.timeout(0.25)
-        log.append((claim.usage_since, env.now))
-        channel.release(claim)
-
-    def drive(worker):
-        env = Environment()
-        channel = PriorityResource(env)
-        log = []
-        for _ in range(2):      # the second claim queues behind the first
-            env.process(worker(env, channel, log))
-        env.run()
-        assert env.events_processed == env.events_scheduled
-        return (log, env.now), env.events_scheduled
-
-    (fused_saw, fused_events), (split_saw, split_events) = \
-        drive(fused), drive(split)
-    assert fused_saw == split_saw == ([(0.0, 0.25), (0.25, 0.5)], 0.5)
-    assert fused_events == split_events - 2
-
-
-def test_fused_claim_contended_path_still_honours_delay(env):
-    """Queued fused claims must fire at grant_time + grant_delay."""
-    channel = PriorityResource(env)
-    granted = []
-
-    def holder(env):
-        claim = channel.request(priority=0)
-        yield claim
-        yield env.timeout(1.0)
-        channel.release(claim)
-
-    def waiter(env):
-        claim = PriorityRequest(channel, 0, grant_delay=0.5)
-        yield claim
-        granted.append(env.now)
-        channel.release(claim)
-
-    env.process(holder(env))
-    env.process(waiter(env))
-    env.run()
-    assert granted == [1.5]
+    assert env.now == pytest.approx(0.5 + 8 * 0.01)
+    assert channel.holder is None and not channel.waiting
 
 
 def test_store_put_queues_nothing_and_hands_items_on_in_order(env):

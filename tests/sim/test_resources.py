@@ -1,130 +1,46 @@
-"""Tests for the channel (PriorityResource) and the store."""
+"""Tests for the two queueing primitives: a link's channel and the store.
 
-from repro.sim import Environment, PriorityResource, Store
+The channel's priority order behind a packet on the wire is tested in
+``tests/net/test_priority.py``.
+"""
+
+from repro.net.link import Channel
+from repro.sim import Environment, Event, Store
+
+
+class Claim(Event):
+    """A waiter as a channel sees one: a priority, a transmission delay
+    and the instant it was granted; granted, it fires ``tx`` later."""
+
+    def __init__(self, env, priority=0, tx=1.0):
+        super().__init__(env)
+        self._ok = True
+        self.priority = priority
+        self.tx = tx
+        self.granted_at = None
 
 
 def test_resource_fifo_queue():
     env = Environment()
-    resource = PriorityResource(env)
+    channel = Channel(env)
     order = []
 
     def user(env, tag):
-        with resource.request() as request:
-            yield request
-            order.append(tag)
-            yield env.timeout(1.0)
+        claim = Claim(env)
+        if channel.holder is None and not channel.waiting:
+            channel.hold(claim)
+        else:
+            channel.wait(claim)
+        yield claim
+        order.append((tag, claim.granted_at, env.now))
+        channel.release()
 
     for tag in ("first", "second", "third"):
         env.process(user(env, tag))
     env.run()
-    assert order == ["first", "second", "third"]
-
-
-def test_resource_context_manager_releases():
-    env = Environment()
-    resource = PriorityResource(env)
-
-    def user(env):
-        with resource.request() as request:
-            yield request
-            yield env.timeout(1.0)
-
-    env.process(user(env))
-    env.run()
-    assert resource.count == 0
-
-
-def test_withdraw_queued_request():
-    env = Environment()
-    resource = PriorityResource(env)
-    holder = resource.request()
-    queued = resource.request()
-    assert queued in resource.queue
-    resource.release(queued)
-    assert queued not in resource.queue
-    assert resource.count == 1
-    assert resource.users == [holder]
-
-
-def test_withdrawing_a_waiter_keeps_the_rest_in_priority_order():
-    """The wait queue is a heap: taking a claim out of it must leave the
-    others to be granted in priority order (the heap [0, 13, 6] less
-    its head is [13, 6], which is no heap)."""
-    env = Environment()
-    resource = PriorityResource(env)
-    holder = resource.request()
-    waiters = {priority: resource.request(priority=priority)
-               for priority in (6, 13, 0)}
-    resource.release(waiters[0])
-    granted = []
-    current = holder
-    while True:
-        resource.release(current)
-        if not resource.users:
-            break
-        current = resource.users[0]
-        granted.append(current.priority)
-    assert granted == [6, 13]
-
-
-def test_priority_resource_orders_queue():
-    env = Environment()
-    resource = PriorityResource(env)
-    order = []
-
-    def holder(env):
-        with resource.request(priority=0) as request:
-            yield request
-            yield env.timeout(10.0)
-
-    def contender(env, tag, priority, delay):
-        yield env.timeout(delay)
-        with resource.request(priority=priority) as request:
-            yield request
-            order.append(tag)
-            yield env.timeout(1.0)
-
-    env.process(holder(env))
-    env.process(contender(env, "low", 5, 1.0))
-    env.process(contender(env, "high", 1, 2.0))
-    env.run()
-    assert order == ["high", "low"]
-
-
-def test_priority_order_is_respected():
-    env = Environment()
-    resource = PriorityResource(env)
-    order = []
-
-    def worker(env, label, priority):
-        claim = resource.request(priority=priority)
-        yield claim
-        order.append(label)
-        yield env.timeout(1.0)
-        resource.release(claim)
-
-    env.process(worker(env, "first", 5))
-
-    def late(env):
-        yield env.timeout(0.1)
-        env.process(worker(env, "urgent", 0))
-        env.process(worker(env, "relaxed", 9))
-
-    env.process(late(env))
-    env.run()
-    assert order == ["first", "urgent", "relaxed"]
-
-
-def test_priority_tickets_are_per_instance():
-    env = Environment()
-    first = PriorityResource(env)
-    second = PriorityResource(env)
-    # Exhausting tickets on one resource must not advance the other's
-    # sequence: the tie-break counter is instance state, not module
-    # state, so experiments sharing a process stay independent.
-    for _ in range(5):
-        next(first._ticket)
-    assert next(second._ticket) == 1
+    assert order == [("first", 0.0, 1.0), ("second", 1.0, 2.0),
+                     ("third", 2.0, 3.0)]
+    assert channel.holder is None and not channel.waiting
 
 
 def test_store_put_get_fifo():

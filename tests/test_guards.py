@@ -84,15 +84,15 @@ def grep(pattern, *scope, plant=None, allow=None, lines=range(1), word=False):
     return Guard(find, (where, plant), scope)
 
 
-def one_channel_one_store(root):
-    """One channel class; no capacity or name, and a get with no filter."""
+def one_store(root):
+    """No channel class in the kernel (a link direction is the link's
+    own); one store, with no capacity or name, and a get with no
+    filter."""
     [(_, path)] = files(root, ("src/repro/sim/resources.py",))
     classes = {node.name: node.body for node in parse(path).body
                if isinstance(node, ast.ClassDef)}
     found = ["class Resource"] * ("Resource" in classes)
-    for cls, method, banned in (("PriorityResource", "__init__", "capacity"),
-                                ("PriorityResource", "__init__", "name"),
-                                ("Store", "__init__", "capacity|name"),
+    for cls, method, banned in (("Store", "__init__", "capacity|name"),
                                 ("Store", "get", ".+")):
         [args] = [node.args for node in classes[cls]
                   if getattr(node, "name", None) == method]
@@ -162,6 +162,7 @@ MOBILE = "DESIGN.md: A mobile's transfers are calls"
 AWARE = "DESIGN.md: Awareness is traffic"
 DISPLAY = "DESIGN.md: The shared display is traffic"
 PROFILE = "docs/analysis.md: ## One hypothesis profile"
+HOP = PERF + "### A hop is one event"
 
 TOMBSTONES = {  # (the commit that deleted it, the record): guards
     ("f6edcea", ONE_CLI): gone("src/repro/analysis/workloads.py",
@@ -290,6 +291,10 @@ TOMBSTONES = {  # (the commit that deleted it, the record): guards
     ("7c4affd+1", DISPLAY): [
         grep(name, SRC, "benchmarks/**/*.py", "examples/**/*.py", word=True)
         for name in ("DISPLAY_LATENCY", "display_bytes_sent")],
+    # Deleted by the commit after 98daba3: the link owns its channel.
+    ("98daba3+1", HOP): [grep(r"Priority(Resource|Request)", SRC,
+                              "tests/**/*.py",
+                              plant="channel = Priority" "Resource(env)")],
 }
 
 CONTRACTS = {  # where the rule is stated: guards
@@ -316,6 +321,9 @@ CONTRACTS = {  # where the rule is stated: guards
               r"    ambient = get_tracer\(\)$", plant="get_metrics()")],
     PERF + "### A span is a row": [grep(r"start_span\(|start_transit\(", NET,
                                         lines=range(2))],
+    HOP: [grep(r"repro: fast-path", "src/repro/net/**/*.py",
+               "src/repro/sim/**/*.py", lines=range(8),
+               plant="\n".join(["# repro: fast-path"] * 8))],
     PERF + "Only `obs/span.py` and `obs/tracer.py` read a log's columns": [
         grep(r"\.(rows|ends|txs|sets|set_codes|odd)\b", SRC,
              allow=r"^src/repro/obs/(span|tracer)\.py:",
@@ -353,7 +361,7 @@ CONTRACTS = {  # where the rule is stated: guards
         r"(?s)mock\.patch\.object\(.*wraps=|wraps=.*mock\.patch\.object\(",
         "tests/**/*.py", allow=r"^tests/lockstep\.py:",
         plant="mock.patch" ".object(env, 'step', wraps" "=env.step)")],
-    "DESIGN.md: Second channel class": [Guard(one_channel_one_store, (
+    "DESIGN.md: Second channel class": [Guard(one_store, (
         "src/repro/sim/resources.py", "class Resource:\n    pass"))],
     METRICS: [Guard(probes_come_from_obs, (
         "tests/planted.py", "from repro.sim import Tally"))],
