@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 import random
-from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import NetworkError
-from repro.sim import Environment, Event
-from repro.sim.environment import _NORMAL_BASE
+from repro.sim import Environment
 
 
 def _check_impairment(latency_scale: float, extra_loss: float) -> None:
@@ -19,66 +16,47 @@ def _check_impairment(latency_scale: float, extra_loss: float) -> None:
         raise NetworkError("extra_loss must be non-negative")
 
 
-class Channel(Event):
-    """One direction of a link: packets clock onto it one at a time.
+class Channel:
+    """One direction of a link: a timeline of bookings.
 
-    A carrier that finds the channel free either books it until its
-    transmission ends (:attr:`busy_until`) or holds it (:attr:`holder`)
-    until its own tx-complete event releases it.  One that finds it
-    taken waits in :attr:`waiting`, a heap ordered by ``(priority,
-    ticket)``: lower priorities first, then claim order, so QoS-reserved
-    packets overtake queued best-effort ones (a holder is never
-    pre-empted).  The tickets are the channel's own, so runs sharing a
-    process cannot perturb each other.
-
-    While a booking keeps the channel, the channel itself is its
-    waiters' one pending wake-up: :meth:`wait` pushes it at
-    ``busy_until``, and there it grants the first waiter.  A waiter is
-    anything with ``priority``, ``tx`` (its transmission delay) and a
-    ``granted_at`` slot; granted, it fires ``tx`` later.
+    A claim (``priority``, ``tx`` its transmission delay, a ``start``
+    slot) starts at ``max(now, free time)``, unless it outranks (has a
+    lower priority than) a booking that has not started: it takes that
+    booking's start, and that booking and all behind it are re-timed.
+    So QoS-reserved packets overtake queued best-effort ones (§4.2.2),
+    equal priorities keep claim order, and no transmission is pre-empted.
     """
 
-    __slots__ = ("busy_until", "holder", "waiting", "_tickets")
+    __slots__ = ("busy_until", "booked")
 
-    def __init__(self, env: Environment) -> None:
-        super().__init__(env)
-        self._ok = True
+    def __init__(self) -> None:
         #: When the last booking's transmission ends.
         self.busy_until = 0.0
-        #: The waiter granted the channel, until it releases it.
-        self.holder: Optional[Any] = None
-        self.waiting: List[Tuple[int, int, Any]] = []
-        self._tickets = itertools.count(1)
+        #: The bookings in service order; a started one removes itself.
+        self.booked: List[Any] = []
 
-    def hold(self, claim: Any) -> None:
-        """Grant ``claim`` the channel now; it fires at tx-complete."""
-        self.holder = claim
-        env = self.env
-        now = claim.granted_at = env.now
-        env._eid += 1
-        env._push(now + claim.tx, _NORMAL_BASE + env._eid, claim)
-
-    def wait(self, claim: Any) -> None:
-        """Queue ``claim`` behind the holder, the booking or both."""
-        waiting = self.waiting
-        heappush(waiting, (claim.priority, next(self._tickets), claim))
-        if self.holder is None and len(waiting) == 1:
-            env = self.env
-            self.callbacks = _WAKE
-            env._eid += 1
-            env._push(self.busy_until, _NORMAL_BASE + env._eid, self)
-
-    def release(self) -> None:
-        """The holder's transmission ended: grant the first waiter."""
-        self.holder = None
-        if self.waiting:
-            self._wake()
-
-    def _wake(self) -> None:
-        self.hold(heappop(self.waiting)[2])
-
-
-_WAKE = (Channel._wake,)
+    def book(self, claim: Any, now: float) -> Sequence[Any]:
+        """Give ``claim`` its start; return the bookings it re-timed."""
+        booked = self.booked
+        at = len(booked)
+        # The bookings not started are in priority order: those ``claim``
+        # outranks are at the end.
+        while at and booked[at - 1].priority > claim.priority \
+                and booked[at - 1].start > now:
+            at -= 1
+        if at == len(booked):
+            claim.start = max(now, self.busy_until)
+            self.busy_until = claim.start + claim.tx
+            booked.append(claim)
+            return ()
+        start = booked[at].start
+        booked.insert(at, claim)
+        retimed = booked[at:]
+        for booking in retimed:
+            booking.start = start
+            start += booking.tx
+        self.busy_until = start
+        return retimed[1:]
 
 
 class LinkStats:
@@ -133,10 +111,7 @@ class Link:
         self._latency_scale = 1.0
         self._extra_loss = 0.0
         self._rng = rng or random.Random(0)  # repro: allow-RPR002 (constant-seeded fallback)
-        # Priority channels let QoS-reserved flows pre-empt queued
-        # best-effort packets (the engineering enforcement behind §4.2.2).
-        self._channels: Dict[str, Channel] = {a: Channel(env),
-                                              b: Channel(env)}
+        self._channels: Dict[str, Channel] = {a: Channel(), b: Channel()}
         self.stats = LinkStats()
 
     def other_end(self, node: str) -> str:

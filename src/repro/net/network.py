@@ -7,13 +7,14 @@ rather than a process: per link it serialises on the directional channel
 (transmission delay), then waits the propagation delay, and may be
 dropped by the link's loss model.
 
-A hop is one queued event, its arrival, when it finds its channel
-free and its link up and drawing nothing (no loss, jitter or fault
-loss): such a hop reads the link at its claim.  Every other hop — one
-that waits for its channel, or crosses a link that draws — also queues
-its tx-complete, and reads the link and draws there.  Nothing else is
-queued per packet: the start of an in-run send, each free claim, the
-put into an inbox and the flight's end queue nothing.
+A hop over a link that is up and draws nothing (no loss, jitter or
+fault loss) is one queued event, its arrival, and reads the link at its
+claim, whether its channel is free or it is booked on the channel's
+timeline (:class:`~repro.net.link.Channel`).  A hop over a link that
+draws, or is down, also queues its tx-complete, and reads the link and
+draws there.  Nothing else is queued per packet — not the start of an
+in-run send, a claim, an inbox put or the flight's end — but the event
+of a re-timed booking, once more.
 ``tests/net/test_carry.py`` holds the carrier to pinned storms and to
 an independent generator model that states the same rule.
 
@@ -111,28 +112,28 @@ class Host:
 
 
 class _Carrier(Event):
-    """One packet in flight: queued event, channel claim, stand-in process.
+    """One packet in flight: queued event, channel booking, stand-in.
 
     One object plays three roles.  It is the event pushed for each
-    hop's arrival, and for its tx-complete on a hop that keeps one — the
+    hop's arrival, and for its tx-complete on a link that draws — the
     run loop hands a callback the event, so ``callbacks`` points at
     shared tuples of the plain functions below and they receive the
-    carrier as ``self``; it is the claim a taken channel keeps in its
-    wait heap, then as its holder (:class:`~repro.net.link.Channel`);
-    and it is ``env.active_process`` around the foreign code a flight
-    ends in (:meth:`_finish`).
+    carrier as ``self``; it is the booking a taken channel keeps until
+    the hop's first event (:class:`~repro.net.link.Channel`); and it is
+    ``env.active_process`` around the foreign code a flight ends in
+    (:meth:`_finish`).
 
     A multicast tree edge (:mod:`repro.net.multicast`) is a flight with
     its own route and end.  The loss draw and the jittered propagation
     delay are stated in :meth:`_on_tx` and nowhere else: replay digests
     depend on when a link's RNG is drawn, so a hop over a link that
-    draws keeps its tx-complete event even on a free channel.
+    draws keeps its tx-complete event and draws there.
     """
 
     # __weakref__: tests watch a carrier die at the end of its flight.
     __slots__ = ("network", "packet", "transit", "tracer", "flight",
                  "links", "link", "node", "wire_size", "hop", "priority",
-                 "channel", "tx", "granted_at", "__weakref__")
+                 "channel", "tx", "start", "delay", "__weakref__")
 
     #: ``env.active_process.span`` (where locks.py parents its spans):
     #: a carrier is not a named actor.
@@ -218,37 +219,56 @@ class _Carrier(Event):
                                             now)
         tx = link.transmission_delay(self.wire_size)
         channel = link._channels[self.node]
-        free = channel.holder is None and not channel.waiting \
-            and channel.busy_until <= now
-        if free and link.up \
-                and not (link.loss or link.jitter or link._extra_loss):
-            # One event: book the channel until the transmission ends
-            # (a claim meanwhile waits for the channel's wake-up) and
-            # queue only the arrival.
-            sent = channel.busy_until = now + tx
-            if self.tracer is not None:
-                self.tracer.hop_sent(self.hop, now)
-            self.callbacks = _ON_ARRIVE
-            env._eid += 1
-            env._push(sent + link.latency * link._latency_scale,
-                      _NORMAL_BASE + env._eid, self)
-            return
-        self.channel = channel
-        self.tx = tx
-        self.callbacks = _ON_TX
-        if free:
-            channel.hold(self)
+        # Over a link that is up and draws nothing a hop is one event,
+        # its arrival, and the link is read at the claim; else (None) it
+        # keeps its tx-complete and reads the link there.
+        delay = link.latency * link._latency_scale if link.up and not (
+            link.loss or link.jitter or link._extra_loss) else None
+        if channel.busy_until > now:
+            # Taken: booked on the channel's timeline.  The bookings this
+            # claim outranked are re-timed, and their queued events defer.
+            self.channel = channel
+            self.tx = tx
+            for booking in channel.book(self, now):
+                booking.callbacks = _DEFER
+            at = self.start + tx
+            arrive, complete = _BOOKED_ARRIVE, _BOOKED_TX
         else:
-            channel.wait(self)
+            # Free: the hop starts now, and no later claim can move it.
+            # Booking it too was measured slower (docs/performance.md).
+            self.start = now
+            at = channel.busy_until = now + tx
+            arrive, complete = _ON_ARRIVE, _ON_TX
+            if delay is not None and self.tracer is not None:
+                self.tracer.hop_sent(self.hop, now)
+        self.delay = delay
+        self.callbacks = complete if delay is None else arrive
+        env._eid += 1
+        env._push(at + (delay or 0.0), _NORMAL_BASE + env._eid, self)
+
+    def _defer(self) -> None:
+        """Re-timed by a better claim: queue the hop's event again, at its
+        new instant."""
+        self.callbacks = _BOOKED_TX if self.delay is None else _BOOKED_ARRIVE
+        env = self.env
+        env._eid += 1
+        env._push(self.start + self.tx + (self.delay or 0.0),
+                  _NORMAL_BASE + env._eid, self)
+
+    def _leave(self) -> None:
+        """A booked hop's first event: leave the channel's bookings (a
+        one-event hop stamps its tx-start here, others in :meth:`_on_tx`)."""
+        self.channel.booked.remove(self)
+        if self.delay is not None and self.tracer is not None:
+            self.tracer.hop_sent(self.hop, self.start)
 
     def _on_tx(self) -> None:  # repro: fast-path (RPR204)
-        """Transmission complete: release the channel, draw loss, fly."""
+        """Transmission complete: draw loss, fly."""
         env = self.env
         link = self.link
         recording = self.tracer is not None
         if recording:
-            self.tracer.hop_sent(self.hop, self.granted_at)
-        self.channel.release()
+            self.tracer.hop_sent(self.hop, self.start)
         # The loss draw: a downed link drops without drawing the RNG;
         # otherwise one draw decides, and the drawn value splits
         # baseline "loss" from fault-injected "impairment" (draws
@@ -333,6 +353,9 @@ class _Carrier(Event):
 _BEGIN = (_Carrier._begin,)
 _ON_TX = (_Carrier._on_tx,)
 _ON_ARRIVE = (_Carrier._on_arrive,)
+_BOOKED_TX = (_Carrier._leave, _Carrier._on_tx)
+_BOOKED_ARRIVE = (_Carrier._leave, _Carrier._on_arrive)
+_DEFER = (_Carrier._defer,)
 
 
 class Network:

@@ -2,8 +2,8 @@
 
 :class:`Store` is an unbounded FIFO of items: host and reliable-channel
 inboxes, group delivery queues and a group call's replies.  A link's
-transmission channel is the link's own
-(:class:`~repro.net.link.Channel`).
+transmission channel is the link's own timeline of bookings
+(:class:`~repro.net.link.Channel`), not a kernel primitive.
 """
 
 from __future__ import annotations

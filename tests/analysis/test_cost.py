@@ -16,6 +16,11 @@ re-pins (``python -c "from tests.analysis.test_cost import repin;
 repin()"``) and declares the per-package delta, as for
 ``seed_digests.json``.  The pins are not a ceiling: wall time stays the
 judge of speed; the counts say exactly what changed.
+
+Beside them, ``bench`` pins the kernel events of the bench workloads
+whose hops wait most on links that draw nothing, as the benchmark's own
+child process counts them at seed 31 (its ``simulated`` block's
+``events``).  They do not depend on the Python version.
 """
 
 import cProfile
@@ -26,6 +31,7 @@ import json
 import os
 import pkgutil
 import pstats
+import subprocess
 import sys
 
 import pytest
@@ -40,6 +46,10 @@ SEED = 31
 _PINS = os.path.join(os.path.dirname(__file__), "cost_pins.json")
 _ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _PYTHON = "{}.{}".format(*sys.version_info[:2])
+_BENCH_CHILD = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))), "bench", "child.py")
+#: The OT server's fan-out and the chat's LAN hops wait on their channels.
+BENCH_WORKLOADS = ("edit-session", "group-chat")
 
 
 def _package(path):
@@ -94,10 +104,21 @@ def measure():
     return {name: count(name) for name in sorted(WORKLOADS)}
 
 
+def bench_events(name, seed=SEED):
+    """Kernel events of one bench workload's full run (``bench/child.py``)."""
+    result = subprocess.run(
+        [sys.executable, _BENCH_CHILD, "--workload", name, "--seed",
+         str(seed)], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONHASHSEED="0"))
+    return json.loads(result.stdout.splitlines()[-1])["simulated"]["events"]
+
+
 def repin():
     """Write what this tree counts into ``cost_pins.json``."""
     with open(_PINS, "w", encoding="utf-8") as handle:
-        json.dump({"python": _PYTHON, "seed": SEED, "workloads": measure()},
+        json.dump({"python": _PYTHON, "seed": SEED, "workloads": measure(),
+                   "bench": {name: bench_events(name)
+                             for name in BENCH_WORKLOADS}},
                   handle, indent=1, sort_keys=True)
         handle.write("\n")
 
@@ -135,3 +156,8 @@ def test_every_workload_costs_what_is_pinned():
         + delta_table(pins["workloads"], counted)
     # A second run in the same process counts the same.
     assert count("traced-rpc") == counted["traced-rpc"]
+
+
+def test_bench_workloads_queue_the_pinned_events():
+    assert {name: bench_events(name) for name in BENCH_WORKLOADS} \
+        == _pinned()["bench"]

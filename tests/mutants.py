@@ -282,9 +282,18 @@ MUTANTS: Tuple[Mutant, ...] = (
            "            probability = link.loss\n"),
     Mutant("fast-hop-ignores-busy-channel", "seeded; one-event hop",
            "src/repro/net/network.py",
-           "        free = channel.holder is None and not channel.waiting \\\n"
-           "            and channel.busy_until <= now\n",
-           "        free = channel.holder is None and not channel.waiting\n"),
+           "        if channel.busy_until > now:\n",
+           "        if False:\n"),
+    Mutant("booking-is-never-overtaken", "seeded; booking timeline",
+           "src/repro/net/link.py",
+           "        while at and booked[at - 1].priority > "
+           "claim.priority \\\n",
+           "        while False and booked[at - 1].priority > "
+           "claim.priority \\\n"),
+    Mutant("retimed-booking-keeps-its-instant", "seeded; booking timeline",
+           "src/repro/net/network.py",
+           "                booking.callbacks = _DEFER\n",
+           "                pass\n"),
     Mutant("hop-record-stamps-claim-as-tx-start", "seeded; hop records",
            "src/repro/obs/tracer.py",
            "                  code, 0, sampled)\n        return row\n",

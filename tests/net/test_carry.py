@@ -1,11 +1,13 @@
 """The packet carrier: pinned storms, an independent model, its cost.
 
 One :class:`~repro.net.network._Carrier` per packet queues one event
-per hop that finds its channel free on a link that is up and draws
-nothing — its arrival — and reads that link at the claim; every other
-hop also queues its tx-complete and reads the link there.  Its own
-start (in-run sends), each free claim, the delivered put and its end
-event are never queued.  ``tests/analysis/carry_flight_pins.json``
+per hop over a link that is up and draws nothing — its arrival, at its
+start on the channel's timeline plus transmission and propagation —
+and reads that link at the claim; a hop over a link that draws, or is
+down, also queues its tx-complete and reads the link there.  Its own
+start (in-run sends), each claim, the delivered put and its end event
+are never queued; a booking that a better claim re-timed re-queues its
+event once.  ``tests/analysis/carry_flight_pins.json``
 holds what the storms below deliver, when, and what they book — its
 ``"source"`` string says where the pins come from — and they must keep
 reproducing those pins bit for bit.  Further down, an independent
@@ -19,8 +21,6 @@ is actually pushed and popped.
 import collections
 import functools
 import gc
-import heapq
-import itertools
 import json
 import math
 import os
@@ -252,11 +252,10 @@ def test_foreign_exceptions_surface_from_run_and_the_run_resumes(loss):
     assert seen == ["first", "second"]
     assert env.active_process is None
     assert env.stats()["queue_depth"] == 0
-    # Delivered: the first packet's start and arrival; the second's
-    # start, the channel's wake-up, its tx-complete and arrival.  Lost:
-    # a start and a tx-complete each.  The raise left nothing queued and
-    # nothing uncounted.
-    assert env.stats()["events_scheduled"] == (4 if loss else 6)
+    # A start each, then: delivered, an arrival each (the second booked
+    # behind the first); lost, a tx-complete each.  The raise left
+    # nothing queued and nothing uncounted.
+    assert env.stats()["events_scheduled"] == 4
     assert env.stats()["events_processed"] == env.stats()["events_scheduled"]
 
 
@@ -287,7 +286,7 @@ def test_handler_runs_under_a_stand_in_and_its_reply_starts_synchronously():
     before = env.stats()
     n1.send("n0", payload="late", size=64)
     after = env.stats()
-    assert back.busy_until <= env.now and back.holder is None
+    assert back.busy_until <= env.now and not back.booked
     assert after["events_scheduled"] - before["events_scheduled"] == 1
     assert after["queue_depth"] - before["queue_depth"] == 1
     env.run()
@@ -349,12 +348,57 @@ def test_carriers_die_by_refcount_when_the_flight_ends():
     assert alive == []
 
 
+def test_carriers_die_by_refcount_when_bookings_are_re_timed():
+    """The same with reserved claims outranking booked best-effort ones,
+    over a link that draws nothing and one that drops everything: a
+    re-timed carrier leaves its channel's bookings too."""
+    env, _topo, network, _n0, n1 = _two_hosts()
+    lossy = Network(env, line(env, length=2, seed=3))
+    lossy.topology.link_between("n0", "n1").loss = 1.0
+    lossy.host("n1")
+    channels = [net.topology.link_between("n0", "n1").channel("n0")
+                for net in (network, lossy)]
+    carriers, booked = [], []
+    n1.on_packet(0, lambda packet: carriers.append(
+        weakref.ref(env.active_process)))
+    lossy.on_drop = lambda packet, reason: carriers.append(
+        weakref.ref(env.active_process))
+
+    def sender(env):
+        yield env.timeout(0.001)
+        for priority in (BEST_EFFORT_PRIORITY,) * 3 + (RESERVED_PRIORITY,) * 2:
+            for net in (network, lossy):
+                net.host("n0").send("n1", size=64,
+                                    headers={"priority": priority})
+        booked.extend([booking.priority for booking in channel.booked]
+                      for channel in channels)
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env.process(sender(env))
+        env.run()
+        alive = [ref for ref in carriers if ref() is not None]
+    finally:
+        if was_enabled:
+            gc.enable()
+    # Behind the first packet on each channel, the two reserved claims
+    # were booked ahead of the two best-effort ones they re-timed.
+    assert booked == [[RESERVED_PRIORITY] * 2 + [BEST_EFFORT_PRIORITY] * 2] * 2
+    assert len(carriers) == 10
+    assert network.counters["delivered"] == 5
+    assert lossy.drop_stats() == {"loss": 5}
+    assert not any(channel.booked for channel in channels)
+    assert alive == []
+
+
 # -- the counters count --------------------------------------------------------
 
 def _contended_claims(env):
     """Same-instant bursts of mixed priority over a link that draws
-    nothing, then one that jitters: claims booked, held, queued behind
-    either and woken by the channel; stopped mid-queue, then drained."""
+    nothing, then one that jitters: claims on a free channel, booked
+    behind it, and outranking bookings that are then re-timed; stopped
+    with bookings not yet started, then drained."""
     topo = line(env, length=3, bandwidth=1e6, seed=5)
     topo.link_between("n1", "n2").jitter = 1e-4
     network = Network(env, topo)
@@ -373,9 +417,10 @@ def _contended_claims(env):
     for i in range(3):
         env.process(burst(env, i))
     env.run(until=0.004)
-    assert any(channel.waiting for channel in channels)
+    assert any(booking.start > env.now
+               for channel in channels for booking in channel.booked)
     env.run()
-    assert not any(channel.holder or channel.waiting for channel in channels)
+    assert not any(channel.booked for channel in channels)
     assert network.counters["delivered"] == 12
 
 
@@ -413,8 +458,8 @@ def _raising_handler(env):
 
 
 class _SortingEnvironment(Environment):
-    """Tallies each queued event by what fires it: a carrier's or a
-    channel's callback (shared tuples), or anything else."""
+    """Tallies each queued event by what fires it: a carrier's callback
+    (the last of its shared tuple), or anything else."""
 
     def __init__(self):
         super().__init__()
@@ -422,18 +467,16 @@ class _SortingEnvironment(Environment):
 
     def _push(self, time, key, event):
         callbacks = event.callbacks
-        self.pushed[callbacks[0].__name__ if type(callbacks) is tuple
+        self.pushed[callbacks[-1].__name__ if type(callbacks) is tuple
                     else "other"] += 1
         super()._push(time, key, event)
 
 
 def test_a_packet_costs_one_queued_event_per_free_hop_and_nothing_else():
     """The clean storm: 240 packets over 3 hops each, on links that draw
-    nothing, and no hop finds its channel busy: each queues its arrival
-    and nothing else (a hop that waits would add its tx-complete, and
-    the first waiter on a booked channel the channel's wake-up).  The
-    rest is the storm's own processes: 12 starts, 6 sender exits, 240
-    send timeouts, 240 receives and the ``until`` stop."""
+    nothing: each hop queues its arrival and nothing else.  The rest is
+    the storm's own processes: 12 starts, 6 sender exits, 240 send
+    timeouts, 240 receives and the ``until`` stop."""
     env = _SortingEnvironment()
     stats = _storm(env=env)["env"]
     assert env.pushed == {"_on_arrive": 240 * 3, "other": 499}
@@ -463,13 +506,13 @@ def test_events_scheduled_are_pushes_and_events_processed_are_pops(
 #
 # A reference implementation, not a second path: one generator process
 # per packet, written only with public calls, one queued event per step
-# (start, grant, transmission, propagation, end), on a priority channel
-# of its own.  It states the carrier's rule plainly: a hop whose channel
-# is free, over a link that is up and draws nothing, reads the link at
-# its claim; every other hop reads it when its transmission ends.  Its
-# loss draw and propagation delay are its own copies of the carrier's,
-# reasons and the RNG draws they take included, so every drop's reason
-# is compared.
+# (start, grant, transmission, propagation, end), on a booking timeline
+# of its own.  It states the carrier's rule plainly: a hop over a link
+# that is up and draws nothing reads the link at its claim, whether its
+# channel is free or taken; every other hop reads it when its
+# transmission ends.  Its loss draw and propagation delay are its own
+# copies of the carrier's, reasons and the RNG draws they take included,
+# so every drop's reason is compared.
 #
 # Link latencies, send instants and fault instants are multiples of
 # square roots of distinct primes, so no two events of different kinds
@@ -485,27 +528,32 @@ _FAULT_STEP = 1e-3 * math.sqrt(37)
 
 
 class _ModelChannel:
-    """One holder at a time; waiters granted by priority, then in claim
-    order."""
+    """A timeline: one transmission on the wire, then the bookings that
+    have not started, in service order.  A claim is booked behind every
+    booking it does not outrank (a lower priority is better); each
+    booking starts when the transmission before it ends."""
 
     def __init__(self, env):
         self.env = env
-        self.holder = None
-        self.waiting = []
-        self.tickets = itertools.count()
+        self.on_wire = False
+        self.booked = []        # (priority, start event), service order
 
-    def claim(self, priority):
-        grant = self.env.event()
-        if self.holder is None:
-            self.holder = grant.succeed()
+    def book(self, priority):
+        start = self.env.event()
+        if not self.on_wire:
+            self.on_wire = True
+            return start.succeed()
+        at = next((i for i, (other, _) in enumerate(self.booked)
+                   if other > priority), len(self.booked))
+        self.booked.insert(at, (priority, start))
+        return start
+
+    def ended(self):
+        """The transmission on the wire ended: the next booking starts."""
+        if self.booked:
+            self.booked.pop(0)[1].succeed()
         else:
-            heapq.heappush(self.waiting, (priority, next(self.tickets), grant))
-        return grant
-
-    def release(self):
-        self.holder = None
-        if self.waiting:
-            self.holder = heapq.heappop(self.waiting)[2].succeed()
+            self.on_wire = False
 
 
 def _model_drop(link):
@@ -543,14 +591,14 @@ def _model_carry(env, topo, hosts, send, outcomes, drops, channels):
     for link in links:
         channel = channels.setdefault((link.label, node),
                                       _ModelChannel(env))
-        # Read at the claim: a free channel on a link that is up and
-        # draws nothing fixes the hop's fate and delay here.
-        at_claim = channel.holder is None and link.up and not (
+        # Read at the claim: a link that is up and draws nothing fixes
+        # the hop's fate and delay here, free channel or taken.
+        at_claim = link.up and not (
             link.loss or link.jitter or link._extra_loss)
         delay = link.latency * link._latency_scale
-        yield channel.claim(priority)
+        yield channel.book(priority)
         yield env.timeout(link.transmission_delay(wire))
-        channel.release()
+        channel.ended()
         if not at_claim:
             reason = _model_drop(link)
             if reason is not None:
@@ -691,19 +739,30 @@ def _specs(draw):
 
 
 # Two 1500-byte datagrams over one 100 kb/s link (0.12 s each on the
-# wire) that goes down 6 ms into the first and stays down: the first
-# found the link up at its claim and is delivered; the second waited
-# for the channel and finds the link down when its transmission ends.
+# wire) that goes down 6 ms into the first and stays down: both found
+# the link up at their claims, the second booked behind the first, and
+# both are delivered.
 _DOWN_MID_TX = {
     "links": [(0, 1e5, 0.0, 0.0)], "hosts": [0, 1],
     "bursts": {0: [(i, "v0", "v1", 1500, BEST_EFFORT_PRIORITY)
                    for i in range(2)]},
     "faults": [(1, 0, None)], "seed": 0}
 
+# Three best-effort 1500-byte datagrams at 0 s over the same link, the
+# second and third booked behind the first; at the next send step a
+# reserved one outranks both bookings and takes the second's start.
+_RETIMED = {
+    "links": [(0, 1e5, 0.0, 0.0)], "hosts": [0, 1],
+    "bursts": {0: [(i, "v0", "v1", 1500, BEST_EFFORT_PRIORITY)
+                   for i in range(3)],
+               1: [(3, "v0", "v1", 100, RESERVED_PRIORITY)]},
+    "faults": [], "seed": 0}
+
 
 @settings(max_examples=150)
 @given(_specs())
 @example(_DOWN_MID_TX)
+@example(_RETIMED)
 def test_carrier_matches_the_generator_model(spec):
     """Per-packet fate (delivered/dropped, why, when, after how many
     hops), every link's books and RNG state, and the drop totals."""
@@ -792,13 +851,43 @@ def test_a_link_down_at_the_claim_is_read_again_at_tx_complete():
 
 
 def test_a_one_event_hop_reads_the_link_at_its_claim():
-    """A link going down mid-transmission drops only the hop that reads
-    it afterwards (the reference case above)."""
+    """A link going down while one hop is on the wire and another waits
+    for the channel reaches neither: both read the link at their claims
+    (the reference case above)."""
     outcomes = _world(_DOWN_MID_TX, _through_network)["outcomes"]
     wire = (1500 + HEADER_BYTES) * 8 / 1e5
+    latency = 1e-3 * _ROOTS[0]
     assert outcomes == {
-        0: ("delivered", None, wire + 1e-3 * _ROOTS[0], 1),
-        1: ("dropped", "link-down", wire + wire, 0)}
+        0: ("delivered", None, wire + latency, 1),
+        1: ("delivered", None, (wire + wire) + latency, 1)}
+
+
+def test_a_reserved_claim_re_times_the_bookings_it_outranks():
+    """The re-timed reference case above: the reserved datagram starts
+    when the first ends, and the two bookings it outranked each move
+    back by its transmission.  Each packet arrives once, at its
+    re-timed instant; each re-timed booking queued its arrival again
+    once, and nothing else was queued for it."""
+    envs = []
+
+    def sorting():
+        envs.append(_SortingEnvironment())
+        return envs[-1]
+
+    outcomes = _world(_RETIMED, _through_network, sorting)["outcomes"]
+    big = (1500 + HEADER_BYTES) * 8 / 1e5
+    small = (100 + HEADER_BYTES) * 8 / 1e5
+    latency = 1e-3 * _ROOTS[0]
+    reserved = 0.0 + big
+    second = reserved + small
+    third = second + big
+    assert outcomes == {
+        0: ("delivered", None, big + latency, 1),
+        3: ("delivered", None, (reserved + small) + latency, 1),
+        1: ("delivered", None, (second + big) + latency, 1),
+        2: ("delivered", None, (third + big) + latency, 1)}
+    assert {name: count for name, count in envs[0].pushed.items()
+            if name.startswith("_")} == {"_begin": 3, "_on_arrive": 4 + 2}
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -1,10 +1,12 @@
 """Tests for priority transmission: QoS enforcement at the link level.
 
-Each direction of a link is a :class:`~repro.net.link.Channel`: one
-packet clocks onto it at a time, and waiting packets are granted by
-priority, then in claim order, whether a one-event hop has booked the
-channel or a hop that keeps its tx-complete holds it.
+Each direction of a link is a :class:`~repro.net.link.Channel`, a
+timeline of bookings: one packet clocks onto it at a time, and the
+packets booked behind it start by priority, then in claim order,
+whether the packets on it keep a tx-complete event or not.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -64,10 +66,10 @@ def test_equal_priority_is_fifo(env):
 
 @pytest.mark.parametrize("jitter", [0.0, 1e-4], ids=["booked", "held"])
 def test_waiters_are_granted_by_priority_then_claim_order(env, jitter):
-    """Behind a first packet — one that booked the channel, or, on a
-    link that draws, one that holds it until its tx-complete — the
-    waiters go by priority, equal priorities in the order they
-    claimed; none overtakes the packet on the wire."""
+    """Behind a first packet — over a link that draws nothing, or, on a
+    link that draws, one that keeps its tx-complete — the bookings go
+    by priority, equal priorities in the order they claimed; none
+    overtakes the packet on the wire."""
     net, a, b = make_bottleneck(env, jitter=jitter)
     arrivals = []
     b.on_packet(0, lambda packet: arrivals.append(
@@ -86,13 +88,15 @@ def test_waiters_are_granted_by_priority_then_claim_order(env, jitter):
     assert arrivals == ["first", "zero", "five", "five again", "nine"]
 
 
-def test_a_booked_channel_wakes_once_for_its_waiters(env):
-    """Four same-instant sends queue two events: the first's arrival
-    and the booked channel's one wake-up, which grants the first
-    waiter; each later grant comes from the release before it."""
+def test_four_same_instant_sends_queue_four_arrivals_and_nothing_else(env):
+    """Over a link that draws nothing, the first send starts at once
+    and the other three are booked behind it, each at the instant the
+    one before it ends: four arrivals are queued, and neither a
+    tx-complete nor a channel wake-up."""
     net, a, b = make_bottleneck(env)
     channel = net.topology.link_between("a", "b").channel("a")
-    queued = []
+    queued, arrivals = [], []
+    b.on_packet(0, lambda packet: arrivals.append(env.now))
 
     def sender(env):
         yield env.timeout(0.001)
@@ -100,23 +104,49 @@ def test_a_booked_channel_wakes_once_for_its_waiters(env):
         for _ in range(4):
             a.send("b", size=1000)
         queued.append(env.events_scheduled - before)
-        queued.append(len(channel.waiting))
+        queued.append(len(channel.booked))
 
     env.process(sender(env))
     env.run()
-    assert queued == [2, 3]
-    assert net.counters["delivered"] == 4
-    assert not (channel.waiting or channel.holder)
+    assert queued == [4, 3]
+    tx = net.topology.link_between("a", "b").transmission_delay(1040)
+    ends = [0.001 + tx]
+    for _ in range(3):
+        ends.append(ends[-1] + tx)
+    assert arrivals == ends
+    assert not channel.booked
 
 
-def test_tie_break_tickets_are_per_channel(env):
-    first, second = Channel(env), Channel(env)
-    # Exhausting tickets on one channel must not advance the other's
-    # sequence: the tie-break counter is channel state, not module
-    # state, so runs sharing a process stay independent.
-    for _ in range(5):
-        next(first._tickets)
-    assert next(second._tickets) == 1
+def test_two_channels_share_no_state():
+    """Booking one channel leaves another as it was built: the order of
+    bookings is channel state, not module state, so runs sharing a
+    process stay independent."""
+    first, second = Channel(), Channel()
+    for tx in (1.0, 2.0, 3.0):
+        first.book(SimpleNamespace(priority=BEST_EFFORT_PRIORITY, tx=tx), 0.0)
+    claim = SimpleNamespace(priority=BEST_EFFORT_PRIORITY, tx=1.0)
+    assert second.book(claim, 0.0) == ()
+    assert (claim.start, second.busy_until, second.booked) == (
+        0.0, 1.0, [claim])
+    assert (first.busy_until, len(first.booked)) == (6.0, 3)
+
+
+def test_a_booking_that_starts_at_the_claim_is_not_overtaken():
+    """A booking whose start is the claim's own instant has started: a
+    reserved claim made then books behind it, takes the start of the
+    best-effort booking after it, and re-times that one alone."""
+    channel = Channel()
+    first, second, third = (
+        SimpleNamespace(priority=BEST_EFFORT_PRIORITY, tx=1.0)
+        for _ in range(3))
+    for claim in (first, second, third):
+        channel.book(claim, 0.0)
+    reserved = SimpleNamespace(priority=RESERVED_PRIORITY, tx=0.5)
+    assert channel.book(reserved, 1.0) == [third]
+    assert [claim.start for claim in (second, reserved, third)] \
+        == [1.0, 2.0, 2.5]
+    assert channel.booked == [first, second, reserved, third]
+    assert channel.busy_until == 3.5
 
 
 def test_priority_defaults(env):

@@ -87,37 +87,33 @@ def test_events_processed_is_exact_after_failed_run(env):
     assert env.events_processed == 4
 
 
-# -- a booked channel's wake-up, elided puts, queue edge cases -------------
+# -- a booked channel, elided puts, queue edge cases ----------------------
 
 def test_equal_priority_claims_stay_fifo(env):
-    """Behind a booking (the one-event hop), equal-priority waiters are
-    granted in claim order: the channel's one wake-up grants the first,
-    each release the next."""
-    channel = Channel(env)
+    """Behind a booking (the one-event hop), equal-priority claims start
+    in claim order, each when the one before it ends."""
+    channel = Channel()
     channel.busy_until = 0.5
     order = []
 
-    class Claim(Event):
-        def __init__(self, env):
-            super().__init__(env)
-            self._ok = True
-            self.priority = 5
-            self.tx = 0.01
-            self.granted_at = None
+    class Claim:
+        priority = 5
+        tx = 0.01
+        start = None
 
     def claimant(env, tag):
-        claim = Claim(env)
-        channel.wait(claim)
-        yield claim
+        claim = Claim()
+        channel.book(claim, env.now)
+        yield env.timeout(claim.start + claim.tx - env.now)
         order.append(tag)
-        channel.release()
+        channel.booked.remove(claim)
 
     for tag in range(8):
         env.process(claimant(env, tag))
     env.run()
     assert order == list(range(8))
     assert env.now == pytest.approx(0.5 + 8 * 0.01)
-    assert channel.holder is None and not channel.waiting
+    assert not channel.booked
 
 
 def test_store_put_queues_nothing_and_hands_items_on_in_order(env):

@@ -5,42 +5,37 @@ The channel's priority order behind a packet on the wire is tested in
 """
 
 from repro.net.link import Channel
-from repro.sim import Environment, Event, Store
+from repro.sim import Environment, Store
 
 
-class Claim(Event):
-    """A waiter as a channel sees one: a priority, a transmission delay
-    and the instant it was granted; granted, it fires ``tx`` later."""
+class Claim:
+    """A claim as a channel sees one: a priority, a transmission delay
+    and, once booked, its start."""
 
-    def __init__(self, env, priority=0, tx=1.0):
-        super().__init__(env)
-        self._ok = True
+    def __init__(self, priority=0, tx=1.0):
         self.priority = priority
         self.tx = tx
-        self.granted_at = None
+        self.start = None
 
 
 def test_resource_fifo_queue():
     env = Environment()
-    channel = Channel(env)
+    channel = Channel()
     order = []
 
     def user(env, tag):
-        claim = Claim(env)
-        if channel.holder is None and not channel.waiting:
-            channel.hold(claim)
-        else:
-            channel.wait(claim)
-        yield claim
-        order.append((tag, claim.granted_at, env.now))
-        channel.release()
+        claim = Claim()
+        channel.book(claim, env.now)
+        yield env.timeout(claim.start + claim.tx - env.now)
+        order.append((tag, claim.start, env.now))
+        channel.booked.remove(claim)
 
     for tag in ("first", "second", "third"):
         env.process(user(env, tag))
     env.run()
     assert order == [("first", 0.0, 1.0), ("second", 1.0, 2.0),
                      ("third", 2.0, 3.0)]
-    assert channel.holder is None and not channel.waiting
+    assert channel.busy_until == env.now and not channel.booked
 
 
 def test_store_put_get_fifo():

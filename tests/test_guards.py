@@ -163,6 +163,7 @@ AWARE = "DESIGN.md: Awareness is traffic"
 DISPLAY = "DESIGN.md: The shared display is traffic"
 PROFILE = "docs/analysis.md: ## One hypothesis profile"
 HOP = PERF + "### A hop is one event"
+TIMELINE = PERF + "A link channel is a timeline of bookings"
 
 TOMBSTONES = {  # (the commit that deleted it, the record): guards
     ("f6edcea", ONE_CLI): gone("src/repro/analysis/workloads.py",
@@ -295,6 +296,11 @@ TOMBSTONES = {  # (the commit that deleted it, the record): guards
     ("98daba3+1", HOP): [grep(r"Priority(Resource|Request)", SRC,
                               "tests/**/*.py",
                               plant="channel = Priority" "Resource(env)")],
+    # Deleted by the commit after 4341b1c: a channel's holder, wait heap
+    # and wake-up event.
+    ("4341b1c+1", TIMELINE): [grep(
+        r"\b_WAKE\b|class Channel\(Event\)|\.(holder|waiting)\b",
+        "src/repro/net/**/*.py", plant="_WAKE = (Channel._wake,)")],
 }
 
 CONTRACTS = {  # where the rule is stated: guards
