@@ -39,6 +39,13 @@ NOTIFICATION = "notification"
 STYLES = (HARD, TICKLE, SOFT, NOTIFICATION)
 
 
+def _decided(env: Environment, grant: "LockGrant") -> Event:
+    """A request answered in the call: processed, holding ``grant``."""
+    event = Event(env)
+    event._ok, event._value, event.callbacks = True, grant, None
+    return event
+
+
 class LockGrant:
     """A live hold on an item; returned by every successful acquire."""
 
@@ -135,37 +142,38 @@ class LockTable:
     # -- public API ----------------------------------------------------------
 
     def acquire(self, key: str, owner: str, mode: str = EXCLUSIVE) -> Event:
-        """Request a lock; the event fires with the LockGrant."""
+        """Request a lock; the event fires with the LockGrant.
+
+        A request the table can answer at once returns an event that is
+        already processed and holds the grant, and queues nothing: a
+        process that yields it continues before anything else queued for
+        this instant (docs/performance.md "A free lock is granted in the
+        call").
+        """
         if mode not in (SHARED, EXCLUSIVE):
             raise LockError("mode must be {!r} or {!r}, not {!r}".format(
                 SHARED, EXCLUSIVE, mode))
-        event = self.env.event()
-        self._counts["requests"] = self._counts.get("requests", 0) + 1
-        if self.style == SOFT:
-            self._grant_soft(key, owner, mode, event)
-            self._record_wait(0.0)
-            return event
-        if self.style == NOTIFICATION and mode == SHARED:
-            # Readers are always admitted under notification locks.
-            grant = self._install(key, owner, SHARED)
-            self._counts["grants"] = self._counts.get("grants", 0) + 1
-            event.succeed(grant)
-            self._record_wait(0.0)
-            return event
-        if self._compatible(key, owner, mode):
-            grant = self._install(key, owner, mode)
-            self._counts["grants"] = self._counts.get("grants", 0) + 1
-            event.succeed(grant)
-            self._record_wait(0.0)
-            return event
-        if self.style == TICKLE and self._tickle(key, owner, mode, event):
-            self._record_wait(0.0)
-            return event
-        self._counts["waits"] = self._counts.get("waits", 0) + 1
-        waiter = _Waiter(owner, mode, event, self.env.now)
-        self._open_wait_span(waiter, key)
-        self._queues.setdefault(key, []).append(waiter)
-        return event
+        counts = self._counts
+        counts["requests"] = counts.get("requests", 0) + 1
+        style = self.style
+        # Soft locks always succeed; readers are always admitted under
+        # notification locks.
+        if not (style == SOFT or (style == NOTIFICATION and mode == SHARED)
+                or self._compatible(key, owner, mode)):
+            if style != TICKLE or not self._tickle(key, owner):
+                counts["waits"] = counts.get("waits", 0) + 1
+                event = self.env.event()
+                waiter = _Waiter(owner, mode, event, self.env.now)
+                self._open_wait_span(waiter, key)
+                self._queues.setdefault(key, []).append(waiter)
+                return event
+            counts["takeovers"] = counts.get("takeovers", 0) + 1
+        grant = self._install(key, owner, mode)
+        counts["grants"] = counts.get("grants", 0) + 1
+        if style == SOFT:
+            self._refresh_conflicts(key)
+        self._record_wait(0.0)
+        return _decided(self.env, grant)
 
     def release(self, grant: LockGrant) -> None:
         """Release a grant and promote compatible waiters."""
@@ -199,20 +207,18 @@ class LockTable:
         held = self._held.get(grant.key, [])
         if grant not in held:
             raise LockError("grant is not held: {!r}".format(grant))
-        event = self.env.event()
-        others = [h for h in held if h.owner != grant.owner]
-        if not others:
+        if all(h.owner == grant.owner for h in held):
             grant.mode = EXCLUSIVE
             self._counts["upgrades"] = self._counts.get("upgrades", 0) + 1
-            event.succeed(grant)
             self._record_wait(0.0)
-        else:
-            self._counts["waits"] = self._counts.get("waits", 0) + 1
-            # Upgraders queue at the front so no later writer overtakes.
-            waiter = _Waiter(grant.owner, EXCLUSIVE, event, self.env.now,
-                             upgrade_of=grant)
-            self._open_wait_span(waiter, grant.key)
-            self._queues.setdefault(grant.key, []).insert(0, waiter)
+            return _decided(self.env, grant)
+        self._counts["waits"] = self._counts.get("waits", 0) + 1
+        # Upgraders queue at the front so no later writer overtakes.
+        event = self.env.event()
+        waiter = _Waiter(grant.owner, EXCLUSIVE, event, self.env.now,
+                         upgrade_of=grant)
+        self._open_wait_span(waiter, grant.key)
+        self._queues.setdefault(grant.key, []).insert(0, waiter)
         return event
 
     def cancel_wait(self, key: str, event: Event) -> bool:
@@ -261,14 +267,9 @@ class LockTable:
     # -- internals -------------------------------------------------------------
 
     def _open_wait_span(self, waiter: _Waiter, key: str) -> None:
-        """Open a ``lock.acquire`` span covering a queued wait.
-
-        Immediate grants are not spanned (they would all be zero-width);
-        the contended tail is what the sim-time profiler's flame graph
-        needs to show.  The span parents under the requesting process's
-        actor span when the process was named (``env.process(name=...)``),
-        so per-actor profiles attribute lock waits to their actor.
-        """
+        """Open a ``lock.acquire`` span covering a queued wait (immediate
+        grants would all be zero-width), parented under the requesting
+        process's actor span when it was named (``env.process(name=)``)."""
         tracer = self.env.tracer
         if not tracer.enabled:
             return
@@ -285,11 +286,8 @@ class LockTable:
             waiter.span.finish(at=self.env.now)
 
     def _record_wait(self, waited: float) -> None:
-        """Feed the acquire→grant delay into the metrics registry.
-
-        Immediate grants record 0.0 so the histogram reflects the full
-        distribution, not just the contended tail.
-        """
+        """Feed the acquire→grant delay into the metrics registry
+        (immediate grants record 0.0: the whole distribution)."""
         wait = self._wait
         if wait is None:
             wait = self._wait = self.env.metrics.histogram(
@@ -329,13 +327,6 @@ class LockTable:
                 span=getattr(self.env.active_process, "span", None))
         return grant
 
-    def _grant_soft(self, key: str, owner: str, mode: str,
-                    event: Event) -> None:
-        grant = self._install(key, owner, mode)
-        self._counts["grants"] = self._counts.get("grants", 0) + 1
-        self._refresh_conflicts(key)
-        event.succeed(grant)
-
     def _refresh_conflicts(self, key: str) -> None:
         """Soft locks only: flag holders that now conflict."""
         holders = self._held.get(key, [])
@@ -352,34 +343,37 @@ class LockTable:
                     self.on_conflict(holder,
                                      others[0] if others else "")
 
-    def _tickle(self, key: str, owner: str, mode: str,
-                event: Event) -> bool:
-        """Attempt a tickle takeover; True if the lock transferred."""
-        holders = self._held.get(key, [])
+    def _tickle(self, key: str, taker: str) -> bool:
+        """Revoke every holder of ``key`` if all have been idle for the
+        grace period; an upgrade one of them waits for fails."""
+        holders = self._held.get(key)
         now = self.env.now
-        if not holders:
+        if not holders or not all(now - h.last_activity >= self.tickle_grace
+                                  for h in holders):
             return False
-        if all(now - h.last_activity >= self.tickle_grace for h in holders):
-            flight = self.env._flight
-            sanitizer = self.env.sanitizer
-            for holder in list(holders):
-                holder.revoked = True
-                holders.remove(holder)
-                # A takeover is a forced hand-off: the taker is ordered
-                # after the revoked holder's work so far.
-                if sanitizer.enabled:
-                    sanitizer.release("lock:" + key, holder.owner)
-                if flight is not None:
-                    flight.record_lock("revoke", key, holder.owner,
-                                       holder.mode, self.style)
-                if self.on_takeover is not None:
-                    self.on_takeover(holder, owner)
-            grant = self._install(key, owner, mode)
-            self._counts["grants"] = self._counts.get("grants", 0) + 1
-            self._counts["takeovers"] = self._counts.get("takeovers", 0) + 1
-            event.succeed(grant)
-            return True
-        return False
+        flight = self.env._flight
+        sanitizer = self.env.sanitizer
+        for holder in list(holders):
+            holder.revoked = True
+            holders.remove(holder)
+            # A takeover is a forced hand-off: the taker is ordered
+            # after the revoked holder's work so far.
+            if sanitizer.enabled:
+                sanitizer.release("lock:" + key, holder.owner)
+            if flight is not None:
+                flight.record_lock("revoke", key, holder.owner,
+                                   holder.mode, self.style)
+            if self.on_takeover is not None:
+                self.on_takeover(holder, taker)
+        queue = self._queues.get(key, [])
+        for waiter in [w for w in queue
+                       if w.upgrade_of is not None and w.upgrade_of.revoked]:
+            queue.remove(waiter)
+            self._close_wait_span(waiter, "revoked")
+            waiter.event.fail(LockError(
+                "{}'s shared lock on {} was taken over by {} while it "
+                "waited to upgrade".format(waiter.owner, key, taker)))
+        return True
 
     def _promote(self, key: str) -> None:
         queue = self._queues.get(key, [])

@@ -8,9 +8,13 @@ conflicts on every release whatever the style, test compatibility
 with ``all(<genexpr>)`` and count through ``Counter.incr``;
 ``LockGrant`` had no slots.  The classes below
 are that code verbatim but for where they find their observers (the
-environment's, like every layer now), so a test can drive both tables
-with the same script and compare.  A reference, not a second path —
-nothing under ``src/`` imports this.
+environment's, like every layer now) and two rules adopted since,
+declared: a request answered at once returns an event that is already
+processed (:func:`_decided`) instead of one that ``succeed()`` queues,
+and a tickle takeover fails the pending upgrade of a holder it revokes
+(which used to be dropped, its process left waiting forever).  So a
+test can drive both tables with the same script and compare.  A
+reference, not a second path — nothing under ``src/`` imports this.
 """
 
 import itertools
@@ -21,6 +25,15 @@ from repro.concurrency.locks import (EXCLUSIVE, HARD, NOTIFICATION, SHARED,
 from repro.errors import LockError
 from repro.obs.metrics import Counter
 from repro.sim import Environment, Event
+
+
+def _decided(env: Environment, grant) -> Event:
+    """An event already processed with ``grant``: nothing is queued."""
+    event = Event(env)
+    event._ok = True
+    event._value = grant
+    event.callbacks = None
+    return event
 
 
 class LockGrant:
@@ -106,23 +119,21 @@ class LockTable:
         if self.style == SOFT:
             self._grant_soft(key, owner, mode, event)
             self._record_wait(0.0)
-            return event
+            return _decided(self.env, event._value)
         if self.style == NOTIFICATION and mode == SHARED:
             # Readers are always admitted under notification locks.
             grant = self._install(key, owner, SHARED)
             self.counters.incr("grants")
-            event.succeed(grant)
             self._record_wait(0.0)
-            return event
+            return _decided(self.env, grant)
         if self._compatible(key, owner, mode):
             grant = self._install(key, owner, mode)
             self.counters.incr("grants")
-            event.succeed(grant)
             self._record_wait(0.0)
-            return event
+            return _decided(self.env, grant)
         if self.style == TICKLE and self._tickle(key, owner, mode, event):
             self._record_wait(0.0)
-            return event
+            return _decided(self.env, event._value)
         self.counters.incr("waits")
         waiter = _Waiter(owner, mode, event, self.env.now)
         self._open_wait_span(waiter, key)
@@ -163,8 +174,8 @@ class LockTable:
         if not others:
             grant.mode = EXCLUSIVE
             self.counters.incr("upgrades")
-            event.succeed(grant)
             self._record_wait(0.0)
+            return _decided(self.env, grant)
         else:
             self.counters.incr("waits")
             # Upgraders queue at the front so no later writer overtakes.
@@ -281,7 +292,7 @@ class LockTable:
         grant = self._install(key, owner, mode)
         self.counters.incr("grants")
         self._refresh_conflicts(key)
-        event.succeed(grant)
+        event._value = grant
 
     def _refresh_conflicts(self, key: str) -> None:
         if self.style != SOFT:
@@ -319,10 +330,20 @@ class LockTable:
                                        holder.mode, self.style)
                 if self.on_takeover is not None:
                     self.on_takeover(holder, owner)
+            queue = self._queues.get(key, [])
+            for waiter in list(queue):
+                if waiter.upgrade_of is not None \
+                        and waiter.upgrade_of.revoked:
+                    queue.remove(waiter)
+                    self._close_wait_span(waiter, "revoked")
+                    waiter.event.fail(LockError(
+                        "{}'s shared lock on {} was taken over by {} while "
+                        "it waited to upgrade".format(waiter.owner, key,
+                                                      owner)))
             grant = self._install(key, owner, mode)
             self.counters.incr("grants")
             self.counters.incr("takeovers")
-            event.succeed(grant)
+            event._value = grant
             return True
         return False
 

@@ -3,7 +3,11 @@
 ``tests/concurrency/lock_model.py`` keeps the old ``LockTable``: a
 registry lookup per ``lock.wait`` record, un-gated sanitizer hooks, a
 conflict refresh on every release, ``all(<genexpr>)`` compatibility and
-a ``Counter.incr`` call per count.
+a ``Counter.incr`` call per count.  The model has since adopted two
+rules of the table, declared: a request answered at once returns an
+event already processed (docs/performance.md "A free lock is granted
+in the call"), and an upgrade whose shared grant a tickle takeover revokes
+fails with a ``LockError`` instead of waiting forever.
 Both tables are driven, in every style, with the same random script of
 acquires (shared and exclusive, several owners, two keys), releases —
 of live, released and revoked grants alike — upgrades, withdrawn
@@ -81,15 +85,28 @@ class _World:
     def request(self, event):
         index = len(self.requests)
         self.requests.append(event)
-        event.callbacks.append(lambda event: self.log.append(
-            ("granted", index, event.value.grant_id, self.env.now)))
+
+        def answered(event):
+            if event.ok:
+                self.log.append(("granted", index, event.value.grant_id,
+                                 self.env.now))
+            else:
+                event.defuse()
+                self.log.append(("refused", index, str(event.value),
+                                 self.env.now))
+
+        # A request answered in the call is already processed.
+        if event.callbacks is None:
+            answered(event)
+        else:
+            event.callbacks.append(answered)
         return index, event.triggered
 
     def grants(self):
         """Every grant ever handed out, in issue order."""
         seen = {}
         for event in self.requests:
-            if event.triggered:
+            if event.triggered and event.ok:
                 seen.setdefault(event.value.grant_id, event.value)
         return [seen[grant_id] for grant_id in sorted(seen)]
 

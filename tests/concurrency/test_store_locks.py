@@ -12,9 +12,12 @@ from repro.concurrency import (
     SOFT,
     SharedStore,
     TICKLE,
+    TransactionManager,
 )
 from repro.errors import ConcurrencyError, LockError
 from repro.sim import Environment
+
+from tests.counting import CountingEnvironment
 
 
 @pytest.fixture
@@ -357,3 +360,127 @@ def test_notification_watchers_notified_of_writes(env):
     assert seen == [("doc", "writer", "write")]
     assert table.counters["notifications"] == 2
 
+
+
+# -- a request answered in the call --------------------------------------------
+
+def _free(table):
+    return table.acquire("doc", "bob")
+
+
+def _past_a_writer(table):
+    # Soft: over a conflicting writer; notification: a reader beside one.
+    table.acquire("doc", "ann")
+    return table.acquire("doc", "bob",
+                         SHARED if table.style == NOTIFICATION else EXCLUSIVE)
+
+
+def _takeover(table):
+    # A grace of 0: every holder is idle long enough at once.
+    table.acquire("doc", "ann")
+    return table.acquire("doc", "bob")
+
+
+def _upgrade(table):
+    return table.upgrade(table.acquire("doc", "bob", SHARED).value)
+
+
+@pytest.mark.parametrize("style, request_", [
+    (HARD, _free), (TICKLE, _free), (SOFT, _free), (NOTIFICATION, _free),
+    (SOFT, _past_a_writer), (NOTIFICATION, _past_a_writer),
+    (TICKLE, _takeover), (HARD, _upgrade)],
+    ids=["hard", "tickle", "soft", "notification", "soft-conflict",
+         "notification-reader", "takeover", "upgrade"])
+def test_an_immediate_answer_is_processed_and_queues_nothing(style,
+                                                             request_):
+    env = CountingEnvironment()
+    table = LockTable(env, style=style, tickle_grace=0.0)
+    event = request_(table)
+    assert (event.processed, event.ok, env.pushes) == (True, True, 0)
+    assert event.value.owner == "bob" and not event.value.revoked
+    assert table.holders("doc")[-1] is event.value
+    env.run()
+    assert env.pushes == 0
+
+
+def test_a_free_acquire_continues_before_what_is_queued_for_its_instant():
+    env = CountingEnvironment()
+    table = LockTable(env)
+    order = []
+
+    def requester(env):
+        yield env.timeout(1.0)
+        env.timeout(0.0).callbacks.append(lambda _: order.append("queued"))
+        yield table.acquire("doc", "ann")
+        order.append(("granted", env.now))
+
+    env.process(requester(env))
+    env.run()
+    assert order == [("granted", 1.0), "queued"]
+
+
+def test_a_contended_acquire_queues_one_event_at_its_grant():
+    env = CountingEnvironment()
+    table = LockTable(env)
+    held = table.acquire("doc", "ann").value
+    waiting = table.acquire("doc", "bob")
+    assert (waiting.triggered, env.pushes) == (False, 0)
+    held.release()
+    assert (waiting.triggered, env.pushes) == (True, 1)
+    env.run()
+    assert waiting.value.owner == "bob" and env.pushes == 1
+
+
+def _done(steps):
+    """Drive a generator that must not wait; its return value."""
+    with pytest.raises(StopIteration) as stop:
+        next(steps)
+    return stop.value.value
+
+
+def test_a_transactions_free_locks_queue_nothing():
+    env = CountingEnvironment()
+    manager = TransactionManager(env, SharedStore())
+    txn = manager.begin("ann")
+    assert _done(manager.read(txn, "doc")) is None
+    _done(manager.write(txn, "doc", 1))     # an in-place upgrade
+    assert txn.grants["doc"].mode == EXCLUSIVE
+    assert _done(manager.read(txn, "doc")) == 1
+    assert env.pushes == 0
+
+
+def test_any_of_a_free_acquire_and_a_timeout_fires_with_the_grant(env):
+    table = LockTable(env)
+    acquired = table.acquire("doc", "ann")
+    either = env.any_of([acquired, env.timeout(5.0)])
+    assert env.run(either) == {acquired: acquired.value}
+    assert env.now == 0.0 and acquired.value.owner == "ann"
+
+
+def test_a_takeover_fails_the_upgrade_its_holder_waits_for(env):
+    table = LockTable(env, style=TICKLE, tickle_grace=1.0)
+    refused = []
+
+    def ann(env):
+        grant = yield table.acquire("doc", "ann", SHARED)
+        yield env.timeout(1.0)
+        try:
+            yield table.upgrade(grant)      # bob holds it too: ann waits
+        except LockError as error:
+            refused.append((str(error), env.now))
+
+    def bob(env):
+        yield table.acquire("doc", "bob", SHARED)
+
+    def cat(env):
+        yield env.timeout(5.0)
+        grant = yield table.acquire("doc", "cat")
+        yield env.timeout(1.0)
+        grant.release()
+
+    processes = [env.process(user(env)) for user in (ann, bob, cat)]
+    env.run()
+    assert refused == [("ann's shared lock on doc was taken over by cat "
+                        "while it waited to upgrade", 5.0)]
+    assert not any(process.is_alive for process in processes)
+    assert table.queue_length("doc") == 0 and table.holders("doc") == []

@@ -234,6 +234,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/concurrency/locks.py",
            "now - h.last_activity >= self.tickle_grace",
            "now - h.last_activity >= 0"),
+    Mutant("free-lock-decided-past-a-holder", "seeded; decided grant",
+           "src/repro/concurrency/locks.py",
+           "                or self._compatible(key, owner, mode)):\n",
+           "                or True):\n"),
     Mutant("aware-update-ignores-view", "seeded; A5",
            "src/repro/sessions/sharing.py",
            "(self.env.now, key, self._views[viewer](viewer, key, value)))",

@@ -300,13 +300,13 @@ def test_a_defused_process_that_raises_does_not_fail_the_run(env):
     assert not process.ok and isinstance(process.value, KeyError)
 
 
-def test_an_immediate_lock_grant_queues_one_event():
+def test_an_immediate_lock_grant_queues_no_event():
     env = CountingEnvironment()
     table = LockTable(env)
     granted = table.acquire("k", "ann", EXCLUSIVE)
-    assert (granted.triggered, granted.ok, env.pushes) == (True, True, 1)
+    assert (granted.processed, granted.ok, env.pushes) == (True, True, 0)
     assert granted.value.owner == "ann"
     waiting = table.acquire("k", "bob", EXCLUSIVE)
-    assert (waiting.triggered, env.pushes) == (False, 1)
+    assert (waiting.triggered, env.pushes) == (False, 0)
     env.run()
-    assert env.now == 0.0 and env.pushes == 1
+    assert env.now == 0.0 and env.pushes == 0
