@@ -385,7 +385,9 @@ class LockTable:
                     # The underlying grant was released while waiting.
                     queue.pop(0)
                     self._close_wait_span(waiter, "cancelled")
-                    waiter.event.defuse()
+                    waiter.event.fail(LockError(
+                        "{}'s shared lock on {} was released while it "
+                        "waited to upgrade".format(waiter.owner, key)))
                     continue
                 if any(h.owner != waiter.owner for h in held):
                     break

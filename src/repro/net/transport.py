@@ -6,6 +6,13 @@ via acknowledgements, retransmission and sequence-number deduplication.
 viewpoint *operational interface* of ODP) beside it, not on it: a call
 is sent as plain datagrams, with its own attempt timers and the retries
 of its fault policies.
+
+Neither keeps a process per operation.  A send is one
+:class:`_PendingSend` and a call one :class:`_PendingCall`, each
+advanced by plain callbacks (its packets and its timers), and each
+hands its outcome to whoever waits on its event in the call
+(:meth:`~repro.sim.Event.resolve`): a waiter runs inside the ack's or
+the reply's delivery, before anything else queued for that instant.
 """
 
 from __future__ import annotations
@@ -51,6 +58,12 @@ class ReliableChannel:
     ``fixed_retry(ack_timeout, max_retries)`` — reproduces the classic
     constant-interval behaviour exactly; pass ``backoff`` for
     exponential backoff with deterministic jitter under loss.
+
+    A send is not a process: it is one :class:`_PendingSend` in
+    ``_pending_acks``, advanced by its ack and its attempt timers, and
+    the ack is handed to the waiters of the send's event in its
+    delivery.  Items in order reach a waiting :meth:`receive` the same
+    way, inside the data packet's delivery.
     """
 
     def __init__(self, host: Host, port: int = 1,
@@ -73,7 +86,8 @@ class ReliableChannel:
         # (sender, seq), so a shared counter would leave permanent gaps
         # for receivers that only see part of the stream.
         self._seq: Dict[str, "itertools.count"] = {}
-        self._pending_acks: Dict[Tuple[str, int], Event] = {}
+        #: Sends awaiting their ack, by (destination, sequence number).
+        self._pending_acks: Dict[Tuple[str, int], _PendingSend] = {}
         self._expected: Dict[str, int] = {}
         self._reorder: Dict[str, Dict[int, Packet]] = {}
         self._app_inbox = Store(self.env)
@@ -100,9 +114,15 @@ class ReliableChannel:
         the send's trace context then rides every data packet so the
         per-link transit spans (and any retransmissions) parent under
         one ``chan.send`` span.
+
+        The first attempt leaves before this returns.
         """
         done = self.env.event()
-        self.env.process(self._send_proc(dst, payload, size, done, parent))
+        numbers = self._seq.get(dst)
+        if numbers is None:
+            numbers = self._seq[dst] = itertools.count(1)
+        _PendingSend(self, dst, payload, size, next(numbers), done,
+                     parent)._attempt()
         return done
 
     def receive(self):
@@ -127,57 +147,13 @@ class ReliableChannel:
 
     # -- internals ---------------------------------------------------------
 
-    def _send_proc(self, dst: str, payload: Any, size: int, done: Event,
-                   parent=None):
-        if dst not in self._seq:
-            self._seq[dst] = itertools.count(1)
-        seq = next(self._seq[dst])
-        self._track(+1)
-        span = self.env.tracer.start_span(
-            "chan.send", at=self.env.now, parent=parent,
-            node=self.host.name, dst=dst, seq=seq)
-        attempts = 0
-        while attempts <= self.max_retries:
-            ack = self.env.event()
-            self._pending_acks[(dst, seq)] = ack
-            self.host.send(dst, payload=payload, size=size, port=self.port,
-                           headers=inject(span, {"type": "data",
-                                                 "seq": seq}))
-            if attempts > 0:
-                self.retransmissions += 1
-                self._retry_counters.get(dst).add()
-                span.add_event("retransmit", at=self.env.now,
-                               attempt=attempts)
-            # The ack wait for attempt N is the backoff delay before
-            # retry N — the default fixed_retry policy makes every wait
-            # ``ack_timeout``, the channel's historical behaviour.
-            result = yield self.env.any_of(
-                [ack, self.env.timeout(self.backoff.delay(attempts))])
-            if ack in result:
-                self._pending_acks.pop((dst, seq), None)
-                self._track(-1)
-                span.finish(at=self.env.now)
-                done.succeed(seq)
-                return
-            attempts += 1
-        self._pending_acks.pop((dst, seq), None)
-        self._track(-1)
-        self.gave_up += 1
-        self._gave_up_counters.get(dst).add()
-        span.set_status("error")
-        span.set_attribute("error", "no-ack")
-        span.finish(at=self.env.now)
-        done.fail(TransportError(
-            "no ack from {} after {} attempts".format(
-                dst, self.max_retries + 1)))
-
     def _on_packet(self, packet: Packet) -> None:
         kind = packet.headers.get("type")
         if kind == "ack":
-            ack = self._pending_acks.get(
-                (packet.src, packet.headers["seq"]))
-            if ack is not None and not ack.triggered:
-                ack.succeed()
+            send = self._pending_acks.pop(
+                (packet.src, packet.headers["seq"]), None)
+            if send is not None:
+                send._on_ack()
             return
         if kind != "data":
             return
@@ -197,6 +173,96 @@ class ReliableChannel:
             self._app_inbox.put(buffer.pop(expected))
             expected += 1
         self._expected[packet.src] = expected
+
+
+class _PendingSend:
+    """One :meth:`ReliableChannel.send` from the call to its ``done``.
+
+    Shaped like :class:`_PendingCall`: two plain callbacks advance it,
+    each at the instant it happens.  The ack (:meth:`_on_ack`, from the
+    channel's packet handler) hands ``done`` its sequence number in the
+    call; the current attempt's timer (:meth:`_on_timeout`) sends the
+    data again, or gives up after the last retry.  A timer is never
+    cancelled: it carries its attempt number and is ignored unless that
+    is still ``attempt``, which is -1 once the send is resolved.  Any
+    ack for the sequence number resolves the send, whichever attempt it
+    answers.
+
+    A retransmission runs with the send as ``env.active_process``, so
+    its packet begins in the call, as the data packet of a process
+    does (:meth:`repro.net.network._Carrier._launch`).
+    """
+
+    __slots__ = ("channel", "dst", "payload", "size", "seq", "done",
+                 "span", "attempt")
+
+    def __init__(self, channel: ReliableChannel, dst: str, payload: Any,
+                 size: int, seq: int, done: Event, parent) -> None:
+        self.channel = channel
+        self.dst = dst
+        self.payload = payload
+        self.size = size
+        self.seq = seq
+        self.done = done
+        env = channel.env
+        self.span = env.tracer.start_span(
+            "chan.send", at=env.now, parent=parent,
+            node=channel.host.name, dst=dst, seq=seq)
+        self.attempt = 0
+        channel._track(+1)
+        channel._pending_acks[(dst, seq)] = self
+
+    def _attempt(self) -> None:
+        """Put the data on the wire and arm this attempt's timer.
+
+        The ack wait for attempt N is the backoff delay before retry N;
+        the default ``fixed_retry`` policy makes every wait
+        ``ack_timeout``, the channel's historical behaviour.
+        """
+        channel = self.channel
+        attempt = self.attempt
+        channel.host.send(self.dst, payload=self.payload, size=self.size,
+                          port=channel.port,
+                          headers=inject(self.span, {"type": "data",
+                                                     "seq": self.seq}))
+        channel.env.timeout(channel.backoff.delay(attempt),
+                            attempt).callbacks.append(self._on_timeout)
+
+    def _on_ack(self) -> None:
+        channel = self.channel
+        self.attempt = -1
+        channel._track(-1)
+        self.span.finish(at=channel.env.now)
+        self.done.resolve(self.seq)
+
+    def _on_timeout(self, timer: Event) -> None:
+        if timer._value != self.attempt:
+            return  # acked
+        channel = self.channel
+        env = channel.env
+        if self.attempt < channel.max_retries:
+            self.attempt += 1
+            outer = env._active_process
+            env._active_process = self
+            self._attempt()
+            env._active_process = outer
+            channel.retransmissions += 1
+            channel._retry_counters.get(self.dst).add()
+            self.span.add_event("retransmit", at=env.now,
+                                attempt=self.attempt)
+            return
+        self.attempt = -1
+        del channel._pending_acks[(self.dst, self.seq)]
+        channel._track(-1)
+        channel.gave_up += 1
+        channel._gave_up_counters.get(self.dst).add()
+        span = self.span
+        span.set_status("error")
+        span.set_attribute("error", "no-ack")
+        span.finish(at=env.now)
+        self.done.reject(TransportError(
+            "no ack from {} after {} attempts".format(
+                self.dst, channel.max_retries + 1)))
 
 
 class RpcError(TransportError):
@@ -231,6 +297,9 @@ class RpcEndpoint:
     a tie with a *foreign* event of the same instant (the processes
     took two to four more trips through the queue per call, and
     something unrelated queued for that instant could run in between).
+    The outcome is not queued either: the reply hands it to the waiters
+    of the call's event inside its own delivery, so they run before
+    anything else queued for that instant.
     """
 
     def __init__(self, host: Host, port: int = 2,
@@ -380,7 +449,11 @@ class _PendingCall:
     (:meth:`_on_timeout`) and the backoff timer before a retry
     (:meth:`_attempt`).  An attempt's timer is never cancelled: it
     carries the attempt's call id and is ignored unless that is still
-    ``call_id``, which is 0 whenever no attempt is on the wire.
+    ``call_id``, which is 0 whenever no attempt is on the wire.  The
+    outcome reaches the waiters of ``done`` in the call
+    (:meth:`~repro.sim.Event.resolve`, :meth:`~repro.sim.Event.reject`);
+    a ``done`` nobody waits on yet (a refusal inside
+    :meth:`RpcEndpoint.call`) is queued.
 
     A declared tie, next to the foreign-event one in
     :class:`RpcEndpoint`: when a round trip takes no simulated time (a
@@ -461,7 +534,7 @@ class _PendingCall:
         if ok:
             self.span.finish(at=endpoint.env.now)
             endpoint._track(-1)
-            self.done.succeed(value)
+            self.done.resolve(value)
         else:
             self._fail(RemoteException(value))
 
@@ -498,4 +571,4 @@ class _PendingCall:
         self.span.set_status("error")
         self.span.finish(at=endpoint.env.now)
         endpoint._track(-1)
-        self.done.fail(error)
+        self.done.reject(error)

@@ -418,12 +418,12 @@ class _Invocation:
 
     def _succeed(self, value: Any) -> None:
         self.span.finish(at=self.nucleus.env.now)
-        self.done.succeed(value)
+        self.done.resolve(value)
 
     def _fail(self, error: Exception) -> None:
         self.span.set_status("error")
         self.span.finish(at=self.nucleus.env.now)
-        self.done.fail(error)
+        self.done.reject(error)
 
 
 class _Nuclei(dict):

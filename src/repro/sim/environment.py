@@ -19,7 +19,9 @@ from repro.sim.events import (
     Event,
     NORMAL,
     Process,
+    StopSimulation,
     Timeout,
+    _stop_simulation,
 )
 
 Infinity = float("inf")
@@ -47,10 +49,6 @@ def dispatch_parts(key: int) -> Tuple[int, int]:
 
 class EmptySchedule(SimulationError):
     """Raised by :meth:`Environment.step` on an empty event queue."""
-
-
-class StopSimulation(Exception):
-    """Raised to end :meth:`Environment.run` when its until-event fires."""
 
 
 class Environment:
@@ -366,12 +364,6 @@ class Environment:
             "events_processed": self.events_processed,
             "queue_depth": len(self._queue),
         }
-
-
-def _stop_simulation(event: Event) -> None:
-    if not event._ok:
-        raise event.value
-    raise StopSimulation(event)
 
 
 def _bad_delay(delay: Any) -> str:

@@ -20,12 +20,25 @@ URGENT = 0
 NORMAL = 1
 
 
+class StopSimulation(Exception):
+    """Raised to end :meth:`Environment.run` when its until-event fires."""
+
+
+def _stop_simulation(event: "Event") -> None:
+    """The callback ``run(until=event)`` hangs on ``event``."""
+    if not event._ok:
+        raise event.value
+    raise StopSimulation(event)
+
+
 class Event:
     """A happening at a point in simulated time.
 
     An event starts *pending*, becomes *triggered* when given a value (or
     failure) and scheduled, and *processed* once its callbacks have run.
-    Processes wait on events by yielding them.
+    Processes wait on events by yielding them.  An event handed its
+    outcome while somebody waits on it (:meth:`resolve`,
+    :meth:`reject`) is processed in that call and never queued.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_exception", "_ok",
@@ -84,6 +97,50 @@ class Event:
         self._exception = exception
         self.env.schedule(self)
         return self
+
+    def resolve(self, value: Any = None) -> "Event":
+        """Hand ``value`` to the event's waiters in the call.
+
+        An event somebody waits on is processed here: its callbacks run
+        before this returns and nothing is queued, so a waiter runs
+        before anything else queued for this instant.  One nobody waits
+        on yet is queued, exactly as :meth:`succeed` queues it.  So is
+        one that ends a ``run(until=...)``: the run stops in its loop,
+        not inside whatever code resolved the event.
+        """
+        if self._ok is not None:
+            raise SimulationError("event already triggered")
+        self._ok = True
+        self._value = value
+        self._hand_over()
+        return self
+
+    def reject(self, exception: BaseException) -> "Event":
+        """Hand a failure to the event's waiters in the call.
+
+        As :meth:`resolve`; a failure no waiter handled (none yielded or
+        defused it) raises here, as the run loop raises it, and one
+        nobody waits on yet is queued and still escalates from the run.
+        """
+        if self._ok is not None:
+            raise SimulationError("event already triggered")
+        if not isinstance(exception, BaseException):
+            raise SimulationError("reject() requires an exception instance")
+        self._ok = False
+        self._exception = exception
+        self._hand_over()
+        if self.callbacks is None and not self.defused:
+            raise exception
+        return self
+
+    def _hand_over(self) -> None:
+        callbacks = self.callbacks
+        if not callbacks or _stop_simulation in callbacks:
+            self.env.schedule(self)
+            return
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
 
     def defuse(self) -> "Event":
         """Mark failures of this event as handled (fire-and-forget use)."""
@@ -154,8 +211,14 @@ class Process(Event):
         return getattr(self._generator, "__name__", repr(self._generator))
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the fired event's value."""
+        """Advance the generator with the fired event's value.
+
+        The active process it found is restored when the generator
+        stops: a process resumed inside a hand-over (:meth:`Event.resolve`)
+        leaves its caller (a packet's carrier, another process) active.
+        """
         env = self.env
+        outer = env._active_process
         env._active_process = self
         generator = self._generator
         while True:
@@ -199,7 +262,7 @@ class Process(Event):
             # its stored value / exception.
             event = next_event
 
-        env._active_process = None
+        env._active_process = outer
 
 
 class AnyOf(Event):

@@ -49,7 +49,8 @@ class Store:
         """Add ``item``, handing it on to a waiting take if there is one.
 
         Nothing is queued for the put itself: a store is never full, so
-        there is no acceptance for anybody to wait on.
+        there is no acceptance for anybody to wait on.  A take somebody
+        waits on gets the item in the call (:meth:`_serve`).
         """
         self.items.append(item)
         if self._getters:
@@ -60,6 +61,12 @@ class Store:
         return StoreGet(self)
 
     def _serve(self) -> None:
+        """Hand the oldest items to the oldest takes, in the call.
+
+        A take somebody waits on runs its waiter here; each pair leaves
+        both lists before it is handed over, so a waiter that takes again
+        inside its hand-off queues behind the takes already waiting.
+        """
         getters, items = self._getters, self.items
         while getters and items:
-            getters.pop(0).succeed(items.pop(0))
+            getters.pop(0).resolve(items.pop(0))

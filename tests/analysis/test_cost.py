@@ -17,12 +17,12 @@ repin()"``) and declares the per-package delta, as for
 ``seed_digests.json``.  The pins are not a ceiling: wall time stays the
 judge of speed; the counts say exactly what changed.
 
-Beside them, ``bench`` pins the kernel events of five bench workloads
-as the benchmark's own child process counts them at seed 31 (its
-``simulated`` block's ``events``): the two whose hops wait most on
-links that draw nothing, the lock store, whose free locks queue
-nothing, and the conference and faulty RPC, which nothing else in
-tier-1 holds.  They do not depend on the Python version.
+Beside them, ``bench`` pins the kernel events of all seven bench
+workloads as the benchmark's own child process counts them at seed 31
+(its ``simulated`` block's ``events``), which nothing else in tier-1
+holds.  They do not depend on the Python version.  The observed faulty
+RPC queues exactly the events of the plain one: observers queue
+nothing.
 """
 
 import cProfile
@@ -50,10 +50,10 @@ _ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _PYTHON = "{}.{}".format(*sys.version_info[:2])
 _BENCH_CHILD = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "bench", "child.py")
-#: The OT server's fan-out and the chat's LAN hops wait on their
-#: channels; a free lock in the lock store is granted in the call.
-BENCH_WORKLOADS = ("edit-session", "group-chat", "lock-store",
-                   "media-conference", "faulty-rpc")
+#: Every workload ``bench/run.py`` registers.
+BENCH_WORKLOADS = ("packet-storm", "lock-store", "edit-session",
+                   "group-chat", "media-conference", "faulty-rpc",
+                   "faulty-rpc-observed")
 
 
 def _package(path):
@@ -163,5 +163,6 @@ def test_every_workload_costs_what_is_pinned():
 
 
 def test_bench_workloads_queue_the_pinned_events():
-    assert {name: bench_events(name) for name in BENCH_WORKLOADS} \
-        == _pinned()["bench"]
+    counted = {name: bench_events(name) for name in BENCH_WORKLOADS}
+    assert counted == _pinned()["bench"]
+    assert counted["faulty-rpc-observed"] == counted["faulty-rpc"]

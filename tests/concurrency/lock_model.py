@@ -11,8 +11,9 @@ are that code verbatim but for where they find their observers (the
 environment's, like every layer now) and two rules adopted since,
 declared: a request answered at once returns an event that is already
 processed (:func:`_decided`) instead of one that ``succeed()`` queues,
-and a tickle takeover fails the pending upgrade of a holder it revokes
-(which used to be dropped, its process left waiting forever).  So a
+and a pending upgrade fails when a tickle takeover revokes its shared
+grant or other code releases it (it used to be dropped, its process
+left waiting forever).  So a
 test can drive both tables with the same script and compare.  A
 reference, not a second path — nothing under ``src/`` imports this.
 """
@@ -357,7 +358,9 @@ class LockTable:
                     # The underlying grant was released while waiting.
                     queue.pop(0)
                     self._close_wait_span(waiter, "cancelled")
-                    waiter.event.defuse()
+                    waiter.event.fail(LockError(
+                        "{}'s shared lock on {} was released while it "
+                        "waited to upgrade".format(waiter.owner, key)))
                     continue
                 if any(h.owner != waiter.owner for h in held):
                     break

@@ -7,7 +7,8 @@ a ``Counter.incr`` call per count.  The model has since adopted two
 rules of the table, declared: a request answered at once returns an
 event already processed (docs/performance.md "A free lock is granted
 in the call"), and an upgrade whose shared grant a tickle takeover revokes
-fails with a ``LockError`` instead of waiting forever.
+or a release gives back fails with a ``LockError`` instead of waiting
+forever.
 Both tables are driven, in every style, with the same random script of
 acquires (shared and exclusive, several owners, two keys), releases —
 of live, released and revoked grants alike — upgrades, withdrawn

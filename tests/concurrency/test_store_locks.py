@@ -484,3 +484,35 @@ def test_a_takeover_fails_the_upgrade_its_holder_waits_for(env):
                         "while it waited to upgrade", 5.0)]
     assert not any(process.is_alive for process in processes)
     assert table.queue_length("doc") == 0 and table.holders("doc") == []
+
+
+def test_a_release_fails_the_upgrade_its_grant_waits_for(env):
+    """An upgrade whose shared grant other code releases while it waits
+    fails with a ``LockError`` that names the release, at the release;
+    it used to be dropped, its process left waiting forever."""
+    table = LockTable(env, style=HARD)
+    refused, grants = [], {}
+
+    def ann(env):
+        grants["ann"] = yield table.acquire("doc", "ann", SHARED)
+        yield env.timeout(1.0)
+        try:
+            yield table.upgrade(grants["ann"])   # bob shares it: ann waits
+        except LockError as error:
+            refused.append((str(error), env.now))
+
+    def bob(env):
+        grant = yield table.acquire("doc", "bob", SHARED)
+        yield env.timeout(3.0)
+        grant.release()
+
+    def supervisor(env):
+        yield env.timeout(2.0)
+        grants["ann"].release()
+
+    processes = [env.process(user(env)) for user in (ann, bob, supervisor)]
+    env.run(until=10.0)
+    assert refused == [("ann's shared lock on doc was released while it "
+                        "waited to upgrade", 2.0)]
+    assert not any(process.is_alive for process in processes)
+    assert table.queue_length("doc") == 0 and table.holders("doc") == []

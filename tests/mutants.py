@@ -238,6 +238,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/concurrency/locks.py",
            "                or self._compatible(key, owner, mode)):\n",
            "                or True):\n"),
+    Mutant("hand-over-clears-active-process", "seeded; hand-over",
+           "src/repro/sim/events.py",
+           "        env._active_process = outer\n",
+           "        env._active_process = None\n"),
     Mutant("aware-update-ignores-view", "seeded; A5",
            "src/repro/sessions/sharing.py",
            "(self.env.now, key, self._views[viewer](viewer, key, value)))",
@@ -317,9 +321,9 @@ MUTANTS: Tuple[Mutant, ...] = (
     # -- one aimed at the stated property of each fault oracle -----------
     Mutant("give-up-leaves-inflight", "seeded; liveness",
            "src/repro/net/transport.py",
-           "        self._track(-1)\n"
-           "        self.gave_up += 1\n",
-           "        self.gave_up += 1\n"),
+           "        channel._track(-1)\n"
+           "        channel.gave_up += 1\n",
+           "        channel.gave_up += 1\n"),
     Mutant("slo-alert-clears-only-on-stop", "seeded; slo-clears",
            "src/repro/obs/slo.py",
            "        if not firing and alert is not None:\n",

@@ -7,6 +7,8 @@ from repro.faults.policies import RetryPolicy, fixed_retry
 from repro.net import Network, ReliableChannel, Topology
 from repro.sim import Environment, RandomStreams
 
+from tests.counting import CountingEnvironment
+
 
 @pytest.fixture
 def env():
@@ -112,3 +114,63 @@ def test_jittered_backoff_is_seed_deterministic():
 
     assert failure_time(5) == failure_time(5)
     assert failure_time(5) != failure_time(6)
+
+
+# -- a send is a callback object, not a process ---------------------------
+
+def test_a_reliable_send_starts_no_process():
+    """The send is advanced by its ack and its attempt timers alone: no
+    process, and the ack is handed to the waiting callback in its
+    delivery."""
+    env = CountingEnvironment()
+    sender, _ = make_pair(env)
+    acked = []
+    done = sender.send("b", payload="x")
+    done.callbacks.append(lambda event: acked.append((event.value,
+                                                      env.now)))
+    env.run()
+    assert env.processes == 0
+    assert len(acked) == 1 and acked[0][0] == 1 and 0 < acked[0][1] < 0.2
+    assert done.processed and sender.inflight() == 0
+    assert sender.retransmissions == 0 and not sender._pending_acks
+
+
+def test_a_lost_ack_retransmits_on_the_same_backoff_draws():
+    """Two acks are lost: the data goes out three times, each retry
+    after the policy's next jittered draw, and the third ack resolves
+    the send.  The draws are the ones a fresh stream of the same seed
+    gives, one per attempt, in attempt order."""
+    env = CountingEnvironment()
+    topo = Topology(env)
+    topo.add_link("a", "b", latency=0.001)
+    net = Network(env, topo)
+    a, b = net.host("a"), net.host("b")
+    sender = ReliableChannel(
+        a, backoff=RetryPolicy(base=0.1, multiplier=2.0, jitter=0.3,
+                               max_retries=4,
+                               rng=RandomStreams(9).stream("bk")))
+    ReliableChannel(b)
+    sent, lost = [], []
+    send_a, send_b = a.send, b.send
+
+    def data_sent(dst, **kwargs):
+        sent.append(env.now)
+        send_a(dst, **kwargs)
+
+    def ack_sent(dst, **kwargs):
+        if len(lost) < 2:
+            lost.append(env.now)        # this ack never leaves b
+            return
+        send_b(dst, **kwargs)
+
+    a.send, b.send = data_sent, ack_sent
+    done = sender.send("b", payload="x")
+    env.run()
+    draws = RandomStreams(9).stream("bk")
+    expected = RetryPolicy(base=0.1, multiplier=2.0, jitter=0.3,
+                           max_retries=4, rng=draws)
+    first, second = expected.delay(0), expected.delay(1)
+    assert sent == pytest.approx([0.0, first, first + second])
+    assert done.value == 1 and sender.retransmissions == 2
+    assert sender.gave_up == 0 and sender.inflight() == 0
+    assert env.processes == 0

@@ -82,11 +82,15 @@ def test_remote_invocations_of_a_plain_operation_start_no_process():
     assert results == list(range(1, 21))
     assert env.processes == 0
     # Per invocation: two packets of one hop (one event a hop, its
-    # arrival: the channel is free and the link draws nothing), the
-    # queued start of the request (sent from a callback, not a process),
-    # the attempt's timer and the two ``done`` events.  Before them, the
-    # object's registration (5) and the one ``whereis`` (7).
-    assert env.pushes == 20 * 6 + 5 + 7
+    # arrival: the channel is free and the link draws nothing) and the
+    # attempt's timer.  The call's and the invocation's ``done`` are
+    # handed to their waiting callbacks in the reply's delivery
+    # (``Event.resolve``), and the next request begins there, with the
+    # reply's carrier active; so does the first, in the ``whereis``
+    # reply's.  Before them, the object's registration (5: its start is
+    # queued, and so is its ``done``, which nobody waits on) and the one
+    # ``whereis`` over two hops (6: start, four arrivals, timer).
+    assert env.pushes == 20 * 3 + 5 + 6
 
 
 def test_a_generator_operation_starts_exactly_one_process():

@@ -11,8 +11,10 @@ import pytest
 from repro.analysis.lint import iter_python_files, lint_source
 from repro.concurrency.locks import EXCLUSIVE, LockTable
 from repro.errors import SimulationError
+from repro.net import Network, Topology
 from repro.net.link import Channel
 from repro.sim import Environment, Event, Store, Timeout
+from repro.sim.environment import dispatch_parts
 from repro.sim.events import NORMAL, URGENT
 
 from tests.counting import CountingEnvironment
@@ -117,10 +119,11 @@ def test_equal_priority_claims_stay_fifo(env):
 
 
 def test_store_put_queues_nothing_and_hands_items_on_in_order(env):
-    """Each item reaches the waiting consumer at the instant it is put,
-    and a put queues no event of its own: the run's events are the
-    processes' own (two starts, three timeouts, three takes, two
-    exits)."""
+    """Each item reaches the waiting consumer in the put, and a put
+    queues no event of its own: the run's events are the processes' own
+    (two starts, three timeouts, two exits).  A take the consumer waits
+    on is handed over in the call (``Event.resolve``), so the three
+    takes queue nothing either."""
     def consumer(env, store, seen):
         for _ in range(3):
             item = yield store.get()
@@ -138,7 +141,7 @@ def test_store_put_queues_nothing_and_hands_items_on_in_order(env):
     env.run()
     assert seen == [(0.1, 0), (0.1 + 0.1, 1), (0.1 + 0.1 + 0.1, 2)]
     assert (env.now, len(store)) == (0.1 + 0.1 + 0.1, 0)
-    assert env.events_processed == env.events_scheduled == 10
+    assert env.events_processed == env.events_scheduled == 7
 
 
 # -- one clock, one wake-up callback, one queued event per grant ----------
@@ -310,3 +313,151 @@ def test_an_immediate_lock_grant_queues_no_event():
     assert (waiting.triggered, env.pushes) == (False, 0)
     env.run()
     assert env.now == 0.0 and env.pushes == 0
+
+
+# -- an outcome reaches its waiter in the call -----------------------------
+
+def test_a_hand_over_to_waiters_queues_nothing_and_runs_them_in_order():
+    env = CountingEnvironment()
+    order = []
+    event = env.event()
+
+    def waiter(env, tag):
+        value = yield event
+        order.append((tag, value, env.now))
+        yield env.event()               # and waits on, so it never exits
+
+    for tag in ("first", "second"):
+        env.process(waiter(env, tag))
+    env.run()                           # both processes start and wait
+    event.callbacks.append(lambda fired: order.append(("callback",
+                                                       fired.value)))
+    pushed = env.pushes
+    assert event.resolve("v") is event
+    assert event.processed and env.pushes == pushed
+    assert order == [("first", "v", 0.0), ("second", "v", 0.0),
+                     ("callback", "v")]
+    with pytest.raises(SimulationError):
+        event.resolve("again")
+
+
+def test_a_failure_handed_to_a_waiter_is_thrown_into_it_in_the_call():
+    env = CountingEnvironment()
+    event = env.event()
+    caught = []
+
+    def waiter(env):
+        try:
+            yield event
+        except KeyError as error:
+            caught.append(error.args[0])
+
+    env.process(waiter(env))
+    env.run()
+    pushed = env.pushes
+    event.reject(KeyError("bang"))
+    assert caught == ["bang"] and event.defused
+    assert env.pushes == pushed + 1     # the waiter's exit, not the event
+
+
+def test_with_no_waiter_a_hand_over_queues_the_event_as_succeed_does():
+    env = CountingEnvironment()
+    fine = env.event().resolve("v")
+    assert (fine.triggered, fine.processed, env.pushes) == (True, False, 1)
+    env.run()
+    assert fine.processed and fine.value == "v"
+    failed = env.event().reject(KeyError("unhandled"))
+    assert (failed.processed, env.pushes) == (False, 2)
+    with pytest.raises(KeyError):
+        env.run()
+
+
+def test_an_unhandled_failure_handed_to_a_callback_raises_in_the_call():
+    env = Environment()
+    event = env.event()
+    event.callbacks.append(lambda fired: None)      # does not defuse
+    with pytest.raises(KeyError):
+        event.reject(KeyError("unhandled"))
+    assert event.processed
+
+
+def test_an_until_event_handed_over_stops_the_run_in_its_loop():
+    """The run's stopper is no waiter: the event is queued, so the code
+    that resolved it runs to its end before run() returns."""
+    env = CountingEnvironment()
+    done = env.event()
+    after = []
+
+    def resolver(env):
+        yield env.timeout(1.0)
+        done.resolve("v")
+        after.append(env.now)
+        yield env.timeout(1.0)
+
+    process = env.process(resolver(env))
+    assert env.run(until=done) == "v"
+    assert after == [1.0] and process.is_alive
+    env.run()
+    assert process.ok
+
+
+def test_a_process_resumed_in_a_packet_handler_leaves_the_carrier_active():
+    """A process handed an outcome inside a push handler runs in the
+    call and gives the active process back: the packet's carrier stays
+    the stand-in, so a send the handler makes afterwards begins at once
+    (it queues its first hop's arrival, not a start at this instant)."""
+    env = CountingEnvironment()
+    topology = Topology(env)
+    topology.add_link("a", "b", latency=0.01, bandwidth=1e9)
+    network = Network(env, topology)
+    a, b = network.host("a"), network.host("b")
+    reply = env.event()
+    seen = []
+
+    def waiter(env):
+        seen.append(("resumed", (yield reply)))
+
+    def handler(packet):
+        carrier = env.active_process
+        reply.resolve(packet.payload)
+        seen.append(("active", env.active_process is carrier,
+                     carrier is not None))
+        queued = len(env._queue)
+        b.send("a", payload="pong", port=9)
+        start = [entry for entry in env._queue
+                 if entry[0] == env.now
+                 and dispatch_parts(entry[1])[0] == URGENT]
+        seen.append(("begun", len(env._queue) - queued, start))
+
+    b.on_packet(9, handler)
+    env.process(waiter(env))
+    a.send("b", payload="ping", port=9)
+    env.run(until=0.015)
+    assert seen == [("resumed", "ping"), ("active", True, True),
+                    ("begun", 1, [])]
+
+
+def test_a_store_take_made_inside_a_hand_off_keeps_fifo_order():
+    """A consumer handed an item in a put takes again in the call: the
+    take already waiting is served first, and the item put after both
+    goes to the new take."""
+    env = CountingEnvironment()
+    store = Store(env)
+    got = []
+
+    def greedy(env):
+        got.append(("greedy", (yield store.get())))
+        got.append(("greedy", (yield store.get())))
+
+    def patient(env):
+        got.append(("patient", (yield store.get())))
+
+    env.process(greedy(env))
+    env.process(patient(env))
+    env.run()                           # both wait, greedy first
+    store.items.extend([1, 2])          # two items, then one serve
+    store._serve()
+    assert got == [("greedy", 1), ("patient", 2)]
+    store.put(3)
+    assert got == [("greedy", 1), ("patient", 2), ("greedy", 3)]
+    assert len(store) == 0 and not store._getters

@@ -181,6 +181,8 @@ TOMBSTONES = {  # (the commit that deleted it, the record): guards
     ("4d5d3fa", PERF + "### An RPC is a record"): [grep(
         r"_call_proc|_invoke_proc", "src/repro/net/transport.py",
         "src/repro/node/**/*.py")],
+    ("d435fdf+1", PERF + "### An outcome reaches its waiter in the call"): [
+        grep(r"_send_proc", "src/repro/net/**/*.py")],
     ("a3ec299", PERF + "### A span is a row"): [grep(r"add_event\(", NET)],
     ("d4fcbfb", READERS): gone("src/repro/obs/report.py") + [
         grep("argparse", "src/repro/obs/divergence.py"),
