@@ -7,11 +7,14 @@ tracks each member's pointer on a shared surface and fans movements out
 to the other members with a configurable update rate (real systems
 throttle pointer traffic hard).
 
-Each member has one throttling process; a published update travels as
-one timeout whose callback walks the publishing member's *fan-out
-list* — the other members' callbacks, flattened once after each
-``watch`` / ``leave`` instead of per delivery.  A callback that raises
-surfaces from ``env.run()`` as itself.
+A member's throttle is a tick, an :meth:`Environment.batch` call an
+interval after the last, and a published update one call ``latency``
+after its tick that walks the member's *fan-out list* — the other
+members' callbacks, flattened once after each ``watch`` / ``leave``
+instead of per delivery.  Members that tick together share one queued
+event, and so do a tick's updates, each call made exactly where a
+process per member and a timeout per update would make it.  A callback
+that raises surfaces from ``env.run()`` as itself.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import SessionError
 from repro.obs.metrics import Counter
 from repro.sim import Environment
+from repro.sim.events import URGENT
 
 #: Called with (member, x, y) for each colleague's published movement.
 Watcher = Callable[[str, float, float], None]
@@ -47,16 +51,16 @@ class TelepointerService:
         self.latency = latency
         #: member -> (x, y) as last *published* to colleagues.
         self.published: Dict[str, Tuple[float, float]] = {}
-        self._current: Dict[str, Tuple[float, float]] = {}
-        self._dirty: Dict[str, bool] = {}
+        #: member -> (x, y) moved to since its last tick published.
+        self._moved: Dict[str, Tuple[float, float]] = {}
         self._watchers: Dict[str, List[Watcher]] = {}
         #: publishing member -> the other members' callbacks in delivery
         #: order, built at the member's next delivery.  Dropped whole,
         #: never edited, so a delivery in progress keeps its list.
         self._fanout: Dict[str, List[Watcher]] = {}
         self.counters = Counter()
-        #: member -> serial of its join; a publisher whose serial is no
-        #: longer the member's has been left behind and exits.
+        #: member -> serial of its join; a tick whose serial is no
+        #: longer the member's has been left behind and stops.
         self._members: Dict[str, int] = {}
         self._joins = 0
 
@@ -66,19 +70,17 @@ class TelepointerService:
             raise SessionError("{} already joined".format(member))
         self._joins += 1
         self._members[member] = self._joins
-        self._current[member] = (0.0, 0.0)
-        self._dirty[member] = False
         if on_move is not None:
             self.watch(member, on_move)
-        self.env.process(self._publisher(member, self._joins))
+        self.env.batch(0.0, self._tick, (member, self._joins), URGENT)
 
     def leave(self, member: str) -> None:
         """Remove a member: its pointer, its callbacks and any update of
-        its own still in flight; its publisher exits at its next tick."""
+        its own still in flight; its ticks stop at the next."""
         if member not in self._members:
             raise SessionError("{} has not joined".format(member))
-        del self._members[member], self._current[member], \
-            self._dirty[member]
+        del self._members[member]
+        self._moved.pop(member, None)
         self._watchers.pop(member, None)
         self.published.pop(member, None)
         self._fanout = {}
@@ -92,26 +94,26 @@ class TelepointerService:
         """A member moves their pointer (throttled before publishing)."""
         if member not in self._members:
             raise SessionError("{} has not joined".format(member))
-        self._current[member] = (x, y)
-        self._dirty[member] = True
+        self._moved[member] = (x, y)
         self.counters.incr("moves")
 
     # -- internals -------------------------------------------------------------
 
-    def _publisher(self, member: str, serial: int):
+    def _tick(self, entry: Tuple[str, int]) -> None:
         """Throttle: publish at most one update per interval."""
-        while self._members.get(member) == serial:
-            if self._dirty[member]:
-                self._dirty[member] = False
-                self.counters.incr("updates_published")
-                self.env.timeout(
-                    self.latency, (member, serial, self._current[member])
-                ).callbacks.append(self._deliver)
-            # Unthrottled mode publishes on a minimal tick.
-            yield self.env.timeout(self.update_interval or 1e-6)
+        member, serial = entry
+        if self._members.get(member) != serial:
+            return
+        position = self._moved.pop(member, None)
+        if position is not None:
+            self.counters.incr("updates_published")
+            self.env.batch(self.latency, self._deliver,
+                           (member, serial, position))
+        # Unthrottled mode publishes on a minimal tick.
+        self.env.batch(self.update_interval or 1e-6, self._tick, entry)
 
-    def _deliver(self, timer) -> None:
-        member, serial, position = timer.value
+    def _deliver(self, update: Tuple[str, int, Tuple[float, float]]) -> None:
+        member, serial, position = update
         if self._members.get(member) != serial:
             return  # left while the update was in flight
         self.published[member] = position

@@ -87,6 +87,9 @@ class Environment:
         self._window_anchor = 0.0
         self._window_index = 0
         self._window_next = Infinity
+        # (time, priority) -> Batch open to calls while _eid is _batch_mark.
+        self._batches: dict = {}
+        self._batch_mark = -1
         # The observers: the one place they are bound.  Each is read
         # once, from the ambient default (``use_X`` scopes it), and every
         # layer that holds this environment records into these, whatever
@@ -110,9 +113,9 @@ class Environment:
         """Events ever queued: the number of :meth:`_push` calls.
 
         The schedule-order tiebreaker ``_eid`` increments exactly once
-        per queued event — every ``_eid += 1`` is followed by the push
-        it numbers — so it doubles as this counter: one less attribute
-        store on every schedule.
+        per queued event — every ``_eid += 1`` is followed by one push,
+        a yielding batch's under its old key — so it doubles as this
+        counter: one less attribute store on every schedule.
         """
         return self._eid
 
@@ -150,6 +153,26 @@ class Environment:
         self._eid += 1
         self._push(self.now + delay, _NORMAL_BASE + self._eid, event)
         return event
+
+    def batch(self, delay: float, callback, value: Any = None,
+              priority: int = NORMAL) -> None:
+        """Call ``callback(value)`` ``delay`` seconds from now, exactly
+        where a timeout queued here would.  While nothing else has been
+        queued since the last call for that instant and priority, their
+        timeouts would sit side by side: this call joins its
+        :class:`Batch` and queues nothing."""
+        if not delay >= 0:
+            raise SimulationError(_bad_delay(delay))
+        at = self.now + delay
+        if self._eid != self._batch_mark:
+            self._batches = {}
+        batch = self._batches.get((at, priority))
+        if batch is None or batch.callbacks is None:   # none, or popped
+            self._eid += 1
+            batch = self._batches[at, priority] = Batch(
+                self, at, (priority << _PRIORITY_SHIFT) + self._eid)
+            self._batch_mark = self._eid
+        batch.items.append((callback, value))
 
     def process(self, generator, name: Optional[str] = None) -> Process:
         """Start a new process from a generator.
@@ -364,6 +387,36 @@ class Environment:
             "events_processed": self.events_processed,
             "queue_depth": len(self._queue),
         }
+
+
+class Batch(Event):
+    """One queued event for same-instant calls, made in call order.  A
+    call that queues an event to run first at this instant (a process
+    start, a packet sent with no active process) or that raises makes
+    it queue the rest under its own key again and yield."""
+
+    __slots__ = ("items", "_at", "_key")
+
+    def __init__(self, env: Environment, at: float, key: int) -> None:
+        super().__init__(env)
+        self._ok, self.items, self._at, self._key = True, [], at, key
+        self.callbacks.append(self._run)
+        env._push(at, key, self)
+
+    def _run(self, _event: Event) -> None:
+        queue, items, done = self.env._queue, self.items, 0
+        ahead = self._key & ~_EID_MASK   # a key below this beats ours
+        try:
+            for callback, value in items:
+                done += 1
+                callback(value)
+                if queue and queue[0][1] < ahead and queue[0][0] == self._at:
+                    break
+        finally:
+            if done < len(items):
+                self.items, self.callbacks = items[done:], [self._run]
+                self.env._eid += 1
+                self.env._push(self._at, self._key, self)
 
 
 def _bad_delay(delay: Any) -> str:

@@ -42,7 +42,9 @@ class ShuffledEnvironment(CountingEnvironment):
     """Breaks ties among same ``(time, priority)`` events in a seeded
     random order instead of schedule order: each event is filed under a
     random rank whose low bits are its ``eid``, so ranks stay unique and
-    URGENT still precedes NORMAL."""
+    URGENT still precedes NORMAL.  A batch (``Environment.batch``) is
+    one queue entry, so the calls of one batch keep their call order:
+    only the batch as a whole is reordered among its ties."""
 
     def __init__(self, seed):
         super().__init__()

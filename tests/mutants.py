@@ -242,6 +242,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/sim/events.py",
            "        env._active_process = outer\n",
            "        env._active_process = None\n"),
+    Mutant("batch-ignores-urgent", "seeded; pointer tick",
+           "src/repro/sim/environment.py",
+           "                if queue and queue[0][1] < ahead "
+           "and queue[0][0] == self._at:\n",
+           "                if False:\n"),
     Mutant("aware-update-ignores-view", "seeded; A5",
            "src/repro/sessions/sharing.py",
            "(self.env.now, key, self._views[viewer](viewer, key, value)))",

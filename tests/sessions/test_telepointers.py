@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SessionError
+from repro.net import Network, Topology
+from repro.obs.metrics import Counter
 from repro.sessions import TelepointerService
 from repro.sim import Environment
 from tests.counting import CountingEnvironment
@@ -140,9 +142,10 @@ def test_rejoining_within_a_tick_leaves_one_publisher():
     env.run(until=0.051)
     before = env.pushes
     env.run(until=1.051)
-    # Ten ticks each for bob and the one alice, the superseded alice's
-    # exit at 0.1 and the until-event.
-    assert env.pushes - before == 22
+    # Ten ticks each for bob (whose batch drops the superseded alice at
+    # 0.1, queuing nothing for her) and the one alice, and the
+    # until-event.
+    assert env.pushes - before == 21
 
 
 # -- subscribing from inside a delivery ----------------------------------------
@@ -215,12 +218,13 @@ def _pushes(moves):
     return env.pushes, env.processes
 
 
-def test_a_pointer_update_costs_one_queued_event_and_no_process():
+def test_a_ticks_pointer_updates_share_one_queued_event_and_no_process():
     idle_pushes, idle_processes = _pushes(0)
-    # One extra tick of the mover per move, then one event per update.
+    # One extra tick of the mover per move, then one event for the two
+    # updates its moves publish at the next tick.
     pushes, processes = _pushes(20)
-    assert pushes - idle_pushes == 20 + 40
-    assert processes == idle_processes == 4
+    assert pushes - idle_pushes == 20 + 20
+    assert processes == idle_processes == 1     # the mover
 
 
 def test_a_raising_on_move_callback_surfaces_from_run_and_the_run_resumes(
@@ -269,44 +273,74 @@ def test_zero_latency_delivers_at_the_same_instant_after_the_tick(env):
 
 # -- an independent model ------------------------------------------------------
 #
-# The service as it was: a publisher that spawns one fire-and-forget
-# generator process per update, which walks the watcher table with a
-# name compare and counts each delivery.  A reference, not a second
-# path.  Every instant in the scripts is a multiple of 1/64 s, so
-# members publish at the same instant, deliveries tie with ticks, with
-# the script's own steps and with each other, and what the watchers see
-# must still be equal, in the same order.
-#
-# The one declared difference is at latency 0: the model delivers ahead
-# of whatever else is queued for the instant (a process starts URGENT),
-# the service behind it (a timeout is NORMAL) — see
-# test_zero_latency_delivers_at_the_same_instant_after_the_tick.  A
-# subscription made at the very instant of a tick would see that, so
-# zero-latency scripts only move.
+# The service as it was: a publisher process per member that spawns one
+# fire-and-forget process per update, which waits out the latency and
+# walks the watcher table with a name compare, counting each delivery.
+# A reference, not a second path: it shares no code with the service.
+# Every instant in the scripts is a multiple of 1/64 s, so members
+# publish at the same instant, deliveries tie with ticks, with the
+# script's own steps and with each other, and what the watchers see
+# must still be equal, in the same order.  Members leave and rejoin, so
+# the service's tick batches split and form again, and m0's watcher
+# sends itself a packet at each delivery: with no active process in the
+# service, its start is an URGENT event at that instant, which must run
+# (and log) before the next update of the same delivery batch.
 
-class _ModelService(TelepointerService):
+class _Model:
+
+    def __init__(self, env, update_interval, latency):
+        self.env = env
+        self.update_interval = update_interval
+        self.latency = latency
+        self.published = {}
+        self.counters = Counter()
+        self._members = {}
+        self._current = {}
+        self._dirty = {}
+        self._watchers = {}
+        self._joins = 0
+
+    def join(self, member, on_move):
+        self._joins += 1
+        self._members[member] = self._joins
+        self._current[member] = (0.0, 0.0)
+        self._dirty[member] = False
+        self.watch(member, on_move)
+        self.env.process(self._publisher(member, self._joins))
+
+    def leave(self, member):
+        del self._members[member], self._current[member], \
+            self._dirty[member]
+        self._watchers.pop(member, None)
+        self.published.pop(member, None)
+
+    def watch(self, member, callback):
+        self._watchers.setdefault(member, []).append(callback)
+
+    def move(self, member, x, y):
+        self._current[member] = (x, y)
+        self._dirty[member] = True
+        self.counters.incr("moves")
 
     def _publisher(self, member, serial):
-        while member in self._members:
-            if self._dirty.get(member):
+        while self._members.get(member) == serial:
+            if self._dirty[member]:
                 self._dirty[member] = False
-                position = self._current[member]
                 self.counters.incr("updates_published")
-                self.env.process(self._deliver(member, position))
-            if self.update_interval > 0:
-                yield self.env.timeout(self.update_interval)
-            else:
-                yield self.env.timeout(1e-6)
+                self.env.process(self._deliver(
+                    member, serial, self._current[member]))
+            yield self.env.timeout(self.update_interval or 1e-6)
 
-    def _deliver(self, member, position):
-        if self.latency > 0:
-            yield self.env.timeout(self.latency)
+    def _deliver(self, member, serial, position):
+        yield self.env.timeout(self.latency)
+        if self._members.get(member) != serial:
+            return
         self.published[member] = position
         x, y = position
-        for viewer, callbacks in self._watchers.items():
+        for viewer, callbacks in list(self._watchers.items()):
             if viewer == member:
                 continue
-            for callback in callbacks:
+            for callback in list(callbacks):
                 self.counters.incr("deliveries")
                 callback(member, x, y)
 
@@ -318,28 +352,38 @@ _TICK = 1 / 64
 _MOVES = st.tuples(
     st.just("move"), st.integers(0, 6),
     st.lists(st.sampled_from(_NAMES), min_size=1, max_size=5))
-_SUBSCRIPTIONS = st.tuples(
-    st.sampled_from(["join", "watch"]), st.integers(0, 6),
+_MEMBERSHIP = st.tuples(
+    st.sampled_from(["join", "watch", "leave"]), st.integers(0, 6),
     st.sampled_from(_NAMES))
 
 
 @st.composite
 def _pointer_scripts(draw):
-    latency = draw(st.sampled_from([0, 1, 2, 4, 8]))
-    steps = _MOVES if latency == 0 else st.one_of(_MOVES, _SUBSCRIPTIONS)
-    return (draw(st.sampled_from([1, 4, 8])), latency,
-            draw(st.lists(steps, min_size=1, max_size=30)))
+    return (draw(st.sampled_from([1, 4, 8])),
+            draw(st.sampled_from([0, 1, 2, 4, 8])),
+            draw(st.lists(st.one_of(_MOVES, _MEMBERSHIP),
+                          min_size=1, max_size=30)))
 
 
 def _feeds(service_class, interval, latency, steps):
     env = Environment()
+    topology = Topology(env)
+    topology.add_link("a", "b", latency=0.001, bandwidth=1e9)
+    host = Network(env, topology).host("a")
     service = service_class(env, update_interval=interval * _TICK,
                             latency=latency * _TICK)
     feeds = {}
+    host.on_packet(7, lambda packet: feeds["m0"].append(
+        ("packet", env.now, packet.payload)))
 
     def viewer(name):
         feed = feeds.setdefault(name, [])
-        return lambda member, x, y: feed.append((env.now, member, x, y))
+
+        def seen(member, x, y):
+            feed.append((env.now, member, x, y))
+            if name == "m0":
+                host.send("a", payload=(member, x), port=7)
+        return seen
 
     joined = ["m0", "m1", "m2"]
     for name in joined:
@@ -354,7 +398,10 @@ def _feeds(service_class, interval, latency, steps):
                         service.move(name, float(serial), env.now)
             elif kind == "watch":
                 service.watch(who, viewer(who))
-            elif who not in joined:
+            elif kind == "leave" and who in joined:
+                joined.remove(who)
+                service.leave(who)
+            elif kind == "join" and who not in joined:
                 joined.append(who)
                 service.join(who, on_move=viewer(who))
 
@@ -367,5 +414,4 @@ def _feeds(service_class, interval, latency, steps):
 @given(_pointer_scripts())
 def test_service_delivers_what_the_process_per_update_model_delivers(
         script):
-    assert _feeds(TelepointerService, *script) \
-        == _feeds(_ModelService, *script)
+    assert _feeds(TelepointerService, *script) == _feeds(_Model, *script)

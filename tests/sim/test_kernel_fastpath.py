@@ -7,6 +7,8 @@ import re
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.lint import iter_python_files, lint_source
 from repro.concurrency.locks import EXCLUSIVE, LockTable
@@ -14,10 +16,10 @@ from repro.errors import SimulationError
 from repro.net import Network, Topology
 from repro.net.link import Channel
 from repro.sim import Environment, Event, Store, Timeout
-from repro.sim.environment import dispatch_parts
+from repro.sim.environment import Batch, dispatch_parts
 from repro.sim.events import NORMAL, URGENT
 
-from tests.counting import CountingEnvironment
+from tests.counting import CountingEnvironment, ShuffledEnvironment
 
 ROOT = os.path.normpath(os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir))
@@ -461,3 +463,194 @@ def test_a_store_take_made_inside_a_hand_off_keeps_fifo_order():
     store.put(3)
     assert got == [("greedy", 1), ("patient", 2), ("greedy", 3)]
     assert len(store) == 0 and not store._getters
+
+
+# -- a batch stands for its timeouts -----------------------------------------
+
+class _BatchCounting(CountingEnvironment):
+    """Counts the pushes of batches apart, and the batches."""
+
+    def __init__(self):
+        super().__init__()
+        self.batch_pushes = 0
+        self.batches = []
+
+    def _push(self, time, key, event):
+        if isinstance(event, Batch):
+            self.batch_pushes += 1
+            if not any(event is seen for seen in self.batches):
+                self.batches.append(event)
+        super()._push(time, key, event)
+
+
+def _note(env, order, tag):
+    order.append((env.now, tag, "started"))
+    yield env.timeout(0)
+    order.append((env.now, tag, "resumed"))
+
+
+def _dispatch(batched, plan):
+    """Run ``plan`` with each call queued by ``env.batch`` or, unbatched,
+    as the callback of an event of its own; return the trace of what
+    ran, the environment and the number of calls made.
+
+    A plan step is ``(delay, priority, actions, foreign)``: a call, and,
+    with ``foreign``, a plain timeout queued after it for the same
+    instant.  A call logs itself and then does its actions in order:
+    start a process, send a packet with no active process (to another
+    host, or to its own, whose start delivers it), queue a zero-delay
+    NORMAL timeout, or make a further call carrying the actions left.
+    """
+    env = _BatchCounting()
+    topology = Topology(env)
+    topology.add_link("a", "b", latency=0.25, bandwidth=1e9)
+    network = Network(env, topology)
+    a, b = network.host("a"), network.host("b")
+    trace = []
+    calls = []
+    for host in (a, b):
+        host.on_packet(5, lambda packet: trace.append(
+            (env.now, "packet", packet.payload)))
+
+    def later(delay, priority, entry):
+        calls.append(entry)
+        if batched:
+            env.batch(delay, call, entry, priority)
+            return
+        event = Event(env)
+        event._ok = True
+        event.callbacks.append(lambda _event: call(entry))
+        env.schedule(event, priority, delay)
+
+    def call(entry):
+        tag, actions = entry
+        trace.append((env.now, tag))
+        for index, (kind, delay, priority) in enumerate(actions):
+            sub = "{}.{}".format(tag, index)
+            if kind == "process":
+                env.process(_note(env, trace, sub))
+            elif kind in ("send", "self-send"):
+                a.send("b" if kind == "send" else "a", payload=sub, port=5)
+            elif kind == "zero":
+                env.timeout(0).callbacks.append(
+                    lambda _event, sub=sub: trace.append((env.now, sub)))
+            else:
+                later(delay, priority, (sub, actions[index + 1:]))
+                break
+
+    for tag, (delay, priority, actions, foreign) in enumerate(plan):
+        later(delay, priority, (str(tag), actions))
+        if foreign:
+            env.timeout(delay).callbacks.append(
+                lambda _event, tag=tag: trace.append((env.now, -tag)))
+    env.run()
+    return trace, env, len(calls)
+
+
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0])
+_PRIORITIES = st.sampled_from([URGENT, NORMAL])
+_ACTIONS = st.lists(st.tuples(
+    st.sampled_from(["process", "send", "self-send", "zero", "call"]),
+    _DELAYS, _PRIORITIES), max_size=4)
+_PLANS = st.lists(st.tuples(_DELAYS, _PRIORITIES, _ACTIONS, st.booleans()),
+                  min_size=1, max_size=10)
+
+
+@settings(max_examples=300)
+@given(_PLANS)
+def test_a_batch_dispatches_as_its_timeouts_would(plan):
+    """The calls run where their own events would have, at the same
+    instants and in the same order, also when one starts a process,
+    sends a packet or queues a zero-delay event at the batch's instant;
+    the batch starts no process of its own, and it queues one entry,
+    plus one each time it yields to what a call queued."""
+    trace, batched, calls = _dispatch(True, plan)
+    expected, plain, same_calls = _dispatch(False, plan)
+    assert trace == expected and calls == same_calls
+    assert batched.processes == plain.processes
+    assert batched.pushes - batched.batch_pushes == plain.pushes - calls
+    assert 1 <= len(batched.batches) <= calls
+
+
+def test_a_batch_queues_one_entry_and_one_more_per_yield():
+    env = CountingEnvironment()
+    order = []
+
+    def starter(tag):
+        order.append(tag)
+        env.process(_note(env, order, "process"))
+
+    env.batch(1.0, order.append, "a")
+    env.batch(1.0, starter, "b")
+    env.batch(1.0, order.append, "c")
+    assert env.pushes == env.events_scheduled == 1
+    env.run()
+    assert order == ["a", "b", (1.0, "process", "started"), "c",
+                     (1.0, "process", "resumed")]
+    # The batch, the start, the batch again, the timeout and the exit.
+    assert (env.pushes, env.processes) == (5, 1)
+
+
+def test_a_call_joins_a_batch_only_while_nothing_else_was_queued():
+    env = CountingEnvironment()
+    seen = []
+    pushes = []
+    for delay, tag, priority in ((1.0, "a", NORMAL), (1.0, "b", NORMAL),
+                                 (2.0, "c", NORMAL), (1.0, "d", NORMAL),
+                                 (1.0, "e", URGENT), (5.0, "timeout", None),
+                                 (1.0, "f", NORMAL)):
+        if priority is None:
+            env.timeout(delay).callbacks.append(
+                lambda _event: seen.append("timeout"))
+        else:
+            env.batch(delay, seen.append, tag, priority)
+        pushes.append(env.pushes)
+    # b and d join a's batch (d after c's, another instant); e has
+    # another priority; f comes after the timeout was queued.
+    assert pushes == [1, 1, 2, 2, 3, 4, 5]
+    env.run()
+    assert seen == ["e", "a", "b", "d", "f", "c", "timeout"]
+
+
+def test_a_call_that_raises_leaves_the_rest_queued():
+    env = CountingEnvironment()
+    seen = []
+
+    def boom(tag):
+        raise KeyError(tag)
+
+    for callback, tag in ((seen.append, "a"), (boom, "b"),
+                          (seen.append, "c")):
+        env.batch(0.5, callback, tag)
+    with pytest.raises(KeyError):
+        env.run()
+    assert seen == ["a"] and env.now == 0.5
+    env.run()
+    assert seen == ["a", "c"] and env.pushes == 2
+
+
+def test_a_popped_batch_takes_no_more_calls():
+    env = CountingEnvironment()
+    seen = []
+
+    def again(tag):
+        seen.append(tag)
+        env.batch(0.0, seen.append, tag + "'")
+
+    env.batch(0.0, again, "a")
+    env.batch(0.0, again, "b")
+    env.run()
+    assert seen == ["a", "b", "a'", "b'"] and env.pushes == 2
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_shuffled_environment_keeps_a_batch_in_call_order(seed):
+    """ShuffledEnvironment reorders the ties among queue entries, and a
+    batch is one entry: it cannot reorder one batch's calls."""
+    env = ShuffledEnvironment(seed)
+    seen = []
+    for tag in range(5):
+        env.batch(1.0, seen.append, tag)
+    env.timeout(1.0).callbacks.append(lambda _event: seen.append("t"))
+    env.run()
+    assert [tag for tag in seen if tag != "t"] == list(range(5))

@@ -358,6 +358,9 @@ CONTRACTS = {  # where the rule is stated: guards
                  plant="self.env.timeout(self.latency, event)")],
     DISPLAY: [grep(r"timeout\(", "src/repro/sessions/sharing.py",
                    plant="yield self.env.timeout(DISPLAY_LATENCY)")],
+    PERF + "### A pointer tick is one event": [grep(
+        r"\.process\(", "src/repro/sessions/telepointers.py",
+        plant="self.env.process(self._publisher(member, serial))")],
     PROFILE: [
         grep(r"(?<![\w.])settings\((?!max_examples=\d+\))", "tests/**/*.py",
              plant="@settings" "(max_examples=10, deadline=None)"),
