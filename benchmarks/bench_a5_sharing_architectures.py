@@ -10,8 +10,9 @@ One editing session is run through both architectures while sweeping the
 group size, each on a switched LAN with one host per member (the
 transparent app on a host of its own).  Measured: bytes per input event
 on the links (full display multicast vs small state delta, headers
-included), input serialisation delay (floor wait and the submitter's own
-screen vs none), and tailorability (distinct presentations possible).
+included), input serialisation delay (the floor's messages, the input's
+trip to the app and the submitter's own screen vs none), and
+tailorability (distinct presentations possible).
 
 Declared claim, per seed and at every group size: transparent sharing
 ships more bytes per input than aware sharing, its inputs wait on the
@@ -49,10 +50,9 @@ def members_network(hosts):
 def run_transparent(seed, members_count):
     network = members_network(members_count + 1)
     env = network.env
-    floor = FcfsFloor(env)
-    conference = TransparentConference(
-        network, SingleUserApp(), floor, "member-{}".format(members_count),
-        display_size=DISPLAY_SIZE)
+    floor = FcfsFloor(network, "member-{}".format(members_count))
+    conference = TransparentConference(network, SingleUserApp(), floor,
+                                       display_size=DISPLAY_SIZE)
     members = ["member-{}".format(i) for i in range(members_count)]
     for member in members:
         conference.join(member)

@@ -11,7 +11,7 @@ Four editors on a WAN make edits with think times.  Three mechanisms:
 * **pessimistic locking** (transactions): response includes waiting for
   the lock under contention; notification waits for the release/commit;
 * **reservation** (floor passing): response includes waiting for the
-  floor; no interleaving at all.
+  session floor and its grant's round trip; no interleaving at all.
 
 Declared claim, per seed: every OT edit responds at once (response
 exactly 0) and the replicas converge on one text; locking and
@@ -22,12 +22,7 @@ network propagation; theirs waits for the hold and the release).
 
 from benchmarks._util import check, print_sweep, sweep
 from repro import CooperativePlatform
-from repro.concurrency import (
-    EXCLUSIVE,
-    LockTable,
-    ReservationControl,
-    SharedStore,
-)
+from repro.concurrency import EXCLUSIVE, LockTable, SharedStore
 from repro.obs.metrics import Tally
 from repro.sim import Environment, RandomStreams, exponential
 
@@ -109,8 +104,10 @@ def run_locking(seed):
 
 
 def run_reservation(seed):
-    env = Environment()
-    floor = ReservationControl(env)
+    platform = CooperativePlatform(sites=EDITORS, hosts_per_site=1,
+                                   site_latency=NET_LATENCY / 2, seed=seed)
+    members = platform.host_names()
+    floor = platform.create_session("edit", members, "fcfs").session.floor
     response = Tally("resv-response")
     notification = Tally("resv-notify")
     rng = RandomStreams(seed).stream("resv")
@@ -125,9 +122,9 @@ def run_reservation(seed):
             notification.record(env.now - start + NET_LATENCY)
             floor.release(name)
 
-    for i in range(EDITORS):
-        env.process(editor(env, "editor-{}".format(i)))
-    env.run()
+    for member in members:
+        platform.env.process(editor(platform.env, member))
+    platform.run()
     return response, notification, None
 
 

@@ -88,9 +88,9 @@ def main() -> None:
     sync.stop()  # the watcher would otherwise keep the simulation alive
 
     # -- floor-controlled shared whiteboard -------------------------------
-    floor = FcfsFloor(env)
+    floor = FcfsFloor(platform.network, speaker)
     whiteboard = TransparentConference(platform.network, SingleUserApp(),
-                                       floor, speaker)
+                                       floor)
     for member in (speaker, listener_b, listener_c):
         whiteboard.join(member)
 

@@ -9,7 +9,8 @@
   with tailorable access rules.
 * :mod:`~repro.concurrency.ot` — GROVE-style operation transformation
   (immediate response, convergent replicas).
-* :mod:`~repro.concurrency.reservation` — floor-passing reservation.
+* floor-passing reservation is a session floor
+  (:class:`~repro.sessions.floor.FcfsFloor`).
 * :mod:`~repro.concurrency.granularity` — the section/paragraph/sentence/
   word lock-granularity trade-off.
 """
@@ -39,7 +40,6 @@ from repro.concurrency.ot import (
     apply_ops,
     xform,
 )
-from repro.concurrency.reservation import ReservationControl
 from repro.concurrency.store import DataItem, SharedStore
 from repro.concurrency.transactions import (
     ABORTED,
@@ -79,7 +79,6 @@ __all__ = [
     "OTServerSite",
     "OT_PORT",
     "READ",
-    "ReservationControl",
     "SHARED",
     "SOFT",
     "STYLES",

@@ -22,14 +22,7 @@ from repro.node.runtime import ODPRuntime
 from repro.qos.broker import QoSBroker
 from repro.qos.monitor import QoSMonitor
 from repro.qos.params import QoSParameters
-from repro.sessions.floor import (
-    ChairedFloor,
-    FcfsFloor,
-    FloorPolicy,
-    FreeFloor,
-    NegotiatedFloor,
-    RoundRobinFloor,
-)
+from repro.sessions.floor import FLOOR_POLICIES, FloorPolicy
 from repro.sessions.session import Session
 from repro.sim import Environment
 from repro.streams.binding import StreamBinding
@@ -240,18 +233,11 @@ class CooperativePlatform:
 
     def _make_floor(self, floor: Optional[str],
                     members: List[str]) -> Optional[FloorPolicy]:
+        """A floor lives at the first member's host (the chair's)."""
         if floor is None:
             return None
-        if floor == "free":
-            return FreeFloor(self.env)
-        if floor == "fcfs":
-            return FcfsFloor(self.env)
-        if floor == "round-robin":
-            return RoundRobinFloor(self.env)
-        if floor == "chaired":
-            if not members:
-                raise SessionError("a chaired floor needs a chair")
-            return ChairedFloor(self.env, chair=members[0])
-        if floor == "negotiated":
-            return NegotiatedFloor(self.env)
-        raise SessionError("unknown floor policy: " + floor)
+        if floor not in FLOOR_POLICIES:
+            raise SessionError("unknown floor policy: " + floor)
+        if not members:
+            raise SessionError("a floor needs a member to live at")
+        return FLOOR_POLICIES[floor](self.network, members[0])

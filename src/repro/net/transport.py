@@ -63,7 +63,8 @@ class ReliableChannel:
     ``_pending_acks``, advanced by its ack and its attempt timers, and
     the ack is handed to the waiters of the send's event in its
     delivery.  Items in order reach a waiting :meth:`receive` the same
-    way, inside the data packet's delivery.
+    way, inside the data packet's delivery, or to the handler given to
+    :meth:`on_receive`.
     """
 
     def __init__(self, host: Host, port: int = 1,
@@ -91,6 +92,7 @@ class ReliableChannel:
         self._expected: Dict[str, int] = {}
         self._reorder: Dict[str, Dict[int, Packet]] = {}
         self._app_inbox = Store(self.env)
+        self._deliver: Callable[[Packet], None] = self._app_inbox.put
         #: Data packets sent again after an unacknowledged attempt
         #: (``chan.retries`` in the registry, per destination).
         self.retransmissions = 0
@@ -128,6 +130,10 @@ class ReliableChannel:
     def receive(self):
         """An event yielding the next in-order packet from any sender."""
         return self._app_inbox.get()
+
+    def on_receive(self, handler: Callable[[Packet], None]) -> None:
+        """Hand each in-order packet to ``handler`` (replaces the inbox)."""
+        self._deliver = handler
 
     def inflight(self) -> int:
         """Sends still awaiting an ack (not yet succeeded or given up).
@@ -170,7 +176,7 @@ class ReliableChannel:
         buffer = self._reorder.setdefault(packet.src, {})
         buffer[seq] = packet
         while expected in buffer:
-            self._app_inbox.put(buffer.pop(expected))
+            self._deliver(buffer.pop(expected))
             expected += 1
         self._expected[packet.src] = expected
 

@@ -12,44 +12,150 @@ policies with one interface:
 * :class:`ChairedFloor` — an explicit chair serialises the requests.
 * :class:`NegotiatedFloor` — the requester asks the current holder
   directly (Colab's informal negotiation); the holder yields or refuses.
+
+A floor lives at a host, and a member sits at the host named like it.
+A member's request and release go from its host to the floor's, and a
+grant comes back, each a message on the hosts' reliable channels at
+:data:`FLOOR_PORT`.  A policy decides at the floor's host, in arrival
+order.  An undelivered request or grant fails the member's request with
+the channel's error (a grant hands the floor on), and a reclaim is the
+floor host's own act, in the call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import weakref
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FloorControlError
+from repro.net import Network, Packet, ReliableChannel
+from repro.net.network import Host
 from repro.obs.metrics import Counter, Tally
-from repro.sim import Environment, Event
+from repro.sim import Event
 
 #: How long the chair takes to consider a request, in seconds.
 CHAIR_DECISION_LATENCY = 0.5
+#: The port floor requests, grants, releases and conference input use.
+FLOOR_PORT = 61
+
+#: Each host's channel, held weakly both ways: the host's port handler
+#: is what keeps the channel alive.
+_CHANNELS: "weakref.WeakKeyDictionary[Host, weakref.ref]" = \
+    weakref.WeakKeyDictionary()
+
+
+def arrive(packet: Packet) -> None:
+    """A floor or sharing message carries the call its arrival makes."""
+    packet.payload[0](*packet.payload[1:])
+
+
+def _channel(host: Host) -> ReliableChannel:
+    """``host``'s channel on :data:`FLOOR_PORT`, opened on first use."""
+    held = _CHANNELS.get(host)
+    channel = held() if held is not None else None
+    if channel is None:
+        channel = ReliableChannel(host, FLOOR_PORT)
+        channel.on_receive(arrive)
+        _CHANNELS[host] = weakref.ref(channel)
+    return channel
+
+
+def send_call(network: Network, src: str, dst: str, call: Tuple[Any, ...],
+              size: int = 0,
+              failed: Optional[Callable[[BaseException], None]] = None
+              ) -> None:
+    """Send ``call`` reliably from host ``src`` to host ``dst``, where
+    its arrival runs ``call[0](*call[1:])``; a send that gives up calls
+    ``failed`` with its error (or is dropped without one).  A member
+    opens its channel with its first send, before any reply to it."""
+    sent = _channel(network.host(src)).send(dst, call, size)
+
+    def settle(done: Event) -> None:
+        if not done._ok:
+            done.defused = True
+            if failed is not None:
+                failed(done._exception)
+
+    sent.callbacks.append(settle)
+
+
+def refuse(event: Event) -> Callable[[BaseException], None]:
+    """A ``failed`` for :func:`send_call`: fail a member's ``event``
+    with the send's error, unless it has fired already."""
+    def fail(error: BaseException) -> None:
+        if not event.triggered:
+            event.reject(error)
+    return fail
 
 
 class FloorPolicy:
-    """Common state and metrics for all floor policies."""
+    """Common state and metrics for all floor policies: a floor at
+    ``host`` on ``network``."""
 
     name = "abstract"
 
-    def __init__(self, env: Environment) -> None:
-        self.env = env
+    def __init__(self, network: Network, host: str) -> None:
+        self.env = network.env
+        self.network = network
+        self.host = network.host(host)
+        _channel(self.host)
         self.holder: Optional[str] = None
         self.counters = Counter()
         self.wait_time = Tally("floor-wait")
         self.hold_time = Tally("floor-hold")
         self.turns: List[Tuple[str, float]] = []
         self._held_since = 0.0
+        #: Requests waiting at the floor's host: (member, event, asked at).
+        self._queue: List[Tuple[str, Event, float]] = []
+        #: Members whose grant has arrived and who have not released.
+        self._holding: Set[str] = set()
 
     def request(self, member: str) -> Event:
-        """Ask for the floor; the event fires (with the member) on grant."""
-        raise NotImplementedError
+        """Ask for the floor from ``member``'s host; the event fires
+        (with the member) when the grant arrives there, or fails with
+        the error of a request or grant that could not be delivered."""
+        event = self.env.event()
+        self.counters.incr("requests")
+        send_call(self.network, member, self.host.name,
+                  (self._requested, member, event, self.env.now),
+                  failed=refuse(event))
+        return event
 
     def release(self, member: str) -> None:
-        """Give up the floor."""
-        raise NotImplementedError
+        """Give up the floor: a message to the floor's host."""
+        if member not in self._holding:
+            raise FloorControlError(
+                "{} does not hold the floor".format(member))
+        self._holding.remove(member)
+        send_call(self.network, member, self.host.name,
+                  (self.reclaim, member))
 
     def holds(self, member: str) -> bool:
+        """True while the floor's host counts ``member`` as holder."""
         return self.holder == member
+
+    def reclaim(self, member: str) -> None:
+        """End ``member``'s turn at the floor's host, in the call, and
+        grant the next: on its release's arrival, or as the host's own
+        act (a member who left or is suspected).  A member no longer
+        holding (preempted, or reclaimed already) changes nothing."""
+        if self.holder == member:
+            self._end_hold(member)
+            self._next()
+
+    # -- at the floor's host ------------------------------------------------
+
+    def _requested(self, member: str, event: Event,
+                   requested_at: float) -> None:
+        """A request has arrived: the policy's decision (here FIFO)."""
+        if self.holder is None:
+            self._grant(member, event, requested_at)
+        else:
+            self._queue.append((member, event, requested_at))
+
+    def _next(self) -> None:
+        if self._queue:
+            self._grant(*self._queue.pop(0))
 
     def _grant(self, member: str, event: Event,
                requested_at: float) -> None:
@@ -60,24 +166,41 @@ class FloorPolicy:
         sanitizer = self.env.sanitizer
         if sanitizer.enabled:
             sanitizer.acquire("floor:" + self.name, member)
+        self._send_grant(member, event, requested_at)
+
+    def _send_grant(self, member: str, event: Event,
+                    requested_at: float) -> None:
         self.counters.incr("grants")
-        self.wait_time.record(self.env.now - requested_at)
         self.turns.append((member, self.env.now))
-        event.succeed(member)
+        send_call(self.network, self.host.name, member,
+                  (self._granted, member, event, requested_at),
+                  failed=lambda error: self._undelivered(member, event,
+                                                         error))
+
+    def _undelivered(self, member: str, event: Event,
+                     error: BaseException) -> None:
+        """A grant that could not be delivered hands the floor on."""
+        refuse(event)(error)
+        self.reclaim(member)
 
     def _end_hold(self, member: str) -> None:
-        if self.holder != member:
-            raise FloorControlError(
-                "{} does not hold the floor".format(member))
         self.hold_time.record(self.env.now - self._held_since)
-        self._hand_off(member)
-        self.holder = None
-
-    def _hand_off(self, member: str) -> None:
-        """The release edge of ``member``'s turn, for the sanitizer."""
+        # The release edge of the turn, for the sanitizer.
         sanitizer = self.env.sanitizer
         if sanitizer.enabled:
             sanitizer.release("floor:" + self.name, member)
+        self.holder = None
+
+    # -- at the member's host -----------------------------------------------
+
+    def _granted(self, member: str, event: Event,
+                 requested_at: float) -> None:
+        self._holding.add(member)
+        if event.triggered:  # the member stopped waiting: hand it back
+            self.release(member)
+            return
+        self.wait_time.record(self.env.now - requested_at)
+        event.resolve(member)
 
     def turn_counts(self) -> Dict[str, int]:
         """How many turns each member got (the fairness metric)."""
@@ -88,7 +211,7 @@ class FloorPolicy:
 
 
 class FreeFloor(FloorPolicy):
-    """No floor control: every request is granted instantly.
+    """No floor control: every request is granted on arrival.
 
     Simultaneous "holders" are recorded as collisions — the garbled-input
     problem floor control exists to prevent.
@@ -96,28 +219,21 @@ class FreeFloor(FloorPolicy):
 
     name = "free"
 
-    def __init__(self, env: Environment) -> None:
-        super().__init__(env)
+    def __init__(self, network: Network, host: str) -> None:
+        super().__init__(network, host)
         self._active: List[str] = []
 
-    def request(self, member: str) -> Event:
-        event = self.env.event()
-        self.counters.incr("requests")
+    def _requested(self, member: str, event: Event,
+                   requested_at: float) -> None:
         if self._active:
             self.counters.incr("collisions")
         self._active.append(member)
         self.holder = member  # last speaker "has" the floor
-        self.counters.incr("grants")
-        self.wait_time.record(0.0)
-        self.turns.append((member, self.env.now))
-        event.succeed(member)
-        return event
+        self._send_grant(member, event, requested_at)
 
-    def release(self, member: str) -> None:
-        if member not in self._active:
-            raise FloorControlError(
-                "{} is not speaking".format(member))
-        self._active.remove(member)
+    def reclaim(self, member: str) -> None:
+        if member in self._active:
+            self._active.remove(member)
         if self.holder == member:
             self.holder = self._active[-1] if self._active else None
 
@@ -126,25 +242,6 @@ class FcfsFloor(FloorPolicy):
     """A FIFO queue: the longest-waiting requester speaks next."""
 
     name = "fcfs"
-
-    def __init__(self, env: Environment) -> None:
-        super().__init__(env)
-        self._queue: List[Tuple[str, Event, float]] = []
-
-    def request(self, member: str) -> Event:
-        event = self.env.event()
-        self.counters.incr("requests")
-        if self.holder is None:
-            self._grant(member, event, self.env.now)
-        else:
-            self._queue.append((member, event, self.env.now))
-        return event
-
-    def release(self, member: str) -> None:
-        self._end_hold(member)
-        if self._queue:
-            next_member, event, requested_at = self._queue.pop(0)
-            self._grant(next_member, event, requested_at)
 
 
 class RoundRobinFloor(FloorPolicy):
@@ -156,33 +253,19 @@ class RoundRobinFloor(FloorPolicy):
 
     name = "round-robin"
 
-    def __init__(self, env: Environment, quantum: float = 5.0) -> None:
+    def __init__(self, network: Network, host: str,
+                 quantum: float = 5.0) -> None:
         if not quantum > 0:  # also rejects NaN
             raise FloorControlError("quantum must be positive")
-        super().__init__(env)
+        super().__init__(network, host)
         self.quantum = quantum
-        self._queue: List[Tuple[str, Event, float]] = []
         self._epoch = 0
         #: Called with the preempted member when the quantum expires.
         self.on_preempt: Optional[Callable[[str], None]] = None
 
-    def request(self, member: str) -> Event:
-        event = self.env.event()
-        self.counters.incr("requests")
-        if self.holder is None:
-            self._grant_with_timer(member, event, self.env.now)
-        else:
-            self._queue.append((member, event, self.env.now))
-        return event
-
-    def release(self, member: str) -> None:
-        self._end_hold(member)
-        self._epoch += 1  # invalidate the running quantum timer
-        self._next()
-
-    def _grant_with_timer(self, member: str, event: Event,
-                          requested_at: float) -> None:
-        self._grant(member, event, requested_at)
+    def _grant(self, member: str, event: Event,
+               requested_at: float) -> None:
+        super()._grant(member, event, requested_at)
         self._epoch += 1
         self.env.timeout(self.quantum, (member, self._epoch)
                          ).callbacks.append(self._timer)
@@ -190,25 +273,19 @@ class RoundRobinFloor(FloorPolicy):
     def _timer(self, timer: Event) -> None:
         member, epoch = timer.value
         if self._epoch != epoch or self.holder != member:
-            return  # released in time, or a newer turn is running
+            return  # released, or a newer turn is running
         if not self._queue:
             return  # nobody waiting: let the holder continue
         self.counters.incr("preemptions")
-        self.hold_time.record(self.env.now - self._held_since)
-        self._hand_off(member)
-        self.holder = None
+        self._end_hold(member)
         if self.on_preempt is not None:
             self.on_preempt(member)
         self._next()
 
-    def _next(self) -> None:
-        if self._queue:
-            member, event, requested_at = self._queue.pop(0)
-            self._grant_with_timer(member, event, requested_at)
-
 
 class ChairedFloor(FloorPolicy):
-    """An explicit chair serialises the requests.
+    """An explicit chair serialises the requests; the floor lives at the
+    chair's host.
 
     The chair considers each request for ``CHAIR_DECISION_LATENCY``
     (the human in the loop), then grants it when the floor is free or
@@ -217,31 +294,14 @@ class ChairedFloor(FloorPolicy):
 
     name = "chaired"
 
-    def __init__(self, env: Environment, chair: str) -> None:
-        super().__init__(env)
-        self.chair = chair
-        self._queue: List[Tuple[str, Event, float]] = []
-
-    def request(self, member: str) -> Event:
-        event = self.env.event()
-        self.counters.incr("requests")
+    def _requested(self, member: str, event: Event,
+                   requested_at: float) -> None:
         self.env.timeout(CHAIR_DECISION_LATENCY,
-                         (member, event, self.env.now)
+                         (member, event, requested_at)
                          ).callbacks.append(self._consider)
-        return event
 
     def _consider(self, timer: Event) -> None:
-        member, event, requested_at = timer.value
-        if self.holder is None:
-            self._grant(member, event, requested_at)
-        else:
-            self._queue.append((member, event, requested_at))
-
-    def release(self, member: str) -> None:
-        self._end_hold(member)
-        if self._queue:
-            next_member, event, requested_at = self._queue.pop(0)
-            self._grant(next_member, event, requested_at)
+        super()._requested(*timer.value)
 
 
 class NegotiatedFloor(FloorPolicy):
@@ -254,27 +314,24 @@ class NegotiatedFloor(FloorPolicy):
 
     name = "negotiated"
 
-    def __init__(self, env: Environment,
+    def __init__(self, network: Network, host: str,
                  yields: Optional[Callable[[str, str], bool]] = None,
                  negotiation_latency: float = 1.0) -> None:
         if not negotiation_latency >= 0:  # also rejects NaN
             raise FloorControlError(
                 "negotiation_latency must be non-negative")
-        super().__init__(env)
+        super().__init__(network, host)
         self.yields = yields or (lambda holder, requester: True)
         self.negotiation_latency = negotiation_latency
-        self._queue: List[Tuple[str, Event, float]] = []
 
-    def request(self, member: str) -> Event:
-        event = self.env.event()
-        self.counters.incr("requests")
+    def _requested(self, member: str, event: Event,
+                   requested_at: float) -> None:
         if self.holder is None:
-            self._grant(member, event, self.env.now)
+            self._grant(member, event, requested_at)
         else:
             self.env.timeout(self.negotiation_latency,
-                             (member, event, self.env.now, self.holder)
+                             (member, event, requested_at, self.holder)
                              ).callbacks.append(self._negotiate)
-        return event
 
     def _negotiate(self, timer: Event) -> None:
         member, event, requested_at, holder = timer.value
@@ -283,19 +340,11 @@ class NegotiatedFloor(FloorPolicy):
             return
         if self.holder == holder and self.yields(holder, member):
             self.counters.incr("yields")
-            self.hold_time.record(self.env.now - self._held_since)
-            self._hand_off(holder)
-            self.holder = None
+            self._end_hold(holder)
             self._grant(member, event, requested_at)
         else:
             self.counters.incr("refusals")
             self._queue.append((member, event, requested_at))
-
-    def release(self, member: str) -> None:
-        self._end_hold(member)
-        if self._queue:
-            next_member, event, requested_at = self._queue.pop(0)
-            self._grant(next_member, event, requested_at)
 
 
 FLOOR_POLICIES = {

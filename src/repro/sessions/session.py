@@ -81,7 +81,7 @@ class Session:
         self.members.remove(member)
         self.counters.incr("leaves")
         if self.floor is not None and self.floor.holds(member):
-            self.floor.release(member)
+            self.floor.reclaim(member)
         self.awareness.publish(member, self.name, ACTION_LEAVE)
 
     def handle_suspected_member(self, member: str) -> bool:
@@ -99,7 +99,7 @@ class Session:
         self.counters.incr("suspected")
         self.awareness.publish(member, self.name, ACTION_SUSPECTED)
         if self.floor is not None and self.floor.holds(member):
-            self.floor.release(member)
+            self.floor.reclaim(member)
             self.counters.incr("floor_reclaims")
             return True
         return False

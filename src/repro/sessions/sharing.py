@@ -5,8 +5,9 @@ Two ways of putting an application in front of a group:
 * **Collaboration-transparent** (:class:`TransparentConference`, after
   Rapport/SharedX/MMConf): the application is single-user and unaware of
   the group.  Input from members is *multidropped* into one stream —
-  arbitration by a floor policy — and display output is *multicast*, a
-  datagram to each member's screen.  The application cannot present
+  arbitration by a floor policy at the app's host, each input a message
+  there — and display output is *multicast*, a datagram to each
+  member's screen.  The application cannot present
   itself differently to different users, and the conference pays the
   multicast display bandwidth.
 * **Collaboration-aware** (:class:`AwareSharedObject`): the object knows
@@ -21,20 +22,18 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SessionError
-from repro.net import Network, Packet
+from repro.net import Network
 from repro.obs.metrics import Counter
-from repro.sessions.floor import FloorPolicy
+from repro.sessions.floor import FloorPolicy, arrive, refuse, send_call
 from repro.sim import Event
 
 #: The port screens and state deltas travel on.
 SHARING_PORT = 60
 #: Payload bytes of one aware state delta: a key and its new value.
 DELTA_SIZE = 200
-
-
-def _arrive(packet: Packet) -> None:
-    """A sharing datagram carries what its arrival does."""
-    packet.payload[0](*packet.payload[1:])
+#: Payload bytes of one member's input to a transparent app: an event
+#: such as a keystroke or a stroke with its coordinates.
+INPUT_SIZE = 64
 
 
 class SingleUserApp:
@@ -54,15 +53,16 @@ class SingleUserApp:
 
 
 class TransparentConference:
-    """A single-user app at ``host``, its display multicast to members."""
+    """A single-user app at its floor's host, its display multicast to
+    members."""
 
     def __init__(self, network: Network, app: SingleUserApp,
-                 floor: FloorPolicy, host: str,
-                 display_size: int = 2048) -> None:
+                 floor: FloorPolicy, display_size: int = 2048) -> None:
         if display_size < 0:
             raise SessionError("display size must be non-negative")
         self.env = network.env
-        self.host = network.host(host)
+        self.network = network
+        self.host = floor.host
         self.app = app
         self.floor = floor
         self.display_size = display_size
@@ -72,31 +72,45 @@ class TransparentConference:
     def join(self, member: str) -> None:
         if member in self.screens:
             raise SessionError("{} already joined".format(member))
-        self.host.network.host(member).on_packet(SHARING_PORT, _arrive)
+        self.network.host(member).on_packet(SHARING_PORT, arrive)
         self.screens[member] = []
 
     def submit(self, member: str, event: Any) -> Event:
-        """A member's input: granted the floor, applied, display multicast;
-        fires with the output when the member's own screen is painted."""
+        """A member's input: the floor granted, the input sent to the
+        app's host and applied there, the display multicast.  Fires with
+        the output when the member's own screen is painted, or fails
+        with the error of a floor message or input not delivered."""
         if member not in self.screens:
             raise SessionError("{} is not in the conference".format(member))
         done = self.env.event()
         self.floor.request(member).callbacks.append(
-            lambda grant: self._turn(member, event, done))
+            lambda grant: self._turn(member, event, done, grant))
         return done
 
-    def _turn(self, member: str, event: Any, done: Event) -> None:
+    def _turn(self, member: str, event: Any, done: Event,
+              grant: Event) -> None:
+        if not grant.ok:
+            grant.defused = True
+            done.reject(grant.value)
+            return
+        # The release follows the input on the member's channel, so the
+        # app applies the input before the floor is handed on.
+        send_call(self.network, member, self.host.name,
+                  (self._apply, member, event, done), INPUT_SIZE,
+                  failed=refuse(done))
+        self.floor.release(member)
+
+    def _apply(self, member: str, event: Any, done: Event) -> None:
         output = self.app.handle(event)
         # Multicast the new display: a datagram to each member's host.
         for viewer in self.screens:
             self.host.send(viewer, (self._paint, viewer, output, member, done),
                            self.display_size, SHARING_PORT)
-        self.floor.release(member)
 
     def _paint(self, viewer: str, output: Any, member: str,
                done: Event) -> None:
         self.screens[viewer].append((self.env.now, output))
-        if viewer == member:
+        if viewer == member and not done.triggered:
             done.succeed(output)
 
 
@@ -138,7 +152,7 @@ class AwareSharedObject:
              view: Optional[ViewPolicy] = None) -> None:
         if member in self._views:
             raise SessionError("{} already joined".format(member))
-        self.network.host(member).on_packet(SHARING_PORT, _arrive)
+        self.network.host(member).on_packet(SHARING_PORT, arrive)
         self._views[member] = view or identical_view
         self.presented[member] = []
 

@@ -87,6 +87,8 @@ class TelepointerService:
 
     def watch(self, member: str, callback: Watcher) -> None:
         """``member`` receives colleagues' pointer movements."""
+        if member not in self._members:
+            raise SessionError("{} has not joined".format(member))
         self._watchers.setdefault(member, []).append(callback)
         self._fanout = {}
 

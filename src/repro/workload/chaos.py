@@ -33,6 +33,7 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Dict
 
+from repro.errors import TransportError
 from repro.faults.degrade import DegradationManager
 from repro.faults.detector import PhiAccrualDetector
 from repro.faults.policies import (
@@ -118,7 +119,8 @@ def partition_recovery_workload(seed: int = 31,
                                          strategy=detector)
 
         # The session: floor-controlled, synchronous while healthy.
-        session = Session(net, "design-review", floor=FcfsFloor(env))
+        session = Session(net, "design-review",
+                          floor=FcfsFloor(net, MEMBERS[0]))
         for member in MEMBERS:
             session.join(member)
 
@@ -185,7 +187,10 @@ def partition_recovery_workload(seed: int = 31,
         # A far-site member holds the floor going into the partition.
         def floor_proc():
             yield env.timeout(1.0)
-            yield session.floor.request("site1.host0")
+            try:
+                yield session.floor.request("site1.host0")
+            except TransportError:
+                pass  # cut off from the floor's host: refused
 
         env.process(floor_proc(), name="floor-holder")
 

@@ -1,15 +1,11 @@
-"""Tests for lock granularity modelling and reservation control."""
+"""Tests for lock granularity modelling (reservation is a session floor:
+``tests/sessions/test_floor.py``)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.concurrency import (
-    GRANULARITIES,
-    ReservationControl,
-    StructuredDocument,
-)
-from repro.errors import ConcurrencyError, FloorControlError
-from repro.sim import Environment
+from repro.concurrency import GRANULARITIES, StructuredDocument
+from repro.errors import ConcurrencyError
 
 
 def make_doc():
@@ -85,40 +81,3 @@ def test_coarser_granularity_conflicts_superset(word_a, word_b):
         assert now or not conflicted
         conflicted = conflicted or now
     assert _contend(doc, "document", *spans)
-
-
-def test_reservation_grant_and_queue():
-    env = Environment()
-    floor = ReservationControl(env)
-    order = []
-
-    def speaker(env, name, hold):
-        yield floor.request(name)
-        order.append((name, env.now))
-        yield env.timeout(hold)
-        floor.release(name)
-
-    env.process(speaker(env, "alice", 2.0))
-    env.process(speaker(env, "bob", 1.0))
-    env.process(speaker(env, "carol", 1.0))
-    env.run()
-    assert order == [("alice", 0.0), ("bob", 2.0), ("carol", 3.0)]
-
-
-def test_reservation_release_requires_holder():
-    env = Environment()
-    floor = ReservationControl(env)
-    floor.request("alice")
-    with pytest.raises(FloorControlError):
-        floor.release("bob")
-
-
-def test_reservation_check():
-    env = Environment()
-    floor = ReservationControl(env)
-    floor.request("alice")
-    floor.check("alice")
-    with pytest.raises(FloorControlError):
-        floor.check("bob")
-    assert floor.holds("alice")
-    assert not floor.holds("bob")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults.degrade import DEGRADED, FULL_SERVICE, DegradationManager
-from repro.net import Network, lan
+from repro.net import Network, Topology, lan
 from repro.qos.broker import QoSBroker
 from repro.qos.params import QoSParameters
 from repro.sessions.floor import FcfsFloor
@@ -64,6 +64,18 @@ def make_session(env, *args, **kwargs):
     return Session(Network(env, lan(env, hosts=2)), *args, **kwargs)
 
 
+def floored_session(env):
+    """A session of alice and bob whose FCFS floor lives at bob's host."""
+    topology = Topology(env)
+    for member in ("alice", "bob"):
+        topology.add_link(member, "switch")
+    network = Network(env, topology)
+    session = Session(network, "s", floor=FcfsFloor(network, "bob"))
+    for member in ("alice", "bob"):
+        session.join(member)
+    return session
+
+
 def test_session_drops_to_async_and_returns(env):
     session = make_session(env, "s")
     manager = DegradationManager(env, session=session)
@@ -83,9 +95,7 @@ def test_already_async_session_stays_async(env):
 
 
 def test_suspected_member_loses_floor(env):
-    session = make_session(env, "s", floor=FcfsFloor(env))
-    for member in ("alice", "bob"):
-        session.join(member)
+    session = floored_session(env)
 
     def grab(env):
         yield session.floor.request("alice")
@@ -103,8 +113,7 @@ def test_suspected_member_loses_floor(env):
 
 
 def test_suspecting_non_holder_still_degrades(env):
-    session = make_session(env, "s", floor=FcfsFloor(env))
-    session.join("alice")
+    session = floored_session(env)
     manager = DegradationManager(env, session=session)
     manager.on_suspect("alice")
     assert manager.level == DEGRADED

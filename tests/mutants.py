@@ -102,11 +102,11 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("fcfs-grants-past-holder", "seeded",
            "src/repro/sessions/floor.py",
            "        if self.holder is None:\n"
-           "            self._grant(member, event, self.env.now)\n"
+           "            self._grant(member, event, requested_at)\n"
            "        else:\n"
            "            self._queue.append(",
            "        if True:\n"
-           "            self._grant(member, event, self.env.now)\n"
+           "            self._grant(member, event, requested_at)\n"
            "        else:\n"
            "            self._queue.append("),
     Mutant("rpc-timer-guard-zero-only", "seeded; equivalent",
@@ -177,6 +177,13 @@ MUTANTS: Tuple[Mutant, ...] = (
            "src/repro/sessions/floor.py",
            "        if self._epoch != epoch or self.holder != member:\n",
            "        if self.holder != member:\n"),
+    Mutant("floor-grants-at-request-instant", "seeded; CSCW",
+           "src/repro/sessions/floor.py",
+           "        send_call(self.network, member, self.host.name,\n"
+           "                  (self._requested, member, event, self.env.now),\n"
+           "                  failed=refuse(event))\n",
+           "        _channel(self.network.host(member))\n"
+           "        self._requested(member, event, self.env.now)\n"),
     Mutant("negotiated-right-widens-to-all", "seeded; CSCW",
            "src/repro/access/negotiation.py",
            "        role = Role(role_name).allow(req.artefact, req.right)\n",

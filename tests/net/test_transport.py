@@ -77,6 +77,21 @@ def test_reliable_fifo_order_preserved(env):
     assert got == [0, 1, 2, 3, 4]
 
 
+def test_a_receive_handler_gets_each_packet_once_in_sender_order(env):
+    """Under loss a later packet can arrive first, and a lost ack brings
+    a duplicate; the handler still sees each payload once, in order."""
+    net, a, b = make_net(env, loss=0.4)
+    sender = ReliableChannel(a, ack_timeout=0.05, max_retries=30)
+    receiver = ReliableChannel(b, ack_timeout=0.05, max_retries=30)
+    got = []
+    receiver.on_receive(lambda packet: got.append(packet.payload))
+    for i in range(10):
+        sender.send("b", payload=i, size=20)
+    env.run()
+    assert got == list(range(10))
+    assert sender.retransmissions > 0
+
+
 def test_reliable_gives_up_when_unreachable(env):
     topo = Topology(env)
     link = topo.add_link("a", "b", latency=0.001)

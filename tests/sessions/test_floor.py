@@ -1,8 +1,16 @@
-"""Tests for the five floor-control policies."""
+"""Tests for the five floor-control policies.
+
+Every floor lives at the ``chair`` host of a hub whose links each take
+``HOP`` seconds, so a member's request reaches it ``2 * HOP`` after the
+ask and a grant is back ``RTT`` after it (to within the headers'
+microseconds of transmission).
+"""
 
 import pytest
 
-from repro.errors import FloorControlError
+from repro.errors import FloorControlError, TransportError
+from repro.faults import FaultInjector, FaultSchedule
+from repro.net import Network, Topology, wan
 from repro.sessions import (
     ChairedFloor,
     FcfsFloor,
@@ -14,10 +22,22 @@ from repro.sessions import (
 from repro.sessions.floor import CHAIR_DECISION_LATENCY
 from repro.sim import Environment
 
+HOP = 0.01
+ONE_WAY = 2 * HOP
+RTT = 2 * ONE_WAY
 
-@pytest.fixture
-def env():
-    return Environment()
+
+def at(seconds):
+    return pytest.approx(seconds, abs=1e-4)
+
+
+def floor_on(policy, *members, **options):
+    """``policy`` at ``chair``, with ``members`` on its hub."""
+    env = Environment()
+    topology = Topology(env)
+    for node in ("chair",) + members:
+        topology.add_link(node, "hub", latency=HOP)
+    return policy(Network(env, topology), "chair", **options)
 
 
 def test_policy_registry():
@@ -25,8 +45,9 @@ def test_policy_registry():
                                    "chaired", "negotiated"}
 
 
-def test_free_floor_grants_instantly_and_counts_collisions(env):
-    floor = FreeFloor(env)
+def test_free_floor_grants_instantly_and_counts_collisions():
+    floor = floor_on(FreeFloor, "alice", "bob")
+    env = floor.env
 
     def speaker(env, name, hold):
         yield floor.request(name)
@@ -38,17 +59,19 @@ def test_free_floor_grants_instantly_and_counts_collisions(env):
     env.run()
     assert floor.counters["grants"] == 2
     assert floor.counters["collisions"] == 1
-    assert floor.wait_time.maximum == 0.0
+    # Granted on arrival: the wait is the request's and grant's trip.
+    assert floor.wait_time.maximum == at(RTT)
 
 
-def test_free_floor_release_requires_speaker(env):
-    floor = FreeFloor(env)
+def test_free_floor_release_requires_speaker():
+    floor = floor_on(FreeFloor, "nobody")
     with pytest.raises(FloorControlError):
         floor.release("nobody")
 
 
-def test_fcfs_orders_by_arrival(env):
-    floor = FcfsFloor(env)
+def test_fcfs_orders_by_arrival():
+    floor = floor_on(FcfsFloor, "alice", "bob", "carol")
+    env = floor.env
     order = []
 
     def speaker(env, name, delay, hold):
@@ -62,19 +85,72 @@ def test_fcfs_orders_by_arrival(env):
     env.process(speaker(env, "bob", 1.0, 1.0))
     env.process(speaker(env, "carol", 0.5, 1.0))
     env.run()
-    assert order == [("alice", 0.0), ("carol", 3.0), ("bob", 4.0)]
+    # Each hand-off waits for the release to reach the chair and the
+    # grant to come back.
+    assert order == [("alice", at(RTT)), ("carol", at(3.0 + 2 * RTT)),
+                     ("bob", at(4.0 + 3 * RTT))]
     assert floor.wait_time.count == 3
 
 
-def test_fcfs_release_requires_holder(env):
-    floor = FcfsFloor(env)
+def test_fcfs_grants_same_instant_requests_in_arrival_order():
+    """Asked at one instant, the requests reach the chair in the order
+    they were sent, and each waits for the turns before it."""
+    floor = floor_on(FcfsFloor, "alice", "bob", "carol")
+    env = floor.env
+    order = []
+
+    def speaker(env, name, hold):
+        yield floor.request(name)
+        order.append((name, env.now))
+        assert [member for member in ("alice", "bob", "carol")
+                if floor.holds(member)] == [name]
+        yield env.timeout(hold)
+        floor.release(name)
+
+    env.process(speaker(env, "alice", 2.0))
+    env.process(speaker(env, "bob", 1.0))
+    env.process(speaker(env, "carol", 1.0))
+    env.run()
+    assert order == [("alice", at(RTT)), ("bob", at(2.0 + 2 * RTT)),
+                     ("carol", at(3.0 + 3 * RTT))]
+    assert floor.holder is None
+
+
+def test_fcfs_release_requires_holder():
+    floor = floor_on(FcfsFloor, "alice", "bob")
     floor.request("alice")
     with pytest.raises(FloorControlError):
         floor.release("bob")
+    # Not before the grant has arrived, either.
+    with pytest.raises(FloorControlError):
+        floor.release("alice")
+    floor.env.run()
+    floor.release("alice")
+    with pytest.raises(FloorControlError):
+        floor.release("alice")
 
 
-def test_round_robin_preempts_hog(env):
-    floor = RoundRobinFloor(env, quantum=2.0)
+def test_a_release_ends_the_turn_when_it_reaches_the_chair():
+    floor = floor_on(FcfsFloor, "alice")
+    env = floor.env
+    seen = []
+
+    def speaker(env):
+        yield floor.request("alice")
+        floor.release("alice")
+        seen.append(floor.holds("alice"))
+        yield env.timeout(ONE_WAY + 1e-3)
+        seen.append(floor.holds("alice"))
+
+    env.process(speaker(env))
+    env.run()
+    assert seen == [True, False]
+    assert floor.hold_time.values == [at(ONE_WAY + ONE_WAY)]
+
+
+def test_round_robin_preempts_hog():
+    floor = floor_on(RoundRobinFloor, "hog", "waiter", quantum=2.0)
+    env = floor.env
     preempted = []
     floor.on_preempt = preempted.append
     got_floor = []
@@ -93,13 +169,15 @@ def test_round_robin_preempts_hog(env):
     env.process(hog(env))
     env.process(waiter(env))
     env.run()
-    assert got_floor == [("hog", 0.0), ("waiter", 2.0)]
+    # The quantum runs at the chair, from the hog's grant there.
+    assert got_floor == [("hog", at(RTT)), ("waiter", at(2.0 + RTT))]
     assert preempted == ["hog"]
     assert floor.counters["preemptions"] == 1
 
 
-def test_round_robin_no_preemption_without_waiters(env):
-    floor = RoundRobinFloor(env, quantum=1.0)
+def test_round_robin_no_preemption_without_waiters():
+    floor = floor_on(RoundRobinFloor, "alice", quantum=1.0)
+    env = floor.env
 
     def holder(env):
         yield floor.request("alice")
@@ -111,13 +189,14 @@ def test_round_robin_no_preemption_without_waiters(env):
     assert floor.counters["preemptions"] == 0
 
 
-def test_round_robin_quantum_validation(env):
+def test_round_robin_quantum_validation():
     with pytest.raises(FloorControlError):
-        RoundRobinFloor(env, quantum=0)
+        floor_on(RoundRobinFloor, quantum=0)
 
 
-def test_chaired_floor_grants_after_decision_latency(env):
-    floor = ChairedFloor(env, chair="prof")
+def test_chaired_floor_grants_after_decision_latency():
+    floor = floor_on(ChairedFloor, "alice")
+    env = floor.env
     granted = []
 
     def speaker(env):
@@ -126,11 +205,12 @@ def test_chaired_floor_grants_after_decision_latency(env):
 
     env.process(speaker(env))
     env.run()
-    assert granted == [CHAIR_DECISION_LATENCY]
+    assert granted == [at(CHAIR_DECISION_LATENCY + RTT)]
 
 
-def test_chaired_floor_queues_while_held(env):
-    floor = ChairedFloor(env, chair="prof")
+def test_chaired_floor_queues_while_held():
+    floor = floor_on(ChairedFloor, "alice", "bob")
+    env = floor.env
     order = []
 
     def speaker(env, name, hold):
@@ -142,12 +222,14 @@ def test_chaired_floor_queues_while_held(env):
     env.process(speaker(env, "alice", 2.0))
     env.process(speaker(env, "bob", 1.0))
     env.run()
-    assert order == [("alice", CHAIR_DECISION_LATENCY),
-                     ("bob", CHAIR_DECISION_LATENCY + 2.0)]
+    first = CHAIR_DECISION_LATENCY + RTT
+    assert order == [("alice", at(first)), ("bob", at(first + 2.0 + RTT))]
 
 
-def test_negotiated_floor_holder_yields(env):
-    floor = NegotiatedFloor(env, negotiation_latency=0.5)
+def test_negotiated_floor_holder_yields():
+    floor = floor_on(NegotiatedFloor, "alice", "bob",
+                     negotiation_latency=0.5)
+    env = floor.env
     timeline = []
 
     def first(env):
@@ -163,14 +245,15 @@ def test_negotiated_floor_holder_yields(env):
     env.process(first(env))
     env.process(second(env))
     env.run()
-    assert timeline == [("alice", 0.0), ("bob", 1.5)]
+    assert timeline == [("alice", at(RTT)), ("bob", at(1.5 + RTT))]
     assert floor.counters["yields"] == 1
 
 
-def test_negotiated_floor_refusal_waits_for_release(env):
-    floor = NegotiatedFloor(
-        env, yields=lambda holder, requester: False,
-        negotiation_latency=0.5)
+def test_negotiated_floor_refusal_waits_for_release():
+    floor = floor_on(NegotiatedFloor, "alice", "bob",
+                     yields=lambda holder, requester: False,
+                     negotiation_latency=0.5)
+    env = floor.env
     timeline = []
 
     def first(env):
@@ -186,12 +269,13 @@ def test_negotiated_floor_refusal_waits_for_release(env):
     env.process(first(env))
     env.process(second(env))
     env.run()
-    assert timeline == [5.0]
+    assert timeline == [at(5.0 + 2 * RTT)]
     assert floor.counters["refusals"] == 1
 
 
-def test_turn_counts_fairness_metric(env):
-    floor = FcfsFloor(env)
+def test_turn_counts_fairness_metric():
+    floor = floor_on(FcfsFloor, "alice", "bob")
+    env = floor.env
 
     def speaker(env, name, turns):
         for _ in range(turns):
@@ -206,6 +290,122 @@ def test_turn_counts_fairness_metric(env):
     assert counts == {"alice": 3, "bob": 1}
 
 
-def test_floor_latency_validation(env):
+def test_floor_latency_validation():
     with pytest.raises(FloorControlError):
-        NegotiatedFloor(env, negotiation_latency=-1)
+        floor_on(NegotiatedFloor, negotiation_latency=-1)
+
+
+# -- cut off from the floor's host ----------------------------------------------
+
+
+def two_sites(policy=FcfsFloor, cut_at=1.0):
+    """``policy`` at ``site0.host0`` of a two-site WAN cut in two at
+    ``cut_at``."""
+    env = Environment()
+    topology = wan(env, sites=2, hosts_per_site=2)
+    network = Network(env, topology)
+    floor = policy(network, "site0.host0")
+    sites = [[node for node in topology.nodes if node.startswith(site)]
+             for site in ("site0.", "site1.")]
+    FaultInjector(env, network, FaultSchedule().partition(cut_at, sites))
+    return floor
+
+
+def test_a_member_cut_off_from_the_floor_host_is_refused_with_the_transport_error():
+    floor = two_sites()
+    env = floor.env
+    outcome = []
+
+    def member(env):
+        yield env.timeout(2.0)
+        try:
+            yield floor.request("site1.host0")
+        except TransportError as error:
+            outcome.append((env.now, str(error)))
+
+    proc = env.process(member(env))
+    env.run()
+    # Every attempt of the request is dropped at the cut; the last
+    # attempt's ack wait ends the send, and the request with it.
+    [(refused_at, message)] = outcome
+    assert refused_at == pytest.approx(2.0 + 9 * 0.2)
+    assert message == "no ack from site0.host0 after 9 attempts"
+    assert not proc.is_alive
+    assert floor.holder is None and floor.turns == []
+    assert floor.network.drop_stats() == {"no-route": 9}
+
+
+def test_a_grant_that_cannot_be_delivered_hands_the_floor_on():
+    """The far member's request is queued before the cut; its grant,
+    sent after, is refused, and the floor passes to the next in line."""
+    floor = two_sites(cut_at=0.5)
+    env = floor.env
+    outcome = {}
+
+    def holder(env):
+        yield floor.request("site0.host1")
+        yield env.timeout(1.0)
+        floor.release("site0.host1")
+
+    def far(env):
+        yield env.timeout(0.1)
+        try:
+            yield floor.request("site1.host0")
+        except TransportError:
+            outcome["site1.host0"] = "refused"
+
+    def near(env):
+        yield env.timeout(0.2)
+        yield floor.request("site0.host0")
+        outcome["site0.host0"] = env.now
+        floor.release("site0.host0")
+
+    procs = [env.process(body(env)) for body in (holder, far, near)]
+    env.run()
+    assert outcome["site1.host0"] == "refused"
+    assert [member for member, _ in floor.turns] == [
+        "site0.host1", "site1.host0", "site0.host0"]
+    assert outcome["site0.host0"] > 1.0 + 9 * 0.2
+    assert not any(proc.is_alive for proc in procs)
+    assert floor.holder is None
+
+
+def test_a_grant_reaching_a_member_who_stopped_waiting_is_handed_back():
+    """Bob's request reaches the chair, but his link goes down before
+    its ack is back: his send gives up and his request fails.  The
+    link is up again when the chair grants him, so his host hands the
+    floor straight back and carol gets it."""
+    floor = floor_on(FcfsFloor, "alice", "bob", "carol")
+    env = floor.env
+    FaultInjector(env, floor.network, FaultSchedule().partition(
+        0.125, [["bob"], ["alice", "carol", "chair", "hub"]],
+        heal_at=2.5))
+    outcome = {}
+
+    def alice(env):
+        yield floor.request("alice")
+        yield env.timeout(3.0)
+        floor.release("alice")
+
+    def bob(env):
+        yield env.timeout(0.1)
+        try:
+            yield floor.request("bob")
+        except TransportError:
+            outcome["bob"] = env.now
+
+    def carol(env):
+        yield env.timeout(0.2)
+        yield floor.request("carol")
+        outcome["carol"] = env.now
+        floor.release("carol")
+
+    for body in (alice, bob, carol):
+        env.process(body(env))
+    env.run()
+    assert outcome["bob"] == at(0.1 + 9 * 0.2)
+    assert [member for member, _ in floor.turns] == ["alice", "bob", "carol"]
+    # After alice's hold: her release, bob's grant, its hand-back and
+    # carol's grant, one trip each.
+    assert outcome["carol"] == at(RTT + 3.0 + 4 * ONE_WAY)
+    assert floor.holder is None

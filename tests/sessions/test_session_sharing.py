@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SessionError
+from repro.errors import SessionError, TransportError
 from repro.sessions import (
     ASYNCHRONOUS,
     AwareSharedObject,
@@ -19,7 +19,7 @@ from repro.sessions import (
 from repro.faults import FaultInjector, FaultSchedule
 from repro.net import Network, Topology, wan
 from repro.net.packet import HEADER_BYTES
-from repro.sessions.sharing import DELTA_SIZE
+from repro.sessions.sharing import DELTA_SIZE, INPUT_SIZE
 from repro.sim import Environment
 
 
@@ -42,9 +42,10 @@ def users(env):
 
 
 def conference_on(network, members, display_size=2048):
-    """A conference whose app runs at ``app``, ``members`` joined in order."""
+    """A conference whose app (and floor) runs at ``app``, ``members``
+    joined in order."""
     conference = TransparentConference(network, SingleUserApp(),
-                                       FcfsFloor(network.env), "app",
+                                       FcfsFloor(network, "app"),
                                        display_size=display_size)
     for member in members:
         conference.join(member)
@@ -114,12 +115,18 @@ def test_session_all_four_quadrants(env):
 
 
 def test_leaving_member_releases_floor(env):
-    floor = FcfsFloor(env)
-    session = Session(users(env), "s", floor=floor)
+    network = users(env)
+    floor = FcfsFloor(network, "observer")
+    session = Session(network, "s", floor=floor)
     session.join("alice")
     floor.request("alice")
+    env.run()
+    assert floor.holds("alice")
+    # A reclaim is the floor host's own act: no message, in the call.
+    sent = network.counters["sent"]
     session.leave("alice")
     assert floor.holder is None
+    assert network.counters["sent"] == sent
 
 
 def test_transparent_conference_multicasts_display(env):
@@ -135,13 +142,14 @@ def test_transparent_conference_multicasts_display(env):
     env.run()
     assert proc.value == "display:1 items"
     # Every member's screen updated: the links carry three display_size
-    # datagrams, all three through the app's link.
+    # datagrams, all three through the app's link.  So do alice's
+    # request, the grant, her input and her release, each acked.
     assert all(len(screen) == 1
                for screen in conference.screens.values())
     [app_link] = network.topology.path("app", "hub")
-    assert network.counters["sent"] == network.counters["delivered"] == 3
+    assert network.counters["sent"] == network.counters["delivered"] == 11
     assert (app_link.stats.packets, app_link.stats.bytes) == (
-        3, 3 * (1000 + HEADER_BYTES))
+        11, 3 * (1000 + HEADER_BYTES) + INPUT_SIZE + 8 * HEADER_BYTES)
 
 
 def test_transparent_conference_serialises_input(env):
@@ -167,14 +175,19 @@ def test_transparent_conference_membership_required(env):
 
 
 def test_submit_fires_when_the_submitters_screen_is_painted(env):
-    """The app's one link sends the screens one after another, so the
-    third member to join is painted after two transmissions there plus
-    its own screen's flight: the delay grows with the group."""
+    """The input is applied when it reaches the app's host, which acks
+    it and then sends the screens one after another on its one link, so
+    the third member to join is painted after the ack's and two
+    screens' transmissions there plus its own screen's flight: the
+    delay grows with the group."""
     network = hub(env, "app", "alice", "bob", "carol", latency=0.01,
                   bandwidth=8e6)
     conference = conference_on(network, ("alice", "bob", "carol"),
                                display_size=1000)
-    painted = []
+    applied, painted = [], []
+    handle = conference.app.handle
+    conference.app.handle = lambda event: applied.append(env.now) or \
+        handle(event)
 
     def carol(env):
         yield conference.submit("carol", "stroke")
@@ -186,8 +199,11 @@ def test_submit_fires_when_the_submitters_screen_is_painted(env):
     path = network.topology.path("app", "carol")
     flight = sum(link.transmission_delay(wire) + link.latency
                  for link in path)
-    assert painted == [pytest.approx(2 * path[0].transmission_delay(wire)
-                                     + flight)]
+    # The request, the grant and the input each cross two 10 ms links.
+    assert applied == [pytest.approx(0.06, abs=1e-3)]
+    assert painted == [pytest.approx(
+        applied[0] + path[0].transmission_delay(HEADER_BYTES)
+        + 2 * path[0].transmission_delay(wire) + flight)]
     assert conference.screens["carol"] == [(painted[0], "display:1 items")]
 
 
@@ -197,14 +213,7 @@ def test_a_display_update_does_not_cross_a_partition():
     env = Environment()
     topology = wan(env, sites=2, hosts_per_site=2)
     network = Network(env, topology)
-    conference = TransparentConference(network, SingleUserApp(),
-                                       FcfsFloor(env), "site0.host0")
-    conference.join("site0.host1")
-    conference.join("site1.host0")
-    site0 = [node for node in topology.nodes if node.startswith("site0.")]
-    site1 = [node for node in topology.nodes if node.startswith("site1.")]
-    FaultInjector(env, network,
-                  FaultSchedule().partition(1.0, [site0, site1]))
+    conference = cut_conference(network)
 
     def member(env):
         yield env.timeout(2.0)
@@ -215,6 +224,46 @@ def test_a_display_update_does_not_cross_a_partition():
     assert [len(conference.screens[name])
             for name in ("site0.host1", "site1.host0")] == [1, 0]
     assert network.drop_stats() == {"no-route": 1}
+
+
+def cut_conference(network):
+    """A conference at ``site0.host0`` with one member at each site,
+    the two sites cut apart at 1 s."""
+    conference = TransparentConference(
+        network, SingleUserApp(), FcfsFloor(network, "site0.host0"))
+    conference.join("site0.host1")
+    conference.join("site1.host0")
+    topology = network.topology
+    site0 = [node for node in topology.nodes if node.startswith("site0.")]
+    site1 = [node for node in topology.nodes if node.startswith("site1.")]
+    FaultInjector(network.env, network,
+                  FaultSchedule().partition(1.0, [site0, site1]))
+    return conference
+
+
+def test_a_member_cut_off_from_the_app_cannot_submit():
+    """The cut-off member's request for the floor never reaches the
+    app's host: its submit fails with the send's error, the app never
+    sees the input, and nothing is left waiting."""
+    env = Environment()
+    network = Network(env, wan(env, sites=2, hosts_per_site=2))
+    conference = cut_conference(network)
+    outcome = []
+
+    def member(env):
+        yield env.timeout(2.0)
+        try:
+            yield conference.submit("site1.host0", "stroke")
+        except TransportError as error:
+            outcome.append((env.now, str(error)))
+
+    proc = env.process(member(env))
+    env.run()
+    assert outcome == [(pytest.approx(2.0 + 9 * 0.2),
+                        "no ack from site0.host0 after 9 attempts")]
+    assert conference.app.state == []
+    assert conference.screens == {"site0.host1": [], "site1.host0": []}
+    assert not proc.is_alive
 
 
 # -- collaboration-aware sharing -----------------------------------------------------

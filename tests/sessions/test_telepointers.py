@@ -396,7 +396,7 @@ def _feeds(service_class, interval, latency, steps):
                 for name in who:
                     if name in joined:
                         service.move(name, float(serial), env.now)
-            elif kind == "watch":
+            elif kind == "watch" and who in joined:
                 service.watch(who, viewer(who))
             elif kind == "leave" and who in joined:
                 joined.remove(who)

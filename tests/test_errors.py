@@ -147,10 +147,9 @@ def test_a_sharer_at_a_host_the_topology_lacks_is_rejected_by_name():
     network = Network(env, lan(env, hosts=2))
     with pytest.raises(errors.NetworkError,
                        match="^host must be a node of the topology: 'app'$"):
-        TransparentConference(network, SingleUserApp(), FcfsFloor(env),
-                              "app")
+        FcfsFloor(network, "app")
     conference = TransparentConference(network, SingleUserApp(),
-                                       FcfsFloor(env), "host0")
+                                       FcfsFloor(network, "host0"))
     shared = AwareSharedObject(network)
     for join in (conference.join, shared.join):
         with pytest.raises(errors.NetworkError, match="^host .*'bob'$"):
@@ -161,6 +160,21 @@ def test_a_sharer_at_a_host_the_topology_lacks_is_rejected_by_name():
         conference.submit("bob", "x")
     env.run()
     assert network.counters["sent"] == 0
+
+
+def test_a_pointer_watched_before_its_member_joins_is_rejected_by_name():
+    """The callback is not kept: joined later, the member gets only
+    what it joins with."""
+    env = Environment()
+    service = TelepointerService(env)
+    with pytest.raises(errors.SessionError, match="^bob has not joined$"):
+        service.watch("bob", lambda *move: pytest.fail("kept"))
+    seen = []
+    service.join("alice")
+    service.join("bob", on_move=lambda *move: seen.append(move))
+    service.move("alice", 1.0, 2.0)
+    env.run(until=1.0)
+    assert seen == [("alice", 1.0, 2.0)]
 
 
 # -- ... so is a timeout: the call never starts, nothing is left in flight -------
@@ -295,6 +309,14 @@ def _synchroniser(env, **kwargs):
                                   MediaSink(env, "audio"), **kwargs)
 
 
+def _on_lan(policy):
+    """``policy`` at the one host of a LAN, built under its own name."""
+    def build(env, **kwargs):
+        return policy(Network(env, lan(env, hosts=1)), "host0", **kwargs)
+    build.__name__ = policy.__name__
+    return build
+
+
 def _digests(env, **kwargs):
     return DigestService(AwarenessBus(Network(env, lan(env, hosts=1))),
                          "host0", **kwargs)
@@ -324,9 +346,10 @@ _BOUNDS = [
     (errors.NetworkError, _periodic_trace, "period_disconnected",
      "must be positive"),
     (errors.SimulationError, _window_hook, "interval", "must be positive"),
-    (errors.FloorControlError, RoundRobinFloor, "quantum", "must be positive"),
-    (errors.FloorControlError, NegotiatedFloor, "negotiation_latency",
-     "must be non-negative"),
+    (errors.FloorControlError, _on_lan(RoundRobinFloor), "quantum",
+     "must be positive"),
+    (errors.FloorControlError, _on_lan(NegotiatedFloor),
+     "negotiation_latency", "must be non-negative"),
     (errors.NodeError, _object, "state_size", "must be non-negative"),
     (errors.StreamError, _source, "rate", "must be positive"),
     (errors.StreamError, _source, "frame_size", "must be positive"),

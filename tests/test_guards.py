@@ -161,6 +161,7 @@ PERF = "docs/performance.md: "
 MOBILE = "DESIGN.md: A mobile's transfers are calls"
 AWARE = "DESIGN.md: Awareness is traffic"
 DISPLAY = "DESIGN.md: The shared display is traffic"
+FLOOR = "DESIGN.md: Coordination is traffic"
 PROFILE = "docs/analysis.md: ## One hypothesis profile"
 HOP = PERF + "### A hop is one event"
 TIMELINE = PERF + "A link channel is a timeline of bookings"
@@ -294,6 +295,14 @@ TOMBSTONES = {  # (the commit that deleted it, the record): guards
     ("7c4affd+1", DISPLAY): [
         grep(name, SRC, "benchmarks/**/*.py", "examples/**/*.py", word=True)
         for name in ("DISPLAY_LATENCY", "display_bytes_sent")],
+    # Deleted by the commit after 5dcd1b6: the in-call floor and its
+    # reservation twin (the names are split so that this file holds
+    # neither).
+    ("5dcd1b6+1", FLOOR): gone("src/repro/concurrency/reservation.py") + [
+        grep("Reservation" "Control", SRC, "tests/**/*.py",
+             "benchmarks/**/*.py", "examples/**/*.py", word=True),
+        grep(r"Floor\(env\b", SRC, "tests/**/*.py", "benchmarks/**/*.py",
+             "examples/**/*.py", plant="floor = FcfsFloor" "(env)")],
     # Deleted by the commit after 98daba3: the link owns its channel.
     ("98daba3+1", HOP): [grep(r"Priority(Resource|Request)", SRC,
                               "tests/**/*.py",
@@ -358,6 +367,13 @@ CONTRACTS = {  # where the rule is stated: guards
                  plant="self.env.timeout(self.latency, event)")],
     DISPLAY: [grep(r"timeout\(", "src/repro/sessions/sharing.py",
                    plant="yield self.env.timeout(DISPLAY_LATENCY)")],
+    # The three timers that are not messages: the round-robin quantum,
+    # the chair's decision and the negotiation (until its votes are
+    # messages too).
+    FLOOR: [grep(r"timeout\(", "src/repro/sessions/floor.py",
+                 allow=r":\s*self\.env\.timeout\((self\.quantum"
+                       r"|CHAIR_DECISION_LATENCY|self\.negotiation_latency),",
+                 plant="yield self.env.timeout(NET_LATENCY)")],
     PERF + "### A pointer tick is one event": [grep(
         r"\.process\(", "src/repro/sessions/telepointers.py",
         plant="self.env.process(self._publisher(member, serial))")],
