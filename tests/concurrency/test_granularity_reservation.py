@@ -1,11 +1,16 @@
-"""Tests for lock granularity modelling (reservation is a session floor:
-``tests/sessions/test_floor.py``)."""
+"""Tests for lock granularity modelling and floor-passing reservation.
+
+A reservation is a platform session's FCFS floor, as in E1's
+reservation arm; the floor policies themselves are tested in
+``tests/sessions/test_floor.py``.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import CooperativePlatform
 from repro.concurrency import GRANULARITIES, StructuredDocument
-from repro.errors import ConcurrencyError
+from repro.errors import ConcurrencyError, FloorControlError
 
 
 def make_doc():
@@ -81,3 +86,56 @@ def test_coarser_granularity_conflicts_superset(word_a, word_b):
         assert now or not conflicted
         conflicted = conflicted or now
     assert _contend(doc, "document", *spans)
+
+
+def make_reservation(members=3):
+    """The FCFS floor of a session over ``members`` one-host sites."""
+    platform = CooperativePlatform(sites=members, hosts_per_site=1, seed=1)
+    names = platform.host_names()
+    floor = platform.create_session("edit", names, "fcfs").session.floor
+    return platform, floor, names
+
+
+def test_reservation_grant_and_queue():
+    platform, floor, (alice, bob, carol) = make_reservation()
+    env = platform.env
+    turns = []
+
+    def speaker(env, name, hold):
+        yield floor.request(name)
+        turns.append((name, env.now, env.now + hold))
+        assert [member for member in (alice, bob, carol)
+                if floor.holds(member)] == [name]
+        yield env.timeout(hold)
+        floor.release(name)
+
+    env.process(speaker(env, alice, 2.0))
+    env.process(speaker(env, bob, 1.0))
+    env.process(speaker(env, carol, 1.0))
+    platform.run()
+    # Asked at one instant, granted in the order asked, one at a time:
+    # each turn starts after the one before it has been released.
+    assert [name for name, _, _ in turns] == [alice, bob, carol]
+    for (_, _, released), (_, granted, _) in zip(turns, turns[1:]):
+        assert granted > released
+    assert floor.holder is None
+
+
+def test_reservation_release_requires_holder():
+    platform, floor, (alice, bob, _) = make_reservation()
+    floor.request(alice)
+    with pytest.raises(FloorControlError):
+        floor.release(bob)
+    platform.run()
+    with pytest.raises(FloorControlError):
+        floor.release(bob)
+    floor.release(alice)
+
+
+def test_reservation_check():
+    platform, floor, (alice, bob, _) = make_reservation()
+    floor.request(alice)
+    assert not floor.holds(alice)  # not before the grant arrives
+    platform.run()
+    assert floor.holds(alice)
+    assert not floor.holds(bob)
