@@ -72,6 +72,8 @@ class Host:
         self.name = name
         self._inboxes: Dict[int, Store] = {}
         self._handlers: Dict[int, Callable[[Packet], None]] = {}
+        #: The reliable channel on each port (a channel enters itself).
+        self.channels: Dict[int, Any] = {}
         #: Datagrams sent: the book behind ``net.node.sent`` / ``net.sent``.
         self.sent = 0
 

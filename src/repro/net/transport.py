@@ -18,7 +18,7 @@ the reply's delivery, before anything else queued for that instant.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import TransportError
 from repro.faults.policies import (
@@ -65,6 +65,13 @@ class ReliableChannel:
     delivery.  Items in order reach a waiting :meth:`receive` the same
     way, inside the data packet's delivery, or to the handler given to
     :meth:`on_receive`.
+
+    A send that gives up leaves no gap: later data packets to that
+    destination carry ``base``, the lowest sequence number awaiting its
+    ack, below which the receiver hands on what it holds and skips the
+    rest; a give-up with later sends behind it sends a notice that
+    carries ``base`` and delivers nothing (DESIGN.md "A given-up send
+    leaves no gap").
     """
 
     def __init__(self, host: Host, port: int = 1,
@@ -86,10 +93,14 @@ class ReliableChannel:
         # Sequence numbers are per destination: the receiver reorders by
         # (sender, seq), so a shared counter would leave permanent gaps
         # for receivers that only see part of the stream.
-        self._seq: Dict[str, "itertools.count"] = {}
+        #: The last sequence number sent to each destination.
+        self._seq: Dict[str, int] = {}
         #: Sends awaiting their ack, by (destination, sequence number).
         self._pending_acks: Dict[Tuple[str, int], _PendingSend] = {}
         self._expected: Dict[str, int] = {}
+        #: Destinations a send to has given up on: their data packets
+        #: carry ``base``.
+        self._abandoned: Set[str] = set()
         self._reorder: Dict[str, Dict[int, Packet]] = {}
         self._app_inbox = Store(self.env)
         self._deliver: Callable[[Packet], None] = self._app_inbox.put
@@ -107,6 +118,7 @@ class ReliableChannel:
         self._gave_up_counters = BoundCounterCache(
             self.env.metrics, "chan.gave_up", "dst", node=host.name)
         host.on_packet(port, self._on_packet)
+        host.channels[port] = self
 
     def send(self, dst: str, payload: Any = None, size: int = 0,
              parent=None) -> Event:
@@ -120,11 +132,8 @@ class ReliableChannel:
         The first attempt leaves before this returns.
         """
         done = self.env.event()
-        numbers = self._seq.get(dst)
-        if numbers is None:
-            numbers = self._seq[dst] = itertools.count(1)
-        _PendingSend(self, dst, payload, size, next(numbers), done,
-                     parent)._attempt()
+        seq = self._seq[dst] = self._seq.get(dst, 0) + 1
+        _PendingSend(self, dst, payload, size, seq, done, parent)._attempt()
         return done
 
     def receive(self):
@@ -163,7 +172,8 @@ class ReliableChannel:
             return
         if kind != "data":
             return
-        seq = packet.headers["seq"]
+        headers = packet.headers
+        seq = headers["seq"]
         # Always (re-)acknowledge, even duplicates.
         self.host.send(packet.src, size=0, port=self.port,
                        headers={"type": "ack", "seq": seq})
@@ -171,14 +181,23 @@ class ReliableChannel:
         # (its predecessor lost, awaiting retransmission) must be held,
         # not adopted as the baseline.
         expected = self._expected.get(packet.src, 1)
-        if seq < expected:
+        base = headers.get("base", 0)
+        if seq < expected and base <= expected:
             return  # duplicate
         buffer = self._reorder.setdefault(packet.src, {})
-        buffer[seq] = packet
-        while expected in buffer:
-            self._deliver(buffer.pop(expected))
+        if seq >= expected:
+            buffer[seq] = packet
+        # What is missing below ``base`` was given up on.
+        while expected < base or expected in buffer:
+            held = buffer.pop(expected, None)
+            if held is not None and held.payload is not _NOTICE:
+                self._deliver(held)
             expected += 1
         self._expected[packet.src] = expected
+
+
+#: The payload of a give-up's notice (see :class:`ReliableChannel`).
+_NOTICE = object()
 
 
 class _PendingSend:
@@ -227,10 +246,14 @@ class _PendingSend:
         """
         channel = self.channel
         attempt = self.attempt
+        headers = {"type": "data", "seq": self.seq}
+        if self.dst in channel._abandoned:
+            dst = self.dst
+            headers["base"] = min(seq for (to, seq) in channel._pending_acks
+                                  if to == dst)
         channel.host.send(self.dst, payload=self.payload, size=self.size,
                           port=channel.port,
-                          headers=inject(self.span, {"type": "data",
-                                                     "seq": self.seq}))
+                          headers=inject(self.span, headers))
         channel.env.timeout(channel.backoff.delay(attempt),
                             attempt).callbacks.append(self._on_timeout)
 
@@ -258,10 +281,16 @@ class _PendingSend:
                                 attempt=self.attempt)
             return
         self.attempt = -1
-        del channel._pending_acks[(self.dst, self.seq)]
+        dst = self.dst
+        del channel._pending_acks[(dst, self.seq)]
+        channel._abandoned.add(dst)
+        if channel._seq[dst] > self.seq:
+            # Later sends may be held behind this one: a notice of the
+            # new base hands them on.
+            channel.send(dst, _NOTICE).defuse()
         channel._track(-1)
         channel.gave_up += 1
-        channel._gave_up_counters.get(self.dst).add()
+        channel._gave_up_counters.get(dst).add()
         span = self.span
         span.set_status("error")
         span.set_attribute("error", "no-ack")

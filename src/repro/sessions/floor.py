@@ -17,15 +17,16 @@ A floor lives at a host, and a member sits at the host named like it.
 A member's request and release go from its host to the floor's, and a
 grant comes back, each a message on the hosts' reliable channels at
 :data:`FLOOR_PORT`.  A policy decides at the floor's host, in arrival
-order.  An undelivered request or grant fails the member's request with
-the channel's error (a grant hands the floor on), and a reclaim is the
-floor host's own act, in the call.
+order, and numbers each turn it grants.  An undelivered request or
+grant fails the member's request with the channel's error (a grant
+ends its turn), a release is sent until it arrives, and a reclaim is
+the floor host's own act, in the call.  Whatever names a turn the host
+has ended (a late release, a conference input) changes nothing.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import FloorControlError
 from repro.net import Network, Packet, ReliableChannel
@@ -38,11 +39,6 @@ CHAIR_DECISION_LATENCY = 0.5
 #: The port floor requests, grants, releases and conference input use.
 FLOOR_PORT = 61
 
-#: Each host's channel, held weakly both ways: the host's port handler
-#: is what keeps the channel alive.
-_CHANNELS: "weakref.WeakKeyDictionary[Host, weakref.ref]" = \
-    weakref.WeakKeyDictionary()
-
 
 def arrive(packet: Packet) -> None:
     """A floor or sharing message carries the call its arrival makes."""
@@ -51,12 +47,10 @@ def arrive(packet: Packet) -> None:
 
 def _channel(host: Host) -> ReliableChannel:
     """``host``'s channel on :data:`FLOOR_PORT`, opened on first use."""
-    held = _CHANNELS.get(host)
-    channel = held() if held is not None else None
+    channel = host.channels.get(FLOOR_PORT)
     if channel is None:
         channel = ReliableChannel(host, FLOOR_PORT)
         channel.on_receive(arrive)
-        _CHANNELS[host] = weakref.ref(channel)
     return channel
 
 
@@ -105,15 +99,19 @@ class FloorPolicy:
         self.hold_time = Tally("floor-hold")
         self.turns: List[Tuple[str, float]] = []
         self._held_since = 0.0
+        #: The number of the last turn granted, at the floor's host.
+        self._turn = 0
         #: Requests waiting at the floor's host: (member, event, asked at).
         self._queue: List[Tuple[str, Event, float]] = []
-        #: Members whose grant has arrived and who have not released.
-        self._holding: Set[str] = set()
+        #: Member -> the turn whose grant has arrived at its host and
+        #: which it has not released.
+        self._holding: Dict[str, int] = {}
 
     def request(self, member: str) -> Event:
         """Ask for the floor from ``member``'s host; the event fires
-        (with the member) when the grant arrives there, or fails with
-        the error of a request or grant that could not be delivered."""
+        (with the turn's number) when the grant arrives there, or fails
+        with the error of a request or grant that could not be
+        delivered."""
         event = self.env.event()
         self.counters.incr("requests")
         send_call(self.network, member, self.host.name,
@@ -123,16 +121,28 @@ class FloorPolicy:
 
     def release(self, member: str) -> None:
         """Give up the floor: a message to the floor's host."""
-        if member not in self._holding:
+        turn = self._holding.pop(member, None)
+        if turn is None:
             raise FloorControlError(
                 "{} does not hold the floor".format(member))
-        self._holding.remove(member)
+        self._send_release(member, turn)
+
+    def _send_release(self, member: str, turn: int) -> None:
+        """A release is sent again until the floor's host has it: until
+        then the floor stays held (unless the host reclaims it)."""
+        self.counters.incr("releases")
         send_call(self.network, member, self.host.name,
-                  (self.reclaim, member))
+                  (self._released, member, turn),
+                  failed=lambda error: self._send_release(member, turn))
 
     def holds(self, member: str) -> bool:
         """True while the floor's host counts ``member`` as holder."""
         return self.holder == member
+
+    def current(self, member: str, turn: int) -> bool:
+        """True while ``turn`` is ``member``'s and the floor's host has
+        not ended it."""
+        return self.holder == member and self._turn == turn
 
     def reclaim(self, member: str) -> None:
         """End ``member``'s turn at the floor's host, in the call, and
@@ -144,6 +154,11 @@ class FloorPolicy:
             self._next()
 
     # -- at the floor's host ------------------------------------------------
+
+    def _released(self, member: str, turn: int) -> None:
+        """End ``turn`` unless it has ended already."""
+        if self.current(member, turn):
+            self.reclaim(member)
 
     def _requested(self, member: str, event: Event,
                    requested_at: float) -> None:
@@ -172,16 +187,20 @@ class FloorPolicy:
                     requested_at: float) -> None:
         self.counters.incr("grants")
         self.turns.append((member, self.env.now))
+        self._turn += 1
+        turn = self._turn
         send_call(self.network, self.host.name, member,
-                  (self._granted, member, event, requested_at),
-                  failed=lambda error: self._undelivered(member, event,
-                                                         error))
+                  (self._granted, member, event, requested_at, turn),
+                  failed=lambda error: self._undelivered(member, turn,
+                                                         event, error))
 
-    def _undelivered(self, member: str, event: Event,
+    def _undelivered(self, member: str, turn: int, event: Event,
                      error: BaseException) -> None:
-        """A grant that could not be delivered hands the floor on."""
+        """A grant that could not be delivered ends its turn and hands
+        the floor on.  It may have arrived with only its acks lost: the
+        member's input and release then name the ended turn."""
         refuse(event)(error)
-        self.reclaim(member)
+        self._released(member, turn)
 
     def _end_hold(self, member: str) -> None:
         self.hold_time.record(self.env.now - self._held_since)
@@ -193,14 +212,14 @@ class FloorPolicy:
 
     # -- at the member's host -----------------------------------------------
 
-    def _granted(self, member: str, event: Event,
-                 requested_at: float) -> None:
-        self._holding.add(member)
+    def _granted(self, member: str, event: Event, requested_at: float,
+                 turn: int) -> None:
         if event.triggered:  # the member stopped waiting: hand it back
-            self.release(member)
+            self._send_release(member, turn)
             return
+        self._holding[member] = turn
         self.wait_time.record(self.env.now - requested_at)
-        event.resolve(member)
+        event.resolve(turn)
 
     def turn_counts(self) -> Dict[str, int]:
         """How many turns each member got (the fairness metric)."""
@@ -231,6 +250,9 @@ class FreeFloor(FloorPolicy):
         self.holder = member  # last speaker "has" the floor
         self._send_grant(member, event, requested_at)
 
+    def current(self, member: str, turn: int) -> bool:
+        return member in self._active  # no turn excludes another
+
     def reclaim(self, member: str) -> None:
         if member in self._active:
             self._active.remove(member)
@@ -259,20 +281,18 @@ class RoundRobinFloor(FloorPolicy):
             raise FloorControlError("quantum must be positive")
         super().__init__(network, host)
         self.quantum = quantum
-        self._epoch = 0
         #: Called with the preempted member when the quantum expires.
         self.on_preempt: Optional[Callable[[str], None]] = None
 
     def _grant(self, member: str, event: Event,
                requested_at: float) -> None:
         super()._grant(member, event, requested_at)
-        self._epoch += 1
-        self.env.timeout(self.quantum, (member, self._epoch)
+        self.env.timeout(self.quantum, (member, self._turn)
                          ).callbacks.append(self._timer)
 
     def _timer(self, timer: Event) -> None:
-        member, epoch = timer.value
-        if self._epoch != epoch or self.holder != member:
+        member, turn = timer.value
+        if self._turn != turn or self.holder != member:
             return  # released, or a newer turn is running
         if not self._queue:
             return  # nobody waiting: let the holder continue

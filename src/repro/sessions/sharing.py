@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import SessionError
+from repro.errors import FloorControlError, SessionError
 from repro.net import Network
 from repro.obs.metrics import Counter
 from repro.sessions.floor import FloorPolicy, arrive, refuse, send_call
@@ -79,7 +79,9 @@ class TransparentConference:
         """A member's input: the floor granted, the input sent to the
         app's host and applied there, the display multicast.  Fires with
         the output when the member's own screen is painted, or fails
-        with the error of a floor message or input not delivered."""
+        with the error of a floor message or input not delivered, or
+        with :class:`FloorControlError` when its turn had ended by the
+        time the input arrived."""
         if member not in self.screens:
             raise SessionError("{} is not in the conference".format(member))
         done = self.env.event()
@@ -96,11 +98,22 @@ class TransparentConference:
         # The release follows the input on the member's channel, so the
         # app applies the input before the floor is handed on.
         send_call(self.network, member, self.host.name,
-                  (self._apply, member, event, done), INPUT_SIZE,
-                  failed=refuse(done))
+                  (self._apply, member, grant.value, event, done),
+                  INPUT_SIZE, failed=refuse(done))
         self.floor.release(member)
 
-    def _apply(self, member: str, event: Any, done: Event) -> None:
+    def _apply(self, member: str, turn: int, event: Any,
+               done: Event) -> None:
+        if not self.floor.current(member, turn):
+            # The floor's host ended the turn first (its grant's acks
+            # were lost, or it reclaimed the floor): the input is
+            # dropped, and the member told.
+            error = FloorControlError(
+                "{}'s turn {} ended before its input arrived".format(
+                    member, turn))
+            send_call(self.network, self.host.name, member,
+                      (refuse(done), error), failed=refuse(done))
+            return
         output = self.app.handle(event)
         # Multicast the new display: a datagram to each member's host.
         for viewer in self.screens:

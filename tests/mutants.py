@@ -175,7 +175,7 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        if False:\n"),
     Mutant("rr-quantum-outlives-release", "seeded; CSCW",
            "src/repro/sessions/floor.py",
-           "        if self._epoch != epoch or self.holder != member:\n",
+           "        if self._turn != turn or self.holder != member:\n",
            "        if self.holder != member:\n"),
     Mutant("floor-grants-at-request-instant", "seeded; CSCW",
            "src/repro/sessions/floor.py",

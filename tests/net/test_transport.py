@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TransportError
+from repro.faults import FaultInjector, FaultSchedule
 from repro.net import Network, ReliableChannel, RpcEndpoint, Topology
 from repro.net.transport import RemoteException, RpcError
 from repro.sim import Environment, RandomStreams
@@ -111,6 +112,73 @@ def test_reliable_gives_up_when_unreachable(env):
     proc = env.process(root(env))
     env.run(proc)
     assert failed == [True]
+
+
+def unsteady(env, *downs):
+    """A 5 ms ``a``–``b`` link, down over each ``(from, to)`` of
+    ``downs``; returns the channels at ``a`` and ``b``, the receiver's
+    deliveries going to a list it also returns."""
+    net, a, b = make_net(env)
+    schedule = FaultSchedule()
+    for start, end in downs:
+        schedule.link_down(start, "a", "b", up_at=end)
+    FaultInjector(env, net, schedule)
+    receiver = ReliableChannel(b)
+    got = []
+    receiver.on_receive(lambda packet: got.append(
+        (packet.payload, env.now)))
+    return ReliableChannel(a), got
+
+
+def test_a_send_that_gave_up_leaves_no_gap_for_the_next(env):
+    """The first send is abandoned while the link is down; the next,
+    sent once it is back, carries the new base and is delivered."""
+    sender, got = unsteady(env, (0.05, 2.5))
+    outcomes = []
+
+    def root(env):
+        for payload in ("lost", "after"):
+            yield env.timeout(0.1)
+            try:
+                yield sender.send("b", payload)
+                outcomes.append((payload, "ok"))
+            except TransportError:
+                outcomes.append((payload, "gave up"))
+            yield env.timeout(1.0)
+
+    env.process(root(env))
+    env.run()
+    assert outcomes == [("lost", "gave up"), ("after", "ok")]
+    assert [payload for payload, _ in got] == ["after"]
+
+
+def test_a_give_up_hands_on_what_was_acked_behind_it(env):
+    """The first send's every attempt meets the link down, but the
+    second gets through between two cuts and is acked, held behind the
+    first.  The first's give-up sends a notice of the new base, which
+    hands the second on once the link is back."""
+    sender, got = unsteady(env, (0.05, 0.15), (0.25, 2.45))
+    outcomes = {}
+
+    def root(env):
+        yield env.timeout(0.1)
+        first = sender.send("b", "first")
+        yield env.timeout(0.1)
+        second = sender.send("b", "second")
+        for name, send in (("first", first), ("second", second)):
+            try:
+                yield send
+                outcomes[name] = "ok"
+            except TransportError:
+                outcomes[name] = "gave up"
+
+    env.process(root(env))
+    env.run()
+    assert outcomes == {"first": "gave up", "second": "ok"}
+    # The notice left at 1.9 (0.1 + 9 x 0.2); its attempt at 2.5 is
+    # the first after the link came back.
+    assert got == [("second", pytest.approx(2.5, abs=0.01))]
+    assert sender.gave_up == 1 and sender.inflight() == 0
 
 
 def test_reliable_max_retries_validation(env):

@@ -290,6 +290,29 @@ def test_turn_counts_fairness_metric():
     assert counts == {"alice": 3, "bob": 1}
 
 
+def test_a_floors_traffic_is_its_messages_and_their_acks():
+    """With nothing lost, every packet is a request, a grant or a
+    release, or its ack; the last speaker still holds at the end."""
+    floor = floor_on(FcfsFloor, "alice", "bob", "carol")
+    env = floor.env
+
+    def speaker(env, name, turns):
+        for number in range(turns):
+            yield floor.request(name)
+            yield env.timeout(0.5)
+            if name != "carol" or number < turns - 1:
+                floor.release(name)
+
+    for name in ("alice", "bob", "carol"):
+        env.process(speaker(env, name, 2))
+    env.run()
+    counters = floor.counters
+    assert (counters["requests"], counters["grants"],
+            counters["releases"]) == (6, 6, 5)
+    assert floor.network.counters["sent"] == 2 * (6 + 6 + 5)
+    assert floor.holds("carol")
+
+
 def test_floor_latency_validation():
     with pytest.raises(FloorControlError):
         floor_on(NegotiatedFloor, negotiation_latency=-1)
@@ -298,16 +321,17 @@ def test_floor_latency_validation():
 # -- cut off from the floor's host ----------------------------------------------
 
 
-def two_sites(policy=FcfsFloor, cut_at=1.0):
+def two_sites(policy=FcfsFloor, cut_at=1.0, heal_at=None):
     """``policy`` at ``site0.host0`` of a two-site WAN cut in two at
-    ``cut_at``."""
+    ``cut_at`` (and mended at ``heal_at``)."""
     env = Environment()
     topology = wan(env, sites=2, hosts_per_site=2)
     network = Network(env, topology)
     floor = policy(network, "site0.host0")
     sites = [[node for node in topology.nodes if node.startswith(site)]
              for site in ("site0.", "site1.")]
-    FaultInjector(env, network, FaultSchedule().partition(cut_at, sites))
+    FaultInjector(env, network, FaultSchedule().partition(
+        cut_at, sites, heal_at=heal_at))
     return floor
 
 
@@ -409,3 +433,108 @@ def test_a_grant_reaching_a_member_who_stopped_waiting_is_handed_back():
     # carol's grant, one trip each.
     assert outcome["carol"] == at(RTT + 3.0 + 4 * ONE_WAY)
     assert floor.holder is None
+
+
+def test_a_member_refused_across_a_cut_is_granted_when_it_asks_after_the_heal():
+    """The refused request leaves no gap in the member's channel: its
+    next request, sent after the heal, reaches the floor's host."""
+    floor = two_sites(heal_at=4.0)
+    env = floor.env
+    outcome = []
+
+    def member(env):
+        yield env.timeout(2.0)
+        try:
+            yield floor.request("site1.host0")
+        except TransportError:
+            outcome.append(("refused", env.now))
+        yield env.timeout(1.0)
+        yield floor.request("site1.host0")
+        outcome.append(("granted", env.now))
+        floor.release("site1.host0")
+
+    proc = env.process(member(env))
+    env.run()
+    assert outcome == [("refused", pytest.approx(3.8)),
+                       ("granted", pytest.approx(
+                           4.8 + 2 * (0.02 + 2 * 0.0002), abs=1e-4))]
+    assert not proc.is_alive
+    assert floor.holder is None and len(floor.turns) == 1
+
+
+def test_a_release_sent_across_a_cut_is_sent_again_until_it_arrives():
+    """The far holder releases while cut off.  Its release gives up and
+    is sent again; the copy that gets through after the heal ends the
+    turn, and the member queued behind it is granted."""
+    floor = two_sites(heal_at=4.1)
+    env = floor.env
+    granted = []
+
+    def far(env):
+        yield floor.request("site1.host0")
+        yield env.timeout(2.0)
+        floor.release("site1.host0")
+
+    def near(env):
+        yield env.timeout(0.5)
+        yield floor.request("site0.host1")
+        granted.append(env.now)
+        floor.release("site0.host1")
+
+    procs = [env.process(body(env)) for body in (far, near)]
+    env.run()
+    # The release leaves at about 2.04, gives up at 3.84 and is sent
+    # again; that send's attempt at 4.24 is the first after the heal.
+    [at_] = granted
+    assert 4.24 < at_ < 4.24 + 0.1
+    assert floor.counters["releases"] == 3
+    assert [member for member, _ in floor.turns] == [
+        "site1.host0", "site0.host1"]
+    assert not any(proc.is_alive for proc in procs)
+    assert floor.holder is None
+
+
+def test_a_grant_whose_acks_are_cut_ends_its_turn():
+    """Alice's grant arrives, but the cut that follows it drops every
+    ack, so the chair's send gives up and bob is granted.  Alice's late
+    release names the turn that ended and leaves bob holding."""
+    floor, _ = acks_cut(FcfsFloor)
+    env = floor.env
+    seen = {}
+
+    def alice(env):
+        seen["alice"] = yield floor.request("alice")
+        yield env.timeout(2.5)
+        floor.release("alice")
+        yield env.timeout(0.5)
+        seen["bob holds"] = floor.holds("bob")
+
+    def bob(env):
+        yield env.timeout(0.2)
+        seen["bob"] = yield floor.request("bob")
+        yield env.timeout(2.0)
+        floor.release("bob")
+
+    for body in (alice, bob):
+        env.process(body(env))
+    env.run()
+    assert (seen["alice"], seen["bob"]) == (1, 2)
+    assert seen["bob holds"]
+    assert [member for member, _ in floor.turns] == ["alice", "bob"]
+    assert floor.holder is None
+
+
+def acks_cut(policy):
+    """``policy`` at ``chair``: ``bob`` 20 ms away and ``alice`` 110 ms,
+    her link cut from 0.2 s, while her first grant is on it, to 1.75 s
+    (after the chair's last attempt of that grant, before her host's
+    last of what she sent on it)."""
+    env = Environment()
+    topology = Topology(env)
+    topology.add_link("chair", "hub", latency=HOP)
+    topology.add_link("bob", "hub", latency=HOP)
+    topology.add_link("alice", "hub", latency=0.1)
+    network = Network(env, topology)
+    FaultInjector(env, network, FaultSchedule().link_down(
+        0.2, "alice", "hub", up_at=1.75))
+    return policy(network, "chair"), network

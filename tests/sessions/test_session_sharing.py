@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.errors import SessionError, TransportError
+from repro.errors import FloorControlError, SessionError, TransportError
 from repro.sessions import (
     ASYNCHRONOUS,
     AwareSharedObject,
     CO_LOCATED,
     FcfsFloor,
     REMOTE,
+    RoundRobinFloor,
     SYNCHRONOUS,
     Session,
     SingleUserApp,
@@ -264,6 +265,114 @@ def test_a_member_cut_off_from_the_app_cannot_submit():
     assert conference.app.state == []
     assert conference.screens == {"site0.host1": [], "site1.host0": []}
     assert not proc.is_alive
+
+
+def test_input_after_a_grant_whose_acks_were_cut_is_not_applied(env):
+    """Alice's grant arrives just before her link is cut, and the cut
+    outlasts the app host's attempts of that grant: it ends her turn
+    and grants bob.  Her input gets through after the link is back,
+    but names the ended turn, so the app drops it: only the holder's
+    input is ever applied.  Her link's round trip (0.22 s) is longer
+    than an ack wait, so her input's send gives up first and fails her
+    submit before the app's refusal arrives."""
+    conference = acks_cut(env)
+    applied = []
+    handle = conference.app.handle
+    conference.app.handle = lambda event: applied.append(env.now) or \
+        handle(event)
+    outcome = {}
+
+    def member(env, name, delay):
+        yield env.timeout(delay)
+        try:
+            outcome[name] = yield conference.submit(name, name)
+        except TransportError as error:
+            outcome[name] = str(error)
+
+    procs = [env.process(member(env, "alice", 0.0)),
+             env.process(member(env, "bob", 0.2))]
+    env.run()
+    assert conference.app.state == ["bob"]
+    assert applied == [pytest.approx(1.95, abs=1e-3)]
+    assert outcome == {"alice": "no ack from app after 9 attempts",
+                       "bob": "display:1 items"}
+    assert [member for member, _ in conference.floor.turns] == [
+        "alice", "bob"]
+    assert not any(proc.is_alive for proc in procs)
+    assert conference.floor.holder is None
+
+
+def acks_cut(env):
+    """A conference at ``app``, ``bob`` 20 ms away and ``alice`` 110 ms,
+    her link cut from 0.2 s to 1.75 s.  Her first grant is on the link
+    from 0.12 s and lands; the app host's last attempt of it is at
+    1.71 s, her host's last of what she sends on its arrival at 1.82 s,
+    which reaches the app at 1.93 s, after the grant gave up (1.91 s)."""
+    topology = Topology(env)
+    topology.add_link("app", "hub", latency=0.01)
+    topology.add_link("bob", "hub", latency=0.01)
+    topology.add_link("alice", "hub", latency=0.1)
+    network = Network(env, topology)
+    FaultInjector(env, network, FaultSchedule().link_down(
+        0.2, "alice", "hub", up_at=1.75))
+    return conference_on(network, ("alice", "bob"))
+
+
+def test_a_late_release_of_an_ended_turn_leaves_the_next_turn_alone(env):
+    """Alice submits twice.  Her first grant gives up and her second
+    request is granted; the release of her first turn, which arrives
+    after that, names the ended turn and does not end the second, so
+    her second input is applied before bob's."""
+    conference = acks_cut(env)
+    outcome = []
+
+    def member(env, name, delay):
+        yield env.timeout(delay)
+        try:
+            outcome.append((name, (yield conference.submit(name, name))))
+        except TransportError:
+            outcome.append((name, "failed"))
+
+    procs = [env.process(member(env, "alice", 0.0)),
+             env.process(member(env, "alice", 0.0)),
+             env.process(member(env, "bob", 0.2))]
+    env.run()
+    assert conference.app.state == ["alice", "bob"]
+    assert sorted(outcome) == [("alice", "display:1 items"),
+                               ("alice", "failed"),
+                               ("bob", "display:2 items")]
+    assert [member for member, _ in conference.floor.turns] == [
+        "alice", "alice", "bob"]
+    assert not any(proc.is_alive for proc in procs)
+
+
+def test_input_from_a_preempted_turn_is_refused(env):
+    """A round-robin quantum shorter than the trip ends alice's turn at
+    the app's host before her input arrives: the app refuses it, her
+    submit fails with the refusal, and bob's input is applied."""
+    network = hub(env, "app", "alice", "bob", latency=0.01)
+    conference = TransparentConference(
+        network, SingleUserApp(), RoundRobinFloor(network, "app",
+                                                  quantum=0.005))
+    for member in ("alice", "bob"):
+        conference.join(member)
+    outcome = {}
+
+    def member(env, name):
+        try:
+            outcome[name] = yield conference.submit(name, name)
+        except FloorControlError as error:
+            outcome[name] = str(error)
+
+    procs = [env.process(member(env, name)) for name in ("alice", "bob")]
+    env.run()
+    assert conference.app.state == ["bob"]
+    assert outcome == {"alice": "alice's turn 1 ended before its input "
+                                "arrived",
+                       "bob": "display:1 items"}
+    assert conference.floor.counters["preemptions"] == 1
+    assert not any(proc.is_alive for proc in procs)
+    assert conference.floor.holder is None
 
 
 # -- collaboration-aware sharing -----------------------------------------------------
